@@ -155,6 +155,48 @@ fn bench_fixed_base(c: &mut Criterion) {
     group.finish();
 }
 
+/// What a fresh pseudonym costs before anything reaches the provider:
+/// one prime search, a whole RSA-1024 key, the modular inverse behind
+/// every blinding factor, and a full blinding. A single prime search
+/// varies severalfold with its seed, so the two search rows cycle through
+/// a fixed set of seeds: every run, on any commit, averages the same
+/// searches.
+fn bench_keygen(c: &mut Criterion) {
+    use p2drm_bignum::{modring, prime};
+    use p2drm_crypto::blind::Blinded;
+    use p2drm_crypto::rsa::RsaKeyPair;
+
+    let mut group = c.benchmark_group("prim_keygen");
+    group
+        .sample_size(10)
+        .warm_up_time(Duration::from_millis(200))
+        .measurement_time(Duration::from_millis(1500));
+    let mut i = 0u64;
+    group.bench_function(BenchmarkId::new("gen_prime", 512), |b| {
+        b.iter(|| {
+            i += 1;
+            prime::gen_prime(512, 16, &mut test_rng(0xF300 + i % 16))
+        })
+    });
+    group.bench_function(BenchmarkId::new("rsa_keygen", 1024), |b| {
+        b.iter(|| {
+            i += 1;
+            RsaKeyPair::generate(1024, &mut test_rng(0xF400 + i % 16))
+        })
+    });
+    let mut rng = test_rng(0xF3);
+    let kp = RsaKeyPair::generate(1024, &mut rng);
+    let n = kp.public().modulus();
+    let a = brng::random_below(&mut rng, n);
+    group.bench_function(BenchmarkId::new("inv_mod", 1024), |b| {
+        b.iter(|| modring::inv_mod(&a, n))
+    });
+    group.bench_function(BenchmarkId::new("blind", 1024), |b| {
+        b.iter(|| Blinded::new(kp.public(), b"pseudonym certificate digest", &mut rng))
+    });
+    group.finish();
+}
+
 fn bench_mul_ablation(c: &mut Criterion) {
     let mut group = c.benchmark_group("prim_mul");
     group
@@ -203,6 +245,7 @@ criterion_group!(
     bench_modexp,
     bench_multiexp,
     bench_fixed_base,
+    bench_keygen,
     bench_mul_ablation,
     bench_store
 );

@@ -5,6 +5,7 @@
 //! These are ring-entry/ring-exit utilities; the hot exponentiation path
 //! lives in [`crate::Mont`].
 
+use crate::mont::inv64;
 use crate::ubig::UBig;
 use crate::BigError;
 
@@ -52,10 +53,9 @@ impl Signed {
             (sn, _) => {
                 // same sign: magnitude subtraction, sign flips if |other|>|self|
                 if self.mag >= other.mag {
-                    Signed {
-                        mag: self.mag.sub(&other.mag),
-                        neg: sn && !self.mag.sub(&other.mag).is_zero(),
-                    }
+                    let mag = self.mag.sub(&other.mag);
+                    let neg = sn && !mag.is_zero();
+                    Signed { mag, neg }
                 } else {
                     Signed {
                         mag: other.mag.sub(&self.mag),
@@ -101,13 +101,128 @@ pub fn ext_gcd_mod(a: &UBig, n: &UBig) -> Result<(UBig, UBig), BigError> {
 }
 
 /// Modular inverse: `a^{-1} mod n`, failing when `gcd(a, n) != 1`.
+///
+/// An odd `n` — every RSA blinding modulus and the CRT's `q⁻¹ mod p` —
+/// takes an in-place binary extended GCD over one limb buffer: no
+/// division and no allocation inside the loop. An even `n` (in this
+/// workspace only `e⁻¹ mod λ` during key generation, where the first
+/// division already leaves word-sized operands) goes through
+/// [`ext_gcd_mod`]. Both compute the same value.
 pub fn inv_mod(a: &UBig, n: &UBig) -> Result<UBig, BigError> {
+    if n.is_odd() {
+        return inv_mod_odd(a, n);
+    }
     let (g, x) = ext_gcd_mod(a, n)?;
     if g.is_one() {
         Ok(x)
     } else {
         Err(BigError::NotInvertible)
     }
+}
+
+/// Binary extended GCD for odd `n`, on four `n`-width registers carved
+/// from one buffer.
+///
+/// Invariants: `xu·a ≡ u` and `xv·a ≡ v (mod n)`, `v` odd, `xu, xv < n`.
+/// Each pass strips `u`'s trailing zero bits — dividing `xu` by the same
+/// power of two modulo `n` — then subtracts the smaller of `u, v` from
+/// the larger, until `u = 0` leaves `v = gcd(a, n)` and, when that is 1,
+/// `xv = a⁻¹`.
+fn inv_mod_odd(a: &UBig, n: &UBig) -> Result<UBig, BigError> {
+    let nl = n.limbs();
+    let s = nl.len();
+    let neg_n0_inv = inv64(nl[0]).wrapping_neg();
+    let reduced;
+    let al = if a < n {
+        a.limbs()
+    } else {
+        reduced = a.rem(n);
+        reduced.limbs()
+    };
+    let mut buf = vec![0u64; 4 * s];
+    let (mut u, rest) = buf.split_at_mut(s);
+    let (mut v, rest) = rest.split_at_mut(s);
+    let (mut xu, mut xv) = rest.split_at_mut(s);
+    u[..al.len()].copy_from_slice(al);
+    v.copy_from_slice(nl);
+    xu[0] = 1;
+    while u.iter().any(|&l| l != 0) {
+        loop {
+            // A zero low limb means at least 64 trailing zeros; take 63
+            // of them now so every shift count stays in 1..=63.
+            let k = if u[0] == 0 { 63 } else { u[0].trailing_zeros() };
+            if k == 0 {
+                break;
+            }
+            shr_in_place(u, k);
+            div_pow2_mod(xu, nl, neg_n0_inv, k);
+        }
+        // Equal widths, so most-significant-first lexicographic order is
+        // numeric order.
+        if u.iter().rev().lt(v.iter().rev()) {
+            std::mem::swap(&mut u, &mut v);
+            std::mem::swap(&mut xu, &mut xv);
+        }
+        sub_in_place(u, v);
+        if sub_in_place(xu, xv) {
+            add_in_place(xu, nl);
+        }
+    }
+    if v[0] == 1 && v[1..].iter().all(|&l| l == 0) {
+        Ok(UBig::from_limbs(xv.to_vec()))
+    } else {
+        Err(BigError::NotInvertible)
+    }
+}
+
+/// `a -= b` over equal-width limbs; returns whether it borrowed out.
+fn sub_in_place(a: &mut [u64], b: &[u64]) -> bool {
+    let mut borrow = false;
+    for (x, &y) in a.iter_mut().zip(b) {
+        let (d1, b1) = x.overflowing_sub(y);
+        let (d2, b2) = d1.overflowing_sub(borrow as u64);
+        *x = d2;
+        borrow = b1 | b2;
+    }
+    borrow
+}
+
+/// `a += b` over equal-width limbs, dropping the carry out (the caller
+/// is undoing a borrow of exactly that weight).
+fn add_in_place(a: &mut [u64], b: &[u64]) {
+    let mut carry = false;
+    for (x, &y) in a.iter_mut().zip(b) {
+        let (s1, c1) = x.overflowing_add(y);
+        let (s2, c2) = s1.overflowing_add(carry as u64);
+        *x = s2;
+        carry = c1 | c2;
+    }
+}
+
+/// `a >>= k` for `1 <= k <= 63`.
+fn shr_in_place(a: &mut [u64], k: u32) {
+    for j in 0..a.len() - 1 {
+        a[j] = (a[j] >> k) | (a[j + 1] << (64 - k));
+    }
+    *a.last_mut().expect("modulus width is at least one limb") >>= k;
+}
+
+/// `x = x / 2^k mod n` for odd `n`, `x < n`, `1 <= k <= 63`: adds the
+/// multiple `m·n` (`m < 2^k`) that clears `x`'s low `k` bits, then shifts
+/// them out — one fused pass. `x + m·n < 2^k·n`, so the result is `< n`.
+fn div_pow2_mod(x: &mut [u64], n: &[u64], neg_n0_inv: u64, k: u32) {
+    let m = x[0].wrapping_mul(neg_n0_inv) & ((1u64 << k) - 1);
+    let cur = x[0] as u128 + m as u128 * n[0] as u128;
+    let mut prev = cur as u64;
+    let mut carry = cur >> 64;
+    for j in 1..x.len() {
+        let cur = x[j] as u128 + m as u128 * n[j] as u128 + carry;
+        x[j - 1] = (prev >> k) | ((cur as u64) << (64 - k));
+        prev = cur as u64;
+        carry = cur >> 64;
+    }
+    *x.last_mut().expect("modulus width is at least one limb") =
+        (prev >> k) | ((carry as u64) << (64 - k));
 }
 
 /// Jacobi symbol `(a / n)` for odd positive `n`; returns -1, 0 or 1.
@@ -181,6 +296,102 @@ mod tests {
         let a = UBig::from_hex("deadbeefcafebabe0123456789abcdef").unwrap();
         let inv = inv_mod(&a, &n).unwrap();
         assert_eq!(mul_mod(&a, &inv, &n), UBig::one());
+    }
+
+    /// What Euclid says: the inverse when the gcd is 1, else `NotInvertible`.
+    fn euclid_inv(a: &UBig, n: &UBig) -> Result<UBig, BigError> {
+        let (g, x) = ext_gcd_mod(a, n)?;
+        if g.is_one() {
+            Ok(x)
+        } else {
+            Err(BigError::NotInvertible)
+        }
+    }
+
+    /// Deterministic filler limbs (top limb nonzero).
+    fn limbs(len: usize, mut seed: u64) -> Vec<u64> {
+        (0..len)
+            .map(|_| {
+                seed = seed
+                    .wrapping_mul(0x9e3779b97f4a7c15)
+                    .wrapping_add(0xbf58476d1ce4e5b9);
+                (seed ^ (seed >> 31)) | 1 << 63
+            })
+            .collect()
+    }
+
+    #[test]
+    fn odd_modulus_inverse_matches_euclid() {
+        for len in 1..=20usize {
+            for seed in 0..4u64 {
+                // n = 3 * 1009 * (odd cofactor) in exactly `len` limbs, so
+                // shared factors exist.
+                let mut cofactor = limbs(len, 7 * len as u64 + seed);
+                cofactor[0] |= 1;
+                cofactor[len - 1] >>= 12;
+                let cofactor = UBig::from_limbs(cofactor);
+                let n = &cofactor * &u(3 * 1009);
+                assert_eq!(n.limb_len(), len);
+                let x = UBig::from_limbs(limbs(len, 1000 + seed));
+                let operands = [
+                    u(0),
+                    u(1),
+                    u(2),
+                    n.sub(&u(1)),
+                    n.clone(),
+                    &n + &u(1),
+                    &(&n * &x) + &u(5),
+                    x.clone(),
+                    x.shl(200),
+                    u(3),
+                    &x * &u(1009),
+                    cofactor.clone(),
+                ];
+                for a in &operands {
+                    let got = inv_mod(a, &n);
+                    assert_eq!(got, euclid_inv(a, &n), "len={len} a={a} n={n}");
+                    if let Ok(inv) = got {
+                        assert_eq!(mul_mod(a, &inv, &n), u(1));
+                    }
+                }
+            }
+        }
+        // The smallest odd moduli, exhaustively.
+        for n in [1u64, 3, 5, 7, 9, 15, 255, u64::MAX] {
+            for a in (0..20).chain([n / 2, n - 1, n]) {
+                assert_eq!(
+                    inv_mod(&u(a), &u(n)),
+                    euclid_inv(&u(a), &u(n)),
+                    "{a} mod {n}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn even_modulus_still_inverts() {
+        // The key-generation shape: e^-1 mod lambda with lambda even.
+        let lambda = &UBig::from_limbs(limbs(8, 99)) * &u(4);
+        let e = u(65537);
+        let d = inv_mod(&e, &lambda).unwrap();
+        assert_eq!(mul_mod(&e, &d, &lambda), u(1));
+        assert_eq!(inv_mod(&u(6), &lambda), Err(BigError::NotInvertible));
+        assert_eq!(inv_mod(&u(3), &u(0)), Err(BigError::DivideByZero));
+    }
+
+    #[test]
+    fn signed_sub_covers_every_sign_case() {
+        let s = |v: i64| Signed {
+            mag: u(v.unsigned_abs()),
+            neg: v < 0,
+        };
+        for a in [-7i64, -3, 0, 3, 7] {
+            for b in [-7i64, -3, 0, 3, 7] {
+                let d = s(a).sub(&s(b));
+                assert_eq!(d.mag, u((a - b).unsigned_abs()), "{a} - {b}");
+                assert_eq!(d.neg, a - b < 0, "{a} - {b}");
+            }
+        }
     }
 
     #[test]

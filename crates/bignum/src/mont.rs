@@ -459,6 +459,43 @@ impl Mont {
         self.from_mont(&acc)
     }
 
+    /// `2^exp mod n` as a left-to-right square-and-**double** ladder: one
+    /// dedicated squaring per exponent bit and, on a set bit, a limb shift
+    /// with a conditional subtraction where a generic base pays a
+    /// Montgomery product. No window table, nothing allocated in the loop.
+    /// This is the base-2 Miller–Rabin witness, the round that rejects
+    /// almost every composite that survives trial division.
+    pub(crate) fn pow2(&self, exp: &UBig) -> UBig {
+        if exp.is_zero() {
+            return UBig::one().rem(&self.modulus());
+        }
+        // The exponent's top bit: 2^1 in Montgomery form.
+        let mut acc = self.one.clone();
+        self.double_mod(&mut acc);
+        let mut tmp = vec![0u64; self.n.len()];
+        let mut scratch = self.alloc_scratch();
+        for i in (0..exp.bit_len() - 1).rev() {
+            self.mont_sqr_into(&acc, &mut tmp, &mut scratch);
+            std::mem::swap(&mut acc, &mut tmp);
+            if exp.bit(i) {
+                self.double_mod(&mut acc);
+            }
+        }
+        self.from_mont(&acc)
+    }
+
+    /// `a = 2a mod n` in place for a reduced modulus-width `a` (plain or
+    /// Montgomery form alike: doubling commutes with the factor `R`).
+    fn double_mod(&self, a: &mut [u64]) {
+        let mut carry = 0u64;
+        for limb in a.iter_mut() {
+            let v = *limb;
+            *limb = (v << 1) | carry;
+            carry = v >> 63;
+        }
+        reduce_once(a, &self.n, carry);
+    }
+
     /// `base^exp` entirely in Montgomery form: fixed-window
     /// square-and-multiply with the window width chosen from the exponent
     /// bit length, limb-wise window extraction (no per-bit [`UBig::bit`]
@@ -795,7 +832,7 @@ pub(crate) fn window_bits(bits: usize) -> usize {
 }
 
 /// Inverse of an odd `x` modulo 2^64 (Newton iteration, 6 steps).
-fn inv64(x: u64) -> u64 {
+pub(crate) fn inv64(x: u64) -> u64 {
     debug_assert!(x & 1 == 1);
     let mut inv = x; // correct to 3 bits
     for _ in 0..5 {
@@ -957,6 +994,35 @@ mod tests {
         let reference = m.pow(&b, &e);
         set_kernel(Kernel::Fast);
         assert_eq!(fast, reference);
+    }
+
+    #[test]
+    fn pow2_ladder_matches_generic_pow() {
+        let two = UBig::from_u64(2);
+        // One limb, a dynamic width (3 limbs), and the fixed 4-limb kernel;
+        // the first leaves almost no headroom above 2·acc.
+        for n_hex in [
+            "3",
+            "fffffffffffffff1",
+            "f123456789abcdef0123456789abcdef1",
+            "c2446bf4ccd64d8b34a8a8f4e4ab7d1bb1e2f7c8d9a0b1c2d3e4f5a6b7c8d9e1",
+        ] {
+            let n = UBig::from_hex(n_hex).unwrap();
+            let m = Mont::new(&n).unwrap();
+            for e_hex in [
+                "0",
+                "1",
+                "2",
+                "3",
+                "ffffffffffffffff",
+                "10000000000000000",
+                "8000000000000000000000000001",
+                "c2446bf4ccd64d8b34a8a8f4e4ab7d1bb1e2f7c8d9a0b1c2d3e4f5a6b7c8d9e0",
+            ] {
+                let e = UBig::from_hex(e_hex).unwrap();
+                assert_eq!(m.pow2(&e), m.pow(&two, &e), "n={n_hex} e={e_hex}");
+            }
+        }
     }
 
     #[test]

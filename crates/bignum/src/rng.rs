@@ -56,16 +56,6 @@ pub fn random_range<R: BigRng + ?Sized>(rng: &mut R, lo: &UBig, hi: &UBig) -> UB
     lo + &random_below(rng, &hi.sub(lo))
 }
 
-/// Uniform random element of the multiplicative group `(Z/nZ)*`.
-pub fn random_coprime<R: BigRng + ?Sized>(rng: &mut R, n: &UBig) -> UBig {
-    loop {
-        let cand = random_range(rng, &UBig::one(), n);
-        if cand.gcd(n).is_one() {
-            return cand;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -115,16 +105,6 @@ mod tests {
         for _ in 0..200 {
             let v = random_range(&mut r, &lo, &hi);
             assert!(v >= lo && v < hi);
-        }
-    }
-
-    #[test]
-    fn random_coprime_is_coprime() {
-        let mut r = rng();
-        let n = UBig::from_u64(360); // plenty of shared factors to reject
-        for _ in 0..50 {
-            let v = random_coprime(&mut r, &n);
-            assert!(v.gcd(&n).is_one());
         }
     }
 

@@ -587,6 +587,19 @@ impl UBig {
         (UBig::from_limbs(out), rem as u64)
     }
 
+    /// Remainder by a single limb, without allocating.
+    ///
+    /// # Panics
+    /// Panics when `d == 0`.
+    pub fn rem_u64(&self, d: u64) -> u64 {
+        assert!(d != 0, "division by zero");
+        let mut rem = 0u128;
+        for &limb in self.limbs.iter().rev() {
+            rem = ((rem << 64) | limb as u128) % d as u128;
+        }
+        rem as u64
+    }
+
     /// Quotient and remainder (Knuth Algorithm D).
     ///
     /// # Panics
@@ -918,6 +931,11 @@ mod tests {
         let (q, r) = a.div_rem_u64(97);
         assert_eq!(&(q.mul_u64(97)) + &UBig::from_u64(r), a);
         assert!(r < 97);
+        assert_eq!(a.rem_u64(97), r);
+        for d in [1u64, 2, 0xffff_ffff, u64::MAX - 58, u64::MAX] {
+            assert_eq!(a.rem_u64(d), a.div_rem_u64(d).1, "d={d}");
+            assert_eq!(UBig::zero().rem_u64(d), 0);
+        }
     }
 
     #[test]

@@ -13,10 +13,17 @@
 //! Pippenger's bucket storage is one flat allocation whose count is
 //! independent of the batch size.
 //!
+//! Prime search and modular inversion are pinned the same way: trial
+//! division of a candidate allocates nothing at all, a base-2
+//! Miller–Rabin round allocates the same handful of buffers whatever the
+//! exponent length, and the binary-GCD inverse works inside one buffer.
+//!
 //! This file intentionally holds a single `#[test]` so no concurrent test
 //! thread can inflate the process-wide allocation counter mid-measurement.
 
-use p2drm_bignum::{multiexp, Mont, MontForm, UBig};
+use p2drm_bignum::{modring, multiexp, prime, Mont, MontForm, UBig};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -159,6 +166,55 @@ fn pow_main_loop_is_allocation_free() {
     assert!(
         p64 <= p16 + 4,
         "pippenger allocations grow with the batch: {p16} allocs @16 bases vs {p64} @64 bases"
+    );
+
+    // ---- Prime search: trial division never touches the heap ----------
+    // 2039 is the last table prime, so this 512-bit multiple of it (with
+    // a prime cofactor) is reduced by every prime group before the
+    // verdict. Top two bits of a 501-bit q set => 2039·q has 512 bits.
+    let mut rng = StdRng::seed_from_u64(14);
+    let q501 = prime::gen_prime(501, 16, &mut rng); // also builds the tables
+    let sieved = q501.mul_u64(2039);
+    assert_eq!(sieved.bit_len(), 512);
+    let (verdict, a_sieve) = allocs_during(|| prime::is_prime(&sieved, 16, &mut rng));
+    assert!(!verdict);
+    assert_eq!(a_sieve, 0, "trial division allocates");
+
+    // ---- Base-2 round: allocations independent of the exponent --------
+    // Semiprimes with no table factor fall to witness 2. From 512 to
+    // 2048 bits the ladder runs four times as many steps on four times
+    // as many limbs; the allocation count may not follow either.
+    let base2_allocs = |half_bits: usize, rng: &mut StdRng| {
+        let n = &prime::gen_prime(half_bits, 16, rng) * &prime::gen_prime(half_bits, 16, rng);
+        let (verdict, allocs) = allocs_during(|| prime::is_prime(&n, 16, rng));
+        assert!(!verdict, "semiprime of two {half_bits}-bit primes");
+        allocs
+    };
+    let b_512 = base2_allocs(256, &mut rng);
+    let b_2048 = base2_allocs(1024, &mut rng);
+    assert_eq!(
+        b_512, b_2048,
+        "base-2 round allocations depend on the exponent length"
+    );
+    assert!(b_512 <= 32, "base-2 round allocates too much: {b_512}");
+
+    // ---- Binary-GCD inverse: one working buffer, whatever the operand -
+    // The working buffer and (when there is one) the result; an operand
+    // >= n pays for its reduction first and for nothing else.
+    let small = UBig::from_u64(65537);
+    for a in [&UBig::one(), &small, &base, &n.sub(&UBig::one())] {
+        let (inv, a_inv) = allocs_during(|| modring::inv_mod(a, &n));
+        if let Ok(inv) = inv {
+            assert!(modring::mul_mod(a, &inv, &n).is_one());
+        }
+        assert!(a_inv <= 2, "inv_mod allocates {a_inv} times for a={a}");
+    }
+    let wide = UBig::from_limbs(limbs(40, 5));
+    let (_, a_reduce) = allocs_during(|| wide.rem(&n));
+    let (_, a_wide) = allocs_during(|| modring::inv_mod(&wide, &n));
+    assert!(
+        a_wide <= a_reduce + 2,
+        "inv_mod allocates {a_wide} times for a >= n, {a_reduce} of them reducing it"
     );
 }
 

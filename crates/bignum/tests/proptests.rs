@@ -160,6 +160,25 @@ proptest! {
     }
 
     #[test]
+    fn odd_modulus_inverse_matches_euclid(a in ubig_wide(), n in ubig_wide()) {
+        // Odd moduli take the in-place binary GCD; Euclid (`ext_gcd_mod`)
+        // is the reference for both the value and the refusal.
+        let mut n = n;
+        n.set_bit(0);
+        let (g, x) = modring::ext_gcd_mod(&a, &n).unwrap();
+        match modring::inv_mod(&a, &n) {
+            Ok(inv) => {
+                prop_assert!(g.is_one());
+                prop_assert_eq!(inv, x);
+            }
+            Err(e) => {
+                prop_assert_eq!(e, p2drm_bignum::BigError::NotInvertible);
+                prop_assert!(!g.is_one());
+            }
+        }
+    }
+
+    #[test]
     fn sub_mod_inverts_add_mod(a in ubig(), b in ubig(), n in odd_modulus()) {
         let s = modring::add_mod(&a, &b, &n);
         prop_assert_eq!(modring::sub_mod(&s, &b, &n), a.rem(&n));

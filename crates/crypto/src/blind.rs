@@ -46,8 +46,8 @@ impl Blinded {
     ) -> Result<Self, CryptoError> {
         let n = pk.modulus();
         let h = fdh(message, pk.modulus_len());
-        let r = brng::random_coprime(rng, n); // lint: secret
-        let r_inv = modring::inv_mod(&r, n).map_err(|_| CryptoError::BadBlinding)?;
+        // lint: secret(r, r_inv)
+        let (r, r_inv) = blinding_factor(n, rng);
         let re = pk.raw_public(&r);
         let blinded = pk_mul(pk, &h, &re);
         Ok(Blinded { blinded, r_inv, h })
@@ -67,6 +67,21 @@ impl Blinded {
             return Err(CryptoError::BadSignature);
         }
         Ok(RsaSignature::from_ubig(s))
+    }
+}
+
+/// A uniform unit `r` of `Z/nZ` with its inverse. Units are found by
+/// trying to invert: the inversion runs the GCD a separate coprimality
+/// test would, so a draw that shares a factor with `n` costs one failed
+/// inversion and a redraw.
+fn blinding_factor<R: CryptoRng + ?Sized>(n: &UBig, rng: &mut R) -> (UBig, UBig) {
+    loop {
+        // lint: secret(r)
+        let r = brng::random_range(rng, &UBig::one(), n);
+        // lint: public(a refusal says only that the discarded draw shared a factor with the public modulus; the r that is kept never reaches a branch)
+        if let Ok(r_inv) = modring::inv_mod(&r, n) {
+            return (r, r_inv);
+        }
     }
 }
 
@@ -146,8 +161,7 @@ impl CutChooseRequest {
         for i in 0..k {
             let message = make_message(i);
             let h = fdh(&message, pk.modulus_len());
-            let r = brng::random_coprime(rng, n);
-            let r_inv = modring::inv_mod(&r, n).map_err(|_| CryptoError::BadBlinding)?;
+            let (r, r_inv) = blinding_factor(n, rng);
             let blinded_val = pk_mul(pk, &h, &pk.raw_public(&r));
             candidates.push(Candidate {
                 message,
@@ -257,6 +271,17 @@ mod tests {
 
     fn keypair() -> RsaKeyPair {
         RsaKeyPair::generate(512, &mut test_rng(21))
+    }
+
+    #[test]
+    fn blinding_factor_redraws_until_it_finds_a_unit() {
+        let mut rng = test_rng(22);
+        let n = UBig::from_u64(3 * 5 * 7 * 11 * 13); // over half the draws share a factor
+        for _ in 0..50 {
+            let (r, r_inv) = blinding_factor(&n, &mut rng);
+            assert!(!r.is_zero() && r < n);
+            assert!(modring::mul_mod(&r, &r_inv, &n).is_one());
+        }
     }
 
     #[test]

@@ -229,7 +229,8 @@ pub struct RsaKeyPair {
 impl RsaKeyPair {
     /// Generates a fresh key with modulus of `bits` bits (>= 128).
     ///
-    /// Unit tests use 512; benches sweep 512/1024/2048.
+    /// Unit tests use 512; benches sweep 512/1024/2048. The key is a
+    /// function of the bytes `rng` yields (pinned by a golden-value test).
     pub fn generate<R: CryptoRng + ?Sized>(bits: usize, rng: &mut R) -> Self {
         assert!(bits >= 128, "modulus below 128 bits is unusable");
         let e = UBig::from_u64(PUBLIC_EXPONENT);
@@ -492,6 +493,35 @@ mod tests {
         assert_eq!(kp.public().modulus().bit_len(), 512);
         assert_eq!(kp.public().exponent().to_u64(), Some(PUBLIC_EXPONENT));
         assert_eq!(kp.public().modulus_len(), 64);
+    }
+
+    /// Digests recorded at the commit before the prime search and the
+    /// modular inverse were rewritten on limbs (PR 13): a seed still yields
+    /// the same public key and the same private components.
+    #[test]
+    fn golden_keys_1024() {
+        let golden = [
+            (
+                1u64,
+                "445e301f93273a3c47eab8408d42d0ccb9e2e7262292bd12c0d37ed1a82a9eab",
+                "456cd69d3b57a729b89ceeeea552d6fcde088bf3605562f9829499ee6c7ce321",
+            ),
+            (
+                2,
+                "c5978fe34b0849964bed61c9681c34cdbc925b94e3325dd7dfd7421f00e858a8",
+                "d3f452b905610af1dfa3d73b910aca65a69cef88530a4f7819b9ffb906bb5097",
+            ),
+        ];
+        for (seed, public, whole) in golden {
+            let kp = RsaKeyPair::generate(1024, &mut test_rng(seed));
+            let sha = |bytes: Vec<u8>| crate::sha256::sha256_hex(&bytes);
+            assert_eq!(
+                sha(p2drm_codec::to_bytes(kp.public())),
+                public,
+                "seed={seed}"
+            );
+            assert_eq!(sha(p2drm_codec::to_bytes(&kp)), whole, "seed={seed}");
+        }
     }
 
     #[test]
