@@ -20,7 +20,10 @@
 //!   complete frames out of per-connection buffers, and hands them to a
 //!   small CPU-only worker pool; replies are written back in completion
 //!   order (possibly out of order within a connection — that is what
-//!   the envelope correlation id is for). Thousands of mostly-idle
+//!   the envelope correlation id is for). The hand-offs between the
+//!   threads are batched — a flag-guarded doorbell, notifies only for
+//!   parked workers, one write per connection per reply batch — see
+//!   [`server`]. Thousands of mostly-idle
 //!   keep-alive connections cost an fd each while `workers` stays in
 //!   the single digits. Connections past [`NetConfig::max_connections`]
 //!   are shed with a well-formed busy error response, requests past
@@ -40,8 +43,9 @@
 //!   host);
 //! * [`ServerMetrics`] — atomic counters and gauges (connections
 //!   accepted/active/idle, requests served, decode errors, busy
-//!   rejections, pipeline-depth high-water) snapshotted as a plain
-//!   [`MetricsSnapshot`].
+//!   rejections, pipeline-depth high-water, and the hand-off counters
+//!   `event_wakes` / `reply_writes` / `worker_notifies` /
+//!   `late_wakeups`) snapshotted as a plain [`MetricsSnapshot`].
 //!
 //! # A purchase over real sockets
 //!

@@ -18,6 +18,10 @@ pub struct ServerMetrics {
     busy_rejections: AtomicU64,
     oversized_replies: AtomicU64,
     pipeline_depth_hwm: AtomicU64,
+    event_wakes: AtomicU64,
+    reply_writes: AtomicU64,
+    worker_notifies: AtomicU64,
+    late_wakeups: AtomicU64,
 }
 
 impl ServerMetrics {
@@ -68,6 +72,22 @@ impl ServerMetrics {
         self.pipeline_depth_hwm.fetch_max(depth, Ordering::Relaxed);
     }
 
+    pub(crate) fn event_wake(&self) {
+        self.event_wakes.fetch_add(1, Ordering::Relaxed);
+    }
+
+    pub(crate) fn reply_write(&self) {
+        self.reply_writes.fetch_add(1, Ordering::Relaxed);
+    }
+
+    pub(crate) fn worker_notify(&self) {
+        self.worker_notifies.fetch_add(1, Ordering::Relaxed);
+    }
+
+    pub(crate) fn late_wakeup(&self) {
+        self.late_wakeups.fetch_add(1, Ordering::Relaxed);
+    }
+
     /// A coherent-enough point-in-time copy of every counter.
     pub fn snapshot(&self) -> MetricsSnapshot {
         MetricsSnapshot {
@@ -79,6 +99,10 @@ impl ServerMetrics {
             busy_rejections: self.busy_rejections.load(Ordering::Relaxed),
             oversized_replies: self.oversized_replies.load(Ordering::Relaxed),
             pipeline_depth_hwm: self.pipeline_depth_hwm.load(Ordering::Relaxed),
+            event_wakes: self.event_wakes.load(Ordering::Relaxed),
+            reply_writes: self.reply_writes.load(Ordering::Relaxed),
+            worker_notifies: self.worker_notifies.load(Ordering::Relaxed),
+            late_wakeups: self.late_wakeups.load(Ordering::Relaxed),
         }
     }
 }
@@ -115,6 +139,23 @@ pub struct MetricsSnapshot {
     /// observed on a single connection — how deep clients actually
     /// pipelined.
     pub pipeline_depth_hwm: u64,
+    /// Doorbell bytes workers (and shutdown) wrote to wake the event
+    /// thread. `event_wakes / requests_served` is the wake-ups a
+    /// request costs: 1 at depth 1, well under 1 when replies arrive
+    /// in bursts.
+    pub event_wakes: u64,
+    /// Socket writes that moved reply bytes (service replies, busy and
+    /// error envelopes). `requests_served / reply_writes` is replies
+    /// per write.
+    pub reply_writes: u64,
+    /// `notify_one` calls the event thread made because a worker was
+    /// parked when jobs were pushed.
+    pub worker_notifies: u64,
+    /// Hand-offs that were only noticed by a safety-net timeout: the
+    /// event loop's tick expired with no event yet found replies
+    /// queued, or a parked worker's wait timed out and found a job.
+    /// Stays 0 — anything else is a lost wake-up.
+    pub late_wakeups: u64,
 }
 
 impl MetricsSnapshot {
@@ -130,6 +171,10 @@ impl MetricsSnapshot {
         out.counter("net_busy_rejections", self.busy_rejections);
         out.counter("net_oversized_replies", self.oversized_replies);
         out.gauge("net_pipeline_depth_hwm", self.pipeline_depth_hwm as i64);
+        out.counter("net_event_wakes", self.event_wakes);
+        out.counter("net_reply_writes", self.reply_writes);
+        out.counter("net_worker_notifies", self.worker_notifies);
+        out.counter("net_late_wakeups", self.late_wakeups);
     }
 
     /// The snapshot as unified exposition entries
