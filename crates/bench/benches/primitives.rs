@@ -156,11 +156,12 @@ fn bench_fixed_base(c: &mut Criterion) {
 }
 
 /// What a fresh pseudonym costs before anything reaches the provider:
-/// one prime search, a whole RSA-1024 key, the modular inverse behind
-/// every blinding factor, and a full blinding. A single prime search
-/// varies severalfold with its seed, so the two search rows cycle through
-/// a fixed set of seeds: every run, on any commit, averages the same
-/// searches.
+/// one prime search, the full test on the prime it ends at (base-2
+/// round, Lucas test, four random-base rounds), a whole RSA-1024 key, the
+/// modular inverse behind every blinding factor, and a full blinding. A
+/// single prime search varies severalfold with its seed, so the two
+/// search rows cycle through a fixed set of seeds: every run, on any
+/// commit, averages the same searches.
 fn bench_keygen(c: &mut Criterion) {
     use p2drm_bignum::{modring, prime};
     use p2drm_crypto::blind::Blinded;
@@ -177,6 +178,11 @@ fn bench_keygen(c: &mut Criterion) {
             i += 1;
             prime::gen_prime(512, 16, &mut test_rng(0xF300 + i % 16))
         })
+    });
+    let mut rng = test_rng(0xF5);
+    let known_prime = prime::gen_prime(512, 16, &mut rng);
+    group.bench_function(BenchmarkId::new("confirm_prime", 512), |b| {
+        b.iter(|| prime::is_prime(&known_prime, 16, &mut rng))
     });
     group.bench_function(BenchmarkId::new("rsa_keygen", 1024), |b| {
         b.iter(|| {

@@ -16,8 +16,8 @@
 //!   chain instead of paying one full exponentiation per term.
 //! * [`modring`] — plain modular arithmetic, extended GCD, modular inverse
 //!   and the Jacobi symbol.
-//! * [`prime`] — Miller–Rabin probabilistic primality testing and random
-//!   prime generation.
+//! * [`prime`] — Baillie–PSW primality testing (plus optional random-base
+//!   Miller–Rabin rounds) and sieved incremental prime search.
 //! * [`BigRng`] — a minimal randomness trait (blanket-implemented for every
 //!   [`rand::RngCore`]) so callers can inject deterministic generators in
 //!   tests.

@@ -5,7 +5,7 @@
 //! These are ring-entry/ring-exit utilities; the hot exponentiation path
 //! lives in [`crate::Mont`].
 
-use crate::mont::inv64;
+use crate::mont::{add_limbs, inv64, sub_limbs};
 use crate::ubig::UBig;
 use crate::BigError;
 
@@ -163,39 +163,15 @@ fn inv_mod_odd(a: &UBig, n: &UBig) -> Result<UBig, BigError> {
             std::mem::swap(&mut u, &mut v);
             std::mem::swap(&mut xu, &mut xv);
         }
-        sub_in_place(u, v);
-        if sub_in_place(xu, xv) {
-            add_in_place(xu, nl);
+        sub_limbs(u, v);
+        if sub_limbs(xu, xv) {
+            add_limbs(xu, nl); // the carry out cancels the borrow
         }
     }
     if v[0] == 1 && v[1..].iter().all(|&l| l == 0) {
         Ok(UBig::from_limbs(xv.to_vec()))
     } else {
         Err(BigError::NotInvertible)
-    }
-}
-
-/// `a -= b` over equal-width limbs; returns whether it borrowed out.
-fn sub_in_place(a: &mut [u64], b: &[u64]) -> bool {
-    let mut borrow = false;
-    for (x, &y) in a.iter_mut().zip(b) {
-        let (d1, b1) = x.overflowing_sub(y);
-        let (d2, b2) = d1.overflowing_sub(borrow as u64);
-        *x = d2;
-        borrow = b1 | b2;
-    }
-    borrow
-}
-
-/// `a += b` over equal-width limbs, dropping the carry out (the caller
-/// is undoing a borrow of exactly that weight).
-fn add_in_place(a: &mut [u64], b: &[u64]) {
-    let mut carry = false;
-    for (x, &y) in a.iter_mut().zip(b) {
-        let (s1, c1) = x.overflowing_add(y);
-        let (s2, c2) = s1.overflowing_add(carry as u64);
-        *x = s2;
-        carry = c1 | c2;
     }
 }
 

@@ -496,6 +496,32 @@ impl Mont {
         reduce_once(a, &self.n, carry);
     }
 
+    /// `a = a + b mod n` in place; like the two helpers below, for reduced
+    /// modulus-width operands in either form (the ring operations of the
+    /// Lucas sequence in `prime`, which multiplies in Montgomery form).
+    pub(crate) fn add_mod(&self, a: &mut [u64], b: &[u64]) {
+        let carry = add_limbs(a, b);
+        reduce_once(a, &self.n, carry as u64);
+    }
+
+    /// `a = a - b mod n` in place.
+    pub(crate) fn sub_mod(&self, a: &mut [u64], b: &[u64]) {
+        if sub_limbs(a, b) {
+            add_limbs(a, &self.n); // the carry out cancels the borrow
+        }
+    }
+
+    /// `a = a / 2 mod n` in place: an odd `a` becomes the even `a + n`
+    /// first.
+    pub(crate) fn halve_mod(&self, a: &mut [u64]) {
+        let mut top = (a[0] & 1 == 1 && add_limbs(a, &self.n)) as u64;
+        for limb in a.iter_mut().rev() {
+            let v = *limb;
+            *limb = (v >> 1) | (top << 63);
+            top = v & 1;
+        }
+    }
+
     /// `base^exp` entirely in Montgomery form: fixed-window
     /// square-and-multiply with the window width chosen from the exponent
     /// bit length, limb-wise window extraction (no per-bit [`UBig::bit`]
@@ -782,6 +808,32 @@ mod fixed {
     fixed_kernels!(mul32, sqr32, 32);
 }
 
+/// `a += b` over equal-width limbs; returns whether it carried out.
+#[inline]
+pub(crate) fn add_limbs(a: &mut [u64], b: &[u64]) -> bool {
+    let mut carry = false;
+    for (x, &y) in a.iter_mut().zip(b) {
+        let (s1, c1) = x.overflowing_add(y);
+        let (s2, c2) = s1.overflowing_add(carry as u64);
+        *x = s2;
+        carry = c1 | c2;
+    }
+    carry
+}
+
+/// `a -= b` over equal-width limbs; returns whether it borrowed out.
+#[inline]
+pub(crate) fn sub_limbs(a: &mut [u64], b: &[u64]) -> bool {
+    let mut borrow = false;
+    for (x, &y) in a.iter_mut().zip(b) {
+        let (d1, b1) = x.overflowing_sub(y);
+        let (d2, b2) = d1.overflowing_sub(borrow as u64);
+        *x = d2;
+        borrow = b1 | b2;
+    }
+    borrow
+}
+
 /// Brings `t + extra·2^(64·len)` into `[0, n)` given it is `< 2n`:
 /// conditionally subtracts `n` once.
 #[inline(always)]
@@ -1021,6 +1073,46 @@ mod tests {
             ] {
                 let e = UBig::from_hex(e_hex).unwrap();
                 assert_eq!(m.pow2(&e), m.pow(&two, &e), "n={n_hex} e={e_hex}");
+            }
+        }
+    }
+
+    #[test]
+    fn limb_ring_helpers_match_plain_arithmetic() {
+        use crate::modring;
+        // One limb with no headroom, a dynamic width, and a modulus whose
+        // top limb is all ones (a + b and a + n carry out of the width).
+        for n_hex in [
+            "fffffffffffffff1",
+            "f123456789abcdef0123456789abcdef1",
+            "ffffffffffffffff0000000000000000000000000000000000000000000000c5",
+        ] {
+            let n = UBig::from_hex(n_hex).unwrap();
+            let m = Mont::new(&n).unwrap();
+            let s = m.limb_len();
+            let two = UBig::from_u64(2);
+            let half = modring::inv_mod(&two, &n).unwrap();
+            let values = [
+                UBig::zero(),
+                UBig::one(),
+                two.clone(),
+                n.shr(1),
+                &n.shr(1) + &UBig::one(),
+                n.sub(&two),
+                n.sub(&UBig::one()),
+            ];
+            for a in &values {
+                let mut h = pad(a.limbs(), s);
+                m.halve_mod(&mut h);
+                assert_eq!(UBig::from_limbs(h), modring::mul_mod(a, &half, &n), "{a}/2");
+                for b in &values {
+                    let mut sum = pad(a.limbs(), s);
+                    m.add_mod(&mut sum, &pad(b.limbs(), s));
+                    assert_eq!(UBig::from_limbs(sum), modring::add_mod(a, b, &n));
+                    let mut diff = pad(a.limbs(), s);
+                    m.sub_mod(&mut diff, &pad(b.limbs(), s));
+                    assert_eq!(UBig::from_limbs(diff), modring::sub_mod(a, b, &n));
+                }
             }
         }
     }

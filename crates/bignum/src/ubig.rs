@@ -707,6 +707,23 @@ impl UBig {
         }
     }
 
+    /// Integer square root: the largest `r` with `r² <= self` (Newton's
+    /// iteration from a power of two at or above the root, so the iterates
+    /// fall monotonically until they stop).
+    pub fn isqrt(&self) -> UBig {
+        if self.is_zero() {
+            return UBig::zero();
+        }
+        let mut x = UBig::one().shl(self.bit_len().div_ceil(2));
+        loop {
+            let y = (&x + &(self / &x)).shr(1);
+            if y >= x {
+                return x;
+            }
+            x = y;
+        }
+    }
+
     /// `self^exp mod m` using plain square-and-multiply (works for any
     /// modulus; the Montgomery path in [`crate::Mont`] is faster for odd m).
     pub fn pow_mod(&self, exp: &UBig, m: &UBig) -> Result<UBig, BigError> {
@@ -1029,6 +1046,34 @@ mod tests {
         let a = big("123456789012345678901234567890");
         let g = a.gcd(&a);
         assert_eq!(g, a);
+    }
+
+    #[test]
+    fn isqrt_is_the_floor_root() {
+        for v in 0u64..1100 {
+            let r = UBig::from_u64(v).isqrt().to_u64().unwrap();
+            assert!(r * r <= v && (r + 1) * (r + 1) > v, "isqrt({v}) = {r}");
+        }
+        assert_eq!(
+            UBig::from_u64(u64::MAX).isqrt().to_u64(),
+            Some(u32::MAX as u64)
+        );
+        // r², r² - 1 and r² + 2r (the last value below (r+1)²) around
+        // limb boundaries and at a 512-bit root.
+        for hex in [
+            "ffffffff",
+            "100000000",
+            "ffffffffffffffff",
+            "10000000000000001",
+            "deadbeefcafebabe0123456789abcdef00112233445566778899aabbccddeeff",
+            "c3193b619c172ad6e4714d356be20873c6207b39375229aa619f1d0a3702541e9199db982af89e1af52e2ad586338064a59077da73b48dc79f8c05ad55d26073",
+        ] {
+            let r = UBig::from_hex(hex).unwrap();
+            let sq = r.square();
+            assert_eq!(sq.isqrt(), r, "r = {hex}");
+            assert_eq!(sq.sub(&UBig::one()).isqrt(), r.sub(&UBig::one()));
+            assert_eq!((&sq + &r.shl(1)).isqrt(), r);
+        }
     }
 
     #[test]

@@ -16,14 +16,16 @@
 //! Prime search and modular inversion are pinned the same way: trial
 //! division of a candidate allocates nothing at all, a base-2
 //! Miller–Rabin round allocates the same handful of buffers whatever the
-//! exponent length, and the binary-GCD inverse works inside one buffer.
+//! exponent length, a candidate the search sieve skips costs nothing, a
+//! whole search adds a constant to what its primality tests allocate, and
+//! the binary-GCD inverse works inside one buffer.
 //!
 //! This file intentionally holds a single `#[test]` so no concurrent test
 //! thread can inflate the process-wide allocation counter mid-measurement.
 
-use p2drm_bignum::{modring, multiexp, prime, Mont, MontForm, UBig};
+use p2drm_bignum::{modring, multiexp, prime, rng::random_bits, Mont, MontForm, UBig};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{RngCore, SeedableRng};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -184,8 +186,13 @@ fn pow_main_loop_is_allocation_free() {
     // Semiprimes with no table factor fall to witness 2. From 512 to
     // 2048 bits the ladder runs four times as many steps on four times
     // as many limbs; the allocation count may not follow either.
+    // (n ≡ 3 mod 4, so n − 1 = 2d and no squaring follows the ladder.)
     let base2_allocs = |half_bits: usize, rng: &mut StdRng| {
-        let n = &prime::gen_prime(half_bits, 16, rng) * &prime::gen_prime(half_bits, 16, rng);
+        let n = std::iter::repeat_with(|| {
+            &prime::gen_prime(half_bits, 16, rng) * &prime::gen_prime(half_bits, 16, rng)
+        })
+        .find(|n| n.bits_at(0, 2) == 3)
+        .unwrap();
         let (verdict, allocs) = allocs_during(|| prime::is_prime(&n, 16, rng));
         assert!(!verdict, "semiprime of two {half_bits}-bit primes");
         allocs
@@ -197,6 +204,66 @@ fn pow_main_loop_is_allocation_free() {
         "base-2 round allocations depend on the exponent length"
     );
     assert!(b_512 <= 32, "base-2 round allocates too much: {b_512}");
+
+    // ---- Search sieve: a skipped candidate costs nothing ---------------
+    // Start the search 2 below a known prime p, then 2k below it where
+    // every candidate in between has a factor under 2^15: the second
+    // search steps its residues k − 1 more times and must allocate
+    // exactly as much.
+    let sieve_primes = sieve_primes();
+    let skipped = |n: &UBig| sieve_primes.iter().any(|&q| n.rem_u64(q) == 0);
+    let (p, k) = std::iter::repeat_with(|| prime::gen_prime(512, 16, &mut rng))
+        .map(|p| {
+            let k = (1..).find(|&j| !skipped(&step_down(&p, j))).unwrap() - 1;
+            (p, k)
+        })
+        .find(|&(_, k)| k >= 4)
+        .unwrap();
+    let search_from = |start: &UBig| {
+        let mut scripted = Scripted {
+            first: Some(start.to_bytes_be()),
+            rest: StdRng::seed_from_u64(1),
+        };
+        allocs_during(|| prime::gen_prime(512, 16, &mut scripted))
+    };
+    let (found_near, a_near) = search_from(&step_down(&p, 1));
+    let (found_far, a_far) = search_from(&step_down(&p, k));
+    assert_eq!((&found_near, &found_far), (&p, &p));
+    assert_eq!(
+        a_near, a_far,
+        "{k} sieved-out candidates instead of 1 changed the allocation count"
+    );
+
+    // ---- Whole search: a constant on top of its primality tests -------
+    // Replay a seeded search from outside: the same first draw, then
+    // `is_prime` on every candidate up to the prime found that has no
+    // factor under 2^15. Those calls (plus building each candidate, two
+    // allocations) account for all but nine: the drawn start (2),
+    // 2^bits − 1 (4), the candidate count (2) and the residue table (1).
+    let mut replay = rng.clone();
+    let (found, a_search) = allocs_during(|| prime::gen_prime(512, 16, &mut rng));
+    let mut start = random_bits(&mut replay, 512);
+    for bit in [511, 510, 0] {
+        start.set_bit(bit);
+    }
+    let mut a_tests = 0;
+    let mut candidate = start.clone();
+    loop {
+        if !skipped(&candidate) {
+            let (verdict, a) = allocs_during(|| prime::is_prime(&candidate, 16, &mut replay));
+            a_tests += a + 2;
+            if verdict {
+                break;
+            }
+        }
+        candidate = &candidate + &UBig::from_u64(2);
+    }
+    assert_eq!(candidate, found);
+    let distance = found.sub(&start).shr(1).to_u64().unwrap();
+    assert!(
+        a_search <= a_tests + 9,
+        "a 512-bit search over {distance} candidates allocates {a_search}, its tests {a_tests}"
+    );
 
     // ---- Binary-GCD inverse: one working buffer, whatever the operand -
     // The working buffer and (when there is one) the result; an operand
@@ -216,6 +283,40 @@ fn pow_main_loop_is_allocation_free() {
         a_wide <= a_reduce + 2,
         "inv_mod allocates {a_wide} times for a >= n, {a_reduce} of them reducing it"
     );
+}
+
+/// A generator whose first draw is scripted; later ones come from `rest`.
+struct Scripted {
+    first: Option<Vec<u8>>,
+    rest: StdRng,
+}
+
+impl RngCore for Scripted {
+    fn next_u32(&mut self) -> u32 {
+        self.rest.next_u32()
+    }
+    fn next_u64(&mut self) -> u64 {
+        self.rest.next_u64()
+    }
+    fn fill_bytes(&mut self, dest: &mut [u8]) {
+        match self.first.take() {
+            Some(bytes) => dest.copy_from_slice(&bytes),
+            None => self.rest.fill_bytes(dest),
+        }
+    }
+}
+
+/// `p − 2j`.
+fn step_down(p: &UBig, j: u64) -> UBig {
+    p.sub(&UBig::from_u64(2 * j))
+}
+
+/// The odd primes below 2^15, the ones the search sieve steps.
+fn sieve_primes() -> Vec<u64> {
+    let odd = || (3..1u64 << 15).step_by(2);
+    odd()
+        .filter(|&d| odd().take_while(|q| q * q <= d).all(|q| d % q != 0))
+        .collect()
 }
 
 /// `Π baseᵢ^expᵢ` via independent `pow_form` calls — correctness oracle

@@ -66,8 +66,6 @@ pub enum CryptoError {
     MessageTooLong,
     /// Key parameters invalid (size, parity, range).
     BadKey(&'static str),
-    /// Blinding factor was not invertible (astronomically unlikely).
-    BadBlinding,
     /// A decode of serialized key material failed.
     Encoding(p2drm_codec::CodecError),
 }
@@ -79,7 +77,6 @@ impl std::fmt::Display for CryptoError {
             CryptoError::BadCiphertext => write!(f, "malformed ciphertext or padding"),
             CryptoError::MessageTooLong => write!(f, "message too long for this key"),
             CryptoError::BadKey(m) => write!(f, "invalid key: {m}"),
-            CryptoError::BadBlinding => write!(f, "blinding factor not invertible"),
             CryptoError::Encoding(e) => write!(f, "encoding error: {e}"),
         }
     }
