@@ -37,13 +37,9 @@ fn bench_issuance(c: &mut Criterion) {
             })
         });
 
-        // CRT vs non-CRT private operation (implementation ablation).
         let x = fdh(msg, kp.public().modulus_len());
         group.bench_function(BenchmarkId::new("raw_private_crt", bits), |b| {
             b.iter(|| kp.raw_private(&x))
-        });
-        group.bench_function(BenchmarkId::new("raw_private_nocrt", bits), |b| {
-            b.iter(|| kp.raw_private_nocrt(&x))
         });
     }
 

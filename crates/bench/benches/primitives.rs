@@ -47,10 +47,6 @@ fn bench_modexp(c: &mut Criterion) {
         group.bench_function(BenchmarkId::new("mont_pow_full_exp", bits), |b| {
             b.iter(|| mont.pow(&base, &exp))
         });
-        // Ablation: the pre-optimization kernel on the same inputs.
-        group.bench_function(BenchmarkId::new("mont_pow_reference", bits), |b| {
-            b.iter(|| mont.pow_reference(&base, &exp))
-        });
         let e65537 = UBig::from_u64(65537);
         group.bench_function(BenchmarkId::new("mont_pow_e65537", bits), |b| {
             b.iter(|| mont.pow(&base, &e65537))
@@ -62,66 +58,6 @@ fn bench_modexp(c: &mut Criterion) {
         });
         group.bench_function(BenchmarkId::new("mont_sqr", bits), |b| {
             b.iter(|| mont.mont_sqr(&bm))
-        });
-    }
-    group.finish();
-}
-
-/// Multi-exponentiation: Straus against iterated single-base pows at the
-/// small batch sizes the certificate-chain verifier sees (k = 2, 4), and
-/// the Straus/Pippenger crossover sweep backing
-/// [`p2drm_bignum::multiexp::PIPPENGER_THRESHOLD`] (k = 8..64).
-fn bench_multiexp(c: &mut Criterion) {
-    use p2drm_bignum::{multiexp, MontForm};
-
-    let mut group = c.benchmark_group("prim_multiexp");
-    group
-        .sample_size(10)
-        .warm_up_time(Duration::from_millis(200))
-        .measurement_time(Duration::from_millis(800));
-    let mut rng = test_rng(0xF1);
-    let bits = 1024;
-    let mut modulus = brng::random_bits(&mut rng, bits);
-    modulus.set_bit(bits - 1);
-    modulus.set_bit(0);
-    let mont = Mont::new(&modulus).unwrap();
-    let max_k = 64usize;
-    let bases: Vec<MontForm> = (0..max_k)
-        .map(|_| mont.to_form(&brng::random_below(&mut rng, &modulus)))
-        .collect();
-    let exps: Vec<UBig> = (0..max_k)
-        .map(|_| brng::random_bits(&mut rng, bits))
-        .collect();
-
-    let iterated = |k: usize| {
-        let mut acc = mont.one_form();
-        for (b, e) in bases[..k].iter().zip(&exps[..k]) {
-            acc = mont.form_mul(&acc, &mont.pow_form(b, e));
-        }
-        acc
-    };
-    // Small batches: Straus's shared squaring chain vs k independent pows.
-    for &k in &[2usize, 4] {
-        group.bench_function(BenchmarkId::new("iterated_pow", k), |b| {
-            b.iter(|| iterated(k))
-        });
-        group.bench_function(BenchmarkId::new("straus", k), |b| {
-            b.iter(|| multiexp::straus(&mont, &bases[..k], &exps[..k]))
-        });
-    }
-    // Crossover sweep at the batch-verifier's scalar width (32-bit small
-    // exponents): Straus pays one window table per base regardless of
-    // exponent length, so for short scalars Pippenger's shared buckets
-    // overtake it as the batch grows.
-    let narrow: Vec<UBig> = (0..max_k)
-        .map(|_| brng::random_bits(&mut rng, 32))
-        .collect();
-    for &k in &[8usize, 16, 32, 64] {
-        group.bench_function(BenchmarkId::new("straus_32bit_scalars", k), |b| {
-            b.iter(|| multiexp::straus(&mont, &bases[..k], &narrow[..k]))
-        });
-        group.bench_function(BenchmarkId::new("pippenger_32bit_scalars", k), |b| {
-            b.iter(|| multiexp::pippenger(&mont, &bases[..k], &narrow[..k]))
         });
     }
     group.finish();
@@ -249,7 +185,6 @@ criterion_group!(
     benches,
     bench_symmetric,
     bench_modexp,
-    bench_multiexp,
     bench_fixed_base,
     bench_keygen,
     bench_mul_ablation,

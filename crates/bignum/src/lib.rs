@@ -11,9 +11,6 @@
 //!   exponentiation with odd moduli, the workhorse of all public-key
 //!   operations; [`MontForm`] keeps values in Montgomery form across a
 //!   whole computation so conversions are paid at the boundary only.
-//! * [`multiexp`] — simultaneous multi-exponentiation (Straus interleaving
-//!   and Pippenger bucketing) so batched verifications share one squaring
-//!   chain instead of paying one full exponentiation per term.
 //! * [`modring`] — plain modular arithmetic, extended GCD, modular inverse
 //!   and the Jacobi symbol.
 //! * [`prime`] — Baillie–PSW primality testing (plus optional random-base
@@ -42,7 +39,6 @@
 
 pub mod modring;
 pub mod mont;
-pub mod multiexp;
 pub mod prime;
 pub mod rng;
 pub mod ubig;

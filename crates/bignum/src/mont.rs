@@ -21,47 +21,11 @@
 //! square-and-multiply main loop** (all buffers — the window table, the
 //! accumulator, and the shared scratch — are allocated once up front; a
 //! counting-allocator regression test in `tests/alloc_counter.rs` enforces
-//! this). The pre-optimization kernel is kept callable as
-//! [`Mont::pow_reference`] and can be selected process-wide with
-//! [`set_kernel`] so experiments can report honest before/after numbers.
+//! this). Tests check it against [`UBig::pow_mod`], the division-based
+//! square-and-multiply that shares no code with this module.
 
 use crate::ubig::UBig;
 use crate::BigError;
-use std::sync::atomic::{AtomicU8, Ordering};
-
-/// Which exponentiation kernel [`Mont::pow`] (and the fixed-base paths in
-/// `p2drm-crypto`) dispatch to. The default is [`Kernel::Fast`];
-/// [`Kernel::Reference`] re-enables the pre-optimization kernel for A/B
-/// comparison runs (experiment E11). Both kernels compute identical values.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Kernel {
-    /// Allocation-free windowed kernel with dedicated squaring (default).
-    Fast,
-    /// The original 4-bit-window, per-bit-scanning, allocating kernel.
-    Reference,
-}
-
-static KERNEL: AtomicU8 = AtomicU8::new(0);
-
-/// Selects the process-wide exponentiation kernel (see [`Kernel`]).
-pub fn set_kernel(k: Kernel) {
-    KERNEL.store(
-        match k {
-            Kernel::Fast => 0,
-            Kernel::Reference => 1,
-        },
-        Ordering::Relaxed,
-    );
-}
-
-/// The currently selected exponentiation kernel.
-pub fn kernel() -> Kernel {
-    if KERNEL.load(Ordering::Relaxed) == 0 {
-        Kernel::Fast
-    } else {
-        Kernel::Reference
-    }
-}
 
 /// A value held in Montgomery form (`x·R mod n`) for some [`Mont`] context.
 ///
@@ -82,7 +46,7 @@ pub struct MontForm {
 impl MontForm {
     /// The raw Montgomery-form limbs (little-endian, modulus width).
     #[inline]
-    pub fn as_limbs(&self) -> &[u64] {
+    pub(crate) fn as_limbs(&self) -> &[u64] {
         &self.limbs
     }
 
@@ -90,13 +54,6 @@ impl MontForm {
     #[inline]
     pub fn into_limbs(self) -> Vec<u64> {
         self.limbs
-    }
-
-    /// Wraps raw Montgomery-form limbs (caller asserts they came from the
-    /// same context they will be used with).
-    #[inline]
-    pub fn from_limbs(limbs: Vec<u64>) -> Self {
-        MontForm { limbs }
     }
 }
 
@@ -208,13 +165,6 @@ impl Mont {
     pub fn form_mul(&self, a: &MontForm, b: &MontForm) -> MontForm {
         MontForm {
             limbs: self.mont_mul(&a.limbs, &b.limbs),
-        }
-    }
-
-    /// Square of a Montgomery-form value, staying in form.
-    pub fn form_sqr(&self, a: &MontForm) -> MontForm {
-        MontForm {
-            limbs: self.mont_sqr(&a.limbs),
         }
     }
 
@@ -413,14 +363,9 @@ impl Mont {
         reduce_once(out, &self.n, pending);
     }
 
-    /// `base^exp mod n`. Dispatches to the kernel selected by
-    /// [`set_kernel`]: the allocation-free windowed kernel by default, or
-    /// the pre-optimization kernel ([`Mont::pow_reference`]) when
-    /// [`Kernel::Reference`] is active.
+    /// `base^exp mod n`: [`Mont::pow_u64`] for machine-word exponents,
+    /// the windowed [`Mont::pow_form`] otherwise.
     pub fn pow(&self, base: &UBig, exp: &UBig) -> UBig {
-        if kernel() == Kernel::Reference {
-            return self.pow_reference(base, exp);
-        }
         if exp.is_zero() {
             return UBig::one().rem(&self.modulus());
         }
@@ -436,9 +381,6 @@ impl Mont {
     /// the fastest shape: 16 squarings and one multiplication, with zero
     /// allocations in the loop.
     pub fn pow_u64(&self, base: &UBig, exp: u64) -> UBig {
-        if kernel() == Kernel::Reference {
-            return self.pow_reference(base, &UBig::from_u64(exp));
-        }
         if exp == 0 {
             return UBig::one().rem(&self.modulus());
         }
@@ -565,105 +507,6 @@ impl Mont {
             }
         }
         MontForm { limbs: acc }
-    }
-
-    /// The pre-optimization exponentiation kernel: fixed 4-bit window,
-    /// per-bit exponent scanning, one heap allocation per Montgomery
-    /// product. Kept callable so experiment E11 can measure the new kernel
-    /// against it on the same box; selectable process-wide via
-    /// [`set_kernel`]`(`[`Kernel::Reference`]`)`.
-    pub fn pow_reference(&self, base: &UBig, exp: &UBig) -> UBig {
-        // lint: secret(exp)
-        // lint: public(zero-ness and bit length of the exponent are key-size parameters)
-        if exp.is_zero() {
-            return UBig::one().rem(&self.modulus());
-        }
-        let bm = self.to_mont(base);
-        // Precompute base^0..base^15 in Montgomery form.
-        let mut table = Vec::with_capacity(16);
-        table.push(self.one.clone());
-        table.push(bm.clone());
-        for d in 2..16 {
-            let prev: &Vec<u64> = &table[d - 1];
-            table.push(self.mont_mul_ref(prev, &bm));
-        }
-        let bits = exp.bit_len();
-        let mut acc = self.one.clone();
-        let mut started = false;
-        // Process 4 bits at a time from the most significant end.
-        let top_window = bits.div_ceil(4) * 4;
-        let mut i = top_window;
-        // lint: public(loop bound is the exponent bit length, a public key-size parameter)
-        while i >= 4 {
-            i -= 4;
-            let mut w = 0usize;
-            for k in (0..4).rev() {
-                w = (w << 1) | exp.bit(i + k) as usize;
-            }
-            if started {
-                acc = self.mont_mul_ref(&acc, &acc);
-                acc = self.mont_mul_ref(&acc, &acc);
-                acc = self.mont_mul_ref(&acc, &acc);
-                acc = self.mont_mul_ref(&acc, &acc);
-                if w != 0 {
-                    acc = self.mont_mul_ref(&acc, &table[w]);
-                }
-            } else if w != 0 {
-                acc = table[w].clone();
-                started = true;
-            }
-        }
-        self.from_mont(&acc)
-    }
-
-    /// The original allocating CIOS product (one fresh buffer per call),
-    /// preserved verbatim as the building block of [`Mont::pow_reference`].
-    #[allow(clippy::needless_range_loop)] // t and n are indexed in lockstep
-    fn mont_mul_ref(&self, a: &[u64], b: &[u64]) -> Vec<u64> {
-        let s = self.n.len();
-        debug_assert_eq!(a.len(), s);
-        debug_assert_eq!(b.len(), s);
-        let mut t = vec![0u64; s + 2];
-        for &bi in b.iter() {
-            // t += a * b[i]
-            let mut carry: u128 = 0;
-            for j in 0..s {
-                let cur = t[j] as u128 + a[j] as u128 * bi as u128 + carry;
-                t[j] = cur as u64;
-                carry = cur >> 64;
-            }
-            let cur = t[s] as u128 + carry;
-            t[s] = cur as u64;
-            t[s + 1] = (cur >> 64) as u64;
-
-            // m = t[0] * n' mod 2^64; t = (t + m*n) / 2^64
-            let m = t[0].wrapping_mul(self.n0inv);
-            let mut carry: u128 = (t[0] as u128 + m as u128 * self.n[0] as u128) >> 64;
-            for j in 1..s {
-                let cur = t[j] as u128 + m as u128 * self.n[j] as u128 + carry;
-                t[j - 1] = cur as u64;
-                carry = cur >> 64;
-            }
-            let cur = t[s] as u128 + carry;
-            t[s - 1] = cur as u64;
-            let cur2 = t[s + 1] as u128 + (cur >> 64);
-            t[s] = cur2 as u64;
-            t[s + 1] = 0;
-        }
-        t.truncate(s + 1);
-        // Conditional final subtraction brings t into [0, n).
-        if t[s] != 0 || Self::geq(&t[..s], &self.n) {
-            let mut borrow = 0u64;
-            for j in 0..s {
-                let (d1, b1) = t[j].overflowing_sub(self.n[j]);
-                let (d2, b2) = d1.overflowing_sub(borrow);
-                t[j] = d2;
-                borrow = (b1 as u64) + (b2 as u64);
-            }
-            t[s] = t[s].wrapping_sub(borrow);
-        }
-        t.truncate(s);
-        t
     }
 
     /// Modular multiplication `a * b mod n` through Montgomery form.
@@ -862,12 +705,8 @@ fn reduce_once(t: &mut [u64], n: &[u64], extra: u64) {
 }
 
 /// Window width for a fixed-window exponentiation of `bits`-bit exponents,
-/// minimizing squarings + multiplications (table build included). Shared
-/// with the multi-exponentiation module: in a Straus interleaving the
-/// squarings are amortized across bases but the per-base table and
-/// multiplication counts match the single-base case, so the same width is
-/// (near-)optimal there too.
-pub(crate) fn window_bits(bits: usize) -> usize {
+/// minimizing squarings + multiplications (table build included).
+fn window_bits(bits: usize) -> usize {
     if bits <= 16 {
         1
     } else if bits <= 48 {
@@ -978,7 +817,6 @@ mod tests {
         let b = UBig::from_hex("aabbccddeeff00112233445566778899a").unwrap();
         let (af, bf) = (m.to_form(&a), m.to_form(&b));
         assert_eq!(m.from_form(&m.form_mul(&af, &bf)), (&a * &b).rem(&n));
-        assert_eq!(m.from_form(&m.form_sqr(&af)), (&a * &a).rem(&n));
         assert_eq!(m.form_mul_plain(&af, &b), (&a * &b).rem(&n));
         assert_eq!(m.from_form(&m.one_form()), UBig::one());
     }
@@ -995,11 +833,6 @@ mod tests {
                 "b={b} e={e}"
             );
             assert_eq!(m.pow_u64(&UBig::from_u64(b), e), expect, "b={b} e={e}");
-            assert_eq!(
-                m.pow_reference(&UBig::from_u64(b), &UBig::from_u64(e)),
-                expect,
-                "b={b} e={e} (reference)"
-            );
         }
     }
 
@@ -1011,11 +844,10 @@ mod tests {
         let b = UBig::from_hex("123456789abcdef0fedcba9876543210ffeeddccbbaa9988").unwrap();
         let e = UBig::from_u64(65537);
         assert_eq!(m.pow(&b, &e), b.pow_mod(&e, &n).unwrap());
-        assert_eq!(m.pow_reference(&b, &e), b.pow_mod(&e, &n).unwrap());
     }
 
     #[test]
-    fn pow_long_exponents_match_reference_kernel() {
+    fn pow_long_exponents_match_pow_mod() {
         let n = UBig::from_hex("c2446bf4ccd64d8b34a8a8f4e4ab7d1bb1e2f7c8d9a0b1c2d3e4f5a6b7c8d9e1")
             .unwrap();
         let m = Mont::new(&n).unwrap();
@@ -1029,23 +861,8 @@ mod tests {
             "c2446bf4ccd64d8b34a8a8f4e4ab7d1bb1e2f7c8d9a0b1c2d3e4f5a6b7c8d9e0",
         ] {
             let e = UBig::from_hex(e_hex).unwrap();
-            assert_eq!(m.pow(&b, &e), m.pow_reference(&b, &e), "e={e_hex}");
+            assert_eq!(m.pow(&b, &e), b.pow_mod(&e, &n).unwrap(), "e={e_hex}");
         }
-    }
-
-    #[test]
-    fn kernel_knob_switches_and_agrees() {
-        let n = UBig::from_u64(1_000_000_007);
-        let m = Mont::new(&n).unwrap();
-        let b = UBig::from_u64(31337);
-        let e = UBig::from_u64(65537);
-        assert_eq!(kernel(), Kernel::Fast);
-        let fast = m.pow(&b, &e);
-        set_kernel(Kernel::Reference);
-        assert_eq!(kernel(), Kernel::Reference);
-        let reference = m.pow(&b, &e);
-        set_kernel(Kernel::Fast);
-        assert_eq!(fast, reference);
     }
 
     #[test]

@@ -8,11 +8,6 @@
 //! between a short and a long exponent is only the (slightly larger) window
 //! table, independent of the loop trip count.
 //!
-//! The same discipline is pinned for the multi-exponentiation kernels:
-//! Straus's shared squaring chain must not allocate per iteration, and
-//! Pippenger's bucket storage is one flat allocation whose count is
-//! independent of the batch size.
-//!
 //! Prime search and modular inversion are pinned the same way: trial
 //! division of a candidate allocates nothing at all, a base-2
 //! Miller–Rabin round allocates the same handful of buffers whatever the
@@ -23,7 +18,7 @@
 //! This file intentionally holds a single `#[test]` so no concurrent test
 //! thread can inflate the process-wide allocation counter mid-measurement.
 
-use p2drm_bignum::{modring, multiexp, prime, rng::random_bits, Mont, MontForm, UBig};
+use p2drm_bignum::{modring, prime, rng::random_bits, Mont, UBig};
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -99,9 +94,9 @@ fn pow_main_loop_is_allocation_free() {
     let (r_short, a_short) = allocs_during(|| mont.pow(&base, &exp_short));
     let (r_long, a_long) = allocs_during(|| mont.pow(&base, &exp_long));
 
-    // Sanity: results agree with the reference kernel.
-    assert_eq!(r_short, mont.pow_reference(&base, &exp_short));
-    assert_eq!(r_long, mont.pow_reference(&base, &exp_long));
+    // Sanity: results agree with the division-based oracle.
+    assert_eq!(r_short, base.pow_mod(&exp_short, &n).unwrap());
+    assert_eq!(r_long, base.pow_mod(&exp_long, &n).unwrap());
 
     // Quadrupling the exponent length (and the loop trip count with it)
     // must not grow the allocation count beyond the window-table delta
@@ -115,59 +110,6 @@ fn pow_main_loop_is_allocation_free() {
     assert!(
         a_long < 100,
         "pow allocates too much overall: {a_long} allocations"
-    );
-
-    // The reference kernel is the ablation baseline: it must still show
-    // the per-iteration allocation behavior the fast kernel removed.
-    let (_, ref_long) = allocs_during(|| mont.pow_reference(&base, &exp_long));
-    assert!(
-        ref_long > 4 * a_long,
-        "reference kernel unexpectedly lean: {ref_long} vs fast {a_long}"
-    );
-
-    // ---- Straus: the shared squaring chain must be allocation-free ----
-    // Same batch, short vs long exponents: quadrupling the loop trip
-    // count may only add the window-table delta (wider windows), never
-    // per-iteration allocations.
-    let make_batch = |k: usize, exp_limbs: usize, top_bit: usize| {
-        let bases: Vec<MontForm> = (0..k)
-            .map(|i| mont.to_form(&UBig::from_limbs(limbs(15, 200 + i as u64))))
-            .collect();
-        let exps: Vec<UBig> = (0..k)
-            .map(|i| {
-                let mut e = UBig::from_limbs(limbs(exp_limbs, 300 + i as u64));
-                e.set_bit(top_bit);
-                e
-            })
-            .collect();
-        (bases, exps)
-    };
-    let (bases4, exps4_short) = make_batch(4, 4, 255);
-    let (_, exps4_long) = make_batch(4, 16, 1023);
-    let _ = multiexp::straus(&mont, &bases4, &exps4_short); // warm-up
-    let (rs, s_short) = allocs_during(|| multiexp::straus(&mont, &bases4, &exps4_short));
-    let (rl, s_long) = allocs_during(|| multiexp::straus(&mont, &bases4, &exps4_long));
-    assert_eq!(rs, iterated_pow(&mont, &bases4, &exps4_short));
-    assert_eq!(rl, iterated_pow(&mont, &bases4, &exps4_long));
-    assert!(
-        s_long <= s_short + 24,
-        "straus main loop allocates: {s_short} allocs @256-bit exps vs {s_long} @1024-bit exps"
-    );
-
-    // ---- Pippenger: bucket storage is one flat allocation per batch ----
-    // Growing the batch 16 -> 64 must not grow the allocation count at
-    // all: buckets, accumulator and scratch are sized by the window
-    // width, not by the number of bases.
-    let (bases16, exps16) = make_batch(16, 8, 511);
-    let (bases64, exps64) = make_batch(64, 8, 511);
-    let _ = multiexp::pippenger(&mont, &bases16, &exps16); // warm-up
-    let (p16r, p16) = allocs_during(|| multiexp::pippenger(&mont, &bases16, &exps16));
-    let (p64r, p64) = allocs_during(|| multiexp::pippenger(&mont, &bases64, &exps64));
-    assert_eq!(p16r, iterated_pow(&mont, &bases16, &exps16));
-    assert_eq!(p64r, iterated_pow(&mont, &bases64, &exps64));
-    assert!(
-        p64 <= p16 + 4,
-        "pippenger allocations grow with the batch: {p16} allocs @16 bases vs {p64} @64 bases"
     );
 
     // ---- Prime search: trial division never touches the heap ----------
@@ -317,14 +259,4 @@ fn sieve_primes() -> Vec<u64> {
     odd()
         .filter(|&d| odd().take_while(|q| q * q <= d).all(|q| d % q != 0))
         .collect()
-}
-
-/// `Π baseᵢ^expᵢ` via independent `pow_form` calls — correctness oracle
-/// for the multiexp kernels above.
-fn iterated_pow(mont: &Mont, bases: &[MontForm], exps: &[UBig]) -> MontForm {
-    let mut acc = mont.one_form();
-    for (b, e) in bases.iter().zip(exps.iter()) {
-        acc = mont.form_mul(&acc, &mont.pow_form(b, e));
-    }
-    acc
 }

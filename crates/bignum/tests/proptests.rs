@@ -5,7 +5,7 @@
 //! Montgomery and plain exponentiation paths.
 
 use p2drm_bignum::modring;
-use p2drm_bignum::{multiexp, Mont, MontForm, UBig};
+use p2drm_bignum::{Mont, UBig};
 use proptest::prelude::*;
 
 /// Strategy: arbitrary UBig up to ~256 bits from raw bytes.
@@ -131,9 +131,9 @@ proptest! {
     }
 
     #[test]
-    fn fast_kernel_matches_reference_kernel(a in ubig(), e in ubig(), n in odd_modulus()) {
+    fn mont_pow_matches_pow_mod_long_exponents(a in ubig(), e in ubig(), n in odd_modulus()) {
         let mont = Mont::new(&n).unwrap();
-        prop_assert_eq!(mont.pow(&a, &e), mont.pow_reference(&a, &e));
+        prop_assert_eq!(mont.pow(&a, &e), a.pow_mod(&e, &n).unwrap());
     }
 
     #[test]
@@ -183,77 +183,4 @@ proptest! {
         let s = modring::add_mod(&a, &b, &n);
         prop_assert_eq!(modring::sub_mod(&s, &b, &n), a.rem(&n));
     }
-
-    // --- multi-exponentiation equivalences ----------------------------
-
-    #[test]
-    fn straus_matches_iterated_pow_form(
-        pairs in base_exp_pairs(2, 4),
-        n in odd_modulus(),
-    ) {
-        let mont = Mont::new(&n).unwrap();
-        let (bases, exps) = to_forms(&mont, &pairs);
-        prop_assert_eq!(
-            multiexp::straus(&mont, &bases, &exps),
-            iterated_pow_form(&mont, &bases, &exps)
-        );
-    }
-
-    #[test]
-    fn pippenger_matches_straus(
-        pairs in base_exp_pairs(2, 24),
-        n in odd_modulus(),
-    ) {
-        // 2..=24 pairs straddles PIPPENGER_THRESHOLD, so both the
-        // below-threshold and above-threshold widths are exercised.
-        let mont = Mont::new(&n).unwrap();
-        let (bases, exps) = to_forms(&mont, &pairs);
-        prop_assert_eq!(
-            multiexp::pippenger(&mont, &bases, &exps),
-            multiexp::straus(&mont, &bases, &exps)
-        );
-    }
-
-    #[test]
-    fn multi_pow_matches_reference_kernel_product(
-        pairs in base_exp_pairs(1, 20),
-        n in odd_modulus(),
-    ) {
-        // The same product [`multiexp::multi_pow`] computes under the
-        // process-wide Reference kernel knob, built here explicitly so
-        // the property holds regardless of the global kernel state.
-        let mont = Mont::new(&n).unwrap();
-        let (bases, exps) = to_forms(&mont, &pairs);
-        let mut reference = mont.one_form();
-        for (base, exp) in bases.iter().zip(exps.iter()) {
-            let p = mont.pow_reference(&mont.from_form(base), exp);
-            reference = mont.form_mul(&reference, &mont.to_form(&p));
-        }
-        prop_assert_eq!(multiexp::multi_pow(&mont, &bases, &exps), reference);
-    }
-}
-
-/// Strategy: between `min` and `max` (base, exponent) pairs, exponents up
-/// to ~256 bits with zero and single-limb shapes included.
-fn base_exp_pairs(min: usize, max: usize) -> impl Strategy<Value = Vec<(UBig, UBig)>> {
-    proptest::collection::vec((ubig(), ubig()), min..max + 1)
-}
-
-/// Reduces raw pairs into Montgomery form inputs for the multiexp entry
-/// points.
-fn to_forms(mont: &Mont, pairs: &[(UBig, UBig)]) -> (Vec<MontForm>, Vec<UBig>) {
-    pairs
-        .iter()
-        .map(|(b, e)| (mont.to_form(b), e.clone()))
-        .unzip()
-}
-
-/// `Π baseᵢ^expᵢ` as independent [`Mont::pow_form`] calls — the baseline
-/// every multiexp kernel must agree with.
-fn iterated_pow_form(mont: &Mont, bases: &[MontForm], exps: &[UBig]) -> MontForm {
-    let mut acc = mont.one_form();
-    for (base, exp) in bases.iter().zip(exps.iter()) {
-        acc = mont.form_mul(&acc, &mont.pow_form(base, exp));
-    }
-    acc
 }

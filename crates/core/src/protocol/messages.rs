@@ -902,7 +902,7 @@ mod tests {
                 slow: true,
                 stages: vec![
                     SpanStage {
-                        label: "valve_wait".to_string(),
+                        label: "mint_deposit".to_string(),
                         ns: 50_000,
                     },
                     SpanStage {

@@ -949,10 +949,10 @@ impl<B: ConcurrentKv> ProviderService<B> {
 
     /// [`ProviderService::new`] recording into a caller-supplied
     /// [`Registry`] instead of the global one. The provider (verify
-    /// cache, valve, store) and the tracer are registered as weak
-    /// snapshot sources, so one [`Registry::snapshot`] — or one wire
-    /// [`OpCode::MetricsDump`] — carries service, valve, cache, store
-    /// and batch-crypto metrics together.
+    /// cache, store) and the tracer are registered as weak snapshot
+    /// sources, so one [`Registry::snapshot`] — or one wire
+    /// [`OpCode::MetricsDump`] — carries service, cache, store and
+    /// batch-crypto metrics together.
     pub fn with_registry(
         provider: Arc<ContentProvider<B>>,
         seed: u64,
@@ -1173,7 +1173,7 @@ impl<B: ConcurrentKv> ProviderService<B> {
     }
 
     /// The unified snapshot as a wire message: every registry metric
-    /// (service, valve, verify cache, store, batch crypto) plus the
+    /// (service, verify cache, store, batch crypto) plus the
     /// tracer's recent spans.
     pub fn metrics_dump_response(&self) -> MetricsDumpResponse {
         let snapshot = self.registry.snapshot();

@@ -14,7 +14,7 @@ use crate::kdf;
 use crate::rng::CryptoRng;
 use crate::sha256::DIGEST_LEN;
 use crate::{chacha20, hmac, CryptoError};
-use p2drm_bignum::{mont, prime, rng as brng, Mont, UBig};
+use p2drm_bignum::{prime, rng as brng, Mont, UBig};
 use p2drm_codec::{Decode, Encode, Reader, Writer};
 use std::sync::{Arc, OnceLock};
 
@@ -96,18 +96,13 @@ impl FixedBase {
     }
 }
 
-/// Dispatches an exponentiation through a lazily built fixed-base table
-/// (when the fast kernel is active) or the generic Montgomery kernel.
+/// Dispatches an exponentiation through a lazily built fixed-base table,
+/// or the generic Montgomery kernel for an exponent wider than it covers.
 fn fixed_base_pow(table: &OnceLock<FixedBase>, ctx: &Mont, base: &UBig, exp: &UBig) -> UBig {
-    if mont::kernel() == mont::Kernel::Fast {
-        if let Some(r) = table
-            .get_or_init(|| FixedBase::build(ctx, base))
-            .pow(ctx, exp)
-        {
-            return r;
-        }
-    }
-    ctx.pow(base, exp)
+    table
+        .get_or_init(|| FixedBase::build(ctx, base))
+        .pow(ctx, exp)
+        .unwrap_or_else(|| ctx.pow(base, exp))
 }
 
 /// A multiplicative group mod a safe prime `p = 2q + 1` with generator `g`.

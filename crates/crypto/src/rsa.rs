@@ -90,11 +90,6 @@ impl RsaPublicKey {
         }
     }
 
-    /// Exponentiation with an arbitrary exponent in this key's ring.
-    pub(crate) fn mont_pow(&self, x: &UBig, exp: &UBig) -> UBig {
-        self.mont.pow(x, exp)
-    }
-
     /// The key's Montgomery context (shared with the batch verifier so
     /// batched checks stay in this ring without rebuilding the context).
     pub(crate) fn mont(&self) -> &Mont {
@@ -283,14 +278,9 @@ impl RsaKeyPair {
     }
 
     /// The private exponent `d` (exposed for key-escrow tests and the
-    /// non-CRT ablation bench; handle with care).
+    /// benchmark's full-exponent modexp probe; handle with care).
     pub fn private_exponent(&self) -> &UBig {
         &self.d
-    }
-
-    /// Raw private operation without CRT (ablation baseline for benches).
-    pub fn raw_private_nocrt(&self, x: &UBig) -> UBig {
-        self.public.mont_pow(x, &self.d)
     }
 
     /// Raw RSA private operation `x^d mod n` via the CRT.
@@ -639,10 +629,11 @@ mod tests {
     }
 
     #[test]
-    fn nocrt_matches_crt() {
+    fn crt_matches_plain_pow_mod() {
         let kp = keypair();
         let x = UBig::from_u64(9_876_543_210);
-        assert_eq!(kp.raw_private(&x), kp.raw_private_nocrt(&x));
+        let plain = x.pow_mod(kp.private_exponent(), kp.public().modulus());
+        assert_eq!(kp.raw_private(&x), plain.unwrap());
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! fixed keys is shared while messages, payloads and tamper positions are
 //! randomized.
 
-use p2drm_bignum::{mont, UBig};
+use p2drm_bignum::UBig;
 use p2drm_crypto::elgamal::{ElGamalGroup, ElGamalKeyPair};
 use p2drm_crypto::rng::test_rng;
 use p2drm_crypto::rsa as batch_sig;
@@ -156,19 +156,16 @@ proptest! {
     }
 
     #[test]
-    fn elgamal_encryption_identical_under_both_kernels(
+    fn elgamal_fixed_base_encryption_decrypts(
         seed in any::<u64>(),
         msg in proptest::collection::vec(any::<u8>(), 0..64),
     ) {
-        // Kernel choice (fixed-base fast path vs reference) must be
-        // invisible in the produced bytes: same rng seed, same ciphertext.
+        // Encryption raises g and h through their fixed-base tables;
+        // decryption raises c1 through the generic kernel. They meet only
+        // if the tables agree with it.
         let kp = elgamal_keys();
-        let fast = kp.public().encrypt(&msg, &mut test_rng(seed));
-        mont::set_kernel(mont::Kernel::Reference);
-        let reference = kp.public().encrypt(&msg, &mut test_rng(seed));
-        mont::set_kernel(mont::Kernel::Fast);
-        prop_assert_eq!(&fast, &reference);
-        prop_assert_eq!(kp.decrypt(&fast).unwrap(), msg);
+        let ct = kp.public().encrypt(&msg, &mut test_rng(seed));
+        prop_assert_eq!(kp.decrypt(&ct).unwrap(), msg);
     }
 
     // --- batch verification -------------------------------------------
@@ -176,14 +173,12 @@ proptest! {
     #[test]
     fn batch_accepts_iff_each_item_individually_valid(
         seed in any::<u64>(),
-        k in 2usize..12,
-        corrupt in proptest::collection::vec(0usize..12, 0..4),
-        mode_screen in any::<bool>(),
+        k in 2usize..20,
+        corrupt in proptest::collection::vec(0usize..20, 0..4),
     ) {
         // Randomly corrupt a subset of a k-item batch and check that the
         // batch verdict matches k individual verifications exactly: the
-        // rejected set is precisely the corrupted indices, in both scalar
-        // regimes.
+        // rejected set is precisely the corrupted indices.
         let kp = &keys()[0];
         let msgs: Vec<Vec<u8>> = (0..k)
             .map(|i| format!("batch prop msg {seed} #{i}").into_bytes())
@@ -202,12 +197,7 @@ proptest! {
             .zip(&sigs)
             .map(|(m, s)| (m.as_slice(), s))
             .collect();
-        let mode = if mode_screen {
-            batch::BatchMode::Screen
-        } else {
-            batch::BatchMode::SmallExponents { bits: 32 }
-        };
-        let report = batch::verify_batch(kp.public(), &items, mode, &mut test_rng(seed ^ 0xB17C));
+        let report = batch::screen_batch(kp.public(), &items);
         prop_assert_eq!(&report.rejected, &corrupt, "rejected set must be the corrupt set");
         let individually: Vec<usize> = items
             .iter()
@@ -220,37 +210,5 @@ proptest! {
         if !corrupt.is_empty() {
             prop_assert!(report.splits > 0, "failures must go through the splitter");
         }
-    }
-
-    #[test]
-    fn fdh_batch_split_pinpoints_single_corrupt_index(
-        seed in any::<u64>(),
-        k in 2usize..10,
-        bad in 0usize..10,
-    ) {
-        // One corrupted FDH signature in an otherwise-valid batch: the
-        // binary-split fallback must isolate exactly that index.
-        let bad = bad % k;
-        let kp = &keys()[1];
-        let modlen = kp.public().modulus_len();
-        let msgs: Vec<Vec<u8>> = (0..k)
-            .map(|i| format!("fdh prop msg {seed} #{i}").into_bytes())
-            .collect();
-        let sigs: Vec<batch_sig::RsaSignature> = msgs
-            .iter()
-            .enumerate()
-            .map(|(i, m)| {
-                let src: &[u8] = if i == bad { b"wrong preimage" } else { m };
-                batch_sig::RsaSignature::from_ubig(kp.raw_private(&fdh(src, modlen)))
-            })
-            .collect();
-        let items: Vec<(&[u8], &batch_sig::RsaSignature)> = msgs
-            .iter()
-            .zip(&sigs)
-            .map(|(m, s)| (m.as_slice(), s))
-            .collect();
-        let report = batch::screen_fdh_batch(kp.public(), &items);
-        prop_assert_eq!(report.rejected, vec![bad]);
-        prop_assert!(report.splits > 0);
     }
 }

@@ -1,8 +1,8 @@
 //! Per-request tracing keyed by the wire correlation id.
 //!
 //! A [`Tracer::begin`] guard opens a span for the request being served
-//! and parks it in a thread local; deeper layers (valve, verify cache,
-//! mint, store) attach stage timings with the free functions
+//! and parks it in a thread local; deeper layers (verify cache, mint,
+//! store) attach stage timings with the free functions
 //! [`stage`] and [`flag`] — no signatures change, because a request is
 //! served start to finish on one worker thread. When the guard drops,
 //! the span lands in a bounded ring buffer: every span keeps its
@@ -317,7 +317,7 @@ mod tests {
         let t = tracer(Duration::from_secs(60));
         {
             let _g = t.begin(42, "purchase");
-            let _s = stage("valve_wait");
+            let _s = stage("mint_deposit");
             flag("vcache_hit");
         }
         let spans = t.recent();

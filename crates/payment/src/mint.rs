@@ -165,9 +165,9 @@ impl<S: Kv> Mint<S> {
 
     /// Signature-only half of [`Self::deposit`]: checks the coin under
     /// its denomination key without touching the spent store. Pure and
-    /// side-effect free, so callers overlapping work with a concurrent
-    /// verification (the provider's valve) can run it early and commit
-    /// with [`Self::deposit_prechecked`] afterwards.
+    /// side-effect free, so a caller can finish every check of a request
+    /// before its first side effect (the provider's purchase path) and
+    /// commit with [`Self::deposit_prechecked`] afterwards.
     pub fn check_coin(&self, coin: &Coin) -> Result<(), PaymentError> {
         let key = self.public_key(coin.denomination)?;
         if !coin.verify(key) {

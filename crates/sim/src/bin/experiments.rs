@@ -4,7 +4,7 @@
 //!
 //! Usage:
 //! ```text
-//! cargo run --release -p p2drm-sim --bin experiments [all|t1|t2|e1|e2|e3|e4|e5|e6|e7|e10|e11|e12|e13|e14|e15] [--quick]
+//! cargo run --release -p p2drm-sim --bin experiments [all|t1|t2|e1|e2|e3|e4|e5|e6|e7|e10|e13|e14|e15] [--quick]
 //! ```
 //! Results print as tables and are also written to `results/*.json`.
 //! (E2 is storage growth — renumbered from its earlier `e6` slot when
@@ -18,8 +18,7 @@ use p2drm_crypto::rng::test_rng;
 use p2drm_payment::{Mint, MintConfig, Wallet};
 use p2drm_sim::report::{fmt_bytes, fmt_ns, write_json, Table};
 use p2drm_sim::{
-    linkability_experiment, purchase_throughput, purchase_throughput_with, DispatchMode,
-    StoreBackend, ThroughputConfig,
+    linkability_experiment, purchase_throughput, DispatchMode, StoreBackend, ThroughputConfig,
 };
 use p2drm_store::SyncPolicy;
 
@@ -43,8 +42,6 @@ fn main() {
         "e6" => e6_tcp(quick),
         "e7" => e7_linkability(quick),
         "e10" => e10_payment(quick),
-        "e11" => e11_hotpath(quick),
-        "e12" => e12_batch(quick),
         "e13" => e13_c10k(quick),
         "e14" => e14_observability(quick),
         "e15" => e15_faults(quick),
@@ -59,15 +56,13 @@ fn main() {
             e6_tcp(quick);
             e7_linkability(quick);
             e10_payment(quick);
-            e11_hotpath(quick);
-            e12_batch(quick);
             e13_c10k(quick);
             e14_observability(quick);
             e15_faults(quick);
         }
         other => {
             eprintln!(
-                "unknown experiment {other}; use all|t1|t2|e1|e2|e3|e4|e5|e6|e7|e10|e11|e12|e13|e14|e15"
+                "unknown experiment {other}; use all|t1|t2|e1|e2|e3|e4|e5|e6|e7|e10|e13|e14|e15"
             );
             std::process::exit(2);
         }
@@ -326,7 +321,6 @@ fn e3_throughput(quick: bool) {
                     store_shards,
                     backend: StoreBackend::Mem,
                     mode: DispatchMode::InProc,
-                    valve_batch: 0,
                     ..ThroughputConfig::default()
                 },
                 &mut rng,
@@ -374,7 +368,6 @@ fn e4_durability(quick: bool) {
                     store_shards: 8,
                     backend: backend.clone(),
                     mode: DispatchMode::InProc,
-                    valve_batch: 0,
                     ..ThroughputConfig::default()
                 },
                 &mut rng,
@@ -421,7 +414,6 @@ fn e5_wire(quick: bool) {
                     store_shards: 8,
                     backend: StoreBackend::Mem,
                     mode,
-                    valve_batch: 0,
                     ..ThroughputConfig::default()
                 },
                 &mut rng,
@@ -559,7 +551,6 @@ fn e6_tcp(quick: bool) {
                     store_shards: 8,
                     backend: StoreBackend::Mem,
                     mode,
-                    valve_batch: 0,
                     ..ThroughputConfig::default()
                 },
                 &mut rng,
@@ -696,415 +687,6 @@ fn e10_payment(quick: bool) {
     let _ = write_json("e10_payment", &rows);
 }
 
-struct E11Row {
-    section: String,
-    name: String,
-    baseline: f64,
-    accelerated: f64,
-    unit: String,
-    speedup: f64,
-}
-
-impl p2drm_sim::json::ToJson for E11Row {
-    fn to_json(&self) -> p2drm_sim::json::Json {
-        use p2drm_sim::json::Json;
-        Json::obj([
-            ("section", self.section.to_json()),
-            ("name", self.name.to_json()),
-            ("baseline", self.baseline.to_json()),
-            ("accelerated", self.accelerated.to_json()),
-            ("unit", self.unit.to_json()),
-            ("speedup", self.speedup.to_json()),
-        ])
-    }
-}
-
-/// Mean wall-clock nanoseconds per call of `f` over `iters` calls.
-fn mean_ns(iters: usize, mut f: impl FnMut()) -> f64 {
-    let t0 = std::time::Instant::now();
-    for _ in 0..iters {
-        f();
-    }
-    t0.elapsed().as_nanos() as f64 / iters as f64
-}
-
-/// E11: hot-path crypto acceleration. Measures the allocation-free
-/// windowed Montgomery kernel, the dedicated squaring, the small-`e`
-/// verify path and fixed-base ElGamal against the pre-PR kernel (kept
-/// callable as `Mont::pow_reference` / `Kernel::Reference`), then the
-/// end-to-end effect: single-thread purchase throughput with the old vs
-/// new kernel, and the provider's verification cache on a repeat-cert
-/// workload (cache on vs off).
-fn e11_hotpath(quick: bool) {
-    use p2drm_core::entities::provider::{ContentProvider, ProviderConfig};
-    use p2drm_crypto::bignum::{mont, rng as brng, Mont, UBig};
-    use p2drm_crypto::elgamal::ElGamalGroup;
-    use std::hint::black_box;
-
-    assert_eq!(mont::kernel(), mont::Kernel::Fast, "fast kernel is default");
-    let mut rows: Vec<E11Row> = Vec::new();
-
-    // --- Kernel micro-ops: pow (full + small-e) and sqr vs mul ---------
-    let mut rng = test_rng(0xE110);
-    let bit_sweep: &[usize] = if quick { &[512] } else { &[512, 1024, 2048] };
-    for &bits in bit_sweep {
-        let mut modulus = brng::random_bits(&mut rng, bits);
-        modulus.set_bit(bits - 1);
-        modulus.set_bit(0);
-        let mctx = Mont::new(&modulus).unwrap();
-        let base = brng::random_below(&mut rng, &modulus);
-        let exp = brng::random_bits(&mut rng, bits);
-        let iters = if quick { 3 } else { 2048 * 40 / bits.max(1) };
-
-        let t_ref = mean_ns(iters, || {
-            black_box(mctx.pow_reference(black_box(&base), black_box(&exp)));
-        });
-        let t_fast = mean_ns(iters, || {
-            black_box(mctx.pow(black_box(&base), black_box(&exp)));
-        });
-        rows.push(E11Row {
-            section: "modexp".into(),
-            name: format!("pow {bits}-bit (full exponent)"),
-            baseline: t_ref,
-            accelerated: t_fast,
-            unit: "ns/op".into(),
-            speedup: t_ref / t_fast,
-        });
-
-        let e65537 = UBig::from_u64(65537);
-        let t_ref_e = mean_ns(iters * 8, || {
-            black_box(mctx.pow_reference(black_box(&base), black_box(&e65537)));
-        });
-        let t_fast_e = mean_ns(iters * 8, || {
-            black_box(mctx.pow_u64(black_box(&base), 65537));
-        });
-        rows.push(E11Row {
-            section: "modexp".into(),
-            name: format!("pow {bits}-bit (e = 65537 verify)"),
-            baseline: t_ref_e,
-            accelerated: t_fast_e,
-            unit: "ns/op".into(),
-            speedup: t_ref_e / t_fast_e,
-        });
-
-        let am = mctx.to_mont(&base);
-        let sqr_iters = if quick {
-            16
-        } else {
-            40_000 * 512 / bits.max(1)
-        };
-        let t_mul = mean_ns(sqr_iters, || {
-            black_box(mctx.mont_mul(black_box(&am), black_box(&am)));
-        });
-        let t_sqr = mean_ns(sqr_iters, || {
-            black_box(mctx.mont_sqr(black_box(&am)));
-        });
-        rows.push(E11Row {
-            section: "modexp".into(),
-            name: format!("mont square {bits}-bit (mul(a,a) vs sqr(a))"),
-            baseline: t_mul,
-            accelerated: t_sqr,
-            unit: "ns/op".into(),
-            speedup: t_mul / t_sqr,
-        });
-    }
-
-    // --- Fixed-base ElGamal: table lookups + muls vs generic pow -------
-    let group = if quick {
-        ElGamalGroup::test_512()
-    } else {
-        ElGamalGroup::modp_1024()
-    };
-    let mut grng = test_rng(0xE111);
-    let exps: Vec<UBig> = (0..8).map(|_| group.random_exponent(&mut grng)).collect();
-    let _ = group.pow_g(&exps[0]); // warm-up: build the table outside the clock
-    let fb_iters = if quick { 4 } else { 64 };
-    let g = group.generator().clone();
-    let mut i = 0usize;
-    let t_generic = mean_ns(fb_iters, || {
-        i += 1;
-        black_box(group.pow(black_box(&g), &exps[i % exps.len()]));
-    });
-    let t_fixed = mean_ns(fb_iters, || {
-        i += 1;
-        black_box(group.pow_g(&exps[i % exps.len()]));
-    });
-    rows.push(E11Row {
-        section: "fixed-base".into(),
-        name: format!("ElGamal g^x ({}-bit group)", group.modulus().bit_len()),
-        baseline: t_generic,
-        accelerated: t_fixed,
-        unit: "ns/op".into(),
-        speedup: t_generic / t_fixed,
-    });
-
-    // --- End-to-end: single-thread purchases, old vs new kernel --------
-    // Same box, same workload; only the process-wide kernel knob differs.
-    let per_client = if quick { 3 } else { 40 };
-    let run = |seed: u64| {
-        let mut rng = test_rng(seed);
-        purchase_throughput(
-            ThroughputConfig {
-                clients: 1,
-                purchases_per_client: per_client,
-                store_shards: 8,
-                backend: StoreBackend::Mem,
-                mode: DispatchMode::InProc,
-                valve_batch: 0,
-                ..ThroughputConfig::default()
-            },
-            &mut rng,
-        )
-    };
-    mont::set_kernel(mont::Kernel::Reference);
-    let before = run(0xE112);
-    mont::set_kernel(mont::Kernel::Fast);
-    let after = run(0xE112);
-    rows.push(E11Row {
-        section: "purchase".into(),
-        name: "single-thread purchases/s (reference vs fast kernel)".into(),
-        baseline: before.throughput,
-        accelerated: after.throughput,
-        unit: "purchases/s".into(),
-        speedup: after.throughput / before.throughput,
-    });
-    // Mean latency from the wall clock (the histogram's log buckets are
-    // too coarse to resolve a <2x shift).
-    let mean_before = 1e9 * before.wall_secs / before.completed.max(1) as f64;
-    let mean_after = 1e9 * after.wall_secs / after.completed.max(1) as f64;
-    rows.push(E11Row {
-        section: "purchase".into(),
-        name: "per-purchase mean latency (reference vs fast kernel)".into(),
-        baseline: mean_before,
-        accelerated: mean_after,
-        unit: "ns/op".into(),
-        speedup: mean_before / mean_after,
-    });
-
-    // --- Verification cache: repeat-cert workload, cache on vs off -----
-    let mut rng = test_rng(0xE113);
-    let mut sys = System::bootstrap(SystemConfig::fast_test(), &mut rng);
-    let make_provider = |root: &mut _, capacity: usize, rng: &mut _| {
-        ContentProvider::new(
-            root,
-            sys.mint.clone(),
-            sys.ra.blind_public().clone(),
-            ProviderConfig {
-                verify_cache_capacity: capacity,
-                ..ProviderConfig::fast_test()
-            },
-            rng,
-        )
-    };
-    let uncached = make_provider(&mut sys.root, 0, &mut rng);
-    let cached = make_provider(&mut sys.root, 4096, &mut rng);
-    let mut user = sys.register_user("e11-repeat", &mut rng).unwrap();
-    sys.ensure_pseudonym(&mut user, &mut rng).unwrap();
-    let cert = user.current_pseudonym().unwrap().clone();
-    let epoch = sys.epoch();
-    // Interleaved best-of-rounds: the 1-CPU reference box is noisy, and a
-    // background hiccup in either batch would skew a single-pass ratio.
-    let verify_iters = if quick { 16 } else { 300 };
-    let rounds = if quick { 1 } else { 3 };
-    let (mut t_uncached, mut t_cached) = (f64::MAX, f64::MAX);
-    for _ in 0..rounds {
-        t_uncached = t_uncached.min(mean_ns(verify_iters, || {
-            uncached.verify_pseudonym(black_box(&cert), epoch).unwrap();
-        }));
-        t_cached = t_cached.min(mean_ns(verify_iters, || {
-            cached.verify_pseudonym(black_box(&cert), epoch).unwrap();
-        }));
-    }
-    rows.push(E11Row {
-        section: "verify-cache".into(),
-        name: "repeat-cert verify_pseudonym (cache off vs on)".into(),
-        baseline: t_uncached,
-        accelerated: t_cached,
-        unit: "ns/op".into(),
-        speedup: t_uncached / t_cached,
-    });
-    let counters = cached.verify_cache_counters();
-
-    let mut table = Table::new(
-        "E11: hot-path crypto acceleration (baseline vs accelerated)",
-        &["section", "operation", "baseline", "accelerated", "speedup"],
-    );
-    for r in &rows {
-        let fmt = |v: f64| {
-            if r.unit == "purchases/s" {
-                format!("{v:.1}/s")
-            } else {
-                fmt_ns(v)
-            }
-        };
-        table.row(&[
-            r.section.clone(),
-            r.name.clone(),
-            fmt(r.baseline),
-            fmt(r.accelerated),
-            format!("{:.2}x", r.speedup),
-        ]);
-    }
-    println!("{}", table.render());
-    println!(
-        "  verify cache on the repeat-cert workload: {} hits / {} misses (hit rate {:.1}%), {} insertions, {} evictions\n",
-        counters.hits,
-        counters.misses,
-        100.0 * counters.hit_rate(),
-        counters.insertions,
-        counters.evictions,
-    );
-    let _ = write_json("e11_hotpath", &rows);
-}
-
-/// E12: batch verification. Part A sweeps the batch size `k` and compares
-/// per-signature cost of `k` individual PKCS#1 verifications against one
-/// screened batch ([`p2drm_crypto::batch::screen_batch`] — unit scalars,
-/// one combined check). Part B turns the provider's verification valve on
-/// under 8 concurrent clients and compares end-to-end purchase throughput
-/// against the valve-off baseline on the same workload.
-fn e12_batch(quick: bool) {
-    use p2drm_crypto::batch;
-    use p2drm_crypto::rsa::{RsaKeyPair, RsaSignature};
-    use std::hint::black_box;
-
-    let mut rows: Vec<E11Row> = Vec::new();
-
-    // --- Part A: per-signature verify cost vs batch size ---------------
-    let ks: &[usize] = if quick {
-        &[2, 4, 16]
-    } else {
-        &[2, 4, 8, 16, 32, 64]
-    };
-    let bits = if quick { 512 } else { 1024 };
-    let mut rng = test_rng(0xE120);
-    let kp = RsaKeyPair::generate(bits, &mut rng);
-    let max_k = *ks.last().unwrap();
-    // Distinct messages: the screening check requires them (duplicates
-    // fall back to individual verification).
-    let msgs: Vec<Vec<u8>> = (0..max_k)
-        .map(|i| format!("e12 batch message #{i}").into_bytes())
-        .collect();
-    let sigs: Vec<RsaSignature> = msgs.iter().map(|m| kp.sign(m)).collect();
-
-    for &k in ks {
-        let items: Vec<(&[u8], &RsaSignature)> = msgs[..k]
-            .iter()
-            .zip(&sigs[..k])
-            .map(|(m, s)| (m.as_slice(), s))
-            .collect();
-        let iters = if quick { 2 } else { (128 / k).max(4) };
-        // Interleaved best-of-rounds, as in E11: the 1-CPU box is noisy.
-        let rounds = if quick { 1 } else { 3 };
-        let (mut t_item, mut t_batch) = (f64::MAX, f64::MAX);
-        for _ in 0..rounds {
-            t_item = t_item.min(
-                mean_ns(iters, || {
-                    for (m, s) in &items {
-                        kp.public().verify(black_box(m), black_box(s)).unwrap();
-                    }
-                }) / k as f64,
-            );
-            t_batch = t_batch.min(
-                mean_ns(iters, || {
-                    assert!(batch::screen_batch(kp.public(), black_box(&items)).all_valid());
-                }) / k as f64,
-            );
-        }
-        rows.push(E11Row {
-            section: "batch-verify".into(),
-            name: format!("screened batch, k = {k} ({bits}-bit, per signature)"),
-            baseline: t_item,
-            accelerated: t_batch,
-            unit: "ns/sig".into(),
-            speedup: t_item / t_batch,
-        });
-    }
-
-    // --- Part B: valve on vs off, 8 concurrent clients -----------------
-    // Every purchase presents a fresh pseudonym certificate, so each one
-    // is a verification-cache miss — exactly the traffic the valve
-    // batches. Same workload, same seed; only the valve knob differs.
-    //
-    // Production-grade 2048-bit keys (quick mode keeps the fast test
-    // keys): batching trades one context switch per staged item for the
-    // per-item share of a combined check, so it pays exactly when a
-    // single verification costs well more than a switch. At 2048 bits a
-    // verify is ~25µs against a ~2µs switch and the valve wins outright;
-    // at the 512-bit test-key size the savings (~1µs) drown in
-    // scheduling noise.
-    let valve_bits = if quick { 512 } else { 2048 };
-    let clients = 8;
-    let per_client = if quick { 2 } else { 8 };
-    let run = |valve_batch: usize, seed: u64| {
-        let mut rng = test_rng(seed);
-        purchase_throughput_with(
-            SystemConfig {
-                key_bits: valve_bits,
-                ..SystemConfig::fast_test()
-            },
-            ThroughputConfig {
-                clients,
-                purchases_per_client: per_client,
-                store_shards: 8,
-                backend: StoreBackend::Mem,
-                mode: DispatchMode::InProc,
-                valve_batch,
-                ..ThroughputConfig::default()
-            },
-            &mut rng,
-        )
-    };
-    let rounds = if quick { 1 } else { 4 };
-    let mut off = run(0, 0xE121);
-    let mut on = run(4, 0xE122);
-    for _ in 1..rounds {
-        let o = run(0, 0xE121);
-        if o.throughput > off.throughput {
-            off = o;
-        }
-        let v = run(4, 0xE122);
-        if v.throughput > on.throughput {
-            on = v;
-        }
-    }
-    rows.push(E11Row {
-        section: "valve".into(),
-        name: format!("purchases/s, {clients} clients, {valve_bits}-bit (valve off vs batch 4)"),
-        baseline: off.throughput,
-        accelerated: on.throughput,
-        unit: "purchases/s".into(),
-        speedup: on.throughput / off.throughput,
-    });
-
-    let mut table = Table::new(
-        "E12: batch verification (per-item baseline vs batched)",
-        &["section", "operation", "baseline", "accelerated", "speedup"],
-    );
-    for r in &rows {
-        let fmt = |v: f64| {
-            if r.unit == "purchases/s" {
-                format!("{v:.1}/s")
-            } else {
-                fmt_ns(v)
-            }
-        };
-        table.row(&[
-            r.section.clone(),
-            r.name.clone(),
-            fmt(r.baseline),
-            fmt(r.accelerated),
-            format!("{:.2}x", r.speedup),
-        ]);
-    }
-    println!("{}", table.render());
-    println!(
-        "  valve-on run: {} batched, {} size flushes, {} timer flushes, {} fallback splits\n",
-        on.valve.batched, on.valve.size_flushes, on.valve.timer_flushes, on.valve.fallback_splits,
-    );
-    let _ = write_json("e12_batch", &rows);
-}
-
 /// E13: event-driven C10K — thousands of open keep-alive connections on
 /// a handful of workers, plus pipelined-vs-serial throughput on one
 /// connection through the submit/complete Transport contract.
@@ -1175,8 +757,8 @@ fn e13_c10k(quick: bool) {
 /// scheduler noise; outside `--quick` the enabled arms must stay within
 /// 2% of the disabled baseline.
 ///
-/// Part B is the payoff: one TCP + WAL + valve run whose single registry
-/// snapshot carries `service_*`, `valve_*`, `vcache_*`, `crypto_batch_*`,
+/// Part B is the payoff: one TCP + WAL run whose single registry
+/// snapshot carries `service_*`, `vcache_*`, `crypto_batch_*`,
 /// `store_*` and `net_*` series together — the per-op latency table and
 /// the unified text exposition both render from that one snapshot.
 fn e14_observability(quick: bool) {
@@ -1208,7 +790,6 @@ fn e14_observability(quick: bool) {
                 store_shards: 8,
                 backend: StoreBackend::Mem,
                 mode: DispatchMode::Wire,
-                valve_batch: 0,
                 registry: Some(registry),
                 tracing,
             },
@@ -1345,7 +926,6 @@ fn e14_observability(quick: bool) {
             store_shards: 2,
             backend: StoreBackend::WalSharded(p2drm_store::SyncPolicy::Buffered),
             mode: DispatchMode::Tcp,
-            valve_batch: 2,
             registry: Some(registry),
             tracing: true,
         },
@@ -1354,7 +934,7 @@ fn e14_observability(quick: bool) {
     let snapshot = showcase.snapshot.clone().unwrap_or_default();
 
     let mut ops = Table::new(
-        "E14b: per-op service latency (one unified snapshot; TCP + WAL + valve)",
+        "E14b: per-op service latency (one unified snapshot; TCP + WAL)",
         &["metric", "count", "mean", "p50", "p99"],
     );
     let mut per_op = Vec::new();
@@ -1381,14 +961,7 @@ fn e14_observability(quick: bool) {
     }
     println!("{}", ops.render());
 
-    let prefixes = [
-        "service_",
-        "valve_",
-        "vcache_",
-        "crypto_batch_",
-        "store_",
-        "net_",
-    ];
+    let prefixes = ["service_", "vcache_", "crypto_batch_", "store_", "net_"];
     let covered: Vec<&str> = prefixes
         .iter()
         .copied()

@@ -33,7 +33,6 @@ pub use mixed::{simulate, SimReport};
 pub use openloop::{OpenLoopConfig, OpenLoopResult};
 pub use report::Table;
 pub use runner::{
-    purchase_throughput, purchase_throughput_with, DispatchMode, StoreBackend, ThroughputConfig,
-    ThroughputResult,
+    purchase_throughput, DispatchMode, StoreBackend, ThroughputConfig, ThroughputResult,
 };
 pub use workload::{Op, Workload, WorkloadConfig, Zipf};

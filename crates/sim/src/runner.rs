@@ -97,10 +97,6 @@ pub struct ThroughputConfig {
     pub backend: StoreBackend,
     /// In-process calls or the byte-level wire path.
     pub mode: DispatchMode,
-    /// Provider verification-valve batch size (0 = valve off, the
-    /// pre-valve behaviour; >0 stages cache-missing pseudonym
-    /// verifications and flushes them as one screened batch).
-    pub valve_batch: usize,
     /// Private metrics registry for the run. `Some` routes the service
     /// (and, in TCP mode, the server) through
     /// [`ProviderService::with_registry`] so the run's counters and
@@ -117,8 +113,8 @@ pub struct ThroughputConfig {
 
 impl Default for ThroughputConfig {
     /// Smallest meaningful run: one client, one purchase, serialized
-    /// store, volatile backend, in-process dispatch, valve off, global
-    /// registry, no tracing.
+    /// store, volatile backend, in-process dispatch, global registry, no
+    /// tracing.
     fn default() -> Self {
         ThroughputConfig {
             clients: 1,
@@ -126,7 +122,6 @@ impl Default for ThroughputConfig {
             store_shards: 1,
             backend: StoreBackend::Mem,
             mode: DispatchMode::InProc,
-            valve_batch: 0,
             registry: None,
             tracing: false,
         }
@@ -159,9 +154,6 @@ pub struct ThroughputResult {
     /// nothing), so it is the statistic of choice for small-overhead
     /// comparisons like E14's ≤2% observability budget.
     pub median_op_ns: u64,
-    /// Verification-valve counters for the run (all zero when the valve
-    /// is off).
-    pub valve: p2drm_core::valve::ValveCounters,
     /// End-of-run unified metrics snapshot, taken from the private
     /// registry while the provider is still alive (its weak
     /// [`p2drm_obs::MetricSource`] registration would go dead once the
@@ -182,15 +174,6 @@ impl ToJson for ThroughputResult {
             ("throughput", self.throughput.to_json()),
             ("latency", self.latency.to_json()),
             ("median_op_ns", self.median_op_ns.to_json()),
-            (
-                "valve",
-                Json::obj([
-                    ("batched", self.valve.batched.to_json()),
-                    ("timer_flushes", self.valve.timer_flushes.to_json()),
-                    ("size_flushes", self.valve.size_flushes.to_json()),
-                    ("fallback_splits", self.valve.fallback_splits.to_json()),
-                ]),
-            ),
         ])
     }
 }
@@ -223,21 +206,9 @@ impl Drop for TempDir {
 /// question, now including the cost of durability when the backend is
 /// WAL-backed.
 pub fn purchase_throughput<R: Rng>(config: ThroughputConfig, rng: &mut R) -> ThroughputResult {
-    purchase_throughput_with(SystemConfig::fast_test(), config, rng)
-}
-
-/// [`purchase_throughput`] over a caller-chosen [`SystemConfig`] — e.g.
-/// realistic key sizes, where per-signature verification is expensive
-/// enough for the valve's batching to matter (experiment E12).
-pub fn purchase_throughput_with<R: Rng>(
-    system: SystemConfig,
-    config: ThroughputConfig,
-    rng: &mut R,
-) -> ThroughputResult {
-    let mut sys = System::bootstrap(system, rng);
+    let mut sys = System::bootstrap(SystemConfig::fast_test(), rng);
     let provider_config = ProviderConfig {
         store_shards: config.store_shards,
-        valve_batch: config.valve_batch,
         ..ProviderConfig::fast_test()
     };
 
@@ -482,7 +453,6 @@ fn drive_provider<B: ConcurrentKv + Send + Sync + 'static, R: Rng>(
         throughput: completed as f64 / wall.as_secs_f64(),
         latency: merged.summary(),
         median_op_ns,
-        valve: provider.valve_counters(),
         snapshot,
     }
 }
@@ -502,7 +472,6 @@ mod tests {
                 store_shards: 1,
                 backend: StoreBackend::Mem,
                 mode: DispatchMode::InProc,
-                valve_batch: 0,
                 ..ThroughputConfig::default()
             },
             &mut rng,
@@ -524,39 +493,12 @@ mod tests {
                 store_shards: 8,
                 backend: StoreBackend::Mem,
                 mode: DispatchMode::InProc,
-                valve_batch: 0,
                 ..ThroughputConfig::default()
             },
             &mut rng,
         );
         assert_eq!(r.completed, 8);
         assert_eq!(r.store_shards, 8);
-    }
-
-    #[test]
-    fn valve_enabled_run_completes_and_batches() {
-        let mut rng = test_rng(275);
-        let r = purchase_throughput(
-            ThroughputConfig {
-                clients: 4,
-                purchases_per_client: 2,
-                store_shards: 8,
-                backend: StoreBackend::Mem,
-                mode: DispatchMode::InProc,
-                valve_batch: 2,
-                ..ThroughputConfig::default()
-            },
-            &mut rng,
-        );
-        assert_eq!(r.completed, 8);
-        // Every purchase presents a fresh pseudonym (a cache miss), so
-        // the valve must have flushed at least once — by size when the
-        // threads overlap, by timer otherwise.
-        assert!(
-            r.valve.timer_flushes + r.valve.size_flushes > 0,
-            "valve saw no traffic: {:?}",
-            r.valve
-        );
     }
 
     #[test]
@@ -569,7 +511,6 @@ mod tests {
                 store_shards: 8,
                 backend: StoreBackend::Mem,
                 mode: DispatchMode::Wire,
-                valve_batch: 0,
                 ..ThroughputConfig::default()
             },
             &mut rng,
@@ -588,7 +529,6 @@ mod tests {
                 store_shards: 8,
                 backend: StoreBackend::Mem,
                 mode: DispatchMode::Tcp,
-                valve_batch: 0,
                 ..ThroughputConfig::default()
             },
             &mut rng,
@@ -607,7 +547,6 @@ mod tests {
                 store_shards: 4,
                 backend: StoreBackend::WalSharded(SyncPolicy::Buffered),
                 mode: DispatchMode::Wire,
-                valve_batch: 0,
                 ..ThroughputConfig::default()
             },
             &mut rng,
@@ -635,7 +574,6 @@ mod tests {
                     store_shards: 4,
                     backend: StoreBackend::WalSharded(policy),
                     mode: DispatchMode::InProc,
-                    valve_batch: 0,
                     ..ThroughputConfig::default()
                 },
                 &mut rng,
