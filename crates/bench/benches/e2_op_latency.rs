@@ -5,10 +5,17 @@
 //!
 //! Setup work (fresh pseudonyms, coins, licenses) happens outside the
 //! timed section via `iter_custom`.
+//!
+//! The `read_path` group times the anonymous read ops — the ones that
+//! run no modexp — through the byte-level `ProviderService::handle` at
+//! RSA-1024 against a 256-item catalog of 16 KiB items, the shape the
+//! end-to-end benchmark's `lifecycle_mix` serves.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use p2drm_bench::{make_purchase_request, world};
 use p2drm_core::protocol;
+use p2drm_core::protocol::messages::{CatalogRequest, DownloadRequest, LicenseStatusRequest};
+use p2drm_core::service::{RequestEnvelope, WireRequest};
 use p2drm_core::Transcript;
 use p2drm_crypto::rng::test_rng;
 use std::time::{Duration, Instant};
@@ -165,5 +172,63 @@ fn bench_ops(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_ops);
+fn bench_read_path(c: &mut Criterion) {
+    const ITEMS: usize = 256;
+    const LICENSES: usize = 32;
+    let mut group = c.benchmark_group("read_path");
+    group
+        .sample_size(10)
+        .warm_up_time(Duration::from_millis(300))
+        .measurement_time(Duration::from_secs(1));
+
+    let mut w = world(1024, 0xB2_50);
+    let payload = vec![0u8; 16 * 1024];
+    let mut cid = w.cid;
+    for i in 1..ITEMS {
+        cid = w
+            .sys
+            .publish_content(&format!("Item {i:03}"), 100, &payload, &mut w.rng);
+    }
+    let request = |body| {
+        RequestEnvelope {
+            correlation_id: 1,
+            body,
+        }
+        .to_bytes()
+    };
+    let status_requests: Vec<Vec<u8>> = (0..LICENSES)
+        .map(|_| {
+            let license = w.sys.purchase(&mut w.user, cid, &mut w.rng).unwrap();
+            request(WireRequest::LicenseStatus(LicenseStatusRequest {
+                license_id: license.id(),
+            }))
+        })
+        .collect();
+    let service = w.sys.wire_service(0xB2_50);
+
+    let listing = request(WireRequest::Catalog(CatalogRequest { content_id: None }));
+    group.bench_function(BenchmarkId::new("catalog_listing", ITEMS), |b| {
+        b.iter(|| service.handle(black_box(&listing)))
+    });
+    let by_id = request(WireRequest::Catalog(CatalogRequest {
+        content_id: Some(cid),
+    }));
+    group.bench_function("catalog_by_id", |b| {
+        b.iter(|| service.handle(black_box(&by_id)))
+    });
+    let mut next = 0usize;
+    group.bench_function("license_status/active", |b| {
+        b.iter(|| {
+            next = (next + 1) % LICENSES;
+            service.handle(black_box(&status_requests[next]))
+        })
+    });
+    let download = request(WireRequest::Download(DownloadRequest { content_id: cid }));
+    group.bench_function("download/16k", |b| {
+        b.iter(|| service.handle(black_box(&download)))
+    });
+    group.finish();
+}
+
+criterion_group!(benches, bench_ops, bench_read_path);
 criterion_main!(benches);

@@ -186,6 +186,10 @@ impl Writer {
     }
 }
 
+/// Most elements [`Reader::get_seq`] reserves room for before decoding
+/// any (a 256-item catalog listing still decodes with one reservation).
+const SEQ_RESERVE_MAX: usize = 1024;
+
 /// Canonical byte reader with strict bounds and canonicality checks.
 #[derive(Debug)]
 pub struct Reader<'a> {
@@ -318,7 +322,11 @@ impl<'a> Reader<'a> {
         if len > self.remaining() as u64 {
             return Err(CodecError::BadLength(len));
         }
-        let mut out = Vec::with_capacity(len as usize);
+        // `len` is still attacker-chosen up to the frame size, and an
+        // element can be far larger in memory than its one-byte minimum
+        // on the wire: reserve for a bounded count up front and let
+        // pushes grow past it once elements really decode.
+        let mut out = Vec::with_capacity((len as usize).min(SEQ_RESERVE_MAX));
         for _ in 0..len {
             out.push(T::decode(self)?);
         }

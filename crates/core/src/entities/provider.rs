@@ -21,7 +21,10 @@
 //!     set**, license store, persisted catalog/rights/CRL tables;
 //!     `insert_if_absent` (the double-redemption primitive) is atomic per
 //!     key inside the backend;
-//!   - the in-memory catalog + rights templates (`RwLock`, read-mostly);
+//!   - the in-memory catalog + rights templates (`RwLock`, read-mostly;
+//!     the catalog's listing snapshot is built and read under the read
+//!     lock, and `publish` takes the write lock only for the map insert
+//!     — packaging and persistence happen before it);
 //!   - trusted attribute keys (`RwLock`, read-mostly);
 //!   - CRL state — both revocation lists, their sequence numbers and
 //!     event logs — under one `RwLock` (revocation is rare, CRL reads are
@@ -53,7 +56,7 @@
 //!   so the exactly-once decision is as durable as the chosen
 //!   [`p2drm_store::SyncPolicy`].
 
-use crate::content::{ContentCatalog, ContentMeta};
+use crate::content::{CatalogListing, ContentCatalog, ContentMeta, PackagedContent};
 use crate::ids::{ContentId, LicenseId};
 use crate::license::{License, LicenseBody};
 use crate::protocol::messages::{self, LicenseStatus, PurchaseRequest, TransferRequest};
@@ -73,6 +76,7 @@ use p2drm_store::{
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::path::PathBuf;
+use std::sync::Arc;
 
 /// The default volatile backend: lock-sharded in-memory store.
 pub type MemBackend = ShardedKv<MemKv>;
@@ -189,7 +193,7 @@ pub struct ProviderState<B: ConcurrentKv> {
     store: B,
     licenses: Table<License>,
     spent: Table<u32>,
-    content_table: Table<crate::content::PackagedContent>,
+    content_table: Table<PackagedContent>,
     rights_table: Table<Rights>,
     crl_table: Table<u64>,
     catalog: RwLock<ContentCatalog>,
@@ -208,9 +212,9 @@ pub struct ContentProvider<B: ConcurrentKv = MemBackend> {
     state: ProviderState<B>,
 }
 
-/// One registry snapshot carries the provider's verify-cache and store
-/// metrics together; the wire service registers the provider as a
-/// weak source at construction. Names are static, values are counts and
+/// One registry snapshot carries the provider's verify-cache, listing
+/// and store metrics together; the wire service registers the provider
+/// as a weak source at construction. Names are static, values are counts and
 /// durations — no pseudonyms, card ids, license ids or coin serials.
 impl<B: ConcurrentKv> p2drm_obs::MetricSource for ContentProvider<B> {
     fn collect(&self, out: &mut p2drm_obs::SnapshotBuilder) {
@@ -219,6 +223,10 @@ impl<B: ConcurrentKv> p2drm_obs::MetricSource for ContentProvider<B> {
         out.counter("vcache_misses", c.misses);
         out.counter("vcache_insertions", c.insertions);
         out.counter("vcache_evictions", c.evictions);
+        out.counter(
+            "catalog_listing_builds",
+            self.state.catalog.read().listing_builds(),
+        );
         self.state.store.collect_metrics(out);
     }
 }
@@ -573,17 +581,23 @@ impl<B: ConcurrentKv> ContentProvider<B> {
         required_attribute: Option<String>,
         rng: &mut R,
     ) -> ContentId {
-        let mut catalog = self.state.catalog.write();
-        let id = catalog.publish_with_requirement(title, price, payload, required_attribute, rng);
-        let item = catalog.get(&id).expect("just published");
+        // Package and persist with no lock held: ChaCha20 over the whole
+        // payload and two store commits must not stall downloads,
+        // listings and purchases. The item becomes visible only once it
+        // is durable, and the catalog write lock covers just the two map
+        // inserts and the listing-snapshot invalidation.
+        let item = PackagedContent::package(title, price, payload, required_attribute, rng);
+        let id = item.meta.id;
         self.state
             .content_table
-            .put_shared(&self.state.store, id.as_bytes(), item)
+            .put_shared(&self.state.store, id.as_bytes(), &item)
             .expect("catalog persistence");
         self.state
             .rights_table
             .put_shared(&self.state.store, id.as_bytes(), &rights)
             .expect("template persistence");
+        let mut catalog = self.state.catalog.write();
+        catalog.restore(item);
         self.state.rights_templates.write().insert(id, rights);
         id
     }
@@ -651,15 +665,11 @@ impl<B: ConcurrentKv> ContentProvider<B> {
             .map(|item| item.meta.clone())
     }
 
-    /// Public metadata listing (what an anonymous browser sees), id-sorted.
-    pub fn list_content(&self) -> Vec<ContentMeta> {
-        self.state
-            .catalog
-            .read()
-            .list()
-            .into_iter()
-            .cloned()
-            .collect()
+    /// Public metadata listing (what an anonymous browser sees),
+    /// id-sorted: the catalog's shared snapshot, built at most once per
+    /// catalog state (see [`crate::content`]).
+    pub fn list_content(&self) -> Arc<CatalogListing> {
+        self.state.catalog.read().listing()
     }
 
     /// Number of catalog items.

@@ -8,6 +8,7 @@
 //! same bytes are *dispatchable*: `p2drm_codec::from_bytes` round-trips
 //! each message exactly and rejects trailing garbage.
 
+use crate::content::{CatalogListing, ContentMeta};
 use crate::ids::{CardId, ContentId, LicenseId};
 use crate::license::License;
 use p2drm_bignum::UBig;
@@ -16,6 +17,7 @@ use p2drm_crypto::envelope::Envelope;
 use p2drm_crypto::rsa::RsaSignature;
 use p2drm_payment::Coin;
 use p2drm_pki::cert::{AttributeCertificate, Certificate, KeyId, PseudonymCertificate};
+use std::sync::Arc;
 
 /// Writes a [`UBig`] as a length-prefixed minimal big-endian byte string.
 fn put_ubig(w: &mut Writer, v: &UBig) {
@@ -492,24 +494,89 @@ impl Decode for CatalogRequest {
     }
 }
 
+/// The items of a [`CatalogResponse`]: an owned list (a by-id lookup,
+/// every decoded reply) or the provider's shared listing snapshot (a
+/// full listing on the serving side). Reads as a `[ContentMeta]` either
+/// way; two values are equal when their items are.
+#[derive(Clone, Debug)]
+pub enum CatalogItems {
+    /// Items owned by this message.
+    Owned(Vec<ContentMeta>),
+    /// The catalog's current listing snapshot, shared with every other
+    /// reply taken from the same catalog state.
+    Listing(Arc<CatalogListing>),
+}
+
+impl CatalogItems {
+    /// The items as an owned vector (clones them out of a shared
+    /// snapshot).
+    pub fn into_vec(self) -> Vec<ContentMeta> {
+        match self {
+            CatalogItems::Owned(items) => items,
+            CatalogItems::Listing(listing) => listing.metas().to_vec(),
+        }
+    }
+}
+
+impl std::ops::Deref for CatalogItems {
+    type Target = [ContentMeta];
+
+    fn deref(&self) -> &[ContentMeta] {
+        match self {
+            CatalogItems::Owned(items) => items,
+            CatalogItems::Listing(listing) => listing.metas(),
+        }
+    }
+}
+
+impl PartialEq for CatalogItems {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for CatalogItems {}
+
 /// Provider → User: public catalog metadata (id-sorted for listings).
+///
+/// A full listing carries the catalog's [`CatalogListing`] snapshot and
+/// encodes by copying the snapshot's pre-encoded bytes — the same bytes
+/// [`Writer::put_seq`] would produce from the items, without visiting
+/// them. Decoding always yields owned items.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CatalogResponse {
     /// The matching items (one for an id lookup, all for a listing).
-    pub items: Vec<crate::content::ContentMeta>,
+    pub items: CatalogItems,
+}
+
+impl CatalogResponse {
+    /// A reply owning its items.
+    pub fn new(items: Vec<ContentMeta>) -> Self {
+        CatalogResponse {
+            items: CatalogItems::Owned(items),
+        }
+    }
+
+    /// The full-listing reply over a shared snapshot.
+    pub fn listing(listing: Arc<CatalogListing>) -> Self {
+        CatalogResponse {
+            items: CatalogItems::Listing(listing),
+        }
+    }
 }
 
 impl Encode for CatalogResponse {
     fn encode(&self, w: &mut Writer) {
-        w.put_seq(&self.items);
+        match &self.items {
+            CatalogItems::Owned(items) => w.put_seq(items),
+            CatalogItems::Listing(listing) => w.put_raw(listing.encoded()),
+        }
     }
 }
 
 impl Decode for CatalogResponse {
     fn decode(r: &mut Reader) -> p2drm_codec::Result<Self> {
-        Ok(CatalogResponse {
-            items: r.get_seq()?,
-        })
+        Ok(CatalogResponse::new(r.get_seq()?))
     }
 }
 

@@ -82,11 +82,11 @@ use crate::entities::user::UserAgent;
 use crate::ids::{ContentId, LicenseId};
 use crate::license::License;
 use crate::protocol::messages::{
-    transfer_proof_bytes, AttributeIssueRequest, AttributeIssueResponse, CatalogRequest,
-    CatalogResponse, CrlSync, CrlSyncRequest, DownloadRequest, DownloadResponse, LicenseStatus,
-    LicenseStatusRequest, LicenseStatusResponse, MetricEntry, MetricSummary, MetricsDumpRequest,
-    MetricsDumpResponse, PseudonymIssueRequest, PseudonymIssueResponse, PurchaseRequest,
-    PurchaseResponse, SpanEntry, SpanStage, TransferRequest, TransferResponse,
+    transfer_proof_bytes, AttributeIssueRequest, AttributeIssueResponse, CatalogItems,
+    CatalogRequest, CatalogResponse, CrlSync, CrlSyncRequest, DownloadRequest, DownloadResponse,
+    LicenseStatus, LicenseStatusRequest, LicenseStatusResponse, MetricEntry, MetricSummary,
+    MetricsDumpRequest, MetricsDumpResponse, PseudonymIssueRequest, PseudonymIssueResponse,
+    PurchaseRequest, PurchaseResponse, SpanEntry, SpanStage, TransferRequest, TransferResponse,
 };
 use crate::CoreError;
 use p2drm_codec::{CodecError, Decode, Encode, Reader, Writer};
@@ -651,6 +651,19 @@ impl WireResponse {
         self.opcode().label()
     }
 
+    /// Length of the bulk bytes this body carries — a download's
+    /// ciphertext, a listing's pre-encoded snapshot — known without
+    /// encoding; what [`ResponseEnvelope::to_bytes`] sizes its buffer by.
+    fn bulk_len(&self) -> usize {
+        match self {
+            WireResponse::Download(m) => m.ciphertext.len(),
+            WireResponse::Catalog(CatalogResponse {
+                items: CatalogItems::Listing(listing),
+            }) => listing.encoded().len(),
+            _ => 0,
+        }
+    }
+
     fn encode_payload(&self, w: &mut Writer) {
         match self {
             WireResponse::Purchase(m) => m.encode(w),
@@ -805,7 +818,7 @@ pub struct ResponseEnvelope {
 impl ResponseEnvelope {
     /// Serializes the envelope.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = Writer::with_capacity(64);
+        let mut w = Writer::with_capacity(64 + self.body.bulk_len());
         w.put_u8(WIRE_VERSION);
         w.put_u8(self.body.opcode().byte());
         w.put_u64(self.correlation_id);
@@ -1144,16 +1157,19 @@ impl<B: ConcurrentKv> ProviderService<B> {
                 pseudonym_crl: self.provider.signed_pseudonym_crl(now),
             })),
             WireRequest::Catalog(req) => {
-                let items = match req.content_id {
-                    Some(id) => vec![self.provider.content_meta(&id).ok_or_else(|| {
-                        ApiError::new(
-                            ApiErrorCode::UnknownContent,
-                            format!("unknown content {id}"),
-                        )
-                    })?],
-                    None => self.provider.list_content(),
+                let response = match req.content_id {
+                    Some(id) => CatalogResponse::new(vec![self
+                        .provider
+                        .content_meta(&id)
+                        .ok_or_else(|| {
+                            ApiError::new(
+                                ApiErrorCode::UnknownContent,
+                                format!("unknown content {id}"),
+                            )
+                        })?]),
+                    None => CatalogResponse::listing(self.provider.list_content()),
                 };
-                Ok(WireResponse::Catalog(CatalogResponse { items }))
+                Ok(WireResponse::Catalog(response))
             }
             WireRequest::LicenseStatus(req) => {
                 Ok(WireResponse::LicenseStatus(LicenseStatusResponse {
@@ -1845,7 +1861,7 @@ impl<T: Transport> WireClient<T> {
     /// Lists the catalog.
     pub fn catalog(&mut self) -> Result<Vec<ContentMeta>, WireError> {
         match self.call(WireRequest::Catalog(CatalogRequest { content_id: None }))? {
-            WireResponse::Catalog(c) => Ok(c.items),
+            WireResponse::Catalog(c) => Ok(c.items.into_vec()),
             other => Err(unexpected("catalog", other)),
         }
     }
@@ -1855,11 +1871,12 @@ impl<T: Transport> WireClient<T> {
         match self.call(WireRequest::Catalog(CatalogRequest {
             content_id: Some(id),
         }))? {
-            WireResponse::Catalog(mut c) if !c.items.is_empty() => Ok(c.items.remove(0)),
-            WireResponse::Catalog(_) => Err(WireError::Api(ApiError::new(
-                ApiErrorCode::UnknownContent,
-                format!("unknown content {id}"),
-            ))),
+            WireResponse::Catalog(c) => c.items.into_vec().into_iter().next().ok_or_else(|| {
+                WireError::Api(ApiError::new(
+                    ApiErrorCode::UnknownContent,
+                    format!("unknown content {id}"),
+                ))
+            }),
             other => Err(unexpected("catalog", other)),
         }
     }

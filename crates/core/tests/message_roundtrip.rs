@@ -292,7 +292,7 @@ proptest! {
     #[test]
     fn catalog_response_roundtrip(seed in any::<u64>(), n in 0usize..4) {
         let fx = fixture();
-        let items = (0..n)
+        let items: Vec<_> = (0..n)
             .map(|i| {
                 let mut meta = fx.meta.clone();
                 meta.id = ContentId(id16(seed.wrapping_add(i as u64)));
@@ -300,8 +300,28 @@ proptest! {
                 meta
             })
             .collect();
-        let m = CatalogResponse { items };
+        let m = CatalogResponse::new(items.clone());
         prop_assert!(check_roundtrip(&m).is_ok(), "{:?}", check_roundtrip(&m));
+
+        // The same items served from a catalog's listing snapshot: the
+        // reply round-trips too, and equals the owned reply over the
+        // id-sorted items byte for byte.
+        let mut catalog = p2drm_core::content::ContentCatalog::new();
+        for meta in &items {
+            catalog.restore(p2drm_core::content::PackagedContent {
+                meta: meta.clone(),
+                key: [0; 32],
+                nonce: [0; 12],
+                ciphertext: Vec::new(),
+            });
+        }
+        let shared = CatalogResponse::listing(catalog.listing());
+        prop_assert!(check_roundtrip(&shared).is_ok(), "{:?}", check_roundtrip(&shared));
+        let mut sorted = items;
+        sorted.sort_by_key(|m| m.id);
+        let owned = CatalogResponse::new(sorted);
+        prop_assert_eq!(p2drm_codec::to_bytes(&shared), p2drm_codec::to_bytes(&owned));
+        prop_assert_eq!(shared, owned);
     }
 
     #[test]
@@ -395,9 +415,7 @@ fn envelopes_roundtrip_every_opcode() {
             license_crl: fx.license_crl.clone(),
             pseudonym_crl: fx.pseudonym_crl.clone(),
         }),
-        WireResponse::Catalog(CatalogResponse {
-            items: vec![fx.meta.clone()],
-        }),
+        WireResponse::Catalog(CatalogResponse::new(vec![fx.meta.clone()])),
         WireResponse::LicenseStatus(LicenseStatusResponse {
             status: LicenseStatus::Transferred,
         }),

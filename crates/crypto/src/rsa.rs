@@ -31,7 +31,12 @@ const SHA256_DIGEST_INFO: [u8; 19] = [
 pub struct RsaPublicKey {
     n: UBig,
     e: UBig,
-    mont: Mont,
+    /// Built on first use ([`RsaPublicKey::mont`]): most decoded keys —
+    /// a stored license's holder, a certificate's subject — are only
+    /// compared or fingerprinted, never exponentiated with, and the
+    /// context is most of what decoding one cost. A clone carries the
+    /// context if it exists and builds its own otherwise.
+    mont: std::sync::OnceLock<Mont>,
     /// Memoized fingerprint, computed on first use and shared across
     /// clones — key ids are taken of the same key all over the hot path
     /// (CRL checks, purchase logs, verification-cache keys).
@@ -52,11 +57,10 @@ impl RsaPublicKey {
         if n.is_even() || n.bit_len() < 64 {
             return Err(CryptoError::BadKey("modulus must be odd and >= 64 bits"));
         }
-        let mont = Mont::new(&n).map_err(|_| CryptoError::BadKey("bad modulus"))?;
         Ok(RsaPublicKey {
             n,
             e,
-            mont,
+            mont: std::sync::OnceLock::new(),
             fp: std::sync::Arc::new(std::sync::OnceLock::new()),
         })
     }
@@ -85,15 +89,17 @@ impl RsaPublicKey {
     /// multiplication — the fast verify path.
     pub fn raw_public(&self, x: &UBig) -> UBig {
         match self.e.to_u64() {
-            Some(e) => self.mont.pow_u64(x, e),
-            None => self.mont.pow(x, &self.e),
+            Some(e) => self.mont().pow_u64(x, e),
+            None => self.mont().pow(x, &self.e),
         }
     }
 
     /// The key's Montgomery context (shared with the batch verifier so
     /// batched checks stay in this ring without rebuilding the context).
     pub(crate) fn mont(&self) -> &Mont {
-        &self.mont
+        // lint: allow(panic, `new` admitted only odd moduli of >= 64 bits, the whole of what `Mont::new` requires)
+        self.mont
+            .get_or_init(|| Mont::new(&self.n).expect("modulus validated in RsaPublicKey::new"))
     }
 
     /// SHA-256 fingerprint of the canonical encoding (used as a key id).
@@ -678,6 +684,65 @@ mod tests {
         let back: RsaPublicKey = p2drm_codec::from_bytes(&bytes).unwrap();
         assert_eq!(&back, kp.public());
         assert_eq!(back.fingerprint(), kp.public().fingerprint());
+    }
+
+    /// The Montgomery context is built on first use. A decoded key that
+    /// has never exponentiated, and a clone taken of it while still
+    /// cold, answer exactly like a context built eagerly from the same
+    /// modulus — and `new` still refuses up front every modulus the
+    /// deferred `Mont::new` could fail on.
+    #[test]
+    fn lazily_built_context_answers_like_an_eager_one() {
+        let keys = [
+            keypair(),
+            keypair1024().clone(),
+            RsaKeyPair::generate(1024, &mut test_rng(1)),
+        ];
+        for kp in keys {
+            let n = kp.public().modulus();
+            let decoded: RsaPublicKey =
+                p2drm_codec::from_bytes(&p2drm_codec::to_bytes(kp.public())).unwrap();
+            assert!(decoded.mont.get().is_none(), "decoding builds no context");
+            let cold_clone = decoded.clone();
+            assert_eq!(decoded, cold_clone);
+            assert_eq!(decoded.fingerprint(), kp.public().fingerprint());
+            assert!(decoded.mont.get().is_none(), "nor does fingerprinting");
+
+            let eager = Mont::new(n).unwrap();
+            let top = n.sub(&UBig::one());
+            for x in [
+                UBig::from_u64(0),
+                UBig::from_u64(1),
+                UBig::from_u64(0xDEAD_BEEF),
+                top,
+            ] {
+                let expect = eager.pow_u64(&x, PUBLIC_EXPONENT);
+                assert_eq!(
+                    expect,
+                    x.pow_mod(kp.public().exponent(), n).unwrap(),
+                    "oracle"
+                );
+                assert_eq!(decoded.raw_public(&x), expect);
+            }
+            assert!(decoded.mont.get().is_some(), "first use built it");
+            assert!(
+                decoded.clone().mont.get().is_some(),
+                "a warm clone carries it"
+            );
+
+            let sig = kp.sign(b"signed before the clone ever exponentiated");
+            assert!(cold_clone.mont.get().is_none());
+            assert!(cold_clone
+                .verify(b"signed before the clone ever exponentiated", &sig)
+                .is_ok());
+            assert!(cold_clone.verify(b"another message", &sig).is_err());
+        }
+
+        let e = UBig::from_u64(PUBLIC_EXPONENT);
+        let even = UBig::one().shl(127);
+        assert!(RsaPublicKey::new(even, e.clone()).is_err());
+        assert!(RsaPublicKey::new(UBig::from_u64(0xFFFF_FFFF), e.clone()).is_err());
+        assert!(RsaPublicKey::new(UBig::one().shl(64).add(&UBig::one()), e).is_ok());
     }
 
     #[test]

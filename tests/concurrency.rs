@@ -264,3 +264,98 @@ fn racing_coin_double_spend_single_winner() {
     assert_eq!(oks, 1, "one deposit of the same coin serial may succeed");
     assert_eq!(sys.mint.deposited_total(), 100);
 }
+
+/// A store whose writes to the content table park until the test lets
+/// them through — the window in which `publish` used to hold the catalog
+/// write lock.
+struct ParkingKv {
+    inner: p2drm::core::entities::provider::MemBackend,
+    armed: std::sync::atomic::AtomicBool,
+    parked: std::sync::Mutex<std::sync::mpsc::Sender<()>>,
+    release: std::sync::Mutex<std::sync::mpsc::Receiver<()>>,
+}
+
+impl p2drm::store::ConcurrentKv for ParkingKv {
+    fn get(&self, key: &[u8]) -> Option<Vec<u8>> {
+        self.inner.get(key)
+    }
+    fn put(&self, key: &[u8], value: &[u8]) -> Result<(), p2drm::store::StoreError> {
+        if key.starts_with(b"content/") && self.armed.load(std::sync::atomic::Ordering::SeqCst) {
+            self.parked.lock().unwrap().send(()).unwrap();
+            self.release.lock().unwrap().recv().unwrap();
+        }
+        self.inner.put(key, value)
+    }
+    fn delete(&self, key: &[u8]) -> Result<bool, p2drm::store::StoreError> {
+        self.inner.delete(key)
+    }
+    fn insert_if_absent(&self, key: &[u8], value: &[u8]) -> Result<bool, p2drm::store::StoreError> {
+        self.inner.insert_if_absent(key, value)
+    }
+    fn scan_prefix(&self, prefix: &[u8]) -> Vec<(Vec<u8>, Vec<u8>)> {
+        self.inner.scan_prefix(prefix)
+    }
+    fn len(&self) -> usize {
+        self.inner.len()
+    }
+    fn flush(&self) -> Result<(), p2drm::store::StoreError> {
+        self.inner.flush()
+    }
+}
+
+/// `publish` packages and persists *before* it takes the catalog write
+/// lock: while its store write is parked, downloads and listings of what
+/// is already published complete, the new item is in neither, and once
+/// the write returns it is in both.
+#[test]
+fn publish_persists_outside_the_catalog_lock() {
+    use std::sync::atomic::Ordering;
+    let (parked_tx, parked_rx) = std::sync::mpsc::channel();
+    let (release_tx, release_rx) = std::sync::mpsc::channel();
+    let store = ParkingKv {
+        inner: p2drm::store::ShardedKv::new_with(4, |_| p2drm::store::MemKv::new()),
+        armed: std::sync::atomic::AtomicBool::new(false),
+        parked: std::sync::Mutex::new(parked_tx),
+        release: std::sync::Mutex::new(release_rx),
+    };
+    let mut rng = p2drm::crypto::rng::test_rng(0xACE5);
+    let sys = System::bootstrap_with_backend(SystemConfig::fast_test(), store, &mut rng);
+    let existing = sys.publish_content("Already here", 100, b"old payload", &mut rng);
+    assert_eq!(sys.provider.list_content().metas().len(), 1);
+
+    sys.provider.store().armed.store(true, Ordering::SeqCst);
+    let provider = &sys.provider;
+    std::thread::scope(|scope| {
+        let publisher = scope.spawn(|| {
+            let mut rng = p2drm::crypto::rng::test_rng(0xACE6);
+            sys.publish_content("Arriving", 100, b"new payload", &mut rng)
+        });
+        parked_rx
+            .recv()
+            .expect("the publish reached its store write");
+        // Packaging draws the id first, so the test knows it already.
+        let coming = ContentId::random(&mut p2drm::crypto::rng::test_rng(0xACE6));
+
+        // The publisher is inside `put`. Under the old lock scope each of
+        // these would block on the catalog lock forever.
+        let (_, ciphertext) = provider
+            .download(&existing)
+            .expect("existing item downloads");
+        assert_eq!(ciphertext.len(), b"old payload".len());
+        let listing = provider.list_content();
+        assert_eq!(listing.metas().len(), 1, "the parked item is not listed");
+        assert_eq!(listing.metas()[0].id, existing);
+        assert!(provider.download(&coming).is_err(), "nor downloadable");
+
+        release_tx.send(()).expect("publisher is waiting");
+        let arrived = publisher.join().expect("publisher panicked");
+        assert_eq!(arrived, coming);
+        assert!(
+            provider.download(&arrived).is_ok(),
+            "released item downloads"
+        );
+        let listing = provider.list_content();
+        assert_eq!(listing.metas().len(), 2);
+        assert!(listing.metas().iter().any(|m| m.id == arrived));
+    });
+}

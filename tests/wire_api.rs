@@ -573,3 +573,240 @@ fn pipelined_purchases_settle_out_of_order_replies() {
     assert_eq!(alice.licenses().len(), 2);
     assert_eq!(sys.provider.license_count(), 2);
 }
+
+// ---------------------------------------------------------------------
+// The catalogue listing is answered from a publish-time snapshot.
+// ---------------------------------------------------------------------
+
+mod listing_snapshot {
+    use p2drm::core::content::ContentMeta;
+    use p2drm::core::entities::provider::{ContentProvider, ProviderConfig};
+    use p2drm::core::protocol::messages::{CatalogRequest, CatalogResponse};
+    use p2drm::core::service::{
+        Loopback, ProviderService, RequestEnvelope, ResponseEnvelope, WireClient, WireRequest,
+        WireResponse,
+    };
+    use p2drm::core::system::{System, SystemConfig};
+    use p2drm::core::ContentId;
+    use p2drm::crypto::rng::test_rng;
+    use p2drm::obs::Registry;
+    use p2drm::store::walsharded::WalShardedConfig;
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Arc;
+
+    const CORRELATION: u64 = 0x5EED;
+
+    fn listing_request() -> Vec<u8> {
+        RequestEnvelope {
+            correlation_id: CORRELATION,
+            body: WireRequest::Catalog(CatalogRequest { content_id: None }),
+        }
+        .to_bytes()
+    }
+
+    /// The reply the pre-snapshot code produced: every item's metadata
+    /// looked up and cloned afresh, sorted by id, encoded item by item.
+    fn reply_from_scratch(provider: &ContentProvider, ids: &[ContentId]) -> Vec<u8> {
+        let mut metas: Vec<ContentMeta> = ids
+            .iter()
+            .map(|id| provider.content_meta(id).expect("published"))
+            .collect();
+        metas.sort_by_key(|m| m.id);
+        ResponseEnvelope {
+            correlation_id: CORRELATION,
+            body: WireResponse::Catalog(CatalogResponse::new(metas)),
+        }
+        .to_bytes()
+    }
+
+    fn decode_listing(reply: &[u8]) -> Vec<ContentMeta> {
+        match ResponseEnvelope::from_bytes(reply)
+            .expect("reply decodes")
+            .body
+        {
+            WireResponse::Catalog(c) => c.items.into_vec(),
+            other => panic!("expected a catalog reply, got {}", other.label()),
+        }
+    }
+
+    #[test]
+    fn listing_reply_equals_a_fresh_sort_clone_and_encode_byte_for_byte() {
+        let mut rng = test_rng(0x317E20);
+        let sys = System::bootstrap(SystemConfig::fast_test(), &mut rng);
+        let service = sys.wire_service(0x115);
+        let request = listing_request();
+        let mut ids = Vec::new();
+        for n in 0..=256usize {
+            if [0, 1, 2, 256].contains(&n) {
+                let expected = reply_from_scratch(&sys.provider, &ids);
+                assert_eq!(service.handle(&request), expected, "{n} items, handle");
+                // The typed path the TCP benchmark wrapper drives.
+                let body = service
+                    .dispatch(
+                        &WireRequest::Catalog(CatalogRequest { content_id: None }),
+                        &mut rng,
+                    )
+                    .expect("listing never fails");
+                let typed = ResponseEnvelope {
+                    correlation_id: CORRELATION,
+                    body,
+                };
+                assert_eq!(typed.to_bytes(), expected, "{n} items, dispatch");
+                assert_eq!(decode_listing(&expected).len(), n);
+            }
+            let title = format!("Item {n:03}");
+            ids.push(if n % 2 == 0 {
+                sys.publish_content(&title, 100 + n as u64, b"payload", &mut rng)
+            } else {
+                sys.publish_rated_content(&title, 100 + n as u64, b"payload", "adult", &mut rng)
+            });
+        }
+    }
+
+    #[test]
+    fn each_publish_shows_in_the_next_listing_and_a_restart_lists_the_same_bytes() {
+        let dir = std::env::temp_dir().join(format!("p2drm-int-listing-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut rng = test_rng(0x317E21);
+        let mut sys = System::bootstrap(SystemConfig::fast_test(), &mut rng);
+        let open = |sys: &mut System, rng: &mut _| {
+            let (provider, _) = ContentProvider::open_durable(
+                &mut sys.root,
+                sys.mint.clone(),
+                sys.ra.blind_public().clone(),
+                &dir,
+                WalShardedConfig::default(),
+                ProviderConfig::fast_test(),
+                rng,
+            )
+            .expect("durable store opens");
+            ProviderService::with_registry(Arc::new(provider), 0x116, Arc::new(Registry::new()))
+        };
+        let request = listing_request();
+
+        let service = open(&mut sys, &mut rng);
+        let rights = sys.config().rights_template.clone();
+        for n in 0..5usize {
+            let listed = decode_listing(&service.handle(&request));
+            assert_eq!(listed.len(), n);
+            assert!(listed.windows(2).all(|w| w[0].id < w[1].id), "id-sorted");
+            service
+                .provider()
+                .publish(format!("T{n}"), 10, b"bits", rights.clone(), &mut rng);
+        }
+        let before = service.handle(&request);
+        assert_eq!(decode_listing(&before).len(), 5);
+        drop(service);
+
+        let service = open(&mut sys, &mut rng);
+        assert_eq!(
+            service.handle(&request),
+            before,
+            "listing after the restart"
+        );
+        service
+            .provider()
+            .restore_from_store()
+            .expect("restore is idempotent");
+        assert_eq!(
+            service.handle(&request),
+            before,
+            "listing after a second restore"
+        );
+        drop(service);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn one_listing_build_per_catalog_change_not_per_request() {
+        let mut rng = test_rng(0x317E22);
+        let sys = System::bootstrap(SystemConfig::fast_test(), &mut rng);
+        let cid = sys.publish_content("Counted", 100, b"AUDIO", &mut rng);
+        sys.publish_content("Also counted", 100, b"AUDIO", &mut rng);
+        let mut alice = sys.register_user("alice", &mut rng).expect("fresh user");
+        sys.fund(&alice, 500);
+
+        let registry = Arc::new(Registry::new());
+        let service = sys.wire_service_with_registry(0x117, registry.clone());
+        let builds = || registry.snapshot().counter("catalog_listing_builds");
+        assert_eq!(builds(), Some(0), "publishing alone builds nothing");
+
+        let request = listing_request();
+        let first = service.handle(&request);
+        for _ in 0..999 {
+            assert_eq!(service.handle(&request), first);
+        }
+        assert_eq!(builds(), Some(1), "1,000 listings, one build");
+
+        // By-id lookups, downloads and purchases read the catalog but
+        // never the listing.
+        let mut client = WireClient::new(Loopback::new(&service));
+        client.set_epoch(sys.epoch());
+        client.content_meta(cid).expect("by-id lookup");
+        client
+            .obtain_pseudonym(
+                &mut alice,
+                sys.ra.blind_public(),
+                sys.ttp.escrow_key(),
+                &mut rng,
+            )
+            .expect("wire pseudonym issuance");
+        client
+            .purchase(&mut alice, &sys.mint, cid, &mut rng)
+            .expect("wire purchase");
+        sys.provider.download(&cid).expect("download");
+        assert_eq!(builds(), Some(1));
+
+        sys.publish_content("One more", 100, b"AUDIO", &mut rng);
+        assert_eq!(builds(), Some(1), "invalidation is not a build");
+        assert_eq!(client.catalog().expect("listing").len(), 3);
+        assert_eq!(client.catalog().expect("listing").len(), 3);
+        assert_eq!(builds(), Some(2));
+    }
+
+    #[test]
+    fn readers_beside_a_publisher_see_sorted_listings_that_only_grow() {
+        const READERS: usize = 4;
+        const PUBLISHED: usize = 64;
+        let mut rng = test_rng(0x317E23);
+        let sys = System::bootstrap(SystemConfig::fast_test(), &mut rng);
+        sys.publish_content("Seed item", 100, b"bits", &mut rng);
+        let service = sys.wire_service(0x118);
+        let request = listing_request();
+        let done = AtomicBool::new(false);
+
+        let finals: Vec<usize> = std::thread::scope(|scope| {
+            let readers: Vec<_> = (0..READERS)
+                .map(|_| {
+                    scope.spawn(|| {
+                        let mut last = 0usize;
+                        loop {
+                            // Read the flag first: the listing taken after
+                            // it flips must already hold every item.
+                            let finished = done.load(Ordering::SeqCst);
+                            let listed = decode_listing(&service.handle(&request));
+                            assert!(
+                                listed.windows(2).all(|w| w[0].id < w[1].id),
+                                "strictly id-sorted"
+                            );
+                            assert!(listed.len() >= last, "a listing never shrinks");
+                            last = listed.len();
+                            if finished {
+                                return last;
+                            }
+                        }
+                    })
+                })
+                .collect();
+            for i in 0..PUBLISHED {
+                sys.publish_content(&format!("Live {i}"), 100, b"bits", &mut rng);
+            }
+            done.store(true, Ordering::SeqCst);
+            readers
+                .into_iter()
+                .map(|r| r.join().expect("reader panicked"))
+                .collect()
+        });
+        assert_eq!(finals, vec![1 + PUBLISHED; READERS]);
+    }
+}
