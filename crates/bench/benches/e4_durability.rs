@@ -2,7 +2,7 @@
 //! WAL-backed provider** (`WalShardedKv`: per-shard write-ahead logs,
 //! group commit), swept over `SyncPolicy` × client thread count.
 //!
-//! Read this next to `e3_throughput` (the volatile `ShardedKv` upper
+//! Read this next to `e3_throughput` (the volatile `MemKv` upper
 //! bound): the gap between the two curves is what crash-safety costs at
 //! each durability level. `Buffered` should track e3 closely (append is
 //! userspace), `FlushEach` adds a write syscall per commit batch, and

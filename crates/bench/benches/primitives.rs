@@ -6,7 +6,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use p2drm_bignum::{rng as brng, Mont, UBig};
 use p2drm_crypto::rng::test_rng;
 use p2drm_crypto::{chacha20, sha256};
-use p2drm_store::{Kv, MemKv};
+use p2drm_store::{ConcurrentKv, MemKv};
 use std::time::Duration;
 
 fn bench_symmetric(c: &mut Criterion) {
@@ -163,7 +163,7 @@ fn bench_store(c: &mut Criterion) {
 
     // insert_if_absent over a grown MemKv — the double-redeem hot path.
     for &preload in &[1_000usize, 100_000] {
-        let mut kv = MemKv::new();
+        let kv = MemKv::new();
         for i in 0..preload as u64 {
             kv.put(&i.to_le_bytes(), b"").unwrap();
         }

@@ -18,7 +18,7 @@ use p2drm_payment::identified::PaymentProcessor;
 use p2drm_pki::authority::CertificateAuthority;
 use p2drm_pki::cert::{Certificate, EntityKind, SubjectKey, Validity};
 use p2drm_rel::{AccessRequest, Rights};
-use p2drm_store::Kv;
+use p2drm_store::ConcurrentKv;
 use std::collections::HashMap;
 
 /// A conventional (non-private) DRM provider.
@@ -163,7 +163,7 @@ impl BaselineProvider {
 
 /// Identity-bound playback: same device enforcement loop, but the holder
 /// key is the master key and no pseudonym certificate is involved.
-pub fn play_identified<SD: Kv, R: CryptoRng + ?Sized>(
+pub fn play_identified<SD: ConcurrentKv, R: CryptoRng + ?Sized>(
     user: &UserAgent,
     device: &mut CompliantDevice<SD>,
     provider: &BaselineProvider,

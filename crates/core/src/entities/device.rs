@@ -18,10 +18,10 @@ use p2drm_pki::cert::{Certificate, EntityKind, KeyId, PseudonymCertificate, Subj
 use p2drm_pki::crl::{RevocationList, SignedCrl};
 use p2drm_rel::{AccessRequest, Decision, RightsState};
 use p2drm_store::typed::Table;
-use p2drm_store::{Kv, MemKv};
+use p2drm_store::{ConcurrentKv, MemKv};
 
 /// A compliant rendering device, generic over its state store.
-pub struct CompliantDevice<S: Kv = MemKv> {
+pub struct CompliantDevice<S: ConcurrentKv = MemKv> {
     device_id: DeviceId,
     keys: RsaKeyPair,
     cert: Certificate,
@@ -57,8 +57,9 @@ impl CompliantDevice<MemKv> {
     }
 }
 
-impl<S: Kv> CompliantDevice<S> {
-    /// Device over a caller-supplied store (durable play counts).
+impl<S: ConcurrentKv> CompliantDevice<S> {
+    /// Device over a caller-supplied store (a one-shard
+    /// [`p2drm_store::WalShardedKv`] directory makes play counts durable).
     pub fn with_store<R: CryptoRng + ?Sized>(
         root: &mut CertificateAuthority,
         provider_cert: &Certificate,
@@ -288,7 +289,7 @@ impl<S: Kv> CompliantDevice<S> {
             .unwrap_or_default();
         state.consume(req.action);
         self.states
-            .put(&mut self.store, license.id().as_bytes(), &state)?;
+            .put(&self.store, license.id().as_bytes(), &state)?;
         Ok(())
     }
 

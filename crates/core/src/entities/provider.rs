@@ -40,21 +40,21 @@
 //!
 //! The backend type parameter picks the deployment shape:
 //!
-//! * [`ShardedKv`]`<MemKv>` (the [`MemBackend`] default,
-//!   [`ContentProvider::new`]) — volatile, lock-sharded; tests and
-//!   simulations;
-//! * [`ShardedKv`]`<S>` over a caller-supplied store
-//!   ([`ContentProvider::with_store`]) — e.g. one `WalKv` as a
-//!   single-shard durable store;
+//! * [`MemKv`] (the [`MemBackend`] default, [`ContentProvider::new`]) —
+//!   volatile, lock-sharded per [`ProviderConfig::store_shards`]; tests
+//!   and simulations;
 //! * [`WalShardedKv`] ([`ContentProvider::open_durable`]) — the
-//!   production shape: per-shard WALs with group commit, so the provider
-//!   survives an unclean drop. Reopen with
+//!   production shape: 1..N per-shard WALs with group commit, so the
+//!   provider survives an unclean drop. Reopen with
 //!   [`ContentProvider::resume_durable`] (keys from the operator's
 //!   vault): spent ids, licenses, catalog and CRLs are intact, and a
 //!   double-redeem race spanning the restart still has exactly one
 //!   winner — the claim is WAL-logged before the in-memory index changes,
 //!   so the exactly-once decision is as durable as the chosen
-//!   [`p2drm_store::SyncPolicy`].
+//!   [`p2drm_store::SyncPolicy`];
+//! * any other [`ConcurrentKv`] ([`ContentProvider::with_backend`] /
+//!   [`ContentProvider::resume_backend`]) — wrappers that inject faults
+//!   or record timings around one of the two above.
 
 use crate::content::{CatalogListing, ContentCatalog, ContentMeta, PackagedContent};
 use crate::ids::{ContentId, LicenseId};
@@ -70,16 +70,14 @@ use p2drm_pki::cert::{digest_id, Certificate, KeyId, PseudonymCertificate};
 use p2drm_pki::crl::{RevocationList, SignedCrl};
 use p2drm_rel::{Limit, Rights};
 use p2drm_store::typed::Table;
-use p2drm_store::{
-    ConcurrentKv, Kv, MemKv, RecoveryReport, ShardedKv, WalShardedConfig, WalShardedKv,
-};
+use p2drm_store::{ConcurrentKv, MemKv, RecoveryReport, WalShardedConfig, WalShardedKv};
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::Arc;
 
 /// The default volatile backend: lock-sharded in-memory store.
-pub type MemBackend = ShardedKv<MemKv>;
+pub type MemBackend = MemKv;
 
 /// Provider construction parameters.
 #[derive(Clone, Debug)]
@@ -90,9 +88,8 @@ pub struct ProviderConfig {
     pub epoch_window: u32,
     /// Certificate validity window.
     pub validity: p2drm_pki::cert::Validity,
-    /// Lock shards for the default in-memory store (ignored by
-    /// [`ContentProvider::with_store`], which wraps the caller's single
-    /// store).
+    /// Lock shards for the default in-memory store (a caller-supplied
+    /// backend brings its own).
     pub store_shards: usize,
     /// Entry bound of the signature-verification cache consulted by
     /// [`ContentProvider::verify_pseudonym`] and the attribute-credential
@@ -246,72 +243,9 @@ impl ContentProvider<MemBackend> {
             root,
             mint,
             ra_blind_key,
-            ShardedKv::new_with(shards, |_| MemKv::new()),
+            MemKv::with_shards(shards),
             config,
             rng,
-        )
-    }
-}
-
-impl<S: Kv> ContentProvider<ShardedKv<S>> {
-    /// Provider over a caller-supplied store (e.g. [`p2drm_store::WalKv`]
-    /// so the spent-ID set survives restarts). The single store becomes a
-    /// one-shard [`ShardedKv`]: durability and recovery semantics are
-    /// untouched, all operations still serialize through its lock.
-    pub fn with_store<R: CryptoRng + ?Sized>(
-        root: &mut CertificateAuthority,
-        mint: Mint,
-        ra_blind_key: RsaPublicKey,
-        store: S,
-        config: ProviderConfig,
-        rng: &mut R,
-    ) -> Self {
-        Self::with_backend(
-            root,
-            mint,
-            ra_blind_key,
-            ShardedKv::single(store),
-            config,
-            rng,
-        )
-    }
-
-    /// Provider over an explicitly sharded store.
-    pub fn with_sharded_store<R: CryptoRng + ?Sized>(
-        root: &mut CertificateAuthority,
-        mint: Mint,
-        ra_blind_key: RsaPublicKey,
-        store: ShardedKv<S>,
-        config: ProviderConfig,
-        rng: &mut R,
-    ) -> Self {
-        Self::with_backend(root, mint, ra_blind_key, store, config, rng)
-    }
-
-    /// Restarts a provider from its persisted state: the serialized key
-    /// pair + certificate (the operator's key vault) and the durable store
-    /// holding catalog, licenses, spent ids and CRLs.
-    ///
-    /// After resume, previously issued licenses still verify, previously
-    /// spent license ids are still rejected, and CRL sequence numbers
-    /// continue monotonically.
-    pub fn resume(
-        keys: p2drm_crypto::rsa::RsaKeyPair,
-        cert: Certificate,
-        root_key: RsaPublicKey,
-        mint: Mint,
-        ra_blind_key: RsaPublicKey,
-        store: S,
-        config: ProviderConfig,
-    ) -> Result<Self, CoreError> {
-        Self::resume_backend(
-            keys,
-            cert,
-            root_key,
-            mint,
-            ra_blind_key,
-            ShardedKv::single(store),
-            config,
         )
     }
 }
@@ -367,10 +301,9 @@ impl ContentProvider<WalShardedKv> {
 
 impl<B: ConcurrentKv> ContentProvider<B> {
     /// Provider over any concurrent store backend — the most general
-    /// constructor ([`ContentProvider::new`], [`with_store`] and
-    /// [`open_durable`] are conveniences over it).
+    /// constructor ([`ContentProvider::new`] and [`open_durable`] are
+    /// conveniences over it).
     ///
-    /// [`with_store`]: ContentProvider::with_store
     /// [`open_durable`]: ContentProvider::open_durable
     pub fn with_backend<R: CryptoRng + ?Sized>(
         root: &mut CertificateAuthority,
@@ -459,12 +392,12 @@ impl<B: ConcurrentKv> ContentProvider<B> {
             let state = &self.state;
             let mut catalog = state.catalog.write();
             let mut templates = state.rights_templates.write();
-            for (_, item) in state.content_table.scan_shared(&state.store)? {
+            for (_, item) in state.content_table.scan(&state.store)? {
                 templates.insert(
                     item.meta.id,
                     state
                         .rights_table
-                        .get_shared(&state.store, item.meta.id.as_bytes())?
+                        .get(&state.store, item.meta.id.as_bytes())?
                         .unwrap_or_else(Rights::standard_purchase),
                 );
                 catalog.restore(item);
@@ -477,7 +410,7 @@ impl<B: ConcurrentKv> ContentProvider<B> {
             let mut crl = state.crl.write();
             crl.license_crl_events.clear();
             crl.pseudonym_crl_events.clear();
-            for (key, seq) in state.crl_table.scan_shared(&state.store)? {
+            for (key, seq) in state.crl_table.scan(&state.store)? {
                 if let Some(id_bytes) = key.strip_prefix(b"l/") {
                     if id_bytes.len() == 32 {
                         let id = KeyId(id_bytes.try_into().expect("checked width"));
@@ -501,7 +434,7 @@ impl<B: ConcurrentKv> ContentProvider<B> {
     }
 
     /// Serialized private key material for the operator's key vault
-    /// (pair this with [`ContentProvider::resume`]). **Secret bytes.**
+    /// (pair this with [`ContentProvider::resume_durable`]). **Secret bytes.**
     pub fn export_keys(&self) -> Vec<u8> {
         p2drm_codec::to_bytes(&self.core.keys)
     }
@@ -517,9 +450,7 @@ impl<B: ConcurrentKv> ContentProvider<B> {
         key.push(kind);
         key.push(b'/');
         key.extend_from_slice(&id.0);
-        self.state
-            .crl_table
-            .put_shared(&self.state.store, &key, &seq)?;
+        self.state.crl_table.put(&self.state.store, &key, &seq)?;
         match kind {
             b'l' => crl.license_crl_events.push((seq, *id)),
             _ => crl.pseudonym_crl_events.push((seq, *id)),
@@ -539,7 +470,7 @@ impl<B: ConcurrentKv> ContentProvider<B> {
 
     /// Publishes content with a rights template applied to every sale.
     /// The packaged item (including its content key) and the template are
-    /// persisted so the catalog survives [`ContentProvider::resume`].
+    /// persisted so the catalog survives [`ContentProvider::resume_durable`].
     pub fn publish<R: CryptoRng + ?Sized>(
         &self,
         title: impl Into<String>,
@@ -590,11 +521,11 @@ impl<B: ConcurrentKv> ContentProvider<B> {
         let id = item.meta.id;
         self.state
             .content_table
-            .put_shared(&self.state.store, id.as_bytes(), &item)
+            .put(&self.state.store, id.as_bytes(), &item)
             .expect("catalog persistence");
         self.state
             .rights_table
-            .put_shared(&self.state.store, id.as_bytes(), &rights)
+            .put(&self.state.store, id.as_bytes(), &rights)
             .expect("template persistence");
         let mut catalog = self.state.catalog.write();
         catalog.restore(item);
@@ -790,7 +721,7 @@ impl<B: ConcurrentKv> ContentProvider<B> {
         let license = License::issue(body, &self.core.keys);
         self.state
             .licenses
-            .put_shared(&self.state.store, license.id().as_bytes(), &license)?;
+            .put(&self.state.store, license.id().as_bytes(), &license)?;
         self.state.purchase_log.lock().push(PurchaseRecord {
             pseudonym: req.pseudonym_cert.pseudonym_id(),
             content: req.content_id,
@@ -849,13 +780,12 @@ impl<B: ConcurrentKv> ContentProvider<B> {
             .map_err(|_| CoreError::BadProof)?;
 
         // The unique-ID rule: exactly one transfer of this lid ever
-        // succeeds, atomically, even across restarts (WalKv-backed store)
+        // succeeds, atomically, even across restarts (WAL-backed store)
         // and across threads (check-and-set under the shard write lock).
-        let fresh = self.state.spent.insert_if_absent_shared(
-            &self.state.store,
-            lid.as_bytes(),
-            &now_epoch,
-        )?;
+        let fresh =
+            self.state
+                .spent
+                .insert_if_absent(&self.state.store, lid.as_bytes(), &now_epoch)?;
         if !fresh {
             return Err(CoreError::AlreadyRedeemed(lid));
         }
@@ -885,7 +815,7 @@ impl<B: ConcurrentKv> ContentProvider<B> {
         let license = License::issue(body, &self.core.keys);
         self.state
             .licenses
-            .put_shared(&self.state.store, license.id().as_bytes(), &license)?;
+            .put(&self.state.store, license.id().as_bytes(), &license)?;
         self.state.transfer_log.lock().push(TransferRecord {
             from_pseudonym: KeyId::of_rsa(&req.license.body.holder),
             to_pseudonym: req.recipient_cert.pseudonym_id(),
@@ -951,7 +881,7 @@ impl<B: ConcurrentKv> ContentProvider<B> {
         let license = License::issue(body, &self.core.keys);
         self.state
             .licenses
-            .put_shared(&self.state.store, license.id().as_bytes(), &license)?;
+            .put(&self.state.store, license.id().as_bytes(), &license)?;
         self.state.purchase_log.lock().push(PurchaseRecord {
             pseudonym: KeyId::of_rsa(&manager_key),
             content: content_id,
@@ -989,11 +919,10 @@ impl<B: ConcurrentKv> ContentProvider<B> {
         // pass the CRL fast-path read just before the revocation commits
         // and re-issue revoked content. `u32::MAX` marks "revoked, not
         // transferred" (transfers store the transfer epoch).
-        let _ = self.state.spent.insert_if_absent_shared(
-            &self.state.store,
-            lid.as_bytes(),
-            &u32::MAX,
-        )?;
+        let _ = self
+            .state
+            .spent
+            .insert_if_absent(&self.state.store, lid.as_bytes(), &u32::MAX)?;
         let id = license_crl_id(lid);
         let mut crl = self.state.crl.write();
         crl.license_crl.insert(id);
@@ -1010,11 +939,7 @@ impl<B: ConcurrentKv> ContentProvider<B> {
         // The spent table is the authoritative exactly-once record; its
         // value distinguishes a committed transfer (the transfer epoch)
         // from a direct revocation (`u32::MAX`, see `revoke_license`).
-        if let Ok(Some(mark)) = self
-            .state
-            .spent
-            .get_shared(&self.state.store, lid.as_bytes())
-        {
+        if let Ok(Some(mark)) = self.state.spent.get(&self.state.store, lid.as_bytes()) {
             return if mark == u32::MAX {
                 LicenseStatus::Revoked
             } else {
@@ -1030,11 +955,7 @@ impl<B: ConcurrentKv> ContentProvider<B> {
         {
             return LicenseStatus::Revoked;
         }
-        match self
-            .state
-            .licenses
-            .get_shared(&self.state.store, lid.as_bytes())
-        {
+        match self.state.licenses.get(&self.state.store, lid.as_bytes()) {
             Ok(Some(license)) => LicenseStatus::Active {
                 holder: KeyId::of_rsa(&license.body.holder),
             },
@@ -1107,13 +1028,13 @@ impl<B: ConcurrentKv> ContentProvider<B> {
 
     /// Licenses issued so far.
     pub fn license_count(&self) -> usize {
-        self.state.licenses.len_shared(&self.state.store)
+        self.state.licenses.len(&self.state.store)
     }
 
     /// Spent license ids so far: transferred/redeemed or directly
     /// revoked — every id that can never be redeemed again.
     pub fn spent_count(&self) -> usize {
-        self.state.spent.len_shared(&self.state.store)
+        self.state.spent.len(&self.state.store)
     }
 
     /// Snapshot of the adversarial-provider purchase view.
@@ -1127,8 +1048,7 @@ impl<B: ConcurrentKv> ContentProvider<B> {
     }
 
     /// Direct backend access (storage metrics in E6, maintenance such as
-    /// compaction via [`ShardedKv::for_each_shard`] or
-    /// [`WalShardedKv::compact_all`]).
+    /// compaction via [`WalShardedKv::compact_all`]).
     pub fn store(&self) -> &B {
         &self.state.store
     }
@@ -1178,7 +1098,6 @@ mod tests {
     fn provider_is_sync_over_sync_backends() {
         fn assert_sync<T: Sync>() {}
         assert_sync::<ContentProvider<MemBackend>>();
-        assert_sync::<ContentProvider<ShardedKv<p2drm_store::WalKv>>>();
         assert_sync::<ContentProvider<WalShardedKv>>();
     }
 }

@@ -15,10 +15,10 @@ use crate::protocol::messages::{
 use crate::CoreError;
 use p2drm_crypto::rng::CryptoRng;
 use p2drm_rel::{AccessRequest, Action};
-use p2drm_store::{ConcurrentKv, Kv};
+use p2drm_store::ConcurrentKv;
 
 /// Plays `license` on `device`, returning the decrypted content bytes.
-pub fn play<BP: ConcurrentKv, SD: Kv, R: CryptoRng + ?Sized>(
+pub fn play<BP: ConcurrentKv, SD: ConcurrentKv, R: CryptoRng + ?Sized>(
     user: &UserAgent,
     device: &mut CompliantDevice<SD>,
     provider: &ContentProvider<BP>,
@@ -118,7 +118,7 @@ pub fn play<BP: ConcurrentKv, SD: Kv, R: CryptoRng + ?Sized>(
 /// Device-side check that a transfer action would be permitted (used by
 /// user agents before bothering the provider; enforcement proper happens
 /// at the provider).
-pub fn can_transfer<SD: Kv>(
+pub fn can_transfer<SD: ConcurrentKv>(
     device: &CompliantDevice<SD>,
     license: &License,
     now: u64,

@@ -102,7 +102,7 @@ use p2drm_obs::{
 use p2drm_payment::Mint;
 use p2drm_pki::cert::{AttributeCertBody, KeyId, PseudonymCertBody, PseudonymCertificate};
 use p2drm_rel::AccessRequest;
-use p2drm_store::{ConcurrentKv, Kv};
+use p2drm_store::ConcurrentKv;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
@@ -2182,7 +2182,7 @@ impl<T: Transport> WireClient<T> {
     /// Plays a license on a device: the challenge/proof/key-release
     /// rounds run locally between device and card, only the anonymous
     /// download crosses the wire.
-    pub fn play<SD: Kv, R: CryptoRng + ?Sized>(
+    pub fn play<SD: ConcurrentKv, R: CryptoRng + ?Sized>(
         &mut self,
         user: &UserAgent,
         device: &mut CompliantDevice<SD>,
@@ -2198,7 +2198,10 @@ impl<T: Transport> WireClient<T> {
     }
 
     /// Synchronizes the device's CRLs from the service.
-    pub fn sync_crls<SD: Kv>(&mut self, device: &mut CompliantDevice<SD>) -> Result<(), WireError> {
+    pub fn sync_crls<SD: ConcurrentKv>(
+        &mut self,
+        device: &mut CompliantDevice<SD>,
+    ) -> Result<(), WireError> {
         let request = CrlSyncRequest {
             license_seq: device.crl_sequence(),
             pseudonym_seq: 0,
@@ -2489,7 +2492,7 @@ impl PlaySession {
     /// Local rounds: holder challenge, card proof, device compliance
     /// check, key release. Returns the single message that crosses the
     /// wire.
-    pub fn begin<SD: Kv, R: CryptoRng + ?Sized>(
+    pub fn begin<SD: ConcurrentKv, R: CryptoRng + ?Sized>(
         user: &UserAgent,
         device: &mut CompliantDevice<SD>,
         license: &License,
@@ -2534,7 +2537,7 @@ impl PlaySession {
 
     /// Decrypts the downloaded payload and consumes the play on the
     /// device.
-    pub fn finish<SD: Kv>(
+    pub fn finish<SD: ConcurrentKv>(
         self,
         device: &mut CompliantDevice<SD>,
         response: &DownloadResponse,

@@ -12,7 +12,7 @@ use p2drm_core::CoreError;
 use p2drm_crypto::rng::CryptoRng;
 use p2drm_payment::{Mint, Wallet};
 use p2drm_rel::AccessRequest;
-use p2drm_store::{ConcurrentKv, Kv};
+use p2drm_store::ConcurrentKv;
 
 /// Buys a domain license: the household account withdraws an anonymous
 /// coin; the provider verifies the *manager* certificate (not any member)
@@ -73,7 +73,7 @@ pub fn buy_domain_license<B: ConcurrentKv, R: CryptoRng + ?Sized>(
 
 /// Plays a domain license on a member device: manager answers the holder
 /// challenge and releases the key only to verified members.
-pub fn play_in_domain<BP: ConcurrentKv, SD: Kv, R: CryptoRng + ?Sized>(
+pub fn play_in_domain<BP: ConcurrentKv, SD: ConcurrentKv, R: CryptoRng + ?Sized>(
     manager: &DomainManager,
     device: &mut CompliantDevice<SD>,
     provider: &ContentProvider<BP>,

@@ -7,7 +7,7 @@ use p2drm_bignum::UBig;
 use p2drm_crypto::blind;
 use p2drm_crypto::rng::CryptoRng;
 use p2drm_crypto::rsa::{RsaKeyPair, RsaPublicKey};
-use p2drm_store::{Kv, MemKv, SharedKv};
+use p2drm_store::{ConcurrentKv, MemKv};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -42,38 +42,33 @@ pub struct WithdrawalRecord {
     pub blinded: UBig,
 }
 
-struct MintInner<S: Kv> {
+struct MintInner {
     keys: HashMap<u64, RsaKeyPair>,
     ledger: Mutex<HashMap<String, u64>>,
-    spent: SharedKv<S>,
+    spent: Box<dyn ConcurrentKv + Send + Sync>,
     transcript: Mutex<Vec<WithdrawalRecord>>,
     deposited_total: Mutex<u64>,
 }
 
 /// Shareable mint handle.
-pub struct Mint<S: Kv = MemKv> {
-    inner: Arc<MintInner<S>>,
+#[derive(Clone)]
+pub struct Mint {
+    inner: Arc<MintInner>,
 }
 
-impl<S: Kv> Clone for Mint<S> {
-    fn clone(&self) -> Self {
-        Mint {
-            inner: Arc::clone(&self.inner),
-        }
-    }
-}
-
-impl Mint<MemKv> {
+impl Mint {
     /// Creates a mint with a volatile spent-serial store.
     pub fn new<R: CryptoRng + ?Sized>(config: MintConfig, rng: &mut R) -> Self {
         Self::with_store(config, MemKv::new(), rng)
     }
-}
 
-impl<S: Kv> Mint<S> {
     /// Creates a mint over a caller-provided spent-serial store (use a
-    /// [`p2drm_store::WalKv`] for durability across restarts).
-    pub fn with_store<R: CryptoRng + ?Sized>(config: MintConfig, store: S, rng: &mut R) -> Self {
+    /// [`p2drm_store::WalShardedKv`] for durability across restarts).
+    pub fn with_store<R: CryptoRng + ?Sized>(
+        config: MintConfig,
+        store: impl ConcurrentKv + Send + Sync + 'static,
+        rng: &mut R,
+    ) -> Self {
         let mut keys = HashMap::new();
         for &d in &config.denominations {
             keys.insert(d, RsaKeyPair::generate(config.key_bits, rng));
@@ -82,7 +77,7 @@ impl<S: Kv> Mint<S> {
             inner: Arc::new(MintInner {
                 keys,
                 ledger: Mutex::new(HashMap::new()),
-                spent: SharedKv::new(store),
+                spent: Box::new(store),
                 transcript: Mutex::new(Vec::new()),
                 deposited_total: Mutex::new(0),
             }),
@@ -157,7 +152,7 @@ impl<S: Kv> Mint<S> {
     /// Deposit: verifies the coin and marks its serial spent.
     ///
     /// Exactly one deposit per serial ever succeeds — enforced by the
-    /// atomic [`Kv::insert_if_absent`] under the store's write lock.
+    /// atomic [`ConcurrentKv::insert_if_absent`] of the spent-serial store.
     pub fn deposit(&self, coin: &Coin) -> Result<(), PaymentError> {
         self.check_coin(coin)?;
         self.deposit_prechecked(coin)
@@ -302,6 +297,31 @@ mod tests {
             .filter(|&ok| ok)
             .count();
         assert_eq!(winners, 1);
+    }
+
+    #[test]
+    fn spent_serials_survive_a_mint_restart_over_a_durable_store() {
+        use p2drm_store::{WalShardedConfig, WalShardedKv};
+        let dir = std::env::temp_dir().join(format!("p2drm-mint-test-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let open = || {
+            let (store, _) = WalShardedKv::open(&dir, WalShardedConfig::default()).unwrap();
+            // Same seed, same denomination keys: the restarted mint.
+            Mint::with_store(MintConfig::default(), store, &mut test_rng(106))
+        };
+        let m = open();
+        m.fund_account("alice", 100);
+        let coin = Wallet::new()
+            .withdraw(&m, "alice", 100, &mut test_rng(107))
+            .unwrap();
+        m.deposit(&coin).unwrap();
+        drop(m);
+
+        let m = open();
+        assert_eq!(m.spent_count(), 1);
+        assert_eq!(m.deposit(&coin), Err(PaymentError::DoubleSpend));
+        drop(m);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -4,7 +4,6 @@
 use crate::{Coin, Mint, PaymentError};
 use p2drm_crypto::blind::Blinded;
 use p2drm_crypto::rng::CryptoRng;
-use p2drm_store::Kv;
 
 /// Holds withdrawn, not-yet-spent coins, plus a **pending** pool for
 /// coins whose fate is ambiguous: a purchase whose response was lost may
@@ -39,9 +38,9 @@ impl Wallet {
 
     /// Withdraws one coin of `denomination` from `mint`, paying from
     /// `account`. Returns the unblinded coin (also kept in the wallet).
-    pub fn withdraw<S: Kv, R: CryptoRng + ?Sized>(
+    pub fn withdraw<R: CryptoRng + ?Sized>(
         &mut self,
-        mint: &Mint<S>,
+        mint: &Mint,
         account: &str,
         denomination: u64,
         rng: &mut R,
@@ -77,9 +76,9 @@ impl Wallet {
     /// denomination the mint offers. Fixed-denomination e-cash cannot make
     /// change, so paying 250 with a 500-coin overpays — the paper-era
     /// tradeoff (callers can price at denominations to avoid it).
-    pub fn coin_for_amount<S: Kv, R: CryptoRng + ?Sized>(
+    pub fn coin_for_amount<R: CryptoRng + ?Sized>(
         &mut self,
-        mint: &Mint<S>,
+        mint: &Mint,
         account: &str,
         amount: u64,
         rng: &mut R,
@@ -141,7 +140,7 @@ impl Wallet {
     /// spendable pool (the ambiguous spend never happened), deposited
     /// serials are discarded (their value was consumed by the spend).
     /// Returns `(restored, discarded)` counts.
-    pub fn reconcile_pending<S: Kv>(&mut self, mint: &Mint<S>) -> (usize, usize) {
+    pub fn reconcile_pending(&mut self, mint: &Mint) -> (usize, usize) {
         let (mut restored, mut discarded) = (0, 0);
         for coin in std::mem::take(&mut self.pending) {
             if mint.is_spent(&coin.serial) {

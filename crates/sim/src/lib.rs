@@ -4,7 +4,7 @@
 //! evaluation; EXPERIMENTS.md defines the experiment set E1–E10 and this
 //! crate provides everything those experiments need:
 //!
-//! * [`workload`] — Zipf content popularity and seeded operation mixes;
+//! * [`workload`] — Zipf content popularity;
 //! * [`metrics`] — log-bucketed latency histograms and summaries;
 //! * [`runner`] — multi-threaded purchase throughput (E3) against one
 //!   shared `&self` provider;
@@ -21,7 +21,6 @@ pub mod adversary;
 pub mod chaos;
 pub mod json;
 pub mod metrics;
-pub mod mixed;
 pub mod openloop;
 pub mod report;
 pub mod runner;
@@ -29,10 +28,9 @@ pub mod workload;
 
 pub use adversary::{linkability_experiment, LinkabilityReport};
 pub use metrics::{Histogram, Summary};
-pub use mixed::{simulate, SimReport};
 pub use openloop::{OpenLoopConfig, OpenLoopResult};
 pub use report::Table;
 pub use runner::{
     purchase_throughput, DispatchMode, StoreBackend, ThroughputConfig, ThroughputResult,
 };
-pub use workload::{Op, Workload, WorkloadConfig, Zipf};
+pub use workload::Zipf;

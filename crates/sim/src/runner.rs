@@ -4,7 +4,7 @@
 //! provider** through `&self` — the refactored `ContentProvider` is `Sync`,
 //! so no external mutex and no per-thread provider clones are involved.
 //! Parallelism comes from the provider's internal lock sharding: the
-//! spent-ID/license store is a `ShardedKv`, the catalog and rights
+//! spent-ID/license store is lock-sharded, the catalog and rights
 //! templates are read-locked, and license signing needs no lock at all.
 //! `store_shards = 1` degenerates to a fully serialized store, which is
 //! the paper's single-license-server baseline.
@@ -36,7 +36,7 @@ use std::time::Instant;
 /// Which store backend the provider under test runs on.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum StoreBackend {
-    /// Volatile lock-sharded store (`ShardedKv<MemKv>`) — the upper
+    /// Volatile lock-sharded store (`MemKv`) — the upper
     /// bound: no durability cost.
     Mem,
     /// WAL-backed sharded store (`WalShardedKv`) at the given durability

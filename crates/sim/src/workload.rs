@@ -1,9 +1,8 @@
-//! Synthetic workloads: Zipf-distributed content popularity and seeded
-//! per-user operation mixes.
+//! Synthetic workloads: Zipf-distributed content popularity.
 //!
 //! Real purchase traces are proprietary; per DESIGN.md §2 the evaluation
 //! questions depend only on operation *distributions*, which a seeded Zipf
-//! mix reproduces.
+//! sampler reproduces.
 
 use rand::Rng;
 
@@ -54,123 +53,6 @@ impl Zipf {
     }
 }
 
-/// One simulated operation.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Op {
-    /// User `user` buys catalog item `content`.
-    Purchase {
-        /// User index.
-        user: usize,
-        /// Catalog rank.
-        content: usize,
-    },
-    /// User plays their `nth` owned license.
-    Play {
-        /// User index.
-        user: usize,
-        /// Index into the user's license list (modulo holdings).
-        nth: usize,
-    },
-    /// User transfers their `nth` license to `to`.
-    Transfer {
-        /// Sender index.
-        user: usize,
-        /// Recipient index.
-        to: usize,
-        /// Index into the sender's license list.
-        nth: usize,
-    },
-}
-
-/// Workload parameters.
-#[derive(Clone, Debug)]
-pub struct WorkloadConfig {
-    /// Number of users.
-    pub users: usize,
-    /// Catalog size.
-    pub catalog: usize,
-    /// Total operations to generate.
-    pub ops: usize,
-    /// Zipf exponent for content popularity.
-    pub zipf_s: f64,
-    /// Probability an op is a purchase (vs play/transfer).
-    pub purchase_prob: f64,
-    /// Probability an op is a transfer (rest are plays).
-    pub transfer_prob: f64,
-}
-
-impl Default for WorkloadConfig {
-    fn default() -> Self {
-        WorkloadConfig {
-            users: 20,
-            catalog: 50,
-            ops: 200,
-            zipf_s: 1.0,
-            purchase_prob: 0.5,
-            transfer_prob: 0.1,
-        }
-    }
-}
-
-/// A generated operation stream.
-#[derive(Clone, Debug)]
-pub struct Workload {
-    /// The operations, in issue order.
-    pub ops: Vec<Op>,
-    /// The config that produced them.
-    pub config: WorkloadConfig,
-}
-
-impl Workload {
-    /// Generates a deterministic workload from `rng`.
-    pub fn generate<R: Rng + ?Sized>(config: WorkloadConfig, rng: &mut R) -> Self {
-        let zipf = Zipf::new(config.catalog, config.zipf_s);
-        let mut ops = Vec::with_capacity(config.ops);
-        for _ in 0..config.ops {
-            let user = rng.gen_range(0..config.users);
-            let dice: f64 = rng.gen();
-            let op = if dice < config.purchase_prob {
-                Op::Purchase {
-                    user,
-                    content: zipf.sample(rng),
-                }
-            } else if dice < config.purchase_prob + config.transfer_prob {
-                let mut to = rng.gen_range(0..config.users);
-                if to == user {
-                    to = (to + 1) % config.users;
-                }
-                Op::Transfer {
-                    user,
-                    to,
-                    nth: rng.gen_range(0..8),
-                }
-            } else {
-                Op::Play {
-                    user,
-                    nth: rng.gen_range(0..8),
-                }
-            };
-            ops.push(op);
-        }
-        Workload { ops, config }
-    }
-
-    /// Count of each op kind `(purchases, plays, transfers)`.
-    pub fn mix(&self) -> (usize, usize, usize) {
-        let mut p = 0;
-        let mut l = 0;
-        let mut t = 0;
-        for op in &self.ops {
-            match op {
-                Op::Purchase { .. } => p += 1,
-                Op::Play { .. } => l += 1,
-                Op::Transfer { .. } => t += 1,
-            }
-        }
-        (p, l, t)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -215,32 +97,6 @@ mod tests {
         let z = Zipf::new(1, 1.2);
         for _ in 0..100 {
             assert_eq!(z.sample(&mut rng), 0);
-        }
-    }
-
-    #[test]
-    fn workload_deterministic_and_mixed() {
-        let cfg = WorkloadConfig::default();
-        let w1 = Workload::generate(cfg.clone(), &mut StdRng::seed_from_u64(7));
-        let w2 = Workload::generate(cfg.clone(), &mut StdRng::seed_from_u64(7));
-        assert_eq!(w1.ops, w2.ops);
-        let (p, l, t) = w1.mix();
-        assert_eq!(p + l + t, cfg.ops);
-        assert!(p > 0 && l > 0, "mix too degenerate: {p}/{l}/{t}");
-    }
-
-    #[test]
-    fn transfers_never_self_target() {
-        let cfg = WorkloadConfig {
-            transfer_prob: 1.0,
-            purchase_prob: 0.0,
-            ..Default::default()
-        };
-        let w = Workload::generate(cfg, &mut StdRng::seed_from_u64(8));
-        for op in &w.ops {
-            if let Op::Transfer { user, to, .. } = op {
-                assert_ne!(user, to);
-            }
         }
     }
 }

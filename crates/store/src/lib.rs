@@ -5,46 +5,41 @@
 //! the license store, CRL snapshots, and per-license rights state on
 //! devices. This crate provides the storage those components sit on:
 //!
-//! * [`Kv`] — the store abstraction, including [`Kv::insert_if_absent`],
-//!   the atomic check-and-set that implements "redeem exactly once";
-//! * [`MemKv`] — `BTreeMap`-backed volatile store for tests/simulation;
+//! * [`ConcurrentKv`] — the one store interface (`&self`, internally
+//!   synchronized), including [`ConcurrentKv::insert_if_absent`], the
+//!   atomic check-and-set that implements "redeem exactly once";
+//! * [`MemKv`] — volatile: N independently locked `BTreeMap` shards, keys
+//!   routed by hash, so writers on different shards never contend (tests,
+//!   simulation, the mint's and the devices' default state);
+//! * [`WalShardedKv`] — durable **and** sharded: 1..N shards each backed
+//!   by its own write-ahead log (every mutation is framed and appended
+//!   before the in-memory index changes; on open the logs are replayed in
+//!   parallel and a corrupt tail is detected and truncated), per-shard
+//!   group commit amortizing flush/fsync across concurrent writers — the
+//!   production license-server backend, and at one shard the durable
+//!   device store;
 //! * [`log`] — CRC-framed append-only log with torn-tail recovery;
-//! * [`WalKv`] — write-ahead-logged KV: every mutation is framed and
-//!   appended before the in-memory index changes; on open the log is
-//!   replayed, a corrupt tail is detected and truncated;
-//! * [`typed`] — thin typed wrapper over any [`Kv`] using the canonical
-//!   codec;
-//! * [`SharedKv`] — `parking_lot`-locked handle for concurrent use;
-//! * [`ShardedKv`] — lock-sharded concurrent store: keys hash to one of N
-//!   independently locked shards, so writers on different shards never
-//!   contend (the license server's volatile hot-path substrate);
-//! * [`WalShardedKv`] — durable **and** sharded: N shards each backed by
-//!   its own WAL, per-shard group commit amortizing flush/fsync across
-//!   concurrent writers, parallel replay on open — the production
-//!   license-server backend;
-//! * [`ConcurrentKv`] — the `&self` store interface the concurrent
-//!   handles implement, which typed [`typed::Table`]s can operate over.
+//! * [`typed`] — thin typed wrapper over any [`ConcurrentKv`] using the
+//!   canonical codec.
 //!
 //! # Backend matrix
 //!
 //! | backend | concurrency | durability | use |
 //! |---|---|---|---|
-//! | [`MemKv`] | `&mut self` | none | unit tests, single-thread sims |
-//! | [`SharedKv`] | 1 `RwLock` | backend's | simple shared handle |
-//! | [`ShardedKv`] | N shards | none (over [`MemKv`]) | max-throughput volatile serving |
-//! | [`WalKv`] | `&mut self` | WAL + torn-tail recovery | single-threaded durable state (devices) |
-//! | [`WalShardedKv`] | N shards | per-shard WAL, group commit | the durable license service |
+//! | [`MemKv`] | N shards | none | tests, simulations, max-throughput volatile serving |
+//! | [`WalShardedKv`] | N shards, same routing | per-shard WAL, group commit | the durable license service; devices at 1 shard |
 //!
-//! [`SyncPolicy`] picks the durability/latency trade-off for the WAL
-//! backends: `Buffered` (userspace buffering; flush on drop — fastest,
-//! loses the un-flushed tail on a crash but never corrupts), `FlushEach`
-//! (every mutation pushed to the OS — survives process death), `SyncEach`
-//! (fsync per commit batch — survives power loss).
+//! [`SyncPolicy`] picks the durability/latency trade-off of a
+//! [`WalShardedKv`], and group commit is the only place it is acted on:
+//! `Buffered` (userspace buffering; flush on drop — fastest, loses the
+//! un-flushed tail on a crash but never corrupts), `FlushEach` (every
+//! mutation pushed to the OS — survives process death), `SyncEach` (fsync
+//! per commit batch — survives power loss).
 //!
 //! ```
-//! use p2drm_store::{Kv, MemKv};
+//! use p2drm_store::{ConcurrentKv, MemKv};
 //!
-//! let mut kv = MemKv::new();
+//! let kv = MemKv::new();
 //! kv.put(b"license/1", b"bytes").unwrap();
 //! assert!(kv.insert_if_absent(b"spent/1", b"").unwrap());
 //! assert!(!kv.insert_if_absent(b"spent/1", b"").unwrap(), "second redeem refused");
@@ -53,19 +48,14 @@
 #![forbid(unsafe_code)]
 
 pub mod log;
-pub mod mem;
-pub mod sharded;
+mod mem;
 pub mod typed;
-pub mod walkv;
-pub mod walsharded;
+mod walkv;
+mod walsharded;
 
 pub use mem::MemKv;
-pub use sharded::ShardedKv;
-pub use walkv::{RecoveryReport, SyncPolicy, WalKv};
-pub use walsharded::{WalShardedConfig, WalShardedKv};
-
-use parking_lot::RwLock;
-use std::sync::Arc;
+pub use walkv::RecoveryReport;
+pub use walsharded::{SyncPolicy, WalShardedConfig, WalShardedKv};
 
 /// Storage errors.
 #[derive(Debug)]
@@ -104,132 +94,14 @@ impl From<p2drm_codec::CodecError> for StoreError {
     }
 }
 
-/// Key-value store abstraction shared by the volatile and durable backends.
-pub trait Kv {
-    /// Reads a value.
-    fn get(&self, key: &[u8]) -> Option<Vec<u8>>;
-
-    /// Writes (inserts or overwrites) a value.
-    fn put(&mut self, key: &[u8], value: &[u8]) -> Result<(), StoreError>;
-
-    /// Deletes a key; returns whether it existed.
-    fn delete(&mut self, key: &[u8]) -> Result<bool, StoreError>;
-
-    /// All pairs whose key starts with `prefix`, in key order.
-    fn scan_prefix(&self, prefix: &[u8]) -> Vec<(Vec<u8>, Vec<u8>)>;
-
-    /// Number of live keys.
-    fn len(&self) -> usize;
-
-    /// True when no keys are live.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// True when `key` exists.
-    fn contains(&self, key: &[u8]) -> bool {
-        self.get(key).is_some()
-    }
-
-    /// Check-and-set: inserts only when absent, returning whether the
-    /// insert happened. This is the double-redemption primitive: a license
-    /// id is redeemable iff this returns `true` exactly once.
-    ///
-    /// **Required, not defaulted**: a naive `contains`-then-`put` default
-    /// would let a new backend silently lose the exactly-once guarantee
-    /// (e.g. a future remote/batched store whose `contains` and `put` are
-    /// separate round trips). Every backend must state its own atomic
-    /// implementation. Note the method takes `&mut self`, so within a
-    /// single store instance the check-and-set is already exclusive;
-    /// *concurrent* callers must go through [`SharedKv`] or [`ShardedKv`],
-    /// which hold the write lock across the whole operation.
-    fn insert_if_absent(&mut self, key: &[u8], value: &[u8]) -> Result<bool, StoreError>;
-
-    /// Flushes buffered writes to the backing medium (no-op for memory).
-    fn flush(&mut self) -> Result<(), StoreError> {
-        Ok(())
-    }
-}
-
-/// A cheaply clonable, thread-safe handle around any [`Kv`].
+/// The store interface: every backend is a `&self` handle that many
+/// threads share.
 ///
-/// `insert_if_absent` through this handle holds the write lock for the whole
-/// check-and-set, so concurrent redeem attempts serialize correctly
-/// (exercised by the double-spend concurrency tests in `p2drm-payment`).
-pub struct SharedKv<S: Kv> {
-    inner: Arc<RwLock<S>>,
-}
-
-impl<S: Kv> Clone for SharedKv<S> {
-    fn clone(&self) -> Self {
-        SharedKv {
-            inner: Arc::clone(&self.inner),
-        }
-    }
-}
-
-impl<S: Kv> SharedKv<S> {
-    /// Wraps a store.
-    pub fn new(store: S) -> Self {
-        SharedKv {
-            inner: Arc::new(RwLock::new(store)),
-        }
-    }
-
-    /// Reads a value.
-    pub fn get(&self, key: &[u8]) -> Option<Vec<u8>> {
-        self.inner.read().get(key)
-    }
-
-    /// Writes a value.
-    pub fn put(&self, key: &[u8], value: &[u8]) -> Result<(), StoreError> {
-        self.inner.write().put(key, value)
-    }
-
-    /// Deletes a key.
-    pub fn delete(&self, key: &[u8]) -> Result<bool, StoreError> {
-        self.inner.write().delete(key)
-    }
-
-    /// Atomic insert-if-absent under the write lock.
-    pub fn insert_if_absent(&self, key: &[u8], value: &[u8]) -> Result<bool, StoreError> {
-        self.inner.write().insert_if_absent(key, value)
-    }
-
-    /// Prefix scan.
-    pub fn scan_prefix(&self, prefix: &[u8]) -> Vec<(Vec<u8>, Vec<u8>)> {
-        self.inner.read().scan_prefix(prefix)
-    }
-
-    /// Key count.
-    pub fn len(&self) -> usize {
-        self.inner.read().len()
-    }
-
-    /// True when empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// True when the key exists.
-    pub fn contains(&self, key: &[u8]) -> bool {
-        self.inner.read().contains(key)
-    }
-
-    /// Runs `f` with mutable access to the store (single critical section).
-    pub fn with_mut<T>(&self, f: impl FnOnce(&mut S) -> T) -> T {
-        f(&mut self.inner.write())
-    }
-}
-
-/// The `&self` store interface for concurrent handles.
-///
-/// Mirrors [`Kv`] but takes shared references: implementations guarantee
-/// that every operation is internally synchronized and that
-/// [`ConcurrentKv::insert_if_absent`] is atomic with respect to all other
-/// operations on the same key. Typed [`typed::Table`]s operate over either
-/// interface; the refactored provider state holds its tables over a
-/// [`ShardedKv`] through this trait.
+/// Implementations guarantee that every operation is internally
+/// synchronized and that [`ConcurrentKv::insert_if_absent`] is atomic with
+/// respect to all other operations on the same key. Typed
+/// [`typed::Table`]s operate over it; the provider, the mint and the
+/// devices hold their state through it.
 pub trait ConcurrentKv {
     /// Reads a value.
     fn get(&self, key: &[u8]) -> Option<Vec<u8>>;
@@ -240,7 +112,17 @@ pub trait ConcurrentKv {
     /// Deletes a key; returns whether it existed.
     fn delete(&self, key: &[u8]) -> Result<bool, StoreError>;
 
-    /// Atomic check-and-set under the handle's write lock.
+    /// Check-and-set: inserts only when absent, returning whether the
+    /// insert happened. This is the double-redemption primitive: a license
+    /// id (or coin serial) is redeemable iff this returns `true` exactly
+    /// once, whatever the interleaving of callers.
+    ///
+    /// **Required, not defaulted**: a naive `contains`-then-`put` default
+    /// would let a new backend silently lose the exactly-once guarantee
+    /// (e.g. a future remote/batched store whose `contains` and `put` are
+    /// separate round trips). Every backend must state its own atomic
+    /// implementation; both in-tree backends decide the claim under the
+    /// write lock of the key's shard.
     fn insert_if_absent(&self, key: &[u8], value: &[u8]) -> Result<bool, StoreError>;
 
     /// All pairs whose key starts with `prefix`, in key order.
@@ -271,67 +153,16 @@ pub trait ConcurrentKv {
     }
 }
 
-impl<S: Kv> ConcurrentKv for SharedKv<S> {
-    fn get(&self, key: &[u8]) -> Option<Vec<u8>> {
-        SharedKv::get(self, key)
+/// FNV-1a over the key: cheap, stable, good enough dispersion for shard
+/// routing (keys here are table-prefixed ids and hashes already).
+///
+/// Shared by [`MemKv`] and [`WalShardedKv`], whose **on-disk** shard files
+/// encode this routing — one definition so the two stores cannot drift.
+pub(crate) fn fnv1a(key: &[u8]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for &b in key {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x100_0000_01b3);
     }
-    fn put(&self, key: &[u8], value: &[u8]) -> Result<(), StoreError> {
-        SharedKv::put(self, key, value)
-    }
-    fn delete(&self, key: &[u8]) -> Result<bool, StoreError> {
-        SharedKv::delete(self, key)
-    }
-    fn insert_if_absent(&self, key: &[u8], value: &[u8]) -> Result<bool, StoreError> {
-        SharedKv::insert_if_absent(self, key, value)
-    }
-    fn scan_prefix(&self, prefix: &[u8]) -> Vec<(Vec<u8>, Vec<u8>)> {
-        SharedKv::scan_prefix(self, prefix)
-    }
-    fn len(&self) -> usize {
-        SharedKv::len(self)
-    }
-    fn contains(&self, key: &[u8]) -> bool {
-        SharedKv::contains(self, key)
-    }
-    fn flush(&self) -> Result<(), StoreError> {
-        self.with_mut(|s| s.flush())
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn shared_kv_basics() {
-        let kv = SharedKv::new(MemKv::new());
-        kv.put(b"a", b"1").unwrap();
-        assert_eq!(kv.get(b"a"), Some(b"1".to_vec()));
-        assert!(kv.insert_if_absent(b"b", b"2").unwrap());
-        assert!(!kv.insert_if_absent(b"b", b"2").unwrap());
-        assert_eq!(kv.len(), 2);
-        assert!(kv.delete(b"a").unwrap());
-        assert!(!kv.contains(b"a"));
-        kv.with_mut(|s| s.put(b"c", b"3").unwrap());
-        assert!(kv.contains(b"c"));
-    }
-
-    #[test]
-    fn shared_kv_concurrent_insert_if_absent_single_winner() {
-        // Exactly one of N racing redeemers may win — the paper's
-        // double-redemption guarantee under concurrency.
-        let kv = SharedKv::new(MemKv::new());
-        let handles: Vec<_> = (0..8u8)
-            .map(|i| {
-                let kv = kv.clone();
-                std::thread::spawn(move || kv.insert_if_absent(b"unique-license-id", &[i]).unwrap())
-            })
-            .collect();
-        let winners = handles
-            .into_iter()
-            .map(|h| h.join().unwrap())
-            .filter(|&won| won)
-            .count();
-        assert_eq!(winners, 1);
-    }
+    h
 }

@@ -3,7 +3,8 @@
 //! Frame layout: `[len: u32 LE][crc32(payload): u32 LE][payload]`.
 //! On replay, the first frame that fails its length or CRC check marks the
 //! torn tail: everything before it is returned, and the caller may truncate
-//! the file to that offset (what [`crate::WalKv`] does on open).
+//! the file to that offset (what [`crate::WalShardedKv`] does per shard on
+//! open).
 
 use crate::StoreError;
 use p2drm_codec::crc32::crc32;
@@ -153,8 +154,14 @@ pub fn rewrite(path: &Path, records: impl Iterator<Item = Vec<u8>>) -> Result<()
         }
         w.sync()?;
     }
-    std::fs::rename(&tmp, path)?;
-    // Best-effort directory sync so the rename is durable.
+    publish(&tmp, path)
+}
+
+/// Renames the fully written and fsynced `tmp` over `path`, then
+/// best-effort syncs the directory so the rename itself is durable: a
+/// crash leaves the old `path` or the new one, never a partial file.
+pub(crate) fn publish(tmp: &Path, path: &Path) -> Result<(), StoreError> {
+    std::fs::rename(tmp, path)?;
     if let Some(dir) = path.parent() {
         if let Ok(d) = File::open(dir) {
             let _ = d.sync_all();

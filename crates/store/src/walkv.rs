@@ -1,28 +1,22 @@
-//! Write-ahead-logged KV store with crash recovery and compaction.
+//! The per-shard engine of [`crate::WalShardedKv`]: one write-ahead log
+//! plus its in-memory index, with crash recovery and compaction.
 //!
 //! Every mutation is encoded (canonical codec), CRC-framed and appended to
 //! the log *before* the in-memory index is updated. Opening replays the log;
 //! a torn tail (crash mid-append) is truncated away, so the store always
 //! recovers to the last complete operation — the property the spent-ID
 //! store needs to keep the double-redemption guarantee across restarts.
+//!
+//! Appends only buffer in userspace. *When* they reach the OS or the disk
+//! is not decided here: the owning [`crate::WalShardedKv`] calls
+//! [`WalKv::flush_to_os`]/[`WalKv::sync_data`] from its group commit, the
+//! one place a [`crate::SyncPolicy`] is acted on. Dropping flushes.
 
 use crate::log::{self, LogWriter};
-use crate::{Kv, StoreError};
+use crate::StoreError;
 use p2drm_codec::{Reader, Writer};
 use std::collections::BTreeMap;
-use std::path::{Path, PathBuf};
-
-/// Durability level for each mutation.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SyncPolicy {
-    /// Buffer in userspace; flush on [`Kv::flush`]/drop (fastest, loses the
-    /// tail on crash but never corrupts).
-    Buffered,
-    /// Flush to the OS after every mutation.
-    FlushEach,
-    /// fsync after every mutation (slowest, survives power loss).
-    SyncEach,
-}
+use std::path::PathBuf;
 
 /// What `open` found in the log.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -38,23 +32,20 @@ pub struct RecoveryReport {
 const OP_PUT: u8 = 0;
 const OP_DELETE: u8 = 1;
 
-/// Durable KV store: append-only log + in-memory index.
-pub struct WalKv {
+/// One shard's durable state: append-only log + in-memory index. Methods
+/// take `&mut self`; the owner's shard lock is the synchronization.
+pub(crate) struct WalKv {
     path: PathBuf,
     writer: LogWriter,
     index: BTreeMap<Vec<u8>, Vec<u8>>,
-    policy: SyncPolicy,
-    /// Total ops in the log (for compaction heuristics).
+    /// Total ops in the log.
     log_ops: u64,
 }
 
 impl WalKv {
     /// Opens (or creates) the store at `path`, replaying the log and
     /// truncating any torn tail.
-    pub fn open(
-        path: impl Into<PathBuf>,
-        policy: SyncPolicy,
-    ) -> Result<(Self, RecoveryReport), StoreError> {
+    pub fn open(path: impl Into<PathBuf>) -> Result<(Self, RecoveryReport), StoreError> {
         let path = path.into();
         let replayed = log::replay(&path)?;
         if replayed.torn_tail {
@@ -77,7 +68,6 @@ impl WalKv {
                 path,
                 writer,
                 index,
-                policy,
                 log_ops: ops,
             },
             report,
@@ -91,20 +81,7 @@ impl WalKv {
         w.put_bytes(value);
         self.writer.append(&w.into_bytes())?;
         self.log_ops += 1;
-        match self.policy {
-            SyncPolicy::Buffered => {}
-            SyncPolicy::FlushEach => self.writer.flush()?,
-            SyncPolicy::SyncEach => self.writer.sync()?,
-        }
         Ok(())
-    }
-
-    /// Ratio of log operations to live keys (compaction trigger input).
-    pub fn write_amplification(&self) -> f64 {
-        if self.index.is_empty() {
-            return self.log_ops as f64;
-        }
-        self.log_ops as f64 / self.index.len() as f64
     }
 
     /// Rewrites the log to contain exactly the live pairs.
@@ -127,11 +104,6 @@ impl WalKv {
         Ok(())
     }
 
-    /// The backing file path.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
     /// Current log length in bytes (for the storage-growth experiment E6).
     pub fn log_bytes(&self) -> u64 {
         self.writer.len()
@@ -144,13 +116,14 @@ impl WalKv {
     }
 
     /// Pushes buffered frames to the OS **without** fsync (the
-    /// [`SyncPolicy::FlushEach`] durability level, callable externally by
-    /// a group-commit leader).
+    /// [`crate::SyncPolicy::FlushEach`] durability level; the group-commit
+    /// leader calls it).
     pub fn flush_to_os(&mut self) -> Result<(), StoreError> {
         self.writer.flush()
     }
 
-    /// Flushes and fsyncs (the [`SyncPolicy::SyncEach`] durability level).
+    /// Flushes and fsyncs (the [`crate::SyncPolicy::SyncEach`] durability
+    /// level; the explicit `flush` checkpoint calls it).
     pub fn sync_data(&mut self) -> Result<(), StoreError> {
         self.writer.sync()
     }
@@ -159,6 +132,60 @@ impl WalKv {
     /// lock (see [`crate::log::LogWriter::try_clone_file`]).
     pub fn try_clone_log_file(&self) -> Result<std::fs::File, StoreError> {
         self.writer.try_clone_file()
+    }
+
+    /// Reads a value.
+    pub fn get(&self, key: &[u8]) -> Option<Vec<u8>> {
+        self.index.get(key).cloned()
+    }
+
+    /// Logs, then writes (inserts or overwrites) a value.
+    pub fn put(&mut self, key: &[u8], value: &[u8]) -> Result<(), StoreError> {
+        self.append(OP_PUT, key, value)?;
+        self.index.insert(key.to_vec(), value.to_vec());
+        Ok(())
+    }
+
+    /// Deletes a key; returns whether it existed. Only an existing key is
+    /// logged.
+    pub fn delete(&mut self, key: &[u8]) -> Result<bool, StoreError> {
+        if !self.index.contains_key(key) {
+            return Ok(false);
+        }
+        self.append(OP_DELETE, key, &[])?;
+        self.index.remove(key);
+        Ok(true)
+    }
+
+    /// All pairs whose key starts with `prefix`, in key order.
+    pub fn scan_prefix(&self, prefix: &[u8]) -> Vec<(Vec<u8>, Vec<u8>)> {
+        self.index
+            .range(prefix.to_vec()..)
+            .take_while(|(k, _)| k.starts_with(prefix))
+            .map(|(k, v)| (k.clone(), v.clone()))
+            .collect()
+    }
+
+    /// Number of live keys.
+    pub fn len(&self) -> usize {
+        self.index.len()
+    }
+
+    /// True when `key` exists.
+    pub fn contains(&self, key: &[u8]) -> bool {
+        self.index.contains_key(key)
+    }
+
+    /// Index probe then log append: both steps happen under the `&mut`
+    /// borrow, and the WAL record is appended *before* the index changes,
+    /// so the exactly-once outcome also survives a crash between the two.
+    pub fn insert_if_absent(&mut self, key: &[u8], value: &[u8]) -> Result<bool, StoreError> {
+        if self.index.contains_key(key) {
+            return Ok(false);
+        }
+        self.append(OP_PUT, key, value)?;
+        self.index.insert(key.to_vec(), value.to_vec());
+        Ok(true)
     }
 }
 
@@ -182,55 +209,6 @@ fn apply_record(index: &mut BTreeMap<Vec<u8>, Vec<u8>>, rec: &[u8]) -> Result<()
         }
     }
     Ok(())
-}
-
-impl Kv for WalKv {
-    fn get(&self, key: &[u8]) -> Option<Vec<u8>> {
-        self.index.get(key).cloned()
-    }
-
-    fn put(&mut self, key: &[u8], value: &[u8]) -> Result<(), StoreError> {
-        self.append(OP_PUT, key, value)?;
-        self.index.insert(key.to_vec(), value.to_vec());
-        Ok(())
-    }
-
-    fn delete(&mut self, key: &[u8]) -> Result<bool, StoreError> {
-        if !self.index.contains_key(key) {
-            return Ok(false);
-        }
-        self.append(OP_DELETE, key, &[])?;
-        self.index.remove(key);
-        Ok(true)
-    }
-
-    fn scan_prefix(&self, prefix: &[u8]) -> Vec<(Vec<u8>, Vec<u8>)> {
-        self.index
-            .range(prefix.to_vec()..)
-            .take_while(|(k, _)| k.starts_with(prefix))
-            .map(|(k, v)| (k.clone(), v.clone()))
-            .collect()
-    }
-
-    fn len(&self) -> usize {
-        self.index.len()
-    }
-
-    /// Index probe then log append: both steps happen under the `&mut`
-    /// borrow, and the WAL record is appended *before* the index changes,
-    /// so the exactly-once outcome also survives a crash between the two.
-    fn insert_if_absent(&mut self, key: &[u8], value: &[u8]) -> Result<bool, StoreError> {
-        if self.index.contains_key(key) {
-            return Ok(false);
-        }
-        self.append(OP_PUT, key, value)?;
-        self.index.insert(key.to_vec(), value.to_vec());
-        Ok(true)
-    }
-
-    fn flush(&mut self) -> Result<(), StoreError> {
-        self.writer.sync()
-    }
 }
 
 impl Drop for WalKv {
@@ -269,7 +247,7 @@ mod tests {
     #[test]
     fn open_empty_then_crud() {
         let tmp = TempPath::new("crud");
-        let (mut kv, report) = WalKv::open(&tmp.0, SyncPolicy::FlushEach).unwrap();
+        let (mut kv, report) = WalKv::open(&tmp.0).unwrap();
         assert_eq!(report.replayed_ops, 0);
         kv.put(b"a", b"1").unwrap();
         kv.put(b"b", b"2").unwrap();
@@ -283,12 +261,12 @@ mod tests {
     fn persists_across_reopen() {
         let tmp = TempPath::new("reopen");
         {
-            let (mut kv, _) = WalKv::open(&tmp.0, SyncPolicy::FlushEach).unwrap();
+            let (mut kv, _) = WalKv::open(&tmp.0).unwrap();
             kv.put(b"k1", b"v1").unwrap();
             kv.put(b"k2", b"v2").unwrap();
             kv.delete(b"k1").unwrap();
         }
-        let (kv, report) = WalKv::open(&tmp.0, SyncPolicy::FlushEach).unwrap();
+        let (kv, report) = WalKv::open(&tmp.0).unwrap();
         assert_eq!(report.replayed_ops, 3);
         assert_eq!(report.live_keys, 1);
         assert!(!report.truncated_tail);
@@ -300,7 +278,7 @@ mod tests {
     fn crash_recovery_truncates_torn_tail() {
         let tmp = TempPath::new("crash");
         {
-            let (mut kv, _) = WalKv::open(&tmp.0, SyncPolicy::FlushEach).unwrap();
+            let (mut kv, _) = WalKv::open(&tmp.0).unwrap();
             kv.put(b"good", b"1").unwrap();
             kv.put(b"casualty", b"2").unwrap();
         }
@@ -308,7 +286,7 @@ mod tests {
         let len = std::fs::metadata(&tmp.0).unwrap().len();
         log::truncate(&tmp.0, len - 3).unwrap();
 
-        let (kv, report) = WalKv::open(&tmp.0, SyncPolicy::FlushEach).unwrap();
+        let (kv, report) = WalKv::open(&tmp.0).unwrap();
         assert!(report.truncated_tail);
         assert_eq!(report.replayed_ops, 1);
         assert_eq!(kv.get(b"good"), Some(b"1".to_vec()));
@@ -316,7 +294,7 @@ mod tests {
 
         // Recovered store is fully writable again.
         drop(kv);
-        let (mut kv, report) = WalKv::open(&tmp.0, SyncPolicy::FlushEach).unwrap();
+        let (mut kv, report) = WalKv::open(&tmp.0).unwrap();
         assert!(!report.truncated_tail, "tail already repaired");
         kv.put(b"after", b"3").unwrap();
         assert_eq!(kv.len(), 2);
@@ -331,7 +309,7 @@ mod tests {
         // refuses a second redeem of the id spent before the crash.
         let tmp = TempPath::new("claim-order");
         {
-            let (mut kv, _) = WalKv::open(&tmp.0, SyncPolicy::FlushEach).unwrap();
+            let (mut kv, _) = WalKv::open(&tmp.0).unwrap();
             assert!(kv.insert_if_absent(b"spent/pre-crash", b"").unwrap());
         }
         // Crash mid-append of a later record: partial frame header.
@@ -343,7 +321,7 @@ mod tests {
                 .unwrap();
             f.write_all(&[0x09, 0x00]).unwrap();
         }
-        let (mut kv, report) = WalKv::open(&tmp.0, SyncPolicy::FlushEach).unwrap();
+        let (mut kv, report) = WalKv::open(&tmp.0).unwrap();
         assert!(report.truncated_tail);
         assert_eq!(report.replayed_ops, 1, "the claim itself replayed");
         assert!(
@@ -356,10 +334,10 @@ mod tests {
     fn insert_if_absent_survives_restart() {
         let tmp = TempPath::new("spent");
         {
-            let (mut kv, _) = WalKv::open(&tmp.0, SyncPolicy::FlushEach).unwrap();
+            let (mut kv, _) = WalKv::open(&tmp.0).unwrap();
             assert!(kv.insert_if_absent(b"spent/lid-1", b"").unwrap());
         }
-        let (mut kv, _) = WalKv::open(&tmp.0, SyncPolicy::FlushEach).unwrap();
+        let (mut kv, _) = WalKv::open(&tmp.0).unwrap();
         assert!(
             !kv.insert_if_absent(b"spent/lid-1", b"").unwrap(),
             "double redemption refused after restart"
@@ -369,22 +347,22 @@ mod tests {
     #[test]
     fn compaction_preserves_state_and_shrinks_log() {
         let tmp = TempPath::new("compact");
-        let (mut kv, _) = WalKv::open(&tmp.0, SyncPolicy::FlushEach).unwrap();
+        let (mut kv, _) = WalKv::open(&tmp.0).unwrap();
         for i in 0..100u32 {
             kv.put(b"hot", &i.to_le_bytes()).unwrap();
         }
         kv.put(b"cold", b"c").unwrap();
         let before = kv.log_bytes();
-        assert!(kv.write_amplification() > 10.0);
+        assert_eq!(kv.ops_appended(), 101);
         kv.compact().unwrap();
         assert!(kv.log_bytes() < before);
-        assert!((kv.write_amplification() - 1.0).abs() < 1e-9);
+        assert_eq!(kv.ops_appended(), 2, "one record per live key");
         assert_eq!(kv.get(b"hot"), Some(99u32.to_le_bytes().to_vec()));
         assert_eq!(kv.get(b"cold"), Some(b"c".to_vec()));
 
         // And the compacted log replays correctly.
         drop(kv);
-        let (kv, report) = WalKv::open(&tmp.0, SyncPolicy::FlushEach).unwrap();
+        let (kv, report) = WalKv::open(&tmp.0).unwrap();
         assert_eq!(report.live_keys, 2);
         assert_eq!(kv.get(b"hot"), Some(99u32.to_le_bytes().to_vec()));
     }
@@ -392,7 +370,7 @@ mod tests {
     #[test]
     fn scan_prefix_matches_memkv_semantics() {
         let tmp = TempPath::new("scan");
-        let (mut kv, _) = WalKv::open(&tmp.0, SyncPolicy::Buffered).unwrap();
+        let (mut kv, _) = WalKv::open(&tmp.0).unwrap();
         for k in ["lic/1", "lic/2", "spent/1"] {
             kv.put(k.as_bytes(), b"x").unwrap();
         }
@@ -403,20 +381,14 @@ mod tests {
 
     #[test]
     fn buffered_policy_flushes_on_drop() {
+        // Nothing but the drop pushes this append out of userspace: the
+        // `Buffered` policy of the owning store relies on exactly that.
         let tmp = TempPath::new("buffered");
         {
-            let (mut kv, _) = WalKv::open(&tmp.0, SyncPolicy::Buffered).unwrap();
+            let (mut kv, _) = WalKv::open(&tmp.0).unwrap();
             kv.put(b"x", b"y").unwrap();
         } // drop flushes
-        let (kv, _) = WalKv::open(&tmp.0, SyncPolicy::Buffered).unwrap();
+        let (kv, _) = WalKv::open(&tmp.0).unwrap();
         assert_eq!(kv.get(b"x"), Some(b"y".to_vec()));
-    }
-
-    #[test]
-    fn sync_each_policy_works() {
-        let tmp = TempPath::new("sync");
-        let (mut kv, _) = WalKv::open(&tmp.0, SyncPolicy::SyncEach).unwrap();
-        kv.put(b"a", b"b").unwrap();
-        assert_eq!(kv.get(b"a"), Some(b"b".to_vec()));
     }
 }

@@ -2,7 +2,7 @@
 //! by its own write-ahead log, with per-shard group commit.
 //!
 //! [`WalShardedKv`] is the production shape of the license server's
-//! spent-ID/license/CRL store: it keeps [`crate::ShardedKv`]'s N-way write
+//! spent-ID/license/CRL store: it keeps [`crate::MemKv`]'s N-way write
 //! parallelism (keys hash to one of N shards, `insert_if_absent` is atomic
 //! under one shard's write lock) while every mutation is CRC-framed and
 //! appended to that shard's WAL *before* the in-memory index changes —
@@ -44,7 +44,7 @@
 //!
 //! Each shard owns three locks, acquired in a fixed hierarchy:
 //!
-//! 1. `kv` (the shard's `RwLock<WalKv>`) is always the **outermost**
+//! 1. `kv` (the shard's log + index behind an `RwLock`) is always the **outermost**
 //!    lock: `commit` and `sync_fd` may each be taken while `kv` is held
 //!    (compaction and the explicit `flush` checkpoint do), never the
 //!    other way around.
@@ -63,15 +63,28 @@
 //! The static `p2drm-lint` lock-order pass extracts the same graph at
 //! review time (`results/lockgraph.txt`).
 
-use crate::sharded::fnv1a;
-use crate::walkv::{RecoveryReport, SyncPolicy, WalKv};
-use crate::{ConcurrentKv, Kv, StoreError};
+use crate::walkv::{RecoveryReport, WalKv};
+use crate::{fnv1a, ConcurrentKv, StoreError};
 use p2drm_obs::AtomicHistogram;
 use parking_lot::{Condvar, Mutex, RwLock};
 use std::fs::File;
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
+
+/// Durability level of a logged mutation, applied by per-shard group
+/// commit (see the module docs) — the only place it is acted on.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum SyncPolicy {
+    /// Buffer in userspace; flush on [`ConcurrentKv::flush`]/drop (fastest,
+    /// loses the tail on crash but never corrupts).
+    Buffered,
+    /// Flush to the OS before a mutation returns.
+    FlushEach,
+    /// fsync before a mutation returns (slowest, survives power loss).
+    SyncEach,
+}
 
 /// Construction parameters for a [`WalShardedKv`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -180,16 +193,18 @@ fn read_manifest(dir: &Path) -> Result<Option<usize>, StoreError> {
     }
 }
 
+/// Written the way [`crate::log::rewrite`] writes a log — sibling temp
+/// file, fsync, rename — so a crash leaves no `MANIFEST` or a whole one,
+/// never an empty file that [`read_manifest`] would refuse for good.
 fn write_manifest(dir: &Path, shards: usize) -> Result<(), StoreError> {
-    std::fs::write(
-        dir.join(MANIFEST),
-        format!("p2drm-walsharded v1\nshards={shards}\n"),
-    )?;
-    // Best-effort directory sync so the manifest creation is durable.
-    if let Ok(d) = File::open(dir) {
-        let _ = d.sync_all();
+    let path = dir.join(MANIFEST);
+    let tmp = path.with_extension("tmp");
+    {
+        let mut f = File::create(&tmp)?;
+        f.write_all(format!("p2drm-walsharded v1\nshards={shards}\n").as_bytes())?;
+        f.sync_data()?;
     }
-    Ok(())
+    crate::log::publish(&tmp, &path)
 }
 
 impl WalShardedKv {
@@ -224,15 +239,14 @@ impl WalShardedKv {
             }
         };
 
-        // Parallel replay: one thread per shard. Each shard WAL is opened
-        // `Buffered`; the sharded wrapper owns durability via group commit.
+        // Parallel replay: one thread per shard.
         let mut opened: Vec<Option<Result<(WalKv, RecoveryReport), StoreError>>> =
             (0..shards).map(|_| None).collect();
         std::thread::scope(|scope| {
             for (i, slot) in opened.iter_mut().enumerate() {
                 let path = shard_path(&dir, i);
                 scope.spawn(move || {
-                    *slot = Some(WalKv::open(path, SyncPolicy::Buffered));
+                    *slot = Some(WalKv::open(path));
                 });
             }
         });
@@ -470,7 +484,7 @@ impl ConcurrentKv for WalShardedKv {
     }
 
     fn delete(&self, key: &[u8]) -> Result<bool, StoreError> {
-        // `WalKv::delete` only logs when the key existed.
+        // A delete is only logged when the key existed.
         self.logged_write(key, |kv| kv.delete(key).map(|existed| (existed, existed)))
     }
 
@@ -618,6 +632,43 @@ mod tests {
     }
 
     #[test]
+    fn crashed_first_open_leaves_an_openable_directory() {
+        // A first open that died before the rename leaves only the temp
+        // file (here: created, nothing written). The next open must not
+        // read it as the manifest and must write a whole one over it.
+        let tmp = TempDir::new("manifest-crash");
+        std::fs::create_dir_all(&tmp.0).unwrap();
+        std::fs::write(tmp.0.join("MANIFEST.tmp"), b"").unwrap();
+        {
+            let (kv, _) = WalShardedKv::open(&tmp.0, cfg(2, SyncPolicy::Buffered)).unwrap();
+            kv.put(b"k", b"v").unwrap();
+        }
+        assert_eq!(
+            std::fs::read_to_string(tmp.0.join(MANIFEST)).unwrap(),
+            "p2drm-walsharded v1\nshards=2\n"
+        );
+        assert!(!tmp.0.join("MANIFEST.tmp").exists());
+        let (kv, _) = WalShardedKv::open(&tmp.0, cfg(2, SyncPolicy::Buffered)).unwrap();
+        assert_eq!(kv.get(b"k"), Some(b"v".to_vec()));
+    }
+
+    #[test]
+    fn unparsable_manifest_beside_shard_files_is_corrupt() {
+        // With data present the shard count cannot be guessed: a damaged
+        // manifest stays an error instead of a silent re-route.
+        let tmp = TempDir::new("manifest-bad");
+        {
+            let (kv, _) = WalShardedKv::open(&tmp.0, cfg(2, SyncPolicy::Buffered)).unwrap();
+            kv.put(b"k", b"v").unwrap();
+        }
+        for text in ["", "p2drm-walsharded v1\n", "shards=two\n"] {
+            std::fs::write(tmp.0.join(MANIFEST), text).unwrap();
+            let res = WalShardedKv::open(&tmp.0, cfg(2, SyncPolicy::Buffered));
+            assert!(matches!(res, Err(StoreError::Corrupt { .. })), "{text:?}");
+        }
+    }
+
+    #[test]
     fn concurrent_insert_if_absent_single_winner_per_key() {
         for policy in [
             SyncPolicy::Buffered,
@@ -700,7 +751,6 @@ mod tests {
         };
         // Torn garbage at the tail of the victim's shard log only.
         {
-            use std::io::Write;
             let mut f = std::fs::OpenOptions::new()
                 .append(true)
                 .open(shard_path(&tmp.0, victim_shard))
@@ -777,8 +827,8 @@ mod tests {
     }
 
     #[test]
-    fn routing_matches_sharded_kv() {
-        // WalShardedKv must route exactly like ShardedKv so operators can
+    fn routing_matches_mem_kv() {
+        // WalShardedKv must route exactly like MemKv so operators can
         // reason about one hash layout (and docs can say "same routing").
         let tmp = TempDir::new("routing");
         let (kv, _) = WalShardedKv::open(&tmp.0, cfg(8, SyncPolicy::Buffered)).unwrap();
@@ -786,13 +836,12 @@ mod tests {
             kv.put(format!("k/{i}").as_bytes(), &i.to_be_bytes())
                 .unwrap();
         }
-        let mem = crate::ShardedKv::new_with(8, |_| crate::MemKv::new());
+        let mem = crate::MemKv::with_shards(8);
         for i in 0..64u32 {
             mem.put(format!("k/{i}").as_bytes(), &i.to_be_bytes())
                 .unwrap();
         }
         let wal_dist: Vec<usize> = kv.shards.iter().map(|s| s.kv.read().len()).collect();
-        let mem_dist = mem.for_each_shard(|s| s.len());
-        assert_eq!(wal_dist, mem_dist);
+        assert_eq!(wal_dist, mem.shard_lens());
     }
 }

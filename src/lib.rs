@@ -30,7 +30,7 @@
 //! | [`crypto`] | `p2drm-crypto` | SHA-256, ChaCha20, HMAC, RSA, blind signatures, ElGamal |
 //! | [`pki`] | `p2drm-pki` | certificates, authorities, CRLs |
 //! | [`rel`] | `p2drm-rel` | rights expression language + enforcement |
-//! | [`store`] | `p2drm-store` | WAL-backed KV, crash recovery, `SharedKv`/`ShardedKv` concurrency |
+//! | [`store`] | `p2drm-store` | one `ConcurrentKv` trait over `MemKv` (volatile) and `WalShardedKv` (WAL, group commit, crash recovery) |
 //! | [`payment`] | `p2drm-payment` | Chaum e-cash + identified baseline |
 //! | [`core`] | `p2drm-core` | **the paper's protocols**, concurrent provider + system bootstrap |
 //! | [`core::service`] | `p2drm-core` | **the wire API**: versioned envelopes, `ApiErrorCode`, `ProviderService`, `WireClient` |

@@ -313,7 +313,7 @@ fn publish_persists_outside_the_catalog_lock() {
     let (parked_tx, parked_rx) = std::sync::mpsc::channel();
     let (release_tx, release_rx) = std::sync::mpsc::channel();
     let store = ParkingKv {
-        inner: p2drm::store::ShardedKv::new_with(4, |_| p2drm::store::MemKv::new()),
+        inner: p2drm::store::MemKv::with_shards(4),
         armed: std::sync::atomic::AtomicBool::new(false),
         parked: std::sync::Mutex::new(parked_tx),
         release: std::sync::Mutex::new(release_rx),

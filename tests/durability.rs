@@ -6,34 +6,10 @@ use p2drm::core::entities::provider::{ContentProvider, ProviderConfig};
 use p2drm::core::protocol::messages::{transfer_proof_bytes, TransferRequest};
 use p2drm::core::CoreError;
 use p2drm::prelude::*;
-use p2drm::store::walsharded::{WalShardedConfig, WalShardedKv};
-use p2drm::store::{ConcurrentKv, Kv, SyncPolicy, WalKv};
+use p2drm::store::{ConcurrentKv, SyncPolicy, WalShardedConfig, WalShardedKv};
 use std::path::PathBuf;
 
-struct TempPath(PathBuf);
-
-impl TempPath {
-    fn new(tag: &str) -> Self {
-        static COUNTER: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-        let n = COUNTER.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let p = std::env::temp_dir().join(format!(
-            "p2drm-int-durability-{}-{}-{}",
-            std::process::id(),
-            tag,
-            n
-        ));
-        let _ = std::fs::remove_file(&p);
-        TempPath(p)
-    }
-}
-
-impl Drop for TempPath {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_file(&self.0);
-    }
-}
-
-/// Self-cleaning unique temp *directory* (for `WalShardedKv` stores).
+/// Self-cleaning unique temp directory (a `WalShardedKv` store).
 struct TempDir(PathBuf);
 
 impl TempDir {
@@ -57,22 +33,30 @@ impl Drop for TempDir {
     }
 }
 
+/// The smallest durable store: one WAL, what a device or a single-threaded
+/// provider runs on.
+const ONE_SHARD: WalShardedConfig = WalShardedConfig {
+    shards: 1,
+    policy: SyncPolicy::FlushEach,
+};
+
 #[test]
 fn provider_spent_set_is_durable() {
-    let tmp = TempPath::new("spent");
+    let tmp = TempDir::new("spent");
     let mut rng = test_rng(8001);
     let mut sys = System::bootstrap(SystemConfig::fast_test(), &mut rng);
 
     // A provider whose store is WAL-backed.
-    let (wal, _) = WalKv::open(&tmp.0, SyncPolicy::FlushEach).unwrap();
-    let provider = ContentProvider::with_store(
+    let (provider, _) = ContentProvider::open_durable(
         &mut sys.root,
         sys.mint.clone(),
         sys.ra.blind_public().clone(),
-        wal,
+        &tmp.0,
+        ONE_SHARD,
         ProviderConfig::fast_test(),
         &mut rng,
-    );
+    )
+    .unwrap();
     let cid = provider.publish(
         "durable",
         100,
@@ -109,7 +93,7 @@ fn provider_spent_set_is_durable() {
     // the spent id is still present — a rebooted provider could never be
     // tricked into re-transferring the old license.
     drop(provider);
-    let (wal, report) = WalKv::open(&tmp.0, SyncPolicy::FlushEach).unwrap();
+    let (wal, report) = WalShardedKv::open(&tmp.0, ONE_SHARD).unwrap();
     assert!(report.replayed_ops >= 2, "license + spent entries replayed");
     let mut spent_key = b"spent/".to_vec();
     spent_key.extend_from_slice(lid.as_bytes());
@@ -124,19 +108,20 @@ fn full_provider_restart_with_key_vault() {
     // The complete restart story: keys exported to a vault, catalog/CRLs/
     // spent ids in the WAL store. After resume, old licenses verify, the
     // double-redeem guarantee holds, and new sales work.
-    let tmp = TempPath::new("resume");
+    let tmp = TempDir::new("resume");
     let mut rng = test_rng(8003);
     let mut sys = System::bootstrap(SystemConfig::fast_test(), &mut rng);
 
-    let (wal, _) = WalKv::open(&tmp.0, SyncPolicy::FlushEach).unwrap();
-    let provider = ContentProvider::with_store(
+    let (provider, _) = ContentProvider::open_durable(
         &mut sys.root,
         sys.mint.clone(),
         sys.ra.blind_public().clone(),
-        wal,
+        &tmp.0,
+        ONE_SHARD,
         ProviderConfig::fast_test(),
         &mut rng,
-    );
+    )
+    .unwrap();
     let cid = provider.publish(
         "persistent hit",
         100,
@@ -175,18 +160,18 @@ fn full_provider_restart_with_key_vault() {
 
     // Restart: reload keys from the vault and state from the WAL.
     let keys: p2drm::crypto::rsa::RsaKeyPair = p2drm::codec::from_bytes(&vault).unwrap();
-    let (wal, report) = WalKv::open(&tmp.0, SyncPolicy::FlushEach).unwrap();
-    assert!(report.replayed_ops > 0);
-    let provider = ContentProvider::resume(
+    let (provider, report) = ContentProvider::resume_durable(
         keys,
         cert,
         sys.root.public_key().clone(),
         sys.mint.clone(),
         sys.ra.blind_public().clone(),
-        wal,
+        &tmp.0,
+        ONE_SHARD,
         ProviderConfig::fast_test(),
     )
     .unwrap();
+    assert!(report.replayed_ops > 0);
 
     // Old licenses still verify under the restored key.
     assert!(bobs_license.verify(provider.public_key()).is_ok());
@@ -219,25 +204,19 @@ fn full_provider_restart_with_key_vault() {
 
 #[test]
 fn spent_set_survives_torn_tail() {
-    let tmp = TempPath::new("torn");
+    let tmp = TempDir::new("torn");
     {
-        let (mut wal, _) = WalKv::open(&tmp.0, SyncPolicy::FlushEach).unwrap();
+        let (wal, _) = WalShardedKv::open(&tmp.0, ONE_SHARD).unwrap();
         assert!(wal.insert_if_absent(b"spent/lid-A", b"").unwrap());
         assert!(wal.insert_if_absent(b"spent/lid-B", b"").unwrap());
     }
     // Crash mid-append of a third record.
-    let len = std::fs::metadata(&tmp.0).unwrap().len();
-    {
-        use std::io::Write;
-        let mut f = std::fs::OpenOptions::new()
-            .append(true)
-            .open(&tmp.0)
-            .unwrap();
-        f.write_all(&[0x55, 0x00, 0x00]).unwrap();
-    }
-    assert!(std::fs::metadata(&tmp.0).unwrap().len() > len);
+    let log = tmp.0.join(p2drm::faults::crash::shard_wal_name(0));
+    let len = std::fs::metadata(&log).unwrap().len();
+    p2drm::faults::crash::tear_shard_tail(&tmp.0, 0).unwrap();
+    assert!(std::fs::metadata(&log).unwrap().len() > len);
 
-    let (mut wal, report) = WalKv::open(&tmp.0, SyncPolicy::FlushEach).unwrap();
+    let (wal, report) = WalShardedKv::open(&tmp.0, ONE_SHARD).unwrap();
     assert!(report.truncated_tail);
     // Both complete spends survive; the torn garbage is gone.
     assert!(!wal.insert_if_absent(b"spent/lid-A", b"").unwrap());
@@ -249,7 +228,7 @@ fn spent_set_survives_torn_tail() {
 fn device_state_survives_restart() {
     // Play counts persisted by a WAL-backed device survive a power cycle:
     // rights exhaustion cannot be reset by rebooting the player.
-    let tmp = TempPath::new("device");
+    let tmp = TempDir::new("device");
     let mut rng = test_rng(8002);
     let mut sys = System::bootstrap(SystemConfig::fast_test(), &mut rng);
     let cid = sys.publish_content("x", 100, b"payload", &mut rng);
@@ -259,7 +238,7 @@ fn device_state_survives_restart() {
 
     let provider_cert = sys.provider.certificate().clone();
     let ra_blind = sys.ra.blind_public().clone();
-    let (wal, _) = WalKv::open(&tmp.0, SyncPolicy::FlushEach).unwrap();
+    let (wal, _) = WalShardedKv::open(&tmp.0, ONE_SHARD).unwrap();
     let mut device = p2drm::core::entities::CompliantDevice::with_store(
         &mut sys.root,
         &provider_cert,
@@ -288,7 +267,7 @@ fn device_state_survives_restart() {
     drop(device);
 
     // Reboot the device over the same store: still exhausted.
-    let (wal, report) = WalKv::open(&tmp.0, SyncPolicy::FlushEach).unwrap();
+    let (wal, report) = WalShardedKv::open(&tmp.0, ONE_SHARD).unwrap();
     assert!(report.live_keys >= 1);
     let mut device = p2drm::core::entities::CompliantDevice::with_store(
         &mut sys.root,

@@ -590,7 +590,7 @@ mod listing_snapshot {
     use p2drm::core::ContentId;
     use p2drm::crypto::rng::test_rng;
     use p2drm::obs::Registry;
-    use p2drm::store::walsharded::WalShardedConfig;
+    use p2drm::store::WalShardedConfig;
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;
 
