@@ -18,7 +18,9 @@
 //! * [`ProviderState`] (`state` field) — the mutable tables, each behind
 //!   its own lock so unrelated operations never contend:
 //!   - the KV **backend** (any [`ConcurrentKv`]) holding the **spent-ID
-//!     set**, license store, persisted catalog/rights/CRL tables;
+//!     set**, one [`LicenseRecord`] per issued id (the holder's key id —
+//!     the signed license itself leaves with the buyer and is not
+//!     kept), persisted catalog/rights/CRL tables;
 //!     `insert_if_absent` (the double-redemption primitive) is atomic per
 //!     key inside the backend;
 //!   - the in-memory catalog + rights templates (`RwLock`, read-mostly;
@@ -47,7 +49,7 @@
 //!   production shape: 1..N per-shard WALs with group commit, so the
 //!   provider survives an unclean drop. Reopen with
 //!   [`ContentProvider::resume_durable`] (keys from the operator's
-//!   vault): spent ids, licenses, catalog and CRLs are intact, and a
+//!   vault): spent ids, license records, catalog and CRLs are intact, and a
 //!   double-redeem race spanning the restart still has exactly one
 //!   winner — the claim is WAL-logged before the in-memory index changes,
 //!   so the exactly-once decision is as durable as the chosen
@@ -58,7 +60,7 @@
 
 use crate::content::{CatalogListing, ContentCatalog, ContentMeta, PackagedContent};
 use crate::ids::{ContentId, LicenseId};
-use crate::license::{License, LicenseBody};
+use crate::license::{License, LicenseBody, LicenseRecord};
 use crate::protocol::messages::{self, LicenseStatus, PurchaseRequest, TransferRequest};
 use crate::CoreError;
 use p2drm_crypto::envelope;
@@ -188,7 +190,7 @@ impl CrlState {
 /// backend holding the persisted tables.
 pub struct ProviderState<B: ConcurrentKv> {
     store: B,
-    licenses: Table<License>,
+    licenses: Table<LicenseRecord>,
     spent: Table<u32>,
     content_table: Table<PackagedContent>,
     rights_table: Table<Rights>,
@@ -363,7 +365,7 @@ impl<B: ConcurrentKv> ContentProvider<B> {
 
     /// Restarts a provider over any backend from its persisted state: the
     /// serialized key pair + certificate (the operator's key vault) and
-    /// the store holding catalog, licenses, spent ids and CRLs.
+    /// the store holding catalog, license records, spent ids and CRLs.
     ///
     /// After resume, previously issued licenses still verify, previously
     /// spent license ids are still rejected, and CRL sequence numbers
@@ -456,6 +458,15 @@ impl<B: ConcurrentKv> ContentProvider<B> {
             _ => crl.pseudonym_crl_events.push((seq, *id)),
         }
         Ok(())
+    }
+
+    /// Writes the provider's row for a freshly issued license: its
+    /// [`LicenseRecord`], not the license, which only the buyer keeps.
+    fn persist_record(&self, license: &License) -> Result<(), CoreError> {
+        let (state, row) = (&self.state, license.record());
+        Ok(state
+            .licenses
+            .put(&state.store, license.id().as_bytes(), &row)?)
     }
 
     /// License verification key.
@@ -719,9 +730,7 @@ impl<B: ConcurrentKv> ContentProvider<B> {
             issued_epoch: now_epoch,
         };
         let license = License::issue(body, &self.core.keys);
-        self.state
-            .licenses
-            .put(&self.state.store, license.id().as_bytes(), &license)?;
+        self.persist_record(&license)?;
         self.state.purchase_log.lock().push(PurchaseRecord {
             pseudonym: req.pseudonym_cert.pseudonym_id(),
             content: req.content_id,
@@ -813,9 +822,7 @@ impl<B: ConcurrentKv> ContentProvider<B> {
             issued_epoch: now_epoch,
         };
         let license = License::issue(body, &self.core.keys);
-        self.state
-            .licenses
-            .put(&self.state.store, license.id().as_bytes(), &license)?;
+        self.persist_record(&license)?;
         self.state.transfer_log.lock().push(TransferRecord {
             from_pseudonym: KeyId::of_rsa(&req.license.body.holder),
             to_pseudonym: req.recipient_cert.pseudonym_id(),
@@ -879,9 +886,7 @@ impl<B: ConcurrentKv> ContentProvider<B> {
             issued_epoch: now_epoch,
         };
         let license = License::issue(body, &self.core.keys);
-        self.state
-            .licenses
-            .put(&self.state.store, license.id().as_bytes(), &license)?;
+        self.persist_record(&license)?;
         self.state.purchase_log.lock().push(PurchaseRecord {
             pseudonym: KeyId::of_rsa(&manager_key),
             content: content_id,
@@ -935,16 +940,20 @@ impl<B: ConcurrentKv> ContentProvider<B> {
     /// lost re-asks here whether the old id committed (`Transferred`) or
     /// is still `Active`. License ids are 16 unguessable random bytes,
     /// so only a party already holding the id can ask about it.
-    pub fn license_status(&self, lid: &LicenseId) -> LicenseStatus {
+    ///
+    /// `Unknown` means the id has no row at all. A row that is present
+    /// but unreadable — a store fault, a truncated value, a directory
+    /// written in another layout — is an error, never "not issued".
+    pub fn license_status(&self, lid: &LicenseId) -> Result<LicenseStatus, CoreError> {
         // The spent table is the authoritative exactly-once record; its
         // value distinguishes a committed transfer (the transfer epoch)
         // from a direct revocation (`u32::MAX`, see `revoke_license`).
-        if let Ok(Some(mark)) = self.state.spent.get(&self.state.store, lid.as_bytes()) {
-            return if mark == u32::MAX {
+        if let Some(mark) = self.state.spent.get(&self.state.store, lid.as_bytes())? {
+            return Ok(if mark == u32::MAX {
                 LicenseStatus::Revoked
             } else {
                 LicenseStatus::Transferred
-            };
+            });
         }
         if self
             .state
@@ -953,14 +962,14 @@ impl<B: ConcurrentKv> ContentProvider<B> {
             .license_crl
             .contains(&license_crl_id(lid))
         {
-            return LicenseStatus::Revoked;
+            return Ok(LicenseStatus::Revoked);
         }
-        match self.state.licenses.get(&self.state.store, lid.as_bytes()) {
-            Ok(Some(license)) => LicenseStatus::Active {
-                holder: KeyId::of_rsa(&license.body.holder),
-            },
-            _ => LicenseStatus::Unknown,
-        }
+        let record = self.state.licenses.get(&self.state.store, lid.as_bytes())?;
+        Ok(
+            record.map_or(LicenseStatus::Unknown, |r| LicenseStatus::Active {
+                holder: r.holder,
+            }),
+        )
     }
 
     /// Signed license CRL for full device sync.

@@ -55,7 +55,7 @@ pub mod system;
 
 pub use audit::{Party, Transcript};
 pub use ids::{CardId, ContentId, DeviceId, LicenseId, UserId};
-pub use license::{License, LicenseBody};
+pub use license::{License, LicenseBody, LicenseRecord};
 
 /// Errors produced by the protocol engines.
 #[derive(Debug)]

@@ -7,6 +7,7 @@ use crate::CoreError;
 use p2drm_codec::{Decode, Encode, Reader, Writer};
 use p2drm_crypto::envelope::Envelope;
 use p2drm_crypto::rsa::{RsaKeyPair, RsaPublicKey, RsaSignature};
+use p2drm_pki::cert::KeyId;
 use p2drm_rel::Rights;
 
 /// The signed body of a license.
@@ -90,6 +91,13 @@ impl License {
     pub fn encoded_len(&self) -> usize {
         p2drm_codec::to_bytes(self).len()
     }
+
+    /// What the provider retains of this license once the buyer has it.
+    pub fn record(&self) -> LicenseRecord {
+        LicenseRecord {
+            holder: KeyId::of_rsa(&self.body.holder),
+        }
+    }
 }
 
 impl Encode for License {
@@ -104,6 +112,33 @@ impl Decode for License {
         Ok(License {
             body: LicenseBody::decode(r)?,
             signature: RsaSignature::decode(r)?,
+        })
+    }
+}
+
+/// The provider's stored row for an issued license, under the license id:
+/// enough to answer "was this id issued, and to which pseudonym" and no
+/// more. The signed [`License`] leaves with the buyer; the provider never
+/// reads it back, and what it does not keep (holder modulus, key envelope,
+/// signature) it cannot later join against anything.
+///
+/// Encodes as the 32 raw bytes of the key id.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct LicenseRecord {
+    /// Key id of the holder pseudonym (or domain-manager) key.
+    pub holder: KeyId,
+}
+
+impl Encode for LicenseRecord {
+    fn encode(&self, w: &mut Writer) {
+        self.holder.encode(w);
+    }
+}
+
+impl Decode for LicenseRecord {
+    fn decode(r: &mut Reader) -> p2drm_codec::Result<Self> {
+        Ok(LicenseRecord {
+            holder: KeyId::decode(r)?,
         })
     }
 }
@@ -168,6 +203,18 @@ mod tests {
         let back: License = p2drm_codec::from_bytes(&bytes).unwrap();
         assert_eq!(back, lic);
         assert!(back.verify(provider.public()).is_ok());
+    }
+
+    #[test]
+    fn record_is_the_holder_key_id_and_nothing_else() {
+        let (lic, _, holder) = make_license(136);
+        let bytes = p2drm_codec::to_bytes(&lic.record());
+        assert_eq!(bytes, holder.public().fingerprint());
+        let back: LicenseRecord = p2drm_codec::from_bytes(&bytes).unwrap();
+        assert_eq!(back, lic.record());
+        // Neither a truncated record nor a whole license decodes as one.
+        assert!(p2drm_codec::from_bytes::<LicenseRecord>(&bytes[..31]).is_err());
+        assert!(p2drm_codec::from_bytes::<LicenseRecord>(&p2drm_codec::to_bytes(&lic)).is_err());
     }
 
     #[test]

@@ -1172,8 +1172,15 @@ impl<B: ConcurrentKv> ProviderService<B> {
                 Ok(WireResponse::Catalog(response))
             }
             WireRequest::LicenseStatus(req) => {
+                // A row the provider cannot read is its own fault, not
+                // the asker's and not "never issued": answer `Internal`
+                // so a reconciling client keeps the license it holds.
+                let status = self
+                    .provider
+                    .license_status(&req.license_id)
+                    .map_err(|e| ApiError::new(ApiErrorCode::Internal, e.to_string()))?;
                 Ok(WireResponse::LicenseStatus(LicenseStatusResponse {
-                    status: self.provider.license_status(&req.license_id),
+                    status,
                 }))
             }
             WireRequest::MetricsDump(_) => {

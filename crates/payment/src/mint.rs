@@ -215,6 +215,11 @@ impl Mint {
     pub fn withdrawal_transcript(&self) -> Vec<WithdrawalRecord> {
         self.inner.transcript.lock().clone()
     }
+
+    /// Coins withdrawn so far: the transcript's length, without copying it.
+    pub fn withdrawal_count(&self) -> usize {
+        self.inner.transcript.lock().len()
+    }
 }
 
 #[cfg(test)]
@@ -344,6 +349,8 @@ mod tests {
         let mut rng = test_rng(105);
         let mut wallet = Wallet::new();
         let coin = wallet.withdraw(&m, "alice", 500, &mut rng).unwrap();
+        assert_eq!(m.withdrawal_count(), 1);
+        assert_eq!(m.withdrawal_transcript().len(), 1);
         for rec in m.withdrawal_transcript() {
             let blinded_bytes = rec.blinded.to_bytes_be();
             assert!(

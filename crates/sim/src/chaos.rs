@@ -244,7 +244,7 @@ pub fn run_drill(config: &ChaosConfig) -> ChaosOutcome {
         .expect("fresh user");
     sys.fund(&user, 100 * config.ops as u64 + 1_000);
     let mint = sys.mint.clone();
-    let withdrawn_before = mint.withdrawal_transcript().len();
+    let withdrawn_before = mint.withdrawal_count();
     let spent_before = mint.spent_count();
 
     let plan = armed_plan(config.seed, config.fault_rate_pct);
@@ -331,7 +331,7 @@ pub fn run_drill(config: &ChaosConfig) -> ChaosOutcome {
             provider.license_count()
         ));
     }
-    let withdrawn = mint.withdrawal_transcript().len() - withdrawn_before;
+    let withdrawn = mint.withdrawal_count() - withdrawn_before;
     if !user.wallet.pending().is_empty() {
         violations.push(format!(
             "{} coins still parked after reconciliation",

@@ -308,7 +308,7 @@ mod coin_conservation {
             let name = format!("cc-{}", CASE.fetch_add(1, Ordering::Relaxed));
             let mut user = sys.register_user(&name, &mut rng).expect("fresh user");
             sys.fund(&user, 100 * ops as u64 + 100);
-            let withdrawn_before = mint.withdrawal_transcript().len();
+            let withdrawn_before = mint.withdrawal_count();
             let spent_before = mint.spent_count();
 
             let p = f64::from(rate_pct) / 100.0;
@@ -353,7 +353,7 @@ mod coin_conservation {
             }
             user.wallet.reconcile_pending(&mint);
 
-            let withdrawn = mint.withdrawal_transcript().len() - withdrawn_before;
+            let withdrawn = mint.withdrawal_count() - withdrawn_before;
             let deposited = mint.spent_count() - spent_before;
             prop_assert!(
                 user.wallet.pending().is_empty(),
