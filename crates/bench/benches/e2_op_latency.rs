@@ -1,3 +1,6 @@
+//! Kept: one-process A/B sizing (`read_path`, CHANGES PR 19 and 21) and no
+//! ledger row — the P2DRM-vs-baseline ratio below *is* the paper's E2 claim.
+//!
 //! E2 (Fig 2): per-operation latency vs RSA modulus size, P2DRM vs
 //! baseline. The reproduction claim is about *ratios*: P2DRM purchase
 //! costs a small constant factor over the baseline (blind issuance +

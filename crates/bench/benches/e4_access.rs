@@ -1,3 +1,5 @@
+//! Kept: no ledger row (device-side access check vs rights complexity).
+//!
 //! E4 (Fig 4): device-side access-check latency vs rights-expression
 //! complexity and vs accumulated per-license state.
 //!

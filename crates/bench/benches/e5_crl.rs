@@ -1,3 +1,5 @@
+//! Kept: no ledger row (CRL structure ablation).
+//!
 //! E5 (Fig 5): revocation-check cost vs CRL size — the structure ablation.
 //!
 //! Shape claim: linear scan grows linearly, binary search logarithmically,

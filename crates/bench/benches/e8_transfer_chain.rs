@@ -1,3 +1,5 @@
+//! Kept: no ledger row (transfer cost against a pre-grown spent set).
+//!
 //! E8 (Fig 7): transfer cost per hop and spent-set growth.
 //!
 //! Shape claim: each hop costs a constant amount (one proof verify, one

@@ -1,3 +1,5 @@
+//! Kept: no ledger row (plain vs blind vs cut-and-choose issuance).
+//!
 //! E9 (ablation): what blind issuance costs over plain issuance, and the
 //! price of cut-and-choose honesty amplification.
 //!

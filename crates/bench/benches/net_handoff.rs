@@ -1,3 +1,6 @@
+//! Kept: one-process A/B sizing (CHANGES PR 15 sized the hand-off batching
+//! with it); the ledger's `net.*` rows see the same server only end to end.
+//!
 //! The TCP server's internal hand-offs, priced on their own: an echo
 //! service (no crypto, no store) behind a real [`DrmServer`] on
 //! loopback, so what is timed is frame I/O plus the three hand-offs in

@@ -1,36 +1,19 @@
-//! Crypto/substrate primitive microbenchmarks: the cost model everything
-//! in E1–E10 decomposes into (hash/cipher throughput, modular
-//! exponentiation scaling, multiplication ablation, store ops).
+//! Kept: no ledger row (and CHANGES PR 14 and 16 sized `inv_mod` /
+//! `confirm_prime` with it in one process). Substrate primitives the
+//! benchmark's per-layer rows do not time — dedicated squaring, the
+//! primality test on a known prime, modular inverse, fixed-base
+//! exponentiation, plain multiplication and `MemKv::insert_if_absent`.
+//! (Hash/cipher throughput, modexp, Montgomery product, prime search,
+//! RSA keygen and blinding are `crypto.*` / `bignum.*` rows in
+//! `BENCHMARK.json`.)
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use p2drm_bignum::{rng as brng, Mont, UBig};
+use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use p2drm_bignum::{rng as brng, Mont};
 use p2drm_crypto::rng::test_rng;
-use p2drm_crypto::{chacha20, sha256};
 use p2drm_store::{ConcurrentKv, MemKv};
 use std::time::Duration;
 
-fn bench_symmetric(c: &mut Criterion) {
-    let mut group = c.benchmark_group("prim_symmetric");
-    group
-        .sample_size(20)
-        .warm_up_time(Duration::from_millis(200))
-        .measurement_time(Duration::from_millis(800));
-    for &size in &[1024usize, 65536] {
-        let data = vec![0xabu8; size];
-        group.throughput(Throughput::Bytes(size as u64));
-        group.bench_function(BenchmarkId::new("sha256", size), |b| {
-            b.iter(|| sha256::sha256(&data))
-        });
-        let key = [7u8; 32];
-        let nonce = [9u8; 12];
-        group.bench_function(BenchmarkId::new("chacha20", size), |b| {
-            b.iter(|| chacha20::encrypt(&key, &nonce, &data))
-        });
-    }
-    group.finish();
-}
-
-fn bench_modexp(c: &mut Criterion) {
+fn bench_mont_sqr(c: &mut Criterion) {
     let mut group = c.benchmark_group("prim_modexp");
     group
         .sample_size(10)
@@ -43,19 +26,9 @@ fn bench_modexp(c: &mut Criterion) {
         modulus.set_bit(0);
         let mont = Mont::new(&modulus).unwrap();
         let base = brng::random_below(&mut rng, &modulus);
-        let exp = brng::random_bits(&mut rng, bits);
-        group.bench_function(BenchmarkId::new("mont_pow_full_exp", bits), |b| {
-            b.iter(|| mont.pow(&base, &exp))
-        });
-        let e65537 = UBig::from_u64(65537);
-        group.bench_function(BenchmarkId::new("mont_pow_e65537", bits), |b| {
-            b.iter(|| mont.pow(&base, &e65537))
-        });
-        // Dedicated squaring vs the general product on the same operand.
+        // Dedicated squaring; the general product on the same operand
+        // size is the ledger's `bignum.mont_mul_16limb_ns`.
         let bm = mont.to_mont(&base);
-        group.bench_function(BenchmarkId::new("mont_mul_self", bits), |b| {
-            b.iter(|| mont.mont_mul(&bm, &bm))
-        });
         group.bench_function(BenchmarkId::new("mont_sqr", bits), |b| {
             b.iter(|| mont.mont_sqr(&bm))
         });
@@ -91,16 +64,13 @@ fn bench_fixed_base(c: &mut Criterion) {
     group.finish();
 }
 
-/// What a fresh pseudonym costs before anything reaches the provider:
-/// one prime search, the full test on the prime it ends at (base-2
-/// round, Lucas test, four random-base rounds), a whole RSA-1024 key, the
-/// modular inverse behind every blinding factor, and a full blinding. A
-/// single prime search varies severalfold with its seed, so the two
-/// search rows cycle through a fixed set of seeds: every run, on any
-/// commit, averages the same searches.
+/// The two keygen pieces the ledger's `bignum.prime_gen_512_ms` /
+/// `crypto.rsa_keygen_ms` / `crypto.blind_us` rows do not isolate: the
+/// full test on the prime a search ends at (base-2 round, Lucas test,
+/// four random-base rounds) and the modular inverse behind every
+/// blinding factor.
 fn bench_keygen(c: &mut Criterion) {
     use p2drm_bignum::{modring, prime};
-    use p2drm_crypto::blind::Blinded;
     use p2drm_crypto::rsa::RsaKeyPair;
 
     let mut group = c.benchmark_group("prim_keygen");
@@ -108,23 +78,10 @@ fn bench_keygen(c: &mut Criterion) {
         .sample_size(10)
         .warm_up_time(Duration::from_millis(200))
         .measurement_time(Duration::from_millis(1500));
-    let mut i = 0u64;
-    group.bench_function(BenchmarkId::new("gen_prime", 512), |b| {
-        b.iter(|| {
-            i += 1;
-            prime::gen_prime(512, 16, &mut test_rng(0xF300 + i % 16))
-        })
-    });
     let mut rng = test_rng(0xF5);
     let known_prime = prime::gen_prime(512, 16, &mut rng);
     group.bench_function(BenchmarkId::new("confirm_prime", 512), |b| {
         b.iter(|| prime::is_prime(&known_prime, 16, &mut rng))
-    });
-    group.bench_function(BenchmarkId::new("rsa_keygen", 1024), |b| {
-        b.iter(|| {
-            i += 1;
-            RsaKeyPair::generate(1024, &mut test_rng(0xF400 + i % 16))
-        })
     });
     let mut rng = test_rng(0xF3);
     let kp = RsaKeyPair::generate(1024, &mut rng);
@@ -132,9 +89,6 @@ fn bench_keygen(c: &mut Criterion) {
     let a = brng::random_below(&mut rng, n);
     group.bench_function(BenchmarkId::new("inv_mod", 1024), |b| {
         b.iter(|| modring::inv_mod(&a, n))
-    });
-    group.bench_function(BenchmarkId::new("blind", 1024), |b| {
-        b.iter(|| Blinded::new(kp.public(), b"pseudonym certificate digest", &mut rng))
     });
     group.finish();
 }
@@ -183,8 +137,7 @@ fn bench_store(c: &mut Criterion) {
 
 criterion_group!(
     benches,
-    bench_symmetric,
-    bench_modexp,
+    bench_mont_sqr,
     bench_fixed_base,
     bench_keygen,
     bench_mul_ablation,

@@ -1,8 +1,9 @@
 //! Shared fixtures for the benchmark suite.
 //!
-//! Each `benches/e*.rs` file regenerates one experiment from
-//! EXPERIMENTS.md; this library centralizes the setup they share so
-//! per-iteration work measures exactly the operation under test.
+//! Each `benches/*.rs` file says in its first line why it is kept beside
+//! the benchmark ledger (`BENCHMARK.json`); this library centralizes the
+//! setup they share so per-iteration work measures exactly the operation
+//! under test.
 
 use p2drm_core::entities::user::UserAgent;
 use p2drm_core::ids::ContentId;

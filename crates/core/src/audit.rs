@@ -4,7 +4,7 @@
 //! Transcripts serve three purposes:
 //!
 //! 1. **Experiment E1** — message count / byte cost per protocol, the
-//!    "Table 1" artifact in EXPERIMENTS.md;
+//!    "Table 1" assertions in `tests/paper_tables.rs`;
 //! 2. **Privacy auditing** — [`Transcript::scan_for`] greps the raw bytes
 //!    of everything a given party *received* for a forbidden needle (e.g.
 //!    the user id) — the machine-checkable version of the paper's "the
@@ -123,7 +123,7 @@ impl Transcript {
     }
 
     /// Renders the transcript as an ASCII protocol figure (the T-figures
-    /// in EXPERIMENTS.md).
+    /// asserted in `tests/paper_tables.rs`).
     pub fn render(&self) -> String {
         let mut out = String::new();
         for e in &self.entries {

@@ -4,7 +4,7 @@
 //! protocol figures prescribe, and records every message (with exact
 //! canonical byte sizes) into a [`crate::Transcript`] — which is how the
 //! repository reproduces those figures as executable artifacts (T1/T2 in
-//! EXPERIMENTS.md) and how experiment E1 measures message costs.
+//! `tests/paper_tables.rs`) and how table E1 there pins message costs.
 
 pub mod access;
 pub mod attribute;

@@ -1,5 +1,5 @@
 //! Adversarial tooling: the honest-but-curious provider profiling users
-//! from its purchase log (experiment E7), and byte-level [`corruption`]
+//! from its purchase log (E7), and byte-level [`corruption`]
 //! helpers for fuzzing the wire service.
 //!
 //! The provider's entire view is its purchase log: `(pseudonym, content,
@@ -36,24 +36,6 @@ pub struct LinkabilityReport {
     /// epoch the purchase happened (indistinguishable under fresh
     /// pseudonyms).
     pub mean_anonymity_set: f64,
-}
-
-impl crate::json::ToJson for LinkabilityReport {
-    fn to_json(&self) -> crate::json::Json {
-        use crate::json::Json;
-        Json::obj([
-            ("policy", self.policy.to_json()),
-            ("users", self.users.to_json()),
-            ("purchases", self.purchases.to_json()),
-            ("pseudonyms_seen", self.pseudonyms_seen.to_json()),
-            (
-                "mean_max_cluster_fraction",
-                self.mean_max_cluster_fraction.to_json(),
-            ),
-            ("mean_profile_len", self.mean_profile_len.to_json()),
-            ("mean_anonymity_set", self.mean_anonymity_set.to_json()),
-        ])
-    }
 }
 
 /// Runs `purchases_per_user` purchases for `users` users under `policy`

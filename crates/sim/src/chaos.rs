@@ -1,4 +1,4 @@
-//! E14 — seeded chaos drills: a wire client with operation-level
+//! Seeded chaos drills: a wire client with operation-level
 //! recovery purchasing against a **durable** provider through a
 //! [`FaultTransport`], optionally with a provider kill/restart (torn
 //! shard tail included) in the middle of the run.
@@ -21,8 +21,6 @@
 //!    holds has a distinct id, and the provider issued at least that
 //!    many.
 
-use crate::json::{Json, ToJson};
-use crate::metrics::{Histogram, Summary};
 use p2drm_core::entities::provider::{ContentProvider, ProviderConfig};
 use p2drm_core::retry::{CircuitBreaker, RetryBudget, RetryPolicy};
 use p2drm_core::service::{Loopback, ProviderService, Recovery, RecoveryMetrics, WireClient};
@@ -33,7 +31,7 @@ use p2drm_obs::Registry;
 use p2drm_store::{SyncPolicy, WalShardedConfig};
 use std::collections::BTreeSet;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Shape of one chaos drill.
 #[derive(Clone, Copy, Debug)]
@@ -89,8 +87,6 @@ pub struct ChaosOutcome {
     /// Parked coins discarded by reconciliation (the mint had already
     /// deposited them — their purchase committed server-side).
     pub coins_discarded: u64,
-    /// Latency of successful purchases.
-    pub latency: Summary,
     /// FNV-1a fingerprint of the fault plan's decision trace; equal
     /// seeds must produce equal fingerprints (byte-identical schedules).
     pub trace_fingerprint: u64,
@@ -104,35 +100,6 @@ impl ChaosOutcome {
     /// True when every global invariant held.
     pub fn invariants_ok(&self) -> bool {
         self.violations.is_empty()
-    }
-}
-
-impl ToJson for ChaosOutcome {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("seed", self.seed.to_json()),
-            ("fault_rate_pct", self.fault_rate_pct.to_json()),
-            ("kill_restart", self.kill_restart.to_json()),
-            ("ops_attempted", self.ops_attempted.to_json()),
-            ("ops_succeeded", self.ops_succeeded.to_json()),
-            ("recovery_rate", self.recovery_rate.to_json()),
-            ("faults_fired", self.faults_fired.to_json()),
-            ("retries", self.retries.to_json()),
-            ("giveups", self.giveups.to_json()),
-            ("coins_restored", self.coins_restored.to_json()),
-            ("coins_discarded", self.coins_discarded.to_json()),
-            ("latency", self.latency.to_json()),
-            (
-                "trace_fingerprint",
-                format!("{:016x}", self.trace_fingerprint).to_json(),
-            ),
-            (
-                "restart_truncated_tail",
-                self.restart_truncated_tail.to_json(),
-            ),
-            ("invariants_ok", self.invariants_ok().to_json()),
-            ("violations", self.violations.to_json()),
-        ])
     }
 }
 
@@ -249,7 +216,6 @@ pub fn run_drill(config: &ChaosConfig) -> ChaosOutcome {
 
     let plan = armed_plan(config.seed, config.fault_rate_pct);
     let registry = Registry::new();
-    let mut latency = Histogram::new();
     let mut licenses: Vec<p2drm_core::LicenseId> = Vec::new();
     let (mut succeeded, mut restored, mut discarded) = (0u64, 0u64, 0u64);
     let mut restart_truncated_tail = false;
@@ -276,9 +242,7 @@ pub fn run_drill(config: &ChaosConfig) -> ChaosOutcome {
                 sys.ensure_pseudonym(&mut user, &mut rng)
                     .expect("RA is not behind the faulty wire");
                 let cid = cids[op % cids.len()];
-                let t0 = Instant::now();
                 if let Ok(license) = client.purchase(&mut user, &mint, cid, &mut rng) {
-                    latency.record_duration(t0.elapsed());
                     licenses.push(license.id());
                     succeeded += 1;
                 }
@@ -378,7 +342,6 @@ pub fn run_drill(config: &ChaosConfig) -> ChaosOutcome {
         giveups: snap.counter("client_retry_giveups").unwrap_or(0),
         coins_restored: restored,
         coins_discarded: discarded,
-        latency: latency.summary(),
         trace_fingerprint: fnv64(&plan.trace_bytes()),
         restart_truncated_tail,
         violations,

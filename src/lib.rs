@@ -38,7 +38,7 @@
 //! | [`obs`] | `p2drm-obs` | **observability**: metrics registry, latency histograms, correlation-id tracing |
 //! | [`faults`] | `p2drm-faults` | **fault injection**: seeded `FaultPlan`, transport/store/service chaos wrappers |
 //! | [`domain`] | `p2drm-domain` | authorized-domain extension |
-//! | [`sim`] | `p2drm-sim` | workloads, metrics, shared-provider throughput (in-proc & wire), adversary |
+//! | [`sim`] | `p2drm-sim` | test and example support: Zipf workload, linkability adversary, wire corruption helpers, chaos drills |
 //!
 //! ## Quickstart
 //!
@@ -63,8 +63,9 @@
 //! ```
 //!
 //! See `examples/` for full scenarios (music store, second-hand transfer
-//! market, abuse de-anonymization, authorized domains) and `DESIGN.md` /
-//! `EXPERIMENTS.md` for the paper-to-code map.
+//! market, abuse de-anonymization, authorized domains) and
+//! `tests/paper_tables.rs` for the paper's protocol figures and tables as
+//! assertions.
 
 pub use p2drm_bignum as bignum;
 pub use p2drm_codec as codec;

@@ -42,6 +42,14 @@ const ONE_SHARD: WalShardedConfig = WalShardedConfig {
 
 #[test]
 fn provider_spent_set_is_durable() {
+    use SyncPolicy::{Buffered, FlushEach, SyncEach};
+    for policy in [Buffered, FlushEach, SyncEach] {
+        spent_set_is_durable_under(policy);
+    }
+}
+
+fn spent_set_is_durable_under(policy: SyncPolicy) {
+    let config = WalShardedConfig { shards: 1, policy };
     let tmp = TempDir::new("spent");
     let mut rng = test_rng(8001);
     let mut sys = System::bootstrap(SystemConfig::fast_test(), &mut rng);
@@ -52,7 +60,7 @@ fn provider_spent_set_is_durable() {
         sys.mint.clone(),
         sys.ra.blind_public().clone(),
         &tmp.0,
-        ONE_SHARD,
+        config,
         ProviderConfig::fast_test(),
         &mut rng,
     )
@@ -93,7 +101,7 @@ fn provider_spent_set_is_durable() {
     // the spent id is still present — a rebooted provider could never be
     // tricked into re-transferring the old license.
     drop(provider);
-    let (wal, report) = WalShardedKv::open(&tmp.0, ONE_SHARD).unwrap();
+    let (wal, report) = WalShardedKv::open(&tmp.0, config).unwrap();
     assert!(report.replayed_ops >= 2, "license + spent entries replayed");
     let mut spent_key = b"spent/".to_vec();
     spent_key.extend_from_slice(lid.as_bytes());

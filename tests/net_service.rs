@@ -4,14 +4,14 @@
 //! connections serve long request sequences, and graceful shutdown
 //! drains in-flight requests.
 
-use p2drm::core::protocol::messages::{transfer_proof_bytes, TransferRequest};
+use p2drm::core::protocol::messages::{transfer_proof_bytes, CatalogRequest, TransferRequest};
 use p2drm::core::service::{
     ApiErrorCode, RequestEnvelope, ResponseEnvelope, Transport, WireClient, WireRequest,
     WireResponse,
 };
 use p2drm::core::system::{System, SystemConfig};
 use p2drm::crypto::rng::test_rng;
-use p2drm::net::{read_frame, DrmServer, NetConfig, ServiceFn, TcpTransport};
+use p2drm::net::{read_frame, ClientConfig, DrmServer, NetConfig, ServiceFn, TcpTransport};
 use std::io::Write;
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -637,4 +637,71 @@ fn idle_gauge_and_pipeline_high_water_are_tracked() {
     );
     assert_eq!(metrics.active_connections, 0);
     assert_eq!(metrics.idle_connections, 0, "gauges drain on shutdown");
+}
+
+/// The C10K shape at test size: 200 keep-alive connections held open
+/// against **two** workers. The event thread owns every socket, so all
+/// 200 are admitted and idle at once, each still answers a request, and
+/// none of it needed a safety-net timeout to rescue a lost wake-up.
+#[test]
+fn two_workers_hold_200_keepalive_connections() {
+    const CONNECTIONS: usize = 200;
+    let mut rng = test_rng(0xE13);
+    let sys = System::bootstrap(SystemConfig::fast_test(), &mut rng);
+    let cid = sys.publish_content("Open Loop Single", 100, b"bits", &mut rng);
+
+    let server = DrmServer::bind(
+        "127.0.0.1:0",
+        sys.wire_service(0xE13),
+        NetConfig {
+            workers: 2,
+            max_connections: CONNECTIONS + 8,
+            ..NetConfig::default()
+        },
+    )
+    .expect("bind");
+    let addr = server.local_addr();
+
+    // Dialling this fast can overflow the listen backlog for a moment.
+    let client_config = ClientConfig {
+        connect_retries: 8,
+        retry_backoff: Duration::from_millis(5),
+        ..ClientConfig::default()
+    };
+    let pool: Vec<TcpTransport> = (0..CONNECTIONS)
+        .map(|_| TcpTransport::connect_with(addr, client_config.clone()).expect("dial pool"))
+        .collect();
+
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while server.metrics().idle_connections < CONNECTIONS as u64 {
+        assert!(
+            Instant::now() < deadline,
+            "server never admitted the full pool: {}",
+            server.metrics()
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+
+    for (i, transport) in pool.iter().enumerate() {
+        let corr = i as u64 + 1;
+        let request = RequestEnvelope {
+            correlation_id: corr,
+            body: WireRequest::Catalog(CatalogRequest {
+                content_id: Some(cid),
+            }),
+        };
+        let reply = transport
+            .roundtrip(corr, &request.to_bytes())
+            .expect("round trip on a pooled connection");
+        let envelope = ResponseEnvelope::from_bytes(&reply).expect("well-formed reply");
+        assert_eq!(envelope.correlation_id, corr);
+        assert!(matches!(envelope.body, WireResponse::Catalog(_)));
+    }
+
+    drop(pool);
+    let metrics = server.shutdown();
+    assert_eq!(metrics.accepted_connections, CONNECTIONS as u64);
+    assert_eq!(metrics.requests_served, CONNECTIONS as u64);
+    assert_eq!(metrics.active_connections, 0, "gauges drain on shutdown");
+    assert_eq!(metrics.late_wakeups, 0, "lost wake-up: {metrics}");
 }
