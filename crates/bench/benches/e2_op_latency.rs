@@ -76,7 +76,8 @@ fn bench_ops(c: &mut Criterion) {
             })
         });
 
-        // --- play (device + card + download), fresh license per iter ------
+        // --- play (device + card + CRL-sync clock probe + download), fresh
+        // license per iter ----------------------------------------------------
         let mut w = world(bits, 0xB2_20 + bits as u64);
         let mut device = w.sys.register_device(&mut w.rng).unwrap();
         group.bench_function(BenchmarkId::new("play_full_path", bits), |b| {
@@ -85,21 +86,8 @@ fn bench_ops(c: &mut Criterion) {
                 let mut total = Duration::ZERO;
                 for _ in 0..iters {
                     let lic = w.sys.purchase(&mut w.user, w.cid, &mut w.rng).unwrap();
-                    let now = w.sys.now();
-                    let mut t = Transcript::new();
                     let t0 = Instant::now();
-                    black_box(
-                        protocol::play(
-                            &w.user,
-                            &mut device,
-                            &w.sys.provider,
-                            &lic,
-                            now,
-                            &mut rng,
-                            &mut t,
-                        )
-                        .unwrap(),
-                    );
+                    black_box(w.sys.play(&w.user, &mut device, &lic, &mut rng).unwrap());
                     total += t0.elapsed();
                 }
                 total

@@ -1,5 +1,10 @@
-//! Protocol transcripts: every protocol engine logs each message it sends
-//! with its exact canonical byte size.
+//! Protocol transcripts: each message a protocol run sends, with its
+//! exact canonical bytes. Provider traffic is logged by the [`Recording`]
+//! transport — the payload of every envelope a [`WireClient`] sends and
+//! receives, so a transcript holds what the provider really got; the
+//! RA-facing engines in [`crate::protocol`] log their own rounds.
+//!
+//! [`WireClient`]: crate::service::WireClient
 //!
 //! Transcripts serve three purposes:
 //!
@@ -12,7 +17,10 @@
 //! 3. **T-figures** — rendered transcripts reproduce the paper's protocol
 //!    figures as executable artifacts.
 
+use crate::service::{OpCode, Transport, TransportError, ENVELOPE_HEADER_LEN};
+use std::cell::RefCell;
 use std::fmt;
+use std::time::Instant;
 
 /// Protocol principals.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -73,7 +81,7 @@ impl Transcript {
         Self::default()
     }
 
-    /// Logs a message (engines call this with `p2drm_codec::to_bytes`).
+    /// Logs a message (its canonical `p2drm_codec::to_bytes` encoding).
     pub fn record(&mut self, from: Party, to: Party, label: &'static str, bytes: Vec<u8>) {
         self.entries.push(Entry {
             from,
@@ -146,6 +154,96 @@ impl Transcript {
     /// Appends another transcript (protocol composition).
     pub fn extend(&mut self, other: Transcript) {
         self.entries.extend(other.entries);
+    }
+}
+
+/// [`Transport`] decorator that logs the payload (the envelope minus
+/// its header) of every request and reply it carries into a
+/// [`Transcript`], labelled with the frame's [`OpCode::label`] and
+/// addressed between the parties the request's op implies.
+pub struct Recording<'t, T> {
+    inner: T,
+    state: RefCell<RecordingState<'t>>,
+}
+
+struct RecordingState<'t> {
+    transcript: &'t mut Transcript,
+    /// `(correlation id, requester, responder)` of each request in
+    /// flight: its reply — an `Error` one included — travels the same
+    /// pair reversed.
+    in_flight: Vec<(u64, Party, Party)>,
+}
+
+impl<'t, T: Transport> Recording<'t, T> {
+    /// Records everything `inner` carries into `transcript`.
+    pub fn new(inner: T, transcript: &'t mut Transcript) -> Self {
+        Recording {
+            inner,
+            state: RefCell::new(RecordingState {
+                transcript,
+                in_flight: Vec::new(),
+            }),
+        }
+    }
+}
+
+/// The op a frame carries and its payload; a frame too short to hold a
+/// header is logged whole as an `Error`.
+fn frame_parts(frame: &[u8]) -> (OpCode, &[u8]) {
+    match (frame.get(1), frame.get(ENVELOPE_HEADER_LEN..)) {
+        (Some(&op), Some(payload)) => (OpCode::from_byte(op).unwrap_or(OpCode::Error), payload),
+        _ => (OpCode::Error, frame),
+    }
+}
+
+/// Who sends the request of `op` to whom.
+fn parties(op: OpCode) -> (Party, Party) {
+    match op {
+        OpCode::PseudonymIssue | OpCode::AttributeIssue => (Party::Card, Party::Ra),
+        OpCode::Download | OpCode::CrlSync => (Party::Device, Party::Provider),
+        OpCode::Purchase
+        | OpCode::Transfer
+        | OpCode::Catalog
+        | OpCode::LicenseStatus
+        | OpCode::MetricsDump
+        | OpCode::Error => (Party::User, Party::Provider),
+    }
+}
+
+impl<T: Transport> Transport for Recording<'_, T> {
+    fn submit(&self, corr_id: u64, request: &[u8]) -> Result<(), TransportError> {
+        self.inner.submit(corr_id, request)?;
+        let (op, payload) = frame_parts(request);
+        let (from, to) = parties(op);
+        let mut state = self.state.borrow_mut();
+        state
+            .transcript
+            .record(from, to, op.label(), payload.to_vec());
+        state.in_flight.push((corr_id, from, to));
+        Ok(())
+    }
+
+    fn complete(
+        &self,
+        deadline: Option<Instant>,
+    ) -> Result<Option<(u64, Vec<u8>)>, TransportError> {
+        let completed = self.inner.complete(deadline);
+        let mut state = self.state.borrow_mut();
+        match &completed {
+            // Channel failure: the inner transport forgot them too.
+            Err(_) => state.in_flight.clear(),
+            Ok(Some((corr_id, reply))) => {
+                if let Some(at) = state.in_flight.iter().position(|f| f.0 == *corr_id) {
+                    let (_, requester, responder) = state.in_flight.swap_remove(at);
+                    let (op, payload) = frame_parts(reply);
+                    state
+                        .transcript
+                        .record(responder, requester, op.label(), payload.to_vec());
+                }
+            }
+            Ok(None) => {}
+        }
+        completed
     }
 }
 

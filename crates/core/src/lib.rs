@@ -17,9 +17,9 @@
 //! | [`content`] | Content packaging (ChaCha20) and the provider catalog |
 //! | [`license`] | License structure, signing, verification |
 //! | [`entities`] | RA, TTP, smart card, user agent, provider, compliant device |
-//! | [`protocol`] | The six protocol engines + typed messages + transcripts |
+//! | [`protocol`] | Client sessions (purchase, play, transfer, blind issuance), the three RA-facing engines, typed messages |
 //! | [`baseline`] | Conventional identity-bound DRM (the comparator) |
-//! | [`audit`] | Transcript capture: message counts/sizes, leak scanning |
+//! | [`audit`] | Transcript capture: the recording transport, message counts/sizes, leak scanning |
 //! | [`system`] | One-call bootstrap wiring every entity together |
 //! | [`service`] | Versioned wire API: envelopes, [`service::ApiErrorCode`], `ProviderService`, `WireClient` |
 //!

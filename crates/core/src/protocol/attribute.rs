@@ -11,19 +11,93 @@
 use crate::audit::{Party, Transcript};
 use crate::entities::ra::RegistrationAuthority;
 use crate::entities::user::UserAgent;
-use crate::protocol::messages::AttributeIssueResponse;
-use crate::service::AttributeIssueSession;
+use crate::protocol::messages::{AttributeIssueRequest, AttributeIssueResponse};
 use crate::CoreError;
+use p2drm_crypto::blind::Blinded;
 use p2drm_crypto::rng::CryptoRng;
-use p2drm_pki::cert::KeyId;
+use p2drm_crypto::rsa::RsaPublicKey;
+use p2drm_pki::cert::{AttributeCertBody, KeyId};
+
+/// Client half of blind attribute issuance (binds to the current
+/// pseudonym).
+pub struct AttributeIssueSession {
+    attribute: String,
+    attribute_key: RsaPublicKey,
+    body: AttributeCertBody,
+    blinded: Blinded,
+}
+
+impl AttributeIssueSession {
+    /// Card-side first round.
+    pub fn begin<R: CryptoRng + ?Sized>(
+        user: &mut UserAgent,
+        attribute: &str,
+        attribute_key: &RsaPublicKey,
+        epoch: u32,
+        rng: &mut R,
+    ) -> Result<(Self, AttributeIssueRequest), CoreError> {
+        let pseudonym_cert = user
+            .current_pseudonym()
+            .ok_or(CoreError::BadPseudonym("no usable pseudonym to bind to"))?;
+        let body = AttributeCertBody {
+            pseudonym_key: pseudonym_cert.body.pseudonym_key.clone(),
+            epoch,
+        };
+        let blinded = Blinded::new(attribute_key, &body.signing_bytes(), rng)?;
+        let auth_sig =
+            user.card
+                .sign_with_master(&crate::protocol::messages::attribute_auth_bytes(
+                    &user.card.card_id(),
+                    attribute,
+                    &blinded.blinded,
+                ))?;
+        let request = AttributeIssueRequest {
+            card_id: user.card.card_id(),
+            card_cert: user.card.master_cert().clone(),
+            attribute: attribute.to_string(),
+            blinded: blinded.blinded.clone(),
+            auth_sig,
+        };
+        Ok((
+            AttributeIssueSession {
+                attribute: attribute.to_string(),
+                attribute_key: attribute_key.clone(),
+                body,
+                blinded,
+            },
+            request,
+        ))
+    }
+
+    /// Card-side final round.
+    pub fn finish(
+        self,
+        user: &mut UserAgent,
+        response: &AttributeIssueResponse,
+    ) -> Result<KeyId, CoreError> {
+        let signature = self
+            .blinded
+            .unblind(&self.attribute_key, &response.blind_sig)?;
+        let cert = p2drm_pki::cert::AttributeCertificate {
+            attribute: self.attribute,
+            body: self.body,
+            signature,
+        };
+        cert.verify(&self.attribute_key)
+            .map_err(|_| CoreError::BadPseudonym("unblinded attribute signature invalid"))?;
+        let id = cert.pseudonym_id();
+        user.add_attribute_cert(cert);
+        Ok(id)
+    }
+}
 
 /// Obtains a blind attribute certificate bound to the user's current
 /// pseudonym; stores it on the agent and returns the pseudonym it binds to.
 ///
 /// The card-side rounds are [`AttributeIssueSession`] — the same state
-/// machine the wire client drives — so the in-process engine and the
-/// byte-level path cannot drift apart; this engine only adds the direct
-/// RA call and the transcript recording.
+/// machine the wire client drives — so this engine and the byte-level
+/// path cannot drift apart; it only adds the direct RA call and the
+/// transcript recording.
 pub fn obtain_attribute<R: CryptoRng + ?Sized>(
     user: &mut UserAgent,
     ra: &RegistrationAuthority,

@@ -1,19 +1,18 @@
 //! Typed protocol messages with canonical encodings.
 //!
-//! The engines move these structs between in-process entities, but always
-//! record `p2drm_codec::to_bytes(&msg)` in the transcript — so message
-//! sizes in experiment E1 are the real wire sizes a networked deployment
-//! would pay. Since the wire API landed ([`crate::service`]), every
-//! message also carries a [`Decode`] impl matching its [`Encode`], so the
-//! same bytes are *dispatchable*: `p2drm_codec::from_bytes` round-trips
-//! each message exactly and rejects trailing garbage.
+//! These are the payloads of the wire envelopes ([`crate::service`]):
+//! the transcripts behind experiment E1 hold exactly
+//! `p2drm_codec::to_bytes(&msg)`, so the message sizes pinned there are
+//! the sizes a networked deployment pays. Every message carries a
+//! [`Decode`] impl matching its [`Encode`], so the same bytes are
+//! *dispatchable*: `p2drm_codec::from_bytes` round-trips each message
+//! exactly and rejects trailing garbage.
 
 use crate::content::{CatalogListing, ContentMeta};
 use crate::ids::{CardId, ContentId, LicenseId};
 use crate::license::License;
 use p2drm_bignum::UBig;
 use p2drm_codec::{Decode, Encode, Reader, Writer};
-use p2drm_crypto::envelope::Envelope;
 use p2drm_crypto::rsa::RsaSignature;
 use p2drm_payment::Coin;
 use p2drm_pki::cert::{AttributeCertificate, Certificate, KeyId, PseudonymCertificate};
@@ -249,73 +248,6 @@ impl Decode for DownloadResponse {
         Ok(DownloadResponse {
             nonce: r.get_raw(12)?.try_into().expect("fixed width"),
             ciphertext: r.get_bytes_owned()?,
-        })
-    }
-}
-
-/// Device → Card: holder challenge.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct HolderChallenge {
-    /// Fresh nonce.
-    pub nonce: [u8; 32],
-    /// License being exercised.
-    pub license_id: LicenseId,
-}
-
-impl Encode for HolderChallenge {
-    fn encode(&self, w: &mut Writer) {
-        w.put_raw(&self.nonce);
-        self.license_id.encode(w);
-    }
-}
-
-impl Decode for HolderChallenge {
-    fn decode(r: &mut Reader) -> p2drm_codec::Result<Self> {
-        Ok(HolderChallenge {
-            nonce: r.get_raw(32)?.try_into().expect("fixed width"),
-            license_id: LicenseId::decode(r)?,
-        })
-    }
-}
-
-/// Card → Device: challenge answer.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct HolderProof {
-    /// Signature by the license's holder key over the challenge message.
-    pub signature: RsaSignature,
-}
-
-impl Encode for HolderProof {
-    fn encode(&self, w: &mut Writer) {
-        self.signature.encode(w);
-    }
-}
-
-impl Decode for HolderProof {
-    fn decode(r: &mut Reader) -> p2drm_codec::Result<Self> {
-        Ok(HolderProof {
-            signature: RsaSignature::decode(r)?,
-        })
-    }
-}
-
-/// Card → Device: content key sealed to the device key.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct KeyRelease {
-    /// The re-sealed envelope.
-    pub sealed: Envelope,
-}
-
-impl Encode for KeyRelease {
-    fn encode(&self, w: &mut Writer) {
-        self.sealed.encode(w);
-    }
-}
-
-impl Decode for KeyRelease {
-    fn decode(r: &mut Reader) -> p2drm_codec::Result<Self> {
-        Ok(KeyRelease {
-            sealed: Envelope::decode(r)?,
         })
     }
 }
@@ -1028,20 +960,31 @@ mod tests {
         // whose embedded RsaSignature bytes carry a redundant leading
         // zero must be rejected, or two distinct byte strings would
         // decode to the same request.
-        let sig = RsaSignature::from_ubig(p2drm_bignum::UBig::from_u64(0x1234));
-        let good = p2drm_codec::to_bytes(&HolderProof {
-            signature: sig.clone(),
-        });
+        let mut rng = p2drm_crypto::rng::test_rng(0x51C);
+        let sys =
+            crate::system::System::bootstrap(crate::system::SystemConfig::fast_test(), &mut rng);
+        let alice = sys.register_user("alice", &mut rng).unwrap();
+        let sig = RsaSignature::from_ubig(UBig::from_u64(0x1234));
+        let request = PseudonymIssueRequest {
+            card_id: alice.card.card_id(),
+            card_cert: alice.card.master_cert().clone(),
+            blinded: UBig::from_u64(5),
+            auth_sig: sig.clone(),
+        };
+        let good = p2drm_codec::to_bytes(&request);
         assert_eq!(
-            p2drm_codec::from_bytes::<HolderProof>(&good)
+            p2drm_codec::from_bytes::<PseudonymIssueRequest>(&good)
                 .expect("canonical bytes decode")
-                .signature,
+                .auth_sig,
             sig
         );
         let mut w = Writer::new();
+        request.card_id.encode(&mut w);
+        request.card_cert.encode(&mut w);
+        put_ubig(&mut w, &request.blinded);
         w.put_bytes(&[0x00, 0x12, 0x34]); // same integer, padded
         assert_eq!(
-            p2drm_codec::from_bytes::<HolderProof>(&w.into_bytes()),
+            p2drm_codec::from_bytes::<PseudonymIssueRequest>(&w.into_bytes()),
             Err(CodecError::NonMinimalInt)
         );
     }

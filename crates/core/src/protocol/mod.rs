@@ -1,10 +1,19 @@
-//! The protocol engines.
+//! The paper's protocols: typed messages, client sessions and the
+//! RA-facing engines.
 //!
-//! Each engine orchestrates entity method calls in the order the paper's
-//! protocol figures prescribe, and records every message (with exact
-//! canonical byte sizes) into a [`crate::Transcript`] — which is how the
-//! repository reproduces those figures as executable artifacts (T1/T2 in
-//! `tests/paper_tables.rs`) and how table E1 there pins message costs.
+//! Everything a client sends the provider is built by a **session** —
+//! [`purchase::PurchaseSession`], [`access::PlaySession`],
+//! [`transfer::TransferSession`] — a state machine whose `begin` yields
+//! the request and whose `finish` settles the reply on the client's own
+//! state. [`crate::service::WireClient`] carries the bytes between the
+//! two; nothing else talks to the provider. The RA-facing rounds have
+//! sessions too ([`pseudonym::PseudonymIssueSession`],
+//! [`attribute::AttributeIssueSession`]), shared by the wire client and
+//! by the three engines that call the RA directly and record each
+//! message into a [`crate::Transcript`]: [`register`],
+//! [`obtain_pseudonym`] (and its cut-and-choose variant) and
+//! [`obtain_attribute`]. [`revocation`] is the TTP-side abuse pipeline;
+//! [`messages`] holds every message with its canonical encoding.
 
 pub mod access;
 pub mod attribute;
@@ -15,10 +24,7 @@ pub mod registration;
 pub mod revocation;
 pub mod transfer;
 
-pub use access::play;
 pub use attribute::obtain_attribute;
 pub use pseudonym::{obtain_pseudonym, obtain_pseudonym_cut_and_choose};
-pub use purchase::purchase;
 pub use registration::register;
 pub use revocation::{deanonymize_and_punish, AbuseEvidence};
-pub use transfer::transfer;

@@ -9,20 +9,78 @@
 use crate::audit::{Party, Transcript};
 use crate::entities::ra::RegistrationAuthority;
 use crate::entities::user::UserAgent;
-use crate::protocol::messages::PseudonymIssueResponse;
-use crate::service::PseudonymIssueSession;
+use crate::protocol::messages::{PseudonymIssueRequest, PseudonymIssueResponse};
 use crate::CoreError;
+use p2drm_crypto::blind::Blinded;
 use p2drm_crypto::elgamal::ElGamalPublicKey;
 use p2drm_crypto::rng::CryptoRng;
-use p2drm_pki::cert::{KeyId, PseudonymCertificate};
+use p2drm_crypto::rsa::RsaPublicKey;
+use p2drm_pki::cert::{KeyId, PseudonymCertBody, PseudonymCertificate};
+
+/// Client half of blind pseudonym issuance.
+///
+/// `begin` (card builds body + escrow, blinds, authenticates) →
+/// *wire round trip* → `finish` (unblind, self-check, store).
+pub struct PseudonymIssueSession {
+    body: PseudonymCertBody,
+    blinded: Blinded,
+}
+
+impl PseudonymIssueSession {
+    /// Card-side first round: returns the session and the request to
+    /// send.
+    pub fn begin<R: CryptoRng + ?Sized>(
+        user: &mut UserAgent,
+        ra_blind_key: &RsaPublicKey,
+        ttp_key: &ElGamalPublicKey,
+        epoch: u32,
+        rng: &mut R,
+    ) -> Result<(Self, PseudonymIssueRequest), CoreError> {
+        let body = user.card.begin_pseudonym(ttp_key, epoch, rng)?;
+        let blinded = Blinded::new(ra_blind_key, &body.signing_bytes(), rng)?;
+        let auth_sig =
+            user.card
+                .sign_with_master(&crate::protocol::messages::pseudonym_auth_bytes(
+                    &user.card.card_id(),
+                    &blinded.blinded,
+                ))?;
+        let request = PseudonymIssueRequest {
+            card_id: user.card.card_id(),
+            card_cert: user.card.master_cert().clone(),
+            blinded: blinded.blinded.clone(),
+            auth_sig,
+        };
+        Ok((PseudonymIssueSession { body, blinded }, request))
+    }
+
+    /// Card-side final round: unblind the RA's signature, verify the
+    /// resulting certificate, store it on the agent.
+    pub fn finish(
+        self,
+        user: &mut UserAgent,
+        ra_blind_key: &RsaPublicKey,
+        response: &PseudonymIssueResponse,
+    ) -> Result<KeyId, CoreError> {
+        let signature = self.blinded.unblind(ra_blind_key, &response.blind_sig)?;
+        let cert = PseudonymCertificate {
+            body: self.body,
+            signature,
+        };
+        cert.verify(ra_blind_key)
+            .map_err(|_| CoreError::BadPseudonym("unblinded signature invalid"))?;
+        let id = cert.pseudonym_id();
+        user.add_pseudonym(cert);
+        Ok(id)
+    }
+}
 
 /// Runs the blind issuance protocol; the fresh certificate is stored on the
 /// user agent and its pseudonym id returned.
 ///
 /// The card-side rounds are [`PseudonymIssueSession`] — the same state
-/// machine the wire client drives — so the in-process engine and the
-/// byte-level path cannot drift apart; this engine only adds the direct
-/// RA call and the transcript recording.
+/// machine the wire client drives — so this engine and the byte-level
+/// path cannot drift apart; it only adds the direct RA call and the
+/// transcript recording.
 pub fn obtain_pseudonym<R: CryptoRng + ?Sized>(
     user: &mut UserAgent,
     ra: &RegistrationAuthority,

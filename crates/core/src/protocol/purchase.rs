@@ -5,113 +5,110 @@
 //! license bound to the pseudonym key. The provider learns *what* was
 //! bought and that the buyer is legitimate — never *who*.
 
-use crate::audit::{Party, Transcript};
-use crate::entities::provider::ContentProvider;
+use crate::content::ContentMeta;
 use crate::entities::user::UserAgent;
-use crate::ids::ContentId;
 use crate::license::License;
 use crate::protocol::messages::{PurchaseRequest, PurchaseResponse};
+use crate::service::ApiError;
 use crate::CoreError;
 use p2drm_crypto::rng::CryptoRng;
 use p2drm_payment::Mint;
-use p2drm_store::ConcurrentKv;
+use p2drm_pki::cert::KeyId;
 
-/// Runs the anonymous purchase protocol.
-///
-/// Preconditions the caller (usually [`crate::system::System`]) arranges:
-/// the user has a usable pseudonym certificate per their refresh policy,
-/// and enough account balance at the mint for the coin withdrawal.
-pub fn purchase<B: ConcurrentKv, R: CryptoRng + ?Sized>(
-    user: &mut UserAgent,
-    provider: &ContentProvider<B>,
-    mint: &Mint,
-    content_id: ContentId,
-    now_epoch: u32,
-    rng: &mut R,
-    transcript: &mut Transcript,
-) -> Result<License, CoreError> {
-    let item_meta = provider
-        .content_meta(&content_id)
-        .ok_or(CoreError::UnknownContent(content_id))?;
-    let item_price = item_meta.price;
+/// Client half of an anonymous purchase: quote → pay (coin withdrawal
+/// with the mint) → request → settle, with coin recovery on non-payment
+/// failures.
+pub struct PurchaseSession {
+    /// The withdrawn coin, kept so [`PurchaseSession::abort`] can return
+    /// it to the wallet (the rest of the request needs no unwinding).
+    coin: p2drm_payment::Coin,
+    pseudonym: KeyId,
+}
 
-    let pseudonym_cert = user
-        .current_pseudonym()
-        .ok_or(CoreError::BadPseudonym("no usable pseudonym (policy)"))?
-        .clone();
+impl PurchaseSession {
+    /// Builds the purchase request from a catalog quote: attaches the
+    /// current pseudonym, a covering coin, and the attribute credential
+    /// when the item demands one.
+    pub fn begin<R: CryptoRng + ?Sized>(
+        user: &mut UserAgent,
+        mint: &Mint,
+        meta: &ContentMeta,
+        rng: &mut R,
+    ) -> Result<(Self, PurchaseRequest), CoreError> {
+        let pseudonym_cert = user
+            .current_pseudonym()
+            .ok_or(CoreError::BadPseudonym("no usable pseudonym (policy)"))?
+            .clone();
+        let attribute_cert = match &meta.required_attribute {
+            None => None,
+            Some(attr) => Some(
+                user.attribute_cert_for(&pseudonym_cert.pseudonym_id(), attr)
+                    .ok_or(CoreError::BadPseudonym(
+                        "attribute credential required but not held for this pseudonym",
+                    ))?
+                    .clone(),
+            ),
+        };
+        let account = user.account.clone();
+        let coin = user
+            .wallet
+            .coin_for_amount(mint, &account, meta.price, rng)?;
+        let request = PurchaseRequest {
+            content_id: meta.id,
+            pseudonym_cert,
+            coin,
+            attribute_cert,
+        };
+        Ok((
+            PurchaseSession {
+                coin: request.coin.clone(),
+                pseudonym: request.pseudonym_cert.pseudonym_id(),
+            },
+            request,
+        ))
+    }
 
-    // Attach the attribute credential bound to this pseudonym when the
-    // content demands one (the provider re-verifies everything).
-    let attribute_cert = match &item_meta.required_attribute {
-        None => None,
-        Some(attr) => Some(
-            user.attribute_cert_for(&pseudonym_cert.pseudonym_id(), attr)
-                .ok_or(CoreError::BadPseudonym(
-                    "attribute credential required but not held for this pseudonym",
-                ))?
-                .clone(),
-        ),
-    };
+    /// Settles a successful purchase: bookkeeping on the agent, returns
+    /// the license.
+    pub fn finish(self, user: &mut UserAgent, response: PurchaseResponse) -> License {
+        user.note_pseudonym_use();
+        user.add_license(response.license.clone(), self.pseudonym);
+        response.license
+    }
 
-    // Obtain an anonymous coin covering the price (blinding dance with
-    // the mint; the mint debits the account but never sees the serial).
-    // When the price is not a mint denomination, the smallest covering
-    // coin is used — fixed-denomination e-cash cannot make change.
-    let account = user.account.clone();
-    let coin = user
-        .wallet
-        .coin_for_amount(mint, &account, item_price, rng)?;
-    transcript.record(
-        Party::User,
-        Party::Mint,
-        "coin-withdrawal",
-        coin.serial.to_vec(), // representative size: serial; blinded value logged by mint
-    );
-
-    let request = PurchaseRequest {
-        content_id,
-        pseudonym_cert,
-        coin,
-        attribute_cert,
-    };
-    transcript.record(
-        Party::User,
-        Party::Provider,
-        "purchase-request",
-        p2drm_codec::to_bytes(&request),
-    );
-
-    let license = match provider.handle_purchase(&request, now_epoch, rng) {
-        Ok(license) => license,
-        Err(e) => {
-            // Purchase failed after coin withdrawal: put the coin back if
-            // it was not deposited (anything except a payment error).
-            if !matches!(e, CoreError::Payment(_)) {
-                user.wallet.put_back(request.coin.clone());
-            }
-            return Err(e);
+    /// Unwinds a failed purchase: the withdrawn coin goes back to the
+    /// wallet unless the failure was a payment error (the mint consumed
+    /// or rejected the coin — re-spending it would double-spend).
+    pub fn abort(self, user: &mut UserAgent, error: &ApiError) {
+        if !error.code.is_payment() {
+            user.wallet.put_back(self.coin);
         }
-    };
+    }
 
-    let response = PurchaseResponse {
-        license: license.clone(),
-    };
-    transcript.record(
-        Party::Provider,
-        Party::User,
-        "purchase-response",
-        p2drm_codec::to_bytes(&response),
-    );
+    /// Parks the coin after an **ambiguous** outcome — the request went
+    /// out but no decodable answer came back, so the provider may or may
+    /// not have deposited the coin. It moves to the wallet's pending
+    /// pool: not spendable (that could double-spend), not lost (the
+    /// wallet reconciles it later).
+    pub fn park(self, user: &mut UserAgent) {
+        user.wallet.park(self.coin);
+    }
 
-    let pseudonym_id = request.pseudonym_cert.pseudonym_id();
-    user.note_pseudonym_use();
-    user.add_license(license.clone(), pseudonym_id);
-    Ok(license)
+    /// Returns the coin to the spendable wallet after a failure that
+    /// **provably never reached the service**
+    /// ([`TransportError::definitely_unsent`](crate::service::TransportError::definitely_unsent)): nothing was deposited,
+    /// so re-spending cannot double-spend.
+    pub fn recover(self, user: &mut UserAgent) {
+        user.wallet.put_back(self.coin);
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::audit::{Party, Transcript};
+    use crate::ids::ContentId;
+    use crate::service::{ApiErrorCode, WireError};
     use crate::system::{System, SystemConfig};
     use p2drm_crypto::rng::test_rng;
 
@@ -124,19 +121,9 @@ mod tests {
         sys.fund(&alice, 500);
 
         let mut t = Transcript::new();
-        sys.ensure_pseudonym(&mut alice, &mut rng).unwrap();
-        let epoch = sys.epoch();
-        let mint = sys.mint.clone();
-        let license = purchase(
-            &mut alice,
-            &sys.provider,
-            &mint,
-            cid,
-            epoch,
-            &mut rng,
-            &mut t,
-        )
-        .unwrap();
+        let license = sys
+            .purchase_with_transcript(&mut alice, cid, &mut rng, &mut t)
+            .unwrap();
 
         assert!(license.verify(sys.provider.public_key()).is_ok());
         let cert = alice.pseudonym_certs().last().unwrap();
@@ -145,7 +132,8 @@ mod tests {
             cert.pseudonym_id()
         );
         assert_eq!(alice.licenses().len(), 1);
-        assert!(t.message_count() >= 3);
+        // Catalogue quote and purchase, a request and a reply each.
+        assert_eq!(t.message_count(), 4);
     }
 
     #[test]
@@ -158,20 +146,10 @@ mod tests {
         sys.fund(&alice, 500);
 
         let mut t = Transcript::new();
-        sys.ensure_pseudonym(&mut alice, &mut rng).unwrap();
-        let epoch = sys.epoch();
-        let mint = sys.mint.clone();
-        purchase(
-            &mut alice,
-            &sys.provider,
-            &mint,
-            cid,
-            epoch,
-            &mut rng,
-            &mut t,
-        )
-        .unwrap();
+        sys.purchase_with_transcript(&mut alice, cid, &mut rng, &mut t)
+            .unwrap();
 
+        assert!(t.bytes_received_by(Party::Provider) > 0);
         assert!(!t.scan_for(Party::Provider, alice.user_id().as_bytes()));
         assert!(!t.scan_for(Party::Provider, alice.account.as_bytes()));
         let master_modulus = alice.card.master_public().modulus().to_bytes_be();
@@ -180,24 +158,17 @@ mod tests {
 
     #[test]
     fn purchase_without_pseudonym_fails() {
+        // `System::purchase` tops the pseudonym up first; the session
+        // itself refuses to build a request without one.
         let mut rng = test_rng(172);
         let sys = System::bootstrap(SystemConfig::fast_test(), &mut rng);
         let cid = sys.publish_content("T", 100, b"payload", &mut rng);
         let mut alice = sys.register_user("alice", &mut rng).unwrap();
         sys.fund(&alice, 500);
-        let mut t = Transcript::new();
-        let epoch = sys.epoch();
-        let mint = sys.mint.clone();
-        let res = purchase(
-            &mut alice,
-            &sys.provider,
-            &mint,
-            cid,
-            epoch,
-            &mut rng,
-            &mut t,
-        );
+        let meta = sys.provider.content_meta(&cid).unwrap();
+        let res = PurchaseSession::begin(&mut alice, &sys.mint, &meta, &mut rng);
         assert!(matches!(res, Err(CoreError::BadPseudonym(_))));
+        assert!(alice.wallet.is_empty(), "no coin withdrawn");
     }
 
     #[test]
@@ -206,33 +177,16 @@ mod tests {
         let sys = System::bootstrap(SystemConfig::fast_test(), &mut rng);
         let cid = sys.publish_content("T", 100, b"payload", &mut rng);
         let mut alice = sys.register_user("alice", &mut rng).unwrap();
-        sys.ensure_pseudonym(&mut alice, &mut rng).unwrap();
-        let mut t = Transcript::new();
-        let epoch = sys.epoch();
-        let mint = sys.mint.clone();
 
-        let res = purchase(
-            &mut alice,
-            &sys.provider,
-            &mint,
-            ContentId::from_label("ghost"),
-            epoch,
-            &mut rng,
-            &mut t,
+        let res = sys.purchase(&mut alice, ContentId::from_label("ghost"), &mut rng);
+        assert!(
+            matches!(&res, Err(WireError::Api(e)) if e.code == ApiErrorCode::UnknownContent),
+            "{res:?}"
         );
-        assert!(matches!(res, Err(CoreError::UnknownContent(_))));
 
-        // No funding: withdrawal fails inside the engine.
-        let res = purchase(
-            &mut alice,
-            &sys.provider,
-            &mint,
-            cid,
-            epoch,
-            &mut rng,
-            &mut t,
-        );
-        assert!(matches!(res, Err(CoreError::Payment(_))));
+        // No funding: withdrawal fails before anything is sent.
+        let res = sys.purchase(&mut alice, cid, &mut rng);
+        assert!(matches!(res, Err(WireError::Client(CoreError::Payment(_)))));
         assert!(alice.licenses().is_empty());
     }
 
@@ -248,18 +202,10 @@ mod tests {
         for _ in 0..10 {
             sys.advance_epoch();
         }
-        let mut t = Transcript::new();
-        let epoch = sys.epoch();
-        let mint = sys.mint.clone();
-        let res = purchase(
-            &mut alice,
-            &sys.provider,
-            &mint,
-            cid,
-            epoch,
-            &mut rng,
-            &mut t,
+        let res = sys.purchase(&mut alice, cid, &mut rng);
+        assert!(
+            matches!(&res, Err(WireError::Api(e)) if e.code == ApiErrorCode::BadPseudonym),
+            "{res:?}"
         );
-        assert!(matches!(res, Err(CoreError::BadPseudonym(_))));
     }
 }

@@ -6,78 +6,80 @@
 //! two pseudonyms; it cannot link either to an identity, and the old
 //! license can never be redeemed again.
 
-use crate::audit::{Party, Transcript};
-use crate::entities::provider::ContentProvider;
 use crate::entities::user::UserAgent;
 use crate::ids::LicenseId;
 use crate::license::License;
 use crate::protocol::messages::{transfer_proof_bytes, TransferRequest, TransferResponse};
 use crate::CoreError;
-use p2drm_crypto::rng::CryptoRng;
-use p2drm_store::ConcurrentKv;
+use p2drm_pki::cert::KeyId;
 
-/// Transfers `license_id` from `sender` to `recipient`.
-pub fn transfer<B: ConcurrentKv, R: CryptoRng + ?Sized>(
-    sender: &mut UserAgent,
-    recipient: &mut UserAgent,
-    provider: &ContentProvider<B>,
+/// Client half of a transfer: the sender's card signs the hand-over to
+/// the recipient's current pseudonym → request → settle. Both agents'
+/// state moves only in [`TransferSession::finish`], after a decoded
+/// success.
+pub struct TransferSession {
     license_id: LicenseId,
-    now_epoch: u32,
-    rng: &mut R,
-    transcript: &mut Transcript,
-) -> Result<License, CoreError> {
-    let owned = sender
-        .license(&license_id)
-        .ok_or(CoreError::UnknownLicense(license_id))?
-        .clone();
-    let recipient_cert = recipient
-        .current_pseudonym()
-        .ok_or(CoreError::BadPseudonym("recipient has no usable pseudonym"))?
-        .clone();
+    recipient_pseudonym: KeyId,
+}
 
-    // Sender's card signs the transfer authorization.
-    let proof_bytes = transfer_proof_bytes(&license_id, &recipient_cert.pseudonym_id());
-    let proof = sender
-        .card
-        .sign_with_pseudonym(&owned.pseudonym, &proof_bytes)?;
+impl TransferSession {
+    /// Sender-side round: the card signs the transfer authorization.
+    pub fn begin(
+        sender: &UserAgent,
+        recipient: &UserAgent,
+        license_id: LicenseId,
+    ) -> Result<(Self, TransferRequest), CoreError> {
+        let owned = sender
+            .license(&license_id)
+            .ok_or(CoreError::UnknownLicense(license_id))?
+            .clone();
+        let recipient_cert = recipient
+            .current_pseudonym()
+            .ok_or(CoreError::BadPseudonym("recipient has no usable pseudonym"))?
+            .clone();
+        let proof_bytes = transfer_proof_bytes(&license_id, &recipient_cert.pseudonym_id());
+        let proof = sender
+            .card
+            .sign_with_pseudonym(&owned.pseudonym, &proof_bytes)?;
+        let recipient_pseudonym = recipient_cert.pseudonym_id();
+        let request = TransferRequest {
+            license: owned.license,
+            recipient_cert,
+            proof,
+        };
+        Ok((
+            TransferSession {
+                license_id,
+                recipient_pseudonym,
+            },
+            request,
+        ))
+    }
 
-    let request = TransferRequest {
-        license: owned.license.clone(),
-        recipient_cert,
-        proof,
-    };
-    transcript.record(
-        Party::User,
-        Party::Provider,
-        "transfer-request",
-        p2drm_codec::to_bytes(&request),
-    );
-
-    let new_license = provider.handle_transfer(&request, now_epoch, rng)?;
-    let response = TransferResponse {
-        license: new_license.clone(),
-    };
-    transcript.record(
-        Party::Provider,
-        Party::User,
-        "transfer-response",
-        p2drm_codec::to_bytes(&response),
-    );
-
-    // Bookkeeping: sender loses the license, recipient gains the new one.
-    sender.remove_license(&license_id);
-    let recipient_pseudonym = request.recipient_cert.pseudonym_id();
-    recipient.note_pseudonym_use();
-    recipient.add_license(new_license.clone(), recipient_pseudonym);
-    Ok(new_license)
+    /// Bookkeeping: the sender loses the license, the recipient gains the
+    /// reissued one.
+    pub fn finish(
+        self,
+        sender: &mut UserAgent,
+        recipient: &mut UserAgent,
+        response: TransferResponse,
+    ) -> License {
+        sender.remove_license(&self.license_id);
+        recipient.note_pseudonym_use();
+        recipient.add_license(response.license.clone(), self.recipient_pseudonym);
+        response.license
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::audit::{Party, Recording, Transcript};
+    use crate::service::{
+        ApiErrorCode, Loopback, WireClient, WireError, WireRequest, WireResponse,
+    };
     use crate::system::{System, SystemConfig};
     use p2drm_crypto::rng::test_rng;
-    use p2drm_pki::cert::KeyId;
 
     struct Fx {
         sys: System,
@@ -104,23 +106,19 @@ mod tests {
         }
     }
 
+    fn refused_with(res: &Result<License, WireError>, code: ApiErrorCode) -> bool {
+        matches!(res, Err(WireError::Api(e)) if e.code == code)
+    }
+
     #[test]
     fn transfer_moves_license_and_rebinds_holder() {
         let mut f = fixture(190);
         let mut rng = test_rng(191);
-        let epoch = f.sys.epoch();
-        let mut t = Transcript::new();
         let lid = f.license.id();
-        let new_license = transfer(
-            &mut f.alice,
-            &mut f.bob,
-            &f.sys.provider,
-            lid,
-            epoch,
-            &mut rng,
-            &mut t,
-        )
-        .unwrap();
+        let new_license = f
+            .sys
+            .transfer(&mut f.alice, &mut f.bob, lid, &mut rng)
+            .unwrap();
 
         assert_ne!(new_license.id(), lid, "fresh unique id");
         assert!(f.alice.license(&lid).is_none(), "sender lost it");
@@ -143,37 +141,19 @@ mod tests {
         // license cannot be copied and redeemed twice.
         let mut f = fixture(192);
         let mut rng = test_rng(193);
-        let epoch = f.sys.epoch();
         let lid = f.license.id();
         let saved_license = f.license.clone();
         let alice_pseudonym = f.alice.licenses()[0].pseudonym;
-        let mut t = Transcript::new();
-        transfer(
-            &mut f.alice,
-            &mut f.bob,
-            &f.sys.provider,
-            lid,
-            epoch,
-            &mut rng,
-            &mut t,
-        )
-        .unwrap();
+        f.sys
+            .transfer(&mut f.alice, &mut f.bob, lid, &mut rng)
+            .unwrap();
 
         // Alice "restores from backup" and tries again toward Carol.
         f.alice.add_license(saved_license, alice_pseudonym);
         let mut carol = f.sys.register_user("carol", &mut rng).unwrap();
         f.sys.fund(&carol, 100);
-        f.sys.ensure_pseudonym(&mut carol, &mut rng).unwrap();
-        let res = transfer(
-            &mut f.alice,
-            &mut carol,
-            &f.sys.provider,
-            lid,
-            epoch,
-            &mut rng,
-            &mut t,
-        );
-        assert!(matches!(res, Err(CoreError::AlreadyRedeemed(_))));
+        let res = f.sys.transfer(&mut f.alice, &mut carol, lid, &mut rng);
+        assert!(refused_with(&res, ApiErrorCode::AlreadyRedeemed), "{res:?}");
         assert!(carol.licenses().is_empty());
     }
 
@@ -182,48 +162,22 @@ mod tests {
         // fast_test grants transfer count=2: A->B->C works, C->D denied.
         let mut f = fixture(194);
         let mut rng = test_rng(195);
-        let epoch = f.sys.epoch();
-        let mut t = Transcript::new();
         let lid0 = f.license.id();
-        let l1 = transfer(
-            &mut f.alice,
-            &mut f.bob,
-            &f.sys.provider,
-            lid0,
-            epoch,
-            &mut rng,
-            &mut t,
-        )
-        .unwrap();
+        let l1 = f
+            .sys
+            .transfer(&mut f.alice, &mut f.bob, lid0, &mut rng)
+            .unwrap();
 
         let mut carol = f.sys.register_user("carol", &mut rng).unwrap();
-        f.sys.ensure_pseudonym(&mut carol, &mut rng).unwrap();
-        let lid1 = l1.id();
-        let l2 = transfer(
-            &mut f.bob,
-            &mut carol,
-            &f.sys.provider,
-            lid1,
-            epoch,
-            &mut rng,
-            &mut t,
-        )
-        .unwrap();
+        let l2 = f
+            .sys
+            .transfer(&mut f.bob, &mut carol, l1.id(), &mut rng)
+            .unwrap();
         assert_eq!(l2.body.rights.transfer, p2drm_rel::Limit::Count(0));
 
         let mut dave = f.sys.register_user("dave", &mut rng).unwrap();
-        f.sys.ensure_pseudonym(&mut dave, &mut rng).unwrap();
-        let lid2 = l2.id();
-        let res = transfer(
-            &mut carol,
-            &mut dave,
-            &f.sys.provider,
-            lid2,
-            epoch,
-            &mut rng,
-            &mut t,
-        );
-        assert!(matches!(res, Err(CoreError::Denied(_))));
+        let res = f.sys.transfer(&mut carol, &mut dave, l2.id(), &mut rng);
+        assert!(refused_with(&res, ApiErrorCode::RightsDenied), "{res:?}");
     }
 
     #[test]
@@ -231,7 +185,6 @@ mod tests {
         // Bob tries to steal Alice's license by submitting a transfer
         // request signed with his own key.
         let f = fixture(196);
-        let mut rng = test_rng(197);
         let bob_cert = f.bob.pseudonym_certs().last().unwrap().clone();
         let bob_pseudonym = bob_cert.pseudonym_id();
         let proof_bytes = transfer_proof_bytes(&f.license.id(), &bob_pseudonym);
@@ -245,30 +198,25 @@ mod tests {
             recipient_cert: bob_cert,
             proof: forged,
         };
-        let res = f
-            .sys
-            .provider
-            .handle_transfer(&req, f.sys.epoch(), &mut rng);
-        assert!(matches!(res, Err(CoreError::BadProof)));
+        let service = f.sys.wire_service(196);
+        let res = WireClient::new(Loopback::new(&service)).call(WireRequest::Transfer(req));
+        assert!(
+            matches!(&res, Ok(WireResponse::Error(e)) if e.code == ApiErrorCode::BadProof),
+            "{res:?}"
+        );
     }
 
     #[test]
     fn provider_sees_pseudonyms_not_identities() {
         let mut f = fixture(198);
         let mut rng = test_rng(199);
-        let epoch = f.sys.epoch();
         let lid = f.license.id();
         let mut t = Transcript::new();
-        transfer(
-            &mut f.alice,
-            &mut f.bob,
-            &f.sys.provider,
-            lid,
-            epoch,
-            &mut rng,
-            &mut t,
-        )
-        .unwrap();
+        let service = f.sys.wire_service(198);
+        WireClient::new(Recording::new(Loopback::new(&service), &mut t))
+            .transfer(&mut f.alice, &mut f.bob, lid, &mut rng)
+            .unwrap();
+        assert!(t.bytes_received_by(Party::Provider) > 0);
         assert!(!t.scan_for(Party::Provider, f.alice.user_id().as_bytes()));
         assert!(!t.scan_for(Party::Provider, f.bob.user_id().as_bytes()));
         assert_eq!(f.sys.provider.transfer_log().len(), 1);

@@ -2,6 +2,7 @@
 //! processor, private provider and baseline provider together, and offers
 //! the convenience flows the examples, tests and benchmarks build on.
 
+use crate::audit::Recording;
 use crate::entities::device::CompliantDevice;
 use crate::entities::provider::{ContentProvider, MemBackend, ProviderConfig};
 use crate::entities::ra::RegistrationAuthority;
@@ -11,9 +12,10 @@ use crate::entities::user::{PseudonymPolicy, UserAgent};
 use crate::ids::{ContentId, LicenseId, UserId};
 use crate::license::License;
 use crate::protocol;
+use crate::service::{Loopback, ProviderService, WireClient, WireError};
 use crate::{CoreError, Transcript};
 use p2drm_crypto::elgamal::ElGamalGroup;
-use p2drm_crypto::rng::CryptoRng;
+use p2drm_crypto::rng::{random_array, ChaChaRng, CryptoRng};
 use p2drm_payment::identified::PaymentProcessor;
 use p2drm_payment::{Mint, MintConfig};
 use p2drm_pki::authority::CertificateAuthority;
@@ -79,7 +81,7 @@ pub struct System<B: p2drm_store::ConcurrentKv = MemBackend> {
     /// Root certificate authority (trust anchor).
     pub root: CertificateAuthority,
     /// Registration authority (shared handle — every entry point takes
-    /// `&self`, so the same RA serves in-proc calls and wire services).
+    /// `&self`, so the same RA serves the engines and wire services).
     pub ra: std::sync::Arc<RegistrationAuthority>,
     /// Anonymity-revocation TTP.
     pub ttp: Ttp,
@@ -93,6 +95,10 @@ pub struct System<B: p2drm_store::ConcurrentKv = MemBackend> {
     pub provider: std::sync::Arc<ContentProvider<B>>,
     /// Conventional provider (comparator).
     pub baseline: crate::baseline::BaselineProvider,
+    /// The wire service [`System::purchase`], [`System::play`] and
+    /// [`System::transfer`] call through; its clock follows
+    /// `epoch`/`now`.
+    service: ProviderService<B>,
     config: SystemConfig,
     epoch: u32,
     now: u64,
@@ -140,12 +146,16 @@ impl Scaffold {
         }
     }
 
-    fn finish<B: p2drm_store::ConcurrentKv, R: CryptoRng + ?Sized>(
+    fn finish<B, R>(
         mut self,
         provider: ContentProvider<B>,
         config: SystemConfig,
         rng: &mut R,
-    ) -> System<B> {
+    ) -> System<B>
+    where
+        B: p2drm_store::ConcurrentKv + Send + Sync + 'static,
+        R: CryptoRng + ?Sized,
+    {
         let baseline = crate::baseline::BaselineProvider::new(
             &mut self.root,
             self.processor.clone(),
@@ -153,18 +163,27 @@ impl Scaffold {
             config.validity,
             rng,
         );
-        System {
+        let provider = std::sync::Arc::new(provider);
+        // Metered apart from the process-global registry that
+        // `wire_service` callers read, timing off: what `System` does
+        // for itself was never part of the served-request metrics.
+        let registry = std::sync::Arc::new(p2drm_obs::Registry::disabled());
+        let service = ProviderService::with_registry(provider.clone(), 0, registry);
+        let system = System {
             root: self.root,
             ra: std::sync::Arc::new(self.ra),
             ttp: self.ttp,
             mint: self.mint,
             processor: self.processor,
-            provider: std::sync::Arc::new(provider),
+            provider,
             baseline,
+            service,
             config,
             epoch: 0,
             now: 1,
-        }
+        };
+        system.service.set_time(system.epoch, system.now);
+        system
     }
 }
 
@@ -211,7 +230,7 @@ impl System<p2drm_store::WalShardedKv> {
     }
 }
 
-impl<B: p2drm_store::ConcurrentKv> System<B> {
+impl<B: p2drm_store::ConcurrentKv + Send + Sync + 'static> System<B> {
     /// Bootstraps over a caller-supplied provider store backend (the
     /// generic path behind [`System::bootstrap`] and
     /// [`System::bootstrap_durable`]).
@@ -241,6 +260,7 @@ impl<B: p2drm_store::ConcurrentKv> System<B> {
     pub fn advance_epoch(&mut self) {
         self.epoch += 1;
         self.now += 1;
+        self.service.set_time(self.epoch, self.now);
     }
 
     /// Current wall-clock (unix-second stand-in).
@@ -251,6 +271,7 @@ impl<B: p2drm_store::ConcurrentKv> System<B> {
     /// Advances time without changing the epoch.
     pub fn advance_time(&mut self, secs: u64) {
         self.now += secs;
+        self.service.set_time(self.epoch, self.now);
     }
 
     /// The active configuration.
@@ -264,14 +285,8 @@ impl<B: p2drm_store::ConcurrentKv> System<B> {
     /// [`crate::service::ProviderService::set_time`]). `seed` separates
     /// RNG streams between services; the service mixes it with OS
     /// entropy, so `handle` output is never predictable from the seed.
-    pub fn wire_service(&self, seed: u64) -> crate::service::ProviderService<B>
-    where
-        B: Send + Sync + 'static,
-    {
-        let service = crate::service::ProviderService::new(self.provider.clone(), seed)
-            .with_ra(self.ra.clone());
-        service.set_time(self.epoch, self.now);
-        service
+    pub fn wire_service(&self, seed: u64) -> ProviderService<B> {
+        self.wire_service_with_registry(seed, p2drm_obs::global().clone())
     }
 
     /// [`System::wire_service`] recording into a caller-supplied metrics
@@ -281,13 +296,9 @@ impl<B: p2drm_store::ConcurrentKv> System<B> {
         &self,
         seed: u64,
         registry: std::sync::Arc<p2drm_obs::Registry>,
-    ) -> crate::service::ProviderService<B>
-    where
-        B: Send + Sync + 'static,
-    {
-        let service =
-            crate::service::ProviderService::with_registry(self.provider.clone(), seed, registry)
-                .with_ra(self.ra.clone());
+    ) -> ProviderService<B> {
+        let service = ProviderService::with_registry(self.provider.clone(), seed, registry)
+            .with_ra(self.ra.clone());
         service.set_time(self.epoch, self.now);
         service
     }
@@ -442,35 +453,37 @@ impl<B: p2drm_store::ConcurrentKv> System<B> {
         Ok(())
     }
 
+    /// In-process transport onto this system's own service. Replies
+    /// draw their randomness (license id, sealed content key) from a
+    /// ChaCha20 stream keyed off `rng`, so a seeded run repeats byte for
+    /// byte — big-integer encodings are length-trimmed, so even message
+    /// sizes depend on it.
+    fn loopback<R: CryptoRng + ?Sized>(&self, rng: &mut R) -> Loopback<'_, B> {
+        Loopback::with_rng(&self.service, ChaChaRng::new(random_array(rng), [0u8; 12]))
+    }
+
     /// Full anonymous purchase (pseudonym top-up + coin + license).
     pub fn purchase<R: CryptoRng + ?Sized>(
         &self,
         user: &mut UserAgent,
         content_id: ContentId,
         rng: &mut R,
-    ) -> Result<License, CoreError> {
-        let mut t = Transcript::new();
-        self.purchase_with_transcript(user, content_id, rng, &mut t)
+    ) -> Result<License, WireError> {
+        self.purchase_with_transcript(user, content_id, rng, &mut Transcript::new())
     }
 
-    /// Purchase with an externally supplied transcript (experiments).
+    /// Purchase that logs every payload exchanged with the provider
+    /// into `transcript` (the paper's figures and tables).
     pub fn purchase_with_transcript<R: CryptoRng + ?Sized>(
         &self,
         user: &mut UserAgent,
         content_id: ContentId,
         rng: &mut R,
         transcript: &mut Transcript,
-    ) -> Result<License, CoreError> {
+    ) -> Result<License, WireError> {
         self.ensure_pseudonym(user, rng)?;
-        protocol::purchase(
-            user,
-            &self.provider,
-            &self.mint,
-            content_id,
-            self.epoch,
-            rng,
-            transcript,
-        )
+        WireClient::new(Recording::new(self.loopback(rng), transcript))
+            .purchase(user, &self.mint, content_id, rng)
     }
 
     /// Registers a compliant device trusting this system's provider.
@@ -505,43 +518,35 @@ impl<B: p2drm_store::ConcurrentKv> System<B> {
         )
     }
 
-    /// Plays a license on a device.
-    pub fn play<R: CryptoRng + ?Sized>(
+    /// Plays a license on a device (over any device store).
+    pub fn play<SD: p2drm_store::ConcurrentKv, R: CryptoRng + ?Sized>(
         &self,
         user: &UserAgent,
-        device: &mut CompliantDevice,
+        device: &mut CompliantDevice<SD>,
         license: &License,
         rng: &mut R,
-    ) -> Result<Vec<u8>, CoreError> {
-        let mut t = Transcript::new();
-        protocol::play(user, device, &self.provider, license, self.now, rng, &mut t)
+    ) -> Result<Vec<u8>, WireError> {
+        WireClient::new(self.loopback(rng)).play(user, device, license, rng)
     }
 
-    /// Transfers a license between users (both pseudonym top-ups included).
+    /// Transfers a license between users (recipient pseudonym top-up
+    /// included).
     pub fn transfer<R: CryptoRng + ?Sized>(
         &self,
         sender: &mut UserAgent,
         recipient: &mut UserAgent,
         license_id: LicenseId,
         rng: &mut R,
-    ) -> Result<License, CoreError> {
+    ) -> Result<License, WireError> {
         self.ensure_pseudonym(recipient, rng)?;
-        let mut t = Transcript::new();
-        protocol::transfer(
-            sender,
-            recipient,
-            &self.provider,
-            license_id,
-            self.epoch,
-            rng,
-            &mut t,
-        )
+        WireClient::new(self.loopback(rng)).transfer(sender, recipient, license_id, rng)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::service::ApiErrorCode;
     use p2drm_crypto::rng::test_rng;
 
     #[test]
@@ -582,6 +587,74 @@ mod tests {
             b"bits"
         );
         assert_eq!(sys.provider.license_count(), 1);
+        assert_eq!(sys.mint.deposited_total(), 100);
+    }
+
+    /// Big-integer encodings are length-trimmed and license ids are the
+    /// server's randomness, so "same seed, same bytes" holds only
+    /// because `System` answers from a stream derived from the caller's
+    /// RNG.
+    #[test]
+    fn same_seed_systems_issue_byte_identical_licenses() {
+        fn journey(seed: u64) -> (Vec<u8>, Vec<u8>) {
+            let mut rng = test_rng(seed);
+            let sys = System::bootstrap(SystemConfig::fast_test(), &mut rng);
+            let cid = sys.publish_content("Track", 100, b"bits", &mut rng);
+            let mut alice = sys.register_user("alice", &mut rng).unwrap();
+            let mut bob = sys.register_user("bob", &mut rng).unwrap();
+            sys.fund(&alice, 100);
+            let bought = sys.purchase(&mut alice, cid, &mut rng).unwrap();
+            let moved = sys
+                .transfer(&mut alice, &mut bob, bought.id(), &mut rng)
+                .unwrap();
+            (
+                p2drm_codec::to_bytes(&bought),
+                p2drm_codec::to_bytes(&moved),
+            )
+        }
+        let first = journey(223);
+        assert_eq!(first, journey(223));
+        assert_ne!(first.0, journey(224).0);
+    }
+
+    /// The wallet keeps a coin the provider refused for a reason other
+    /// than payment, and loses one the mint rejected.
+    #[test]
+    fn failed_purchase_returns_the_coin_unless_the_mint_refused_it() {
+        let mut rng = test_rng(225);
+        let mut sys = System::bootstrap(SystemConfig::fast_test(), &mut rng);
+        let cid = sys.publish_content("Track", 100, b"bits", &mut rng);
+        let mut u = sys.register_user("u", &mut rng).unwrap();
+        sys.fund(&u, 200);
+        let code = |res: Result<License, WireError>| match res {
+            Err(WireError::Api(e)) => e.code,
+            other => panic!("expected an error reply, got {other:?}"),
+        };
+
+        // Payment range: a second spend of a deposited coin.
+        let account = u.account.clone();
+        let spent = u
+            .wallet
+            .withdraw(&sys.mint, &account, 100, &mut rng)
+            .unwrap();
+        sys.purchase(&mut u, cid, &mut rng).unwrap();
+        u.wallet.put_back(spent);
+        assert_eq!(
+            code(sys.purchase(&mut u, cid, &mut rng)),
+            ApiErrorCode::DoubleSpend
+        );
+        assert!(u.wallet.is_empty(), "a double-spent coin is not kept");
+
+        // Not payment: the pseudonym went stale before the request.
+        sys.ensure_pseudonym(&mut u, &mut rng).unwrap();
+        for _ in 0..10 {
+            sys.advance_epoch();
+        }
+        assert_eq!(
+            code(sys.purchase(&mut u, cid, &mut rng)),
+            ApiErrorCode::BadPseudonym
+        );
+        assert_eq!(u.wallet.balance(), 100, "the unspent coin came back");
         assert_eq!(sys.mint.deposited_total(), 100);
     }
 

@@ -79,6 +79,9 @@ pub struct WorkspaceReport {
     pub findings: Vec<Finding>,
     /// Rendered `results/lockgraph.txt` contents.
     pub lockgraph: String,
+    /// Scope entries of `lint.toml` that matched no analysed file (see
+    /// [`dead_scope_paths`]); the CLI fails on any.
+    pub dead_paths: Vec<String>,
 }
 
 /// Recursively collects workspace `.rs` files under `root`, skipping
@@ -126,11 +129,35 @@ pub fn rel_path(root: &Path, path: &Path) -> String {
         .join("/")
 }
 
+/// `lint.toml` scope entries, rendered `[section] key: prefix`, under
+/// which none of `files` (workspace-relative) falls: a module that was
+/// moved or renamed out from under its pass, which would otherwise stop
+/// being swept without anyone noticing.
+pub fn dead_scope_paths(cfg: &Config, files: &[String]) -> Vec<String> {
+    let scopes = [
+        ("taint", "paths", &cfg.taint_paths),
+        ("taint", "sink_paths", &cfg.taint_sink_paths),
+        ("panic", "paths", &cfg.panic_paths),
+        ("retry", "paths", &cfg.retry_paths),
+    ];
+    let mut dead = Vec::new();
+    for (section, key, prefixes) in scopes {
+        for prefix in prefixes {
+            let scope = std::slice::from_ref(prefix);
+            if !files.iter().any(|f| Config::matches(f, scope)) {
+                dead.push(format!("[{section}] {key}: {prefix}"));
+            }
+        }
+    }
+    dead
+}
+
 /// Runs all five passes over the workspace rooted at `root`.
 pub fn run_all(root: &Path, cfg: &Config) -> std::io::Result<WorkspaceReport> {
     let files = workspace_files(root, cfg)?;
     let mut findings = Vec::new();
     let mut lock_edges = Vec::new();
+    let mut analysed = Vec::with_capacity(files.len());
     for path in &files {
         let src = std::fs::read_to_string(path)?;
         let rel = rel_path(root, path);
@@ -149,6 +176,7 @@ pub fn run_all(root: &Path, cfg: &Config) -> std::io::Result<WorkspaceReport> {
             findings.extend(retrypass::run(&sf));
         }
         lock_edges.extend(lockorder::extract(&sf));
+        analysed.push(rel);
     }
     let (lock_findings, lockgraph) = lockorder::analyze(&lock_edges);
     findings.extend(lock_findings);
@@ -156,5 +184,32 @@ pub fn run_all(root: &Path, cfg: &Config) -> std::io::Result<WorkspaceReport> {
     Ok(WorkspaceReport {
         findings,
         lockgraph,
+        dead_paths: dead_scope_paths(cfg, &analysed),
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_scope_entry_matching_no_file_is_reported() {
+        let cfg = Config::parse(
+            "[panic]\npaths = [\"crates/core/src/service.rs\", \"crates/net/src\"]\n\
+             [retry]\npaths = [\"crates/core/src/service\"]\n\
+             [skip]\npaths = [\"gone\"]\n",
+        )
+        .unwrap();
+        let files = [
+            "crates/core/src/service/server.rs".to_string(),
+            "crates/net/src/server.rs".to_string(),
+        ];
+        // The file that became a directory is dead; the directory prefix
+        // and the `[skip]` entry (never expected to match) are not.
+        assert_eq!(
+            dead_scope_paths(&cfg, &files),
+            ["[panic] paths: crates/core/src/service.rs"]
+        );
+        assert_eq!(dead_scope_paths(&cfg, &[]).len(), 3);
+    }
 }

@@ -8,7 +8,9 @@
 //! `results/lockgraph.txt`, and diffs findings against
 //! `lint-baseline.toml`. With `--deny`, any finding not in the baseline
 //! exits 1 (this is what CI runs). `--update-baseline` rewrites the
-//! baseline to the current findings, preserving `note` fields.
+//! baseline to the current findings, preserving `note` fields. A
+//! `paths` / `sink_paths` entry of `lint.toml` that matches no analysed
+//! file exits 1 under every flag.
 
 use p2drm_lint::baseline::{fingerprints, Baseline};
 use p2drm_lint::config::Config;
@@ -48,6 +50,15 @@ fn main() -> ExitCode {
         Ok(r) => r,
         Err(e) => return fail(&format!("analysis failed: {e}")),
     };
+
+    // A scoped pass that sweeps nothing is a configuration error, not a
+    // clean run: fail whatever the flags.
+    if !report.dead_paths.is_empty() {
+        for entry in &report.dead_paths {
+            eprintln!("p2drm-lint: lint.toml {entry} matches no analysed file");
+        }
+        return fail("a listed module was moved or deleted; point lint.toml at where it went");
+    }
 
     // Lock graph artifact.
     let results = root.join("results");

@@ -8,7 +8,6 @@
 //! cargo run --example license_revocation
 //! ```
 
-use p2drm::core::CoreError;
 use p2drm::prelude::*;
 
 fn main() {
@@ -41,8 +40,8 @@ fn main() {
 
     // Any later transfer attempt dies on the spent-ID store.
     match system.transfer(&mut alice, &mut bob, license.id(), &mut rng) {
-        Err(CoreError::AlreadyRedeemed(id)) => {
-            println!("alice resells after her refund: REJECTED — {id} already redeemed")
+        Err(WireError::Api(e)) if e.code == ApiErrorCode::AlreadyRedeemed => {
+            println!("alice resells after her refund: REJECTED — {e}")
         }
         other => panic!("revoked license must not transfer: {other:?}"),
     }
@@ -53,7 +52,7 @@ fn main() {
     let pseud_crl = system.provider.signed_pseudonym_crl(now);
     device.sync_crls(&lic_crl, &pseud_crl).unwrap();
     match system.play(&alice, &mut device, &license, &mut rng) {
-        Err(CoreError::Revoked(what)) => {
+        Err(WireError::Client(CoreError::Revoked(what))) => {
             println!("playback after CRL sync: REJECTED — revoked {what}")
         }
         other => panic!("revoked license must not play: {other:?}"),

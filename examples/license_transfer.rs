@@ -7,7 +7,8 @@
 //! cargo run --example license_transfer
 //! ```
 
-use p2drm::core::audit::Party;
+use p2drm::core::audit::{Party, Recording};
+use p2drm::core::service::{Loopback, WireClient};
 use p2drm::prelude::*;
 
 fn main() {
@@ -28,17 +29,10 @@ fn main() {
     // The sale: provider reissues anonymously for Bob's pseudonym.
     let mut transcript = Transcript::new();
     system.ensure_pseudonym(&mut bob, &mut rng).unwrap();
-    let epoch = system.epoch();
-    let resold = p2drm::core::protocol::transfer(
-        &mut alice,
-        &mut bob,
-        &system.provider,
-        original.id(),
-        epoch,
-        &mut rng,
-        &mut transcript,
-    )
-    .unwrap();
+    let service = system.wire_service(2004);
+    let resold = WireClient::new(Recording::new(Loopback::new(&service), &mut transcript))
+        .transfer(&mut alice, &mut bob, original.id(), &mut rng)
+        .unwrap();
     println!("\ntransfer transcript:");
     print!("{}", transcript.render());
     println!(

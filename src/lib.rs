@@ -85,6 +85,7 @@ pub use p2drm_store as store;
 pub mod prelude {
     pub use p2drm_core::entities::user::{PseudonymPolicy, UserAgent};
     pub use p2drm_core::entities::{CompliantDevice, ContentProvider};
+    pub use p2drm_core::service::{ApiErrorCode, WireError};
     pub use p2drm_core::system::{System, SystemConfig};
     pub use p2drm_core::{ContentId, CoreError, License, LicenseId, Transcript, UserId};
     pub use p2drm_crypto::rng::{os_rng, test_rng};

@@ -20,7 +20,10 @@ fn rated_content_requires_credential() {
     // Without the credential (pseudonym exists, credential absent): refused.
     sys.ensure_pseudonym(&mut alice, &mut rng).unwrap();
     let res = sys.purchase(&mut alice, rated, &mut rng);
-    assert!(matches!(res, Err(CoreError::BadPseudonym(_))));
+    assert!(matches!(
+        res,
+        Err(WireError::Client(CoreError::BadPseudonym(_)))
+    ));
 
     // With the credential bound to the current pseudonym: allowed, and
     // playback works end to end.
@@ -50,10 +53,11 @@ fn minor_cannot_obtain_or_use_credential() {
         sys.ensure_attribute(&mut minor, "adult", &mut rng),
         Err(CoreError::Card(_))
     ));
-    // ...and the provider refuses the purchase without it.
+    // ...and no purchase request can be built without it (a forged
+    // request is the next test's subject).
     assert!(matches!(
         sys.purchase(&mut minor, rated, &mut rng),
-        Err(CoreError::BadPseudonym(_))
+        Err(WireError::Client(CoreError::BadPseudonym(_)))
     ));
 }
 
@@ -148,5 +152,8 @@ fn stale_credential_epoch_rejected() {
         sys.advance_epoch();
     }
     let res = sys.purchase(&mut alice, rated, &mut rng);
-    assert!(matches!(res, Err(CoreError::BadPseudonym(_))));
+    assert!(
+        matches!(&res, Err(WireError::Api(e)) if e.code == ApiErrorCode::BadPseudonym),
+        "{res:?}"
+    );
 }

@@ -33,7 +33,7 @@ fn delta_sync_enforces_like_full_sync() {
     for dev in [&mut full_dev, &mut delta_dev] {
         assert!(matches!(
             sys.play(&alice, dev, &l1, &mut rng),
-            Err(CoreError::Revoked("license"))
+            Err(WireError::Client(CoreError::Revoked("license")))
         ));
         assert!(sys.play(&alice, dev, &l2, &mut rng).is_ok());
     }
@@ -67,7 +67,7 @@ fn chained_deltas_track_running_provider() {
     for lic in &revoked {
         assert!(matches!(
             sys.play(&alice, &mut device, lic, &mut rng),
-            Err(CoreError::Revoked("license"))
+            Err(WireError::Client(CoreError::Revoked("license")))
         ));
     }
 }

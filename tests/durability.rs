@@ -4,10 +4,11 @@
 
 use p2drm::core::entities::provider::{ContentProvider, ProviderConfig};
 use p2drm::core::protocol::messages::{transfer_proof_bytes, TransferRequest};
-use p2drm::core::CoreError;
+use p2drm::core::service::{Loopback, ProviderService, WireClient};
 use p2drm::prelude::*;
 use p2drm::store::{ConcurrentKv, SyncPolicy, WalShardedConfig, WalShardedKv};
 use std::path::PathBuf;
+use std::sync::Arc;
 
 /// Self-cleaning unique temp directory (a `WalShardedKv` store).
 struct TempDir(PathBuf);
@@ -31,6 +32,19 @@ impl Drop for TempDir {
     fn drop(&mut self) {
         let _ = std::fs::remove_dir_all(&self.0);
     }
+}
+
+fn already_redeemed(res: &Result<License, WireError>) -> bool {
+    matches!(res, Err(WireError::Api(e)) if e.code == ApiErrorCode::AlreadyRedeemed)
+}
+
+/// The wire service over a provider opened beside `sys`, at `sys`'s
+/// clock — what `System` keeps for its own provider. Dropping it (and
+/// every client on it) is the provider's unclean stop.
+fn serve(provider: ContentProvider<WalShardedKv>, sys: &System) -> ProviderService<WalShardedKv> {
+    let service = ProviderService::new(Arc::new(provider), 0);
+    service.set_time(sys.epoch(), sys.now());
+    service
 }
 
 /// The smallest durable store: one WAL, what a device or a single-threaded
@@ -65,6 +79,8 @@ fn spent_set_is_durable_under(policy: SyncPolicy) {
         &mut rng,
     )
     .unwrap();
+    let service = serve(provider, &sys);
+    let provider = service.provider();
     let cid = provider.publish(
         "durable",
         100,
@@ -84,23 +100,20 @@ fn spent_set_is_durable_under(policy: SyncPolicy) {
     sys.ensure_pseudonym(&mut alice, &mut rng).unwrap();
     sys.ensure_pseudonym(&mut bob, &mut rng).unwrap();
 
-    let mint = sys.mint.clone();
-    let epoch = sys.epoch();
-    let mut t = Transcript::new();
-    let license =
-        p2drm::core::protocol::purchase(&mut alice, &provider, &mint, cid, epoch, &mut rng, &mut t)
-            .unwrap();
+    let mut client = WireClient::new(Loopback::new(&service));
+    let license = client
+        .purchase(&mut alice, &sys.mint, cid, &mut rng)
+        .unwrap();
     let lid = license.id();
-    p2drm::core::protocol::transfer(
-        &mut alice, &mut bob, &provider, lid, epoch, &mut rng, &mut t,
-    )
-    .unwrap();
+    client
+        .transfer(&mut alice, &mut bob, lid, &mut rng)
+        .unwrap();
     assert_eq!(provider.spent_count(), 1);
 
     // "Restart": drop the provider, reopen the WAL from disk, and verify
     // the spent id is still present — a rebooted provider could never be
     // tricked into re-transferring the old license.
-    drop(provider);
+    drop(service);
     let (wal, report) = WalShardedKv::open(&tmp.0, config).unwrap();
     assert!(report.replayed_ops >= 2, "license + spent entries replayed");
     let mut spent_key = b"spent/".to_vec();
@@ -130,6 +143,8 @@ fn full_provider_restart_with_key_vault() {
         &mut rng,
     )
     .unwrap();
+    let service = serve(provider, &sys);
+    let provider = service.provider();
     let cid = provider.publish(
         "persistent hit",
         100,
@@ -150,21 +165,18 @@ fn full_provider_restart_with_key_vault() {
     sys.fund(&bob, 1_000);
     sys.ensure_pseudonym(&mut alice, &mut rng).unwrap();
     sys.ensure_pseudonym(&mut bob, &mut rng).unwrap();
-    let mint = sys.mint.clone();
-    let epoch = sys.epoch();
-    let mut t = Transcript::new();
-    let license =
-        p2drm::core::protocol::purchase(&mut alice, &provider, &mint, cid, epoch, &mut rng, &mut t)
-            .unwrap();
+    let mut client = WireClient::new(Loopback::new(&service));
+    let license = client
+        .purchase(&mut alice, &sys.mint, cid, &mut rng)
+        .unwrap();
     let old_lid = license.id();
     let saved = license.clone();
     let alice_pseudonym = alice.licenses()[0].pseudonym;
-    let bobs_license = p2drm::core::protocol::transfer(
-        &mut alice, &mut bob, &provider, old_lid, epoch, &mut rng, &mut t,
-    )
-    .unwrap();
+    let bobs_license = client
+        .transfer(&mut alice, &mut bob, old_lid, &mut rng)
+        .unwrap();
     let seq_before = provider.signed_license_crl(1).sequence;
-    drop(provider);
+    drop(service);
 
     // Restart: reload keys from the vault and state from the WAL.
     let keys: p2drm::crypto::rsa::RsaKeyPair = p2drm::codec::from_bytes(&vault).unwrap();
@@ -180,6 +192,9 @@ fn full_provider_restart_with_key_vault() {
     )
     .unwrap();
     assert!(report.replayed_ops > 0);
+    let service = serve(provider, &sys);
+    let provider = service.provider();
+    let mut client = WireClient::new(Loopback::new(&service));
 
     // Old licenses still verify under the restored key.
     assert!(bobs_license.verify(provider.public_key()).is_ok());
@@ -188,21 +203,17 @@ fn full_provider_restart_with_key_vault() {
     let mut carol = sys.register_user("carol", &mut rng).unwrap();
     sys.fund(&carol, 1_000);
     sys.ensure_pseudonym(&mut carol, &mut rng).unwrap();
-    let mut t2 = Transcript::new();
-    let carols = p2drm::core::protocol::purchase(
-        &mut carol, &provider, &mint, cid, epoch, &mut rng, &mut t2,
-    )
-    .unwrap();
+    let carols = client
+        .purchase(&mut carol, &sys.mint, cid, &mut rng)
+        .unwrap();
     assert!(carols.verify(provider.public_key()).is_ok());
 
     // Double-redeem of the pre-restart license still rejected, and the
     // license CRL was rebuilt (sequence did not go backwards).
     alice.add_license(saved, alice_pseudonym);
     sys.ensure_pseudonym(&mut carol, &mut rng).unwrap();
-    let res = p2drm::core::protocol::transfer(
-        &mut alice, &mut carol, &provider, old_lid, epoch, &mut rng, &mut t2,
-    );
-    assert!(matches!(res, Err(CoreError::AlreadyRedeemed(_))));
+    let res = client.transfer(&mut alice, &mut carol, old_lid, &mut rng);
+    assert!(already_redeemed(&res), "{res:?}");
     assert!(provider.signed_license_crl(2).sequence >= seq_before);
     assert!(provider
         .signed_license_crl(2)
@@ -260,17 +271,7 @@ fn device_state_survives_restart() {
 
     // Exhaust all 3 plays.
     for _ in 0..3 {
-        let mut t = Transcript::new();
-        p2drm::core::protocol::play(
-            &alice,
-            &mut device,
-            &sys.provider,
-            &license,
-            sys.now(),
-            &mut rng,
-            &mut t,
-        )
-        .unwrap();
+        sys.play(&alice, &mut device, &license, &mut rng).unwrap();
     }
     drop(device);
 
@@ -287,17 +288,8 @@ fn device_state_survives_restart() {
         &mut rng,
     )
     .unwrap();
-    let mut t = Transcript::new();
-    let res = p2drm::core::protocol::play(
-        &alice,
-        &mut device,
-        &sys.provider,
-        &license,
-        sys.now(),
-        &mut rng,
-        &mut t,
-    );
-    assert!(matches!(res, Err(CoreError::Denied(_))));
+    let res = sys.play(&alice, &mut device, &license, &mut rng);
+    assert!(matches!(res, Err(WireError::Client(CoreError::Denied(_)))));
 }
 
 /// Builds a valid transfer request moving `license` to a fresh recipient
@@ -353,6 +345,8 @@ fn durable_provider_restart_preserves_redeem_once() {
     )
     .unwrap();
     assert_eq!(report.replayed_ops, 0, "fresh directory");
+    let service = serve(provider, &sys);
+    let provider = service.provider();
     let cid = provider.publish(
         "durable hit",
         100,
@@ -372,23 +366,20 @@ fn durable_provider_restart_preserves_redeem_once() {
     sys.fund(&bob, 1_000);
     sys.ensure_pseudonym(&mut alice, &mut rng).unwrap();
     sys.ensure_pseudonym(&mut bob, &mut rng).unwrap();
-    let mint = sys.mint.clone();
-    let epoch = sys.epoch();
-    let mut t = Transcript::new();
-    let license =
-        p2drm::core::protocol::purchase(&mut alice, &provider, &mint, cid, epoch, &mut rng, &mut t)
-            .unwrap();
+    let mut client = WireClient::new(Loopback::new(&service));
+    let license = client
+        .purchase(&mut alice, &sys.mint, cid, &mut rng)
+        .unwrap();
     let old_lid = license.id();
     let saved = license.clone();
     let alice_pseudonym = alice.licenses()[0].pseudonym;
-    p2drm::core::protocol::transfer(
-        &mut alice, &mut bob, &provider, old_lid, epoch, &mut rng, &mut t,
-    )
-    .unwrap();
+    client
+        .transfer(&mut alice, &mut bob, old_lid, &mut rng)
+        .unwrap();
     assert_eq!(provider.spent_count(), 1);
 
     // Unclean drop: no explicit flush/checkpoint call.
-    drop(provider);
+    drop(service);
 
     let keys: p2drm::crypto::rsa::RsaKeyPair = p2drm::codec::from_bytes(&vault).unwrap();
     let (provider, report) = ContentProvider::resume_durable(
@@ -406,6 +397,9 @@ fn durable_provider_restart_preserves_redeem_once() {
         report.replayed_ops >= 2,
         "content + license + spent replayed"
     );
+    let service = serve(provider, &sys);
+    let provider = service.provider();
+    let mut client = WireClient::new(Loopback::new(&service));
     assert_eq!(provider.spent_count(), 1, "spent set survived");
     assert!(provider.download(&cid).is_ok(), "catalog survived");
 
@@ -413,18 +407,14 @@ fn durable_provider_restart_preserves_redeem_once() {
     alice.add_license(saved, alice_pseudonym);
     let mut carol = sys.register_user("carol", &mut rng).unwrap();
     sys.ensure_pseudonym(&mut carol, &mut rng).unwrap();
-    let mut t2 = Transcript::new();
-    let res = p2drm::core::protocol::transfer(
-        &mut alice, &mut carol, &provider, old_lid, epoch, &mut rng, &mut t2,
-    );
-    assert!(matches!(res, Err(CoreError::AlreadyRedeemed(_))));
+    let res = client.transfer(&mut alice, &mut carol, old_lid, &mut rng);
+    assert!(already_redeemed(&res), "{res:?}");
 
     // And the reopened provider still sells.
     sys.fund(&carol, 1_000);
-    let carols = p2drm::core::protocol::purchase(
-        &mut carol, &provider, &mint, cid, epoch, &mut rng, &mut t2,
-    )
-    .unwrap();
+    let carols = client
+        .purchase(&mut carol, &sys.mint, cid, &mut rng)
+        .unwrap();
     assert!(carols.verify(provider.public_key()).is_ok());
 }
 
@@ -452,6 +442,8 @@ fn racing_double_redeem_across_restart_has_exactly_one_winner() {
         &mut rng,
     )
     .unwrap();
+    let service = serve(provider, &sys);
+    let provider = service.provider();
     let cid = provider.publish(
         "contended",
         100,
@@ -468,19 +460,10 @@ fn racing_double_redeem_across_restart_has_exactly_one_winner() {
     let mut mallory = sys.register_user("mallory", &mut rng).unwrap();
     sys.fund(&mallory, 1_000);
     sys.ensure_pseudonym(&mut mallory, &mut rng).unwrap();
-    let mint = sys.mint.clone();
     let epoch = sys.epoch();
-    let mut t = Transcript::new();
-    let license = p2drm::core::protocol::purchase(
-        &mut mallory,
-        &provider,
-        &mint,
-        cid,
-        epoch,
-        &mut rng,
-        &mut t,
-    )
-    .unwrap();
+    let license = WireClient::new(Loopback::new(&service))
+        .purchase(&mut mallory, &sys.mint, cid, &mut rng)
+        .unwrap();
     let mallory_pseudonym = mallory.licenses()[0].pseudonym;
 
     let requests: Vec<TransferRequest> = (0..RACERS_PER_PHASE * 2)
@@ -515,9 +498,9 @@ fn racing_double_redeem_across_restart_has_exactly_one_winner() {
         })
     };
 
-    let pre_winners = race(&provider, pre);
+    let pre_winners = race(provider, pre);
     assert_eq!(pre_winners, 1, "exactly one pre-restart winner");
-    drop(provider); // unclean: no checkpoint
+    drop(service); // unclean: no checkpoint
 
     let keys: p2drm::crypto::rsa::RsaKeyPair = p2drm::codec::from_bytes(&vault).unwrap();
     let (provider, _) = ContentProvider::resume_durable(

@@ -33,7 +33,7 @@ fn full_license_lifecycle() {
     }
     assert!(matches!(
         sys.play(&alice, &mut device, &license, &mut rng),
-        Err(CoreError::Denied(_))
+        Err(WireError::Client(CoreError::Denied(_)))
     ));
 
     // 4. Transfer to Bob; Bob plays on his own device.
@@ -50,7 +50,7 @@ fn full_license_lifecycle() {
     alice.add_license(license.clone(), alice_pseudonym_of(&alice, &license));
     assert!(matches!(
         sys.transfer(&mut alice, &mut carol, license.id(), &mut rng),
-        Err(CoreError::AlreadyRedeemed(_))
+        Err(WireError::Api(e)) if e.code == ApiErrorCode::AlreadyRedeemed
     ));
     let now = sys.now();
     let lic_crl = sys.provider.signed_license_crl(now);
@@ -59,7 +59,7 @@ fn full_license_lifecycle() {
     fresh_device.sync_crls(&lic_crl, &pseud_crl).unwrap();
     assert!(matches!(
         sys.play(&alice, &mut fresh_device, &license, &mut rng),
-        Err(CoreError::Revoked("license"))
+        Err(WireError::Client(CoreError::Revoked("license")))
     ));
 }
 

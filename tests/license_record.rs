@@ -6,13 +6,13 @@
 
 use p2drm::core::entities::provider::{ContentProvider, ProviderConfig};
 use p2drm::core::protocol::messages::LicenseStatus;
-use p2drm::core::protocol::{purchase, transfer};
-use p2drm::core::service::{ApiErrorCode, Loopback, WireClient, WireError};
+use p2drm::core::service::{Loopback, ProviderService, WireClient};
 use p2drm::crypto::rng::CryptoRng;
 use p2drm::pki::cert::KeyId;
 use p2drm::prelude::*;
 use p2drm::store::{ConcurrentKv, SyncPolicy, WalShardedConfig, WalShardedKv};
 use std::path::PathBuf;
+use std::sync::Arc;
 
 /// Self-cleaning unique temp directory (a `WalShardedKv` store).
 struct TempDir(PathBuf);
@@ -57,7 +57,7 @@ fn occurrences(haystack: &[u8], needle: &[u8]) -> usize {
 /// since retired it.
 struct Shop {
     sys: System,
-    provider: ContentProvider<WalShardedKv>,
+    provider: Arc<ContentProvider<WalShardedKv>>,
     cid: ContentId,
     issued: Vec<(License, bool)>,
 }
@@ -82,7 +82,7 @@ impl Shop {
         let cid = provider.publish("Track", 100, b"payload", rights, rng);
         Shop {
             sys,
-            provider,
+            provider: Arc::new(provider),
             cid,
             issued: Vec::new(),
         }
@@ -94,17 +94,19 @@ impl Shop {
     fn trade(&mut self, buyers: usize, rng: &mut impl CryptoRng) -> (Vec<u64>, Vec<u64>) {
         let (mut per_purchase, mut per_transfer) = (Vec::new(), Vec::new());
         let (sys, provider) = (&self.sys, &self.provider);
-        let (mint, epoch) = (sys.mint.clone(), sys.epoch());
+        let service = ProviderService::new(provider.clone(), 0);
+        service.set_time(sys.epoch(), sys.now());
+        let mut client = WireClient::new(Loopback::new(&service));
         let log_bytes = || provider.store().log_bytes();
-        let mut t = Transcript::new();
         let mut owners = Vec::new();
         for i in 0..buyers {
             let mut user = sys.register_user(&format!("buyer-{i}"), rng).unwrap();
             sys.fund(&user, 100);
             sys.ensure_pseudonym(&mut user, rng).unwrap();
             let before = log_bytes();
-            let license =
-                purchase(&mut user, provider, &mint, self.cid, epoch, rng, &mut t).unwrap();
+            let license = client
+                .purchase(&mut user, &sys.mint, self.cid, rng)
+                .unwrap();
             per_purchase.push(log_bytes() - before);
             self.issued.push((license, false));
             owners.push(user);
@@ -114,7 +116,7 @@ impl Shop {
             sys.ensure_pseudonym(&mut heir, rng).unwrap();
             let lid = self.issued[i].0.id();
             let before = log_bytes();
-            let successor = transfer(owner, &mut heir, provider, lid, epoch, rng, &mut t).unwrap();
+            let successor = client.transfer(owner, &mut heir, lid, rng).unwrap();
             per_transfer.push(log_bytes() - before);
             self.issued[i].1 = true;
             self.issued.push((successor, false));
@@ -140,7 +142,10 @@ impl Shop {
         )
         .unwrap();
         assert!(report.replayed_ops > 0);
-        Shop { provider, ..self }
+        Shop {
+            provider: Arc::new(provider),
+            ..self
+        }
     }
 }
 

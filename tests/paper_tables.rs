@@ -4,11 +4,18 @@
 //! compared with values committed here (canonical-encoding bytes at the
 //! fast-test key size). A change to a message layout or to who talks to
 //! whom turns one red; the new value is a reviewed edit to this file.
+//!
+//! Provider traffic is what the recording transport saw: the payload of
+//! every envelope a `WireClient` sent and received, catalogue quote and
+//! CRL sync included. What stays inside the client — the coin withdrawal
+//! at the mint, the device↔card challenge, proof and key release — is in
+//! no transcript.
 
-use p2drm::core::audit::Party;
+use p2drm::core::audit::{Party, Recording};
 use p2drm::core::baseline::play_identified;
 use p2drm::core::entities::smartcard::CardBudget;
 use p2drm::core::protocol;
+use p2drm::core::service::{Loopback, WireClient};
 use p2drm::prelude::*;
 use rand::rngs::StdRng;
 
@@ -38,12 +45,17 @@ fn transfer(
     rng: &mut StdRng,
 ) -> Transcript {
     let mut t = Transcript::new();
-    protocol::transfer(from, to, &sys.provider, id, sys.epoch(), rng, &mut t).unwrap();
+    let service = sys.wire_service(0);
+    let replies = Loopback::with_rng(&service, test_rng(0x7E2));
+    WireClient::new(Recording::new(replies, &mut t))
+        .transfer(from, to, id, rng)
+        .unwrap();
     t
 }
 
-/// T1: the anonymous purchase figure — three messages, and nothing the
-/// provider receives names the buyer or the buyer's card.
+/// T1: the anonymous purchase figure — a catalogue quote, then the
+/// purchase, and nothing the provider receives names the buyer or the
+/// buyer's card.
 #[test]
 fn t1_purchase_transcript() {
     let mut rng = test_rng(0xE1);
@@ -60,9 +72,10 @@ fn t1_purchase_transcript() {
     assert_eq!(
         shape(&t),
         [
-            (Party::User, Party::Mint, "coin-withdrawal", 32),
-            (Party::User, Party::Provider, "purchase-request", 405),
-            (Party::Provider, Party::User, "purchase-response", 316),
+            (Party::User, Party::Provider, "catalog", 17),
+            (Party::Provider, Party::User, "catalog", 43),
+            (Party::User, Party::Provider, "purchase", 405),
+            (Party::Provider, Party::User, "purchase", 316),
         ]
     );
     assert!(!t.scan_for(Party::Provider, alice.user_id().as_bytes()));
@@ -89,8 +102,8 @@ fn t2_transfer_transcript_and_double_redeem() {
     assert_eq!(
         shape(&t),
         [
-            (Party::User, Party::Provider, "transfer-request", 664),
-            (Party::Provider, Party::User, "transfer-response", 316),
+            (Party::User, Party::Provider, "transfer", 664),
+            (Party::Provider, Party::User, "transfer", 316),
         ]
     );
 
@@ -99,7 +112,7 @@ fn t2_transfer_transcript_and_double_redeem() {
     let mut carol = sys.register_user("carol", &mut rng).unwrap();
     let replay = sys.transfer(&mut alice, &mut carol, license.id(), &mut rng);
     assert!(
-        matches!(replay, Err(CoreError::AlreadyRedeemed(id)) if id == license.id()),
+        matches!(&replay, Err(WireError::Api(e)) if e.code == ApiErrorCode::AlreadyRedeemed),
         "replayed old license must be rejected as redeemed, got {replay:?}"
     );
 }
@@ -148,21 +161,25 @@ fn e1_message_costs() {
     let license = sys
         .purchase_with_transcript(&mut alice, cid, &mut rng, &mut purchase)
         .unwrap();
-    assert_eq!(cost(&purchase), (3, 753, 405), "purchase");
+    assert_eq!(cost(&purchase), (4, 777, 422), "purchase");
 
     let mut device = sys.register_device(&mut rng).unwrap();
     let mut t = Transcript::new();
-    protocol::play(
-        &alice,
-        &mut device,
-        &sys.provider,
-        &license,
-        now,
-        &mut rng,
-        &mut t,
-    )
-    .unwrap();
-    assert_eq!(cost(&t), (5, 2321, 16), "play");
+    let service = sys.wire_service(0);
+    let replies = Loopback::with_rng(&service, test_rng(0xE30));
+    WireClient::new(Recording::new(replies, &mut t))
+        .play(&alice, &mut device, &license, &mut rng)
+        .unwrap();
+    assert_eq!(
+        shape(&t),
+        [
+            (Party::Device, Party::Provider, "crl-sync", 16),
+            (Party::Provider, Party::Device, "crl-sync", 228),
+            (Party::Device, Party::Provider, "download", 16),
+            (Party::Provider, Party::Device, "download", 2062),
+        ],
+        "play"
+    );
 
     let mut bob = sys.register_user("e1-bob", &mut rng).unwrap();
     sys.fund(&bob, 1000);

@@ -2,35 +2,73 @@
 //!
 //! Each test corresponds to a row of the claims table in DESIGN.md §4.3.
 
-use p2drm::core::audit::Party;
+use p2drm::core::audit::{Party, Recording};
+use p2drm::core::service::{Loopback, WireClient};
 use p2drm::prelude::*;
 
-/// Claim: purchases are unlinkable to identity — nothing the provider
-/// receives contains the user id, account, master key, or card id.
+/// Claim: the provider learns nothing identifying — over one whole
+/// journey (catalogue, purchase, CRL sync, download, license status,
+/// transfer), no payload it receives contains either party's user id,
+/// card id, account or master key.
 #[test]
 fn provider_view_is_identity_free() {
     let mut rng = test_rng(7001);
-    let sys = System::bootstrap(SystemConfig::fast_test(), &mut rng);
+    let mut sys = System::bootstrap(SystemConfig::fast_test(), &mut rng);
     let cid = sys.publish_content("x", 100, b"payload", &mut rng);
     let mut alice = sys.register_user("alice", &mut rng).unwrap();
+    let mut bob = sys.register_user("bob", &mut rng).unwrap();
     sys.fund(&alice, 10_000);
+    sys.ensure_pseudonym(&mut alice, &mut rng).unwrap();
+    sys.ensure_pseudonym(&mut bob, &mut rng).unwrap();
+    let mut device = sys.register_device(&mut rng).unwrap();
 
     let mut t = Transcript::new();
-    for _ in 0..3 {
-        sys.purchase_with_transcript(&mut alice, cid, &mut rng, &mut t)
-            .unwrap();
-    }
-    let needles: Vec<Vec<u8>> = vec![
-        alice.user_id().as_bytes().to_vec(),
-        alice.account.as_bytes().to_vec(),
-        alice.card.master_public().modulus().to_bytes_be(),
-        alice.card.card_id().as_bytes().to_vec(),
-    ];
-    for needle in &needles {
-        assert!(
-            !t.scan_for(Party::Provider, needle),
-            "identity-adjacent bytes reached the provider"
-        );
+    let service = sys.wire_service(7001);
+    let mut client = WireClient::new(Recording::new(Loopback::new(&service), &mut t));
+    client.catalog().unwrap();
+    let license = client
+        .purchase(&mut alice, &sys.mint, cid, &mut rng)
+        .unwrap();
+    client.sync_crls(&mut device).unwrap();
+    client
+        .play(&alice, &mut device, &license, &mut rng)
+        .unwrap();
+    client.license_status(license.id()).unwrap();
+    client
+        .transfer(&mut alice, &mut bob, license.id(), &mut rng)
+        .unwrap();
+    drop(client);
+
+    let received: std::collections::BTreeSet<&str> = t
+        .entries()
+        .iter()
+        .filter(|e| e.to == Party::Provider)
+        .map(|e| e.label)
+        .collect();
+    assert_eq!(
+        received.into_iter().collect::<Vec<_>>(),
+        [
+            "catalog",
+            "crl-sync",
+            "download",
+            "license-status",
+            "purchase",
+            "transfer"
+        ]
+    );
+    for user in [&alice, &bob] {
+        let needles: [Vec<u8>; 4] = [
+            user.user_id().as_bytes().to_vec(),
+            user.account.as_bytes().to_vec(),
+            user.card.master_public().modulus().to_bytes_be(),
+            user.card.card_id().as_bytes().to_vec(),
+        ];
+        for needle in &needles {
+            assert!(
+                !t.scan_for(Party::Provider, needle),
+                "identity-adjacent bytes reached the provider"
+            );
+        }
     }
 }
 
@@ -159,8 +197,8 @@ fn device_binding_enforced() {
     assert!(sys.play(&alice, &mut device_a, &license, &mut rng).is_ok());
     assert!(matches!(
         sys.play(&alice, &mut device_b, &license, &mut rng),
-        Err(p2drm::core::CoreError::Denied(
+        Err(WireError::Client(CoreError::Denied(
             p2drm::rel::DenyReason::WrongDevice
-        ))
+        )))
     ));
 }

@@ -1,7 +1,8 @@
-//! Wire-parity acceptance: flows driven through `WireClient` →
-//! `ProviderService` **bytes** interoperate exactly with the in-process
-//! paths — a wire-purchased license plays in-proc, a wire transfer obeys
-//! the unique-ID rule, and error codes are stable numbers.
+//! Wire acceptance: flows driven through `WireClient` →
+//! `ProviderService` **bytes** — a wire transfer obeys the unique-ID
+//! rule, error codes are stable numbers, ambiguous outcomes park or
+//! reconcile instead of losing value, pipelined replies settle out of
+//! order, and the catalogue listing is served from its snapshot.
 
 use p2drm::core::entities::provider::MemBackend;
 use p2drm::core::protocol::messages::{attribute_auth_bytes, AttributeIssueRequest, LicenseStatus};
@@ -65,75 +66,6 @@ impl Transport for BlackholeOp<'_> {
     ) -> Result<Option<(u64, Vec<u8>)>, TransportError> {
         self.inner.complete(deadline)
     }
-}
-
-#[test]
-fn wire_purchase_plays_through_inproc_path() {
-    let mut rng = test_rng(0x317E01);
-    let mut sys = System::bootstrap(SystemConfig::fast_test(), &mut rng);
-    let cid = sys.publish_content("Wire Track", 100, b"WIRE AUDIO", &mut rng);
-    let mut alice = sys.register_user("alice", &mut rng).expect("fresh user");
-    sys.fund(&alice, 500);
-    let mut device = sys.register_device(&mut rng).expect("compliant device");
-
-    let service = sys.wire_service(0xA11CE);
-    let mut client = WireClient::new(Loopback::new(&service));
-    client.set_epoch(sys.epoch());
-
-    // Catalog over the wire sees the published item.
-    let listing = client.catalog().expect("catalog listing");
-    assert_eq!(listing.len(), 1);
-    assert_eq!(listing[0].id, cid);
-    assert_eq!(listing[0].price, 100);
-
-    // Blind pseudonym issuance and purchase, entirely through bytes.
-    client
-        .obtain_pseudonym(
-            &mut alice,
-            sys.ra.blind_public(),
-            sys.ttp.escrow_key(),
-            &mut rng,
-        )
-        .expect("wire pseudonym issuance");
-    let license = client
-        .purchase(&mut alice, &sys.mint, cid, &mut rng)
-        .expect("wire purchase");
-
-    // Parity: the license the wire handed back is accepted by the
-    // in-process play path (same provider key, same catalog, same spent
-    // store).
-    let audio = sys
-        .play(&alice, &mut device, &license, &mut rng)
-        .expect("in-proc play of wire-purchased license");
-    assert_eq!(audio, b"WIRE AUDIO");
-    assert_eq!(sys.provider.license_count(), 1);
-    assert_eq!(sys.mint.deposited_total(), 100);
-}
-
-#[test]
-fn wire_play_matches_inproc_play() {
-    let mut rng = test_rng(0x317E02);
-    let mut sys = System::bootstrap(SystemConfig::fast_test(), &mut rng);
-    let cid = sys.publish_content("Track", 100, b"BOTH PATHS", &mut rng);
-    let mut alice = sys.register_user("alice", &mut rng).expect("fresh user");
-    sys.fund(&alice, 500);
-    let mut device = sys.register_device(&mut rng).expect("compliant device");
-    let license = sys.purchase(&mut alice, cid, &mut rng).expect("purchase");
-
-    let service = sys.wire_service(0xB0B);
-    let mut client = WireClient::new(Loopback::new(&service));
-    let audio = client
-        .play(&alice, &mut device, &license, &mut rng)
-        .expect("wire play of in-proc license");
-    assert_eq!(audio, b"BOTH PATHS");
-    // The device consumed one play through the wire path.
-    assert_eq!(
-        device
-            .rights_state(&license)
-            .expect("state exists")
-            .plays_used,
-        1
-    );
 }
 
 #[test]

@@ -4,27 +4,26 @@
 //! claim about every frame of every op. A deliberate wire change re-pins
 //! the affected constants below in the same PR.
 //!
-//! `Loopback` answers through `ProviderService::handle`, whose RNG is
-//! keyed with OS entropy, so purchase and transfer replies (license id,
-//! sealed content key, signature over both) would differ run to run. The
-//! recording transport here is `Loopback` answering through
-//! `handle_with_rng` — what `handle` itself calls — with a seeded RNG:
-//! every frame is a function of the seeds and none needs masking.
+//! `Loopback::new` answers with an RNG keyed from OS entropy, so
+//! purchase and transfer replies (license id, sealed content key,
+//! signature over both) would differ run to run. The session here runs
+//! over `Loopback::with_rng` and a seeded RNG instead: every frame is a
+//! function of the seeds and none needs masking.
 
 use p2drm::core::entities::provider::MemBackend;
-use p2drm::core::service::{OpCode, ProviderService, Transport, TransportError, WireClient};
+use p2drm::core::service::{Loopback, OpCode, Transport, TransportError, WireClient};
 use p2drm::crypto::sha256::sha256_hex;
 use p2drm::prelude::*;
 use rand::rngs::StdRng;
 use std::collections::VecDeque;
 use std::sync::Mutex;
 
-/// In-process transport that answers deterministically and keeps every
-/// frame it carried.
+/// Keeps every frame the seeded loopback carries.
 struct Recorder<'s> {
-    service: &'s ProviderService<MemBackend>,
-    rng: Mutex<StdRng>,
-    replies: Mutex<VecDeque<(u64, Vec<u8>)>>,
+    inner: Loopback<'s, MemBackend, StdRng>,
+    /// Requests whose reply has not been collected; `Loopback` answers
+    /// in submission order.
+    sent: Mutex<VecDeque<Vec<u8>>>,
     /// `(request frame, response frame)` per exchange, in order; owned
     /// by the test, since `WireClient` keeps its transport to itself.
     frames: &'s Mutex<Vec<(Vec<u8>, Vec<u8>)>>,
@@ -32,22 +31,26 @@ struct Recorder<'s> {
 
 impl Transport for Recorder<'_> {
     fn submit(&self, corr_id: u64, request: &[u8]) -> Result<(), TransportError> {
-        let reply = self
-            .service
-            .handle_with_rng(request, &mut *self.rng.lock().unwrap());
-        self.frames
-            .lock()
-            .unwrap()
-            .push((request.to_vec(), reply.clone()));
-        self.replies.lock().unwrap().push_back((corr_id, reply));
+        self.inner.submit(corr_id, request)?;
+        self.sent.lock().unwrap().push_back(request.to_vec());
         Ok(())
     }
 
     fn complete(
         &self,
-        _deadline: Option<std::time::Instant>,
+        deadline: Option<std::time::Instant>,
     ) -> Result<Option<(u64, Vec<u8>)>, TransportError> {
-        Ok(self.replies.lock().unwrap().pop_front())
+        let done = self.inner.complete(deadline)?;
+        if let Some((_, reply)) = &done {
+            let request = self
+                .sent
+                .lock()
+                .unwrap()
+                .pop_front()
+                .expect("a reply answers a request");
+            self.frames.lock().unwrap().push((request, reply.clone()));
+        }
+        Ok(done)
     }
 }
 
@@ -83,9 +86,8 @@ fn scripted_session_matches_the_golden_frames() {
     let service = sys.wire_service(0x601D);
     let frames = Mutex::default();
     let mut client = WireClient::new(Recorder {
-        service: &service,
-        rng: Mutex::new(test_rng(0x601D_0002)),
-        replies: Mutex::default(),
+        inner: Loopback::with_rng(&service, test_rng(0x601D_0002)),
+        sent: Mutex::default(),
         frames: &frames,
     });
     client.set_epoch(sys.epoch());
