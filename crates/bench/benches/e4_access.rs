@@ -10,7 +10,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use p2drm_bench::world;
 use p2drm_core::entities::device::challenge_message;
-use p2drm_rel::{parse, AccessRequest, RightsState};
+use p2drm_rel::{AccessRequest, Limit, Rights, RightsState};
 use std::time::Duration;
 
 fn bench_rel_eval(c: &mut Criterion) {
@@ -20,29 +20,31 @@ fn bench_rel_eval(c: &mut Criterion) {
         .warm_up_time(Duration::from_millis(200))
         .measurement_time(Duration::from_millis(500));
 
+    let typical = Rights::builder()
+        .play(Limit::Count(10))
+        .transfer(Limit::Count(1))
+        .window(Some(0), Some(99999));
     let cases = [
-        ("minimal", "grant play unlimited;"),
-        (
-            "typical",
-            "grant play count=10; grant transfer count=1; valid from=0 until=99999;",
-        ),
+        ("minimal", Rights::builder().play(Limit::Unlimited).build()),
+        ("typical", typical.clone().build()),
         (
             "full",
-            "grant play count=10; grant copy count=2; grant transfer count=1; \
-             valid from=0 until=99999; bind domain=\"home\"; region \"EU\" \"US\" \"JP\";",
+            typical
+                .copy(Limit::Count(2))
+                .domain("home")
+                .region("EU")
+                .region("US")
+                .region("JP")
+                .build(),
         ),
     ];
-    for (name, src) in cases {
-        let rights = parse(src).unwrap();
+    for (name, rights) in cases {
         let state = RightsState::new();
         let req = AccessRequest::play(50, [0u8; 32])
             .in_domain("home")
             .in_region("EU");
         group.bench_function(BenchmarkId::new("evaluate", name), |b| {
             b.iter(|| rights.evaluate(&state, &req))
-        });
-        group.bench_function(BenchmarkId::new("parse", name), |b| {
-            b.iter(|| parse(src).unwrap())
         });
     }
     group.finish();

@@ -39,19 +39,6 @@ impl UBig {
         }
     }
 
-    /// Builds from a 128-bit value.
-    pub fn from_u128(v: u128) -> Self {
-        let lo = v as u64;
-        let hi = (v >> 64) as u64;
-        if hi == 0 {
-            Self::from_u64(lo)
-        } else {
-            UBig {
-                limbs: vec![lo, hi],
-            }
-        }
-    }
-
     /// Builds from little-endian limbs (normalizing trailing zeros).
     pub fn from_limbs(mut limbs: Vec<u64>) -> Self {
         while limbs.last() == Some(&0) {

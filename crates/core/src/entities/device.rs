@@ -120,19 +120,17 @@ impl<S: ConcurrentKv> CompliantDevice<S> {
         &self.cert
     }
 
-    /// Ingests fresh full CRLs from the provider; sequence numbers must be
-    /// non-decreasing (rollback protection).
-    ///
-    /// Both envelopes carry the same issuer, so their signatures are
-    /// checked as one batch ([`p2drm_pki::crl::verify_crl_batch`]) — one
-    /// combined exponentiation instead of two.
+    /// Ingests the provider's two full CRLs — the device's one CRL entry
+    /// point. Both signatures are verified before any state is touched,
+    /// and sequence numbers must be non-decreasing (rollback protection):
+    /// a refused pair leaves both lists and both sequences as they were.
     pub fn sync_crls(
         &mut self,
         license_crl: &SignedCrl,
         pseudonym_crl: &SignedCrl,
     ) -> Result<(), CoreError> {
-        p2drm_pki::crl::verify_crl_batch(&self.provider_key, &[license_crl, pseudonym_crl], &[])
-            .into_result()?;
+        license_crl.verify(&self.provider_key)?;
+        pseudonym_crl.verify(&self.provider_key)?;
         if license_crl.sequence < self.license_crl_seq
             || pseudonym_crl.sequence < self.pseudonym_crl_seq
         {
@@ -143,89 +141,6 @@ impl<S: ConcurrentKv> CompliantDevice<S> {
         self.license_crl_seq = license_crl.sequence;
         self.pseudonym_crl_seq = pseudonym_crl.sequence;
         Ok(())
-    }
-
-    /// Applies an incremental license-CRL update (see
-    /// [`p2drm_pki::crl::SignedCrlDelta`]); the delta must start exactly at
-    /// the device's current sequence — gaps and replays are rejected.
-    pub fn apply_license_crl_delta(
-        &mut self,
-        delta: &p2drm_pki::crl::SignedCrlDelta,
-    ) -> Result<(), CoreError> {
-        delta.verify(&self.provider_key)?;
-        self.license_crl_seq = delta
-            .apply(&mut self.license_crl, self.license_crl_seq)
-            .map_err(|_| CoreError::BadLicense("CRL delta sequence mismatch"))?;
-        Ok(())
-    }
-
-    /// Applies an incremental pseudonym-CRL update.
-    pub fn apply_pseudonym_crl_delta(
-        &mut self,
-        delta: &p2drm_pki::crl::SignedCrlDelta,
-    ) -> Result<(), CoreError> {
-        delta.verify(&self.provider_key)?;
-        self.pseudonym_crl_seq = delta
-            .apply(&mut self.pseudonym_crl, self.pseudonym_crl_seq)
-            .map_err(|_| CoreError::BadLicense("CRL delta sequence mismatch"))?;
-        Ok(())
-    }
-
-    /// Applies a backlog of license-CRL deltas: all `k` signatures are
-    /// verified in one batch ([`p2drm_pki::crl::verify_crl_batch`]), then
-    /// the deltas are chained in order with the usual gap/replay checks.
-    /// Nothing is applied unless every signature verifies and the whole
-    /// chain lines up — a device catching up after being offline either
-    /// lands exactly on the newest sequence or keeps its old state.
-    pub fn apply_license_crl_deltas(
-        &mut self,
-        deltas: &[p2drm_pki::crl::SignedCrlDelta],
-    ) -> Result<(), CoreError> {
-        let (list, seq) = Self::batch_apply(
-            &self.provider_key,
-            deltas,
-            &self.license_crl,
-            self.license_crl_seq,
-        )?;
-        self.license_crl = list;
-        self.license_crl_seq = seq;
-        Ok(())
-    }
-
-    /// Pseudonym-CRL counterpart of [`Self::apply_license_crl_deltas`].
-    pub fn apply_pseudonym_crl_deltas(
-        &mut self,
-        deltas: &[p2drm_pki::crl::SignedCrlDelta],
-    ) -> Result<(), CoreError> {
-        let (list, seq) = Self::batch_apply(
-            &self.provider_key,
-            deltas,
-            &self.pseudonym_crl,
-            self.pseudonym_crl_seq,
-        )?;
-        self.pseudonym_crl = list;
-        self.pseudonym_crl_seq = seq;
-        Ok(())
-    }
-
-    /// Batch-verifies `deltas` under `issuer`, then applies them to a copy
-    /// of `list` starting at `seq`. All-or-nothing.
-    fn batch_apply(
-        issuer: &RsaPublicKey,
-        deltas: &[p2drm_pki::crl::SignedCrlDelta],
-        list: &p2drm_pki::RevocationList,
-        seq: u64,
-    ) -> Result<(p2drm_pki::RevocationList, u64), CoreError> {
-        let refs: Vec<&p2drm_pki::crl::SignedCrlDelta> = deltas.iter().collect();
-        p2drm_pki::crl::verify_crl_batch(issuer, &[], &refs).into_result()?;
-        let mut staged = list.clone();
-        let mut cursor = seq;
-        for delta in deltas {
-            cursor = delta
-                .apply(&mut staged, cursor)
-                .map_err(|_| CoreError::BadLicense("CRL delta sequence mismatch"))?;
-        }
-        Ok((staged, cursor))
     }
 
     /// Generates a holder challenge (fresh nonce).

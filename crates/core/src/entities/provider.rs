@@ -54,9 +54,9 @@
 //!   winner — the claim is WAL-logged before the in-memory index changes,
 //!   so the exactly-once decision is as durable as the chosen
 //!   [`p2drm_store::SyncPolicy`];
-//! * any other [`ConcurrentKv`] ([`ContentProvider::with_backend`] /
-//!   [`ContentProvider::resume_backend`]) — wrappers that inject faults
-//!   or record timings around one of the two above.
+//! * any other [`ConcurrentKv`] ([`ContentProvider::with_backend`]) —
+//!   wrappers that inject faults or record timings around one of the
+//!   two above.
 
 use crate::content::{CatalogListing, ContentCatalog, ContentMeta, PackagedContent};
 use crate::ids::{ContentId, LicenseId};
@@ -161,15 +161,12 @@ pub struct ProviderCore {
     vcache: p2drm_pki::VerifyCache,
 }
 
-/// CRL state: both revocation lists plus the sequence counters and
-/// `(sequence, id)` event logs backing incremental sync.
+/// CRL state: both revocation lists plus their sequence counters.
 struct CrlState {
     pseudonym_crl: RevocationList,
     license_crl: RevocationList,
     license_crl_seq: u64,
     pseudonym_crl_seq: u64,
-    license_crl_events: Vec<(u64, KeyId)>,
-    pseudonym_crl_events: Vec<(u64, KeyId)>,
 }
 
 impl CrlState {
@@ -179,8 +176,6 @@ impl CrlState {
             license_crl: RevocationList::new(),
             license_crl_seq: 0,
             pseudonym_crl_seq: 0,
-            license_crl_events: Vec::new(),
-            pseudonym_crl_events: Vec::new(),
         }
     }
 }
@@ -295,8 +290,8 @@ impl ContentProvider<WalShardedKv> {
         config: ProviderConfig,
     ) -> Result<(Self, RecoveryReport), CoreError> {
         let (store, report) = WalShardedKv::open(dir, durable)?;
-        let provider =
-            Self::resume_backend(keys, cert, root_key, mint, ra_blind_key, store, config)?;
+        let provider = Self::assemble(keys, cert, root_key, mint, ra_blind_key, store, config);
+        provider.restore_from_store()?;
         Ok((provider, report))
     }
 }
@@ -363,28 +358,6 @@ impl<B: ConcurrentKv> ContentProvider<B> {
         }
     }
 
-    /// Restarts a provider over any backend from its persisted state: the
-    /// serialized key pair + certificate (the operator's key vault) and
-    /// the store holding catalog, license records, spent ids and CRLs.
-    ///
-    /// After resume, previously issued licenses still verify, previously
-    /// spent license ids are still rejected, and CRL sequence numbers
-    /// continue monotonically.
-    #[allow(clippy::too_many_arguments)]
-    pub fn resume_backend(
-        keys: p2drm_crypto::rsa::RsaKeyPair,
-        cert: Certificate,
-        root_key: RsaPublicKey,
-        mint: Mint,
-        ra_blind_key: RsaPublicKey,
-        backend: B,
-        config: ProviderConfig,
-    ) -> Result<Self, CoreError> {
-        let provider = Self::assemble(keys, cert, root_key, mint, ra_blind_key, backend, config);
-        provider.restore_from_store()?;
-        Ok(provider)
-    }
-
     /// Rebuilds the in-memory mirrors (catalog, rights templates, CRL
     /// sets/sequences) from the persisted tables in the store backend.
     /// Idempotent; called by every resume/open-durable path.
@@ -410,27 +383,21 @@ impl<B: ConcurrentKv> ContentProvider<B> {
             // the sequence number at which the revocation happened.
             let state = &self.state;
             let mut crl = state.crl.write();
-            crl.license_crl_events.clear();
-            crl.pseudonym_crl_events.clear();
             for (key, seq) in state.crl_table.scan(&state.store)? {
                 if let Some(id_bytes) = key.strip_prefix(b"l/") {
                     if id_bytes.len() == 32 {
                         let id = KeyId(id_bytes.try_into().expect("checked width"));
                         crl.license_crl.insert(id);
-                        crl.license_crl_events.push((seq, id));
                         crl.license_crl_seq = crl.license_crl_seq.max(seq);
                     }
                 } else if let Some(id_bytes) = key.strip_prefix(b"p/") {
                     if id_bytes.len() == 32 {
                         let id = KeyId(id_bytes.try_into().expect("checked width"));
                         crl.pseudonym_crl.insert(id);
-                        crl.pseudonym_crl_events.push((seq, id));
                         crl.pseudonym_crl_seq = crl.pseudonym_crl_seq.max(seq);
                     }
                 }
             }
-            crl.license_crl_events.sort_unstable();
-            crl.pseudonym_crl_events.sort_unstable();
         }
         Ok(())
     }
@@ -443,7 +410,7 @@ impl<B: ConcurrentKv> ContentProvider<B> {
 
     /// Persists one revocation into the CRL table. Caller holds the CRL
     /// write lock and has already bumped the relevant sequence counter.
-    fn persist_crl_entry(&self, crl: &mut CrlState, kind: u8, id: &KeyId) -> Result<(), CoreError> {
+    fn persist_crl_entry(&self, crl: &CrlState, kind: u8, id: &KeyId) -> Result<(), CoreError> {
         let seq = match kind {
             b'l' => crl.license_crl_seq,
             _ => crl.pseudonym_crl_seq,
@@ -452,12 +419,7 @@ impl<B: ConcurrentKv> ContentProvider<B> {
         key.push(kind);
         key.push(b'/');
         key.extend_from_slice(&id.0);
-        self.state.crl_table.put(&self.state.store, &key, &seq)?;
-        match kind {
-            b'l' => crl.license_crl_events.push((seq, *id)),
-            _ => crl.pseudonym_crl_events.push((seq, *id)),
-        }
-        Ok(())
+        Ok(self.state.crl_table.put(&self.state.store, &key, &seq)?)
     }
 
     /// Writes the provider's row for a freshly issued license: its
@@ -612,11 +574,6 @@ impl<B: ConcurrentKv> ContentProvider<B> {
     /// catalog state (see [`crate::content`]).
     pub fn list_content(&self) -> Arc<CatalogListing> {
         self.state.catalog.read().listing()
-    }
-
-    /// Number of catalog items.
-    pub fn content_count(&self) -> usize {
-        self.state.catalog.read().len()
     }
 
     /// Validates a pseudonym certificate: RA blind signature, epoch
@@ -802,7 +759,7 @@ impl<B: ConcurrentKv> ContentProvider<B> {
             let mut crl = self.state.crl.write();
             crl.license_crl.insert(license_crl_id(&lid));
             crl.license_crl_seq += 1;
-            self.persist_crl_entry(&mut crl, b'l', &license_crl_id(&lid))?;
+            self.persist_crl_entry(&crl, b'l', &license_crl_id(&lid))?;
         }
 
         let content_key = {
@@ -910,7 +867,7 @@ impl<B: ConcurrentKv> ContentProvider<B> {
         let mut crl = self.state.crl.write();
         crl.pseudonym_crl.insert(id);
         crl.pseudonym_crl_seq += 1;
-        self.persist_crl_entry(&mut crl, b'p', &id)
+        self.persist_crl_entry(&crl, b'p', &id)
     }
 
     /// Revokes a license id directly (e.g. refund, abuse).
@@ -932,7 +889,7 @@ impl<B: ConcurrentKv> ContentProvider<B> {
         let mut crl = self.state.crl.write();
         crl.license_crl.insert(id);
         crl.license_crl_seq += 1;
-        self.persist_crl_entry(&mut crl, b'l', &id)
+        self.persist_crl_entry(&crl, b'l', &id)
     }
 
     /// Authoritative status of a license id — the reconciliation query
@@ -991,47 +948,6 @@ impl<B: ConcurrentKv> ContentProvider<B> {
             crl.pseudonym_crl_seq,
             issued_at,
             crl.pseudonym_crl.clone(),
-        )
-    }
-
-    /// Incremental license-CRL update for a device that already holds
-    /// sequence `since` — O(changes) bytes instead of the full list.
-    pub fn license_crl_delta(&self, since: u64, issued_at: u64) -> p2drm_pki::crl::SignedCrlDelta {
-        let crl = self.state.crl.read();
-        let added = crl
-            .license_crl_events
-            .iter()
-            .filter(|(seq, _)| *seq > since)
-            .map(|(_, id)| *id)
-            .collect();
-        p2drm_pki::crl::SignedCrlDelta::create(
-            &self.core.keys,
-            since,
-            crl.license_crl_seq,
-            issued_at,
-            added,
-        )
-    }
-
-    /// Incremental pseudonym-CRL update.
-    pub fn pseudonym_crl_delta(
-        &self,
-        since: u64,
-        issued_at: u64,
-    ) -> p2drm_pki::crl::SignedCrlDelta {
-        let crl = self.state.crl.read();
-        let added = crl
-            .pseudonym_crl_events
-            .iter()
-            .filter(|(seq, _)| *seq > since)
-            .map(|(_, id)| *id)
-            .collect();
-        p2drm_pki::crl::SignedCrlDelta::create(
-            &self.core.keys,
-            since,
-            crl.pseudonym_crl_seq,
-            issued_at,
-            added,
         )
     }
 

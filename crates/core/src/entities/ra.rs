@@ -112,11 +112,6 @@ impl RegistrationAuthority {
         self.keys.identity.public_key()
     }
 
-    /// The RA's identity-CA certificate (for chain building).
-    pub fn identity_cert(&self) -> &Certificate {
-        self.keys.identity.certificate()
-    }
-
     /// Registers `user` (simulated KYC) and issues a smart card.
     pub fn register_user<R: CryptoRng + ?Sized>(
         &self,
@@ -261,11 +256,6 @@ impl RegistrationAuthority {
         state.card_crl.insert(key_id);
         state.crl_seq += 1;
         Ok(())
-    }
-
-    /// Whether a card master key is revoked.
-    pub fn is_card_revoked(&self, master_key_id: &KeyId) -> bool {
-        self.state.lock().card_crl.contains(master_key_id)
     }
 
     /// Signed card CRL for distribution.

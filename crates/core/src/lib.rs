@@ -60,10 +60,8 @@ pub use license::{License, LicenseBody, LicenseRecord};
 /// Errors produced by the protocol engines.
 #[derive(Debug)]
 pub enum CoreError {
-    /// Certificate problem (chain, expiry, signature).
+    /// Certificate problem (issuer, expiry, signature).
     Pki(p2drm_pki::PkiError),
-    /// Chain-level verification failure.
-    Chain(p2drm_pki::ChainError),
     /// Cryptographic failure.
     Crypto(p2drm_crypto::CryptoError),
     /// Payment failure (funds, double spend, bad coin).
@@ -96,7 +94,6 @@ impl std::fmt::Display for CoreError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             CoreError::Pki(e) => write!(f, "pki: {e}"),
-            CoreError::Chain(e) => write!(f, "chain: {e}"),
             CoreError::Crypto(e) => write!(f, "crypto: {e}"),
             CoreError::Payment(e) => write!(f, "payment: {e}"),
             CoreError::Store(e) => write!(f, "store: {e}"),
@@ -119,12 +116,6 @@ impl std::error::Error for CoreError {}
 impl From<p2drm_pki::PkiError> for CoreError {
     fn from(e: p2drm_pki::PkiError) -> Self {
         CoreError::Pki(e)
-    }
-}
-
-impl From<p2drm_pki::ChainError> for CoreError {
-    fn from(e: p2drm_pki::ChainError) -> Self {
-        CoreError::Chain(e)
     }
 }
 

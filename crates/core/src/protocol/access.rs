@@ -159,34 +159,6 @@ mod tests {
     }
 
     #[test]
-    fn delta_backlog_applies_as_one_batch() {
-        // A device offline for several revocation rounds catches up with
-        // a chain of single-step deltas, verified in one batched check.
-        let mut f = fixture(188);
-        let mut deltas = Vec::new();
-        for i in 0..5u8 {
-            let since = f.sys.provider.signed_pseudonym_crl(0).sequence;
-            f.sys
-                .provider
-                .revoke_pseudonym(p2drm_pki::cert::digest_id(&[i]))
-                .unwrap();
-            deltas.push(f.sys.provider.pseudonym_crl_delta(since, 60 + i as u64));
-        }
-        f.device.apply_pseudonym_crl_deltas(&deltas).unwrap();
-
-        // A tampered delta in the backlog: nothing may be applied.
-        let mut f2 = fixture(189);
-        let since = f2.sys.provider.signed_pseudonym_crl(0).sequence;
-        f2.sys
-            .provider
-            .revoke_pseudonym(p2drm_pki::cert::digest_id(&[9]))
-            .unwrap();
-        let mut delta = f2.sys.provider.pseudonym_crl_delta(since, 60);
-        delta.added.push(p2drm_pki::cert::digest_id(&[77]));
-        assert!(f2.device.apply_pseudonym_crl_deltas(&[delta]).is_err());
-    }
-
-    #[test]
     fn foreign_license_rejected() {
         // Bob cannot play Alice's license: his card lacks the pseudonym key.
         let mut f = fixture(186);

@@ -352,9 +352,8 @@ impl Decode for TransferResponse {
 }
 
 /// Device → Provider: CRL sync request, stating the sequences the device
-/// already holds (0 = none; the service currently always answers with the
-/// full signed lists, the sequences let a future delta path plug in
-/// without a wire change).
+/// already holds (0 = none). The sequences are advisory: the service
+/// always answers with both full signed lists, whatever they say.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CrlSyncRequest {
     /// License-CRL sequence the device holds.

@@ -153,11 +153,6 @@ impl<T: Transport> WireClient<T> {
         self
     }
 
-    /// Installs (or replaces) the recovery policy on a live client.
-    pub fn set_recovery(&mut self, recovery: Option<Recovery>) {
-        self.recovery = recovery;
-    }
-
     /// The active recovery policy, if any (breaker/budget inspection).
     pub fn recovery(&self) -> Option<&Recovery> {
         self.recovery.as_ref()

@@ -9,7 +9,8 @@ use p2drm_codec::{CodecError, Decode, Encode, Reader, Writer};
 /// Codes are part of the wire contract: a variant's number never changes,
 /// and new codes extend the table. Unknown codes received from a newer
 /// peer decode to [`ApiErrorCode::Unrecognized`], preserving the raw
-/// number.
+/// number. 22 and 53 are retired (no handler could raise them) and are
+/// never reassigned; they too decode as `Unrecognized`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum ApiErrorCode {
     /// Request bytes failed to decode (truncated, trailing garbage,
@@ -30,8 +31,6 @@ pub enum ApiErrorCode {
     Certificate,
     /// Certificate outside its validity window.
     CertificateExpired,
-    /// Certificate chain failed to verify.
-    ChainInvalid,
     /// Payment failure other than the two named below.
     Payment,
     /// Coin or balance does not cover the price.
@@ -47,8 +46,6 @@ pub enum ApiErrorCode {
     AlreadyRedeemed,
     /// Rights denied the requested action.
     RightsDenied,
-    /// Rights expression failed to parse.
-    RightsParse,
     /// Entity revoked (card, pseudonym, license).
     Revoked,
     /// Pseudonym certificate rejected.
@@ -85,7 +82,6 @@ impl ApiErrorCode {
             ApiErrorCode::BadSignature => 11,
             ApiErrorCode::Certificate => 20,
             ApiErrorCode::CertificateExpired => 21,
-            ApiErrorCode::ChainInvalid => 22,
             ApiErrorCode::Payment => 30,
             ApiErrorCode::InsufficientFunds => 31,
             ApiErrorCode::DoubleSpend => 32,
@@ -93,7 +89,6 @@ impl ApiErrorCode {
             ApiErrorCode::BadLicense => 50,
             ApiErrorCode::AlreadyRedeemed => 51,
             ApiErrorCode::RightsDenied => 52,
-            ApiErrorCode::RightsParse => 53,
             ApiErrorCode::Revoked => 60,
             ApiErrorCode::BadPseudonym => 61,
             ApiErrorCode::BadProof => 62,
@@ -120,7 +115,6 @@ impl ApiErrorCode {
             11 => ApiErrorCode::BadSignature,
             20 => ApiErrorCode::Certificate,
             21 => ApiErrorCode::CertificateExpired,
-            22 => ApiErrorCode::ChainInvalid,
             30 => ApiErrorCode::Payment,
             31 => ApiErrorCode::InsufficientFunds,
             32 => ApiErrorCode::DoubleSpend,
@@ -128,7 +122,6 @@ impl ApiErrorCode {
             50 => ApiErrorCode::BadLicense,
             51 => ApiErrorCode::AlreadyRedeemed,
             52 => ApiErrorCode::RightsDenied,
-            53 => ApiErrorCode::RightsParse,
             60 => ApiErrorCode::Revoked,
             61 => ApiErrorCode::BadPseudonym,
             62 => ApiErrorCode::BadProof,
@@ -181,15 +174,6 @@ impl From<&p2drm_pki::PkiError> for ApiErrorCode {
     }
 }
 
-impl From<&p2drm_pki::ChainError> for ApiErrorCode {
-    fn from(e: &p2drm_pki::ChainError) -> Self {
-        match e {
-            p2drm_pki::ChainError::Revoked { .. } => ApiErrorCode::Revoked,
-            _ => ApiErrorCode::ChainInvalid,
-        }
-    }
-}
-
 impl From<&p2drm_payment::PaymentError> for ApiErrorCode {
     fn from(e: &p2drm_payment::PaymentError) -> Self {
         match e {
@@ -208,12 +192,6 @@ impl From<&p2drm_store::StoreError> for ApiErrorCode {
     }
 }
 
-impl From<&p2drm_rel::ParseError> for ApiErrorCode {
-    fn from(_: &p2drm_rel::ParseError) -> Self {
-        ApiErrorCode::RightsParse
-    }
-}
-
 impl From<&p2drm_bignum::BigError> for ApiErrorCode {
     fn from(_: &p2drm_bignum::BigError) -> Self {
         ApiErrorCode::Arithmetic
@@ -224,7 +202,6 @@ impl From<&CoreError> for ApiErrorCode {
     fn from(e: &CoreError) -> Self {
         match e {
             CoreError::Pki(e) => e.into(),
-            CoreError::Chain(e) => e.into(),
             CoreError::Crypto(e) => e.into(),
             CoreError::Payment(e) => e.into(),
             CoreError::Store(e) => e.into(),
@@ -312,5 +289,19 @@ impl Decode for ApiError {
             detail: r.get_str()?,
             retry_after_ms: r.get_u32()?,
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn retired_codes_decode_as_unrecognized_and_keep_their_number() {
+        for raw in [22u16, 53] {
+            let code = ApiErrorCode::from_code(raw);
+            assert_eq!(code, ApiErrorCode::Unrecognized(raw));
+            assert_eq!(code.code(), raw);
+        }
     }
 }

@@ -30,10 +30,10 @@
 //! |---|---|
 //! | 1–9 | envelope: malformed, unsupported version, unknown op, unavailable |
 //! | 10–19 | cryptography (`CryptoError`) |
-//! | 20–29 | certificates and chains (`PkiError`, `ChainError`) |
+//! | 20–29 | certificates (`PkiError`); 22 retired |
 //! | 30–39 | payment (`PaymentError`) |
 //! | 40–49 | storage (`StoreError`) |
-//! | 50–59 | licenses and rights (`BadLicense`, `AlreadyRedeemed`, REL) |
+//! | 50–59 | licenses and rights (`BadLicense`, `AlreadyRedeemed`, REL); 53 retired |
 //! | 60–69 | identity and proofs (revocation, pseudonyms, cards, evidence) |
 //! | 70–79 | lookups (unknown content / license) |
 //! | 80–89 | authorized-domain extension (`DomainError`) |

@@ -141,8 +141,8 @@ impl<B: ConcurrentKv> ProviderService<B> {
     /// [`Registry`] instead of the global one. The provider (verify
     /// cache, store) and the tracer are registered as weak snapshot
     /// sources, so one [`Registry::snapshot`] — or one wire
-    /// [`OpCode::MetricsDump`] — carries service, cache, store and
-    /// batch-crypto metrics together.
+    /// [`OpCode::MetricsDump`] — carries service, cache and store
+    /// metrics together.
     pub fn with_registry(
         provider: Arc<ContentProvider<B>>,
         seed: u64,
@@ -373,8 +373,7 @@ impl<B: ConcurrentKv> ProviderService<B> {
     }
 
     /// The unified snapshot as a wire message: every registry metric
-    /// (service, verify cache, store, batch crypto) plus the
-    /// tracer's recent spans.
+    /// (service, verify cache, store) plus the tracer's recent spans.
     pub fn metrics_dump_response(&self) -> MetricsDumpResponse {
         let snapshot = self.registry.snapshot();
         MetricsDumpResponse {

@@ -3,7 +3,7 @@
 //! for a holder pseudonym key, and smart cards use to seal content keys to
 //! a device key.
 //!
-//! Works with any RSA modulus size (unlike OAEP) and any payload length.
+//! Works with any RSA modulus size and any payload length.
 
 use crate::rng::CryptoRng;
 use crate::rsa::{kem_decapsulate, kem_encapsulate, RsaKeyPair, RsaPublicKey};

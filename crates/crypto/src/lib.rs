@@ -7,7 +7,7 @@
 //! | [`hmac`] | HMAC-SHA-256 (RFC 2104) | session MACs, KDF |
 //! | [`kdf`] | HKDF-style expand | content/session key derivation |
 //! | [`chacha20`] | RFC 7539 ChaCha20 | content encryption, escrow payloads |
-//! | [`rsa`] | RSA keygen / PKCS#1-v1.5 sign / OAEP encrypt | certificates, licenses |
+//! | [`rsa`] | RSA keygen / PKCS#1-v1.5 sign / RSA-KEM | certificates, licenses, key wrapping |
 //! | [`blind`] | Chaum full-domain-hash blind signatures | pseudonym certification, e-cash |
 //! | [`elgamal`] | ElGamal over RFC 3526 MODP groups | TTP identity escrow |
 //! | [`rng`] | RNG plumbing & deterministic test RNG | all key generation |
@@ -33,7 +33,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod batch;
 pub mod blind;
 pub mod chacha20;
 pub mod elgamal;

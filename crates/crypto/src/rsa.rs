@@ -1,6 +1,6 @@
 //! RSA from scratch: key generation, PKCS#1 v1.5 signatures (SHA-256),
-//! OAEP encryption (SHA-256 + MGF1), and the raw trapdoor permutation used
-//! by the blind-signature module.
+//! RSA-KEM key encapsulation, and the raw trapdoor permutation used by the
+//! blind-signature module.
 //!
 //! Private-key operations use the CRT with per-prime Montgomery contexts.
 
@@ -94,9 +94,8 @@ impl RsaPublicKey {
         }
     }
 
-    /// The key's Montgomery context (shared with the batch verifier so
-    /// batched checks stay in this ring without rebuilding the context).
-    pub(crate) fn mont(&self) -> &Mont {
+    /// The key's Montgomery context, built on first use.
+    fn mont(&self) -> &Mont {
         // lint: allow(panic, `new` admitted only odd moduli of >= 64 bits, the whole of what `Mont::new` requires)
         self.mont
             .get_or_init(|| Mont::new(&self.n).expect("modulus validated in RsaPublicKey::new"))
@@ -121,43 +120,6 @@ impl RsaPublicKey {
         } else {
             Err(CryptoError::BadSignature)
         }
-    }
-
-    /// OAEP-encrypts `plaintext` (SHA-256, empty label).
-    pub fn encrypt_oaep<R: CryptoRng + ?Sized>(
-        &self,
-        plaintext: &[u8],
-        rng: &mut R,
-    ) -> Result<Vec<u8>, CryptoError> {
-        let k = self.modulus_len();
-        if k < 2 * DIGEST_LEN + 2 || plaintext.len() > k - 2 * DIGEST_LEN - 2 {
-            return Err(CryptoError::MessageTooLong);
-        }
-        // DB = lHash || PS || 0x01 || M
-        let mut db = vec![0u8; k - DIGEST_LEN - 1];
-        db[..DIGEST_LEN].copy_from_slice(&sha256(b""));
-        let m_off = db.len() - plaintext.len();
-        db[m_off - 1] = 0x01;
-        db[m_off..].copy_from_slice(plaintext);
-
-        let mut seed = vec![0u8; DIGEST_LEN];
-        rng.fill_bytes(&mut seed);
-
-        let db_mask = mgf1(&seed, db.len());
-        for (b, m) in db.iter_mut().zip(db_mask.iter()) {
-            *b ^= m;
-        }
-        let seed_mask = mgf1(&db, DIGEST_LEN);
-        for (b, m) in seed.iter_mut().zip(seed_mask.iter()) {
-            *b ^= m;
-        }
-
-        let mut em = Vec::with_capacity(k);
-        em.push(0);
-        em.extend_from_slice(&seed);
-        em.extend_from_slice(&db);
-        let m = UBig::from_bytes_be(&em);
-        Ok(self.raw_public(&m).to_bytes_be_padded(k))
     }
 }
 
@@ -310,53 +272,13 @@ impl RsaKeyPair {
         debug_assert_eq!(self.public.raw_public(&s), m, "CRT self-check");
         RsaSignature { s }
     }
-
-    /// OAEP-decrypts `ciphertext`.
-    pub fn decrypt_oaep(&self, ciphertext: &[u8]) -> Result<Vec<u8>, CryptoError> {
-        let k = self.public.modulus_len();
-        if ciphertext.len() != k || k < 2 * DIGEST_LEN + 2 {
-            return Err(CryptoError::BadCiphertext);
-        }
-        let c = UBig::from_bytes_be(ciphertext);
-        if c >= *self.public.modulus() {
-            return Err(CryptoError::BadCiphertext);
-        }
-        let em = self.raw_private(&c).to_bytes_be_padded(k); // lint: secret
-        if em[0] != 0 {
-            return Err(CryptoError::BadCiphertext);
-        }
-        let (seed_masked, db_masked) = em[1..].split_at(DIGEST_LEN);
-        let mut seed = seed_masked.to_vec();
-        let seed_mask = mgf1(db_masked, DIGEST_LEN);
-        for (b, m) in seed.iter_mut().zip(seed_mask.iter()) {
-            *b ^= m;
-        }
-        let mut db = db_masked.to_vec();
-        let db_mask = mgf1(&seed, db.len());
-        for (b, m) in db.iter_mut().zip(db_mask.iter()) {
-            *b ^= m;
-        }
-        if !crate::ct_eq(&db[..DIGEST_LEN], &sha256(b"")) {
-            return Err(CryptoError::BadCiphertext);
-        }
-        // Find the 0x01 separator after the zero padding.
-        let rest = &db[DIGEST_LEN..];
-        let sep = rest
-            .iter()
-            .position(|&b| b != 0)
-            .ok_or(CryptoError::BadCiphertext)?;
-        if rest[sep] != 0x01 {
-            return Err(CryptoError::BadCiphertext);
-        }
-        Ok(rest[sep + 1..].to_vec())
-    }
 }
 
 /// RSA-KEM encapsulation: returns `(ciphertext, shared_secret)`.
 ///
-/// Works with any modulus size (unlike OAEP, which needs `k >= 66` bytes
-/// with SHA-256), so it is what the protocols use to wrap content keys:
-/// pick uniform `z < n`, send `z^e mod n`, derive the key from `z`.
+/// Works with any modulus size, and is what the protocols use to wrap
+/// content keys: pick uniform `z < n`, send `z^e mod n`, derive the key
+/// from `z`.
 pub fn kem_encapsulate<R: CryptoRng + ?Sized>(
     pk: &RsaPublicKey,
     rng: &mut R,
@@ -430,7 +352,7 @@ impl Decode for RsaKeyPair {
 }
 
 /// EMSA-PKCS1-v1_5 encoding of SHA-256(message) into `k` bytes.
-pub(crate) fn emsa_pkcs1_v15(message: &[u8], k: usize) -> Result<Vec<u8>, CryptoError> {
+fn emsa_pkcs1_v15(message: &[u8], k: usize) -> Result<Vec<u8>, CryptoError> {
     let t_len = SHA256_DIGEST_INFO.len() + DIGEST_LEN;
     if k < t_len + 11 {
         return Err(CryptoError::MessageTooLong);
@@ -480,7 +402,7 @@ mod tests {
         RsaKeyPair::generate(512, &mut test_rng(11))
     }
 
-    /// OAEP with SHA-256 needs >= 66-byte moduli; cache one 1024-bit key.
+    /// One cached 1024-bit key beside the 512-bit ones.
     fn keypair1024() -> &'static RsaKeyPair {
         use std::sync::OnceLock;
         static KP: OnceLock<RsaKeyPair> = OnceLock::new();
@@ -556,55 +478,6 @@ mod tests {
         let kp2 = RsaKeyPair::generate(512, &mut test_rng(12));
         let sig = kp1.sign(b"msg");
         assert!(kp2.public().verify(b"msg", &sig).is_err());
-    }
-
-    #[test]
-    fn oaep_roundtrip_various_lengths() {
-        let kp = keypair1024();
-        let mut rng = test_rng(13);
-        let max = kp.public().modulus_len() - 2 * DIGEST_LEN - 2;
-        for len in [0usize, 1, 16, max] {
-            let pt: Vec<u8> = (0..len).map(|i| i as u8).collect();
-            let ct = kp.public().encrypt_oaep(&pt, &mut rng).unwrap();
-            assert_eq!(ct.len(), kp.public().modulus_len());
-            assert_eq!(kp.decrypt_oaep(&ct).unwrap(), pt, "len={len}");
-        }
-    }
-
-    #[test]
-    fn oaep_rejects_overlong_message() {
-        let kp = keypair1024();
-        let mut rng = test_rng(14);
-        let too_long = vec![0u8; kp.public().modulus_len() - 2 * DIGEST_LEN - 1];
-        assert_eq!(
-            kp.public().encrypt_oaep(&too_long, &mut rng),
-            Err(CryptoError::MessageTooLong)
-        );
-        // A 512-bit key cannot host SHA-256 OAEP at all.
-        let small = keypair();
-        assert_eq!(
-            small.public().encrypt_oaep(b"", &mut rng),
-            Err(CryptoError::MessageTooLong)
-        );
-    }
-
-    #[test]
-    fn oaep_rejects_tampered_ciphertext() {
-        let kp = keypair1024();
-        let mut rng = test_rng(15);
-        let mut ct = kp.public().encrypt_oaep(b"secret", &mut rng).unwrap();
-        ct[10] ^= 0x40;
-        assert!(kp.decrypt_oaep(&ct).is_err());
-        assert!(kp.decrypt_oaep(&[]).is_err());
-    }
-
-    #[test]
-    fn oaep_is_randomized() {
-        let kp = keypair1024();
-        let mut rng = test_rng(16);
-        let a = kp.public().encrypt_oaep(b"m", &mut rng).unwrap();
-        let b = kp.public().encrypt_oaep(b"m", &mut rng).unwrap();
-        assert_ne!(a, b);
     }
 
     #[test]

@@ -7,9 +7,8 @@
 use p2drm_bignum::UBig;
 use p2drm_crypto::elgamal::{ElGamalGroup, ElGamalKeyPair};
 use p2drm_crypto::rng::test_rng;
-use p2drm_crypto::rsa as batch_sig;
 use p2drm_crypto::rsa::{fdh, kem_decapsulate, kem_encapsulate, RsaKeyPair};
-use p2drm_crypto::{batch, blind, chacha20, envelope, hmac, kdf, sha256};
+use p2drm_crypto::{blind, chacha20, envelope, hmac, kdf, sha256};
 use proptest::prelude::*;
 use std::sync::OnceLock;
 
@@ -166,49 +165,5 @@ proptest! {
         let kp = elgamal_keys();
         let ct = kp.public().encrypt(&msg, &mut test_rng(seed));
         prop_assert_eq!(kp.decrypt(&ct).unwrap(), msg);
-    }
-
-    // --- batch verification -------------------------------------------
-
-    #[test]
-    fn batch_accepts_iff_each_item_individually_valid(
-        seed in any::<u64>(),
-        k in 2usize..20,
-        corrupt in proptest::collection::vec(0usize..20, 0..4),
-    ) {
-        // Randomly corrupt a subset of a k-item batch and check that the
-        // batch verdict matches k individual verifications exactly: the
-        // rejected set is precisely the corrupted indices.
-        let kp = &keys()[0];
-        let msgs: Vec<Vec<u8>> = (0..k)
-            .map(|i| format!("batch prop msg {seed} #{i}").into_bytes())
-            .collect();
-        let mut sigs: Vec<_> = msgs.iter().map(|m| kp.sign(m)).collect();
-        let mut corrupt: Vec<usize> = corrupt.into_iter().filter(|&i| i < k).collect();
-        corrupt.sort_unstable();
-        corrupt.dedup();
-        for &i in &corrupt {
-            // Forge by signing a different message: structurally a fine
-            // signature, only the combined/individual checks catch it.
-            sigs[i] = kp.sign(format!("forged {seed} #{i}").as_bytes());
-        }
-        let items: Vec<(&[u8], &batch_sig::RsaSignature)> = msgs
-            .iter()
-            .zip(&sigs)
-            .map(|(m, s)| (m.as_slice(), s))
-            .collect();
-        let report = batch::screen_batch(kp.public(), &items);
-        prop_assert_eq!(&report.rejected, &corrupt, "rejected set must be the corrupt set");
-        let individually: Vec<usize> = items
-            .iter()
-            .enumerate()
-            .filter(|(_, (m, s))| kp.public().verify(m, s).is_err())
-            .map(|(i, _)| i)
-            .collect();
-        prop_assert_eq!(&report.rejected, &individually);
-        prop_assert_eq!(report.all_valid(), corrupt.is_empty());
-        if !corrupt.is_empty() {
-            prop_assert!(report.splits > 0, "failures must go through the splitter");
-        }
     }
 }

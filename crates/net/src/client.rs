@@ -114,17 +114,6 @@ impl TcpTransport {
         Ok(transport)
     }
 
-    /// The server address this transport talks to.
-    pub fn peer_addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// Whether a connection is currently cached (diagnostics only — it
-    /// may still turn out dead on next use).
-    pub fn is_connected(&self) -> bool {
-        self.lock().stream.is_some()
-    }
-
     fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
         self.inner
             .lock()

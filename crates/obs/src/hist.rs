@@ -156,13 +156,6 @@ pub struct Summary {
     pub max_ns: u64,
 }
 
-impl Summary {
-    /// Milliseconds rendering of the mean.
-    pub fn mean_ms(&self) -> f64 {
-        self.mean_ns / 1e6
-    }
-}
-
 /// Lock-free histogram shared between recording threads: the same
 /// buckets as [`Histogram`], each an [`AtomicU64`] bumped with relaxed
 /// ordering. `min`/`max` use `fetch_min`/`fetch_max`, so a

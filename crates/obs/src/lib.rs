@@ -5,7 +5,7 @@
 //! - **Metrics registry** ([`registry`]): named lock-free counters,
 //!   gauges and log-bucketed histograms, plus weakly-registered
 //!   [`MetricSource`]s folding the per-subsystem counter structs
-//!   (server, verify cache, batch verifier, store) into one
+//!   (server, verify cache, store) into one
 //!   [`Snapshot`] with stable sorted text and JSON expositions.
 //! - **Timing** ([`timer`]): [`Timer`] and the drop-guard
 //!   [`ScopeTimer`], gated on one relaxed flag so a disabled registry

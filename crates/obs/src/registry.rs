@@ -79,11 +79,6 @@ impl Gauge {
         self.0.fetch_sub(n, Ordering::Relaxed);
     }
 
-    /// Raises the gauge to `v` if `v` is larger (high-water mark).
-    pub fn record_max(&self, v: i64) {
-        self.0.fetch_max(v, Ordering::Relaxed);
-    }
-
     /// Current value.
     pub fn get(&self) -> i64 {
         self.0.load(Ordering::Relaxed)

@@ -118,8 +118,7 @@ impl Wallet {
     /// double-spend — but they are not silently lost either: they stay
     /// visible through [`Wallet::pending`] until
     /// [`Wallet::reconcile_pending`] settles them against the mint's
-    /// authoritative spent-serial record (or the owner drains them
-    /// manually via [`Wallet::take_pending`]).
+    /// authoritative spent-serial record.
     pub fn park(&mut self, coin: Coin) {
         self.pending.push(coin);
     }
@@ -127,12 +126,6 @@ impl Wallet {
     /// Coins awaiting reconciliation after an ambiguous spend.
     pub fn pending(&self) -> &[Coin] {
         &self.pending
-    }
-
-    /// Drains the pending pool, handing the coins to the caller for
-    /// reconciliation (put the survivors back with [`Wallet::put_back`]).
-    pub fn take_pending(&mut self) -> Vec<Coin> {
-        std::mem::take(&mut self.pending)
     }
 
     /// Settles every parked coin against the mint's spent-serial record
@@ -204,13 +197,9 @@ mod tests {
         // Excluded from the spendable pool...
         assert_eq!(w.balance(), 0);
         assert!(w.take(100).is_none());
-        // ...but recoverable after reconciliation.
+        // ...but still held, for `reconcile_pending` to settle.
         assert_eq!(w.pending().len(), 1);
-        let recovered = w.take_pending();
-        assert_eq!(recovered[0].serial, c.serial);
-        assert!(w.pending().is_empty());
-        w.put_back(recovered.into_iter().next().unwrap());
-        assert_eq!(w.balance(), 100);
+        assert_eq!(w.pending()[0].serial, c.serial);
     }
 
     #[test]

@@ -96,11 +96,6 @@ impl CertificateAuthority {
         KeyId::of_rsa(self.keypair.public())
     }
 
-    /// Signs arbitrary canonical bytes (CRLs, receipts).
-    pub fn sign_bytes(&self, data: &[u8]) -> p2drm_crypto::rsa::RsaSignature {
-        self.keypair.sign(data)
-    }
-
     /// Access to the underlying keypair for protocol engines that need raw
     /// operations (e.g. license issuance receipts).
     pub fn keypair(&self) -> &RsaKeyPair {

@@ -419,12 +419,6 @@ impl PseudonymCertificate {
     pub fn pseudonym_id(&self) -> KeyId {
         KeyId::of_rsa(&self.body.pseudonym_key)
     }
-
-    /// Structural privacy check used by tests and the audit module: the
-    /// canonical encoding must not contain `needle` (e.g. a user id).
-    pub fn encoding_contains(&self, needle: &[u8]) -> bool {
-        contains_subslice(&p2drm_codec::to_bytes(self), needle)
-    }
 }
 
 impl Encode for PseudonymCertificate {
@@ -534,14 +528,6 @@ impl Decode for AttributeCertificate {
     }
 }
 
-/// Naive subslice search (sizes here are tiny).
-pub fn contains_subslice(haystack: &[u8], needle: &[u8]) -> bool {
-    if needle.is_empty() {
-        return true;
-    }
-    haystack.windows(needle.len()).any(|w| w == needle)
-}
-
 /// Convenience: hash arbitrary bytes into a [`KeyId`]-shaped identifier.
 pub fn digest_id(data: &[u8]) -> KeyId {
     KeyId(sha256(data))
@@ -625,15 +611,6 @@ mod tests {
         let k = SubjectKey::Rsa(rsa_pk(52));
         assert!(k.as_rsa().is_ok());
         assert_eq!(k.as_elgamal(), Err(PkiError::WrongKeyType));
-    }
-
-    #[test]
-    fn contains_subslice_cases() {
-        assert!(contains_subslice(b"hello world", b"lo wo"));
-        assert!(contains_subslice(b"abc", b""));
-        assert!(!contains_subslice(b"abc", b"abcd"));
-        assert!(!contains_subslice(b"", b"a"));
-        assert!(contains_subslice(b"aaa", b"aaa"));
     }
 
     #[test]

@@ -9,10 +9,8 @@
 //!   certificate variant.
 //! * [`authority`] — certificate authorities: self-signed roots,
 //!   subordinate issuance, and the RA's dedicated blind-signing key.
-//! * [`chain`] — trust stores and chain verification (expiry + revocation).
-//! * [`crl`] — revocation lists: sorted-vector with binary search, a Bloom
-//!   filter prefilter variant (ablation for experiment E5), and signed CRL
-//!   envelopes.
+//! * [`crl`] — revocation lists: sorted-vector with binary search, and
+//!   signed CRL envelopes.
 //! * [`vcache`] — a bounded, sharded [`VerifyCache`] remembering successful
 //!   signature verifications (keyed by cert bytes ‖ key fingerprint ‖
 //!   epoch bucket) so repeat presentations of the same certificate skip
@@ -29,7 +27,6 @@
 
 pub mod authority;
 pub mod cert;
-pub mod chain;
 pub mod crl;
 pub mod vcache;
 
@@ -38,10 +35,7 @@ pub use cert::{
     AttributeCertBody, AttributeCertificate, Certificate, CertificateBody, EntityKind, Extension,
     KeyId, PseudonymCertBody, PseudonymCertificate, SubjectKey, Validity,
 };
-pub use chain::{ChainError, TrustStore};
-pub use crl::{
-    verify_crl_batch, BloomCrl, CrlBatchOutcome, RevocationList, SignedCrl, SignedCrlDelta,
-};
+pub use crl::{RevocationList, SignedCrl};
 pub use vcache::{CacheCounters, VerifyCache};
 
 /// Errors raised by certificate verification and issuance.

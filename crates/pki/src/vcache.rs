@@ -53,18 +53,6 @@ pub struct CacheCounters {
     pub evictions: u64,
 }
 
-impl CacheCounters {
-    /// Hit fraction in `[0, 1]` (0 when nothing was looked up).
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
 struct Shard {
     /// key -> last-use stamp (shard-local logical clock).
     entries: HashMap<[u8; 32], u64>,
@@ -248,7 +236,6 @@ mod tests {
         assert_eq!(counters.hits, 1);
         assert_eq!(counters.misses, 1);
         assert_eq!(counters.insertions, 1);
-        assert!((counters.hit_rate() - 0.5).abs() < 1e-9);
     }
 
     #[test]

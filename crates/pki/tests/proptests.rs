@@ -3,7 +3,7 @@
 use p2drm_pki::cert::{
     digest_id, CertificateBody, EntityKind, Extension, KeyId, SubjectKey, Validity,
 };
-use p2drm_pki::crl::{BloomCrl, RevocationList};
+use p2drm_pki::crl::RevocationList;
 use proptest::prelude::*;
 use std::sync::OnceLock;
 
@@ -84,29 +84,11 @@ proptest! {
         prop_assert_eq!(crl.len(), unique.len());
         for id in &keyids {
             prop_assert!(crl.contains(id));
-            prop_assert!(crl.contains_linear(id));
         }
-        // Absent ids are absent in both probe paths.
         let absent = digest_id(b"definitely-not-revoked");
         if !unique.contains(&absent) {
             prop_assert!(!crl.contains(&absent));
-            prop_assert!(!crl.contains_linear(&absent));
         }
-    }
-
-    #[test]
-    fn bloom_never_false_negative(present in proptest::collection::vec(any::<u64>(), 1..128),
-                                  probe in any::<u64>()) {
-        let mut bloom = BloomCrl::new(present.len(), 0.01);
-        for i in &present {
-            bloom.insert(digest_id(&i.to_le_bytes()));
-        }
-        for i in &present {
-            prop_assert!(bloom.contains(&digest_id(&i.to_le_bytes())));
-        }
-        // Exactness: contains() agrees with ground truth for any probe.
-        let truth = present.contains(&probe);
-        prop_assert_eq!(bloom.contains(&digest_id(&probe.to_le_bytes())), truth);
     }
 
     #[test]

@@ -7,18 +7,23 @@
 //! accumulated [`RightsState`], then persist the updated state — that is
 //! the enforcement loop the paper's compliant-device model requires.
 //!
-//! The language has three interchangeable forms:
+//! The language has two interchangeable forms:
 //!
-//! * a typed AST ([`Rights`]) used programmatically,
-//! * a canonical text form (`grant play count=5; valid until=...;`) with a
-//!   hand-written lexer/parser and pretty-printer (`parse ∘ print = id`),
+//! * a typed AST ([`Rights`], built with [`RightsBuilder`]) used
+//!   programmatically,
 //! * a canonical binary form via [`p2drm_codec`] for embedding in signed
 //!   licenses.
 //!
-//! ```
-//! use p2drm_rel::{parse, Action, AccessRequest, Decision, Rights, RightsState};
+//! [`printer::print`] renders a `Rights` as text (`grant play count=5;
+//! valid until=...;`) for display; nothing reads that text back.
 //!
-//! let rights = parse("grant play count=2; valid from=100 until=200;").unwrap();
+//! ```
+//! use p2drm_rel::{Action, AccessRequest, Decision, Limit, Rights, RightsState};
+//!
+//! let rights = Rights::builder()
+//!     .play(Limit::Count(2))
+//!     .window(Some(100), Some(200))
+//!     .build();
 //! let mut state = RightsState::new();
 //! let req = AccessRequest::play(150, [0u8; 32]);
 //! assert_eq!(rights.evaluate(&state, &req), Decision::Permit);
@@ -31,13 +36,10 @@
 
 pub mod ast;
 pub mod eval;
-pub mod lexer;
-pub mod parser;
 pub mod printer;
 
 pub use ast::{Action, Limit, Rights, RightsBuilder, Window};
 pub use eval::{AccessRequest, Decision, DenyReason};
-pub use parser::{parse, ParseError};
 
 /// Per-license consumption counters, persisted by the enforcing device.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]

@@ -290,11 +290,6 @@ impl WalShardedKv {
         &self.dir
     }
 
-    /// Number of shards (== number of WAL files).
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// The configured durability level.
     pub fn policy(&self) -> SyncPolicy {
         self.policy

@@ -37,7 +37,6 @@ fn main() {
     // private metrics registry collects the service's per-op latency
     // histograms together with the server's own counters.
     let registry = Arc::new(Registry::new());
-    registry.register_source(Arc::downgrade(p2drm::crypto::batch::batch_metric_source()));
     let service = system.wire_service_with_registry(0x6109, registry.clone());
     service.set_tracing(true);
     let server = DrmServer::bind(
