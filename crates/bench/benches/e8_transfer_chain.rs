@@ -8,7 +8,7 @@
 //! O(spent-set lookup).
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use p2drm_bench::{make_transfer_request, world};
+use p2drm_bench::{authorize_transfer, make_transfer_request, world};
 use p2drm_crypto::rng::test_rng;
 use std::time::{Duration, Instant};
 
@@ -65,10 +65,14 @@ fn bench_transfer(c: &mut Criterion) {
         .provider
         .handle_transfer(&req, epoch, &mut w.rng)
         .unwrap();
+    // The same license toward anyone else (toward the same recipient it
+    // is a replay, answered with the successor).
+    let mut other = w.sys.register_user("recipient3", &mut w.rng).unwrap();
+    let double = authorize_transfer(&mut w, req.license, &mut other);
     group.bench_function("double_redeem_rejection", |b| {
         let mut rng = test_rng(5);
         b.iter(|| {
-            let res = w.sys.provider.handle_transfer(&req, epoch, &mut rng);
+            let res = w.sys.provider.handle_transfer(&double, epoch, &mut rng);
             assert!(res.is_err());
         })
     });

@@ -7,6 +7,7 @@
 
 use p2drm_core::entities::user::UserAgent;
 use p2drm_core::ids::ContentId;
+use p2drm_core::license::License;
 use p2drm_core::protocol::messages::{transfer_proof_bytes, PurchaseRequest, TransferRequest};
 use p2drm_core::system::{System, SystemConfig};
 use p2drm_crypto::elgamal::ElGamalGroup;
@@ -81,6 +82,16 @@ pub fn make_purchase_request(w: &mut BenchWorld) -> PurchaseRequest {
 /// user and authorizes moving it to a fresh recipient pseudonym.
 pub fn make_transfer_request(w: &mut BenchWorld, recipient: &mut UserAgent) -> TransferRequest {
     let license = w.sys.purchase(&mut w.user, w.cid, &mut w.rng).unwrap();
+    authorize_transfer(w, license, recipient)
+}
+
+/// The user's signed hand-over of a license it holds to `recipient`'s
+/// current pseudonym.
+pub fn authorize_transfer(
+    w: &mut BenchWorld,
+    license: License,
+    recipient: &mut UserAgent,
+) -> TransferRequest {
     w.sys.ensure_pseudonym(recipient, &mut w.rng).unwrap();
     let recipient_cert = recipient.current_pseudonym().unwrap().clone();
     recipient.note_pseudonym_use();

@@ -5,6 +5,24 @@
 //! executes privacy-preserving transfers, and maintains the spent-ID store
 //! that makes each license id redeemable exactly once.
 //!
+//! # Replay-safe purchase and transfer
+//!
+//! A license id is derived from the request that asks for it — a
+//! purchase's from its coin serial, pseudonym and content
+//! ([`purchase_license_id`]), a transfer successor's from the old id and
+//! the recipient ([`transfer_license_id`]) — and the one atomic row that
+//! decides each operation records it: the mint's `spent/<serial>` row
+//! holds the purchased id, the provider's `spent/<old id>` row the
+//! successor. A request whose deciding row already names the id it
+//! derives is a **replay** (its reply was lost, or the process died
+//! before the license row was written): the provider re-signs and
+//! re-seals that license, rewrites whichever row is missing, and records
+//! nothing else — no second deposit, log entry or license row. Any other
+//! occupant of the row is still [`CoreError::AlreadyRedeemed`] /
+//! `DoubleSpend`. So a client may re-send both operations after any
+//! failure, and the customer pays if and only if the license can be
+//! obtained.
+//!
 //! # Concurrency architecture: core / state split
 //!
 //! The provider is the system's only serialization point — every purchase
@@ -186,7 +204,9 @@ impl CrlState {
 pub struct ProviderState<B: ConcurrentKv> {
     store: B,
     licenses: Table<LicenseRecord>,
-    spent: Table<u32>,
+    /// `spent/<license id>` → the successor a transfer issued, or `None`
+    /// for a direct revocation: the row that retires an id.
+    spent: Table<Option<LicenseId>>,
     content_table: Table<PackagedContent>,
     rights_table: Table<Rights>,
     crl_table: Table<u64>,
@@ -408,13 +428,9 @@ impl<B: ConcurrentKv> ContentProvider<B> {
         p2drm_codec::to_bytes(&self.core.keys)
     }
 
-    /// Persists one revocation into the CRL table. Caller holds the CRL
-    /// write lock and has already bumped the relevant sequence counter.
-    fn persist_crl_entry(&self, crl: &CrlState, kind: u8, id: &KeyId) -> Result<(), CoreError> {
-        let seq = match kind {
-            b'l' => crl.license_crl_seq,
-            _ => crl.pseudonym_crl_seq,
-        };
+    /// Persists one revocation, made at sequence `seq`, into the CRL
+    /// table. Caller holds the CRL write lock.
+    fn persist_crl_entry(&self, kind: u8, id: &KeyId, seq: u64) -> Result<(), CoreError> {
         let mut key = Vec::with_capacity(34);
         key.push(kind);
         key.push(b'/');
@@ -422,13 +438,18 @@ impl<B: ConcurrentKv> ContentProvider<B> {
         Ok(self.state.crl_table.put(&self.state.store, &key, &seq)?)
     }
 
-    /// Writes the provider's row for a freshly issued license: its
-    /// [`LicenseRecord`], not the license, which only the buyer keeps.
-    fn persist_record(&self, license: &License) -> Result<(), CoreError> {
-        let (state, row) = (&self.state, license.record());
-        Ok(state
-            .licenses
-            .put(&state.store, license.id().as_bytes(), &row)?)
+    /// Writes the provider's row for an issued license: its
+    /// [`LicenseRecord`], not the license, which only the buyer keeps. A
+    /// replay (`fresh == false`) writes it only if a crash left it
+    /// missing.
+    fn persist_record(&self, license: &License, fresh: bool) -> Result<(), CoreError> {
+        let (state, id) = (&self.state, license.id());
+        if fresh || !state.licenses.contains(&state.store, id.as_bytes()) {
+            state
+                .licenses
+                .put(&state.store, id.as_bytes(), &license.record())?;
+        }
+        Ok(())
     }
 
     /// License verification key.
@@ -633,16 +654,31 @@ impl<B: ConcurrentKv> ContentProvider<B> {
     }
 
     /// Anonymous purchase: verify pseudonym + coin, deposit, issue license.
-    /// Callable from many threads at once through `&self`.
+    /// Callable from many threads at once through `&self`. Re-sending a
+    /// request (same coin, pseudonym and content) answers the same
+    /// license id and deposits nothing more, even once the pseudonym has
+    /// aged out or been revoked; the coin under any other pseudonym or
+    /// content is a double spend.
     pub fn handle_purchase<R: CryptoRng + ?Sized>(
         &self,
         req: &PurchaseRequest,
         now_epoch: u32,
         rng: &mut R,
     ) -> Result<License, CoreError> {
-        // Every check that can refuse the request runs before the deposit,
-        // the first side effect, so a refusal never costs the buyer a coin.
-        self.verify_pseudonym(&req.pseudonym_cert, now_epoch)?;
+        let pseudonym = req.pseudonym_cert.pseudonym_id();
+        let license_id = purchase_license_id(&req.coin.serial, &pseudonym, &req.content_id);
+        // A replay (the serial's spent row already names this license)
+        // skips the checks, which time can change: it was paid for, and
+        // the license is sealed to the key its id was derived from.
+        // Otherwise every check that can refuse the request runs before
+        // the deposit, so a refusal never costs the buyer a coin.
+        let replay = self
+            .state
+            .mint
+            .paid_for(&req.coin.serial, license_id.as_bytes());
+        if !replay {
+            self.verify_pseudonym(&req.pseudonym_cert, now_epoch)?;
+        }
         let (price, required, content_key) = {
             let catalog = self.state.catalog.read();
             let item = catalog
@@ -654,22 +690,26 @@ impl<B: ConcurrentKv> ContentProvider<B> {
                 item.key,
             )
         };
-        if req.coin.denomination < price {
-            return Err(CoreError::Payment(
-                p2drm_payment::PaymentError::InsufficientFunds {
-                    balance: req.coin.denomination,
-                    requested: price,
-                },
-            ));
+        if !replay {
+            if req.coin.denomination < price {
+                return Err(CoreError::Payment(
+                    p2drm_payment::PaymentError::InsufficientFunds {
+                        balance: req.coin.denomination,
+                        requested: price,
+                    },
+                ));
+            }
+            self.check_attribute_requirement(req, required.as_deref(), now_epoch)?;
+            self.state.mint.check_coin(&req.coin)?;
         }
-        self.check_attribute_requirement(req, required.as_deref(), now_epoch)?;
-        self.state.mint.check_coin(&req.coin)?;
-        // A double-spent coin is rejected here by the mint's spent store
-        // (its signature was checked just above).
-        {
+        // The deposit decides: fresh, a racing replay of this very
+        // request, or a double spend.
+        let fresh = !replay && {
             let _stage = p2drm_obs::stage("mint_deposit");
-            self.state.mint.deposit_prechecked(&req.coin)?;
-        }
+            self.state
+                .mint
+                .deposit_for(&req.coin, license_id.as_bytes())?
+        };
 
         let rights = self
             .state
@@ -679,7 +719,7 @@ impl<B: ConcurrentKv> ContentProvider<B> {
             .cloned()
             .unwrap_or_else(Rights::standard_purchase);
         let body = LicenseBody {
-            license_id: LicenseId::random(rng),
+            license_id,
             content_id: req.content_id,
             holder: req.pseudonym_cert.body.pseudonym_key.clone(),
             rights,
@@ -687,12 +727,14 @@ impl<B: ConcurrentKv> ContentProvider<B> {
             issued_epoch: now_epoch,
         };
         let license = License::issue(body, &self.core.keys);
-        self.persist_record(&license)?;
-        self.state.purchase_log.lock().push(PurchaseRecord {
-            pseudonym: req.pseudonym_cert.pseudonym_id(),
-            content: req.content_id,
-            epoch: now_epoch,
-        });
+        self.persist_record(&license, fresh)?;
+        if fresh {
+            self.state.purchase_log.lock().push(PurchaseRecord {
+                pseudonym,
+                content: req.content_id,
+                epoch: now_epoch,
+            });
+        }
         Ok(license)
     }
 
@@ -700,9 +742,12 @@ impl<B: ConcurrentKv> ContentProvider<B> {
     /// issue a fresh one to the recipient pseudonym. The provider sees two
     /// pseudonyms and cannot link either to an identity.
     ///
-    /// Concurrency: of N racing transfers of the same license id, exactly
-    /// one passes the atomic spent-ID `insert_if_absent`; the rest fail
-    /// with [`CoreError::AlreadyRedeemed`].
+    /// Concurrency: of N racing transfers of the same license id toward
+    /// different recipients, exactly one passes the atomic spent-ID
+    /// `insert_if_absent`; the rest fail with
+    /// [`CoreError::AlreadyRedeemed`]. Racers toward the *same* recipient
+    /// are one transfer and all receive its successor, as does a later
+    /// replay even once the recipient's certificate has aged out.
     pub fn handle_transfer<R: CryptoRng + ?Sized>(
         &self,
         req: &TransferRequest,
@@ -710,19 +755,7 @@ impl<B: ConcurrentKv> ContentProvider<B> {
         rng: &mut R,
     ) -> Result<License, CoreError> {
         req.license.verify(self.core.keys.public())?;
-        self.verify_pseudonym(&req.recipient_cert, now_epoch)?;
         let lid = req.license.id();
-        // Fast-path reject for ids already revoked (the authoritative
-        // exactly-once decision is the spent-ID insert below).
-        if self
-            .state
-            .crl
-            .read()
-            .license_crl
-            .contains(&license_crl_id(&lid))
-        {
-            return Err(CoreError::AlreadyRedeemed(lid));
-        }
         // Transfer must be granted by the license's own rights.
         match req.license.body.rights.transfer {
             Limit::None => {
@@ -748,18 +781,32 @@ impl<B: ConcurrentKv> ContentProvider<B> {
         // The unique-ID rule: exactly one transfer of this lid ever
         // succeeds, atomically, even across restarts (WAL-backed store)
         // and across threads (check-and-set under the shard write lock).
-        let fresh =
-            self.state
+        // A row naming this very successor is that transfer, replayed; it
+        // skips the recipient check, which time can change.
+        let successor = transfer_license_id(&lid, &req.recipient_cert.pseudonym_id());
+        let (state, key) = (&self.state, lid.as_bytes());
+        let unclaimed = state.spent.get(&state.store, key)?.is_none();
+        if unclaimed {
+            self.verify_pseudonym(&req.recipient_cert, now_epoch)?;
+        }
+        let fresh = unclaimed
+            && state
                 .spent
-                .insert_if_absent(&self.state.store, lid.as_bytes(), &now_epoch)?;
-        if !fresh {
+                .insert_if_absent(&state.store, key, &Some(successor))?;
+        if !fresh && state.spent.get(&state.store, key)? != Some(Some(successor)) {
             return Err(CoreError::AlreadyRedeemed(lid));
         }
         {
-            let mut crl = self.state.crl.write();
-            crl.license_crl.insert(license_crl_id(&lid));
-            crl.license_crl_seq += 1;
-            self.persist_crl_entry(&crl, b'l', &license_crl_id(&lid))?;
+            // Listed only once its row is written, so a replay after a
+            // failed write writes it again.
+            let id = license_crl_id(&lid);
+            let mut crl = state.crl.write();
+            if !crl.license_crl.contains(&id) {
+                let seq = crl.license_crl_seq + 1;
+                self.persist_crl_entry(b'l', &id, seq)?;
+                crl.license_crl_seq = seq;
+                crl.license_crl.insert(id);
+            }
         }
 
         let content_key = {
@@ -771,7 +818,7 @@ impl<B: ConcurrentKv> ContentProvider<B> {
         };
         let new_rights = decrement_transfer(&req.license.body.rights);
         let body = LicenseBody {
-            license_id: LicenseId::random(rng),
+            license_id: successor,
             content_id: req.license.body.content_id,
             holder: req.recipient_cert.body.pseudonym_key.clone(),
             rights: new_rights,
@@ -779,12 +826,14 @@ impl<B: ConcurrentKv> ContentProvider<B> {
             issued_epoch: now_epoch,
         };
         let license = License::issue(body, &self.core.keys);
-        self.persist_record(&license)?;
-        self.state.transfer_log.lock().push(TransferRecord {
-            from_pseudonym: KeyId::of_rsa(&req.license.body.holder),
-            to_pseudonym: req.recipient_cert.pseudonym_id(),
-            content: req.license.body.content_id,
-        });
+        self.persist_record(&license, fresh)?;
+        if fresh {
+            self.state.transfer_log.lock().push(TransferRecord {
+                from_pseudonym: KeyId::of_rsa(&req.license.body.holder),
+                to_pseudonym: req.recipient_cert.pseudonym_id(),
+                content: req.license.body.content_id,
+            });
+        }
         Ok(license)
     }
 
@@ -843,7 +892,7 @@ impl<B: ConcurrentKv> ContentProvider<B> {
             issued_epoch: now_epoch,
         };
         let license = License::issue(body, &self.core.keys);
-        self.persist_record(&license)?;
+        self.persist_record(&license, true)?;
         self.state.purchase_log.lock().push(PurchaseRecord {
             pseudonym: KeyId::of_rsa(&manager_key),
             content: content_id,
@@ -867,7 +916,7 @@ impl<B: ConcurrentKv> ContentProvider<B> {
         let mut crl = self.state.crl.write();
         crl.pseudonym_crl.insert(id);
         crl.pseudonym_crl_seq += 1;
-        self.persist_crl_entry(&crl, b'p', &id)
+        self.persist_crl_entry(b'p', &id, crl.pseudonym_crl_seq)
     }
 
     /// Revokes a license id directly (e.g. refund, abuse).
@@ -877,39 +926,36 @@ impl<B: ConcurrentKv> ContentProvider<B> {
         // with `handle_transfer`, so a transfer racing this revocation
         // either already won (and the revocation lands on a transferred
         // license, same as the sequential order transfer-then-revoke) or
-        // loses with `AlreadyRedeemed`. Without this, a transfer could
-        // pass the CRL fast-path read just before the revocation commits
-        // and re-issue revoked content. `u32::MAX` marks "revoked, not
-        // transferred" (transfers store the transfer epoch).
+        // loses with `AlreadyRedeemed`. Without this, a transfer racing
+        // the revocation could re-issue revoked content. `None` marks
+        // "revoked, not transferred" (transfers store the successor id).
         let _ = self
             .state
             .spent
-            .insert_if_absent(&self.state.store, lid.as_bytes(), &u32::MAX)?;
+            .insert_if_absent(&self.state.store, lid.as_bytes(), &None)?;
         let id = license_crl_id(lid);
         let mut crl = self.state.crl.write();
         crl.license_crl.insert(id);
         crl.license_crl_seq += 1;
-        self.persist_crl_entry(&crl, b'l', &id)
+        self.persist_crl_entry(b'l', &id, crl.license_crl_seq)
     }
 
-    /// Authoritative status of a license id — the reconciliation query
-    /// for ambiguous wire outcomes: a client whose transfer response was
-    /// lost re-asks here whether the old id committed (`Transferred`) or
-    /// is still `Active`. License ids are 16 unguessable random bytes,
-    /// so only a party already holding the id can ask about it.
+    /// Authoritative status of a license id: `Active` (with its holder),
+    /// `Transferred`, `Revoked` or `Unknown`. License ids are derived
+    /// from a secret coin serial (or from such an id), so only a party
+    /// already holding the id can ask about it.
     ///
     /// `Unknown` means the id has no row at all. A row that is present
     /// but unreadable — a store fault, a truncated value, a directory
     /// written in another layout — is an error, never "not issued".
     pub fn license_status(&self, lid: &LicenseId) -> Result<LicenseStatus, CoreError> {
         // The spent table is the authoritative exactly-once record; its
-        // value distinguishes a committed transfer (the transfer epoch)
-        // from a direct revocation (`u32::MAX`, see `revoke_license`).
-        if let Some(mark) = self.state.spent.get(&self.state.store, lid.as_bytes())? {
-            return Ok(if mark == u32::MAX {
-                LicenseStatus::Revoked
-            } else {
-                LicenseStatus::Transferred
+        // value distinguishes a committed transfer (the successor id)
+        // from a direct revocation (`None`, see `revoke_license`).
+        if let Some(successor) = self.state.spent.get(&self.state.store, lid.as_bytes())? {
+            return Ok(match successor {
+                Some(_) => LicenseStatus::Transferred,
+                None => LicenseStatus::Revoked,
             });
         }
         if self
@@ -982,6 +1028,24 @@ impl<B: ConcurrentKv> ContentProvider<B> {
 /// License ids enter CRLs as their SHA-256 [`KeyId`] image.
 pub fn license_crl_id(lid: &LicenseId) -> KeyId {
     digest_id(lid.as_bytes())
+}
+
+/// The id of the license a purchase issues: `SHA-256("p2drm/purchase" ‖
+/// coin serial ‖ pseudonym key id ‖ content id)[..16]`. Unguessable
+/// without the coin's secret serial, and the same for a re-sent request.
+pub fn purchase_license_id(serial: &[u8; 32], pseudonym: &KeyId, content: &ContentId) -> LicenseId {
+    derive_license_id(&[b"p2drm/purchase", serial, &pseudonym.0, content.as_bytes()])
+}
+
+/// The id of a transfer's successor license: `SHA-256("p2drm/transfer" ‖
+/// old id ‖ recipient key id)[..16]`.
+pub fn transfer_license_id(old: &LicenseId, recipient: &KeyId) -> LicenseId {
+    derive_license_id(&[b"p2drm/transfer", old.as_bytes(), &recipient.0])
+}
+
+fn derive_license_id(parts: &[&[u8]]) -> LicenseId {
+    let digest = p2drm_crypto::sha256::sha256_concat(parts);
+    LicenseId(digest[..16].try_into().expect("a digest is 32 bytes"))
 }
 
 /// Transfer semantics: the fresh license carries one fewer transfer use.

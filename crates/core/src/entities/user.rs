@@ -1,9 +1,10 @@
 //! The user agent: client-side software holding the smart card, the coin
-//! wallet, pseudonym certificates and owned licenses.
+//! wallet, pseudonym certificates, owned licenses and parked purchases.
 
 use crate::entities::smartcard::SmartCard;
 use crate::ids::{LicenseId, UserId};
 use crate::license::License;
+use crate::protocol::messages::PurchaseRequest;
 use p2drm_payment::Wallet;
 use p2drm_pki::cert::{AttributeCertificate, KeyId, PseudonymCertificate};
 
@@ -38,6 +39,13 @@ pub struct UserAgent {
     pub card: SmartCard,
     /// E-cash wallet.
     pub wallet: Wallet,
+    /// Purchases whose outcome is unknown — the reply never arrived, or
+    /// the provider failed after it may have deposited the coin. Each
+    /// keeps its whole request, coin included;
+    /// [`WireClient::settle_parked`](crate::service::WireClient::settle_parked)
+    /// re-sends them, and the provider answers each with the license it
+    /// issued or issues it now.
+    pub parked: Vec<PurchaseRequest>,
     policy: PseudonymPolicy,
     pseudonym_certs: Vec<PseudonymCertificate>,
     attribute_certs: Vec<AttributeCertificate>,
@@ -53,6 +61,7 @@ impl UserAgent {
             account: account.into(),
             card,
             wallet: Wallet::new(),
+            parked: Vec::new(),
             policy,
             pseudonym_certs: Vec::new(),
             attribute_certs: Vec::new(),

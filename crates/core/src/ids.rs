@@ -1,10 +1,12 @@
 //! Typed random identifiers.
 //!
-//! Every identifier is 16 random bytes — unguessable, collision-free at
+//! Every identifier is 16 bytes — unguessable, collision-free at
 //! simulation scale, and *meaningless*: an id carries no information about
 //! who created it, which is a privacy requirement for [`LicenseId`] in
 //! particular (the paper's anonymous licenses are identified solely by a
-//! unique random id).
+//! unique id). License ids are a hash of the request that issued them
+//! (see [`crate::entities::provider`]), so a re-sent request names the
+//! same license; the rest are random.
 
 use p2drm_codec::{Decode, Encode, Reader, Writer};
 use p2drm_crypto::rng::CryptoRng;

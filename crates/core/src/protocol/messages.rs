@@ -511,10 +511,8 @@ impl Decode for CatalogResponse {
     }
 }
 
-/// User → Provider: authoritative status of a license id (the
-/// reconciliation query for ambiguous transfer outcomes — license ids
-/// are 16 unguessable random bytes, so only a party to the license can
-/// ask about it).
+/// User → Provider: authoritative status of a license id (license ids
+/// are unguessable, so only a party to the license can ask about it).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct LicenseStatusRequest {
     /// The id being queried.

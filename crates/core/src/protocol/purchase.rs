@@ -9,20 +9,19 @@ use crate::content::ContentMeta;
 use crate::entities::user::UserAgent;
 use crate::license::License;
 use crate::protocol::messages::{PurchaseRequest, PurchaseResponse};
-use crate::service::ApiError;
+use crate::service::{ApiError, ApiErrorCode};
 use crate::CoreError;
 use p2drm_crypto::rng::CryptoRng;
 use p2drm_payment::Mint;
-use p2drm_pki::cert::KeyId;
 
 /// Client half of an anonymous purchase: quote → pay (coin withdrawal
-/// with the mint) → request → settle, with coin recovery on non-payment
-/// failures.
+/// with the mint) → request → settle. A failure either returns the coin
+/// (the provider refused before the deposit) or parks the request on the
+/// agent (the deposit may have happened).
 pub struct PurchaseSession {
-    /// The withdrawn coin, kept so [`PurchaseSession::abort`] can return
-    /// it to the wallet (the rest of the request needs no unwinding).
-    coin: p2drm_payment::Coin,
-    pseudonym: KeyId,
+    /// The request to send — kept whole, because re-sending it is how a
+    /// parked purchase settles.
+    request: PurchaseRequest,
 }
 
 impl PurchaseSession {
@@ -34,7 +33,7 @@ impl PurchaseSession {
         mint: &Mint,
         meta: &ContentMeta,
         rng: &mut R,
-    ) -> Result<(Self, PurchaseRequest), CoreError> {
+    ) -> Result<Self, CoreError> {
         let pseudonym_cert = user
             .current_pseudonym()
             .ok_or(CoreError::BadPseudonym("no usable pseudonym (policy)"))?
@@ -53,53 +52,57 @@ impl PurchaseSession {
         let coin = user
             .wallet
             .coin_for_amount(mint, &account, meta.price, rng)?;
-        let request = PurchaseRequest {
+        Ok(Self::resume(PurchaseRequest {
             content_id: meta.id,
             pseudonym_cert,
             coin,
             attribute_cert,
-        };
-        Ok((
-            PurchaseSession {
-                coin: request.coin.clone(),
-                pseudonym: request.pseudonym_cert.pseudonym_id(),
-            },
-            request,
-        ))
+        }))
+    }
+
+    /// Picks up a parked request to send it again.
+    pub(crate) fn resume(request: PurchaseRequest) -> Self {
+        PurchaseSession { request }
+    }
+
+    /// The request to send; the session keeps it until the reply settles.
+    pub fn request(&self) -> &PurchaseRequest {
+        &self.request
     }
 
     /// Settles a successful purchase: bookkeeping on the agent, returns
     /// the license.
     pub fn finish(self, user: &mut UserAgent, response: PurchaseResponse) -> License {
-        user.note_pseudonym_use();
-        user.add_license(response.license.clone(), self.pseudonym);
+        let pseudonym = self.request.pseudonym_cert.pseudonym_id();
+        user.add_license(response.license.clone(), pseudonym);
         response.license
     }
 
-    /// Unwinds a failed purchase: the withdrawn coin goes back to the
-    /// wallet unless the failure was a payment error (the mint consumed
-    /// or rejected the coin — re-spending it would double-spend).
+    /// Settles a refused purchase. The provider runs every check before
+    /// the deposit, and answers a replay of a request it already charged
+    /// before any of them, so a refusal by pseudonym, catalogue, price,
+    /// attribute or coin signature — on a first send or a re-send —
+    /// leaves the coin unspent and it goes back to the wallet.
+    /// `DoubleSpend` means another request spent it.
+    /// Anything else — a storage or internal failure after the deposit,
+    /// a busy shed that followed an unanswered attempt — may have
+    /// charged the coin, so the request is parked.
     pub fn abort(self, user: &mut UserAgent, error: &ApiError) {
-        if !error.code.is_payment() {
-            user.wallet.put_back(self.coin);
+        match error.code {
+            ApiErrorCode::BadPseudonym
+            | ApiErrorCode::UnknownContent
+            | ApiErrorCode::InsufficientFunds
+            | ApiErrorCode::Payment => user.wallet.put_back(self.request.coin),
+            ApiErrorCode::DoubleSpend => {}
+            _ => self.park(user),
         }
     }
 
-    /// Parks the coin after an **ambiguous** outcome — the request went
-    /// out but no decodable answer came back, so the provider may or may
-    /// not have deposited the coin. It moves to the wallet's pending
-    /// pool: not spendable (that could double-spend), not lost (the
-    /// wallet reconciles it later).
+    /// Parks the request after an outcome that leaves the deposit
+    /// unknown, for
+    /// [`WireClient::settle_parked`](crate::service::WireClient::settle_parked).
     pub fn park(self, user: &mut UserAgent) {
-        user.wallet.park(self.coin);
-    }
-
-    /// Returns the coin to the spendable wallet after a failure that
-    /// **provably never reached the service**
-    /// ([`TransportError::definitely_unsent`](crate::service::TransportError::definitely_unsent)): nothing was deposited,
-    /// so re-spending cannot double-spend.
-    pub fn recover(self, user: &mut UserAgent) {
-        user.wallet.put_back(self.coin);
+        user.parked.push(self.request);
     }
 }
 

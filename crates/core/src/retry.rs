@@ -20,21 +20,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-/// Whether an operation may be blindly re-sent after an *ambiguous*
-/// failure (the request may have been dispatched and its reply lost).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Idempotency {
-    /// Re-executing is harmless: reads, issuance rounds that the server
-    /// dedupes, CRL sync. Retried on any transport failure.
-    Safe,
-    /// Re-executing can double-commit (purchase deposits a coin,
-    /// transfer retires a license): retried only when the failure proves
-    /// the request never left this host, or the server answered with a
-    /// pre-dispatch busy shed; anything ambiguous must go through the
-    /// reconcile path (coin parking / `LicenseStatus`) instead.
-    MustReconcile,
-}
-
 /// Backoff/deadline/attempt policy for one logical operation.
 #[derive(Clone, Debug)]
 pub struct RetryPolicy {

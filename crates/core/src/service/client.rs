@@ -146,8 +146,9 @@ impl<T: Transport> WireClient<T> {
 
     /// Enables operation-level recovery: every [`WireClient::call`]
     /// retries per the policy (bounded by budget, breaker and deadline),
-    /// honoring server `retry_after_ms` hints; ambiguous failures are
-    /// retried only for retry-safe ops ([`OpCode::idempotency`](super::OpCode::idempotency)).
+    /// honoring server `retry_after_ms` hints — purchases and transfers
+    /// included, since the provider answers a replay with the license
+    /// the first attempt issued.
     pub fn with_recovery(mut self, recovery: Recovery) -> Self {
         self.recovery = Some(recovery);
         self
@@ -344,25 +345,17 @@ impl<T: Transport> WireClient<T> {
     }
 
     /// Anonymous purchase over the wire: catalog quote, coin withdrawal
-    /// (client ↔ mint, off this wire), purchase round trip, wallet
-    /// recovery on failure.
+    /// (client ↔ mint, off this wire), then the purchase round trip,
+    /// re-sent under the recovery policy like any other op.
     ///
-    /// Coin accounting on the failure paths:
-    /// * decoded **error response** — the server did not issue; the coin
-    ///   returns to the wallet unless the error is in the payment range
-    ///   (the mint consumed or rejected it);
-    /// * **definitely-unsent transport failure**
-    ///   ([`TransportError::definitely_unsent`], e.g. connect refused) —
-    ///   the request never left this host, so the coin simply returns
-    ///   to the wallet;
-    /// * **ambiguous outcome** (connection broke mid-exchange, reply
-    ///   fails to decode, correlation mismatch, unexpected response op)
-    ///   — the server may or may not have deposited the coin, so it is
-    ///   parked in the wallet's pending pool
-    ///   ([`p2drm_payment::Wallet::pending`]) rather than silently
-    ///   dropped; once the transport recovers, settle it with
-    ///   [`p2drm_payment::Wallet::reconcile_pending`] against the
-    ///   mint's authoritative spent-serial record.
+    /// On failure the coin is never lost and never spent twice: a
+    /// refusal the provider makes before the deposit (pseudonym,
+    /// catalogue, price, attribute, coin) returns it to the wallet, and
+    /// every outcome that leaves the deposit unknown — a reply that never
+    /// arrived or failed to decode, a storage failure after the deposit,
+    /// retries exhausted — parks the whole request on
+    /// [`UserAgent::parked`]. [`WireClient::settle_parked`] re-sends it
+    /// later, over any transport.
     pub fn purchase<R: CryptoRng + ?Sized>(
         &mut self,
         user: &mut UserAgent,
@@ -371,28 +364,42 @@ impl<T: Transport> WireClient<T> {
         rng: &mut R,
     ) -> Result<License, WireError> {
         let meta = self.content_meta(content_id)?;
-        let (session, request) = PurchaseSession::begin(user, mint, &meta, rng)?;
-        match self.call(WireRequest::Purchase(request)) {
-            Err(WireError::Transport(t)) if t.definitely_unsent() => {
-                session.recover(user);
-                Err(WireError::Transport(t))
-            }
-            reply => settle_purchase(session, user, reply),
-        }
+        let session = PurchaseSession::begin(user, mint, &meta, rng)?;
+        // Used whatever the outcome: the provider may have seen it.
+        user.note_pseudonym_use();
+        let reply = self.call(WireRequest::Purchase(session.request().clone()));
+        settle_purchase(session, user, reply)
+    }
+
+    /// Re-sends every purchase parked on `user` (see
+    /// [`WireClient::purchase`]) and settles each reply the same way: the
+    /// provider answers a request it already served with the same
+    /// license, and issues it now if it never did. A request whose
+    /// outcome is still unknown parks again. Returns one outcome per
+    /// parked request, in parking order.
+    pub fn settle_parked(&mut self, user: &mut UserAgent) -> Vec<Result<License, WireError>> {
+        std::mem::take(&mut user.parked)
+            .into_iter()
+            .map(|parked| {
+                let session = PurchaseSession::resume(parked);
+                let reply = self.call(WireRequest::Purchase(session.request().clone()));
+                settle_purchase(session, user, reply)
+            })
+            .collect()
     }
 
     /// Pipelines several anonymous purchases on one connection: all
     /// sessions begin (each withdrawing its own covering coin), all
     /// requests are submitted, and replies settle **as they arrive**,
     /// possibly out of order. Returns one outcome per content id, in
-    /// input order.
+    /// input order. The whole batch goes out under one pseudonym, which
+    /// counts one use per request sent.
     ///
     /// Coin accounting is per session and identical to
-    /// [`WireClient::purchase`]: a decoded error aborts (coin returns
-    /// unless the error is in the payment range), a definitely-unsent
-    /// transport failure recovers the coin, and every ambiguous outcome
-    /// — including a channel failure that voids several in-flight
-    /// sessions at once — parks its coin for reconciliation.
+    /// [`WireClient::purchase`]; nothing is retried here, so every
+    /// transport failure — including a channel failure that voids
+    /// several in-flight sessions at once — parks its request for
+    /// [`WireClient::settle_parked`].
     pub fn purchase_many<R: CryptoRng + ?Sized>(
         &mut self,
         user: &mut UserAgent,
@@ -421,6 +428,7 @@ impl<T: Transport> WireClient<T> {
             (0..content_ids.len()).map(|_| None).collect();
         let mut sessions: std::collections::HashMap<u64, (usize, PurchaseSession)> =
             std::collections::HashMap::new();
+        let mut sent = 0;
         for (slot, cid) in content_ids.iter().enumerate() {
             let Some(meta) = catalog.iter().find(|m| m.id == *cid) else {
                 // lint: allow(panic, slot enumerates content_ids and results has one slot per id)
@@ -430,27 +438,23 @@ impl<T: Transport> WireClient<T> {
                 ))));
                 continue;
             };
-            let (session, request) = match PurchaseSession::begin(user, mint, meta, rng) {
-                Ok(pair) => pair,
+            let session = match PurchaseSession::begin(user, mint, meta, rng) {
+                Ok(session) => session,
                 Err(e) => {
                     // lint: allow(panic, slot enumerates content_ids and results has one slot per id)
                     results[slot] = Some(Err(WireError::Client(e)));
                     continue;
                 }
             };
-            let sent = self.next_corr();
+            sent += 1;
+            let corr = self.next_corr();
             let envelope = RequestEnvelope {
-                correlation_id: sent,
-                body: WireRequest::Purchase(request),
+                correlation_id: corr,
+                body: WireRequest::Purchase(session.request().clone()),
             };
-            match self.transport.submit(sent, &envelope.to_bytes()) {
+            match self.transport.submit(corr, &envelope.to_bytes()) {
                 Ok(()) => {
-                    sessions.insert(sent, (slot, session));
-                }
-                Err(t) if t.definitely_unsent() => {
-                    session.recover(user);
-                    // lint: allow(panic, slot enumerates content_ids and results has one slot per id)
-                    results[slot] = Some(Err(WireError::Transport(t)));
+                    sessions.insert(corr, (slot, session));
                 }
                 Err(t) => {
                     session.park(user);
@@ -458,6 +462,9 @@ impl<T: Transport> WireClient<T> {
                     results[slot] = Some(Err(WireError::Transport(t)));
                 }
             }
+        }
+        for _ in 0..sent {
+            user.note_pseudonym_use();
         }
         while !sessions.is_empty() {
             match self.transport.complete(None) {
@@ -482,7 +489,7 @@ impl<T: Transport> WireClient<T> {
                 }
                 Err(e) => {
                     // Channel failure: every in-flight purchase is now
-                    // ambiguous at once — park them all.
+                    // unknown at once — park them all.
                     for (_, (slot, session)) in sessions.drain() {
                         session.park(user);
                         // lint: allow(panic, slot comes from sessions, which only holds valid slots)
@@ -501,17 +508,14 @@ impl<T: Transport> WireClient<T> {
     /// Privacy-preserving transfer over the wire (both agents are local
     /// to this client — e.g. a marketplace app handling the hand-over).
     ///
-    /// Local state moves only after a decoded success response. That is
-    /// deliberately conservative, and it leaves a known divergence
-    /// window: if the provider **commits** the transfer but the response
-    /// is lost or fails to decode, this call errors while the sender
-    /// still holds a license the provider has already retired (the
-    /// recipient's fresh license bytes were in the lost response and
-    /// cannot be recovered here). After any ambiguous outcome — an
-    /// [`WireError::Envelope`], [`WireError::CorrelationMismatch`] or
-    /// [`WireError::UnexpectedResponse`] — repair the sender's view with
-    /// [`WireClient::reconcile_transfer`], which re-queries the
-    /// authoritative license status by id.
+    /// Local state moves only after a decoded success response. A
+    /// transfer whose reply was lost needs no separate repair: the
+    /// sender still holds the license and the recipient's pseudonym is
+    /// unchanged, so calling `transfer` again sends the same request, and
+    /// the provider answers it with the successor it already issued. The
+    /// successor id is derived from the recipient's certificate, so if the
+    /// recipient moves to a new pseudonym in between, the retry is refused
+    /// `AlreadyRedeemed`; only the first request, re-sent, gets the license.
     pub fn transfer<R: CryptoRng + ?Sized>(
         &mut self,
         sender: &mut UserAgent,
@@ -533,30 +537,6 @@ impl<T: Transport> WireClient<T> {
         }))? {
             WireResponse::LicenseStatus(resp) => Ok(resp.status),
             other => Err(unexpected("license-status", other)),
-        }
-    }
-
-    /// Repairs the sender's local state after an ambiguous transfer
-    /// outcome (see [`WireClient::transfer`]): re-queries the license's
-    /// authoritative status and drops it locally when the provider has
-    /// already retired it ([`LicenseStatus::Transferred`] — the transfer
-    /// committed server-side — or [`LicenseStatus::Revoked`]). Returns
-    /// `true` when a stale local license was dropped, `false` when the
-    /// license is still active (the transfer never committed; the sender
-    /// keeps it and may retry).
-    pub fn reconcile_transfer(
-        &mut self,
-        sender: &mut UserAgent,
-        license_id: LicenseId,
-    ) -> Result<bool, WireError> {
-        if let Some(m) = self.recovery.as_ref().and_then(|r| r.metrics.as_ref()) {
-            m.reconciles.inc();
-        }
-        match self.license_status(license_id)? {
-            LicenseStatus::Transferred | LicenseStatus::Revoked => {
-                Ok(sender.remove_license(&license_id).is_some())
-            }
-            LicenseStatus::Active { .. } | LicenseStatus::Unknown => Ok(false),
         }
     }
 
@@ -629,10 +609,10 @@ impl<T: Transport> WireClient<T> {
 }
 
 /// Settles the reply to a purchase request that went out: a license
-/// finishes the session, a decoded error aborts it (the coin returns
-/// unless the error is in the payment range), and anything else —
-/// another op's body, an undecodable or mismatched reply, a channel
-/// failure — leaves the outcome ambiguous, so the coin is parked.
+/// finishes the session, a decoded error aborts it (see
+/// [`PurchaseSession::abort`]), and anything else — another op's body,
+/// an undecodable or mismatched reply, a channel failure — leaves the
+/// deposit unknown, so the request is parked.
 fn settle_purchase(
     session: PurchaseSession,
     user: &mut UserAgent,

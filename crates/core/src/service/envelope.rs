@@ -40,7 +40,7 @@ pub enum OpCode {
     CrlSync = 6,
     /// Catalog lookup / listing.
     Catalog = 7,
-    /// License-status query (transfer reconciliation).
+    /// License-status query.
     LicenseStatus = 8,
     /// Unified metrics snapshot (operator op; off unless the provider
     /// opts in via `ProviderConfig::metrics_dump`).
@@ -88,32 +88,6 @@ impl OpCode {
             OpCode::MetricsDump => "metrics-dump",
         }
     }
-
-    /// Retry classification for the recovery policy (see
-    /// [`crate::retry::Idempotency`]).
-    ///
-    /// Reads ([`OpCode::Catalog`], [`OpCode::Download`],
-    /// [`OpCode::LicenseStatus`], [`OpCode::CrlSync`],
-    /// [`OpCode::MetricsDump`]) and the blind-issuance rounds (re-running
-    /// a round with the same blinded value yields the same signature) are
-    /// retry-safe. [`OpCode::Purchase`] deposits a coin and
-    /// [`OpCode::Transfer`] retires a license — blindly re-sending after
-    /// an ambiguous failure can double-commit, so those must go through
-    /// coin parking / `LicenseStatus` reconciliation.
-    pub fn idempotency(self) -> crate::retry::Idempotency {
-        use crate::retry::Idempotency;
-        match self {
-            OpCode::Purchase | OpCode::Transfer => Idempotency::MustReconcile,
-            OpCode::Error
-            | OpCode::Download
-            | OpCode::PseudonymIssue
-            | OpCode::AttributeIssue
-            | OpCode::CrlSync
-            | OpCode::Catalog
-            | OpCode::LicenseStatus
-            | OpCode::MetricsDump => Idempotency::Safe,
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -137,7 +111,7 @@ pub enum WireRequest {
     CrlSync(CrlSyncRequest),
     /// Catalog lookup / listing.
     Catalog(CatalogRequest),
-    /// License-status query (transfer reconciliation).
+    /// License-status query.
     LicenseStatus(LicenseStatusRequest),
     /// Unified metrics snapshot (operator op, opt-in).
     MetricsDump(MetricsDumpRequest),

@@ -135,13 +135,6 @@ impl ApiErrorCode {
             raw => ApiErrorCode::Unrecognized(raw),
         }
     }
-
-    /// Whether this code belongs to the payment range (a failed purchase
-    /// whose coin was consumed or rejected by the mint — clients must not
-    /// return such a coin to the wallet).
-    pub fn is_payment(self) -> bool {
-        (30..40).contains(&self.code())
-    }
 }
 
 impl std::fmt::Display for ApiErrorCode {

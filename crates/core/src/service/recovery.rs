@@ -5,14 +5,14 @@ use super::client::{WireClient, WireError};
 use super::envelope::{WireRequest, WireResponse};
 use super::error::{ApiError, ApiErrorCode};
 use super::transport::Transport;
-use crate::retry::{Admit, CircuitBreaker, Idempotency, RetryBudget, RetryPolicy};
+use crate::retry::{Admit, CircuitBreaker, RetryBudget, RetryPolicy};
 use p2drm_obs::{AtomicHistogram, Counter, Registry};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Counters/histograms that make client-side recovery visible instead
-/// of silent: retries taken, give-ups, breaker activity, reconciles,
-/// and the backoff pauses actually slept.
+/// of silent: retries taken, give-ups, breaker activity, and the backoff
+/// pauses actually slept.
 pub struct RecoveryMetrics {
     /// Retries actually sent (`client_retries`).
     pub retries: Arc<Counter>,
@@ -24,9 +24,6 @@ pub struct RecoveryMetrics {
     /// Requests rejected locally by an open breaker
     /// (`client_breaker_rejections`).
     pub breaker_rejections: Arc<Counter>,
-    /// Reconciliation actions taken — transfer status repairs and
-    /// parked-coin settlements (`client_reconciles`).
-    pub reconciles: Arc<Counter>,
     /// Distribution of backoff pauses slept (`client_backoff_ns`).
     pub backoff_ns: Arc<AtomicHistogram>,
 }
@@ -40,7 +37,6 @@ impl RecoveryMetrics {
             giveups: registry.counter("client_retry_giveups"),
             breaker_transitions: registry.counter("client_breaker_transitions"),
             breaker_rejections: registry.counter("client_breaker_rejections"),
-            reconciles: registry.counter("client_reconciles"),
             backoff_ns: registry.histogram("client_backoff_ns"),
         }
     }
@@ -49,8 +45,10 @@ impl RecoveryMetrics {
 /// End-to-end recovery policy for a [`WireClient`]: retry whole
 /// operations (not just connects) under a backoff policy, bounded by a
 /// retry budget and a circuit breaker, honoring the server's
-/// `retry_after_ms` backpressure hints, and retrying ambiguous failures
-/// only for ops classified retry-safe ([`OpCode::idempotency`](super::OpCode::idempotency)).
+/// `retry_after_ms` backpressure hints. Every op rides the same rule:
+/// reads and issuance rounds are harmless to repeat, and the provider
+/// answers a re-sent purchase or transfer with the license the first
+/// attempt issued.
 pub struct Recovery {
     /// Backoff/attempts/deadline policy (deterministic jitter).
     pub policy: RetryPolicy,
@@ -86,13 +84,10 @@ impl<T: Transport> WireClient<T> {
     ///
     /// Retry classification:
     /// * decoded [`ApiErrorCode::ServiceUnavailable`] — a busy shed (or
-    ///   an op this endpoint does not serve); the server provably did
-    ///   not commit the op, so **any** op may retry, pausing at least
+    ///   an op this endpoint does not serve): retried, pausing at least
     ///   the response's `retry_after_ms` hint;
-    /// * transport failure that is definitely-unsent — any op retries;
-    /// * ambiguous transport/envelope/correlation failure — only
-    ///   retry-safe ops retry; must-reconcile ops surface the error so
-    ///   the caller's parking/reconcile accounting runs;
+    /// * transport, envelope, correlation or unexpected-op failure —
+    ///   retried, whether or not the request was dispatched;
     /// * any other decoded error — authoritative, never retried.
     pub(super) fn call_recovering(
         &mut self,
@@ -113,7 +108,6 @@ impl<T: Transport> WireClient<T> {
         rec: &Recovery,
         body: WireRequest,
     ) -> Result<WireResponse, WireError> {
-        let idem = body.opcode().idempotency();
         let deadline = rec.policy.op_deadline.map(|d| Instant::now() + d);
         let mut retry: u32 = 0;
         loop {
@@ -142,19 +136,13 @@ impl<T: Transport> WireClient<T> {
                     rec.budget.on_success();
                     return outcome;
                 }
-                Err(WireError::Transport(t)) => {
-                    rec.breaker.on_failure();
-                    (t.definitely_unsent() || idem == Idempotency::Safe).then_some(Duration::ZERO)
-                }
-                Err(WireError::Envelope(_))
-                | Err(WireError::CorrelationMismatch { .. })
-                | Err(WireError::UnexpectedResponse { .. }) => {
-                    rec.breaker.on_failure();
-                    (idem == Idempotency::Safe).then_some(Duration::ZERO)
-                }
                 // A decoded non-busy error is the server's authoritative
                 // answer; a client-side error will not change on resend.
                 Err(WireError::Api(_)) | Err(WireError::Client(_)) => None,
+                Err(_) => {
+                    rec.breaker.on_failure();
+                    Some(Duration::ZERO)
+                }
             };
             let Some(floor) = floor else {
                 return outcome;

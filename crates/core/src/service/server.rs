@@ -351,7 +351,7 @@ impl<B: ConcurrentKv> ProviderService<B> {
             WireRequest::LicenseStatus(req) => {
                 // A row the provider cannot read is its own fault, not
                 // the asker's and not "never issued": answer `Internal`
-                // so a reconciling client keeps the license it holds.
+                // so a client never drops a license it holds.
                 let status = self
                     .provider
                     .license_status(&req.license_id)

@@ -11,10 +11,11 @@ use std::sync::Mutex;
 /// Real transports fail, and the variants split on the one question the
 /// client's recovery logic needs answered: **did the request possibly
 /// reach the service?** [`TransportError::Unreachable`] means definitely
-/// not (client state can unwind as if the call was never made); the
-/// other variants are ambiguous (the service may have committed), so
-/// consumed resources — a purchase's coin — must be parked and
-/// reconciled, never silently restored or dropped.
+/// not; the other variants are ambiguous (the service may have
+/// committed). The wire client treats both alike — it re-sends, and the
+/// provider answers a replayed purchase or transfer with the license the
+/// first attempt issued — but a transport still must never claim
+/// `Unreachable` for a request that may have left.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum TransportError {
     /// The request was never sent — no connection could be established,
@@ -119,8 +120,8 @@ pub trait Transport {
 ///
 /// The RNG the service answers with belongs to the transport:
 /// [`Loopback::new`] keys one from OS entropy, [`Loopback::with_rng`]
-/// takes the caller's, which makes every reply — license id, sealed
-/// content key, signature over both — a function of the seeds.
+/// takes the caller's, which makes every reply — sealed content key,
+/// signature over the license — a function of the seeds.
 pub struct Loopback<'s, B: ConcurrentKv, R = ChaChaRng> {
     service: &'s ProviderService<B>,
     rng: Mutex<R>,

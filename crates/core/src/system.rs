@@ -454,7 +454,7 @@ impl<B: p2drm_store::ConcurrentKv + Send + Sync + 'static> System<B> {
     }
 
     /// In-process transport onto this system's own service. Replies
-    /// draw their randomness (license id, sealed content key) from a
+    /// draw their randomness (the sealed content key) from a
     /// ChaCha20 stream keyed off `rng`, so a seeded run repeats byte for
     /// byte — big-integer encodings are length-trimmed, so even message
     /// sizes depend on it.
@@ -590,10 +590,9 @@ mod tests {
         assert_eq!(sys.mint.deposited_total(), 100);
     }
 
-    /// Big-integer encodings are length-trimmed and license ids are the
-    /// server's randomness, so "same seed, same bytes" holds only
-    /// because `System` answers from a stream derived from the caller's
-    /// RNG.
+    /// Big-integer encodings are length-trimmed and sealing a content
+    /// key is randomised, so "same seed, same bytes" holds only because
+    /// `System` answers from a stream derived from the caller's RNG.
     #[test]
     fn same_seed_systems_issue_byte_identical_licenses() {
         fn journey(seed: u64) -> (Vec<u8>, Vec<u8>) {

@@ -11,7 +11,7 @@ use std::time::{Duration, Instant};
 /// Injection sites [`FaultTransport`] consults, in evaluation order.
 pub mod sites {
     /// Submit fails `Broken` after the request may have partially left
-    /// (ambiguous — the client must park, not unwind).
+    /// (ambiguous — the service may or may not have seen it).
     pub const RESET_MID_WRITE: &str = "transport.reset_mid_write";
     /// Submit reports success but the request is swallowed; the eventual
     /// completion wait surfaces as an ambiguous channel failure.

@@ -2,14 +2,14 @@
 //! connect retry, keep-alive reuse, and reconnect when a cached
 //! connection turns out to be dead.
 //!
-//! The error mapping is the whole point: the core client's recovery
-//! logic ([`p2drm_core::service::WireClient`]) splits on
-//! [`TransportError::definitely_unsent`], so this transport must only
-//! claim `Unreachable` when **no byte of the request** can have reached
-//! the server — local refusals, connect failures, and a first write
-//! syscall that failed outright. Everything after that is
-//! `Broken`/`Frame`: ambiguous, and the client parks consumed resources
-//! for reconciliation instead of unwinding them.
+//! The error mapping follows the [`Transport`] contract: this transport
+//! claims `Unreachable` ([`TransportError::definitely_unsent`]) only
+//! when **no byte of the request** can have reached the server — local
+//! refusals, connect failures, and a first write syscall that failed
+//! outright. Everything after that is `Broken`/`Frame`: ambiguous. The
+//! core client ([`p2drm_core::service::WireClient`]) re-sends either
+//! way; the provider answers a replayed purchase or transfer with the
+//! license it already issued.
 //!
 //! Pipelining: [`TcpTransport::submit`] writes the framed request and
 //! records its correlation id in the in-flight set;

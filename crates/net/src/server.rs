@@ -828,11 +828,11 @@ impl EventLoop {
             }
             if reply.bytes.len() > max_frame {
                 // Deliberately no error envelope: the op *was*
-                // dispatched, and an error reply would make clients
-                // unwind state that must instead go through their
-                // ambiguous-outcome reconciliation. Count it, let the
-                // replies queued ahead of it go, and close so the
-                // client sees a broken connection.
+                // dispatched, and an error reply would tell the client
+                // it was refused (a purchase would take its coin back)
+                // when it is only unanswered. Count it, let the replies
+                // queued ahead of it go, and close so the client sees a
+                // broken connection.
                 self.control.metrics.oversized_reply();
                 self.try_write(token);
                 self.close_conn(token);

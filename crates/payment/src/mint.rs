@@ -175,29 +175,48 @@ impl Mint {
     /// MUST have been validated with [`Self::check_coin`] first; this
     /// method only enforces the exactly-once serial rule.
     pub fn deposit_prechecked(&self, coin: &Coin) -> Result<(), PaymentError> {
-        let mut spent_key = Vec::with_capacity(38);
-        spent_key.extend_from_slice(b"spent/");
-        spent_key.extend_from_slice(&coin.serial);
-        let fresh = self.inner.spent.insert_if_absent(&spent_key, &[])?;
-        if !fresh {
-            return Err(PaymentError::DoubleSpend);
+        if self.claim(coin, &[])? {
+            Ok(())
+        } else {
+            Err(PaymentError::DoubleSpend)
         }
-        *self.inner.deposited_total.lock() += coin.denomination;
-        Ok(())
     }
 
-    /// Whether a coin serial has been deposited — the reconciliation
-    /// query for ambiguously-spent coins: a wallet holding a coin whose
-    /// purchase reply was lost asks here before deciding between
-    /// re-spending (serial unknown → the deposit never happened) and
-    /// discarding (serial spent → re-spending would double-spend). The
-    /// serial is 32 unguessable random bytes only its withdrawer knows,
-    /// so the query leaks nothing to third parties.
-    pub fn is_spent(&self, serial: &[u8; 32]) -> bool {
-        let mut spent_key = Vec::with_capacity(38);
-        spent_key.extend_from_slice(b"spent/");
-        spent_key.extend_from_slice(serial);
-        self.inner.spent.contains(&spent_key)
+    /// [`Self::deposit_prechecked`] that records `memo` (the provider
+    /// passes the license id the coin pays for) in the serial's spent
+    /// row. `Ok(true)` is a fresh deposit; `Ok(false)` means the serial
+    /// was already deposited under this same memo — a replay of one
+    /// payment, counted once. Any other occupant is a double spend.
+    pub fn deposit_for(&self, coin: &Coin, memo: &[u8; 16]) -> Result<bool, PaymentError> {
+        if self.claim(coin, memo)? {
+            Ok(true)
+        } else if self.paid_for(&coin.serial, memo) {
+            Ok(false)
+        } else {
+            Err(PaymentError::DoubleSpend)
+        }
+    }
+
+    /// Whether `serial` was deposited under `memo` by [`Self::deposit_for`]
+    /// (the provider's replay test).
+    pub fn paid_for(&self, serial: &[u8; 32], memo: &[u8; 16]) -> bool {
+        self.inner
+            .spent
+            .get(&spent_key(serial))
+            .is_some_and(|recorded| recorded == memo)
+    }
+
+    /// Inserts the serial's spent row holding `memo`, counting the
+    /// deposit; `false` when the serial was already spent.
+    fn claim(&self, coin: &Coin, memo: &[u8]) -> Result<bool, PaymentError> {
+        let fresh = self
+            .inner
+            .spent
+            .insert_if_absent(&spent_key(&coin.serial), memo)?;
+        if fresh {
+            *self.inner.deposited_total.lock() += coin.denomination;
+        }
+        Ok(fresh)
     }
 
     /// Total value deposited so far.
@@ -220,6 +239,10 @@ impl Mint {
     pub fn withdrawal_count(&self) -> usize {
         self.inner.transcript.lock().len()
     }
+}
+
+fn spent_key(serial: &[u8; 32]) -> Vec<u8> {
+    [b"spent/".as_slice(), serial].concat()
 }
 
 #[cfg(test)]
@@ -279,6 +302,26 @@ mod tests {
         m.deposit(&coin).unwrap();
         assert_eq!(m.deposit(&coin), Err(PaymentError::DoubleSpend));
         assert_eq!(m.deposited_total(), 100, "second deposit adds nothing");
+    }
+
+    #[test]
+    fn a_memo_makes_a_replay_of_one_payment_count_once() {
+        let m = mint();
+        m.fund_account("alice", 100);
+        let coin = Wallet::new()
+            .withdraw(&m, "alice", 100, &mut test_rng(108))
+            .unwrap();
+        assert!(!m.paid_for(&coin.serial, &[1; 16]));
+        assert_eq!(m.deposit_for(&coin, &[1; 16]), Ok(true));
+        assert!(m.paid_for(&coin.serial, &[1; 16]));
+        assert!(!m.paid_for(&coin.serial, &[2; 16]));
+        assert_eq!(m.deposit_for(&coin, &[1; 16]), Ok(false), "replay");
+        assert_eq!(m.deposited_total(), 100, "counted once");
+        assert_eq!(
+            m.deposit_for(&coin, &[2; 16]),
+            Err(PaymentError::DoubleSpend)
+        );
+        assert_eq!(m.deposit(&coin), Err(PaymentError::DoubleSpend));
     }
 
     #[test]

@@ -5,14 +5,10 @@ use crate::{Coin, Mint, PaymentError};
 use p2drm_crypto::blind::Blinded;
 use p2drm_crypto::rng::CryptoRng;
 
-/// Holds withdrawn, not-yet-spent coins, plus a **pending** pool for
-/// coins whose fate is ambiguous: a purchase whose response was lost may
-/// or may not have deposited the coin, so it is neither spendable nor
-/// discardable until reconciled out-of-band ([`Wallet::park`]).
+/// Holds withdrawn, not-yet-spent coins.
 #[derive(Default)]
 pub struct Wallet {
     coins: Vec<Coin>,
-    pending: Vec<Coin>,
 }
 
 impl Wallet {
@@ -110,41 +106,6 @@ impl Wallet {
     pub fn put_back(&mut self, coin: Coin) {
         self.coins.push(coin);
     }
-
-    /// Parks a coin whose fate is ambiguous (e.g. a purchase whose
-    /// response never decoded: the provider may or may not have
-    /// deposited it). Parked coins are excluded from [`Wallet::balance`]
-    /// and cannot be spent — re-spending a deposited coin would
-    /// double-spend — but they are not silently lost either: they stay
-    /// visible through [`Wallet::pending`] until
-    /// [`Wallet::reconcile_pending`] settles them against the mint's
-    /// authoritative spent-serial record.
-    pub fn park(&mut self, coin: Coin) {
-        self.pending.push(coin);
-    }
-
-    /// Coins awaiting reconciliation after an ambiguous spend.
-    pub fn pending(&self) -> &[Coin] {
-        &self.pending
-    }
-
-    /// Settles every parked coin against the mint's spent-serial record
-    /// ([`Mint::is_spent`]): serials the mint never saw return to the
-    /// spendable pool (the ambiguous spend never happened), deposited
-    /// serials are discarded (their value was consumed by the spend).
-    /// Returns `(restored, discarded)` counts.
-    pub fn reconcile_pending(&mut self, mint: &Mint) -> (usize, usize) {
-        let (mut restored, mut discarded) = (0, 0);
-        for coin in std::mem::take(&mut self.pending) {
-            if mint.is_spent(&coin.serial) {
-                discarded += 1;
-            } else {
-                self.coins.push(coin);
-                restored += 1;
-            }
-        }
-        (restored, discarded)
-    }
 }
 
 #[cfg(test)]
@@ -183,51 +144,6 @@ mod tests {
             let c = w.withdraw(&mint, "u", 100, &mut rng).unwrap();
             assert!(serials.insert(c.serial), "serial collision");
         }
-    }
-
-    #[test]
-    fn parked_coins_are_neither_spendable_nor_lost() {
-        let mint = Mint::new(MintConfig::default(), &mut test_rng(116));
-        mint.fund_account("u", 1000);
-        let mut rng = test_rng(117);
-        let mut w = Wallet::new();
-        w.withdraw(&mint, "u", 100, &mut rng).unwrap();
-        let c = w.take(100).unwrap();
-        w.park(c.clone());
-        // Excluded from the spendable pool...
-        assert_eq!(w.balance(), 0);
-        assert!(w.take(100).is_none());
-        // ...but still held, for `reconcile_pending` to settle.
-        assert_eq!(w.pending().len(), 1);
-        assert_eq!(w.pending()[0].serial, c.serial);
-    }
-
-    #[test]
-    fn reconcile_pending_settles_against_the_mint() {
-        let mint = Mint::new(MintConfig::default(), &mut test_rng(118));
-        mint.fund_account("u", 1000);
-        let mut rng = test_rng(119);
-        let mut w = Wallet::new();
-        let spent = w.withdraw(&mint, "u", 100, &mut rng).unwrap();
-        let unspent = w.withdraw(&mint, "u", 100, &mut rng).unwrap();
-        w.take(100).unwrap();
-        w.take(100).unwrap();
-        w.park(spent.clone());
-        w.park(unspent.clone());
-        // One ambiguous spend actually landed at the mint.
-        mint.deposit(&spent).unwrap();
-
-        assert_eq!(w.reconcile_pending(&mint), (1, 1));
-        assert!(w.pending().is_empty());
-        assert_eq!(w.balance(), 100, "only the unspent coin came back");
-        let restored = w.take(100).unwrap();
-        assert_eq!(restored.serial, unspent.serial);
-        // The restored coin really is spendable exactly once.
-        mint.deposit(&restored).unwrap();
-        assert!(matches!(
-            mint.deposit(&restored),
-            Err(PaymentError::DoubleSpend)
-        ));
     }
 
     #[test]

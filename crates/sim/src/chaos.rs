@@ -7,19 +7,21 @@
 //! function of `(seed, site, call#)` (see [`p2drm_faults::FaultPlan`]),
 //! the client's jitter stream is seeded, and the workload is fixed — so
 //! a failing drill replays exactly. After the workload the runner
-//! settles every parked coin against the mint and checks the global
-//! invariants the recovery machinery promises to preserve no matter
-//! which faults fired:
+//! re-sends every parked purchase over a fault-free wire
+//! ([`WireClient::settle_parked`]) and checks the global invariants the
+//! recovery machinery promises to preserve no matter which faults fired:
 //!
-//! 1. **deposit/issue agreement** — coins the mint marked spent ==
-//!    licenses the provider issued (a lost *reply* loses the client its
-//!    license bytes, never the books' balance);
-//! 2. **coin conservation** — every withdrawn coin is exactly one of
-//!    {spendable in the wallet, deposited at the mint}; the pending
-//!    pool drains to empty once reconciled;
-//! 3. **no duplicate licenses** — every license the client actually
-//!    holds has a distinct id, and the provider issued at least that
-//!    many.
+//! 1. **every paid failure parked** — a purchase under transport faults
+//!    returns a license, parks its request, or failed at the catalogue
+//!    quote before any coin was withdrawn;
+//! 2. **pay iff licensed** — once settled, the pool is empty and every
+//!    coin the mint deposited bought a license the client holds
+//!    (`paid_empty_handed == 0`), which is also a license the provider
+//!    issued;
+//! 3. **coin conservation** — every withdrawn coin is exactly one of
+//!    {spendable in the wallet, deposited at the mint};
+//! 4. **no duplicate licenses** — every license the client holds has a
+//!    distinct id.
 
 use p2drm_core::entities::provider::{ContentProvider, ProviderConfig};
 use p2drm_core::retry::{CircuitBreaker, RetryBudget, RetryPolicy};
@@ -81,12 +83,15 @@ pub struct ChaosOutcome {
     pub retries: u64,
     /// Operations abandoned with attempts/budget exhausted.
     pub giveups: u64,
-    /// Parked coins restored to the wallet by reconciliation (the
-    /// ambiguous spend never happened).
-    pub coins_restored: u64,
-    /// Parked coins discarded by reconciliation (the mint had already
-    /// deposited them — their purchase committed server-side).
-    pub coins_discarded: u64,
+    /// Purchases that failed during the workload and parked their
+    /// request for settlement.
+    pub parked: u64,
+    /// Purchases that failed at the catalogue quote, before any coin was
+    /// withdrawn.
+    pub unquoted: u64,
+    /// After settlement: coins the mint deposited for which the client
+    /// holds no license (customers who paid and hold nothing).
+    pub paid_empty_handed: u64,
     /// FNV-1a fingerprint of the fault plan's decision trace; equal
     /// seeds must produce equal fingerprints (byte-identical schedules).
     pub trace_fingerprint: u64,
@@ -216,8 +221,7 @@ pub fn run_drill(config: &ChaosConfig) -> ChaosOutcome {
 
     let plan = armed_plan(config.seed, config.fault_rate_pct);
     let registry = Registry::new();
-    let mut licenses: Vec<p2drm_core::LicenseId> = Vec::new();
-    let (mut succeeded, mut restored, mut discarded) = (0u64, 0u64, 0u64);
+    let (mut succeeded, mut unquoted) = (0u64, 0u64);
     let mut restart_truncated_tail = false;
 
     let phases: &[usize] = if config.kill_restart {
@@ -242,15 +246,11 @@ pub fn run_drill(config: &ChaosConfig) -> ChaosOutcome {
                 sys.ensure_pseudonym(&mut user, &mut rng)
                     .expect("RA is not behind the faulty wire");
                 let cid = cids[op % cids.len()];
-                if let Ok(license) = client.purchase(&mut user, &mint, cid, &mut rng) {
-                    licenses.push(license.id());
-                    succeeded += 1;
-                }
-                // Periodic reconciliation, as a recovering client would.
-                if op % 8 == 7 {
-                    let (r, d) = user.wallet.reconcile_pending(&mint);
-                    restored += r as u64;
-                    discarded += d as u64;
+                let withdrawn = mint.withdrawal_count();
+                match client.purchase(&mut user, &mint, cid, &mut rng) {
+                    Ok(_) => succeeded += 1,
+                    Err(_) if mint.withdrawal_count() == withdrawn => unquoted += 1,
+                    Err(_) => {}
                 }
             }
         }
@@ -280,52 +280,51 @@ pub fn run_drill(config: &ChaosConfig) -> ChaosOutcome {
         }
     }
 
-    // Settle every remaining parked coin against the mint's
-    // authoritative spent-serial record.
-    let (r, d) = user.wallet.reconcile_pending(&mint);
-    restored += r as u64;
-    discarded += d as u64;
+    // Settle every parked purchase over a fault-free wire.
+    let parked = user.parked.len() as u64;
+    {
+        let service =
+            ProviderService::new(provider.clone(), config.seed ^ 0x5E77).with_ra(sys.ra.clone());
+        service.set_time(sys.epoch(), sys.now());
+        WireClient::new(Loopback::new(&service)).settle_parked(&mut user);
+    }
 
     // Global invariants.
     let mut violations = Vec::new();
-    let spent_delta = mint.spent_count() - spent_before;
-    if spent_delta != provider.license_count() {
+    let attempted = config.ops as u64;
+    if attempted - succeeded != parked + unquoted {
         violations.push(format!(
-            "deposit/issue split-brain: mint recorded {spent_delta} deposits, provider issued {} licenses",
+            "{} failed purchases: {parked} parked, {unquoted} unquoted",
+            attempted - succeeded
+        ));
+    }
+    if !user.parked.is_empty() {
+        violations.push(format!(
+            "{} purchases still parked after settlement",
+            user.parked.len()
+        ));
+    }
+    let spent_delta = mint.spent_count() - spent_before;
+    let held = user.licenses().len();
+    let paid_empty_handed = spent_delta.saturating_sub(held) as u64;
+    if spent_delta != held || held != provider.license_count() {
+        violations.push(format!(
+            "pay iff licensed: mint recorded {spent_delta} deposits, client holds {held} licenses, provider issued {}",
             provider.license_count()
         ));
     }
     let withdrawn = mint.withdrawal_count() - withdrawn_before;
-    if !user.wallet.pending().is_empty() {
-        violations.push(format!(
-            "{} coins still parked after reconciliation",
-            user.wallet.pending().len()
-        ));
-    }
     if withdrawn != user.wallet.len() + spent_delta {
         violations.push(format!(
             "coin conservation: {withdrawn} withdrawn != {} spendable + {spent_delta} deposited",
             user.wallet.len()
         ));
     }
-    let distinct: BTreeSet<_> = licenses.iter().copied().collect();
-    if distinct.len() != licenses.len() {
+    let distinct: BTreeSet<_> = user.licenses().iter().map(|l| l.license.id()).collect();
+    if distinct.len() != held {
         violations.push(format!(
-            "duplicate license ids: {} held, {} distinct",
-            licenses.len(),
+            "duplicate license ids: {held} held, {} distinct",
             distinct.len()
-        ));
-    }
-    if user.licenses().len() as u64 != succeeded {
-        violations.push(format!(
-            "license ledger drift: {succeeded} successful purchases, {} licenses held",
-            user.licenses().len()
-        ));
-    }
-    if succeeded as usize > provider.license_count() {
-        violations.push(format!(
-            "client holds {succeeded} licenses but provider issued only {}",
-            provider.license_count()
         ));
     }
 
@@ -334,14 +333,15 @@ pub fn run_drill(config: &ChaosConfig) -> ChaosOutcome {
         seed: config.seed,
         fault_rate_pct: config.fault_rate_pct,
         kill_restart: config.kill_restart,
-        ops_attempted: config.ops as u64,
+        ops_attempted: attempted,
         ops_succeeded: succeeded,
         recovery_rate: succeeded as f64 / config.ops.max(1) as f64,
         faults_fired: plan.total_fired(),
         retries: snap.counter("client_retries").unwrap_or(0),
         giveups: snap.counter("client_retry_giveups").unwrap_or(0),
-        coins_restored: restored,
-        coins_discarded: discarded,
+        parked,
+        unquoted,
+        paid_empty_handed,
         trace_fingerprint: fnv64(&plan.trace_bytes()),
         restart_truncated_tail,
         violations,

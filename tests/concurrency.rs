@@ -6,6 +6,7 @@
 
 use p2drm::core::protocol::messages::{transfer_proof_bytes, PurchaseRequest, TransferRequest};
 use p2drm::core::CoreError;
+use p2drm::payment::PaymentError;
 use p2drm::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -183,7 +184,7 @@ fn racing_revocation_vs_transfer_cannot_reissue_revoked_content() {
     let epoch = sys.epoch();
     let provider = &sys.provider;
     let lid = license.id();
-    let transfer_wins: usize = std::thread::scope(|scope| {
+    let won: Vec<bool> = std::thread::scope(|scope| {
         let revoker = scope.spawn(move || provider.revoke_license(&lid).unwrap());
         let handles: Vec<_> = requests
             .iter()
@@ -196,15 +197,11 @@ fn racing_revocation_vs_transfer_cannot_reissue_revoked_content() {
             })
             .collect();
         revoker.join().unwrap();
-        handles
-            .into_iter()
-            .map(|h| h.join().unwrap())
-            .filter(|&ok| ok)
-            .count()
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
     });
 
     assert!(
-        transfer_wins <= 1,
+        won.iter().filter(|&&ok| ok).count() <= 1,
         "a revoked id can be transferred at most once (strictly before revocation)"
     );
     // The id is claimed in the spent store exactly once, whoever won,
@@ -215,54 +212,114 @@ fn racing_revocation_vs_transfer_cannot_reissue_revoked_content() {
         .signed_license_crl(1)
         .list
         .contains(&p2drm::core::entities::provider::license_crl_id(&lid)));
+    // Re-sending a losing request is refused (re-sending a winner would
+    // be its replay, answered with the successor it already got).
     let mut rng2 = p2drm::crypto::rng::test_rng(0xACE5);
-    let late = sys.provider.handle_transfer(&requests[0], epoch, &mut rng2);
+    let loser = won.iter().position(|&ok| !ok).unwrap();
+    let late = sys
+        .provider
+        .handle_transfer(&requests[loser], epoch, &mut rng2);
     assert!(matches!(late, Err(CoreError::AlreadyRedeemed(_))));
 }
 
-/// A replayed coin (same serial) racing through two threads deposits once.
+/// One coin for `cid`, presented under each of `pseudonyms` fresh
+/// pseudonyms of one user: that many purchase requests spending it.
+fn requests_spending_one_coin(
+    sys: &System,
+    cid: ContentId,
+    pseudonyms: usize,
+    rng: &mut impl p2drm::crypto::rng::CryptoRng,
+) -> Vec<PurchaseRequest> {
+    let mut alice = sys.register_user("alice", rng).unwrap();
+    sys.fund(&alice, 100);
+    let account = alice.account.clone();
+    let coin = alice
+        .wallet
+        .withdraw(&sys.mint, &account, 100, rng)
+        .unwrap();
+    (0..pseudonyms)
+        .map(|_| {
+            sys.ensure_pseudonym(&mut alice, rng).unwrap();
+            alice.note_pseudonym_use();
+            PurchaseRequest {
+                content_id: cid,
+                pseudonym_cert: alice.pseudonym_certs().last().unwrap().clone(),
+                coin: coin.clone(),
+                attribute_cert: None,
+            }
+        })
+        .collect()
+}
+
+/// Every request in `requests` through the shared provider at once.
+fn race_purchases(sys: &System, requests: &[PurchaseRequest]) -> Vec<Result<License, CoreError>> {
+    let (epoch, provider) = (sys.epoch(), &sys.provider);
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = requests
+            .iter()
+            .enumerate()
+            .map(|(i, req)| {
+                scope.spawn(move || {
+                    let mut rng = StdRng::seed_from_u64(0xC0FE + i as u64);
+                    provider.handle_purchase(req, epoch, &mut rng)
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    })
+}
+
+/// One coin racing through four threads under four pseudonyms deposits
+/// once: one license, three double spends.
 #[test]
 fn racing_coin_double_spend_single_winner() {
     let mut rng = p2drm::crypto::rng::test_rng(0xACE3);
     let sys = System::bootstrap(SystemConfig::fast_test(), &mut rng);
     let cid = sys.publish_content("Single", 100, b"x", &mut rng);
+    let requests = requests_spending_one_coin(&sys, cid, 4, &mut rng);
 
-    let mut alice = sys.register_user("alice", &mut rng).unwrap();
-    sys.fund(&alice, 100);
-    sys.ensure_pseudonym(&mut alice, &mut rng).unwrap();
-    let cert = alice.current_pseudonym().unwrap().clone();
-    let coin = alice
-        .wallet
-        .withdraw(&sys.mint, &alice.account.clone(), 100, &mut rng)
-        .unwrap();
-    alice.wallet.take(100);
-    let req = PurchaseRequest {
-        content_id: cid,
-        pseudonym_cert: cert,
-        coin,
-        attribute_cert: None,
-    };
-
-    let epoch = sys.epoch();
-    let provider = &sys.provider;
-    let oks: usize = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..4)
-            .map(|i| {
-                let req = &req;
-                scope.spawn(move || {
-                    let mut rng = StdRng::seed_from_u64(0xC0FE + i as u64);
-                    provider.handle_purchase(req, epoch, &mut rng).is_ok()
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().unwrap())
-            .filter(|&ok| ok)
-            .count()
-    });
+    let outcomes = race_purchases(&sys, &requests);
+    let oks = outcomes.iter().filter(|r| r.is_ok()).count();
     assert_eq!(oks, 1, "one deposit of the same coin serial may succeed");
+    for outcome in &outcomes {
+        if let Err(e) = outcome {
+            assert!(
+                matches!(e, CoreError::Payment(PaymentError::DoubleSpend)),
+                "{e}"
+            );
+        }
+    }
     assert_eq!(sys.mint.deposited_total(), 100);
+    assert_eq!(sys.provider.license_count(), 1);
+}
+
+/// Four copies of one purchase request racing are one purchase re-sent:
+/// all four get the same license id, the coin is deposited once and one
+/// license row and log entry are written. The coin under another
+/// pseudonym afterwards is a double spend.
+#[test]
+fn racing_identical_purchases_share_one_license() {
+    let mut rng = p2drm::crypto::rng::test_rng(0xACE7);
+    let sys = System::bootstrap(SystemConfig::fast_test(), &mut rng);
+    let cid = sys.publish_content("Single", 100, b"x", &mut rng);
+    let requests = requests_spending_one_coin(&sys, cid, 2, &mut rng);
+
+    let identical = vec![requests[0].clone(); 4];
+    let ids: Vec<LicenseId> = race_purchases(&sys, &identical)
+        .into_iter()
+        .map(|r| r.expect("a replay is answered, not refused").id())
+        .collect();
+    assert!(ids.iter().all(|id| *id == ids[0]), "{ids:?}");
+    assert_eq!(sys.mint.deposited_total(), 100);
+    assert_eq!(sys.provider.license_count(), 1);
+    assert_eq!(sys.provider.purchase_log().len(), 1);
+
+    let fifth = race_purchases(&sys, &requests[1..]);
+    assert!(matches!(
+        fifth[0],
+        Err(CoreError::Payment(PaymentError::DoubleSpend))
+    ));
+    assert_eq!(sys.provider.license_count(), 1);
 }
 
 /// A store whose writes to the content table park until the test lets

@@ -164,15 +164,29 @@ fn coins_are_single_use_across_the_whole_system() {
         attribute_cert: None,
     };
     let epoch = sys.epoch();
-    assert!(sys.provider.handle_purchase(&req, epoch, &mut rng).is_ok());
-    // Same coin again — the mint's spent store refuses.
-    let res = sys.provider.handle_purchase(&req, epoch, &mut rng);
+    let bought = sys.provider.handle_purchase(&req, epoch, &mut rng).unwrap();
+    // The same request again is the same purchase: same license, no
+    // second deposit.
+    let replayed = sys.provider.handle_purchase(&req, epoch, &mut rng).unwrap();
+    assert_eq!(replayed.id(), bought.id());
+    assert_eq!(sys.mint.deposited_total(), 100);
+    // The same coin for anything else — the mint's spent store refuses.
+    let other = sys.publish_content("Other", 100, b"y", &mut rng);
+    let res = sys.provider.handle_purchase(
+        &p2drm::core::protocol::messages::PurchaseRequest {
+            content_id: other,
+            ..req
+        },
+        epoch,
+        &mut rng,
+    );
     assert!(matches!(
         res,
         Err(CoreError::Payment(
             p2drm::payment::PaymentError::DoubleSpend
         ))
     ));
+    assert_eq!(sys.provider.license_count(), 1);
 }
 
 #[test]

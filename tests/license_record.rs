@@ -154,10 +154,10 @@ impl Shop {
 /// value, the last two length-prefixed:
 ///
 /// * `lic/<16-byte id>` → 32-byte key id: 8 + 1 + (1 + 20) + (1 + 32);
-/// * retiring an id adds `spent/<id>` → epoch (8 + 1 + 23 + 5) and
-///   `crl/l/<32-byte digest>` → sequence (8 + 1 + 39 + 9).
+/// * retiring an id adds `spent/<id>` → successor id (8 + 1 + 23 +
+///   (1 + 17)) and `crl/l/<32-byte digest>` → sequence (8 + 1 + 39 + 9).
 const LIC_ROW_BYTES: u64 = 63;
-const RETIRE_ROWS_BYTES: u64 = 37 + 57;
+const RETIRE_ROWS_BYTES: u64 = 50 + 57;
 
 #[test]
 fn storage_per_sale_is_a_small_constant_and_survives_a_cold_reopen() {

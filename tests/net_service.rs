@@ -371,8 +371,8 @@ fn graceful_shutdown_completes_in_flight_requests() {
 
 /// A service reply over the frame cap is never half-sent: nothing hits
 /// the wire, the connection closes — an ambiguous outcome the client
-/// must reconcile, since the request *was* dispatched — and the server
-/// counts it for operators.
+/// must treat as unanswered, since the request *was* dispatched — and
+/// the server counts it for operators.
 #[test]
 fn oversized_reply_closes_connection_and_is_counted() {
     let huge = ServiceFn(|_req: &[u8]| vec![0u8; 256]);

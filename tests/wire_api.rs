@@ -1,7 +1,7 @@
 //! Wire acceptance: flows driven through `WireClient` →
 //! `ProviderService` **bytes** — a wire transfer obeys the unique-ID
-//! rule, error codes are stable numbers, ambiguous outcomes park or
-//! reconcile instead of losing value, pipelined replies settle out of
+//! rule, error codes are stable numbers, ambiguous outcomes settle by
+//! re-sending instead of losing value, pipelined replies settle out of
 //! order, and the catalogue listing is served from its snapshot.
 
 use p2drm::core::entities::provider::MemBackend;
@@ -11,6 +11,7 @@ use p2drm::core::service::{
     WireResponse,
 };
 use p2drm::core::system::{System, SystemConfig};
+use p2drm::core::License;
 use p2drm::crypto::rng::test_rng;
 
 /// A transport that delivers every request but "loses" the replies of
@@ -182,7 +183,7 @@ fn wire_crl_sync_propagates_revocation() {
 }
 
 #[test]
-fn ambiguous_purchase_parks_coin_instead_of_losing_it() {
+fn ambiguous_purchase_parks_its_request_and_settles_to_the_license() {
     let mut rng = test_rng(0x317E07);
     let sys = System::bootstrap(SystemConfig::fast_test(), &mut rng);
     let cid = sys.publish_content("Track", 100, b"X", &mut rng);
@@ -204,21 +205,17 @@ fn ambiguous_purchase_parks_coin_instead_of_losing_it() {
     assert!(matches!(err, WireError::Transport(_)), "got {err}");
 
     // The server committed: coin deposited, license issued (and lost
-    // with the reply). Re-spending the coin would double-spend, so it
-    // must not return to the spendable pool — but it must not vanish
-    // either: it is parked for reconciliation.
+    // with the reply). The coin is neither spendable nor gone: its whole
+    // request is parked.
     assert_eq!(sys.mint.deposited_total(), 100);
     assert_eq!(sys.provider.license_count(), 1);
     assert!(alice.licenses().is_empty());
-    assert_eq!(alice.wallet.pending().len(), 1, "coin parked, not lost");
+    assert_eq!(alice.parked.len(), 1, "request parked, not lost");
     assert_eq!(alice.wallet.balance(), 0, "parked coin is not spendable");
 
-    // Reconciliation against the mint settles it: the serial was
-    // deposited, so the coin is discarded, not restored.
-    assert_eq!(alice.wallet.reconcile_pending(&sys.mint), (0, 1));
-    assert!(alice.wallet.pending().is_empty());
-
     // The other ambiguous shape: the request never reaches the server.
+    sys.ensure_pseudonym(&mut alice, &mut rng)
+        .expect("pseudonym");
     let mut client = WireClient::new(BlackholeOp {
         inner: Loopback::new(&service),
         op: OpCode::Purchase,
@@ -227,24 +224,29 @@ fn ambiguous_purchase_parks_coin_instead_of_losing_it() {
     client
         .purchase(&mut alice, &sys.mint, cid, &mut rng)
         .expect_err("blackholed request must surface as an error");
-    assert_eq!(alice.wallet.pending().len(), 1);
+    assert_eq!(alice.parked.len(), 2);
     assert_eq!(sys.mint.deposited_total(), 100, "nothing new deposited");
-    // This time the mint never saw the serial: the coin comes back.
-    assert_eq!(alice.wallet.reconcile_pending(&sys.mint), (1, 0));
-    assert_eq!(alice.wallet.balance(), 100, "undeposited coin restored");
 
-    // And the restored coin completes a real purchase end-to-end.
+    // Settling re-sends both: the first is a replay answered with the
+    // license already issued, the second is served for the first time.
     let mut client = WireClient::new(Loopback::new(&service));
-    client.set_epoch(sys.epoch());
-    let license = client
-        .purchase(&mut alice, &sys.mint, cid, &mut rng)
-        .expect("restored coin spends");
-    assert!(license.verify(sys.provider.public_key()).is_ok());
-    assert_eq!(sys.mint.deposited_total(), 200);
+    let settled: Vec<License> = client
+        .settle_parked(&mut alice)
+        .into_iter()
+        .map(|r| r.expect("settles to a license"))
+        .collect();
+    assert!(alice.parked.is_empty());
+    assert_eq!(sys.mint.deposited_total(), 200, "each coin paid once");
+    assert_eq!(sys.provider.license_count(), 2);
+    assert_eq!(sys.provider.purchase_log().len(), 2);
+    assert_eq!(alice.licenses().len(), 2);
+    for license in &settled {
+        assert!(license.verify(sys.provider.public_key()).is_ok());
+    }
 }
 
 #[test]
-fn ambiguous_transfer_reconciles_via_license_status() {
+fn ambiguous_transfer_is_settled_by_calling_transfer_again() {
     let mut rng = test_rng(0x317E08);
     let sys = System::bootstrap(SystemConfig::fast_test(), &mut rng);
     let cid = sys.publish_content("Track", 100, b"X", &mut rng);
@@ -260,37 +262,32 @@ fn ambiguous_transfer_reconciles_via_license_status() {
         inner: Loopback::new(&service),
         lost_op: OpCode::Transfer,
     });
-
-    // Before the transfer, the status query sees the active license.
-    assert!(matches!(
-        client.license_status(lid).expect("status query"),
-        LicenseStatus::Active { .. }
-    ));
-
     let err = client
         .transfer(&mut alice, &mut bob, lid, &mut rng)
         .expect_err("lost reply must surface as an error");
     assert!(matches!(err, WireError::Transport(_)), "got {err}");
 
-    // Divergence: the provider committed (old id retired, successor
-    // issued) while the sender still holds the stale license.
-    assert_eq!(alice.licenses().len(), 1, "sender state diverged");
-    assert!(bob.licenses().is_empty(), "recipient reply was lost");
-
-    // Reconciliation: the authoritative status query repairs the
-    // sender's view.
+    // The provider committed while neither agent moved.
     assert_eq!(
         client.license_status(lid).expect("status query"),
         LicenseStatus::Transferred
     );
-    assert!(client
-        .reconcile_transfer(&mut alice, lid)
-        .expect("reconcile"));
-    assert!(alice.licenses().is_empty(), "stale license dropped");
-    // Reconciling an already-consistent view is a no-op.
-    assert!(!client
-        .reconcile_transfer(&mut alice, lid)
-        .expect("idempotent reconcile"));
+    assert_eq!(alice.licenses().len(), 1);
+    assert!(bob.licenses().is_empty(), "recipient reply was lost");
+
+    // The retry is the same request: the provider answers it with the
+    // successor it already issued, and both agents settle.
+    let crl_seq = sys.provider.signed_license_crl(0).sequence;
+    let mut client = WireClient::new(Loopback::new(&service));
+    let successor = client
+        .transfer(&mut alice, &mut bob, lid, &mut rng)
+        .expect("the retry yields the license");
+    assert!(alice.licenses().is_empty());
+    assert_eq!(bob.licenses().len(), 1);
+    assert_eq!(bob.licenses()[0].license.id(), successor.id());
+    assert_eq!(sys.provider.signed_license_crl(0).sequence, crl_seq);
+    assert_eq!(sys.provider.license_count(), 2);
+    assert_eq!(sys.provider.transfer_log().len(), 1);
 }
 
 #[test]
@@ -480,6 +477,7 @@ fn pipelined_purchases_settle_out_of_order_replies() {
     sys.fund(&alice, 500);
     sys.ensure_pseudonym(&mut alice, &mut rng)
         .expect("pseudonym");
+    alice.set_policy(p2drm::core::entities::user::PseudonymPolicy::ReuseK(2));
 
     let service = sys.wire_service(0x0DD1);
     // Reverse delivery: the last submitted reply completes first.
@@ -501,9 +499,11 @@ fn pipelined_purchases_settle_out_of_order_replies() {
     // nothing stranded in the wallet (the ghost slot never withdrew).
     assert_eq!(sys.mint.deposited_total(), 200);
     assert_eq!(alice.wallet.balance(), 0);
-    assert!(alice.wallet.pending().is_empty());
+    assert!(alice.parked.is_empty());
     assert_eq!(alice.licenses().len(), 2);
     assert_eq!(sys.provider.license_count(), 2);
+    // Two requests went out under the pseudonym: two uses, its budget.
+    assert!(alice.current_pseudonym().is_none());
 }
 
 // ---------------------------------------------------------------------

@@ -5,8 +5,8 @@
 //! the affected constants below in the same PR.
 //!
 //! `Loopback::new` answers with an RNG keyed from OS entropy, so
-//! purchase and transfer replies (license id, sealed content key,
-//! signature over both) would differ run to run. The session here runs
+//! purchase and transfer replies (sealed content key, signature over the
+//! license) would differ run to run. The session here runs
 //! over `Loopback::with_rng` and a seeded RNG instead: every frame is a
 //! function of the seeds and none needs masking.
 
@@ -61,12 +61,12 @@ pseudonym-issue 1958000039b8ee01e013afbae1fb1b6b2256ec6e684e9822478cf7066a26f91c
 attribute-issue 621ee48a4a75cacf59a677d0cb878e712f70416cf41647b4e477531c92440c87 -> attribute-issue 5afc67ee1b5cd4545456a3633f097d08276510aafb7cca888ae50c43ffdce073
 catalog 0f3adaafc9940b5f18e767264e91e3dedd04f23c5c1e4281e25d56b478c5a458 -> catalog 448c6a80bf9888600957d6bc48b70cb568b1ddf5b29819e5f86460cb1e3755d6
 catalog f0e621e7f7b2e4b397cb3961fdc78d78343c51f91a68c4ee1cd77d5e3844f1c9 -> catalog 232dfad7da90ea79d35e6a6cc1f64c4e520e4b6237d6806339fbb51f61467c16
-purchase b078ed5521577008a150345484411cc6b57926a7d28e713f6b2b709e3c6b9510 -> purchase b1e5f303a01f0db94a70bc6f4066e6e42077724c3e276b5760bf1c5572d695ad
+purchase b078ed5521577008a150345484411cc6b57926a7d28e713f6b2b709e3c6b9510 -> purchase 6cb76c6b35f05872058e56d1e349d566cc117de4449b70ad68c7b9272385d1e9
 crl-sync 62571304c4d3595f50191c84f7f2b56c043fb6208dc39b794db855147c9c3f7a -> crl-sync 10674f794cbe26153a545aba8e3d062a45084e1f1f7cfa0c408465eebe597d70
 download 033abd7c343248540731f3afdce74e769a371af575b3a00c59a9725a567df402 -> download ec7c6c3aa43e113d8a41f9280f7f7c3b64412e7418217e84ab2c51b4b6321127
-license-status 80531e049e223edacd7a655eb1b269bb27a9274775d6884f94e285bafc27a095 -> license-status 5314c0aceb279e6c89ad52b6c26ccebf2be9638cb4c0c8da6f0bb908c4dab357
+license-status 7bd74f7a3cca08186acb27cff8011565b82366e6a95cea04a3025204af2eb7d1 -> license-status 5314c0aceb279e6c89ad52b6c26ccebf2be9638cb4c0c8da6f0bb908c4dab357
 pseudonym-issue ea67671e1f0f800644eec58093b08a53ebe4480ab8a4795188750bf8c383e5ac -> pseudonym-issue c64772fb1ea7815c3a88a5b6b9f8256a6cb038da7ece41f75d01a5abdb3ca8e2
-transfer 7f591cbcc53d958baa8b985b2dd39326a991547f556f06e9a489473abb9258e1 -> transfer 650fb5279ed26f7254e7d1613e4c6db290add0962b627f49311bd5fa786a41d2
+transfer 702e892f3da968b620afb7af546b569ec03f57ad92c6c4aca9c7cf9bd66f3d3a -> transfer 48715869f0697abd53c272faceb6992cbfbfa6196d3ebd320d9d7b0dd9b6a883
 metrics-dump ffc3e49bb1db74e86e25b61c80347d513acf3207f1bad2ee1f141d7840bd95a7 -> error d8a367b132228023163537bddd68892ed55e4729eea3c8744f6cc4ab13c9f01b
 catalog 50b6959d693b8dffb9a40366d0cf7a959c27bf0fbb2c7443ce8e0d8b37a8271d -> error da936d635f5a0f289b668eb192e9309dd2b597fb49cd5ea23483edb438c5b52f";
 

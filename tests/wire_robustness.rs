@@ -256,11 +256,12 @@ fn empty_and_garbage_inputs_answer_cleanly() {
 
 /// Coin conservation under transport chaos: whatever seeded fault
 /// schedule the wire suffers — dropped requests, dropped/torn/duplicated
-/// replies, resets, busy storms — the park/reconcile/deposit cycle never
+/// replies, resets, busy storms — retrying, parking and settling never
 /// loses a coin and never double-spends one. Every withdrawn coin ends
 /// the run as exactly one of {spendable in the wallet, deposited at the
-/// mint}, the parked pool drains once reconciled, and every held license
-/// has a distinct id.
+/// mint}, the parked pool drains once settled, a coin is deposited if
+/// and only if the user holds its license, and every held license has a
+/// distinct id.
 mod coin_conservation {
     use super::*;
     use p2drm::core::retry::{CircuitBreaker, RetryBudget, RetryPolicy};
@@ -338,37 +339,27 @@ mod coin_conservation {
             });
             client.set_epoch(sys.epoch());
 
-            let mut licenses = Vec::new();
-            for op in 0..ops {
+            for _ in 0..ops {
                 sys.ensure_pseudonym(&mut user, &mut rng)
                     .expect("RA is not behind the faulty wire");
-                if let Ok(license) = client.purchase(&mut user, &mint, bed.cid, &mut rng) {
-                    licenses.push(license.id());
-                }
-                // Interleave a mid-run reconcile with the parked pool
-                // possibly non-empty, as a recovering client would.
-                if op == ops / 2 {
-                    user.wallet.reconcile_pending(&mint);
-                }
+                // A failure parks its request; the settlement below
+                // resolves it.
+                let _ = client.purchase(&mut user, &mint, bed.cid, &mut rng);
             }
-            user.wallet.reconcile_pending(&mint);
+            WireClient::new(Loopback::new(&service)).settle_parked(&mut user);
 
             let withdrawn = mint.withdrawal_count() - withdrawn_before;
             let deposited = mint.spent_count() - spent_before;
-            prop_assert!(
-                user.wallet.pending().is_empty(),
-                "parked pool must drain after reconciliation"
-            );
+            prop_assert!(user.parked.is_empty(), "parked pool must drain once settled");
             prop_assert_eq!(
                 withdrawn,
                 user.wallet.len() + deposited,
                 "coin lost or double-counted: {} withdrawn, {} spendable, {} deposited",
                 withdrawn, user.wallet.len(), deposited
             );
-            let distinct: BTreeSet<_> = licenses.iter().copied().collect();
-            prop_assert_eq!(distinct.len(), licenses.len(), "duplicate license ids");
-            prop_assert_eq!(user.licenses().len(), licenses.len());
-            prop_assert!(deposited >= licenses.len(), "every license was paid for");
+            let held: BTreeSet<_> = user.licenses().iter().map(|l| l.license.id()).collect();
+            prop_assert_eq!(held.len(), user.licenses().len(), "duplicate license ids");
+            prop_assert_eq!(deposited, held.len(), "a coin is deposited iff its license is held");
         }
     }
 }
