@@ -14,7 +14,7 @@ pub mod ttp;
 pub mod user;
 
 pub use device::CompliantDevice;
-pub use provider::{ContentProvider, MemBackend, ProviderConfig, PurchaseRecord};
+pub use provider::{ContentProvider, MemBackend, ProviderConfig};
 pub use ra::RegistrationAuthority;
 pub use smartcard::{CardBudget, SmartCard};
 pub use ttp::{DeanonymizationRecord, Ttp};

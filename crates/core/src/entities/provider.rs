@@ -17,7 +17,7 @@
 //! derives is a **replay** (its reply was lost, or the process died
 //! before the license row was written): the provider re-signs and
 //! re-seals that license, rewrites whichever row is missing, and records
-//! nothing else — no second deposit, log entry or license row. Any other
+//! nothing else — no second deposit or license row. Any other
 //! occupant of the row is still [`CoreError::AlreadyRedeemed`] /
 //! `DoubleSpend`. So a client may re-send both operations after any
 //! failure, and the customer pays if and only if the license can be
@@ -48,8 +48,12 @@
 //!   - trusted attribute keys (`RwLock`, read-mostly);
 //!   - CRL state — both revocation lists, their sequence numbers and
 //!     event logs — under one `RwLock` (revocation is rare, CRL reads are
-//!     cheap);
-//!   - the purchase/transfer observation logs (`Mutex`, append-only).
+//!     cheap).
+//!
+//! Per sale the provider keeps only the index rows the protocol reads
+//! back — the mint's `spent/<serial>`, then `lic/<id>`, and for a
+//! transfer `spent/<old id>` — and no history of who bought or passed
+//! on what: there is no purchase or transfer log to join.
 //!
 //! Every protocol entry point (`handle_purchase`, `handle_transfer`,
 //! `download`, CRL sync) takes `&self`; `ContentProvider<B>` is `Sync`
@@ -91,7 +95,7 @@ use p2drm_pki::crl::{RevocationList, SignedCrl};
 use p2drm_rel::{Limit, Rights};
 use p2drm_store::typed::Table;
 use p2drm_store::{ConcurrentKv, MemKv, RecoveryReport, WalShardedConfig, WalShardedKv};
-use parking_lot::{Mutex, RwLock};
+use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -136,29 +140,6 @@ impl ProviderConfig {
             metrics_dump: false,
         }
     }
-}
-
-/// What the provider logs per sale — the adversarial-provider view used by
-/// the linkability experiment (E7). Note: pseudonym ids only, no identity.
-#[derive(Clone, Debug)]
-pub struct PurchaseRecord {
-    /// Buyer pseudonym.
-    pub pseudonym: KeyId,
-    /// What was bought.
-    pub content: ContentId,
-    /// When (epoch granularity).
-    pub epoch: u32,
-}
-
-/// A transfer the provider witnessed: two pseudonyms, no identities.
-#[derive(Clone, Debug)]
-pub struct TransferRecord {
-    /// Old holder pseudonym.
-    pub from_pseudonym: KeyId,
-    /// New holder pseudonym.
-    pub to_pseudonym: KeyId,
-    /// Content involved.
-    pub content: ContentId,
 }
 
 /// The provider's immutable identity: signing keys, certificate, trust
@@ -215,8 +196,6 @@ pub struct ProviderState<B: ConcurrentKv> {
     /// Trusted per-attribute RA verification keys.
     attribute_trust: RwLock<HashMap<String, RsaPublicKey>>,
     crl: RwLock<CrlState>,
-    purchase_log: Mutex<Vec<PurchaseRecord>>,
-    transfer_log: Mutex<Vec<TransferRecord>>,
     mint: Mint,
 }
 
@@ -371,8 +350,6 @@ impl<B: ConcurrentKv> ContentProvider<B> {
                 rights_templates: RwLock::new(HashMap::new()),
                 attribute_trust: RwLock::new(HashMap::new()),
                 crl: RwLock::new(CrlState::empty()),
-                purchase_log: Mutex::new(Vec::new()),
-                transfer_log: Mutex::new(Vec::new()),
                 mint,
             },
         }
@@ -728,13 +705,6 @@ impl<B: ConcurrentKv> ContentProvider<B> {
         };
         let license = License::issue(body, &self.core.keys);
         self.persist_record(&license, fresh)?;
-        if fresh {
-            self.state.purchase_log.lock().push(PurchaseRecord {
-                pseudonym,
-                content: req.content_id,
-                epoch: now_epoch,
-            });
-        }
         Ok(license)
     }
 
@@ -827,13 +797,6 @@ impl<B: ConcurrentKv> ContentProvider<B> {
         };
         let license = License::issue(body, &self.core.keys);
         self.persist_record(&license, fresh)?;
-        if fresh {
-            self.state.transfer_log.lock().push(TransferRecord {
-                from_pseudonym: KeyId::of_rsa(&req.license.body.holder),
-                to_pseudonym: req.recipient_cert.pseudonym_id(),
-                content: req.license.body.content_id,
-            });
-        }
         Ok(license)
     }
 
@@ -893,11 +856,6 @@ impl<B: ConcurrentKv> ContentProvider<B> {
         };
         let license = License::issue(body, &self.core.keys);
         self.persist_record(&license, true)?;
-        self.state.purchase_log.lock().push(PurchaseRecord {
-            pseudonym: KeyId::of_rsa(&manager_key),
-            content: content_id,
-            epoch: now_epoch,
-        });
         Ok(license)
     }
 
@@ -1006,16 +964,6 @@ impl<B: ConcurrentKv> ContentProvider<B> {
     /// revoked — every id that can never be redeemed again.
     pub fn spent_count(&self) -> usize {
         self.state.spent.len(&self.state.store)
-    }
-
-    /// Snapshot of the adversarial-provider purchase view.
-    pub fn purchase_log(&self) -> Vec<PurchaseRecord> {
-        self.state.purchase_log.lock().clone()
-    }
-
-    /// Snapshot of the adversarial-provider transfer view.
-    pub fn transfer_log(&self) -> Vec<TransferRecord> {
-        self.state.transfer_log.lock().clone()
     }
 
     /// Direct backend access (storage metrics in E6, maintenance such as

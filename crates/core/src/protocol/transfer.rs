@@ -219,6 +219,6 @@ mod tests {
         assert!(t.bytes_received_by(Party::Provider) > 0);
         assert!(!t.scan_for(Party::Provider, f.alice.user_id().as_bytes()));
         assert!(!t.scan_for(Party::Provider, f.bob.user_id().as_bytes()));
-        assert_eq!(f.sys.provider.transfer_log().len(), 1);
+        assert_eq!(f.sys.provider.spent_count(), 1);
     }
 }

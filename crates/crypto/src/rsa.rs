@@ -39,7 +39,7 @@ pub struct RsaPublicKey {
     mont: std::sync::OnceLock<Mont>,
     /// Memoized fingerprint, computed on first use and shared across
     /// clones — key ids are taken of the same key all over the hot path
-    /// (CRL checks, purchase logs, verification-cache keys).
+    /// (CRL checks, license records, verification-cache keys).
     fp: std::sync::Arc<std::sync::OnceLock<[u8; DIGEST_LEN]>>,
 }
 

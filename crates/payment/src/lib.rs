@@ -15,8 +15,9 @@
 //!
 //! Unlinkability property: the mint sees `(account, blinded-bytes)` at
 //! withdrawal and `(serial, signature)` at deposit, and the two are
-//! cryptographically unlinkable — tested in `tests` below by replaying the
-//! mint's own transcript.
+//! cryptographically unlinkable — `mint`'s tests check that the serial
+//! is nowhere in the withdrawal request. The mint keeps no withdrawal
+//! transcript at all: only balances, a count and the spent serials.
 
 #![forbid(unsafe_code)]
 

@@ -1,6 +1,7 @@
-//! The mint: blind coin issuance against an account ledger, deposit with
-//! double-spend detection, and an auditable withdrawal transcript used by
-//! the unlinkability tests.
+//! The mint: blind coin issuance against an account ledger and deposit
+//! with double-spend detection. Per coin it keeps only the
+//! `spent/<serial>` row a deposit writes; a withdrawal moves the balance
+//! and a counter, and nothing of the blinded value is kept.
 
 use crate::{Coin, PaymentError};
 use p2drm_bignum::UBig;
@@ -10,6 +11,7 @@ use p2drm_crypto::rsa::{RsaKeyPair, RsaPublicKey};
 use p2drm_store::{ConcurrentKv, MemKv};
 use parking_lot::Mutex;
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Mint construction parameters.
@@ -30,23 +32,11 @@ impl Default for MintConfig {
     }
 }
 
-/// One entry of the mint's withdrawal transcript: everything the mint ever
-/// learns at withdrawal time.
-#[derive(Clone, Debug)]
-pub struct WithdrawalRecord {
-    /// The paying account.
-    pub account: String,
-    /// The denomination.
-    pub denomination: u64,
-    /// The blinded value the mint signed (uniformly random to the mint).
-    pub blinded: UBig,
-}
-
 struct MintInner {
     keys: HashMap<u64, RsaKeyPair>,
     ledger: Mutex<HashMap<String, u64>>,
     spent: Box<dyn ConcurrentKv + Send + Sync>,
-    transcript: Mutex<Vec<WithdrawalRecord>>,
+    withdrawals: AtomicU64,
     deposited_total: Mutex<u64>,
 }
 
@@ -78,7 +68,7 @@ impl Mint {
                 keys,
                 ledger: Mutex::new(HashMap::new()),
                 spent: Box::new(store),
-                transcript: Mutex::new(Vec::new()),
+                withdrawals: AtomicU64::new(0),
                 deposited_total: Mutex::new(0),
             }),
         }
@@ -115,8 +105,9 @@ impl Mint {
         self.inner.ledger.lock().get(account).copied().unwrap_or(0)
     }
 
-    /// Withdrawal: debits `account` by `denomination` and blind-signs the
-    /// submitted value. The mint never sees the serial inside `blinded`.
+    /// Withdrawal: blind-signs the submitted value and debits `account`
+    /// by `denomination`. The mint never sees the serial inside
+    /// `blinded`, and keeps nothing of it.
     pub fn withdraw(
         &self,
         account: &str,
@@ -128,6 +119,9 @@ impl Mint {
             .keys
             .get(&denomination)
             .ok_or(PaymentError::UnknownDenomination(denomination))?;
+        // Signed before the ledger moves: a value the key refuses (one
+        // not below the modulus) costs the account nothing.
+        let signature = blind::blind_sign(kp, blinded)?;
         {
             let mut ledger = self.inner.ledger.lock();
             let balance = ledger
@@ -141,12 +135,8 @@ impl Mint {
             }
             *balance -= denomination;
         }
-        self.inner.transcript.lock().push(WithdrawalRecord {
-            account: account.to_string(),
-            denomination,
-            blinded: blinded.clone(),
-        });
-        Ok(blind::blind_sign(kp, blinded)?)
+        self.inner.withdrawals.fetch_add(1, Ordering::Relaxed);
+        Ok(signature)
     }
 
     /// Deposit: verifies the coin and marks its serial spent.
@@ -229,15 +219,9 @@ impl Mint {
         self.inner.spent.len()
     }
 
-    /// Snapshot of the withdrawal transcript (what an adversarial mint
-    /// would data-mine when trying to link deposits to accounts).
-    pub fn withdrawal_transcript(&self) -> Vec<WithdrawalRecord> {
-        self.inner.transcript.lock().clone()
-    }
-
-    /// Coins withdrawn so far: the transcript's length, without copying it.
+    /// Coins withdrawn so far.
     pub fn withdrawal_count(&self) -> usize {
-        self.inner.transcript.lock().len()
+        self.inner.withdrawals.load(Ordering::Relaxed) as usize
     }
 }
 
@@ -384,23 +368,46 @@ mod tests {
     }
 
     #[test]
-    fn transcript_never_contains_serial() {
+    fn a_withdrawal_request_never_contains_the_serial() {
         // Unlinkability witness: the serial the merchant sees at deposit
-        // appears nowhere in what the mint recorded at withdrawal.
+        // appears nowhere in what the mint receives at withdrawal.
         let m = mint();
         m.fund_account("alice", 500);
         let mut rng = test_rng(105);
-        let mut wallet = Wallet::new();
-        let coin = wallet.withdraw(&m, "alice", 500, &mut rng).unwrap();
+        let pk = m.public_key(500).unwrap();
+        let mut serial = [0u8; 32];
+        rng.fill_bytes(&mut serial);
+        let blinded =
+            blind::Blinded::new(pk, &Coin::message_bytes(&serial, 500), &mut rng).unwrap();
+        let blind_sig = m.withdraw("alice", 500, &blinded.blinded).unwrap();
+        let coin = Coin {
+            serial,
+            denomination: 500,
+            signature: blinded.unblind(pk, &blind_sig).unwrap(),
+        };
+        assert!(coin.verify(pk));
         assert_eq!(m.withdrawal_count(), 1);
-        assert_eq!(m.withdrawal_transcript().len(), 1);
-        for rec in m.withdrawal_transcript() {
-            let blinded_bytes = rec.blinded.to_bytes_be();
-            assert!(
-                !p2drm_pki_free_contains(&blinded_bytes, &coin.serial),
-                "serial leaked into withdrawal transcript"
+        assert!(
+            !p2drm_pki_free_contains(&blinded.blinded.to_bytes_be(), &coin.serial),
+            "serial leaked into the withdrawal request"
+        );
+    }
+
+    #[test]
+    fn a_refused_blinded_value_costs_the_account_nothing() {
+        let m = mint();
+        m.fund_account("alice", 500);
+        let modulus = m.public_key(100).unwrap().modulus().clone();
+        for blinded in [modulus.clone(), &modulus + &UBig::one()] {
+            assert_eq!(
+                m.withdraw("alice", 100, &blinded),
+                Err(PaymentError::Crypto(
+                    p2drm_crypto::CryptoError::BadCiphertext
+                ))
             );
         }
+        assert_eq!(m.balance("alice"), 500);
+        assert_eq!(m.withdrawal_count(), 0);
     }
 
     /// Local subslice check (avoids a dependency just for the test).

@@ -1,19 +1,35 @@
 //! Adversarial tooling: the honest-but-curious provider profiling users
-//! from its purchase log (E7), and byte-level [`corruption`]
-//! helpers for fuzzing the wire service.
+//! from the purchase requests it receives (E7), and byte-level
+//! [`corruption`] helpers for fuzzing the wire service.
 //!
-//! The provider's entire view is its purchase log: `(pseudonym, content,
-//! epoch)` rows. Its best profiling move is to group rows by pseudonym —
-//! pseudonym reuse is what creates linkable profiles. This module runs a
-//! population under a given refresh policy and scores how much of each
-//! user's history the provider can reconstruct.
+//! The provider keeps no purchase log, so its view is what arrives: each
+//! `purchase` payload a recording transport logged on its way to the
+//! provider, decoded as a [`PurchaseRequest`] (pseudonym key id, content
+//! id), plus the epoch it arrived in. Its best profiling move is to group
+//! those requests by pseudonym — pseudonym reuse is what creates linkable
+//! profiles. This module runs a population under a given refresh policy
+//! and scores how much of each user's history the provider can
+//! reconstruct.
 
+use p2drm_core::audit::Party;
 use p2drm_core::entities::user::PseudonymPolicy;
+use p2drm_core::protocol::messages::PurchaseRequest;
+use p2drm_core::service::OpCode;
 use p2drm_core::system::{System, SystemConfig};
-use p2drm_core::UserId;
+use p2drm_core::{Transcript, UserId};
 use p2drm_pki::cert::KeyId;
 use rand::Rng;
 use std::collections::HashMap;
+
+/// The purchase requests `transcript` shows reaching the provider, in
+/// arrival order.
+pub fn purchases_received(transcript: &Transcript) -> impl Iterator<Item = PurchaseRequest> + '_ {
+    transcript
+        .entries()
+        .iter()
+        .filter(|e| e.to == Party::Provider && e.label == OpCode::Purchase.label())
+        .map(|e| p2drm_codec::from_bytes(&e.bytes).expect("a recorded purchase payload decodes"))
+}
 
 /// Linkability scores for one policy run.
 #[derive(Clone, Debug)]
@@ -51,6 +67,8 @@ pub fn linkability_experiment<R: Rng>(
         .map(|i| sys.publish_content(&format!("c{i}"), 100, b"x", rng))
         .collect();
 
+    // The provider's view: (pseudonym, epoch) per purchase it received.
+    let mut received: Vec<(KeyId, u32)> = Vec::new();
     // Ground truth: pseudonym -> user.
     let mut truth: HashMap<KeyId, UserId> = HashMap::new();
     let mut epoch_users: HashMap<u32, Vec<UserId>> = HashMap::new();
@@ -66,7 +84,12 @@ pub fn linkability_experiment<R: Rng>(
     for round in 0..purchases_per_user {
         for agent in agents.iter_mut() {
             let cid = catalog[rng.gen_range(0..catalog.len())];
-            sys.purchase(agent, cid, rng).expect("funded purchase");
+            let mut t = Transcript::new();
+            sys.purchase_with_transcript(agent, cid, rng, &mut t)
+                .expect("funded purchase");
+            received.extend(
+                purchases_received(&t).map(|req| (req.pseudonym_cert.pseudonym_id(), sys.epoch())),
+            );
             // Record ground truth for the pseudonym actually used.
             let used = agent.licenses().last().unwrap().pseudonym;
             truth.insert(used, agent.user_id());
@@ -81,7 +104,13 @@ pub fn linkability_experiment<R: Rng>(
         }
     }
 
-    score(&policy_label(policy), &sys, &truth, &epoch_users, users)
+    score(
+        &policy_label(policy),
+        &received,
+        &truth,
+        &epoch_users,
+        users,
+    )
 }
 
 fn policy_label(policy: PseudonymPolicy) -> String {
@@ -94,17 +123,15 @@ fn policy_label(policy: PseudonymPolicy) -> String {
 
 fn score(
     label: &str,
-    sys: &System,
+    received: &[(KeyId, u32)],
     truth: &HashMap<KeyId, UserId>,
     epoch_users: &HashMap<u32, Vec<UserId>>,
     users: usize,
 ) -> LinkabilityReport {
-    let log = sys.provider.purchase_log();
-
-    // Cluster rows by pseudonym (the provider's only link handle).
+    // Cluster requests by pseudonym (the provider's only link handle).
     let mut clusters: HashMap<KeyId, usize> = HashMap::new();
-    for rec in &log {
-        *clusters.entry(rec.pseudonym).or_insert(0) += 1;
+    for (pseudonym, _) in received {
+        *clusters.entry(*pseudonym).or_insert(0) += 1;
     }
 
     // Per-user: total purchases and the largest cluster belonging to them.
@@ -132,17 +159,18 @@ fn score(
     let mean_profile_len = if clusters.is_empty() {
         0.0
     } else {
-        log.len() as f64 / clusters.len() as f64
+        received.len() as f64 / clusters.len() as f64
     };
 
     // Anonymity set: distinct users active in the purchase's epoch.
-    let mean_anonymity_set = if log.is_empty() {
+    let mean_anonymity_set = if received.is_empty() {
         0.0
     } else {
-        log.iter()
-            .map(|rec| {
+        received
+            .iter()
+            .map(|(_, epoch)| {
                 epoch_users
-                    .get(&rec.epoch)
+                    .get(epoch)
                     .map(|v| {
                         let mut u = v.clone();
                         u.sort_unstable();
@@ -152,13 +180,13 @@ fn score(
                     .unwrap_or(1) as f64
             })
             .sum::<f64>()
-            / log.len() as f64
+            / received.len() as f64
     };
 
     LinkabilityReport {
         policy: label.to_string(),
         users,
-        purchases: log.len(),
+        purchases: received.len(),
         pseudonyms_seen: clusters.len(),
         mean_max_cluster_fraction,
         mean_profile_len,

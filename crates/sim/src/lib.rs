@@ -7,8 +7,9 @@
 //!
 //! * [`workload`] — Zipf content popularity (`examples/music_store.rs`);
 //! * [`adversary`] — the honest-but-curious provider trying to profile
-//!   users from its own purchase log (E7, asserted in the module's own
-//!   tests), and the byte-level corruption helpers
+//!   users from the purchase requests it receives (E7, asserted in the
+//!   module's own tests; `examples/music_store.rs`), and the byte-level
+//!   corruption helpers
 //!   `tests/wire_robustness.rs` feeds to the wire service;
 //! * [`chaos`] — seeded fault-injection drills over the full recovery
 //!   stack (`tests/chaos_drill.rs`).

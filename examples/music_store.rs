@@ -1,13 +1,14 @@
 //! Music store scenario: a catalog with Zipf popularity, users with
 //! different pseudonym refresh policies, and a demonstration of what the
-//! provider's purchase log actually reveals under each policy — the
-//! paper's privacy argument made observable.
+//! purchase requests the provider receives actually reveal under each
+//! policy — the paper's privacy argument made observable.
 //!
 //! ```sh
 //! cargo run --example music_store
 //! ```
 
 use p2drm::prelude::*;
+use p2drm::sim::adversary::purchases_received;
 use p2drm::sim::Zipf;
 use rand::Rng;
 use std::collections::HashMap;
@@ -46,25 +47,33 @@ fn main() {
     })
     .collect::<Vec<_>>();
 
-    // Everyone buys six tracks.
+    // Everyone buys six tracks; the transcript holds every request the
+    // store received.
+    let mut transcript = Transcript::new();
     for round in 0..6 {
         for (_, agent) in shoppers.iter_mut() {
             let pick = catalog[popularity.sample(&mut rng)];
-            system.purchase(agent, pick, &mut rng).unwrap();
+            system
+                .purchase_with_transcript(agent, pick, &mut rng, &mut transcript)
+                .unwrap();
         }
         if round % 2 == 1 {
             system.advance_epoch();
         }
     }
 
-    // What does the store know? Group its log by pseudonym.
+    // What does the store know? It keeps no purchase log, but it saw each
+    // request arrive: group them by pseudonym.
     let mut clusters: HashMap<_, Vec<_>> = HashMap::new();
-    for rec in system.provider.purchase_log() {
-        clusters.entry(rec.pseudonym).or_default().push(rec.content);
+    for req in purchases_received(&transcript) {
+        clusters
+            .entry(req.pseudonym_cert.pseudonym_id())
+            .or_default()
+            .push(req.content_id);
     }
     println!(
-        "store log: {} purchases under {} distinct pseudonyms\n",
-        system.provider.purchase_log().len(),
+        "store saw {} purchases under {} distinct pseudonyms\n",
+        clusters.values().map(Vec::len).sum::<usize>(),
         clusters.len()
     );
 

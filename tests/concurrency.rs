@@ -78,7 +78,6 @@ fn racing_double_redeem_has_exactly_one_winner() {
     // top of mallory's original.
     assert_eq!(sys.provider.spent_count(), 1);
     assert_eq!(sys.provider.license_count(), 2);
-    assert_eq!(sys.provider.transfer_log().len(), 1);
 }
 
 /// N threads purchase distinct items concurrently through `&self` on one
@@ -138,7 +137,6 @@ fn concurrent_purchases_all_succeed_through_shared_ref() {
 
     assert_eq!(completed, CLIENTS * PER_CLIENT);
     assert_eq!(sys.provider.license_count(), CLIENTS * PER_CLIENT);
-    assert_eq!(sys.provider.purchase_log().len(), CLIENTS * PER_CLIENT);
     // Every coin was deposited exactly once.
     assert_eq!(
         sys.mint.deposited_total(),
@@ -295,8 +293,8 @@ fn racing_coin_double_spend_single_winner() {
 
 /// Four copies of one purchase request racing are one purchase re-sent:
 /// all four get the same license id, the coin is deposited once and one
-/// license row and log entry are written. The coin under another
-/// pseudonym afterwards is a double spend.
+/// license row is written. The coin under another pseudonym afterwards
+/// is a double spend.
 #[test]
 fn racing_identical_purchases_share_one_license() {
     let mut rng = p2drm::crypto::rng::test_rng(0xACE7);
@@ -312,7 +310,6 @@ fn racing_identical_purchases_share_one_license() {
     assert!(ids.iter().all(|id| *id == ids[0]), "{ids:?}");
     assert_eq!(sys.mint.deposited_total(), 100);
     assert_eq!(sys.provider.license_count(), 1);
-    assert_eq!(sys.provider.purchase_log().len(), 1);
 
     let fifth = race_purchases(&sys, &requests[1..]);
     assert!(matches!(

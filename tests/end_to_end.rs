@@ -5,8 +5,9 @@
 
 use p2drm::core::protocol::messages::{transfer_proof_bytes, TransferRequest};
 use p2drm::core::protocol::{deanonymize_and_punish, AbuseEvidence};
-use p2drm::core::CoreError;
+use p2drm::core::{CoreError, LicenseRecord};
 use p2drm::prelude::*;
+use p2drm::store::ConcurrentKv;
 
 #[test]
 fn full_license_lifecycle() {
@@ -229,10 +230,13 @@ fn multi_user_multi_content_session() {
         }
     }
     assert_eq!(sys.provider.license_count(), licenses.len());
-    // Provider's log knows pseudonyms only.
-    for user in &users {
-        for rec in sys.provider.purchase_log() {
-            assert_ne!(rec.pseudonym.0[..16], user.user_id().0);
+    // The provider's `lic/` rows know pseudonyms only.
+    for (_, row) in sys.provider.store().scan_prefix(b"lic/") {
+        let holder = p2drm::codec::from_bytes::<LicenseRecord>(&row)
+            .unwrap()
+            .holder;
+        for user in &users {
+            assert_ne!(holder.0[..16], user.user_id().0);
         }
     }
 }

@@ -4,7 +4,9 @@
 
 use p2drm::core::audit::{Party, Recording};
 use p2drm::core::service::{Loopback, WireClient};
+use p2drm::core::LicenseRecord;
 use p2drm::prelude::*;
+use p2drm::store::ConcurrentKv;
 
 /// Claim: the provider learns nothing identifying — over one whole
 /// journey (catalogue, purchase, CRL sync, download, license status,
@@ -86,13 +88,16 @@ fn fresh_purchases_use_distinct_pseudonyms_unknown_to_ra() {
     for _ in 0..4 {
         sys.purchase(&mut alice, cid, &mut rng).unwrap();
     }
-    // All pseudonyms distinct.
+    // All pseudonyms distinct: the holder key ids of the provider's
+    // `lic/` rows, one row per sale.
+    let rows = sys.provider.store().scan_prefix(b"lic/");
+    assert_eq!(rows.len(), 4);
     let mut seen = std::collections::BTreeSet::new();
-    for rec in sys.provider.purchase_log() {
-        assert!(
-            seen.insert(rec.pseudonym),
-            "pseudonym reused under fresh policy"
-        );
+    for (_, row) in &rows {
+        let holder = p2drm::codec::from_bytes::<LicenseRecord>(row)
+            .unwrap()
+            .holder;
+        assert!(seen.insert(holder), "pseudonym reused under fresh policy");
     }
     // The RA's complete issuance view (blinded values) contains none of
     // the pseudonym moduli the provider saw.

@@ -64,7 +64,6 @@ fn a_replayed_purchase_answers_the_same_license_and_records_nothing_more() {
     assert!(again.verify(sys.provider.public_key()).is_ok());
     assert_eq!(sys.mint.deposited_total(), 100, "one deposit");
     assert_eq!(lic_rows(&sys), 1, "one lic/ row");
-    assert_eq!(sys.provider.purchase_log().len(), 1, "one log entry");
 
     // The same coin and pseudonym for other content: a double spend.
     let for_other = PurchaseRequest {
@@ -270,7 +269,6 @@ fn a_replayed_transfer_answers_the_same_successor_and_bumps_the_crl_once() {
     );
     assert_eq!(f.crl_sequence(), 1, "bumped once");
     assert_eq!(f.sys.provider.license_count(), 2);
-    assert_eq!(f.sys.provider.transfer_log().len(), 1);
     assert_eq!(
         f.sys.provider.license_status(&f.license.id()).unwrap(),
         LicenseStatus::Transferred

@@ -238,7 +238,6 @@ fn ambiguous_purchase_parks_its_request_and_settles_to_the_license() {
     assert!(alice.parked.is_empty());
     assert_eq!(sys.mint.deposited_total(), 200, "each coin paid once");
     assert_eq!(sys.provider.license_count(), 2);
-    assert_eq!(sys.provider.purchase_log().len(), 2);
     assert_eq!(alice.licenses().len(), 2);
     for license in &settled {
         assert!(license.verify(sys.provider.public_key()).is_ok());
@@ -287,7 +286,6 @@ fn ambiguous_transfer_is_settled_by_calling_transfer_again() {
     assert_eq!(bob.licenses()[0].license.id(), successor.id());
     assert_eq!(sys.provider.signed_license_crl(0).sequence, crl_seq);
     assert_eq!(sys.provider.license_count(), 2);
-    assert_eq!(sys.provider.transfer_log().len(), 1);
 }
 
 #[test]
