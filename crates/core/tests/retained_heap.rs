@@ -2,12 +2,17 @@
 //! provider and its mint once it has been answered.
 //!
 //! The provider keeps no per-sale history — no purchase or transfer log,
-//! no withdrawal transcript — so a sale retains only the two index rows
-//! the protocol reads back: the mint's `spent/<serial>` (memo = license
-//! id) and the provider's `lic/<id>` (the holder's key id), ~254 B
-//! between them in the in-memory store. The bound leaves room for the
-//! stores' node slack and nothing for a log row: re-adding any one of the
-//! old pushes (purchase log, withdrawal transcript) takes it over.
+//! no withdrawal transcript — so a sale retains only the two rows the
+//! protocol reads back: the mint's `spent/<serial>` (memo = license id)
+//! and the provider's `lic/<id>` (the holder's key id). Each is one heap
+//! allocation, `[key length][key][value]`, plus a 16-byte slot in its
+//! shard's key-ordered set: ~170 B between them. The bound leaves room
+//! for the sets' node slack and nothing more: a row stored as a separate
+//! key and value allocation (a `BTreeMap<Vec<u8>, Vec<u8>>` entry, ~250 B
+//! a sale) or one log row takes it over.
+//!
+//! The same loop runs twice, over the in-memory provider store and over
+//! the durable one (`WalShardedKv`), so both backends' index is bounded.
 //!
 //! This file intentionally holds a single `#[test]` so no concurrent test
 //! thread can move the process-wide counter mid-measurement.
@@ -16,6 +21,7 @@ use p2drm_core::protocol::messages::PurchaseRequest;
 use p2drm_core::system::{System, SystemConfig};
 use p2drm_crypto::rng::test_rng;
 use p2drm_payment::Wallet;
+use p2drm_store::{ConcurrentKv, SyncPolicy, WalShardedConfig};
 use rand::rngs::StdRng;
 use std::alloc::{GlobalAlloc, Layout, System as SystemAlloc};
 use std::sync::atomic::{AtomicI64, Ordering};
@@ -55,17 +61,19 @@ static COUNTER: CountingAlloc = CountingAlloc;
 
 const WARM_UP: usize = 200;
 const PURCHASES: usize = 2_000;
-/// The two index rows (~254 B) plus slack; one log row more exceeds it.
-const MAX_RETAINED_PER_PURCHASE: i64 = 320;
+/// Two one-allocation rows (~170 B) plus slack; a second allocation per
+/// row, or one log row more, exceeds it.
+const MAX_RETAINED_PER_PURCHASE: i64 = 200;
 
-#[test]
-fn a_purchase_retains_only_its_index_rows() {
-    let mut rng = test_rng(0x4EA9);
-    let sys = System::bootstrap(SystemConfig::fast_test(), &mut rng);
-    let cid = sys.publish_content("Track", 100, b"payload", &mut rng);
-    let mut alice = sys.register_user("alice", &mut rng).unwrap();
+/// Heap bytes one more sale leaves on `sys`'s provider and mint.
+fn retained_per_purchase<B: ConcurrentKv + Send + Sync + 'static>(
+    sys: &System<B>,
+    rng: &mut StdRng,
+) -> i64 {
+    let cid = sys.publish_content("Track", 100, b"payload", rng);
+    let mut alice = sys.register_user("alice", rng).unwrap();
     sys.fund(&alice, 100 * (WARM_UP + PURCHASES) as u64);
-    sys.ensure_pseudonym(&mut alice, &mut rng).unwrap();
+    sys.ensure_pseudonym(&mut alice, rng).unwrap();
     let pseudonym_cert = alice.current_pseudonym().unwrap().clone();
     let epoch = sys.epoch();
     let mut wallet = Wallet::new();
@@ -85,17 +93,39 @@ fn a_purchase_retains_only_its_index_rows() {
         sys.provider.handle_purchase(&req, epoch, rng).unwrap();
     };
     for _ in 0..WARM_UP {
-        buy(&mut rng);
+        buy(rng);
     }
     let before = LIVE.load(Ordering::Relaxed);
     for _ in 0..PURCHASES {
-        buy(&mut rng);
+        buy(rng);
     }
     let per_purchase = (LIVE.load(Ordering::Relaxed) - before) / PURCHASES as i64;
-
     assert_eq!(sys.provider.license_count(), WARM_UP + PURCHASES);
-    assert!(
-        per_purchase <= MAX_RETAINED_PER_PURCHASE,
-        "a purchase retained {per_purchase} B on the heap (bound {MAX_RETAINED_PER_PURCHASE} B)"
-    );
+    per_purchase
+}
+
+#[test]
+fn a_purchase_retains_only_its_index_rows() {
+    let mut rng = test_rng(0x4EA9);
+    let sys = System::bootstrap(SystemConfig::fast_test(), &mut rng);
+    let in_memory = retained_per_purchase(&sys, &mut rng);
+    drop(sys);
+
+    let dir = std::env::temp_dir().join(format!("p2drm-retained-heap-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let durable = WalShardedConfig::with_policy(SyncPolicy::Buffered);
+    let (sys, _) =
+        System::bootstrap_durable(SystemConfig::fast_test(), &dir, durable, &mut rng).unwrap();
+    let on_wal = retained_per_purchase(&sys, &mut rng);
+    drop(sys);
+    let _ = std::fs::remove_dir_all(&dir);
+
+    for (backend, per_purchase) in [("MemKv", in_memory), ("WalShardedKv", on_wal)] {
+        println!("{backend}: {per_purchase} B retained per purchase");
+        assert!(
+            per_purchase <= MAX_RETAINED_PER_PURCHASE,
+            "a purchase retained {per_purchase} B on the heap over {backend} \
+             (bound {MAX_RETAINED_PER_PURCHASE} B)"
+        );
+    }
 }

@@ -8,8 +8,8 @@
 //! * [`ConcurrentKv`] — the one store interface (`&self`, internally
 //!   synchronized), including [`ConcurrentKv::insert_if_absent`], the
 //!   atomic check-and-set that implements "redeem exactly once";
-//! * [`MemKv`] — volatile: N independently locked `BTreeMap` shards, keys
-//!   routed by hash, so writers on different shards never contend (tests,
+//! * [`MemKv`] — volatile: N independently locked shards, keys routed by
+//!   hash, so writers on different shards never contend (tests,
 //!   simulation, the mint's and the devices' default state);
 //! * [`WalShardedKv`] — durable **and** sharded: 1..N shards each backed
 //!   by its own write-ahead log (every mutation is framed and appended
@@ -21,6 +21,11 @@
 //! * [`log`] — CRC-framed append-only log with torn-tail recovery;
 //! * [`typed`] — thin typed wrapper over any [`ConcurrentKv`] using the
 //!   canonical codec.
+//!
+//! Both backends keep a shard's live pairs in the same in-memory index:
+//! one heap allocation per pair, the row `[key length: u32][key][value]`,
+//! in a key-ordered set with a 16-byte tree slot per row — a stored pair
+//! costs its key and value bytes plus 20 (and the allocator's rounding).
 //!
 //! # Backend matrix
 //!
@@ -47,6 +52,7 @@
 
 #![forbid(unsafe_code)]
 
+mod index;
 pub mod log;
 mod mem;
 pub mod typed;

@@ -2,7 +2,7 @@
 //!
 //! Frame layout: `[len: u32 LE][crc32(payload): u32 LE][payload]`.
 //! On replay, the first frame that fails its length or CRC check marks the
-//! torn tail: everything before it is returned, and the caller may truncate
+//! torn tail: everything before it is handed over, and the caller may truncate
 //! the file to that offset (what [`crate::WalShardedKv`] does per shard on
 //! open).
 
@@ -78,24 +78,30 @@ impl LogWriter {
 
 /// Result of replaying a log file.
 pub struct Replay {
-    /// The intact payloads, in order.
-    pub records: Vec<Vec<u8>>,
+    /// Intact frames handed to the callback, in order.
+    pub frames: u64,
     /// Offset just past the last intact frame.
     pub good_len: u64,
     /// Whether a torn/corrupt tail was found after `good_len`.
     pub torn_tail: bool,
 }
 
-/// Reads every intact frame from `path`.
+/// Hands every intact frame of `path` to `apply`, in log order, as soon
+/// as its length and CRC check out — no frame is copied out of the read
+/// buffer, so a replay holds the log once.
 ///
 /// Missing files replay as empty. Corruption is not an error: replay stops
-/// at the first bad frame and reports it via [`Replay::torn_tail`].
-pub fn replay(path: &Path) -> Result<Replay, StoreError> {
+/// at the first bad frame and reports it via [`Replay::torn_tail`]. An
+/// error from `apply` stops the replay and is returned as is.
+pub fn replay(
+    path: &Path,
+    mut apply: impl FnMut(&[u8]) -> Result<(), StoreError>,
+) -> Result<Replay, StoreError> {
     let mut file = match File::open(path) {
         Ok(f) => f,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
             return Ok(Replay {
-                records: Vec::new(),
+                frames: 0,
                 good_len: 0,
                 torn_tail: false,
             })
@@ -106,7 +112,7 @@ pub fn replay(path: &Path) -> Result<Replay, StoreError> {
     let mut buf = Vec::with_capacity(file_len as usize);
     file.read_to_end(&mut buf)?;
 
-    let mut records = Vec::new();
+    let mut frames = 0u64;
     let mut pos: usize = 0;
     let torn;
     loop {
@@ -125,11 +131,12 @@ pub fn replay(path: &Path) -> Result<Replay, StoreError> {
             torn = true;
             break;
         }
-        records.push(payload.to_vec());
+        apply(payload)?;
+        frames += 1;
         pos += 8 + len as usize;
     }
     Ok(Replay {
-        records,
+        frames,
         good_len: pos as u64,
         torn_tail: torn,
     })
@@ -208,6 +215,18 @@ mod tests {
         }
     }
 
+    /// Replays `path`, collecting every frame through the callback.
+    fn collect(path: &Path) -> (Vec<Vec<u8>>, Replay) {
+        let mut records = Vec::new();
+        let r = replay(path, |frame| {
+            records.push(frame.to_vec());
+            Ok(())
+        })
+        .unwrap();
+        assert_eq!(r.frames, records.len() as u64);
+        (records, r)
+    }
+
     #[test]
     fn append_replay_roundtrip() {
         let tmp = TempPath::new("roundtrip");
@@ -217,8 +236,8 @@ mod tests {
             w.append(r).unwrap();
         }
         w.flush().unwrap();
-        let replayed = replay(&tmp.0).unwrap();
-        assert_eq!(replayed.records, recs);
+        let (records, replayed) = collect(&tmp.0);
+        assert_eq!(records, recs);
         assert!(!replayed.torn_tail);
         assert_eq!(replayed.good_len, w.len());
     }
@@ -226,8 +245,8 @@ mod tests {
     #[test]
     fn missing_file_replays_empty() {
         let tmp = TempPath::new("missing");
-        let r = replay(&tmp.0).unwrap();
-        assert!(r.records.is_empty());
+        let (records, r) = collect(&tmp.0);
+        assert!(records.is_empty());
         assert!(!r.torn_tail);
     }
 
@@ -238,8 +257,31 @@ mod tests {
         w.append(b"").unwrap();
         w.append(b"x").unwrap();
         w.flush().unwrap();
-        let r = replay(&tmp.0).unwrap();
-        assert_eq!(r.records, vec![Vec::new(), b"x".to_vec()]);
+        let (records, _) = collect(&tmp.0);
+        assert_eq!(records, vec![Vec::new(), b"x".to_vec()]);
+    }
+
+    #[test]
+    fn an_apply_error_stops_the_replay() {
+        let tmp = TempPath::new("apply-err");
+        let mut w = LogWriter::open(&tmp.0).unwrap();
+        for rec in [b"a", b"b", b"c"] {
+            w.append(rec).unwrap();
+        }
+        w.flush().unwrap();
+        let mut seen = Vec::new();
+        let res = replay(&tmp.0, |frame| {
+            seen.push(frame.to_vec());
+            match frame {
+                b"b" => Err(StoreError::Corrupt {
+                    offset: 0,
+                    detail: "refused".into(),
+                }),
+                _ => Ok(()),
+            }
+        });
+        assert!(matches!(res, Err(StoreError::Corrupt { .. })));
+        assert_eq!(seen, vec![b"a".to_vec(), b"b".to_vec()]);
     }
 
     #[test]
@@ -252,19 +294,19 @@ mod tests {
         drop(w);
         // Chop mid-way through the second frame.
         truncate(&tmp.0, second_at + 3).unwrap();
-        let r = replay(&tmp.0).unwrap();
-        assert_eq!(r.records, vec![b"first".to_vec()]);
+        let (records, r) = collect(&tmp.0);
+        assert_eq!(records, vec![b"first".to_vec()]);
         assert!(r.torn_tail);
         assert_eq!(r.good_len, second_at);
         // After truncating to good_len, replay is clean and appendable.
         truncate(&tmp.0, r.good_len).unwrap();
-        let r2 = replay(&tmp.0).unwrap();
+        let (_, r2) = collect(&tmp.0);
         assert!(!r2.torn_tail);
         let mut w = LogWriter::open(&tmp.0).unwrap();
         w.append(b"third").unwrap();
         w.flush().unwrap();
         assert_eq!(
-            replay(&tmp.0).unwrap().records,
+            collect(&tmp.0).0,
             vec![b"first".to_vec(), b"third".to_vec()]
         );
     }
@@ -278,8 +320,8 @@ mod tests {
         w.flush().unwrap();
         drop(w);
         corrupt_at(&tmp.0, first_at + 8 + 2, &[0xFF]).unwrap();
-        let r = replay(&tmp.0).unwrap();
-        assert!(r.records.is_empty(), "corrupt first frame stops replay");
+        let (records, r) = collect(&tmp.0);
+        assert!(records.is_empty(), "corrupt first frame stops replay");
         assert!(r.torn_tail);
     }
 
@@ -295,8 +337,8 @@ mod tests {
         f.write_all(&(u32::MAX).to_le_bytes()).unwrap();
         f.write_all(&0u32.to_le_bytes()).unwrap();
         f.sync_data().unwrap();
-        let r = replay(&tmp.0).unwrap();
-        assert_eq!(r.records.len(), 1);
+        let (records, r) = collect(&tmp.0);
+        assert_eq!(records.len(), 1);
         assert!(r.torn_tail);
     }
 
@@ -310,8 +352,8 @@ mod tests {
         w.flush().unwrap();
         drop(w);
         rewrite(&tmp.0, vec![vec![42u8], vec![43u8]].into_iter()).unwrap();
-        let r = replay(&tmp.0).unwrap();
-        assert_eq!(r.records, vec![vec![42u8], vec![43u8]]);
+        let (records, r) = collect(&tmp.0);
+        assert_eq!(records, vec![vec![42u8], vec![43u8]]);
         assert!(!r.torn_tail);
     }
 
@@ -329,9 +371,6 @@ mod tests {
             w.append(b"two").unwrap();
             w.flush().unwrap();
         }
-        assert_eq!(
-            replay(&tmp.0).unwrap().records,
-            vec![b"one".to_vec(), b"two".to_vec()]
-        );
+        assert_eq!(collect(&tmp.0).0, vec![b"one".to_vec(), b"two".to_vec()]);
     }
 }

@@ -1,22 +1,23 @@
 //! Volatile lock-sharded store for tests, simulation and in-memory serving.
 //!
-//! [`MemKv`] spreads keys across N independently locked `BTreeMap` shards
-//! by key hash, so concurrent writers touching different keys almost never
+//! [`MemKv`] spreads keys across N independently locked shards by key
+//! hash, so concurrent writers touching different keys almost never
 //! contend, while `insert_if_absent` stays atomic because the whole
-//! check-and-set runs under one shard's write lock. For the same layout
-//! made durable — N per-shard WALs with group commit — use the sibling
-//! [`crate::WalShardedKv`], which routes keys identically.
+//! check-and-set runs under one shard's write lock. Each shard is an
+//! [`Index`]: one heap allocation per stored pair (`[key length][key]
+//! [value]`) in a key-ordered set, a 16-byte tree slot plus the row's
+//! 4 + key + value bytes. For the same layout made durable — N per-shard
+//! WALs with group commit — use the sibling [`crate::WalShardedKv`],
+//! which routes keys identically.
 
+use crate::index::Index;
 use crate::{fnv1a, ConcurrentKv, StoreError};
 use parking_lot::RwLock;
-use std::collections::BTreeMap;
-
-type Map = BTreeMap<Vec<u8>, Vec<u8>>;
 
 /// In-memory ordered KV store, partitioned into independently locked
 /// shards.
 pub struct MemKv {
-    shards: Vec<RwLock<Map>>,
+    shards: Vec<RwLock<Index>>,
 }
 
 impl Default for MemKv {
@@ -38,11 +39,11 @@ impl MemKv {
     pub fn with_shards(shards: usize) -> Self {
         assert!(shards > 0, "MemKv needs at least one shard");
         MemKv {
-            shards: (0..shards).map(|_| RwLock::new(Map::new())).collect(),
+            shards: (0..shards).map(|_| RwLock::new(Index::default())).collect(),
         }
     }
 
-    fn route(&self, key: &[u8]) -> &RwLock<Map> {
+    fn route(&self, key: &[u8]) -> &RwLock<Index> {
         &self.shards[(fnv1a(key) % self.shards.len() as u64) as usize]
     }
 
@@ -55,46 +56,38 @@ impl MemKv {
 
 impl ConcurrentKv for MemKv {
     fn get(&self, key: &[u8]) -> Option<Vec<u8>> {
-        self.route(key).read().get(key).cloned()
+        self.route(key).read().get(key).map(<[u8]>::to_vec)
     }
 
     fn put(&self, key: &[u8], value: &[u8]) -> Result<(), StoreError> {
-        self.route(key).write().insert(key.to_vec(), value.to_vec());
+        self.route(key).write().put(key, value);
         Ok(())
     }
 
     fn delete(&self, key: &[u8]) -> Result<bool, StoreError> {
-        Ok(self.route(key).write().remove(key).is_some())
+        Ok(self.route(key).write().remove(key))
     }
 
-    /// Single map-entry probe under the shard's write lock: the check and
-    /// the insert are one operation on the underlying `BTreeMap`, never a
-    /// racy contains-then-put, so exactly one of N racing callers wins.
+    /// The check and the insert run under one hold of the shard's write
+    /// lock, never a racy contains-then-put, so exactly one of N racing
+    /// callers wins.
     fn insert_if_absent(&self, key: &[u8], value: &[u8]) -> Result<bool, StoreError> {
-        match self.route(key).write().entry(key.to_vec()) {
-            std::collections::btree_map::Entry::Occupied(_) => Ok(false),
-            std::collections::btree_map::Entry::Vacant(e) => {
-                e.insert(value.to_vec());
-                Ok(true)
-            }
-        }
+        Ok(self.route(key).write().insert_if_absent(key, value))
     }
 
     /// Globally key-ordered: per-shard scans are merged and sorted.
     /// Shards are scanned one at a time (no consistent global snapshot —
     /// fine for the metrics/restore paths that use it).
     fn scan_prefix(&self, prefix: &[u8]) -> Vec<(Vec<u8>, Vec<u8>)> {
-        let mut all: Vec<(Vec<u8>, Vec<u8>)> = self
-            .shards
-            .iter()
-            .flat_map(|s| {
-                s.read()
-                    .range(prefix.to_vec()..)
-                    .take_while(|(k, _)| k.starts_with(prefix))
-                    .map(|(k, v)| (k.clone(), v.clone()))
-                    .collect::<Vec<_>>()
-            })
-            .collect();
+        let mut all = Vec::new();
+        for shard in &self.shards {
+            all.extend(
+                shard
+                    .read()
+                    .scan_prefix(prefix)
+                    .map(|(k, v)| (k.to_vec(), v.to_vec())),
+            );
+        }
         all.sort_unstable_by(|a, b| a.0.cmp(&b.0));
         all
     }
@@ -104,7 +97,7 @@ impl ConcurrentKv for MemKv {
     }
 
     fn contains(&self, key: &[u8]) -> bool {
-        self.route(key).read().contains_key(key)
+        self.route(key).read().contains(key)
     }
 
     fn flush(&self) -> Result<(), StoreError> {

@@ -2,20 +2,27 @@
 //! plus its in-memory index, with crash recovery and compaction.
 //!
 //! Every mutation is encoded (canonical codec), CRC-framed and appended to
-//! the log *before* the in-memory index is updated. Opening replays the log;
-//! a torn tail (crash mid-append) is truncated away, so the store always
-//! recovers to the last complete operation — the property the spent-ID
-//! store needs to keep the double-redemption guarantee across restarts.
+//! the log *before* the in-memory index is updated. Opening replays the log
+//! straight into the index, frame by frame; a torn tail (crash mid-append)
+//! is truncated away, so the store always recovers to the last complete
+//! operation — the property the spent-ID store needs to keep the
+//! double-redemption guarantee across restarts.
+//!
+//! The index is an [`Index`]: each live pair is one heap allocation,
+//! `[key length][key][value]`, in a key-ordered set — a 16-byte tree slot
+//! plus the row's 4 + key + value bytes per key, the same layout as a
+//! [`crate::MemKv`] shard. Compaction streams the index into the
+//! replacement log without first collecting it.
 //!
 //! Appends only buffer in userspace. *When* they reach the OS or the disk
 //! is not decided here: the owning [`crate::WalShardedKv`] calls
 //! [`WalKv::flush_to_os`]/[`WalKv::sync_data`] from its group commit, the
 //! one place a [`crate::SyncPolicy`] is acted on. Dropping flushes.
 
+use crate::index::Index;
 use crate::log::{self, LogWriter};
 use crate::StoreError;
 use p2drm_codec::{Reader, Writer};
-use std::collections::BTreeMap;
 use std::path::PathBuf;
 
 /// What `open` found in the log.
@@ -37,7 +44,7 @@ const OP_DELETE: u8 = 1;
 pub(crate) struct WalKv {
     path: PathBuf,
     writer: LogWriter,
-    index: BTreeMap<Vec<u8>, Vec<u8>>,
+    index: Index,
     /// Total ops in the log.
     log_ops: u64,
 }
@@ -47,18 +54,13 @@ impl WalKv {
     /// truncating any torn tail.
     pub fn open(path: impl Into<PathBuf>) -> Result<(Self, RecoveryReport), StoreError> {
         let path = path.into();
-        let replayed = log::replay(&path)?;
+        let mut index = Index::default();
+        let replayed = log::replay(&path, |rec| apply_record(&mut index, rec))?;
         if replayed.torn_tail {
             log::truncate(&path, replayed.good_len)?;
         }
-        let mut index = BTreeMap::new();
-        let mut ops = 0u64;
-        for rec in &replayed.records {
-            apply_record(&mut index, rec)?;
-            ops += 1;
-        }
         let report = RecoveryReport {
-            replayed_ops: ops,
+            replayed_ops: replayed.frames,
             live_keys: index.len(),
             truncated_tail: replayed.torn_tail,
         };
@@ -68,18 +70,14 @@ impl WalKv {
                 path,
                 writer,
                 index,
-                log_ops: ops,
+                log_ops: replayed.frames,
             },
             report,
         ))
     }
 
     fn append(&mut self, op: u8, key: &[u8], value: &[u8]) -> Result<(), StoreError> {
-        let mut w = Writer::with_capacity(key.len() + value.len() + 8);
-        w.put_u8(op);
-        w.put_bytes(key);
-        w.put_bytes(value);
-        self.writer.append(&w.into_bytes())?;
+        self.writer.append(&encode(op, key, value))?;
         self.log_ops += 1;
         Ok(())
     }
@@ -87,18 +85,8 @@ impl WalKv {
     /// Rewrites the log to contain exactly the live pairs.
     pub fn compact(&mut self) -> Result<(), StoreError> {
         self.writer.flush()?;
-        let records: Vec<Vec<u8>> = self
-            .index
-            .iter()
-            .map(|(k, v)| {
-                let mut w = Writer::with_capacity(k.len() + v.len() + 8);
-                w.put_u8(OP_PUT);
-                w.put_bytes(k);
-                w.put_bytes(v);
-                w.into_bytes()
-            })
-            .collect();
-        log::rewrite(&self.path, records.into_iter())?;
+        let records = self.index.iter().map(|(k, v)| encode(OP_PUT, k, v));
+        log::rewrite(&self.path, records)?;
         self.writer = LogWriter::open(&self.path)?;
         self.log_ops = self.index.len() as u64;
         Ok(())
@@ -134,72 +122,59 @@ impl WalKv {
         self.writer.try_clone_file()
     }
 
-    /// Reads a value.
-    pub fn get(&self, key: &[u8]) -> Option<Vec<u8>> {
-        self.index.get(key).cloned()
+    /// The live pairs, for reads (which need no log).
+    pub fn index(&self) -> &Index {
+        &self.index
     }
 
     /// Logs, then writes (inserts or overwrites) a value.
     pub fn put(&mut self, key: &[u8], value: &[u8]) -> Result<(), StoreError> {
         self.append(OP_PUT, key, value)?;
-        self.index.insert(key.to_vec(), value.to_vec());
+        self.index.put(key, value);
         Ok(())
     }
 
     /// Deletes a key; returns whether it existed. Only an existing key is
     /// logged.
     pub fn delete(&mut self, key: &[u8]) -> Result<bool, StoreError> {
-        if !self.index.contains_key(key) {
+        if !self.index.contains(key) {
             return Ok(false);
         }
         self.append(OP_DELETE, key, &[])?;
-        self.index.remove(key);
-        Ok(true)
-    }
-
-    /// All pairs whose key starts with `prefix`, in key order.
-    pub fn scan_prefix(&self, prefix: &[u8]) -> Vec<(Vec<u8>, Vec<u8>)> {
-        self.index
-            .range(prefix.to_vec()..)
-            .take_while(|(k, _)| k.starts_with(prefix))
-            .map(|(k, v)| (k.clone(), v.clone()))
-            .collect()
-    }
-
-    /// Number of live keys.
-    pub fn len(&self) -> usize {
-        self.index.len()
-    }
-
-    /// True when `key` exists.
-    pub fn contains(&self, key: &[u8]) -> bool {
-        self.index.contains_key(key)
+        Ok(self.index.remove(key))
     }
 
     /// Index probe then log append: both steps happen under the `&mut`
     /// borrow, and the WAL record is appended *before* the index changes,
     /// so the exactly-once outcome also survives a crash between the two.
     pub fn insert_if_absent(&mut self, key: &[u8], value: &[u8]) -> Result<bool, StoreError> {
-        if self.index.contains_key(key) {
+        if self.index.contains(key) {
             return Ok(false);
         }
         self.append(OP_PUT, key, value)?;
-        self.index.insert(key.to_vec(), value.to_vec());
+        self.index.put(key, value);
         Ok(true)
     }
 }
 
-fn apply_record(index: &mut BTreeMap<Vec<u8>, Vec<u8>>, rec: &[u8]) -> Result<(), StoreError> {
+/// One WAL record: `[op][key][value]` in the canonical codec.
+fn encode(op: u8, key: &[u8], value: &[u8]) -> Vec<u8> {
+    let mut w = Writer::with_capacity(key.len() + value.len() + 8);
+    w.put_u8(op);
+    w.put_bytes(key);
+    w.put_bytes(value);
+    w.into_bytes()
+}
+
+fn apply_record(index: &mut Index, rec: &[u8]) -> Result<(), StoreError> {
     let mut r = Reader::new(rec);
     let op = r.get_u8()?;
-    let key = r.get_bytes_owned()?;
-    let value = r.get_bytes_owned()?;
+    let key = r.get_bytes()?;
+    let value = r.get_bytes()?;
     match op {
-        OP_PUT => {
-            index.insert(key, value);
-        }
+        OP_PUT => index.put(key, value),
         OP_DELETE => {
-            index.remove(&key);
+            index.remove(key);
         }
         other => {
             return Err(StoreError::Corrupt {
@@ -253,8 +228,8 @@ mod tests {
         kv.put(b"b", b"2").unwrap();
         kv.put(b"a", b"3").unwrap();
         assert!(kv.delete(b"b").unwrap());
-        assert_eq!(kv.get(b"a"), Some(b"3".to_vec()));
-        assert_eq!(kv.len(), 1);
+        assert_eq!(kv.index().get(b"a"), Some(&b"3"[..]));
+        assert_eq!(kv.index().len(), 1);
     }
 
     #[test]
@@ -270,8 +245,8 @@ mod tests {
         assert_eq!(report.replayed_ops, 3);
         assert_eq!(report.live_keys, 1);
         assert!(!report.truncated_tail);
-        assert_eq!(kv.get(b"k2"), Some(b"v2".to_vec()));
-        assert_eq!(kv.get(b"k1"), None);
+        assert_eq!(kv.index().get(b"k2"), Some(&b"v2"[..]));
+        assert_eq!(kv.index().get(b"k1"), None);
     }
 
     #[test]
@@ -289,15 +264,15 @@ mod tests {
         let (kv, report) = WalKv::open(&tmp.0).unwrap();
         assert!(report.truncated_tail);
         assert_eq!(report.replayed_ops, 1);
-        assert_eq!(kv.get(b"good"), Some(b"1".to_vec()));
-        assert_eq!(kv.get(b"casualty"), None);
+        assert_eq!(kv.index().get(b"good"), Some(&b"1"[..]));
+        assert_eq!(kv.index().get(b"casualty"), None);
 
         // Recovered store is fully writable again.
         drop(kv);
         let (mut kv, report) = WalKv::open(&tmp.0).unwrap();
         assert!(!report.truncated_tail, "tail already repaired");
         kv.put(b"after", b"3").unwrap();
-        assert_eq!(kv.len(), 2);
+        assert_eq!(kv.index().len(), 2);
     }
 
     #[test]
@@ -357,14 +332,14 @@ mod tests {
         kv.compact().unwrap();
         assert!(kv.log_bytes() < before);
         assert_eq!(kv.ops_appended(), 2, "one record per live key");
-        assert_eq!(kv.get(b"hot"), Some(99u32.to_le_bytes().to_vec()));
-        assert_eq!(kv.get(b"cold"), Some(b"c".to_vec()));
+        assert_eq!(kv.index().get(b"hot"), Some(&99u32.to_le_bytes()[..]));
+        assert_eq!(kv.index().get(b"cold"), Some(&b"c"[..]));
 
         // And the compacted log replays correctly.
         drop(kv);
         let (kv, report) = WalKv::open(&tmp.0).unwrap();
         assert_eq!(report.live_keys, 2);
-        assert_eq!(kv.get(b"hot"), Some(99u32.to_le_bytes().to_vec()));
+        assert_eq!(kv.index().get(b"hot"), Some(&99u32.to_le_bytes()[..]));
     }
 
     #[test]
@@ -374,9 +349,9 @@ mod tests {
         for k in ["lic/1", "lic/2", "spent/1"] {
             kv.put(k.as_bytes(), b"x").unwrap();
         }
-        assert_eq!(kv.scan_prefix(b"lic/").len(), 2);
-        assert_eq!(kv.scan_prefix(b"spent/").len(), 1);
-        assert_eq!(kv.scan_prefix(b"").len(), 3);
+        assert_eq!(kv.index().scan_prefix(b"lic/").count(), 2);
+        assert_eq!(kv.index().scan_prefix(b"spent/").count(), 1);
+        assert_eq!(kv.index().scan_prefix(b"").count(), 3);
     }
 
     #[test]
@@ -389,6 +364,6 @@ mod tests {
             kv.put(b"x", b"y").unwrap();
         } // drop flushes
         let (kv, _) = WalKv::open(&tmp.0).unwrap();
-        assert_eq!(kv.get(b"x"), Some(b"y".to_vec()));
+        assert_eq!(kv.index().get(b"x"), Some(&b"y"[..]));
     }
 }

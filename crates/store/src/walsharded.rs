@@ -471,7 +471,12 @@ fn merge_reports(reports: &[RecoveryReport]) -> RecoveryReport {
 
 impl ConcurrentKv for WalShardedKv {
     fn get(&self, key: &[u8]) -> Option<Vec<u8>> {
-        self.route(key).kv.read().get(key)
+        self.route(key)
+            .kv
+            .read()
+            .index()
+            .get(key)
+            .map(<[u8]>::to_vec)
     }
 
     fn put(&self, key: &[u8], value: &[u8]) -> Result<(), StoreError> {
@@ -497,21 +502,25 @@ impl ConcurrentKv for WalShardedKv {
     /// Globally key-ordered merge of the per-shard scans (no consistent
     /// cross-shard snapshot — fine for the metrics/restore paths).
     fn scan_prefix(&self, prefix: &[u8]) -> Vec<(Vec<u8>, Vec<u8>)> {
-        let mut all: Vec<(Vec<u8>, Vec<u8>)> = self
-            .shards
-            .iter()
-            .flat_map(|s| s.kv.read().scan_prefix(prefix))
-            .collect();
+        let mut all = Vec::new();
+        for shard in &self.shards {
+            let kv = shard.kv.read();
+            all.extend(
+                kv.index()
+                    .scan_prefix(prefix)
+                    .map(|(k, v)| (k.to_vec(), v.to_vec())),
+            );
+        }
         all.sort_unstable_by(|a, b| a.0.cmp(&b.0));
         all
     }
 
     fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.kv.read().len()).sum()
+        self.shards.iter().map(|s| s.kv.read().index().len()).sum()
     }
 
     fn contains(&self, key: &[u8]) -> bool {
-        self.route(key).kv.read().contains(key)
+        self.route(key).kv.read().index().contains(key)
     }
 
     /// Flushes **and fsyncs** every shard, regardless of policy — the
@@ -836,7 +845,11 @@ mod tests {
             mem.put(format!("k/{i}").as_bytes(), &i.to_be_bytes())
                 .unwrap();
         }
-        let wal_dist: Vec<usize> = kv.shards.iter().map(|s| s.kv.read().len()).collect();
+        let wal_dist: Vec<usize> = kv
+            .shards
+            .iter()
+            .map(|s| s.kv.read().index().len())
+            .collect();
         assert_eq!(wal_dist, mem.shard_lens());
     }
 }

@@ -1,32 +1,57 @@
-//! Model-based testing: arbitrary operation sequences applied to the
-//! durable [`WalShardedKv`] — at one shard (the device store) and at
-//! eight (the license service) — must behave identically to the in-memory
-//! [`MemKv`] model through the one store trait, including across a reopen
-//! (restart) and a compaction at arbitrary points.
+//! Model-based testing: arbitrary operation sequences applied to both
+//! backends — [`MemKv`], and the durable [`WalShardedKv`] at one shard
+//! (the device store) and at eight (the license service), across a
+//! reopen (restart) and a compaction at arbitrary points — must behave
+//! identically to a plain `BTreeMap<Vec<u8>, Vec<u8>>` through the one
+//! store trait.
+//!
+//! The oracle shares no code with the backends (both sit on the same
+//! in-memory index). Keys are 0–3 letters from `abc`, so the empty key
+//! occurs and keys are often prefixes of one another — the cases where a
+//! row layout that stores key and value together could misorder a scan.
 
 use p2drm_store::{ConcurrentKv, MemKv, SyncPolicy, WalShardedConfig, WalShardedKv};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 use std::path::PathBuf;
 
 #[derive(Debug, Clone)]
 enum Op {
-    Put(u8, Vec<u8>),
-    Delete(u8),
-    InsertIfAbsent(u8, Vec<u8>),
+    Put(Vec<u8>, Vec<u8>),
+    Delete(Vec<u8>),
+    InsertIfAbsent(Vec<u8>, Vec<u8>),
+    ScanPrefix(Vec<u8>),
     Reopen,
     Compact,
 }
 
+fn key() -> impl Strategy<Value = Vec<u8>> {
+    "[abc]{0,3}".prop_map(String::into_bytes)
+}
+
+fn value() -> impl Strategy<Value = Vec<u8>> {
+    proptest::collection::vec(any::<u8>(), 0..16)
+}
+
 fn op() -> impl Strategy<Value = Op> {
     prop_oneof![
-        (any::<u8>(), proptest::collection::vec(any::<u8>(), 0..16))
-            .prop_map(|(k, v)| Op::Put(k, v)),
-        any::<u8>().prop_map(Op::Delete),
-        (any::<u8>(), proptest::collection::vec(any::<u8>(), 0..16))
-            .prop_map(|(k, v)| Op::InsertIfAbsent(k, v)),
+        (key(), value()).prop_map(|(k, v)| Op::Put(k, v)),
+        key().prop_map(Op::Delete),
+        (key(), value()).prop_map(|(k, v)| Op::InsertIfAbsent(k, v)),
+        key().prop_map(Op::ScanPrefix),
         Just(Op::Reopen),
         Just(Op::Compact),
     ]
+}
+
+type Pairs = Vec<(Vec<u8>, Vec<u8>)>;
+
+fn oracle_scan(oracle: &BTreeMap<Vec<u8>, Vec<u8>>, prefix: &[u8]) -> Pairs {
+    oracle
+        .iter()
+        .filter(|(k, _)| k.starts_with(prefix))
+        .map(|(k, v)| (k.clone(), v.clone()))
+        .collect()
 }
 
 struct TempDir(PathBuf);
@@ -51,53 +76,71 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
-    fn walsharded_equals_memkv_model(ops in proptest::collection::vec(op(), 0..60)) {
+    fn both_backends_equal_a_btreemap_oracle(ops in proptest::collection::vec(op(), 0..60)) {
         for shards in [1, 8] {
             let tmp = TempDir::new();
             let config = WalShardedConfig {
                 shards,
                 policy: SyncPolicy::Buffered,
             };
-            let model = MemKv::new();
+            let mut oracle = BTreeMap::<Vec<u8>, Vec<u8>>::new();
+            let mem = MemKv::with_shards(shards);
             let (mut wal, _) = WalShardedKv::open(&tmp.0, config).unwrap();
 
             for o in &ops {
                 match o {
                     Op::Put(k, v) => {
-                        model.put(&[*k], v).unwrap();
-                        wal.put(&[*k], v).unwrap();
+                        oracle.insert(k.clone(), v.clone());
+                        mem.put(k, v).unwrap();
+                        wal.put(k, v).unwrap();
                     }
                     Op::Delete(k) => {
-                        let a = model.delete(&[*k]).unwrap();
-                        let b = wal.delete(&[*k]).unwrap();
-                        prop_assert_eq!(a, b);
+                        let expected = oracle.remove(k).is_some();
+                        prop_assert_eq!(mem.delete(k).unwrap(), expected);
+                        prop_assert_eq!(wal.delete(k).unwrap(), expected);
                     }
                     Op::InsertIfAbsent(k, v) => {
-                        let a = model.insert_if_absent(&[*k], v).unwrap();
-                        let b = wal.insert_if_absent(&[*k], v).unwrap();
-                        prop_assert_eq!(a, b);
+                        let expected = !oracle.contains_key(k);
+                        if expected {
+                            oracle.insert(k.clone(), v.clone());
+                        }
+                        prop_assert_eq!(mem.insert_if_absent(k, v).unwrap(), expected);
+                        prop_assert_eq!(wal.insert_if_absent(k, v).unwrap(), expected);
+                    }
+                    Op::ScanPrefix(p) => {
+                        let expected = oracle_scan(&oracle, p);
+                        prop_assert_eq!(mem.scan_prefix(p), expected);
+                        prop_assert_eq!(wal.scan_prefix(p), expected);
                     }
                     Op::Reopen => {
                         wal.flush().unwrap();
                         drop(wal);
                         let (reopened, report) = WalShardedKv::open(&tmp.0, config).unwrap();
                         prop_assert!(!report.truncated_tail);
+                        prop_assert_eq!(report.live_keys, oracle.len());
                         wal = reopened;
                     }
                     Op::Compact => {
                         wal.compact_all().unwrap();
                     }
                 }
-                prop_assert_eq!(model.len(), wal.len());
+                prop_assert_eq!(mem.len(), oracle.len());
+                prop_assert_eq!(wal.len(), oracle.len());
             }
 
-            // Full-state comparison at the end.
-            prop_assert_eq!(model.scan_prefix(b""), wal.scan_prefix(b""));
+            // Full-state comparison at the end, point reads included.
+            let expected = oracle_scan(&oracle, b"");
+            prop_assert_eq!(mem.scan_prefix(b""), expected);
+            prop_assert_eq!(wal.scan_prefix(b""), expected);
+            for (k, v) in &oracle {
+                prop_assert_eq!(mem.get(k), Some(v.clone()));
+                prop_assert_eq!(wal.get(k), Some(v.clone()));
+            }
             // And after one final reopen.
             wal.flush().unwrap();
             drop(wal);
             let (wal, _) = WalShardedKv::open(&tmp.0, config).unwrap();
-            prop_assert_eq!(model.scan_prefix(b""), wal.scan_prefix(b""));
+            prop_assert_eq!(wal.scan_prefix(b""), expected);
         }
     }
 }
