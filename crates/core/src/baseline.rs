@@ -5,7 +5,7 @@
 //! user's master key, and the provider's purchase log links every sale to
 //! an account name.
 
-use crate::content::ContentCatalog;
+use crate::content::PackagedContent;
 use crate::entities::device::{challenge_message, CompliantDevice};
 use crate::entities::user::UserAgent;
 use crate::ids::{ContentId, LicenseId};
@@ -25,7 +25,8 @@ use std::collections::HashMap;
 pub struct BaselineProvider {
     keys: RsaKeyPair,
     cert: Certificate,
-    catalog: ContentCatalog,
+    /// The packaged items, ciphertext included.
+    items: HashMap<ContentId, PackagedContent>,
     rights_templates: HashMap<ContentId, Rights>,
     processor: PaymentProcessor,
     /// account -> purchases: the linkable record the paper eliminates.
@@ -51,7 +52,7 @@ impl BaselineProvider {
         BaselineProvider {
             keys,
             cert,
-            catalog: ContentCatalog::new(),
+            items: HashMap::new(),
             rights_templates: HashMap::new(),
             processor,
             purchase_log: Vec::new(),
@@ -77,7 +78,9 @@ impl BaselineProvider {
         rights: Rights,
         rng: &mut R,
     ) -> ContentId {
-        let id = self.catalog.publish(title, price, payload, rng);
+        let item = PackagedContent::package(title, price, payload, None, rng);
+        let id = item.meta.id;
+        self.items.insert(id, item);
         self.rights_templates.insert(id, rights);
         id
     }
@@ -102,7 +105,7 @@ impl BaselineProvider {
         transcript.record(Party::User, Party::Provider, "identified-request", id_msg);
 
         let item = self
-            .catalog
+            .items
             .get(&content_id)
             .ok_or(CoreError::UnknownContent(content_id))?;
         let receipt = self.processor.charge(&user.account, item.meta.price)?;
@@ -144,7 +147,7 @@ impl BaselineProvider {
     /// Anonymous-equivalent of download (the payload itself is identical).
     pub fn download(&self, content_id: &ContentId) -> Result<([u8; 12], Vec<u8>), CoreError> {
         let item = self
-            .catalog
+            .items
             .get(content_id)
             .ok_or(CoreError::UnknownContent(*content_id))?;
         Ok((item.nonce, item.ciphertext.clone()))

@@ -1,6 +1,16 @@
 //! Content packaging: every catalog item is encrypted once under its own
 //! ChaCha20 content key; licenses carry that key sealed to the holder.
 //!
+//! # One copy of each item
+//!
+//! The provider persists each item as one `content/<id>` row, the
+//! [`PackagedContent`] encoding, whose last field is the ciphertext. That
+//! row is the only copy of the ciphertext: the in-memory
+//! [`ContentCatalog`] holds one [`CatalogEntry`] per item — metadata,
+//! content key, nonce and rights template — and a download takes the
+//! ciphertext out of the row ([`row_ciphertext`]), while a restart reads
+//! entries back from the rows' heads ([`row_head`]) without copying it.
+//!
 //! # The listing snapshot
 //!
 //! The anonymous catalogue listing carries no identity — it is the same
@@ -12,10 +22,9 @@
 //!   change, under whatever shared access the caller already holds (the
 //!   provider's catalog read lock); racing first readers wait for the one
 //!   build instead of repeating it.
-//! * **Who invalidates:** the two mutators,
-//!   [`ContentCatalog::publish_with_requirement`] and
-//!   [`ContentCatalog::restore`] — both take `&mut self`, so no reader
-//!   can observe a snapshot older than the map it was handed with.
+//! * **Who invalidates:** the one mutator, [`ContentCatalog::insert`] — it
+//!   takes `&mut self`, so no reader can observe a snapshot older than
+//!   the map it was handed with.
 //! * **Why lazy:** publishing n items in a row sorts and encodes once,
 //!   at the first listing, not n times — bulk publishing stays linear.
 //!
@@ -30,9 +39,10 @@
 //! and the snapshot invalidation.
 
 use crate::ids::ContentId;
-use p2drm_codec::{Decode, Encode, Reader, Writer};
+use p2drm_codec::{CodecError, Decode, Encode, Reader, Writer};
 use p2drm_crypto::chacha20;
 use p2drm_crypto::rng::CryptoRng;
+use p2drm_rel::Rights;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -53,6 +63,7 @@ pub struct ContentMeta {
 }
 
 /// A packaged item: metadata + ciphertext + (provider-held) content key.
+/// Its encoding is the item's `content/<id>` row.
 pub struct PackagedContent {
     /// Public metadata.
     pub meta: ContentMeta,
@@ -92,6 +103,18 @@ impl PackagedContent {
             key,
             nonce,
             ciphertext,
+        }
+    }
+
+    /// The catalog entry for this item under the rights template
+    /// `rights`. The ciphertext is dropped: the provider persists the
+    /// item before it builds the entry.
+    pub fn into_entry(self, rights: Rights) -> CatalogEntry {
+        CatalogEntry {
+            meta: self.meta,
+            key: self.key,
+            nonce: self.nonce,
+            rights,
         }
     }
 }
@@ -140,6 +163,36 @@ impl Decode for PackagedContent {
     }
 }
 
+/// The fields of a `content/<id>` row (a [`PackagedContent`] encoding)
+/// that precede its ciphertext: the metadata, the content key and the
+/// nonce. The ciphertext field is checked — `meta.size` bytes that end
+/// the row — but not copied.
+pub fn row_head(row: &[u8]) -> p2drm_codec::Result<(ContentMeta, [u8; 32], [u8; 12])> {
+    let mut r = Reader::new(row);
+    let meta = ContentMeta::decode(&mut r)?;
+    let key = r.get_raw(32)?.try_into().expect("fixed width");
+    let nonce = r.get_raw(12)?.try_into().expect("fixed width");
+    let ciphertext = r.get_bytes()?;
+    if ciphertext.len() != meta.size {
+        return Err(CodecError::BadLength(ciphertext.len() as u64));
+    }
+    if !r.is_empty() {
+        return Err(CodecError::TrailingBytes(r.remaining()));
+    }
+    Ok((meta, key, nonce))
+}
+
+/// The ciphertext of an item of `size` bytes, taken from its
+/// `content/<id>` row: the ciphertext is the row's last field, so it is
+/// the row's last `size` bytes, moved to the front of the row's own
+/// buffer — no decode and no second buffer. `None` when the row is
+/// shorter than `size`.
+pub fn row_ciphertext(mut row: Vec<u8>, size: usize) -> Option<Vec<u8>> {
+    let start = row.len().checked_sub(size)?;
+    row.drain(..start);
+    Some(row)
+}
+
 /// The public listing of one catalog state: the id-sorted metadata and
 /// its wire encoding (what [`Writer::put_seq`] emits for it), built
 /// together so the two can never disagree. See the module docs.
@@ -173,10 +226,25 @@ impl CatalogListing {
     }
 }
 
-/// The provider's content catalog.
+/// The catalog's entry for one item: everything the provider needs to
+/// list, sell and serve it except the ciphertext, which only the item's
+/// `content/<id>` row holds.
+pub struct CatalogEntry {
+    /// Public metadata.
+    pub meta: ContentMeta,
+    /// ChaCha20 content key — **provider secret**, leaves only inside
+    /// license envelopes.
+    pub key: [u8; 32],
+    /// Per-item nonce.
+    pub nonce: [u8; 12],
+    /// The rights every sale of the item carries.
+    pub rights: Rights,
+}
+
+/// The provider's content catalog: one [`CatalogEntry`] per item.
 #[derive(Default)]
 pub struct ContentCatalog {
-    items: HashMap<ContentId, PackagedContent>,
+    items: HashMap<ContentId, CatalogEntry>,
     /// The listing of the current `items`; empty after a change until the
     /// next [`ContentCatalog::listing`] call.
     listing: OnceLock<Arc<CatalogListing>>,
@@ -189,42 +257,15 @@ impl ContentCatalog {
         Self::default()
     }
 
-    /// Encrypts and stores `payload`, returning its id.
-    pub fn publish<R: CryptoRng + ?Sized>(
-        &mut self,
-        title: impl Into<String>,
-        price: u64,
-        payload: &[u8],
-        rng: &mut R,
-    ) -> ContentId {
-        self.publish_with_requirement(title, price, payload, None, rng)
-    }
-
-    /// Like [`ContentCatalog::publish`], with an attribute requirement
-    /// buyers must prove (age rating etc.).
-    pub fn publish_with_requirement<R: CryptoRng + ?Sized>(
-        &mut self,
-        title: impl Into<String>,
-        price: u64,
-        payload: &[u8],
-        required_attribute: Option<String>,
-        rng: &mut R,
-    ) -> ContentId {
-        let item = PackagedContent::package(title, price, payload, required_attribute, rng);
-        let id = item.meta.id;
-        self.restore(item);
-        id
-    }
-
     /// Looks up an item.
-    pub fn get(&self, id: &ContentId) -> Option<&PackagedContent> {
+    pub fn get(&self, id: &ContentId) -> Option<&CatalogEntry> {
         self.items.get(id)
     }
 
-    /// Inserts an already packaged item (the provider's publish and
-    /// resume paths) and invalidates the listing snapshot.
-    pub fn restore(&mut self, item: PackagedContent) {
-        self.items.insert(item.meta.id, item);
+    /// Inserts an item's entry (the provider's publish and restore paths)
+    /// and invalidates the listing snapshot.
+    pub fn insert(&mut self, entry: CatalogEntry) {
+        self.items.insert(entry.meta.id, entry);
         self.listing = OnceLock::new();
     }
 
@@ -266,30 +307,51 @@ mod tests {
     use super::*;
     use p2drm_crypto::rng::test_rng;
 
-    #[test]
-    fn publish_and_decrypt() {
-        let mut rng = test_rng(120);
-        let mut cat = ContentCatalog::new();
-        let id = cat.publish("Song A", 100, b"PCM DATA", &mut rng);
-        let item = cat.get(&id).unwrap();
-        assert_ne!(item.ciphertext, b"PCM DATA");
-        assert_eq!(
-            decrypt_payload(&item.key, &item.nonce, &item.ciphertext),
-            b"PCM DATA"
-        );
+    /// Packages `payload` and inserts its entry, as the provider's
+    /// publish does after persisting the row.
+    fn add<R: CryptoRng + ?Sized>(
+        cat: &mut ContentCatalog,
+        title: impl Into<String>,
+        price: u64,
+        payload: &[u8],
+        required_attribute: Option<String>,
+        rng: &mut R,
+    ) -> ContentId {
+        let item = PackagedContent::package(title, price, payload, required_attribute, rng);
+        let id = item.meta.id;
+        cat.insert(item.into_entry(Rights::standard_purchase()));
+        id
     }
 
     #[test]
     fn items_have_distinct_keys() {
         let mut rng = test_rng(121);
-        let mut cat = ContentCatalog::new();
-        let a = cat.publish("A", 1, b"xxxx", &mut rng);
-        let b = cat.publish("B", 2, b"xxxx", &mut rng);
-        assert_ne!(cat.get(&a).unwrap().key, cat.get(&b).unwrap().key);
-        assert_ne!(
-            cat.get(&a).unwrap().ciphertext,
-            cat.get(&b).unwrap().ciphertext
-        );
+        let a = PackagedContent::package("A", 1, b"xxxx", None, &mut rng);
+        let b = PackagedContent::package("B", 2, b"xxxx", None, &mut rng);
+        assert_ne!(a.key, b.key);
+        assert_ne!(a.ciphertext, b.ciphertext);
+    }
+
+    #[test]
+    fn a_row_yields_its_head_and_its_ciphertext_without_a_full_decode() {
+        let mut rng = test_rng(126);
+        for len in [0usize, 1, 127, 128, 16 * 1024] {
+            let payload = vec![0xA5; len];
+            let attr = (len % 2 == 1).then(|| "adult".to_string());
+            let item = PackagedContent::package("T", 7, &payload, attr, &mut rng);
+            let row = p2drm_codec::to_bytes(&item);
+            let full: PackagedContent = p2drm_codec::from_bytes(&row).unwrap();
+
+            let (meta, key, nonce) = row_head(&row).unwrap();
+            assert_eq!((&meta, key, nonce), (&full.meta, full.key, full.nonce));
+            let ciphertext = row_ciphertext(row.clone(), meta.size).unwrap();
+            assert_eq!(ciphertext, full.ciphertext, "{len} bytes");
+
+            // A row cut short is refused by both readers.
+            assert!(row_head(&row[..row.len() - 1]).is_err());
+            assert!(row_ciphertext(vec![0; len], len + 1).is_none());
+        }
+        assert_eq!(row_ciphertext(vec![1, 2, 3], 0), Some(Vec::new()));
     }
 
     #[test]
@@ -297,7 +359,7 @@ mod tests {
         let mut rng = test_rng(122);
         let mut cat = ContentCatalog::new();
         for i in 0..5 {
-            cat.publish(format!("T{i}"), i, b"data", &mut rng);
+            add(&mut cat, format!("T{i}"), i, b"data", None, &mut rng);
         }
         let listing = cat.listing();
         let list = listing.metas();
@@ -330,7 +392,14 @@ mod tests {
                 assert_eq!(decoded, metas);
             }
             let attr = (n % 3 == 0).then(|| "adult".to_string());
-            cat.publish_with_requirement(format!("Item {n:03}"), n as u64, b"x", attr, &mut rng);
+            add(
+                &mut cat,
+                format!("Item {n:03}"),
+                n as u64,
+                b"x",
+                attr,
+                &mut rng,
+            );
         }
     }
 
@@ -338,16 +407,16 @@ mod tests {
     fn snapshot_is_built_once_per_state_and_old_handles_stay_valid() {
         let mut rng = test_rng(124);
         let mut cat = ContentCatalog::new();
-        cat.publish("A", 1, b"a", &mut rng);
-        cat.publish("B", 2, b"b", &mut rng);
-        assert_eq!(cat.listing_builds(), 0, "publishing alone builds nothing");
+        add(&mut cat, "A", 1, b"a", None, &mut rng);
+        add(&mut cat, "B", 2, b"b", None, &mut rng);
+        assert_eq!(cat.listing_builds(), 0, "inserting alone builds nothing");
         let first = cat.listing();
         for _ in 0..1_000 {
             assert!(Arc::ptr_eq(&first, &cat.listing()));
         }
         assert_eq!(cat.listing_builds(), 1);
 
-        cat.publish("C", 3, b"c", &mut rng);
+        add(&mut cat, "C", 3, b"c", None, &mut rng);
         assert_eq!(cat.listing_builds(), 1, "invalidation is not a build");
         let second = cat.listing();
         assert_eq!(cat.listing_builds(), 2);
@@ -358,12 +427,6 @@ mod tests {
         );
         assert_eq!(second.metas().len(), 3);
         assert!(second.metas().windows(2).all(|w| w[0].id < w[1].id));
-
-        // `restore` is the other mutator: same rule.
-        let item = PackagedContent::package("D", 4, b"d", None, &mut rng);
-        cat.restore(item);
-        assert_eq!(cat.listing().metas().len(), 4);
-        assert_eq!(cat.listing_builds(), 3);
     }
 
     #[test]
@@ -376,6 +439,7 @@ mod tests {
         let mut nonce = [0u8; 12];
         rng.fill_bytes(&mut nonce);
         assert_eq!((item.key, item.nonce), (key, nonce));
+        assert_ne!(item.ciphertext, b"payload");
         assert_eq!(decrypt_payload(&key, &nonce, &item.ciphertext), b"payload");
     }
 

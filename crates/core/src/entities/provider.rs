@@ -41,14 +41,21 @@
 //!     kept), persisted catalog/rights/CRL tables;
 //!     `insert_if_absent` (the double-redemption primitive) is atomic per
 //!     key inside the backend;
-//!   - the in-memory catalog + rights templates (`RwLock`, read-mostly;
-//!     the catalog's listing snapshot is built and read under the read
-//!     lock, and `publish` takes the write lock only for the map insert
-//!     — packaging and persistence happen before it);
+//!   - the in-memory catalog: one [`CatalogEntry`] per item — metadata,
+//!     content key, nonce and rights template, but not the ciphertext
+//!     (`RwLock`, read-mostly; the catalog's listing snapshot is built
+//!     and read under the read lock, and `publish` takes the write lock
+//!     only for the map insert — packaging and persistence happen before
+//!     it);
 //!   - trusted attribute keys (`RwLock`, read-mostly);
 //!   - CRL state — both revocation lists, their sequence numbers and
 //!     event logs — under one `RwLock` (revocation is rare, CRL reads are
 //!     cheap).
+//!
+//! An item's ciphertext has one copy: its `content/<id>` row in the
+//! backend. [`ContentProvider::download`] checks the catalog, then reads
+//! that row and returns its tail ([`content::row_ciphertext`]); a listed
+//! item whose row is missing or short answers [`CoreError::Store`].
 //!
 //! Per sale the provider keeps only the index rows the protocol reads
 //! back — the mint's `spent/<serial>`, then `lic/<id>`, and for a
@@ -80,7 +87,9 @@
 //!   wrappers that inject faults or record timings around one of the
 //!   two above.
 
-use crate::content::{CatalogListing, ContentCatalog, ContentMeta, PackagedContent};
+use crate::content::{
+    self, CatalogEntry, CatalogListing, ContentCatalog, ContentMeta, PackagedContent,
+};
 use crate::ids::{ContentId, LicenseId};
 use crate::license::{License, LicenseBody, LicenseRecord};
 use crate::protocol::messages::{self, LicenseStatus, PurchaseRequest, TransferRequest};
@@ -94,7 +103,9 @@ use p2drm_pki::cert::{digest_id, Certificate, KeyId, PseudonymCertificate};
 use p2drm_pki::crl::{RevocationList, SignedCrl};
 use p2drm_rel::{Limit, Rights};
 use p2drm_store::typed::Table;
-use p2drm_store::{ConcurrentKv, MemKv, RecoveryReport, WalShardedConfig, WalShardedKv};
+use p2drm_store::{
+    ConcurrentKv, MemKv, RecoveryReport, StoreError, WalShardedConfig, WalShardedKv,
+};
 use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -188,11 +199,9 @@ pub struct ProviderState<B: ConcurrentKv> {
     /// `spent/<license id>` → the successor a transfer issued, or `None`
     /// for a direct revocation: the row that retires an id.
     spent: Table<Option<LicenseId>>,
-    content_table: Table<PackagedContent>,
     rights_table: Table<Rights>,
     crl_table: Table<u64>,
     catalog: RwLock<ContentCatalog>,
-    rights_templates: RwLock<HashMap<ContentId, Rights>>,
     /// Trusted per-attribute RA verification keys.
     attribute_trust: RwLock<HashMap<String, RsaPublicKey>>,
     crl: RwLock<CrlState>,
@@ -343,11 +352,9 @@ impl<B: ConcurrentKv> ContentProvider<B> {
                 store,
                 licenses: Table::new("lic/"),
                 spent: Table::new("spent/"),
-                content_table: Table::new("content/"),
                 rights_table: Table::new("rightst/"),
                 crl_table: Table::new("crl/"),
                 catalog: RwLock::new(ContentCatalog::new()),
-                rights_templates: RwLock::new(HashMap::new()),
                 attribute_trust: RwLock::new(HashMap::new()),
                 crl: RwLock::new(CrlState::empty()),
                 mint,
@@ -355,24 +362,30 @@ impl<B: ConcurrentKv> ContentProvider<B> {
         }
     }
 
-    /// Rebuilds the in-memory mirrors (catalog, rights templates, CRL
+    /// Rebuilds the in-memory mirrors (catalog entries, CRL
     /// sets/sequences) from the persisted tables in the store backend.
     /// Idempotent; called by every resume/open-durable path.
+    ///
+    /// An item exists once its `content/<id>` row does; `publish` writes
+    /// its `rightst/<id>` row first, so a content row without one is
+    /// damage, and restoring fails naming the id rather than selling the
+    /// item under rights it was never published with.
     pub fn restore_from_store(&self) -> Result<(), CoreError> {
         {
-            // Catalog + rights templates.
             let state = &self.state;
             let mut catalog = state.catalog.write();
-            let mut templates = state.rights_templates.write();
-            for (_, item) in state.content_table.scan(&state.store)? {
-                templates.insert(
-                    item.meta.id,
-                    state
-                        .rights_table
-                        .get(&state.store, item.meta.id.as_bytes())?
-                        .unwrap_or_else(Rights::standard_purchase),
-                );
-                catalog.restore(item);
+            for (_, row) in state.store.scan_prefix(CONTENT_PREFIX) {
+                let (meta, key, nonce) = content::row_head(&row).map_err(StoreError::from)?;
+                let rights = state
+                    .rights_table
+                    .get(&state.store, meta.id.as_bytes())?
+                    .ok_or_else(|| broken_row(format!("{} has no rights template row", meta.id)))?;
+                catalog.insert(CatalogEntry {
+                    meta,
+                    key,
+                    nonce,
+                    rights,
+                });
             }
         }
         {
@@ -486,21 +499,24 @@ impl<B: ConcurrentKv> ContentProvider<B> {
         // Package and persist with no lock held: ChaCha20 over the whole
         // payload and two store commits must not stall downloads,
         // listings and purchases. The item becomes visible only once it
-        // is durable, and the catalog write lock covers just the two map
-        // inserts and the listing-snapshot invalidation.
+        // is durable, and the catalog write lock covers just the map
+        // insert and the listing-snapshot invalidation. The template is
+        // written first: the content row is what makes the item exist
+        // after a restart, so a crash between the two leaves no item,
+        // never one without its template.
         let item = PackagedContent::package(title, price, payload, required_attribute, rng);
         let id = item.meta.id;
-        self.state
-            .content_table
-            .put(&self.state.store, id.as_bytes(), &item)
-            .expect("catalog persistence");
         self.state
             .rights_table
             .put(&self.state.store, id.as_bytes(), &rights)
             .expect("template persistence");
-        let mut catalog = self.state.catalog.write();
-        catalog.restore(item);
-        self.state.rights_templates.write().insert(id, rights);
+        self.state
+            .store
+            .put(&content_row_key(&id), &p2drm_codec::to_bytes(&item))
+            .expect("catalog persistence");
+        // The store row is the ciphertext's only copy; the entry drops it.
+        let entry = item.into_entry(rights);
+        self.state.catalog.write().insert(entry);
         id
     }
 
@@ -656,7 +672,7 @@ impl<B: ConcurrentKv> ContentProvider<B> {
         if !replay {
             self.verify_pseudonym(&req.pseudonym_cert, now_epoch)?;
         }
-        let (price, required, content_key) = {
+        let (price, required, content_key, rights) = {
             let catalog = self.state.catalog.read();
             let item = catalog
                 .get(&req.content_id)
@@ -665,6 +681,7 @@ impl<B: ConcurrentKv> ContentProvider<B> {
                 item.meta.price,
                 item.meta.required_attribute.clone(),
                 item.key,
+                item.rights.clone(),
             )
         };
         if !replay {
@@ -688,13 +705,6 @@ impl<B: ConcurrentKv> ContentProvider<B> {
                 .deposit_for(&req.coin, license_id.as_bytes())?
         };
 
-        let rights = self
-            .state
-            .rights_templates
-            .read()
-            .get(&req.content_id)
-            .cloned()
-            .unwrap_or_else(Rights::standard_purchase);
         let body = LicenseBody {
             license_id,
             content_id: req.content_id,
@@ -821,12 +831,12 @@ impl<B: ConcurrentKv> ContentProvider<B> {
             return Err(CoreError::BadLicense("not a certified domain manager"));
         }
         let manager_key = manager_cert.body.subject_key.as_rsa()?.clone();
-        let (price, content_key) = {
+        let (price, content_key, mut rights) = {
             let catalog = self.state.catalog.read();
             let item = catalog
                 .get(&content_id)
                 .ok_or(CoreError::UnknownContent(content_id))?;
-            (item.meta.price, item.key)
+            (item.meta.price, item.key, item.rights.clone())
         };
         if coin.denomination < price {
             return Err(CoreError::Payment(
@@ -838,13 +848,6 @@ impl<B: ConcurrentKv> ContentProvider<B> {
         }
         self.state.mint.deposit(coin)?;
 
-        let mut rights = self
-            .state
-            .rights_templates
-            .read()
-            .get(&content_id)
-            .cloned()
-            .unwrap_or_else(Rights::standard_purchase);
         rights.domain = Some(domain_name.to_string());
         let body = LicenseBody {
             license_id: LicenseId::random(rng),
@@ -861,12 +864,32 @@ impl<B: ConcurrentKv> ContentProvider<B> {
 
     /// Anonymous content download (no authentication — the payload is
     /// useless without a license).
+    ///
+    /// The catalog decides whether the item exists; its ciphertext comes
+    /// out of the item's `content/<id>` row, the only copy, with one
+    /// store read. A listed item whose row is missing or shorter than
+    /// its ciphertext is a [`CoreError::Store`], never
+    /// [`CoreError::UnknownContent`] or a short payload.
     pub fn download(&self, content_id: &ContentId) -> Result<([u8; 12], Vec<u8>), CoreError> {
-        let catalog = self.state.catalog.read();
-        let item = catalog
-            .get(content_id)
-            .ok_or(CoreError::UnknownContent(*content_id))?;
-        Ok((item.nonce, item.ciphertext.clone()))
+        let (nonce, size) = {
+            let catalog = self.state.catalog.read();
+            let item = catalog
+                .get(content_id)
+                .ok_or(CoreError::UnknownContent(*content_id))?;
+            (item.nonce, item.meta.size)
+        };
+        let row = self
+            .state
+            .store
+            .get(&content_row_key(content_id))
+            .ok_or_else(|| broken_row(format!("{content_id} is listed but has no content row")))?;
+        let row_len = row.len();
+        let ciphertext = content::row_ciphertext(row, size).ok_or_else(|| {
+            broken_row(format!(
+                "{content_id}'s content row is {row_len} B, shorter than its {size} B ciphertext"
+            ))
+        })?;
+        Ok((nonce, ciphertext))
     }
 
     /// Revokes a pseudonym (after TTP de-anonymization).
@@ -971,6 +994,20 @@ impl<B: ConcurrentKv> ContentProvider<B> {
     pub fn store(&self) -> &B {
         &self.state.store
     }
+}
+
+/// Key prefix of the `content/<id>` rows: each a [`PackagedContent`]
+/// encoding, the one copy of the item's ciphertext.
+const CONTENT_PREFIX: &[u8] = b"content/";
+
+fn content_row_key(id: &ContentId) -> Vec<u8> {
+    [CONTENT_PREFIX, id.as_bytes()].concat()
+}
+
+/// A row the catalog relies on is missing or unreadable: a store error
+/// (`Storage` on the wire), like any other damaged state.
+fn broken_row(detail: String) -> CoreError {
+    CoreError::Store(StoreError::Corrupt { offset: 0, detail })
 }
 
 /// License ids enter CRLs as their SHA-256 [`KeyId`] image.

@@ -285,11 +285,11 @@ proptest! {
         // id-sorted items byte for byte.
         let mut catalog = p2drm_core::content::ContentCatalog::new();
         for meta in &items {
-            catalog.restore(p2drm_core::content::PackagedContent {
+            catalog.insert(p2drm_core::content::CatalogEntry {
                 meta: meta.clone(),
                 key: [0; 32],
                 nonce: [0; 12],
-                ciphertext: Vec::new(),
+                rights: p2drm_rel::Rights::default(),
             });
         }
         let shared = CatalogResponse::listing(catalog.listing());

@@ -1,5 +1,6 @@
 //! Live-heap regression test: what a purchase leaves behind on the
-//! provider and its mint once it has been answered.
+//! provider and its mint once it has been answered, and what a published
+//! item leaves on the provider.
 //!
 //! The provider keeps no per-sale history — no purchase or transfer log,
 //! no withdrawal transcript — so a sale retains only the two rows the
@@ -11,7 +12,13 @@
 //! key and value allocation (a `BTreeMap<Vec<u8>, Vec<u8>>` entry, ~250 B
 //! a sale) or one log row takes it over.
 //!
-//! The same loop runs twice, over the in-memory provider store and over
+//! A published item keeps one copy of its ciphertext: the store's
+//! `content/<id>` row. The catalog holds an entry without it (metadata,
+//! content key, nonce, rights template), so one more 16 KiB item
+//! retains the ciphertext plus under 1 KiB; a second copy in the catalog
+//! (~33 KiB an item) takes it over.
+//!
+//! The same measurements run twice, over the in-memory provider store and over
 //! the durable one (`WalShardedKv`), so both backends' index is bounded.
 //!
 //! This file intentionally holds a single `#[test]` so no concurrent test
@@ -65,6 +72,24 @@ const PURCHASES: usize = 2_000;
 /// row, or one log row more, exceeds it.
 const MAX_RETAINED_PER_PURCHASE: i64 = 200;
 
+const ITEM_BYTES: usize = 16 * 1024;
+/// One ciphertext, plus the catalog entry, the rows' headers and index
+/// slots; a second copy of the ciphertext exceeds it.
+const MAX_RETAINED_PER_ITEM: i64 = ITEM_BYTES as i64 + 1024;
+
+/// Heap bytes one more published 16 KiB item leaves on `sys`'s provider,
+/// measured after one warm-up publish.
+fn retained_per_item<B: ConcurrentKv + Send + Sync + 'static>(
+    sys: &System<B>,
+    rng: &mut StdRng,
+) -> i64 {
+    let payload = vec![0x5A; ITEM_BYTES];
+    sys.publish_content("Warm-up", 100, &payload, rng);
+    let before = LIVE.load(Ordering::Relaxed);
+    sys.publish_content("Measured", 100, &payload, rng);
+    LIVE.load(Ordering::Relaxed) - before
+}
+
 /// Heap bytes one more sale leaves on `sys`'s provider and mint.
 fn retained_per_purchase<B: ConcurrentKv + Send + Sync + 'static>(
     sys: &System<B>,
@@ -108,7 +133,10 @@ fn retained_per_purchase<B: ConcurrentKv + Send + Sync + 'static>(
 fn a_purchase_retains_only_its_index_rows() {
     let mut rng = test_rng(0x4EA9);
     let sys = System::bootstrap(SystemConfig::fast_test(), &mut rng);
-    let in_memory = retained_per_purchase(&sys, &mut rng);
+    let in_memory = (
+        retained_per_item(&sys, &mut rng),
+        retained_per_purchase(&sys, &mut rng),
+    );
     drop(sys);
 
     let dir = std::env::temp_dir().join(format!("p2drm-retained-heap-{}", std::process::id()));
@@ -116,12 +144,23 @@ fn a_purchase_retains_only_its_index_rows() {
     let durable = WalShardedConfig::with_policy(SyncPolicy::Buffered);
     let (sys, _) =
         System::bootstrap_durable(SystemConfig::fast_test(), &dir, durable, &mut rng).unwrap();
-    let on_wal = retained_per_purchase(&sys, &mut rng);
+    let on_wal = (
+        retained_per_item(&sys, &mut rng),
+        retained_per_purchase(&sys, &mut rng),
+    );
     drop(sys);
     let _ = std::fs::remove_dir_all(&dir);
 
-    for (backend, per_purchase) in [("MemKv", in_memory), ("WalShardedKv", on_wal)] {
-        println!("{backend}: {per_purchase} B retained per purchase");
+    for (backend, (per_item, per_purchase)) in [("MemKv", in_memory), ("WalShardedKv", on_wal)] {
+        println!(
+            "{backend}: {per_purchase} B retained per purchase, \
+             {per_item} B per published {ITEM_BYTES} B item"
+        );
+        assert!(
+            per_item <= MAX_RETAINED_PER_ITEM,
+            "a published item retained {per_item} B on the heap over {backend} \
+             (bound {MAX_RETAINED_PER_ITEM} B)"
+        );
         assert!(
             per_purchase <= MAX_RETAINED_PER_PURCHASE,
             "a purchase retained {per_purchase} B on the heap over {backend} \

@@ -145,16 +145,18 @@ fn full_provider_restart_with_key_vault() {
     .unwrap();
     let service = serve(provider, &sys);
     let provider = service.provider();
+    let template = Rights::builder()
+        .play(Limit::Unlimited)
+        .transfer(Limit::Count(3))
+        .build();
     let cid = provider.publish(
         "persistent hit",
         100,
         b"payload bytes",
-        Rights::builder()
-            .play(Limit::Unlimited)
-            .transfer(Limit::Count(3))
-            .build(),
+        template.clone(),
         &mut rng,
     );
+    let downloaded = provider.download(&cid).unwrap();
     let vault = provider.export_keys();
     let cert = provider.certificate().clone();
 
@@ -198,8 +200,9 @@ fn full_provider_restart_with_key_vault() {
 
     // Old licenses still verify under the restored key.
     assert!(bobs_license.verify(provider.public_key()).is_ok());
-    // Catalog restored: downloads and new purchases work.
-    assert!(provider.download(&cid).is_ok());
+    // Catalog restored: the download is byte-identical, and new
+    // purchases carry the published template.
+    assert_eq!(provider.download(&cid).unwrap(), downloaded);
     let mut carol = sys.register_user("carol", &mut rng).unwrap();
     sys.fund(&carol, 1_000);
     sys.ensure_pseudonym(&mut carol, &mut rng).unwrap();
@@ -207,6 +210,7 @@ fn full_provider_restart_with_key_vault() {
         .purchase(&mut carol, &sys.mint, cid, &mut rng)
         .unwrap();
     assert!(carols.verify(provider.public_key()).is_ok());
+    assert_eq!(carols.body.rights, template);
 
     // Double-redeem of the pre-restart license still rejected, and the
     // license CRL was rebuilt (sequence did not go backwards).
@@ -219,6 +223,131 @@ fn full_provider_restart_with_key_vault() {
         .signed_license_crl(2)
         .list
         .contains(&p2drm::core::entities::provider::license_crl_id(&old_lid)));
+}
+
+/// A `WalShardedKv` whose puts under one key prefix fail — a crash
+/// between `publish`'s two row writes, as the store sees it.
+struct FailPutsUnder {
+    inner: WalShardedKv,
+    prefix: &'static [u8],
+}
+
+impl ConcurrentKv for FailPutsUnder {
+    fn get(&self, key: &[u8]) -> Option<Vec<u8>> {
+        self.inner.get(key)
+    }
+    fn put(&self, key: &[u8], value: &[u8]) -> Result<(), p2drm::store::StoreError> {
+        if key.starts_with(self.prefix) {
+            return Err(std::io::Error::other("injected write failure").into());
+        }
+        self.inner.put(key, value)
+    }
+    fn delete(&self, key: &[u8]) -> Result<bool, p2drm::store::StoreError> {
+        self.inner.delete(key)
+    }
+    fn insert_if_absent(&self, key: &[u8], value: &[u8]) -> Result<bool, p2drm::store::StoreError> {
+        self.inner.insert_if_absent(key, value)
+    }
+    fn scan_prefix(&self, prefix: &[u8]) -> Vec<(Vec<u8>, Vec<u8>)> {
+        self.inner.scan_prefix(prefix)
+    }
+    fn len(&self) -> usize {
+        self.inner.len()
+    }
+    fn flush(&self) -> Result<(), p2drm::store::StoreError> {
+        self.inner.flush()
+    }
+}
+
+/// An item exists after a restart once its `content/` row does, so
+/// `publish` writes the rights template first: whichever of its two
+/// writes fails, the reopened provider has no item or the item under
+/// exactly its template — never one sold under wider rights.
+#[test]
+fn a_publish_cut_between_its_rows_restores_no_item_or_its_template() {
+    let template = Rights::builder()
+        .play(Limit::Count(3))
+        .transfer(Limit::Count(2))
+        .build();
+    for prefix in [b"content/".as_slice(), b"rightst/"] {
+        let tmp = TempDir::new("publish-cut");
+        let mut rng = test_rng(8005);
+        let mut sys = System::bootstrap(SystemConfig::fast_test(), &mut rng);
+        let (inner, _) = WalShardedKv::open(&tmp.0, ONE_SHARD).unwrap();
+        let provider = ContentProvider::with_backend(
+            &mut sys.root,
+            sys.mint.clone(),
+            sys.ra.blind_public().clone(),
+            FailPutsUnder { inner, prefix },
+            ProviderConfig::fast_test(),
+            &mut rng,
+        );
+        let cut = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            provider.publish("cut", 100, b"payload", template.clone(), &mut rng)
+        }));
+        assert!(cut.is_err(), "a failed row write panics `publish`");
+        drop(provider);
+
+        let (provider, _) = ContentProvider::open_durable(
+            &mut sys.root,
+            sys.mint.clone(),
+            sys.ra.blind_public().clone(),
+            &tmp.0,
+            ONE_SHARD,
+            ProviderConfig::fast_test(),
+            &mut rng,
+        )
+        .expect("a cut publish leaves a directory that restores");
+        let listed = provider.list_content();
+        if let Some(meta) = listed.metas().first() {
+            let service = serve(provider, &sys);
+            let mut alice = sys.register_user("alice", &mut rng).unwrap();
+            sys.fund(&alice, 1_000);
+            sys.ensure_pseudonym(&mut alice, &mut rng).unwrap();
+            let license = WireClient::new(Loopback::new(&service))
+                .purchase(&mut alice, &sys.mint, meta.id, &mut rng)
+                .unwrap();
+            assert_eq!(
+                license.body.rights,
+                template,
+                "failed {:?} put",
+                String::from_utf8_lossy(prefix)
+            );
+        }
+    }
+}
+
+/// A `content/` row with no `rightst/` row — which a directory written
+/// before `publish` wrote the template first can hold — fails the
+/// restore, naming the item, instead of selling it under default rights.
+#[test]
+fn a_content_row_without_its_template_fails_the_restore() {
+    let tmp = TempDir::new("orphan-content");
+    let mut rng = test_rng(8006);
+    let mut sys = System::bootstrap(SystemConfig::fast_test(), &mut rng);
+    let item = p2drm::core::content::PackagedContent::package("orphan", 100, b"x", None, &mut rng);
+    {
+        let (wal, _) = WalShardedKv::open(&tmp.0, ONE_SHARD).unwrap();
+        let mut key = b"content/".to_vec();
+        key.extend_from_slice(item.meta.id.as_bytes());
+        wal.put(&key, &p2drm::codec::to_bytes(&item)).unwrap();
+    }
+    let opened = ContentProvider::open_durable(
+        &mut sys.root,
+        sys.mint.clone(),
+        sys.ra.blind_public().clone(),
+        &tmp.0,
+        ONE_SHARD,
+        ProviderConfig::fast_test(),
+        &mut rng,
+    );
+    match opened {
+        Err(e) => assert!(
+            e.to_string().contains(&item.meta.id.to_string()),
+            "the error names the item: {e}"
+        ),
+        Ok(_) => panic!("restored an item that has no rights template"),
+    }
 }
 
 #[test]

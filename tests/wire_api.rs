@@ -342,6 +342,58 @@ fn unknown_content_maps_to_stable_code() {
     }
 }
 
+/// A download's ciphertext comes out of the item's `content/<id>` row,
+/// its only copy: a listed item whose row is gone or cut short answers
+/// `Storage` — not `UnknownContent`, and never a short payload.
+#[test]
+fn a_listed_item_with_a_missing_or_short_row_answers_storage() {
+    use p2drm::core::protocol::messages::DownloadRequest;
+    use p2drm::store::ConcurrentKv;
+
+    let mut rng = test_rng(0x5707);
+    let sys = System::bootstrap(SystemConfig::fast_test(), &mut rng);
+    let payload = vec![7u8; 4096];
+    let cid = sys.publish_content("Row-served", 100, &payload, &mut rng);
+    let service = sys.wire_service(0x5707);
+    let mut client = WireClient::new(Loopback::new(&service));
+    let mut download = || {
+        client
+            .call(WireRequest::Download(DownloadRequest { content_id: cid }))
+            .expect("transport works")
+    };
+    let served = match download() {
+        WireResponse::Download(d) => d,
+        other => panic!("intact row: {}", other.label()),
+    };
+    assert_eq!(served.ciphertext.len(), payload.len());
+
+    let mut key = b"content/".to_vec();
+    key.extend_from_slice(cid.as_bytes());
+    let store = sys.provider.store();
+    let row = store.get(&key).expect("published item has a row");
+    let damage: [(&str, Option<Vec<u8>>); 2] = [
+        ("deleted", None),
+        ("shorter", Some(row[..row.len() / 2].to_vec())),
+    ];
+    for (what, replacement) in damage {
+        match replacement {
+            None => assert!(store.delete(&key).unwrap()),
+            Some(short) => store.put(&key, &short).unwrap(),
+        }
+        assert_eq!(sys.provider.list_content().metas().len(), 1, "still listed");
+        match download() {
+            WireResponse::Error(e) => assert_eq!(e.code, ApiErrorCode::Storage, "{what} row"),
+            other => panic!("{what} row answered {}", other.label()),
+        }
+    }
+
+    store.put(&key, &row).unwrap();
+    match download() {
+        WireResponse::Download(d) => assert_eq!(d, served, "the restored row serves again"),
+        other => panic!("restored row: {}", other.label()),
+    }
+}
+
 // ---------------------------------------------------------------------
 // Pipelining: out-of-order reply delivery through the demux.
 // ---------------------------------------------------------------------
