@@ -32,23 +32,23 @@ struct CountingAlloc;
 // which upholds the `GlobalAlloc` contract; the only extra work is a
 // relaxed counter bump, which neither allocates nor unwinds.
 unsafe impl GlobalAlloc for CountingAlloc {
-    // SAFETY: same `layout` is forwarded verbatim to `System.alloc`.
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
+        // SAFETY: the caller's `layout` is forwarded verbatim to `System.alloc`.
+        unsafe { System.alloc(layout) }
     }
 
-    // SAFETY: `ptr`/`layout` come from a prior `alloc` through this same
-    // wrapper, so they satisfy `System.dealloc`'s requirements.
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
+        // SAFETY: `ptr`/`layout` come from a prior `alloc` through this
+        // same wrapper, so they satisfy `System.dealloc`'s requirements.
+        unsafe { System.dealloc(ptr, layout) }
     }
 
-    // SAFETY: `ptr`/`layout` come from a prior `alloc` through this same
-    // wrapper; `new_size` is forwarded unchanged to `System.realloc`.
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
+        // SAFETY: `ptr`/`layout` come from a prior `alloc` through this
+        // same wrapper; `new_size` is forwarded unchanged to `System.realloc`.
+        unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
 

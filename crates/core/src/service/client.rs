@@ -250,15 +250,21 @@ impl<T: Transport> WireClient<T> {
                 Ok(()) => {
                     pending.insert(sent, slot);
                 }
-                // lint: allow(panic, slot enumerates bodies and results has one slot per body)
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "slot enumerates bodies and results has one slot per body"
+                )]
                 Err(e) => results[slot] = Some(Err(WireError::Transport(e))),
             }
         }
         while !pending.is_empty() {
             match self.transport.complete(None) {
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "slot comes from pending, which only holds valid slots"
+                )]
                 Ok(Some((corr, reply))) => {
                     if let Some(slot) = pending.remove(&corr) {
-                        // lint: allow(panic, slot comes from pending, which only holds valid slots)
                         results[slot] = Some(Self::decode_reply(corr, &reply));
                     }
                 }
@@ -267,22 +273,31 @@ impl<T: Transport> WireClient<T> {
                         "transport reported nothing in flight while replies were outstanding"
                             .to_string(),
                     );
+                    #[expect(
+                        clippy::indexing_slicing,
+                        reason = "slot comes from pending, which only holds valid slots"
+                    )]
                     for (_, slot) in pending.drain() {
-                        // lint: allow(panic, slot comes from pending, which only holds valid slots)
                         results[slot] = Some(Err(WireError::Transport(err.clone())));
                     }
                 }
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "slot comes from pending, which only holds valid slots"
+                )]
                 Err(e) => {
                     for (_, slot) in pending.drain() {
-                        // lint: allow(panic, slot comes from pending, which only holds valid slots)
                         results[slot] = Some(Err(WireError::Transport(e.clone())));
                     }
                 }
             }
         }
+        #[expect(
+            clippy::expect_used,
+            reason = "the completion loop above resolves every slot"
+        )]
         results
             .into_iter()
-            // lint: allow(panic, the completion loop above resolves every slot)
             .map(|r| r.expect("every slot resolved"))
             .collect()
     }
@@ -430,8 +445,11 @@ impl<T: Transport> WireClient<T> {
             std::collections::HashMap::new();
         let mut sent = 0;
         for (slot, cid) in content_ids.iter().enumerate() {
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "slot enumerates content_ids and results has one slot per id"
+            )]
             let Some(meta) = catalog.iter().find(|m| m.id == *cid) else {
-                // lint: allow(panic, slot enumerates content_ids and results has one slot per id)
                 results[slot] = Some(Err(WireError::Api(ApiError::new(
                     ApiErrorCode::UnknownContent,
                     format!("unknown content {cid}"),
@@ -440,8 +458,11 @@ impl<T: Transport> WireClient<T> {
             };
             let session = match PurchaseSession::begin(user, mint, meta, rng) {
                 Ok(session) => session,
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "slot enumerates content_ids and results has one slot per id"
+                )]
                 Err(e) => {
-                    // lint: allow(panic, slot enumerates content_ids and results has one slot per id)
                     results[slot] = Some(Err(WireError::Client(e)));
                     continue;
                 }
@@ -456,9 +477,12 @@ impl<T: Transport> WireClient<T> {
                 Ok(()) => {
                     sessions.insert(corr, (slot, session));
                 }
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "slot enumerates content_ids and results has one slot per id"
+                )]
                 Err(t) => {
                     session.park(user);
-                    // lint: allow(panic, slot enumerates content_ids and results has one slot per id)
                     results[slot] = Some(Err(WireError::Transport(t)));
                 }
             }
@@ -468,12 +492,15 @@ impl<T: Transport> WireClient<T> {
         }
         while !sessions.is_empty() {
             match self.transport.complete(None) {
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "slot comes from sessions, which only holds valid slots"
+                )]
                 Ok(Some((corr, reply))) => {
                     let Some((slot, session)) = sessions.remove(&corr) else {
                         continue;
                     };
                     let reply = Self::decode_reply(corr, &reply);
-                    // lint: allow(panic, slot comes from sessions, which only holds valid slots)
                     results[slot] = Some(settle_purchase(session, user, reply));
                 }
                 Ok(None) => {
@@ -481,26 +508,35 @@ impl<T: Transport> WireClient<T> {
                         "transport reported nothing in flight while replies were outstanding"
                             .to_string(),
                     );
+                    #[expect(
+                        clippy::indexing_slicing,
+                        reason = "slot comes from sessions, which only holds valid slots"
+                    )]
                     for (_, (slot, session)) in sessions.drain() {
                         session.park(user);
-                        // lint: allow(panic, slot comes from sessions, which only holds valid slots)
                         results[slot] = Some(Err(WireError::Transport(err.clone())));
                     }
                 }
                 Err(e) => {
                     // Channel failure: every in-flight purchase is now
                     // unknown at once — park them all.
+                    #[expect(
+                        clippy::indexing_slicing,
+                        reason = "slot comes from sessions, which only holds valid slots"
+                    )]
                     for (_, (slot, session)) in sessions.drain() {
                         session.park(user);
-                        // lint: allow(panic, slot comes from sessions, which only holds valid slots)
                         results[slot] = Some(Err(WireError::Transport(e.clone())));
                     }
                 }
             }
         }
+        #[expect(
+            clippy::expect_used,
+            reason = "the completion loop above resolves every slot"
+        )]
         results
             .into_iter()
-            // lint: allow(panic, the completion loop above resolves every slot)
             .map(|r| r.expect("every slot resolved"))
             .collect()
     }

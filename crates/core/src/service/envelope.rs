@@ -300,12 +300,21 @@ fn split_envelope(bytes: &[u8]) -> Result<(u8, u8, u64, &[u8]), EnvelopeError> {
     if bytes.len() < ENVELOPE_HEADER_LEN {
         return Err(EnvelopeError::Malformed(CodecError::UnexpectedEof));
     }
-    // lint: allow(panic, length checked against ENVELOPE_HEADER_LEN above)
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "length checked against ENVELOPE_HEADER_LEN above"
+    )]
     let version = bytes[0];
-    // lint: allow(panic, length checked against ENVELOPE_HEADER_LEN above)
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "length checked against ENVELOPE_HEADER_LEN above"
+    )]
     let op = bytes[1];
     let correlation = read_correlation(bytes);
-    // lint: allow(panic, length checked against ENVELOPE_HEADER_LEN above)
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "length checked against ENVELOPE_HEADER_LEN above"
+    )]
     Ok((version, op, correlation, &bytes[ENVELOPE_HEADER_LEN..]))
 }
 

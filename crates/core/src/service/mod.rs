@@ -78,6 +78,19 @@
 //! let audio = client.play(&alice, &mut device, &license, &mut rng).unwrap();
 //! assert_eq!(audio, b"bits");
 //! ```
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::indexing_slicing
+    )
+)]
+#![deny(clippy::disallowed_methods)]
 
 mod client;
 mod envelope;

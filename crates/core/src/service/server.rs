@@ -69,7 +69,7 @@ impl ServiceStats {
         // out-of-range byte to the error slot rather than indexing.
         match self.op_ns.get(op_byte as usize) {
             Some(h) => h,
-            None => &self.op_ns[0], // lint: allow(panic, array is non-empty by construction)
+            None => &self.op_ns[0], // the array is non-empty by construction
         }
     }
 }
@@ -233,7 +233,7 @@ impl<B: ConcurrentKv> ProviderService<B> {
         // lock on the hot path, and no way to predict one request's
         // randomness from another's output.
         let mut nonce = [0u8; 12];
-        nonce[..8].copy_from_slice(&n.to_le_bytes()); // lint: allow(panic, nonce is 12 bytes, the 8-byte counter prefix always fits)
+        nonce[..8].copy_from_slice(&n.to_le_bytes());
         let mut rng = ChaChaRng::new(self.rng_key, nonce);
         self.handle_with_rng(request, &mut rng)
     }

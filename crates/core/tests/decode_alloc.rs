@@ -8,74 +8,28 @@
 //! in memory) made the client reserve ~80 MB before the first element
 //! failed. The reservation is now capped at 1,024 elements; pushes grow
 //! it once elements really decode.
-//!
-//! This file intentionally holds a single `#[test]` so no concurrent test
-//! thread can inflate the process-wide counters mid-measurement.
 
+mod common;
+
+use common::{LARGE_REQUESTS, REQUESTED};
 use p2drm_codec::{CodecError, Writer};
 use p2drm_core::content::ContentMeta;
 use p2drm_core::ids::ContentId;
 use p2drm_core::protocol::messages::CatalogResponse;
 use p2drm_core::service::{EnvelopeError, OpCode, ResponseEnvelope, WireResponse, WIRE_VERSION};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Bytes requested from the allocator (allocations plus the new size of
-/// every reallocation).
-static BYTES: AtomicU64 = AtomicU64::new(0);
-/// Requests of at least [`LARGE`] bytes.
-static LARGE_REQUESTS: AtomicU64 = AtomicU64::new(0);
-/// Larger than any title or id in this test, smaller than room for 256
-/// `ContentMeta`.
-const LARGE: usize = 16 * 1024;
-
-struct CountingAlloc;
-
-fn count(size: usize) {
-    BYTES.fetch_add(size as u64, Ordering::Relaxed);
-    if size >= LARGE {
-        LARGE_REQUESTS.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
-// SAFETY: every method delegates directly to the `System` allocator,
-// which upholds the `GlobalAlloc` contract; the only extra work is
-// relaxed counter bumps, which neither allocate nor unwind.
-unsafe impl GlobalAlloc for CountingAlloc {
-    // SAFETY: same `layout` is forwarded verbatim to `System.alloc`.
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count(layout.size());
-        System.alloc(layout)
-    }
-
-    // SAFETY: `ptr`/`layout` come from a prior `alloc` through this same
-    // wrapper, so they satisfy `System.dealloc`'s requirements.
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    // SAFETY: `ptr`/`layout` come from a prior `alloc` through this same
-    // wrapper; `new_size` is forwarded unchanged to `System.realloc`.
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count(new_size);
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static COUNTER: CountingAlloc = CountingAlloc;
+use std::sync::atomic::Ordering;
 
 /// Runs `f`, returning its value, the bytes it requested and how many of
-/// its requests were [`LARGE`].
+/// its requests were [`common::LARGE`] bytes or more.
 fn measured<T>(f: impl FnOnce() -> T) -> (T, u64, u64) {
     let (bytes, large) = (
-        BYTES.load(Ordering::Relaxed),
+        REQUESTED.load(Ordering::Relaxed),
         LARGE_REQUESTS.load(Ordering::Relaxed),
     );
     let v = f();
     (
         v,
-        BYTES.load(Ordering::Relaxed) - bytes,
+        REQUESTED.load(Ordering::Relaxed) - bytes,
         LARGE_REQUESTS.load(Ordering::Relaxed) - large,
     )
 }

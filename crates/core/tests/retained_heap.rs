@@ -20,51 +20,17 @@
 //!
 //! The same measurements run twice, over the in-memory provider store and over
 //! the durable one (`WalShardedKv`), so both backends' index is bounded.
-//!
-//! This file intentionally holds a single `#[test]` so no concurrent test
-//! thread can move the process-wide counter mid-measurement.
 
+mod common;
+
+use common::LIVE;
 use p2drm_core::protocol::messages::PurchaseRequest;
 use p2drm_core::system::{System, SystemConfig};
 use p2drm_crypto::rng::test_rng;
 use p2drm_payment::Wallet;
 use p2drm_store::{ConcurrentKv, SyncPolicy, WalShardedConfig};
 use rand::rngs::StdRng;
-use std::alloc::{GlobalAlloc, Layout, System as SystemAlloc};
-use std::sync::atomic::{AtomicI64, Ordering};
-
-/// Bytes currently allocated (allocations and growth minus frees).
-static LIVE: AtomicI64 = AtomicI64::new(0);
-
-struct CountingAlloc;
-
-// SAFETY: every method delegates directly to the `System` allocator,
-// which upholds the `GlobalAlloc` contract; the only extra work is a
-// relaxed counter update, which neither allocates nor unwinds.
-unsafe impl GlobalAlloc for CountingAlloc {
-    // SAFETY: same `layout` is forwarded verbatim to `System.alloc`.
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        LIVE.fetch_add(layout.size() as i64, Ordering::Relaxed);
-        SystemAlloc.alloc(layout)
-    }
-
-    // SAFETY: `ptr`/`layout` come from a prior `alloc` through this same
-    // wrapper, so they satisfy `System.dealloc`'s requirements.
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        LIVE.fetch_sub(layout.size() as i64, Ordering::Relaxed);
-        SystemAlloc.dealloc(ptr, layout)
-    }
-
-    // SAFETY: `ptr`/`layout` come from a prior `alloc` through this same
-    // wrapper; `new_size` is forwarded unchanged to `System.realloc`.
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        LIVE.fetch_add(new_size as i64 - layout.size() as i64, Ordering::Relaxed);
-        SystemAlloc.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static COUNTER: CountingAlloc = CountingAlloc;
+use std::sync::atomic::Ordering;
 
 const WARM_UP: usize = 200;
 const PURCHASES: usize = 2_000;

@@ -96,7 +96,8 @@ impl RsaPublicKey {
 
     /// The key's Montgomery context, built on first use.
     fn mont(&self) -> &Mont {
-        // lint: allow(panic, `new` admitted only odd moduli of >= 64 bits, the whole of what `Mont::new` requires)
+        // `new` admitted only odd moduli of >= 64 bits, the whole of what
+        // `Mont::new` requires.
         self.mont
             .get_or_init(|| Mont::new(&self.n).expect("modulus validated in RsaPublicKey::new"))
     }

@@ -192,7 +192,7 @@ mod tests {
         let findings = vec![
             f("taint", "a.rs", 3, "if  secret  {"),
             f("taint", "a.rs", 9, "if secret {"),
-            f("panic", "b.rs", 1, "x.unwrap()"),
+            f("taint", "b.rs", 1, "table[k]"),
         ];
         let keys = fingerprints(&findings);
         // Identical normalized lines share a hash but differ by suffix.
@@ -203,7 +203,7 @@ mod tests {
         prev.entries.insert(
             keys[2].clone(),
             Entry {
-                note: "bounded by framing".into(),
+                note: "known debt".into(),
                 key: keys[2].clone(),
                 ..Entry::default()
             },
@@ -211,10 +211,10 @@ mod tests {
         let text = Baseline::render(&findings, &keys, &prev);
         let parsed = Baseline::parse(&text).unwrap();
         assert_eq!(parsed.entries.len(), 3);
-        assert_eq!(parsed.entries[&keys[2]].note, "bounded by framing");
+        assert_eq!(parsed.entries[&keys[2]].note, "known debt");
         assert_eq!(parsed.entries[&keys[0]].pass, "taint");
         // Line-number drift does not change the fingerprint.
-        let moved = vec![f("panic", "b.rs", 40, "x.unwrap()")];
+        let moved = vec![f("taint", "b.rs", 40, "table[k]")];
         assert_eq!(fingerprints(&moved)[0], keys[2]);
     }
 }

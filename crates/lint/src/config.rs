@@ -17,13 +17,7 @@ pub struct Config {
     pub taint_sinks: Vec<String>,
     /// Path prefixes the telemetry-sink rule runs over.
     pub taint_sink_paths: Vec<String>,
-    /// Path prefixes of request-serving modules the panic-path pass covers.
-    pub panic_paths: Vec<String>,
-    /// Path prefixes the retry-discipline pass covers: bare `sleep`
-    /// calls there must route their duration through `RetryPolicy` or
-    /// carry `// lint: allow(retry, <why>)`.
-    pub retry_paths: Vec<String>,
-    /// Path prefixes excluded from every pass (corpus fixtures, target/).
+    /// Path prefixes never analysed (corpus fixtures, target/).
     pub skip_paths: Vec<String>,
 }
 
@@ -43,8 +37,6 @@ impl Config {
             taint_paths: get("taint", "paths"),
             taint_sinks: get("taint", "sinks"),
             taint_sink_paths: get("taint", "sink_paths"),
-            panic_paths: get("panic", "paths"),
-            retry_paths: get("retry", "paths"),
             skip_paths: get("skip", "paths"),
         })
     }
@@ -58,7 +50,7 @@ impl Config {
         })
     }
 
-    /// Should every pass skip this file?
+    /// Is this file left out of the sweep?
     pub fn skipped(&self, path: &str) -> bool {
         Self::matches(path, &self.skip_paths)
     }
@@ -146,13 +138,12 @@ mod tests {
     #[test]
     fn parses_sections_and_arrays() {
         let cfg = Config::parse(
-            "# comment\n[taint]\npaths = [\"a/b.rs\", \"c\"]\nsinks = [\"counter\", \"stage\"]\nsink_paths = [\"g\"]\n\n[panic]\npaths = [\n  \"d/e.rs\", # trailing\n  \"f\",\n]\n[skip]\npaths = []\n",
+            "# comment\n[taint]\npaths = [\"a/b.rs\", \"c\"]\nsinks = [\"counter\", \"stage\"]\nsink_paths = [\n  \"d/e.rs\", # trailing\n  \"f\",\n]\n\n[skip]\npaths = []\n",
         )
         .unwrap();
         assert_eq!(cfg.taint_paths, ["a/b.rs", "c"]);
         assert_eq!(cfg.taint_sinks, ["counter", "stage"]);
-        assert_eq!(cfg.taint_sink_paths, ["g"]);
-        assert_eq!(cfg.panic_paths, ["d/e.rs", "f"]);
+        assert_eq!(cfg.taint_sink_paths, ["d/e.rs", "f"]);
         assert!(cfg.skip_paths.is_empty());
     }
 

@@ -1,45 +1,30 @@
-//! # p2drm-lint — workspace invariant analyzer
+//! # p2drm-lint — workspace secret-taint analyzer
 //!
 //! A std-only static analyzer for this workspace (the build environment
 //! is offline, so it hand-rolls its own Rust lexer and a lightweight
-//! block/scope parser instead of depending on `syn`). It walks every
-//! workspace `.rs` file and enforces four passes:
+//! block/scope parser instead of depending on `syn`). It runs the one
+//! check the compiler and clippy cannot, the **taint** pass:
 //!
-//! 1. **taint** — secret-taint / constant-time discipline over modules
-//!    declared timing-sensitive in `lint.toml`. Values seeded by
-//!    `// lint: secret` propagate through assignments; branching
-//!    (`if`/`match`/`while`/`&&`/`||`) or slice-indexing on a tainted
-//!    value is flagged unless justified with `// lint: public(<why>)`.
-//!    The same machinery enforces the observability privacy rule over
-//!    `[taint] sink_paths`: a tainted identifier passed to a telemetry
-//!    sink call (`counter`, `gauge`, `histogram`, `stage`, `flag`,
-//!    `begin`, …, per `[taint] sinks`) is a finding — metric names and
-//!    span fields must stay static strings, durations and counts.
-//! 2. **safety** — every `unsafe` block or `unsafe fn` needs a
-//!    preceding `// SAFETY:` comment.
-//! 3. **panic** — `unwrap()`, `expect()`, `panic!`/`unreachable!`/
-//!    `todo!`/`unimplemented!` and `[i]`-indexing are denied in the
-//!    request-serving modules listed in `lint.toml`, unless annotated
-//!    `// lint: allow(panic, <invariant>)`.
-//! 4. **retry** — bare `sleep` calls (the primitive every hand-rolled
-//!    retry loop is built on) are denied in the modules listed under
-//!    `[retry] paths`, unless annotated `// lint: allow(retry, <why>)`
-//!    — backoff must flow through `p2drm_core::retry::RetryPolicy`.
-//! 5. **lockorder** — a static lock-acquisition graph is extracted from
-//!    nested `.lock()`/`.read()`/`.write()` scopes; cycles are findings
-//!    and the full graph is written to `results/lockgraph.txt`. The
-//!    runtime twin of this pass lives in `parking_lot::lockdep`.
+//! - secret-taint / constant-time discipline over modules declared
+//!   timing-sensitive in `lint.toml`. Values seeded by `// lint: secret`
+//!   propagate through assignments; branching (`if`/`match`/`while`/
+//!   `&&`/`||`) or slice-indexing on a tainted value is flagged unless
+//!   justified with `// lint: public(<why>)`;
+//! - the observability privacy rule over `[taint] sink_paths`: a tainted
+//!   identifier passed to a telemetry sink call (`counter`, `gauge`,
+//!   `histogram`, `stage`, `flag`, `begin`, …, per `[taint] sinks`) is a
+//!   finding — metric names and span fields must stay static strings,
+//!   durations and counts.
 //!
-//! Findings are diffed against the committed `lint-baseline.toml`; with
-//! `--deny`, any finding not in the baseline fails the run.
+//! SAFETY comments, panic paths and retry discipline are clippy lints
+//! and lock order is `parking_lot`'s runtime lockdep (README "Static
+//! analysis"). Findings are diffed against the committed
+//! `lint-baseline.toml`; with `--deny`, any finding not in the baseline
+//! fails the run.
 
 pub mod baseline;
 pub mod config;
 pub mod lexer;
-pub mod lockorder;
-pub mod panicpath;
-pub mod retrypass;
-pub mod safety;
 pub mod source;
 pub mod taint;
 
@@ -50,7 +35,7 @@ use std::path::{Path, PathBuf};
 /// One lint finding.
 #[derive(Debug, Clone)]
 pub struct Finding {
-    /// Pass name: `taint`, `safety`, `panic`, `retry` or `lockorder`.
+    /// Pass name (`taint`; the baseline fingerprints it).
     pub pass: String,
     /// Workspace-relative file path.
     pub file: String,
@@ -77,15 +62,13 @@ impl Finding {
 /// Everything one run produces.
 pub struct WorkspaceReport {
     pub findings: Vec<Finding>,
-    /// Rendered `results/lockgraph.txt` contents.
-    pub lockgraph: String,
     /// Scope entries of `lint.toml` that matched no analysed file (see
     /// [`dead_scope_paths`]); the CLI fails on any.
     pub dead_paths: Vec<String>,
 }
 
 /// Recursively collects workspace `.rs` files under `root`, skipping
-/// `target/`, `results/`, hidden directories and configured skips.
+/// `target/`, hidden directories and configured skips.
 pub fn workspace_files(root: &Path, cfg: &Config) -> std::io::Result<Vec<PathBuf>> {
     let mut out = Vec::new();
     let mut stack = vec![root.to_path_buf()];
@@ -103,7 +86,7 @@ pub fn workspace_files(root: &Path, cfg: &Config) -> std::io::Result<Vec<PathBuf
                 .to_string();
             let rel = rel_path(root, &path);
             if path.is_dir() {
-                if name.starts_with('.') || name == "target" || name == "results" {
+                if name.starts_with('.') || name == "target" {
                     continue;
                 }
                 if cfg.skipped(&rel) {
@@ -137,8 +120,6 @@ pub fn dead_scope_paths(cfg: &Config, files: &[String]) -> Vec<String> {
     let scopes = [
         ("taint", "paths", &cfg.taint_paths),
         ("taint", "sink_paths", &cfg.taint_sink_paths),
-        ("panic", "paths", &cfg.panic_paths),
-        ("retry", "paths", &cfg.retry_paths),
     ];
     let mut dead = Vec::new();
     for (section, key, prefixes) in scopes {
@@ -152,11 +133,10 @@ pub fn dead_scope_paths(cfg: &Config, files: &[String]) -> Vec<String> {
     dead
 }
 
-/// Runs all five passes over the workspace rooted at `root`.
+/// Runs the taint pass over the workspace rooted at `root`.
 pub fn run_all(root: &Path, cfg: &Config) -> std::io::Result<WorkspaceReport> {
     let files = workspace_files(root, cfg)?;
     let mut findings = Vec::new();
-    let mut lock_edges = Vec::new();
     let mut analysed = Vec::with_capacity(files.len());
     for path in &files {
         let src = std::fs::read_to_string(path)?;
@@ -168,22 +148,11 @@ pub fn run_all(root: &Path, cfg: &Config) -> std::io::Result<WorkspaceReport> {
         if Config::matches(&rel, &cfg.taint_sink_paths) {
             findings.extend(taint::run_sinks(&sf, &cfg.taint_sinks));
         }
-        findings.extend(safety::run(&sf));
-        if Config::matches(&rel, &cfg.panic_paths) {
-            findings.extend(panicpath::run(&sf));
-        }
-        if Config::matches(&rel, &cfg.retry_paths) {
-            findings.extend(retrypass::run(&sf));
-        }
-        lock_edges.extend(lockorder::extract(&sf));
         analysed.push(rel);
     }
-    let (lock_findings, lockgraph) = lockorder::analyze(&lock_edges);
-    findings.extend(lock_findings);
     findings.sort_by(|a, b| (&a.file, a.line, &a.pass).cmp(&(&b.file, b.line, &b.pass)));
     Ok(WorkspaceReport {
         findings,
-        lockgraph,
         dead_paths: dead_scope_paths(cfg, &analysed),
     })
 }
@@ -195,20 +164,21 @@ mod tests {
     #[test]
     fn a_scope_entry_matching_no_file_is_reported() {
         let cfg = Config::parse(
-            "[panic]\npaths = [\"crates/core/src/service.rs\", \"crates/net/src\"]\n\
-             [retry]\npaths = [\"crates/core/src/service\"]\n\
+            "[taint]\npaths = [\"crates/crypto/src/rsa.rs\", \"crates/bignum/src\"]\n\
+             sink_paths = [\"crates/obs/src\"]\n\
              [skip]\npaths = [\"gone\"]\n",
         )
         .unwrap();
         let files = [
-            "crates/core/src/service/server.rs".to_string(),
-            "crates/net/src/server.rs".to_string(),
+            "crates/crypto/src/rsa/mod.rs".to_string(),
+            "crates/bignum/src/mont.rs".to_string(),
+            "crates/obs/src/lib.rs".to_string(),
         ];
-        // The file that became a directory is dead; the directory prefix
+        // The file that became a directory is dead; the directory prefixes
         // and the `[skip]` entry (never expected to match) are not.
         assert_eq!(
             dead_scope_paths(&cfg, &files),
-            ["[panic] paths: crates/core/src/service.rs"]
+            ["[taint] paths: crates/crypto/src/rsa.rs"]
         );
         assert_eq!(dead_scope_paths(&cfg, &[]).len(), 3);
     }

@@ -4,11 +4,10 @@
 //! p2drm-lint [--root DIR] [--deny] [--update-baseline]
 //! ```
 //!
-//! Runs all four passes over the workspace, writes the lock graph to
-//! `results/lockgraph.txt`, and diffs findings against
-//! `lint-baseline.toml`. With `--deny`, any finding not in the baseline
-//! exits 1 (this is what CI runs). `--update-baseline` rewrites the
-//! baseline to the current findings, preserving `note` fields. A
+//! Runs the taint pass over the workspace and diffs its findings
+//! against `lint-baseline.toml`. With `--deny`, any finding not in the
+//! baseline exits 1 (this is what CI runs). `--update-baseline` rewrites
+//! the baseline to the current findings, preserving `note` fields. A
 //! `paths` / `sink_paths` entry of `lint.toml` that matches no analysed
 //! file exits 1 under every flag.
 
@@ -58,14 +57,6 @@ fn main() -> ExitCode {
             eprintln!("p2drm-lint: lint.toml {entry} matches no analysed file");
         }
         return fail("a listed module was moved or deleted; point lint.toml at where it went");
-    }
-
-    // Lock graph artifact.
-    let results = root.join("results");
-    if let Err(e) = std::fs::create_dir_all(&results)
-        .and_then(|_| std::fs::write(results.join("lockgraph.txt"), &report.lockgraph))
-    {
-        eprintln!("p2drm-lint: warning: could not write results/lockgraph.txt: {e}");
     }
 
     let keys = fingerprints(&report.findings);

@@ -1,7 +1,7 @@
 //! Lightweight block/scope model over the token stream: matched
 //! delimiters, function items, `#[cfg(test)]`/`#[test]` spans, per-line
-//! annotation lookup, and condition-range extraction. This is the shared
-//! substrate the four passes walk; it is resolutely an *approximation*
+//! annotation lookup, and condition-range extraction. This is the
+//! substrate the taint pass walks; it is resolutely an *approximation*
 //! (no type information, no name resolution) tuned to be conservative on
 //! real workspace code.
 
@@ -246,8 +246,8 @@ fn match_delims(toks: &[Tok]) -> Vec<Option<usize>> {
 }
 
 /// Spans of items attributed `#[cfg(test)]` or `#[test]` (plus
-/// `#[bench]`-style test attributes): panics and lock games are fine in
-/// test code, so most passes skip these ranges.
+/// `#[bench]`-style test attributes): test code handles no secrets, so
+/// the taint pass skips these ranges.
 fn find_test_spans(sf: &SourceFile) -> Vec<(usize, usize)> {
     let mut spans = Vec::new();
     let mut ci = 0usize;
@@ -392,10 +392,10 @@ mod tests {
     fn annotations_on_line_and_above() {
         let sf = SourceFile::parse(
             "x.rs",
-            "// lint: allow(panic, checked above)\nlet x = v.unwrap();\nlet y = w.unwrap(); // lint: allow(panic, bounded)\nlet z = q.unwrap();",
+            "// lint: public(length is public)\nif n == 0 {}\nif m == 0 {} // lint: public(bounded)\nif k == 0 {}",
         );
-        assert!(sf.has_annotation(2, "lint: allow(panic,"));
-        assert!(sf.has_annotation(3, "lint: allow(panic,"));
-        assert!(!sf.has_annotation(4, "lint: allow(panic,"));
+        assert!(sf.has_annotation(2, "lint: public("));
+        assert!(sf.has_annotation(3, "lint: public("));
+        assert!(!sf.has_annotation(4, "lint: public("));
     }
 }

@@ -14,7 +14,7 @@ fn raw_text() -> impl Strategy<Value = String> {
         .prop_map(|b| String::from_utf8_lossy(&b).into_owned())
 }
 
-/// Rust-flavored token soup: the same fragments the passes key on
+/// Rust-flavored token soup: the same fragments the pass keys on
 /// (annotations, quotes, delimiters, operators) in random order, which
 /// reaches much deeper into the parser than uniform bytes do.
 fn token_soup() -> impl Strategy<Value = String> {
@@ -44,7 +44,7 @@ fn token_soup() -> impl Strategy<Value = String> {
         "&&",
         "||",
         "&",
-        ".lock()",
+        "counter(",
         ".unwrap()",
         "'a",
         "'x'",
@@ -54,7 +54,7 @@ fn token_soup() -> impl Strategy<Value = String> {
         "b\"bytes\"",
         "r#\"raw\"#",
         "// lint: secret",
-        "// SAFETY:",
+        "// lint: public(len)",
         "/* block",
         "*/",
         "#[test]",
@@ -94,10 +94,7 @@ proptest! {
     fn full_pipeline_survives_token_soup(src in token_soup()) {
         let sf = SourceFile::parse("soup.rs", &src);
         let _ = p2drm_lint::taint::run(&sf);
-        let _ = p2drm_lint::safety::run(&sf);
-        let _ = p2drm_lint::panicpath::run(&sf);
-        let edges = p2drm_lint::lockorder::extract(&sf);
-        let _ = p2drm_lint::lockorder::analyze(&edges);
+        let _ = p2drm_lint::taint::run_sinks(&sf, &["counter".to_string()]);
     }
 }
 
@@ -117,7 +114,7 @@ fn workspace_sources_lex_and_parse() {
             let path = entry.expect("readable entry").path();
             let name = path.file_name().unwrap_or_default().to_string_lossy();
             if path.is_dir() {
-                if !name.starts_with('.') && name != "target" && name != "results" {
+                if !name.starts_with('.') && name != "target" {
                     stack.push(path);
                 }
             } else if path.extension().is_some_and(|e| e == "rs") {

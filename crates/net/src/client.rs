@@ -20,6 +20,18 @@
 //! failure, never misdelivered: the transport cannot know which request
 //! the stream is out of sync on, so every outstanding request becomes
 //! ambiguous at once.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::indexing_slicing
+    )
+)]
 
 use crate::frame::{read_frame_within, FrameError, LEN_PREFIX};
 use p2drm_core::retry::RetryPolicy;
@@ -162,14 +174,20 @@ impl TcpTransport {
     /// "zero request bytes entered the kernel" (retry-safe) from a
     /// partial write (ambiguous).
     fn write_request(inner: &mut Inner, request: &[u8]) -> Result<(), WriteFailure> {
-        // lint: allow(panic, all callers re-establish the stream before writing)
+        #[expect(
+            clippy::expect_used,
+            reason = "all callers re-establish the stream before writing"
+        )]
         let stream = inner.stream.as_mut().expect("caller ensured a stream");
         let mut buf = Vec::with_capacity(LEN_PREFIX + request.len());
         buf.extend_from_slice(&(request.len() as u32).to_le_bytes());
         buf.extend_from_slice(request);
         let mut written = 0;
         while written < buf.len() {
-            // lint: allow(panic, written < buf.len() by the loop condition)
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "written < buf.len() by the loop condition"
+            )]
             match stream.write(&buf[written..]) {
                 Ok(0) if written == 0 => {
                     return Err(WriteFailure::NothingSent(
@@ -330,7 +348,10 @@ impl Transport for TcpTransport {
             };
             let max_frame = self.config.max_frame;
             let budget = self.config.read_timeout;
-            // lint: allow(panic, the is-connected check above guarantees a stream)
+            #[expect(
+                clippy::expect_used,
+                reason = "the is-connected check above guarantees a stream"
+            )]
             let stream = inner.stream.as_mut().expect("checked above");
             // The socket timeout governs the *idle* wait (no reply byte
             // yet); the whole-frame budget stays at the configured read
@@ -349,7 +370,7 @@ impl Transport for TcpTransport {
                         // outstanding the attribution is unambiguous,
                         // and the typed client's corr-0 handling relies
                         // on seeing it.
-                        // lint: allow(panic, guarded by inflight.len() == 1)
+                        #[expect(clippy::expect_used, reason = "guarded by inflight.len() == 1")]
                         let only = *inner.inflight.iter().next().expect("len == 1");
                         inner.inflight.remove(&only);
                         return Ok(Some((only, reply)));

@@ -78,6 +78,7 @@
 //! let metrics = server.shutdown();
 //! assert!(metrics.requests_served >= 3);
 //! ```
+#![deny(clippy::disallowed_methods)]
 
 pub mod client;
 pub mod frame;

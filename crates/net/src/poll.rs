@@ -275,7 +275,10 @@ mod sys {
             events.clear();
             if self.interests.is_empty() {
                 if let Some(d) = timeout {
-                    // lint: allow(retry, emulates poll(2)'s timeout with no fds — not a backoff)
+                    #[expect(
+                        clippy::disallowed_methods,
+                        reason = "emulates poll(2)'s timeout with no fds, not a backoff"
+                    )]
                     std::thread::sleep(d);
                 }
                 return Ok(());

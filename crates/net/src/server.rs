@@ -62,6 +62,18 @@
 //! draining its replies is dropped after [`NetConfig::write_timeout`],
 //! and graceful shutdown drains dispatched requests and flushes their
 //! replies before joining every thread.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::indexing_slicing
+    )
+)]
 
 use crate::frame::{DEFAULT_MAX_FRAME, LEN_PREFIX};
 use crate::metrics::{MetricsSnapshot, ServerMetrics};
@@ -1060,7 +1072,10 @@ impl EventLoop {
             return;
         };
         while conn.pending_write() > 0 {
-            // lint: allow(panic, pending_write() > 0 implies wpos <= wbuf.len())
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "pending_write() > 0 implies wpos <= wbuf.len()"
+            )]
             match conn.stream.write(&conn.wbuf[conn.wpos..]) {
                 Ok(0) => {
                     conn.read = ReadState::Dead;

@@ -67,8 +67,12 @@ impl Histogram {
 
     /// Records one value.
     pub fn record(&mut self, v: u64) {
-        // lint: allow(panic, bucket_index clamps to NUM_BUCKETS - 1)
-        self.buckets[Self::bucket_index(v)] += 1;
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "bucket_index clamps to NUM_BUCKETS - 1"
+        )]
+        let bucket = &mut self.buckets[Self::bucket_index(v)];
+        *bucket += 1;
         self.count += 1;
         self.sum = self.sum.saturating_add(v);
         self.min = self.min.min(v);

@@ -26,6 +26,18 @@
 //! exactly that flow. The only request-derived field a span carries is
 //! the wire correlation id, which the *client* chooses for pipelining
 //! and which is already visible on the wire.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::indexing_slicing
+    )
+)]
 
 pub mod hist;
 pub mod registry;

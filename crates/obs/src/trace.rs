@@ -78,8 +78,12 @@ struct ActiveSpan {
 impl ActiveSpan {
     fn push_stage(&mut self, label: &'static str, ns: u64) {
         if (self.stage_len as usize) < STAGE_CAP {
-            // lint: allow(panic, stage_len < STAGE_CAP checked on the line above)
-            self.stages[self.stage_len as usize] = (label, ns);
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "stage_len < STAGE_CAP checked on the line above"
+            )]
+            let slot = &mut self.stages[self.stage_len as usize];
+            *slot = (label, ns);
             self.stage_len += 1;
         }
     }
@@ -180,7 +184,10 @@ impl Tracer {
             total_ns,
             slow,
             stages: if slow {
-                // lint: allow(panic, stage_len never exceeds STAGE_CAP by construction)
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "stage_len never exceeds STAGE_CAP by construction"
+                )]
                 span.stages[..span.stage_len as usize].to_vec()
             } else {
                 Vec::new()

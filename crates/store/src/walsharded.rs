@@ -60,8 +60,20 @@
 //! just documentation: the shim's runtime lockdep (debug builds) records
 //! every nested acquisition and panics with both stacks on the first
 //! inversion — the whole test suite asserts this order on every run.
-//! The static `p2drm-lint` lock-order pass extracts the same graph at
-//! review time (`results/lockgraph.txt`).
+//! `compact_all`, the one place `kv` is held across the other two, runs
+//! under it in the store's model test (`tests/model_test.rs`).
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::indexing_slicing
+    )
+)]
 
 use crate::walkv::{RecoveryReport, WalKv};
 use crate::{fnv1a, ConcurrentKv, StoreError};
@@ -254,7 +266,10 @@ impl WalShardedKv {
         let mut shard_vec = Vec::with_capacity(shards);
         let mut recovery = Vec::with_capacity(shards);
         for slot in opened {
-            // lint: allow(panic, the scoped-thread join above guarantees every slot was filled)
+            #[expect(
+                clippy::expect_used,
+                reason = "the scoped-thread join above guarantees every slot was filled"
+            )]
             let (kv, report) = slot.expect("replay thread ran")?;
             let sync_fd = kv.try_clone_log_file()?;
             shard_vec.push(Shard {
@@ -341,7 +356,10 @@ impl WalShardedKv {
     }
 
     fn route(&self, key: &[u8]) -> &Shard {
-        // lint: allow(panic, modulo by shards.len() keeps the index in range)
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "modulo by shards.len() keeps the index in range"
+        )]
         &self.shards[(fnv1a(key) % self.shards.len() as u64) as usize]
     }
 
