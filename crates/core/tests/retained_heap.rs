@@ -14,12 +14,16 @@
 //!
 //! A published item keeps one copy of its ciphertext: the store's
 //! `content/<id>` row. The catalog holds an entry without it (metadata,
-//! content key, nonce, rights template), so one more 16 KiB item
-//! retains the ciphertext plus under 1 KiB; a second copy in the catalog
-//! (~33 KiB an item) takes it over.
+//! content key, nonce, rights template). Over the in-memory store the
+//! row holds the ciphertext, so one more 16 KiB item retains it plus
+//! under 1 KiB; a second copy in the catalog (~33 KiB an item) takes it
+//! over. Over the durable store (`WalShardedKv`) a value of a page or
+//! more stays in the shard log and the row holds its position, so the
+//! item retains under 1 KiB in all (284 B): a ciphertext copied back
+//! onto the heap, by the index or the catalog, takes it over.
 //!
 //! The same measurements run twice, over the in-memory provider store and over
-//! the durable one (`WalShardedKv`), so both backends' index is bounded.
+//! the durable one, so both backends' index is bounded.
 
 mod common;
 
@@ -39,9 +43,13 @@ const PURCHASES: usize = 2_000;
 const MAX_RETAINED_PER_PURCHASE: i64 = 200;
 
 const ITEM_BYTES: usize = 16 * 1024;
-/// One ciphertext, plus the catalog entry, the rows' headers and index
-/// slots; a second copy of the ciphertext exceeds it.
-const MAX_RETAINED_PER_ITEM: i64 = ITEM_BYTES as i64 + 1024;
+/// The catalog entry, the rows' headers and index slots, and the
+/// `content/` row's position in the log; any copy of the ciphertext on
+/// the heap exceeds it.
+const MAX_RETAINED_PER_ITEM_IN_LOG: i64 = 1024;
+/// The same plus the one ciphertext the in-memory store's row holds; a
+/// second copy exceeds it.
+const MAX_RETAINED_PER_ITEM: i64 = ITEM_BYTES as i64 + MAX_RETAINED_PER_ITEM_IN_LOG;
 
 /// Heap bytes one more published 16 KiB item leaves on `sys`'s provider,
 /// measured after one warm-up publish.
@@ -117,15 +125,18 @@ fn a_purchase_retains_only_its_index_rows() {
     drop(sys);
     let _ = std::fs::remove_dir_all(&dir);
 
-    for (backend, (per_item, per_purchase)) in [("MemKv", in_memory), ("WalShardedKv", on_wal)] {
+    for (backend, (per_item, per_purchase), max_per_item) in [
+        ("MemKv", in_memory, MAX_RETAINED_PER_ITEM),
+        ("WalShardedKv", on_wal, MAX_RETAINED_PER_ITEM_IN_LOG),
+    ] {
         println!(
             "{backend}: {per_purchase} B retained per purchase, \
              {per_item} B per published {ITEM_BYTES} B item"
         );
         assert!(
-            per_item <= MAX_RETAINED_PER_ITEM,
+            per_item <= max_per_item,
             "a published item retained {per_item} B on the heap over {backend} \
-             (bound {MAX_RETAINED_PER_ITEM} B)"
+             (bound {max_per_item} B)"
         );
         assert!(
             per_purchase <= MAX_RETAINED_PER_PURCHASE,

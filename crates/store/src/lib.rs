@@ -13,8 +13,8 @@
 //!   simulation, the mint's and the devices' default state);
 //! * [`WalShardedKv`] — durable **and** sharded: 1..N shards each backed
 //!   by its own write-ahead log (every mutation is framed and appended
-//!   before the in-memory index changes; on open the logs are replayed in
-//!   parallel and a corrupt tail is detected and truncated), per-shard
+//!   before the in-memory index changes; on open the logs are streamed
+//!   in parallel and a corrupt tail is detected and truncated), per-shard
 //!   group commit amortizing flush/fsync across concurrent writers — the
 //!   production license-server backend, and at one shard the durable
 //!   device store;
@@ -26,6 +26,12 @@
 //! one heap allocation per pair, the row `[key length: u32][key][value]`,
 //! in a key-ordered set with a 16-byte tree slot per row — a stored pair
 //! costs its key and value bytes plus 20 (and the allocator's rounding).
+//! [`WalShardedKv`] copies only values under one page (4,096 bytes) into
+//! its rows. A larger value stays in the shard log, where its record
+//! already has it: the row holds the value's offset and length instead,
+//! so the pair costs its key bytes plus 32 on the heap whatever the
+//! value's size, and a read of it is one `pread` from the log (the page
+//! cache, once warm).
 //!
 //! # Backend matrix
 //!

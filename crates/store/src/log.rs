@@ -9,11 +9,17 @@
 use crate::StoreError;
 use p2drm_codec::crc32::crc32;
 use std::fs::{File, OpenOptions};
-use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
+use std::io::{BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::Path;
 
 /// Maximum accepted payload size (sanity bound against corrupt lengths).
 pub const MAX_FRAME: u32 = 64 * 1024 * 1024;
+
+/// Bytes of a frame before its payload: the length and the CRC.
+pub const HEADER: u64 = 8;
+
+/// The read buffer [`replay`] streams a log through.
+const REPLAY_BUFFER: usize = 64 * 1024;
 
 /// Appends CRC-framed records to a file.
 pub struct LogWriter {
@@ -39,7 +45,7 @@ impl LogWriter {
         self.out.write_all(&(payload.len() as u32).to_le_bytes())?;
         self.out.write_all(&crc32(payload).to_le_bytes())?;
         self.out.write_all(payload)?;
-        self.offset += 8 + payload.len() as u64;
+        self.offset += HEADER + payload.len() as u64;
         Ok(start)
     }
 
@@ -86,18 +92,31 @@ pub struct Replay {
     pub torn_tail: bool,
 }
 
-/// Hands every intact frame of `path` to `apply`, in log order, as soon
-/// as its length and CRC check out — no frame is copied out of the read
-/// buffer, so a replay holds the log once.
+/// Hands every intact frame of `path` to `apply`, in log order, with the
+/// file offset the frame starts at, as soon as its length and CRC check
+/// out.
+///
+/// The file is streamed through a fixed 64 KiB read buffer and one frame
+/// buffer, so a replay holds one frame beyond the read buffer however
+/// long the log is.
 ///
 /// Missing files replay as empty. Corruption is not an error: replay stops
 /// at the first bad frame and reports it via [`Replay::torn_tail`]. An
 /// error from `apply` stops the replay and is returned as is.
 pub fn replay(
     path: &Path,
-    mut apply: impl FnMut(&[u8]) -> Result<(), StoreError>,
+    apply: impl FnMut(u64, &[u8]) -> Result<(), StoreError>,
 ) -> Result<Replay, StoreError> {
-    let mut file = match File::open(path) {
+    replay_through(path, REPLAY_BUFFER, apply)
+}
+
+/// [`replay`] through a read buffer of `buffer` bytes.
+fn replay_through(
+    path: &Path,
+    buffer: usize,
+    mut apply: impl FnMut(u64, &[u8]) -> Result<(), StoreError>,
+) -> Result<Replay, StoreError> {
+    let file = match File::open(path) {
         Ok(f) => f,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
             return Ok(Replay {
@@ -109,37 +128,54 @@ pub fn replay(
         Err(e) => return Err(e.into()),
     };
     let file_len = file.metadata()?.len();
-    let mut buf = Vec::with_capacity(file_len as usize);
-    file.read_to_end(&mut buf)?;
+    let mut input = BufReader::with_capacity(buffer, file);
+    let mut payload = Vec::new();
 
     let mut frames = 0u64;
-    let mut pos: usize = 0;
+    let mut pos = 0u64;
     let torn;
     loop {
-        if pos + 8 > buf.len() {
-            torn = pos != buf.len();
+        if pos + HEADER > file_len {
+            torn = pos != file_len;
             break;
         }
-        let len = u32::from_le_bytes(buf[pos..pos + 4].try_into().unwrap());
-        let crc = u32::from_le_bytes(buf[pos + 4..pos + 8].try_into().unwrap());
-        if len > MAX_FRAME || pos + 8 + len as usize > buf.len() {
+        let mut header = [0u8; HEADER as usize];
+        if !read_or_eof(&mut input, &mut header)? {
             torn = true;
             break;
         }
-        let payload = &buf[pos + 8..pos + 8 + len as usize];
-        if crc32(payload) != crc {
+        let [l0, l1, l2, l3, c0, c1, c2, c3] = header;
+        let len = u32::from_le_bytes([l0, l1, l2, l3]);
+        let crc = u32::from_le_bytes([c0, c1, c2, c3]);
+        // The length is checked against the file before it sizes a
+        // buffer, so a corrupt one allocates nothing.
+        if len > MAX_FRAME || pos + HEADER + len as u64 > file_len {
             torn = true;
             break;
         }
-        apply(payload)?;
+        payload.resize(len as usize, 0);
+        if !read_or_eof(&mut input, &mut payload)? || crc32(&payload) != crc {
+            torn = true;
+            break;
+        }
+        apply(pos, &payload)?;
         frames += 1;
-        pos += 8 + len as usize;
+        pos += HEADER + len as u64;
     }
     Ok(Replay {
         frames,
-        good_len: pos as u64,
+        good_len: pos,
         torn_tail: torn,
     })
+}
+
+/// Fills `buf`; `false` when the file ends first.
+fn read_or_eof(input: &mut impl Read, buf: &mut [u8]) -> Result<bool, StoreError> {
+    match input.read_exact(buf) {
+        Ok(()) => Ok(true),
+        Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => Ok(false),
+        Err(e) => Err(e.into()),
+    }
 }
 
 /// Truncates `path` to `len` bytes (used to cut a torn tail).
@@ -150,15 +186,21 @@ pub fn truncate(path: &Path, len: u64) -> Result<(), StoreError> {
     Ok(())
 }
 
-/// Overwrites the file with the given records atomically (write to a
-/// sibling temp file, fsync, rename) — the compaction primitive.
-pub fn rewrite(path: &Path, records: impl Iterator<Item = Vec<u8>>) -> Result<(), StoreError> {
+/// Replaces the file atomically with the records `write` appends to a
+/// fresh log (a sibling temp file, fsynced, then renamed over `path`) —
+/// the compaction primitive. An error from `write` leaves `path` as it
+/// was.
+pub fn rewrite(
+    path: &Path,
+    write: impl FnOnce(&mut LogWriter) -> Result<(), StoreError>,
+) -> Result<(), StoreError> {
     let tmp = path.with_extension("compact-tmp");
+    // A crash or an error mid-rewrite can leave the temp file behind;
+    // `LogWriter` appends, so it starts from nothing.
+    let _ = std::fs::remove_file(&tmp);
     {
         let mut w = LogWriter::open(&tmp)?;
-        for rec in records {
-            w.append(&rec)?;
-        }
+        write(&mut w)?;
         w.sync()?;
     }
     publish(&tmp, path)
@@ -217,14 +259,30 @@ mod tests {
 
     /// Replays `path`, collecting every frame through the callback.
     fn collect(path: &Path) -> (Vec<Vec<u8>>, Replay) {
+        collect_through(path, REPLAY_BUFFER)
+    }
+
+    /// [`collect`] through a read buffer of `buffer` bytes.
+    fn collect_through(path: &Path, buffer: usize) -> (Vec<Vec<u8>>, Replay) {
         let mut records = Vec::new();
-        let r = replay(path, |frame| {
+        let mut next = 0;
+        let r = replay_through(path, buffer, |at, frame| {
+            assert_eq!(at, next, "each frame's offset is where the last one ended");
+            next = at + HEADER + frame.len() as u64;
             records.push(frame.to_vec());
             Ok(())
         })
         .unwrap();
         assert_eq!(r.frames, records.len() as u64);
         (records, r)
+    }
+
+    /// Writes `records` to a fresh log, returning each frame's offset.
+    fn write_log(path: &Path, records: &[Vec<u8>]) -> Vec<u64> {
+        let mut w = LogWriter::open(path).unwrap();
+        let offsets = records.iter().map(|r| w.append(r).unwrap()).collect();
+        w.flush().unwrap();
+        offsets
     }
 
     #[test]
@@ -270,7 +328,7 @@ mod tests {
         }
         w.flush().unwrap();
         let mut seen = Vec::new();
-        let res = replay(&tmp.0, |frame| {
+        let res = replay(&tmp.0, |_, frame| {
             seen.push(frame.to_vec());
             match frame {
                 b"b" => Err(StoreError::Corrupt {
@@ -351,10 +409,91 @@ mod tests {
         }
         w.flush().unwrap();
         drop(w);
-        rewrite(&tmp.0, vec![vec![42u8], vec![43u8]].into_iter()).unwrap();
+        rewrite(&tmp.0, |w| {
+            w.append(&[42u8])?;
+            w.append(&[43u8]).map(drop)
+        })
+        .unwrap();
         let (records, r) = collect(&tmp.0);
         assert_eq!(records, vec![vec![42u8], vec![43u8]]);
         assert!(!r.torn_tail);
+    }
+
+    #[test]
+    fn a_failed_rewrite_keeps_the_old_log_and_a_later_one_starts_clean() {
+        let tmp = TempPath::new("rewrite-fail");
+        write_log(&tmp.0, &[b"old".to_vec()]);
+        let res = rewrite(&tmp.0, |w| {
+            w.append(b"half")?;
+            w.flush()?;
+            Err(StoreError::Io(std::io::Error::other("read failed")))
+        });
+        assert!(res.is_err());
+        assert_eq!(collect(&tmp.0).0, vec![b"old".to_vec()]);
+        // The temp file the failed rewrite left must not leak into the next.
+        rewrite(&tmp.0, |w| w.append(b"new").map(drop)).unwrap();
+        assert_eq!(collect(&tmp.0).0, vec![b"new".to_vec()]);
+    }
+
+    /// Frames of 1..=40 bytes, so their boundaries fall at every offset
+    /// modulo a small read buffer.
+    fn ragged_records() -> Vec<Vec<u8>> {
+        (1..=40u8).map(|n| vec![n; n as usize]).collect()
+    }
+
+    #[test]
+    fn frames_straddling_the_read_buffer_replay_whole() {
+        let tmp = TempPath::new("straddle");
+        let recs = ragged_records();
+        write_log(&tmp.0, &recs);
+        for buffer in [1, 7, 16, 64] {
+            let (records, r) = collect_through(&tmp.0, buffer);
+            assert_eq!(records, recs, "buffer {buffer}");
+            assert!(!r.torn_tail);
+        }
+    }
+
+    #[test]
+    fn a_frame_larger_than_the_read_buffer_replays_whole() {
+        let tmp = TempPath::new("large-frame");
+        let recs = vec![b"small".to_vec(), vec![0xAB; 5000], b"after".to_vec()];
+        write_log(&tmp.0, &recs);
+        let (records, r) = collect_through(&tmp.0, 64);
+        assert_eq!(records, recs);
+        assert!(!r.torn_tail);
+        // Torn inside the large frame: the frames before it survive.
+        let len = std::fs::metadata(&tmp.0).unwrap().len();
+        truncate(&tmp.0, len - 13 - 100).unwrap();
+        let (records, r) = collect_through(&tmp.0, 64);
+        assert_eq!(records, recs[..1]);
+        assert!(r.torn_tail);
+        assert_eq!(r.good_len, 13);
+    }
+
+    #[test]
+    fn a_tear_exactly_at_a_buffer_boundary() {
+        let tmp = TempPath::new("tear-boundary");
+        let recs = ragged_records();
+        let ends: Vec<u64> = write_log(&tmp.0, &recs)
+            .iter()
+            .zip(&recs)
+            .map(|(at, rec)| at + HEADER + rec.len() as u64)
+            .collect();
+        let buffer = 32;
+        let file_len = std::fs::metadata(&tmp.0).unwrap().len();
+        // Cut at every multiple of the buffer: the frame the cut lands in
+        // is the torn tail, and a cut on a frame boundary is no tear.
+        for cut in (buffer as u64..file_len).step_by(buffer) {
+            truncate(&tmp.0, cut).unwrap();
+            let whole = ends.iter().filter(|&&end| end <= cut).count();
+            let good_len = whole.checked_sub(1).map_or(0, |last| ends[last]);
+            let (records, r) = collect_through(&tmp.0, buffer);
+            assert_eq!(records, recs[..whole], "cut at {cut}");
+            assert_eq!(r.good_len, good_len, "cut at {cut}");
+            assert_eq!(r.torn_tail, good_len != cut, "cut at {cut}");
+            std::fs::remove_file(&tmp.0).unwrap();
+            write_log(&tmp.0, &recs);
+        }
     }
 
     #[test]

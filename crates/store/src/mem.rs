@@ -10,7 +10,7 @@
 //! WALs with group commit — use the sibling [`crate::WalShardedKv`],
 //! which routes keys identically.
 
-use crate::index::Index;
+use crate::index::{Index, Value};
 use crate::{fnv1a, ConcurrentKv, StoreError};
 use parking_lot::RwLock;
 
@@ -56,11 +56,15 @@ impl MemKv {
 
 impl ConcurrentKv for MemKv {
     fn get(&self, key: &[u8]) -> Option<Vec<u8>> {
-        self.route(key).read().get(key).map(<[u8]>::to_vec)
+        self.route(key)
+            .read()
+            .get(key)
+            .and_then(Value::inline)
+            .map(<[u8]>::to_vec)
     }
 
     fn put(&self, key: &[u8], value: &[u8]) -> Result<(), StoreError> {
-        self.route(key).write().put(key, value);
+        self.route(key).write().put(key, Value::Inline(value));
         Ok(())
     }
 
@@ -72,7 +76,10 @@ impl ConcurrentKv for MemKv {
     /// lock, never a racy contains-then-put, so exactly one of N racing
     /// callers wins.
     fn insert_if_absent(&self, key: &[u8], value: &[u8]) -> Result<bool, StoreError> {
-        Ok(self.route(key).write().insert_if_absent(key, value))
+        Ok(self
+            .route(key)
+            .write()
+            .insert_if_absent(key, Value::Inline(value)))
     }
 
     /// Globally key-ordered: per-shard scans are merged and sorted.
@@ -85,7 +92,7 @@ impl ConcurrentKv for MemKv {
                 shard
                     .read()
                     .scan_prefix(prefix)
-                    .map(|(k, v)| (k.to_vec(), v.to_vec())),
+                    .filter_map(|(k, v)| Some((k.to_vec(), v.inline()?.to_vec()))),
             );
         }
         all.sort_unstable_by(|a, b| a.0.cmp(&b.0));

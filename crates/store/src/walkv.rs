@@ -8,22 +8,45 @@
 //! operation — the property the spent-ID store needs to keep the
 //! double-redemption guarantee across restarts.
 //!
-//! The index is an [`Index`]: each live pair is one heap allocation,
-//! `[key length][key][value]`, in a key-ordered set — a 16-byte tree slot
-//! plus the row's 4 + key + value bytes per key, the same layout as a
-//! [`crate::MemKv`] shard. Compaction streams the index into the
-//! replacement log without first collecting it.
+//! The index is an [`Index`]: each live pair is one heap allocation in a
+//! key-ordered set, the same layout as a [`crate::MemKv`] shard. A value
+//! under [`IN_LOG_BYTES`] is copied into its row — a 16-byte tree slot
+//! plus 4 + key + value bytes. A larger one stays where the log already
+//! has it: the row holds its file offset and length (the `IN_LOG` flag
+//! bit of the row's length word), 4 + key + 12 bytes whatever the value's
+//! size, and a read fetches it with one `pread` on a read-only handle to
+//! the log. Two rules keep that position valid:
+//!
+//! * **flush before index** — a put of a large value pushes its frame to
+//!   the OS before the row points at it, so the `pread` finds it under
+//!   every [`crate::SyncPolicy`], `Buffered` included;
+//! * **replay and compaction repoint** — replay records each large value's
+//!   offset instead of copying it, and compaction streams it from the old
+//!   log into the new one and moves the row to its new offset.
+//!
+//! The trust assumption: a value read by position is not re-checksummed.
+//! The frame CRC's job is unchanged — finding a torn tail at open — and
+//! the bytes a read returns are the page cache's (or the disk's), which
+//! now hold what the heap copy held. A read that fails (the file was cut
+//! under the store) is returned as an error, on which
+//! [`crate::WalShardedKv`] poisons the shard fail-stop.
 //!
 //! Appends only buffer in userspace. *When* they reach the OS or the disk
 //! is not decided here: the owning [`crate::WalShardedKv`] calls
 //! [`WalKv::flush_to_os`]/[`WalKv::sync_data`] from its group commit, the
 //! one place a [`crate::SyncPolicy`] is acted on. Dropping flushes.
 
-use crate::index::Index;
+use crate::index::{Index, Value};
 use crate::log::{self, LogWriter};
 use crate::StoreError;
 use p2drm_codec::{Reader, Writer};
+use std::fs::File;
+use std::os::unix::fs::FileExt;
 use std::path::PathBuf;
+
+/// Values of at least this many bytes (one page) stay in the log: the
+/// index row holds their position instead of a copy.
+pub(crate) const IN_LOG_BYTES: usize = 4096;
 
 /// What `open` found in the log.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -44,6 +67,8 @@ const OP_DELETE: u8 = 1;
 pub(crate) struct WalKv {
     path: PathBuf,
     writer: LogWriter,
+    /// Read-only handle onto the log, for values kept in it.
+    reader: File,
     index: Index,
     /// Total ops in the log.
     log_ops: u64,
@@ -55,7 +80,7 @@ impl WalKv {
     pub fn open(path: impl Into<PathBuf>) -> Result<(Self, RecoveryReport), StoreError> {
         let path = path.into();
         let mut index = Index::default();
-        let replayed = log::replay(&path, |rec| apply_record(&mut index, rec))?;
+        let replayed = log::replay(&path, |frame, rec| apply_record(&mut index, frame, rec))?;
         if replayed.torn_tail {
             log::truncate(&path, replayed.good_len)?;
         }
@@ -65,10 +90,12 @@ impl WalKv {
             truncated_tail: replayed.torn_tail,
         };
         let writer = LogWriter::open(&path)?;
+        let reader = File::open(&path)?;
         Ok((
             WalKv {
                 path,
                 writer,
+                reader,
                 index,
                 log_ops: replayed.frames,
             },
@@ -76,18 +103,40 @@ impl WalKv {
         ))
     }
 
-    fn append(&mut self, op: u8, key: &[u8], value: &[u8]) -> Result<(), StoreError> {
-        self.writer.append(&encode(op, key, value))?;
+    /// Logs one record and returns where its value is from then on. A
+    /// value kept in the log is flushed to the OS first, so a read
+    /// through `reader` finds it.
+    fn append<'v>(&mut self, op: u8, key: &[u8], value: &'v [u8]) -> Result<Value<'v>, StoreError> {
+        let rec = encode(op, key, value);
+        let frame = self.writer.append(&rec)?;
         self.log_ops += 1;
-        Ok(())
+        let stored = locate(frame, rec.len(), value);
+        if let Value::InLog { .. } = stored {
+            self.writer.flush()?;
+        }
+        Ok(stored)
     }
 
-    /// Rewrites the log to contain exactly the live pairs.
+    /// Rewrites the log to contain exactly the live pairs, streaming each
+    /// value kept in the log from the old file into the new one, then
+    /// moves those rows to their new offsets.
     pub fn compact(&mut self) -> Result<(), StoreError> {
         self.writer.flush()?;
-        let records = self.index.iter().map(|(k, v)| encode(OP_PUT, k, v));
-        log::rewrite(&self.path, records)?;
+        let mut moved = Vec::new();
+        log::rewrite(&self.path, |out| {
+            for (key, value) in self.index.iter() {
+                let bytes = read(&self.reader, value)?;
+                let rec = encode(OP_PUT, key, &bytes);
+                let frame = out.append(&rec)?;
+                if let Value::InLog { at, .. } = locate(frame, rec.len(), &bytes) {
+                    moved.push(at);
+                }
+            }
+            Ok(())
+        })?;
+        self.index.relocate(moved);
         self.writer = LogWriter::open(&self.path)?;
+        self.reader = File::open(&self.path)?;
         self.log_ops = self.index.len() as u64;
         Ok(())
     }
@@ -122,15 +171,31 @@ impl WalKv {
         self.writer.try_clone_file()
     }
 
-    /// The live pairs, for reads (which need no log).
+    /// The live pairs. A value kept in the log is a position;
+    /// [`WalKv::read`] fetches its bytes.
     pub fn index(&self) -> &Index {
         &self.index
     }
 
+    /// The bytes of a value from [`WalKv::index`]: copied from its row,
+    /// or read from the log with one `pread`.
+    pub fn read(&self, value: Value<'_>) -> Result<Vec<u8>, StoreError> {
+        read(&self.reader, value)
+    }
+
+    /// The value under `key`.
+    #[cfg(test)]
+    pub fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>, StoreError> {
+        self.index
+            .get(key)
+            .map(|value| self.read(value))
+            .transpose()
+    }
+
     /// Logs, then writes (inserts or overwrites) a value.
     pub fn put(&mut self, key: &[u8], value: &[u8]) -> Result<(), StoreError> {
-        self.append(OP_PUT, key, value)?;
-        self.index.put(key, value);
+        let stored = self.append(OP_PUT, key, value)?;
+        self.index.put(key, stored);
         Ok(())
     }
 
@@ -151,8 +216,8 @@ impl WalKv {
         if self.index.contains(key) {
             return Ok(false);
         }
-        self.append(OP_PUT, key, value)?;
-        self.index.put(key, value);
+        let stored = self.append(OP_PUT, key, value)?;
+        self.index.put(key, stored);
         Ok(true)
     }
 }
@@ -166,19 +231,44 @@ fn encode(op: u8, key: &[u8], value: &[u8]) -> Vec<u8> {
     w.into_bytes()
 }
 
-fn apply_record(index: &mut Index, rec: &[u8]) -> Result<(), StoreError> {
+/// Where the index keeps `value`, which ends `value_end` bytes into the
+/// payload of the frame at `frame`: in the log from [`IN_LOG_BYTES`] on,
+/// in the row below.
+fn locate(frame: u64, value_end: usize, value: &[u8]) -> Value<'_> {
+    if value.len() < IN_LOG_BYTES {
+        return Value::Inline(value);
+    }
+    Value::InLog {
+        at: frame + log::HEADER + (value_end - value.len()) as u64,
+        // A frame is at most `log::MAX_FRAME` (64 MiB) long.
+        len: value.len() as u32,
+    }
+}
+
+fn read(log: &File, value: Value<'_>) -> Result<Vec<u8>, StoreError> {
+    match value {
+        Value::Inline(bytes) => Ok(bytes.to_vec()),
+        Value::InLog { at, len } => {
+            let mut bytes = vec![0; len as usize];
+            log.read_exact_at(&mut bytes, at)?;
+            Ok(bytes)
+        }
+    }
+}
+
+fn apply_record(index: &mut Index, frame: u64, rec: &[u8]) -> Result<(), StoreError> {
     let mut r = Reader::new(rec);
     let op = r.get_u8()?;
     let key = r.get_bytes()?;
     let value = r.get_bytes()?;
     match op {
-        OP_PUT => index.put(key, value),
+        OP_PUT => index.put(key, locate(frame, rec.len() - r.remaining(), value)),
         OP_DELETE => {
             index.remove(key);
         }
         other => {
             return Err(StoreError::Corrupt {
-                offset: 0,
+                offset: frame,
                 detail: format!("unknown op {other}"),
             })
         }
@@ -228,7 +318,7 @@ mod tests {
         kv.put(b"b", b"2").unwrap();
         kv.put(b"a", b"3").unwrap();
         assert!(kv.delete(b"b").unwrap());
-        assert_eq!(kv.index().get(b"a"), Some(&b"3"[..]));
+        assert_eq!(kv.get(b"a").unwrap(), Some(b"3".to_vec()));
         assert_eq!(kv.index().len(), 1);
     }
 
@@ -245,8 +335,8 @@ mod tests {
         assert_eq!(report.replayed_ops, 3);
         assert_eq!(report.live_keys, 1);
         assert!(!report.truncated_tail);
-        assert_eq!(kv.index().get(b"k2"), Some(&b"v2"[..]));
-        assert_eq!(kv.index().get(b"k1"), None);
+        assert_eq!(kv.get(b"k2").unwrap(), Some(b"v2".to_vec()));
+        assert_eq!(kv.get(b"k1").unwrap(), None);
     }
 
     #[test]
@@ -264,8 +354,8 @@ mod tests {
         let (kv, report) = WalKv::open(&tmp.0).unwrap();
         assert!(report.truncated_tail);
         assert_eq!(report.replayed_ops, 1);
-        assert_eq!(kv.index().get(b"good"), Some(&b"1"[..]));
-        assert_eq!(kv.index().get(b"casualty"), None);
+        assert_eq!(kv.get(b"good").unwrap(), Some(b"1".to_vec()));
+        assert_eq!(kv.get(b"casualty").unwrap(), None);
 
         // Recovered store is fully writable again.
         drop(kv);
@@ -332,14 +422,14 @@ mod tests {
         kv.compact().unwrap();
         assert!(kv.log_bytes() < before);
         assert_eq!(kv.ops_appended(), 2, "one record per live key");
-        assert_eq!(kv.index().get(b"hot"), Some(&99u32.to_le_bytes()[..]));
-        assert_eq!(kv.index().get(b"cold"), Some(&b"c"[..]));
+        assert_eq!(kv.get(b"hot").unwrap(), Some(99u32.to_le_bytes().to_vec()));
+        assert_eq!(kv.get(b"cold").unwrap(), Some(b"c".to_vec()));
 
         // And the compacted log replays correctly.
         drop(kv);
         let (kv, report) = WalKv::open(&tmp.0).unwrap();
         assert_eq!(report.live_keys, 2);
-        assert_eq!(kv.index().get(b"hot"), Some(&99u32.to_le_bytes()[..]));
+        assert_eq!(kv.get(b"hot").unwrap(), Some(99u32.to_le_bytes().to_vec()));
     }
 
     #[test]
@@ -364,6 +454,79 @@ mod tests {
             kv.put(b"x", b"y").unwrap();
         } // drop flushes
         let (kv, _) = WalKv::open(&tmp.0).unwrap();
-        assert_eq!(kv.index().get(b"x"), Some(&b"y"[..]));
+        assert_eq!(kv.get(b"x").unwrap(), Some(b"y".to_vec()));
+    }
+
+    /// Where `key`'s value is in the log, when it is kept there.
+    fn position(kv: &WalKv, key: &[u8]) -> Option<(u64, u32)> {
+        match kv.index().get(key)? {
+            Value::InLog { at, len } => Some((at, len)),
+            Value::Inline(_) => None,
+        }
+    }
+
+    fn in_log(kv: &WalKv, key: &[u8]) -> bool {
+        position(kv, key).is_some()
+    }
+
+    #[test]
+    fn values_from_one_page_on_stay_in_the_log() {
+        let tmp = TempPath::new("in-log");
+        let page = vec![0xC3; IN_LOG_BYTES];
+        let under = vec![0x3C; IN_LOG_BYTES - 1];
+        let (mut kv, _) = WalKv::open(&tmp.0).unwrap();
+        kv.put(b"page", &page).unwrap();
+        kv.put(b"under", &under).unwrap();
+        assert!(in_log(&kv, b"page"));
+        assert!(!in_log(&kv, b"under"));
+        assert_eq!(kv.get(b"page").unwrap(), Some(page.clone()));
+        // Small and back: the row follows the value's size.
+        kv.put(b"page", b"small").unwrap();
+        assert!(!in_log(&kv, b"page"));
+        assert_eq!(kv.get(b"page").unwrap(), Some(b"small".to_vec()));
+        kv.put(b"page", &page).unwrap();
+        assert!(kv.insert_if_absent(b"claimed", &page).unwrap());
+        assert!(in_log(&kv, b"claimed"));
+        assert_eq!(kv.get(b"claimed").unwrap(), Some(page.clone()));
+
+        // The position points at the value's bytes in the file itself.
+        let (at, len) = position(&kv, b"page").unwrap();
+        let file = std::fs::read(&tmp.0).unwrap();
+        assert_eq!(file[at as usize..][..len as usize], page[..]);
+
+        // Replay records positions, and reads them back byte for byte.
+        drop(kv);
+        let (mut kv, report) = WalKv::open(&tmp.0).unwrap();
+        assert_eq!(report.live_keys, 3);
+        assert!(in_log(&kv, b"page") && in_log(&kv, b"claimed"));
+        assert_eq!(kv.get(b"page").unwrap(), Some(page.clone()));
+        assert_eq!(kv.get(b"under").unwrap(), Some(under.clone()));
+
+        // Compaction moves them into the new log and repoints the rows.
+        let before = position(&kv, b"page");
+        kv.compact().unwrap();
+        assert_ne!(position(&kv, b"page"), before, "the row moved");
+        assert_eq!(kv.get(b"page").unwrap(), Some(page.clone()));
+        assert_eq!(kv.get(b"claimed").unwrap(), Some(page.clone()));
+        assert_eq!(kv.get(b"under").unwrap(), Some(under.clone()));
+        kv.put(b"after", &page).unwrap();
+        drop(kv);
+        let (kv, report) = WalKv::open(&tmp.0).unwrap();
+        assert_eq!(report.replayed_ops, 4);
+        for key in [&b"page"[..], b"claimed", b"after"] {
+            assert_eq!(kv.get(key).unwrap(), Some(page.clone()));
+        }
+    }
+
+    #[test]
+    fn a_cut_log_fails_the_read_of_a_value_kept_in_it() {
+        let tmp = TempPath::new("cut");
+        let (mut kv, _) = WalKv::open(&tmp.0).unwrap();
+        kv.put(b"small", b"v").unwrap();
+        kv.put(b"large", &[7; IN_LOG_BYTES]).unwrap();
+        let (at, _) = position(&kv, b"large").unwrap();
+        log::truncate(&tmp.0, at + 1).unwrap();
+        assert!(kv.get(b"large").is_err());
+        assert_eq!(kv.get(b"small").unwrap(), Some(b"v".to_vec()));
     }
 }

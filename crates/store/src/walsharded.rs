@@ -29,6 +29,18 @@
 //! no caller is handed a claim that would evaporate on restart. Reopen
 //! the store to recover to the durable prefix.
 //!
+//! # Values kept in the log
+//!
+//! A value of a page or more is not copied into the index: its row holds
+//! the value's offset and length in the shard log, and `get` and
+//! `scan_prefix` read it with one `pread` under the shard's read lock
+//! (see [`crate::walkv`] for how the position stays valid). A log that can
+//! no longer be read is treated like one that can no longer be written:
+//! a failed read poisons the shard fail-stop and answers as if the key
+//! were absent. So does any failed append to the log. Both show in
+//! [`ConcurrentKv::collect_metrics`], as the `store_read_errors` counter
+//! and the `store_poisoned_shards` gauge.
+//!
 //! # Recovery
 //!
 //! [`WalShardedKv::open`] replays all shard logs **in parallel** (one
@@ -75,6 +87,7 @@
     )
 )]
 
+use crate::index::Value;
 use crate::walkv::{RecoveryReport, WalKv};
 use crate::{fnv1a, ConcurrentKv, StoreError};
 use p2drm_obs::AtomicHistogram;
@@ -133,12 +146,13 @@ struct CommitState {
     durable: u64,
     /// Whether a leader currently has a flush in flight.
     flushing: bool,
-    /// Set when a commit flush/fsync failed. A poisoned shard fails every
-    /// subsequent write (fail-stop) instead of letting the in-memory
-    /// index run ahead of a log that can no longer be written — accepting
-    /// writes after a failed commit would hand out claims that evaporate
-    /// on restart. Reads keep working; reopening the store recovers to
-    /// exactly the durable prefix.
+    /// Set when a commit flush/fsync, an append or a read of a value in
+    /// the log failed. A poisoned shard fails every subsequent write
+    /// (fail-stop) instead of letting the in-memory index run ahead of a
+    /// log that can no longer be written — accepting writes after a
+    /// failed commit would hand out claims that evaporate on restart.
+    /// Reads keep working; reopening the store recovers to exactly the
+    /// durable prefix.
     poisoned: bool,
 }
 
@@ -171,6 +185,9 @@ pub struct WalShardedKv {
     commit_ns: AtomicHistogram,
     /// Leader-side fsync (`sync_data`) latency per group commit.
     fsync_ns: AtomicHistogram,
+    /// Reads of a value kept in the log that failed (each poisons its
+    /// shard).
+    read_errors: AtomicU64,
 }
 
 const MANIFEST: &str = "MANIFEST";
@@ -295,6 +312,7 @@ impl WalShardedKv {
                 fail_next_sync: std::sync::atomic::AtomicBool::new(false),
                 commit_ns: AtomicHistogram::new(),
                 fsync_ns: AtomicHistogram::new(),
+                read_errors: AtomicU64::new(0),
             },
             merged,
         ))
@@ -363,9 +381,22 @@ impl WalShardedKv {
         &self.shards[(fnv1a(key) % self.shards.len() as u64) as usize]
     }
 
+    /// The bytes of `value`, from `kv`'s index on `shard`. A failed log
+    /// read poisons the shard and answers `None`.
+    fn read(&self, shard: &Shard, kv: &WalKv, value: Value<'_>) -> Option<Vec<u8>> {
+        match kv.read(value) {
+            Ok(bytes) => Some(bytes),
+            Err(_) => {
+                self.read_errors.fetch_add(1, Ordering::Relaxed);
+                shard.poison();
+                None
+            }
+        }
+    }
+
     fn poisoned_err() -> StoreError {
         StoreError::Io(std::io::Error::other(
-            "shard poisoned by an earlier failed commit; reopen the store to recover",
+            "shard poisoned by an earlier failed log write or read; reopen the store to recover",
         ))
     }
 
@@ -385,7 +416,8 @@ impl WalShardedKv {
         }
         let (out, seq) = {
             let mut kv = shard.kv.write();
-            let (out, logged) = f(&mut kv)?;
+            // A failed append leaves the log's end unknown: fail-stop.
+            let (out, logged) = f(&mut kv).inspect_err(|_| shard.poison())?;
             if !logged {
                 return Ok(out);
             }
@@ -479,6 +511,16 @@ impl WalShardedKv {
     }
 }
 
+impl Shard {
+    /// Fail-stop: the shard refuses every further write (see
+    /// [`CommitState::poisoned`]), and waiters wake to see it.
+    fn poison(&self) {
+        let mut st = self.commit.lock();
+        st.poisoned = true;
+        self.committed.notify_all();
+    }
+}
+
 fn merge_reports(reports: &[RecoveryReport]) -> RecoveryReport {
     RecoveryReport {
         replayed_ops: reports.iter().map(|r| r.replayed_ops).sum(),
@@ -489,12 +531,10 @@ fn merge_reports(reports: &[RecoveryReport]) -> RecoveryReport {
 
 impl ConcurrentKv for WalShardedKv {
     fn get(&self, key: &[u8]) -> Option<Vec<u8>> {
-        self.route(key)
-            .kv
-            .read()
-            .index()
-            .get(key)
-            .map(<[u8]>::to_vec)
+        let shard = self.route(key);
+        let kv = shard.kv.read();
+        let value = kv.index().get(key)?;
+        self.read(shard, &kv, value)
     }
 
     fn put(&self, key: &[u8], value: &[u8]) -> Result<(), StoreError> {
@@ -518,7 +558,9 @@ impl ConcurrentKv for WalShardedKv {
     }
 
     /// Globally key-ordered merge of the per-shard scans (no consistent
-    /// cross-shard snapshot — fine for the metrics/restore paths).
+    /// cross-shard snapshot — fine for the metrics/restore paths). A row
+    /// whose value cannot be read from the log is left out, and poisons
+    /// its shard.
     fn scan_prefix(&self, prefix: &[u8]) -> Vec<(Vec<u8>, Vec<u8>)> {
         let mut all = Vec::new();
         for shard in &self.shards {
@@ -526,7 +568,7 @@ impl ConcurrentKv for WalShardedKv {
             all.extend(
                 kv.index()
                     .scan_prefix(prefix)
-                    .map(|(k, v)| (k.to_vec(), v.to_vec())),
+                    .filter_map(|(k, v)| Some((k.to_vec(), self.read(shard, &kv, v)?))),
             );
         }
         all.sort_unstable_by(|a, b| a.0.cmp(&b.0));
@@ -559,19 +601,26 @@ impl ConcurrentKv for WalShardedKv {
         Ok(())
     }
 
-    /// WAL timings plus live-key and shard gauges, under static
-    /// `store_*` names.
+    /// WAL timings, failed log reads, and live-key, shard and
+    /// poisoned-shard gauges, under static `store_*` names.
     fn collect_metrics(&self, out: &mut p2drm_obs::SnapshotBuilder) {
         out.histogram("store_commit_ns", &self.commit_ns.snapshot());
         out.histogram("store_fsync_ns", &self.fsync_ns.snapshot());
+        out.counter(
+            "store_read_errors",
+            self.read_errors.load(Ordering::Relaxed),
+        );
         out.gauge("store_live_keys", self.len() as i64);
         out.gauge("store_shards", self.shards.len() as i64);
+        let poisoned = self.shards.iter().filter(|s| s.commit.lock().poisoned);
+        out.gauge("store_poisoned_shards", poisoned.count() as i64);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::walkv::IN_LOG_BYTES;
 
     /// Self-cleaning unique temp dir.
     struct TempDir(PathBuf);
@@ -869,5 +918,161 @@ mod tests {
             .map(|s| s.kv.read().index().len())
             .collect();
         assert_eq!(wal_dist, mem.shard_lens());
+    }
+
+    /// Value `version` of key number `k`: one page and a bit, or (every
+    /// fifth version) a few bytes, so a key's value crosses the in-log
+    /// line both ways. Its first two bytes name it, and every byte depends
+    /// on both, so a torn, zeroed or misplaced read matches no value.
+    fn versioned(k: u8, version: u8) -> Vec<u8> {
+        let len = if version % 5 == 4 {
+            10
+        } else {
+            IN_LOG_BYTES + 37
+        };
+        let mut v: Vec<u8> = (0..len)
+            .map(|i| (i as u8).wrapping_add(version).wrapping_mul(k | 1))
+            .collect();
+        v[0] = k;
+        v[1] = version;
+        v
+    }
+
+    #[test]
+    fn reads_of_values_in_the_log_race_overwrites_and_compaction() {
+        const KEYS: u8 = 4;
+        const VERSIONS: u8 = 120;
+        let tmp = TempDir::new("in-log-race");
+        let (kv, _) = WalShardedKv::open(&tmp.0, cfg(2, SyncPolicy::FlushEach)).unwrap();
+        let key = |k: u8| format!("content/{k}").into_bytes();
+        for k in 0..KEYS {
+            kv.put(&key(k), &versioned(k, 0)).unwrap();
+        }
+        let done = std::sync::atomic::AtomicBool::new(false);
+        let (kv, done) = (&kv, &done);
+        let (reads, compactions) = std::thread::scope(|scope| {
+            let readers: Vec<_> = (0..2)
+                .map(|_| {
+                    scope.spawn(move || {
+                        let mut reads = 0u64;
+                        while !done.load(Ordering::Acquire) {
+                            for k in 0..KEYS {
+                                let got = kv.get(&key(k)).expect("a written key stays present");
+                                assert_eq!(
+                                    got,
+                                    versioned(k, got[1]),
+                                    "key {k}: not a written value"
+                                );
+                                reads += 1;
+                            }
+                        }
+                        reads
+                    })
+                })
+                .collect();
+            let compactor = scope.spawn(move || {
+                let mut compactions = 0u64;
+                while !done.load(Ordering::Acquire) {
+                    kv.compact_all().unwrap();
+                    compactions += 1;
+                }
+                compactions
+            });
+            for version in 1..=VERSIONS {
+                for k in 0..KEYS {
+                    kv.put(&key(k), &versioned(k, version)).unwrap();
+                }
+            }
+            done.store(true, Ordering::Release);
+            let reads: u64 = readers.into_iter().map(|r| r.join().unwrap()).sum();
+            (reads, compactor.join().unwrap())
+        });
+        assert!(
+            reads > 0 && compactions > 0,
+            "{reads} reads, {compactions} compactions"
+        );
+        for k in 0..KEYS {
+            assert_eq!(kv.get(&key(k)), Some(versioned(k, VERSIONS)));
+        }
+    }
+
+    /// A page-sized put is read back byte for byte by another thread at
+    /// once — the frame reaches the OS before the row points at it, under
+    /// every policy — and again after a reopen replays it by position.
+    fn a_page_put_reads_back_at_once_and_after_reopen(policy: SyncPolicy) {
+        let tmp = TempDir::new("page-put");
+        let value = versioned(9, 1);
+        {
+            let (kv, _) = WalShardedKv::open(&tmp.0, cfg(4, policy)).unwrap();
+            kv.put(b"content/page", &value).unwrap();
+            let kv = &kv;
+            let seen = std::thread::scope(|s| s.spawn(|| kv.get(b"content/page")).join().unwrap());
+            assert_eq!(seen, Some(value.clone()), "{policy:?}");
+        }
+        let (kv, report) = WalShardedKv::open(&tmp.0, cfg(4, policy)).unwrap();
+        assert_eq!(report.live_keys, 1);
+        assert_eq!(
+            kv.get(b"content/page"),
+            Some(value),
+            "{policy:?} after reopen"
+        );
+    }
+
+    #[test]
+    fn a_page_put_reads_back_under_buffered() {
+        a_page_put_reads_back_at_once_and_after_reopen(SyncPolicy::Buffered);
+    }
+
+    #[test]
+    fn a_page_put_reads_back_under_flush_each() {
+        a_page_put_reads_back_at_once_and_after_reopen(SyncPolicy::FlushEach);
+    }
+
+    #[test]
+    fn a_page_put_reads_back_under_sync_each() {
+        a_page_put_reads_back_at_once_and_after_reopen(SyncPolicy::SyncEach);
+    }
+
+    #[test]
+    fn a_failed_log_read_poisons_the_shard_and_is_counted() {
+        let tmp = TempDir::new("read-error");
+        let (kv, _) = WalShardedKv::open(&tmp.0, cfg(2, SyncPolicy::FlushEach)).unwrap();
+        let victim = b"content/victim";
+        let shard = (fnv1a(victim) % 2) as usize;
+        let (mut same, mut other) = (Vec::new(), Vec::new());
+        for i in 0..16u32 {
+            let key = format!("k/{i}").into_bytes();
+            match (fnv1a(&key) % 2) as usize == shard {
+                true => same.push(key),
+                false => other.push(key),
+            }
+        }
+        kv.put(&same[0], b"small").unwrap();
+        let path = shard_path(&tmp.0, shard);
+        let below = std::fs::metadata(&path).unwrap().len();
+        kv.put(victim, &versioned(1, 1)).unwrap();
+
+        // The file is cut under the live store, below the row's value.
+        std::fs::OpenOptions::new()
+            .write(true)
+            .open(&path)
+            .unwrap()
+            .set_len(below)
+            .unwrap();
+        assert_eq!(kv.get(victim), None, "an unreadable value answers None");
+        assert!(kv.put(&same[1], b"v").is_err(), "the shard is fail-stop");
+        assert!(kv.insert_if_absent(&same[2], b"").is_err());
+        assert_eq!(
+            kv.get(&same[0]),
+            Some(b"small".to_vec()),
+            "rows still served"
+        );
+        kv.put(&other[0], b"v").unwrap();
+
+        let mut out = p2drm_obs::SnapshotBuilder::new();
+        kv.collect_metrics(&mut out);
+        let snapshot = out.finish();
+        assert_eq!(snapshot.counter("store_read_errors"), Some(1));
+        assert_eq!(snapshot.gauge("store_poisoned_shards"), Some(1));
     }
 }

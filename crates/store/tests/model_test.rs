@@ -9,6 +9,12 @@
 //! in-memory index). Keys are 0–3 letters from `abc`, so the empty key
 //! occurs and keys are often prefixes of one another — the cases where a
 //! row layout that stores key and value together could misorder a scan.
+//! A third of the values are one page long or a few bytes more, the size
+//! from which `WalShardedKv` keeps a value in its log and only its
+//! position in the index, so a key's value crosses that line both ways
+//! and positioned rows go through every operation, reopen and compaction
+//! included. Their bytes vary along the value, so a position off by one
+//! reads back different bytes.
 
 use p2drm_store::{ConcurrentKv, MemKv, SyncPolicy, WalShardedConfig, WalShardedKv};
 use proptest::prelude::*;
@@ -29,8 +35,14 @@ fn key() -> impl Strategy<Value = Vec<u8>> {
     "[abc]{0,3}".prop_map(String::into_bytes)
 }
 
+/// The value size from which `WalShardedKv` keeps a value in its log.
+const PAGE: usize = 4096;
+
 fn value() -> impl Strategy<Value = Vec<u8>> {
-    proptest::collection::vec(any::<u8>(), 0..16)
+    let small = || proptest::collection::vec(any::<u8>(), 0..16);
+    let page = (PAGE..PAGE + 3, any::<u8>())
+        .prop_map(|(len, seed)| (0..len).map(|i| seed.wrapping_add(i as u8)).collect());
+    prop_oneof![small(), small(), page]
 }
 
 fn op() -> impl Strategy<Value = Op> {

@@ -392,6 +392,47 @@ fn a_listed_item_with_a_missing_or_short_row_answers_storage() {
         WireResponse::Download(d) => assert_eq!(d, served, "the restored row serves again"),
         other => panic!("restored row: {}", other.label()),
     }
+
+    // Over the durable store the row's ciphertext stays in its shard log,
+    // and the index holds its position: a log cut below it is an
+    // unreadable row, which answers `Storage` as well.
+    let dir = std::env::temp_dir().join(format!("p2drm-wire-unreadable-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let durable = p2drm::store::WalShardedConfig::default();
+    {
+        let (sys, _) =
+            System::bootstrap_durable(SystemConfig::fast_test(), &dir, durable, &mut rng).unwrap();
+        let logs: Vec<(std::path::PathBuf, u64)> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|entry| entry.unwrap().path())
+            .filter(|path| path.extension().is_some_and(|ext| ext == "wal"))
+            .map(|path| {
+                let len = std::fs::metadata(&path).unwrap().len();
+                (path, len)
+            })
+            .collect();
+        let cid = sys.publish_content("Log-served", 100, &payload, &mut rng);
+        let service = sys.wire_service(0x5708);
+        let mut client = WireClient::new(Loopback::new(&service));
+        let mut download = || {
+            client
+                .call(WireRequest::Download(DownloadRequest { content_id: cid }))
+                .expect("transport works")
+        };
+        match download() {
+            WireResponse::Download(d) => assert_eq!(d.ciphertext.len(), payload.len()),
+            other => panic!("intact log: {}", other.label()),
+        }
+        for (path, len) in &logs {
+            let log = std::fs::OpenOptions::new().write(true).open(path).unwrap();
+            log.set_len(*len).unwrap();
+        }
+        match download() {
+            WireResponse::Error(e) => assert_eq!(e.code, ApiErrorCode::Storage, "unreadable row"),
+            other => panic!("unreadable row answered {}", other.label()),
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 // ---------------------------------------------------------------------
