@@ -102,7 +102,7 @@ pub fn ext_gcd_mod(a: &UBig, n: &UBig) -> Result<(UBig, UBig), BigError> {
 
 /// Modular inverse: `a^{-1} mod n`, failing when `gcd(a, n) != 1`.
 ///
-/// An odd `n` — every RSA blinding modulus and the CRT's `q⁻¹ mod p` —
+/// An odd `n` — every RSA blinding modulus and the CRT's coefficients —
 /// takes an in-place binary extended GCD over one limb buffer: no
 /// division and no allocation inside the loop. An even `n` (in this
 /// workspace only `e⁻¹ mod λ` during key generation, where the first

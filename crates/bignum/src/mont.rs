@@ -32,8 +32,8 @@ use crate::BigError;
 /// Produced by [`Mont::to_form`] and consumed by the `form_*` family of
 /// methods, it lets a caller pay the to/from-form conversions once per
 /// *computation* instead of once per *operation* — e.g. the RSA-CRT
-/// recombination keeps `q⁻¹ mod p` in form permanently, turning what used
-/// to be four Montgomery products per signature into one.
+/// recombination keeps each prime's coefficient in form permanently,
+/// turning what used to be four Montgomery products per step into one.
 ///
 /// A `MontForm` is only meaningful with the context that created it; mixing
 /// contexts of the same limb width produces garbage values (debug builds
@@ -110,7 +110,7 @@ impl Mont {
 
     /// Allocates a scratch buffer sized for this context's `*_into`
     /// kernels — **empty** when the width dispatches to a fixed-width
-    /// kernel (4/8/16/32 limbs), which keeps its state on the stack and
+    /// kernel (4/6/8/16/32 limbs), which keeps its state on the stack and
     /// never reads the scratch slice.
     pub fn alloc_scratch(&self) -> Vec<u64> {
         if has_fixed_kernel(self.n.len()) {
@@ -172,7 +172,7 @@ impl Mont {
     /// Montgomery product (`mont_mul(a·R, x) = a·x`), with both the entry
     /// and exit conversions cancelled. This is the `MontForm` replacement
     /// for [`Mont::mul_mod`] when one factor is a long-lived constant
-    /// (e.g. `q⁻¹ mod p` in the RSA CRT).
+    /// (e.g. a prime's coefficient in the RSA CRT).
     pub fn form_mul_plain(&self, a: &MontForm, x: &UBig) -> UBig {
         debug_assert_eq!(a.limbs.len(), self.n.len());
         let xm = self.reduce_pad(x);
@@ -215,8 +215,8 @@ impl Mont {
     /// modulus-width and distinct from `a`/`b`; `scratch` must be at least
     /// [`Mont::scratch_len`] long.
     ///
-    /// The common widths (4/8/16/32 limbs — every RSA/ElGamal size in the
-    /// workspace, including the CRT primes) dispatch to monomorphized
+    /// The common widths (4/6/8/16/32 limbs — every RSA/ElGamal size in
+    /// the workspace, including the CRT primes) dispatch to monomorphized
     /// fixed-width kernels whose loops fully unroll and whose state lives
     /// in stack arrays (no bounds checks, no scratch traffic); other
     /// widths fall back to the dynamic-length loop.
@@ -227,6 +227,7 @@ impl Mont {
         debug_assert_eq!(out.len(), s);
         match s {
             4 => return fixed::mul4(arr(&self.n), self.n0inv, arr(a), arr(b), arr_mut(out)),
+            6 => return fixed::mul6(arr(&self.n), self.n0inv, arr(a), arr(b), arr_mut(out)),
             8 => return fixed::mul8(arr(&self.n), self.n0inv, arr(a), arr(b), arr_mut(out)),
             16 => return fixed::mul16(arr(&self.n), self.n0inv, arr(a), arr(b), arr_mut(out)),
             32 => return fixed::mul32(arr(&self.n), self.n0inv, arr(a), arr(b), arr_mut(out)),
@@ -289,6 +290,7 @@ impl Mont {
         debug_assert_eq!(out.len(), s);
         match s {
             4 => return fixed::sqr4(arr(&self.n), self.n0inv, arr(a), arr_mut(out)),
+            6 => return fixed::sqr6(arr(&self.n), self.n0inv, arr(a), arr_mut(out)),
             8 => return fixed::sqr8(arr(&self.n), self.n0inv, arr(a), arr_mut(out)),
             16 => return fixed::sqr16(arr(&self.n), self.n0inv, arr(a), arr_mut(out)),
             32 => return fixed::sqr32(arr(&self.n), self.n0inv, arr(a), arr_mut(out)),
@@ -526,7 +528,7 @@ impl Mont {
 /// (which keeps all state on the stack and ignores the scratch slice).
 #[inline(always)]
 fn has_fixed_kernel(s: usize) -> bool {
-    matches!(s, 4 | 8 | 16 | 32)
+    matches!(s, 4 | 6 | 8 | 16 | 32)
 }
 
 /// Reinterprets a slice of known length as a fixed-size array reference.
@@ -545,8 +547,9 @@ fn arr_mut<const S: usize>(s: &mut [u64]) -> &mut [u64; S] {
 /// copy of the CIOS product and SOS squaring with every buffer a stack
 /// array of literal size: the compiler unrolls the loops, elides all
 /// bounds checks and keeps carries in registers — which is worth 2-3× at
-/// the small widths the RSA CRT runs at (4 limbs for 512-bit keys).
-/// Widths are generated for 4/8/16/32 limbs (256/512/1024/2048 bits).
+/// the small widths the RSA CRT runs at (4 limbs for 512-bit keys, 6 for
+/// the ~341-bit primes of a three-prime 1024-bit key). Widths are
+/// generated for 4/6/8/16/32 limbs (256/384/512/1024/2048 bits).
 mod fixed {
     macro_rules! fixed_kernels {
         ($mul:ident, $sqr:ident, $s:literal) => {
@@ -646,6 +649,7 @@ mod fixed {
     }
 
     fixed_kernels!(mul4, sqr4, 4);
+    fixed_kernels!(mul6, sqr6, 6);
     fixed_kernels!(mul8, sqr8, 8);
     fixed_kernels!(mul16, sqr16, 16);
     fixed_kernels!(mul32, sqr32, 32);

@@ -1,8 +1,9 @@
 //! Baillie–PSW primality testing and sieved incremental prime search.
 //!
 //! Prime generation drives RSA key generation in `p2drm-crypto`: every
-//! pseudonym a smartcard mints costs two ~512-bit prime searches, and most
-//! of a search is spent dismissing composites. Both halves are organised
+//! pseudonym a smartcard mints costs two prime searches of half the
+//! modulus size (three of a third from 1024 bits on), and most of a search
+//! is spent dismissing composites. Both halves are organised
 //! around that.
 //!
 //! # The test ([`is_prime`])

@@ -112,6 +112,39 @@ fn pow_main_loop_is_allocation_free() {
         "pow allocates too much overall: {a_long} allocations"
     );
 
+    // ---- The same at 6 limbs (a three-prime 1024-bit key's primes) -----
+    // The fixed 6-limb kernel keeps its state on the stack: no scratch
+    // buffer, and a 341-bit exponent allocates what a 128-bit one does
+    // beyond the window-table delta (8 extra entries from 3 to 4 bits).
+    let mut n6_limbs = limbs(6, 43);
+    n6_limbs[0] |= 1;
+    n6_limbs[5] = (n6_limbs[5] >> 43) | (1 << 20); // a 341-bit modulus
+    let n6 = UBig::from_limbs(n6_limbs);
+    assert_eq!(n6.bit_len(), 341);
+    let mont6 = Mont::new(&n6).unwrap();
+    assert!(
+        mont6.alloc_scratch().is_empty(),
+        "6 limbs has a fixed kernel"
+    );
+    let base6 = UBig::from_limbs(limbs(5, 99));
+    let mut exp6_short = UBig::from_limbs(limbs(2, 13)); // 128-bit exponent
+    let mut exp6_long = UBig::from_limbs(limbs(6, 17)).shr(43); // 341-bit exponent
+    exp6_short.set_bit(127);
+    exp6_long.set_bit(340);
+    let _ = mont6.pow(&base6, &exp6_long);
+    let (r6_short, a6_short) = allocs_during(|| mont6.pow(&base6, &exp6_short));
+    let (r6_long, a6_long) = allocs_during(|| mont6.pow(&base6, &exp6_long));
+    assert_eq!(r6_short, base6.pow_mod(&exp6_short, &n6).unwrap());
+    assert_eq!(r6_long, base6.pow_mod(&exp6_long, &n6).unwrap());
+    assert!(
+        a6_long <= a6_short + 8,
+        "6-limb main loop allocates: {a6_short} allocs @128-bit exp vs {a6_long} @341-bit exp"
+    );
+    assert!(
+        a6_long < 40,
+        "6-limb pow allocates too much overall: {a6_long} allocations"
+    );
+
     // ---- Prime search: trial division never touches the heap ----------
     // 2039 is the last table prime, so this 512-bit multiple of it (with
     // a prime cofactor) is reduced by every prime group before the

@@ -38,8 +38,50 @@ fn odd_modulus() -> impl Strategy<Value = UBig> {
     })
 }
 
+/// Strategy: arbitrary UBig up to 384 bits (six limbs).
+fn ubig384() -> impl Strategy<Value = UBig> {
+    proptest::collection::vec(any::<u8>(), 0..49).prop_map(|b| UBig::from_bytes_be(&b))
+}
+
+/// Strategy: odd modulus of 321–384 bits, i.e. exactly six limbs — the
+/// width of a three-prime 1024-bit RSA key's primes, which dispatches to
+/// the fixed 6-limb Montgomery kernels.
+fn odd_modulus_6_limbs() -> impl Strategy<Value = UBig> {
+    (
+        proptest::collection::vec(any::<u8>(), 48..49),
+        321usize..385,
+    )
+        .prop_map(|(b, bits)| {
+            let mut m = UBig::from_bytes_be(&b).shr(384 - bits);
+            m.set_bit(bits - 1);
+            m.set_bit(0);
+            m
+        })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn six_limb_kernels_match_division(a in ubig384(), b in ubig384(), n in odd_modulus_6_limbs()) {
+        let mont = Mont::new(&n).unwrap();
+        prop_assert_eq!(mont.limb_len(), 6);
+        prop_assert!(mont.alloc_scratch().is_empty(), "6 limbs has a fixed kernel");
+        // CIOS product: mont_mul(a·R, b) = a·b mod n.
+        prop_assert_eq!(mont.mul_mod(&a, &b), modring::mul_mod(&a, &b, &n));
+        // SOS squaring against the product of a value with itself, and
+        // against the plain square once out of form.
+        let am = mont.to_mont(&a);
+        let sq = mont.mont_sqr(&am);
+        prop_assert_eq!(&sq, &mont.mont_mul(&am, &am));
+        prop_assert_eq!(mont.from_mont(&sq), modring::mul_mod(&a, &a, &n));
+    }
+
+    #[test]
+    fn six_limb_pow_matches_pow_mod(a in ubig384(), e in ubig384(), n in odd_modulus_6_limbs()) {
+        let mont = Mont::new(&n).unwrap();
+        prop_assert_eq!(mont.pow(&a, &e), a.pow_mod(&e, &n).unwrap());
+    }
 
     #[test]
     fn add_commutative(a in ubig(), b in ubig()) {

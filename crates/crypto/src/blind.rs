@@ -295,6 +295,27 @@ mod tests {
         assert!(verify_fdh(kp.public(), b"other message", &sig).is_err());
     }
 
+    /// The same round trip at 1024 bits, where the signer's key has three
+    /// primes: the unblinded signature is the plain FDH signature.
+    #[test]
+    fn blind_sign_roundtrip_1024() {
+        let kp = RsaKeyPair::generate(1024, &mut test_rng(27));
+        let mut rng = test_rng(28);
+        for msg in [&b"pseudonym cert"[..], b"coin serial"] {
+            let blinded = Blinded::new(kp.public(), msg, &mut rng).unwrap();
+            let s_b = blind_sign(&kp, &blinded.blinded).unwrap();
+            let sig = blinded.unblind(kp.public(), &s_b).unwrap();
+            assert!(verify_fdh(kp.public(), msg, &sig).is_ok());
+            assert!(verify_fdh(kp.public(), b"other message", &sig).is_err());
+            let h = fdh(msg, kp.public().modulus_len());
+            assert_eq!(
+                sig.as_ubig(),
+                &h.pow_mod(kp.private_exponent(), kp.public().modulus())
+                    .unwrap()
+            );
+        }
+    }
+
     #[test]
     fn signer_never_sees_message_image() {
         // The blinded value must differ from the FDH image (with overwhelming

@@ -89,6 +89,23 @@ mod tests {
         }
     }
 
+    /// Seal/open and the bare KEM at 1024 bits, where the recipient's key
+    /// has three primes.
+    #[test]
+    fn seal_open_roundtrip_1024() {
+        let kp = RsaKeyPair::generate(1024, &mut test_rng(47));
+        let mut rng = test_rng(48);
+        for msg in [&b""[..], b"content key", &[9u8; 1000]] {
+            let env = seal(kp.public(), msg, &mut rng);
+            assert_eq!(open(&kp, &env).unwrap(), msg);
+        }
+        for _ in 0..4 {
+            let (ct, shared) = kem_encapsulate(kp.public(), &mut rng);
+            assert_eq!(ct.len(), 128);
+            assert_eq!(kem_decapsulate(&kp, &ct).unwrap(), shared);
+        }
+    }
+
     #[test]
     fn wrong_key_fails() {
         let kp = keypair();

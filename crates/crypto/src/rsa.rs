@@ -2,12 +2,32 @@
 //! RSA-KEM key encapsulation, and the raw trapdoor permutation used by the
 //! blind-signature module.
 //!
-//! Private-key operations use the CRT with per-prime Montgomery contexts.
+//! # Multi-prime CRT
+//!
+//! A private key is the modulus `n = r₁⋯r_k` held as its k prime factors
+//! in the form of RFC 8017 §3.2: for each prime rᵢ its exponent
+//! `dᵢ = d mod (rᵢ − 1)`, its CRT coefficient `tᵢ = (r₁⋯rᵢ₋₁)⁻¹ mod rᵢ`
+//! (kept in Montgomery form), and its Montgomery context. A private-key
+//! operation does one exponentiation `mᵢ = x^dᵢ mod rᵢ` per prime and
+//! recombines them with Garner's rule (RFC 8017 §5.1.2, step 2.b):
+//! starting from `m = m₁`, each further prime adds
+//! `(r₁⋯rᵢ₋₁) · (tᵢ · (mᵢ − m) mod rᵢ)`, one Montgomery product each.
+//!
+//! The prime count follows from the modulus size (`prime_count`): two
+//! below 1024 bits, three from 1024 bits on. Exponentiation cost grows
+//! with the cube of the operand size, so three ~341-bit exponentiations
+//! (6 limbs, 341-bit exponents) do about 0.56× the limb products of two
+//! ~512-bit ones (8 limbs, 512-bit exponents). Public keys, signatures and
+//! ciphertexts are unchanged: only the holder of the factors can tell. Three
+//! primes is what OpenSSL accepts from 1024 bits up (its
+//! `rsa_keygen_primes` cap is 3 below 4096 bits); at that size the
+//! best-known factoring attack is still the number field sieve on `n`
+//! itself, as ~341-bit factors stay far beyond the elliptic-curve method.
 
 use crate::rng::CryptoRng;
 use crate::sha256::{sha256, DIGEST_LEN};
 use crate::CryptoError;
-use p2drm_bignum::{modring, prime, Mont, UBig};
+use p2drm_bignum::{modring, prime, Mont, MontForm, UBig};
 use p2drm_codec::{Decode, Encode, Reader, Writer};
 
 /// The fixed public exponent (F4).
@@ -176,69 +196,95 @@ impl Decode for RsaSignature {
     }
 }
 
-/// An RSA key pair with CRT acceleration.
+/// Number of prime factors of a generated `bits`-bit modulus: 2 below 1024
+/// bits, 3 from there on (see the module docs). Also the most a decoded
+/// key may have.
+fn prime_count(bits: usize) -> usize {
+    if bits < 1024 {
+        2
+    } else {
+        3
+    }
+}
+
+/// One prime factor of a private key, in RFC 8017's CRT form.
+#[derive(Clone, Debug)]
+struct Factor {
+    /// The prime rᵢ.
+    r: UBig,
+    /// Its exponent dᵢ = d mod (rᵢ − 1).
+    d: UBig,
+    /// Its coefficient tᵢ = (r₁⋯rᵢ₋₁)⁻¹ mod rᵢ in Montgomery form: the
+    /// Garner step multiply is then a single Montgomery product. The
+    /// first factor's is the empty product's inverse, 1, and never read.
+    t: MontForm,
+    /// Montgomery context mod rᵢ.
+    mont: Mont,
+}
+
+/// An RSA key pair with multi-prime CRT acceleration.
 #[derive(Clone, Debug)]
 pub struct RsaKeyPair {
     public: RsaPublicKey,
     d: UBig,
-    p: UBig,
-    q: UBig,
-    dp: UBig,
-    dq: UBig,
-    qinv: UBig,
-    /// `qinv` held in Montgomery form mod `p`: the CRT recombination
-    /// multiply `q⁻¹·(m₁ − m₂) mod p` is then a single Montgomery product
-    /// instead of an enter/multiply/exit sequence.
-    qinv_form: p2drm_bignum::MontForm,
-    mont_p: Mont,
-    mont_q: Mont,
+    /// The prime factors in the order they were drawn, at least two.
+    factors: Vec<Factor>,
 }
 
 impl RsaKeyPair {
-    /// Generates a fresh key with modulus of `bits` bits (>= 128).
+    /// Generates a fresh key with modulus of `bits` bits (>= 128), made of
+    /// two primes below 1024 bits and three from there on.
     ///
     /// Unit tests use 512; benches sweep 512/1024/2048. The key is a
-    /// function of the bytes `rng` yields (pinned by a golden-value test).
+    /// function of the bytes `rng` yields (pinned by golden-value tests).
     pub fn generate<R: CryptoRng + ?Sized>(bits: usize, rng: &mut R) -> Self {
         assert!(bits >= 128, "modulus below 128 bits is unusable");
-        let e = UBig::from_u64(PUBLIC_EXPONENT);
-        loop {
-            let p = prime::gen_prime_coprime(bits / 2, MR_ROUNDS, &e, rng);
-            let q = prime::gen_prime_coprime(bits - bits / 2, MR_ROUNDS, &e, rng);
-            if p == q {
-                continue;
-            }
-            let n = &p * &q;
-            if n.bit_len() != bits {
-                continue;
-            }
-            let p1 = p.sub(&UBig::one());
-            let q1 = q.sub(&UBig::one());
-            let lambda = (&p1 * &q1).div_rem(&p1.gcd(&q1)).0;
-            let d = match modring::inv_mod(&e, &lambda) {
-                Ok(d) => d,
-                Err(_) => continue,
-            };
-            let dp = d.rem(&p1);
-            let dq = d.rem(&q1);
-            let qinv = modring::inv_mod(&q, &p).expect("p, q distinct primes");
-            let mont_p = Mont::new(&p).expect("odd prime");
-            let mont_q = Mont::new(&q).expect("odd prime");
-            let qinv_form = mont_p.to_form(&qinv);
-            let public = RsaPublicKey::new(n, e.clone()).expect("fresh modulus is valid");
-            return RsaKeyPair {
-                public,
-                d,
-                p,
-                q,
-                dp,
-                dq,
-                qinv,
-                qinv_form,
-                mont_p,
-                mont_q,
-            };
+        let (primes, n, d) = draw_primes(bits, prime_count(bits), rng);
+        let public =
+            RsaPublicKey::new(n, UBig::from_u64(PUBLIC_EXPONENT)).expect("fresh modulus is valid");
+        RsaKeyPair::from_primes(public, d, primes).expect("fresh factors are consistent")
+    }
+
+    /// Builds the CRT form from the public key, `d` and the primes,
+    /// checking that they belong together: 2 to [`prime_count`] distinct
+    /// odd primes above 1 whose product is the modulus, and
+    /// `e·d ≡ 1 (mod rᵢ − 1)` for each. A key that fails any of these
+    /// would sign wrong values, and a signature wrong modulo one prime
+    /// gives that prime away (gcd(sᵉ − m, n)).
+    fn from_primes(public: RsaPublicKey, d: UBig, primes: Vec<UBig>) -> Result<Self, CryptoError> {
+        let k = primes.len();
+        if !(2..=prime_count(public.modulus().bit_len())).contains(&k) {
+            return Err(CryptoError::BadKey("prime count out of range"));
         }
+        if primes.iter().any(|r| r.is_even() || r.bit_len() < 2) {
+            return Err(CryptoError::BadKey("prime factor even or <= 1"));
+        }
+        if (1..k).any(|i| primes[..i].contains(&primes[i])) {
+            return Err(CryptoError::BadKey("repeated prime factor"));
+        }
+        if &primes.iter().fold(UBig::one(), |acc, r| &acc * r) != public.modulus() {
+            return Err(CryptoError::BadKey("prime factors do not multiply to n"));
+        }
+        let ed = &d * public.exponent();
+        let mut factors = Vec::with_capacity(k);
+        let mut radix = UBig::one(); // r₁⋯rᵢ₋₁
+        for r in primes {
+            let r1 = r.sub(&UBig::one());
+            if !ed.rem(&r1).is_one() {
+                return Err(CryptoError::BadKey("e·d is not 1 mod (r − 1)"));
+            }
+            let bad = |_| CryptoError::BadKey("prime factor not invertible");
+            let mont = Mont::new(&r).map_err(bad)?;
+            let t = mont.to_form(&modring::inv_mod(&radix, &r).map_err(bad)?);
+            radix = &radix * &r;
+            factors.push(Factor {
+                d: d.rem(&r1),
+                t,
+                mont,
+                r,
+            });
+        }
+        Ok(RsaKeyPair { public, d, factors })
     }
 
     /// The public half.
@@ -252,16 +298,24 @@ impl RsaKeyPair {
         &self.d
     }
 
-    /// Raw RSA private operation `x^d mod n` via the CRT.
+    /// Raw RSA private operation `x^d mod n` via the CRT: one
+    /// exponentiation per prime, recombined with Garner's rule.
     pub fn raw_private(&self, x: &UBig) -> UBig {
-        // lint: secret(dp, dq, p, q, qinv_form)
-        let m1 = self.mont_p.pow(x, &self.dp);
-        let m2 = self.mont_q.pow(x, &self.dq);
-        // h = qinv * (m1 - m2) mod p: one Montgomery product, because
-        // qinv is kept permanently in Montgomery form.
-        let diff = modring::sub_mod(&m1, &m2, &self.p);
-        let h = self.mont_p.form_mul_plain(&self.qinv_form, &diff);
-        &m2 + &(&self.q * &h)
+        // lint: secret(factors, first, rest, f, r, d, t, m, mi, h, radix)
+        let (first, rest) = self.factors.split_first().expect("a key has >= 2 factors");
+        let mut m = first.mont.pow(x, &first.d);
+        let mut radix = first.r.clone();
+        for f in rest {
+            let mi = f.mont.pow(x, &f.d);
+            // h = tᵢ·(mᵢ − m) mod rᵢ: one Montgomery product, because tᵢ
+            // is kept permanently in Montgomery form.
+            let h = f
+                .mont
+                .form_mul_plain(&f.t, &modring::sub_mod(&mi, &m, &f.r));
+            m = &m + &(&radix * &h);
+            radix = &radix * &f.r;
+        }
+        m
     }
 
     /// Signs `message` with PKCS#1 v1.5 / SHA-256.
@@ -272,6 +326,48 @@ impl RsaKeyPair {
         let s = self.raw_private(&m);
         debug_assert_eq!(self.public.raw_public(&s), m, "CRT self-check");
         RsaSignature { s }
+    }
+}
+
+/// Draws `k` distinct primes coprime to [`PUBLIC_EXPONENT`] whose product
+/// has exactly `bits` bits: `bits / k` bits each but the last, which takes
+/// the rest. A product of the wrong size redraws them all. Returns the
+/// primes in draw order, their product `n` and `d = e⁻¹ mod λ(n)`. With
+/// `k = 2` these are the draws of the two-prime generator before
+/// multi-prime keys, so keys below 1024 bits did not change.
+fn draw_primes<R: CryptoRng + ?Sized>(
+    bits: usize,
+    k: usize,
+    rng: &mut R,
+) -> (Vec<UBig>, UBig, UBig) {
+    let e = UBig::from_u64(PUBLIC_EXPONENT);
+    let size = bits / k;
+    loop {
+        let primes: Vec<UBig> = (0..k)
+            .map(|i| {
+                let b = if i + 1 < k {
+                    size
+                } else {
+                    bits - size * (k - 1)
+                };
+                prime::gen_prime_coprime(b, MR_ROUNDS, &e, rng)
+            })
+            .collect();
+        if (1..k).any(|i| primes[..i].contains(&primes[i])) {
+            continue;
+        }
+        let n = primes.iter().fold(UBig::one(), |acc, r| &acc * r);
+        if n.bit_len() != bits {
+            continue;
+        }
+        // λ(n) = lcm(r₁ − 1, …, r_k − 1).
+        let lambda = primes.iter().fold(UBig::one(), |l, r| {
+            let r1 = r.sub(&UBig::one());
+            (&l * &r1).div_rem(&l.gcd(&r1)).0
+        });
+        if let Ok(d) = modring::inv_mod(&e, &lambda) {
+            return (primes, n, d);
+        }
     }
 }
 
@@ -312,12 +408,15 @@ pub fn kem_decapsulate(kp: &RsaKeyPair, ciphertext: &[u8]) -> Result<[u8; 32], C
 }
 
 impl Encode for RsaKeyPair {
-    /// Serializes the full private key (all CRT components, avoiding
-    /// recompute on load). **Handle the bytes as secrets.**
+    /// Serializes the private key as `public, d, k, r₁…r_k`; decoding
+    /// derives each dᵢ and tᵢ from these and checks them (see
+    /// `RsaKeyPair::from_primes`). **Handle the bytes as secrets.**
     fn encode(&self, w: &mut Writer) {
         self.public.encode(w);
-        for part in [&self.d, &self.p, &self.q, &self.dp, &self.dq, &self.qinv] {
-            w.put_bytes(&part.to_bytes_be());
+        w.put_bytes(&self.d.to_bytes_be());
+        w.put_u8(self.factors.len() as u8);
+        for f in &self.factors {
+            w.put_bytes(&f.r.to_bytes_be());
         }
     }
 }
@@ -325,30 +424,14 @@ impl Encode for RsaKeyPair {
 impl Decode for RsaKeyPair {
     fn decode(r: &mut Reader) -> p2drm_codec::Result<Self> {
         let public = RsaPublicKey::decode(r)?;
-        let mut parts = Vec::with_capacity(6);
-        for _ in 0..6 {
-            parts.push(UBig::from_bytes_be(r.get_int_bytes()?));
+        let d = UBig::from_bytes_be(r.get_int_bytes()?);
+        let k = r.get_u8()?;
+        let mut primes = Vec::with_capacity(k.into());
+        for _ in 0..k {
+            primes.push(UBig::from_bytes_be(r.get_int_bytes()?));
         }
-        let [d, p, q, dp, dq, qinv]: [UBig; 6] = parts.try_into().expect("exactly six parts read");
-        // Consistency checks: p*q must be the modulus, both factors odd.
-        if &(&p * &q) != public.modulus() || p.is_even() || q.is_even() {
-            return Err(p2drm_codec::CodecError::BadDiscriminant(2));
-        }
-        let mont_p = Mont::new(&p).map_err(|_| p2drm_codec::CodecError::BadDiscriminant(2))?;
-        let mont_q = Mont::new(&q).map_err(|_| p2drm_codec::CodecError::BadDiscriminant(2))?;
-        let qinv_form = mont_p.to_form(&qinv);
-        Ok(RsaKeyPair {
-            public,
-            d,
-            p,
-            q,
-            dp,
-            dq,
-            qinv,
-            qinv_form,
-            mont_p,
-            mont_q,
-        })
+        RsaKeyPair::from_primes(public, d, primes)
+            .map_err(|_| p2drm_codec::CodecError::BadDiscriminant(2))
     }
 }
 
@@ -410,6 +493,13 @@ mod tests {
         KP.get_or_init(|| RsaKeyPair::generate(1024, &mut test_rng(1101)))
     }
 
+    /// And one cached 2048-bit key.
+    fn keypair2048() -> &'static RsaKeyPair {
+        use std::sync::OnceLock;
+        static KP: OnceLock<RsaKeyPair> = OnceLock::new();
+        KP.get_or_init(|| RsaKeyPair::generate(2048, &mut test_rng(2201)))
+    }
+
     #[test]
     fn generate_shapes() {
         let kp = keypair();
@@ -419,25 +509,28 @@ mod tests {
     }
 
     /// Digests of the public key and of the whole key-pair encoding for
-    /// two seeds, captured when the prime search became incremental with
-    /// a Baillie–PSW test (which changed the key a seed yields): later
-    /// work on the search or the inverse must leave them alone.
+    /// two seeds. Re-pinned on purpose when keys from 1024 bits on became
+    /// three-prime, which changed both the key a seed yields and the
+    /// encoding (`public, d, k, r₁…r_k`). The prime search itself did not
+    /// change: `golden_keys_512` and `prime::tests::golden_primes_512`
+    /// (in `p2drm-bignum`) still pin it.
     #[test]
     fn golden_keys_1024() {
         let golden = [
             (
                 1u64,
-                "f696b6f09f24fdacfddcb073311e22dc484792eaa0386927dcc26dbbda04170b",
-                "d840e7c8d7a9f5ab84fd3648986c8f63f640ee7bd78a436a2b5110c6ae6cc600",
+                "01c77b87fbd97d4cfc113c90ec64133fc8f2bf77fd088bd13c5a7e9eba825a54",
+                "3e7601b7a9da557f9f9bd6fee4250d1912010233a2e772968437b4260e2173d9",
             ),
             (
                 2,
-                "005454c761c8da3bb1a4d87a4f674343815ee42e2a269700f166eae924601e63",
-                "edc873ec49bc98f345254e18aef0354764198f0ec60053ac3a492558f715fc52",
+                "7207b5b4e9ec9474483cc9d7bef79a1c82d37e77fdb97dd3cb2ef2bd55c3eb54",
+                "d8913bfab9f319a74912c04960d365b8fe65f240feb2ff2adaf243398e283734",
             ),
         ];
         for (seed, public, whole) in golden {
             let kp = RsaKeyPair::generate(1024, &mut test_rng(seed));
+            assert_eq!(kp.factors.len(), 3);
             let sha = |bytes: Vec<u8>| crate::sha256::sha256_hex(&bytes);
             assert_eq!(
                 sha(p2drm_codec::to_bytes(kp.public())),
@@ -445,6 +538,48 @@ mod tests {
                 "seed={seed}"
             );
             assert_eq!(sha(p2drm_codec::to_bytes(&kp)), whole, "seed={seed}");
+        }
+    }
+
+    /// Digests of the public key, the private exponent and one signature
+    /// for two 512-bit seeds, and the generator's next bytes after each,
+    /// captured before keys from 1024 bits on became three-prime. Below
+    /// 1024 bits a key is still two primes drawn exactly as before. Only
+    /// the public API is read, so the test holds whatever the private
+    /// key's shape or encoding.
+    #[test]
+    fn golden_keys_512() {
+        use rand::RngCore;
+        let golden = [
+            (
+                1u64,
+                "bbd1ab0d25eedbb6c3d3494e1b5ffee97aacd8d47f293675a4856dfe24cc3c98",
+                "2ac142f633fb5d1da8d751ed41a1643df65487025480b910b741278138b3b595",
+                "f8014a1a59b967c2ddb0e8563cf180023b7c4f3c18c10ae05912407297bd947e",
+                [250u8, 251, 50, 178, 146, 203, 217, 243],
+            ),
+            (
+                2,
+                "5d7d22363d55cdb4dbd605416743347ca6054b47d74d1b0a0186c01db8e0253c",
+                "810870b3948ee24d70e75b52812b117bde0cbc51942746b31565fc27aeb4a3ce",
+                "0dd03152a370d0183cf469bd455906344cbaca6477256d781d3870ce867d2273",
+                [139, 154, 238, 19, 72, 180, 222, 61],
+            ),
+        ];
+        for (seed, public, d, sig, next) in golden {
+            let mut rng = test_rng(seed);
+            let kp = RsaKeyPair::generate(512, &mut rng);
+            let sha = |bytes: Vec<u8>| crate::sha256::sha256_hex(&bytes);
+            assert_eq!(
+                sha(p2drm_codec::to_bytes(kp.public())),
+                public,
+                "seed={seed}"
+            );
+            assert_eq!(sha(kp.private_exponent().to_bytes_be()), d, "seed={seed}");
+            assert_eq!(sha(kp.sign(b"golden").to_bytes()), sig, "seed={seed}");
+            let mut after = [0u8; 8];
+            RngCore::fill_bytes(&mut rng, &mut after);
+            assert_eq!(after, next, "RNG state after seed={seed}");
         }
     }
 
@@ -508,47 +643,127 @@ mod tests {
         assert!(kem_decapsulate(&kp, &[1, 2, 3]).is_err());
     }
 
+    /// The CRT path against the division-based `UBig::pow_mod` with the
+    /// full exponent, at two primes (512 bits) and three (1024, 2048).
     #[test]
     fn crt_matches_plain_pow_mod() {
-        let kp = keypair();
-        let x = UBig::from_u64(9_876_543_210);
-        let plain = x.pow_mod(kp.private_exponent(), kp.public().modulus());
-        assert_eq!(kp.raw_private(&x), plain.unwrap());
+        for (kp, k) in [(&keypair(), 2), (keypair1024(), 3), (keypair2048(), 3)] {
+            let n = kp.public().modulus();
+            assert_eq!(kp.factors.len(), k, "{} bits", n.bit_len());
+            let top = n.sub(&UBig::one());
+            let wide = fdh(b"full width", kp.public().modulus_len());
+            for x in [UBig::from_u64(9_876_543_210), UBig::one(), top, wide] {
+                let plain = x.pow_mod(kp.private_exponent(), n).unwrap();
+                assert_eq!(kp.raw_private(&x), plain, "{} bits", n.bit_len());
+            }
+        }
     }
 
     #[test]
     fn keypair_codec_roundtrip_preserves_function() {
-        let kp = keypair();
-        let bytes = p2drm_codec::to_bytes(&kp);
-        let back: RsaKeyPair = p2drm_codec::from_bytes(&bytes).unwrap();
-        assert_eq!(back.public(), kp.public());
-        // The reloaded key signs identically and decrypts what the
-        // original key's public half sealed.
-        let sig = back.sign(b"reload me");
-        assert!(kp.public().verify(b"reload me", &sig).is_ok());
-        let (ct, shared) = kem_encapsulate(kp.public(), &mut test_rng(99));
-        assert_eq!(kem_decapsulate(&back, &ct).unwrap(), shared);
+        for kp in [&keypair(), keypair1024()] {
+            let bytes = p2drm_codec::to_bytes(kp);
+            let back: RsaKeyPair = p2drm_codec::from_bytes(&bytes).unwrap();
+            assert_eq!(back.public(), kp.public());
+            assert_eq!(back.factors.len(), kp.factors.len());
+            assert_eq!(p2drm_codec::to_bytes(&back), bytes);
+            // The reloaded key signs identically and decrypts what the
+            // original key's public half sealed.
+            let sig = back.sign(b"reload me");
+            assert_eq!(sig, kp.sign(b"reload me"));
+            assert!(kp.public().verify(b"reload me", &sig).is_ok());
+            let (ct, shared) = kem_encapsulate(kp.public(), &mut test_rng(99));
+            assert_eq!(kem_decapsulate(&back, &ct).unwrap(), shared);
+        }
     }
 
+    /// The encoding of a private key from its parts, `k` as given.
+    fn key_bytes(public: &RsaPublicKey, d: &UBig, primes: &[UBig]) -> Vec<u8> {
+        let mut w = p2drm_codec::Writer::new();
+        public.encode(&mut w);
+        w.put_bytes(&d.to_bytes_be());
+        w.put_u8(primes.len() as u8);
+        for r in primes {
+            w.put_bytes(&r.to_bytes_be());
+        }
+        w.into_bytes()
+    }
+
+    /// Asserts that decoding the parts fails, and that the check that
+    /// refuses them is the one named by `why`.
+    fn assert_refused(public: &RsaPublicKey, d: &UBig, primes: &[UBig], why: &str) {
+        let res: p2drm_codec::Result<RsaKeyPair> =
+            p2drm_codec::from_bytes(&key_bytes(public, d, primes));
+        assert!(res.is_err(), "{why}: decoded");
+        match RsaKeyPair::from_primes(public.clone(), d.clone(), primes.to_vec()) {
+            Err(CryptoError::BadKey(msg)) => assert_eq!(msg, why),
+            other => panic!("{why}: {other:?}"),
+        }
+    }
+
+    /// A decoded key's CRT parts are derived, never read, and every way
+    /// the stored parts can disagree with each other or with the public
+    /// key is refused — at two primes (512 bits) and at three (1024).
     #[test]
     fn keypair_decode_rejects_inconsistent_factors() {
-        let kp = keypair();
-        let other = RsaKeyPair::generate(512, &mut test_rng(98));
-        // Splice the other key's factors under this public key.
-        let mut w = p2drm_codec::Writer::new();
-        kp.public().encode(&mut w);
-        for part in [
-            other.private_exponent(),
-            &other.p,
-            &other.q,
-            &other.dp,
-            &other.dq,
-            &other.qinv,
+        let one = UBig::one();
+        let two = UBig::from_u64(2);
+        for (kp, other) in [
+            (keypair(), RsaKeyPair::generate(512, &mut test_rng(98))),
+            (
+                keypair1024().clone(),
+                RsaKeyPair::generate(1024, &mut test_rng(1102)),
+            ),
         ] {
-            w.put_bytes(&part.to_bytes_be());
+            let (public, d) = (kp.public(), kp.private_exponent());
+            let primes: Vec<UBig> = kp.factors.iter().map(|f| f.r.clone()).collect();
+            let k = primes.len();
+            let bits = public.modulus().bit_len();
+            assert!(p2drm_codec::from_bytes::<RsaKeyPair>(&key_bytes(public, d, &primes)).is_ok());
+
+            // k outside 2..=prime_count(bits): one factor, none, and a
+            // genuine key of one prime more than the cap.
+            let count = "prime count out of range";
+            assert_refused(public, d, &[public.modulus().clone()], count);
+            assert_refused(public, d, &[], count);
+            let (more, n, d_more) = draw_primes(bits, k + 1, &mut test_rng(97));
+            let wide = RsaPublicKey::new(n, public.exponent().clone()).unwrap();
+            assert_refused(&wide, &d_more, &more, count);
+
+            // An even factor, and a factor of 1 (the product still n).
+            let mut even = primes.clone();
+            even[0] = &even[0] * &two;
+            assert_refused(public, d, &even, "prime factor even or <= 1");
+            let mut unit = primes.clone();
+            let last = unit.pop().unwrap();
+            unit[0] = &unit[0] * &last;
+            unit.insert(0, one.clone());
+            assert_refused(public, d, &unit, "prime factor even or <= 1");
+
+            // A repeated factor.
+            let mut repeated = primes.clone();
+            repeated[k - 1] = repeated[0].clone();
+            assert_refused(public, d, &repeated, "repeated prime factor");
+
+            // The other key's factors under this public key.
+            let others: Vec<UBig> = other.factors.iter().map(|f| f.r.clone()).collect();
+            assert_refused(public, d, &others, "prime factors do not multiply to n");
+
+            // d off by one, and d right mod r₁ − 1 but not mod the others.
+            let ed = "e·d is not 1 mod (r − 1)";
+            assert_refused(public, &d.add(&one), &primes, ed);
+            let shifted = d.add(&primes[0].sub(&one));
+            assert_refused(public, &shifted, &primes, ed);
+            // d + λ is the same key, and decodes.
+            let lambda = primes.iter().fold(one.clone(), |l, r| {
+                let r1 = r.sub(&one);
+                (&l * &r1).div_rem(&l.gcd(&r1)).0
+            });
+            let same = d.add(&lambda);
+            let back: RsaKeyPair =
+                p2drm_codec::from_bytes(&key_bytes(public, &same, &primes)).unwrap();
+            assert_eq!(back.sign(b"m"), kp.sign(b"m"));
         }
-        let res: p2drm_codec::Result<RsaKeyPair> = p2drm_codec::from_bytes(&w.into_bytes());
-        assert!(res.is_err(), "p*q != n must be rejected");
     }
 
     #[test]
