@@ -21,16 +21,6 @@ use p2drm_pki::crl::{RevocationList, SignedCrl};
 use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet};
 
-/// What the RA records at each blind issuance — the adversarial-RA view
-/// used by the unlinkability audit (the blinded value is all it ever sees).
-#[derive(Clone, Debug)]
-pub struct IssuanceRecord {
-    /// Which card authenticated.
-    pub card: CardId,
-    /// The blinded value that was signed.
-    pub blinded: UBig,
-}
-
 /// The RA's mutable registry (identity links, attribute grants, card CRL).
 struct RaState {
     users: HashMap<UserId, CardId>,
@@ -46,7 +36,6 @@ struct RaState {
     attribute_keys: HashMap<String, RsaKeyPair>,
     card_crl: RevocationList,
     crl_seq: u64,
-    issuance_log: Vec<IssuanceRecord>,
 }
 
 impl RaState {
@@ -54,9 +43,9 @@ impl RaState {
     /// lock: the *claimed* `card_id` must be the card the presented
     /// certificate was issued to (`card_id` travels attacker-controlled
     /// on the wire — without this check any registered card could claim
-    /// another card's id, spoofing issuance-log attribution and, for
-    /// attributes, the entitlement lookup), and the card must not be
-    /// revoked.
+    /// another card's id, so a request would be attributed to a card
+    /// that never made it and, for attributes, the entitlement lookup
+    /// spoofed), and the card must not be revoked.
     fn check_card(&self, card_id: &CardId, master_key_id: &KeyId) -> Result<(), CoreError> {
         match self.cards.get(card_id) {
             Some(registered) if registered == master_key_id => {}
@@ -97,7 +86,6 @@ impl RegistrationAuthority {
                 attribute_keys: HashMap::new(),
                 card_crl: RevocationList::new(),
                 crl_seq: 0,
-                issuance_log: Vec::new(),
             }),
         }
     }
@@ -158,7 +146,8 @@ impl RegistrationAuthority {
     /// `card_id` to the blinded value) — this moment is linkable, which
     /// is fine: the RA learns "card X obtained *a* pseudonym", never
     /// *which*. The claimed `card_id` must be the card the certificate
-    /// was issued to; otherwise the issuance log could be mis-attributed.
+    /// was issued to; otherwise a request could be attributed to a card
+    /// that never made it. The RA keeps no record of the issuance.
     pub fn issue_pseudonym(
         &self,
         card_id: CardId,
@@ -175,10 +164,6 @@ impl RegistrationAuthority {
         master_key
             .verify(&messages::pseudonym_auth_bytes(&card_id, blinded), auth_sig)
             .map_err(|_| CoreError::BadProof)?;
-        self.state.lock().issuance_log.push(IssuanceRecord {
-            card: card_id,
-            blinded: blinded.clone(),
-        });
         Ok(blind::blind_sign(&self.keys.blind, blinded)?)
     }
 
@@ -238,10 +223,6 @@ impl RegistrationAuthority {
             },
         )
         .map_err(|_| CoreError::BadEvidence("cut-and-choose audit failed"))?;
-        self.state.lock().issuance_log.push(IssuanceRecord {
-            card: card_id,
-            blinded: blinded_values[keep].clone(),
-        });
         Ok((keep, blind_sig))
     }
 
@@ -337,7 +318,7 @@ impl RegistrationAuthority {
                 auth_sig,
             )
             .map_err(|_| CoreError::BadProof)?;
-        let mut state = self.state.lock();
+        let state = self.state.lock();
         state.check_card(&card_id, &card_cert.subject_id())?;
         let owner = *state
             .card_owners
@@ -354,22 +335,12 @@ impl RegistrationAuthority {
             .attribute_keys
             .get(attribute)
             .ok_or(CoreError::Card("attribute key missing"))?;
-        let sig = blind::blind_sign(kp, blinded)?;
-        state.issuance_log.push(IssuanceRecord {
-            card: card_id,
-            blinded: blinded.clone(),
-        });
-        Ok(sig)
+        Ok(blind::blind_sign(kp, blinded)?)
     }
 
     /// Number of registered users.
     pub fn user_count(&self) -> usize {
         self.state.lock().users.len()
-    }
-
-    /// Snapshot of the adversarial-RA issuance transcript.
-    pub fn issuance_log(&self) -> Vec<IssuanceRecord> {
-        self.state.lock().issuance_log.clone()
     }
 }
 
@@ -381,8 +352,8 @@ mod tests {
 
     /// A card claiming *another* card's id — its own certificate and a
     /// valid signature over the spoofed request — must be refused: the
-    /// attribute entitlement lookup keys on card id, and the issuance
-    /// log must attribute requests to the card that authenticated.
+    /// attribute entitlement lookup keys on card id, and a request must
+    /// be attributed to the card that authenticated.
     #[test]
     fn spoofed_card_id_is_refused() {
         let mut rng = test_rng(0x5F00F);
@@ -415,7 +386,7 @@ mod tests {
             "spoofed attribute issuance must be refused, got {res:?}"
         );
 
-        // Pseudonym issuance: same spoof, refused before the log entry.
+        // Pseudonym issuance: same spoof, refused before signing.
         let sig = mallory
             .card
             .sign_with_master(&messages::pseudonym_auth_bytes(&victim_id, &blinded))
@@ -426,10 +397,6 @@ mod tests {
         assert!(
             matches!(res, Err(CoreError::Card(_))),
             "spoofed pseudonym issuance must be refused, got {res:?}"
-        );
-        assert!(
-            sys.ra.issuance_log().iter().all(|r| r.card != victim_id),
-            "no issuance may be attributed to the spoofed card"
         );
     }
 

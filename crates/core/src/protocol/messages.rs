@@ -36,8 +36,9 @@ fn get_ubig(r: &mut Reader) -> p2drm_codec::Result<UBig> {
 /// Card → RA: blind pseudonym certification request.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PseudonymIssueRequest {
-    /// The requesting card (the RA's issuance-log handle; the card is
-    /// *authenticated* by the certificate below, not by this id).
+    /// The requesting card (the RA refuses it unless it names the card
+    /// the certificate below was issued to; the card is *authenticated*
+    /// by that certificate, not by this id).
     pub card_id: CardId,
     /// Card master certificate (authenticates the card).
     pub card_cert: Certificate,

@@ -409,15 +409,23 @@ mod tests {
         )
         .unwrap();
         assert_ne!(a, b);
-        // RA's own log holds only blinded values; check they differ from
-        // the FDH images of both certificates (structural unlinkability).
-        for rec in f.ra.issuance_log() {
+        // The RA's whole view of an issuance is the request it received;
+        // the blinded values there differ from the FDH images of both
+        // certificates (structural unlinkability).
+        let received: Vec<PseudonymIssueRequest> = t
+            .entries()
+            .iter()
+            .filter(|e| e.to == Party::Ra && e.label == "pseudonym-issue-request")
+            .map(|e| p2drm_codec::from_bytes(&e.bytes).unwrap())
+            .collect();
+        assert_eq!(received.len(), 2);
+        for req in &received {
             for cert in f.user.pseudonym_certs() {
                 let fdh = p2drm_crypto::rsa::fdh(
                     &cert.body.signing_bytes(),
                     f.ra.blind_public().modulus_len(),
                 );
-                assert_ne!(rec.blinded, fdh);
+                assert_ne!(req.blinded, fdh);
             }
         }
     }

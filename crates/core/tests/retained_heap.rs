@@ -24,11 +24,17 @@
 //!
 //! The same measurements run twice, over the in-memory provider store and over
 //! the durable one, so both backends' index is bounded.
+//!
+//! The RA keeps no record of a blind issuance either: what it learns is
+//! the request it receives, and it retains nothing of it (0 B). A log
+//! entry per issuance (the card id and the blinded value: 48 B for the
+//! one-limb value signed here) takes the bound over.
 
 mod common;
 
 use common::LIVE;
-use p2drm_core::protocol::messages::PurchaseRequest;
+use p2drm_bignum::UBig;
+use p2drm_core::protocol::messages::{self, PurchaseRequest};
 use p2drm_core::system::{System, SystemConfig};
 use p2drm_crypto::rng::test_rng;
 use p2drm_payment::Wallet;
@@ -50,6 +56,10 @@ const MAX_RETAINED_PER_ITEM_IN_LOG: i64 = 1024;
 /// The same plus the one ciphertext the in-memory store's row holds; a
 /// second copy exceeds it.
 const MAX_RETAINED_PER_ITEM: i64 = ITEM_BYTES as i64 + MAX_RETAINED_PER_ITEM_IN_LOG;
+
+const ISSUANCES: usize = 1_000;
+/// Nothing, plus rounding room; a log entry per issuance exceeds it.
+const MAX_RETAINED_PER_ISSUANCE: i64 = 8;
 
 /// Heap bytes one more published 16 KiB item leaves on `sys`'s provider,
 /// measured after one warm-up publish.
@@ -103,6 +113,34 @@ fn retained_per_purchase<B: ConcurrentKv + Send + Sync + 'static>(
     per_purchase
 }
 
+/// Heap bytes one more blind pseudonym issuance leaves on `sys`'s RA:
+/// the same authenticated request, signed `ISSUANCES` times after one
+/// warm-up.
+fn retained_per_issuance<B: ConcurrentKv + Send + Sync + 'static>(
+    sys: &System<B>,
+    rng: &mut StdRng,
+) -> i64 {
+    let carol = sys.register_user("carol", rng).unwrap();
+    let card_id = carol.card.card_id();
+    let blinded = UBig::from_u64(0xB11D);
+    let auth_sig = carol
+        .card
+        .sign_with_master(&messages::pseudonym_auth_bytes(&card_id, &blinded))
+        .unwrap();
+    let now = sys.now();
+    let issue = || {
+        sys.ra
+            .issue_pseudonym(card_id, carol.card.master_cert(), &blinded, &auth_sig, now)
+            .unwrap()
+    };
+    drop(issue());
+    let before = LIVE.load(Ordering::Relaxed);
+    for _ in 0..ISSUANCES {
+        drop(issue());
+    }
+    (LIVE.load(Ordering::Relaxed) - before) / ISSUANCES as i64
+}
+
 #[test]
 fn a_purchase_retains_only_its_index_rows() {
     let mut rng = test_rng(0x4EA9);
@@ -111,6 +149,7 @@ fn a_purchase_retains_only_its_index_rows() {
         retained_per_item(&sys, &mut rng),
         retained_per_purchase(&sys, &mut rng),
     );
+    let per_issuance = retained_per_issuance(&sys, &mut rng);
     drop(sys);
 
     let dir = std::env::temp_dir().join(format!("p2drm-retained-heap-{}", std::process::id()));
@@ -144,4 +183,10 @@ fn a_purchase_retains_only_its_index_rows() {
              (bound {MAX_RETAINED_PER_PURCHASE} B)"
         );
     }
+    println!("RA: {per_issuance} B retained per pseudonym issuance");
+    assert!(
+        per_issuance <= MAX_RETAINED_PER_ISSUANCE,
+        "a pseudonym issuance retained {per_issuance} B on the RA's heap \
+         (bound {MAX_RETAINED_PER_ISSUANCE} B)"
+    );
 }

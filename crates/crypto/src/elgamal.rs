@@ -6,15 +6,16 @@
 //! length can be carried and tampering is detected before decryption.
 //!
 //! Groups: the standard 1024-bit Oakley/MODP group (well-known safe prime,
-//! generator 2) for realistic benchmarks, and a deterministically generated
-//! 512-bit safe-prime test group so the unit-test suite stays fast. Both
-//! are validated by tests (`p` and `(p-1)/2` prime).
+//! generator 2) for realistic benchmarks, and a pinned 512-bit safe-prime
+//! test group so the unit-test suite stays fast. Both are constants,
+//! validated by tests (`p` and `(p-1)/2` prime, generator of order
+//! `(p-1)/2`).
 
 use crate::kdf;
 use crate::rng::CryptoRng;
 use crate::sha256::DIGEST_LEN;
 use crate::{chacha20, hmac, CryptoError};
-use p2drm_bignum::{prime, rng as brng, Mont, UBig};
+use p2drm_bignum::{rng as brng, Mont, UBig};
 use p2drm_codec::{Decode, Encode, Reader, Writer};
 use std::sync::{Arc, OnceLock};
 
@@ -24,6 +25,15 @@ const MODP_1024_HEX: &str = concat!(
     "020BBEA63B139B22514A08798E3404DDEF9519B3CD3A431B302B0A6DF25F1437",
     "4FE1356D6D51C245E485B576625E7EC6F44C42E9A637ED6B0BFF5CB6F406B7ED",
     "EE386BFB5A899FA5AE9F24117C4B1FE649286651ECE65381FFFFFFFFFFFFFFFF",
+);
+
+/// The 512-bit test-group prime: the safe prime a search seeded with
+/// `test_rng(0xE16A_7A11)` finds, pinned because that search takes
+/// hundreds of milliseconds optimised and seconds unoptimised.
+/// `tests::test_prime_is_the_seeded_search_result` re-derives it.
+const TEST_512_HEX: &str = concat!(
+    "CACF18B6FE0DB79747B1088A3B70CDA6D8A5C126E158FCC44E11C2094AE3C3CE",
+    "082CE5D77B429376EEC1D14888047BB6941D7668E57DF586811F44F497EBC8CF",
 );
 
 /// Window width for the fixed-base precomputation tables. 4 bits keeps
@@ -150,16 +160,16 @@ impl ElGamalGroup {
         })
     }
 
-    /// Deterministic 512-bit safe-prime test group (generator 4, a quadratic
+    /// The 512-bit safe-prime test group (generator 4, a quadratic
     /// residue, so it generates the prime-order subgroup).
     ///
-    /// Generated once per process from a fixed seed; heavy but cached.
+    /// A constant like [`modp_1024`](Self::modp_1024): the first call
+    /// parses the pinned prime, later calls share it.
     pub fn test_512() -> &'static ElGamalGroup {
         static GROUP: OnceLock<ElGamalGroup> = OnceLock::new();
         GROUP.get_or_init(|| {
-            let mut rng = crate::rng::test_rng(0xE16A_7A11);
-            let p = gen_safe_prime(512, &mut rng);
-            ElGamalGroup::new(p, UBig::from_u64(4)).expect("generated group valid")
+            let p = UBig::from_hex(TEST_512_HEX).expect("constant parses");
+            ElGamalGroup::new(p, UBig::from_u64(4)).expect("constant group valid")
         })
     }
 
@@ -187,17 +197,6 @@ impl ElGamalGroup {
     /// Uniform exponent in `[1, p-2]`.
     pub fn random_exponent<R: CryptoRng + ?Sized>(&self, rng: &mut R) -> UBig {
         brng::random_range(rng, &UBig::one(), &self.p.sub(&UBig::one()))
-    }
-}
-
-/// Generates a safe prime `p = 2q + 1` of exactly `bits` bits.
-pub fn gen_safe_prime<R: CryptoRng + ?Sized>(bits: usize, rng: &mut R) -> UBig {
-    loop {
-        let q = prime::gen_prime(bits - 1, 8, rng);
-        let p = &q.shl(1) + &UBig::one();
-        if p.bit_len() == bits && prime::is_prime(&p, 16, rng) {
-            return p;
-        }
     }
 }
 
@@ -398,6 +397,18 @@ impl Decode for ElGamalCiphertext {
 mod tests {
     use super::*;
     use crate::rng::test_rng;
+    use p2drm_bignum::prime;
+
+    /// Generates a safe prime `p = 2q + 1` of exactly `bits` bits.
+    fn gen_safe_prime<R: CryptoRng + ?Sized>(bits: usize, rng: &mut R) -> UBig {
+        loop {
+            let q = prime::gen_prime(bits - 1, 8, rng);
+            let p = &q.shl(1) + &UBig::one();
+            if p.bit_len() == bits && prime::is_prime(&p, 16, rng) {
+                return p;
+            }
+        }
+    }
 
     #[test]
     fn modp_1024_is_a_safe_prime_group() {
@@ -417,6 +428,34 @@ mod tests {
         assert!(prime::is_prime(g.modulus(), 16, &mut rng));
         let q = g.modulus().sub(&UBig::one()).shr(1);
         assert!(prime::is_prime(&q, 16, &mut rng));
+    }
+
+    /// Provenance of the pinned test prime: the seeded safe-prime search
+    /// finds exactly it. The search takes seconds unoptimised, so it
+    /// runs in release builds only.
+    #[test]
+    #[cfg_attr(
+        debug_assertions,
+        ignore = "seconds-long prime search; run with cargo test --release"
+    )]
+    fn test_prime_is_the_seeded_search_result() {
+        let mut rng = test_rng(0xE16A_7A11);
+        assert_eq!(
+            &gen_safe_prime(512, &mut rng),
+            ElGamalGroup::test_512().modulus()
+        );
+    }
+
+    /// Both generators have order `q = (p-1)/2`: `g != 1` and
+    /// `g^q = 1 (mod p)`. With `q` prime the order divides `q` and is
+    /// not 1, so it is `q` — the prime-order subgroup escrows live in.
+    #[test]
+    fn generators_have_order_q() {
+        for group in [ElGamalGroup::modp_1024(), ElGamalGroup::test_512()] {
+            let q = group.modulus().sub(&UBig::one()).shr(1);
+            assert_ne!(group.generator(), &UBig::one());
+            assert_eq!(group.pow(group.generator(), &q), UBig::one());
+        }
     }
 
     #[test]

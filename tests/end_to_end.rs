@@ -244,11 +244,10 @@ fn multi_user_multi_content_session() {
 /// One consumer's journey at `SystemConfig::realistic()` key sizes, where
 /// every RSA key (1024 bits) has three primes: a fresh pseudonym, a
 /// purchase, three plays and a transfer over `Loopback`, then the
-/// provider's keys through its vault encoding and back. Unoptimised, the
-/// 1024-bit key generation makes it a ~6 s test (2 vCPUs), so the debug
-/// run skips it and CI runs it optimised with `--ignored`.
+/// provider's keys through its vault encoding and back. The only test
+/// that builds a system at these sizes; the 1024-bit key generation makes
+/// it ~1.5 s unoptimised (2 vCPUs), and both escrow groups are constants.
 #[test]
-#[ignore = "1024-bit key generation; run optimised with --ignored"]
 fn realistic_key_sizes_journey() {
     let mut rng = test_rng(9005);
     let mut sys = System::bootstrap(SystemConfig::realistic(), &mut rng);

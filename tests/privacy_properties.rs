@@ -3,6 +3,7 @@
 //! Each test corresponds to a row of the claims table in DESIGN.md §4.3.
 
 use p2drm::core::audit::{Party, Recording};
+use p2drm::core::protocol::messages::PseudonymIssueRequest;
 use p2drm::core::service::{Loopback, WireClient};
 use p2drm::core::LicenseRecord;
 use p2drm::prelude::*;
@@ -85,7 +86,20 @@ fn fresh_purchases_use_distinct_pseudonyms_unknown_to_ra() {
     let mut alice = sys.register_user("alice", &mut rng).unwrap();
     sys.fund(&alice, 10_000);
 
+    // Each purchase's pseudonym is issued first, recording what the RA
+    // receives.
+    let mut t = Transcript::new();
     for _ in 0..4 {
+        p2drm::core::protocol::obtain_pseudonym(
+            &mut alice,
+            &sys.ra,
+            sys.ttp.escrow_key(),
+            sys.epoch(),
+            sys.now(),
+            &mut rng,
+            &mut t,
+        )
+        .unwrap();
         sys.purchase(&mut alice, cid, &mut rng).unwrap();
     }
     // All pseudonyms distinct: the holder key ids of the provider's
@@ -99,19 +113,22 @@ fn fresh_purchases_use_distinct_pseudonyms_unknown_to_ra() {
             .holder;
         assert!(seen.insert(holder), "pseudonym reused under fresh policy");
     }
-    // The RA's complete issuance view (blinded values) contains none of
-    // the pseudonym moduli the provider saw.
+    // The RA's complete issuance view (the four requests it received)
+    // contains none of the pseudonym moduli the provider saw.
+    let received: Vec<PseudonymIssueRequest> = t
+        .entries()
+        .iter()
+        .filter(|e| e.to == Party::Ra && e.label == "pseudonym-issue-request")
+        .map(|e| p2drm::codec::from_bytes(&e.bytes).unwrap())
+        .collect();
+    assert_eq!(received.len(), 4);
+    assert_eq!(alice.pseudonym_certs().len(), 4);
     for cert in alice.pseudonym_certs() {
         let modulus = cert.body.pseudonym_key.modulus().to_bytes_be();
-        for rec in sys.ra.issuance_log() {
-            let blinded = rec.blinded.to_bytes_be();
-            assert!(
-                !blinded
-                    .windows(modulus.len().min(blinded.len()))
-                    .any(|w| w == &modulus[..w.len()] && w.len() == modulus.len()),
-                "RA issuance log contains a pseudonym modulus"
-            );
-        }
+        assert!(
+            !t.scan_for(Party::Ra, &modulus),
+            "a request the RA received contains a pseudonym modulus"
+        );
     }
 }
 
