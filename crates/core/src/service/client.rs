@@ -5,7 +5,6 @@ use super::envelope::{
     EnvelopeError, RequestEnvelope, ResponseEnvelope, WireRequest, WireResponse,
 };
 use super::error::{ApiError, ApiErrorCode};
-use super::recovery::Recovery;
 use super::transport::{Transport, TransportError};
 use crate::content::ContentMeta;
 use crate::entities::device::CompliantDevice;
@@ -21,6 +20,7 @@ use crate::protocol::messages::{
 use crate::protocol::pseudonym::PseudonymIssueSession;
 use crate::protocol::purchase::PurchaseSession;
 use crate::protocol::transfer::TransferSession;
+use crate::retry::RetryPolicy;
 use crate::CoreError;
 use p2drm_crypto::elgamal::ElGamalPublicKey;
 use p2drm_crypto::rng::CryptoRng;
@@ -29,6 +29,7 @@ use p2drm_payment::Mint;
 use p2drm_pki::cert::KeyId;
 use p2drm_store::ConcurrentKv;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::Duration;
 
 /// Client-side failure of a wire call.
 #[derive(Debug)]
@@ -127,9 +128,9 @@ pub struct WireClient<T: Transport> {
     epoch: u32,
     /// Server clock learned from signed CRL timestamps (cached).
     now_hint: Option<u64>,
-    /// Operation-level recovery policy; `None` keeps the historical
-    /// single-attempt behavior.
-    recovery: Option<Recovery>,
+    /// Retry policy for [`WireClient::call`]; `None` sends each request
+    /// once.
+    retry: Option<RetryPolicy>,
 }
 
 impl<T: Transport> WireClient<T> {
@@ -140,23 +141,17 @@ impl<T: Transport> WireClient<T> {
             next_correlation: AtomicU64::new(1),
             epoch: 0,
             now_hint: None,
-            recovery: None,
+            retry: None,
         }
     }
 
-    /// Enables operation-level recovery: every [`WireClient::call`]
-    /// retries per the policy (bounded by budget, breaker and deadline),
-    /// honoring server `retry_after_ms` hints — purchases and transfers
-    /// included, since the provider answers a replay with the license
-    /// the first attempt issued.
-    pub fn with_recovery(mut self, recovery: Recovery) -> Self {
-        self.recovery = Some(recovery);
+    /// Retries every [`WireClient::call`] under `policy`, honoring
+    /// server `retry_after_ms` hints up to its `max_backoff` — purchases
+    /// and transfers included, since the provider answers a replay with
+    /// the license the first attempt issued.
+    pub fn with_retry(mut self, policy: RetryPolicy) -> Self {
+        self.retry = Some(policy);
         self
-    }
-
-    /// The active recovery policy, if any (breaker/budget inspection).
-    pub fn recovery(&self) -> Option<&Recovery> {
-        self.recovery.as_ref()
     }
 
     /// Sets the epoch used for blind-issuance bodies (out-of-band time
@@ -198,24 +193,43 @@ impl<T: Transport> WireClient<T> {
         Ok(envelope.body)
     }
 
-    /// One framed exchange under the recovery policy (when installed):
-    /// encode, submit, complete until this call's reply arrives, decode,
-    /// match correlation — retrying failed exchanges per the policy.
+    /// One framed exchange: encode, submit, complete until this call's
+    /// reply arrives, decode, match correlation. Under a retry policy
+    /// ([`WireClient::with_retry`]) a failed exchange is re-sent up to
+    /// `max_attempts` submits in all:
+    /// * a decoded [`ApiErrorCode::ServiceUnavailable`] — a busy shed (or
+    ///   an op this endpoint does not serve) — is retried, pausing at
+    ///   least the response's `retry_after_ms` hint, up to `max_backoff`;
+    /// * a transport, envelope or correlation failure is retried, whether
+    ///   or not the request was dispatched;
+    /// * any other decoded error, or a client-side error, is final.
+    ///
     /// Every attempt uses a fresh correlation id, so a late reply to an
     /// abandoned attempt can never satisfy its retry.
     pub fn call(&mut self, body: WireRequest) -> Result<WireResponse, WireError> {
-        match self.recovery.take() {
-            None => self.call_once(body),
-            Some(rec) => {
-                let out = self.call_recovering(&rec, body);
-                self.recovery = Some(rec);
-                out
+        let Some(policy) = self.retry else {
+            return self.call_once(body);
+        };
+        let mut retry = 0;
+        loop {
+            let outcome = self.call_once(body.clone());
+            let floor = match &outcome {
+                Ok(WireResponse::Error(e)) if e.code == ApiErrorCode::ServiceUnavailable => {
+                    Duration::from_millis(u64::from(e.retry_after_ms))
+                }
+                Ok(_) | Err(WireError::Api(_)) | Err(WireError::Client(_)) => return outcome,
+                Err(_) => Duration::ZERO,
+            };
+            retry += 1;
+            if retry >= policy.max_attempts {
+                return outcome;
             }
+            policy.pause(retry, floor);
         }
     }
 
     /// One framed round trip, exactly one attempt.
-    pub(super) fn call_once(&mut self, body: WireRequest) -> Result<WireResponse, WireError> {
+    fn call_once(&mut self, body: WireRequest) -> Result<WireResponse, WireError> {
         let sent = self.next_corr();
         let request = RequestEnvelope {
             correlation_id: sent,
@@ -361,7 +375,7 @@ impl<T: Transport> WireClient<T> {
 
     /// Anonymous purchase over the wire: catalog quote, coin withdrawal
     /// (client ↔ mint, off this wire), then the purchase round trip,
-    /// re-sent under the recovery policy like any other op.
+    /// re-sent under the retry policy like any other op.
     ///
     /// On failure the coin is never lost and never spent twice: a
     /// refusal the provider makes before the deposit (pseudonym,
@@ -678,5 +692,147 @@ fn unexpected(expected: &'static str, got: WireResponse) -> WireError {
             expected,
             got: other.label(),
         },
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::protocol::messages::CatalogResponse;
+    use std::cell::RefCell;
+    use std::collections::VecDeque;
+    use std::time::Instant;
+
+    /// Transport that answers each submit with the next scripted body
+    /// (`None` fails the submit as a connection reset mid-write) and logs
+    /// every submitted correlation id.
+    #[derive(Default)]
+    struct Scripted {
+        script: RefCell<VecDeque<Option<WireResponse>>>,
+        replies: RefCell<VecDeque<(u64, Vec<u8>)>>,
+        sent: RefCell<Vec<u64>>,
+    }
+
+    impl Scripted {
+        fn new(script: impl IntoIterator<Item = Option<WireResponse>>) -> Self {
+            Scripted {
+                script: RefCell::new(script.into_iter().collect()),
+                ..Scripted::default()
+            }
+        }
+    }
+
+    impl Transport for &Scripted {
+        fn submit(&self, corr_id: u64, _request: &[u8]) -> Result<(), TransportError> {
+            self.sent.borrow_mut().push(corr_id);
+            let step = self.script.borrow_mut().pop_front();
+            let body = step
+                .expect("script covers every submit")
+                .ok_or_else(|| TransportError::Broken("scripted reset".to_string()))?;
+            let frame = ResponseEnvelope {
+                correlation_id: corr_id,
+                body,
+            };
+            self.replies
+                .borrow_mut()
+                .push_back((corr_id, frame.to_bytes()));
+            Ok(())
+        }
+
+        fn complete(
+            &self,
+            _deadline: Option<Instant>,
+        ) -> Result<Option<(u64, Vec<u8>)>, TransportError> {
+            Ok(self.replies.borrow_mut().pop_front())
+        }
+    }
+
+    fn policy(max_attempts: u32) -> RetryPolicy {
+        RetryPolicy {
+            base_backoff: Duration::from_micros(100),
+            max_backoff: Duration::from_millis(1),
+            max_attempts,
+            jitter_seed: 3,
+        }
+    }
+
+    fn request() -> WireRequest {
+        WireRequest::Catalog(CatalogRequest { content_id: None })
+    }
+
+    fn error(code: ApiErrorCode, retry_after_ms: u32) -> Option<WireResponse> {
+        Some(WireResponse::Error(
+            ApiError::new(code, "scripted").with_retry_after(retry_after_ms),
+        ))
+    }
+
+    fn ok() -> Option<WireResponse> {
+        Some(WireResponse::Catalog(CatalogResponse::new(Vec::new())))
+    }
+
+    fn code(out: Result<WireResponse, WireError>) -> ApiErrorCode {
+        match out {
+            Ok(WireResponse::Error(e)) => e.code,
+            other => panic!("expected a decoded error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn busy_is_resent_until_max_attempts_then_returned() {
+        let script = Scripted::new((0..10).map(|_| error(ApiErrorCode::ServiceUnavailable, 0)));
+        let mut client = WireClient::new(&script).with_retry(policy(4));
+        assert_eq!(
+            code(client.call(request())),
+            ApiErrorCode::ServiceUnavailable
+        );
+        assert_eq!(script.sent.borrow().len(), 4);
+    }
+
+    #[test]
+    fn other_decoded_errors_are_final() {
+        let script = Scripted::new([error(ApiErrorCode::DoubleSpend, 0), ok()]);
+        let mut client = WireClient::new(&script).with_retry(policy(4));
+        assert_eq!(code(client.call(request())), ApiErrorCode::DoubleSpend);
+        assert_eq!(script.sent.borrow().len(), 1);
+    }
+
+    #[test]
+    fn broken_exchange_is_resent_under_a_fresh_correlation_id() {
+        let script = Scripted::new([None, ok()]);
+        let mut client = WireClient::new(&script).with_retry(policy(4));
+        assert!(matches!(
+            client.call(request()),
+            Ok(WireResponse::Catalog(_))
+        ));
+        let sent = script.sent.borrow();
+        assert_eq!(sent.len(), 2);
+        assert_ne!(sent[0], sent[1]);
+    }
+
+    #[test]
+    fn without_a_policy_a_call_is_one_submit() {
+        let script = Scripted::new([error(ApiErrorCode::ServiceUnavailable, 0), ok()]);
+        let mut client = WireClient::new(&script);
+        assert_eq!(
+            code(client.call(request())),
+            ApiErrorCode::ServiceUnavailable
+        );
+        assert_eq!(script.sent.borrow().len(), 1);
+    }
+
+    #[test]
+    fn a_server_hint_is_capped_at_max_backoff() {
+        let script = Scripted::new([error(ApiErrorCode::ServiceUnavailable, 60_000), ok()]);
+        let mut client = WireClient::new(&script).with_retry(policy(2));
+        let started = Instant::now();
+        assert!(matches!(
+            client.call(request()),
+            Ok(WireResponse::Catalog(_))
+        ));
+        assert!(
+            started.elapsed() < Duration::from_millis(500),
+            "a 60 s hint was slept: {:?}",
+            started.elapsed()
+        );
     }
 }

@@ -223,8 +223,9 @@ pub struct ApiError {
     /// Backpressure hint in milliseconds: how long the sender suggests
     /// the client wait before retrying. `0` means no hint. Busy/shed
     /// responses derive this from current load, turning load shedding
-    /// into cooperative degradation; recovery policies take
-    /// `max(backoff, retry_after_ms)` as the pause floor.
+    /// into cooperative degradation; a retrying `WireClient` pauses
+    /// `max(backoff, retry_after_ms)`, capped at its policy's
+    /// `max_backoff`.
     pub retry_after_ms: u32,
 }
 

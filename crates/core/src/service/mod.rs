@@ -95,7 +95,6 @@
 mod client;
 mod envelope;
 mod error;
-mod recovery;
 mod server;
 mod transport;
 
@@ -110,6 +109,5 @@ pub use envelope::{
     WireResponse, ENVELOPE_HEADER_LEN, WIRE_VERSION,
 };
 pub use error::{ApiError, ApiErrorCode};
-pub use recovery::{Recovery, RecoveryMetrics};
 pub use server::{snapshot_from_dump, ProviderService};
 pub use transport::{Loopback, Transport, TransportError};

@@ -145,7 +145,6 @@ impl TcpTransport {
             base_backoff: self.config.retry_backoff,
             max_backoff: self.config.retry_backoff.saturating_mul(8),
             max_attempts: self.config.connect_retries + 1,
-            op_deadline: None,
             jitter_seed: seed,
         }
     }

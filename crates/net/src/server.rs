@@ -644,7 +644,7 @@ struct EventLoop {
     /// Set once shutdown is observed: no new accepts, no new parses.
     stopping: bool,
     /// Hard deadline for the shutdown drain.
-    stop_deadline: Option<Instant>,
+    drain_deadline: Option<Instant>,
 }
 
 impl EventLoop {
@@ -666,7 +666,7 @@ impl EventLoop {
             touched: Vec::new(),
             last_sweep: Instant::now(),
             stopping: false,
-            stop_deadline: None,
+            drain_deadline: None,
         }
     }
 
@@ -1199,7 +1199,7 @@ impl EventLoop {
             self.stopping = true;
             // Deadline for the drain: dispatched work gets to finish,
             // but a wedged service cannot hold shutdown hostage.
-            self.stop_deadline = Some(Instant::now() + Duration::from_secs(10));
+            self.drain_deadline = Some(Instant::now() + Duration::from_secs(10));
             if let Some(listener) = self.listener.take() {
                 let _ = self.poller.deregister(listener.as_raw_fd());
             }
@@ -1214,7 +1214,7 @@ impl EventLoop {
         let inflight: usize = self.conns.values().map(|c| c.inflight).sum();
         let unflushed = self.conns.values().any(|c| c.pending_write() > 0);
         let drained = !jobs_pending && !replies_pending && inflight == 0 && !unflushed;
-        drained || self.stop_deadline.is_some_and(|d| Instant::now() >= d)
+        drained || self.drain_deadline.is_some_and(|d| Instant::now() >= d)
     }
 }
 

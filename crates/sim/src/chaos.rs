@@ -1,7 +1,7 @@
-//! Seeded chaos drills: a wire client with operation-level
-//! recovery purchasing against a **durable** provider through a
-//! [`FaultTransport`], optionally with a provider kill/restart (torn
-//! shard tail included) in the middle of the run.
+//! Seeded chaos drills: a retrying wire client purchasing against a
+//! **durable** provider through a [`FaultTransport`], optionally with a
+//! provider kill/restart (torn shard tail included) in the middle of the
+//! run.
 //!
 //! Every drill is driven by one seed: the fault schedule is a pure
 //! function of `(seed, site, call#)` (see [`p2drm_faults::FaultPlan`]),
@@ -24,12 +24,11 @@
 //!    distinct id.
 
 use p2drm_core::entities::provider::{ContentProvider, ProviderConfig};
-use p2drm_core::retry::{CircuitBreaker, RetryBudget, RetryPolicy};
-use p2drm_core::service::{Loopback, ProviderService, Recovery, RecoveryMetrics, WireClient};
+use p2drm_core::retry::RetryPolicy;
+use p2drm_core::service::{Loopback, ProviderService, WireClient};
 use p2drm_core::system::{System, SystemConfig};
 use p2drm_crypto::rng::test_rng;
 use p2drm_faults::{crash, transport_sites, FaultPlan, FaultTransport, Schedule};
-use p2drm_obs::Registry;
 use p2drm_store::{SyncPolicy, WalShardedConfig};
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -50,18 +49,6 @@ pub struct ChaosConfig {
     pub kill_restart: bool,
 }
 
-impl ChaosConfig {
-    /// Default drill: 48 ops at 5% with a mid-run kill/restart.
-    pub fn new(seed: u64) -> Self {
-        ChaosConfig {
-            seed,
-            ops: 48,
-            fault_rate_pct: 5,
-            kill_restart: true,
-        }
-    }
-}
-
 /// Everything one drill observed, invariants included.
 #[derive(Clone, Debug)]
 pub struct ChaosOutcome {
@@ -79,10 +66,10 @@ pub struct ChaosOutcome {
     pub recovery_rate: f64,
     /// Fault decisions that fired, across all sites.
     pub faults_fired: u64,
-    /// Retries the client actually sent (`client_retries`).
-    pub retries: u64,
-    /// Operations abandoned with attempts/budget exhausted.
-    pub giveups: u64,
+    /// Requests the client submitted over the faulty wire, retries
+    /// included (every submit consults
+    /// [`transport_sites::RESET_MID_WRITE`] first).
+    pub exchanges: u64,
     /// Purchases that failed during the workload and parked their
     /// request for settlement.
     pub parked: u64,
@@ -124,25 +111,6 @@ impl TempDir {
 impl Drop for TempDir {
     fn drop(&mut self) {
         let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
-
-/// Recovery tuned for drills: fast backoffs (the drill sleeps real
-/// time), no wall-clock deadline and an effectively-disabled breaker so
-/// the decision trace stays a pure function of the seed, and budget
-/// ample enough that give-ups measure the schedule, not the wallet.
-fn drill_recovery(seed: u64, ops: usize, registry: &Registry) -> Recovery {
-    Recovery {
-        policy: RetryPolicy {
-            base_backoff: Duration::from_micros(200),
-            max_backoff: Duration::from_millis(2),
-            max_attempts: 4,
-            op_deadline: None,
-            jitter_seed: seed,
-        },
-        budget: RetryBudget::new(4 * ops as u32 + 64, 1_000),
-        breaker: CircuitBreaker::new(u32::MAX, Duration::from_millis(1)),
-        metrics: Some(RecoveryMetrics::register(registry)),
     }
 }
 
@@ -220,7 +188,6 @@ pub fn run_drill(config: &ChaosConfig) -> ChaosOutcome {
     let spent_before = mint.spent_count();
 
     let plan = armed_plan(config.seed, config.fault_rate_pct);
-    let registry = Registry::new();
     let (mut succeeded, mut unquoted) = (0u64, 0u64);
     let mut restart_truncated_tail = false;
 
@@ -235,11 +202,13 @@ pub fn run_drill(config: &ChaosConfig) -> ChaosOutcome {
                 .with_ra(sys.ra.clone());
             service.set_time(sys.epoch(), sys.now());
             let transport = FaultTransport::new(Loopback::new(&service), plan.clone());
-            let mut client = WireClient::new(transport).with_recovery(drill_recovery(
-                config.seed,
-                config.ops,
-                &registry,
-            ));
+            // Fast backoffs: the drill sleeps real time.
+            let mut client = WireClient::new(transport).with_retry(RetryPolicy {
+                base_backoff: Duration::from_micros(200),
+                max_backoff: Duration::from_millis(2),
+                max_attempts: 4,
+                jitter_seed: config.seed,
+            });
             client.set_epoch(sys.epoch());
 
             for op in 0..phase_ops {
@@ -328,7 +297,6 @@ pub fn run_drill(config: &ChaosConfig) -> ChaosOutcome {
         ));
     }
 
-    let snap = registry.snapshot();
     ChaosOutcome {
         seed: config.seed,
         fault_rate_pct: config.fault_rate_pct,
@@ -337,8 +305,7 @@ pub fn run_drill(config: &ChaosConfig) -> ChaosOutcome {
         ops_succeeded: succeeded,
         recovery_rate: succeeded as f64 / config.ops.max(1) as f64,
         faults_fired: plan.total_fired(),
-        retries: snap.counter("client_retries").unwrap_or(0),
-        giveups: snap.counter("client_retry_giveups").unwrap_or(0),
+        exchanges: plan.calls(transport_sites::RESET_MID_WRITE),
         parked,
         unquoted,
         paid_empty_handed,

@@ -86,9 +86,9 @@ fn wide_sweep_holds_invariants_and_replays() {
         let recovery =
             100.0 * drills.iter().map(|o| o.recovery_rate).sum::<f64>() / drills.len() as f64;
         println!(
-            "{rate}%: {} drills, mean recovery {recovery:.1}%, {} retries, {} parked, {} unquoted, {} paid empty-handed",
+            "{rate}%: {} drills, mean recovery {recovery:.1}%, {} exchanges, {} parked, {} unquoted, {} paid empty-handed",
             drills.len(),
-            sum(|o| o.retries),
+            sum(|o| o.exchanges),
             sum(|o| o.parked),
             sum(|o| o.unquoted),
             sum(|o| o.paid_empty_handed),

@@ -264,8 +264,8 @@ fn empty_and_garbage_inputs_answer_cleanly() {
 /// distinct id.
 mod coin_conservation {
     use super::*;
-    use p2drm::core::retry::{CircuitBreaker, RetryBudget, RetryPolicy};
-    use p2drm::core::service::{Loopback, Recovery, WireClient};
+    use p2drm::core::retry::RetryPolicy;
+    use p2drm::core::service::{Loopback, WireClient};
     use p2drm::core::ContentId;
     use p2drm::faults::{transport_sites, FaultPlan, FaultTransport, Schedule};
     use proptest::prelude::*;
@@ -325,17 +325,11 @@ mod coin_conservation {
             );
             let service = sys.wire_service(seed);
             let transport = FaultTransport::new(Loopback::new(&service), plan);
-            let mut client = WireClient::new(transport).with_recovery(Recovery {
-                policy: RetryPolicy {
-                    base_backoff: Duration::from_micros(100),
-                    max_backoff: Duration::from_millis(1),
-                    max_attempts: 3,
-                    op_deadline: None,
-                    jitter_seed: seed,
-                },
-                budget: RetryBudget::new(64, 1_000),
-                breaker: CircuitBreaker::new(u32::MAX, Duration::from_millis(1)),
-                metrics: None,
+            let mut client = WireClient::new(transport).with_retry(RetryPolicy {
+                base_backoff: Duration::from_micros(100),
+                max_backoff: Duration::from_millis(1),
+                max_attempts: 3,
+                jitter_seed: seed,
             });
             client.set_epoch(sys.epoch());
 
