@@ -60,6 +60,11 @@ pub fn block(key: &[u8; KEY_LEN], nonce: &[u8; NONCE_LEN], counter: u32) -> [u8;
 /// XORs `data` in place with the keystream starting at `initial_counter`.
 ///
 /// Encryption and decryption are the same operation.
+///
+/// # Panics
+///
+/// If `data` needs a block counter past `u32::MAX`: the counter would
+/// wrap to 0 and reuse keystream blocks, which RFC 7539 forbids.
 pub fn apply_keystream(
     key: &[u8; KEY_LEN],
     nonce: &[u8; NONCE_LEN],
@@ -67,6 +72,11 @@ pub fn apply_keystream(
     data: &mut [u8],
 ) {
     // lint: secret(key)
+    let blocks = data.len().div_ceil(64) as u64;
+    assert!(
+        u64::from(initial_counter) + blocks <= 1 << 32,
+        "ChaCha20 block counter would wrap: {blocks} blocks from counter {initial_counter} reuse keystream"
+    );
     let mut counter = initial_counter;
     for chunk in data.chunks_mut(64) {
         let ks = block(key, nonce, counter);
@@ -162,5 +172,19 @@ only one tip for the future, sunscreen would be it.";
         let mut tail = vec![0u8; 192];
         apply_keystream(&key, &nonce, 2, &mut tail);
         assert_eq!(&full[64..], &tail[..]);
+    }
+
+    #[test]
+    fn last_counter_block_is_usable() {
+        let mut data = [0u8; 64];
+        apply_keystream(&[4u8; 32], &[6u8; 12], u32::MAX, &mut data);
+        assert_eq!(data, block(&[4u8; 32], &[6u8; 12], u32::MAX));
+        apply_keystream(&[4u8; 32], &[6u8; 12], u32::MAX, &mut []);
+    }
+
+    #[test]
+    #[should_panic(expected = "block counter would wrap")]
+    fn counter_wrap_is_refused() {
+        apply_keystream(&[4u8; 32], &[6u8; 12], u32::MAX, &mut [0; 65]);
     }
 }

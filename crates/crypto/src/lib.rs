@@ -3,7 +3,7 @@
 //!
 //! | Module | Primitive | Used by |
 //! |---|---|---|
-//! | [`sha256`] | FIPS 180-4 SHA-256 | everything (digests, FDH, KDF) |
+//! | [`sha256`] | FIPS 180-4 SHA-256, on the x86-64 SHA extensions when the CPU has them | everything (digests, FDH, KDF) |
 //! | [`hmac`] | HMAC-SHA-256 (RFC 2104) | session MACs, KDF |
 //! | [`kdf`] | HKDF-style expand | content/session key derivation |
 //! | [`chacha20`] | RFC 7539 ChaCha20 | content encryption, escrow payloads |
@@ -18,6 +18,16 @@
 //! test-vector-checked for correctness but are *not* constant-time and have
 //! no side-channel hardening. Do not reuse for production secrets.
 //!
+//! # `unsafe`
+//!
+//! The crate denies `unsafe_code`. One function is exempt:
+//! `sha256::compress_sha_ni`, the guarded call into the SHA-NI
+//! compression kernel. That kernel is a safe `#[target_feature]`
+//! function, and calling it is sound only on a CPU with those features,
+//! so the call sits right after the `is_x86_feature_detected!` checks
+//! that prove it ([`sha256`] module doc). CI fails if a second exemption
+//! appears anywhere in the crate.
+//!
 //! # Example: sign and verify
 //!
 //! ```
@@ -31,7 +41,7 @@
 //! assert!(kp.public().verify(b"other bytes", &sig).is_err());
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 
 pub mod blind;
 pub mod chacha20;

@@ -1,5 +1,37 @@
 //! SHA-256 (FIPS 180-4), implemented from scratch and checked against the
 //! standard test vectors.
+//!
+//! # Two compression kernels
+//!
+//! Every digest, HMAC tag, HKDF expansion, FDH / MGF1 mask and PKCS#1
+//! signature in the workspace ends in one function, the compression of
+//! whole 64-byte blocks into the eight-word state. It has two
+//! implementations with one signature, `(state, blocks)`, where `blocks`
+//! is any whole number of blocks:
+//!
+//! - **SHA-NI** (x86-64 only): the CPU's SHA extensions, `sha256rnds2`
+//!   for two rounds at a time and `sha256msg1` / `sha256msg2` for the
+//!   message schedule. It is a safe `#[target_feature]` function: message
+//!   words and state go in through `_mm_set_epi32` and come out through
+//!   `_mm_extract_epi32`, so its body has no pointer loads and no
+//!   `unsafe`.
+//! - **Portable**: the FIPS 180-4 round function in plain integer code.
+//!
+//! The dispatch rule: a run of blocks goes to SHA-NI when
+//! `is_x86_feature_detected!` reports `sha`, `ssse3` and `sse4.1`, and to
+//! the portable kernel otherwise. std caches the detection, so it is
+//! asked on every call; there is no switch, cargo feature or setting.
+//! Calling the SHA-NI function is this crate's one `unsafe` operation,
+//! and the feature check right above it is what makes it sound.
+//!
+//! The portable kernel stays because CPUs without the extensions and
+//! every other target need it, and because it is the reference the
+//! SHA-NI kernel is tested against, block by block. Both kernels give
+//! bit-identical digests; which one ran is not observable.
+//!
+//! [`Sha256::update`] hands each run of whole input blocks to the kernel
+//! in one call, so a long message keeps its state in registers from the
+//! first block to the last.
 
 /// Digest size in bytes.
 pub const DIGEST_LEN: usize = 32;
@@ -51,6 +83,16 @@ impl Sha256 {
 
     /// Absorbs `data`.
     pub fn update(&mut self, data: &[u8]) {
+        self.update_with(data, compress);
+    }
+
+    /// Finishes and returns the 32-byte digest.
+    pub fn finalize(self) -> [u8; DIGEST_LEN] {
+        self.finalize_with(compress)
+    }
+
+    /// [`Self::update`] on the given compression kernel.
+    fn update_with(&mut self, data: &[u8], kernel: impl Fn(&mut [u32; 8], &[u8])) {
         self.total = self.total.wrapping_add(data.len() as u64);
         let mut rest = data;
         if self.buf_len > 0 {
@@ -60,26 +102,22 @@ impl Sha256 {
             self.buf_len += take;
             rest = &rest[take..];
             if self.buf_len == BLOCK_LEN {
-                let block = self.buf;
-                self.compress(&block);
+                kernel(&mut self.state, &self.buf);
                 self.buf_len = 0;
             }
         }
-        while rest.len() >= BLOCK_LEN {
-            let (block, tail) = rest.split_at(BLOCK_LEN);
-            let mut b = [0u8; BLOCK_LEN];
-            b.copy_from_slice(block);
-            self.compress(&b);
-            rest = tail;
+        let (blocks, tail) = rest.split_at(rest.len() - rest.len() % BLOCK_LEN);
+        if !blocks.is_empty() {
+            kernel(&mut self.state, blocks);
         }
-        if !rest.is_empty() {
-            self.buf[..rest.len()].copy_from_slice(rest);
-            self.buf_len = rest.len();
+        if !tail.is_empty() {
+            self.buf[..tail.len()].copy_from_slice(tail);
+            self.buf_len = tail.len();
         }
     }
 
-    /// Finishes and returns the 32-byte digest.
-    pub fn finalize(mut self) -> [u8; DIGEST_LEN] {
+    /// [`Self::finalize`] on the given compression kernel.
+    fn finalize_with(mut self, kernel: impl Fn(&mut [u32; 8], &[u8])) -> [u8; DIGEST_LEN] {
         let bit_len = self.total.wrapping_mul(8);
         // Padding: 0x80, zeros, 8-byte big-endian bit length — assembled
         // in one buffer and absorbed in a single update call (a byte-wise
@@ -94,7 +132,7 @@ impl Sha256 {
             2 * BLOCK_LEN - self.buf_len
         };
         pad[pad_len - 8..pad_len].copy_from_slice(&bit_len.to_be_bytes());
-        self.update(&pad[..pad_len]);
+        self.update_with(&pad[..pad_len], kernel);
         debug_assert_eq!(self.buf_len, 0);
 
         let mut out = [0u8; DIGEST_LEN];
@@ -103,8 +141,42 @@ impl Sha256 {
         }
         out
     }
+}
 
-    fn compress(&mut self, block: &[u8; BLOCK_LEN]) {
+/// Compresses `blocks` (a whole number of 64-byte blocks) into `state`
+/// on the SHA extensions when this CPU has them, else portably.
+fn compress(state: &mut [u32; 8], blocks: &[u8]) {
+    #[cfg(target_arch = "x86_64")]
+    if compress_sha_ni(state, blocks) {
+        return;
+    }
+    compress_portable(state, blocks);
+}
+
+/// Runs the SHA-NI kernel and returns `true` if this CPU has the SHA
+/// extensions; returns `false`, leaving `state` alone, if it has not.
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+fn compress_sha_ni(state: &mut [u32; 8], blocks: &[u8]) -> bool {
+    if !(std::arch::is_x86_feature_detected!("sha")
+        && std::arch::is_x86_feature_detected!("ssse3")
+        && std::arch::is_x86_feature_detected!("sse4.1"))
+    {
+        return false;
+    }
+    // SAFETY: `sha_ni::compress` is safe apart from its
+    // `#[target_feature(enable = "sha,sse2,ssse3,sse4.1")]`; the running
+    // CPU was just reported to have sha, ssse3 and sse4.1, and sse2 is
+    // part of the x86-64 baseline.
+    unsafe { sha_ni::compress(state, blocks) };
+    true
+}
+
+/// The portable kernel: FIPS 180-4 §6.2.2, one block at a time.
+fn compress_portable(state: &mut [u32; 8], blocks: &[u8]) {
+    let (blocks, rest) = blocks.as_chunks::<BLOCK_LEN>();
+    debug_assert!(rest.is_empty(), "not a whole number of blocks");
+    for block in blocks {
         let mut w = [0u32; 64];
         for i in 0..16 {
             w[i] = u32::from_be_bytes(block[4 * i..4 * i + 4].try_into().unwrap());
@@ -117,7 +189,7 @@ impl Sha256 {
                 .wrapping_add(w[i - 7])
                 .wrapping_add(s1);
         }
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
+        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
         for i in 0..64 {
             let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
             let ch = (e & f) ^ (!e & g);
@@ -138,14 +210,118 @@ impl Sha256 {
             b = a;
             a = t1.wrapping_add(t2);
         }
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
-        self.state[5] = self.state[5].wrapping_add(f);
-        self.state[6] = self.state[6].wrapping_add(g);
-        self.state[7] = self.state[7].wrapping_add(h);
+        for (s, v) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+            *s = s.wrapping_add(v);
+        }
+    }
+}
+
+/// The SHA-NI kernel (Intel SHA extensions, x86-64).
+#[cfg(target_arch = "x86_64")]
+mod sha_ni {
+    use super::{BLOCK_LEN, K};
+    use std::arch::x86_64::{
+        __m128i, _mm_add_epi32, _mm_alignr_epi8, _mm_extract_epi32, _mm_set_epi32,
+        _mm_sha256msg1_epu32, _mm_sha256msg2_epu32, _mm_sha256rnds2_epu32, _mm_shuffle_epi32,
+    };
+
+    /// Four rounds: message words `w` plus `K[4q..4q + 4]`, two rounds
+    /// per `sha256rnds2` (the second pair from the high half of `wk`).
+    macro_rules! rounds4 {
+        ($abef:ident, $cdgh:ident, $w:expr, $q:expr) => {{
+            let k = _mm_set_epi32(
+                K[4 * $q + 3] as i32,
+                K[4 * $q + 2] as i32,
+                K[4 * $q + 1] as i32,
+                K[4 * $q] as i32,
+            );
+            let wk = _mm_add_epi32($w, k);
+            $cdgh = _mm_sha256rnds2_epu32($cdgh, $abef, wk);
+            $abef = _mm_sha256rnds2_epu32($abef, $cdgh, _mm_shuffle_epi32::<0x0e>(wk));
+        }};
+    }
+
+    /// The next four schedule words from the last sixteen, `w0` oldest:
+    /// `W[t] = σ1(W[t−2]) + W[t−7] + σ0(W[t−15]) + W[t−16]`.
+    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+    fn schedule(w0: __m128i, w1: __m128i, w2: __m128i, w3: __m128i) -> __m128i {
+        let t = _mm_add_epi32(_mm_sha256msg1_epu32(w0, w1), _mm_alignr_epi8::<4>(w3, w2));
+        _mm_sha256msg2_epu32(t, w3)
+    }
+
+    /// Big-endian message words `4q..4q + 4` of `block`, word `4q` in
+    /// the low lane.
+    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+    fn words(block: &[u8; BLOCK_LEN], q: usize) -> __m128i {
+        let w = |i: usize| u32::from_be_bytes(block[4 * (4 * q + i)..][..4].try_into().unwrap());
+        _mm_set_epi32(w(3) as i32, w(2) as i32, w(1) as i32, w(0) as i32)
+    }
+
+    /// Compresses `blocks` (a whole number of 64-byte blocks) into
+    /// `state`.
+    ///
+    /// # Safety
+    ///
+    /// Calling it from code without these target features is `unsafe`:
+    /// the running CPU must have `sha`, `ssse3` and `sse4.1`
+    /// (`compress_sha_ni` checks).
+    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+    pub(super) fn compress(state: &mut [u32; 8], blocks: &[u8]) {
+        let (blocks, rest) = blocks.as_chunks::<BLOCK_LEN>();
+        debug_assert!(rest.is_empty(), "not a whole number of blocks");
+        // sha256rnds2 keeps the working variables as ABEF and CDGH,
+        // A and C in the high lanes.
+        let s = state.map(|x| x as i32);
+        let mut abef = _mm_set_epi32(s[0], s[1], s[4], s[5]);
+        let mut cdgh = _mm_set_epi32(s[2], s[3], s[6], s[7]);
+        for block in blocks {
+            let (abef_in, cdgh_in) = (abef, cdgh);
+            let mut w0 = words(block, 0);
+            let mut w1 = words(block, 1);
+            let mut w2 = words(block, 2);
+            let mut w3 = words(block, 3);
+            rounds4!(abef, cdgh, w0, 0);
+            rounds4!(abef, cdgh, w1, 1);
+            rounds4!(abef, cdgh, w2, 2);
+            rounds4!(abef, cdgh, w3, 3);
+            w0 = schedule(w0, w1, w2, w3);
+            rounds4!(abef, cdgh, w0, 4);
+            w1 = schedule(w1, w2, w3, w0);
+            rounds4!(abef, cdgh, w1, 5);
+            w2 = schedule(w2, w3, w0, w1);
+            rounds4!(abef, cdgh, w2, 6);
+            w3 = schedule(w3, w0, w1, w2);
+            rounds4!(abef, cdgh, w3, 7);
+            w0 = schedule(w0, w1, w2, w3);
+            rounds4!(abef, cdgh, w0, 8);
+            w1 = schedule(w1, w2, w3, w0);
+            rounds4!(abef, cdgh, w1, 9);
+            w2 = schedule(w2, w3, w0, w1);
+            rounds4!(abef, cdgh, w2, 10);
+            w3 = schedule(w3, w0, w1, w2);
+            rounds4!(abef, cdgh, w3, 11);
+            w0 = schedule(w0, w1, w2, w3);
+            rounds4!(abef, cdgh, w0, 12);
+            w1 = schedule(w1, w2, w3, w0);
+            rounds4!(abef, cdgh, w1, 13);
+            w2 = schedule(w2, w3, w0, w1);
+            rounds4!(abef, cdgh, w2, 14);
+            w3 = schedule(w3, w0, w1, w2);
+            rounds4!(abef, cdgh, w3, 15);
+            abef = _mm_add_epi32(abef, abef_in);
+            cdgh = _mm_add_epi32(cdgh, cdgh_in);
+        }
+        *state = [
+            _mm_extract_epi32::<3>(abef),
+            _mm_extract_epi32::<2>(abef),
+            _mm_extract_epi32::<3>(cdgh),
+            _mm_extract_epi32::<2>(cdgh),
+            _mm_extract_epi32::<1>(abef),
+            _mm_extract_epi32::<0>(abef),
+            _mm_extract_epi32::<1>(cdgh),
+            _mm_extract_epi32::<0>(cdgh),
+        ]
+        .map(|x| x as u32);
     }
 }
 
@@ -177,45 +353,110 @@ pub fn sha256_hex(data: &[u8]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::{RngCore, SeedableRng};
+
+    type Kernel = fn(&mut [u32; 8], &[u8]);
+
+    /// The SHA-NI kernel, for CPUs that have it.
+    #[cfg(target_arch = "x86_64")]
+    fn sha_ni(state: &mut [u32; 8], blocks: &[u8]) {
+        assert!(compress_sha_ni(state, blocks), "no SHA extensions");
+    }
+
+    /// The SHA-NI kernel if this CPU can run it; says so when it cannot.
+    fn sha_ni_kernel() -> Option<Kernel> {
+        #[cfg(target_arch = "x86_64")]
+        if compress_sha_ni(&mut H0.clone(), &[]) {
+            return Some(sha_ni);
+        }
+        eprintln!("this CPU has no SHA extensions: the SHA-NI half is skipped");
+        None
+    }
+
+    /// Every kernel this CPU can run, the portable one first.
+    fn kernels() -> Vec<(&'static str, Kernel)> {
+        let mut all: Vec<(&'static str, Kernel)> = vec![("portable", compress_portable)];
+        all.extend(sha_ni_kernel().map(|k| ("sha-ni", k)));
+        all
+    }
+
+    fn digest_with(kernel: Kernel, parts: &[&[u8]]) -> [u8; DIGEST_LEN] {
+        let mut h = Sha256::new();
+        for p in parts {
+            h.update_with(p, kernel);
+        }
+        h.finalize_with(kernel)
+    }
+
+    fn hex_with(kernel: Kernel, data: &[u8]) -> String {
+        hex(&digest_with(kernel, &[data]))
+    }
 
     #[test]
     fn fips_vectors() {
-        assert_eq!(
-            sha256_hex(b""),
-            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
-        );
+        for (name, kernel) in kernels() {
+            assert_eq!(
+                hex_with(kernel, b""),
+                "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+                "{name}"
+            );
+            assert_eq!(
+                hex_with(kernel, b"abc"),
+                "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad",
+                "{name}"
+            );
+            assert_eq!(
+                hex_with(
+                    kernel,
+                    b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"
+                ),
+                "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1",
+                "{name}"
+            );
+            // FIPS 180-2's 896-bit message: 112 bytes, so the padding
+            // and length exactly fill the second block.
+            assert_eq!(
+                hex_with(
+                    kernel,
+                    b"abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmn\
+                      hijklmnoijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu"
+                ),
+                "cf5b16a778af8380036ce59e7b0492370b249b11e8f07a51afac45037afee9d1",
+                "{name}"
+            );
+        }
         assert_eq!(
             sha256_hex(b"abc"),
             "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
-        );
-        assert_eq!(
-            sha256_hex(b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"),
-            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"
         );
     }
 
     #[test]
     fn million_a() {
-        let mut h = Sha256::new();
         let chunk = [b'a'; 1000];
-        for _ in 0..1000 {
-            h.update(&chunk);
+        for (name, kernel) in kernels() {
+            let mut h = Sha256::new();
+            for _ in 0..1000 {
+                h.update_with(&chunk, kernel);
+            }
+            assert_eq!(
+                hex(&h.finalize_with(kernel)),
+                "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0",
+                "{name}"
+            );
         }
-        assert_eq!(
-            hex(&h.finalize()),
-            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
-        );
     }
 
     #[test]
     fn incremental_equals_oneshot_at_odd_boundaries() {
         let data: Vec<u8> = (0..=255u8).cycle().take(1000).collect();
         let expect = sha256(&data);
-        for split in [0usize, 1, 55, 56, 63, 64, 65, 127, 500, 999, 1000] {
-            let mut h = Sha256::new();
-            h.update(&data[..split]);
-            h.update(&data[split..]);
-            assert_eq!(h.finalize(), expect, "split={split}");
+        for (name, kernel) in kernels() {
+            for split in [0usize, 1, 55, 56, 63, 64, 65, 127, 500, 999, 1000] {
+                let (a, b) = data.split_at(split);
+                assert_eq!(digest_with(kernel, &[a, b]), expect, "{name} split={split}");
+            }
         }
     }
 
@@ -228,13 +469,75 @@ mod tests {
     #[test]
     fn padding_boundary_lengths() {
         // Lengths 55, 56, 57, 63, 64 exercise the two-block padding cases.
-        for len in [55usize, 56, 57, 63, 64, 119, 120] {
-            let data = vec![0x5a; len];
-            let mut h = Sha256::new();
-            for b in &data {
-                h.update(std::slice::from_ref(b));
+        for (name, kernel) in kernels() {
+            for len in [55usize, 56, 57, 63, 64, 119, 120] {
+                let data = vec![0x5a; len];
+                let bytes: Vec<&[u8]> = data.iter().map(std::slice::from_ref).collect();
+                assert_eq!(
+                    digest_with(kernel, &bytes),
+                    digest_with(compress_portable, &[&data]),
+                    "{name} len={len}"
+                );
+                assert_eq!(digest_with(kernel, &[&data]), sha256(&data), "{name}");
             }
-            assert_eq!(h.finalize(), sha256(&data), "len={len}");
+        }
+    }
+
+    /// The SHA-NI kernel against the portable one on random states and
+    /// blocks, one block at a time and in runs of 1–300 blocks.
+    #[test]
+    fn sha_ni_kernel_matches_portable() {
+        let Some(sha_ni) = sha_ni_kernel() else {
+            return;
+        };
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x5a_256);
+        let mut block = [0u8; BLOCK_LEN];
+        for i in 0..10_000 {
+            let state: [u32; 8] = std::array::from_fn(|_| rng.next_u32());
+            rng.fill_bytes(&mut block);
+            let (mut fast, mut slow) = (state, state);
+            sha_ni(&mut fast, &block);
+            compress_portable(&mut slow, &block);
+            assert_eq!(fast, slow, "pair {i}: state {state:08x?}");
+        }
+        let mut run = vec![0u8; 300 * BLOCK_LEN];
+        rng.fill_bytes(&mut run);
+        for n in 1..=300 {
+            let state: [u32; 8] = std::array::from_fn(|_| rng.next_u32());
+            let blocks = &run[(300 - n) * BLOCK_LEN..];
+            let (mut fast, mut slow) = (state, state);
+            sha_ni(&mut fast, blocks);
+            compress_portable(&mut slow, blocks);
+            assert_eq!(fast, slow, "run of {n} blocks");
+        }
+        // No blocks, no change.
+        let mut state = H0;
+        sha_ni(&mut state, &[]);
+        assert_eq!(state, H0);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// `update` at any split points, on either kernel, equals the
+        /// one-shot digest.
+        #[test]
+        fn update_at_random_splits_equals_oneshot(
+            data in proptest::collection::vec(any::<u8>(), 0..700),
+            cuts in proptest::collection::vec(0usize..700, 0..6),
+        ) {
+            let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c.min(data.len())).collect();
+            cuts.sort_unstable();
+            let mut parts = Vec::new();
+            let mut from = 0;
+            for c in cuts.into_iter().chain([data.len()]) {
+                parts.push(&data[from..c]);
+                from = c;
+            }
+            let expect = sha256(&data);
+            for (name, kernel) in kernels() {
+                prop_assert_eq!(digest_with(kernel, &parts), expect, "{}", name);
+            }
         }
     }
 }
