@@ -6,9 +6,22 @@
 //! device's synced CRLs, (4) the holder proves possession of the pseudonym
 //! key (challenge–response via the smart card), and (5) the rights
 //! expression permits the action given persisted per-license state.
+//!
+//! The device's store holds two tables. `state/<license id>` is the
+//! [`RightsState`] each license has used up. `content/<content id>` is
+//! the item's [`DownloadResponse`] encoding (nonce ‖ ciphertext), kept
+//! after the first play that fetched it, so later plays of the item —
+//! under any license — send nothing to the provider. The `content/` rows
+//! never sum above [`CONTENT_BUDGET`] bytes: the oldest-fetched row is
+//! evicted first, and an item larger than the whole budget is never
+//! kept. A durable device rebuilds the eviction order on open from the
+//! rows it finds, in key order. A kept ciphertext is only bytes: every
+//! play still passes every check above and the card's key release
+//! before anything is decrypted.
 
-use crate::ids::DeviceId;
+use crate::ids::{ContentId, DeviceId};
 use crate::license::License;
+use crate::protocol::messages::DownloadResponse;
 use crate::CoreError;
 use p2drm_crypto::envelope::{self, Envelope};
 use p2drm_crypto::rng::CryptoRng;
@@ -19,6 +32,18 @@ use p2drm_pki::crl::{RevocationList, SignedCrl};
 use p2drm_rel::{AccessRequest, Decision, RightsState};
 use p2drm_store::typed::Table;
 use p2drm_store::{ConcurrentKv, MemKv};
+use std::collections::VecDeque;
+
+/// Bytes of `content/` rows a device keeps for offline play: sixteen
+/// 16 KiB ciphertexts' worth. A 16 KiB item's row also holds its nonce
+/// and length prefix (16,399 B), so fifteen such rows fit.
+pub const CONTENT_BUDGET: usize = 256 * 1024;
+
+const CONTENT_PREFIX: &[u8] = b"content/";
+
+fn content_key(id: &ContentId) -> Vec<u8> {
+    [CONTENT_PREFIX, id.as_bytes()].concat()
+}
 
 /// A compliant rendering device, generic over its state store.
 pub struct CompliantDevice<S: ConcurrentKv = MemKv> {
@@ -33,6 +58,9 @@ pub struct CompliantDevice<S: ConcurrentKv = MemKv> {
     pseudonym_crl: RevocationList,
     license_crl_seq: u64,
     pseudonym_crl_seq: u64,
+    /// The `content/` rows, oldest-fetched first, with their sizes.
+    held: VecDeque<(ContentId, usize)>,
+    held_bytes: usize,
 }
 
 impl CompliantDevice<MemKv> {
@@ -83,7 +111,7 @@ impl<S: ConcurrentKv> CompliantDevice<S> {
                 value: vec![1],
             }],
         );
-        Ok(CompliantDevice {
+        let mut device = CompliantDevice {
             device_id: DeviceId::random(rng),
             keys,
             cert,
@@ -95,7 +123,20 @@ impl<S: ConcurrentKv> CompliantDevice<S> {
             pseudonym_crl: RevocationList::new(),
             license_crl_seq: 0,
             pseudonym_crl_seq: 0,
-        })
+            held: VecDeque::new(),
+            held_bytes: 0,
+        };
+        for (key, row) in device.store.scan_prefix(CONTENT_PREFIX) {
+            if let Some(id) = key
+                .get(CONTENT_PREFIX.len()..)
+                .and_then(|id| <[u8; 16]>::try_from(id).ok())
+            {
+                device.held.push_back((ContentId(id), row.len()));
+                device.held_bytes += row.len();
+            }
+        }
+        device.evict_until(0);
+        Ok(device)
     }
 
     /// Device identifier.
@@ -214,6 +255,51 @@ impl<S: ConcurrentKv> CompliantDevice<S> {
         key.as_slice()
             .try_into()
             .map_err(|_| CoreError::BadLicense("content key wrong length"))
+    }
+
+    /// The item as an earlier play kept it; `None` when this device holds
+    /// no readable row for it.
+    pub(crate) fn held_content(&self, id: &ContentId) -> Option<DownloadResponse> {
+        let row = self.store.get(&content_key(id))?;
+        p2drm_codec::from_bytes(&row).ok()
+    }
+
+    /// Keeps a fetched item for later plays, evicting the oldest-fetched
+    /// rows until it fits [`CONTENT_BUDGET`]; an item over the whole
+    /// budget is not kept. A row the store fails to write is not kept
+    /// either: the next play fetches the item again.
+    pub(crate) fn hold_content(&mut self, id: ContentId, item: &DownloadResponse) {
+        let row = p2drm_codec::to_bytes(item);
+        if row.len() > CONTENT_BUDGET {
+            return;
+        }
+        // A row the store could not read back is replaced, not counted
+        // twice.
+        if let Some(at) = self.held.iter().position(|(held, _)| *held == id) {
+            if let Some((_, len)) = self.held.remove(at) {
+                self.held_bytes -= len;
+            }
+        }
+        if self.evict_until(row.len()) && self.store.put(&content_key(&id), &row).is_ok() {
+            self.held.push_back((id, row.len()));
+            self.held_bytes += row.len();
+        }
+    }
+
+    /// Evicts oldest-fetched rows until `room` more bytes fit the budget;
+    /// false if a row could not be deleted.
+    fn evict_until(&mut self, room: usize) -> bool {
+        while self.held_bytes + room > CONTENT_BUDGET {
+            let Some((id, len)) = self.held.pop_front() else {
+                break;
+            };
+            if self.store.delete(&content_key(&id)).is_err() {
+                self.held.push_front((id, len));
+                return false;
+            }
+            self.held_bytes -= len;
+        }
+        true
     }
 
     /// Current persisted state for a license (testing/diagnostics).

@@ -1,8 +1,13 @@
 //! Content access on a compliant device.
 //!
 //! Device checks (license sig, CRLs, holder proof, rights), card key
-//! release sealed to the device key, anonymous download, decryption, and
-//! rights-state consumption — the full enforcement loop.
+//! release sealed to the device key, decryption, and rights-state
+//! consumption — the full enforcement loop — run on the device for every
+//! play. The ciphertext comes from the device's own `content/` row when
+//! an earlier play kept it; only when the row is missing does the
+//! anonymous [`DownloadRequest`] go out. So the provider sees one
+//! download per device and item, not one per play, and never learns
+//! when a kept item is played again.
 
 use crate::entities::device::{challenge_message, CompliantDevice};
 use crate::entities::user::UserAgent;
@@ -13,85 +18,72 @@ use p2drm_crypto::rng::CryptoRng;
 use p2drm_rel::AccessRequest;
 use p2drm_store::ConcurrentKv;
 
-/// Client half of play: the device↔card challenge/proof/key-release
-/// rounds run locally in `begin`; the provider only ever sees the
-/// anonymous [`DownloadRequest`], and `finish` decrypts + consumes.
-pub struct PlaySession {
-    content_key: [u8; 32],
-    license: License,
-    access: AccessRequest,
-}
+/// One play at time `now`: holder challenge, card proof, device
+/// compliance check and key release; then the item's ciphertext — the
+/// device's kept row, or else `fetch`'s answer to the one message that
+/// may cross the wire — decrypted and the play consumed. A fetched item
+/// is kept for the next play once this one has succeeded.
+pub fn play<SD, R, E>(
+    user: &UserAgent,
+    device: &mut CompliantDevice<SD>,
+    license: &License,
+    now: u64,
+    rng: &mut R,
+    fetch: impl FnOnce(DownloadRequest) -> Result<DownloadResponse, E>,
+) -> Result<Vec<u8>, E>
+where
+    SD: ConcurrentKv,
+    R: CryptoRng + ?Sized,
+    E: From<CoreError>,
+{
+    let owned = user
+        .license(&license.id())
+        .ok_or(CoreError::UnknownLicense(license.id()))?;
+    let pseudonym_cert = user
+        .pseudonym_certs()
+        .iter()
+        .find(|c| c.pseudonym_id() == owned.pseudonym)
+        .ok_or(CoreError::BadPseudonym(
+            "certificate for holder key missing",
+        ))?;
 
-impl PlaySession {
-    /// Local rounds: holder challenge, card proof, device compliance
-    /// check, key release. Returns the single message that crosses the
-    /// wire.
-    pub fn begin<SD: ConcurrentKv, R: CryptoRng + ?Sized>(
-        user: &UserAgent,
-        device: &mut CompliantDevice<SD>,
-        license: &License,
-        now: u64,
-        rng: &mut R,
-    ) -> Result<(Self, DownloadRequest), CoreError> {
-        let owned = user
-            .license(&license.id())
-            .ok_or(CoreError::UnknownLicense(license.id()))?;
-        let pseudonym_cert = user
-            .pseudonym_certs()
-            .iter()
-            .find(|c| c.pseudonym_id() == owned.pseudonym)
-            .ok_or(CoreError::BadPseudonym(
-                "certificate for holder key missing",
-            ))?;
+    let nonce = device.make_challenge(rng);
+    let proof_sig = user
+        .card
+        .sign_with_pseudonym(&owned.pseudonym, &challenge_message(&nonce, &license.id()))?;
+    let access = AccessRequest::play(now, device.binding_id());
+    device.check_access(license, Some(pseudonym_cert), &nonce, &proof_sig, &access)?;
+    let sealed = user.card.unwrap_and_reseal(
+        &owned.pseudonym,
+        &license.body.key_envelope,
+        device.public_key(),
+        rng,
+    )?;
+    let content_key = device.open_sealed_key(&sealed)?;
 
-        let nonce = device.make_challenge(rng);
-        let proof_sig = user
-            .card
-            .sign_with_pseudonym(&owned.pseudonym, &challenge_message(&nonce, &license.id()))?;
-        let access = AccessRequest::play(now, device.binding_id());
-        device.check_access(license, Some(pseudonym_cert), &nonce, &proof_sig, &access)?;
-        let sealed = user.card.unwrap_and_reseal(
-            &owned.pseudonym,
-            &license.body.key_envelope,
-            device.public_key(),
-            rng,
-        )?;
-        let content_key = device.open_sealed_key(&sealed)?;
-        Ok((
-            PlaySession {
-                content_key,
-                license: license.clone(),
-                access,
-            },
-            DownloadRequest {
-                content_id: license.body.content_id,
-            },
-        ))
+    let content_id = license.body.content_id;
+    let (item, fetched) = match device.held_content(&content_id) {
+        Some(item) => (item, false),
+        None => (fetch(DownloadRequest { content_id })?, true),
+    };
+    let payload = crate::content::decrypt_payload(&content_key, &item.nonce, &item.ciphertext);
+    device.consume(license, &access)?;
+    if fetched {
+        device.hold_content(content_id, &item);
     }
-
-    /// Decrypts the downloaded payload and consumes the play on the
-    /// device.
-    pub fn finish<SD: ConcurrentKv>(
-        self,
-        device: &mut CompliantDevice<SD>,
-        response: &DownloadResponse,
-    ) -> Result<Vec<u8>, CoreError> {
-        let payload = crate::content::decrypt_payload(
-            &self.content_key,
-            &response.nonce,
-            &response.ciphertext,
-        );
-        device.consume(&self.license, &self.access)?;
-        Ok(payload)
-    }
+    Ok(payload)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::entities::device::CONTENT_BUDGET;
+    use crate::ids::ContentId;
     use crate::service::WireError;
     use crate::system::{System, SystemConfig};
     use p2drm_crypto::rng::test_rng;
+    use p2drm_pki::cert::Validity;
+    use p2drm_store::MemKv;
 
     struct Fx {
         sys: System,
@@ -167,6 +159,140 @@ mod tests {
         f.sys.fund(&bob, 1000);
         let res = f.sys.play(&bob, &mut f.device, &f.license, &mut rng);
         assert!(res.is_err());
+    }
+
+    /// Plays from the device's kept row: a fetch fails the test.
+    fn play_kept(
+        user: &UserAgent,
+        device: &mut CompliantDevice,
+        license: &License,
+        now: u64,
+    ) -> Result<Vec<u8>, CoreError> {
+        play(user, device, license, now, &mut test_rng(190), |_| {
+            panic!("the device holds the item; nothing may be fetched")
+        })
+    }
+
+    /// A fixture whose device kept the item on its first play.
+    fn played_once(seed: u64) -> Fx {
+        let mut f = fixture(seed);
+        f.sys
+            .play(&f.alice, &mut f.device, &f.license, &mut test_rng(seed + 1))
+            .unwrap();
+        assert!(f.device.held_content(&f.license.body.content_id).is_some());
+        f
+    }
+
+    #[test]
+    fn later_plays_use_the_kept_row() {
+        let mut f = played_once(191);
+        let now = f.sys.now();
+        for used in 2..=3 {
+            let payload = play_kept(&f.alice, &mut f.device, &f.license, now).unwrap();
+            assert_eq!(payload, b"SECRET AUDIO");
+            assert_eq!(f.device.rights_state(&f.license).unwrap().plays_used, used);
+        }
+    }
+
+    #[test]
+    fn kept_row_does_not_bypass_revocation() {
+        let mut f = played_once(192);
+        f.sys.provider.revoke_license(&f.license.id()).unwrap();
+        let lic_crl = f.sys.provider.signed_license_crl(50);
+        let pseud_crl = f.sys.provider.signed_pseudonym_crl(50);
+        f.device.sync_crls(&lic_crl, &pseud_crl).unwrap();
+
+        let res = play_kept(&f.alice, &mut f.device, &f.license, f.sys.now());
+        assert!(matches!(res, Err(CoreError::Revoked("license"))), "{res:?}");
+        assert_eq!(f.device.rights_state(&f.license).unwrap().plays_used, 1);
+    }
+
+    #[test]
+    fn kept_row_does_not_bypass_the_play_count() {
+        // fast_test rights template grants play count=3.
+        let mut f = played_once(193);
+        let now = f.sys.now();
+        for _ in 0..2 {
+            play_kept(&f.alice, &mut f.device, &f.license, now).unwrap();
+        }
+        let res = play_kept(&f.alice, &mut f.device, &f.license, now);
+        assert!(matches!(res, Err(CoreError::Denied(_))), "{res:?}");
+        assert_eq!(f.device.rights_state(&f.license).unwrap().plays_used, 3);
+    }
+
+    #[test]
+    fn kept_row_does_not_bypass_the_holder_proof() {
+        let mut f = played_once(194);
+        let bob = f.sys.register_user("bob", &mut test_rng(195)).unwrap();
+        let res = play_kept(&bob, &mut f.device, &f.license, f.sys.now());
+        assert!(res.is_err(), "{res:?}");
+        assert_eq!(f.device.rights_state(&f.license).unwrap().plays_used, 1);
+    }
+
+    /// An item a third of the budget long: three rows are a few bytes
+    /// over it, so two fit.
+    fn third_of_budget(fill: u8) -> DownloadResponse {
+        DownloadResponse {
+            nonce: [fill; 12],
+            ciphertext: vec![fill; CONTENT_BUDGET / 3],
+        }
+    }
+
+    #[test]
+    fn kept_rows_evict_oldest_fetched_first() {
+        let mut f = fixture(196);
+        let item = third_of_budget;
+        let ids: Vec<ContentId> = (0..4).map(|i| ContentId([i; 16])).collect();
+        for (&id, fill) in ids.iter().zip(1..) {
+            f.device.hold_content(id, &item(fill));
+        }
+        let held: Vec<bool> = ids
+            .iter()
+            .map(|id| f.device.held_content(id).is_some())
+            .collect();
+        assert_eq!(held, [false, false, true, true]);
+        assert_eq!(f.device.held_content(&ids[3]), Some(item(4)));
+
+        // An item over the whole budget is not kept, and evicts nothing.
+        let huge = DownloadResponse {
+            nonce: [9; 12],
+            ciphertext: vec![9; CONTENT_BUDGET],
+        };
+        f.device.hold_content(ContentId([9; 16]), &huge);
+        assert_eq!(f.device.held_content(&ContentId([9; 16])), None);
+        assert!(f.device.held_content(&ids[2]).is_some());
+    }
+
+    #[test]
+    fn reopened_device_counts_the_rows_it_finds() {
+        // A store that already holds two kept rows, as a durable device
+        // finds its own after a restart: the third item evicts one.
+        let mut f = fixture(197);
+        let store = MemKv::new();
+        let ids: Vec<ContentId> = (0..3).map(|i| ContentId([i; 16])).collect();
+        for (id, fill) in ids[..2].iter().zip(1..) {
+            let key = [b"content/".as_slice(), id.as_bytes()].concat();
+            store
+                .put(&key, &p2drm_codec::to_bytes(&third_of_budget(fill)))
+                .unwrap();
+        }
+        let provider_cert = f.sys.provider.certificate().clone();
+        let mut device = CompliantDevice::with_store(
+            &mut f.sys.root,
+            &provider_cert,
+            f.sys.ra.blind_public().clone(),
+            store,
+            512,
+            Validity::new(0, u64::MAX / 2),
+            &mut test_rng(198),
+        )
+        .unwrap();
+        device.hold_content(ids[2], &third_of_budget(3));
+        let held: Vec<bool> = ids
+            .iter()
+            .map(|id| device.held_content(id).is_some())
+            .collect();
+        assert_eq!(held, [false, true, true]);
     }
 
     #[test]

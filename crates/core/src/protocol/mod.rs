@@ -2,11 +2,12 @@
 //! RA-facing engines.
 //!
 //! Everything a client sends the provider is built by a **session** —
-//! [`purchase::PurchaseSession`], [`access::PlaySession`],
-//! [`transfer::TransferSession`] — a state machine whose `begin` yields
-//! the request and whose `finish` settles the reply on the client's own
-//! state. [`crate::service::WireClient`] carries the bytes between the
-//! two; nothing else talks to the provider. The RA-facing rounds have
+//! [`purchase::PurchaseSession`], [`transfer::TransferSession`] — a
+//! state machine whose `begin` yields the request and whose `finish`
+//! settles the reply on the client's own state — or by [`access::play`],
+//! the one device-side call that asks for an item's ciphertext only when
+//! the device does not hold it. [`crate::service::WireClient`] carries
+//! the bytes between them; nothing else talks to the provider. The RA-facing rounds have
 //! sessions too ([`pseudonym::PseudonymIssueSession`],
 //! [`attribute::AttributeIssueSession`]), shared by the wire client and
 //! by the three engines that call the RA directly and record each

@@ -11,7 +11,7 @@ use crate::entities::device::CompliantDevice;
 use crate::entities::user::UserAgent;
 use crate::ids::{ContentId, LicenseId};
 use crate::license::License;
-use crate::protocol::access::PlaySession;
+use crate::protocol::access;
 use crate::protocol::attribute::AttributeIssueSession;
 use crate::protocol::messages::{
     CatalogRequest, CrlSyncRequest, LicenseStatus, LicenseStatusRequest, MetricsDumpRequest,
@@ -591,8 +591,11 @@ impl<T: Transport> WireClient<T> {
     }
 
     /// Plays a license on a device: the challenge/proof/key-release
-    /// rounds run locally between device and card, only the anonymous
-    /// download crosses the wire.
+    /// rounds and every rights check run locally between device and
+    /// card on every play. Only the device's first play of an item sends
+    /// the anonymous download; the device keeps the ciphertext, so the
+    /// provider sees one download per device and item, and a later play
+    /// sends nothing once the client knows the server's clock.
     pub fn play<SD: ConcurrentKv, R: CryptoRng + ?Sized>(
         &mut self,
         user: &UserAgent,
@@ -601,11 +604,12 @@ impl<T: Transport> WireClient<T> {
         rng: &mut R,
     ) -> Result<Vec<u8>, WireError> {
         let now = self.server_now()?;
-        let (session, request) = PlaySession::begin(user, device, license, now, rng)?;
-        match self.call(WireRequest::Download(request))? {
-            WireResponse::Download(resp) => Ok(session.finish(device, &resp)?),
-            other => Err(unexpected("download", other)),
-        }
+        access::play(user, device, license, now, rng, |request| {
+            match self.call(WireRequest::Download(request))? {
+                WireResponse::Download(resp) => Ok(resp),
+                other => Err(unexpected("download", other)),
+            }
+        })
     }
 
     /// Synchronizes the device's CRLs from the service.

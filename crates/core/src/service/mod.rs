@@ -50,9 +50,9 @@
 //! encodes the reply. [`WireClient`] is the typed caller: it frames
 //! envelopes over a [`Transport`] (the in-proc [`Loopback`] is provided)
 //! and runs the multi-round flows as the session state machines of
-//! [`crate::protocol`] ([`PurchaseSession`], [`PlaySession`],
-//! [`TransferSession`], [`PseudonymIssueSession`],
-//! [`AttributeIssueSession`]), re-exported here.
+//! [`crate::protocol`] ([`PurchaseSession`], [`TransferSession`],
+//! [`PseudonymIssueSession`], [`AttributeIssueSession`]), re-exported
+//! here, and play as the device-side [`crate::protocol::access::play`].
 //!
 //! [`ContentProvider`]: crate::entities::provider::ContentProvider
 //! [`RegistrationAuthority`]: crate::entities::ra::RegistrationAuthority
@@ -98,7 +98,6 @@ mod error;
 mod server;
 mod transport;
 
-pub use crate::protocol::access::PlaySession;
 pub use crate::protocol::attribute::AttributeIssueSession;
 pub use crate::protocol::pseudonym::PseudonymIssueSession;
 pub use crate::protocol::purchase::PurchaseSession;

@@ -25,6 +25,14 @@
 //! The same measurements run twice, over the in-memory provider store and over
 //! the durable one, so both backends' index is bounded.
 //!
+//! A device keeps the ciphertexts it fetched for offline play, as
+//! `content/` rows bounded by one byte budget. Playing more distinct
+//! 16 KiB items than fit on one in-memory device retains at most the
+//! budget plus 1 KiB (the rows' keys and index slots, the eviction
+//! queue, a rights-state row per license): a row kept past the budget
+//! takes it over. An item larger than the whole budget plays and leaves
+//! no row.
+//!
 //! The RA keeps no record of a blind issuance either: what it learns is
 //! the request it receives, and it retains nothing of it (0 B). A log
 //! entry per issuance (the card id and the blinded value: 48 B for the
@@ -34,6 +42,8 @@ mod common;
 
 use common::LIVE;
 use p2drm_bignum::UBig;
+use p2drm_core::entities::device::CONTENT_BUDGET;
+use p2drm_core::entities::user::PseudonymPolicy;
 use p2drm_core::protocol::messages::{self, PurchaseRequest};
 use p2drm_core::system::{System, SystemConfig};
 use p2drm_crypto::rng::test_rng;
@@ -72,6 +82,47 @@ fn retained_per_item<B: ConcurrentKv + Send + Sync + 'static>(
     let before = LIVE.load(Ordering::Relaxed);
     sys.publish_content("Measured", 100, &payload, rng);
     LIVE.load(Ordering::Relaxed) - before
+}
+
+/// Distinct 16 KiB items played on one device: more than its budget holds.
+const PLAYED_ITEMS: usize = 24;
+/// What a device keeps beyond its `content/` rows' bytes.
+const MAX_RETAINED_BEYOND_BUDGET: i64 = 1024;
+
+/// Heap bytes a device on `sys` retains after its first play of
+/// [`PLAYED_ITEMS`] distinct 16 KiB items, then what one more play of an
+/// item over its whole budget adds.
+fn retained_by_device(sys: &mut System, rng: &mut StdRng) -> (i64, i64) {
+    let mut dave = sys.register_user("dave", rng).unwrap();
+    dave.set_policy(PseudonymPolicy::Static);
+    sys.fund(&dave, 100 * (PLAYED_ITEMS + 1) as u64);
+    let items: Vec<_> = (0..=PLAYED_ITEMS)
+        .map(|i| {
+            let len = if i < PLAYED_ITEMS {
+                ITEM_BYTES
+            } else {
+                CONTENT_BUDGET + 1
+            };
+            let payload = vec![i as u8; len];
+            let cid = sys.publish_content("Played", 100, &payload, rng);
+            (payload, sys.purchase(&mut dave, cid, rng).unwrap())
+        })
+        .collect();
+    let mut device = sys.register_device(rng).unwrap();
+    let mut play = |(payload, license): &(Vec<u8>, _), rng: &mut StdRng| {
+        assert_eq!(
+            &sys.play(&dave, &mut device, license, rng).unwrap(),
+            payload
+        );
+    };
+    let (over_budget, fitting) = items.split_last().unwrap();
+    let before = LIVE.load(Ordering::Relaxed);
+    for item in fitting {
+        play(item, rng);
+    }
+    let kept = LIVE.load(Ordering::Relaxed) - before;
+    play(over_budget, rng);
+    (kept, LIVE.load(Ordering::Relaxed) - before - kept)
 }
 
 /// Heap bytes one more sale leaves on `sys`'s provider and mint.
@@ -144,12 +195,13 @@ fn retained_per_issuance<B: ConcurrentKv + Send + Sync + 'static>(
 #[test]
 fn a_purchase_retains_only_its_index_rows() {
     let mut rng = test_rng(0x4EA9);
-    let sys = System::bootstrap(SystemConfig::fast_test(), &mut rng);
+    let mut sys = System::bootstrap(SystemConfig::fast_test(), &mut rng);
     let in_memory = (
         retained_per_item(&sys, &mut rng),
         retained_per_purchase(&sys, &mut rng),
     );
     let per_issuance = retained_per_issuance(&sys, &mut rng);
+    let (kept_by_device, over_budget_play) = retained_by_device(&mut sys, &mut rng);
     drop(sys);
 
     let dir = std::env::temp_dir().join(format!("p2drm-retained-heap-{}", std::process::id()));
@@ -183,6 +235,19 @@ fn a_purchase_retains_only_its_index_rows() {
              (bound {MAX_RETAINED_PER_PURCHASE} B)"
         );
     }
+    println!(
+        "device: {kept_by_device} B retained after {PLAYED_ITEMS} items \
+         (budget {CONTENT_BUDGET} B), +{over_budget_play} B for an item over it"
+    );
+    assert!(
+        kept_by_device <= CONTENT_BUDGET as i64 + MAX_RETAINED_BEYOND_BUDGET,
+        "a device kept {kept_by_device} B after {PLAYED_ITEMS} distinct items \
+         (budget {CONTENT_BUDGET} B + {MAX_RETAINED_BEYOND_BUDGET} B)"
+    );
+    assert!(
+        over_budget_play <= MAX_RETAINED_BEYOND_BUDGET,
+        "an item over the budget left {over_budget_play} B on the device"
+    );
     println!("RA: {per_issuance} B retained per pseudonym issuance");
     assert!(
         per_issuance <= MAX_RETAINED_PER_ISSUANCE,

@@ -2,9 +2,11 @@
 //! double-redemption mechanism) over the WAL-backed store survives
 //! restarts and torn writes.
 
-use p2drm::core::entities::provider::{ContentProvider, ProviderConfig};
+use p2drm::core::entities::provider::{ContentProvider, MemBackend, ProviderConfig};
 use p2drm::core::protocol::messages::{transfer_proof_bytes, TransferRequest};
-use p2drm::core::service::{Loopback, ProviderService, WireClient};
+use p2drm::core::service::{
+    Loopback, OpCode, ProviderService, Transport, TransportError, WireClient,
+};
 use p2drm::prelude::*;
 use p2drm::store::{ConcurrentKv, SyncPolicy, WalShardedConfig, WalShardedKv};
 use std::path::PathBuf;
@@ -419,6 +421,80 @@ fn device_state_survives_restart() {
     .unwrap();
     let res = sys.play(&alice, &mut device, &license, &mut rng);
     assert!(matches!(res, Err(WireError::Client(CoreError::Denied(_)))));
+}
+
+/// A transport that fails every `Download` frame: a play through it
+/// succeeds only from the ciphertext the device kept.
+struct NoDownloads<'s>(Loopback<'s, MemBackend>);
+
+impl Transport for NoDownloads<'_> {
+    fn submit(&self, corr_id: u64, request: &[u8]) -> Result<(), TransportError> {
+        if request.get(1) == Some(&OpCode::Download.byte()) {
+            return Err(TransportError::Unreachable("no downloads".to_string()));
+        }
+        self.0.submit(corr_id, request)
+    }
+
+    fn complete(
+        &self,
+        deadline: Option<std::time::Instant>,
+    ) -> Result<Option<(u64, Vec<u8>)>, TransportError> {
+        self.0.complete(deadline)
+    }
+}
+
+#[test]
+fn kept_content_survives_restart() {
+    // A WAL-backed device keeps the ciphertext its first play fetched:
+    // after a power cycle it plays the item again with downloads off.
+    let tmp = TempDir::new("device-content");
+    let mut rng = test_rng(8003);
+    let mut sys = System::bootstrap(SystemConfig::fast_test(), &mut rng);
+    let payload = vec![0xC3; 16 * 1024];
+    let cid = sys.publish_content("x", 100, &payload, &mut rng);
+    let mut alice = sys.register_user("alice", &mut rng).unwrap();
+    sys.fund(&alice, 1_000);
+    let license = sys.purchase(&mut alice, cid, &mut rng).unwrap();
+
+    let provider_cert = sys.provider.certificate().clone();
+    let ra_blind = sys.ra.blind_public().clone();
+    let open_device = |sys: &mut System, rng: &mut _| {
+        let (wal, _) = WalShardedKv::open(&tmp.0, ONE_SHARD).unwrap();
+        p2drm::core::entities::CompliantDevice::with_store(
+            &mut sys.root,
+            &provider_cert,
+            ra_blind.clone(),
+            wal,
+            512,
+            p2drm::pki::cert::Validity::new(0, u64::MAX / 2),
+            rng,
+        )
+        .unwrap()
+    };
+    let mut device = open_device(&mut sys, &mut rng);
+    assert_eq!(
+        sys.play(&alice, &mut device, &license, &mut rng).unwrap(),
+        payload
+    );
+    drop(device);
+
+    let service = sys.wire_service(0);
+    let mut offline = WireClient::new(NoDownloads(Loopback::new(&service)));
+    // The transport really refuses downloads: a device that kept nothing
+    // cannot play through it.
+    let mut fresh = sys.register_device(&mut rng).unwrap();
+    assert!(offline
+        .play(&alice, &mut fresh, &license, &mut rng)
+        .is_err());
+
+    let mut device = open_device(&mut sys, &mut rng);
+    assert_eq!(
+        offline
+            .play(&alice, &mut device, &license, &mut rng)
+            .unwrap(),
+        payload
+    );
+    assert_eq!(device.rights_state(&license).unwrap().plays_used, 2);
 }
 
 /// Builds a valid transfer request moving `license` to a fresh recipient

@@ -164,14 +164,29 @@ fn e1_message_costs() {
     assert_eq!(cost(&purchase), (4, 777, 422), "purchase");
 
     let mut device = sys.register_device(&mut rng).unwrap();
+    // The replays below draw from their own generator, so the rows after
+    // them keep the sizes a single play leaves.
+    let mut replay_rng = test_rng(0xE31);
+    let mut second_device = sys.register_device(&mut replay_rng).unwrap();
     let mut t = Transcript::new();
     let service = sys.wire_service(0);
     let replies = Loopback::with_rng(&service, test_rng(0xE30));
-    WireClient::new(Recording::new(replies, &mut t))
+    let mut client = WireClient::new(Recording::new(replies, &mut t));
+    client
         .play(&alice, &mut device, &license, &mut rng)
         .unwrap();
+    // The device kept the ciphertext: playing again records nothing. A
+    // second device still fetches it once.
+    client
+        .play(&alice, &mut device, &license, &mut replay_rng)
+        .unwrap();
+    client
+        .play(&alice, &mut second_device, &license, &mut replay_rng)
+        .unwrap();
+    drop(client);
+    let play = shape(&t);
     assert_eq!(
-        shape(&t),
+        play[..4],
         [
             (Party::Device, Party::Provider, "crl-sync", 16),
             (Party::Provider, Party::Device, "crl-sync", 228),
@@ -179,6 +194,14 @@ fn e1_message_costs() {
             (Party::Provider, Party::Device, "download", 2062),
         ],
         "play"
+    );
+    assert_eq!(
+        play[4..],
+        [
+            (Party::Device, Party::Provider, "download", 16),
+            (Party::Provider, Party::Device, "download", 2062),
+        ],
+        "an empty second play on the same device, then a second device's first play"
     );
 
     let mut bob = sys.register_user("e1-bob", &mut rng).unwrap();

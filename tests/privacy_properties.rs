@@ -75,6 +75,43 @@ fn provider_view_is_identity_free() {
     }
 }
 
+/// Claim: the provider does not learn when an item is played. A device
+/// keeps the ciphertext it fetched, so three plays of one license on one
+/// device reach the provider as one download (three before devices kept
+/// it): every later play is enforced on the device and sends nothing.
+#[test]
+fn replays_reach_the_provider_as_one_download() {
+    let mut rng = test_rng(7002);
+    let mut sys = System::bootstrap(SystemConfig::fast_test(), &mut rng);
+    let cid = sys.publish_content("x", 100, b"payload", &mut rng);
+    let mut alice = sys.register_user("alice", &mut rng).unwrap();
+    sys.fund(&alice, 1_000);
+    sys.ensure_pseudonym(&mut alice, &mut rng).unwrap();
+    let mut device = sys.register_device(&mut rng).unwrap();
+
+    let mut t = Transcript::new();
+    let service = sys.wire_service(7002);
+    let mut client = WireClient::new(Recording::new(Loopback::new(&service), &mut t));
+    let license = client
+        .purchase(&mut alice, &sys.mint, cid, &mut rng)
+        .unwrap();
+    for _ in 0..3 {
+        let payload = client
+            .play(&alice, &mut device, &license, &mut rng)
+            .unwrap();
+        assert_eq!(payload, b"payload");
+    }
+    drop(client);
+
+    let downloads = t
+        .entries()
+        .iter()
+        .filter(|e| e.to == Party::Provider && e.label == "download")
+        .count();
+    assert_eq!(downloads, 1);
+    assert_eq!(device.rights_state(&license).unwrap().plays_used, 3);
+}
+
 /// Claim: distinct purchases under the fresh policy are pairwise
 /// unlinkable — each uses a distinct pseudonym, and the RA (who knows the
 /// identity) never sees any pseudonym it could hand to the provider.
