@@ -455,6 +455,7 @@ impl<B: ConcurrentKv> ContentProvider<B> {
     /// Publishes content with a rights template applied to every sale.
     /// The packaged item (including its content key) and the template are
     /// persisted so the catalog survives [`ContentProvider::resume_durable`].
+    /// A failed store write is returned and the item is not listed.
     pub fn publish<R: CryptoRng + ?Sized>(
         &self,
         title: impl Into<String>,
@@ -462,7 +463,7 @@ impl<B: ConcurrentKv> ContentProvider<B> {
         payload: &[u8],
         rights: Rights,
         rng: &mut R,
-    ) -> ContentId {
+    ) -> Result<ContentId, StoreError> {
         self.publish_with_requirement(title, price, payload, rights, None, rng)
     }
 
@@ -476,7 +477,7 @@ impl<B: ConcurrentKv> ContentProvider<B> {
         rights: Rights,
         attribute: &str,
         rng: &mut R,
-    ) -> ContentId {
+    ) -> Result<ContentId, StoreError> {
         self.publish_with_requirement(
             title,
             price,
@@ -495,7 +496,7 @@ impl<B: ConcurrentKv> ContentProvider<B> {
         rights: Rights,
         required_attribute: Option<String>,
         rng: &mut R,
-    ) -> ContentId {
+    ) -> Result<ContentId, StoreError> {
         // Package and persist with no lock held: ChaCha20 over the whole
         // payload and two store commits must not stall downloads,
         // listings and purchases. The item becomes visible only once it
@@ -508,16 +509,14 @@ impl<B: ConcurrentKv> ContentProvider<B> {
         let id = item.meta.id;
         self.state
             .rights_table
-            .put(&self.state.store, id.as_bytes(), &rights)
-            .expect("template persistence");
+            .put(&self.state.store, id.as_bytes(), &rights)?;
         self.state
             .store
-            .put(&content_row_key(&id), &p2drm_codec::to_bytes(&item))
-            .expect("catalog persistence");
+            .put(&content_row_key(&id), &p2drm_codec::to_bytes(&item))?;
         // The store row is the ciphertext's only copy; the entry drops it.
         let entry = item.into_entry(rights);
         self.state.catalog.write().insert(entry);
-        id
+        Ok(id)
     }
 
     /// Trusts an RA per-attribute verification key (operator setup).

@@ -5,15 +5,37 @@
 //! card exposes exactly the oracle interface the paper assumes: generate a
 //! pseudonym (with escrow), sign challenges, and unwrap content keys
 //! *re-sealed to a device key* so raw keys never cross the card boundary.
+//!
+//! Every pseudonym is a fresh RSA key pair, and its key generation is
+//! most of an issuance's cost. So the card keeps at most one key pair in
+//! preparation, on a thread of its own, while the rest of the journey
+//! runs:
+//! - [`SmartCard::begin_pseudonym`] takes the prepared key, joining its
+//!   thread, or generates one inline when none is prepared (the card's
+//!   first issuance, or a thread that could not be spawned or panicked).
+//! - If the budget has room for one more pseudonym after this one, it
+//!   then draws a 32-byte seed from the caller's generator and starts the
+//!   next key's thread, which runs the same [`RsaKeyPair::generate`] over
+//!   a ChaCha20 stream of that seed. Keys stay a function of the caller's
+//!   generator, and a card that can issue no further pseudonym (a budget
+//!   of one, or one slot left) prepares nothing.
+//! - The escrow, epoch and body are built at `begin_pseudonym` time, as
+//!   for an inline key. A prepared key is never shown before it is
+//!   certified, so nothing new crosses the wire.
+//! - [`SmartCard::mark_revoked`] discards the prepared key, and dropping
+//!   the card detaches its thread. The prepared key is not pseudonym
+//!   storage: [`SmartCard::pseudonym_count`] and
+//!   [`SmartCard::memory_bytes`] do not count it.
 
 use crate::entities::ttp::Ttp;
 use crate::ids::{CardId, UserId};
 use crate::CoreError;
 use p2drm_crypto::envelope::{self, Envelope};
-use p2drm_crypto::rng::CryptoRng;
+use p2drm_crypto::rng::{random_array, ChaChaRng, CryptoRng};
 use p2drm_crypto::rsa::{RsaKeyPair, RsaPublicKey, RsaSignature};
 use p2drm_pki::cert::{Certificate, KeyId, PseudonymCertBody};
 use std::collections::HashMap;
+use std::thread::JoinHandle;
 
 /// Card resource limits (the paper discusses card memory pressure; E6
 /// measures bytes-per-pseudonym against this budget).
@@ -37,6 +59,11 @@ pub struct SmartCard {
     master: RsaKeyPair,
     master_cert: Certificate,
     pseudonyms: HashMap<KeyId, RsaKeyPair>,
+    /// The next pseudonym key pair, generated on its own thread. Revoking
+    /// or dropping the card drops the handle unjoined: the thread owns
+    /// only its seed and shares no state, so detaching it loses nothing
+    /// but a key no one will use.
+    prepared: Option<JoinHandle<RsaKeyPair>>,
     budget: CardBudget,
     revoked: bool,
 }
@@ -58,6 +85,7 @@ impl SmartCard {
             master,
             master_cert,
             pseudonyms: HashMap::new(),
+            prepared: None,
             budget,
             revoked: false,
         }
@@ -102,9 +130,10 @@ impl SmartCard {
     }
 
     /// Marks the card revoked (RA tamper response); all operations fail
-    /// afterwards.
+    /// afterwards, and the key in preparation is discarded unused.
     pub fn mark_revoked(&mut self) {
         self.revoked = true;
+        self.prepared = None;
     }
 
     /// Whether this card has been revoked.
@@ -120,8 +149,16 @@ impl SmartCard {
         }
     }
 
+    /// Whether a pseudonym key pair is in preparation.
+    #[cfg(test)]
+    pub(crate) fn has_prepared_key(&self) -> bool {
+        self.prepared.is_some()
+    }
+
     /// Generates a fresh pseudonym key pair plus its escrowed certificate
-    /// body. The private key never leaves the card.
+    /// body. The private key never leaves the card. The key is the one in
+    /// preparation if there is one, and the next is prepared while the
+    /// budget has room for it (module doc).
     pub fn begin_pseudonym<R: CryptoRng + ?Sized>(
         &mut self,
         ttp_key: &p2drm_crypto::elgamal::ElGamalPublicKey,
@@ -132,7 +169,13 @@ impl SmartCard {
         if self.pseudonyms.len() >= self.budget.max_pseudonyms {
             return Err(CoreError::Card("pseudonym budget exhausted"));
         }
-        let keypair = RsaKeyPair::generate(self.key_bits, rng);
+        let keypair = match self.prepared.take().map(JoinHandle::join) {
+            Some(Ok(keypair)) => keypair,
+            _ => RsaKeyPair::generate(self.key_bits, rng),
+        };
+        if self.pseudonyms.len() + 1 < self.budget.max_pseudonyms {
+            self.prepare_next(rng);
+        }
         let escrow_plain = Ttp::escrow_plaintext(&self.user_id, rng);
         let escrow = ttp_key.encrypt(&escrow_plain, rng);
         let body = PseudonymCertBody {
@@ -143,6 +186,18 @@ impl SmartCard {
         self.pseudonyms
             .insert(KeyId::of_rsa(keypair.public()), keypair);
         Ok(body)
+    }
+
+    /// Starts generating the next pseudonym key pair from a seed drawn
+    /// from `rng`. A failed spawn leaves nothing prepared, so the next
+    /// issuance generates inline.
+    fn prepare_next<R: CryptoRng + ?Sized>(&mut self, rng: &mut R) {
+        let seed: [u8; 32] = random_array(rng);
+        let bits = self.key_bits;
+        self.prepared = std::thread::Builder::new()
+            .name("card-keygen".into())
+            .spawn(move || RsaKeyPair::generate(bits, &mut ChaChaRng::new(seed, [0; 12])))
+            .ok();
     }
 
     /// Discards a pseudonym key (frees card memory).

@@ -80,6 +80,71 @@ fn memory_grows_with_pseudonyms() {
 }
 
 #[test]
+fn same_seed_cards_issue_the_same_pseudonym_keys() {
+    // Keys prepared in the background are drawn from a seed the caller's
+    // generator supplies, so a card's keys stay a function of its inputs.
+    let ttp = ttp_key(420);
+    let keys = |card_seed: u64| {
+        let mut c = card(card_seed, CardBudget::default());
+        let mut rng = test_rng(421);
+        (0..4)
+            .map(|_| {
+                let body = c.begin_pseudonym(ttp.public(), 0, &mut rng).unwrap();
+                assert!(c.has_prepared_key());
+                body.pseudonym_key
+            })
+            .collect::<Vec<_>>()
+    };
+    let a = keys(422);
+    assert_eq!(a, keys(422));
+    for (i, k) in a.iter().enumerate() {
+        assert!(a[i + 1..].iter().all(|later| later != k), "fresh keys");
+    }
+}
+
+#[test]
+fn revocation_discards_the_prepared_key() {
+    let mut c = card(423, CardBudget::default());
+    let ttp = ttp_key(424);
+    let mut rng = test_rng(425);
+    c.begin_pseudonym(ttp.public(), 0, &mut rng).unwrap();
+    assert!(c.has_prepared_key());
+    c.mark_revoked();
+    assert!(!c.has_prepared_key(), "never used");
+    assert!(matches!(
+        c.begin_pseudonym(ttp.public(), 0, &mut rng),
+        Err(CoreError::Card("card revoked"))
+    ));
+    assert_eq!(c.pseudonym_count(), 1);
+}
+
+#[test]
+fn a_card_with_no_slot_after_this_one_prepares_nothing() {
+    let ttp = ttp_key(426);
+    let mut rng = test_rng(427);
+    let mut single = card(428, CardBudget { max_pseudonyms: 1 });
+    single.begin_pseudonym(ttp.public(), 0, &mut rng).unwrap();
+    assert!(!single.has_prepared_key());
+
+    let mut c = card(429, CardBudget { max_pseudonyms: 2 });
+    c.begin_pseudonym(ttp.public(), 0, &mut rng).unwrap();
+    assert!(c.has_prepared_key(), "room for one more");
+    c.begin_pseudonym(ttp.public(), 0, &mut rng).unwrap();
+    assert!(!c.has_prepared_key(), "at max_pseudonyms - 1 before it");
+}
+
+#[test]
+fn the_prepared_key_is_not_card_storage() {
+    let mut c = card(430, CardBudget::default());
+    let ttp = ttp_key(431);
+    let mut rng = test_rng(432);
+    c.begin_pseudonym(ttp.public(), 0, &mut rng).unwrap();
+    assert!(c.has_prepared_key());
+    assert_eq!(c.pseudonym_count(), 1);
+    assert_eq!(c.memory_bytes(), 2 * 2 * (c.key_bits() / 8));
+}
+
+#[test]
 fn escrow_plaintexts_are_salted() {
     // Two escrows of the same user must differ (nonce) so equal users are
     // not linkable across certificates even at the ciphertext layer.

@@ -305,6 +305,36 @@ mod tests {
     }
 
     #[test]
+    fn cut_and_choose_of_three_keeps_one_survivor() {
+        // Three candidates: the first key generated inline, the other two
+        // taken from the card's preparation.
+        let mut f = fixture(170);
+        let mut rng = test_rng(171);
+        let mut t = Transcript::new();
+        let id = obtain_pseudonym_cut_and_choose(
+            &mut f.user,
+            &f.ra,
+            f.ttp.escrow_key(),
+            1,
+            100,
+            3,
+            &mut rng,
+            &mut t,
+        )
+        .unwrap();
+        let cert = f.user.pseudonym_certs().last().unwrap();
+        assert_eq!(cert.pseudonym_id(), id);
+        assert!(cert.verify(f.ra.blind_public()).is_ok());
+        assert_eq!(f.user.pseudonym_certs().len(), 1);
+        assert_eq!(
+            f.user.card.pseudonym_count(),
+            1,
+            "opened candidates forgotten"
+        );
+        assert!(f.user.card.sign_with_pseudonym(&id, b"challenge").is_ok());
+    }
+
+    #[test]
     fn cut_and_choose_audit_rejects_wrong_epoch_candidates() {
         // The card builds candidates for epoch 5 but the RA expects 2:
         // every opened candidate fails the audit, so issuance fails with

@@ -305,6 +305,11 @@ impl<B: p2drm_store::ConcurrentKv + Send + Sync + 'static> System<B> {
 
     /// Publishes content on the private provider with the default rights
     /// template.
+    ///
+    /// # Panics
+    ///
+    /// If the provider's store fails a write; [`ContentProvider::publish`]
+    /// returns that error instead.
     pub fn publish_content<R: CryptoRng + ?Sized>(
         &self,
         title: &str,
@@ -312,13 +317,15 @@ impl<B: p2drm_store::ConcurrentKv + Send + Sync + 'static> System<B> {
         payload: &[u8],
         rng: &mut R,
     ) -> ContentId {
-        self.provider.publish(
-            title,
-            price,
-            payload,
-            self.config.rights_template.clone(),
-            rng,
-        )
+        self.provider
+            .publish(
+                title,
+                price,
+                payload,
+                self.config.rights_template.clone(),
+                rng,
+            )
+            .expect("the provider's store accepts the item")
     }
 
     /// Publishes content on the baseline provider.
@@ -396,6 +403,11 @@ impl<B: p2drm_store::ConcurrentKv + Send + Sync + 'static> System<B> {
     }
 
     /// Publishes attribute-restricted content (e.g. age-rated).
+    ///
+    /// # Panics
+    ///
+    /// If the provider's store fails a write, as
+    /// [`System::publish_content`].
     pub fn publish_rated_content<R: CryptoRng + ?Sized>(
         &self,
         title: &str,
@@ -404,14 +416,16 @@ impl<B: p2drm_store::ConcurrentKv + Send + Sync + 'static> System<B> {
         attribute: &str,
         rng: &mut R,
     ) -> ContentId {
-        self.provider.publish_restricted(
-            title,
-            price,
-            payload,
-            self.config.rights_template.clone(),
-            attribute,
-            rng,
-        )
+        self.provider
+            .publish_restricted(
+                title,
+                price,
+                payload,
+                self.config.rights_template.clone(),
+                attribute,
+                rng,
+            )
+            .expect("the provider's store accepts the item")
     }
 
     /// Records a verified attribute for the user at the RA and teaches the

@@ -37,17 +37,27 @@
 //! the request it receives, and it retains nothing of it (0 B). A log
 //! entry per issuance (the card id and the blinded value: 48 B for the
 //! one-limb value signed here) takes the bound over.
+//!
+//! A card keeps at most one pseudonym key pair in preparation, beside the
+//! keys it holds. Obtaining and forgetting pseudonyms leaves it holding
+//! what it held, so 32 of them retain at most that one key pair (896 B on
+//! the heap at 512 bits) plus 1 KiB, measured between two points
+//! where no key is being prepared (0 B): a card that kept every prepared
+//! key pair takes it over.
 
 mod common;
 
 use common::LIVE;
 use p2drm_bignum::UBig;
 use p2drm_core::entities::device::CONTENT_BUDGET;
+use p2drm_core::entities::smartcard::{CardBudget, SmartCard};
 use p2drm_core::entities::user::PseudonymPolicy;
 use p2drm_core::protocol::messages::{self, PurchaseRequest};
 use p2drm_core::system::{System, SystemConfig};
 use p2drm_crypto::rng::test_rng;
+use p2drm_crypto::rsa::RsaKeyPair;
 use p2drm_payment::Wallet;
+use p2drm_pki::cert::KeyId;
 use p2drm_store::{ConcurrentKv, SyncPolicy, WalShardedConfig};
 use rand::rngs::StdRng;
 use std::sync::atomic::Ordering;
@@ -123,6 +133,52 @@ fn retained_by_device(sys: &mut System, rng: &mut StdRng) -> (i64, i64) {
     let kept = LIVE.load(Ordering::Relaxed) - before;
     play(over_budget, rng);
     (kept, LIVE.load(Ordering::Relaxed) - before - kept)
+}
+
+/// Pseudonyms a card obtains and forgets while it is measured.
+const CARD_ISSUANCES: usize = 32;
+/// What a card may keep beyond one prepared key pair.
+const MAX_RETAINED_BEYOND_PREPARED: i64 = 1024;
+
+/// One pseudonym key pair begun on `card`.
+fn issue(card: &mut SmartCard, sys: &System, rng: &mut StdRng) -> KeyId {
+    let body = card
+        .begin_pseudonym(sys.ttp.escrow_key(), sys.epoch(), rng)
+        .unwrap();
+    KeyId::of_rsa(&body.pseudonym_key)
+}
+
+/// Heap bytes a card on `sys` retains after obtaining and forgetting
+/// [`CARD_ISSUANCES`] pseudonyms, and the heap bytes of one key pair of
+/// the card's size.
+fn retained_by_card(sys: &System, rng: &mut StdRng) -> (i64, i64) {
+    // Budget 3 with one standing pseudonym: every issuance prepares the
+    // next key, except one that fills the last slot, which takes the
+    // prepared key and starts none. Two issuances and two forgets end
+    // with no key in preparation.
+    let mut erin = sys
+        .register_user_with_budget("erin", CardBudget { max_pseudonyms: 3 }, rng)
+        .unwrap();
+    let card = &mut erin.card;
+    let settle = |card: &mut SmartCard, rng: &mut StdRng| {
+        let (a, b) = (issue(card, sys, rng), issue(card, sys, rng));
+        assert!(card.forget_pseudonym(&a) && card.forget_pseudonym(&b));
+    };
+    issue(card, sys, rng);
+    settle(card, rng);
+
+    let before = LIVE.load(Ordering::Relaxed);
+    let key_pair = RsaKeyPair::generate(card.key_bits(), rng);
+    let key_pair_bytes = LIVE.load(Ordering::Relaxed) - before;
+    drop(key_pair);
+    let before = LIVE.load(Ordering::Relaxed);
+    for _ in 0..CARD_ISSUANCES {
+        let id = issue(card, sys, rng);
+        assert!(card.forget_pseudonym(&id));
+    }
+    settle(card, rng);
+    assert_eq!(card.pseudonym_count(), 1);
+    (LIVE.load(Ordering::Relaxed) - before, key_pair_bytes)
 }
 
 /// Heap bytes one more sale leaves on `sys`'s provider and mint.
@@ -202,6 +258,7 @@ fn a_purchase_retains_only_its_index_rows() {
     );
     let per_issuance = retained_per_issuance(&sys, &mut rng);
     let (kept_by_device, over_budget_play) = retained_by_device(&mut sys, &mut rng);
+    let (kept_by_card, key_pair_bytes) = retained_by_card(&sys, &mut rng);
     drop(sys);
 
     let dir = std::env::temp_dir().join(format!("p2drm-retained-heap-{}", std::process::id()));
@@ -247,6 +304,16 @@ fn a_purchase_retains_only_its_index_rows() {
     assert!(
         over_budget_play <= MAX_RETAINED_BEYOND_BUDGET,
         "an item over the budget left {over_budget_play} B on the device"
+    );
+    println!(
+        "card: {kept_by_card} B retained after {CARD_ISSUANCES} pseudonyms \
+         (one key pair: {key_pair_bytes} B)"
+    );
+    assert!(
+        kept_by_card <= key_pair_bytes + MAX_RETAINED_BEYOND_PREPARED,
+        "a card retained {kept_by_card} B after obtaining and forgetting \
+         {CARD_ISSUANCES} pseudonyms (bound: one {key_pair_bytes} B key pair \
+         + {MAX_RETAINED_BEYOND_PREPARED} B)"
     );
     println!("RA: {per_issuance} B retained per pseudonym issuance");
     assert!(

@@ -163,16 +163,18 @@ pub fn run_drill(config: &ChaosConfig) -> ChaosOutcome {
     .expect("fresh WAL directory opens");
     let cids: Vec<_> = (0..3)
         .map(|i| {
-            provider.publish(
-                format!("chaos-item-{i}"),
-                100,
-                &vec![0xC4u8; 256],
-                p2drm_rel::Rights::builder()
-                    .play(p2drm_rel::Limit::Unlimited)
-                    .transfer(p2drm_rel::Limit::Count(3))
-                    .build(),
-                &mut rng,
-            )
+            provider
+                .publish(
+                    format!("chaos-item-{i}"),
+                    100,
+                    &vec![0xC4u8; 256],
+                    p2drm_rel::Rights::builder()
+                        .play(p2drm_rel::Limit::Unlimited)
+                        .transfer(p2drm_rel::Limit::Count(3))
+                        .build(),
+                    &mut rng,
+                )
+                .expect("the drill publishes before any fault is armed")
         })
         .collect();
     let vault = provider.export_keys();

@@ -7,8 +7,9 @@ use p2drm::core::protocol::messages::{transfer_proof_bytes, TransferRequest};
 use p2drm::core::service::{
     Loopback, OpCode, ProviderService, Transport, TransportError, WireClient,
 };
+use p2drm::faults::{kv_sites, FaultKv, FaultPlan, Schedule};
 use p2drm::prelude::*;
-use p2drm::store::{ConcurrentKv, SyncPolicy, WalShardedConfig, WalShardedKv};
+use p2drm::store::{ConcurrentKv, MemKv, SyncPolicy, WalShardedConfig, WalShardedKv};
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -83,16 +84,18 @@ fn spent_set_is_durable_under(policy: SyncPolicy) {
     .unwrap();
     let service = serve(provider, &sys);
     let provider = service.provider();
-    let cid = provider.publish(
-        "durable",
-        100,
-        b"payload",
-        Rights::builder()
-            .play(Limit::Unlimited)
-            .transfer(Limit::Count(2))
-            .build(),
-        &mut rng,
-    );
+    let cid = provider
+        .publish(
+            "durable",
+            100,
+            b"payload",
+            Rights::builder()
+                .play(Limit::Unlimited)
+                .transfer(Limit::Count(2))
+                .build(),
+            &mut rng,
+        )
+        .unwrap();
 
     // Run a purchase + transfer against this provider.
     let mut alice = sys.register_user("alice", &mut rng).unwrap();
@@ -151,13 +154,15 @@ fn full_provider_restart_with_key_vault() {
         .play(Limit::Unlimited)
         .transfer(Limit::Count(3))
         .build();
-    let cid = provider.publish(
-        "persistent hit",
-        100,
-        b"payload bytes",
-        template.clone(),
-        &mut rng,
-    );
+    let cid = provider
+        .publish(
+            "persistent hit",
+            100,
+            b"payload bytes",
+            template.clone(),
+            &mut rng,
+        )
+        .unwrap();
     let downloaded = provider.download(&cid).unwrap();
     let vault = provider.export_keys();
     let cert = provider.certificate().clone();
@@ -284,10 +289,9 @@ fn a_publish_cut_between_its_rows_restores_no_item_or_its_template() {
             ProviderConfig::fast_test(),
             &mut rng,
         );
-        let cut = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            provider.publish("cut", 100, b"payload", template.clone(), &mut rng)
-        }));
-        assert!(cut.is_err(), "a failed row write panics `publish`");
+        let cut = provider.publish("cut", 100, b"payload", template.clone(), &mut rng);
+        assert!(cut.is_err(), "a failed row write fails `publish`");
+        assert!(provider.list_content().metas().is_empty());
         drop(provider);
 
         let (provider, _) = ContentProvider::open_durable(
@@ -317,6 +321,41 @@ fn a_publish_cut_between_its_rows_restores_no_item_or_its_template() {
             );
         }
     }
+}
+
+/// A store that fails `publish`'s content-row write (a full disk, as
+/// the fault plan injects it) gets the error back: the publisher does not
+/// panic, the item is not listed, and the next publish succeeds.
+#[test]
+fn a_publish_whose_content_row_write_fails_returns_the_error() {
+    let mut rng = test_rng(8007);
+    let mut sys = System::bootstrap(SystemConfig::fast_test(), &mut rng);
+    let plan = Arc::new(FaultPlan::new(8007));
+    let provider = ContentProvider::with_backend(
+        &mut sys.root,
+        sys.mint.clone(),
+        sys.ra.blind_public().clone(),
+        FaultKv::new(MemKv::new(), plan.clone()),
+        ProviderConfig::fast_test(),
+        &mut rng,
+    );
+    // `publish` writes the template, then the content row.
+    plan.set(
+        kv_sites::FAIL_PUT,
+        Schedule::OneShot(plan.calls(kv_sites::FAIL_PUT) + 2),
+    );
+    let res = provider.publish("full disk", 100, b"payload", Rights::default(), &mut rng);
+    assert!(res.is_err(), "the injected write failure is returned");
+    assert_eq!(plan.fired(kv_sites::FAIL_PUT), 1);
+    assert!(provider.list_content().metas().is_empty());
+    assert!(provider.store().scan_prefix(b"content/").is_empty());
+
+    let cid = provider
+        .publish("retried", 100, b"payload", Rights::default(), &mut rng)
+        .unwrap();
+    let listed = provider.list_content();
+    assert_eq!(listed.metas().len(), 1);
+    assert_eq!(listed.metas()[0].id, cid);
 }
 
 /// A `content/` row with no `rightst/` row — which a directory written
@@ -552,16 +591,18 @@ fn durable_provider_restart_preserves_redeem_once() {
     assert_eq!(report.replayed_ops, 0, "fresh directory");
     let service = serve(provider, &sys);
     let provider = service.provider();
-    let cid = provider.publish(
-        "durable hit",
-        100,
-        b"payload",
-        Rights::builder()
-            .play(Limit::Unlimited)
-            .transfer(Limit::Count(3))
-            .build(),
-        &mut rng,
-    );
+    let cid = provider
+        .publish(
+            "durable hit",
+            100,
+            b"payload",
+            Rights::builder()
+                .play(Limit::Unlimited)
+                .transfer(Limit::Count(3))
+                .build(),
+            &mut rng,
+        )
+        .unwrap();
     let vault = provider.export_keys();
     let cert = provider.certificate().clone();
 
@@ -649,16 +690,18 @@ fn racing_double_redeem_across_restart_has_exactly_one_winner() {
     .unwrap();
     let service = serve(provider, &sys);
     let provider = service.provider();
-    let cid = provider.publish(
-        "contended",
-        100,
-        b"payload",
-        Rights::builder()
-            .play(Limit::Unlimited)
-            .transfer(Limit::Count(1))
-            .build(),
-        &mut rng,
-    );
+    let cid = provider
+        .publish(
+            "contended",
+            100,
+            b"payload",
+            Rights::builder()
+                .play(Limit::Unlimited)
+                .transfer(Limit::Count(1))
+                .build(),
+            &mut rng,
+        )
+        .unwrap();
     let vault = provider.export_keys();
     let cert = provider.certificate().clone();
 

@@ -79,7 +79,9 @@ impl Shop {
             .play(Limit::Unlimited)
             .transfer(Limit::Count(2))
             .build();
-        let cid = provider.publish("Track", 100, b"payload", rights, rng);
+        let cid = provider
+            .publish("Track", 100, b"payload", rights, rng)
+            .unwrap();
         Shop {
             sys,
             provider: Arc::new(provider),

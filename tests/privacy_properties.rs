@@ -247,7 +247,8 @@ fn device_binding_enforced() {
         .build();
     let cid = sys
         .provider
-        .publish("bound", 100, b"payload", rights, &mut rng);
+        .publish("bound", 100, b"payload", rights, &mut rng)
+        .unwrap();
 
     let mut alice = sys.register_user("alice", &mut rng).unwrap();
     sys.fund(&alice, 1_000);

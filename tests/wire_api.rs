@@ -715,7 +715,8 @@ mod listing_snapshot {
             assert!(listed.windows(2).all(|w| w[0].id < w[1].id), "id-sorted");
             service
                 .provider()
-                .publish(format!("T{n}"), 10, b"bits", rights.clone(), &mut rng);
+                .publish(format!("T{n}"), 10, b"bits", rights.clone(), &mut rng)
+                .unwrap();
         }
         let before = service.handle(&request);
         assert_eq!(decode_listing(&before).len(), 5);

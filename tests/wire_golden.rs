@@ -57,16 +57,16 @@ impl Transport for Recorder<'_> {
 /// One line per exchange, in session order: request op label and frame
 /// SHA-256, then the response's.
 const GOLDEN: &str = "\
-pseudonym-issue 1958000039b8ee01e013afbae1fb1b6b2256ec6e684e9822478cf7066a26f91c -> pseudonym-issue 86e647db90ca70654500c3f24f80b284d0380dcec5326204b642c1c6ae7e5606
-attribute-issue 621ee48a4a75cacf59a677d0cb878e712f70416cf41647b4e477531c92440c87 -> attribute-issue 5afc67ee1b5cd4545456a3633f097d08276510aafb7cca888ae50c43ffdce073
+pseudonym-issue 068b61809eaaf59ffff96044c1bb2a1e23f2b0ce02ac382c96c05dc73f809e14 -> pseudonym-issue c4b1e713c14371381a4c4ecd310d981467fae77cb43769a4d3ae826e9fb0fbee
+attribute-issue cf6c838531b2f2ce982792bbf0f11b9e9f92e7632bec16cd629573118a5ba496 -> attribute-issue 79186ffff9eb2fbb9c983369259d4359a197f879a74b8941f364d0e4da33126b
 catalog 0f3adaafc9940b5f18e767264e91e3dedd04f23c5c1e4281e25d56b478c5a458 -> catalog 448c6a80bf9888600957d6bc48b70cb568b1ddf5b29819e5f86460cb1e3755d6
 catalog f0e621e7f7b2e4b397cb3961fdc78d78343c51f91a68c4ee1cd77d5e3844f1c9 -> catalog 232dfad7da90ea79d35e6a6cc1f64c4e520e4b6237d6806339fbb51f61467c16
-purchase b078ed5521577008a150345484411cc6b57926a7d28e713f6b2b709e3c6b9510 -> purchase 6cb76c6b35f05872058e56d1e349d566cc117de4449b70ad68c7b9272385d1e9
+purchase b85773bb570eed771a2e23a43541d2e1a70dd845e663282599e91b4c6d09a9a8 -> purchase fef88b3353b6160bbd47705c08bcf00dbdcb67f7b0886a517ea4fd5affadf7fe
 crl-sync 62571304c4d3595f50191c84f7f2b56c043fb6208dc39b794db855147c9c3f7a -> crl-sync 10674f794cbe26153a545aba8e3d062a45084e1f1f7cfa0c408465eebe597d70
 download 033abd7c343248540731f3afdce74e769a371af575b3a00c59a9725a567df402 -> download ec7c6c3aa43e113d8a41f9280f7f7c3b64412e7418217e84ab2c51b4b6321127
-license-status 7bd74f7a3cca08186acb27cff8011565b82366e6a95cea04a3025204af2eb7d1 -> license-status 5314c0aceb279e6c89ad52b6c26ccebf2be9638cb4c0c8da6f0bb908c4dab357
-pseudonym-issue ea67671e1f0f800644eec58093b08a53ebe4480ab8a4795188750bf8c383e5ac -> pseudonym-issue c64772fb1ea7815c3a88a5b6b9f8256a6cb038da7ece41f75d01a5abdb3ca8e2
-transfer 702e892f3da968b620afb7af546b569ec03f57ad92c6c4aca9c7cf9bd66f3d3a -> transfer 48715869f0697abd53c272faceb6992cbfbfa6196d3ebd320d9d7b0dd9b6a883
+license-status 06eeb83a10923e13dd93eb3fb635d6a050bba03c2b160ee04c97b954983dca05 -> license-status 5314c0aceb279e6c89ad52b6c26ccebf2be9638cb4c0c8da6f0bb908c4dab357
+pseudonym-issue 1fda53faf144debf63d8e4bab08db8a41991652cf3d8ba49c25aab25f0c259a5 -> pseudonym-issue e65eb6ba7fb5524dec229cafd99995c3b869228eb11587b61326f44ea06739a3
+transfer 7193a2794bd6415cb1ed97c2da4557766aac73e6966f9af63669c52a454fd839 -> transfer 1963654e263d0343f05a217e59accc999b9b66a46515d7822f15d40a1a199ade
 metrics-dump ffc3e49bb1db74e86e25b61c80347d513acf3207f1bad2ee1f141d7840bd95a7 -> error d8a367b132228023163537bddd68892ed55e4729eea3c8744f6cc4ab13c9f01b
 catalog 50b6959d693b8dffb9a40366d0cf7a959c27bf0fbb2c7443ce8e0d8b37a8271d -> error da936d635f5a0f289b668eb192e9309dd2b597fb49cd5ea23483edb438c5b52f";
 
