@@ -31,7 +31,7 @@
 //! [`ContentProvider`] serves N client threads through `&self`:
 //!
 //! * [`ProviderCore`] (`core` field) — the immutable identity: signing
-//!   key pair, certificate, root/RA trust anchors, configuration. Written
+//!   key pair, certificate, RA trust anchor, configuration. Written
 //!   once at construction, read lock-free from every thread.
 //! * [`ProviderState`] (`state` field) — the mutable tables, each behind
 //!   its own lock so unrelated operations never contend:
@@ -158,7 +158,6 @@ impl ProviderConfig {
 pub struct ProviderCore {
     keys: p2drm_crypto::rsa::RsaKeyPair,
     cert: Certificate,
-    root_key: RsaPublicKey,
     ra_blind_key: RsaPublicKey,
     /// Cached fingerprint of `ra_blind_key` (cache-key component; hashing
     /// the key on every verification would eat into the cache win).
@@ -286,11 +285,9 @@ impl ContentProvider<WalShardedKv> {
     /// (see [`ContentProvider::export_keys`]), state replayed from the
     /// WAL directory. Old licenses verify, spent ids stay spent, CRL
     /// sequences continue monotonically.
-    #[allow(clippy::too_many_arguments)]
     pub fn resume_durable(
         keys: p2drm_crypto::rsa::RsaKeyPair,
         cert: Certificate,
-        root_key: RsaPublicKey,
         mint: Mint,
         ra_blind_key: RsaPublicKey,
         dir: impl Into<PathBuf>,
@@ -298,7 +295,7 @@ impl ContentProvider<WalShardedKv> {
         config: ProviderConfig,
     ) -> Result<(Self, RecoveryReport), CoreError> {
         let (store, report) = WalShardedKv::open(dir, durable)?;
-        let provider = Self::assemble(keys, cert, root_key, mint, ra_blind_key, store, config);
+        let provider = Self::assemble(keys, cert, mint, ra_blind_key, store, config);
         provider.restore_from_store()?;
         Ok((provider, report))
     }
@@ -325,14 +322,12 @@ impl<B: ConcurrentKv> ContentProvider<B> {
             config.validity,
             vec![],
         );
-        let root_key = root.public_key().clone();
-        Self::assemble(keys, cert, root_key, mint, ra_blind_key, backend, config)
+        Self::assemble(keys, cert, mint, ra_blind_key, backend, config)
     }
 
     fn assemble(
         keys: p2drm_crypto::rsa::RsaKeyPair,
         cert: Certificate,
-        root_key: RsaPublicKey,
         mint: Mint,
         ra_blind_key: RsaPublicKey,
         store: B,
@@ -344,7 +339,6 @@ impl<B: ConcurrentKv> ContentProvider<B> {
                 vcache: p2drm_pki::VerifyCache::new(config.verify_cache_capacity),
                 keys,
                 cert,
-                root_key,
                 ra_blind_key,
                 config,
             },
@@ -809,58 +803,6 @@ impl<B: ConcurrentKv> ContentProvider<B> {
         Ok(license)
     }
 
-    /// Domain purchase (authorized-domain extension, `p2drm-domain`):
-    /// sells a license bound to a **domain manager key**. The provider
-    /// verifies the manager is a certified domain manager and takes an
-    /// anonymous coin; it learns "domain D bought X" but never which
-    /// devices or people compose the domain.
-    #[allow(clippy::too_many_arguments)]
-    pub fn handle_domain_purchase<R: CryptoRng + ?Sized>(
-        &self,
-        manager_cert: &Certificate,
-        coin: &p2drm_payment::Coin,
-        content_id: ContentId,
-        domain_name: &str,
-        now: u64,
-        now_epoch: u32,
-        rng: &mut R,
-    ) -> Result<License, CoreError> {
-        manager_cert.verify(&self.core.root_key, now)?;
-        if manager_cert.body.extension("domain-manager").is_none() {
-            return Err(CoreError::BadLicense("not a certified domain manager"));
-        }
-        let manager_key = manager_cert.body.subject_key.as_rsa()?.clone();
-        let (price, content_key, mut rights) = {
-            let catalog = self.state.catalog.read();
-            let item = catalog
-                .get(&content_id)
-                .ok_or(CoreError::UnknownContent(content_id))?;
-            (item.meta.price, item.key, item.rights.clone())
-        };
-        if coin.denomination < price {
-            return Err(CoreError::Payment(
-                p2drm_payment::PaymentError::InsufficientFunds {
-                    balance: coin.denomination,
-                    requested: price,
-                },
-            ));
-        }
-        self.state.mint.deposit(coin)?;
-
-        rights.domain = Some(domain_name.to_string());
-        let body = LicenseBody {
-            license_id: LicenseId::random(rng),
-            content_id,
-            holder: manager_key.clone(),
-            rights,
-            key_envelope: envelope::seal(&manager_key, &content_key, rng),
-            issued_epoch: now_epoch,
-        };
-        let license = License::issue(body, &self.core.keys);
-        self.persist_record(&license, true)?;
-        Ok(license)
-    }
-
     /// Anonymous content download (no authentication — the payload is
     /// useless without a license).
     ///
@@ -893,10 +835,14 @@ impl<B: ConcurrentKv> ContentProvider<B> {
 
     /// Revokes a pseudonym (after TTP de-anonymization).
     pub fn revoke_pseudonym(&self, id: KeyId) -> Result<(), CoreError> {
+        // Row first: a failed write leaves the served list and its
+        // sequence as they were.
         let mut crl = self.state.crl.write();
+        let seq = crl.pseudonym_crl_seq + 1;
+        self.persist_crl_entry(b'p', &id, seq)?;
+        crl.pseudonym_crl_seq = seq;
         crl.pseudonym_crl.insert(id);
-        crl.pseudonym_crl_seq += 1;
-        self.persist_crl_entry(b'p', &id, crl.pseudonym_crl_seq)
+        Ok(())
     }
 
     /// Revokes a license id directly (e.g. refund, abuse).
@@ -915,9 +861,11 @@ impl<B: ConcurrentKv> ContentProvider<B> {
             .insert_if_absent(&self.state.store, lid.as_bytes(), &None)?;
         let id = license_crl_id(lid);
         let mut crl = self.state.crl.write();
+        let seq = crl.license_crl_seq + 1;
+        self.persist_crl_entry(b'l', &id, seq)?;
+        crl.license_crl_seq = seq;
         crl.license_crl.insert(id);
-        crl.license_crl_seq += 1;
-        self.persist_crl_entry(b'l', &id, crl.license_crl_seq)
+        Ok(())
     }
 
     /// Authoritative status of a license id: `Active` (with its holder),

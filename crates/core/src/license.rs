@@ -125,7 +125,7 @@ impl Decode for License {
 /// Encodes as the 32 raw bytes of the key id.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct LicenseRecord {
-    /// Key id of the holder pseudonym (or domain-manager) key.
+    /// Key id of the holder pseudonym key.
     pub holder: KeyId,
 }
 

@@ -9,8 +9,8 @@ use p2drm_codec::{CodecError, Decode, Encode, Reader, Writer};
 /// Codes are part of the wire contract: a variant's number never changes,
 /// and new codes extend the table. Unknown codes received from a newer
 /// peer decode to [`ApiErrorCode::Unrecognized`], preserving the raw
-/// number. 22 and 53 are retired (no handler could raise them) and are
-/// never reassigned; they too decode as `Unrecognized`.
+/// number. 22, 53 and 80 are retired (no handler could raise them) and
+/// are never reassigned; they too decode as `Unrecognized`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum ApiErrorCode {
     /// Request bytes failed to decode (truncated, trailing garbage,
@@ -60,8 +60,6 @@ pub enum ApiErrorCode {
     UnknownContent,
     /// Unknown license id.
     UnknownLicense,
-    /// Authorized-domain failure.
-    Domain,
     /// Big-number arithmetic failure.
     Arithmetic,
     /// Unclassified server-side failure.
@@ -96,7 +94,6 @@ impl ApiErrorCode {
             ApiErrorCode::BadEvidence => 64,
             ApiErrorCode::UnknownContent => 70,
             ApiErrorCode::UnknownLicense => 71,
-            ApiErrorCode::Domain => 80,
             ApiErrorCode::Arithmetic => 90,
             ApiErrorCode::Internal => 99,
             ApiErrorCode::Unrecognized(raw) => raw,
@@ -129,7 +126,6 @@ impl ApiErrorCode {
             64 => ApiErrorCode::BadEvidence,
             70 => ApiErrorCode::UnknownContent,
             71 => ApiErrorCode::UnknownLicense,
-            80 => ApiErrorCode::Domain,
             90 => ApiErrorCode::Arithmetic,
             99 => ApiErrorCode::Internal,
             raw => ApiErrorCode::Unrecognized(raw),
@@ -292,7 +288,7 @@ mod tests {
 
     #[test]
     fn retired_codes_decode_as_unrecognized_and_keep_their_number() {
-        for raw in [22u16, 53] {
+        for raw in [22u16, 53, 80] {
             let code = ApiErrorCode::from_code(raw);
             assert_eq!(code, ApiErrorCode::Unrecognized(raw));
             assert_eq!(code.code(), raw);

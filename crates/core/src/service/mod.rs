@@ -22,7 +22,7 @@
 //!
 //! # Error taxonomy
 //!
-//! The workspace's ten per-crate error enums are unified behind the
+//! The workspace's per-crate error enums are unified behind the
 //! stable numeric [`ApiErrorCode`] carried in error responses, so
 //! internal refactors cannot leak unstably onto the wire:
 //!
@@ -36,7 +36,7 @@
 //! | 50–59 | licenses and rights (`BadLicense`, `AlreadyRedeemed`, REL); 53 retired |
 //! | 60–69 | identity and proofs (revocation, pseudonyms, cards, evidence) |
 //! | 70–79 | lookups (unknown content / license) |
-//! | 80–89 | authorized-domain extension (`DomainError`) |
+//! | 80–89 | unassigned; 80 retired |
 //! | 90–98 | big-number arithmetic (`BigError`) |
 //! | 99 | internal |
 //!

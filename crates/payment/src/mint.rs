@@ -139,20 +139,12 @@ impl Mint {
         Ok(signature)
     }
 
-    /// Deposit: verifies the coin and marks its serial spent.
-    ///
-    /// Exactly one deposit per serial ever succeeds — enforced by the
-    /// atomic [`ConcurrentKv::insert_if_absent`] of the spent-serial store.
-    pub fn deposit(&self, coin: &Coin) -> Result<(), PaymentError> {
-        self.check_coin(coin)?;
-        self.deposit_prechecked(coin)
-    }
-
-    /// Signature-only half of [`Self::deposit`]: checks the coin under
-    /// its denomination key without touching the spent store. Pure and
+    /// Signature half of a deposit: checks the coin under its
+    /// denomination key without touching the spent store. Pure and
     /// side-effect free, so a caller can finish every check of a request
     /// before its first side effect (the provider's purchase path) and
-    /// commit with [`Self::deposit_prechecked`] afterwards.
+    /// commit with [`Self::deposit_for`] or [`Self::deposit_prechecked`]
+    /// afterwards.
     pub fn check_coin(&self, coin: &Coin) -> Result<(), PaymentError> {
         let key = self.public_key(coin.denomination)?;
         if !coin.verify(key) {
@@ -161,9 +153,11 @@ impl Mint {
         Ok(())
     }
 
-    /// Spent-marking half of [`Self::deposit`]. The coin's signature
-    /// MUST have been validated with [`Self::check_coin`] first; this
-    /// method only enforces the exactly-once serial rule.
+    /// Spent-marking half of a deposit. The coin's signature MUST have
+    /// been validated with [`Self::check_coin`] first; this method only
+    /// enforces the exactly-once serial rule: one deposit per serial ever
+    /// succeeds, by the atomic [`ConcurrentKv::insert_if_absent`] of the
+    /// spent-serial store.
     pub fn deposit_prechecked(&self, coin: &Coin) -> Result<(), PaymentError> {
         if self.claim(coin, &[])? {
             Ok(())
@@ -248,7 +242,8 @@ mod tests {
         let coin = wallet.withdraw(&m, "alice", 100, &mut rng).unwrap();
         assert_eq!(m.balance("alice"), 900);
         assert!(coin.verify(m.public_key(100).unwrap()));
-        m.deposit(&coin).unwrap();
+        m.check_coin(&coin).unwrap();
+        m.deposit_prechecked(&coin).unwrap();
         assert_eq!(m.deposited_total(), 100);
         assert_eq!(m.spent_count(), 1);
     }
@@ -283,8 +278,8 @@ mod tests {
         let mut rng = test_rng(103);
         let mut wallet = Wallet::new();
         let coin = wallet.withdraw(&m, "alice", 100, &mut rng).unwrap();
-        m.deposit(&coin).unwrap();
-        assert_eq!(m.deposit(&coin), Err(PaymentError::DoubleSpend));
+        m.deposit_prechecked(&coin).unwrap();
+        assert_eq!(m.deposit_prechecked(&coin), Err(PaymentError::DoubleSpend));
         assert_eq!(m.deposited_total(), 100, "second deposit adds nothing");
     }
 
@@ -305,7 +300,7 @@ mod tests {
             m.deposit_for(&coin, &[2; 16]),
             Err(PaymentError::DoubleSpend)
         );
-        assert_eq!(m.deposit(&coin), Err(PaymentError::DoubleSpend));
+        assert_eq!(m.deposit_prechecked(&coin), Err(PaymentError::DoubleSpend));
     }
 
     #[test]
@@ -316,11 +311,12 @@ mod tests {
         let mut wallet = Wallet::new();
         let coin = wallet.withdraw(&m, "alice", 100, &mut rng).unwrap();
 
-        let handles: Vec<_> = (0..8)
-            .map(|_| {
+        // Each racer pays for a different license: one payment wins.
+        let handles: Vec<_> = (0..8u8)
+            .map(|i| {
                 let m = m.clone();
                 let coin = coin.clone();
-                std::thread::spawn(move || m.deposit(&coin).is_ok())
+                std::thread::spawn(move || m.deposit_for(&coin, &[i; 16]).is_ok())
             })
             .collect();
         let winners = handles
@@ -346,12 +342,16 @@ mod tests {
         let coin = Wallet::new()
             .withdraw(&m, "alice", 100, &mut test_rng(107))
             .unwrap();
-        m.deposit(&coin).unwrap();
+        assert_eq!(m.deposit_for(&coin, &[1; 16]), Ok(true));
         drop(m);
 
         let m = open();
         assert_eq!(m.spent_count(), 1);
-        assert_eq!(m.deposit(&coin), Err(PaymentError::DoubleSpend));
+        assert!(m.paid_for(&coin.serial, &[1; 16]));
+        assert_eq!(
+            m.deposit_for(&coin, &[2; 16]),
+            Err(PaymentError::DoubleSpend)
+        );
         drop(m);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -364,7 +364,7 @@ mod tests {
             denomination: 100,
             signature: p2drm_crypto::rsa::RsaSignature::from_ubig(UBig::from_u64(12345)),
         };
-        assert_eq!(m.deposit(&forged), Err(PaymentError::BadCoin));
+        assert_eq!(m.check_coin(&forged), Err(PaymentError::BadCoin));
     }
 
     #[test]

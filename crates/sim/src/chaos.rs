@@ -238,7 +238,6 @@ pub fn run_drill(config: &ChaosConfig) -> ChaosOutcome {
             let (resumed, report) = ContentProvider::resume_durable(
                 keys,
                 cert.clone(),
-                sys.root.public_key().clone(),
                 sys.mint.clone(),
                 sys.ra.blind_public().clone(),
                 &tmp.0,

@@ -37,7 +37,6 @@
 //! | [`net`] | `p2drm-net` | **the TCP layer**: framed `DrmServer` + worker pool, `TcpTransport`, server metrics |
 //! | [`obs`] | `p2drm-obs` | **observability**: metrics registry, latency histograms, correlation-id tracing |
 //! | [`faults`] | `p2drm-faults` | **fault injection**: seeded `FaultPlan`, transport/store/service chaos wrappers |
-//! | [`domain`] | `p2drm-domain` | authorized-domain extension |
 //! | [`sim`] | `p2drm-sim` | test and example support: Zipf workload, linkability adversary, wire corruption helpers, chaos drills |
 //!
 //! ## Quickstart
@@ -63,15 +62,13 @@
 //! ```
 //!
 //! See `examples/` for full scenarios (music store, second-hand transfer
-//! market, abuse de-anonymization, authorized domains) and
-//! `tests/paper_tables.rs` for the paper's protocol figures and tables as
-//! assertions.
+//! market, abuse de-anonymization) and `tests/paper_tables.rs` for the
+//! paper's protocol figures and tables as assertions.
 
 pub use p2drm_bignum as bignum;
 pub use p2drm_codec as codec;
 pub use p2drm_core as core;
 pub use p2drm_crypto as crypto;
-pub use p2drm_domain as domain;
 pub use p2drm_faults as faults;
 pub use p2drm_net as net;
 pub use p2drm_obs as obs;

@@ -8,6 +8,8 @@ use p2drm::core::service::{
     Loopback, OpCode, ProviderService, Transport, TransportError, WireClient,
 };
 use p2drm::faults::{kv_sites, FaultKv, FaultPlan, Schedule};
+use p2drm::pki::cert::KeyId;
+use p2drm::pki::crl::SignedCrl;
 use p2drm::prelude::*;
 use p2drm::store::{ConcurrentKv, MemKv, SyncPolicy, WalShardedConfig, WalShardedKv};
 use std::path::PathBuf;
@@ -192,7 +194,6 @@ fn full_provider_restart_with_key_vault() {
     let (provider, report) = ContentProvider::resume_durable(
         keys,
         cert,
-        sys.root.public_key().clone(),
         sys.mint.clone(),
         sys.ra.blind_public().clone(),
         &tmp.0,
@@ -356,6 +357,50 @@ fn a_publish_whose_content_row_write_fails_returns_the_error() {
     let listed = provider.list_content();
     assert_eq!(listed.metas().len(), 1);
     assert_eq!(listed.metas()[0].id, cid);
+}
+
+/// A revocation whose CRL row write fails changes neither CRL: the
+/// provider keeps serving the list it had under the same sequence, and
+/// the retry is the next sequence, not the one after.
+#[test]
+fn a_revocation_whose_crl_row_write_fails_leaves_the_crl_unchanged() {
+    let mut rng = test_rng(8008);
+    let mut sys = System::bootstrap(SystemConfig::fast_test(), &mut rng);
+    let plan = Arc::new(FaultPlan::new(8008));
+    let provider = ContentProvider::with_backend(
+        &mut sys.root,
+        sys.mint.clone(),
+        sys.ra.blind_public().clone(),
+        FaultKv::new(MemKv::new(), plan.clone()),
+        ProviderConfig::fast_test(),
+        &mut rng,
+    );
+    let check = |revoke: &dyn Fn(u8) -> Result<(), CoreError>, crl: &dyn Fn() -> SignedCrl| {
+        revoke(1).unwrap();
+        let before = crl();
+        plan.set(
+            kv_sites::FAIL_PUT,
+            Schedule::OneShot(plan.calls(kv_sites::FAIL_PUT) + 1),
+        );
+        let fired = plan.fired(kv_sites::FAIL_PUT);
+        assert!(revoke(2).is_err(), "the injected write failure is returned");
+        assert_eq!(plan.fired(kv_sites::FAIL_PUT), fired + 1);
+        let after = crl();
+        assert_eq!(after.sequence, before.sequence);
+        assert_eq!(after.list, before.list);
+
+        revoke(2).unwrap();
+        let retried = crl();
+        assert_eq!(retried.sequence, before.sequence + 1);
+        assert_eq!(retried.list.len(), before.list.len() + 1);
+    };
+    check(
+        &|n| provider.revoke_license(&LicenseId::from_label(&n.to_string())),
+        &|| provider.signed_license_crl(0),
+    );
+    check(&|n| provider.revoke_pseudonym(KeyId([n; 32])), &|| {
+        provider.signed_pseudonym_crl(0)
+    });
 }
 
 /// A `content/` row with no `rightst/` row — which a directory written
@@ -631,7 +676,6 @@ fn durable_provider_restart_preserves_redeem_once() {
     let (provider, report) = ContentProvider::resume_durable(
         keys,
         cert,
-        sys.root.public_key().clone(),
         sys.mint.clone(),
         sys.ra.blind_public().clone(),
         &tmp.0,
@@ -754,7 +798,6 @@ fn racing_double_redeem_across_restart_has_exactly_one_winner() {
     let (provider, _) = ContentProvider::resume_durable(
         keys,
         cert,
-        sys.root.public_key().clone(),
         sys.mint.clone(),
         sys.ra.blind_public().clone(),
         &tmp.0,

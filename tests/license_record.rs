@@ -135,7 +135,6 @@ impl Shop {
         let (provider, report) = ContentProvider::resume_durable(
             keys,
             cert,
-            self.sys.root.public_key().clone(),
             self.sys.mint.clone(),
             self.sys.ra.blind_public().clone(),
             &dir.0,
