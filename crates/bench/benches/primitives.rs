@@ -1,10 +1,12 @@
 //! Kept: no ledger row (and CHANGES PR 14 and 16 sized `inv_mod` /
 //! `confirm_prime` with it in one process). Substrate primitives the
 //! benchmark's per-layer rows do not time — dedicated squaring, the
-//! primality test on a known prime, modular inverse, fixed-base
-//! exponentiation, plain multiplication and `MemKv::insert_if_absent`.
-//! (Hash/cipher throughput, modexp, Montgomery product, prime search,
-//! RSA keygen and blinding are `crypto.*` / `bignum.*` rows in
+//! Montgomery product at 384 bits (the 6-limb width of a 1024-bit key's
+//! CRT primes, which has the ADX kernel), the primality test on a known
+//! prime, modular inverse, fixed-base exponentiation, plain
+//! multiplication and `MemKv::insert_if_absent`. (Hash/cipher
+//! throughput, modexp, the 16-limb Montgomery product, prime search, RSA
+//! keygen and blinding are `crypto.*` / `bignum.*` rows in
 //! `BENCHMARK.json`.)
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -20,18 +22,26 @@ fn bench_mont_sqr(c: &mut Criterion) {
         .warm_up_time(Duration::from_millis(200))
         .measurement_time(Duration::from_millis(800));
     let mut rng = test_rng(0xF0);
-    for &bits in &[512usize, 1024, 2048] {
+    for &bits in &[384usize, 512, 1024, 2048] {
         let mut modulus = brng::random_bits(&mut rng, bits);
         modulus.set_bit(bits - 1);
         modulus.set_bit(0);
         let mont = Mont::new(&modulus).unwrap();
         let base = brng::random_below(&mut rng, &modulus);
-        // Dedicated squaring; the general product on the same operand
-        // size is the ledger's `bignum.mont_mul_16limb_ns`.
+        // Dedicated squaring; the general product at 1024 bits is the
+        // ledger's `bignum.mont_mul_16limb_ns`. At 384 bits (6 limbs, a
+        // 1024-bit key's CRT primes) both go through the ADX product on
+        // a CPU with ADX and BMI2, so the product is timed there too.
         let bm = mont.to_mont(&base);
         group.bench_function(BenchmarkId::new("mont_sqr", bits), |b| {
             b.iter(|| mont.mont_sqr(&bm))
         });
+        if bits == 384 {
+            let other = mont.to_mont(&brng::random_below(&mut rng, &modulus));
+            group.bench_function(BenchmarkId::new("mont_mul", bits), |b| {
+                b.iter(|| mont.mont_mul(&bm, &other))
+            });
+        }
     }
     group.finish();
 }

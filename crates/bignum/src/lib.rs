@@ -31,11 +31,24 @@
 //! assert_eq!(&m % &a, UBig::zero());
 //! ```
 //!
+//! # `unsafe`
+//!
+//! The crate denies `unsafe_code`. One function is exempt:
+//! `mont::mul6_adx`, the 6-limb Montgomery product written in inline
+//! assembly with `mulx` (BMI2) and `adcx` / `adox` (ADX). It asks
+//! `is_x86_feature_detected!` for `adx` and `bmi2` on every call and runs
+//! the assembly only after both are reported; the assembly reads only the
+//! limbs of its `&[u64; 6]` operands and writes only its declared register
+//! outputs ([`mont`] module doc). CI fails if a second exemption appears
+//! anywhere in the crate.
+//!
 //! # Security note
 //!
 //! This is a *reference implementation for protocol research*: operations are
 //! not constant-time and no blinding is applied at this layer. Do not reuse
 //! for production secrets.
+
+#![deny(unsafe_code)]
 
 pub mod modring;
 pub mod mont;

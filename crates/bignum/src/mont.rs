@@ -16,6 +16,26 @@
 //!   partial-product work by exploiting `a[i]·a[j] = a[j]·a[i]`, followed by
 //!   a separate (SOS) Montgomery reduction.
 //!
+//! Both dispatch on the modulus width: 4/6/8/16/32 limbs go to portable
+//! fixed-width kernels (the `fixed` module), other widths to a
+//! dynamic-length loop. Width 6 — the three ~341-bit primes of a 1024-bit
+//! key, so every RSA-1024 private-key operation and prime search — has one
+//! more kernel: a CIOS product written with `core::arch::asm!` as `mulx`
+//! plus two independent carry chains (`adcx` on the carry flag, `adox` on
+//! the overflow flag). Products *and* squarings at 6 limbs go to it when
+//! `is_x86_feature_detected!` reports both `adx` and `bmi2` (std caches
+//! the answer, so it is asked on every call), and to `fixed::mul6` /
+//! `fixed::sqr6` otherwise; there is no switch, cargo feature or setting.
+//! Its running sum and two carry limbs take 8 of the 13 registers inline
+//! asm may use (`rbx`, `rbp` and `rsp` are reserved), and `rdx`, the two
+//! `mulx` halves and the operand pointers take the other 5. At 8 limbs
+//! the sum and its carries would take 10, leaving 3 for those 5, so 8,
+//! 16 and 32 limbs keep their portable kernels. The result is
+//! bit-identical to the portable kernel's, which stays as the non-ADX
+//! path and the reference a differential test checks the ADX product
+//! against. Calling it is this crate's one `unsafe` operation
+//! (`mul6_adx`).
+//!
 //! [`Mont::pow`] picks its window width from the exponent bit length, scans
 //! exponent bits limb-wise, and performs **zero heap allocations in its
 //! square-and-multiply main loop** (all buffers — the window table, the
@@ -219,7 +239,8 @@ impl Mont {
     /// the workspace, including the CRT primes) dispatch to monomorphized
     /// fixed-width kernels whose loops fully unroll and whose state lives
     /// in stack arrays (no bounds checks, no scratch traffic); other
-    /// widths fall back to the dynamic-length loop.
+    /// widths fall back to the dynamic-length loop. Width 6 runs the ADX
+    /// product on a CPU that has it (module doc).
     pub fn mont_mul_into(&self, a: &[u64], b: &[u64], out: &mut [u64], scratch: &mut [u64]) {
         let s = self.n.len();
         debug_assert_eq!(a.len(), s);
@@ -227,7 +248,13 @@ impl Mont {
         debug_assert_eq!(out.len(), s);
         match s {
             4 => return fixed::mul4(arr(&self.n), self.n0inv, arr(a), arr(b), arr_mut(out)),
-            6 => return fixed::mul6(arr(&self.n), self.n0inv, arr(a), arr(b), arr_mut(out)),
+            6 => {
+                #[cfg(target_arch = "x86_64")]
+                if mul6_adx(arr(&self.n), self.n0inv, arr(a), arr(b), arr_mut(out)) {
+                    return;
+                }
+                return fixed::mul6(arr(&self.n), self.n0inv, arr(a), arr(b), arr_mut(out));
+            }
             8 => return fixed::mul8(arr(&self.n), self.n0inv, arr(a), arr(b), arr_mut(out)),
             16 => return fixed::mul16(arr(&self.n), self.n0inv, arr(a), arr(b), arr_mut(out)),
             32 => return fixed::mul32(arr(&self.n), self.n0inv, arr(a), arr(b), arr_mut(out)),
@@ -283,14 +310,22 @@ impl Mont {
     /// [`Mont::mont_mul_into`] on the same operands), then applies a
     /// separate (SOS) Montgomery reduction. Common widths dispatch to the
     /// monomorphized fixed-width kernels; requirements as for
-    /// [`Mont::mont_mul_into`].
+    /// [`Mont::mont_mul_into`]. Width 6 on a CPU with ADX and BMI2 is the
+    /// exception: the ADX product with `b = a` beats the portable squaring
+    /// there (module doc).
     pub fn mont_sqr_into(&self, a: &[u64], out: &mut [u64], scratch: &mut [u64]) {
         let s = self.n.len();
         debug_assert_eq!(a.len(), s);
         debug_assert_eq!(out.len(), s);
         match s {
             4 => return fixed::sqr4(arr(&self.n), self.n0inv, arr(a), arr_mut(out)),
-            6 => return fixed::sqr6(arr(&self.n), self.n0inv, arr(a), arr_mut(out)),
+            6 => {
+                #[cfg(target_arch = "x86_64")]
+                if mul6_adx(arr(&self.n), self.n0inv, arr(a), arr(a), arr_mut(out)) {
+                    return;
+                }
+                return fixed::sqr6(arr(&self.n), self.n0inv, arr(a), arr_mut(out));
+            }
             8 => return fixed::sqr8(arr(&self.n), self.n0inv, arr(a), arr_mut(out)),
             16 => return fixed::sqr16(arr(&self.n), self.n0inv, arr(a), arr_mut(out)),
             32 => return fixed::sqr32(arr(&self.n), self.n0inv, arr(a), arr_mut(out)),
@@ -549,7 +584,12 @@ fn arr_mut<const S: usize>(s: &mut [u64]) -> &mut [u64; S] {
 /// bounds checks and keeps carries in registers — which is worth 2-3× at
 /// the small widths the RSA CRT runs at (4 limbs for 512-bit keys, 6 for
 /// the ~341-bit primes of a three-prime 1024-bit key). Widths are
-/// generated for 4/6/8/16/32 limbs (256/384/512/1024/2048 bits).
+/// generated for 4/6/8/16/32 limbs (256/384/512/1024/2048 bits). On an
+/// x86-64 CPU with ADX and BMI2, width 6 runs `mul6_adx` instead (for
+/// squarings too) and `mul6` / `sqr6` are the fallback and its test
+/// reference; the other widths have no ADX kernel, since a running sum of
+/// more than 6 limbs plus its two carry limbs does not fit in the 13
+/// registers inline asm may use.
 mod fixed {
     macro_rules! fixed_kernels {
         ($mul:ident, $sqr:ident, $s:literal) => {
@@ -653,6 +693,115 @@ mod fixed {
     fixed_kernels!(mul8, sqr8, 8);
     fixed_kernels!(mul16, sqr16, 16);
     fixed_kernels!(mul32, sqr32, 32);
+}
+
+/// Runs the CIOS product at 6 limbs on `mulx` / `adcx` / `adox` and
+/// returns `true` if this CPU has ADX and BMI2; returns `false`, leaving
+/// `out` alone, if it has not. Same result as `fixed::mul6`, bit for bit.
+///
+/// Each of the six rounds is one `asm!` block: `t += a·b[i]` and then
+/// `t = (t + m·n) / 2^64`, each a row of `mulx` whose low halves ride
+/// the `adox` carry chain (overflow flag) and whose high halves ride the
+/// `adcx` chain (carry flag), so the two additions never wait on one
+/// flag. A round holds the sum's six limbs and its two carry limbs (8
+/// registers), `rdx`, the two `mulx` halves and the pointers to `a` and
+/// `n` (5 more): all 13 registers inline asm may use (`rbx`, `rbp` and
+/// `rsp` are reserved). So `b[i]` and `n0inv` come in per round, the
+/// first row's high-half register becomes the top carry limb, and
+/// `n0inv`'s register, free once `m` is formed, takes the second row's
+/// high halves. The round's outputs shift the sum down one limb.
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+fn mul6_adx(n: &[u64; 6], n0inv: u64, a: &[u64; 6], b: &[u64; 6], out: &mut [u64; 6]) -> bool {
+    if !(std::arch::is_x86_feature_detected!("adx") && std::arch::is_x86_feature_detected!("bmi2"))
+    {
+        return false;
+    }
+    // t0..t5 the running sum, t6 its carry limb (t < 2n between rounds).
+    let [mut t0, mut t1, mut t2, mut t3, mut t4, mut t5, mut t6] = [0u64; 7];
+    for &bi in b {
+        // SAFETY: the block reads memory only at `[a + 8j]` and `[n + 8j]`
+        // for j < 6, inside the two `&[u64; 6]` operands (`b` is read in
+        // Rust); it writes no memory and no stack (`readonly`, `nostack`),
+        // only its declared register outputs. `mulx` needs BMI2 and
+        // `adcx` / `adox` need ADX, which `is_x86_feature_detected!`
+        // reported above, before any block runs.
+        unsafe {
+            std::arch::asm!(
+                // t += a·b[i]: lows on the OF chain, highs on the CF chain.
+                "xor {lo:e}, {lo:e}",
+                "mulx {hi}, {lo}, qword ptr [{a}]",
+                "adox {t0}, {lo}",
+                "adcx {t1}, {hi}",
+                "mulx {hi}, {lo}, qword ptr [{a} + 8]",
+                "adox {t1}, {lo}",
+                "adcx {t2}, {hi}",
+                "mulx {hi}, {lo}, qword ptr [{a} + 16]",
+                "adox {t2}, {lo}",
+                "adcx {t3}, {hi}",
+                "mulx {hi}, {lo}, qword ptr [{a} + 24]",
+                "adox {t3}, {lo}",
+                "adcx {t4}, {hi}",
+                "mulx {hi}, {lo}, qword ptr [{a} + 32]",
+                "adox {t4}, {lo}",
+                "adcx {t5}, {hi}",
+                "mulx {hi}, {lo}, qword ptr [{a} + 40]",
+                "adox {t5}, {lo}",
+                "adcx {t6}, {hi}",
+                // Both chains' carries into t6 / t7 (`mov` keeps flags).
+                "mov {lo:e}, 0",
+                "mov {hi:e}, 0",
+                "adcx {hi}, {lo}",
+                "adox {t6}, {lo}",
+                "adox {hi}, {lo}",
+                // m = t0·n0inv; t = (t + m·n) / 2^64. `hi` is t7 from
+                // here on and `n0inv`'s register takes the high halves.
+                "mov rdx, {t0}",
+                "imul rdx, {k}",
+                "xor {lo:e}, {lo:e}",
+                "mulx {k}, {lo}, qword ptr [{n}]",
+                "adox {t0}, {lo}",
+                "adcx {t1}, {k}",
+                "mulx {k}, {lo}, qword ptr [{n} + 8]",
+                "adox {t1}, {lo}",
+                "adcx {t2}, {k}",
+                "mulx {k}, {lo}, qword ptr [{n} + 16]",
+                "adox {t2}, {lo}",
+                "adcx {t3}, {k}",
+                "mulx {k}, {lo}, qword ptr [{n} + 24]",
+                "adox {t3}, {lo}",
+                "adcx {t4}, {k}",
+                "mulx {k}, {lo}, qword ptr [{n} + 32]",
+                "adox {t4}, {lo}",
+                "adcx {t5}, {k}",
+                "mulx {k}, {lo}, qword ptr [{n} + 40]",
+                "adox {t5}, {lo}",
+                "adcx {t6}, {k}",
+                "mov {lo:e}, 0",
+                "adcx {hi}, {lo}",
+                "adox {t6}, {lo}",
+                "adox {hi}, {lo}",
+                a = in(reg) a.as_ptr(),
+                n = in(reg) n.as_ptr(),
+                k = inout(reg) n0inv => _,
+                inout("rdx") bi => _,
+                lo = out(reg) _,
+                hi = out(reg) t6,
+                // t0 ends at 0 and the sum shifts down one limb.
+                t0 = inout(reg) t0 => _,
+                t1 = inout(reg) t1 => t0,
+                t2 = inout(reg) t2 => t1,
+                t3 = inout(reg) t3 => t2,
+                t4 = inout(reg) t4 => t3,
+                t5 = inout(reg) t5 => t4,
+                t6 = inout(reg) t6 => t5,
+                options(pure, readonly, nostack),
+            );
+        }
+    }
+    *out = [t0, t1, t2, t3, t4, t5];
+    reduce_once(out, n, t6);
+    true
 }
 
 /// `a += b` over equal-width limbs; returns whether it carried out.
@@ -952,14 +1101,117 @@ mod tests {
     }
 
     #[test]
-    fn fermat_little_theorem_512bit() {
-        // p = 2^512 - 569 skips: use a known 512-bit prime written in hex.
-        // This one is 2^255 - 19 extended -- instead use a verified small one:
-        // p = 2^127 - 1 is a Mersenne prime.
-        let p = UBig::one().shl(127).sub(&UBig::one());
-        let m = Mont::new(&p).unwrap();
-        let a = UBig::from_u64(0x1234_5678_9abc_def1);
-        let r = m.pow(&a, &p.sub(&UBig::one()));
-        assert!(r.is_one());
+    fn fermat_little_theorem_on_every_dispatch_arm() {
+        // One known prime per arm: the dynamic kernel at 2 limbs, the
+        // fixed 4-limb kernel, the 6-limb ADX product at full width, and
+        // the dynamic kernel at 9 limbs.
+        let one = UBig::one();
+        let primes = [
+            ("2^127 - 1", one.shl(127).sub(&one)),
+            ("2^255 - 19", one.shl(255).sub(&UBig::from_u64(19))),
+            (
+                "2^384 - 2^128 - 2^96 + 2^32 - 1",
+                (&one.shl(384) + &one.shl(32))
+                    .sub(&one.shl(128))
+                    .sub(&one.shl(96))
+                    .sub(&one),
+            ),
+            ("2^521 - 1", one.shl(521).sub(&one)),
+        ];
+        for (name, p) in primes {
+            let m = Mont::new(&p).unwrap();
+            let p1 = p.sub(&one);
+            for a in [
+                UBig::from_u64(2),
+                UBig::from_u64(0x1234_5678_9abc_def1),
+                p.sub(&UBig::from_u64(2)),
+            ] {
+                assert!(m.pow(&a, &p1).is_one(), "{name}: a = {a}");
+            }
+        }
+    }
+
+    /// The 6-limb ADX product against the portable `fixed::mul6` and, with
+    /// `a = b`, `fixed::sqr6`: 100,000 pairs over 200 odd moduli of 321–384
+    /// bits. Half the moduli are full 384-bit ones, which drive the sum
+    /// into its top carry limb; half of those have their top 1–5 limbs all
+    /// ones (2^384 − 1 and the P-384 prime among them), where a carry can
+    /// ripple through a whole limb into the top one. Each modulus also
+    /// takes 0, 1 and n − 1 against each other, and a chain of 400
+    /// squarings from 2·R.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn adx_product_matches_portable_kernels() {
+        use rand::rngs::StdRng;
+        use rand::{RngCore, SeedableRng};
+
+        let three = [3, 0, 0, 0, 0, 0];
+        if !mul6_adx(&three, inv64(3).wrapping_neg(), &three, &three, &mut [0; 6]) {
+            eprintln!("this CPU has no ADX or BMI2: the 6-limb ADX product is skipped");
+            return;
+        }
+        let mut rng = StdRng::seed_from_u64(0xad_c6);
+        // A random value of at most `bits` bits.
+        let draw = |rng: &mut StdRng, bits: usize| -> [u64; 6] {
+            let mut x: [u64; 6] = std::array::from_fn(|_| rng.next_u64());
+            for (i, limb) in x.iter_mut().enumerate() {
+                let keep = bits.saturating_sub(64 * i).min(64);
+                *limb &= u64::MAX.checked_shr(64 - keep as u32).unwrap_or(0);
+            }
+            x
+        };
+        let below = |rng: &mut StdRng, n: &[u64; 6], bits: usize| loop {
+            let x = draw(rng, bits);
+            if !Mont::geq(&x, n) {
+                return x;
+            }
+        };
+        let p384 = [0xffff_ffff, 0xffff_ffff_0000_0000, !1, !0, !0, !0];
+        for k in 0..200usize {
+            let bits = if k % 2 == 0 { 384 } else { 321 + k % 64 };
+            let mut n = match k {
+                0 => [u64::MAX; 6],
+                2 => p384,
+                _ => draw(&mut rng, bits),
+            };
+            if k % 4 == 2 {
+                n[6 - (1 + k / 4 % 5)..].fill(u64::MAX);
+            }
+            n[(bits - 1) / 64] |= 1 << ((bits - 1) % 64);
+            n[0] |= 1;
+            let n0inv = inv64(n[0]).wrapping_neg();
+            let mut n_minus_1 = n;
+            n_minus_1[0] -= 1;
+            let special = [[0; 6], [1, 0, 0, 0, 0, 0], n_minus_1];
+            for i in 0..500 {
+                let (a, b) = if i < 9 {
+                    (special[i % 3], special[i / 3])
+                } else {
+                    (below(&mut rng, &n, bits), below(&mut rng, &n, bits))
+                };
+                let (mut fast, mut slow) = ([0; 6], [0; 6]);
+                assert!(mul6_adx(&n, n0inv, &a, &b, &mut fast));
+                fixed::mul6(&n, n0inv, &a, &b, &mut slow);
+                assert_eq!(fast, slow, "a·b, n = {n:x?}, a = {a:x?}, b = {b:x?}");
+                assert!(mul6_adx(&n, n0inv, &a, &a, &mut fast));
+                fixed::sqr6(&n, n0inv, &a, &mut slow);
+                assert_eq!(fast, slow, "a², n = {n:x?}, a = {a:x?}");
+            }
+            // 2^(2^i)·R for i < 400: near an all-ones modulus these
+            // powers of two are sparse, and the squarings hit carry runs
+            // that random operands miss (a dropped carry into the top
+            // limb in the reduction row fails here and nowhere above).
+            let mut x = Mont::new(&UBig::from_limbs(n.to_vec()))
+                .unwrap()
+                .to_mont(&UBig::from_u64(2));
+            let x: &mut [u64; 6] = arr_mut(&mut x);
+            for i in 0..400 {
+                let (mut fast, mut slow) = ([0; 6], [0; 6]);
+                assert!(mul6_adx(&n, n0inv, x, x, &mut fast));
+                fixed::sqr6(&n, n0inv, x, &mut slow);
+                assert_eq!(fast, slow, "squaring {i} of 2R, n = {n:x?}, x = {x:x?}");
+                *x = slow;
+            }
+        }
     }
 }
