@@ -4,7 +4,11 @@
 //! Montgomery product at 384 bits (the 6-limb width of a 1024-bit key's
 //! CRT primes, which has the ADX kernel), the primality test on a known
 //! prime, modular inverse, fixed-base exponentiation, plain
-//! multiplication and `MemKv::insert_if_absent`. (Hash/cipher
+//! multiplication, `MemKv::insert_if_absent`, and RSA signing at 512 and
+//! 1024 bits side by side: two and three CRT primes, so the two- and
+//! three-lane lockstep exponentiation on a CPU with AVX-512 IFMA and
+//! the per-prime `Mont::pow` path without it (the ledger's
+//! `crypto.rsa_sign_us` row times 1024 bits alone). (Hash/cipher
 //! throughput, modexp, the 16-limb Montgomery product, prime search, RSA
 //! keygen and blinding are `crypto.*` / `bignum.*` rows in
 //! `BENCHMARK.json`.)
@@ -103,6 +107,26 @@ fn bench_keygen(c: &mut Criterion) {
     group.finish();
 }
 
+/// PKCS#1 v1.5 signing, which is one private-key operation: at 512 bits
+/// the key has two primes, at 1024 three (`raw_private`'s lane counts).
+fn bench_rsa_sign(c: &mut Criterion) {
+    use p2drm_crypto::rsa::RsaKeyPair;
+
+    let mut group = c.benchmark_group("prim_rsa");
+    group
+        .sample_size(10)
+        .warm_up_time(Duration::from_millis(200))
+        .measurement_time(Duration::from_millis(800));
+    let mut rng = test_rng(0xF6);
+    for &bits in &[512usize, 1024] {
+        let kp = RsaKeyPair::generate(bits, &mut rng);
+        group.bench_function(BenchmarkId::new("rsa_sign", bits), |b| {
+            b.iter(|| kp.sign(b"a license body"))
+        });
+    }
+    group.finish();
+}
+
 fn bench_mul_ablation(c: &mut Criterion) {
     let mut group = c.benchmark_group("prim_mul");
     group
@@ -150,6 +174,7 @@ criterion_group!(
     bench_mont_sqr,
     bench_fixed_base,
     bench_keygen,
+    bench_rsa_sign,
     bench_mul_ablation,
     bench_store
 );

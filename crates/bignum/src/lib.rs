@@ -11,6 +11,9 @@
 //!   exponentiation with odd moduli, the workhorse of all public-key
 //!   operations; [`MontForm`] keeps values in Montgomery form across a
 //!   whole computation so conversions are paid at the boundary only.
+//! * [`ifma`] — two or three exponentiations modulo primes of at most
+//!   362 bits at once on AVX-512 IFMA: the CRT half of an RSA private-key
+//!   operation.
 //! * [`modring`] — plain modular arithmetic, extended GCD, modular inverse
 //!   and the Jacobi symbol.
 //! * [`prime`] — Baillie–PSW primality testing (plus optional random-base
@@ -33,14 +36,22 @@
 //!
 //! # `unsafe`
 //!
-//! The crate denies `unsafe_code`. One function is exempt:
-//! `mont::mul6_adx`, the 6-limb Montgomery product written in inline
-//! assembly with `mulx` (BMI2) and `adcx` / `adox` (ADX). It asks
-//! `is_x86_feature_detected!` for `adx` and `bmi2` on every call and runs
-//! the assembly only after both are reported; the assembly reads only the
-//! limbs of its `&[u64; 6]` operands and writes only its declared register
-//! outputs ([`mont`] module doc). CI fails if a second exemption appears
-//! anywhere in the crate.
+//! The crate denies `unsafe_code`. Two functions are exempt, each a
+//! guarded kernel call:
+//!
+//! * `mont::mul6_adx`, the 6-limb Montgomery product written in inline
+//!   assembly with `mulx` (BMI2) and `adcx` / `adox` (ADX). It asks
+//!   `is_x86_feature_detected!` for `adx` and `bmi2` on every call and
+//!   runs the assembly only after both are reported; the assembly reads
+//!   only the limbs of its `&[u64; 6]` operands and writes only its
+//!   declared register outputs ([`mont`] module doc).
+//! * `ifma::pow_ifma`, the call into the lockstep exponentiation. It asks
+//!   for `avx512f` and `avx512ifma` and only then calls the kernel, which
+//!   is safe `#[target_feature]` functions over register values with no
+//!   pointer intrinsics, so the call is the only `unsafe` operation
+//!   ([`ifma`] module doc).
+//!
+//! CI fails if a third exemption appears anywhere in the crate.
 //!
 //! # Security note
 //!
@@ -50,6 +61,7 @@
 
 #![deny(unsafe_code)]
 
+pub mod ifma;
 pub mod modring;
 pub mod mont;
 pub mod prime;

@@ -33,8 +33,15 @@
 //! 16 and 32 limbs keep their portable kernels. The result is
 //! bit-identical to the portable kernel's, which stays as the non-ADX
 //! path and the reference a differential test checks the ADX product
-//! against. Calling it is this crate's one `unsafe` operation
+//! against. Calling it is one of this crate's two `unsafe` operations
 //! (`mul6_adx`).
+//!
+//! Above these layers, for the CRT primes of an RSA private key only,
+//! sits [`crate::ifma`]: on a CPU with AVX-512 IFMA it runs two or three
+//! exponentiations modulo primes of at most 362 bits at once, in radix
+//! 2^52, and [`Mont::pow`] is its fallback and its test reference. A
+//! single exponentiation never goes there: one modulus alone is slower
+//! on IFMA than on the ADX product.
 //!
 //! [`Mont::pow`] picks its window width from the exponent bit length, scans
 //! exponent bits limb-wise, and performs **zero heap allocations in its

@@ -6,7 +6,9 @@
 //! exponent bits, i.e. ~1000 extra allocations when the exponent grows from
 //! 256 to 1024 bits). With the allocation-free kernel the count difference
 //! between a short and a long exponent is only the (slightly larger) window
-//! table, independent of the loop trip count.
+//! table, independent of the loop trip count. The lockstep exponentiation
+//! of `ifma` (on a CPU with AVX-512 IFMA) allocates exactly as much for
+//! 341-bit exponents as for 64-bit ones.
 //!
 //! Prime search and modular inversion are pinned the same way: trial
 //! division of a candidate allocates nothing at all, a base-2
@@ -15,25 +17,36 @@
 //! whole search adds a constant to what its primality tests allocate, and
 //! the binary-GCD inverse works inside one buffer.
 //!
-//! This file intentionally holds a single `#[test]` so no concurrent test
-//! thread can inflate the process-wide allocation counter mid-measurement.
+//! The counter is the calling thread's own, so allocations on other
+//! threads (libtest's main thread, a concurrent test) never land in a
+//! measurement.
 
+use p2drm_bignum::ifma::{self, Modulus52};
 use p2drm_bignum::{modring, prime, rng::random_bits, Mont, UBig};
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations (and reallocations) made by this thread.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Counts one allocation on the calling thread. `try_with` because the
+/// allocator also serves a thread's teardown.
+fn count() {
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
 
 struct CountingAlloc;
 
 // SAFETY: every method delegates directly to the `System` allocator,
 // which upholds the `GlobalAlloc` contract; the only extra work is a
-// relaxed counter bump, which neither allocates nor unwinds.
+// thread-local counter bump, which neither allocates nor unwinds.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         // SAFETY: the caller's `layout` is forwarded verbatim to `System.alloc`.
         unsafe { System.alloc(layout) }
     }
@@ -45,7 +58,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         // SAFETY: `ptr`/`layout` come from a prior `alloc` through this
         // same wrapper; `new_size` is forwarded unchanged to `System.realloc`.
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -55,10 +68,11 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static COUNTER: CountingAlloc = CountingAlloc;
 
+/// `f`'s result and the allocations this thread made while it ran.
 fn allocs_during<T>(f: impl FnOnce() -> T) -> (T, u64) {
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = ALLOCS.with(Cell::get);
     let v = f();
-    (v, ALLOCS.load(Ordering::Relaxed) - before)
+    (v, ALLOCS.with(Cell::get) - before)
 }
 
 /// Deterministic pseudo-random limbs (no RNG dependency in this binary).
@@ -144,6 +158,46 @@ fn pow_main_loop_is_allocation_free() {
         a6_long < 40,
         "6-limb pow allocates too much overall: {a6_long} allocations"
     );
+
+    // ---- Lockstep exponentiation: the same count at any exponent ------
+    // Three lanes of 341-bit primes (a 1024-bit key's): the window
+    // table and every other buffer live in registers and on the stack,
+    // so 341-bit exponents allocate exactly what 64-bit ones do (the
+    // reduced bases and the results).
+    let mut rng = StdRng::seed_from_u64(40);
+    let primes: Vec<UBig> = (0..3)
+        .map(|_| prime::gen_prime(341, 16, &mut rng))
+        .collect();
+    let consts: Vec<Modulus52> = primes.iter().map(|r| Modulus52::new(r).unwrap()).collect();
+    let x = UBig::from_limbs(limbs(16, 3));
+    let exps = |bits: usize| -> Vec<UBig> {
+        (0..3)
+            .map(|k| {
+                let mut e = UBig::from_limbs(limbs(6, 19 + k)).shr(384 - bits);
+                e.set_bit(bits - 1);
+                e
+            })
+            .collect()
+    };
+    let (short, long) = (exps(64), exps(341));
+    let lanes_short: Vec<_> = consts.iter().zip(&short).map(|(c, e)| (c, &x, e)).collect();
+    let lanes_long: Vec<_> = consts.iter().zip(&long).map(|(c, e)| (c, &x, e)).collect();
+    let _ = ifma::pow_lockstep(&lanes_long);
+    let (r_short, a_short) = allocs_during(|| ifma::pow_lockstep(&lanes_short));
+    let (r_long, a_long) = allocs_during(|| ifma::pow_lockstep(&lanes_long));
+    match (r_short, r_long) {
+        (Some(r_short), Some(r_long)) => {
+            for (k, r) in primes.iter().enumerate() {
+                assert_eq!(r_short[k], x.pow_mod(&short[k], r).unwrap());
+                assert_eq!(r_long[k], x.pow_mod(&long[k], r).unwrap());
+            }
+            assert_eq!(
+                a_short, a_long,
+                "lockstep loop allocates: {a_short} allocs @64-bit exps vs {a_long} @341-bit exps"
+            );
+        }
+        _ => eprintln!("this CPU has no AVX-512 IFMA: the lockstep allocation count is skipped"),
+    }
 
     // ---- Prime search: trial division never touches the heap ----------
     // 2039 is the last table prime, so this 512-bit multiple of it (with

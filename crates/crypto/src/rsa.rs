@@ -27,6 +27,7 @@
 use crate::rng::CryptoRng;
 use crate::sha256::{sha256, DIGEST_LEN};
 use crate::CryptoError;
+use p2drm_bignum::ifma::{self, Modulus52};
 use p2drm_bignum::{modring, prime, Mont, MontForm, UBig};
 use p2drm_codec::{Decode, Encode, Reader, Writer};
 
@@ -220,6 +221,10 @@ struct Factor {
     t: MontForm,
     /// Montgomery context mod rᵢ.
     mont: Mont,
+    /// Its radix-2^52 constants for the lockstep exponentiation
+    /// (`R² mod rᵢ` and `−rᵢ⁻¹ mod 2^52`), or `None` for a prime of more
+    /// than [`ifma::MAX_MODULUS_BITS`] bits.
+    r52: Option<Modulus52>,
 }
 
 /// An RSA key pair with multi-prime CRT acceleration.
@@ -281,6 +286,7 @@ impl RsaKeyPair {
                 d: d.rem(&r1),
                 t,
                 mont,
+                r52: Modulus52::new(&r),
                 r,
             });
         }
@@ -299,14 +305,27 @@ impl RsaKeyPair {
     }
 
     /// Raw RSA private operation `x^d mod n` via the CRT: one
-    /// exponentiation per prime, recombined with Garner's rule.
+    /// exponentiation `x^dᵢ mod rᵢ` per prime, recombined with Garner's
+    /// rule. Sign, blind sign and KEM decapsulation all end here.
+    ///
+    /// The exponentiations run at once on the AVX-512 IFMA lockstep path
+    /// ([`ifma::pow_lockstep`]) when the CPU has `avx512f` and
+    /// `avx512ifma` and every prime has at most
+    /// [`ifma::MAX_MODULUS_BITS`] (362) bits: generated keys of up to 724
+    /// bits (two primes) and of 1024 to 1086 bits (three), so 512- and
+    /// 1024-bit keys. Otherwise, a 2048-bit key for one, each prime runs
+    /// its own [`Mont::pow`]. Both paths give the same value, bit for
+    /// bit; nothing but the CPU and the primes' sizes picks one.
     pub fn raw_private(&self, x: &UBig) -> UBig {
-        // lint: secret(factors, first, rest, f, r, d, t, m, mi, h, radix)
+        // lint: secret(factors, powers, first, rest, f, r, d, t, m, mi, h, radix)
+        let powers = self
+            .lockstep_powers(x)
+            .unwrap_or_else(|| self.factors.iter().map(|f| f.mont.pow(x, &f.d)).collect());
         let (first, rest) = self.factors.split_first().expect("a key has >= 2 factors");
-        let mut m = first.mont.pow(x, &first.d);
+        let mut powers = powers.into_iter();
+        let mut m = powers.next().expect("one power per factor");
         let mut radix = first.r.clone();
-        for f in rest {
-            let mi = f.mont.pow(x, &f.d);
+        for (f, mi) in rest.iter().zip(powers) {
             // h = tᵢ·(mᵢ − m) mod rᵢ: one Montgomery product, because tᵢ
             // is kept permanently in Montgomery form.
             let h = f
@@ -316,6 +335,18 @@ impl RsaKeyPair {
             radix = &radix * &f.r;
         }
         m
+    }
+
+    /// `x^dᵢ mod rᵢ` for every prime on the lockstep path, or `None` when
+    /// a prime is too wide for it or the CPU lacks AVX-512 IFMA.
+    fn lockstep_powers(&self, x: &UBig) -> Option<Vec<UBig>> {
+        // lint: secret(factors, lanes, f)
+        let lanes = self
+            .factors
+            .iter()
+            .map(|f| Some((f.r52.as_ref()?, x, &f.d)))
+            .collect::<Option<Vec<_>>>()?;
+        ifma::pow_lockstep(&lanes)
     }
 
     /// Signs `message` with PKCS#1 v1.5 / SHA-256.
@@ -656,6 +687,49 @@ mod tests {
                 let plain = x.pow_mod(kp.private_exponent(), n).unwrap();
                 assert_eq!(kp.raw_private(&x), plain, "{} bits", n.bit_len());
             }
+        }
+    }
+
+    /// `raw_private` takes the lockstep path exactly when the CPU has
+    /// AVX-512 IFMA and every prime has at most 362 bits, with the
+    /// per-prime `Mont::pow` values either way: 512- and 1024-bit keys
+    /// take it; a 725-bit key (a 362-bit and a 363-bit prime) and a
+    /// 2048-bit key take the fallback and still sign correctly.
+    #[test]
+    fn primes_above_362_bits_take_the_per_prime_path() {
+        #[cfg(target_arch = "x86_64")]
+        let ifma = std::arch::is_x86_feature_detected!("avx512f")
+            && std::arch::is_x86_feature_detected!("avx512ifma");
+        #[cfg(not(target_arch = "x86_64"))]
+        let ifma = false;
+        if !ifma {
+            eprintln!("this CPU has no AVX-512 IFMA: the lockstep half is skipped");
+        }
+        let mixed = RsaKeyPair::generate(725, &mut test_rng(725));
+        let widths = |kp: &RsaKeyPair| kp.factors.iter().map(|f| f.r.bit_len()).collect::<Vec<_>>();
+        assert_eq!(widths(&mixed), [362, 363]);
+        for (kp, narrow) in [
+            (&keypair(), true),
+            (keypair1024(), true),
+            (&mixed, false),
+            (keypair2048(), false),
+        ] {
+            let bits = kp.public().modulus().bit_len();
+            let x = fdh(b"dispatch", kp.public().modulus_len());
+            let per_prime: Vec<UBig> = kp.factors.iter().map(|f| f.mont.pow(&x, &f.d)).collect();
+            match kp.lockstep_powers(&x) {
+                Some(powers) => {
+                    assert!(narrow && ifma, "{bits} bits took the lockstep path");
+                    assert_eq!(powers, per_prime, "{bits} bits");
+                }
+                None => assert!(!(narrow && ifma), "{bits} bits missed the lockstep path"),
+            }
+            let plain = x
+                .pow_mod(kp.private_exponent(), kp.public().modulus())
+                .unwrap();
+            assert_eq!(kp.raw_private(&x), plain, "{bits} bits");
+            let sig = kp.sign(b"dispatch");
+            kp.public().verify(b"dispatch", &sig).unwrap();
         }
     }
 

@@ -6,24 +6,34 @@
 //! into a second (64), and a 16 KiB content item (256 blocks in one
 //! kernel call).
 //!
-//! This file intentionally holds a single `#[test]` so no concurrent test
-//! thread can inflate the process-wide allocation counter mid-measurement.
+//! The counter is the calling thread's own, so allocations on other
+//! threads (libtest's main thread, a concurrent test) never land in a
+//! measurement.
 
 use p2drm_crypto::hmac::{hmac_sha256, HmacSha256};
 use p2drm_crypto::sha256::{sha256, Sha256};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations (and reallocations) made by this thread.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Counts one allocation on the calling thread. `try_with` because the
+/// allocator also serves a thread's teardown.
+fn count() {
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
 
 struct CountingAlloc;
 
 // SAFETY: every method delegates directly to the `System` allocator,
 // which upholds the `GlobalAlloc` contract; the only extra work is a
-// relaxed counter bump, which neither allocates nor unwinds.
+// thread-local counter bump, which neither allocates nor unwinds.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         // SAFETY: the caller's `layout` is forwarded verbatim to `System.alloc`.
         unsafe { System.alloc(layout) }
     }
@@ -35,7 +45,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         // SAFETY: `ptr`/`layout` come from a prior `alloc` through this
         // same wrapper; `new_size` is forwarded unchanged to `System.realloc`.
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -45,10 +55,11 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static COUNTER: CountingAlloc = CountingAlloc;
 
+/// `f`'s result and the allocations this thread made while it ran.
 fn allocs_during<T>(f: impl FnOnce() -> T) -> (T, u64) {
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = ALLOCS.with(Cell::get);
     let v = f();
-    (v, ALLOCS.load(Ordering::Relaxed) - before)
+    (v, ALLOCS.with(Cell::get) - before)
 }
 
 #[test]

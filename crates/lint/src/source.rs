@@ -152,6 +152,15 @@ impl SourceFile {
                             }
                         }
                     }
+                    // An array type (`-> [u64; 4]`): its `;` ends
+                    // nothing.
+                    "[" => {
+                        if let Some(close) = self.matching[ti] {
+                            while self.code.get(k + 1).is_some_and(|&nj| nj <= close) {
+                                k += 1;
+                            }
+                        }
+                    }
                     "{" => {
                         if let Some(close) = self.matching[ti] {
                             body = Some((ti, close));
@@ -357,6 +366,18 @@ mod tests {
         // inside the generic bound.
         let (p0, _) = fns[2].params.unwrap();
         assert_eq!(sf.toks[sf.next_code(p0).unwrap()].text, "f");
+    }
+
+    #[test]
+    fn array_types_in_signatures_keep_the_body() {
+        let sf = SourceFile::parse(
+            "x.rs",
+            "fn a<const K: usize>(x: [u8; K]) -> [u64; K] { x }\nfn b() -> Option<[u8; 2]> { None }\nfn c() -> [u8; 2];",
+        );
+        let fns = sf.fns();
+        assert!(fns[0].body.is_some());
+        assert!(fns[1].body.is_some());
+        assert!(fns[2].body.is_none());
     }
 
     #[test]
