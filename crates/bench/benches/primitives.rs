@@ -5,10 +5,11 @@
 //! CRT primes, which has the ADX kernel), the primality test on a known
 //! prime, modular inverse, fixed-base exponentiation, plain
 //! multiplication, `MemKv::insert_if_absent`, and RSA signing at 512 and
-//! 1024 bits side by side: two and three CRT primes, so the two- and
-//! three-lane lockstep exponentiation on a CPU with AVX-512 IFMA and
-//! the per-prime `Mont::pow` path without it (the ledger's
-//! `crypto.rsa_sign_us` row times 1024 bits alone). (Hash/cipher
+//! 1024 bits side by side: two and three CRT primes, so a two- and a
+//! three-lane call of the vertical exponentiation on a CPU with AVX-512
+//! IFMA and the per-prime `Mont::pow` path without it, beside a batch of
+//! eight 1024-bit signatures (24 lanes, three full calls; the ledger's
+//! `crypto.rsa_sign_us` row times a lone 1024-bit signature). (Hash/cipher
 //! throughput, modexp, the 16-limb Montgomery product, prime search, RSA
 //! keygen and blinding are `crypto.*` / `bignum.*` rows in
 //! `BENCHMARK.json`.)
@@ -108,7 +109,8 @@ fn bench_keygen(c: &mut Criterion) {
 }
 
 /// PKCS#1 v1.5 signing, which is one private-key operation: at 512 bits
-/// the key has two primes, at 1024 three (`raw_private`'s lane counts).
+/// the key has two primes, at 1024 three (`raw_private`'s lane counts);
+/// and eight 1024-bit signatures in one `sign_batch`.
 fn bench_rsa_sign(c: &mut Criterion) {
     use p2drm_crypto::rsa::RsaKeyPair;
 
@@ -123,6 +125,12 @@ fn bench_rsa_sign(c: &mut Criterion) {
         group.bench_function(BenchmarkId::new("rsa_sign", bits), |b| {
             b.iter(|| kp.sign(b"a license body"))
         });
+        if bits == 1024 {
+            let bodies: Vec<&[u8]> = vec![b"a license body"; 8];
+            group.bench_function(BenchmarkId::new("rsa_sign_batch8", bits), |b| {
+                b.iter(|| kp.sign_batch(&bodies))
+            });
+        }
     }
     group.finish();
 }

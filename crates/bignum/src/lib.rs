@@ -11,9 +11,10 @@
 //!   exponentiation with odd moduli, the workhorse of all public-key
 //!   operations; [`MontForm`] keeps values in Montgomery form across a
 //!   whole computation so conversions are paid at the boundary only.
-//! * [`ifma`] — two or three exponentiations modulo primes of at most
-//!   362 bits at once on AVX-512 IFMA: the CRT half of an RSA private-key
-//!   operation.
+//! * [`ifma`] — any number of exponentiations modulo odd numbers of at
+//!   most 362 bits, eight to a kernel call, one per 64-bit lane of
+//!   AVX-512 IFMA registers: the CRT halves of one or many RSA
+//!   private-key operations.
 //! * [`modring`] — plain modular arithmetic, extended GCD, modular inverse
 //!   and the Jacobi symbol.
 //! * [`prime`] — Baillie–PSW primality testing (plus optional random-base
@@ -45,11 +46,11 @@
 //!   runs the assembly only after both are reported; the assembly reads
 //!   only the limbs of its `&[u64; 6]` operands and writes only its
 //!   declared register outputs ([`mont`] module doc).
-//! * `ifma::pow_ifma`, the call into the lockstep exponentiation. It asks
-//!   for `avx512f` and `avx512ifma` and only then calls the kernel, which
-//!   is safe `#[target_feature]` functions over register values with no
-//!   pointer intrinsics, so the call is the only `unsafe` operation
-//!   ([`ifma`] module doc).
+//! * `ifma::pow_vertical`, the call into the vertical exponentiation. It
+//!   asks for `avx512f`, `avx512vl` and `avx512ifma` and only then calls
+//!   the kernel, which is safe `#[target_feature]` functions over
+//!   register values with no pointer intrinsics, so the call is the only
+//!   `unsafe` operation ([`ifma`] module doc).
 //!
 //! CI fails if a third exemption appears anywhere in the crate.
 //!

@@ -6,7 +6,7 @@
 //! exponent bits, i.e. ~1000 extra allocations when the exponent grows from
 //! 256 to 1024 bits). With the allocation-free kernel the count difference
 //! between a short and a long exponent is only the (slightly larger) window
-//! table, independent of the loop trip count. The lockstep exponentiation
+//! table, independent of the loop trip count. The vertical exponentiation
 //! of `ifma` (on a CPU with AVX-512 IFMA) allocates exactly as much for
 //! 341-bit exponents as for 64-bit ones.
 //!
@@ -182,9 +182,9 @@ fn pow_main_loop_is_allocation_free() {
     let (short, long) = (exps(64), exps(341));
     let lanes_short: Vec<_> = consts.iter().zip(&short).map(|(c, e)| (c, &x, e)).collect();
     let lanes_long: Vec<_> = consts.iter().zip(&long).map(|(c, e)| (c, &x, e)).collect();
-    let _ = ifma::pow_lockstep(&lanes_long);
-    let (r_short, a_short) = allocs_during(|| ifma::pow_lockstep(&lanes_short));
-    let (r_long, a_long) = allocs_during(|| ifma::pow_lockstep(&lanes_long));
+    let _ = ifma::pow_lanes(&lanes_long);
+    let (r_short, a_short) = allocs_during(|| ifma::pow_lanes(&lanes_short));
+    let (r_long, a_long) = allocs_during(|| ifma::pow_lanes(&lanes_long));
     match (r_short, r_long) {
         (Some(r_short), Some(r_long)) => {
             for (k, r) in primes.iter().enumerate() {
@@ -193,10 +193,10 @@ fn pow_main_loop_is_allocation_free() {
             }
             assert_eq!(
                 a_short, a_long,
-                "lockstep loop allocates: {a_short} allocs @64-bit exps vs {a_long} @341-bit exps"
+                "vertical loop allocates: {a_short} allocs @64-bit exps vs {a_long} @341-bit exps"
             );
         }
-        _ => eprintln!("this CPU has no AVX-512 IFMA: the lockstep allocation count is skipped"),
+        _ => eprintln!("this CPU has no AVX-512 IFMA: the vertical allocation count is skipped"),
     }
 
     // ---- Prime search: trial division never touches the heap ----------

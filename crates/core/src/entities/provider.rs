@@ -96,7 +96,7 @@ use crate::protocol::messages::{self, LicenseStatus, PurchaseRequest, TransferRe
 use crate::CoreError;
 use p2drm_crypto::envelope;
 use p2drm_crypto::rng::CryptoRng;
-use p2drm_crypto::rsa::RsaPublicKey;
+use p2drm_crypto::rsa::{RsaPublicKey, RsaSignature};
 use p2drm_payment::Mint;
 use p2drm_pki::authority::CertificateAuthority;
 use p2drm_pki::cert::{digest_id, Certificate, KeyId, PseudonymCertificate};
@@ -109,6 +109,7 @@ use p2drm_store::{
 use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// The default volatile backend: lock-sharded in-memory store.
@@ -207,16 +208,39 @@ pub struct ProviderState<B: ConcurrentKv> {
     mint: Mint,
 }
 
+/// What the provider's license signing cost: values, never labels, so
+/// nothing about which requests shared a batch reaches telemetry.
+#[derive(Default)]
+struct SignStats {
+    /// Licenses signed, purchases and transfers alike.
+    signatures: AtomicU64,
+    /// Vertical-kernel calls those signatures took (0 where the CPU has
+    /// no AVX-512 IFMA or the key is too wide for the kernel).
+    kernel_calls: AtomicU64,
+    /// Licenses per signing call: one sample per call.
+    batch_size: p2drm_obs::AtomicHistogram,
+}
+
+/// A purchase that passed every check and was paid for: its license
+/// body, waiting for the provider's signature, and whether its
+/// `lic/<id>` row is new (`false` for a replay).
+struct Unsigned {
+    body: LicenseBody,
+    fresh: bool,
+}
+
 /// The content provider, generic over its [`ConcurrentKv`] store backend.
 pub struct ContentProvider<B: ConcurrentKv = MemBackend> {
     core: ProviderCore,
     state: ProviderState<B>,
+    signing: SignStats,
 }
 
-/// One registry snapshot carries the provider's verify-cache, listing
-/// and store metrics together; the wire service registers the provider
-/// as a weak source at construction. Names are static, values are counts and
-/// durations — no pseudonyms, card ids, license ids or coin serials.
+/// One registry snapshot carries the provider's verify-cache, listing,
+/// license-signing and store metrics together; the wire service
+/// registers the provider as a weak source at construction. Names are
+/// static, values are counts and durations — no pseudonyms, card ids,
+/// license ids or coin serials.
 impl<B: ConcurrentKv> p2drm_obs::MetricSource for ContentProvider<B> {
     fn collect(&self, out: &mut p2drm_obs::SnapshotBuilder) {
         let c = self.verify_cache_counters();
@@ -228,6 +252,16 @@ impl<B: ConcurrentKv> p2drm_obs::MetricSource for ContentProvider<B> {
             "catalog_listing_builds",
             self.state.catalog.read().listing_builds(),
         );
+        let signing = &self.signing;
+        out.counter(
+            "license_signatures",
+            signing.signatures.load(Ordering::Relaxed),
+        );
+        out.counter(
+            "sign_kernel_calls",
+            signing.kernel_calls.load(Ordering::Relaxed),
+        );
+        out.histogram("sign_batch_size", &signing.batch_size.snapshot());
         self.state.store.collect_metrics(out);
     }
 }
@@ -353,6 +387,7 @@ impl<B: ConcurrentKv> ContentProvider<B> {
                 crl: RwLock::new(CrlState::empty()),
                 mint,
             },
+            signing: SignStats::default(),
         }
     }
 
@@ -645,12 +680,84 @@ impl<B: ConcurrentKv> ContentProvider<B> {
     /// license id and deposits nothing more, even once the pseudonym has
     /// aged out or been revoked; the coin under any other pseudonym or
     /// content is a double spend.
+    ///
+    /// The one-request case of [`ContentProvider::handle_purchase_batch`].
     pub fn handle_purchase<R: CryptoRng + ?Sized>(
         &self,
         req: &PurchaseRequest,
         now_epoch: u32,
         rng: &mut R,
     ) -> Result<License, CoreError> {
+        self.handle_purchase_batch(&mut [(req, rng)], now_epoch, |_| ())
+            .pop()
+            .expect("one result per request")
+    }
+
+    /// Several purchases at once, each with its own randomness; results
+    /// in request order. Each request is checked, paid for and given its
+    /// license body exactly as [`ContentProvider::handle_purchase`] does
+    /// it, in order; then every body is signed by one
+    /// [`RsaKeyPair::sign_batch`](p2drm_crypto::rsa::RsaKeyPair::sign_batch),
+    /// whose exponentiations share the vertical kernel's lanes (eight
+    /// RSA-1024 signatures are three kernel calls, where one alone is
+    /// one); then each license row is written. A refused or failed
+    /// request answers its own error and leaves the others alone.
+    ///
+    /// `scope(i)` is called just before request `i` is checked, and what
+    /// it returns is dropped once that request is settled: at once for a
+    /// refusal, after its row is written otherwise. Rows are written last
+    /// request first, so the scopes close in the reverse of the order
+    /// they opened — the nesting a thread-local tracing span needs to
+    /// charge each request's stages (deposit, store commit) to its own
+    /// span.
+    pub fn handle_purchase_batch<R: CryptoRng + ?Sized, G>(
+        &self,
+        batch: &mut [(&PurchaseRequest, &mut R)],
+        now_epoch: u32,
+        mut scope: impl FnMut(usize) -> G,
+    ) -> Vec<Result<License, CoreError>> {
+        let mut scopes = Vec::with_capacity(batch.len());
+        let mut checked = Vec::with_capacity(batch.len());
+        for (i, (req, rng)) in batch.iter_mut().enumerate() {
+            let guard = scope(i);
+            let unsigned = self.prepare_purchase(req, now_epoch, &mut **rng);
+            // A refusal's scope closes here, before the next one opens.
+            scopes.push(unsigned.is_ok().then_some(guard));
+            checked.push(unsigned);
+        }
+        let bodies = checked
+            .iter()
+            .filter_map(|u| u.as_ref().ok().map(|u| &u.body));
+        let mut signatures = self.sign_licenses(bodies.collect()).into_iter();
+        let mut issued: Vec<_> = checked
+            .into_iter()
+            .map(|unsigned| {
+                unsigned.map(|Unsigned { body, fresh }| {
+                    let signature = signatures.next().expect("one signature per body");
+                    (License { body, signature }, fresh)
+                })
+            })
+            .collect();
+        let mut results = Vec::with_capacity(issued.len());
+        while let Some(settled) = issued.pop() {
+            results.push(settled.and_then(|(license, fresh)| {
+                self.persist_record(&license, fresh)?;
+                Ok(license)
+            }));
+            drop(scopes.pop());
+        }
+        results.reverse();
+        results
+    }
+
+    /// Everything of a purchase before its signature: the checks, the
+    /// deposit and the license body.
+    fn prepare_purchase<R: CryptoRng + ?Sized>(
+        &self,
+        req: &PurchaseRequest,
+        now_epoch: u32,
+        rng: &mut R,
+    ) -> Result<Unsigned, CoreError> {
         let pseudonym = req.pseudonym_cert.pseudonym_id();
         let license_id = purchase_license_id(&req.coin.serial, &pseudonym, &req.content_id);
         // A replay (the serial's spent row already names this license)
@@ -706,9 +813,28 @@ impl<B: ConcurrentKv> ContentProvider<B> {
             key_envelope: envelope::seal(&req.pseudonym_cert.body.pseudonym_key, &content_key, rng),
             issued_epoch: now_epoch,
         };
-        let license = License::issue(body, &self.core.keys);
-        self.persist_record(&license, fresh)?;
-        Ok(license)
+        Ok(Unsigned { body, fresh })
+    }
+
+    /// The provider's signatures over `bodies`, in order, from one
+    /// [`RsaKeyPair::sign_batch`](p2drm_crypto::rsa::RsaKeyPair::sign_batch);
+    /// counted in the provider's [`SignStats`].
+    fn sign_licenses(&self, bodies: Vec<&LicenseBody>) -> Vec<RsaSignature> {
+        if bodies.is_empty() {
+            return Vec::new();
+        }
+        let bytes: Vec<Vec<u8>> = bodies.iter().map(|b| b.signing_bytes()).collect();
+        let messages: Vec<&[u8]> = bytes.iter().map(Vec::as_slice).collect();
+        let calls_before = p2drm_bignum::ifma::kernel_calls();
+        let signatures = self.core.keys.sign_batch(&messages);
+        let calls = p2drm_bignum::ifma::kernel_calls() - calls_before;
+        let stats = &self.signing;
+        stats
+            .signatures
+            .fetch_add(messages.len() as u64, Ordering::Relaxed);
+        stats.kernel_calls.fetch_add(calls, Ordering::Relaxed);
+        stats.batch_size.record(messages.len() as u64);
+        signatures
     }
 
     /// Privacy-preserving transfer: revoke the old anonymous license,
@@ -798,7 +924,11 @@ impl<B: ConcurrentKv> ContentProvider<B> {
             key_envelope: envelope::seal(&req.recipient_cert.body.pseudonym_key, &content_key, rng),
             issued_epoch: now_epoch,
         };
-        let license = License::issue(body, &self.core.keys);
+        let signature = self
+            .sign_licenses(vec![&body])
+            .pop()
+            .expect("one signature per body");
+        let license = License { body, signature };
         self.persist_record(&license, fresh)?;
         Ok(license)
     }

@@ -113,15 +113,18 @@ impl From<p2drm_payment::PaymentError> for WireError {
 /// device) while the provider/RA live behind the wire.
 pub struct WireClient<T: Transport> {
     transport: T,
-    /// Correlation-id source: a monotone atomic counter, so ids are
-    /// unique per client/connection even across concurrently prepared
-    /// pipelined sessions. Id 0 is reserved (it marks a server's
-    /// pre-decode error reply) and skipped; on the astronomically
-    /// distant wrap-around of the `u64` the counter passes 0 and keeps
-    /// going — ids only collide if a request from 2⁶⁴ calls ago is
-    /// somehow still in flight, which every transport rejects as an
-    /// unknown-id channel failure rather than misdelivering.
-    next_correlation: AtomicU64,
+    /// Correlation-id source: a per-client CSPRNG, the ChaCha20
+    /// keystream under `id_key`, one block per id with the call count
+    /// as its nonce. Ids are unpredictable and unrelated to each other,
+    /// so a server's span ring cannot tie one client's requests together
+    /// by consecutive ids; the count is atomic, so concurrently prepared
+    /// pipelined sessions never draw the same block. Id 0 is reserved
+    /// (it marks a server's pre-decode error reply) and redrawn. Two
+    /// draws collide with probability 2⁻⁶⁴; a collision with a request
+    /// still in flight is rejected by every transport as an unknown-id
+    /// channel failure rather than misdelivered.
+    id_key: [u8; 32],
+    drawn: AtomicU64,
     /// Epoch the client stamps into pseudonym/attribute bodies. The
     /// server validates freshness regardless; a stale hint just gets the
     /// issuance rejected.
@@ -134,11 +137,21 @@ pub struct WireClient<T: Transport> {
 }
 
 impl<T: Transport> WireClient<T> {
-    /// Client over `transport`, assuming epoch 0 until told otherwise.
+    /// Client over `transport`, assuming epoch 0 until told otherwise;
+    /// its correlation ids come from a CSPRNG keyed with fresh OS
+    /// entropy.
     pub fn new(transport: T) -> Self {
+        Self::with_id_key(transport, p2drm_crypto::rng::os_entropy32())
+    }
+
+    /// [`WireClient::new`] with the correlation-id CSPRNG keyed by
+    /// `id_key`: the same key draws the same ids, so a test can pin
+    /// every frame of a session.
+    pub fn with_id_key(transport: T, id_key: [u8; 32]) -> Self {
         WireClient {
             transport,
-            next_correlation: AtomicU64::new(1),
+            id_key,
+            drawn: AtomicU64::new(0),
             epoch: 0,
             now_hint: None,
             retry: None,
@@ -160,11 +173,16 @@ impl<T: Transport> WireClient<T> {
         self.epoch = epoch;
     }
 
-    /// The next fresh correlation id (never 0 — reserved for the
-    /// server's pre-decode error replies).
+    /// The next fresh correlation id, drawn from the client's CSPRNG
+    /// (never 0 — reserved for the server's pre-decode error replies).
     fn next_corr(&self) -> u64 {
         loop {
-            let id = self.next_correlation.fetch_add(1, Ordering::Relaxed);
+            let draw = self.drawn.fetch_add(1, Ordering::Relaxed);
+            let mut nonce = [0u8; 12];
+            nonce[..8].copy_from_slice(&draw.to_le_bytes());
+            let [b0, b1, b2, b3, b4, b5, b6, b7, ..] =
+                p2drm_crypto::chacha20::block(&self.id_key, &nonce, 0);
+            let id = u64::from_le_bytes([b0, b1, b2, b3, b4, b5, b6, b7]);
             if id != 0 {
                 return id;
             }
@@ -838,5 +856,35 @@ mod tests {
             "a 60 s hint was slept: {:?}",
             started.elapsed()
         );
+    }
+
+    /// A client's correlation ids come from its CSPRNG, not a counter:
+    /// 1,000 calls give 1,000 distinct nonzero ids, no id follows its
+    /// predecessor by one, a second client draws none of them, and the
+    /// same key draws the same ids.
+    #[test]
+    fn correlation_ids_are_drawn_not_counted() {
+        let ids = |client: WireClient<&Scripted>, script: &Scripted, calls: usize| {
+            let mut client = client;
+            for _ in 0..calls {
+                assert!(client.call(request()).is_ok());
+            }
+            script.sent.borrow().clone()
+        };
+        let script = Scripted::new((0..1000).map(|_| ok()));
+        let sent = ids(WireClient::new(&script), &script, 1000);
+        assert_eq!(sent.len(), 1000);
+        assert!(sent.iter().all(|&id| id != 0));
+        let distinct: std::collections::HashSet<u64> = sent.iter().copied().collect();
+        assert_eq!(distinct.len(), 1000);
+        assert!(sent.windows(2).all(|w| w[1] != w[0].wrapping_add(1)));
+
+        let other = Scripted::new((0..10).map(|_| ok()));
+        let theirs = ids(WireClient::new(&other), &other, 10);
+        assert!(theirs.iter().all(|id| !distinct.contains(id)));
+
+        let (a, b) = (Scripted::new([ok(), ok()]), Scripted::new([ok(), ok()]));
+        let keyed = |s| WireClient::with_id_key(s, [7; 32]);
+        assert_eq!(ids(keyed(&a), &a, 2), ids(keyed(&b), &b, 2));
     }
 }

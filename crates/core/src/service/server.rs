@@ -1,8 +1,8 @@
 //! The server half: [`ProviderService`] decodes, dispatches and encodes.
 
 use super::envelope::{
-    correlation_hint, OpCode, RequestEnvelope, ResponseEnvelope, WireRequest, WireResponse,
-    OPCODE_COUNT,
+    correlation_hint, EnvelopeError, OpCode, RequestEnvelope, ResponseEnvelope, WireRequest,
+    WireResponse, OPCODE_COUNT,
 };
 use super::error::{ApiError, ApiErrorCode};
 use crate::entities::provider::{ContentProvider, MemBackend};
@@ -227,23 +227,101 @@ impl<B: ConcurrentKv> ProviderService<B> {
     /// [`ResponseEnvelope`], never a panic, and a failed request leaves
     /// the underlying provider fully serviceable.
     pub fn handle(&self, request: &[u8]) -> Vec<u8> {
+        self.handle_with_rng(request, &mut self.request_rng())
+    }
+
+    /// The next request's randomness. Nonce-separated ChaCha20 streams
+    /// under one entropy-keyed 256-bit key: one independent CSPRNG per
+    /// request, no shared lock on the hot path, and no way to predict
+    /// one request's randomness from another's output.
+    fn request_rng(&self) -> ChaChaRng {
         let n = self.requests.fetch_add(1, Ordering::Relaxed);
-        // Nonce-separated ChaCha20 streams under one entropy-keyed
-        // 256-bit key: one independent CSPRNG per request, no shared
-        // lock on the hot path, and no way to predict one request's
-        // randomness from another's output.
         let mut nonce = [0u8; 12];
         nonce[..8].copy_from_slice(&n.to_le_bytes());
-        let mut rng = ChaChaRng::new(self.rng_key, nonce);
-        self.handle_with_rng(request, &mut rng)
+        ChaChaRng::new(self.rng_key, nonce)
     }
 
     /// [`ProviderService::handle`] with caller-supplied randomness
     /// (deterministic tests).
     pub fn handle_with_rng<R: CryptoRng + ?Sized>(&self, request: &[u8], rng: &mut R) -> Vec<u8> {
         let timer = Timer::start(self.registry.is_enabled());
+        self.answer(request, RequestEnvelope::from_bytes(request), timer, rng)
+    }
+
+    /// Answers several requests that arrived together; `reply(i, bytes)`
+    /// receives request `i`'s response as soon as it is ready. Every
+    /// request gets what [`ProviderService::handle`] would give it — its
+    /// own ChaCha20 stream, span and stats — but the purchases among
+    /// them are settled by one
+    /// [`ContentProvider::handle_purchase_batch`], so their license
+    /// signatures share the vertical kernel's lanes. Every other request
+    /// is answered first, one by one, so a download or a read never
+    /// waits behind the batch's signatures.
+    pub fn handle_batch(&self, requests: &[&[u8]], reply: &mut dyn FnMut(usize, Vec<u8>)) {
+        let mut rngs: Vec<ChaChaRng> = requests.iter().map(|_| self.request_rng()).collect();
+        self.handle_batch_with_rngs(requests, &mut rngs, reply);
+    }
+
+    /// [`ProviderService::handle_batch`] with caller-supplied randomness,
+    /// `rngs[i]` for request `i` (deterministic tests): one generator per
+    /// request.
+    pub fn handle_batch_with_rngs<R: CryptoRng>(
+        &self,
+        requests: &[&[u8]],
+        rngs: &mut [R],
+        reply: &mut dyn FnMut(usize, Vec<u8>),
+    ) {
+        debug_assert_eq!(requests.len(), rngs.len(), "one generator per request");
+        let mut purchases = Vec::new();
+        for (i, (request, rng)) in requests.iter().zip(rngs.iter_mut()).enumerate() {
+            let timer = Timer::start(self.registry.is_enabled());
+            match RequestEnvelope::from_bytes(request) {
+                Ok(RequestEnvelope {
+                    correlation_id,
+                    body: WireRequest::Purchase(req),
+                }) => purchases.push((i, correlation_id, req, rng, timer)),
+                decoded => reply(i, self.answer(request, decoded, timer, rng)),
+            }
+        }
+        if purchases.is_empty() {
+            return;
+        }
+        let op = OpCode::Purchase;
+        let ids: Vec<u64> = purchases.iter().map(|p| p.1).collect();
+        let mut batch: Vec<_> = purchases
+            .iter_mut()
+            .map(|(_, _, req, rng, _)| (&*req, &mut **rng))
+            .collect();
+        let results = self
+            .provider
+            .handle_purchase_batch(&mut batch, self.epoch(), |k| {
+                ids.get(k).map(|&id| self.tracer.begin(id, op.label()))
+            });
+        for ((i, correlation_id, _, _, timer), result) in purchases.into_iter().zip(results) {
+            self.stats.served.inc();
+            let body = match result {
+                Ok(license) => WireResponse::Purchase(PurchaseResponse { license }),
+                Err(e) => WireResponse::Error(e.into()),
+            };
+            let response = ResponseEnvelope {
+                correlation_id,
+                body,
+            };
+            reply(i, self.encode(op.byte(), &response, timer));
+        }
+    }
+
+    /// Dispatches a decoded request, or answers the decoding error, and
+    /// encodes the reply.
+    fn answer<R: CryptoRng + ?Sized>(
+        &self,
+        request: &[u8],
+        decoded: Result<RequestEnvelope, EnvelopeError>,
+        timer: Timer,
+        rng: &mut R,
+    ) -> Vec<u8> {
         self.stats.served.inc();
-        let (op_byte, response) = match RequestEnvelope::from_bytes(request) {
+        let (op_byte, response) = match decoded {
             Ok(envelope) => {
                 let op = envelope.body.opcode();
                 // Span fields: correlation id (client-chosen, already on
@@ -268,6 +346,12 @@ impl<B: ConcurrentKv> ProviderService<B> {
                 },
             ),
         };
+        self.encode(op_byte, &response, timer)
+    }
+
+    /// Encodes a reply, counting an error reply and timing the request
+    /// into its op's histogram.
+    fn encode(&self, op_byte: u8, response: &ResponseEnvelope, timer: Timer) -> Vec<u8> {
         if matches!(response.body, WireResponse::Error(_)) {
             self.stats.errors.inc();
         }

@@ -221,7 +221,7 @@ struct Factor {
     t: MontForm,
     /// Montgomery context mod rᵢ.
     mont: Mont,
-    /// Its radix-2^52 constants for the lockstep exponentiation
+    /// Its radix-2^52 constants for the vertical exponentiation
     /// (`R² mod rᵢ` and `−rᵢ⁻¹ mod 2^52`), or `None` for a prime of more
     /// than [`ifma::MAX_MODULUS_BITS`] bits.
     r52: Option<Modulus52>,
@@ -306,57 +306,106 @@ impl RsaKeyPair {
 
     /// Raw RSA private operation `x^d mod n` via the CRT: one
     /// exponentiation `x^dᵢ mod rᵢ` per prime, recombined with Garner's
-    /// rule. Sign, blind sign and KEM decapsulation all end here.
+    /// rule. Sign, blind sign and KEM decapsulation all end here; it is
+    /// the one-input case of the batch behind
+    /// [`RsaKeyPair::sign_batch`], so both take one code path.
     ///
-    /// The exponentiations run at once on the AVX-512 IFMA lockstep path
-    /// ([`ifma::pow_lockstep`]) when the CPU has `avx512f` and
-    /// `avx512ifma` and every prime has at most
+    /// The exponentiations run as lanes of the AVX-512 IFMA vertical
+    /// kernel ([`ifma::pow_lanes`]) when the CPU has `avx512f`,
+    /// `avx512vl` and `avx512ifma` and every prime has at most
     /// [`ifma::MAX_MODULUS_BITS`] (362) bits: generated keys of up to 724
     /// bits (two primes) and of 1024 to 1086 bits (three), so 512- and
     /// 1024-bit keys. Otherwise, a 2048-bit key for one, each prime runs
     /// its own [`Mont::pow`]. Both paths give the same value, bit for
     /// bit; nothing but the CPU and the primes' sizes picks one.
     pub fn raw_private(&self, x: &UBig) -> UBig {
-        // lint: secret(factors, powers, first, rest, f, r, d, t, m, mi, h, radix)
-        let powers = self
-            .lockstep_powers(x)
-            .unwrap_or_else(|| self.factors.iter().map(|f| f.mont.pow(x, &f.d)).collect());
+        self.raw_private_batch(&[x])
+            .pop()
+            .expect("one result per input")
+    }
+
+    /// `x^d mod n` for every `x` of `xs`, in order: every CRT
+    /// exponentiation of every input is one lane of the same
+    /// [`ifma::pow_lanes`] call (`⌈k·inputs / 8⌉` kernel calls for a
+    /// `k`-prime key), or one [`Mont::pow`] each on the per-prime path.
+    fn raw_private_batch(&self, xs: &[&UBig]) -> Vec<UBig> {
+        // lint: secret(xs, x, factors, powers, f)
+        let powers = self.vertical_powers(xs).unwrap_or_else(|| {
+            xs.iter()
+                .flat_map(|x| self.factors.iter().map(move |f| f.mont.pow(x, &f.d)))
+                .collect()
+        });
+        powers
+            .chunks(self.factors.len())
+            .map(|p| self.garner(p))
+            .collect()
+    }
+
+    /// `x^dᵢ mod rᵢ` for every input and prime, input by input, on the
+    /// vertical kernel; or `None` when a prime is too wide for it or the
+    /// CPU lacks AVX-512 IFMA.
+    fn vertical_powers(&self, xs: &[&UBig]) -> Option<Vec<UBig>> {
+        // lint: secret(xs, x, factors, lanes, f)
+        let mut lanes = Vec::with_capacity(xs.len() * self.factors.len());
+        for &x in xs {
+            for f in &self.factors {
+                lanes.push((f.r52.as_ref()?, x, &f.d));
+            }
+        }
+        ifma::pow_lanes(&lanes)
+    }
+
+    /// Garner's recombination of one input's per-prime powers, in factor
+    /// order.
+    fn garner(&self, powers: &[UBig]) -> UBig {
+        // lint: secret(factors, powers, first, rest, f, r, t, m, mi, h, radix)
         let (first, rest) = self.factors.split_first().expect("a key has >= 2 factors");
-        let mut powers = powers.into_iter();
-        let mut m = powers.next().expect("one power per factor");
+        let (m1, others) = powers.split_first().expect("one power per factor");
+        let mut m = m1.clone();
         let mut radix = first.r.clone();
-        for (f, mi) in rest.iter().zip(powers) {
+        for (f, mi) in rest.iter().zip(others) {
             // h = tᵢ·(mᵢ − m) mod rᵢ: one Montgomery product, because tᵢ
             // is kept permanently in Montgomery form.
-            let h = f
-                .mont
-                .form_mul_plain(&f.t, &modring::sub_mod(&mi, &m, &f.r));
+            let h = f.mont.form_mul_plain(&f.t, &modring::sub_mod(mi, &m, &f.r));
             m = &m + &(&radix * &h);
             radix = &radix * &f.r;
         }
         m
     }
 
-    /// `x^dᵢ mod rᵢ` for every prime on the lockstep path, or `None` when
-    /// a prime is too wide for it or the CPU lacks AVX-512 IFMA.
-    fn lockstep_powers(&self, x: &UBig) -> Option<Vec<UBig>> {
-        // lint: secret(factors, lanes, f)
-        let lanes = self
-            .factors
-            .iter()
-            .map(|f| Some((f.r52.as_ref()?, x, &f.d)))
-            .collect::<Option<Vec<_>>>()?;
-        ifma::pow_lockstep(&lanes)
+    /// Signs `message` with PKCS#1 v1.5 / SHA-256: the one-message case
+    /// of [`RsaKeyPair::sign_batch`].
+    pub fn sign(&self, message: &[u8]) -> RsaSignature {
+        self.sign_batch(&[message])
+            .pop()
+            .expect("one signature per message")
     }
 
-    /// Signs `message` with PKCS#1 v1.5 / SHA-256.
-    pub fn sign(&self, message: &[u8]) -> RsaSignature {
-        let em = emsa_pkcs1_v15(message, self.public.modulus_len())
-            .expect("modulus always large enough for SHA-256 EM");
-        let m = UBig::from_bytes_be(&em);
-        let s = self.raw_private(&m);
-        debug_assert_eq!(self.public.raw_public(&s), m, "CRT self-check");
-        RsaSignature { s }
+    /// Signs every message with PKCS#1 v1.5 / SHA-256, in order: the
+    /// signatures [`RsaKeyPair::sign`] gives, bit for bit, with every CRT
+    /// exponentiation of every message packed into the lanes of the
+    /// vertical kernel. A 1024-bit key's eight signatures are 24 lanes,
+    /// three full kernel calls, where one signature alone takes a call
+    /// of its own ([`ifma`] module doc). Keys the kernel does not take
+    /// sign message by message at the cost of [`RsaKeyPair::sign`].
+    pub fn sign_batch(&self, messages: &[&[u8]]) -> Vec<RsaSignature> {
+        let encoded: Vec<UBig> = messages
+            .iter()
+            .map(|message| {
+                let em = emsa_pkcs1_v15(message, self.public.modulus_len())
+                    .expect("modulus always large enough for SHA-256 EM");
+                UBig::from_bytes_be(&em)
+            })
+            .collect();
+        let inputs: Vec<&UBig> = encoded.iter().collect();
+        self.raw_private_batch(&inputs)
+            .into_iter()
+            .zip(&encoded)
+            .map(|(s, m)| {
+                debug_assert_eq!(&self.public.raw_public(&s), m, "CRT self-check");
+                RsaSignature { s }
+            })
+            .collect()
     }
 }
 
@@ -690,7 +739,7 @@ mod tests {
         }
     }
 
-    /// `raw_private` takes the lockstep path exactly when the CPU has
+    /// `raw_private` takes the vertical path exactly when the CPU has
     /// AVX-512 IFMA and every prime has at most 362 bits, with the
     /// per-prime `Mont::pow` values either way: 512- and 1024-bit keys
     /// take it; a 725-bit key (a 362-bit and a 363-bit prime) and a
@@ -703,7 +752,7 @@ mod tests {
         #[cfg(not(target_arch = "x86_64"))]
         let ifma = false;
         if !ifma {
-            eprintln!("this CPU has no AVX-512 IFMA: the lockstep half is skipped");
+            eprintln!("this CPU has no AVX-512 IFMA: the vertical half is skipped");
         }
         let mixed = RsaKeyPair::generate(725, &mut test_rng(725));
         let widths = |kp: &RsaKeyPair| kp.factors.iter().map(|f| f.r.bit_len()).collect::<Vec<_>>();
@@ -717,12 +766,12 @@ mod tests {
             let bits = kp.public().modulus().bit_len();
             let x = fdh(b"dispatch", kp.public().modulus_len());
             let per_prime: Vec<UBig> = kp.factors.iter().map(|f| f.mont.pow(&x, &f.d)).collect();
-            match kp.lockstep_powers(&x) {
+            match kp.vertical_powers(&[&x]) {
                 Some(powers) => {
-                    assert!(narrow && ifma, "{bits} bits took the lockstep path");
+                    assert!(narrow && ifma, "{bits} bits took the vertical path");
                     assert_eq!(powers, per_prime, "{bits} bits");
                 }
-                None => assert!(!(narrow && ifma), "{bits} bits missed the lockstep path"),
+                None => assert!(!(narrow && ifma), "{bits} bits missed the vertical path"),
             }
             let plain = x
                 .pow_mod(kp.private_exponent(), kp.public().modulus())
@@ -731,6 +780,40 @@ mod tests {
             let sig = kp.sign(b"dispatch");
             kp.public().verify(b"dispatch", &sig).unwrap();
         }
+    }
+
+    /// `sign_batch` of 1 to 9 messages gives `sign` of each, in order:
+    /// at 512 bits (two lanes a message), at 1024 (three, so 9 messages
+    /// are 27 lanes in four kernel calls) and at 2048 on the per-prime
+    /// path. Every signature verifies.
+    #[test]
+    fn sign_batch_equals_sign_of_each_message() {
+        let kp512 = keypair();
+        let messages: Vec<Vec<u8>> = (0..9u8).map(|i| vec![i; 1 + 13 * i as usize]).collect();
+        for (kp, counts) in [
+            (&kp512, 1..=9),
+            (keypair1024(), 1..=9),
+            (keypair2048(), 1..=3),
+        ] {
+            let bits = kp.public().modulus().bit_len();
+            for count in counts {
+                let batch: Vec<&[u8]> = messages[..count].iter().map(Vec::as_slice).collect();
+                let before = ifma::kernel_calls();
+                let sigs = kp.sign_batch(&batch);
+                let calls = ifma::kernel_calls() - before;
+                let lanes = (count * kp.factors.len()) as u64;
+                assert!(
+                    calls == 0 || (bits <= 1024 && calls == lanes.div_ceil(ifma::LANES as u64)),
+                    "{bits} bits, {count} messages: {calls} kernel calls"
+                );
+                assert_eq!(sigs.len(), count);
+                for (message, sig) in batch.iter().zip(&sigs) {
+                    assert_eq!(sig, &kp.sign(message), "{bits} bits, {count} messages");
+                    kp.public().verify(message, sig).unwrap();
+                }
+            }
+        }
+        assert!(kp512.sign_batch(&[]).is_empty());
     }
 
     #[test]

@@ -338,3 +338,172 @@ fn an_oversized_reply_closes_only_its_own_connection() {
     assert_eq!(metrics.oversized_replies, ROUNDS);
     assert_eq!(metrics.requests_served, ROUNDS * (2 + 8) + 1);
 }
+
+/// An echo service that answers a worker's jobs as one batch, replying
+/// last request first, and records each batch's size. While `gate` is
+/// closed a batch waits inside the service, holding its worker.
+#[derive(Default)]
+struct BatchingEcho {
+    sizes: std::sync::Mutex<Vec<usize>>,
+    gate: std::sync::Mutex<bool>,
+    opened: std::sync::Condvar,
+}
+
+impl BatchingEcho {
+    fn open(&self) {
+        *self.gate.lock().unwrap() = true;
+        self.opened.notify_all();
+    }
+
+    fn sizes(&self) -> Vec<usize> {
+        self.sizes.lock().unwrap().clone()
+    }
+}
+
+/// The server's handle on a test's [`BatchingEcho`].
+struct Batching(Arc<BatchingEcho>);
+
+impl p2drm_net::NetService for Batching {
+    fn handle(&self, request: &[u8]) -> Vec<u8> {
+        request.to_vec()
+    }
+
+    fn handle_batch(&self, requests: &[&[u8]], reply: &mut dyn FnMut(usize, Vec<u8>)) {
+        let echo = &self.0;
+        echo.sizes.lock().unwrap().push(requests.len());
+        let mut open = echo.gate.lock().unwrap();
+        while !*open {
+            open = echo.opened.wait(open).unwrap();
+        }
+        drop(open);
+        for (i, request) in requests.iter().enumerate().rev() {
+            reply(i, request.to_vec());
+        }
+    }
+}
+
+/// The default `handle_batch` hands a plain service one request at a
+/// time: a counting `ServiceFn` sees exactly one `handle` per request,
+/// however deep the pipeline.
+#[test]
+fn a_service_fn_sees_one_handle_per_request() {
+    let calls = Arc::new(std::sync::atomic::AtomicU64::new(0));
+    let counted = calls.clone();
+    let server = DrmServer::bind(
+        "127.0.0.1:0",
+        ServiceFn(move |req: &[u8]| {
+            counted.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            req.to_vec()
+        }),
+        NetConfig {
+            queue_depth: 32,
+            ..NetConfig::default()
+        },
+    )
+    .expect("bind");
+    let mut conn = Client::connect(&server);
+    for round in 0..20 {
+        conn.burst(round * 32, 32);
+    }
+    drop(conn);
+    let metrics = server.shutdown();
+    assert_eq!(metrics.requests_served, 640);
+    assert_eq!(calls.load(std::sync::atomic::Ordering::Relaxed), 640);
+    assert_eq!(metrics.late_wakeups, 0, "{metrics:?}");
+}
+
+/// A worker takes only what is already queued, never more than
+/// `MAX_BATCH`: with one worker held inside the service by a lone
+/// request, twenty more queue up behind it, and once it is let go it
+/// takes them eight, eight and four. A depth-1 client never has more
+/// than one job queued, so it is answered in batches of one — nothing
+/// waits for a batch to fill.
+#[test]
+fn a_worker_takes_only_queued_jobs_up_to_the_cap() {
+    use p2drm_net::server::MAX_BATCH;
+    assert_eq!(MAX_BATCH, 8);
+    let service = Arc::new(BatchingEcho::default());
+    let server = DrmServer::bind(
+        "127.0.0.1:0",
+        Batching(service.clone()),
+        NetConfig {
+            workers: 1,
+            queue_depth: 32,
+            ..NetConfig::default()
+        },
+    )
+    .expect("bind");
+    let mut conn = Client::connect(&server);
+    conn.send(&frames([request(0).as_slice()]));
+    let deadline = Instant::now() + Duration::from_secs(20);
+    while service.sizes().is_empty() {
+        assert!(Instant::now() < deadline, "the first job was never taken");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let queued: Vec<[u8; 64]> = (1..=20).map(request).collect();
+    conn.send(&frames(queued.iter().map(|p| p.as_slice())));
+    while server.metrics().pipeline_depth_hwm < 21 {
+        assert!(Instant::now() < deadline, "the twenty were never queued");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    service.open();
+    let mut outstanding: Vec<u64> = (0..=20).collect();
+    for _ in 0..=20 {
+        let reply = conn.recv().expect("a reply per request");
+        let id = u64::from_le_bytes(reply[..8].try_into().unwrap());
+        assert_eq!(reply, request(id));
+        outstanding.retain(|&want| want != id);
+    }
+    assert!(outstanding.is_empty(), "unanswered: {outstanding:?}");
+    assert_eq!(service.sizes(), [1, 8, 8, 4]);
+
+    for id in 100..200 {
+        conn.burst(id, 1);
+    }
+    assert!(service.sizes()[4..].iter().all(|&n| n == 1));
+    drop(conn);
+    let metrics = server.shutdown();
+    assert_eq!(metrics.requests_served, 121);
+    assert_eq!(metrics.late_wakeups, 0, "{metrics:?}");
+}
+
+/// Batches mix connections, and a batching service may answer in any
+/// order: every reply still reaches the connection that asked, and no
+/// batch is larger than the cap.
+#[test]
+fn batched_replies_reach_their_own_connections() {
+    const CLIENTS: u64 = 4;
+    let service = Arc::new(BatchingEcho::default());
+    service.open();
+    let server = DrmServer::bind(
+        "127.0.0.1:0",
+        Batching(service.clone()),
+        NetConfig {
+            workers: 2,
+            queue_depth: 128,
+            ..NetConfig::default()
+        },
+    )
+    .expect("bind");
+    let together = Barrier::new(CLIENTS as usize);
+    std::thread::scope(|scope| {
+        for client in 0..CLIENTS {
+            let (server, together) = (&server, &together);
+            scope.spawn(move || {
+                let mut conn = Client::connect(server);
+                for round in 0..50 {
+                    together.wait();
+                    conn.burst((client << 32) + round * 32, 32);
+                }
+            });
+        }
+    });
+    let metrics = server.shutdown();
+    assert_eq!(metrics.requests_served, CLIENTS * 50 * 32);
+    assert_eq!(metrics.busy_rejections, 0);
+    assert_eq!(metrics.late_wakeups, 0, "{metrics:?}");
+    let sizes = service.sizes();
+    assert_eq!(sizes.iter().sum::<usize>() as u64, metrics.requests_served);
+    assert!(sizes.iter().all(|&n| (1..=8).contains(&n)), "{sizes:?}");
+    assert!(sizes.iter().any(|&n| n > 1), "bursts were batched");
+}

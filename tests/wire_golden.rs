@@ -57,18 +57,18 @@ impl Transport for Recorder<'_> {
 /// One line per exchange, in session order: request op label and frame
 /// SHA-256, then the response's.
 const GOLDEN: &str = "\
-pseudonym-issue 068b61809eaaf59ffff96044c1bb2a1e23f2b0ce02ac382c96c05dc73f809e14 -> pseudonym-issue c4b1e713c14371381a4c4ecd310d981467fae77cb43769a4d3ae826e9fb0fbee
-attribute-issue cf6c838531b2f2ce982792bbf0f11b9e9f92e7632bec16cd629573118a5ba496 -> attribute-issue 79186ffff9eb2fbb9c983369259d4359a197f879a74b8941f364d0e4da33126b
-catalog 0f3adaafc9940b5f18e767264e91e3dedd04f23c5c1e4281e25d56b478c5a458 -> catalog 448c6a80bf9888600957d6bc48b70cb568b1ddf5b29819e5f86460cb1e3755d6
-catalog f0e621e7f7b2e4b397cb3961fdc78d78343c51f91a68c4ee1cd77d5e3844f1c9 -> catalog 232dfad7da90ea79d35e6a6cc1f64c4e520e4b6237d6806339fbb51f61467c16
-purchase b85773bb570eed771a2e23a43541d2e1a70dd845e663282599e91b4c6d09a9a8 -> purchase fef88b3353b6160bbd47705c08bcf00dbdcb67f7b0886a517ea4fd5affadf7fe
-crl-sync 62571304c4d3595f50191c84f7f2b56c043fb6208dc39b794db855147c9c3f7a -> crl-sync 10674f794cbe26153a545aba8e3d062a45084e1f1f7cfa0c408465eebe597d70
-download 033abd7c343248540731f3afdce74e769a371af575b3a00c59a9725a567df402 -> download ec7c6c3aa43e113d8a41f9280f7f7c3b64412e7418217e84ab2c51b4b6321127
-license-status 06eeb83a10923e13dd93eb3fb635d6a050bba03c2b160ee04c97b954983dca05 -> license-status 5314c0aceb279e6c89ad52b6c26ccebf2be9638cb4c0c8da6f0bb908c4dab357
-pseudonym-issue 1fda53faf144debf63d8e4bab08db8a41991652cf3d8ba49c25aab25f0c259a5 -> pseudonym-issue e65eb6ba7fb5524dec229cafd99995c3b869228eb11587b61326f44ea06739a3
-transfer 7193a2794bd6415cb1ed97c2da4557766aac73e6966f9af63669c52a454fd839 -> transfer 1963654e263d0343f05a217e59accc999b9b66a46515d7822f15d40a1a199ade
-metrics-dump ffc3e49bb1db74e86e25b61c80347d513acf3207f1bad2ee1f141d7840bd95a7 -> error d8a367b132228023163537bddd68892ed55e4729eea3c8744f6cc4ab13c9f01b
-catalog 50b6959d693b8dffb9a40366d0cf7a959c27bf0fbb2c7443ce8e0d8b37a8271d -> error da936d635f5a0f289b668eb192e9309dd2b597fb49cd5ea23483edb438c5b52f";
+pseudonym-issue 880774e107587f553613c1432e0d72f63ab662dd368591df4aa9b6737e3f8d75 -> pseudonym-issue 79025be9bf8753fb491f9dbcfc4e46f4d8f0daeb753255f712736879d69fcef4
+attribute-issue 248689008da986bfec38e509f3e7496d788a23c25b1f74224b813083536dc9e6 -> attribute-issue 984cd7429ee97891e27df03c07096f7443f85eb08893697eaa5440038afcb2c9
+catalog 6d48f8575013373a7fb27f4116da2de7cc693205db1ab5afd552031ba629ca8a -> catalog f32c14b0556b67ce89ebc830fdd790c1d80428d2b280748a6b77948f4face19e
+catalog b69b3742d7f56b2a11e847f62bb5a132f65055d9277bcd0df14ec94990219ef0 -> catalog 43763eacf7691e06c5944161b788b223b9a795a9f68c0328d40a8114489862f9
+purchase 541c37201821c6293b29babf502b1f3da6a7fb1bc623978623e91ed342271487 -> purchase 34525366310ba55d7194bed8c321f06d01419e79e907aba471980e97103cd6be
+crl-sync f466d9ccf64e1de12cea61a93d6fcb302b54e35a03e8c8cc6dc0e077ee8c279c -> crl-sync b199035cc2b1bfa4043f1ef90107a9281dfaadca670ae5490c2869bcb9ba969c
+download 1df1dddb65154679f772a7ac9c4e2f69cbf27ab67825d299524b7f927baf9445 -> download 38a7e13df92fe2dac2d199c7b31ecca5533ce964b579ed1b692e08e5dac3d629
+license-status 06ae62c3309c2700a958d04fc20b59b88c859889e18ff2e586e8f625811ec5bd -> license-status ce77f4be046ff977bfd4df6e60d4ff986921058a9c3f8e12fced56880ea4c0e8
+pseudonym-issue a91b8463f803eb08c9677fed366eaf649ed87da27282eb77ebfc1e2cfcdfd3f6 -> pseudonym-issue f530e8b4d7c307d44f29d78e5b0c7a4ba292bd21b164ef0948b017598e240ab8
+transfer 4beb25f066626e80f7e599fbaf1ada3e096bc3a1409ee0f51dcf68f6c98ffd29 -> transfer 023df67cd22ffe926c1bb61a79c86dab073c7b1ebb8f4345debf28a844fa80a7
+metrics-dump f01ce255bd8e0a098da9a71351ef47f1c9577dc1dc7f1e0c3e64ccbc69d7fc43 -> error 32e33c4bc886daa1934b0e4918f50a83709541ff96011d1923aca0ec1975cc3e
+catalog 0ac28f858853e3b2c6f1473fb745d35b3619b2f0c08aa0b23a76e173a720e72d -> error 40b11b93e6d9bad43ed4aa302d7eaab943ff9983a85cfb905203f84b552417dd";
 
 #[test]
 fn scripted_session_matches_the_golden_frames() {
@@ -85,11 +85,13 @@ fn scripted_session_matches_the_golden_frames() {
 
     let service = sys.wire_service(0x601D);
     let frames = Mutex::default();
-    let mut client = WireClient::new(Recorder {
+    // A fixed correlation-id key: the ids, and so the frames, repeat.
+    let recorder = Recorder {
         inner: Loopback::with_rng(&service, test_rng(0x601D_0002)),
         sent: Mutex::default(),
         frames: &frames,
-    });
+    };
+    let mut client = WireClient::with_id_key(recorder, [0x60; 32]);
     client.set_epoch(sys.epoch());
     let (ra_key, ttp_key) = (sys.ra.blind_public(), sys.ttp.escrow_key());
 
