@@ -1,14 +1,23 @@
 //! Vertical modular exponentiation on AVX-512 IFMA: up to eight
 //! independent exponentiations per kernel call, one per 64-bit lane.
 //!
-//! [`pow_lanes`] computes `xₖ^eₖ mod nₖ` for any number of lanes, each an
-//! odd modulus of at most [`MAX_MODULUS_BITS`] bits with its own base and
-//! exponent: the CRT exponentiations of one or many RSA private-key
-//! operations, whose moduli are the key's primes.
+//! Two entries, each an instance of one kernel written once:
+//!
+//! * [`pow_lanes`] computes `xₖ^eₖ mod nₖ` for any number of lanes, each
+//!   an odd modulus of at most [`MAX_MODULUS_BITS`] (362) bits with its
+//!   own base and secret exponent: the CRT exponentiations of one or many
+//!   RSA private-key operations, whose moduli are the key's primes. Seven
+//!   limbs, `R = 2^364`, fixed 4-bit windows.
+//! * [`pow_public_lanes`] computes `xₖ^e mod nₖ` for any number of lanes
+//!   under one public exponent `e`, each an odd modulus of at most
+//!   [`MAX_PUBLIC_MODULUS_BITS`] (1038) bits: the public-key operations
+//!   (signature checks, KEM encapsulations) of many RSA-1024 requests.
+//!   Twenty limbs, `R = 2^1040`, plain square-and-multiply. Twenty limbs
+//!   are also the width of an RSA-2048 key's 1024-bit CRT primes.
 //!
 //! # Representation
 //!
-//! A residue is held in radix 2^52, seven limbs. The layout is
+//! A residue is held in radix 2^52, seven or twenty limbs. The layout is
 //! *vertical* (Drucker–Gueron, "Fast modular squaring with AVX512IFMA",
 //! ITNG 2019; Intel's multi-buffer `mbx_rsa_private_crt_mb8`): register
 //! `j` holds limb `j` of every lane, so `vpmadd52luq` / `vpmadd52huq`
@@ -17,30 +26,35 @@
 //! headroom. Every lane has its own modulus, base and exponent; no
 //! instruction moves data between lanes.
 //!
-//! The product is Montgomery's with `R = 2^364` in its *almost* form
-//! (Gueron–Krasnov): no subtraction at its end, so it returns a value
-//! below `2n` rather than below `n`. Operands below `2n` give a result
-//! below `(4n²/R + n)`, which is below `2n` when `4n < R`: hence at most
-//! 362 bits. Between products a value stays below `2n`; leaving
-//! Montgomery form gives a value of at most `n`, and one subtraction
-//! without a branch makes it canonical.
+//! The product is Montgomery's with `R = 2^(52·limbs)` in its *almost*
+//! form (Gueron–Krasnov): no subtraction at its end, so it returns a
+//! value below `2n` rather than below `n`. Operands below `2n` give a
+//! result below `(4n²/R + n)`, which is below `2n` when `4n < R`: hence
+//! at most 362 bits at seven limbs and 1038 at twenty. Between products
+//! a value stays below `2n`; leaving Montgomery form gives a value of at
+//! most `n`, and one subtraction without a branch makes it canonical.
 //!
-//! The exponentiation uses fixed 4-bit windows over the longest
+//! The secret-exponent entry uses fixed 4-bit windows over the longest
 //! exponent of the call: every lane squares and multiplies at every
 //! step, a lane with a shorter exponent starts on leading zero digits,
 //! and each lane picks its window entry by a masked scan over all 16
 //! table entries, with no exponent-derived index and no skipped multiply
-//! on a zero digit.
+//! on a zero digit. The public-exponent entry needs none of this: every
+//! lane shares the one public `e`, so it squares once per bit of `e` and
+//! multiplies by the base on its set bits, with no window table — 19
+//! products for `e = 65537` (16 squarings, one multiply and the two
+//! conversions), where the windowed entry would take 37.
 //!
 //! # Lane packing
 //!
-//! [`pow_lanes`] packs its lanes eight to a call in 512-bit registers;
+//! Both entries pack their lanes eight to a call in 512-bit registers;
 //! a call of at most four lanes (a lone RSA-1024 signature has three)
 //! runs the same code on 256-bit registers, where a product issues
 //! half the multiply-adds and the CPU can run two of them per cycle.
-//! Unused lanes of a call exponentiate 0 to the power 0 under the
-//! call's first modulus and are dropped. On a 2-vCPU Sapphire Rapids VM
-//! (Xeon model 207), a scratch kernel of this layout (341-bit primes,
+//! Unused lanes of a call take a zero base under the call's first
+//! modulus (and the exponent 0 in the secret entry) and are dropped.
+//! For the secret entry, on a 2-vCPU Sapphire Rapids VM (Xeon model
+//! 207), a scratch kernel of this layout (341-bit primes,
 //! full-length exponents, 40 rounds × 50 calls interleaved with the
 //! kernel it replaced, every lane checked against `Mont::pow`) sized
 //! the layout:
@@ -69,24 +83,78 @@
 //! latency by themselves, and its 4-lane call covers the lone
 //! signature at the old kernel's cost or less.
 //!
+//! # The public entry
+//!
+//! Timed in one process on the same 2-vCPU Sapphire Rapids VM, against
+//! [`Mont::pow_u64`](crate::Mont::pow_u64) (the scalar public path, on
+//! the 16-limb CIOS product at 1024 bits): odd random moduli, bases
+//! below them, `e = 65537`, 30 rounds each of 200 scalar operations and
+//! 100 kernel calls per lane count, interleaved, every lane checked
+//! against the scalar result; medians of the rounds, the range over
+//! three runs:
+//!
+//! | modulus | scalar, µs per op | 1 lane, µs per call | 2 lanes | 4 lanes | 8 lanes |
+//! |---|---|---|---|---|---|
+//! | 512 bits | 3.1–4.3 | 9.6–11.6 | 10.3–11.9 (5.2–6.0 per op) | 10.9–12.7 (2.7–3.2 per op) | 16.5–19.9 (2.1–2.5 per op) |
+//! | 1024 bits | 12.9–14.7 | 9.8–11.4 | 10.2–11.7 (5.1–5.9 per op) | 10.6–12.5 (2.7–3.1 per op) | 18.2–19.6 (2.3–2.5 per op) |
+//!
+//! A lane costs twenty limbs whatever its modulus, where the scalar
+//! path pays for the limbs the modulus has. The same runs between the
+//! two sizes, one lane and two against the scalar path (three runs):
+//!
+//! | modulus | scalar, µs per op | 1 lane, µs per call | 2 lanes, µs per op |
+//! |---|---|---|---|
+//! | 640 bits (10 limbs) | 4.0–4.4 | 7.5–8.0 | 3.9–4.0 |
+//! | 768 bits (12 limbs) | 5.3–6.7 | 7.5–8.2 | 3.9–4.3 |
+//! | 832 bits (13 limbs) | 6.1–11.8 | 7.5–9.6 | 3.8–5.1 |
+//! | 896 bits (14 limbs) | 8.5–13.0 | 8.3–9.9 | 4.4–5.1 |
+//! | 960 bits (15 limbs) | 8.6–13.8 | 8.2–9.2 | 4.3–4.9 |
+//!
+//! The constants of a fresh 1024-bit modulus cost 2.5–2.6 µs
+//! ([`PublicModulus52::new`]) against 3.0 µs for a
+//! [`Mont`](crate::Mont) context. So from 14 limbs of 64 bits one lane
+//! alone costs no more than the scalar path (at 1024 bits 0–25% less),
+//! and eight cost 2.3–2.5 µs per operation at 1024 bits, about a sixth
+//! of it; at 512 bits a lane is under half full and the kernel loses
+//! below four lanes. Hence the caller's rule (`rsa::public_batch` in
+//! `p2drm-crypto`): moduli of 833 to 1038 bits take this entry at any
+//! lane count, smaller ones keep the scalar path. Two lanes would win
+//! from 640 bits, but no key of the system has between 513 and 1023
+//! bits, so the rule does not count lanes.
+//! The secret-exponent entry was timed beside its previous, 7-limb-only
+//! form in the same process: unchanged (35.2–36.3 against 35.3–35.9 µs
+//! for a 3-lane call, 47.7–49.9 against 47.5–49.2 for 8 lanes).
+//!
 //! # Dispatch
 //!
 //! The kernel runs when `is_x86_feature_detected!` reports `avx512f`,
-//! `avx512vl` and `avx512ifma` (std caches the answer, so it is asked on
-//! every call); otherwise [`pow_lanes`] returns `None` and the caller
-//! uses [`Mont::pow`](crate::Mont::pow) per modulus, the reference it is
-//! tested against. Only the CPU, the lane count and the modulus size
-//! decide; there is no switch, cargo feature or setting. The kernel is
-//! written as safe `#[target_feature]` functions over register values
-//! (no pointer intrinsics); calling it after detection is this module's
-//! one `unsafe` operation (`pow_vertical`).
+//! `avx512vl` and `avx512ifma` ([`available`]; std caches the answer,
+//! so it is asked on every call); otherwise both entries return `None`
+//! and the caller uses [`Mont::pow`](crate::Mont::pow) or
+//! [`Mont::pow_u64`](crate::Mont::pow_u64) per modulus, the references
+//! they are tested against. Only the CPU, the lane count and the
+//! modulus size decide; there is no switch, cargo feature or setting.
+//! The kernel is written as safe `#[target_feature]` functions over
+//! register values (no pointer intrinsics); calling it after detection
+//! is this module's one `unsafe` operation (`pow_vertical`), which both
+//! entries go through.
 
 use crate::mont::inv64;
 use crate::ubig::UBig;
 use std::cell::Cell;
 
-/// Largest modulus the kernel takes, in bits: `4n < R = 2^364`.
-pub const MAX_MODULUS_BITS: usize = 362;
+/// Limbs of a residue of [`pow_lanes`]: 7 × 52 = 364 bits.
+const PRIME_LIMBS: usize = 7;
+
+/// Limbs of a residue of [`pow_public_lanes`]: 20 × 52 = 1040 bits.
+pub const PUBLIC_LIMBS: usize = 20;
+
+/// Largest modulus [`pow_lanes`] takes, in bits: `4n < R = 2^364`.
+pub const MAX_MODULUS_BITS: usize = Modulus52::MAX_BITS;
+
+/// Largest modulus [`pow_public_lanes`] takes, in bits:
+/// `4n < R = 2^1040`.
+pub const MAX_PUBLIC_MODULUS_BITS: usize = PublicModulus52::MAX_BITS;
 
 /// Lanes one kernel call holds: one per 64-bit lane of a 512-bit
 /// register.
@@ -101,51 +169,76 @@ const LIMB_BITS: usize = 52;
 /// The low 52 bits.
 const MASK: u64 = (1 << LIMB_BITS) - 1;
 
-/// Limbs per residue: 7 × 52 = 364 bits.
-const LIMBS: usize = 7;
-
-/// Window width of the exponentiation: 4 bits, 16 table entries.
+/// Window width of the secret-exponent entry: 4 bits, 16 table entries.
 const WINDOW: usize = 4;
 
 /// A value in radix 2^52, limb 0 first.
-type Limbs52 = [u64; LIMBS];
+type Limbs52<const L: usize> = [u64; L];
 
 /// One lane of [`pow_lanes`]: its modulus, base and exponent.
 pub type Lane<'a> = (&'a Modulus52, &'a UBig, &'a UBig);
+
+/// One lane of [`pow_public_lanes`]: its modulus and base.
+pub type PublicLane<'a> = (&'a PublicModulus52, &'a UBig);
+
+/// The constants of a modulus for [`pow_lanes`].
+pub type Modulus52 = Radix52<PRIME_LIMBS>;
+
+/// The constants of a modulus for [`pow_public_lanes`].
+pub type PublicModulus52 = Radix52<PUBLIC_LIMBS>;
 
 thread_local! {
     /// Kernel calls this thread has made; see [`kernel_calls`].
     static KERNEL_CALLS: Cell<u64> = const { Cell::new(0) };
 }
 
-/// Kernel calls the calling thread has made so far. A caller that
-/// reads it before and after a [`pow_lanes`] call learns how many calls
-/// its lanes took: `⌈lanes / 8⌉` on a CPU with AVX-512 IFMA, 0 without.
+/// Kernel calls the calling thread has made so far, through either
+/// entry. A caller that reads it before and after a [`pow_lanes`] or
+/// [`pow_public_lanes`] call learns how many calls its lanes took:
+/// `⌈lanes / 8⌉` on a CPU with AVX-512 IFMA, 0 without.
 pub fn kernel_calls() -> u64 {
     KERNEL_CALLS.with(Cell::get)
 }
 
-/// Radix-2^52 constants of one odd modulus `n` of at most
-/// [`MAX_MODULUS_BITS`] bits: `n` itself, `R² mod n` for entering
-/// Montgomery form, and `−n⁻¹ mod 2^52` for the reduction digits.
+/// Whether this CPU runs the kernel: it has AVX-512F, AVX-512VL and
+/// AVX-512 IFMA (std caches the answer, so asking is cheap). Without
+/// them both entries return `None`.
+pub fn available() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    return std::arch::is_x86_feature_detected!("avx512f")
+        && std::arch::is_x86_feature_detected!("avx512vl")
+        && std::arch::is_x86_feature_detected!("avx512ifma");
+    #[cfg(not(target_arch = "x86_64"))]
+    false
+}
+
+/// Radix-2^52 constants of one odd modulus `n` for the instance of `L`
+/// limbs, `R = 2^(52·L)`: `n` itself, `R² mod n` for entering
+/// Montgomery form, and `−n⁻¹ mod 2^52` for the reduction digits:
+/// [`Modulus52`] (7 limbs, moduli of at most [`MAX_MODULUS_BITS`] bits)
+/// for [`pow_lanes`], [`PublicModulus52`] (20 limbs, at most
+/// [`MAX_PUBLIC_MODULUS_BITS`]) for [`pow_public_lanes`].
 #[derive(Clone, Debug)]
-pub struct Modulus52 {
+pub struct Radix52<const L: usize> {
     modulus: UBig,
-    n: Limbs52,
-    rr: Limbs52,
+    n: Limbs52<L>,
+    rr: Limbs52<L>,
     k0: u64,
 }
 
-impl Modulus52 {
+impl<const L: usize> Radix52<L> {
+    /// Largest modulus of the instance, in bits: `4n < R`.
+    pub const MAX_BITS: usize = LIMB_BITS * L - 2;
+
     /// Builds the constants, or returns `None` if `modulus` is even,
-    /// below 3 or longer than [`MAX_MODULUS_BITS`] bits.
+    /// below 3 or longer than [`Self::MAX_BITS`].
     pub fn new(modulus: &UBig) -> Option<Self> {
         let bits = modulus.bit_len();
-        if modulus.is_even() || !(2..=MAX_MODULUS_BITS).contains(&bits) {
+        if modulus.is_even() || !(2..=Self::MAX_BITS).contains(&bits) {
             return None;
         }
-        let rr = UBig::one().shl(2 * LIMB_BITS * LIMBS).rem(modulus);
-        Some(Modulus52 {
+        let rr = UBig::one().shl(2 * LIMB_BITS * L).rem(modulus);
+        Some(Radix52 {
             n: to_radix52(modulus),
             rr: to_radix52(&rr),
             k0: inv64(modulus.limbs()[0]).wrapping_neg() & MASK,
@@ -161,21 +254,63 @@ impl Modulus52 {
 /// AVX-512 IFMA. The results are those of
 /// [`Mont::pow`](crate::Mont::pow), bit for bit.
 pub fn pow_lanes(lanes: &[Lane]) -> Option<Vec<UBig>> {
-    // lint: secret(lanes, chunk, bases, exps, out)
+    // lint: secret(lanes, chunk, exps)
     let zero = UBig::zero();
+    pow_packed(
+        lanes,
+        |lane| (lane.0, lane.1),
+        |width, chunk, moduli, bases, out| {
+            let mut exps = [&zero; LANES];
+            for (exp, lane) in exps.iter_mut().zip(chunk) {
+                *exp = lane.2;
+            }
+            pow_vertical(width, Job::Secret(moduli, bases, &exps, out))
+        },
+    )
+}
+
+/// `baseₖ^e mod nₖ` for every lane `(nₖ, baseₖ)` under one public
+/// exponent `e`, in lane order; bases need not be reduced. Plain
+/// square-and-multiply over the bits of `e`, with no window table:
+/// `e = 65537` is 19 products (16 squarings, one multiply, and the two
+/// conversions). Packed and dispatched as [`pow_lanes`] is; the results
+/// are those of [`Mont::pow_u64`](crate::Mont::pow_u64), bit for bit.
+pub fn pow_public_lanes(lanes: &[PublicLane], e: u64) -> Option<Vec<UBig>> {
+    pow_packed(
+        lanes,
+        |&lane| lane,
+        |width, _, moduli, bases, out| pow_vertical(width, Job::Public(moduli, bases, e, out)),
+    )
+}
+
+/// The packing both entries share: `lanes` go eight to a call (a call
+/// of at most four on 256-bit registers), each base reduced by its
+/// modulus and brought to radix 2^52; `call(width, chunk, moduli,
+/// bases, out)` runs one kernel call over a chunk. Unused lanes of a
+/// call take the chunk's first modulus and a zero base, and are dropped.
+fn pow_packed<'a, T, const L: usize>(
+    lanes: &[T],
+    modulus_and_base: impl Fn(&T) -> (&'a Radix52<L>, &'a UBig),
+    mut call: impl FnMut(
+        usize,
+        &[T],
+        &[&Radix52<L>; LANES],
+        &[Limbs52<L>; LANES],
+        &mut [Limbs52<L>; LANES],
+    ) -> bool,
+) -> Option<Vec<UBig>> {
+    // lint: secret(lanes, chunk, base, bases, out, x)
     let mut results = Vec::with_capacity(lanes.len());
     for chunk in lanes.chunks(LANES) {
-        // Unused lanes raise 0 to the power 0 under the first modulus.
-        let first = chunk.first()?.0;
+        let first = modulus_and_base(chunk.first()?).0;
         let mut moduli = [first; LANES];
-        let mut bases = [[0u64; LIMBS]; LANES];
-        let mut exps = [&zero; LANES];
+        let mut bases = [[0u64; L]; LANES];
         for (k, lane) in chunk.iter().enumerate() {
-            moduli[k] = lane.0;
-            bases[k] = to_radix52(&lane.1.rem(&lane.0.modulus));
-            exps[k] = lane.2;
+            let (modulus, base) = modulus_and_base(lane);
+            moduli[k] = modulus;
+            bases[k] = to_radix52(&base.rem(&modulus.modulus));
         }
-        let mut out = [[0u64; LIMBS]; LANES];
+        let mut out = [[0u64; L]; LANES];
         // lint: public(the lane count says how many operations share the call, nothing of them)
         let width = if chunk.len() <= NARROW_LANES {
             NARROW_LANES
@@ -183,7 +318,7 @@ pub fn pow_lanes(lanes: &[Lane]) -> Option<Vec<UBig>> {
             LANES
         };
         // lint: public(whether the kernel ran depends on the CPU alone)
-        if !pow_vertical(width, &moduli, &bases, &exps, &mut out) {
+        if !call(width, chunk, &moduli, &bases, &mut out) {
             return None;
         }
         KERNEL_CALLS.with(|calls| calls.set(calls.get() + 1));
@@ -195,34 +330,48 @@ pub fn pow_lanes(lanes: &[Lane]) -> Option<Vec<UBig>> {
     Some(results)
 }
 
+/// One kernel call's operands: moduli, radix-2^52 bases, the exponents
+/// and where the results go.
+enum Job<'a, 'm> {
+    /// Per-lane exponents on the 7-limb instance ([`pow_lanes`]).
+    Secret(
+        &'a [&'m Modulus52; LANES],
+        &'a [Limbs52<PRIME_LIMBS>; LANES],
+        &'a [&'m UBig; LANES],
+        &'a mut [Limbs52<PRIME_LIMBS>; LANES],
+    ),
+    /// One public exponent on the 20-limb instance
+    /// ([`pow_public_lanes`]).
+    Public(
+        &'a [&'m PublicModulus52; LANES],
+        &'a [Limbs52<PUBLIC_LIMBS>; LANES],
+        u64,
+        &'a mut [Limbs52<PUBLIC_LIMBS>; LANES],
+    ),
+}
+
 /// Runs one kernel call of `width` lanes (8 on 512-bit registers, 4 on
 /// 256-bit ones; lanes past `width` are left alone) and returns `true`
 /// if this CPU has AVX-512F, AVX-512VL and AVX-512 IFMA; returns
-/// `false`, leaving `out` alone, if it has not. `out[k]` is
-/// `bases[k]^exps[k]` in `[0, n]` (still to be brought below `n`).
+/// `false`, leaving the job's output alone, if it has not. Output lane
+/// `k` is its base to its exponent in `[0, n]` (still to be brought
+/// below `n`).
 #[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
-fn pow_vertical(
-    width: usize,
-    moduli: &[&Modulus52; LANES],
-    bases: &[Limbs52; LANES],
-    exps: &[&UBig; LANES],
-    out: &mut [Limbs52; LANES],
-) -> bool {
-    if !(std::arch::is_x86_feature_detected!("avx512f")
-        && std::arch::is_x86_feature_detected!("avx512vl")
-        && std::arch::is_x86_feature_detected!("avx512ifma"))
-    {
+fn pow_vertical(width: usize, job: Job) -> bool {
+    if !available() {
         return false;
     }
-    // SAFETY: `zmm::pow` and `ymm::pow` are safe apart from their
+    let narrow = width == NARROW_LANES;
+    // SAFETY: every kernel function is safe apart from its
     // `#[target_feature(enable = "avx512f,avx512vl,avx512ifma")]`; the
-    // running CPU was just reported to have all three.
+    // running CPU was just reported (`available`) to have all three.
     unsafe {
-        if width == NARROW_LANES {
-            ymm::pow(moduli, bases, exps, out);
-        } else {
-            zmm::pow(moduli, bases, exps, out);
+        match job {
+            Job::Secret(moduli, bases, exps, out) if narrow => ymm::pow(moduli, bases, exps, out),
+            Job::Secret(moduli, bases, exps, out) => zmm::pow(moduli, bases, exps, out),
+            Job::Public(moduli, bases, e, out) if narrow => ymm20::pow(moduli, bases, e, out),
+            Job::Public(moduli, bases, e, out) => zmm20::pow(moduli, bases, e, out),
         }
     }
     true
@@ -230,19 +379,13 @@ fn pow_vertical(
 
 /// Without x86-64 there is no kernel.
 #[cfg(not(target_arch = "x86_64"))]
-fn pow_vertical(
-    _: usize,
-    _: &[&Modulus52; LANES],
-    _: &[Limbs52; LANES],
-    _: &[&UBig; LANES],
-    _: &mut [Limbs52; LANES],
-) -> bool {
+fn pow_vertical(_: usize, _: Job) -> bool {
     false
 }
 
-/// The low 364 bits of `x` in radix 2^52.
-fn to_radix52(x: &UBig) -> Limbs52 {
-    let mut out = [0u64; LIMBS];
+/// The low `52·L` bits of `x` in radix 2^52.
+fn to_radix52<const L: usize>(x: &UBig) -> Limbs52<L> {
+    let mut out = [0u64; L];
     for (j, limb) in out.iter_mut().enumerate() {
         let pos = LIMB_BITS * j;
         *limb = x.bits_at(pos, 32) | x.bits_at(pos + 32, LIMB_BITS - 32) << 32;
@@ -251,8 +394,8 @@ fn to_radix52(x: &UBig) -> Limbs52 {
 }
 
 /// The value of normalised radix-2^52 limbs.
-fn from_radix52(x: &Limbs52) -> UBig {
-    let mut limbs = vec![0u64; (LIMB_BITS * LIMBS).div_ceil(64)];
+fn from_radix52<const L: usize>(x: &Limbs52<L>) -> UBig {
+    let mut limbs = vec![0u64; (LIMB_BITS * L).div_ceil(64)];
     for (j, &d) in x.iter().enumerate() {
         let (w, off) = (LIMB_BITS * j / 64, LIMB_BITS * j % 64);
         limbs[w] |= d << off;
@@ -265,31 +408,33 @@ fn from_radix52(x: &Limbs52) -> UBig {
 
 /// `x = x − n` if `x ≥ n`, for normalised limbs, without a branch: the
 /// difference is always formed and kept under a mask from its borrow.
-fn sub_if_not_below(x: &mut Limbs52, n: &Limbs52) {
+fn sub_if_not_below<const L: usize>(x: &mut Limbs52<L>, n: &Limbs52<L>) {
     // lint: secret(x, d, borrow, keep)
-    let mut d = [0u64; LIMBS];
+    let mut d = [0u64; L];
     let mut borrow = 0u64;
-    for j in 0..LIMBS {
+    for j in 0..L {
         let v = x[j].wrapping_sub(n[j]).wrapping_sub(borrow);
         d[j] = v & MASK;
         borrow = v >> 63;
     }
     // All ones when x < n (the subtraction borrowed out).
     let keep = borrow.wrapping_neg();
-    for j in 0..LIMBS {
+    for j in 0..L {
         x[j] = (x[j] & keep) | (d[j] & !keep);
     }
 }
 
-/// One vertical kernel over a register type, written once and
-/// instantiated for 512-bit registers (8 lanes) and 256-bit ones (4):
-/// safe functions over register values, callable only on a CPU with
-/// AVX-512F, AVX-512VL and AVX-512 IFMA (`pow_vertical` checks).
+/// One vertical kernel over a register type and a limb count, written
+/// once and instantiated for 512-bit registers (8 lanes) and 256-bit
+/// ones (4), at 7 limbs with the secret-exponent entry and at 20 with
+/// the public one: safe functions over register values, callable only
+/// on a CPU with AVX-512F, AVX-512VL and AVX-512 IFMA (`pow_vertical`
+/// checks).
 #[cfg(target_arch = "x86_64")]
 macro_rules! vertical_kernel {
     (
         $(#[$doc:meta])*
-        mod $name:ident: $V:ident, $lanes:expr;
+        mod $name:ident: $V:ident, $lanes:expr, $limbs:expr, $entry:ident;
         load($l:ident) $load:block
         store($v:ident) $store:block
         madd52lo = $lo:ident, madd52hi = $hi:ident, add = $add:ident, and = $and:ident,
@@ -298,17 +443,14 @@ macro_rules! vertical_kernel {
     ) => {
         $(#[$doc])*
         mod $name {
-            use super::{Limbs52, Modulus52, LANES, LIMBS, MASK, WINDOW};
-            use crate::ubig::UBig;
-            use std::arch::x86_64::{
-                $V, $add, $and, $cmpeq, $hi, $lo, $mov, $set1, $setzero, $srli,
-            };
+            use super::{Limbs52, Radix52, LANES, MASK};
+            use std::arch::x86_64::{$V, $add, $and, $hi, $lo, $set1, $setzero, $srli};
 
             /// Lanes of one call.
             const WIDTH: usize = $lanes;
 
-            /// Entries of the window table.
-            const TABLE: usize = 1 << WINDOW;
+            /// Limbs of a residue.
+            const LIMBS: usize = $limbs;
 
             /// A residue of every lane: register `j` holds limb `j`.
             type Residue = [$V; LIMBS];
@@ -323,18 +465,19 @@ macro_rules! vertical_kernel {
             #[target_feature(enable = "avx512f,avx512vl,avx512ifma")]
             fn store($v: $V) -> [u64; WIDTH] $store
 
-            /// Almost-Montgomery products `a·b·2^−364 mod n` in every
-            /// lane: below `2n` for operands below `2n`, every limb below
-            /// 2^52. `k0` holds each lane's `−n⁻¹ mod 2^52`.
+            /// Almost-Montgomery products `a·b·R⁻¹ mod n` in every lane,
+            /// `R = 2^(52·LIMBS)`: below `2n` for operands below `2n`,
+            /// every limb below 2^52. `k0` holds each lane's
+            /// `−n⁻¹ mod 2^52`.
             ///
-            /// Each of the seven rounds adds `a·b[i]` and `m·n` (low
-            /// halves to their limb, high halves one limb up), where
-            /// the digit `m` makes limb 0 a multiple of 2^52, then
-            /// divides by 2^52: limb 0's top bits carry into limb 1 and
-            /// the limbs move down one. A limb gains at most four
-            /// 52-bit terms a round, so it stays below 2^57 without a
-            /// carry until the end, where one pass brings every limb
-            /// below 2^52.
+            /// Each round adds `a·b[i]` and `m·n` (low halves to their
+            /// limb, high halves one limb up), where the digit `m` makes
+            /// limb 0 a multiple of 2^52, then divides by 2^52: limb 0's
+            /// top bits carry into limb 1 and the limbs move down one. A
+            /// limb gains at most four 52-bit terms a round and lives
+            /// for at most `LIMBS` rounds, so it stays below 2^59
+            /// without a carry until the end, where one pass brings
+            /// every limb below 2^52.
             #[inline]
             #[target_feature(enable = "avx512f,avx512vl,avx512ifma")]
             fn amm(a: &Residue, b: &Residue, n: &Residue, k0: $V) -> Residue {
@@ -351,7 +494,10 @@ macro_rules! vertical_kernel {
                         t[j + 1] = $hi($hi(t[j + 1], a[j], bi), n[j], m);
                     }
                     let carry = $srli::<52>(t[0]);
-                    t = [$add(t[1], carry), t[2], t[3], t[4], t[5], t[6], t[7], zero];
+                    let mut next = [zero; LIMBS + 1];
+                    next[0] = $add(t[1], carry);
+                    next[1..LIMBS].copy_from_slice(&t[2..]);
+                    t = next;
                 }
                 let mask = $set1(MASK as i64);
                 let mut r = [zero; LIMBS];
@@ -359,146 +505,251 @@ macro_rules! vertical_kernel {
                     t[j + 1] = $add(t[j + 1], $srli::<52>(t[j]));
                     r[j] = $and(t[j], mask);
                 }
-                // The value is below 2n < 2^363, so the top limb is
-                // below 2^52 once the carries are in.
+                // The value is below 2n < 2^(52·LIMBS − 1), so the top
+                // limb is below 2^52 once the carries are in.
                 r[LIMBS - 1] = t[LIMBS - 1];
                 r
-            }
-
-            /// For every lane, the table entry its window digit at bit
-            /// `pos` names, picked by a masked move from each of the
-            /// entries in turn.
-            #[inline]
-            #[target_feature(enable = "avx512f,avx512vl,avx512ifma")]
-            fn select(table: &[Residue; TABLE], exps: &[&UBig; LANES], pos: usize) -> Residue {
-                // lint: secret(exps, digits, hit, out)
-                let digits = load(std::array::from_fn(|k| exps[k].bits_at(pos, WINDOW)));
-                let mut out = [$setzero(); LIMBS];
-                for (i, entry) in table.iter().enumerate() {
-                    let hit = $cmpeq(digits, $set1(i as i64));
-                    for j in 0..LIMBS {
-                        out[j] = $mov(out[j], hit, entry[j]);
-                    }
-                }
-                out
             }
 
             /// Limb `j` of every lane's `rows[k]`, for each `j`.
             #[inline]
             #[target_feature(enable = "avx512f,avx512vl,avx512ifma")]
-            fn transpose(rows: [&Limbs52; WIDTH]) -> Residue {
+            fn transpose(rows: [&Limbs52<LIMBS>; WIDTH]) -> Residue {
                 std::array::from_fn(|j| load(rows.map(|r| r[j])))
             }
 
-            /// `bases[k]^exps[k]` modulo `moduli[k]` into `out[k]` for
-            /// the first `WIDTH` lanes, in `[0, n]` and normalised:
-            /// fixed 4-bit windows over the longest exponent, every lane
-            /// squaring and multiplying at every step.
-            ///
-            /// # Safety
-            ///
-            /// Calling it from code without these target features is
-            /// `unsafe`: the running CPU must have AVX-512F, AVX-512VL
-            /// and AVX-512 IFMA (`pow_vertical` checks).
+            /// The constants of the first `WIDTH` lanes and their
+            /// bases, transposed: `(n, R² mod n, base, k0, 1)`.
+            #[inline]
             #[target_feature(enable = "avx512f,avx512vl,avx512ifma")]
-            pub(super) fn pow(
-                moduli: &[&Modulus52; LANES],
-                bases: &[Limbs52; LANES],
-                exps: &[&UBig; LANES],
-                out: &mut [Limbs52; LANES],
-            ) {
-                // lint: secret(bases, exps, x, table, acc, next)
+            fn operands(
+                moduli: &[&Radix52<LIMBS>; LANES],
+                bases: &[Limbs52<LIMBS>; LANES],
+            ) -> (Residue, Residue, Residue, $V, Residue) {
+                // lint: secret(bases)
                 let n = transpose(std::array::from_fn(|k| &moduli[k].n));
                 let rr = transpose(std::array::from_fn(|k| &moduli[k].rr));
                 let x = transpose(std::array::from_fn(|k| &bases[k]));
                 let k0 = load(std::array::from_fn(|k| moduli[k].k0));
-                let zero = $setzero();
-                let mut one = [zero; LIMBS];
+                let mut one = [$setzero(); LIMBS];
                 one[0] = $set1(1);
-                // table[d] = x^d in Montgomery form, in every lane.
-                let mut table = [[zero; LIMBS]; TABLE];
-                table[0] = amm(&rr, &one, &n, k0);
-                table[1] = amm(&x, &rr, &n, k0);
-                for d in 2..TABLE {
-                    table[d] = amm(&table[d - 1], &table[1], &n, k0);
-                }
-                let mut bits = 0;
-                for exp in &exps[..WIDTH] {
-                    bits = bits.max(exp.bit_len());
-                }
-                let windows = bits.div_ceil(WINDOW).max(1);
-                let mut acc = select(&table, exps, (windows - 1) * WINDOW);
-                for w in (0..windows - 1).rev() {
-                    for _ in 0..WINDOW {
-                        acc = amm(&acc, &acc, &n, k0);
-                    }
-                    let next = select(&table, exps, w * WINDOW);
-                    acc = amm(&acc, &next, &n, k0);
-                }
-                // Leaving Montgomery form: a product with 1 is at most n.
-                acc = amm(&acc, &one, &n, k0);
+                (n, rr, x, k0, one)
+            }
+
+            /// Every lane of `acc` into `out[k]`.
+            #[inline]
+            #[target_feature(enable = "avx512f,avx512vl,avx512ifma")]
+            fn unload(acc: &Residue, out: &mut [Limbs52<LIMBS>; LANES]) {
                 for (j, limb) in acc.iter().enumerate() {
                     for (k, v) in store(*limb).into_iter().enumerate() {
                         out[k][j] = v;
                     }
                 }
             }
+
+            vertical_kernel!(@$entry $V, $setzero, $set1, $cmpeq, $mov);
+        }
+    };
+
+    // The secret-exponent entry: fixed 4-bit windows with a masked
+    // table scan.
+    (@secret $V:ident, $setzero:ident, $set1:ident, $cmpeq:ident, $mov:ident) => {
+        use super::WINDOW;
+        use crate::ubig::UBig;
+        use std::arch::x86_64::{$cmpeq, $mov};
+
+        /// Entries of the window table.
+        const TABLE: usize = 1 << WINDOW;
+
+        /// For every lane, the table entry its window digit at bit
+        /// `pos` names, picked by a masked move from each of the
+        /// entries in turn.
+        #[inline]
+        #[target_feature(enable = "avx512f,avx512vl,avx512ifma")]
+        fn select(table: &[Residue; TABLE], exps: &[&UBig; LANES], pos: usize) -> Residue {
+            // lint: secret(exps, digits, hit, out)
+            let digits = load(std::array::from_fn(|k| exps[k].bits_at(pos, WINDOW)));
+            let mut out = [$setzero(); LIMBS];
+            for (i, entry) in table.iter().enumerate() {
+                let hit = $cmpeq(digits, $set1(i as i64));
+                for j in 0..LIMBS {
+                    out[j] = $mov(out[j], hit, entry[j]);
+                }
+            }
+            out
+        }
+
+        /// `bases[k]^exps[k]` modulo `moduli[k]` into `out[k]` for
+        /// the first `WIDTH` lanes, in `[0, n]` and normalised:
+        /// fixed 4-bit windows over the longest exponent, every lane
+        /// squaring and multiplying at every step.
+        ///
+        /// # Safety
+        ///
+        /// Calling it from code without these target features is
+        /// `unsafe`: the running CPU must have AVX-512F, AVX-512VL
+        /// and AVX-512 IFMA (`pow_vertical` checks).
+        #[target_feature(enable = "avx512f,avx512vl,avx512ifma")]
+        pub(super) fn pow(
+            moduli: &[&Radix52<LIMBS>; LANES],
+            bases: &[Limbs52<LIMBS>; LANES],
+            exps: &[&UBig; LANES],
+            out: &mut [Limbs52<LIMBS>; LANES],
+        ) {
+            // lint: secret(bases, exps, x, table, acc, next)
+            let (n, rr, x, k0, one) = operands(moduli, bases);
+            // table[d] = x^d in Montgomery form, in every lane.
+            let mut table = [[$setzero(); LIMBS]; TABLE];
+            table[0] = amm(&rr, &one, &n, k0);
+            table[1] = amm(&x, &rr, &n, k0);
+            for d in 2..TABLE {
+                table[d] = amm(&table[d - 1], &table[1], &n, k0);
+            }
+            let mut bits = 0;
+            for exp in &exps[..WIDTH] {
+                bits = bits.max(exp.bit_len());
+            }
+            let windows = bits.div_ceil(WINDOW).max(1);
+            let mut acc = select(&table, exps, (windows - 1) * WINDOW);
+            for w in (0..windows - 1).rev() {
+                for _ in 0..WINDOW {
+                    acc = amm(&acc, &acc, &n, k0);
+                }
+                let next = select(&table, exps, w * WINDOW);
+                acc = amm(&acc, &next, &n, k0);
+            }
+            // Leaving Montgomery form: a product with 1 is at most n.
+            acc = amm(&acc, &one, &n, k0);
+            unload(&acc, out);
+        }
+    };
+
+    // The public-exponent entry: plain square-and-multiply over the
+    // bits of one exponent every lane shares.
+    (@public $V:ident, $setzero:ident, $set1:ident, $cmpeq:ident, $mov:ident) => {
+        /// `bases[k]^e` modulo `moduli[k]` into `out[k]` for the first
+        /// `WIDTH` lanes, in `[0, n]` and normalised: left-to-right
+        /// square-and-multiply over the bits of the public `e`.
+        ///
+        /// # Safety
+        ///
+        /// Calling it from code without these target features is
+        /// `unsafe`: the running CPU must have AVX-512F, AVX-512VL
+        /// and AVX-512 IFMA (`pow_vertical` checks).
+        #[target_feature(enable = "avx512f,avx512vl,avx512ifma")]
+        pub(super) fn pow(
+            moduli: &[&Radix52<LIMBS>; LANES],
+            bases: &[Limbs52<LIMBS>; LANES],
+            e: u64,
+            out: &mut [Limbs52<LIMBS>; LANES],
+        ) {
+            // lint: secret(bases, x, xm, acc)
+            let (n, rr, x, k0, one) = operands(moduli, bases);
+            let bits = 64 - e.leading_zeros();
+            // x in Montgomery form, which is also the accumulator after
+            // the top bit of e; x^0 is 1, in Montgomery form.
+            let xm = amm(&x, &rr, &n, k0);
+            let mut acc = if e == 0 { amm(&rr, &one, &n, k0) } else { xm };
+            for i in (0..bits.saturating_sub(1)).rev() {
+                acc = amm(&acc, &acc, &n, k0);
+                if (e >> i) & 1 == 1 {
+                    acc = amm(&acc, &xm, &n, k0);
+                }
+            }
+            // Leaving Montgomery form: a product with 1 is at most n.
+            acc = amm(&acc, &one, &n, k0);
+            unload(&acc, out);
+        }
+    };
+}
+
+/// Four instances: 8 or 4 lanes, at 7 limbs (the secret-exponent entry,
+/// [`pow_lanes`]) or 20 (the public one, [`pow_public_lanes`]).
+#[cfg(target_arch = "x86_64")]
+macro_rules! zmm_kernel {
+    ($(#[$doc:meta])* mod $name:ident: $limbs:expr, $entry:ident;) => {
+        vertical_kernel! {
+            $(#[$doc])*
+            mod $name: __m512i, LANES, $limbs, $entry;
+            load(l) {
+                let l = l.map(|v| v as i64);
+                std::arch::x86_64::_mm512_set_epi64(l[7], l[6], l[5], l[4], l[3], l[2], l[1], l[0])
+            }
+            store(v) {
+                use std::arch::x86_64::{_mm256_extract_epi64, _mm512_extracti64x4_epi64};
+                let lo = _mm512_extracti64x4_epi64::<0>(v);
+                let hi = _mm512_extracti64x4_epi64::<1>(v);
+                [
+                    _mm256_extract_epi64::<0>(lo),
+                    _mm256_extract_epi64::<1>(lo),
+                    _mm256_extract_epi64::<2>(lo),
+                    _mm256_extract_epi64::<3>(lo),
+                    _mm256_extract_epi64::<0>(hi),
+                    _mm256_extract_epi64::<1>(hi),
+                    _mm256_extract_epi64::<2>(hi),
+                    _mm256_extract_epi64::<3>(hi),
+                ]
+                .map(|v| v as u64)
+            }
+            madd52lo = _mm512_madd52lo_epu64, madd52hi = _mm512_madd52hi_epu64,
+            add = _mm512_add_epi64, and = _mm512_and_si512, srli = _mm512_srli_epi64,
+            set1 = _mm512_set1_epi64, setzero = _mm512_setzero_si512,
+            cmpeq = _mm512_cmpeq_epi64_mask, mask_mov = _mm512_mask_mov_epi64,
+        }
+    };
+}
+
+/// The 256-bit-register form of [`zmm_kernel`].
+#[cfg(target_arch = "x86_64")]
+macro_rules! ymm_kernel {
+    ($(#[$doc:meta])* mod $name:ident: $limbs:expr, $entry:ident;) => {
+        vertical_kernel! {
+            $(#[$doc])*
+            mod $name: __m256i, super::NARROW_LANES, $limbs, $entry;
+            load(l) {
+                let l = l.map(|v| v as i64);
+                std::arch::x86_64::_mm256_set_epi64x(l[3], l[2], l[1], l[0])
+            }
+            store(v) {
+                use std::arch::x86_64::_mm256_extract_epi64;
+                [
+                    _mm256_extract_epi64::<0>(v),
+                    _mm256_extract_epi64::<1>(v),
+                    _mm256_extract_epi64::<2>(v),
+                    _mm256_extract_epi64::<3>(v),
+                ]
+                .map(|v| v as u64)
+            }
+            madd52lo = _mm256_madd52lo_epu64, madd52hi = _mm256_madd52hi_epu64,
+            add = _mm256_add_epi64, and = _mm256_and_si256, srli = _mm256_srli_epi64,
+            set1 = _mm256_set1_epi64x, setzero = _mm256_setzero_si256,
+            cmpeq = _mm256_cmpeq_epi64_mask, mask_mov = _mm256_mask_mov_epi64,
         }
     };
 }
 
 #[cfg(target_arch = "x86_64")]
-vertical_kernel! {
-    /// Eight lanes in 512-bit registers.
-    mod zmm: __m512i, LANES;
-    load(l) {
-        let l = l.map(|v| v as i64);
-        std::arch::x86_64::_mm512_set_epi64(l[7], l[6], l[5], l[4], l[3], l[2], l[1], l[0])
-    }
-    store(v) {
-        use std::arch::x86_64::{_mm256_extract_epi64, _mm512_extracti64x4_epi64};
-        let lo = _mm512_extracti64x4_epi64::<0>(v);
-        let hi = _mm512_extracti64x4_epi64::<1>(v);
-        [
-            _mm256_extract_epi64::<0>(lo),
-            _mm256_extract_epi64::<1>(lo),
-            _mm256_extract_epi64::<2>(lo),
-            _mm256_extract_epi64::<3>(lo),
-            _mm256_extract_epi64::<0>(hi),
-            _mm256_extract_epi64::<1>(hi),
-            _mm256_extract_epi64::<2>(hi),
-            _mm256_extract_epi64::<3>(hi),
-        ]
-        .map(|v| v as u64)
-    }
-    madd52lo = _mm512_madd52lo_epu64, madd52hi = _mm512_madd52hi_epu64,
-    add = _mm512_add_epi64, and = _mm512_and_si512, srli = _mm512_srli_epi64,
-    set1 = _mm512_set1_epi64, setzero = _mm512_setzero_si512,
-    cmpeq = _mm512_cmpeq_epi64_mask, mask_mov = _mm512_mask_mov_epi64,
+zmm_kernel! {
+    /// Eight lanes of 7 limbs in 512-bit registers, per-lane exponents.
+    mod zmm: super::PRIME_LIMBS, secret;
 }
 
 #[cfg(target_arch = "x86_64")]
-vertical_kernel! {
-    /// Four lanes in 256-bit registers.
-    mod ymm: __m256i, super::NARROW_LANES;
-    load(l) {
-        let l = l.map(|v| v as i64);
-        std::arch::x86_64::_mm256_set_epi64x(l[3], l[2], l[1], l[0])
-    }
-    store(v) {
-        use std::arch::x86_64::_mm256_extract_epi64;
-        [
-            _mm256_extract_epi64::<0>(v),
-            _mm256_extract_epi64::<1>(v),
-            _mm256_extract_epi64::<2>(v),
-            _mm256_extract_epi64::<3>(v),
-        ]
-        .map(|v| v as u64)
-    }
-    madd52lo = _mm256_madd52lo_epu64, madd52hi = _mm256_madd52hi_epu64,
-    add = _mm256_add_epi64, and = _mm256_and_si256, srli = _mm256_srli_epi64,
-    set1 = _mm256_set1_epi64x, setzero = _mm256_setzero_si256,
-    cmpeq = _mm256_cmpeq_epi64_mask, mask_mov = _mm256_mask_mov_epi64,
+ymm_kernel! {
+    /// Four lanes of 7 limbs in 256-bit registers, per-lane exponents.
+    mod ymm: super::PRIME_LIMBS, secret;
+}
+
+#[cfg(target_arch = "x86_64")]
+zmm_kernel! {
+    /// Eight lanes of 20 limbs in 512-bit registers, one public exponent.
+    mod zmm20: super::PUBLIC_LIMBS, public;
+}
+
+#[cfg(target_arch = "x86_64")]
+ymm_kernel! {
+    /// Four lanes of 20 limbs in 256-bit registers, one public exponent.
+    mod ymm20: super::PUBLIC_LIMBS, public;
 }
 
 #[cfg(test)]
@@ -511,8 +762,12 @@ mod tests {
     #[test]
     fn radix52_roundtrip() {
         let x = UBig::one().shl(364).sub(&UBig::from_u64(12345));
-        assert_eq!(from_radix52(&to_radix52(&x)), x);
-        let limbs = to_radix52(&x);
+        let limbs: Limbs52<PRIME_LIMBS> = to_radix52(&x);
+        assert_eq!(from_radix52(&limbs), x);
+        assert!(limbs.iter().all(|&l| l <= MASK));
+        let y = UBig::one().shl(1040).sub(&UBig::from_u64(12345));
+        let limbs: Limbs52<PUBLIC_LIMBS> = to_radix52(&y);
+        assert_eq!(from_radix52(&limbs), y);
         assert!(limbs.iter().all(|&l| l <= MASK));
     }
 
@@ -524,6 +779,96 @@ mod tests {
         assert!(Modulus52::new(&UBig::from_u64(3)).is_some());
         assert!(Modulus52::new(&UBig::from_u64(1)).is_none());
         assert!(Modulus52::new(&UBig::from_u64(1 << 40)).is_none());
+        // The public instance: up to 1038 bits, 4n < R = 2^1040.
+        assert_eq!(MAX_PUBLIC_MODULUS_BITS, 1038);
+        let two_1038 = UBig::one().shl(1038);
+        assert!(PublicModulus52::new(&two_1038.sub(&UBig::one())).is_some());
+        assert!(PublicModulus52::new(&two_1038.add(&UBig::one())).is_none());
+        assert!(PublicModulus52::new(&UBig::from_u64(3)).is_some());
+        assert!(PublicModulus52::new(&two_1038).is_none());
+    }
+
+    /// The public entry against `Mont::pow_u64` lane by lane, at every
+    /// lane count from 1 to 24 (one call, on 256- or 512-bit registers,
+    /// then two or three), with moduli of different sizes mixed in one
+    /// call: 2^1038 − 1, random odd 1038-bit moduli, RSA-1024-shaped
+    /// moduli (products of three 341-bit primes) and random odd moduli
+    /// of 513 to 1024 bits; bases 0, 1, n − 1, random ones below n and
+    /// unreduced ones of 2,048 bits; exponents 0, 1, 3, 65537 and
+    /// 2^32 + 1. Each call takes `⌈lanes / 8⌉` kernel calls.
+    #[test]
+    fn vertical_public_pow_matches_mont_pow_u64() {
+        let mut rng = StdRng::seed_from_u64(0x2042);
+        let one = UBig::one();
+        let probe = PublicModulus52::new(&UBig::from_u64(3)).unwrap();
+        if pow_public_lanes(&[(&probe, &one)], 3).is_none() {
+            eprintln!(
+                "this CPU has no AVX-512 IFMA: the vertical public exponentiation is skipped"
+            );
+            return;
+        }
+        let mut moduli = vec![UBig::one().shl(1038).sub(&one)];
+        for _ in 0..2 {
+            let mut n = crate::rng::random_bits(&mut rng, 1037).add(&UBig::one().shl(1037));
+            n.set_bit(0);
+            moduli.push(n);
+        }
+        for _ in 0..2 {
+            let primes = [341, 341, 342].map(|bits| prime::gen_prime(bits, 16, &mut rng));
+            moduli.push(primes.iter().fold(one.clone(), |acc, r| &acc * r));
+        }
+        for bits in [513, 640, 777, 900, 1000, 1023, 1024] {
+            let mut n = crate::rng::random_bits(&mut rng, bits - 1).add(&UBig::one().shl(bits - 1));
+            n.set_bit(0);
+            moduli.push(n);
+        }
+        assert_eq!(moduli[0].bit_len(), MAX_PUBLIC_MODULUS_BITS);
+        assert!(moduli[3..5].iter().all(|n| n.bit_len() >= 1023));
+        let consts: Vec<PublicModulus52> = moduli
+            .iter()
+            .map(|n| PublicModulus52::new(n).unwrap())
+            .collect();
+        let monts: Vec<Mont> = moduli.iter().map(|n| Mont::new(n).unwrap()).collect();
+        let mut checked = 0;
+        let mut first = 0;
+        for lanes in 1..=3 * LANES {
+            for e in [0, 1, 3, 65537, (1 << 32) + 1] {
+                first += 1;
+                let picks: Vec<usize> =
+                    (0..lanes).map(|j| (first + 3 * j) % moduli.len()).collect();
+                let bases: Vec<UBig> = picks
+                    .iter()
+                    .enumerate()
+                    .map(|(j, &p)| match (first + j) % 5 {
+                        0 => UBig::zero(),
+                        1 => one.clone(),
+                        2 => moduli[p].sub(&one),
+                        3 => crate::rng::random_below(&mut rng, &moduli[p]),
+                        _ => crate::rng::random_bits(&mut rng, 2048),
+                    })
+                    .collect();
+                let args: Vec<PublicLane> = picks
+                    .iter()
+                    .zip(&bases)
+                    .map(|(&p, b)| (&consts[p], b))
+                    .collect();
+                let before = kernel_calls();
+                let got = pow_public_lanes(&args, e).expect("IFMA was detected");
+                assert_eq!(kernel_calls() - before, lanes.div_ceil(LANES) as u64);
+                assert_eq!(got.len(), lanes);
+                for (j, &p) in picks.iter().enumerate() {
+                    let want = monts[p].pow_u64(&bases[j], e);
+                    assert_eq!(
+                        got[j], want,
+                        "lane {j} of {lanes}: n = {}, base = {}, e = {e}",
+                        moduli[p], bases[j]
+                    );
+                    checked += 1;
+                }
+            }
+        }
+        assert_eq!(checked, 5 * (1..=3 * LANES).sum::<usize>());
+        assert_eq!(pow_public_lanes(&[], 65537), Some(Vec::new()));
     }
 
     /// The vertical exponentiation against `Mont::pow` lane by lane, at

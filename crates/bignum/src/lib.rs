@@ -11,10 +11,12 @@
 //!   exponentiation with odd moduli, the workhorse of all public-key
 //!   operations; [`MontForm`] keeps values in Montgomery form across a
 //!   whole computation so conversions are paid at the boundary only.
-//! * [`ifma`] — any number of exponentiations modulo odd numbers of at
-//!   most 362 bits, eight to a kernel call, one per 64-bit lane of
-//!   AVX-512 IFMA registers: the CRT halves of one or many RSA
-//!   private-key operations.
+//! * [`ifma`] — any number of exponentiations, eight to a kernel call,
+//!   one per 64-bit lane of AVX-512 IFMA registers: modulo odd numbers
+//!   of at most 362 bits with secret exponents (the CRT halves of one or
+//!   many RSA private-key operations), and modulo odd numbers of at most
+//!   1038 bits under one public exponent (the public-key operations of
+//!   many RSA-1024 requests).
 //! * [`modring`] — plain modular arithmetic, extended GCD, modular inverse
 //!   and the Jacobi symbol.
 //! * [`prime`] — Baillie–PSW primality testing (plus optional random-base
@@ -46,9 +48,10 @@
 //!   runs the assembly only after both are reported; the assembly reads
 //!   only the limbs of its `&[u64; 6]` operands and writes only its
 //!   declared register outputs ([`mont`] module doc).
-//! * `ifma::pow_vertical`, the call into the vertical exponentiation. It
-//!   asks for `avx512f`, `avx512vl` and `avx512ifma` and only then calls
-//!   the kernel, which is safe `#[target_feature]` functions over
+//! * `ifma::pow_vertical`, the call into the vertical exponentiation
+//!   that both of its entries go through. It asks for `avx512f`,
+//!   `avx512vl` and `avx512ifma` and only then calls the kernel, which
+//!   is safe `#[target_feature]` functions over
 //!   register values with no pointer intrinsics, so the call is the only
 //!   `unsafe` operation ([`ifma`] module doc).
 //!

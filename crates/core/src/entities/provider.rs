@@ -94,9 +94,11 @@ use crate::ids::{ContentId, LicenseId};
 use crate::license::{License, LicenseBody, LicenseRecord};
 use crate::protocol::messages::{self, LicenseStatus, PurchaseRequest, TransferRequest};
 use crate::CoreError;
+use p2drm_bignum::UBig;
 use p2drm_crypto::envelope;
 use p2drm_crypto::rng::CryptoRng;
-use p2drm_crypto::rsa::{RsaPublicKey, RsaSignature};
+use p2drm_crypto::rsa::{self, KemSecret, RsaPublicKey, RsaSignature};
+use p2drm_payment::mint::CoinCheck;
 use p2drm_payment::Mint;
 use p2drm_pki::authority::CertificateAuthority;
 use p2drm_pki::cert::{digest_id, Certificate, KeyId, PseudonymCertificate};
@@ -208,17 +210,37 @@ pub struct ProviderState<B: ConcurrentKv> {
     mint: Mint,
 }
 
-/// What the provider's license signing cost: values, never labels, so
+/// What the provider's batched RSA work cost: values, never labels, so
 /// nothing about which requests shared a batch reaches telemetry.
 #[derive(Default)]
-struct SignStats {
+struct BatchStats {
     /// Licenses signed, purchases and transfers alike.
     signatures: AtomicU64,
     /// Vertical-kernel calls those signatures took (0 where the CPU has
     /// no AVX-512 IFMA or the key is too wide for the kernel).
-    kernel_calls: AtomicU64,
+    sign_kernel_calls: AtomicU64,
     /// Licenses per signing call: one sample per call.
     batch_size: p2drm_obs::AtomicHistogram,
+    /// Public-key operations of purchase batches: coin checks and KEM
+    /// encapsulations.
+    public_ops: AtomicU64,
+    /// Vertical-kernel calls those operations took (0 where they kept
+    /// the scalar path).
+    public_kernel_calls: AtomicU64,
+}
+
+/// A purchase that passed every check a public-key operation is not
+/// needed for: its license id, holder and rights, the content key to
+/// seal, and its coin's signature check, still to run (`None` for a
+/// replay, which was paid for).
+struct Checked<'a> {
+    license_id: LicenseId,
+    /// Cloned before the batch's KEM builds the key's kernel constants,
+    /// so a license keeps none of them (a caller may hold many).
+    holder: RsaPublicKey,
+    coin: Option<CoinCheck<'a>>,
+    content_key: [u8; 32],
+    rights: Rights,
 }
 
 /// A purchase that passed every check and was paid for: its license
@@ -233,7 +255,7 @@ struct Unsigned {
 pub struct ContentProvider<B: ConcurrentKv = MemBackend> {
     core: ProviderCore,
     state: ProviderState<B>,
-    signing: SignStats,
+    stats: BatchStats,
 }
 
 /// One registry snapshot carries the provider's verify-cache, listing,
@@ -252,16 +274,13 @@ impl<B: ConcurrentKv> p2drm_obs::MetricSource for ContentProvider<B> {
             "catalog_listing_builds",
             self.state.catalog.read().listing_builds(),
         );
-        let signing = &self.signing;
-        out.counter(
-            "license_signatures",
-            signing.signatures.load(Ordering::Relaxed),
-        );
-        out.counter(
-            "sign_kernel_calls",
-            signing.kernel_calls.load(Ordering::Relaxed),
-        );
-        out.histogram("sign_batch_size", &signing.batch_size.snapshot());
+        let stats = &self.stats;
+        let count = |n: &AtomicU64| n.load(Ordering::Relaxed);
+        out.counter("license_signatures", count(&stats.signatures));
+        out.counter("sign_kernel_calls", count(&stats.sign_kernel_calls));
+        out.histogram("sign_batch_size", &stats.batch_size.snapshot());
+        out.counter("public_key_ops", count(&stats.public_ops));
+        out.counter("public_kernel_calls", count(&stats.public_kernel_calls));
         self.state.store.collect_metrics(out);
     }
 }
@@ -387,7 +406,7 @@ impl<B: ConcurrentKv> ContentProvider<B> {
                 crl: RwLock::new(CrlState::empty()),
                 mint,
             },
-            signing: SignStats::default(),
+            stats: BatchStats::default(),
         }
     }
 
@@ -694,22 +713,30 @@ impl<B: ConcurrentKv> ContentProvider<B> {
     }
 
     /// Several purchases at once, each with its own randomness; results
-    /// in request order. Each request is checked, paid for and given its
-    /// license body exactly as [`ContentProvider::handle_purchase`] does
-    /// it, in order; then every body is signed by one
-    /// [`RsaKeyPair::sign_batch`](p2drm_crypto::rsa::RsaKeyPair::sign_batch),
-    /// whose exponentiations share the vertical kernel's lanes (eight
-    /// RSA-1024 signatures are three kernel calls, where one alone is
-    /// one); then each license row is written. A refused or failed
-    /// request answers its own error and leaves the others alone.
+    /// in request order. Each request is checked exactly as
+    /// [`ContentProvider::handle_purchase`] checks it, in order; then
+    /// every coin check and every KEM encapsulation of the batch run as
+    /// one [`rsa::public_batch`] (eight RSA-1024 purchases are 16 lanes of
+    /// the vertical kernel, two calls); then each purchase whose coin
+    /// verified is paid for, in order, and given its license body; then
+    /// every body is signed by one
+    /// [`RsaKeyPair::sign_batch`](p2drm_crypto::rsa::RsaKeyPair::sign_batch)
+    /// (eight RSA-1024 signatures are three kernel calls, where one alone
+    /// is one); then each license row is written. A refused or failed
+    /// request answers its own error and leaves the others alone, and
+    /// only a coin that verified is deposited. Each request draws from
+    /// its own generator exactly what it draws alone (its KEM secret), so
+    /// the licenses are those of one-at-a-time purchases, bit for bit.
     ///
     /// `scope(i)` is called just before request `i` is checked, and what
     /// it returns is dropped once that request is settled: at once for a
-    /// refusal, after its row is written otherwise. Rows are written last
-    /// request first, so the scopes close in the reverse of the order
-    /// they opened — the nesting a thread-local tracing span needs to
-    /// charge each request's stages (deposit, store commit) to its own
-    /// span.
+    /// refusal by the checks, after its row is written or its payment
+    /// refused otherwise. Settling runs last request first, so the scopes
+    /// close in the reverse of the order they opened — the nesting a
+    /// thread-local tracing span needs. A request's checks and row write
+    /// are charged to its own span. Its deposit runs once every scope of
+    /// the batch is open, so it is charged to the innermost open span:
+    /// its own only in a batch of one.
     pub fn handle_purchase_batch<R: CryptoRng + ?Sized, G>(
         &self,
         batch: &mut [(&PurchaseRequest, &mut R)],
@@ -719,17 +746,36 @@ impl<B: ConcurrentKv> ContentProvider<B> {
         let mut scopes = Vec::with_capacity(batch.len());
         let mut checked = Vec::with_capacity(batch.len());
         for (i, (req, rng)) in batch.iter_mut().enumerate() {
+            let req: &PurchaseRequest = req;
             let guard = scope(i);
-            let unsigned = self.prepare_purchase(req, now_epoch, &mut **rng);
+            let request = self.check_purchase(req, now_epoch).map(|checked| {
+                let kem = KemSecret::draw(&req.pseudonym_cert.body.pseudonym_key, &mut **rng);
+                (req, checked, kem)
+            });
             // A refusal's scope closes here, before the next one opens.
-            scopes.push(unsigned.is_ok().then_some(guard));
-            checked.push(unsigned);
+            scopes.push(request.is_ok().then_some(guard));
+            checked.push(request);
         }
-        let bodies = checked
-            .iter()
-            .filter_map(|u| u.as_ref().ok().map(|u| &u.body));
+        let mut lanes = Vec::with_capacity(2 * checked.len());
+        for (_, request, kem) in checked.iter().flatten() {
+            lanes.extend(request.coin.as_ref().map(CoinCheck::lane));
+            lanes.push(kem.lane());
+        }
+        let mut powers = self.public_batch(&lanes).into_iter();
+        let mut next = || powers.next().expect("one power per lane");
+        let paid: Vec<_> = checked
+            .into_iter()
+            .map(|request| {
+                let (req, request, kem) = request?;
+                let verdict = request.coin.as_ref().map(|coin| coin.finish(&next()));
+                let c = next();
+                verdict.transpose()?;
+                self.pay_and_seal(req, request, &kem, &c, now_epoch)
+            })
+            .collect();
+        let bodies = paid.iter().filter_map(|u| u.as_ref().ok().map(|u| &u.body));
         let mut signatures = self.sign_licenses(bodies.collect()).into_iter();
-        let mut issued: Vec<_> = checked
+        let mut issued: Vec<_> = paid
             .into_iter()
             .map(|unsigned| {
                 unsigned.map(|Unsigned { body, fresh }| {
@@ -750,14 +796,14 @@ impl<B: ConcurrentKv> ContentProvider<B> {
         results
     }
 
-    /// Everything of a purchase before its signature: the checks, the
-    /// deposit and the license body.
-    fn prepare_purchase<R: CryptoRng + ?Sized>(
-        &self,
-        req: &PurchaseRequest,
+    /// Every check of a purchase that needs no public-key operation, in
+    /// the order a refusal is decided; the coin's signature check is left
+    /// to the batch.
+    fn check_purchase<'a>(
+        &'a self,
+        req: &'a PurchaseRequest,
         now_epoch: u32,
-        rng: &mut R,
-    ) -> Result<Unsigned, CoreError> {
+    ) -> Result<Checked<'a>, CoreError> {
         let pseudonym = req.pseudonym_cert.pseudonym_id();
         let license_id = purchase_license_id(&req.coin.serial, &pseudonym, &req.content_id);
         // A replay (the serial's spent row already names this license)
@@ -784,7 +830,9 @@ impl<B: ConcurrentKv> ContentProvider<B> {
                 item.rights.clone(),
             )
         };
-        if !replay {
+        let coin = if replay {
+            None
+        } else {
             if req.coin.denomination < price {
                 return Err(CoreError::Payment(
                     p2drm_payment::PaymentError::InsufficientFunds {
@@ -794,31 +842,67 @@ impl<B: ConcurrentKv> ContentProvider<B> {
                 ));
             }
             self.check_attribute_requirement(req, required.as_deref(), now_epoch)?;
-            self.state.mint.check_coin(&req.coin)?;
-        }
+            Some(self.state.mint.coin_check(&req.coin)?)
+        };
+        Ok(Checked {
+            license_id,
+            holder: req.pseudonym_cert.body.pseudonym_key.clone(),
+            coin,
+            content_key,
+            rights,
+        })
+    }
+
+    /// A checked purchase whose coin verified: the deposit, then the
+    /// license body, its content key sealed under the KEM whose public
+    /// operation gave `c`.
+    fn pay_and_seal(
+        &self,
+        req: &PurchaseRequest,
+        checked: Checked,
+        kem: &KemSecret,
+        c: &UBig,
+        now_epoch: u32,
+    ) -> Result<Unsigned, CoreError> {
         // The deposit decides: fresh, a racing replay of this very
         // request, or a double spend.
-        let fresh = !replay && {
+        let fresh = checked.coin.is_some() && {
             let _stage = p2drm_obs::stage("mint_deposit");
             self.state
                 .mint
-                .deposit_for(&req.coin, license_id.as_bytes())?
+                .deposit_for(&req.coin, checked.license_id.as_bytes())?
         };
-
+        let (kem_ct, shared) = kem.finish(c);
         let body = LicenseBody {
-            license_id,
+            license_id: checked.license_id,
             content_id: req.content_id,
-            holder: req.pseudonym_cert.body.pseudonym_key.clone(),
-            rights,
-            key_envelope: envelope::seal(&req.pseudonym_cert.body.pseudonym_key, &content_key, rng),
+            holder: checked.holder,
+            rights: checked.rights,
+            key_envelope: envelope::seal_encapsulated(kem_ct, &shared, &checked.content_key),
             issued_epoch: now_epoch,
         };
         Ok(Unsigned { body, fresh })
     }
 
+    /// [`rsa::public_batch`] of `lanes`, counted in the provider's
+    /// [`BatchStats`].
+    fn public_batch(&self, lanes: &[(&RsaPublicKey, &UBig)]) -> Vec<UBig> {
+        let calls_before = p2drm_bignum::ifma::kernel_calls();
+        let powers = rsa::public_batch(lanes);
+        let calls = p2drm_bignum::ifma::kernel_calls() - calls_before;
+        let stats = &self.stats;
+        stats
+            .public_ops
+            .fetch_add(lanes.len() as u64, Ordering::Relaxed);
+        stats
+            .public_kernel_calls
+            .fetch_add(calls, Ordering::Relaxed);
+        powers
+    }
+
     /// The provider's signatures over `bodies`, in order, from one
     /// [`RsaKeyPair::sign_batch`](p2drm_crypto::rsa::RsaKeyPair::sign_batch);
-    /// counted in the provider's [`SignStats`].
+    /// counted in the provider's [`BatchStats`].
     fn sign_licenses(&self, bodies: Vec<&LicenseBody>) -> Vec<RsaSignature> {
         if bodies.is_empty() {
             return Vec::new();
@@ -828,15 +912,14 @@ impl<B: ConcurrentKv> ContentProvider<B> {
         let calls_before = p2drm_bignum::ifma::kernel_calls();
         let signatures = self.core.keys.sign_batch(&messages);
         let calls = p2drm_bignum::ifma::kernel_calls() - calls_before;
-        let stats = &self.signing;
+        let stats = &self.stats;
         stats
             .signatures
             .fetch_add(messages.len() as u64, Ordering::Relaxed);
-        stats.kernel_calls.fetch_add(calls, Ordering::Relaxed);
+        stats.sign_kernel_calls.fetch_add(calls, Ordering::Relaxed);
         stats.batch_size.record(messages.len() as u64);
         signatures
     }
-
     /// Privacy-preserving transfer: revoke the old anonymous license,
     /// issue a fresh one to the recipient pseudonym. The provider sees two
     /// pseudonyms and cannot link either to an identity.

@@ -21,7 +21,7 @@
 //! [cut-and-choose](CutChooseRequest) flow below.
 
 use crate::rng::CryptoRng;
-use crate::rsa::{fdh, RsaKeyPair, RsaPublicKey, RsaSignature};
+use crate::rsa::{fdh, public_batch, RsaKeyPair, RsaPublicKey, RsaSignature};
 use crate::CryptoError;
 use p2drm_bignum::{modring, rng as brng, UBig};
 
@@ -97,19 +97,76 @@ pub fn blind_sign(kp: &RsaKeyPair, blinded: &UBig) -> Result<UBig, CryptoError> 
     Ok(kp.raw_private(blinded))
 }
 
-/// Verifies an unblinded FDH signature on `message`.
+/// Verifies an unblinded FDH signature on `message`: the one-signature
+/// case of [`verify_fdh_batch`].
 pub fn verify_fdh(
     pk: &RsaPublicKey,
     message: &[u8],
     sig: &RsaSignature,
 ) -> Result<(), CryptoError> {
-    if sig.as_ubig() >= pk.modulus() {
-        return Err(CryptoError::BadSignature);
+    verify_fdh_batch(&[(pk, message, sig)])
+        .pop()
+        .expect("one verdict per signature")
+}
+
+/// [`verify_fdh`] of every `(key, message, signature)`, in order, with
+/// the public-key operations of the signatures in range run as one
+/// [`public_batch`].
+pub fn verify_fdh_batch(
+    items: &[(&RsaPublicKey, &[u8], &RsaSignature)],
+) -> Vec<Result<(), CryptoError>> {
+    let checks: Vec<_> = items
+        .iter()
+        .map(|&(pk, message, sig)| FdhCheck::new(pk, message, sig))
+        .collect();
+    let lanes: Vec<_> = checks.iter().flatten().map(FdhCheck::lane).collect();
+    let mut powers = public_batch(&lanes).into_iter();
+    checks
+        .into_iter()
+        .map(|check| check?.finish(&powers.next().expect("one power per lane")))
+        .collect()
+}
+
+/// An FDH signature check split around its public-key operation, so a
+/// caller can run that operation together with others of any kind in
+/// one [`public_batch`].
+pub struct FdhCheck<'a> {
+    pk: &'a RsaPublicKey,
+    sig: &'a UBig,
+    /// The full-domain hash the signature must raise to.
+    expected: UBig,
+}
+
+impl<'a> FdhCheck<'a> {
+    /// The check of `sig` on `message` under `pk`, or `BadSignature` at
+    /// once for a signature not below the modulus.
+    pub fn new(
+        pk: &'a RsaPublicKey,
+        message: &[u8],
+        sig: &'a RsaSignature,
+    ) -> Result<Self, CryptoError> {
+        if sig.as_ubig() >= pk.modulus() {
+            return Err(CryptoError::BadSignature);
+        }
+        Ok(FdhCheck {
+            pk,
+            sig: sig.as_ubig(),
+            expected: fdh(message, pk.modulus_len()),
+        })
     }
-    if pk.raw_public(sig.as_ubig()) == fdh(message, pk.modulus_len()) {
-        Ok(())
-    } else {
-        Err(CryptoError::BadSignature)
+
+    /// The public-key operation to run: the signature under the key.
+    pub fn lane(&self) -> (&'a RsaPublicKey, &'a UBig) {
+        (self.pk, self.sig)
+    }
+
+    /// The verdict, given `power = sig^e mod n`.
+    pub fn finish(&self, power: &UBig) -> Result<(), CryptoError> {
+        if *power == self.expected {
+            Ok(())
+        } else {
+            Err(CryptoError::BadSignature)
+        }
     }
 }
 

@@ -6,7 +6,7 @@
 //! Works with any RSA modulus size and any payload length.
 
 use crate::rng::CryptoRng;
-use crate::rsa::{kem_decapsulate, kem_encapsulate, RsaKeyPair, RsaPublicKey};
+use crate::rsa::{kem_decapsulate, public_batch, KemSecret, RsaKeyPair, RsaPublicKey};
 use crate::sha256::DIGEST_LEN;
 use crate::{chacha20, hmac, kdf, CryptoError};
 use p2drm_codec::{Decode, Encode, Reader, Writer};
@@ -22,10 +22,41 @@ pub struct Envelope {
     pub tag: [u8; DIGEST_LEN],
 }
 
-/// Seals `plaintext` to the holder of `pk`.
+/// Seals `plaintext` to the holder of `pk`: the one-envelope case of
+/// [`seal_batch`].
 pub fn seal<R: CryptoRng + ?Sized>(pk: &RsaPublicKey, plaintext: &[u8], rng: &mut R) -> Envelope {
-    let (kem_ct, shared) = kem_encapsulate(pk, rng);
-    let okm = kdf::derive(b"p2drm-envelope", &shared, b"keys", 64);
+    seal_batch(&mut [(pk, plaintext, rng)])
+        .pop()
+        .expect("one envelope per recipient")
+}
+
+/// [`seal`] of every `(key, plaintext, rng)`, in order, each drawing from
+/// its own generator exactly as alone; the KEM encapsulations' public-key
+/// operations run as one [`public_batch`].
+pub fn seal_batch<R: CryptoRng + ?Sized>(
+    items: &mut [(&RsaPublicKey, &[u8], &mut R)],
+) -> Vec<Envelope> {
+    let secrets: Vec<KemSecret> = items
+        .iter_mut()
+        .map(|(pk, _, rng)| KemSecret::draw(pk, &mut **rng))
+        .collect();
+    let lanes: Vec<_> = secrets.iter().map(KemSecret::lane).collect();
+    public_batch(&lanes)
+        .iter()
+        .zip(&secrets)
+        .zip(items.iter())
+        .map(|((c, secret), (_, plaintext, _))| {
+            let (kem_ct, shared) = secret.finish(c);
+            seal_encapsulated(kem_ct, &shared, plaintext)
+        })
+        .collect()
+}
+
+/// The rest of a seal once its KEM has run: `plaintext` under the keys
+/// derived from `shared`, with `kem_ct` the ciphertext that carries it
+/// ([`crate::rsa::KemSecret`] gives both).
+pub fn seal_encapsulated(kem_ct: Vec<u8>, shared: &[u8; 32], plaintext: &[u8]) -> Envelope {
+    let okm = kdf::derive(b"p2drm-envelope", shared, b"keys", 64);
     let enc_key: [u8; 32] = okm[..32].try_into().unwrap();
     let body = chacha20::encrypt(&enc_key, &[0u8; 12], plaintext);
     let mut mac = hmac::HmacSha256::new(&okm[32..]);
@@ -74,6 +105,7 @@ impl Decode for Envelope {
 mod tests {
     use super::*;
     use crate::rng::test_rng;
+    use crate::rsa::kem_encapsulate;
 
     fn keypair() -> RsaKeyPair {
         RsaKeyPair::generate(512, &mut test_rng(40))

@@ -27,7 +27,7 @@
 use crate::rng::CryptoRng;
 use crate::sha256::{sha256, DIGEST_LEN};
 use crate::CryptoError;
-use p2drm_bignum::ifma::{self, Modulus52};
+use p2drm_bignum::ifma::{self, Modulus52, PublicModulus52};
 use p2drm_bignum::{modring, prime, Mont, MontForm, UBig};
 use p2drm_codec::{Decode, Encode, Reader, Writer};
 
@@ -47,7 +47,14 @@ const SHA256_DIGEST_INFO: [u8; 19] = [
     0x00, 0x04, 0x20,
 ];
 
-/// An RSA public key `(n, e)` with a cached Montgomery context.
+/// Moduli whose public operations [`public_batch`] runs on the vertical
+/// kernel: of 14 or more 64-bit limbs, where a lone 20-limb lane stops
+/// losing to the scalar path ([`ifma`] module doc), and of at most
+/// [`ifma::MAX_PUBLIC_MODULUS_BITS`] (1038) bits.
+const VERTICAL_PUBLIC_BITS: std::ops::RangeInclusive<usize> = 833..=ifma::MAX_PUBLIC_MODULUS_BITS;
+
+/// An RSA public key `(n, e)` with `e` = [`PUBLIC_EXPONENT`] and cached
+/// Montgomery constants.
 #[derive(Clone, Debug)]
 pub struct RsaPublicKey {
     n: UBig,
@@ -58,6 +65,10 @@ pub struct RsaPublicKey {
     /// context is most of what decoding one cost. A clone carries the
     /// context if it exists and builds its own otherwise.
     mont: std::sync::OnceLock<Mont>,
+    /// The vertical kernel's constants, built on the key's first
+    /// operation there ([`public_batch`]) and shared by the clones taken
+    /// after; `None` for a modulus too wide for it.
+    r52: std::sync::OnceLock<Option<std::sync::Arc<PublicModulus52>>>,
     /// Memoized fingerprint, computed on first use and shared across
     /// clones — key ids are taken of the same key all over the hot path
     /// (CRL checks, license records, verification-cache keys).
@@ -73,15 +84,25 @@ impl PartialEq for RsaPublicKey {
 impl Eq for RsaPublicKey {}
 
 impl RsaPublicKey {
-    /// Builds from raw parameters (modulus must be odd).
+    /// Builds from raw parameters: an odd modulus of at least 64 bits
+    /// and `e` = [`PUBLIC_EXPONENT`]. Every key of the system is
+    /// generated with F4, and a key is often made by its holder alone (a
+    /// blindly issued pseudonym key, which the RA never sees), so any
+    /// other `e` is refused: `e = 1` would make a KEM ciphertext the
+    /// secret itself, and a 1024-bit `e` would make every seal under the
+    /// key a full exponentiation.
     pub fn new(n: UBig, e: UBig) -> Result<Self, CryptoError> {
         if n.is_even() || n.bit_len() < 64 {
             return Err(CryptoError::BadKey("modulus must be odd and >= 64 bits"));
+        }
+        if e.to_u64() != Some(PUBLIC_EXPONENT) {
+            return Err(CryptoError::BadKey("public exponent must be 65537"));
         }
         Ok(RsaPublicKey {
             n,
             e,
             mont: std::sync::OnceLock::new(),
+            r52: std::sync::OnceLock::new(),
             fp: std::sync::Arc::new(std::sync::OnceLock::new()),
         })
     }
@@ -101,18 +122,22 @@ impl RsaPublicKey {
         self.n.bit_len().div_ceil(8)
     }
 
-    /// Raw RSA public operation `x^e mod n`.
-    ///
-    /// Small public exponents (everything that fits a machine word, i.e.
-    /// every real-world `e` including F4) take the dedicated
-    /// [`Mont::pow_u64`] path: plain square-and-multiply with no window
-    /// table, which for the sparse `e = 65537` is 16 squarings and one
-    /// multiplication — the fast verify path.
+    /// Raw RSA public operation `x^e mod n`: the one-input case of
+    /// [`public_batch`]. Either path is plain square-and-multiply, 16
+    /// squarings and one multiplication for `e = 65537`.
     pub fn raw_public(&self, x: &UBig) -> UBig {
-        match self.e.to_u64() {
-            Some(e) => self.mont().pow_u64(x, e),
-            None => self.mont().pow(x, &self.e),
-        }
+        public_batch(&[(self, x)])
+            .pop()
+            .expect("one result per input")
+    }
+
+    /// The vertical kernel's constants for this modulus, built on first
+    /// use; `None` if it has more than [`ifma::MAX_PUBLIC_MODULUS_BITS`]
+    /// bits.
+    fn radix52(&self) -> Option<&PublicModulus52> {
+        self.r52
+            .get_or_init(|| PublicModulus52::new(&self.n).map(std::sync::Arc::new))
+            .as_deref()
     }
 
     /// The key's Montgomery context, built on first use.
@@ -158,6 +183,43 @@ impl Decode for RsaPublicKey {
         let e = UBig::from_bytes_be(r.get_int_bytes()?);
         RsaPublicKey::new(n, e).map_err(|_| p2drm_codec::CodecError::BadDiscriminant(0))
     }
+}
+
+/// `x^e mod n` for every `(key, x)`, in order, each key with its own
+/// modulus and all with `e` = [`PUBLIC_EXPONENT`]: signature checks and
+/// KEM encapsulations of many requests at once.
+///
+/// On a CPU with AVX-512 IFMA, every input whose modulus has 833 to 1038
+/// bits is a lane of one [`ifma::pow_public_lanes`] call sequence (eight
+/// lanes to a kernel call, a lone one included); every other input, and
+/// every input on other CPUs, takes [`Mont::pow_u64`]. The rule reads
+/// the [`ifma`] module's tables: a lane costs twenty limbs whatever the
+/// modulus, so from 833 bits one lane alone costs no more than the
+/// scalar path and eight cost about a sixth of it per operation, while
+/// at 512 bits a lane is under half full and loses below four lanes.
+/// Both paths give the same value, bit for bit; nothing but the CPU and
+/// the moduli's sizes picks one.
+pub fn public_batch(inputs: &[(&RsaPublicKey, &UBig)]) -> Vec<UBig> {
+    let vertical =
+        |pk: &RsaPublicKey| VERTICAL_PUBLIC_BITS.contains(&pk.n.bit_len()) && ifma::available();
+    let lanes: Vec<_> = inputs
+        .iter()
+        .filter(|(pk, _)| vertical(pk))
+        .map(|&(pk, x)| (pk.radix52().expect("a modulus of at most 1038 bits"), x))
+        .collect();
+    let mut powers = ifma::pow_public_lanes(&lanes, PUBLIC_EXPONENT)
+        .expect("the CPU has AVX-512 IFMA")
+        .into_iter();
+    inputs
+        .iter()
+        .map(|&(pk, x)| {
+            if vertical(pk) {
+                powers.next().expect("one power per lane")
+            } else {
+                pk.mont().pow_u64(x, PUBLIC_EXPONENT)
+            }
+        })
+        .collect()
 }
 
 /// An RSA signature (big-endian integer, held as [`UBig`]).
@@ -402,7 +464,10 @@ impl RsaKeyPair {
             .into_iter()
             .zip(&encoded)
             .map(|(s, m)| {
-                debug_assert_eq!(&self.public.raw_public(&s), m, "CRT self-check");
+                // On the scalar path, apart from the kernels and their
+                // call counts.
+                let check = || self.public.mont().pow_u64(&s, PUBLIC_EXPONENT);
+                debug_assert_eq!(&check(), m, "CRT self-check");
                 RsaSignature { s }
             })
             .collect()
@@ -455,19 +520,46 @@ fn draw_primes<R: CryptoRng + ?Sized>(
 ///
 /// Works with any modulus size, and is what the protocols use to wrap
 /// content keys: pick uniform `z < n`, send `z^e mod n`, derive the key
-/// from `z`.
+/// from `z`. The one-key case of
+/// [`envelope::seal_batch`](crate::envelope::seal_batch)'s encapsulations.
 pub fn kem_encapsulate<R: CryptoRng + ?Sized>(
     pk: &RsaPublicKey,
     rng: &mut R,
 ) -> (Vec<u8>, [u8; 32]) {
-    let z = p2drm_bignum::rng::random_below(rng, pk.modulus());
-    let c = pk.raw_public(&z).to_bytes_be_padded(pk.modulus_len());
-    let shared = crate::kdf::derive_key32(
-        b"p2drm-rsa-kem",
-        &z.to_bytes_be_padded(pk.modulus_len()),
-        b"kem",
-    );
-    (c, shared)
+    let secret = KemSecret::draw(pk, rng);
+    secret.finish(&pk.raw_public(&secret.z))
+}
+
+/// An RSA-KEM secret `z` drawn for a key, waiting for its public-key
+/// operation: [`kem_encapsulate`] split around [`public_batch`], so a
+/// caller can run that operation together with others of any kind.
+pub struct KemSecret<'a> {
+    pk: &'a RsaPublicKey,
+    z: UBig,
+}
+
+impl<'a> KemSecret<'a> {
+    /// Draws a uniform `z < n` from `rng`: the generator's only draw of
+    /// an encapsulation.
+    pub fn draw<R: CryptoRng + ?Sized>(pk: &'a RsaPublicKey, rng: &mut R) -> Self {
+        KemSecret {
+            pk,
+            z: p2drm_bignum::rng::random_below(rng, pk.modulus()),
+        }
+    }
+
+    /// The public-key operation still to run: `z` under the key.
+    pub fn lane(&self) -> (&'a RsaPublicKey, &UBig) {
+        (self.pk, &self.z)
+    }
+
+    /// The ciphertext and shared secret, given `c = z^e mod n`.
+    pub fn finish(&self, c: &UBig) -> (Vec<u8>, [u8; 32]) {
+        let len = self.pk.modulus_len();
+        let shared =
+            crate::kdf::derive_key32(b"p2drm-rsa-kem", &self.z.to_bytes_be_padded(len), b"kem");
+        (c.to_bytes_be_padded(len), shared)
+    }
 }
 
 /// RSA-KEM decapsulation: recovers the shared secret from `ciphertext`.
@@ -816,6 +908,118 @@ mod tests {
         assert!(kp512.sign_batch(&[]).is_empty());
     }
 
+    /// `public_batch` gives the scalar `Mont::pow_u64` of each input, in
+    /// order, at 512 bits (the scalar path: too narrow for a 20-limb
+    /// lane), at 1024 (lanes of the vertical kernel, eight to a call)
+    /// and at 2048 (too wide: the scalar fallback), and for the three
+    /// sizes mixed in one batch, where only the 1024-bit inputs take
+    /// lanes. Inputs include 0, 1, n − 1 and values above n.
+    #[test]
+    fn public_batch_equals_scalar_pow_of_each_input() {
+        if !ifma::available() {
+            eprintln!("this CPU has no AVX-512 IFMA: every input takes the scalar path");
+        }
+        let kp512 = keypair();
+        let keys = [
+            kp512.public(),
+            keypair1024().public(),
+            keypair2048().public(),
+        ];
+        let input = |pk: &RsaPublicKey, i: usize| {
+            let n = pk.modulus();
+            match i % 5 {
+                0 => UBig::zero(),
+                1 => UBig::one(),
+                2 => n.sub(&UBig::one()),
+                3 => n.add(&UBig::from_u64(i as u64)),
+                _ => fdh(&[i as u8; 3], pk.modulus_len()),
+            }
+        };
+        let mut mixed: Vec<(&RsaPublicKey, UBig)> = Vec::new();
+        for (k, &pk) in keys.iter().enumerate() {
+            let bits = pk.modulus().bit_len();
+            for count in 1..=17 {
+                let xs: Vec<UBig> = (0..count).map(|i| input(pk, i)).collect();
+                let batch: Vec<(&RsaPublicKey, &UBig)> = xs.iter().map(|x| (pk, x)).collect();
+                let before = ifma::kernel_calls();
+                let got = public_batch(&batch);
+                let calls = ifma::kernel_calls() - before;
+                let vertical = bits == 1024 && ifma::available();
+                let want = if vertical {
+                    count.div_ceil(ifma::LANES)
+                } else {
+                    0
+                };
+                assert_eq!(calls, want as u64, "{bits} bits, {count} inputs");
+                for (x, y) in xs.iter().zip(&got) {
+                    let scalar = pk.mont().pow_u64(x, PUBLIC_EXPONENT);
+                    assert_eq!(y, &scalar, "{bits} bits, {count} inputs");
+                }
+            }
+            for i in 0..4 {
+                mixed.push((pk, input(pk, 3 * i + k)));
+            }
+        }
+        for x in [UBig::from_u64(2), fdh(b"oracle", 128)] {
+            let pk = keys[1];
+            let plain = x.pow_mod(pk.exponent(), pk.modulus()).unwrap();
+            assert_eq!(public_batch(&[(pk, &x), (pk, &x)]), [plain.clone(), plain]);
+        }
+        mixed.rotate_left(5);
+        let batch: Vec<(&RsaPublicKey, &UBig)> = mixed.iter().map(|(pk, x)| (*pk, x)).collect();
+        let before = ifma::kernel_calls();
+        let got = public_batch(&batch);
+        let calls = ifma::kernel_calls() - before;
+        assert_eq!(
+            calls,
+            u64::from(ifma::available()),
+            "four 1024-bit lanes, one call"
+        );
+        for ((pk, x), y) in mixed.iter().zip(&got) {
+            assert_eq!(y, &pk.mont().pow_u64(x, PUBLIC_EXPONENT));
+            assert_eq!(y, &pk.raw_public(x));
+        }
+        assert!(public_batch(&[]).is_empty());
+    }
+
+    /// A public key is F4's or nothing: `new` and decoding refuse every
+    /// other exponent (1, 3, 65539 and a 1024-bit value), for a public
+    /// key alone and inside a key pair's encoding.
+    #[test]
+    fn public_exponents_other_than_f4_are_refused() {
+        let kp = keypair();
+        let n = kp.public().modulus();
+        let encoded = |e: &UBig| {
+            let mut w = Writer::new();
+            w.put_bytes(&n.to_bytes_be());
+            w.put_bytes(&e.to_bytes_be());
+            w.into_bytes()
+        };
+        let f4 = UBig::from_u64(PUBLIC_EXPONENT);
+        assert_eq!(encoded(&f4), p2drm_codec::to_bytes(kp.public()));
+        let wide = UBig::one().shl(1023).add(&f4);
+        for e in [UBig::one(), UBig::from_u64(3), UBig::from_u64(65539), wide] {
+            assert!(
+                matches!(
+                    RsaPublicKey::new(n.clone(), e.clone()),
+                    Err(CryptoError::BadKey(_))
+                ),
+                "e = {e}"
+            );
+            let bytes = encoded(&e);
+            assert!(
+                p2drm_codec::from_bytes::<RsaPublicKey>(&bytes).is_err(),
+                "e = {e}"
+            );
+            let pair = p2drm_codec::to_bytes(&kp);
+            let pair = [&bytes[..], &pair[bytes.len()..]].concat();
+            assert!(
+                p2drm_codec::from_bytes::<RsaKeyPair>(&pair).is_err(),
+                "e = {e}"
+            );
+        }
+    }
+
     #[test]
     fn keypair_codec_roundtrip_preserves_function() {
         for kp in [&keypair(), keypair1024()] {
@@ -932,11 +1136,12 @@ mod tests {
         assert_eq!(back.fingerprint(), kp.public().fingerprint());
     }
 
-    /// The Montgomery context is built on first use. A decoded key that
-    /// has never exponentiated, and a clone taken of it while still
-    /// cold, answer exactly like a context built eagerly from the same
-    /// modulus — and `new` still refuses up front every modulus the
-    /// deferred `Mont::new` could fail on.
+    /// A key's constants — the Montgomery context, or the vertical
+    /// kernel's where `public_batch` runs the key there — are built on
+    /// first use. A decoded key that has never exponentiated, and a
+    /// clone taken of it while still cold, answer exactly like a context
+    /// built eagerly from the same modulus — and `new` still refuses up
+    /// front every modulus the deferred `Mont::new` could fail on.
     #[test]
     fn lazily_built_context_answers_like_an_eager_one() {
         let keys = [
@@ -946,13 +1151,24 @@ mod tests {
         ];
         for kp in keys {
             let n = kp.public().modulus();
+            // The constants of the path `public_batch` takes with the
+            // key: the vertical kernel's, or the Montgomery context.
+            let vertical = VERTICAL_PUBLIC_BITS.contains(&n.bit_len()) && ifma::available();
+            let built = |k: &RsaPublicKey| {
+                if vertical {
+                    k.r52.get().is_some() && k.mont.get().is_none()
+                } else {
+                    k.mont.get().is_some() && k.r52.get().is_none()
+                }
+            };
+            let cold = |k: &RsaPublicKey| k.mont.get().is_none() && k.r52.get().is_none();
             let decoded: RsaPublicKey =
                 p2drm_codec::from_bytes(&p2drm_codec::to_bytes(kp.public())).unwrap();
-            assert!(decoded.mont.get().is_none(), "decoding builds no context");
+            assert!(cold(&decoded), "decoding builds no context");
             let cold_clone = decoded.clone();
             assert_eq!(decoded, cold_clone);
             assert_eq!(decoded.fingerprint(), kp.public().fingerprint());
-            assert!(decoded.mont.get().is_none(), "nor does fingerprinting");
+            assert!(cold(&decoded), "nor does fingerprinting");
 
             let eager = Mont::new(n).unwrap();
             let top = n.sub(&UBig::one());
@@ -970,14 +1186,11 @@ mod tests {
                 );
                 assert_eq!(decoded.raw_public(&x), expect);
             }
-            assert!(decoded.mont.get().is_some(), "first use built it");
-            assert!(
-                decoded.clone().mont.get().is_some(),
-                "a warm clone carries it"
-            );
+            assert!(built(&decoded), "first use built it");
+            assert!(built(&decoded.clone()), "a warm clone carries it");
 
             let sig = kp.sign(b"signed before the clone ever exponentiated");
-            assert!(cold_clone.mont.get().is_none());
+            assert!(cold(&cold_clone));
             assert!(cold_clone
                 .verify(b"signed before the clone ever exponentiated", &sig)
                 .is_ok());

@@ -5,9 +5,9 @@
 
 use crate::{Coin, PaymentError};
 use p2drm_bignum::UBig;
-use p2drm_crypto::blind;
+use p2drm_crypto::blind::{self, FdhCheck};
 use p2drm_crypto::rng::CryptoRng;
-use p2drm_crypto::rsa::{RsaKeyPair, RsaPublicKey};
+use p2drm_crypto::rsa::{public_batch, RsaKeyPair, RsaPublicKey};
 use p2drm_store::{ConcurrentKv, MemKv};
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -144,13 +144,35 @@ impl Mint {
     /// side-effect free, so a caller can finish every check of a request
     /// before its first side effect (the provider's purchase path) and
     /// commit with [`Self::deposit_for`] or [`Self::deposit_prechecked`]
-    /// afterwards.
+    /// afterwards. The one-coin case of [`Self::check_coins`].
     pub fn check_coin(&self, coin: &Coin) -> Result<(), PaymentError> {
+        self.check_coins(&[coin])
+            .pop()
+            .expect("one verdict per coin")
+    }
+
+    /// [`Self::check_coin`] of every coin, in order, with the signature
+    /// checks' public-key operations run as one [`public_batch`].
+    pub fn check_coins(&self, coins: &[&Coin]) -> Vec<Result<(), PaymentError>> {
+        let checks: Vec<_> = coins.iter().map(|coin| self.coin_check(coin)).collect();
+        let lanes: Vec<_> = checks.iter().flatten().map(CoinCheck::lane).collect();
+        let mut powers = public_batch(&lanes).into_iter();
+        checks
+            .into_iter()
+            .map(|check| check?.finish(&powers.next().expect("one power per lane")))
+            .collect()
+    }
+
+    /// A coin's check split around its public-key operation, for a
+    /// caller that runs that operation in a batch of its own: an
+    /// unknown denomination, or a signature not below the key's
+    /// modulus, is refused at once.
+    pub fn coin_check<'a>(&'a self, coin: &'a Coin) -> Result<CoinCheck<'a>, PaymentError> {
         let key = self.public_key(coin.denomination)?;
-        if !coin.verify(key) {
-            return Err(PaymentError::BadCoin);
-        }
-        Ok(())
+        let message = Coin::message_bytes(&coin.serial, coin.denomination);
+        FdhCheck::new(key, &message, &coin.signature)
+            .map(CoinCheck)
+            .map_err(|_| PaymentError::BadCoin)
     }
 
     /// Spent-marking half of a deposit. The coin's signature MUST have
@@ -216,6 +238,24 @@ impl Mint {
     /// Coins withdrawn so far.
     pub fn withdrawal_count(&self) -> usize {
         self.inner.withdrawals.load(Ordering::Relaxed) as usize
+    }
+}
+
+/// A coin's signature check waiting for its public-key operation
+/// ([`Mint::coin_check`]).
+pub struct CoinCheck<'a>(FdhCheck<'a>);
+
+impl<'a> CoinCheck<'a> {
+    /// The public-key operation to run: the coin's signature under its
+    /// denomination key.
+    pub fn lane(&self) -> (&'a RsaPublicKey, &'a UBig) {
+        self.0.lane()
+    }
+
+    /// The verdict, given the operation's result: `BadCoin` unless the
+    /// signature is the mint's.
+    pub fn finish(&self, power: &UBig) -> Result<(), PaymentError> {
+        self.0.finish(power).map_err(|_| PaymentError::BadCoin)
     }
 }
 

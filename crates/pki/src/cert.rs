@@ -592,6 +592,50 @@ mod tests {
         assert_eq!(back.extension("missing"), None);
     }
 
+    /// A certificate whose subject key has a public exponent other than
+    /// 65537 (1, 3 or a 1024-bit value) does not decode; the same bytes
+    /// with 65537 put back do.
+    #[test]
+    fn certificate_with_another_public_exponent_does_not_decode() {
+        let key = rsa_pk(53);
+        let body = CertificateBody {
+            serial: 9,
+            kind: EntityKind::ContentProvider,
+            subject_key: SubjectKey::Rsa(key.clone()),
+            issuer: digest_id(b"issuer"),
+            validity: Validity::new(0, 100),
+            extensions: vec![],
+        };
+        let bytes = p2drm_codec::to_bytes(&body);
+        let key_bytes = p2drm_codec::to_bytes(&key);
+        let at = bytes
+            .windows(key_bytes.len())
+            .position(|w| w == key_bytes)
+            .unwrap();
+        // The body with the key's exponent replaced by big-endian `e`.
+        let with_exponent = |e: &[u8]| {
+            let mut w = Writer::new();
+            w.put_bytes(&key.modulus().to_bytes_be());
+            w.put_bytes(e);
+            [
+                &bytes[..at],
+                &w.into_bytes(),
+                &bytes[at + key_bytes.len()..],
+            ]
+            .concat()
+        };
+        let f4 = with_exponent(&[1, 0, 1]);
+        assert_eq!(f4, bytes);
+        assert!(p2drm_codec::from_bytes::<CertificateBody>(&f4).is_ok());
+        let mut wide = [0u8; 128];
+        wide[0] = 0x80;
+        wide[125..].copy_from_slice(&[1, 0, 1]);
+        for e in [&[1u8][..], &[3], &wide] {
+            let res = p2drm_codec::from_bytes::<CertificateBody>(&with_exponent(e));
+            assert!(res.is_err(), "e = {e:02x?}");
+        }
+    }
+
     #[test]
     fn signing_bytes_deterministic_and_sensitive() {
         let mk = |serial| CertificateBody {

@@ -1,13 +1,22 @@
-//! Purchases that reach the provider together are signed together: the
-//! wire service's batch entry point settles every purchase of a batch
-//! with one `sign_batch`, whose RSA-1024 CRT exponentiations share the
-//! lanes of the vertical IFMA kernel — eight licenses are 24 lanes,
-//! three kernel calls, where one license alone takes one call — and the
-//! licenses are exactly the ones one-at-a-time purchases give.
+//! Purchases that reach the provider together are checked and signed
+//! together: the wire service's batch entry point runs every coin check
+//! and KEM encapsulation of a batch as one `public_batch` — eight
+//! RSA-1024 purchases are 16 public lanes of the vertical IFMA kernel,
+//! two calls — and signs every license with one `sign_batch`, whose
+//! CRT exponentiations share the kernel's lanes — eight licenses are 24
+//! lanes, three kernel calls, where one license alone takes one call.
+//! The licenses are exactly the ones one-at-a-time purchases give; a
+//! forged coin is refused alone, and a key whose public exponent is not
+//! 65537 never reaches the provider.
 
+use p2drm::bignum::rng::random_bits;
+use p2drm::bignum::UBig;
+use p2drm::codec::Writer;
 use p2drm::core::protocol::messages::PurchaseRequest;
 use p2drm::core::service::{RequestEnvelope, ResponseEnvelope, WireRequest, WireResponse};
+use p2drm::crypto::rsa::RsaSignature;
 use p2drm::obs::Registry;
+use p2drm::payment::PaymentError;
 use p2drm::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -21,6 +30,14 @@ fn has_ifma() -> bool {
         && std::arch::is_x86_feature_detected!("avx512ifma");
     #[cfg(not(target_arch = "x86_64"))]
     false
+}
+
+/// `(public_key_ops, public_kernel_calls)` off the provider's metric
+/// source.
+fn public_ops(registry: &Registry) -> (u64, u64) {
+    let snapshot = registry.snapshot();
+    let counter = |name| snapshot.counter(name).expect("provider metric");
+    (counter("public_key_ops"), counter("public_kernel_calls"))
 }
 
 /// `(license_signatures, sign_kernel_calls, sign_batch_size samples)`
@@ -50,33 +67,11 @@ fn eight_purchases_are_one_batch_of_three_kernel_calls_and_the_same_licenses() {
     let cid = sys.publish_content("Batched", 100, b"eight at once", &mut rng);
     let mut user = sys.register_user("buyer", &mut rng).unwrap();
     sys.fund(&user, 100 * BUYS as u64);
-    let mut requests = Vec::new();
-    for _ in 0..BUYS {
-        sys.ensure_pseudonym(&mut user, &mut rng).unwrap();
-        let account = user.account.clone();
-        let coin = user
-            .wallet
-            .withdraw(&sys.mint, &account, 100, &mut rng)
-            .unwrap();
-        user.wallet.take(100);
-        requests.push(PurchaseRequest {
-            content_id: cid,
-            pseudonym_cert: user.current_pseudonym().unwrap().clone(),
-            coin,
-            attribute_cert: None,
-        });
-        user.note_pseudonym_use();
-    }
+    let requests = purchase_requests(&sys, &mut user, cid, BUYS, &mut rng);
     let envelopes: Vec<Vec<u8>> = requests
         .iter()
         .enumerate()
-        .map(|(i, req)| {
-            RequestEnvelope {
-                correlation_id: 0x5EED + i as u64,
-                body: WireRequest::Purchase(req.clone()),
-            }
-            .to_bytes()
-        })
+        .map(|(i, req)| frame(req, 0x5EED + i as u64))
         .collect();
     let request_rng = |i: usize| StdRng::seed_from_u64(0xF00D + i as u64);
 
@@ -90,19 +85,25 @@ fn eight_purchases_are_one_batch_of_three_kernel_calls_and_the_same_licenses() {
     });
     let (signatures, calls, batches) = signing(&registry);
     assert_eq!((signatures, batches), (8, 1), "eight licenses, one batch");
+    let (ops, public_calls) = public_ops(&registry);
+    assert_eq!(ops, 16, "8 coin checks + 8 KEM encapsulations");
     if has_ifma() {
         assert_eq!(calls, 3, "8 signatures × 3 primes = 24 lanes = 3 calls");
+        assert_eq!(public_calls, 2, "16 public lanes = 2 calls");
     } else {
         eprintln!("this CPU has no AVX-512 IFMA: the kernel-call counts are skipped");
-        assert_eq!(calls, 0);
+        assert_eq!((calls, public_calls), (0, 0));
     }
 
-    // One purchase alone: one more batch, one more kernel call.
+    // One purchase alone: one more batch, one more kernel call for its
+    // signature, and one for its coin check and KEM (two 1024-bit
+    // lanes).
     let mut last = [request_rng(8)];
     service.handle_batch_with_rngs(&[&envelopes[8]], &mut last, &mut |i, bytes| {
         replies[8 + i] = Some(bytes);
     });
     assert_eq!(signing(&registry), (9, if has_ifma() { 4 } else { 0 }, 2));
+    assert_eq!(public_ops(&registry), (18, if has_ifma() { 3 } else { 0 }));
 
     // The same requests one at a time, each with its own request's
     // randomness: replays now, so the provider re-signs and re-seals
@@ -126,6 +127,176 @@ fn eight_purchases_are_one_batch_of_three_kernel_calls_and_the_same_licenses() {
     }
     assert_eq!(sys.provider.license_count(), BUYS);
     assert_eq!(sys.mint.deposited_total(), 100 * BUYS as u64);
+    // A replay seals again and checks no coin: one 1024-bit public
+    // operation, a kernel call of one lane.
+    let replays = BUYS as u64;
+    let calls = if has_ifma() { 3 + replays } else { 0 };
+    assert_eq!(public_ops(&registry), (18 + replays, calls));
+}
+
+/// `count` purchase requests of `cid` by `user`, each under a fresh
+/// pseudonym and paid with a fresh coin.
+fn purchase_requests(
+    sys: &System,
+    user: &mut UserAgent,
+    cid: ContentId,
+    count: usize,
+    rng: &mut impl rand::RngCore,
+) -> Vec<PurchaseRequest> {
+    (0..count)
+        .map(|_| {
+            sys.ensure_pseudonym(user, rng).unwrap();
+            let account = user.account.clone();
+            let coin = user.wallet.withdraw(&sys.mint, &account, 100, rng).unwrap();
+            user.wallet.take(100);
+            let req = PurchaseRequest {
+                content_id: cid,
+                pseudonym_cert: user.current_pseudonym().unwrap().clone(),
+                coin,
+                attribute_cert: None,
+            };
+            user.note_pseudonym_use();
+            req
+        })
+        .collect()
+}
+
+/// The wire frame of purchase request `req`.
+fn frame(req: &PurchaseRequest, correlation_id: u64) -> Vec<u8> {
+    RequestEnvelope {
+        correlation_id,
+        body: WireRequest::Purchase(req.clone()),
+    }
+    .to_bytes()
+}
+
+/// A coin whose signature is not the mint's, in the middle of eight
+/// RSA-1024 purchases, is refused with `BadCoin` and nothing else: it
+/// is not deposited, its lanes still share the batch's two public
+/// kernel calls, and the other seven are deposited, signed in one
+/// batch and given the licenses one-at-a-time purchases give.
+#[test]
+fn a_forged_coin_in_a_batch_of_eight_is_refused_alone() {
+    const FORGED: usize = 3;
+    let mut rng = test_rng(0xBA7E);
+    let config = SystemConfig {
+        key_bits: 1024,
+        ..SystemConfig::fast_test()
+    };
+    let sys = System::bootstrap(config, &mut rng);
+    let cid = sys.publish_content("Batched", 100, b"seven of eight", &mut rng);
+    let mut user = sys.register_user("buyer", &mut rng).unwrap();
+    sys.fund(&user, 800);
+    let mut requests = purchase_requests(&sys, &mut user, cid, 8, &mut rng);
+    let forged = &mut requests[FORGED].coin.signature;
+    *forged = RsaSignature::from_ubig(forged.as_ubig() + &UBig::one());
+    let frames: Vec<Vec<u8>> = (0..8).map(|i| frame(&requests[i], i as u64)).collect();
+    let frames: Vec<&[u8]> = frames.iter().map(Vec::as_slice).collect();
+    let request_rng = |i: usize| StdRng::seed_from_u64(0xC0DE + i as u64);
+
+    let registry = Arc::new(Registry::new());
+    let service = sys.wire_service_with_registry(1, registry.clone());
+    let mut rngs: Vec<StdRng> = (0..8).map(request_rng).collect();
+    let mut replies = vec![None; 8];
+    service.handle_batch_with_rngs(&frames, &mut rngs, &mut |i, bytes| {
+        replies[i] = Some(ResponseEnvelope::from_bytes(&bytes).unwrap().body);
+    });
+    assert_eq!(
+        sys.mint.deposited_total(),
+        700,
+        "the forged coin paid nothing"
+    );
+    assert_eq!(sys.mint.spent_count(), 7);
+    assert_eq!(sys.provider.license_count(), 7);
+    let (signatures, _, batches) = signing(&registry);
+    assert_eq!((signatures, batches), (7, 1));
+    let calls = if has_ifma() { 2 } else { 0 };
+    assert_eq!(public_ops(&registry), (16, calls));
+    for (i, reply) in replies.into_iter().enumerate() {
+        match reply.expect("one reply per request") {
+            WireResponse::Error(e) => {
+                assert_eq!(i, FORGED, "purchase {i} was refused: {e:?}");
+                assert_eq!(e.code, ApiErrorCode::Payment);
+            }
+            WireResponse::Purchase(batched) => {
+                assert_ne!(i, FORGED, "the forged coin bought a license");
+                let single = sys
+                    .provider
+                    .handle_purchase(&requests[i], sys.epoch(), &mut request_rng(i))
+                    .unwrap();
+                assert_eq!(
+                    p2drm::codec::to_bytes(&batched.license),
+                    p2drm::codec::to_bytes(&single),
+                    "purchase {i}"
+                );
+            }
+            other => panic!("purchase {i}: {other:?}"),
+        }
+    }
+    let alone =
+        sys.provider
+            .handle_purchase(&requests[FORGED], sys.epoch(), &mut request_rng(FORGED));
+    assert!(matches!(
+        alone,
+        Err(CoreError::Payment(PaymentError::BadCoin))
+    ));
+    assert_eq!(sys.mint.deposited_total(), 700);
+}
+
+/// A pseudonym key whose public exponent is not 65537 — 1, 3 or a
+/// 1024-bit value — does not decode, so a purchase carrying one is
+/// refused as malformed before any check and costs its coin nothing:
+/// the same request with the key as issued then buys the license.
+#[test]
+fn a_pseudonym_key_with_another_exponent_is_refused_without_a_deposit() {
+    let mut rng = test_rng(0xBA7F);
+    let sys = System::bootstrap(SystemConfig::fast_test(), &mut rng);
+    let cid = sys.publish_content("Exponent", 100, b"e = 65537 only", &mut rng);
+    let mut user = sys.register_user("buyer", &mut rng).unwrap();
+    sys.fund(&user, 100);
+    let req = purchase_requests(&sys, &mut user, cid, 1, &mut rng).remove(0);
+    let key = &req.pseudonym_cert.body.pseudonym_key;
+    let honest = frame(&req, 7);
+    let key_bytes = p2drm::codec::to_bytes(key);
+    let at = honest
+        .windows(key_bytes.len())
+        .position(|w| w == key_bytes)
+        .expect("the key's encoding is in the frame");
+    // The frame with the key's exponent replaced by `e`.
+    let with_exponent = |e: &UBig| {
+        let mut w = Writer::new();
+        w.put_bytes(&key.modulus().to_bytes_be());
+        w.put_bytes(&e.to_bytes_be());
+        let mut bytes = honest[..at].to_vec();
+        bytes.extend_from_slice(&w.into_bytes());
+        bytes.extend_from_slice(&honest[at + key_bytes.len()..]);
+        bytes
+    };
+    assert_eq!(with_exponent(&UBig::from_u64(65537)), honest);
+    let wide = random_bits(&mut rng, 1023).add(&UBig::one().shl(1023));
+    let service = sys.wire_service(1);
+    for e in [UBig::one(), UBig::from_u64(3), wide] {
+        let bytes = with_exponent(&e);
+        assert!(RequestEnvelope::from_bytes(&bytes).is_err(), "e = {e}");
+        let mut body = None;
+        service.handle_batch(&[&bytes], &mut |_, reply| {
+            body = Some(ResponseEnvelope::from_bytes(&reply).unwrap().body);
+        });
+        match body {
+            Some(WireResponse::Error(err)) => {
+                assert_eq!(err.code, ApiErrorCode::MalformedRequest, "e = {e}")
+            }
+            other => panic!("e = {e}: {other:?}"),
+        }
+    }
+    assert_eq!(sys.mint.deposited_total(), 0);
+    assert_eq!(sys.provider.license_count(), 0);
+    let mut body = None;
+    service.handle_batch(&[&honest], &mut |_, reply| {
+        body = Some(ResponseEnvelope::from_bytes(&reply).unwrap().body);
+    });
+    assert!(matches!(body, Some(WireResponse::Purchase(_))), "{body:?}");
+    assert_eq!(sys.mint.deposited_total(), 100);
 }
 
 /// A refused purchase in the middle of a batch answers its own error
@@ -137,31 +308,9 @@ fn a_refused_purchase_does_not_touch_the_rest_of_its_batch() {
     let cid = sys.publish_content("Batched", 100, b"three at once", &mut rng);
     let mut user = sys.register_user("buyer", &mut rng).unwrap();
     sys.fund(&user, 300);
-    let mut frames = Vec::new();
-    for i in 0..3u64 {
-        sys.ensure_pseudonym(&mut user, &mut rng).unwrap();
-        let account = user.account.clone();
-        let coin = user
-            .wallet
-            .withdraw(&sys.mint, &account, 100, &mut rng)
-            .unwrap();
-        user.wallet.take(100);
-        let mut req = PurchaseRequest {
-            content_id: cid,
-            pseudonym_cert: user.current_pseudonym().unwrap().clone(),
-            coin,
-            attribute_cert: None,
-        };
-        user.note_pseudonym_use();
-        if i == 1 {
-            req.content_id = ContentId::from_label("never published");
-        }
-        let envelope = RequestEnvelope {
-            correlation_id: 1 + i,
-            body: WireRequest::Purchase(req),
-        };
-        frames.push(envelope.to_bytes());
-    }
+    let mut requests = purchase_requests(&sys, &mut user, cid, 3, &mut rng);
+    requests[1].content_id = ContentId::from_label("never published");
+    let frames: Vec<Vec<u8>> = (0..3).map(|i| frame(&requests[i], 1 + i as u64)).collect();
     let registry = Arc::new(Registry::new());
     let service = sys.wire_service_with_registry(2, registry.clone());
     let requests: Vec<&[u8]> = frames.iter().map(Vec::as_slice).collect();
