@@ -36,12 +36,14 @@
 //! against. Calling it is one of this crate's two `unsafe` operations
 //! (`mul6_adx`).
 //!
-//! Above these layers, for the CRT primes of an RSA private key only,
-//! sits [`crate::ifma`]: on a CPU with AVX-512 IFMA it runs two or three
-//! exponentiations modulo primes of at most 362 bits at once, in radix
-//! 2^52, and [`Mont::pow`] is its fallback and its test reference. A
-//! single exponentiation never goes there: one modulus alone is slower
-//! on IFMA than on the ADX product.
+//! Beside these layers sits [`crate::ifma`]: on a CPU with AVX-512 IFMA
+//! it runs up to eight exponentiations per call, one per 64-bit lane, in
+//! radix 2^52 — the CRT exponentiations of RSA private-key operations
+//! (primes of at most 362 bits, a lone signature's three included) and
+//! the public-key operations of RSA-1024 keys (moduli of 833–1038 bits,
+//! `e = 65537`, a lone one included). [`Mont::pow`] and
+//! [`Mont::pow_u64`] are its fallbacks (other CPUs, other widths) and
+//! its test references.
 //!
 //! [`Mont::pow`] picks its window width from the exponent bit length, scans
 //! exponent bits limb-wise, and performs **zero heap allocations in its

@@ -5,23 +5,45 @@
 //! executes privacy-preserving transfers, and maintains the spent-ID store
 //! that makes each license id redeemable exactly once.
 //!
-//! # Replay-safe purchase and transfer
+//! # One issuance path: check, sign, commit
 //!
-//! A license id is derived from the request that asks for it — a
-//! purchase's from its coin serial, pseudonym and content
-//! ([`purchase_license_id`]), a transfer successor's from the old id and
-//! the recipient ([`transfer_license_id`]) — and the one atomic row that
-//! decides each operation records it: the mint's `spent/<serial>` row
-//! holds the purchased id, the provider's `spent/<old id>` row the
-//! successor. A request whose deciding row already names the id it
-//! derives is a **replay** (its reply was lost, or the process died
-//! before the license row was written): the provider re-signs and
-//! re-seals that license, rewrites whichever row is missing, and records
-//! nothing else — no second deposit or license row. Any other
-//! occupant of the row is still [`CoreError::AlreadyRedeemed`] /
-//! `DoubleSpend`. So a client may re-send both operations after any
-//! failure, and the customer pays if and only if the license can be
-//! obtained.
+//! A purchase and a transfer issue their license the same way, in three
+//! steps, and a batch of them takes each step together:
+//!
+//! 1. **Check**, over reads only. The license id is derived from the
+//!    request — a purchase's from its coin serial, pseudonym and content
+//!    ([`purchase_license_id`]), a transfer successor's from the old id
+//!    and the recipient ([`transfer_license_id`]) — and the one row that
+//!    decides the request is read once: the mint's `spent/<serial>` row,
+//!    which holds the id the coin paid for, or the provider's
+//!    `spent/<old id>` row, which holds the successor. The row is free,
+//!    names this request's id (a **replay**: its reply was lost, or the
+//!    process died before its rows were written), or is taken. A replay
+//!    skips the checks that time can change. Every other refusal is
+//!    decided here, in a fixed order, so a refusal never costs the buyer
+//!    a coin; a taken row is [`CoreError::AlreadyRedeemed`] /
+//!    `DoubleSpend`.
+//! 2. **Sign.** The coin checks and KEM encapsulations of every checked
+//!    request run as one [`rsa::public_batch`], and every license body
+//!    is signed by one
+//!    [`RsaKeyPair::sign_batch`](p2drm_crypto::rsa::RsaKeyPair::sign_batch).
+//! 3. **Commit.** The claim is made — the mint's `deposit_for` for a
+//!    coin, the atomic `insert_if_absent` of `spent/<old id>` for a
+//!    license — and a fresh claim or a replay then writes the rows that
+//!    follow from it: `lic/<id>`, and for a transfer the old id's CRL
+//!    listing. A replay writes them again (they are functions of the
+//!    claim), so a request cut short after its claim completes when it
+//!    is re-sent, and nothing else is recorded twice: no second deposit
+//!    or license row. So a client may re-send both operations after any
+//!    failure, and the customer pays if and only if the license can be
+//!    obtained.
+//!
+//! The price of signing before the claim: a request that loses the
+//! claim's race between its check and its commit — another request
+//! claimed the row in between — has signed for nothing and is refused.
+//! For a transfer that includes an identical re-send racing the first;
+//! the mint's `deposit_for` reads the row it lost, so a purchase's
+//! identical re-send is answered as its replay.
 //!
 //! # Concurrency architecture: core / state split
 //!
@@ -48,19 +70,19 @@
 //!     only for the map insert — packaging and persistence happen before
 //!     it);
 //!   - trusted attribute keys (`RwLock`, read-mostly);
-//!   - CRL state — both revocation lists, their sequence numbers and
-//!     event logs — under one `RwLock` (revocation is rare, CRL reads are
-//!     cheap).
+//!   - CRL state — both revocation lists and their sequence numbers —
+//!     under one `RwLock` (revocation is rare, CRL reads are cheap).
 //!
 //! An item's ciphertext has one copy: its `content/<id>` row in the
 //! backend. [`ContentProvider::download`] checks the catalog, then reads
 //! that row and returns its tail ([`content::row_ciphertext`]); a listed
 //! item whose row is missing or short answers [`CoreError::Store`].
 //!
-//! Per sale the provider keeps only the index rows the protocol reads
-//! back — the mint's `spent/<serial>`, then `lic/<id>`, and for a
-//! transfer `spent/<old id>` — and no history of who bought or passed
-//! on what: there is no purchase or transfer log to join.
+//! Per sale the provider keeps only the rows a commit writes — the
+//! claim (the mint's `spent/<serial>`, or a transfer's `spent/<old id>`),
+//! `lic/<id>`, and a transfer's CRL listing — and no history of who
+//! bought or passed on what: there is no purchase or transfer log to
+//! join.
 //!
 //! Every protocol entry point (`handle_purchase`, `handle_transfer`,
 //! `download`, CRL sync) takes `&self`; `ContentProvider<B>` is `Sync`
@@ -72,8 +94,7 @@
 //! The backend type parameter picks the deployment shape:
 //!
 //! * [`MemKv`] (the [`MemBackend`] default, [`ContentProvider::new`]) —
-//!   volatile, lock-sharded per [`ProviderConfig::store_shards`]; tests
-//!   and simulations;
+//!   volatile, lock-sharded (eight shards); tests and simulations;
 //! * [`WalShardedKv`] ([`ContentProvider::open_durable`]) — the
 //!   production shape: 1..N per-shard WALs with group commit, so the
 //!   provider survives an unclean drop. Reopen with
@@ -99,7 +120,7 @@ use p2drm_crypto::envelope;
 use p2drm_crypto::rng::CryptoRng;
 use p2drm_crypto::rsa::{self, KemSecret, RsaPublicKey, RsaSignature};
 use p2drm_payment::mint::CoinCheck;
-use p2drm_payment::Mint;
+use p2drm_payment::{Coin, Mint, PaymentError};
 use p2drm_pki::authority::CertificateAuthority;
 use p2drm_pki::cert::{digest_id, Certificate, KeyId, PseudonymCertificate};
 use p2drm_pki::crl::{RevocationList, SignedCrl};
@@ -117,6 +138,15 @@ use std::sync::Arc;
 /// The default volatile backend: lock-sharded in-memory store.
 pub type MemBackend = MemKv;
 
+/// Lock shards of the in-memory store [`ContentProvider::new`] builds (a
+/// caller-supplied backend brings its own).
+const STORE_SHARDS: usize = 8;
+
+/// Entry bound of the signature-verification cache consulted by
+/// [`ContentProvider::verify_pseudonym`] and the attribute-credential
+/// check.
+const VERIFY_CACHE_CAPACITY: usize = 4096;
+
 /// Provider construction parameters.
 #[derive(Clone, Debug)]
 pub struct ProviderConfig {
@@ -126,14 +156,6 @@ pub struct ProviderConfig {
     pub epoch_window: u32,
     /// Certificate validity window.
     pub validity: p2drm_pki::cert::Validity,
-    /// Lock shards for the default in-memory store (a caller-supplied
-    /// backend brings its own).
-    pub store_shards: usize,
-    /// Entry bound of the signature-verification cache consulted by
-    /// [`ContentProvider::verify_pseudonym`] and the attribute-credential
-    /// check; `0` disables caching (every presentation pays the full RSA
-    /// verify).
-    pub verify_cache_capacity: usize,
     /// Whether this endpoint answers the wire `MetricsDump` op
     /// (`opcode 9`). Off by default: the snapshot carries only static
     /// metric names, counts and durations — never pseudonyms, card ids,
@@ -149,8 +171,6 @@ impl ProviderConfig {
             key_bits: 512,
             epoch_window: 4,
             validity: p2drm_pki::cert::Validity::new(0, u64::MAX / 2),
-            store_shards: 8,
-            verify_cache_capacity: 4096,
             metrics_dump: false,
         }
     }
@@ -173,23 +193,18 @@ pub struct ProviderCore {
     vcache: p2drm_pki::VerifyCache,
 }
 
-/// CRL state: both revocation lists plus their sequence counters.
-struct CrlState {
-    pseudonym_crl: RevocationList,
-    license_crl: RevocationList,
-    license_crl_seq: u64,
-    pseudonym_crl_seq: u64,
+/// One revocation list and the sequence number of its latest listing.
+#[derive(Default)]
+struct Crl {
+    list: RevocationList,
+    seq: u64,
 }
 
-impl CrlState {
-    fn empty() -> Self {
-        CrlState {
-            pseudonym_crl: RevocationList::new(),
-            license_crl: RevocationList::new(),
-            license_crl_seq: 0,
-            pseudonym_crl_seq: 0,
-        }
-    }
+/// CRL state: the license and the pseudonym revocation lists.
+#[derive(Default)]
+struct CrlState {
+    license: Crl,
+    pseudonym: Crl,
 }
 
 /// The provider's mutable tables, each behind its own lock. See the
@@ -221,34 +236,79 @@ struct BatchStats {
     sign_kernel_calls: AtomicU64,
     /// Licenses per signing call: one sample per call.
     batch_size: p2drm_obs::AtomicHistogram,
-    /// Public-key operations of purchase batches: coin checks and KEM
-    /// encapsulations.
+    /// Public-key operations of issuance batches: the purchases' coin
+    /// checks, and the KEM encapsulations of purchases and transfers
+    /// alike.
     public_ops: AtomicU64,
     /// Vertical-kernel calls those operations took (0 where they kept
     /// the scalar path).
     public_kernel_calls: AtomicU64,
 }
 
-/// A purchase that passed every check a public-key operation is not
-/// needed for: its license id, holder and rights, the content key to
-/// seal, and its coin's signature check, still to run (`None` for a
-/// replay, which was paid for).
-struct Checked<'a> {
-    license_id: LicenseId,
-    /// Cloned before the batch's KEM builds the key's kernel constants,
-    /// so a license keeps none of them (a caller may hold many).
-    holder: RsaPublicKey,
-    coin: Option<CoinCheck<'a>>,
-    content_key: [u8; 32],
-    rights: Rights,
+/// A request that issues a license: a purchase or a transfer.
+#[derive(Clone, Copy)]
+pub enum Issuance<'a> {
+    /// An anonymous purchase.
+    Purchase(&'a PurchaseRequest),
+    /// A transfer to a recipient pseudonym.
+    Transfer(&'a TransferRequest),
 }
 
-/// A purchase that passed every check and was paid for: its license
-/// body, waiting for the provider's signature, and whether its
-/// `lic/<id>` row is new (`false` for a replay).
-struct Unsigned {
-    body: LicenseBody,
-    fresh: bool,
+/// A request that passed its check: what its license needs besides the
+/// batch's public-key work and signature, and the claim its commit makes.
+struct Plan<'a> {
+    claim: Claim<'a>,
+    license_id: LicenseId,
+    content_id: ContentId,
+    /// The request's own copy of the key the content key is sealed to;
+    /// the KEM may build its kernel constants.
+    key: &'a RsaPublicKey,
+    /// `key` cloned before the KEM, so a license keeps none of those
+    /// constants (a caller may hold many).
+    holder: RsaPublicKey,
+    rights: Rights,
+    content_key: [u8; 32],
+    /// A purchase's coin signature check, still to run; `None` for a
+    /// replay, which was paid for, and for a transfer.
+    coin: Option<CoinCheck<'a>>,
+}
+
+/// The row whose atomic insert decides a request.
+enum Claim<'a> {
+    /// The mint's `spent/<serial>` row, to hold the license id. `spent`
+    /// when the check read another id in it: a double spend, refused
+    /// once the coin's signature verdict is in.
+    Coin { coin: &'a Coin, spent: bool },
+    /// The provider's `spent/<old id>` row, to hold the successor;
+    /// `replay` when the check read the successor in it.
+    License { old: LicenseId, replay: bool },
+}
+
+impl<'a> Plan<'a> {
+    /// The license body, its content key sealed under the KEM whose
+    /// public operation gave `c`, with the claim still to make. A coin
+    /// another request spent is refused here, after its signature
+    /// verdict and before anything is signed.
+    fn seal(
+        self,
+        kem: &KemSecret,
+        c: &UBig,
+        now_epoch: u32,
+    ) -> Result<(Claim<'a>, LicenseBody), CoreError> {
+        if let Claim::Coin { spent: true, .. } = self.claim {
+            return Err(PaymentError::DoubleSpend.into());
+        }
+        let (kem_ct, shared) = kem.finish(c);
+        let body = LicenseBody {
+            license_id: self.license_id,
+            content_id: self.content_id,
+            holder: self.holder,
+            rights: self.rights,
+            key_envelope: envelope::seal_encapsulated(kem_ct, &shared, &self.content_key),
+            issued_epoch: now_epoch,
+        };
+        Ok((self.claim, body))
+    }
 }
 
 /// The content provider, generic over its [`ConcurrentKv`] store backend.
@@ -286,8 +346,7 @@ impl<B: ConcurrentKv> p2drm_obs::MetricSource for ContentProvider<B> {
 }
 
 impl ContentProvider<MemBackend> {
-    /// Provider with a volatile store, lock-sharded per
-    /// [`ProviderConfig::store_shards`].
+    /// Provider with a volatile store, lock-sharded eight ways.
     pub fn new<R: CryptoRng + ?Sized>(
         root: &mut CertificateAuthority,
         mint: Mint,
@@ -295,15 +354,8 @@ impl ContentProvider<MemBackend> {
         config: ProviderConfig,
         rng: &mut R,
     ) -> Self {
-        let shards = config.store_shards.max(1);
-        Self::with_backend(
-            root,
-            mint,
-            ra_blind_key,
-            MemKv::with_shards(shards),
-            config,
-            rng,
-        )
+        let store = MemKv::with_shards(STORE_SHARDS);
+        Self::with_backend(root, mint, ra_blind_key, store, config, rng)
     }
 }
 
@@ -389,7 +441,7 @@ impl<B: ConcurrentKv> ContentProvider<B> {
         ContentProvider {
             core: ProviderCore {
                 ra_blind_key_fp: ra_blind_key.fingerprint(),
-                vcache: p2drm_pki::VerifyCache::new(config.verify_cache_capacity),
+                vcache: p2drm_pki::VerifyCache::new(VERIFY_CACHE_CAPACITY),
                 keys,
                 cert,
                 ra_blind_key,
@@ -403,7 +455,7 @@ impl<B: ConcurrentKv> ContentProvider<B> {
                 crl_table: Table::new("crl/"),
                 catalog: RwLock::new(ContentCatalog::new()),
                 attribute_trust: RwLock::new(HashMap::new()),
-                crl: RwLock::new(CrlState::empty()),
+                crl: RwLock::new(CrlState::default()),
                 mint,
             },
             stats: BatchStats::default(),
@@ -436,25 +488,18 @@ impl<B: ConcurrentKv> ContentProvider<B> {
                 });
             }
         }
-        {
-            // CRLs: "crl/l/<id>" and "crl/p/<id>" entries whose value is
-            // the sequence number at which the revocation happened.
-            let state = &self.state;
-            let mut crl = state.crl.write();
-            for (key, seq) in state.crl_table.scan(&state.store)? {
-                if let Some(id_bytes) = key.strip_prefix(b"l/") {
-                    if id_bytes.len() == 32 {
-                        let id = KeyId(id_bytes.try_into().expect("checked width"));
-                        crl.license_crl.insert(id);
-                        crl.license_crl_seq = crl.license_crl_seq.max(seq);
-                    }
-                } else if let Some(id_bytes) = key.strip_prefix(b"p/") {
-                    if id_bytes.len() == 32 {
-                        let id = KeyId(id_bytes.try_into().expect("checked width"));
-                        crl.pseudonym_crl.insert(id);
-                        crl.pseudonym_crl_seq = crl.pseudonym_crl_seq.max(seq);
-                    }
-                }
+        // CRLs: "crl/l/<id>" and "crl/p/<id>" entries whose value is the
+        // sequence number at which the revocation happened.
+        let mut crls = self.state.crl.write();
+        for (key, seq) in self.state.crl_table.scan(&self.state.store)? {
+            let (crl, id) = match key.split_at(key.len().min(2)) {
+                (b"l/", id) => (&mut crls.license, id),
+                (b"p/", id) => (&mut crls.pseudonym, id),
+                _ => continue,
+            };
+            if let Ok(id) = id.try_into() {
+                crl.list.insert(KeyId(id));
+                crl.seq = crl.seq.max(seq);
             }
         }
         Ok(())
@@ -466,27 +511,24 @@ impl<B: ConcurrentKv> ContentProvider<B> {
         p2drm_codec::to_bytes(&self.core.keys)
     }
 
-    /// Persists one revocation, made at sequence `seq`, into the CRL
-    /// table. Caller holds the CRL write lock.
-    fn persist_crl_entry(&self, kind: u8, id: &KeyId, seq: u64) -> Result<(), CoreError> {
-        let mut key = Vec::with_capacity(34);
-        key.push(kind);
-        key.push(b'/');
-        key.extend_from_slice(&id.0);
-        Ok(self.state.crl_table.put(&self.state.store, &key, &seq)?)
-    }
-
-    /// Writes the provider's row for an issued license: its
-    /// [`LicenseRecord`], not the license, which only the buyer keeps. A
-    /// replay (`fresh == false`) writes it only if a crash left it
-    /// missing.
-    fn persist_record(&self, license: &License, fresh: bool) -> Result<(), CoreError> {
-        let (state, id) = (&self.state, license.id());
-        if fresh || !state.licenses.contains(&state.store, id.as_bytes()) {
-            state
-                .licenses
-                .put(&state.store, id.as_bytes(), &license.record())?;
+    /// Lists `id` on the license (`kind` `b'l'`) or pseudonym (`b'p'`)
+    /// CRL at its next sequence number. Its `crl/` row is written first,
+    /// so a failed write leaves the served list and its sequence as they
+    /// were; an id already listed changes nothing.
+    fn list_revoked(&self, kind: u8, id: KeyId) -> Result<(), CoreError> {
+        let mut crls = self.state.crl.write();
+        let crl = match kind {
+            b'p' => &mut crls.pseudonym,
+            _ => &mut crls.license,
+        };
+        if crl.list.contains(&id) {
+            return Ok(());
         }
+        let seq = crl.seq + 1;
+        let key = [&[kind, b'/'], id.0.as_slice()].concat();
+        self.state.crl_table.put(&self.state.store, &key, &seq)?;
+        crl.seq = seq;
+        crl.list.insert(id);
         Ok(())
     }
 
@@ -663,7 +705,8 @@ impl<B: ConcurrentKv> ContentProvider<B> {
             .state
             .crl
             .read()
-            .pseudonym_crl
+            .pseudonym
+            .list
             .contains(&cert.pseudonym_id())
         {
             return Err(CoreError::BadPseudonym("pseudonym revoked"));
@@ -700,94 +743,123 @@ impl<B: ConcurrentKv> ContentProvider<B> {
     /// aged out or been revoked; the coin under any other pseudonym or
     /// content is a double spend.
     ///
-    /// The one-request case of [`ContentProvider::handle_purchase_batch`].
+    /// The one-request case of [`ContentProvider::handle_batch`].
     pub fn handle_purchase<R: CryptoRng + ?Sized>(
         &self,
         req: &PurchaseRequest,
         now_epoch: u32,
         rng: &mut R,
     ) -> Result<License, CoreError> {
-        self.handle_purchase_batch(&mut [(req, rng)], now_epoch, |_| ())
+        self.handle_one(Issuance::Purchase(req), now_epoch, rng)
+    }
+
+    /// Privacy-preserving transfer: revoke the old anonymous license,
+    /// issue a fresh one to the recipient pseudonym. The provider sees two
+    /// pseudonyms and cannot link either to an identity.
+    ///
+    /// Concurrency: of N racing transfers of the same license id, exactly
+    /// one passes the atomic spent-ID `insert_if_absent`; the rest fail
+    /// with [`CoreError::AlreadyRedeemed`]. Re-sending the winner's
+    /// request is its replay and answers its successor, even once the
+    /// recipient's certificate has aged out.
+    ///
+    /// The one-request case of [`ContentProvider::handle_batch`].
+    pub fn handle_transfer<R: CryptoRng + ?Sized>(
+        &self,
+        req: &TransferRequest,
+        now_epoch: u32,
+        rng: &mut R,
+    ) -> Result<License, CoreError> {
+        self.handle_one(Issuance::Transfer(req), now_epoch, rng)
+    }
+
+    fn handle_one<R: CryptoRng + ?Sized>(
+        &self,
+        request: Issuance,
+        now_epoch: u32,
+        rng: &mut R,
+    ) -> Result<License, CoreError> {
+        self.handle_batch(&mut [(request, rng)], now_epoch, |_| ())
             .pop()
             .expect("one result per request")
     }
 
-    /// Several purchases at once, each with its own randomness; results
-    /// in request order. Each request is checked exactly as
-    /// [`ContentProvider::handle_purchase`] checks it, in order; then
+    /// Several purchases and transfers at once, each with its own
+    /// randomness; results in request order. Each request is checked
+    /// exactly as [`ContentProvider::handle_purchase`] or
+    /// [`ContentProvider::handle_transfer`] checks it, in order; then
     /// every coin check and every KEM encapsulation of the batch run as
     /// one [`rsa::public_batch`] (eight RSA-1024 purchases are 16 lanes of
-    /// the vertical kernel, two calls); then each purchase whose coin
-    /// verified is paid for, in order, and given its license body; then
-    /// every body is signed by one
+    /// the vertical kernel, two calls); then every license body is signed
+    /// by one
     /// [`RsaKeyPair::sign_batch`](p2drm_crypto::rsa::RsaKeyPair::sign_batch)
     /// (eight RSA-1024 signatures are three kernel calls, where one alone
-    /// is one); then each license row is written. A refused or failed
-    /// request answers its own error and leaves the others alone, and
-    /// only a coin that verified is deposited. Each request draws from
-    /// its own generator exactly what it draws alone (its KEM secret), so
-    /// the licenses are those of one-at-a-time purchases, bit for bit.
+    /// is one); then each request is committed: its claim, then its rows.
+    /// A refused or failed request answers its own error and leaves the
+    /// others alone, and only a coin that verified is deposited. Each
+    /// request draws from its own generator exactly what it draws alone
+    /// (its KEM secret), so the licenses are those of one-at-a-time
+    /// requests, bit for bit.
     ///
     /// `scope(i)` is called just before request `i` is checked, and what
     /// it returns is dropped once that request is settled: at once for a
-    /// refusal by the checks, after its row is written or its payment
-    /// refused otherwise. Settling runs last request first, so the scopes
-    /// close in the reverse of the order they opened — the nesting a
-    /// thread-local tracing span needs. A request's checks and row write
-    /// are charged to its own span. Its deposit runs once every scope of
-    /// the batch is open, so it is charged to the innermost open span:
-    /// its own only in a batch of one.
-    pub fn handle_purchase_batch<R: CryptoRng + ?Sized, G>(
+    /// refusal by the check, after its commit otherwise. Committing runs
+    /// last request first, so the scopes close in the reverse of the
+    /// order they opened — the nesting a thread-local tracing span needs
+    /// — and a request's check and commit (its deposit and row writes)
+    /// are charged to its own span.
+    pub fn handle_batch<R: CryptoRng + ?Sized, G>(
         &self,
-        batch: &mut [(&PurchaseRequest, &mut R)],
+        batch: &mut [(Issuance<'_>, &mut R)],
         now_epoch: u32,
         mut scope: impl FnMut(usize) -> G,
     ) -> Vec<Result<License, CoreError>> {
         let mut scopes = Vec::with_capacity(batch.len());
-        let mut checked = Vec::with_capacity(batch.len());
-        for (i, (req, rng)) in batch.iter_mut().enumerate() {
-            let req: &PurchaseRequest = req;
+        let mut plans = Vec::with_capacity(batch.len());
+        for (i, (request, rng)) in batch.iter_mut().enumerate() {
             let guard = scope(i);
-            let request = self.check_purchase(req, now_epoch).map(|checked| {
-                let kem = KemSecret::draw(&req.pseudonym_cert.body.pseudonym_key, &mut **rng);
-                (req, checked, kem)
+            let plan = self.check(*request, now_epoch).map(|plan| {
+                let kem = KemSecret::draw(plan.key, &mut **rng);
+                (plan, kem)
             });
             // A refusal's scope closes here, before the next one opens.
-            scopes.push(request.is_ok().then_some(guard));
-            checked.push(request);
+            scopes.push(plan.is_ok().then_some(guard));
+            plans.push(plan);
         }
-        let mut lanes = Vec::with_capacity(2 * checked.len());
-        for (_, request, kem) in checked.iter().flatten() {
-            lanes.extend(request.coin.as_ref().map(CoinCheck::lane));
+        let mut lanes = Vec::with_capacity(2 * plans.len());
+        for (plan, kem) in plans.iter().flatten() {
+            lanes.extend(plan.coin.as_ref().map(CoinCheck::lane));
             lanes.push(kem.lane());
         }
         let mut powers = self.public_batch(&lanes).into_iter();
         let mut next = || powers.next().expect("one power per lane");
-        let paid: Vec<_> = checked
+        let sealed: Vec<_> = plans
             .into_iter()
-            .map(|request| {
-                let (req, request, kem) = request?;
-                let verdict = request.coin.as_ref().map(|coin| coin.finish(&next()));
+            .map(|plan| {
+                let (plan, kem) = plan?;
+                let verdict = plan.coin.as_ref().map(|coin| coin.finish(&next()));
                 let c = next();
                 verdict.transpose()?;
-                self.pay_and_seal(req, request, &kem, &c, now_epoch)
+                plan.seal(&kem, &c, now_epoch)
             })
             .collect();
-        let bodies = paid.iter().filter_map(|u| u.as_ref().ok().map(|u| &u.body));
+        let bodies = sealed
+            .iter()
+            .filter_map(|s| s.as_ref().ok().map(|(_, body)| body));
         let mut signatures = self.sign_licenses(bodies.collect()).into_iter();
-        let mut issued: Vec<_> = paid
+        let mut signed: Vec<_> = sealed
             .into_iter()
-            .map(|unsigned| {
-                unsigned.map(|Unsigned { body, fresh }| {
+            .map(|sealed| {
+                sealed.map(|(claim, body)| {
                     let signature = signatures.next().expect("one signature per body");
-                    (License { body, signature }, fresh)
+                    (claim, License { body, signature })
                 })
             })
             .collect();
-        let mut results = Vec::with_capacity(issued.len());
-        while let Some(settled) = issued.pop() {
-            results.push(settled.and_then(|(license, fresh)| {
-                self.persist_record(&license, fresh)?;
+        let mut results = Vec::with_capacity(signed.len());
+        while let Some(settled) = signed.pop() {
+            results.push(settled.and_then(|(claim, license)| {
+                self.commit(&claim, &license)?;
                 Ok(license)
             }));
             drop(scopes.pop());
@@ -796,14 +868,20 @@ impl<B: ConcurrentKv> ContentProvider<B> {
         results
     }
 
-    /// Every check of a purchase that needs no public-key operation, in
-    /// the order a refusal is decided; the coin's signature check is left
-    /// to the batch.
+    fn check<'a>(&'a self, request: Issuance<'a>, now_epoch: u32) -> Result<Plan<'a>, CoreError> {
+        match request {
+            Issuance::Purchase(req) => self.check_purchase(req, now_epoch),
+            Issuance::Transfer(req) => self.check_transfer(req, now_epoch),
+        }
+    }
+
+    /// Every check of a purchase, over reads only, in the order a refusal
+    /// is decided; the coin's signature check is left to the batch.
     fn check_purchase<'a>(
         &'a self,
         req: &'a PurchaseRequest,
         now_epoch: u32,
-    ) -> Result<Checked<'a>, CoreError> {
+    ) -> Result<Plan<'a>, CoreError> {
         let pseudonym = req.pseudonym_cert.pseudonym_id();
         let license_id = purchase_license_id(&req.coin.serial, &pseudonym, &req.content_id);
         // A replay (the serial's spent row already names this license)
@@ -811,10 +889,8 @@ impl<B: ConcurrentKv> ContentProvider<B> {
         // the license is sealed to the key its id was derived from.
         // Otherwise every check that can refuse the request runs before
         // the deposit, so a refusal never costs the buyer a coin.
-        let replay = self
-            .state
-            .mint
-            .paid_for(&req.coin.serial, license_id.as_bytes());
+        let memo = self.state.mint.spent_memo(&req.coin.serial);
+        let replay = memo.as_deref() == Some(license_id.as_bytes());
         if !replay {
             self.verify_pseudonym(&req.pseudonym_cert, now_epoch)?;
         }
@@ -834,54 +910,120 @@ impl<B: ConcurrentKv> ContentProvider<B> {
             None
         } else {
             if req.coin.denomination < price {
-                return Err(CoreError::Payment(
-                    p2drm_payment::PaymentError::InsufficientFunds {
-                        balance: req.coin.denomination,
-                        requested: price,
-                    },
-                ));
+                return Err(CoreError::Payment(PaymentError::InsufficientFunds {
+                    balance: req.coin.denomination,
+                    requested: price,
+                }));
             }
             self.check_attribute_requirement(req, required.as_deref(), now_epoch)?;
             Some(self.state.mint.coin_check(&req.coin)?)
         };
-        Ok(Checked {
+        let key = &req.pseudonym_cert.body.pseudonym_key;
+        Ok(Plan {
+            claim: Claim::Coin {
+                coin: &req.coin,
+                spent: memo.is_some() && !replay,
+            },
             license_id,
-            holder: req.pseudonym_cert.body.pseudonym_key.clone(),
-            coin,
-            content_key,
+            content_id: req.content_id,
+            key,
+            holder: key.clone(),
             rights,
+            content_key,
+            coin,
         })
     }
 
-    /// A checked purchase whose coin verified: the deposit, then the
-    /// license body, its content key sealed under the KEM whose public
-    /// operation gave `c`.
-    fn pay_and_seal(
-        &self,
-        req: &PurchaseRequest,
-        checked: Checked,
-        kem: &KemSecret,
-        c: &UBig,
+    /// Every check of a transfer, over reads only, in the order a
+    /// refusal is decided.
+    fn check_transfer<'a>(
+        &'a self,
+        req: &'a TransferRequest,
         now_epoch: u32,
-    ) -> Result<Unsigned, CoreError> {
-        // The deposit decides: fresh, a racing replay of this very
-        // request, or a double spend.
-        let fresh = checked.coin.is_some() && {
-            let _stage = p2drm_obs::stage("mint_deposit");
-            self.state
-                .mint
-                .deposit_for(&req.coin, checked.license_id.as_bytes())?
+    ) -> Result<Plan<'a>, CoreError> {
+        req.license.verify(self.core.keys.public())?;
+        let old = req.license.id();
+        // Transfer must be granted by the license's own rights.
+        match req.license.body.rights.transfer {
+            Limit::None => {
+                return Err(CoreError::Denied(p2drm_rel::DenyReason::NotGranted(
+                    p2drm_rel::Action::Transfer,
+                )))
+            }
+            Limit::Count(0) => {
+                return Err(CoreError::Denied(p2drm_rel::DenyReason::CountExhausted(
+                    p2drm_rel::Action::Transfer,
+                )))
+            }
+            _ => {}
+        }
+        // Holder proof: current holder signed (lid ‖ recipient key id).
+        let recipient = req.recipient_cert.pseudonym_id();
+        let proof_bytes = messages::transfer_proof_bytes(&old, &recipient);
+        req.license
+            .body
+            .holder
+            .verify(&proof_bytes, &req.proof)
+            .map_err(|_| CoreError::BadProof)?;
+        // The unique-ID rule: the old id's spent row decides. A row naming
+        // this very successor is this transfer, replayed; it skips the
+        // recipient check, which time can change.
+        let successor = transfer_license_id(&old, &recipient);
+        let replay = match self.state.spent.get(&self.state.store, old.as_bytes())? {
+            None => false,
+            Some(row) if row == Some(successor) => true,
+            Some(_) => return Err(CoreError::AlreadyRedeemed(old)),
         };
-        let (kem_ct, shared) = kem.finish(c);
-        let body = LicenseBody {
-            license_id: checked.license_id,
-            content_id: req.content_id,
-            holder: checked.holder,
-            rights: checked.rights,
-            key_envelope: envelope::seal_encapsulated(kem_ct, &shared, &checked.content_key),
-            issued_epoch: now_epoch,
-        };
-        Ok(Unsigned { body, fresh })
+        if !replay {
+            self.verify_pseudonym(&req.recipient_cert, now_epoch)?;
+        }
+        let content_id = req.license.body.content_id;
+        let content_key = self
+            .state
+            .catalog
+            .read()
+            .get(&content_id)
+            .ok_or(CoreError::UnknownContent(content_id))?
+            .key;
+        let key = &req.recipient_cert.body.pseudonym_key;
+        Ok(Plan {
+            claim: Claim::License { old, replay },
+            license_id: successor,
+            content_id,
+            key,
+            holder: key.clone(),
+            rights: decrement_transfer(&req.license.body.rights),
+            content_key,
+            coin: None,
+        })
+    }
+
+    /// Makes a signed request's claim and, if it is fresh or this
+    /// request's replay, writes the rows that follow from it: `lic/<id>`,
+    /// and for a transfer the old id's CRL listing. A claim another
+    /// request made since the check is `DoubleSpend` /
+    /// [`CoreError::AlreadyRedeemed`], and writes nothing.
+    fn commit(&self, claim: &Claim, license: &License) -> Result<(), CoreError> {
+        let (state, id) = (&self.state, license.id());
+        match *claim {
+            Claim::Coin { coin, .. } => {
+                let _stage = p2drm_obs::stage("mint_deposit");
+                state.mint.deposit_for(coin, id.as_bytes())?;
+            }
+            Claim::License { old, replay } => {
+                let key = old.as_bytes();
+                if !state.spent.insert_if_absent(&state.store, key, &Some(id))? && !replay {
+                    return Err(CoreError::AlreadyRedeemed(old));
+                }
+            }
+        }
+        state
+            .licenses
+            .put(&state.store, id.as_bytes(), &license.record())?;
+        if let Claim::License { old, .. } = claim {
+            self.list_revoked(b'l', license_crl_id(old))?;
+        }
+        Ok(())
     }
 
     /// [`rsa::public_batch`] of `lanes`, counted in the provider's
@@ -920,101 +1062,6 @@ impl<B: ConcurrentKv> ContentProvider<B> {
         stats.batch_size.record(messages.len() as u64);
         signatures
     }
-    /// Privacy-preserving transfer: revoke the old anonymous license,
-    /// issue a fresh one to the recipient pseudonym. The provider sees two
-    /// pseudonyms and cannot link either to an identity.
-    ///
-    /// Concurrency: of N racing transfers of the same license id toward
-    /// different recipients, exactly one passes the atomic spent-ID
-    /// `insert_if_absent`; the rest fail with
-    /// [`CoreError::AlreadyRedeemed`]. Racers toward the *same* recipient
-    /// are one transfer and all receive its successor, as does a later
-    /// replay even once the recipient's certificate has aged out.
-    pub fn handle_transfer<R: CryptoRng + ?Sized>(
-        &self,
-        req: &TransferRequest,
-        now_epoch: u32,
-        rng: &mut R,
-    ) -> Result<License, CoreError> {
-        req.license.verify(self.core.keys.public())?;
-        let lid = req.license.id();
-        // Transfer must be granted by the license's own rights.
-        match req.license.body.rights.transfer {
-            Limit::None => {
-                return Err(CoreError::Denied(p2drm_rel::DenyReason::NotGranted(
-                    p2drm_rel::Action::Transfer,
-                )))
-            }
-            Limit::Count(0) => {
-                return Err(CoreError::Denied(p2drm_rel::DenyReason::CountExhausted(
-                    p2drm_rel::Action::Transfer,
-                )))
-            }
-            _ => {}
-        }
-        // Holder proof: current holder signed (lid ‖ recipient key id).
-        let proof_bytes = messages::transfer_proof_bytes(&lid, &req.recipient_cert.pseudonym_id());
-        req.license
-            .body
-            .holder
-            .verify(&proof_bytes, &req.proof)
-            .map_err(|_| CoreError::BadProof)?;
-
-        // The unique-ID rule: exactly one transfer of this lid ever
-        // succeeds, atomically, even across restarts (WAL-backed store)
-        // and across threads (check-and-set under the shard write lock).
-        // A row naming this very successor is that transfer, replayed; it
-        // skips the recipient check, which time can change.
-        let successor = transfer_license_id(&lid, &req.recipient_cert.pseudonym_id());
-        let (state, key) = (&self.state, lid.as_bytes());
-        let unclaimed = state.spent.get(&state.store, key)?.is_none();
-        if unclaimed {
-            self.verify_pseudonym(&req.recipient_cert, now_epoch)?;
-        }
-        let fresh = unclaimed
-            && state
-                .spent
-                .insert_if_absent(&state.store, key, &Some(successor))?;
-        if !fresh && state.spent.get(&state.store, key)? != Some(Some(successor)) {
-            return Err(CoreError::AlreadyRedeemed(lid));
-        }
-        {
-            // Listed only once its row is written, so a replay after a
-            // failed write writes it again.
-            let id = license_crl_id(&lid);
-            let mut crl = state.crl.write();
-            if !crl.license_crl.contains(&id) {
-                let seq = crl.license_crl_seq + 1;
-                self.persist_crl_entry(b'l', &id, seq)?;
-                crl.license_crl_seq = seq;
-                crl.license_crl.insert(id);
-            }
-        }
-
-        let content_key = {
-            let catalog = self.state.catalog.read();
-            catalog
-                .get(&req.license.body.content_id)
-                .ok_or(CoreError::UnknownContent(req.license.body.content_id))?
-                .key
-        };
-        let new_rights = decrement_transfer(&req.license.body.rights);
-        let body = LicenseBody {
-            license_id: successor,
-            content_id: req.license.body.content_id,
-            holder: req.recipient_cert.body.pseudonym_key.clone(),
-            rights: new_rights,
-            key_envelope: envelope::seal(&req.recipient_cert.body.pseudonym_key, &content_key, rng),
-            issued_epoch: now_epoch,
-        };
-        let signature = self
-            .sign_licenses(vec![&body])
-            .pop()
-            .expect("one signature per body");
-        let license = License { body, signature };
-        self.persist_record(&license, fresh)?;
-        Ok(license)
-    }
 
     /// Anonymous content download (no authentication — the payload is
     /// useless without a license).
@@ -1048,37 +1095,24 @@ impl<B: ConcurrentKv> ContentProvider<B> {
 
     /// Revokes a pseudonym (after TTP de-anonymization).
     pub fn revoke_pseudonym(&self, id: KeyId) -> Result<(), CoreError> {
-        // Row first: a failed write leaves the served list and its
-        // sequence as they were.
-        let mut crl = self.state.crl.write();
-        let seq = crl.pseudonym_crl_seq + 1;
-        self.persist_crl_entry(b'p', &id, seq)?;
-        crl.pseudonym_crl_seq = seq;
-        crl.pseudonym_crl.insert(id);
-        Ok(())
+        self.list_revoked(b'p', id)
     }
 
     /// Revokes a license id directly (e.g. refund, abuse).
     pub fn revoke_license(&self, lid: &LicenseId) -> Result<(), CoreError> {
         // Claim the id in the spent table *first*: the spent-ID
         // check-and-set is the authoritative exactly-once decision shared
-        // with `handle_transfer`, so a transfer racing this revocation
-        // either already won (and the revocation lands on a transferred
-        // license, same as the sequential order transfer-then-revoke) or
-        // loses with `AlreadyRedeemed`. Without this, a transfer racing
-        // the revocation could re-issue revoked content. `None` marks
+        // with transfers, so a transfer racing this revocation either
+        // already won (and the revocation lands on a transferred license,
+        // same as the sequential order transfer-then-revoke) or loses
+        // with `AlreadyRedeemed`. Without this, a transfer racing the
+        // revocation could re-issue revoked content. `None` marks
         // "revoked, not transferred" (transfers store the successor id).
-        let _ = self
-            .state
+        // Whoever holds the row, the id ends up listed, once.
+        self.state
             .spent
             .insert_if_absent(&self.state.store, lid.as_bytes(), &None)?;
-        let id = license_crl_id(lid);
-        let mut crl = self.state.crl.write();
-        let seq = crl.license_crl_seq + 1;
-        self.persist_crl_entry(b'l', &id, seq)?;
-        crl.license_crl_seq = seq;
-        crl.license_crl.insert(id);
-        Ok(())
+        self.list_revoked(b'l', license_crl_id(lid))
     }
 
     /// Authoritative status of a license id: `Active` (with its holder),
@@ -1103,7 +1137,8 @@ impl<B: ConcurrentKv> ContentProvider<B> {
             .state
             .crl
             .read()
-            .license_crl
+            .license
+            .list
             .contains(&license_crl_id(lid))
         {
             return Ok(LicenseStatus::Revoked);
@@ -1118,24 +1153,14 @@ impl<B: ConcurrentKv> ContentProvider<B> {
 
     /// Signed license CRL for full device sync.
     pub fn signed_license_crl(&self, issued_at: u64) -> SignedCrl {
-        let crl = self.state.crl.read();
-        SignedCrl::create(
-            &self.core.keys,
-            crl.license_crl_seq,
-            issued_at,
-            crl.license_crl.clone(),
-        )
+        let crl = &self.state.crl.read().license;
+        SignedCrl::create(&self.core.keys, crl.seq, issued_at, crl.list.clone())
     }
 
     /// Signed pseudonym CRL for full device sync.
     pub fn signed_pseudonym_crl(&self, issued_at: u64) -> SignedCrl {
-        let crl = self.state.crl.read();
-        SignedCrl::create(
-            &self.core.keys,
-            crl.pseudonym_crl_seq,
-            issued_at,
-            crl.pseudonym_crl.clone(),
-        )
+        let crl = &self.state.crl.read().pseudonym;
+        SignedCrl::create(&self.core.keys, crl.seq, issued_at, crl.list.clone())
     }
 
     /// Licenses issued so far.

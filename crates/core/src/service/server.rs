@@ -5,7 +5,7 @@ use super::envelope::{
     WireResponse, OPCODE_COUNT,
 };
 use super::error::{ApiError, ApiErrorCode};
-use crate::entities::provider::{ContentProvider, MemBackend};
+use crate::entities::provider::{ContentProvider, Issuance, MemBackend};
 use crate::entities::ra::RegistrationAuthority;
 use crate::protocol::messages::{
     AttributeIssueResponse, CatalogResponse, CrlSync, DownloadResponse, LicenseStatusResponse,
@@ -251,12 +251,12 @@ impl<B: ConcurrentKv> ProviderService<B> {
     /// Answers several requests that arrived together; `reply(i, bytes)`
     /// receives request `i`'s response as soon as it is ready. Every
     /// request gets what [`ProviderService::handle`] would give it — its
-    /// own ChaCha20 stream, span and stats — but the purchases among
-    /// them are settled by one
-    /// [`ContentProvider::handle_purchase_batch`], so their license
-    /// signatures share the vertical kernel's lanes. Every other request
-    /// is answered first, one by one, so a download or a read never
-    /// waits behind the batch's signatures.
+    /// own ChaCha20 stream, span and stats — but the purchases and
+    /// transfers among them are settled by one
+    /// [`ContentProvider::handle_batch`], so their public-key operations
+    /// and license signatures share the vertical kernel's lanes. Every
+    /// other request is answered first, one by one, so a download or a
+    /// read never waits behind the batch's signatures.
     pub fn handle_batch(&self, requests: &[&[u8]], reply: &mut dyn FnMut(usize, Vec<u8>)) {
         let mut rngs: Vec<ChaChaRng> = requests.iter().map(|_| self.request_rng()).collect();
         self.handle_batch_with_rngs(requests, &mut rngs, reply);
@@ -272,39 +272,44 @@ impl<B: ConcurrentKv> ProviderService<B> {
         reply: &mut dyn FnMut(usize, Vec<u8>),
     ) {
         debug_assert_eq!(requests.len(), rngs.len(), "one generator per request");
-        let mut purchases = Vec::new();
+        let mut issuances = Vec::new();
         for (i, (request, rng)) in requests.iter().zip(rngs.iter_mut()).enumerate() {
             let timer = Timer::start(self.registry.is_enabled());
             match RequestEnvelope::from_bytes(request) {
-                Ok(RequestEnvelope {
-                    correlation_id,
-                    body: WireRequest::Purchase(req),
-                }) => purchases.push((i, correlation_id, req, rng, timer)),
+                Ok(envelope) if issuance(&envelope.body).is_some() => {
+                    issuances.push((i, envelope, rng, timer))
+                }
                 decoded => reply(i, self.answer(request, decoded, timer, rng)),
             }
         }
-        if purchases.is_empty() {
+        if issuances.is_empty() {
             return;
         }
-        let op = OpCode::Purchase;
-        let ids: Vec<u64> = purchases.iter().map(|p| p.1).collect();
-        let mut batch: Vec<_> = purchases
-            .iter_mut()
-            .map(|(_, _, req, rng, _)| (&*req, &mut **rng))
+        let spans: Vec<_> = issuances
+            .iter()
+            .map(|(_, envelope, _, _)| (envelope.correlation_id, envelope.body.opcode().label()))
             .collect();
-        let results = self
-            .provider
-            .handle_purchase_batch(&mut batch, self.epoch(), |k| {
-                ids.get(k).map(|&id| self.tracer.begin(id, op.label()))
-            });
-        for ((i, correlation_id, _, _, timer), result) in purchases.into_iter().zip(results) {
+        let mut batch: Vec<_> = issuances
+            .iter_mut()
+            .filter_map(|(_, envelope, rng, _)| Some((issuance(&envelope.body)?, &mut **rng)))
+            .collect();
+        let results = self.provider.handle_batch(&mut batch, self.epoch(), |k| {
+            spans
+                .get(k)
+                .map(|&(id, label)| self.tracer.begin(id, label))
+        });
+        for ((i, envelope, _, timer), result) in issuances.into_iter().zip(results) {
             self.stats.served.inc();
+            let op = envelope.body.opcode();
             let body = match result {
+                Ok(license) if op == OpCode::Transfer => {
+                    WireResponse::Transfer(TransferResponse { license })
+                }
                 Ok(license) => WireResponse::Purchase(PurchaseResponse { license }),
                 Err(e) => WireResponse::Error(e.into()),
             };
             let response = ResponseEnvelope {
-                correlation_id,
+                correlation_id: envelope.correlation_id,
                 body,
             };
             reply(i, self.encode(op.byte(), &response, timer));
@@ -473,6 +478,15 @@ impl<B: ConcurrentKv> ProviderService<B> {
                 format!("{what} not served by this endpoint (no RA attached)"),
             )
         })
+    }
+}
+
+/// The request `body` is, if it issues a license.
+fn issuance(body: &WireRequest) -> Option<Issuance<'_>> {
+    match body {
+        WireRequest::Purchase(req) => Some(Issuance::Purchase(req)),
+        WireRequest::Transfer(req) => Some(Issuance::Transfer(req)),
+        _ => None,
     }
 }
 

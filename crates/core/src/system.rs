@@ -142,7 +142,6 @@ impl Scaffold {
             epoch_window: config.epoch_window,
             validity: config.validity,
             metrics_dump: config.metrics_dump,
-            ..ProviderConfig::fast_test()
         }
     }
 

@@ -38,6 +38,12 @@
 //! entry per issuance (the card id and the blinded value: 48 B for the
 //! one-limb value signed here) takes the bound over.
 //!
+//! A license the provider issues — by purchase or by transfer — holds
+//! no more heap than a copy of it decoded from its bytes: its holder key
+//! was cloned before the KEM that sealed to it built the key's
+//! Montgomery (or radix-2^52) constants, so a caller that keeps many
+//! licenses keeps no kernel constants with them.
+//!
 //! A card keeps at most one pseudonym key pair in preparation, beside the
 //! keys it holds. Obtaining and forgetting pseudonyms leaves it holding
 //! what it held, so 32 of them retain at most that one key pair (896 B on
@@ -52,7 +58,8 @@ use p2drm_bignum::UBig;
 use p2drm_core::entities::device::CONTENT_BUDGET;
 use p2drm_core::entities::smartcard::{CardBudget, SmartCard};
 use p2drm_core::entities::user::PseudonymPolicy;
-use p2drm_core::protocol::messages::{self, PurchaseRequest};
+use p2drm_core::license::License;
+use p2drm_core::protocol::messages::{self, PurchaseRequest, TransferRequest};
 use p2drm_core::system::{System, SystemConfig};
 use p2drm_crypto::rng::test_rng;
 use p2drm_crypto::rsa::RsaKeyPair;
@@ -220,6 +227,58 @@ fn retained_per_purchase<B: ConcurrentKv + Send + Sync + 'static>(
     per_purchase
 }
 
+/// Heap bytes `license` holds, and heap bytes a copy of it decoded from
+/// its bytes holds: `(kept, decoded)`.
+fn license_heap(license: License) -> (i64, i64) {
+    let bytes = p2drm_codec::to_bytes(&license);
+    let before = LIVE.load(Ordering::Relaxed);
+    let decoded: License = p2drm_codec::from_bytes(&bytes).unwrap();
+    let decoded_bytes = LIVE.load(Ordering::Relaxed) - before;
+    drop(decoded);
+    let before = LIVE.load(Ordering::Relaxed);
+    drop(license);
+    (before - LIVE.load(Ordering::Relaxed), decoded_bytes)
+}
+
+/// [`license_heap`] of a license `sys`'s provider issues by purchase,
+/// then of the license it issues by transferring that one.
+fn issued_license_heap(sys: &System, rng: &mut StdRng) -> [(i64, i64); 2] {
+    let cid = sys.publish_content("Kept", 100, b"payload", rng);
+    let mut frank = sys.register_user("frank", rng).unwrap();
+    let mut grace = sys.register_user("grace", rng).unwrap();
+    sys.fund(&frank, 100);
+    sys.ensure_pseudonym(&mut frank, rng).unwrap();
+    sys.ensure_pseudonym(&mut grace, rng).unwrap();
+    let seller = frank.current_pseudonym().unwrap().clone();
+    let coin = frank
+        .wallet
+        .withdraw(&sys.mint, &frank.account, 100, rng)
+        .unwrap();
+    let purchase = PurchaseRequest {
+        content_id: cid,
+        pseudonym_cert: seller.clone(),
+        coin,
+        attribute_cert: None,
+    };
+    let epoch = sys.epoch();
+    let bought = sys.provider.handle_purchase(&purchase, epoch, rng).unwrap();
+    let recipient_cert = grace.current_pseudonym().unwrap().clone();
+    let proof = frank
+        .card
+        .sign_with_pseudonym(
+            &seller.pseudonym_id(),
+            &messages::transfer_proof_bytes(&bought.id(), &recipient_cert.pseudonym_id()),
+        )
+        .unwrap();
+    let transfer = TransferRequest {
+        license: bought.clone(),
+        recipient_cert,
+        proof,
+    };
+    let moved = sys.provider.handle_transfer(&transfer, epoch, rng).unwrap();
+    [license_heap(bought), license_heap(moved)]
+}
+
 /// Heap bytes one more blind pseudonym issuance leaves on `sys`'s RA:
 /// the same authenticated request, signed `ISSUANCES` times after one
 /// warm-up.
@@ -257,6 +316,7 @@ fn a_purchase_retains_only_its_index_rows() {
         retained_per_purchase(&sys, &mut rng),
     );
     let per_issuance = retained_per_issuance(&sys, &mut rng);
+    let license_heaps = issued_license_heap(&sys, &mut rng);
     let (kept_by_device, over_budget_play) = retained_by_device(&mut sys, &mut rng);
     let (kept_by_card, key_pair_bytes) = retained_by_card(&sys, &mut rng);
     drop(sys);
@@ -315,6 +375,14 @@ fn a_purchase_retains_only_its_index_rows() {
          {CARD_ISSUANCES} pseudonyms (bound: one {key_pair_bytes} B key pair \
          + {MAX_RETAINED_BEYOND_PREPARED} B)"
     );
+    for ((kept, decoded), by) in license_heaps.into_iter().zip(["purchase", "transfer"]) {
+        println!("license by {by}: {kept} B on the heap ({decoded} B decoded)");
+        assert!(
+            kept <= decoded,
+            "a license issued by {by} holds {kept} B on the heap, a decoded copy \
+             {decoded} B: its holder key keeps kernel constants"
+        );
+    }
     println!("RA: {per_issuance} B retained per pseudonym issuance");
     assert!(
         per_issuance <= MAX_RETAINED_PER_ISSUANCE,

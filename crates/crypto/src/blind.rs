@@ -21,7 +21,7 @@
 //! [cut-and-choose](CutChooseRequest) flow below.
 
 use crate::rng::CryptoRng;
-use crate::rsa::{fdh, public_batch, RsaKeyPair, RsaPublicKey, RsaSignature};
+use crate::rsa::{fdh, RsaKeyPair, RsaPublicKey, RsaSignature};
 use crate::CryptoError;
 use p2drm_bignum::{modring, rng as brng, UBig};
 
@@ -97,39 +97,19 @@ pub fn blind_sign(kp: &RsaKeyPair, blinded: &UBig) -> Result<UBig, CryptoError> 
     Ok(kp.raw_private(blinded))
 }
 
-/// Verifies an unblinded FDH signature on `message`: the one-signature
-/// case of [`verify_fdh_batch`].
+/// Verifies an unblinded FDH signature on `message`.
 pub fn verify_fdh(
     pk: &RsaPublicKey,
     message: &[u8],
     sig: &RsaSignature,
 ) -> Result<(), CryptoError> {
-    verify_fdh_batch(&[(pk, message, sig)])
-        .pop()
-        .expect("one verdict per signature")
-}
-
-/// [`verify_fdh`] of every `(key, message, signature)`, in order, with
-/// the public-key operations of the signatures in range run as one
-/// [`public_batch`].
-pub fn verify_fdh_batch(
-    items: &[(&RsaPublicKey, &[u8], &RsaSignature)],
-) -> Vec<Result<(), CryptoError>> {
-    let checks: Vec<_> = items
-        .iter()
-        .map(|&(pk, message, sig)| FdhCheck::new(pk, message, sig))
-        .collect();
-    let lanes: Vec<_> = checks.iter().flatten().map(FdhCheck::lane).collect();
-    let mut powers = public_batch(&lanes).into_iter();
-    checks
-        .into_iter()
-        .map(|check| check?.finish(&powers.next().expect("one power per lane")))
-        .collect()
+    let check = FdhCheck::new(pk, message, sig)?;
+    check.finish(&pk.raw_public(sig.as_ubig()))
 }
 
 /// An FDH signature check split around its public-key operation, so a
 /// caller can run that operation together with others of any kind in
-/// one [`public_batch`].
+/// one [`public_batch`](crate::rsa::public_batch).
 pub struct FdhCheck<'a> {
     pk: &'a RsaPublicKey,
     sig: &'a UBig,

@@ -6,7 +6,7 @@
 //! Works with any RSA modulus size and any payload length.
 
 use crate::rng::CryptoRng;
-use crate::rsa::{kem_decapsulate, public_batch, KemSecret, RsaKeyPair, RsaPublicKey};
+use crate::rsa::{kem_decapsulate, kem_encapsulate, RsaKeyPair, RsaPublicKey};
 use crate::sha256::DIGEST_LEN;
 use crate::{chacha20, hmac, kdf, CryptoError};
 use p2drm_codec::{Decode, Encode, Reader, Writer};
@@ -22,34 +22,10 @@ pub struct Envelope {
     pub tag: [u8; DIGEST_LEN],
 }
 
-/// Seals `plaintext` to the holder of `pk`: the one-envelope case of
-/// [`seal_batch`].
+/// Seals `plaintext` to the holder of `pk`.
 pub fn seal<R: CryptoRng + ?Sized>(pk: &RsaPublicKey, plaintext: &[u8], rng: &mut R) -> Envelope {
-    seal_batch(&mut [(pk, plaintext, rng)])
-        .pop()
-        .expect("one envelope per recipient")
-}
-
-/// [`seal`] of every `(key, plaintext, rng)`, in order, each drawing from
-/// its own generator exactly as alone; the KEM encapsulations' public-key
-/// operations run as one [`public_batch`].
-pub fn seal_batch<R: CryptoRng + ?Sized>(
-    items: &mut [(&RsaPublicKey, &[u8], &mut R)],
-) -> Vec<Envelope> {
-    let secrets: Vec<KemSecret> = items
-        .iter_mut()
-        .map(|(pk, _, rng)| KemSecret::draw(pk, &mut **rng))
-        .collect();
-    let lanes: Vec<_> = secrets.iter().map(KemSecret::lane).collect();
-    public_batch(&lanes)
-        .iter()
-        .zip(&secrets)
-        .zip(items.iter())
-        .map(|((c, secret), (_, plaintext, _))| {
-            let (kem_ct, shared) = secret.finish(c);
-            seal_encapsulated(kem_ct, &shared, plaintext)
-        })
-        .collect()
+    let (kem_ct, shared) = kem_encapsulate(pk, rng);
+    seal_encapsulated(kem_ct, &shared, plaintext)
 }
 
 /// The rest of a seal once its KEM has run: `plaintext` under the keys
@@ -105,7 +81,6 @@ impl Decode for Envelope {
 mod tests {
     use super::*;
     use crate::rng::test_rng;
-    use crate::rsa::kem_encapsulate;
 
     fn keypair() -> RsaKeyPair {
         RsaKeyPair::generate(512, &mut test_rng(40))

@@ -520,8 +520,7 @@ fn draw_primes<R: CryptoRng + ?Sized>(
 ///
 /// Works with any modulus size, and is what the protocols use to wrap
 /// content keys: pick uniform `z < n`, send `z^e mod n`, derive the key
-/// from `z`. The one-key case of
-/// [`envelope::seal_batch`](crate::envelope::seal_batch)'s encapsulations.
+/// from `z`.
 pub fn kem_encapsulate<R: CryptoRng + ?Sized>(
     pk: &RsaPublicKey,
     rng: &mut R,

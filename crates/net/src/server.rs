@@ -124,8 +124,9 @@ where
         ProviderService::handle(self, request)
     }
 
-    /// The purchases among `requests` share one batch of license
-    /// signatures; every other request is answered first.
+    /// The purchases and transfers among `requests` share one batch of
+    /// public-key operations and license signatures; every other
+    /// request is answered first.
     fn handle_batch(&self, requests: &[&[u8]], reply: &mut dyn FnMut(usize, Vec<u8>)) {
         ProviderService::handle_batch(self, requests, reply);
     }

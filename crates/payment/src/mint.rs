@@ -7,7 +7,7 @@ use crate::{Coin, PaymentError};
 use p2drm_bignum::UBig;
 use p2drm_crypto::blind::{self, FdhCheck};
 use p2drm_crypto::rng::CryptoRng;
-use p2drm_crypto::rsa::{public_batch, RsaKeyPair, RsaPublicKey};
+use p2drm_crypto::rsa::{RsaKeyPair, RsaPublicKey};
 use p2drm_store::{ConcurrentKv, MemKv};
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -142,25 +142,12 @@ impl Mint {
     /// Signature half of a deposit: checks the coin under its
     /// denomination key without touching the spent store. Pure and
     /// side-effect free, so a caller can finish every check of a request
-    /// before its first side effect (the provider's purchase path) and
-    /// commit with [`Self::deposit_for`] or [`Self::deposit_prechecked`]
-    /// afterwards. The one-coin case of [`Self::check_coins`].
+    /// before its first side effect and commit with [`Self::deposit_for`]
+    /// or [`Self::deposit_prechecked`] afterwards.
     pub fn check_coin(&self, coin: &Coin) -> Result<(), PaymentError> {
-        self.check_coins(&[coin])
-            .pop()
-            .expect("one verdict per coin")
-    }
-
-    /// [`Self::check_coin`] of every coin, in order, with the signature
-    /// checks' public-key operations run as one [`public_batch`].
-    pub fn check_coins(&self, coins: &[&Coin]) -> Vec<Result<(), PaymentError>> {
-        let checks: Vec<_> = coins.iter().map(|coin| self.coin_check(coin)).collect();
-        let lanes: Vec<_> = checks.iter().flatten().map(CoinCheck::lane).collect();
-        let mut powers = public_batch(&lanes).into_iter();
-        checks
-            .into_iter()
-            .map(|check| check?.finish(&powers.next().expect("one power per lane")))
-            .collect()
+        let check = self.coin_check(coin)?;
+        let (key, signature) = check.lane();
+        check.finish(&key.raw_public(signature))
     }
 
     /// A coin's check split around its public-key operation, for a
@@ -196,20 +183,17 @@ impl Mint {
     pub fn deposit_for(&self, coin: &Coin, memo: &[u8; 16]) -> Result<bool, PaymentError> {
         if self.claim(coin, memo)? {
             Ok(true)
-        } else if self.paid_for(&coin.serial, memo) {
+        } else if self.spent_memo(&coin.serial).as_deref() == Some(memo) {
             Ok(false)
         } else {
             Err(PaymentError::DoubleSpend)
         }
     }
 
-    /// Whether `serial` was deposited under `memo` by [`Self::deposit_for`]
-    /// (the provider's replay test).
-    pub fn paid_for(&self, serial: &[u8; 32], memo: &[u8; 16]) -> bool {
-        self.inner
-            .spent
-            .get(&spent_key(serial))
-            .is_some_and(|recorded| recorded == memo)
+    /// The memo `serial`'s spent row holds, or `None` while the coin is
+    /// unspent: one read of the row [`Self::deposit_for`] claims.
+    pub fn spent_memo(&self, serial: &[u8; 32]) -> Option<Vec<u8>> {
+        self.inner.spent.get(&spent_key(serial))
     }
 
     /// Inserts the serial's spent row holding `memo`, counting the
@@ -330,10 +314,9 @@ mod tests {
         let coin = Wallet::new()
             .withdraw(&m, "alice", 100, &mut test_rng(108))
             .unwrap();
-        assert!(!m.paid_for(&coin.serial, &[1; 16]));
+        assert_eq!(m.spent_memo(&coin.serial), None);
         assert_eq!(m.deposit_for(&coin, &[1; 16]), Ok(true));
-        assert!(m.paid_for(&coin.serial, &[1; 16]));
-        assert!(!m.paid_for(&coin.serial, &[2; 16]));
+        assert_eq!(m.spent_memo(&coin.serial), Some(vec![1; 16]));
         assert_eq!(m.deposit_for(&coin, &[1; 16]), Ok(false), "replay");
         assert_eq!(m.deposited_total(), 100, "counted once");
         assert_eq!(
@@ -387,7 +370,7 @@ mod tests {
 
         let m = open();
         assert_eq!(m.spent_count(), 1);
-        assert!(m.paid_for(&coin.serial, &[1; 16]));
+        assert_eq!(m.spent_memo(&coin.serial), Some(vec![1; 16]));
         assert_eq!(
             m.deposit_for(&coin, &[2; 16]),
             Err(PaymentError::DoubleSpend)

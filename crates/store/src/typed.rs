@@ -60,11 +60,6 @@ impl<V: Encode + Decode> Table<V> {
         store.delete(&self.full_key(key))
     }
 
-    /// Membership test.
-    pub fn contains<C: ConcurrentKv + ?Sized>(&self, store: &C, key: &[u8]) -> bool {
-        store.contains(&self.full_key(key))
-    }
-
     /// Atomic insert-if-absent (see [`ConcurrentKv::insert_if_absent`]) —
     /// the double-redemption primitive on the provider's hot path.
     pub fn insert_if_absent<C: ConcurrentKv + ?Sized>(
@@ -115,8 +110,11 @@ mod tests {
         assert_eq!(names.len(&kv), 1);
 
         assert!(counts.delete(&kv, b"a").unwrap());
-        assert!(!counts.contains(&kv, b"a"));
-        assert!(names.contains(&kv, b"a"), "other table untouched");
+        assert_eq!(counts.get(&kv, b"a").unwrap(), None);
+        assert!(
+            names.get(&kv, b"a").unwrap().is_some(),
+            "other table untouched"
+        );
     }
 
     #[test]

@@ -7,12 +7,13 @@
 //! lanes, three kernel calls, where one license alone takes one call.
 //! The licenses are exactly the ones one-at-a-time purchases give; a
 //! forged coin is refused alone, and a key whose public exponent is not
-//! 65537 never reaches the provider.
+//! 65537 never reaches the provider. A transfer in the same batch is
+//! sealed and signed with the purchases.
 
 use p2drm::bignum::rng::random_bits;
 use p2drm::bignum::UBig;
 use p2drm::codec::Writer;
-use p2drm::core::protocol::messages::PurchaseRequest;
+use p2drm::core::protocol::messages::{transfer_proof_bytes, PurchaseRequest, TransferRequest};
 use p2drm::core::service::{RequestEnvelope, ResponseEnvelope, WireRequest, WireResponse};
 use p2drm::crypto::rsa::RsaSignature;
 use p2drm::obs::Registry;
@@ -328,4 +329,97 @@ fn a_refused_purchase_does_not_touch_the_rest_of_its_batch() {
     let (signatures, _, batches) = signing(&registry);
     assert_eq!((signatures, batches), (2, 1));
     assert_eq!(sys.mint.deposited_total(), 200, "the refusal paid nothing");
+}
+
+/// A transfer that arrives with purchases joins their batch: its KEM is
+/// a lane of the batch's `public_batch`, its license is signed by the
+/// same `sign_batch` — one batch of N + 1 — and it is the license
+/// `handle_transfer` gives alone with the same randomness.
+#[test]
+fn a_transfer_joins_the_purchases_batch() {
+    const BUYS: usize = 4;
+    const TRANSFER: usize = 2;
+    let mut rng = test_rng(0xBA80);
+    let sys = System::bootstrap(SystemConfig::fast_test(), &mut rng);
+    let cid = sys.publish_content("Batched", 100, b"bought and passed on", &mut rng);
+    let mut alice = sys.register_user("alice", &mut rng).unwrap();
+    let mut bob = sys.register_user("bob", &mut rng).unwrap();
+    let mut buyer = sys.register_user("buyer", &mut rng).unwrap();
+    sys.fund(&alice, 100);
+    sys.fund(&buyer, 100 * BUYS as u64);
+    let license = sys.purchase(&mut alice, cid, &mut rng).unwrap();
+    sys.ensure_pseudonym(&mut bob, &mut rng).unwrap();
+    let recipient_cert = bob.current_pseudonym().unwrap().clone();
+    let proof = alice
+        .card
+        .sign_with_pseudonym(
+            &alice.licenses()[0].pseudonym,
+            &transfer_proof_bytes(&license.id(), &recipient_cert.pseudonym_id()),
+        )
+        .unwrap();
+    let transfer = TransferRequest {
+        license,
+        recipient_cert,
+        proof,
+    };
+    let mut envelopes: Vec<Vec<u8>> = purchase_requests(&sys, &mut buyer, cid, BUYS, &mut rng)
+        .iter()
+        .enumerate()
+        .map(|(i, req)| frame(req, i as u64))
+        .collect();
+    let transfer_frame = RequestEnvelope {
+        correlation_id: 0x7F,
+        body: WireRequest::Transfer(transfer.clone()),
+    };
+    envelopes.insert(TRANSFER, transfer_frame.to_bytes());
+    let frames: Vec<&[u8]> = envelopes.iter().map(Vec::as_slice).collect();
+    let request_rng = |i: usize| StdRng::seed_from_u64(0x7EA + i as u64);
+
+    let registry = Arc::new(Registry::new());
+    let service = sys.wire_service_with_registry(1, registry.clone());
+    let (signatures, _, batches) = signing(&registry);
+    let (ops, _) = public_ops(&registry);
+    let mut rngs: Vec<StdRng> = (0..=BUYS).map(request_rng).collect();
+    let mut replies = vec![None; BUYS + 1];
+    service.handle_batch_with_rngs(&frames, &mut rngs, &mut |i, bytes| {
+        replies[i] = Some(ResponseEnvelope::from_bytes(&bytes).unwrap().body);
+    });
+    let (signed, _, batched) = signing(&registry);
+    assert_eq!(
+        (signed - signatures, batched - batches),
+        (BUYS as u64 + 1, 1),
+        "one batch of every license"
+    );
+    let snapshot = registry.snapshot();
+    let largest = snapshot.histogram("sign_batch_size").unwrap().max_ns;
+    assert_eq!(largest, BUYS as u64 + 1);
+    assert_eq!(
+        public_ops(&registry).0 - ops,
+        2 * BUYS as u64 + 1,
+        "a coin check and a KEM per purchase, the transfer's KEM"
+    );
+
+    for (i, reply) in replies.into_iter().enumerate() {
+        match reply.expect("one reply per request") {
+            WireResponse::Transfer(moved) => {
+                assert_eq!(i, TRANSFER);
+                let alone = sys
+                    .provider
+                    .handle_transfer(&transfer, sys.epoch(), &mut request_rng(i))
+                    .unwrap();
+                assert_eq!(
+                    p2drm::codec::to_bytes(&moved.license),
+                    p2drm::codec::to_bytes(&alone)
+                );
+                alone.verify(sys.provider.public_key()).unwrap();
+            }
+            WireResponse::Purchase(_) => assert_ne!(i, TRANSFER),
+            other => panic!("request {i}: {other:?}"),
+        }
+    }
+    assert_eq!(sys.provider.license_count(), BUYS + 2);
+    assert_eq!(
+        sys.provider.license_status(&transfer.license.id()).unwrap(),
+        p2drm::core::protocol::messages::LicenseStatus::Transferred
+    );
 }
