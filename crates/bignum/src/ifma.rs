@@ -15,6 +15,14 @@
 //!   Twenty limbs, `R = 2^1040`, plain square-and-multiply. Twenty limbs
 //!   are also the width of an RSA-2048 key's 1024-bit CRT primes.
 //!
+//! Three callers: `RsaKeyPair::raw_private` and `sign_batch` in
+//! `p2drm-crypto` (the CRT exponentiations, secret entry),
+//! `rsa::public_batch` there (public entry), and the prime search
+//! ([`prime::gen_prime`](crate::prime::gen_prime), secret entry), which
+//! puts eight sieve survivors at a time through the base-2 Fermat check
+//! `2^(n−1) mod n`, one per lane, and a found prime's random-base
+//! Miller–Rabin rounds through one call.
+//!
 //! # Representation
 //!
 //! A residue is held in radix 2^52, seven or twenty limbs. The layout is
@@ -879,7 +887,8 @@ mod tests {
     /// 256-, 341- and 342-bit primes and random odd 362-bit moduli;
     /// bases 0, 1, r − 1, random ones below r and ones of 1,024 bits,
     /// reduced first; exponents 0, 1, 2, r − 2, random full-length ones,
-    /// and one lane at 1 bit beside full-length others.
+    /// and one lane at 1 bit beside full-length others; and the prime
+    /// search's Fermat check, base 2 to the exponent r − 1, in every lane.
     #[test]
     fn vertical_pow_matches_mont_pow() {
         let mut rng = StdRng::seed_from_u64(0x1f_4b);
@@ -907,7 +916,7 @@ mod tests {
         let mut checked = 0;
         let mut first = 0;
         for lanes in 1..=3 * LANES {
-            for case in 0..8 {
+            for case in 0..9 {
                 // Consecutive calls start at different moduli, and
                 // each call mixes sizes.
                 first += 1;
@@ -919,6 +928,7 @@ mod tests {
                     let n = &moduli[p];
                     let r_minus = |k: u64| n.sub(&UBig::from_u64(k));
                     bases.push(match (case + j) % 5 {
+                        _ if case == 8 => UBig::from_u64(2),
                         0 => UBig::zero(),
                         1 => one.clone(),
                         2 => r_minus(1),
@@ -931,6 +941,7 @@ mod tests {
                         (1, _) => one.clone(),
                         (2, _) => UBig::from_u64(2),
                         (3, _) => r_minus(2),
+                        (8, _) => r_minus(1),
                         // One lane at 1 bit, the others full length.
                         (4, _) if j == lanes / 2 => one.clone(),
                         // Edge exponents beside full-length ones.

@@ -22,7 +22,13 @@
 //!    test: no composite that passes both is known, and none exists
 //!    below 2^64.
 //! 4. `rounds − 12` **random-base Miller–Rabin rounds** (none when
-//!    `rounds <= 12`), the only step that reads the RNG.
+//!    `rounds <= 12`), the only step that reads the RNG. On a CPU with
+//!    AVX-512 IFMA and for `n` of at most 362 bits, every base is drawn
+//!    first, in the same order, and the rounds' exponentiations run as
+//!    the lanes of one [`ifma::pow_lanes`] call; elsewhere they run one
+//!    [`Mont::pow`] at a time, and a failing round ends the draws. The
+//!    two read the RNG differently only for a composite that passes
+//!    Baillie–PSW and then fails a random round, of which none is known.
 //!
 //! Key generation calls with `rounds = 16`: the base-2 round, the Lucas
 //! test and four random-base rounds. FIPS 186-4 Table C.3 ("M-R tests
@@ -49,6 +55,51 @@
 //! data-dependent control flow is "test this candidate or skip it", which
 //! any prime search has.
 //!
+//! **Survivors in lanes.** On a CPU with AVX-512 IFMA, for primes of at
+//! most [`ifma::MAX_MODULUS_BITS`] (362) bits, the survivors are taken
+//! eight at a time, in order, and put through one base-2 Fermat check,
+//! `2^(n−1) mod n`, as the lanes of one [`ifma::pow_lanes`] call (one
+//! [`Modulus52`] per candidate). Those that pass go on, in order, to
+//! steps 2–4; the first that passes those is returned. Everything else
+//! (other CPUs, larger primes such as RSA-2048's) tests each survivor
+//! with steps 2–4 directly. The choice reads only the CPU and `bits`.
+//!
+//! This changes no verdict and no draw. A number that passes the base-2
+//! strong test (`2^d ≡ 1`, or `2^(d·2^i) ≡ −1` for some `i < r`) has
+//! `2^(n−1) ≡ 1`, so the check drops only candidates step 2 would have
+//! rejected, and step 2 reads no randomness. The survivors after the
+//! prime in its batch were checked for nothing, but they touch neither
+//! the RNG nor the result: the prime returned and the state `rng` is
+//! left in are those of the scalar search. [`search_counts`] counts the
+//! lanes, the kernel calls and the scalar tests per thread.
+//!
+//! Per RSA-1024 key (three searches of 341 and 342 bits through
+//! [`gen_prime_coprime`]), on a 2-vCPU VM (Intel Xeon, family 6, model
+//! 207): the scalar search and this one, instrumented with per-step
+//! timers, alternated seed by seed in one process, 300 keys a run; the
+//! range over six runs (the host ran at two speeds), µs per key:
+//!
+//! | step | scalar search | survivors in lanes |
+//! |---|---|---|
+//! | residues | 155–191 | 155–295 |
+//! | advance | 232–465 | 307–502 |
+//! | Fermat lanes | — | 330–464 |
+//! | Baillie–PSW (base-2 strong test + Lucas) | 1,530–2,310 | 479–632 |
+//! | of which Lucas | 381–598 | 388–524 |
+//! | random-base rounds | 374–543 | 104–182 |
+//! | the rest | 169–252 | 95–124 |
+//! | **total** | **2,466–3,600** | **1,471–2,182** |
+//!
+//! Uninstrumented, the same alternation read 0.59–0.67 of the scalar
+//! search's time per key. Over 300 keys the scalar search ran the base-2
+//! test on 37.2 survivors a key (31–46 µs each); the lanes take 48.9
+//! survivors in 6.1 kernel calls (7–9.5 µs a lane with its constants),
+//! 3.95 pass, and the scalar test runs 3.0 times, once per prime. The
+//! lanes past each search's prime, and the sieve steps to fill them,
+//! are why `advance` grew. What is left is the Lucas test on each prime
+//! (about a quarter of a key, scalar) and the sieve (residues and
+//! advance, about a third): those are the next levers.
+//!
 //! The search looks at no more than `4·bits` candidates
 //! (`WINDOW_PER_BIT`) and never past `2^bits − 1`; if none is prime it
 //! draws a new start. A window of `4·bits` odd numbers near `2^bits`
@@ -66,10 +117,12 @@
 //! different RSA key — than it did when every candidate was a fresh draw
 //! judged by twelve fixed-base rounds.
 
+use crate::ifma::{self, Modulus52};
 use crate::modring::jacobi;
 use crate::mont::Mont;
 use crate::rng::BigRng;
 use crate::ubig::UBig;
+use std::cell::Cell;
 use std::ops::Range;
 use std::sync::OnceLock;
 
@@ -84,9 +137,73 @@ const SIEVE_BOUND: usize = 1 << 15;
 /// Candidates one draw of [`gen_prime`] looks at, per bit of prime size.
 const WINDOW_PER_BIT: u64 = 4;
 
+/// Sieve survivors one base-2 Fermat check takes: the lanes of one
+/// kernel call.
+const BATCH: usize = ifma::LANES;
+
 /// A run of consecutive table primes, as an index range, with the product
 /// of its members.
 type Group = (u64, Range<usize>);
+
+/// The work the prime search and test have done on one thread; see
+/// [`search_counts`].
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct SearchCounts {
+    /// Sieve survivors put through the base-2 Fermat check, one lane
+    /// each.
+    pub fermat_lanes: u64,
+    /// Of those, the ones that passed it.
+    pub fermat_passed: u64,
+    /// Kernel calls made for the Fermat check and for the random-base
+    /// rounds ([`ifma::kernel_calls`] counts them too).
+    pub kernel_calls: u64,
+    /// Runs of the scalar test, steps 2–4 of [`is_prime`]: the base-2
+    /// strong test, the Lucas test and the random-base rounds.
+    pub scalar_tests: u64,
+}
+
+/// The work done between two readings of [`search_counts`]: later minus
+/// earlier.
+impl std::ops::Sub for SearchCounts {
+    type Output = SearchCounts;
+
+    fn sub(self, earlier: SearchCounts) -> SearchCounts {
+        SearchCounts {
+            fermat_lanes: self.fermat_lanes - earlier.fermat_lanes,
+            fermat_passed: self.fermat_passed - earlier.fermat_passed,
+            kernel_calls: self.kernel_calls - earlier.kernel_calls,
+            scalar_tests: self.scalar_tests - earlier.scalar_tests,
+        }
+    }
+}
+
+thread_local! {
+    /// This thread's [`SearchCounts`].
+    static COUNTS: Cell<SearchCounts> = Cell::default();
+}
+
+/// What the prime search and test have done on the calling thread so
+/// far. A caller that reads it before and after a key generation learns
+/// how many survivors took the batched base-2 check, how many kernel
+/// calls that took, and how many candidates the scalar test judged.
+pub fn search_counts() -> SearchCounts {
+    COUNTS.with(Cell::get)
+}
+
+/// Adds to this thread's counts.
+fn count(update: impl FnOnce(&mut SearchCounts)) {
+    COUNTS.with(|counts| {
+        let mut c = counts.get();
+        update(&mut c);
+        counts.set(c);
+    });
+}
+
+/// Whether numbers of `bits` bits are tested on the vertical kernel:
+/// the CPU has it and they fit its 7-limb instance.
+fn on_kernel(bits: usize) -> bool {
+    bits <= ifma::MAX_MODULUS_BITS && ifma::available()
+}
 
 struct Tables {
     /// Every prime below [`SIEVE_BOUND`].
@@ -166,13 +283,20 @@ pub fn is_prime<R: BigRng + ?Sized>(n: &UBig, rounds: usize, rng: &mut R) -> boo
             return false;
         }
     }
-    is_probable_prime(n, rounds, rng)
+    is_probable_prime(n, rounds, rng, on_kernel(n.bit_len()))
 }
 
 /// Steps 2–4 of the test, for an odd `n > 3` that trial division or the
-/// search sieve has already let through.
-fn is_probable_prime<R: BigRng + ?Sized>(n: &UBig, rounds: usize, rng: &mut R) -> bool {
+/// search sieve has already let through. With `lanes`, the random-base
+/// rounds run as the lanes of one [`ifma::pow_lanes`] call.
+fn is_probable_prime<R: BigRng + ?Sized>(
+    n: &UBig,
+    rounds: usize,
+    rng: &mut R,
+    lanes: bool,
+) -> bool {
     debug_assert!(n.is_odd());
+    count(|c| c.scalar_tests += 1);
     let mont = Mont::new(n).expect("odd modulus");
     let n_minus_1 = n.sub(&UBig::one());
     let r = n_minus_1.trailing_zeros().expect("n-1 of odd n>2 is even");
@@ -184,13 +308,72 @@ fn is_probable_prime<R: BigRng + ?Sized>(n: &UBig, rounds: usize, rng: &mut R) -
     }
     let two = UBig::from_u64(2);
     let span = n.sub(&UBig::from_u64(3)); // witnesses in [2, n-2]
-    for _ in 0..rounds.saturating_sub(12) {
-        let a = &crate::rng::random_below(rng, &span) + &two;
+    let mut draw = || &crate::rng::random_below(rng, &span) + &two;
+    let extra = rounds.saturating_sub(12);
+    if lanes && extra > 0 {
+        // Every base is drawn before any round runs; the draws differ
+        // from the scalar loop's only for a composite that a round
+        // rejects after passing Baillie–PSW, of which none is known.
+        let bases: Vec<UBig> = (0..extra).map(|_| draw()).collect();
+        let powers = random_round_powers(n, &bases, &d)
+            .unwrap_or_else(|| bases.iter().map(|a| mont.pow(a, &d)).collect());
+        return powers
+            .into_iter()
+            .all(|x| strong_probable_prime(&mont, &n_minus_1, r, x));
+    }
+    for _ in 0..extra {
+        let a = draw();
         if !strong_probable_prime(&mont, &n_minus_1, r, mont.pow(&a, &d)) {
             return false;
         }
     }
     true
+}
+
+/// `a^d mod n` for every base `a`, as the lanes of one kernel call
+/// (`⌈bases / 8⌉` of them); `None` without the kernel.
+fn random_round_powers(n: &UBig, bases: &[UBig], d: &UBig) -> Option<Vec<UBig>> {
+    let modulus = Modulus52::new(n).expect("odd, at most 362 bits");
+    let lanes: Vec<ifma::Lane> = bases.iter().map(|a| (&modulus, a, d)).collect();
+    let before = ifma::kernel_calls();
+    let powers = ifma::pow_lanes(&lanes)?;
+    count(|c| c.kernel_calls += ifma::kernel_calls() - before);
+    Some(powers)
+}
+
+/// The members of `batch` that pass the base-2 Fermat check
+/// `2^(n−1) ≡ 1 (mod n)`, in order, checked as the lanes of one kernel
+/// call; each is odd, above 2 and of at most 362 bits. A number the
+/// base-2 strong test accepts passes (`2^d ≡ 1` or `2^(d·2^i) ≡ −1`
+/// squares on to `2^(n−1) ≡ 1`), so the check only drops composites
+/// that test would reject. Without the kernel it drops nothing.
+fn pass_base2_fermat(batch: Vec<UBig>) -> Vec<UBig> {
+    let moduli: Vec<Modulus52> = batch
+        .iter()
+        .map(|n| Modulus52::new(n).expect("odd, at most 362 bits"))
+        .collect();
+    let exponents: Vec<UBig> = batch.iter().map(|n| n.sub(&UBig::one())).collect();
+    let two = UBig::from_u64(2);
+    let lanes: Vec<ifma::Lane> = moduli
+        .iter()
+        .zip(&exponents)
+        .map(|(m, e)| (m, &two, e))
+        .collect();
+    let before = ifma::kernel_calls();
+    let Some(powers) = ifma::pow_lanes(&lanes) else {
+        return batch;
+    };
+    let passed: Vec<UBig> = batch
+        .into_iter()
+        .zip(powers)
+        .filter_map(|(n, x)| x.is_one().then_some(n))
+        .collect();
+    count(|c| {
+        c.fermat_lanes += lanes.len() as u64;
+        c.fermat_passed += passed.len() as u64;
+        c.kernel_calls += ifma::kernel_calls() - before;
+    });
+    passed
 }
 
 /// The Miller–Rabin verdict for one witness `a`, given `x = a^d mod n`
@@ -358,11 +541,21 @@ fn advance(residues: &mut [u16], primes: &[u16]) -> bool {
 /// are skipped by the stepped sieve described in the module documentation,
 /// which changes no verdict: the prime returned and the state `rng` is
 /// left in are those of calling [`is_prime`] on each candidate in turn.
+/// On a CPU with AVX-512 IFMA and for `bits` of at most 362, the
+/// survivors take a base-2 Fermat check eight to a kernel call first,
+/// which changes none either (module documentation).
 ///
 /// # Panics
 /// Panics if `bits < 16`.
 pub fn gen_prime<R: BigRng + ?Sized>(bits: usize, rounds: usize, rng: &mut R) -> UBig {
     assert!(bits >= 16, "prime sizes below 16 bits are not supported");
+    search(bits, rounds, rng, on_kernel(bits))
+}
+
+/// The search of [`gen_prime`]. With `lanes`, the sieve's survivors are
+/// taken [`BATCH`] at a time through [`pass_base2_fermat`] before the
+/// scalar test, and the random-base rounds run in lanes too.
+fn search<R: BigRng + ?Sized>(bits: usize, rounds: usize, rng: &mut R, lanes: bool) -> UBig {
     // Every candidate exceeds 2^15, so a sieve prime dividing one is proper.
     let odd_primes = &tables().primes[1..];
     let window = WINDOW_PER_BIT * bits as u64;
@@ -376,13 +569,24 @@ pub fn gen_prime<R: BigRng + ?Sized>(bits: usize, rounds: usize, rng: &mut R) ->
         let after_start = last.sub(&start).shr(1).to_u64();
         let candidates = after_start.map_or(window, |more| window.min(more.saturating_add(1)));
         let mut residues = residues_before(&start);
-        for i in 0..candidates {
-            if advance(&mut residues, odd_primes) {
-                continue;
+        let mut survivors = (0..candidates)
+            .filter(|_| !advance(&mut residues, odd_primes))
+            .map(|i| &start + &UBig::from_u64(2 * i));
+        if !lanes {
+            if let Some(prime) = survivors.find(|c| is_probable_prime(c, rounds, rng, false)) {
+                return prime;
             }
-            let candidate = &start + &UBig::from_u64(2 * i);
-            if is_probable_prime(&candidate, rounds, rng) {
-                return candidate;
+            continue;
+        }
+        loop {
+            let batch: Vec<UBig> = survivors.by_ref().take(BATCH).collect();
+            if batch.is_empty() {
+                break;
+            }
+            for candidate in pass_base2_fermat(batch) {
+                if is_probable_prime(&candidate, rounds, rng, true) {
+                    return candidate;
+                }
             }
         }
     }
@@ -647,21 +851,112 @@ mod tests {
         }
     }
 
+    /// `gen_prime` against the specified search and against the scalar
+    /// search, prime and generator state, on either side of the kernel's
+    /// 362-bit limit: up to it (on a CPU with the kernel) the survivors
+    /// take the Fermat lanes and only those that pass the scalar test,
+    /// past it the scalar path runs alone.
     #[test]
     fn gen_prime_is_the_specified_search() {
-        for bits in [16usize, 17, 31, 32, 33, 63, 64, 65, 128, 256, 512] {
+        if !ifma::available() {
+            eprintln!("this CPU has no AVX-512 IFMA: every search runs the scalar path");
+        }
+        let sizes = [
+            16usize, 17, 31, 32, 33, 63, 64, 65, 128, 256, 341, 342, 361, 362, 363, 512,
+        ];
+        for bits in sizes {
+            let lanes = bits <= ifma::MAX_MODULUS_BITS && ifma::available();
             for seed in 0..8u64 {
                 let seed = 1000 * bits as u64 + seed;
-                let (mut fast, mut spec) =
-                    (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
+                let rngs = || StdRng::seed_from_u64(seed);
+                let (mut fast, mut spec, mut scalar) = (rngs(), rngs(), rngs());
+                let before = search_counts();
                 let p = gen_prime(bits, 16, &mut fast);
+                let done = search_counts() - before;
                 assert_eq!(
                     p,
                     gen_prime_spec(bits, 16, &mut spec),
                     "bits={bits} seed={seed}"
                 );
-                assert_eq!(fast.next_u64(), spec.next_u64(), "bits={bits} seed={seed}");
+                assert_eq!(
+                    p,
+                    search(bits, 16, &mut scalar, false),
+                    "bits={bits} seed={seed}"
+                );
+                let next = fast.next_u64();
+                assert_eq!(next, spec.next_u64(), "bits={bits} seed={seed}");
+                assert_eq!(next, scalar.next_u64(), "bits={bits} seed={seed}");
                 assert_shape(&p, bits);
+                assert_eq!(done.fermat_lanes > 0, lanes, "bits={bits} seed={seed}");
+                if lanes {
+                    // The prime found passed, and no survivor after it ran
+                    // the scalar test.
+                    assert!(
+                        (1..=done.fermat_passed).contains(&done.scalar_tests),
+                        "bits={bits} seed={seed}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// Exhaustive in a release build; a debug build checks the first 2^16.
+    const FERMAT_LIMIT: u64 = if cfg!(debug_assertions) {
+        1 << 16
+    } else {
+        1 << 20
+    };
+
+    /// The Fermat check over `ns`, eight lanes to a call: whether each
+    /// passed.
+    fn fermat_verdicts(ns: &[UBig]) -> Vec<bool> {
+        let mut verdicts = Vec::new();
+        for chunk in ns.chunks(BATCH) {
+            let passed = pass_base2_fermat(chunk.to_vec());
+            verdicts.extend(chunk.iter().map(|n| passed.contains(n)));
+        }
+        verdicts
+    }
+
+    #[test]
+    fn fermat_check_keeps_every_base2_strong_probable_prime() {
+        if !ifma::available() {
+            eprintln!("this CPU has no AVX-512 IFMA: the Fermat lanes are skipped");
+            return;
+        }
+        // Every odd n from 3 on: a strong probable prime passes, and a
+        // number rejected is composite.
+        let sieve = eratosthenes(FERMAT_LIMIT as usize);
+        let odd: Vec<UBig> = (3..FERMAT_LIMIT).step_by(2).map(u).collect();
+        let mut rejected = 0;
+        for (n, passed) in odd.iter().zip(fermat_verdicts(&odd)) {
+            if !passed {
+                assert!(!base2_alone(n), "{n}");
+                assert!(!sieve[n.to_u64().unwrap() as usize], "{n}");
+                rejected += 1;
+            }
+        }
+        assert!(rejected > odd.len() / 2, "{rejected} of {}", odd.len());
+        // Strong pseudoprimes to base 2, the ψ's among them, pass the
+        // check and fall to the Lucas test; Carmichael numbers and the
+        // Fermat-only pseudoprime 341 pass it and fall to the strong
+        // base-2 test.
+        let strong: Vec<UBig> = [2047u64, 3277, 4033, 4681, 8321]
+            .into_iter()
+            .map(u)
+            .chain(PSI.iter().map(|(psi, _)| dec(psi)))
+            .collect();
+        let fermat_only: Vec<UBig> = [
+            341u64, 561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 294_409, 825_265, 56_052_361,
+        ]
+        .into_iter()
+        .map(u)
+        .collect();
+        for (ns, strong) in [(&strong, true), (&fermat_only, false)] {
+            assert!(fermat_verdicts(ns).into_iter().all(|passed| passed));
+            for n in ns.iter() {
+                assert_eq!(base2_alone(n), strong, "{n}");
+                assert!(!is_probable_prime(n, 16, &mut rng(), true), "{n}");
             }
         }
     }

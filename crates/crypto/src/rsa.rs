@@ -712,6 +712,40 @@ mod tests {
         }
     }
 
+    /// The prime work of one seeded RSA-1024 key, three searches at 341
+    /// and 342 bits that meet 30 sieve survivors. On a CPU with AVX-512
+    /// IFMA the survivors take the base-2 Fermat check eight to a kernel
+    /// call (six calls, 48 lanes: each search's last call runs past its
+    /// prime), five pass (two primes sat behind the one returned in
+    /// their call), and the scalar test runs only on the three primes
+    /// returned, each of which takes one more call for its four
+    /// random-base rounds. Without IFMA every survivor runs the scalar
+    /// test, as it did before the lanes.
+    #[test]
+    fn keygen_checks_its_survivors_in_lanes() {
+        let before = prime::search_counts();
+        let kp = RsaKeyPair::generate(1024, &mut test_rng(1));
+        let done = prime::search_counts() - before;
+        assert_eq!(kp.factors.len(), 3);
+        let want = if ifma::available() {
+            prime::SearchCounts {
+                fermat_lanes: 48,
+                fermat_passed: 5,
+                kernel_calls: 6 + 3,
+                scalar_tests: 3,
+            }
+        } else {
+            eprintln!("this CPU has no AVX-512 IFMA: the scalar search's counts are checked");
+            prime::SearchCounts {
+                fermat_lanes: 0,
+                fermat_passed: 0,
+                kernel_calls: 0,
+                scalar_tests: 30,
+            }
+        };
+        assert_eq!(done, want);
+    }
+
     /// Digests of the public key, the private exponent and one signature
     /// for two 512-bit seeds, and the generator's next bytes after each,
     /// captured before keys from 1024 bits on became three-prime. Below

@@ -342,8 +342,8 @@ fn a_revoked_license_does_not_transfer_even_to_a_first_recipient() {
     );
 }
 
-/// A transfer writes two rows after its `spent/` claim: the CRL entry,
-/// then the successor's `lic/` row. Whichever fails, calling `transfer`
+/// A transfer writes two rows after its `spent/` claim: the successor's
+/// `lic/` row, then the CRL entry. Whichever fails, calling `transfer`
 /// again completes it — one successor, one CRL entry, sequence 1.
 #[test]
 fn a_transfer_cut_short_after_its_claim_completes_on_retry() {
