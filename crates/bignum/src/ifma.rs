@@ -42,12 +42,14 @@
 //! a value stays below `2n`; leaving Montgomery form gives a value of at
 //! most `n`, and one subtraction without a branch makes it canonical.
 //!
-//! The secret-exponent entry uses fixed 4-bit windows over the longest
-//! exponent of the call: every lane squares and multiplies at every
-//! step, a lane with a shorter exponent starts on leading zero digits,
-//! and each lane picks its window entry by a masked scan over all 16
-//! table entries, with no exponent-derived index and no skipped multiply
-//! on a zero digit. The public-exponent entry needs none of this: every
+//! The secret-exponent entry is [`Mont::pow`](crate::Mont::pow)'s
+//! algorithm (`mont` module doc) eight lanes wide: fixed 4-bit windows
+//! over the longest exponent of the call, every lane squaring and
+//! multiplying at every step, a lane with a shorter exponent starting on
+//! leading zero digits, and each lane picking its window entry by a
+//! masked scan over all 16 table entries, with no exponent-derived index
+//! and no skipped multiply on a zero digit. So a secret exponent leaks
+//! the same (its bit length, and the call's) on every CPU. The public-exponent entry needs none of this: every
 //! lane shares the one public `e`, so it squares once per bit of `e` and
 //! multiplies by the base on its set bits, with no window table — 19
 //! products for `e = 65537` (16 squarings, one multiply and the two
@@ -138,7 +140,8 @@
 //! The kernel runs when `is_x86_feature_detected!` reports `avx512f`,
 //! `avx512vl` and `avx512ifma` ([`available`]; std caches the answer,
 //! so it is asked on every call); otherwise both entries return `None`
-//! and the caller uses [`Mont::pow`](crate::Mont::pow) or
+//! and the caller uses [`Mont::pow`](crate::Mont::pow) (the same
+//! algorithm, one residue at a time) or
 //! [`Mont::pow_u64`](crate::Mont::pow_u64) per modulus, the references
 //! they are tested against. Only the CPU, the lane count and the
 //! modulus size decide; there is no switch, cargo feature or setting.
@@ -176,9 +179,6 @@ const LIMB_BITS: usize = 52;
 
 /// The low 52 bits.
 const MASK: u64 = (1 << LIMB_BITS) - 1;
-
-/// Window width of the secret-exponent entry: 4 bits, 16 table entries.
-const WINDOW: usize = 4;
 
 /// A value in radix 2^52, limb 0 first.
 type Limbs52<const L: usize> = [u64; L];
@@ -562,7 +562,7 @@ macro_rules! vertical_kernel {
     // The secret-exponent entry: fixed 4-bit windows with a masked
     // table scan.
     (@secret $V:ident, $setzero:ident, $set1:ident, $cmpeq:ident, $mov:ident) => {
-        use super::WINDOW;
+        use crate::mont::WINDOW;
         use crate::ubig::UBig;
         use std::arch::x86_64::{$cmpeq, $mov};
 

@@ -45,16 +45,70 @@
 //! [`Mont::pow_u64`] are its fallbacks (other CPUs, other widths) and
 //! its test references.
 //!
-//! [`Mont::pow`] picks its window width from the exponent bit length, scans
-//! exponent bits limb-wise, and performs **zero heap allocations in its
-//! square-and-multiply main loop** (all buffers — the window table, the
-//! accumulator, and the shared scratch — are allocated once up front; a
-//! counting-allocator regression test in `tests/alloc_counter.rs` enforces
-//! this). Tests check it against [`UBig::pow_mod`], the division-based
-//! square-and-multiply that shares no code with this module.
+//! # One algorithm for secret exponents
+//!
+//! Every exponent that may be secret — the CRT exponents of RSA keys off
+//! the IFMA path, the TTP's ElGamal key, a prime search's random rounds
+//! — goes through [`Mont::pow`], which has the IFMA kernel's shape
+//! whatever the exponent's value or width:
+//!
+//! * fixed 4-bit windows ([`WINDOW`]) over the exponent's bit length,
+//!   whatever the digits are;
+//! * each window's entry of the 16-entry table `x^0..x^15` picked by
+//!   [`ct_lookup`], which reads every entry and keeps one under a mask,
+//!   so no address depends on a digit (the CacheBleed class of leak,
+//!   Yarom–Genkin–Heninger, CHES 2016, read RSA exponents from an
+//!   indexed window table);
+//! * four squarings and one product at every window, a zero digit's
+//!   included (its entry is 1), so the sequence of products depends on
+//!   the bit length alone;
+//! * a final subtraction in every product that runs without a branch
+//!   (`reduce_once`: subtract `n`, add back `n` under the borrow's mask).
+//!
+//! Why four bits: a `w`-bit window costs `2^w − 2` table products and
+//! one product per window after the first, and each window scans `2^w`
+//! entries. Five bits saves one product at 341 bits (98 against 99) and
+//! 35 of about 1,290 at 1024, where its scans read 6,560 entries instead
+//! of 4,096; three bits costs 20 more products at 341. Four is also the
+//! IFMA kernel's width. The ElGamal comb in `p2drm-crypto` takes its
+//! entries through the same [`ct_lookup`]. [`Mont::pow_u64`] (public
+//! word exponents, the verification exponent 65537) and the prime
+//! test's base-2 ladder `pow2` branch on their exponent bits, which are
+//! public or, in the prime search, a candidate's (`prime` module doc).
+//!
+//! The price, timed in one process against the previous algorithm
+//! (variable 3–5-bit windows, an indexed table read, a skipped product
+//! on a zero digit and a branching subtraction), random odd moduli and
+//! full-length exponents, rounds of 40,000/bits operations alternated
+//! over 30 rounds, the median of the per-round ratios over three runs,
+//! on a 2-vCPU VM (Intel Xeon, family 6, model 207, with ADX):
+//!
+//! | operation | new / old |
+//! |---|---|
+//! | `Mont::pow`, 341 bits (6 limbs, ADX product) | ×1.13–1.20 |
+//! | `Mont::pow`, 512 bits (8 limbs) | ×1.01–1.09 |
+//! | `Mont::pow`, 1024 bits (16 limbs) | ×1.08–1.15 |
+//! | MODP-1024 comb (`ElGamalGroup::pow_g`) | ×1.12–1.13 |
+//! | RSA-1024 key generation (same seeds) | ×1.01–1.03 |
+//!
+//! On a CPU with AVX-512 IFMA the RSA-512 and RSA-1024 private-key
+//! operations take [`crate::ifma`] and pay none of this.
+//!
+//! [`Mont::pow`] performs **zero heap allocations in its
+//! square-and-multiply main loop**: the window table, the accumulator,
+//! the entry and the shared scratch are allocated once up front, so a
+//! long exponent allocates exactly what a short one does
+//! (`tests/alloc_counter.rs`). Tests check it against [`UBig::pow_mod`],
+//! the division-based square-and-multiply that shares no code with this
+//! module.
 
 use crate::ubig::UBig;
 use crate::BigError;
+
+/// Bits per window of every secret-exponent exponentiation: [`Mont::pow`],
+/// the ElGamal comb in `p2drm-crypto` and the vertical kernel of
+/// [`crate::ifma`]. Their tables have `2^WINDOW` = 16 entries.
+pub const WINDOW: usize = 4;
 
 /// A value held in Montgomery form (`x·R mod n`) for some [`Mont`] context.
 ///
@@ -353,9 +407,6 @@ impl Mont {
         // Cross products a[i]*a[j] for i < j.
         for i in 0..s {
             let ai = a[i];
-            if ai == 0 {
-                continue;
-            }
             let mut carry: u128 = 0;
             for j in (i + 1)..s {
                 let cur = t[i + j] as u128 + ai as u128 * a[j] as u128 + carry;
@@ -409,16 +460,50 @@ impl Mont {
         reduce_once(out, &self.n, pending);
     }
 
-    /// `base^exp mod n`: [`Mont::pow_u64`] for machine-word exponents,
-    /// the windowed [`Mont::pow_form`] otherwise.
+    /// `base^exp mod n` for an exponent that may be secret: fixed 4-bit
+    /// windows over the exponent's bit length, each window's table entry
+    /// picked by [`ct_lookup`]'s scan of all 16, and a product at every
+    /// window, the zero digits' included (module doc). Buffers are
+    /// allocated once, before the loop.
     pub fn pow(&self, base: &UBig, exp: &UBig) -> UBig {
-        if exp.is_zero() {
-            return UBig::one().rem(&self.modulus());
+        // lint: secret(exp, acc, entry)
+        let s = self.n.len();
+        let mut scratch = self.alloc_scratch();
+        let table = self.window_table(&self.to_mont(base));
+        let windows = exp.bit_len().div_ceil(WINDOW).max(1);
+        let mut acc = vec![0u64; s];
+        let mut entry = vec![0u64; s];
+        let mut tmp = vec![0u64; s];
+        ct_lookup(
+            &table,
+            exp.bits_at((windows - 1) * WINDOW, WINDOW),
+            &mut acc,
+        );
+        for w in (0..windows - 1).rev() {
+            for _ in 0..WINDOW {
+                self.mont_sqr_into(&acc, &mut tmp, &mut scratch);
+                std::mem::swap(&mut acc, &mut tmp);
+            }
+            ct_lookup(&table, exp.bits_at(w * WINDOW, WINDOW), &mut entry);
+            self.mont_mul_into(&acc, &entry, &mut tmp, &mut scratch);
+            std::mem::swap(&mut acc, &mut tmp);
         }
-        if let Some(e) = exp.to_u64() {
-            return self.pow_u64(base, e);
+        self.from_mont(&acc)
+    }
+
+    /// `x^0, x^1, …, x^15` for a Montgomery-form `x`, in form, one
+    /// modulus-width entry after another: the table [`ct_lookup`] scans.
+    pub fn window_table(&self, x: &[u64]) -> Vec<u64> {
+        let s = self.n.len();
+        let mut scratch = self.alloc_scratch();
+        let mut table = vec![0u64; s << WINDOW];
+        table[..s].copy_from_slice(&self.one);
+        table[s..2 * s].copy_from_slice(x);
+        for d in 2..1 << WINDOW {
+            let (done, next) = table.split_at_mut(d * s);
+            self.mont_mul_into(&done[(d - 1) * s..], x, &mut next[..s], &mut scratch);
         }
-        self.from_form(&self.pow_form(&self.to_form(base), exp))
+        table
     }
 
     /// `base^exp mod n` for machine-word exponents: plain left-to-right
@@ -508,51 +593,6 @@ impl Mont {
             *limb = (v >> 1) | (top << 63);
             top = v & 1;
         }
-    }
-
-    /// `base^exp` entirely in Montgomery form: fixed-window
-    /// square-and-multiply with the window width chosen from the exponent
-    /// bit length, limb-wise window extraction (no per-bit [`UBig::bit`]
-    /// calls), dedicated squarings, and zero heap allocations in the main
-    /// loop (table, accumulator and scratch are allocated once up front).
-    pub fn pow_form(&self, base: &MontForm, exp: &UBig) -> MontForm {
-        // lint: secret(exp)
-        let s = self.n.len();
-        debug_assert_eq!(base.limbs.len(), s);
-        // lint: public(zero-ness and bit length of the exponent are key-size parameters)
-        if exp.is_zero() {
-            return self.one_form();
-        }
-        let bits = exp.bit_len();
-        let w = window_bits(bits);
-        let tsize = 1usize << w;
-        let mut scratch = self.alloc_scratch();
-        // table[d] = base^d in Montgomery form.
-        let mut table: Vec<Vec<u64>> = Vec::with_capacity(tsize);
-        table.push(self.one.clone());
-        table.push(base.limbs.clone());
-        for i in 2..tsize {
-            let mut next = vec![0u64; s];
-            self.mont_mul_into(&table[i - 1], &base.limbs, &mut next, &mut scratch);
-            table.push(next);
-        }
-        let nwin = bits.div_ceil(w);
-        // The top window contains the exponent's top set bit, so the
-        // accumulator starts from a table entry (never from 1).
-        let mut acc = table[exp.bits_at((nwin - 1) * w, w) as usize].clone();
-        let mut tmp = vec![0u64; s];
-        for win in (0..nwin - 1).rev() {
-            for _ in 0..w {
-                self.mont_sqr_into(&acc, &mut tmp, &mut scratch);
-                std::mem::swap(&mut acc, &mut tmp);
-            }
-            let d = exp.bits_at(win * w, w) as usize;
-            if d != 0 {
-                self.mont_mul_into(&acc, &table[d], &mut tmp, &mut scratch);
-                std::mem::swap(&mut acc, &mut tmp);
-            }
-        }
-        MontForm { limbs: acc }
     }
 
     /// Modular multiplication `a * b mod n` through Montgomery form.
@@ -839,48 +879,46 @@ pub(crate) fn sub_limbs(a: &mut [u64], b: &[u64]) -> bool {
     borrow
 }
 
-/// Brings `t + extra·2^(64·len)` into `[0, n)` given it is `< 2n`:
-/// conditionally subtracts `n` once.
+/// Brings `t + extra·2^(64·len)` into `[0, n)` given it is `< 2n`,
+/// branching on neither: subtracts `n` in place, then adds back
+/// `n & mask`, where the mask is all ones when the subtraction took the
+/// value below zero (a borrow out that `extra` does not cover).
 #[inline(always)]
 fn reduce_once(t: &mut [u64], n: &[u64], extra: u64) {
-    let needs = extra != 0 || {
-        // t >= n?
-        let mut ge = true;
-        for i in (0..n.len()).rev() {
-            if t[i] != n[i] {
-                ge = t[i] > n[i];
-                break;
-            }
-        }
-        ge
-    };
-    if needs {
-        let mut borrow = 0u64;
-        for (tj, &nj) in t.iter_mut().zip(n.iter()) {
-            let (d1, b1) = tj.overflowing_sub(nj);
-            let (d2, b2) = d1.overflowing_sub(borrow);
-            *tj = d2;
-            borrow = (b1 as u64) + (b2 as u64);
-        }
-        debug_assert_eq!(extra.wrapping_sub(borrow), 0, "result must be < n");
+    // lint: secret(t, extra, borrow, mask, carry)
+    let mut borrow = 0u64;
+    for (tj, &nj) in t.iter_mut().zip(n) {
+        let (d1, b1) = tj.overflowing_sub(nj);
+        let (d2, b2) = d1.overflowing_sub(borrow);
+        *tj = d2;
+        borrow = (b1 | b2) as u64;
+    }
+    debug_assert!(extra <= borrow, "t + extra·2^(64·len) < 2n");
+    let mask = (borrow & !extra).wrapping_neg();
+    let mut carry = 0u64;
+    for (tj, &nj) in t.iter_mut().zip(n) {
+        let (s1, c1) = tj.overflowing_add(nj & mask);
+        let (s2, c2) = s1.overflowing_add(carry);
+        *tj = s2;
+        carry = (c1 | c2) as u64;
     }
 }
 
-/// Window width for a fixed-window exponentiation of `bits`-bit exponents,
-/// minimizing squarings + multiplications (table build included).
-fn window_bits(bits: usize) -> usize {
-    if bits <= 16 {
-        1
-    } else if bits <= 48 {
-        2
-    } else if bits <= 144 {
-        3
-    } else if bits <= 400 {
-        4
-    } else if bits <= 1024 {
-        5
-    } else {
-        6
+/// Copies entry `index` of `table` (entries of `out.len()` limbs, one
+/// after another) into `out` by reading every entry and keeping the one
+/// whose position equals `index` under a mask: which entry is taken
+/// changes no address read and no branch taken.
+pub fn ct_lookup(table: &[u64], index: u64, out: &mut [u64]) {
+    // lint: secret(index, diff, mask)
+    out.fill(0);
+    for (i, entry) in (0u64..).zip(table.chunks_exact(out.len())) {
+        // All ones when i == index: `diff | −diff` has its top bit set
+        // exactly when diff is not zero.
+        let diff = i ^ index;
+        let mask = ((diff | diff.wrapping_neg()) >> 63).wrapping_sub(1);
+        for (o, &e) in out.iter_mut().zip(entry) {
+            *o |= e & mask;
+        }
     }
 }
 
@@ -1008,22 +1046,44 @@ mod tests {
         assert_eq!(m.pow(&b, &e), b.pow_mod(&e, &n).unwrap());
     }
 
+    /// Long exponents against the division-based `pow_mod`, at every
+    /// fixed-kernel width up to 16 limbs and at 5 (the dynamic kernel):
+    /// exponents whose windows are mostly zero digits, or all 15s — `2^k`,
+    /// a lone top digit, alternating zero nibbles and all ones — beside
+    /// sparse and dense ones. Each digit's entry comes from the scan and
+    /// is multiplied in, the zero digit's (1) included.
     #[test]
     fn pow_long_exponents_match_pow_mod() {
-        let n = UBig::from_hex("c2446bf4ccd64d8b34a8a8f4e4ab7d1bb1e2f7c8d9a0b1c2d3e4f5a6b7c8d9e1")
-            .unwrap();
-        let m = Mont::new(&n).unwrap();
-        let b = UBig::from_hex("123456789abcdef0fedcba9876543210ffeeddccbbaa9988").unwrap();
-        // Exponents spanning several window widths, including runs of
-        // zero windows and a full-width exponent.
-        for e_hex in [
-            "10001",
-            "ffffffff",
-            "8000000000000000000000000001",
-            "c2446bf4ccd64d8b34a8a8f4e4ab7d1bb1e2f7c8d9a0b1c2d3e4f5a6b7c8d9e0",
-        ] {
-            let e = UBig::from_hex(e_hex).unwrap();
-            assert_eq!(m.pow(&b, &e), b.pow_mod(&e, &n).unwrap(), "e={e_hex}");
+        let one = UBig::one();
+        for limbs in [4usize, 5, 6, 8, 16] {
+            let bits = 64 * limbs;
+            let bytes: Vec<u8> = (0..8 * limbs as u8)
+                .map(|i| i.wrapping_mul(167) ^ 0x5d)
+                .collect();
+            let mut n = UBig::from_bytes_be(&bytes);
+            n.set_bit(bits - 1);
+            n.set_bit(0);
+            let m = Mont::new(&n).unwrap();
+            assert_eq!(m.limb_len(), limbs);
+            let b = n.shr(5);
+            let mut exps: Vec<UBig> = [0, 1, 3, 4, 5, 63, 64, bits / 2, bits - 1]
+                .iter()
+                .map(|&k| one.shl(k))
+                .collect();
+            for d in [1, 8, 15] {
+                exps.push(UBig::from_u64(d).shl(bits - WINDOW));
+            }
+            for hex in ["10001", "ffffffff", "8000000000000000000000000001"] {
+                exps.push(UBig::from_hex(hex).unwrap());
+            }
+            exps.push(n.sub(&one));
+            exps.push(one.shl(bits).sub(&one));
+            exps.push(UBig::from_hex(&"0f".repeat(bits / 8)).unwrap());
+            exps.push(UBig::from_hex(&"f0".repeat(bits / 8)).unwrap());
+            for e in &exps {
+                let want = b.pow_mod(e, &n).unwrap();
+                assert_eq!(m.pow(&b, e), want, "{limbs} limbs, e = {}", e.to_hex());
+            }
         }
     }
 

@@ -116,6 +116,20 @@
 //! conjecture). It also means a seed yields a different prime — and so a
 //! different RSA key — than it did when every candidate was a fresh draw
 //! judged by twelve fixed-base rounds.
+//!
+//! **Timing is out of scope here.** The constant-time discipline of
+//! [`Mont::pow`] and the IFMA kernel (one algorithm for every secret
+//! exponent, `mont` module doc) does not extend to this module, and
+//! `lint.toml` does not list it. Its scalar tests branch on the
+//! candidate: the sieve skips a candidate with a small factor, the
+//! base-2 ladder `Mont::pow2` doubles on the set bits of `d`, the Lucas
+//! chain steps on the bits of `n + 1`, a Jacobi symbol picks `D`, and the
+//! search stops at the first prime. For a rejected composite that
+//! reveals nothing kept; for the prime returned, it is one run of the
+//! ladder and the Lucas chain over a key factor. Closing that needs a
+//! primality test with a fixed operation sequence, which is not done.
+//! The random-base rounds run through [`Mont::pow`] or the lanes, so
+//! their exponent shows only its bit length.
 
 use crate::ifma::{self, Modulus52};
 use crate::modring::jacobi;

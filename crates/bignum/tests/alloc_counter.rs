@@ -4,11 +4,10 @@
 //!
 //! The old kernel allocated a fresh `Vec` per Montgomery product (~5 per 4
 //! exponent bits, i.e. ~1000 extra allocations when the exponent grows from
-//! 256 to 1024 bits). With the allocation-free kernel the count difference
-//! between a short and a long exponent is only the (slightly larger) window
-//! table, independent of the loop trip count. The vertical exponentiation
-//! of `ifma` (on a CPU with AVX-512 IFMA) allocates exactly as much for
-//! 341-bit exponents as for 64-bit ones.
+//! 256 to 1024 bits). With one 16-entry window table at every exponent
+//! length, a long exponent allocates exactly what a short one does, and so
+//! does the vertical exponentiation of `ifma` (on a CPU with AVX-512 IFMA)
+//! for 341-bit exponents against 64-bit ones.
 //!
 //! Prime search and modular inversion are pinned the same way: trial
 //! division of a candidate allocates nothing at all, a base-2
@@ -113,14 +112,13 @@ fn pow_main_loop_is_allocation_free() {
     assert_eq!(r_long, base.pow_mod(&exp_long, &n).unwrap());
 
     // Quadrupling the exponent length (and the loop trip count with it)
-    // must not grow the allocation count beyond the window-table delta
-    // (16 extra entries when the width steps from 4 to 5 bits).
-    assert!(
-        a_long <= a_short + 24,
+    // must not change the allocation count.
+    assert_eq!(
+        a_long, a_short,
         "main loop allocates: {a_short} allocs @256-bit exp vs {a_long} @1024-bit exp"
     );
-    // Absolute bound: window table (<= 32 entries) + accumulator + scratch
-    // + boundary conversions. The old kernel needed ~1300 here.
+    // Absolute bound: window table + accumulator, entry and product
+    // buffers + boundary conversions. The old kernel needed ~1300 here.
     assert!(
         a_long < 100,
         "pow allocates too much overall: {a_long} allocations"
@@ -128,8 +126,7 @@ fn pow_main_loop_is_allocation_free() {
 
     // ---- The same at 6 limbs (a three-prime 1024-bit key's primes) -----
     // The fixed 6-limb kernel keeps its state on the stack: no scratch
-    // buffer, and a 341-bit exponent allocates what a 128-bit one does
-    // beyond the window-table delta (8 extra entries from 3 to 4 bits).
+    // buffer, and a 341-bit exponent allocates what a 128-bit one does.
     let mut n6_limbs = limbs(6, 43);
     n6_limbs[0] |= 1;
     n6_limbs[5] = (n6_limbs[5] >> 43) | (1 << 20); // a 341-bit modulus
@@ -150,8 +147,8 @@ fn pow_main_loop_is_allocation_free() {
     let (r6_long, a6_long) = allocs_during(|| mont6.pow(&base6, &exp6_long));
     assert_eq!(r6_short, base6.pow_mod(&exp6_short, &n6).unwrap());
     assert_eq!(r6_long, base6.pow_mod(&exp6_long, &n6).unwrap());
-    assert!(
-        a6_long <= a6_short + 8,
+    assert_eq!(
+        a6_long, a6_short,
         "6-limb main loop allocates: {a6_short} allocs @128-bit exp vs {a6_long} @341-bit exp"
     );
     assert!(

@@ -78,9 +78,24 @@ proptest! {
     }
 
     #[test]
-    fn six_limb_pow_matches_pow_mod(a in ubig384(), e in ubig384(), n in odd_modulus_6_limbs()) {
+    fn six_limb_pow_matches_pow_mod(
+        a in ubig384(),
+        e in ubig384(),
+        n in odd_modulus_6_limbs(),
+        k in 0usize..384,
+        d in 1u64..16,
+    ) {
+        // A random exponent, then 2^k, the lone digit d in window k/4,
+        // and d in every other window with zero digits between.
         let mont = Mont::new(&n).unwrap();
-        prop_assert_eq!(mont.pow(&a, &e), a.pow_mod(&e, &n).unwrap());
+        for e in [
+            e,
+            UBig::one().shl(k),
+            UBig::from_u64(d).shl(k / 4 * 4),
+            UBig::from_hex(&format!("{d:x}0").repeat(k / 8 + 1)).unwrap(),
+        ] {
+            prop_assert_eq!(mont.pow(&a, &e), a.pow_mod(&e, &n).unwrap());
+        }
     }
 
     #[test]
@@ -176,13 +191,6 @@ proptest! {
     fn mont_pow_matches_pow_mod_long_exponents(a in ubig(), e in ubig(), n in odd_modulus()) {
         let mont = Mont::new(&n).unwrap();
         prop_assert_eq!(mont.pow(&a, &e), a.pow_mod(&e, &n).unwrap());
-    }
-
-    #[test]
-    fn pow_form_roundtrip_matches_pow(a in ubig(), e in ubig(), n in odd_modulus()) {
-        let mont = Mont::new(&n).unwrap();
-        let r = mont.from_form(&mont.pow_form(&mont.to_form(&a), &e));
-        prop_assert_eq!(r, mont.pow(&a, &e));
     }
 
     #[test]

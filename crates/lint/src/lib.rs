@@ -18,11 +18,9 @@
 //!
 //! SAFETY comments, panic paths and retry discipline are clippy lints
 //! and lock order is `parking_lot`'s runtime lockdep (README "Static
-//! analysis"). Findings are diffed against the committed
-//! `lint-baseline.toml`; with `--deny`, any finding not in the baseline
-//! fails the run.
+//! analysis"). Any finding fails the run; there is no list of accepted
+//! ones.
 
-pub mod baseline;
 pub mod config;
 pub mod lexer;
 pub mod source;
@@ -35,13 +33,13 @@ use std::path::{Path, PathBuf};
 /// One lint finding.
 #[derive(Debug, Clone)]
 pub struct Finding {
-    /// Pass name (`taint`; the baseline fingerprints it).
+    /// Pass name (`taint`).
     pub pass: String,
     /// Workspace-relative file path.
     pub file: String,
     /// 1-based line.
     pub line: u32,
-    /// The raw text of the offending line (fingerprint input).
+    /// The raw text of the offending line, printed with the finding.
     pub text: String,
     /// Human-readable description.
     pub message: String,

@@ -27,3 +27,20 @@ pub fn taint_flows_through_let(key: &[u8]) -> bool { // lint: secret
     }
     false
 }
+
+/// Sliding-window exponentiation in its leaky form: the top window's
+/// entry is read at an exponent-derived index, a zero digit skips its
+/// multiply, and the others read `table[d]` with `d` from the exponent.
+pub fn windowed_pow(mont: &Mont, table: &[Vec<u64>], exp: &UBig, w: usize) -> Vec<u64> {
+    // lint: secret(exp)
+    let nwin = exp.bit_len().div_ceil(w);
+    let mut acc = table[exp.bits_at((nwin - 1) * w, w) as usize].clone();
+    for win in (0..nwin - 1).rev() {
+        square_w_times(mont, &mut acc, w);
+        let d = exp.bits_at(win * w, w) as usize;
+        if d != 0 {
+            acc = mont.mont_mul(&acc, &table[d]);
+        }
+    }
+    acc
+}

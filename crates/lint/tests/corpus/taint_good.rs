@@ -31,3 +31,34 @@ pub fn public_length_branch(key: &[u8]) -> usize { // lint: secret
     }
     key.len()
 }
+
+/// `ct_lookup`: every entry is read, and the wanted one is kept under
+/// a mask built without a comparison.
+pub fn ct_lookup(table: &[u64], index: u64, out: &mut [u64]) {
+    // lint: secret(index, diff, mask)
+    out.fill(0);
+    for (i, entry) in (0u64..).zip(table.chunks_exact(out.len())) {
+        let diff = i ^ index;
+        let mask = ((diff | diff.wrapping_neg()) >> 63).wrapping_sub(1);
+        for (o, &e) in out.iter_mut().zip(entry) {
+            *o |= e & mask;
+        }
+    }
+}
+
+/// Fixed windows over the exponent's bit length: each window's entry
+/// comes from the scan and is multiplied in, zero digits included.
+pub fn fixed_window_pow(mont: &Mont, table: &[u64], exp: &UBig) -> Vec<u64> {
+    // lint: secret(exp, acc, entry)
+    let s = mont.limb_len();
+    let windows = exp.bit_len().div_ceil(4).max(1);
+    let mut acc = vec![0u64; s];
+    let mut entry = vec![0u64; s];
+    ct_lookup(table, exp.bits_at((windows - 1) * 4, 4), &mut acc);
+    for w in (0..windows - 1).rev() {
+        square_w_times(mont, &mut acc, 4);
+        ct_lookup(table, exp.bits_at(w * 4, 4), &mut entry);
+        acc = mont.mont_mul(&acc, &entry);
+    }
+    acc
+}
