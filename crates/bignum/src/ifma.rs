@@ -45,15 +45,20 @@
 //! The secret-exponent entry is [`Mont::pow`](crate::Mont::pow)'s
 //! algorithm (`mont` module doc) eight lanes wide: fixed 4-bit windows
 //! over the longest exponent of the call, every lane squaring and
-//! multiplying at every step, a lane with a shorter exponent starting on
-//! leading zero digits, and each lane picking its window entry by a
-//! masked scan over all 16 table entries, with no exponent-derived index
-//! and no skipped multiply on a zero digit. So a secret exponent leaks
-//! the same (its bit length, and the call's) on every CPU. The public-exponent entry needs none of this: every
-//! lane shares the one public `e`, so it squares once per bit of `e` and
-//! multiplies by the base on its set bits, with no window table — 19
-//! products for `e = 65537` (16 squarings, one multiply and the two
-//! conversions), where the windowed entry would take 37.
+//! multiplying at every step, a lane with a shorter exponent starting
+//! on leading zero digits, and each lane picking its window entry by a
+//! masked scan over all 16 table entries, with no exponent-derived
+//! index and no skipped multiply on a zero digit. So a secret exponent
+//! leaks the same (its bit length, and the call's) on every CPU. A
+//! lane's exponent is a [`Secret`]; its window digits enter a vector
+//! register through `declassify`, and that register and the compare
+//! masks made from it only pick table entries by masked moves, never a
+//! branch ([`crate::ct`] module doc). The public-exponent entry needs
+//! none of this: every lane shares the one public `e`, so it squares
+//! once per bit of `e` and multiplies by the base on its set bits, with
+//! no window table — 19 products for `e = 65537` (16 squarings, one
+//! multiply and the two conversions), where the windowed entry would
+//! take 37.
 //!
 //! # Lane packing
 //!
@@ -150,7 +155,8 @@
 //! is this module's one `unsafe` operation (`pow_vertical`), which both
 //! entries go through.
 
-use crate::mont::inv64;
+use crate::ct::Secret;
+use crate::mont::{inv64, reduce_once};
 use crate::ubig::UBig;
 use std::cell::Cell;
 
@@ -183,8 +189,8 @@ const MASK: u64 = (1 << LIMB_BITS) - 1;
 /// A value in radix 2^52, limb 0 first.
 type Limbs52<const L: usize> = [u64; L];
 
-/// One lane of [`pow_lanes`]: its modulus, base and exponent.
-pub type Lane<'a> = (&'a Modulus52, &'a UBig, &'a UBig);
+/// One lane of [`pow_lanes`]: its modulus, base and secret exponent.
+pub type Lane<'a> = (&'a Modulus52, &'a UBig, Secret<&'a UBig>);
 
 /// One lane of [`pow_public_lanes`]: its modulus and base.
 pub type PublicLane<'a> = (&'a PublicModulus52, &'a UBig);
@@ -262,13 +268,12 @@ impl<const L: usize> Radix52<L> {
 /// AVX-512 IFMA. The results are those of
 /// [`Mont::pow`](crate::Mont::pow), bit for bit.
 pub fn pow_lanes(lanes: &[Lane]) -> Option<Vec<UBig>> {
-    // lint: secret(lanes, chunk, exps)
     let zero = UBig::zero();
     pow_packed(
         lanes,
         |lane| (lane.0, lane.1),
         |width, chunk, moduli, bases, out| {
-            let mut exps = [&zero; LANES];
+            let mut exps = [Secret::new(&zero); LANES];
             for (exp, lane) in exps.iter_mut().zip(chunk) {
                 *exp = lane.2;
             }
@@ -307,7 +312,6 @@ fn pow_packed<'a, T, const L: usize>(
         &mut [Limbs52<L>; LANES],
     ) -> bool,
 ) -> Option<Vec<UBig>> {
-    // lint: secret(lanes, chunk, base, bases, out, x)
     let mut results = Vec::with_capacity(lanes.len());
     for chunk in lanes.chunks(LANES) {
         let first = modulus_and_base(chunk.first()?).0;
@@ -319,13 +323,14 @@ fn pow_packed<'a, T, const L: usize>(
             bases[k] = to_radix52(&base.rem(&modulus.modulus));
         }
         let mut out = [[0u64; L]; LANES];
-        // lint: public(the lane count says how many operations share the call, nothing of them)
+        // The lane count says how many operations share the call,
+        // nothing of them.
         let width = if chunk.len() <= NARROW_LANES {
             NARROW_LANES
         } else {
             LANES
         };
-        // lint: public(whether the kernel ran depends on the CPU alone)
+        // Whether the kernel ran depends on the CPU alone.
         if !call(width, chunk, &moduli, &bases, &mut out) {
             return None;
         }
@@ -345,7 +350,7 @@ enum Job<'a, 'm> {
     Secret(
         &'a [&'m Modulus52; LANES],
         &'a [Limbs52<PRIME_LIMBS>; LANES],
-        &'a [&'m UBig; LANES],
+        &'a [Secret<&'m UBig>; LANES],
         &'a mut [Limbs52<PRIME_LIMBS>; LANES],
     ),
     /// One public exponent on the 20-limb instance
@@ -414,21 +419,15 @@ fn from_radix52<const L: usize>(x: &Limbs52<L>) -> UBig {
     UBig::from_limbs(limbs)
 }
 
-/// `x = x − n` if `x ≥ n`, for normalised limbs, without a branch: the
-/// difference is always formed and kept under a mask from its borrow.
+/// `x = x − n` if `x ≥ n`, for normalised limbs, without a branch:
+/// [`Mont`](crate::Mont)'s final subtraction, whose borrow, mask and
+/// carry are [`Secret`]s. Limbs below 2^52 borrow in a 64-bit chain
+/// exactly where they would in radix 2^52, and adding `n` back restores
+/// them; a limb the kept difference wrapped is brought back to 52 bits.
 fn sub_if_not_below<const L: usize>(x: &mut Limbs52<L>, n: &Limbs52<L>) {
-    // lint: secret(x, d, borrow, keep)
-    let mut d = [0u64; L];
-    let mut borrow = 0u64;
-    for j in 0..L {
-        let v = x[j].wrapping_sub(n[j]).wrapping_sub(borrow);
-        d[j] = v & MASK;
-        borrow = v >> 63;
-    }
-    // All ones when x < n (the subtraction borrowed out).
-    let keep = borrow.wrapping_neg();
-    for j in 0..L {
-        x[j] = (x[j] & keep) | (d[j] & !keep);
+    reduce_once(x, n, Secret::new(0));
+    for limb in x {
+        *limb &= MASK;
     }
 }
 
@@ -534,7 +533,6 @@ macro_rules! vertical_kernel {
                 moduli: &[&Radix52<LIMBS>; LANES],
                 bases: &[Limbs52<LIMBS>; LANES],
             ) -> (Residue, Residue, Residue, $V, Residue) {
-                // lint: secret(bases)
                 let n = transpose(std::array::from_fn(|k| &moduli[k].n));
                 let rr = transpose(std::array::from_fn(|k| &moduli[k].rr));
                 let x = transpose(std::array::from_fn(|k| &bases[k]));
@@ -562,6 +560,7 @@ macro_rules! vertical_kernel {
     // The secret-exponent entry: fixed 4-bit windows with a masked
     // table scan.
     (@secret $V:ident, $setzero:ident, $set1:ident, $cmpeq:ident, $mov:ident) => {
+        use crate::ct::Secret;
         use crate::mont::WINDOW;
         use crate::ubig::UBig;
         use std::arch::x86_64::{$cmpeq, $mov};
@@ -574,9 +573,11 @@ macro_rules! vertical_kernel {
         /// entries in turn.
         #[inline]
         #[target_feature(enable = "avx512f,avx512vl,avx512ifma")]
-        fn select(table: &[Residue; TABLE], exps: &[&UBig; LANES], pos: usize) -> Residue {
-            // lint: secret(exps, digits, hit, out)
-            let digits = load(std::array::from_fn(|k| exps[k].bits_at(pos, WINDOW)));
+        fn select(table: &[Residue; TABLE], exps: &[Secret<&UBig>; LANES], pos: usize) -> Residue {
+            // The digits enter a vector register, and it and the compare
+            // masks made from it only pick entries by masked moves: no
+            // lane's digit is branched on or used as an address.
+            let digits = load(std::array::from_fn(|k| exps[k].window(pos, WINDOW).declassify()));
             let mut out = [$setzero(); LIMBS];
             for (i, entry) in table.iter().enumerate() {
                 let hit = $cmpeq(digits, $set1(i as i64));
@@ -601,10 +602,9 @@ macro_rules! vertical_kernel {
         pub(super) fn pow(
             moduli: &[&Radix52<LIMBS>; LANES],
             bases: &[Limbs52<LIMBS>; LANES],
-            exps: &[&UBig; LANES],
+            exps: &[Secret<&UBig>; LANES],
             out: &mut [Limbs52<LIMBS>; LANES],
         ) {
-            // lint: secret(bases, exps, x, table, acc, next)
             let (n, rr, x, k0, one) = operands(moduli, bases);
             // table[d] = x^d in Montgomery form, in every lane.
             let mut table = [[$setzero(); LIMBS]; TABLE];
@@ -615,7 +615,9 @@ macro_rules! vertical_kernel {
             }
             let mut bits = 0;
             for exp in &exps[..WIDTH] {
-                bits = bits.max(exp.bit_len());
+                // The bit length is public: the call's window count, and
+                // so its products, is the one thing the exponents show.
+                bits = bits.max(exp.declassify().bit_len());
             }
             let windows = bits.div_ceil(WINDOW).max(1);
             let mut acc = select(&table, exps, (windows - 1) * WINDOW);
@@ -651,7 +653,6 @@ macro_rules! vertical_kernel {
             e: u64,
             out: &mut [Limbs52<LIMBS>; LANES],
         ) {
-            // lint: secret(bases, x, xm, acc)
             let (n, rr, x, k0, one) = operands(moduli, bases);
             let bits = 64 - e.leading_zeros();
             // x in Montgomery form, which is also the accumulator after
@@ -894,7 +895,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0x1f_4b);
         let probe = Modulus52::new(&UBig::from_u64(3)).unwrap();
         let one = UBig::one();
-        if pow_lanes(&[(&probe, &one, &one)]).is_none() {
+        if pow_lanes(&[(&probe, &one, Secret::new(&one))]).is_none() {
             eprintln!("this CPU has no AVX-512 IFMA: the vertical exponentiation is skipped");
             return;
         }
@@ -953,7 +954,7 @@ mod tests {
                 let args: Vec<Lane> = picks
                     .iter()
                     .zip(bases.iter().zip(&exps))
-                    .map(|(&p, (b, e))| (&consts[p], b, e))
+                    .map(|(&p, (b, e))| (&consts[p], b, Secret::new(e)))
                     .collect();
                 let before = kernel_calls();
                 let got = pow_lanes(&args).expect("IFMA was detected");

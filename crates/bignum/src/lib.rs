@@ -7,6 +7,10 @@
 //! * [`UBig`] — an unsigned arbitrary-precision integer (little-endian `u64`
 //!   limbs) with full arithmetic, bit operations, and byte/hex/decimal
 //!   conversions.
+//! * [`ct`] — [`ct::Secret`], the type that keeps the constant-time
+//!   rule: a secret exponent, window digit, index, mask, borrow or carry
+//!   cannot be branched on, indexed by or short-circuited on, and leaves
+//!   only through `declassify`.
 //! * [`Mont`] — a Montgomery reduction context (CIOS) for fast modular
 //!   exponentiation with odd moduli, the workhorse of all public-key
 //!   operations; [`MontForm`] keeps values in Montgomery form across a
@@ -59,12 +63,16 @@
 //!
 //! # Security note
 //!
-//! This is a *reference implementation for protocol research*: operations are
-//! not constant-time and no blinding is applied at this layer. Do not reuse
-//! for production secrets.
+//! This is a *reference implementation for protocol research*. Secret
+//! exponents take one fixed-window algorithm whose exponent, digits,
+//! lookup indices, masks and carries are [`ct::Secret`]s; the rest of the
+//! arithmetic ([`UBig`] division, [`modring::inv_mod`]'s binary GCD, the
+//! prime search) branches on its operands, and no blinding is applied at
+//! this layer. Do not reuse for production secrets.
 
 #![deny(unsafe_code)]
 
+pub mod ct;
 pub mod ifma;
 pub mod modring;
 pub mod mont;

@@ -65,6 +65,11 @@
 //! * a final subtraction in every product that runs without a branch
 //!   (`reduce_once`: subtract `n`, add back `n` under the borrow's mask).
 //!
+//! The exponent, its window digits, the lookup index and the final
+//! subtraction's borrow, mask and carry are [`Secret`]s, so a branch or
+//! an index on any of them does not compile ([`crate::ct`] module doc);
+//! the residues stay `[u64]`.
+//!
 //! Why four bits: a `w`-bit window costs `2^w − 2` table products and
 //! one product per window after the first, and each window scans `2^w`
 //! entries. Five bits saves one product at 341 bits (98 against 99) and
@@ -102,6 +107,7 @@
 //! the division-based square-and-multiply that shares no code with this
 //! module.
 
+use crate::ct::{self, ct_lookup, Secret};
 use crate::ubig::UBig;
 use crate::BigError;
 
@@ -232,22 +238,10 @@ impl Mont {
         }
     }
 
-    /// Leaves Montgomery form.
-    pub fn from_form(&self, f: &MontForm) -> UBig {
-        self.from_mont(&f.limbs)
-    }
-
     /// `1` in Montgomery form.
     pub fn one_form(&self) -> MontForm {
         MontForm {
             limbs: self.one.clone(),
-        }
-    }
-
-    /// Product of two Montgomery-form values, staying in form.
-    pub fn form_mul(&self, a: &MontForm, b: &MontForm) -> MontForm {
-        MontForm {
-            limbs: self.mont_mul(&a.limbs, &b.limbs),
         }
     }
 
@@ -361,7 +355,7 @@ impl Mont {
         // Conditional final subtraction brings t into [0, n).
         let extra = t[s];
         out.copy_from_slice(&t[..s]);
-        reduce_once(out, &self.n, extra);
+        reduce_once(out, &self.n, Secret::new(extra));
     }
 
     /// Allocation-free dedicated Montgomery squaring:
@@ -457,7 +451,7 @@ impl Mont {
         }
         // Result = t[s..2s] + pending * 2^(64 s), conditionally minus n.
         out.copy_from_slice(&t[s..2 * s]);
-        reduce_once(out, &self.n, pending);
+        reduce_once(out, &self.n, Secret::new(pending));
     }
 
     /// `base^exp mod n` for an exponent that may be secret: fixed 4-bit
@@ -466,25 +460,23 @@ impl Mont {
     /// window, the zero digits' included (module doc). Buffers are
     /// allocated once, before the loop.
     pub fn pow(&self, base: &UBig, exp: &UBig) -> UBig {
-        // lint: secret(exp, acc, entry)
+        let exp = Secret::new(exp);
         let s = self.n.len();
         let mut scratch = self.alloc_scratch();
         let table = self.window_table(&self.to_mont(base));
-        let windows = exp.bit_len().div_ceil(WINDOW).max(1);
+        // The bit length is public: the number of windows, and so of
+        // products, is the one thing the exponent shows.
+        let windows = exp.declassify().bit_len().div_ceil(WINDOW).max(1);
         let mut acc = vec![0u64; s];
         let mut entry = vec![0u64; s];
         let mut tmp = vec![0u64; s];
-        ct_lookup(
-            &table,
-            exp.bits_at((windows - 1) * WINDOW, WINDOW),
-            &mut acc,
-        );
+        ct_lookup(&table, exp.window((windows - 1) * WINDOW, WINDOW), &mut acc);
         for w in (0..windows - 1).rev() {
             for _ in 0..WINDOW {
                 self.mont_sqr_into(&acc, &mut tmp, &mut scratch);
                 std::mem::swap(&mut acc, &mut tmp);
             }
-            ct_lookup(&table, exp.bits_at(w * WINDOW, WINDOW), &mut entry);
+            ct_lookup(&table, exp.window(w * WINDOW, WINDOW), &mut entry);
             self.mont_mul_into(&acc, &entry, &mut tmp, &mut scratch);
             std::mem::swap(&mut acc, &mut tmp);
         }
@@ -566,7 +558,7 @@ impl Mont {
             *limb = (v << 1) | carry;
             carry = v >> 63;
         }
-        reduce_once(a, &self.n, carry);
+        reduce_once(a, &self.n, Secret::new(carry));
     }
 
     /// `a = a + b mod n` in place; like the two helpers below, for reduced
@@ -574,7 +566,7 @@ impl Mont {
     /// Lucas sequence in `prime`, which multiplies in Montgomery form).
     pub(crate) fn add_mod(&self, a: &mut [u64], b: &[u64]) {
         let carry = add_limbs(a, b);
-        reduce_once(a, &self.n, carry as u64);
+        reduce_once(a, &self.n, Secret::new(carry as u64));
     }
 
     /// `a = a - b mod n` in place.
@@ -678,7 +670,7 @@ mod fixed {
                     t[S - 1] = cur as u64;
                     t_hi = t_hi2.wrapping_add((cur >> 64) as u64);
                 }
-                super::reduce_once(&mut t, n, t_hi);
+                super::reduce_once(&mut t, n, super::Secret::new(t_hi));
                 *out = t;
             }
 
@@ -732,7 +724,7 @@ mod fixed {
                     pending = (cur >> 64) as u64;
                 }
                 out.copy_from_slice(&t[S..2 * S]);
-                super::reduce_once(out, n, pending);
+                super::reduce_once(out, n, super::Secret::new(pending));
             }
         };
     }
@@ -849,7 +841,7 @@ fn mul6_adx(n: &[u64; 6], n0inv: u64, a: &[u64; 6], b: &[u64; 6], out: &mut [u64
         }
     }
     *out = [t0, t1, t2, t3, t4, t5];
-    reduce_once(out, n, t6);
+    reduce_once(out, n, Secret::new(t6));
     true
 }
 
@@ -882,44 +874,18 @@ pub(crate) fn sub_limbs(a: &mut [u64], b: &[u64]) -> bool {
 /// Brings `t + extra·2^(64·len)` into `[0, n)` given it is `< 2n`,
 /// branching on neither: subtracts `n` in place, then adds back
 /// `n & mask`, where the mask is all ones when the subtraction took the
-/// value below zero (a borrow out that `extra` does not cover).
+/// value below zero (a borrow out that `extra` does not cover). The
+/// carry out of the add-back cancels that borrow.
 #[inline(always)]
-fn reduce_once(t: &mut [u64], n: &[u64], extra: u64) {
-    // lint: secret(t, extra, borrow, mask, carry)
-    let mut borrow = 0u64;
-    for (tj, &nj) in t.iter_mut().zip(n) {
-        let (d1, b1) = tj.overflowing_sub(nj);
-        let (d2, b2) = d1.overflowing_sub(borrow);
-        *tj = d2;
-        borrow = (b1 | b2) as u64;
-    }
-    debug_assert!(extra <= borrow, "t + extra·2^(64·len) < 2n");
+pub(crate) fn reduce_once(t: &mut [u64], n: &[u64], extra: Secret<u64>) {
+    let borrow = ct::sub_borrow(t, n);
+    // A check of debug builds only, on the test inputs.
+    debug_assert!(
+        extra.declassify() <= borrow.declassify(),
+        "t + extra·2^(64·len) < 2n"
+    );
     let mask = (borrow & !extra).wrapping_neg();
-    let mut carry = 0u64;
-    for (tj, &nj) in t.iter_mut().zip(n) {
-        let (s1, c1) = tj.overflowing_add(nj & mask);
-        let (s2, c2) = s1.overflowing_add(carry);
-        *tj = s2;
-        carry = (c1 | c2) as u64;
-    }
-}
-
-/// Copies entry `index` of `table` (entries of `out.len()` limbs, one
-/// after another) into `out` by reading every entry and keeping the one
-/// whose position equals `index` under a mask: which entry is taken
-/// changes no address read and no branch taken.
-pub fn ct_lookup(table: &[u64], index: u64, out: &mut [u64]) {
-    // lint: secret(index, diff, mask)
-    out.fill(0);
-    for (i, entry) in (0u64..).zip(table.chunks_exact(out.len())) {
-        // All ones when i == index: `diff | −diff` has its top bit set
-        // exactly when diff is not zero.
-        let diff = i ^ index;
-        let mask = ((diff | diff.wrapping_neg()) >> 63).wrapping_sub(1);
-        for (o, &e) in out.iter_mut().zip(entry) {
-            *o |= e & mask;
-        }
-    }
+    ct::add_masked(t, n, mask);
 }
 
 /// Inverse of an odd `x` modulo 2^64 (Newton iteration, 6 steps).
@@ -964,7 +930,7 @@ mod tests {
         for v in [0u64, 1, 2, 999, 1_000_000_006] {
             let x = UBig::from_u64(v);
             assert_eq!(m.from_mont(&m.to_mont(&x)), x);
-            assert_eq!(m.from_form(&m.to_form(&x)), x);
+            assert_eq!(m.form_mul_plain(&m.to_form(&x), &UBig::one()), x);
         }
     }
 
@@ -1015,10 +981,9 @@ mod tests {
         let m = Mont::new(&n).unwrap();
         let a = UBig::from_hex("deadbeefcafebabe112233445566").unwrap();
         let b = UBig::from_hex("aabbccddeeff00112233445566778899a").unwrap();
-        let (af, bf) = (m.to_form(&a), m.to_form(&b));
-        assert_eq!(m.from_form(&m.form_mul(&af, &bf)), (&a * &b).rem(&n));
+        let af = m.to_form(&a);
         assert_eq!(m.form_mul_plain(&af, &b), (&a * &b).rem(&n));
-        assert_eq!(m.from_form(&m.one_form()), UBig::one());
+        assert_eq!(m.form_mul_plain(&m.one_form(), &b), b.rem(&n));
     }
 
     #[test]

@@ -119,18 +119,19 @@
 //!
 //! **Timing is out of scope here.** The constant-time discipline of
 //! [`Mont::pow`] and the IFMA kernel (one algorithm for every secret
-//! exponent, `mont` module doc) does not extend to this module, and
-//! `lint.toml` does not list it. Its scalar tests branch on the
-//! candidate: the sieve skips a candidate with a small factor, the
-//! base-2 ladder `Mont::pow2` doubles on the set bits of `d`, the Lucas
-//! chain steps on the bits of `n + 1`, a Jacobi symbol picks `D`, and the
-//! search stops at the first prime. For a rejected composite that
-//! reveals nothing kept; for the prime returned, it is one run of the
-//! ladder and the Lucas chain over a key factor. Closing that needs a
-//! primality test with a fixed operation sequence, which is not done.
-//! The random-base rounds run through [`Mont::pow`] or the lanes, so
-//! their exponent shows only its bit length.
+//! exponent, `mont` module doc) does not extend to this module, whose
+//! candidates are plain [`UBig`]s, not [`Secret`]s. Its scalar tests
+//! branch on the candidate: the sieve skips a candidate with a small
+//! factor, the base-2 ladder `Mont::pow2` doubles on the set bits of
+//! `d`, the Lucas chain steps on the bits of `n + 1`, a Jacobi symbol
+//! picks `D`, and the search stops at the first prime. For a rejected
+//! composite that reveals nothing kept; for the prime returned, it is
+//! one run of the ladder and the Lucas chain over a key factor. Closing
+//! that needs a primality test with a fixed operation sequence, which
+//! is not done. The random-base rounds run through [`Mont::pow`] or the
+//! lanes, so their exponent shows only its bit length.
 
+use crate::ct::Secret;
 use crate::ifma::{self, Modulus52};
 use crate::modring::jacobi;
 use crate::mont::Mont;
@@ -348,7 +349,10 @@ fn is_probable_prime<R: BigRng + ?Sized>(
 /// (`⌈bases / 8⌉` of them); `None` without the kernel.
 fn random_round_powers(n: &UBig, bases: &[UBig], d: &UBig) -> Option<Vec<UBig>> {
     let modulus = Modulus52::new(n).expect("odd, at most 362 bits");
-    let lanes: Vec<ifma::Lane> = bases.iter().map(|a| (&modulus, a, d)).collect();
+    let lanes: Vec<ifma::Lane> = bases
+        .iter()
+        .map(|a| (&modulus, a, Secret::new(d)))
+        .collect();
     let before = ifma::kernel_calls();
     let powers = ifma::pow_lanes(&lanes)?;
     count(|c| c.kernel_calls += ifma::kernel_calls() - before);
@@ -371,7 +375,7 @@ fn pass_base2_fermat(batch: Vec<UBig>) -> Vec<UBig> {
     let lanes: Vec<ifma::Lane> = moduli
         .iter()
         .zip(&exponents)
-        .map(|(m, e)| (m, &two, e))
+        .map(|(m, e)| (m, &two, Secret::new(e)))
         .collect();
     let before = ifma::kernel_calls();
     let Some(powers) = ifma::pow_lanes(&lanes) else {

@@ -20,6 +20,7 @@
 //! threads (libtest's main thread, a concurrent test) never land in a
 //! measurement.
 
+use p2drm_bignum::ct::Secret;
 use p2drm_bignum::ifma::{self, Modulus52};
 use p2drm_bignum::{modring, prime, rng::random_bits, Mont, UBig};
 use rand::rngs::StdRng;
@@ -177,8 +178,16 @@ fn pow_main_loop_is_allocation_free() {
             .collect()
     };
     let (short, long) = (exps(64), exps(341));
-    let lanes_short: Vec<_> = consts.iter().zip(&short).map(|(c, e)| (c, &x, e)).collect();
-    let lanes_long: Vec<_> = consts.iter().zip(&long).map(|(c, e)| (c, &x, e)).collect();
+    let lanes_short: Vec<_> = consts
+        .iter()
+        .zip(&short)
+        .map(|(c, e)| (c, &x, Secret::new(e)))
+        .collect();
+    let lanes_long: Vec<_> = consts
+        .iter()
+        .zip(&long)
+        .map(|(c, e)| (c, &x, Secret::new(e)))
+        .collect();
     let _ = ifma::pow_lanes(&lanes_long);
     let (r_short, a_short) = allocs_during(|| ifma::pow_lanes(&lanes_short));
     let (r_long, a_long) = allocs_during(|| ifma::pow_lanes(&lanes_long));

@@ -71,6 +71,7 @@ pub enum CoreError {
     /// License signature or structure invalid.
     BadLicense(&'static str),
     /// License id already redeemed/transferred (the paper's unique-ID rule).
+    /// The id is for the caller to match on; the message omits it.
     AlreadyRedeemed(LicenseId),
     /// Rights denied the requested action.
     Denied(p2drm_rel::DenyReason),
@@ -82,7 +83,7 @@ pub enum CoreError {
     BadProof,
     /// Unknown content id.
     UnknownContent(ContentId),
-    /// Unknown license id.
+    /// Unknown license id (omitted from the message, as above).
     UnknownLicense(LicenseId),
     /// Evidence presented to the TTP failed verification.
     BadEvidence(&'static str),
@@ -98,13 +99,13 @@ impl std::fmt::Display for CoreError {
             CoreError::Payment(e) => write!(f, "payment: {e}"),
             CoreError::Store(e) => write!(f, "store: {e}"),
             CoreError::BadLicense(m) => write!(f, "bad license: {m}"),
-            CoreError::AlreadyRedeemed(id) => write!(f, "license {id} already redeemed"),
+            CoreError::AlreadyRedeemed(_) => write!(f, "license already redeemed"),
             CoreError::Denied(r) => write!(f, "denied: {r}"),
             CoreError::Revoked(what) => write!(f, "revoked: {what}"),
             CoreError::BadPseudonym(m) => write!(f, "pseudonym rejected: {m}"),
             CoreError::BadProof => write!(f, "holder proof failed"),
             CoreError::UnknownContent(id) => write!(f, "unknown content {id}"),
-            CoreError::UnknownLicense(id) => write!(f, "unknown license {id}"),
+            CoreError::UnknownLicense(_) => write!(f, "unknown license"),
             CoreError::BadEvidence(m) => write!(f, "evidence rejected: {m}"),
             CoreError::Card(m) => write!(f, "smart card refused: {m}"),
         }

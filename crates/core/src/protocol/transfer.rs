@@ -158,6 +158,34 @@ mod tests {
     }
 
     #[test]
+    fn replayed_transfer_refusal_names_no_license_id() {
+        // A replay toward a different recipient is refused over the wire;
+        // the refusal's text must not carry the license id, which would
+        // link the replayed request to the license it names.
+        let mut f = fixture(197);
+        let mut rng = test_rng(198);
+        let lid = f.license.id();
+        let saved_license = f.license.clone();
+        let alice_pseudonym = f.alice.licenses()[0].pseudonym;
+        f.sys
+            .transfer(&mut f.alice, &mut f.bob, lid, &mut rng)
+            .unwrap();
+        f.alice.add_license(saved_license, alice_pseudonym);
+        let mut carol = f.sys.register_user("carol", &mut rng).unwrap();
+        let res = f.sys.transfer(&mut f.alice, &mut carol, lid, &mut rng);
+        let Err(WireError::Api(refusal)) = res else {
+            panic!("a replay must be refused: {res:?}");
+        };
+        assert_eq!(refusal.code, ApiErrorCode::AlreadyRedeemed);
+        let prefix: String = lid.0[..2].iter().map(|b| format!("{b:02x}")).collect();
+        assert!(
+            !refusal.detail.contains(&prefix),
+            "detail {:?} names the license id",
+            refusal.detail
+        );
+    }
+
+    #[test]
     fn transfer_limit_chain_exhausts() {
         // fast_test grants transfer count=2: A->B->C works, C->D denied.
         let mut f = fixture(194);

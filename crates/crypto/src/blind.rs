@@ -23,6 +23,7 @@
 use crate::rng::CryptoRng;
 use crate::rsa::{fdh, RsaKeyPair, RsaPublicKey, RsaSignature};
 use crate::CryptoError;
+use p2drm_bignum::ct::Secret;
 use p2drm_bignum::{modring, rng as brng, UBig};
 
 /// A message blinded for signing, plus the requester's secret unblinding
@@ -32,7 +33,7 @@ pub struct Blinded {
     /// Value to send to the signer.
     pub blinded: UBig,
     /// Unblinding secret `r^{-1} mod n` (kept by the requester).
-    r_inv: UBig,
+    r_inv: Secret<UBig>,
     /// The FDH image of the message (for the final self-check).
     h: UBig,
 }
@@ -46,9 +47,8 @@ impl Blinded {
     ) -> Result<Self, CryptoError> {
         let n = pk.modulus();
         let h = fdh(message, pk.modulus_len());
-        // lint: secret(r, r_inv)
         let (r, r_inv) = blinding_factor(n, rng);
-        let re = pk.raw_public(&r);
+        let re = blind_factor_power(pk, r.as_ref());
         let blinded = pk_mul(pk, &h, &re);
         Ok(Blinded { blinded, r_inv, h })
     }
@@ -59,10 +59,12 @@ impl Blinded {
         pk: &RsaPublicKey,
         blind_sig: &UBig,
     ) -> Result<RsaSignature, CryptoError> {
-        // lint: secret(r_inv)
-        let s = pk_mul(pk, blind_sig, &self.r_inv);
+        // s is the final signature, published on success, so the check
+        // below branches on public values once issued. r⁻¹ itself enters
+        // the division-based `mul_mod` here, the variable-time gap
+        // ROADMAP item 19 names for `inv_mod`.
+        let s = pk_mul(pk, blind_sig, self.r_inv.as_ref().declassify());
         // Self-check: s^e must equal the FDH image.
-        // lint: public(s is the final signature, published on success; both compared values are public once issued)
         if pk.raw_public(&s) != self.h {
             return Err(CryptoError::BadSignature);
         }
@@ -74,15 +76,25 @@ impl Blinded {
 /// trying to invert: the inversion runs the GCD a separate coprimality
 /// test would, so a draw that shares a factor with `n` costs one failed
 /// inversion and a redraw.
-fn blinding_factor<R: CryptoRng + ?Sized>(n: &UBig, rng: &mut R) -> (UBig, UBig) {
+fn blinding_factor<R: CryptoRng + ?Sized>(n: &UBig, rng: &mut R) -> (Secret<UBig>, Secret<UBig>) {
     loop {
-        // lint: secret(r)
-        let r = brng::random_range(rng, &UBig::one(), n);
-        // lint: public(a refusal says only that the discarded draw shared a factor with the public modulus; the r that is kept never reaches a branch)
-        if let Ok(r_inv) = modring::inv_mod(&r, n) {
-            return (r, r_inv);
+        let r = Secret::new(brng::random_range(rng, &UBig::one(), n));
+        // ROADMAP item 19: `modring::inv_mod` is a binary GCD whose steps
+        // branch on r, so its timing depends on the kept r too, not only
+        // on a refused one. A refusal itself says only that the discarded
+        // draw shared a factor with the public modulus.
+        if let Ok(r_inv) = modring::inv_mod(r.as_ref().declassify(), n) {
+            return (r, Secret::new(r_inv));
         }
     }
+}
+
+/// `r^e mod n`, the factor that blinds a message.
+fn blind_factor_power(pk: &RsaPublicKey, r: Secret<&UBig>) -> UBig {
+    // `Mont::pow_u64` branches on the bits of the public e only; entering
+    // Montgomery form compares r with n limb by limb, the same class of
+    // gap as `inv_mod` (ROADMAP item 19).
+    pk.raw_public(r.declassify())
 }
 
 fn pk_mul(pk: &RsaPublicKey, a: &UBig, b: &UBig) -> UBig {
@@ -166,7 +178,7 @@ pub struct CutChooseRequest {
 
 struct Candidate {
     message: Vec<u8>,
-    r: UBig,
+    r: Secret<UBig>,
     blinded: Blinded,
 }
 
@@ -199,7 +211,7 @@ impl CutChooseRequest {
             let message = make_message(i);
             let h = fdh(&message, pk.modulus_len());
             let (r, r_inv) = blinding_factor(n, rng);
-            let blinded_val = pk_mul(pk, &h, &pk.raw_public(&r));
+            let blinded_val = pk_mul(pk, &h, &blind_factor_power(pk, r.as_ref()));
             candidates.push(Candidate {
                 message,
                 r,
@@ -232,7 +244,9 @@ impl CutChooseRequest {
                     i,
                     Opening {
                         message: c.message.clone(),
-                        r: c.r.clone(),
+                        // Opening a candidate reveals its r to the
+                        // issuer: that is the audit.
+                        r: c.r.as_ref().declassify().clone(),
                     },
                 )
             })
@@ -316,6 +330,7 @@ mod tests {
         let n = UBig::from_u64(3 * 5 * 7 * 11 * 13); // over half the draws share a factor
         for _ in 0..50 {
             let (r, r_inv) = blinding_factor(&n, &mut rng);
+            let (r, r_inv) = (r.declassify(), r_inv.declassify());
             assert!(!r.is_zero() && r < n);
             assert!(modring::mul_mod(&r, &r_inv, &n).is_one());
         }

@@ -21,7 +21,6 @@ fn quarter_round(state: &mut [u32; 16], a: usize, b: usize, c: usize, d: usize) 
 
 /// Computes one 64-byte keystream block for (key, nonce, counter).
 pub fn block(key: &[u8; KEY_LEN], nonce: &[u8; NONCE_LEN], counter: u32) -> [u8; 64] {
-    // lint: secret(key)
     let mut state = [0u32; 16];
     // "expand 32-byte k"
     state[0] = 0x6170_7865;
@@ -71,7 +70,6 @@ pub fn apply_keystream(
     initial_counter: u32,
     data: &mut [u8],
 ) {
-    // lint: secret(key)
     let blocks = data.len().div_ceil(64) as u64;
     assert!(
         u64::from(initial_counter) + blocks <= 1 << 32,

@@ -11,21 +11,22 @@
 //! validated by tests (`p` and `(p-1)/2` prime, generator of order
 //! `(p-1)/2`).
 //!
-//! Every exponent here is secret (the ephemeral `y` of an encryption, the
-//! TTP's `x` on decryption), and every exponentiation keeps the one
-//! algorithm of `p2drm_bignum::mont`: encryption's `g^y` and `h^y` run a
-//! fixed-base comb that takes a product at every 4-bit digit, zero
-//! digits included, with the digit's entry picked by
-//! [`ct_lookup`]'s scan of all 16; decryption's `c1^x` is
-//! [`Mont::pow`]. The scan and the products on zero digits cost ×1.12
-//! per MODP-1024 comb against an indexed, skipping comb (`mont` module
-//! doc).
+//! Every exponent here is secret (the ephemeral `y` of an encryption,
+//! the TTP's `x` on decryption), and every exponentiation keeps the one
+//! algorithm of `p2drm_bignum::mont`: encryption's `g^y` and `h^y` run
+//! a fixed-base comb that takes a product at every 4-bit digit, zero
+//! digits included, with the digit's entry picked by [`ct_lookup`]'s
+//! scan of all 16 under the digit as a [`Secret`]; decryption's `c1^x`
+//! is [`Mont::pow`]. The scan and the products on zero digits cost
+//! ×1.12 per MODP-1024 comb against an indexed, skipping comb (`mont`
+//! module doc).
 
 use crate::kdf;
 use crate::rng::CryptoRng;
 use crate::sha256::DIGEST_LEN;
 use crate::{chacha20, hmac, CryptoError};
-use p2drm_bignum::mont::{ct_lookup, WINDOW};
+use p2drm_bignum::ct::{ct_lookup, Secret};
+use p2drm_bignum::mont::WINDOW;
 use p2drm_bignum::{rng as brng, Mont, UBig};
 use p2drm_codec::{Decode, Encode, Reader, Writer};
 use std::sync::{Arc, OnceLock};
@@ -88,9 +89,9 @@ impl FixedBase {
     /// digit takes a product, zero digits included, with the entry
     /// [`ct_lookup`] picks by scanning all 16.
     fn pow(&self, mont: &Mont, exp: &UBig) -> Option<UBig> {
-        // lint: secret(exp, acc, entry)
-        // lint: public(the exponent bit length is a key-size parameter)
-        if exp.bit_len() > self.bits {
+        let exp = Secret::new(exp);
+        // The exponent bit length is a key-size parameter.
+        if exp.declassify().bit_len() > self.bits {
             return None;
         }
         let s = mont.limb_len();
@@ -99,7 +100,7 @@ impl FixedBase {
         let mut tmp = vec![0u64; s];
         let mut scratch = mont.alloc_scratch();
         for (i, table) in self.tables.iter().enumerate() {
-            ct_lookup(table, exp.bits_at(i * WINDOW, WINDOW), &mut entry);
+            ct_lookup(table, exp.window(i * WINDOW, WINDOW), &mut entry);
             mont.mont_mul_into(&acc, &entry, &mut tmp, &mut scratch);
             std::mem::swap(&mut acc, &mut tmp);
         }
@@ -259,7 +260,6 @@ impl ElGamalKeyPair {
 
     /// Decrypts and authenticates.
     pub fn decrypt(&self, ct: &ElGamalCiphertext) -> Result<Vec<u8>, CryptoError> {
-        // lint: secret(x)
         let group = &self.public.group;
         if ct.c1.is_zero() || &ct.c1 >= group.modulus() {
             return Err(CryptoError::BadCiphertext);
@@ -269,7 +269,8 @@ impl ElGamalKeyPair {
         let mut mac = hmac::HmacSha256::new(&mac_key);
         mac.update(&ct.c1.to_bytes_be());
         mac.update(&ct.body);
-        // lint: public(MAC validity is the output of authenticated decryption; the tag comparison itself is constant-time)
+        // MAC validity is the output of authenticated decryption; the tag
+        // comparison itself is constant-time.
         if !mac.verify(&ct.tag) {
             return Err(CryptoError::BadCiphertext);
         }
@@ -301,7 +302,7 @@ impl ElGamalPublicKey {
         plaintext: &[u8],
         rng: &mut R,
     ) -> ElGamalCiphertext {
-        let y = self.group.random_exponent(rng); // lint: secret
+        let y = self.group.random_exponent(rng);
         let c1 = self.group.pow_g(&y);
         let shared = self.pow_h(&y);
         let (enc_key, mac_key) = derive_keys(&shared);
@@ -326,7 +327,6 @@ impl ElGamalPublicKey {
 ///
 /// Fresh ephemeral exponent per message means a fixed ChaCha20 nonce is safe.
 fn derive_keys(shared: &UBig) -> ([u8; 32], Vec<u8>) {
-    // lint: secret(shared)
     let ikm = shared.to_bytes_be();
     let okm = kdf::derive(b"p2drm-elgamal-hybrid", &ikm, b"env", 64);
     let enc_key: [u8; 32] = okm[..32].try_into().unwrap();

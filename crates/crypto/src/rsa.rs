@@ -27,6 +27,7 @@
 use crate::rng::CryptoRng;
 use crate::sha256::{sha256, DIGEST_LEN};
 use crate::CryptoError;
+use p2drm_bignum::ct::Secret;
 use p2drm_bignum::ifma::{self, Modulus52, PublicModulus52};
 use p2drm_bignum::{modring, prime, Mont, MontForm, UBig};
 use p2drm_codec::{Decode, Encode, Reader, Writer};
@@ -391,7 +392,6 @@ impl RsaKeyPair {
     /// [`ifma::pow_lanes`] call (`⌈k·inputs / 8⌉` kernel calls for a
     /// `k`-prime key), or one [`Mont::pow`] each on the per-prime path.
     fn raw_private_batch(&self, xs: &[&UBig]) -> Vec<UBig> {
-        // lint: secret(xs, x, factors, powers, f)
         let powers = self.vertical_powers(xs).unwrap_or_else(|| {
             xs.iter()
                 .flat_map(|x| self.factors.iter().map(move |f| f.mont.pow(x, &f.d)))
@@ -407,11 +407,10 @@ impl RsaKeyPair {
     /// vertical kernel; or `None` when a prime is too wide for it or the
     /// CPU lacks AVX-512 IFMA.
     fn vertical_powers(&self, xs: &[&UBig]) -> Option<Vec<UBig>> {
-        // lint: secret(xs, x, factors, lanes, f)
         let mut lanes = Vec::with_capacity(xs.len() * self.factors.len());
         for &x in xs {
             for f in &self.factors {
-                lanes.push((f.r52.as_ref()?, x, &f.d));
+                lanes.push((f.r52.as_ref()?, x, Secret::new(&f.d)));
             }
         }
         ifma::pow_lanes(&lanes)
@@ -420,7 +419,6 @@ impl RsaKeyPair {
     /// Garner's recombination of one input's per-prime powers, in factor
     /// order.
     fn garner(&self, powers: &[UBig]) -> UBig {
-        // lint: secret(factors, powers, first, rest, f, r, t, m, mi, h, radix)
         let (first, rest) = self.factors.split_first().expect("a key has >= 2 factors");
         let (m1, others) = powers.split_first().expect("one power per factor");
         let mut m = m1.clone();

@@ -102,10 +102,12 @@ enum Accum {
 /// Accumulates metrics for one snapshot, merging same-name entries:
 /// counters and gauges sum, histograms merge. Name/kind collisions
 /// across kinds keep the first kind seen and ignore the rest (a wiring
-/// bug, but never worth panicking a serving path over).
+/// bug, but never worth panicking a serving path over). Names are
+/// `&'static str`, as the [`Registry`]'s are: nothing computed at run
+/// time, an id least of all, becomes a metric name.
 #[derive(Default)]
 pub struct SnapshotBuilder {
-    entries: BTreeMap<String, Accum>,
+    entries: BTreeMap<&'static str, Accum>,
 }
 
 impl SnapshotBuilder {
@@ -115,34 +117,26 @@ impl SnapshotBuilder {
     }
 
     /// Adds `v` to the counter `name`.
-    pub fn counter(&mut self, name: &str, v: u64) {
-        match self
-            .entries
-            .entry(name.to_string())
-            .or_insert(Accum::Counter(0))
-        {
+    pub fn counter(&mut self, name: &'static str, v: u64) {
+        match self.entries.entry(name).or_insert(Accum::Counter(0)) {
             Accum::Counter(c) => *c += v,
             Accum::Gauge(_) | Accum::Hist(_) => {}
         }
     }
 
     /// Adds `v` to the gauge `name`.
-    pub fn gauge(&mut self, name: &str, v: i64) {
-        match self
-            .entries
-            .entry(name.to_string())
-            .or_insert(Accum::Gauge(0))
-        {
+    pub fn gauge(&mut self, name: &'static str, v: i64) {
+        match self.entries.entry(name).or_insert(Accum::Gauge(0)) {
             Accum::Gauge(g) => *g += v,
             Accum::Counter(_) | Accum::Hist(_) => {}
         }
     }
 
     /// Merges `h` into the histogram `name`.
-    pub fn histogram(&mut self, name: &str, h: &Histogram) {
+    pub fn histogram(&mut self, name: &'static str, h: &Histogram) {
         match self
             .entries
-            .entry(name.to_string())
+            .entry(name)
             .or_insert_with(|| Accum::Hist(Histogram::new()))
         {
             Accum::Hist(acc) => acc.merge(h),
@@ -162,7 +156,7 @@ impl SnapshotBuilder {
                         Accum::Gauge(g) => MetricValue::Gauge(g),
                         Accum::Hist(h) => MetricValue::Histogram(h.summary()),
                     };
-                    (name, value)
+                    (name.to_string(), value)
                 })
                 .collect(),
         }

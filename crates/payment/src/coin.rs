@@ -4,8 +4,9 @@ use p2drm_codec::{Decode, Encode, Reader, Writer};
 use p2drm_crypto::blind;
 use p2drm_crypto::rsa::{RsaPublicKey, RsaSignature};
 
-/// An anonymous bearer coin.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// An anonymous bearer coin. Its serial and signature each identify it,
+/// so its `Debug` shows only the denomination.
+#[derive(Clone, PartialEq, Eq)]
 pub struct Coin {
     /// 32-byte random serial, chosen by the withdrawer, unseen by the mint
     /// until deposit.
@@ -14,6 +15,14 @@ pub struct Coin {
     pub denomination: u64,
     /// Mint blind signature over [`Coin::message_bytes`].
     pub signature: RsaSignature,
+}
+
+impl std::fmt::Debug for Coin {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Coin")
+            .field("denomination", &self.denomination)
+            .finish_non_exhaustive()
+    }
 }
 
 impl Coin {
@@ -111,5 +120,6 @@ mod tests {
         let back: Coin = p2drm_codec::from_bytes(&bytes).unwrap();
         assert_eq!(back, coin);
         assert!(back.verify(kp.public()));
+        assert_eq!(format!("{coin:?}"), "Coin { denomination: 500, .. }");
     }
 }

@@ -9,6 +9,8 @@ use p2drm_crypto::rsa::{RsaPublicKey, RsaSignature};
 use p2drm_crypto::sha256::sha256;
 
 /// 32-byte key identifier: SHA-256 fingerprint of a canonical public key.
+/// A pseudonym's key id is linkable, so it has no hex rendering and its
+/// `Debug` prints `KeyId(..)`.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct KeyId(pub [u8; 32]);
 
@@ -22,16 +24,11 @@ impl KeyId {
     pub fn of_elgamal(pk: &ElGamalPublicKey) -> Self {
         KeyId(pk.fingerprint())
     }
-
-    /// Short hex rendering (first 8 bytes) for logs.
-    pub fn short_hex(&self) -> String {
-        self.0[..8].iter().map(|b| format!("{b:02x}")).collect()
-    }
 }
 
 impl std::fmt::Debug for KeyId {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "KeyId({}…)", self.short_hex())
+        f.write_str("KeyId(..)")
     }
 }
 

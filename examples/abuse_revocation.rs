@@ -26,11 +26,7 @@ fn main() {
         .find(|c| c.pseudonym_id() == mallory_pseudonym)
         .unwrap()
         .clone();
-    println!(
-        "mallory bought {} under pseudonym {}",
-        license.id(),
-        mallory_pseudonym.short_hex()
-    );
+    println!("mallory bought a license under her pseudonym");
 
     // Mallory signs transfer authorizations toward TWO different buyers.
     let mut buyer1 = system.register_user("buyer1", &mut rng).unwrap();
@@ -78,11 +74,7 @@ fn main() {
         &mut transcript,
     )
     .unwrap();
-    println!(
-        "\nTTP opened the escrow: pseudonym {} belongs to user {}",
-        mallory_cert.pseudonym_id().short_hex(),
-        unmasked
-    );
+    println!("\nTTP opened the escrow: mallory's pseudonym belongs to user {unmasked}");
     assert_eq!(unmasked, mallory.user_id());
     println!(
         "RA card-CRL now has {} entry(ies)",

@@ -41,9 +41,7 @@ fn main() {
     assert!(!leaked);
 
     println!(
-        "license {} bound to pseudonym {} with rights: {}",
-        license.id(),
-        alice.licenses()[0].pseudonym.short_hex(),
+        "license bound to alice's pseudonym with rights: {}",
         p2drm::rel::printer::print(&license.body.rights),
     );
 
