@@ -1,14 +1,12 @@
-//! Kept: no ledger row (plain vs blind vs cut-and-choose issuance).
+//! Kept: no ledger row (plain vs blind issuance).
 //!
-//! E9 (ablation): what blind issuance costs over plain issuance, and the
-//! price of cut-and-choose honesty amplification.
+//! E9 (ablation): what blind issuance costs over plain issuance.
 //!
-//! Shape claims: blinding adds ~2 modular exponentiations + 1 inverse over
-//! a plain FDH signature (small constant factor); cut-and-choose scales
-//! linearly in k (k blinded candidates prepared, k-1 audited).
+//! Shape claim: blinding adds ~2 modular exponentiations + 1 inverse over
+//! a plain FDH signature (small constant factor).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use p2drm_crypto::blind::{self, Blinded, CutChooseIssuer, CutChooseRequest};
+use p2drm_crypto::blind::{self, Blinded};
 use p2drm_crypto::rng::test_rng;
 use p2drm_crypto::rsa::{fdh, RsaKeyPair};
 use std::time::Duration;
@@ -45,30 +43,6 @@ fn bench_issuance(c: &mut Criterion) {
         });
     }
 
-    // Cut-and-choose sweep at 512 bits.
-    let kp = RsaKeyPair::generate(512, &mut test_rng(0xB9_20));
-    for &k in &[1usize, 2, 4, 8] {
-        group.bench_function(BenchmarkId::new("cut_and_choose", k), |b| {
-            let mut rng = test_rng(0xB9_30 + k as u64);
-            b.iter(|| {
-                let req = CutChooseRequest::prepare(
-                    kp.public(),
-                    k,
-                    |i| format!("candidate-{i}").into_bytes(),
-                    &mut rng,
-                )
-                .unwrap();
-                let blinded = req.blinded_values();
-                let keep = CutChooseIssuer::choose(k, &mut rng);
-                let openings = req.open_all_but(keep);
-                let s = CutChooseIssuer::audit_and_sign(&kp, &blinded, keep, &openings, |m| {
-                    m.starts_with(b"candidate-")
-                })
-                .unwrap();
-                req.finish(kp.public(), keep, &s).unwrap()
-            })
-        });
-    }
     group.finish();
 }
 

@@ -93,8 +93,9 @@
 //!
 //! The backend type parameter picks the deployment shape:
 //!
-//! * [`MemKv`] (the [`MemBackend`] default, [`ContentProvider::new`]) —
-//!   volatile, lock-sharded (eight shards); tests and simulations;
+//! * [`MemKv`] (the [`MemBackend`] default, eight shards under
+//!   `System::bootstrap`) — volatile, lock-sharded; tests and
+//!   simulations;
 //! * [`WalShardedKv`] ([`ContentProvider::open_durable`]) — the
 //!   production shape: 1..N per-shard WALs with group commit, so the
 //!   provider survives an unclean drop. Reopen with
@@ -104,9 +105,11 @@
 //!   winner — the claim is WAL-logged before the in-memory index changes,
 //!   so the exactly-once decision is as durable as the chosen
 //!   [`p2drm_store::SyncPolicy`];
-//! * any other [`ConcurrentKv`] ([`ContentProvider::with_backend`]) —
-//!   wrappers that inject faults or record timings around one of the
-//!   two above.
+//! * any other [`ConcurrentKv`] — wrappers that inject faults or record
+//!   timings around one of the two above.
+//!
+//! [`ContentProvider::with_backend`] builds a provider with a fresh
+//! signing identity over any of them.
 
 use crate::content::{
     self, CatalogEntry, CatalogListing, ContentCatalog, ContentMeta, PackagedContent,
@@ -137,10 +140,6 @@ use std::sync::Arc;
 
 /// The default volatile backend: lock-sharded in-memory store.
 pub type MemBackend = MemKv;
-
-/// Lock shards of the in-memory store [`ContentProvider::new`] builds (a
-/// caller-supplied backend brings its own).
-const STORE_SHARDS: usize = 8;
 
 /// Entry bound of the signature-verification cache consulted by
 /// [`ContentProvider::verify_pseudonym`] and the attribute-credential
@@ -345,20 +344,6 @@ impl<B: ConcurrentKv> p2drm_obs::MetricSource for ContentProvider<B> {
     }
 }
 
-impl ContentProvider<MemBackend> {
-    /// Provider with a volatile store, lock-sharded eight ways.
-    pub fn new<R: CryptoRng + ?Sized>(
-        root: &mut CertificateAuthority,
-        mint: Mint,
-        ra_blind_key: RsaPublicKey,
-        config: ProviderConfig,
-        rng: &mut R,
-    ) -> Self {
-        let store = MemKv::with_shards(STORE_SHARDS);
-        Self::with_backend(root, mint, ra_blind_key, store, config, rng)
-    }
-}
-
 impl ContentProvider<WalShardedKv> {
     /// Opens a **durable** provider over a [`WalShardedKv`] directory:
     /// N per-shard write-ahead logs with group commit at
@@ -407,9 +392,9 @@ impl ContentProvider<WalShardedKv> {
 }
 
 impl<B: ConcurrentKv> ContentProvider<B> {
-    /// Provider over any concurrent store backend — the most general
-    /// constructor ([`ContentProvider::new`] and [`open_durable`] are
-    /// conveniences over it).
+    /// Provider with a fresh signing identity over any concurrent store
+    /// backend, taken as given ([`open_durable`] also restores the
+    /// tables an existing WAL directory holds).
     ///
     /// [`open_durable`]: ContentProvider::open_durable
     pub fn with_backend<R: CryptoRng + ?Sized>(

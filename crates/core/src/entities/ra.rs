@@ -167,65 +167,6 @@ impl RegistrationAuthority {
         Ok(blind::blind_sign(&self.keys.blind, blinded)?)
     }
 
-    /// Cut-and-choose pseudonym issuance: the card submits `k` blinded
-    /// candidates, the RA opens all but one and audits them (structural
-    /// well-formedness + epoch), then blind-signs the survivor. A card
-    /// submitting a malformed candidate (e.g. a bogus escrow) is caught
-    /// with probability `(k-1)/k` — and the attempt is evidence.
-    ///
-    /// Returns `(kept_index, blind_signature)`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn issue_pseudonym_cut_and_choose<R: CryptoRng + ?Sized>(
-        &self,
-        card_id: CardId,
-        card_cert: &Certificate,
-        blinded_values: &[UBig],
-        auth_sig: &RsaSignature,
-        open: impl FnOnce(usize) -> Vec<(usize, p2drm_crypto::blind::Opening)>,
-        expected_epoch: u32,
-        now: u64,
-        rng: &mut R,
-    ) -> Result<(usize, UBig), CoreError> {
-        card_cert.verify(self.identity_public(), now)?;
-        self.state
-            .lock()
-            .check_card(&card_id, &card_cert.subject_id())?;
-        // Authenticate the whole candidate set at once, bound to the
-        // claimed card id.
-        let master_key = card_cert.body.subject_key.as_rsa()?;
-        master_key
-            .verify(
-                &messages::cut_choose_auth_bytes(&card_id, blinded_values),
-                auth_sig,
-            )
-            .map_err(|_| CoreError::BadProof)?;
-
-        let keep = p2drm_crypto::blind::CutChooseIssuer::choose(blinded_values.len(), rng);
-        let openings = open(keep);
-        let key_bits = self.key_bits;
-        let blind_sig = p2drm_crypto::blind::CutChooseIssuer::audit_and_sign(
-            &self.keys.blind,
-            blinded_values,
-            keep,
-            &openings,
-            |message| {
-                // Structural audit: decodes as a pseudonym body, epoch
-                // matches, key has the mandated size. (Escrow *content*
-                // is only checkable by the TTP — the paper's residual
-                // trust assumption; the gamble is what deters cheating.)
-                match p2drm_codec::from_bytes::<p2drm_pki::cert::PseudonymCertBody>(message) {
-                    Ok(body) => {
-                        body.epoch == expected_epoch
-                            && body.pseudonym_key.modulus().bit_len() == key_bits
-                    }
-                    Err(_) => false,
-                }
-            },
-        )
-        .map_err(|_| CoreError::BadEvidence("cut-and-choose audit failed"))?;
-        Ok((keep, blind_sig))
-    }
-
     /// Revokes the card belonging to `user` (post-de-anonymization).
     pub fn revoke_user(&self, user: &UserId) -> Result<(), CoreError> {
         let mut state = self.state.lock();

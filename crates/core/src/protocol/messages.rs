@@ -317,20 +317,6 @@ pub fn attribute_auth_bytes(card_id: &CardId, attribute: &str, blinded: &UBig) -
     w.into_bytes()
 }
 
-/// The bytes a card signs to authenticate a cut-and-choose candidate
-/// set: domain tag, claimed card id, then the length-prefixed candidates
-/// (count first, so two sets cannot collide by concatenation).
-pub fn cut_choose_auth_bytes(card_id: &CardId, blinded_values: &[UBig]) -> Vec<u8> {
-    let mut w = Writer::with_capacity(64 * (blinded_values.len() + 1));
-    w.put_raw(b"p2drm-cut-choose-auth");
-    card_id.encode(&mut w);
-    w.put_varint(blinded_values.len() as u64);
-    for b in blinded_values {
-        put_ubig(&mut w, b);
-    }
-    w.into_bytes()
-}
-
 /// Provider → Recipient: the fresh license.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TransferResponse {

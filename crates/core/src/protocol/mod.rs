@@ -12,9 +12,9 @@
 //! [`attribute::AttributeIssueSession`]), shared by the wire client and
 //! by the three engines that call the RA directly and record each
 //! message into a [`crate::Transcript`]: [`register`],
-//! [`obtain_pseudonym`] (and its cut-and-choose variant) and
-//! [`obtain_attribute`]. [`revocation`] is the TTP-side abuse pipeline;
-//! [`messages`] holds every message with its canonical encoding.
+//! [`obtain_pseudonym`] and [`obtain_attribute`]. [`revocation`] is the
+//! TTP-side abuse pipeline; [`messages`] holds every message with its
+//! canonical encoding.
 
 pub mod access;
 pub mod attribute;
@@ -26,6 +26,6 @@ pub mod revocation;
 pub mod transfer;
 
 pub use attribute::obtain_attribute;
-pub use pseudonym::{obtain_pseudonym, obtain_pseudonym_cut_and_choose};
+pub use pseudonym::obtain_pseudonym;
 pub use registration::register;
 pub use revocation::{deanonymize_and_punish, AbuseEvidence};

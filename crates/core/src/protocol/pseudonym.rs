@@ -120,76 +120,6 @@ pub fn obtain_pseudonym<R: CryptoRng + ?Sized>(
     session.finish(user, ra.blind_public(), &response)
 }
 
-/// Cut-and-choose variant of blind issuance: the card prepares `k`
-/// candidates; the RA audits `k-1` of them before signing the survivor,
-/// bounding a cheating card's success probability at `1/k` (experiment E9
-/// benches the cost sweep). The opened candidates' keys are discarded from
-/// the card (they were revealed).
-#[allow(clippy::too_many_arguments)]
-pub fn obtain_pseudonym_cut_and_choose<R: CryptoRng + ?Sized>(
-    user: &mut UserAgent,
-    ra: &RegistrationAuthority,
-    ttp_key: &ElGamalPublicKey,
-    epoch: u32,
-    now: u64,
-    k: usize,
-    rng: &mut R,
-    transcript: &mut Transcript,
-) -> Result<KeyId, CoreError> {
-    assert!(k >= 1, "cut-and-choose needs at least one candidate");
-    // Card: k fresh candidates.
-    let mut bodies = Vec::with_capacity(k);
-    for _ in 0..k {
-        bodies.push(user.card.begin_pseudonym(ttp_key, epoch, rng)?);
-    }
-    let messages: Vec<Vec<u8>> = bodies.iter().map(|b| b.signing_bytes()).collect();
-    let request = p2drm_crypto::blind::CutChooseRequest::prepare(
-        ra.blind_public(),
-        k,
-        |i| messages[i].clone(),
-        rng,
-    )?;
-    let blinded_values = request.blinded_values();
-    let auth_bytes =
-        crate::protocol::messages::cut_choose_auth_bytes(&user.card.card_id(), &blinded_values);
-    let auth_sig = user.card.sign_with_master(&auth_bytes)?;
-    transcript.record(Party::Card, Party::Ra, "cut-choose-candidates", auth_bytes);
-
-    let (keep, blind_sig) = ra.issue_pseudonym_cut_and_choose(
-        user.card.card_id(),
-        &user.card.master_cert().clone(),
-        &blinded_values,
-        &auth_sig,
-        |keep| request.open_all_but(keep),
-        epoch,
-        now,
-        rng,
-    )?;
-    transcript.record(
-        Party::Ra,
-        Party::Card,
-        "cut-choose-signature",
-        blind_sig.to_bytes_be(),
-    );
-
-    // Card: unblind the kept candidate, discard the opened ones.
-    let (_, signature) = request.finish(ra.blind_public(), keep, &blind_sig)?;
-    let kept_body = bodies.swap_remove(keep);
-    let kept_id = KeyId::of_rsa(&kept_body.pseudonym_key);
-    for body in bodies {
-        user.card
-            .forget_pseudonym(&KeyId::of_rsa(&body.pseudonym_key));
-    }
-    let cert = PseudonymCertificate {
-        body: kept_body,
-        signature,
-    };
-    cert.verify(ra.blind_public())
-        .map_err(|_| CoreError::BadPseudonym("unblinded signature invalid"))?;
-    user.add_pseudonym(cert);
-    Ok(kept_id)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -276,123 +206,6 @@ mod tests {
         assert!(!t.scan_for(Party::Ra, &cert.body.signing_bytes()));
         // The user id is escrowed (encrypted) — never in the clear.
         assert!(!t.scan_for(Party::Ra, f.user.user_id().as_bytes()));
-    }
-
-    #[test]
-    fn cut_and_choose_issues_valid_unlinkable_pseudonym() {
-        let mut f = fixture(168);
-        let mut rng = test_rng(169);
-        let mut t = Transcript::new();
-        let id = obtain_pseudonym_cut_and_choose(
-            &mut f.user,
-            &f.ra,
-            f.ttp.escrow_key(),
-            2,
-            100,
-            4,
-            &mut rng,
-            &mut t,
-        )
-        .unwrap();
-        let cert = f.user.pseudonym_certs().last().unwrap();
-        assert_eq!(cert.pseudonym_id(), id);
-        assert!(cert.verify(f.ra.blind_public()).is_ok());
-        assert_eq!(cert.body.epoch, 2);
-        // Only the kept key remains on the card (opened ones discarded).
-        assert_eq!(f.user.card.pseudonym_count(), 1);
-        // The kept certificate is usable: sign a challenge with it.
-        assert!(f.user.card.sign_with_pseudonym(&id, b"challenge").is_ok());
-    }
-
-    #[test]
-    fn cut_and_choose_of_three_keeps_one_survivor() {
-        // Three candidates: the first key generated inline, the other two
-        // taken from the card's preparation.
-        let mut f = fixture(170);
-        let mut rng = test_rng(171);
-        let mut t = Transcript::new();
-        let id = obtain_pseudonym_cut_and_choose(
-            &mut f.user,
-            &f.ra,
-            f.ttp.escrow_key(),
-            1,
-            100,
-            3,
-            &mut rng,
-            &mut t,
-        )
-        .unwrap();
-        let cert = f.user.pseudonym_certs().last().unwrap();
-        assert_eq!(cert.pseudonym_id(), id);
-        assert!(cert.verify(f.ra.blind_public()).is_ok());
-        assert_eq!(f.user.pseudonym_certs().len(), 1);
-        assert_eq!(
-            f.user.card.pseudonym_count(),
-            1,
-            "opened candidates forgotten"
-        );
-        assert!(f.user.card.sign_with_pseudonym(&id, b"challenge").is_ok());
-    }
-
-    #[test]
-    fn cut_and_choose_audit_rejects_wrong_epoch_candidates() {
-        // The card builds candidates for epoch 5 but the RA expects 2:
-        // every opened candidate fails the audit, so issuance fails with
-        // probability 1 for k >= 2 when ALL candidates are malformed.
-        let mut f = fixture(1680);
-        let mut rng = test_rng(1690);
-        let mut t = Transcript::new();
-        let res = obtain_pseudonym_cut_and_choose(
-            &mut f.user,
-            &f.ra,
-            f.ttp.escrow_key(),
-            5, // candidates carry epoch 5...
-            100,
-            4,
-            &mut rng,
-            &mut t,
-        );
-        // ...but issue the protocol against an RA expecting the same epoch
-        // succeeds; mismatch is tested through the RA endpoint directly.
-        assert!(res.is_ok());
-
-        // Direct endpoint test with a mismatched expected epoch.
-        let bodies: Vec<_> = (0..3)
-            .map(|_| {
-                f.user
-                    .card
-                    .begin_pseudonym(f.ttp.escrow_key(), 9, &mut rng)
-                    .unwrap()
-            })
-            .collect();
-        let messages: Vec<Vec<u8>> = bodies.iter().map(|b| b.signing_bytes()).collect();
-        let request = p2drm_crypto::blind::CutChooseRequest::prepare(
-            f.ra.blind_public(),
-            3,
-            |i| messages[i].clone(),
-            &mut rng,
-        )
-        .unwrap();
-        let blinded = request.blinded_values();
-        let auth = f
-            .user
-            .card
-            .sign_with_master(&crate::protocol::messages::cut_choose_auth_bytes(
-                &f.user.card.card_id(),
-                &blinded,
-            ))
-            .unwrap();
-        let res = f.ra.issue_pseudonym_cut_and_choose(
-            f.user.card.card_id(),
-            &f.user.card.master_cert().clone(),
-            &blinded,
-            &auth,
-            |keep| request.open_all_but(keep),
-            2, // RA expects epoch 2; candidates say 9
-            100,
-            &mut rng,
-        );
-        assert!(matches!(res, Err(CoreError::BadEvidence(_))));
     }
 
     #[test]

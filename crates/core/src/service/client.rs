@@ -435,144 +435,6 @@ impl<T: Transport> WireClient<T> {
             .collect()
     }
 
-    /// Pipelines several anonymous purchases on one connection: all
-    /// sessions begin (each withdrawing its own covering coin), all
-    /// requests are submitted, and replies settle **as they arrive**,
-    /// possibly out of order. Returns one outcome per content id, in
-    /// input order. The whole batch goes out under one pseudonym, which
-    /// counts one use per request sent.
-    ///
-    /// Coin accounting is per session and identical to
-    /// [`WireClient::purchase`]; nothing is retried here, so every
-    /// transport failure — including a channel failure that voids
-    /// several in-flight sessions at once — parks its request for
-    /// [`WireClient::settle_parked`].
-    pub fn purchase_many<R: CryptoRng + ?Sized>(
-        &mut self,
-        user: &mut UserAgent,
-        mint: &Mint,
-        content_ids: &[ContentId],
-        rng: &mut R,
-    ) -> Vec<Result<License, WireError>> {
-        // One catalog round trip quotes every item.
-        let catalog = match self.catalog() {
-            Ok(items) => items,
-            Err(e) => {
-                // No session began, no coin moved: fail every slot with
-                // a fresh lookup attempt's error shape.
-                let mut out = Vec::with_capacity(content_ids.len());
-                out.push(Err(e));
-                for _ in 1..content_ids.len() {
-                    out.push(Err(WireError::Api(ApiError::new(
-                        ApiErrorCode::ServiceUnavailable,
-                        "catalog quote failed; purchase not attempted",
-                    ))));
-                }
-                return out;
-            }
-        };
-        let mut results: Vec<Option<Result<License, WireError>>> =
-            (0..content_ids.len()).map(|_| None).collect();
-        let mut sessions: std::collections::HashMap<u64, (usize, PurchaseSession)> =
-            std::collections::HashMap::new();
-        let mut sent = 0;
-        for (slot, cid) in content_ids.iter().enumerate() {
-            #[expect(
-                clippy::indexing_slicing,
-                reason = "slot enumerates content_ids and results has one slot per id"
-            )]
-            let Some(meta) = catalog.iter().find(|m| m.id == *cid) else {
-                results[slot] = Some(Err(WireError::Api(ApiError::new(
-                    ApiErrorCode::UnknownContent,
-                    format!("unknown content {cid}"),
-                ))));
-                continue;
-            };
-            let session = match PurchaseSession::begin(user, mint, meta, rng) {
-                Ok(session) => session,
-                #[expect(
-                    clippy::indexing_slicing,
-                    reason = "slot enumerates content_ids and results has one slot per id"
-                )]
-                Err(e) => {
-                    results[slot] = Some(Err(WireError::Client(e)));
-                    continue;
-                }
-            };
-            sent += 1;
-            let corr = self.next_corr();
-            let envelope = RequestEnvelope {
-                correlation_id: corr,
-                body: WireRequest::Purchase(session.request().clone()),
-            };
-            match self.transport.submit(corr, &envelope.to_bytes()) {
-                Ok(()) => {
-                    sessions.insert(corr, (slot, session));
-                }
-                #[expect(
-                    clippy::indexing_slicing,
-                    reason = "slot enumerates content_ids and results has one slot per id"
-                )]
-                Err(t) => {
-                    session.park(user);
-                    results[slot] = Some(Err(WireError::Transport(t)));
-                }
-            }
-        }
-        for _ in 0..sent {
-            user.note_pseudonym_use();
-        }
-        while !sessions.is_empty() {
-            match self.transport.complete(None) {
-                #[expect(
-                    clippy::indexing_slicing,
-                    reason = "slot comes from sessions, which only holds valid slots"
-                )]
-                Ok(Some((corr, reply))) => {
-                    let Some((slot, session)) = sessions.remove(&corr) else {
-                        continue;
-                    };
-                    let reply = Self::decode_reply(corr, &reply);
-                    results[slot] = Some(settle_purchase(session, user, reply));
-                }
-                Ok(None) => {
-                    let err = TransportError::Broken(
-                        "transport reported nothing in flight while replies were outstanding"
-                            .to_string(),
-                    );
-                    #[expect(
-                        clippy::indexing_slicing,
-                        reason = "slot comes from sessions, which only holds valid slots"
-                    )]
-                    for (_, (slot, session)) in sessions.drain() {
-                        session.park(user);
-                        results[slot] = Some(Err(WireError::Transport(err.clone())));
-                    }
-                }
-                Err(e) => {
-                    // Channel failure: every in-flight purchase is now
-                    // unknown at once — park them all.
-                    #[expect(
-                        clippy::indexing_slicing,
-                        reason = "slot comes from sessions, which only holds valid slots"
-                    )]
-                    for (_, (slot, session)) in sessions.drain() {
-                        session.park(user);
-                        results[slot] = Some(Err(WireError::Transport(e.clone())));
-                    }
-                }
-            }
-        }
-        #[expect(
-            clippy::expect_used,
-            reason = "the completion loop above resolves every slot"
-        )]
-        results
-            .into_iter()
-            .map(|r| r.expect("every slot resolved"))
-            .collect()
-    }
-
     /// Privacy-preserving transfer over the wire (both agents are local
     /// to this client — e.g. a marketplace app handling the hand-over).
     ///

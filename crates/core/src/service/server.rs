@@ -14,8 +14,7 @@ use crate::protocol::messages::{
 };
 use p2drm_crypto::rng::{ChaChaRng, CryptoRng};
 use p2drm_obs::{
-    AtomicHistogram, Counter, MetricSource, MetricValue, Registry, Snapshot, Summary, Timer,
-    TraceConfig, Tracer,
+    AtomicHistogram, Counter, MetricSource, MetricValue, Registry, Snapshot, Summary, Timer, Tracer,
 };
 use p2drm_store::ConcurrentKv;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
@@ -152,7 +151,7 @@ impl<B: ConcurrentKv> ProviderService<B> {
         B: Send + Sync + 'static,
     {
         let stats = ServiceStats::new(&registry);
-        let tracer = Arc::new(Tracer::new(TraceConfig::default()));
+        let tracer = Arc::new(Tracer::new());
         let provider_weak = Arc::downgrade(&provider);
         registry.register_source(provider_weak as Weak<dyn MetricSource + Send + Sync>);
         let tracer_weak = Arc::downgrade(&tracer);

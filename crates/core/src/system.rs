@@ -21,6 +21,7 @@ use p2drm_payment::{Mint, MintConfig};
 use p2drm_pki::authority::CertificateAuthority;
 use p2drm_pki::cert::Validity;
 use p2drm_rel::{Limit, Rights};
+use p2drm_store::MemKv;
 
 /// System-wide parameters.
 #[derive(Clone)]
@@ -76,7 +77,8 @@ impl SystemConfig {
 
 /// The wired system, generic over the provider's store backend (the
 /// volatile lock-sharded [`MemBackend`] by default; see
-/// [`System::bootstrap_durable`] for the WAL-backed shape).
+/// [`System::bootstrap_with_backend`] for any other, the WAL-backed
+/// shape included).
 pub struct System<B: p2drm_store::ConcurrentKv = MemBackend> {
     /// Root certificate authority (trust anchor).
     pub root: CertificateAuthority,
@@ -104,18 +106,29 @@ pub struct System<B: p2drm_store::ConcurrentKv = MemBackend> {
     now: u64,
 }
 
-/// Everything [`System`] wires up besides the provider; intermediate
-/// state shared by the bootstrap paths.
-struct Scaffold {
-    root: CertificateAuthority,
-    ra: RegistrationAuthority,
-    ttp: Ttp,
-    mint: Mint,
-    processor: PaymentProcessor,
+/// Lock shards of the in-memory store [`System::bootstrap`] builds.
+const STORE_SHARDS: usize = 8;
+
+impl System {
+    /// Builds every entity and wires the trust relationships, with the
+    /// default volatile provider store, lock-sharded eight ways.
+    pub fn bootstrap<R: CryptoRng + ?Sized>(config: SystemConfig, rng: &mut R) -> Self {
+        Self::bootstrap_with_backend(config, MemKv::with_shards(STORE_SHARDS), rng)
+    }
 }
 
-impl Scaffold {
-    fn build<R: CryptoRng + ?Sized>(config: &SystemConfig, rng: &mut R) -> Self {
+impl<B: p2drm_store::ConcurrentKv + Send + Sync + 'static> System<B> {
+    /// Builds every entity and wires the trust relationships, with the
+    /// provider over a caller-supplied store backend: a
+    /// [`WalShardedKv`](p2drm_store::WalShardedKv) for the durable
+    /// license service, or a wrapper that injects faults or records
+    /// timings. The backend is taken as given: nothing in it is read
+    /// back, so it should be fresh.
+    pub fn bootstrap_with_backend<R: CryptoRng + ?Sized>(
+        config: SystemConfig,
+        backend: B,
+        rng: &mut R,
+    ) -> Self {
         let mut root = CertificateAuthority::new_root(config.key_bits, config.validity, rng);
         let ra = RegistrationAuthority::new(&mut root, config.key_bits, config.validity, rng);
         let ttp = Ttp::new(config.elgamal_group, rng);
@@ -127,37 +140,22 @@ impl Scaffold {
             rng,
         );
         let processor = PaymentProcessor::new();
-        Scaffold {
-            root,
-            ra,
-            ttp,
-            mint,
-            processor,
-        }
-    }
-
-    fn provider_config(config: &SystemConfig) -> ProviderConfig {
-        ProviderConfig {
-            key_bits: config.key_bits,
-            epoch_window: config.epoch_window,
-            validity: config.validity,
-            metrics_dump: config.metrics_dump,
-        }
-    }
-
-    fn finish<B, R>(
-        mut self,
-        provider: ContentProvider<B>,
-        config: SystemConfig,
-        rng: &mut R,
-    ) -> System<B>
-    where
-        B: p2drm_store::ConcurrentKv + Send + Sync + 'static,
-        R: CryptoRng + ?Sized,
-    {
+        let provider = ContentProvider::with_backend(
+            &mut root,
+            mint.clone(),
+            ra.blind_public().clone(),
+            backend,
+            ProviderConfig {
+                key_bits: config.key_bits,
+                epoch_window: config.epoch_window,
+                validity: config.validity,
+                metrics_dump: config.metrics_dump,
+            },
+            rng,
+        );
         let baseline = crate::baseline::BaselineProvider::new(
-            &mut self.root,
-            self.processor.clone(),
+            &mut root,
+            processor.clone(),
             config.key_bits,
             config.validity,
             rng,
@@ -169,11 +167,11 @@ impl Scaffold {
         let registry = std::sync::Arc::new(p2drm_obs::Registry::disabled());
         let service = ProviderService::with_registry(provider.clone(), 0, registry);
         let system = System {
-            root: self.root,
-            ra: std::sync::Arc::new(self.ra),
-            ttp: self.ttp,
-            mint: self.mint,
-            processor: self.processor,
+            root,
+            ra: std::sync::Arc::new(ra),
+            ttp,
+            mint,
+            processor,
             provider,
             baseline,
             service,
@@ -183,71 +181,6 @@ impl Scaffold {
         };
         system.service.set_time(system.epoch, system.now);
         system
-    }
-}
-
-impl System {
-    /// Builds every entity and wires the trust relationships, with the
-    /// default volatile lock-sharded provider store.
-    pub fn bootstrap<R: CryptoRng + ?Sized>(config: SystemConfig, rng: &mut R) -> Self {
-        let mut scaffold = Scaffold::build(&config, rng);
-        let provider = ContentProvider::new(
-            &mut scaffold.root,
-            scaffold.mint.clone(),
-            scaffold.ra.blind_public().clone(),
-            Scaffold::provider_config(&config),
-            rng,
-        );
-        scaffold.finish(provider, config, rng)
-    }
-}
-
-impl System<p2drm_store::WalShardedKv> {
-    /// Bootstraps a system whose provider runs on a [`WalShardedKv`]
-    /// under `dir` — the durable license service. Returns the merged
-    /// recovery report from the shard-log replay (all zeros for a fresh
-    /// directory).
-    ///
-    /// [`WalShardedKv`]: p2drm_store::WalShardedKv
-    pub fn bootstrap_durable<R: CryptoRng + ?Sized>(
-        config: SystemConfig,
-        dir: impl Into<std::path::PathBuf>,
-        durable: p2drm_store::WalShardedConfig,
-        rng: &mut R,
-    ) -> Result<(Self, p2drm_store::RecoveryReport), crate::CoreError> {
-        let mut scaffold = Scaffold::build(&config, rng);
-        let (provider, report) = ContentProvider::open_durable(
-            &mut scaffold.root,
-            scaffold.mint.clone(),
-            scaffold.ra.blind_public().clone(),
-            dir,
-            durable,
-            Scaffold::provider_config(&config),
-            rng,
-        )?;
-        Ok((scaffold.finish(provider, config, rng), report))
-    }
-}
-
-impl<B: p2drm_store::ConcurrentKv + Send + Sync + 'static> System<B> {
-    /// Bootstraps over a caller-supplied provider store backend (the
-    /// generic path behind [`System::bootstrap`] and
-    /// [`System::bootstrap_durable`]).
-    pub fn bootstrap_with_backend<R: CryptoRng + ?Sized>(
-        config: SystemConfig,
-        backend: B,
-        rng: &mut R,
-    ) -> Self {
-        let mut scaffold = Scaffold::build(&config, rng);
-        let provider = ContentProvider::with_backend(
-            &mut scaffold.root,
-            scaffold.mint.clone(),
-            scaffold.ra.blind_public().clone(),
-            backend,
-            Scaffold::provider_config(&config),
-            rng,
-        );
-        scaffold.finish(provider, config, rng)
     }
 
     /// Current epoch (pseudonym freshness bucket).
@@ -577,6 +510,33 @@ mod tests {
             .verify(sys.root.public_key(), 10)
             .is_ok());
         assert_eq!(sys.epoch(), 0);
+    }
+
+    /// `bootstrap` is `bootstrap_with_backend` over an eight-shard
+    /// `MemKv`: the same seed draws the same keys through either.
+    #[test]
+    fn bootstrap_is_bootstrap_with_backend_over_eight_mem_shards() {
+        let keys = |sys: &System| {
+            (
+                sys.provider.public_key().clone(),
+                sys.ra.blind_public().clone(),
+                sys.mint
+                    .denominations()
+                    .into_iter()
+                    .map(|d| sys.mint.public_key(d).unwrap().clone())
+                    .collect::<Vec<_>>(),
+                sys.baseline.public_key().clone(),
+            )
+        };
+        let plain = System::bootstrap(SystemConfig::fast_test(), &mut test_rng(226));
+        let backed = System::bootstrap_with_backend(
+            SystemConfig::fast_test(),
+            MemKv::with_shards(8),
+            &mut test_rng(226),
+        );
+        assert_eq!(keys(&plain), keys(&backed));
+        let other = System::bootstrap(SystemConfig::fast_test(), &mut test_rng(227));
+        assert_ne!(keys(&plain), keys(&other));
     }
 
     #[test]

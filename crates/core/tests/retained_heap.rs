@@ -65,7 +65,7 @@ use p2drm_crypto::rng::test_rng;
 use p2drm_crypto::rsa::RsaKeyPair;
 use p2drm_payment::Wallet;
 use p2drm_pki::cert::KeyId;
-use p2drm_store::{ConcurrentKv, SyncPolicy, WalShardedConfig};
+use p2drm_store::{ConcurrentKv, SyncPolicy, WalShardedConfig, WalShardedKv};
 use rand::rngs::StdRng;
 use std::sync::atomic::Ordering;
 
@@ -83,6 +83,11 @@ const MAX_RETAINED_PER_ITEM_IN_LOG: i64 = 1024;
 /// The same plus the one ciphertext the in-memory store's row holds; a
 /// second copy exceeds it.
 const MAX_RETAINED_PER_ITEM: i64 = ITEM_BYTES as i64 + MAX_RETAINED_PER_ITEM_IN_LOG;
+
+/// The card budget of every user outside the card section: a card that
+/// can issue no further pseudonym prepares no key, so no key-generation
+/// thread allocates while another section measures.
+const ONE_PSEUDONYM: CardBudget = CardBudget { max_pseudonyms: 1 };
 
 const ISSUANCES: usize = 1_000;
 /// Nothing, plus rounding room; a log entry per issuance exceeds it.
@@ -110,7 +115,9 @@ const MAX_RETAINED_BEYOND_BUDGET: i64 = 1024;
 /// [`PLAYED_ITEMS`] distinct 16 KiB items, then what one more play of an
 /// item over its whole budget adds.
 fn retained_by_device(sys: &mut System, rng: &mut StdRng) -> (i64, i64) {
-    let mut dave = sys.register_user("dave", rng).unwrap();
+    let mut dave = sys
+        .register_user_with_budget("dave", ONE_PSEUDONYM, rng)
+        .unwrap();
     dave.set_policy(PseudonymPolicy::Static);
     sys.fund(&dave, 100 * (PLAYED_ITEMS + 1) as u64);
     let items: Vec<_> = (0..=PLAYED_ITEMS)
@@ -194,7 +201,9 @@ fn retained_per_purchase<B: ConcurrentKv + Send + Sync + 'static>(
     rng: &mut StdRng,
 ) -> i64 {
     let cid = sys.publish_content("Track", 100, b"payload", rng);
-    let mut alice = sys.register_user("alice", rng).unwrap();
+    let mut alice = sys
+        .register_user_with_budget("alice", ONE_PSEUDONYM, rng)
+        .unwrap();
     sys.fund(&alice, 100 * (WARM_UP + PURCHASES) as u64);
     sys.ensure_pseudonym(&mut alice, rng).unwrap();
     let pseudonym_cert = alice.current_pseudonym().unwrap().clone();
@@ -244,8 +253,12 @@ fn license_heap(license: License) -> (i64, i64) {
 /// then of the license it issues by transferring that one.
 fn issued_license_heap(sys: &System, rng: &mut StdRng) -> [(i64, i64); 2] {
     let cid = sys.publish_content("Kept", 100, b"payload", rng);
-    let mut frank = sys.register_user("frank", rng).unwrap();
-    let mut grace = sys.register_user("grace", rng).unwrap();
+    let mut frank = sys
+        .register_user_with_budget("frank", ONE_PSEUDONYM, rng)
+        .unwrap();
+    let mut grace = sys
+        .register_user_with_budget("grace", ONE_PSEUDONYM, rng)
+        .unwrap();
     sys.fund(&frank, 100);
     sys.ensure_pseudonym(&mut frank, rng).unwrap();
     sys.ensure_pseudonym(&mut grace, rng).unwrap();
@@ -286,7 +299,9 @@ fn retained_per_issuance<B: ConcurrentKv + Send + Sync + 'static>(
     sys: &System<B>,
     rng: &mut StdRng,
 ) -> i64 {
-    let carol = sys.register_user("carol", rng).unwrap();
+    let carol = sys
+        .register_user_with_budget("carol", ONE_PSEUDONYM, rng)
+        .unwrap();
     let card_id = carol.card.card_id();
     let blinded = UBig::from_u64(0xB11D);
     let auth_sig = carol
@@ -324,8 +339,8 @@ fn a_purchase_retains_only_its_index_rows() {
     let dir = std::env::temp_dir().join(format!("p2drm-retained-heap-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let durable = WalShardedConfig::with_policy(SyncPolicy::Buffered);
-    let (sys, _) =
-        System::bootstrap_durable(SystemConfig::fast_test(), &dir, durable, &mut rng).unwrap();
+    let store = WalShardedKv::open(&dir, durable).unwrap().0;
+    let sys = System::bootstrap_with_backend(SystemConfig::fast_test(), store, &mut rng);
     let on_wal = (
         retained_per_item(&sys, &mut rng),
         retained_per_purchase(&sys, &mut rng),

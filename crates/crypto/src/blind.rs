@@ -1,5 +1,4 @@
-//! Chaum RSA blind signatures with full-domain hashing, plus a
-//! cut-and-choose issuance protocol.
+//! Chaum RSA blind signatures with full-domain hashing.
 //!
 //! This is the paper's key enabling primitive: the registration authority
 //! signs a *blinded* pseudonym-certificate digest, so the certificate it
@@ -14,11 +13,12 @@
 //! 3. requester: `s = s_b * r^{-1} mod n`; now `s^e = h`, a plain FDH-RSA
 //!    signature on `m`.
 //!
-//! Because a blind signer cannot see what it signs, issuers must either use
-//! a **dedicated key** whose signatures mean exactly one thing (the approach
+//! Because a blind signer cannot see what it signs, every issuer uses a
+//! **dedicated key** whose signatures mean exactly one thing (the approach
 //! the paper takes, mirrored by [`crate::rsa::RsaKeyPair`] key separation in
-//! `p2drm-pki`), or force honesty probabilistically with the
-//! [cut-and-choose](CutChooseRequest) flow below.
+//! `p2drm-pki`), and authenticates the requester before signing: the RA
+//! blind-signs only for a card that proves its master key, and the card
+//! itself builds the pseudonym and its escrow.
 
 use crate::rng::CryptoRng;
 use crate::rsa::{fdh, RsaKeyPair, RsaPublicKey, RsaSignature};
@@ -162,159 +162,6 @@ impl<'a> FdhCheck<'a> {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Cut-and-choose issuance
-// ---------------------------------------------------------------------------
-
-/// Requester state for a `k`-candidate cut-and-choose blind issuance.
-///
-/// The requester prepares `k` candidate messages (all supposed to satisfy
-/// the issuer's well-formedness rule); the issuer opens `k-1` of them,
-/// checks the rule, and blind-signs the remaining one. A cheating requester
-/// slips a malformed message through with probability `1/k`.
-pub struct CutChooseRequest {
-    candidates: Vec<Candidate>,
-}
-
-struct Candidate {
-    message: Vec<u8>,
-    r: Secret<UBig>,
-    blinded: Blinded,
-}
-
-/// An opened candidate revealed to the issuer for auditing.
-#[derive(Debug, Clone)]
-pub struct Opening {
-    /// The candidate's plaintext message.
-    pub message: Vec<u8>,
-    /// The blinding factor used for it.
-    pub r: UBig,
-}
-
-impl CutChooseRequest {
-    /// Prepares `k` candidates; `make_message(i)` must generate independent
-    /// well-formed candidate messages.
-    pub fn prepare<R, F>(
-        pk: &RsaPublicKey,
-        k: usize,
-        mut make_message: F,
-        rng: &mut R,
-    ) -> Result<Self, CryptoError>
-    where
-        R: CryptoRng + ?Sized,
-        F: FnMut(usize) -> Vec<u8>,
-    {
-        assert!(k >= 1, "cut-and-choose needs at least one candidate");
-        let n = pk.modulus();
-        let mut candidates = Vec::with_capacity(k);
-        for i in 0..k {
-            let message = make_message(i);
-            let h = fdh(&message, pk.modulus_len());
-            let (r, r_inv) = blinding_factor(n, rng);
-            let blinded_val = pk_mul(pk, &h, &blind_factor_power(pk, r.as_ref()));
-            candidates.push(Candidate {
-                message,
-                r,
-                blinded: Blinded {
-                    blinded: blinded_val,
-                    r_inv,
-                    h,
-                },
-            });
-        }
-        Ok(CutChooseRequest { candidates })
-    }
-
-    /// The blinded values, in candidate order, to send to the issuer.
-    pub fn blinded_values(&self) -> Vec<UBig> {
-        self.candidates
-            .iter()
-            .map(|c| c.blinded.blinded.clone())
-            .collect()
-    }
-
-    /// Opens every candidate except `keep`, for issuer auditing.
-    pub fn open_all_but(&self, keep: usize) -> Vec<(usize, Opening)> {
-        self.candidates
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| *i != keep)
-            .map(|(i, c)| {
-                (
-                    i,
-                    Opening {
-                        message: c.message.clone(),
-                        // Opening a candidate reveals its r to the
-                        // issuer: that is the audit.
-                        r: c.r.as_ref().declassify().clone(),
-                    },
-                )
-            })
-            .collect()
-    }
-
-    /// Unblinds the issuer's signature on candidate `keep`.
-    pub fn finish(
-        &self,
-        pk: &RsaPublicKey,
-        keep: usize,
-        blind_sig: &UBig,
-    ) -> Result<(Vec<u8>, RsaSignature), CryptoError> {
-        let cand = &self.candidates[keep];
-        let sig = cand.blinded.unblind(pk, blind_sig)?;
-        Ok((cand.message.clone(), sig))
-    }
-}
-
-/// Issuer side of cut-and-choose.
-pub struct CutChooseIssuer;
-
-impl CutChooseIssuer {
-    /// Picks which candidate to keep (sign) uniformly at random.
-    pub fn choose<R: CryptoRng + ?Sized>(k: usize, rng: &mut R) -> usize {
-        assert!(k >= 1);
-        brng::random_below(rng, &UBig::from_u64(k as u64))
-            .to_u64()
-            .unwrap() as usize
-    }
-
-    /// Audits the openings: each must re-blind to the submitted value and
-    /// satisfy `validate`. Returns the blind signature on the kept value on
-    /// success.
-    pub fn audit_and_sign<F>(
-        kp: &RsaKeyPair,
-        blinded_values: &[UBig],
-        keep: usize,
-        openings: &[(usize, Opening)],
-        mut validate: F,
-    ) -> Result<UBig, CryptoError>
-    where
-        F: FnMut(&[u8]) -> bool,
-    {
-        if keep >= blinded_values.len() || openings.len() != blinded_values.len() - 1 {
-            return Err(CryptoError::BadCiphertext);
-        }
-        let pk = kp.public();
-        let mut seen = vec![false; blinded_values.len()];
-        seen[keep] = true;
-        for (i, opening) in openings {
-            if *i >= blinded_values.len() || seen[*i] {
-                return Err(CryptoError::BadCiphertext);
-            }
-            seen[*i] = true;
-            if !validate(&opening.message) {
-                return Err(CryptoError::BadSignature);
-            }
-            let h = fdh(&opening.message, pk.modulus_len());
-            let reconstructed = pk_mul(pk, &h, &pk.raw_public(&opening.r));
-            if reconstructed != blinded_values[*i] {
-                return Err(CryptoError::BadSignature);
-            }
-        }
-        blind_sign(kp, &blinded_values[keep])
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -408,108 +255,5 @@ mod tests {
     fn blind_sign_rejects_out_of_range() {
         let kp = keypair();
         assert!(blind_sign(&kp, kp.public().modulus()).is_err());
-    }
-
-    #[test]
-    fn cut_and_choose_happy_path() {
-        let kp = keypair();
-        let mut rng = test_rng(26);
-        let k = 4;
-        let req = CutChooseRequest::prepare(
-            kp.public(),
-            k,
-            |i| format!("wellformed-candidate-{i}").into_bytes(),
-            &mut rng,
-        )
-        .unwrap();
-        let blinded = req.blinded_values();
-        let keep = CutChooseIssuer::choose(k, &mut rng);
-        let openings = req.open_all_but(keep);
-        let s_b = CutChooseIssuer::audit_and_sign(&kp, &blinded, keep, &openings, |m| {
-            m.starts_with(b"wellformed-")
-        })
-        .unwrap();
-        let (msg, sig) = req.finish(kp.public(), keep, &s_b).unwrap();
-        assert!(verify_fdh(kp.public(), &msg, &sig).is_ok());
-    }
-
-    #[test]
-    fn cut_and_choose_catches_malformed_opened_candidate() {
-        let kp = keypair();
-        let mut rng = test_rng(27);
-        let k = 3;
-        // Candidate 1 is malformed; if it is opened, the audit must fail.
-        let req = CutChooseRequest::prepare(
-            kp.public(),
-            k,
-            |i| {
-                if i == 1 {
-                    b"EVIL".to_vec()
-                } else {
-                    format!("wellformed-{i}").into_bytes()
-                }
-            },
-            &mut rng,
-        )
-        .unwrap();
-        let blinded = req.blinded_values();
-        for keep in [0usize, 2] {
-            let openings = req.open_all_but(keep);
-            let res = CutChooseIssuer::audit_and_sign(&kp, &blinded, keep, &openings, |m| {
-                m.starts_with(b"wellformed-")
-            });
-            assert!(res.is_err(), "keep={keep} must catch the malformed opening");
-        }
-    }
-
-    #[test]
-    fn cut_and_choose_catches_inconsistent_opening() {
-        let kp = keypair();
-        let mut rng = test_rng(28);
-        let req = CutChooseRequest::prepare(
-            kp.public(),
-            2,
-            |i| format!("wellformed-{i}").into_bytes(),
-            &mut rng,
-        )
-        .unwrap();
-        let blinded = req.blinded_values();
-        let mut openings = req.open_all_but(0);
-        // Tamper with the revealed blinding factor.
-        openings[0].1.r = &openings[0].1.r + &UBig::one();
-        let res = CutChooseIssuer::audit_and_sign(&kp, &blinded, 0, &openings, |_| true);
-        assert!(res.is_err());
-    }
-
-    #[test]
-    fn cut_and_choose_rejects_bad_shapes() {
-        let kp = keypair();
-        let mut rng = test_rng(29);
-        let req = CutChooseRequest::prepare(kp.public(), 3, |i| vec![i as u8], &mut rng).unwrap();
-        let blinded = req.blinded_values();
-        // keep out of range
-        assert!(
-            CutChooseIssuer::audit_and_sign(&kp, &blinded, 9, &req.open_all_but(0), |_| true)
-                .is_err()
-        );
-        // wrong number of openings
-        let mut openings = req.open_all_but(0);
-        openings.pop();
-        assert!(CutChooseIssuer::audit_and_sign(&kp, &blinded, 0, &openings, |_| true).is_err());
-        // duplicate opening indices
-        let mut openings = req.open_all_but(0);
-        let dup = openings[0].clone();
-        openings[1] = dup;
-        assert!(CutChooseIssuer::audit_and_sign(&kp, &blinded, 0, &openings, |_| true).is_err());
-    }
-
-    #[test]
-    fn issuer_choice_is_in_range() {
-        let mut rng = test_rng(30);
-        for _ in 0..50 {
-            let c = CutChooseIssuer::choose(5, &mut rng);
-            assert!(c < 5);
-        }
-        assert_eq!(CutChooseIssuer::choose(1, &mut rng), 0);
     }
 }

@@ -49,4 +49,4 @@ pub use registry::{
     global, Counter, Gauge, MetricSource, MetricValue, Registry, Snapshot, SnapshotBuilder,
 };
 pub use timer::{ScopeTimer, Timer};
-pub use trace::{flag, in_span, stage, SpanGuard, SpanRecord, StageTimer, TraceConfig, Tracer};
+pub use trace::{flag, in_span, stage, SpanGuard, SpanRecord, StageTimer, Tracer};

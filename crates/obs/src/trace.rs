@@ -25,23 +25,12 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|p| p.into_inner())
 }
 
-/// Tracer tuning knobs.
-#[derive(Clone, Copy, Debug)]
-pub struct TraceConfig {
-    /// Ring-buffer capacity (completed spans kept; oldest evicted).
-    pub capacity: usize,
-    /// Spans at least this slow keep their full stage breakdown.
-    pub slow_threshold: Duration,
-}
+/// Completed spans a tracer keeps; the oldest is evicted first.
+const RING_CAPACITY: usize = 128;
 
-impl Default for TraceConfig {
-    fn default() -> Self {
-        TraceConfig {
-            capacity: 128,
-            slow_threshold: Duration::from_millis(1),
-        }
-    }
-}
+/// Spans at least this slow keep their full stage breakdown, until
+/// [`Tracer::set_slow_threshold`] changes it.
+const SLOW_THRESHOLD: Duration = Duration::from_millis(1);
 
 /// One completed span.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -100,7 +89,6 @@ thread_local! {
 pub struct Tracer {
     enabled: AtomicBool,
     slow_ns: AtomicU64,
-    capacity: usize,
     ring: Mutex<VecDeque<SpanRecord>>,
     started: AtomicU64,
     slow_count: AtomicU64,
@@ -110,18 +98,17 @@ pub struct Tracer {
 
 impl Default for Tracer {
     fn default() -> Self {
-        Self::new(TraceConfig::default())
+        Self::new()
     }
 }
 
 impl Tracer {
-    /// Tracer with the given ring capacity and slow threshold,
+    /// Tracer keeping the last 128 spans, with a 1 ms slow threshold,
     /// initially disabled.
-    pub fn new(config: TraceConfig) -> Self {
+    pub fn new() -> Self {
         Tracer {
             enabled: AtomicBool::new(false),
-            slow_ns: AtomicU64::new(config.slow_threshold.as_nanos().min(u64::MAX as u128) as u64),
-            capacity: config.capacity.max(1),
+            slow_ns: AtomicU64::new(SLOW_THRESHOLD.as_nanos() as u64),
             ring: Mutex::new(VecDeque::new()),
             started: AtomicU64::new(0),
             slow_count: AtomicU64::new(0),
@@ -200,7 +187,7 @@ impl Tracer {
             self.lost.fetch_add(1, Ordering::Relaxed);
             return;
         };
-        if ring.len() >= self.capacity {
+        if ring.len() >= RING_CAPACITY {
             ring.pop_front();
             self.dropped.fetch_add(1, Ordering::Relaxed);
         }
@@ -301,17 +288,15 @@ mod tests {
     use super::*;
 
     fn tracer(slow: Duration) -> Arc<Tracer> {
-        let t = Arc::new(Tracer::new(TraceConfig {
-            capacity: 4,
-            slow_threshold: slow,
-        }));
+        let t = Arc::new(Tracer::new());
+        t.set_slow_threshold(slow);
         t.set_enabled(true);
         t
     }
 
     #[test]
     fn disabled_tracer_records_nothing() {
-        let t = Arc::new(Tracer::new(TraceConfig::default()));
+        let t = Arc::new(Tracer::new());
         {
             let _g = t.begin(7, "purchase");
             assert!(!in_span());
@@ -357,13 +342,17 @@ mod tests {
     #[test]
     fn ring_is_bounded_and_evicts_oldest() {
         let t = tracer(Duration::from_secs(60));
-        for i in 0..6u64 {
+        let pushed = RING_CAPACITY as u64 + 2;
+        for i in 0..pushed {
             let _g = t.begin(i, "catalog");
         }
         let spans = t.recent();
-        assert_eq!(spans.len(), 4, "capacity bound");
+        assert_eq!(spans.len(), RING_CAPACITY, "capacity bound");
         let ids: Vec<u64> = spans.iter().map(|s| s.corr_id).collect();
-        assert_eq!(ids, vec![2, 3, 4, 5], "oldest evicted first");
+        assert_eq!(ids, (2..pushed).collect::<Vec<_>>(), "oldest evicted first");
+        let mut b = SnapshotBuilder::new();
+        t.collect(&mut b);
+        assert_eq!(b.finish().counter("trace_evicted"), Some(2));
     }
 
     #[test]

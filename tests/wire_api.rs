@@ -400,8 +400,8 @@ fn a_listed_item_with_a_missing_or_short_row_answers_storage() {
     let _ = std::fs::remove_dir_all(&dir);
     let durable = p2drm::store::WalShardedConfig::default();
     {
-        let (sys, _) =
-            System::bootstrap_durable(SystemConfig::fast_test(), &dir, durable, &mut rng).unwrap();
+        let store = p2drm::store::WalShardedKv::open(&dir, durable).unwrap().0;
+        let sys = System::bootstrap_with_backend(SystemConfig::fast_test(), store, &mut rng);
         let logs: Vec<(std::path::PathBuf, u64)> = std::fs::read_dir(&dir)
             .unwrap()
             .map(|entry| entry.unwrap().path())
@@ -554,46 +554,80 @@ proptest! {
     }
 }
 
-/// Pipelined purchases through the shuffled transport: every session
-/// settles with its own reply — licenses for the known items, a typed
-/// error for the unknown one — and the wallet balances exactly.
+/// Pipelined purchases through the shuffled transport: `call_many`
+/// settles every slot with its own reply, so each purchase session
+/// finishes on its own license — and the session for an item the
+/// provider does not list is refused and gets its coin back — and the
+/// books balance exactly.
 #[test]
 fn pipelined_purchases_settle_out_of_order_replies() {
+    use p2drm::core::content::ContentMeta;
+    use p2drm::core::protocol::purchase::PurchaseSession;
+
     let mut rng = test_rng(0x317E11);
     let sys = System::bootstrap(SystemConfig::fast_test(), &mut rng);
     let cid_a = sys.publish_content("Album A", 100, b"A", &mut rng);
     let cid_b = sys.publish_content("Album B", 100, b"B", &mut rng);
-    let ghost = p2drm::core::ContentId::from_label("ghost");
     let mut alice = sys.register_user("alice", &mut rng).expect("fresh user");
     sys.fund(&alice, 500);
     sys.ensure_pseudonym(&mut alice, &mut rng)
         .expect("pseudonym");
-    alice.set_policy(p2drm::core::entities::user::PseudonymPolicy::ReuseK(2));
+    alice.set_policy(p2drm::core::entities::user::PseudonymPolicy::ReuseK(3));
 
     let service = sys.wire_service(0x0DD1);
     // Reverse delivery: the last submitted reply completes first.
     let mut client = WireClient::new(Shuffling::new(Loopback::new(&service), vec![2, 1, 0]));
-    client.set_epoch(sys.epoch());
+    let meta_a = client.content_meta(cid_a).expect("listed");
+    let meta_b = client.content_meta(cid_b).expect("listed");
+    // A quote for an item the provider never published.
+    let ghost = ContentMeta {
+        id: p2drm::core::ContentId::from_label("ghost"),
+        ..meta_a.clone()
+    };
 
-    let results = client.purchase_many(&mut alice, &sys.mint, &[cid_a, cid_b, ghost], &mut rng);
-    assert_eq!(results.len(), 3);
-    let lic_a = results[0].as_ref().expect("known item purchases");
-    let lic_b = results[1].as_ref().expect("known item purchases");
-    assert!(lic_a.verify(sys.provider.public_key()).is_ok());
-    assert!(lic_b.verify(sys.provider.public_key()).is_ok());
-    match &results[2] {
-        Err(WireError::Api(e)) => assert_eq!(e.code, ApiErrorCode::UnknownContent),
-        other => panic!("unknown item must fail typed, got {other:?}"),
+    let sessions: Vec<PurchaseSession> = [&meta_a, &meta_b, &ghost]
+        .into_iter()
+        .map(|meta| PurchaseSession::begin(&mut alice, &sys.mint, meta, &mut rng).expect("funded"))
+        .collect();
+    let bodies = sessions
+        .iter()
+        .map(|session| WireRequest::Purchase(session.request().clone()))
+        .collect();
+    for _ in &sessions {
+        alice.note_pseudonym_use();
+    }
+    let replies = client.call_many(bodies);
+    assert_eq!(replies.len(), 3);
+
+    let mut licenses = Vec::new();
+    for (slot, (session, reply)) in sessions.into_iter().zip(replies).enumerate() {
+        match reply.expect("every reply arrives") {
+            WireResponse::Purchase(resp) => licenses.push(session.finish(&mut alice, resp)),
+            WireResponse::Error(e) => {
+                assert_eq!(slot, 2, "only the unlisted item is refused");
+                assert_eq!(e.code, ApiErrorCode::UnknownContent);
+                session.abort(&mut alice, &e);
+            }
+            other => panic!("slot {slot} answered {}", other.label()),
+        }
+    }
+    assert_eq!(licenses.len(), 2);
+    for (license, cid) in licenses.iter().zip([cid_a, cid_b]) {
+        assert!(license.verify(sys.provider.public_key()).is_ok());
+        assert_eq!(
+            license.body.content_id, cid,
+            "each slot got its own license"
+        );
     }
 
-    // Exactly the two priced coins were deposited; nothing parked,
-    // nothing stranded in the wallet (the ghost slot never withdrew).
+    // Exactly the two priced coins were deposited; the refused slot's
+    // coin is back in the wallet, and nothing is parked.
     assert_eq!(sys.mint.deposited_total(), 200);
-    assert_eq!(alice.wallet.balance(), 0);
+    assert_eq!(alice.wallet.balance(), 100);
     assert!(alice.parked.is_empty());
     assert_eq!(alice.licenses().len(), 2);
     assert_eq!(sys.provider.license_count(), 2);
-    // Two requests went out under the pseudonym: two uses, its budget.
+    // Three requests went out under the pseudonym: three uses, its budget.
     assert!(alice.current_pseudonym().is_none());
 }
 
