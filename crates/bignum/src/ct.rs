@@ -30,8 +30,10 @@
 //! `Mont::mont_sqr_into`, the `ifma` kernels) and are never branched on
 //! or indexed by. A secret reaches a residue buffer only through this
 //! module: [`ct_lookup`] writes the entry a secret index names, and the
-//! final subtraction's carry chains (`sub_borrow`, `add_masked`) take
-//! and return their borrow, mask and carry as `Secret<u64>`. In the
+//! final subtraction's carry chains ([`sub_borrow`], [`add_masked`]) take
+//! and return their borrow, mask and carry as `Secret<u64>`. The RSA
+//! CRT recombination in `p2drm-crypto` subtracts and adds its residues
+//! modulo each prime through the same two. In the
 //! `ifma` kernels the window digits enter a vector register through
 //! `declassify`; that register and the compare masks made from it are
 //! used only to pick table entries by masked moves, never branched on.
@@ -319,7 +321,7 @@ pub fn ct_lookup(table: &[u64], index: Secret<u64>, out: &mut [u64]) {
 
 /// `t −= n` over equal-width limbs; returns the borrow out, 0 or 1.
 #[inline(always)]
-pub(crate) fn sub_borrow(t: &mut [u64], n: &[u64]) -> Secret<u64> {
+pub fn sub_borrow(t: &mut [u64], n: &[u64]) -> Secret<u64> {
     let mut borrow = Secret(0u64);
     for (tj, &nj) in t.iter_mut().zip(n) {
         let (d1, b1) = tj.overflowing_sub(nj);
@@ -332,7 +334,7 @@ pub(crate) fn sub_borrow(t: &mut [u64], n: &[u64]) -> Secret<u64> {
 
 /// `t += n & mask` over equal-width limbs; returns the carry out, 0 or 1.
 #[inline(always)]
-pub(crate) fn add_masked(t: &mut [u64], n: &[u64], mask: Secret<u64>) -> Secret<u64> {
+pub fn add_masked(t: &mut [u64], n: &[u64], mask: Secret<u64>) -> Secret<u64> {
     let mut carry = Secret(0u64);
     for (tj, &nj) in t.iter_mut().zip(n) {
         let (s1, c1) = tj.overflowing_add(nj & mask.0);

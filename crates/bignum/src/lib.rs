@@ -13,8 +13,9 @@
 //!   only through `declassify`.
 //! * [`Mont`] — a Montgomery reduction context (CIOS) for fast modular
 //!   exponentiation with odd moduli, the workhorse of all public-key
-//!   operations; [`MontForm`] keeps values in Montgomery form across a
-//!   whole computation so conversions are paid at the boundary only.
+//!   operations; its `*_into` kernels keep values in Montgomery form
+//!   across a whole computation so conversions are paid at the boundary
+//!   only.
 //! * [`ifma`] — any number of exponentiations, eight to a kernel call,
 //!   one per 64-bit lane of AVX-512 IFMA registers: modulo odd numbers
 //!   of at most 362 bits with secret exponents (the CRT halves of one or
@@ -43,7 +44,7 @@
 //!
 //! # `unsafe`
 //!
-//! The crate denies `unsafe_code`. Two functions are exempt, each a
+//! The crate denies `unsafe_code`. Three functions are exempt, each a
 //! guarded kernel call:
 //!
 //! * `mont::mul6_adx`, the 6-limb Montgomery product written in inline
@@ -58,8 +59,13 @@
 //!   is safe `#[target_feature]` functions over
 //!   register values with no pointer intrinsics, so the call is the only
 //!   `unsafe` operation ([`ifma`] module doc).
+//! * `prime::advance`, the prime search's sieve step. It asks for
+//!   `avx512f` and `avx512bw`, or for `avx2`, and only then calls that
+//!   instance of the step, a safe `#[target_feature]` function whose body
+//!   is the portable loop, inlined; without either it runs the portable
+//!   loop ([`prime`] module doc).
 //!
-//! CI fails if a third exemption appears anywhere in the crate.
+//! CI fails if a fourth exemption appears anywhere in the crate.
 //!
 //! # Security note
 //!
@@ -80,7 +86,7 @@ pub mod prime;
 pub mod rng;
 pub mod ubig;
 
-pub use mont::{Mont, MontForm};
+pub use mont::Mont;
 pub use rng::BigRng;
 pub use ubig::UBig;
 

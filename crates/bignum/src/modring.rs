@@ -6,7 +6,7 @@
 //! lives in [`crate::Mont`].
 
 use crate::mont::{add_limbs, inv64, sub_limbs};
-use crate::ubig::UBig;
+use crate::ubig::{shr_in_place, UBig};
 use crate::BigError;
 
 /// `(a + b) mod n`.
@@ -154,7 +154,7 @@ fn inv_mod_odd(a: &UBig, n: &UBig) -> Result<UBig, BigError> {
             if k == 0 {
                 break;
             }
-            shr_in_place(u, k);
+            shr_in_place(u, k as usize);
             div_pow2_mod(xu, nl, neg_n0_inv, k);
         }
         // Equal widths, so most-significant-first lexicographic order is
@@ -173,14 +173,6 @@ fn inv_mod_odd(a: &UBig, n: &UBig) -> Result<UBig, BigError> {
     } else {
         Err(BigError::NotInvertible)
     }
-}
-
-/// `a >>= k` for `1 <= k <= 63`.
-fn shr_in_place(a: &mut [u64], k: u32) {
-    for j in 0..a.len() - 1 {
-        a[j] = (a[j] >> k) | (a[j + 1] << (64 - k));
-    }
-    *a.last_mut().expect("modulus width is at least one limb") >>= k;
 }
 
 /// `x = x / 2^k mod n` for odd `n`, `x < n`, `1 <= k <= 63`: adds the

@@ -3,8 +3,8 @@
 //! All RSA/ElGamal exponentiations in the workspace route through [`Mont`].
 //! The context is built once per modulus and reused; conversion in and out of
 //! Montgomery form happens at the boundary only — and callers that chain
-//! several modular operations can stay in form across all of them with the
-//! [`MontForm`] value type.
+//! several modular operations stay in form across all of them on the
+//! `*_into` kernels' limb buffers ([`Mont::to_mont`] enters form).
 //!
 //! # Kernel layers
 //!
@@ -116,36 +116,6 @@ use crate::BigError;
 /// [`crate::ifma`]. Their tables have `2^WINDOW` = 16 entries.
 pub const WINDOW: usize = 4;
 
-/// A value held in Montgomery form (`x·R mod n`) for some [`Mont`] context.
-///
-/// Produced by [`Mont::to_form`] and consumed by the `form_*` family of
-/// methods, it lets a caller pay the to/from-form conversions once per
-/// *computation* instead of once per *operation* — e.g. the RSA-CRT
-/// recombination keeps each prime's coefficient in form permanently,
-/// turning what used to be four Montgomery products per step into one.
-///
-/// A `MontForm` is only meaningful with the context that created it; mixing
-/// contexts of the same limb width produces garbage values (debug builds
-/// catch width mismatches).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct MontForm {
-    limbs: Vec<u64>,
-}
-
-impl MontForm {
-    /// The raw Montgomery-form limbs (little-endian, modulus width).
-    #[inline]
-    pub(crate) fn as_limbs(&self) -> &[u64] {
-        &self.limbs
-    }
-
-    /// Consumes the value, returning the raw Montgomery-form limbs.
-    #[inline]
-    pub fn into_limbs(self) -> Vec<u64> {
-        self.limbs
-    }
-}
-
 /// Montgomery arithmetic context for an odd modulus `n >= 3`.
 #[derive(Clone, Debug)]
 pub struct Mont {
@@ -231,31 +201,6 @@ impl Mont {
         UBig::from_limbs(self.mont_mul(xm, &one))
     }
 
-    /// Enters Montgomery form as a [`MontForm`] value.
-    pub fn to_form(&self, x: &UBig) -> MontForm {
-        MontForm {
-            limbs: self.to_mont(x),
-        }
-    }
-
-    /// `1` in Montgomery form.
-    pub fn one_form(&self) -> MontForm {
-        MontForm {
-            limbs: self.one.clone(),
-        }
-    }
-
-    /// `a_plain · x mod n` where `a` is held in Montgomery form: a single
-    /// Montgomery product (`mont_mul(a·R, x) = a·x`), with both the entry
-    /// and exit conversions cancelled. This is the `MontForm` replacement
-    /// for [`Mont::mul_mod`] when one factor is a long-lived constant
-    /// (e.g. a prime's coefficient in the RSA CRT).
-    pub fn form_mul_plain(&self, a: &MontForm, x: &UBig) -> UBig {
-        debug_assert_eq!(a.limbs.len(), self.n.len());
-        let xm = self.reduce_pad(x);
-        UBig::from_limbs(self.mont_mul(&a.limbs, &xm))
-    }
-
     fn geq(a: &[u64], n: &[u64]) -> bool {
         if a.len() != n.len() {
             return a.len() > n.len();
@@ -288,9 +233,12 @@ impl Mont {
 
     /// Allocation-free CIOS Montgomery product: `out = a * b * R^{-1} mod n`.
     ///
-    /// `a` and `b` must be modulus-width reduced limbs; `out` must be
-    /// modulus-width and distinct from `a`/`b`; `scratch` must be at least
-    /// [`Mont::scratch_len`] long.
+    /// `a` and `b` must be modulus-width limbs with `a·b < R·n`: both
+    /// reduced, or `a` reduced and `b` any value below `R` (the RSA CRT
+    /// recombination in `p2drm-crypto` multiplies unreduced digits so);
+    /// the running sum then stays below `2n` and the result is reduced.
+    /// `out` must be modulus-width and distinct from `a`/`b`; `scratch`
+    /// must be at least [`Mont::scratch_len`] long.
     ///
     /// The common widths (4/6/8/16/32 limbs — every RSA/ElGamal size in
     /// the workspace, including the CRT primes) dispatch to monomorphized
@@ -577,7 +525,9 @@ impl Mont {
     }
 
     /// `a = a / 2 mod n` in place: an odd `a` becomes the even `a + n`
-    /// first.
+    /// first. Only the `prime` tests' U/V recurrence, the Lucas test's
+    /// oracle, halves.
+    #[cfg(test)]
     pub(crate) fn halve_mod(&self, a: &mut [u64]) {
         let mut top = (a[0] & 1 == 1 && add_limbs(a, &self.n)) as u64;
         for limb in a.iter_mut().rev() {
@@ -930,7 +880,6 @@ mod tests {
         for v in [0u64, 1, 2, 999, 1_000_000_006] {
             let x = UBig::from_u64(v);
             assert_eq!(m.from_mont(&m.to_mont(&x)), x);
-            assert_eq!(m.form_mul_plain(&m.to_form(&x), &UBig::one()), x);
         }
     }
 
@@ -973,17 +922,6 @@ mod tests {
             let am = m.to_mont(&UBig::from_u64(v));
             assert_eq!(m.mont_sqr(&am), m.mont_mul(&am, &am), "v={v}");
         }
-    }
-
-    #[test]
-    fn form_ops_match_plain_arithmetic() {
-        let n = UBig::from_hex("f123456789abcdef0123456789abcdef1").unwrap();
-        let m = Mont::new(&n).unwrap();
-        let a = UBig::from_hex("deadbeefcafebabe112233445566").unwrap();
-        let b = UBig::from_hex("aabbccddeeff00112233445566778899a").unwrap();
-        let af = m.to_form(&a);
-        assert_eq!(m.form_mul_plain(&af, &b), (&a * &b).rem(&n));
-        assert_eq!(m.form_mul_plain(&m.one_form(), &b), b.rem(&n));
     }
 
     #[test]

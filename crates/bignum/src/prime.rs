@@ -18,9 +18,16 @@
 //! 3. **One strong Lucas test with Selfridge's parameters** (`P = 1`,
 //!    `Q = (1 − D)/4` for the first `D` in 5, −7, 9, −11, … with Jacobi
 //!    symbol `(D/n) = −1`; perfect squares, for which no such `D` exists,
-//!    are rejected first). Steps 2 and 3 together are the Baillie–PSW
-//!    test: no composite that passes both is known, and none exists
-//!    below 2^64.
+//!    are rejected first). With `n + 1 = d·2^s`, a V-ladder climbs
+//!    `(V_k, V_{k+1})` over the bits of `d` by `V_{2k} = V_k² − 2Qᵏ` and
+//!    `V_{2k+1} = V_k·V_{k+1} − P·Qᵏ`, and `U_d ≡ 0` is tested as
+//!    `2·V_{d+1} ≡ P·V_d`, which is exact: `D·U_d = 2V_{d+1} − P·V_d`,
+//!    and `(D/n) = −1` makes `D` prime to `n`. When Selfridge gives
+//!    `D = 5` (`Q = −1`, about half of all primes), `Qᵏ = (−1)ᵏ` is kept
+//!    as a sign and a bit costs two Montgomery products; otherwise `Qᵏ`
+//!    is a register, three products a bit and four on a set one. Steps 2
+//!    and 3 together are the Baillie–PSW test: no composite that passes
+//!    both is known, and none exists below 2^64.
 //! 4. `rounds − 12` **random-base Miller–Rabin rounds** (none when
 //!    `rounds <= 12`), the only step that reads the RNG. On a CPU with
 //!    AVX-512 IFMA and for `n` of at most 362 bits, every base is drawn
@@ -55,6 +62,19 @@
 //! data-dependent control flow is "test this candidate or skip it", which
 //! any prime search has.
 //!
+//! **The step in wide lanes.** The pass is one `#[inline(always)]` loop
+//! (an add, an unsigned `min` against the wrapped difference, a compare
+//! with zero) compiled three times: portable, which the workspace's
+//! target (no `target-cpu`) builds for SSE2 only, which has no unsigned
+//! 16-bit `min`; under `#[target_feature(enable = "avx2")]`, sixteen
+//! residues an instruction; and under `avx512f,avx512bw`, thirty-two. The
+//! search runs the widest that `is_x86_feature_detected!` reports
+//! (`advance`, one of the crate's three `unsafe` exemptions); each
+//! instance makes the same pass in the same order and gives the same
+//! residues. Over the 3,511 odd primes below 2^15, timed on the host
+//! below (three runs, the instances alternated): SSE2 341–593 ns a step,
+//! AVX2 218–330, AVX-512BW 123–163.
+//!
 //! **Survivors in lanes.** On a CPU with AVX-512 IFMA, for primes of at
 //! most [`ifma::MAX_MODULUS_BITS`] (362) bits, the survivors are taken
 //! eight at a time, in order, and put through one base-2 Fermat check,
@@ -71,34 +91,37 @@
 //! prime in its batch were checked for nothing, but they touch neither
 //! the RNG nor the result: the prime returned and the state `rng` is
 //! left in are those of the scalar search. [`search_counts`] counts the
-//! lanes, the kernel calls and the scalar tests per thread.
+//! lanes, the kernel calls, the scalar tests, the sieve steps and the
+//! Lucas tests' products per thread.
 //!
 //! Per RSA-1024 key (three searches of 341 and 342 bits through
 //! [`gen_prime_coprime`]), on a 2-vCPU VM (Intel Xeon, family 6, model
-//! 207): the scalar search and this one, instrumented with per-step
-//! timers, alternated seed by seed in one process, 300 keys a run; the
-//! range over six runs (the host ran at two speeds), µs per key:
+//! 207): this search with per-step timers against the same search with
+//! the portable (SSE2) step and the U/V Lucas recurrence, alternated
+//! seed by seed in one process, 300 keys a run; the range over three
+//! runs, µs per key:
 //!
-//! | step | scalar search | survivors in lanes |
+//! | step | SSE2 step, U/V Lucas | widest step, V-ladder |
 //! |---|---|---|
-//! | residues | 155–191 | 155–295 |
-//! | advance | 232–465 | 307–502 |
-//! | Fermat lanes | — | 330–464 |
-//! | Baillie–PSW (base-2 strong test + Lucas) | 1,530–2,310 | 479–632 |
-//! | of which Lucas | 381–598 | 388–524 |
-//! | random-base rounds | 374–543 | 104–182 |
-//! | the rest | 169–252 | 95–124 |
-//! | **total** | **2,466–3,600** | **1,471–2,182** |
+//! | residues | 141–150 | 142–150 |
+//! | sieve steps (and each survivor's `UBig`) | 252–286 | 89–98 |
+//! | Fermat lanes | 280–309 | 276–309 |
+//! | base-2 strong test | 88–96 | 88–96 |
+//! | Lucas | 371–399 | 258–285 |
+//! | random-base rounds | 98–103 | 97–103 |
+//! | the rest (`gcd(p − 1, e)` among it) | 52–61 | 30–37 |
+//! | **total** | **1,282–1,380** | **980–1,066** |
 //!
-//! Uninstrumented, the same alternation read 0.59–0.67 of the scalar
-//! search's time per key. Over 300 keys the scalar search ran the base-2
-//! test on 37.2 survivors a key (31–46 µs each); the lanes take 48.9
-//! survivors in 6.1 kernel calls (7–9.5 µs a lane with its constants),
-//! 3.95 pass, and the scalar test runs 3.0 times, once per prime. The
-//! lanes past each search's prime, and the sieve steps to fill them,
-//! are why `advance` grew. What is left is the Lucas test on each prime
-//! (about a quarter of a key, scalar) and the sieve (residues and
-//! advance, about a third): those are the next levers.
+//! Uninstrumented, the same alternation read ×0.75–0.78 per key. Both
+//! make the same steps per key (300 keys): 445.6 sieve steps, 48.9
+//! Fermat lanes in 6.1 kernel calls of which 3.95 pass, and 3.0 scalar
+//! tests; the Lucas products fall from 4,070.7 to 2,787.3
+//! ([`SearchCounts`]). Against the scalar search, which runs the base-2
+//! test on every survivor (37.2 a key, 31–46 µs each), the lanes read
+//! 0.59–0.67 of its time per key when they came in. What is left is the
+//! Fermat lanes (about 30% of a key; each search's last call runs on
+//! past its prime), the Lucas test on each prime (about a quarter) and
+//! the residues (about 15%).
 //!
 //! The search looks at no more than `4·bits` candidates
 //! (`WINDOW_PER_BIT`) and never past `2^bits − 1`; if none is prime it
@@ -175,6 +198,14 @@ pub struct SearchCounts {
     /// Runs of the scalar test, steps 2–4 of [`is_prime`]: the base-2
     /// strong test, the Lucas test and the random-base rounds.
     pub scalar_tests: u64,
+    /// Candidates the search's sieve stepped to, one pass over the
+    /// residue table each: every candidate of a window up to the prime
+    /// returned, and on a CPU with AVX-512 IFMA on to the end of that
+    /// prime's batch.
+    pub sieve_steps: u64,
+    /// Montgomery products and squarings the strong Lucas tests made:
+    /// the ladder over the bits of `d` and the squarings after it.
+    pub lucas_products: u64,
 }
 
 /// The work done between two readings of [`search_counts`]: later minus
@@ -188,6 +219,8 @@ impl std::ops::Sub for SearchCounts {
             fermat_passed: self.fermat_passed - earlier.fermat_passed,
             kernel_calls: self.kernel_calls - earlier.kernel_calls,
             scalar_tests: self.scalar_tests - earlier.scalar_tests,
+            sieve_steps: self.sieve_steps - earlier.sieve_steps,
+            lucas_products: self.lucas_products - earlier.lucas_products,
         }
     }
 }
@@ -200,7 +233,8 @@ thread_local! {
 /// What the prime search and test have done on the calling thread so
 /// far. A caller that reads it before and after a key generation learns
 /// how many survivors took the batched base-2 check, how many kernel
-/// calls that took, and how many candidates the scalar test judged.
+/// calls that took, how many candidates the scalar test judged, how many
+/// the sieve stepped over and how many products the Lucas tests made.
 pub fn search_counts() -> SearchCounts {
     COUNTS.with(Cell::get)
 }
@@ -454,18 +488,28 @@ fn signed_to_mont(mont: &Mont, n: &UBig, magnitude: u64, negative: bool) -> Vec<
 /// `n > 3`: with `n + 1 = d·2^s`, `d` odd, `n` passes when `U_d ≡ 0` or
 /// `V_{d·2^r} ≡ 0 (mod n)` for some `r < s`.
 ///
-/// `U_k`, `V_k` and `Q^k` climb the bits of `d` in Montgomery form by
-/// `U_2k = U_k·V_k`, `V_2k = V_k² − 2Q^k` and, with `P = 1`,
-/// `U_{k+1} = (U_k + V_k)/2`, `V_{k+1} = (D·U_k + V_k)/2`, on four
-/// registers carved from one buffer — nothing allocated in the loop.
+/// A ladder climbs `(V_k, V_{k+1})` and `Q^k` over the bits of `d` in
+/// Montgomery form, with `P = 1`: `V_{2k} = V_k² − 2Q^k` and
+/// `V_{2k+1} = V_k·V_{k+1} − Q^k` on a clear bit, `V_{2k+1}` and
+/// `V_{2k+2} = V_{k+1}² − 2Q^{k+1}` on a set one. `U_d` is never formed:
+/// `D·U_d = 2V_{d+1} − V_d`, and `(D/n) = −1` makes `D` prime to `n`, so
+/// `U_d ≡ 0` exactly when `2V_{d+1} ≡ V_d`. When `Q = −1` (`D = 5`),
+/// `Q^k = (−1)^k` is kept as the parity of `k`: two products a bit.
+/// Otherwise `Q^k` is a register: three products a bit, four on a set
+/// one. Five registers carved from one buffer; nothing allocated in the
+/// loop. The products made are added to [`SearchCounts::lucas_products`]
+/// once, at the end.
 fn strong_lucas_probable_prime(n: &UBig, mont: &Mont) -> bool {
     let Some((d_abs, d_negative)) = selfridge_d(n) else {
         return false;
     };
     // Q = (1 − D)/4: D = 5, −7, 9, −11 give Q = −1, 2, −2, 3.
     let q_abs = if d_negative { d_abs + 1 } else { d_abs - 1 } / 4;
-    let big_d = signed_to_mont(mont, n, d_abs, d_negative);
+    let q_is_minus_one = q_abs == 1 && !d_negative;
     let q = signed_to_mont(mont, n, q_abs, !d_negative);
+    let one = mont.to_mont(&UBig::one());
+    let mut two = one.clone();
+    mont.add_mod(&mut two, &one);
 
     let n_plus_1 = n + &UBig::one();
     let s = n_plus_1.trailing_zeros().expect("n + 1 > 0");
@@ -473,51 +517,98 @@ fn strong_lucas_probable_prime(n: &UBig, mont: &Mont) -> bool {
 
     let w = mont.limb_len();
     let mut scratch = mont.alloc_scratch();
-    let mut buf = vec![0u64; 4 * w];
-    let (mut u, rest) = buf.split_at_mut(w);
-    let (mut v, rest) = rest.split_at_mut(w);
-    let (mut qk, mut t) = rest.split_at_mut(w);
-    // k = 1, the top bit of d: U_1 = 1, V_1 = P = 1, Q^1 = Q.
-    u.copy_from_slice(mont.one_form().as_limbs());
-    v.copy_from_slice(u);
+    let mut buf = vec![0u64; 5 * w];
+    let (mut vk, rest) = buf.split_at_mut(w);
+    let (mut vk1, rest) = rest.split_at_mut(w);
+    let (mut qk, rest) = rest.split_at_mut(w);
+    let (mut t, qk1) = rest.split_at_mut(w);
+    // k = 1, the top bit of d: V_1 = P = 1, V_2 = P² − 2Q, Q^1 = Q.
+    vk.copy_from_slice(&one);
+    vk1.copy_from_slice(&one);
+    mont.sub_mod(vk1, &q);
+    mont.sub_mod(vk1, &q);
     qk.copy_from_slice(&q);
-    let is_zero = |x: &[u64]| x.iter().all(|&l| l == 0);
+    let mut k_odd = true;
+    // x −= c·Q^k for c = 1 or 2: a register, or ±c when Q = −1.
+    let sub_q_power = |x: &mut [u64], qk: &[u64], k_odd: bool, twice: bool| {
+        if q_is_minus_one {
+            let c = if twice { &two } else { &one };
+            if k_odd {
+                mont.add_mod(x, c);
+            } else {
+                mont.sub_mod(x, c);
+            }
+        } else {
+            mont.sub_mod(x, qk);
+            if twice {
+                mont.sub_mod(x, qk);
+            }
+        }
+    };
+    let mut products = 0u64;
 
-    for i in (0..d.bit_len() - 1).rev() {
-        mont.mont_mul_into(u, v, t, &mut scratch);
-        std::mem::swap(&mut u, &mut t);
-        mont.mont_sqr_into(v, t, &mut scratch);
-        std::mem::swap(&mut v, &mut t);
-        mont.sub_mod(v, qk);
-        mont.sub_mod(v, qk);
-        mont.mont_sqr_into(qk, t, &mut scratch);
-        std::mem::swap(&mut qk, &mut t);
-        if d.bit(i) {
-            mont.mont_mul_into(u, &big_d, t, &mut scratch); // t = D·U_k
-            mont.add_mod(u, v);
-            mont.halve_mod(u);
-            mont.add_mod(t, v);
-            mont.halve_mod(t);
-            std::mem::swap(&mut v, &mut t);
-            mont.mont_mul_into(qk, &q, t, &mut scratch);
-            std::mem::swap(&mut qk, &mut t);
+    let passed = 'chain: {
+        for i in (0..d.bit_len() - 1).rev() {
+            // t = V_{2k+1}.
+            mont.mont_mul_into(vk, vk1, t, &mut scratch);
+            sub_q_power(t, qk, k_odd, false);
+            if d.bit(i) {
+                // Q^{k+1}, then V_{2k+2} over V_k, then Q^{2k+1}.
+                if !q_is_minus_one {
+                    mont.mont_mul_into(qk, &q, qk1, &mut scratch);
+                }
+                mont.mont_sqr_into(vk1, vk, &mut scratch);
+                sub_q_power(vk, qk1, !k_odd, true);
+                std::mem::swap(&mut vk, &mut vk1);
+                std::mem::swap(&mut vk, &mut t);
+                if !q_is_minus_one {
+                    mont.mont_mul_into(qk, qk1, t, &mut scratch);
+                    std::mem::swap(&mut qk, &mut t);
+                    products += 2;
+                }
+                k_odd = true;
+            } else {
+                // V_{2k} over V_{k+1}, then Q^{2k}.
+                mont.mont_sqr_into(vk, vk1, &mut scratch);
+                sub_q_power(vk1, qk, k_odd, true);
+                std::mem::swap(&mut vk, &mut vk1);
+                std::mem::swap(&mut vk1, &mut t);
+                if !q_is_minus_one {
+                    mont.mont_sqr_into(qk, t, &mut scratch);
+                    std::mem::swap(&mut qk, &mut t);
+                    products += 1;
+                }
+                k_odd = false;
+            }
+            products += 2;
         }
-    }
-    if is_zero(u) || is_zero(v) {
-        return true;
-    }
-    for _ in 1..s {
-        mont.mont_sqr_into(v, t, &mut scratch);
-        std::mem::swap(&mut v, &mut t);
-        mont.sub_mod(v, qk);
-        mont.sub_mod(v, qk);
-        if is_zero(v) {
-            return true;
+        // k = d: U_d ≡ 0 exactly when 2V_{d+1} ≡ V_d.
+        let is_zero = |x: &[u64]| x.iter().all(|&l| l == 0);
+        t.copy_from_slice(vk1);
+        mont.add_mod(t, vk1);
+        if is_zero(vk) || t == vk {
+            break 'chain true;
         }
-        mont.mont_sqr_into(qk, t, &mut scratch);
-        std::mem::swap(&mut qk, &mut t);
-    }
-    false
+        for r in 1..s {
+            // V_{2k} = V_k² − 2Q^k, then Q^{2k}.
+            mont.mont_sqr_into(vk, t, &mut scratch);
+            std::mem::swap(&mut vk, &mut t);
+            sub_q_power(vk, qk, k_odd, true);
+            products += 1;
+            if is_zero(vk) {
+                break 'chain true;
+            }
+            if !q_is_minus_one && r + 1 < s {
+                mont.mont_sqr_into(qk, t, &mut scratch);
+                std::mem::swap(&mut qk, &mut t);
+                products += 1;
+            }
+            k_odd = false;
+        }
+        false
+    };
+    count(|c| c.lucas_products += products);
+    passed
 }
 
 /// For each odd table prime `p`, `(start − 2) mod p`: one step of
@@ -535,11 +626,74 @@ fn residues_before(start: &UBig) -> Vec<u16> {
     residues
 }
 
+/// The instructions a sieve step runs on, narrowest first; see
+/// [`advance`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+enum Sieve {
+    /// The portable loop as the workspace's target compiles it (SSE2 on
+    /// x86-64).
+    Portable,
+    /// The same loop compiled for AVX2: sixteen `u16` lanes.
+    Avx2,
+    /// The same loop compiled for AVX-512BW: thirty-two `u16` lanes.
+    Avx512bw,
+}
+
+impl Sieve {
+    /// The widest instance this CPU has (`is_x86_feature_detected!`,
+    /// which std caches).
+    fn widest() -> Sieve {
+        #[cfg(target_arch = "x86_64")]
+        {
+            use std::arch::is_x86_feature_detected as has;
+            if has!("avx512f") && has!("avx512bw") {
+                return Sieve::Avx512bw;
+            }
+            if has!("avx2") {
+                return Sieve::Avx2;
+            }
+        }
+        Sieve::Portable
+    }
+}
+
 /// Moves every residue from a candidate `c` to `c + 2` and reports whether
 /// some table prime divides `c + 2`. One fixed pass over both tables:
 /// `r + 2 < 2p`, so the new residue is the smaller of `r + 2` and the
 /// wrapped `r + 2 − p`.
-fn advance(residues: &mut [u16], primes: &[u16]) -> bool {
+///
+/// The body is compiled three times (portable, for AVX2 and for
+/// AVX-512BW) and `sieve` names the one to run: the search passes
+/// [`Sieve::widest`], the tests each instance in turn. An instance runs
+/// only once the CPU is reported to have its features; otherwise the
+/// portable loop runs. All three read and write the tables in the same
+/// order and give the same residues and the same answer.
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+fn advance(residues: &mut [u16], primes: &[u16], sieve: Sieve) -> bool {
+    use std::arch::is_x86_feature_detected as has;
+    match sieve {
+        // SAFETY: `advance_avx512bw` is safe apart from its
+        // `#[target_feature(enable = "avx512f,avx512bw")]`, and the
+        // running CPU was just reported to have both.
+        Sieve::Avx512bw if has!("avx512f") && has!("avx512bw") => unsafe {
+            advance_avx512bw(residues, primes)
+        },
+        // SAFETY: as above, for `avx2`.
+        Sieve::Avx2 if has!("avx2") => unsafe { advance_avx2(residues, primes) },
+        _ => advance_portable(residues, primes),
+    }
+}
+
+/// Without x86-64 every step is portable.
+#[cfg(not(target_arch = "x86_64"))]
+fn advance(residues: &mut [u16], primes: &[u16], _sieve: Sieve) -> bool {
+    advance_portable(residues, primes)
+}
+
+/// The sieve step's one body ([`advance`]), inlined into each instance.
+#[inline(always)]
+fn advance_portable(residues: &mut [u16], primes: &[u16]) -> bool {
     let mut hit = false;
     for (r, &p) in residues.iter_mut().zip(primes) {
         let next = *r + 2;
@@ -547,6 +701,21 @@ fn advance(residues: &mut [u16], primes: &[u16]) -> bool {
         hit |= *r == 0;
     }
     hit
+}
+
+/// [`advance_portable`] on 512-bit registers (`vpminuw` and a compare
+/// into a mask register, 32 residues an instruction).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512bw")]
+fn advance_avx512bw(residues: &mut [u16], primes: &[u16]) -> bool {
+    advance_portable(residues, primes)
+}
+
+/// [`advance_portable`] on 256-bit registers (16 residues an instruction).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn advance_avx2(residues: &mut [u16], primes: &[u16]) -> bool {
+    advance_portable(residues, primes)
 }
 
 /// Generates a random prime of exactly `bits` bits with the top two bits
@@ -587,24 +756,42 @@ fn search<R: BigRng + ?Sized>(bits: usize, rounds: usize, rng: &mut R, lanes: bo
         let after_start = last.sub(&start).shr(1).to_u64();
         let candidates = after_start.map_or(window, |more| window.min(more.saturating_add(1)));
         let mut residues = residues_before(&start);
+        let sieve = Sieve::widest();
+        let mut steps = 0u64;
         let mut survivors = (0..candidates)
-            .filter(|_| !advance(&mut residues, odd_primes))
+            .filter(|_| {
+                steps += 1;
+                !advance(&mut residues, odd_primes, sieve)
+            })
             .map(|i| &start + &UBig::from_u64(2 * i));
-        if !lanes {
-            if let Some(prime) = survivors.find(|c| is_probable_prime(c, rounds, rng, false)) {
-                return prime;
-            }
-            continue;
+        let found = if lanes {
+            search_in_lanes(&mut survivors, rounds, rng)
+        } else {
+            survivors.find(|c| is_probable_prime(c, rounds, rng, false))
+        };
+        count(|c| c.sieve_steps += steps);
+        if let Some(prime) = found {
+            return prime;
         }
-        loop {
-            let batch: Vec<UBig> = survivors.by_ref().take(BATCH).collect();
-            if batch.is_empty() {
-                break;
-            }
-            for candidate in pass_base2_fermat(batch) {
-                if is_probable_prime(&candidate, rounds, rng, true) {
-                    return candidate;
-                }
+    }
+}
+
+/// The first of `survivors` to pass steps 2–4, those steps run only on
+/// the ones that passed the base-2 Fermat check, [`BATCH`] to a kernel
+/// call.
+fn search_in_lanes<R: BigRng + ?Sized>(
+    survivors: &mut impl Iterator<Item = UBig>,
+    rounds: usize,
+    rng: &mut R,
+) -> Option<UBig> {
+    loop {
+        let batch: Vec<UBig> = survivors.by_ref().take(BATCH).collect();
+        if batch.is_empty() {
+            return None;
+        }
+        for candidate in pass_base2_fermat(batch) {
+            if is_probable_prime(&candidate, rounds, rng, true) {
+                return Some(candidate);
             }
         }
     }
@@ -671,6 +858,57 @@ mod tests {
     /// Step 3 alone, with no trial division before it.
     fn lucas_alone(n: &UBig) -> bool {
         strong_lucas_probable_prime(n, &Mont::new(n).unwrap())
+    }
+
+    /// The strong Lucas test by the U/V recurrence, the ladder's
+    /// reference: `U_k`, `V_k` and `Q^k` climb the bits of `d` by
+    /// `U_2k = U_k·V_k`, `V_2k = V_k² − 2Q^k` and, with `P = 1`,
+    /// `U_{k+1} = (U_k + V_k)/2`, `V_{k+1} = (D·U_k + V_k)/2`; `n` passes
+    /// when `U_d` or `V_d` is 0, or a later `V_{d·2^r}` is.
+    fn lucas_uv_oracle(n: &UBig) -> bool {
+        let mont = Mont::new(n).unwrap();
+        let Some((d_abs, d_negative)) = selfridge_d(n) else {
+            return false;
+        };
+        let q_abs = if d_negative { d_abs + 1 } else { d_abs - 1 } / 4;
+        let big_d = signed_to_mont(&mont, n, d_abs, d_negative);
+        let q = signed_to_mont(&mont, n, q_abs, !d_negative);
+        let n_plus_1 = n + &UBig::one();
+        let s = n_plus_1.trailing_zeros().unwrap();
+        let d = n_plus_1.shr(s);
+        let mut u = mont.to_mont(&UBig::one());
+        let mut v = u.clone();
+        let mut qk = q.clone();
+        for i in (0..d.bit_len() - 1).rev() {
+            u = mont.mont_mul(&u, &v);
+            v = mont.mont_sqr(&v);
+            mont.sub_mod(&mut v, &qk);
+            mont.sub_mod(&mut v, &qk);
+            qk = mont.mont_sqr(&qk);
+            if d.bit(i) {
+                let mut t = mont.mont_mul(&u, &big_d);
+                mont.add_mod(&mut u, &v);
+                mont.halve_mod(&mut u);
+                mont.add_mod(&mut t, &v);
+                mont.halve_mod(&mut t);
+                v = t;
+                qk = mont.mont_mul(&qk, &q);
+            }
+        }
+        let is_zero = |x: &[u64]| x.iter().all(|&l| l == 0);
+        if is_zero(&u) || is_zero(&v) {
+            return true;
+        }
+        for _ in 1..s {
+            v = mont.mont_sqr(&v);
+            mont.sub_mod(&mut v, &qk);
+            mont.sub_mod(&mut v, &qk);
+            if is_zero(&v) {
+                return true;
+            }
+            qk = mont.mont_sqr(&qk);
+        }
+        false
     }
 
     /// The smallest strong pseudoprimes to the first 1, 2, … 13 prime
@@ -856,7 +1094,7 @@ mod tests {
             let mut residues = residues_before(&start);
             for i in 0..40u64 {
                 let candidate = &start + &u(2 * i);
-                let hit = advance(&mut residues, odd_primes);
+                let hit = advance(&mut residues, odd_primes, Sieve::widest());
                 for (&res, &p) in residues.iter().zip(odd_primes) {
                     assert_eq!(
                         res as u64,
@@ -865,6 +1103,59 @@ mod tests {
                     );
                 }
                 assert_eq!(hit, residues.contains(&0));
+            }
+        }
+    }
+
+    /// The sieve step instances this CPU has, narrowest first.
+    fn sieve_instances() -> Vec<Sieve> {
+        [Sieve::Portable, Sieve::Avx2, Sieve::Avx512bw]
+            .into_iter()
+            .filter(|&sieve| sieve <= Sieve::widest())
+            .collect()
+    }
+
+    /// Every wide instance of the sieve step this CPU has against the
+    /// portable loop, residues and answer, over 40 steps from random
+    /// residue tables, with residues forced to `p − 2` (a zero next) and
+    /// `p − 1` (a wrap to 1), over table lengths that are and are not a
+    /// multiple of the lane count.
+    #[test]
+    fn every_sieve_instance_steps_like_the_portable_loop() {
+        let instances = sieve_instances();
+        eprintln!("sieve instances on this CPU: {instances:?}");
+        let odd_primes = &tables().primes[1..];
+        let mut r = rng();
+        for len in [0usize, 1, 15, 16, 17, 31, 32, 33, 100, odd_primes.len()] {
+            let primes = &odd_primes[..len];
+            for forced in [None, Some(2u16), Some(1)] {
+                let start: Vec<u16> = primes
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &p)| match forced {
+                        // One residue in seven forced, the rest random.
+                        Some(k) if i % 7 == 3 => p - k,
+                        _ => (r.next_u32() % p as u32) as u16,
+                    })
+                    .collect();
+                let mut portable = start.clone();
+                let mut wide: Vec<Vec<u16>> = instances.iter().map(|_| start.clone()).collect();
+                for step in 0..40 {
+                    let hit = advance_portable(&mut portable, primes);
+                    assert_eq!(hit, portable.contains(&0), "len={len} step={step}");
+                    for (&sieve, residues) in instances.iter().zip(&mut wide) {
+                        let got = advance(residues, primes, sieve);
+                        assert_eq!(got, hit, "{sieve:?} len={len} step={step}");
+                        assert_eq!(residues, &portable, "{sieve:?} len={len} step={step}");
+                    }
+                }
+                if forced == Some(2) && len > 3 {
+                    let mut once = start.clone();
+                    for &sieve in &instances {
+                        once.clone_from(&start);
+                        assert!(advance(&mut once, primes, sieve), "{sieve:?} len={len}");
+                    }
+                }
             }
         }
     }
@@ -1212,8 +1503,53 @@ mod tests {
         }
     }
 
+    /// The ladder against the U/V recurrence on every odd number from 5
+    /// to 2^15 (both `Q = −1` and other parameters), on perfect squares,
+    /// on the strong Lucas pseudoprimes below 300,000 and on the strong
+    /// base-2 pseudoprimes the module tests elsewhere.
+    #[test]
+    fn lucas_ladder_matches_the_uv_recurrence() {
+        let mut checked = 0;
+        for n in (5..1u64 << 15).step_by(2) {
+            assert_eq!(lucas_alone(&u(n)), lucas_uv_oracle(&u(n)), "{n}");
+            checked += 1;
+        }
+        let p512 = gen_prime(512, 0, &mut rng());
+        let squares = [u(3), u(5), u(2053), u(65537), p512.clone()].map(|root| root.square());
+        let lucas = [5459u64, 5777, 10877, 16109, 18971, 22499, 288919];
+        let base2 = [2047u64, 3277, 4033, 4681, 8321, 3_215_031_751];
+        let psi = PSI.iter().map(|(psi, _)| dec(psi));
+        for n in squares
+            .into_iter()
+            .chain(lucas.into_iter().chain(base2).map(u))
+            .chain(psi)
+            .chain([p512, UBig::one().shl(127).sub(&UBig::one())])
+        {
+            assert_eq!(lucas_alone(&n), lucas_uv_oracle(&n), "{n}");
+            checked += 1;
+        }
+        assert!(checked > 16_000);
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn lucas_ladder_matches_the_uv_recurrence_on_random_odd_values(
+            bits in 64usize..401,
+            bytes in proptest::collection::vec(any::<u8>(), 50..51),
+        ) {
+            let mut n = UBig::from_bytes_be(&bytes).shr(400 - bits);
+            n.set_bit(bits - 1);
+            n.set_bit(0);
+            prop_assert_eq!(lucas_alone(&n), lucas_uv_oracle(&n));
+            // And the first prime from n on, which both must pass.
+            let mut p = n;
+            while !is_prime(&p, 0, &mut rng()) {
+                p = &p + &u(2);
+            }
+            prop_assert!(lucas_alone(&p) && lucas_uv_oracle(&p));
+        }
 
         #[test]
         fn matches_oracle_on_random_odd_values(

@@ -4,6 +4,7 @@
 //! (zero is the empty limb vector). All public constructors normalize, and
 //! every operation preserves the invariant.
 
+use crate::mont::sub_limbs;
 use crate::BigError;
 use std::cmp::Ordering;
 use std::fmt;
@@ -548,12 +549,7 @@ impl UBig {
 
     /// Count of trailing zero bits (`None` for zero).
     pub fn trailing_zeros(&self) -> Option<usize> {
-        for (i, &l) in self.limbs.iter().enumerate() {
-            if l != 0 {
-                return Some(i * 64 + l.trailing_zeros() as usize);
-            }
-        }
-        None
+        limbs_trailing_zeros(&self.limbs)
     }
 
     // ---- division ----------------------------------------------------------
@@ -667,30 +663,36 @@ impl UBig {
         self.div_rem(m).1
     }
 
-    /// Greatest common divisor (binary GCD).
+    /// Greatest common divisor (binary GCD) on two limb buffers of the
+    /// wider operand's width: the odd parts are subtracted and shifted in
+    /// place, as `modring::inv_mod` does, with nothing allocated in the
+    /// loop, and the width drops as the top limbs of both reach zero.
     pub fn gcd(&self, other: &UBig) -> UBig {
-        let mut a = self.clone();
-        let mut b = other.clone();
-        if a.is_zero() {
-            return b;
-        }
-        if b.is_zero() {
-            return a;
-        }
-        let az = a.trailing_zeros().unwrap();
-        let bz = b.trailing_zeros().unwrap();
-        let common = az.min(bz);
-        a = a.shr(az);
-        b = b.shr(bz);
+        let (Some(az), Some(bz)) = (self.trailing_zeros(), other.trailing_zeros()) else {
+            // gcd(0, b) = b and gcd(a, 0) = a.
+            return if self.is_zero() { other } else { self }.clone();
+        };
+        let width = self.limb_len().max(other.limb_len());
+        let mut buf = vec![0u64; 2 * width];
+        let (mut a, mut b) = buf.split_at_mut(width);
+        a[..self.limb_len()].copy_from_slice(self.limbs());
+        b[..other.limb_len()].copy_from_slice(other.limbs());
+        shr_in_place(a, az);
+        shr_in_place(b, bz);
+        let mut len = width;
         loop {
-            if a > b {
+            // Both odd, so a[0] and b[0] are not zero and len stays >= 1.
+            while a[len - 1] == 0 && b[len - 1] == 0 {
+                len -= 1;
+            }
+            if a[..len].iter().rev().gt(b[..len].iter().rev()) {
                 std::mem::swap(&mut a, &mut b);
             }
-            b = b.sub(&a);
-            if b.is_zero() {
-                return a.shl(common);
+            sub_limbs(&mut b[..len], &a[..len]);
+            match limbs_trailing_zeros(&b[..len]) {
+                None => return UBig::from_limbs(a[..len].to_vec()).shl(az.min(bz)),
+                Some(tz) => shr_in_place(&mut b[..len], tz),
             }
-            b = b.shr(b.trailing_zeros().unwrap());
         }
     }
 
@@ -735,6 +737,30 @@ impl UBig {
 }
 
 // ---- operator impls ----------------------------------------------------
+
+/// Trailing zero bits of little-endian limbs, `None` when all are zero.
+fn limbs_trailing_zeros(x: &[u64]) -> Option<usize> {
+    let i = x.iter().position(|&l| l != 0)?;
+    Some(64 * i + x[i].trailing_zeros() as usize)
+}
+
+/// `x >>= k` in place over little-endian limbs, for `k` below their
+/// width in bits.
+#[inline]
+pub(crate) fn shr_in_place(x: &mut [u64], k: usize) {
+    let (limbs, bits) = (k / 64, (k % 64) as u32);
+    let len = x.len();
+    if limbs > 0 {
+        x.copy_within(limbs.., 0);
+        x[len - limbs..].fill(0);
+    }
+    if bits > 0 {
+        for j in 0..len - 1 {
+            x[j] = (x[j] >> bits) | (x[j + 1] << (64 - bits));
+        }
+        x[len - 1] >>= bits;
+    }
+}
 
 impl Ord for UBig {
     fn cmp(&self, other: &Self) -> Ordering {
@@ -1033,6 +1059,61 @@ mod tests {
         let a = big("123456789012345678901234567890");
         let g = a.gcd(&a);
         assert_eq!(g, a);
+    }
+
+    /// Euclid's algorithm by `rem`, sharing no code with the binary
+    /// `gcd`.
+    fn gcd_oracle(a: &UBig, b: &UBig) -> UBig {
+        let (mut a, mut b) = (a.clone(), b.clone());
+        while !b.is_zero() {
+            let r = a.rem(&b);
+            a = std::mem::replace(&mut b, r);
+        }
+        a
+    }
+
+    #[test]
+    fn gcd_matches_euclid_on_edge_operands() {
+        let p2 = |k: usize| UBig::one().shl(k);
+        let m127 = p2(127).sub(&UBig::one());
+        let wide = &big("123456789012345678901234567890123456789") * &m127;
+        let values = [
+            UBig::zero(),
+            UBig::one(),
+            UBig::from_u64(2),
+            UBig::from_u64(6),
+            p2(63),
+            p2(64),
+            p2(200),
+            &p2(200) * &UBig::from_u64(3),
+            m127.clone(),
+            &m127 * &p2(70),
+            wide.clone(),
+            &wide * &p2(129),
+        ];
+        for a in &values {
+            for b in &values {
+                assert_eq!(a.gcd(b), gcd_oracle(a, b), "gcd({a}, {b})");
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn gcd_matches_euclid(
+            a in proptest::collection::vec(proptest::prelude::any::<u64>(), 0..12),
+            b in proptest::collection::vec(proptest::prelude::any::<u64>(), 0..7),
+            common in proptest::collection::vec(proptest::prelude::any::<u64>(), 1..4),
+            shift in 0usize..130,
+        ) {
+            let (a, b) = (UBig::from_limbs(a), UBig::from_limbs(b));
+            let common = UBig::from_limbs(common).shl(shift);
+            for (x, y) in [(&a, &b), (&b, &a), (&(&a * &common), &(&b * &common)), (&a, &a)] {
+                proptest::prop_assert_eq!(x.gcd(y), gcd_oracle(x, y));
+            }
+        }
     }
 
     #[test]

@@ -95,7 +95,7 @@ impl FixedBase {
             return None;
         }
         let s = mont.limb_len();
-        let mut acc = mont.one_form().into_limbs();
+        let mut acc = mont.to_mont(&UBig::one());
         let mut entry = vec![0u64; s];
         let mut tmp = vec![0u64; s];
         let mut scratch = mont.alloc_scratch();

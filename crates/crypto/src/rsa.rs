@@ -9,9 +9,23 @@
 //! `dᵢ = d mod (rᵢ − 1)`, its CRT coefficient `tᵢ = (r₁⋯rᵢ₋₁)⁻¹ mod rᵢ`
 //! (kept in Montgomery form), and its Montgomery context. A private-key
 //! operation does one exponentiation `mᵢ = x^dᵢ mod rᵢ` per prime and
-//! recombines them with Garner's rule (RFC 8017 §5.1.2, step 2.b):
-//! starting from `m = m₁`, each further prime adds
-//! `(r₁⋯rᵢ₋₁) · (tᵢ · (mᵢ − m) mod rᵢ)`, one Montgomery product each.
+//! recombines them with Garner's rule (RFC 8017 §5.1.2, step 2.b) in
+//! mixed radix: `m = v₁ + r₁·(v₂ + r₂·(v₃ + …))` with `v₁ = m₁` and
+//! `vᵢ = tᵢ·(mᵢ − m mod rᵢ) mod rᵢ`, where `m` is the value
+//! `v₁ + r₁·v₂ + …` of the digits before `vᵢ`.
+//!
+//! The recombination runs on fixed-width limb buffers, without a branch,
+//! a comparison or a division on a residue. `m mod rᵢ` is one Montgomery
+//! product per earlier digit `v_j`, against the constant
+//! `r₁⋯r_{j−1} mod rᵢ` each factor keeps in Montgomery form. The digit
+//! needs no reduction first: it is below `R = 2^(64·wᵢ)` (`wᵢ` being
+//! `rᵢ`'s width in limbs) when `r_j` is no wider than `rᵢ`, and
+//! `v_j·c < R·rᵢ` is all a Montgomery product asks; a digit of a wider
+//! prime is cut into `wᵢ`-limb chunks, each with its own constant.
+//! `mᵢ − m mod rᵢ` is a subtraction and an add-back of `rᵢ` under the
+//! borrow's mask (`ct::sub_borrow`, `ct::add_masked`), and the digits are
+//! put together by schoolbook products on limb arrays. Every length is
+//! the primes' widths, which are public.
 //!
 //! The prime count follows from the modulus size (`prime_count`): two
 //! below 1024 bits, three from 1024 bits on. Exponentiation cost grows
@@ -27,9 +41,9 @@
 use crate::rng::CryptoRng;
 use crate::sha256::{sha256, DIGEST_LEN};
 use crate::CryptoError;
-use p2drm_bignum::ct::Secret;
+use p2drm_bignum::ct::{self, Secret};
 use p2drm_bignum::ifma::{self, Modulus52, PublicModulus52};
-use p2drm_bignum::{modring, prime, Mont, MontForm, UBig};
+use p2drm_bignum::{modring, prime, Mont, UBig};
 use p2drm_codec::{Decode, Encode, Reader, Writer};
 
 /// The fixed public exponent (F4).
@@ -278,10 +292,17 @@ struct Factor {
     r: UBig,
     /// Its exponent dᵢ = d mod (rᵢ − 1).
     d: UBig,
-    /// Its coefficient tᵢ = (r₁⋯rᵢ₋₁)⁻¹ mod rᵢ in Montgomery form: the
-    /// Garner step multiply is then a single Montgomery product. The
-    /// first factor's is the empty product's inverse, 1, and never read.
-    t: MontForm,
+    /// Its coefficient tᵢ = (r₁⋯rᵢ₋₁)⁻¹ mod rᵢ in Montgomery form, rᵢ's
+    /// width: the Garner step multiply is then a single Montgomery
+    /// product. The first factor's is the empty product's inverse, 1, and
+    /// never read.
+    t: Vec<u64>,
+    /// `m mod rᵢ`'s constants: for each earlier factor j, in order, and
+    /// each rᵢ-wide chunk k of a digit padded to the widest prime,
+    /// `(r₁⋯r_{j−1})·2^(64·wᵢ·k) mod rᵢ` in Montgomery form, wᵢ limbs
+    /// each (wᵢ being rᵢ's width). Primes of one width (every generated
+    /// key's digits but a wider last prime's) have one chunk a digit.
+    radix: Vec<u64>,
     /// Montgomery context mod rᵢ.
     mont: Mont,
     /// Its radix-2^52 constants for the vertical exponentiation
@@ -334,8 +355,8 @@ impl RsaKeyPair {
             return Err(CryptoError::BadKey("prime factors do not multiply to n"));
         }
         let ed = &d * public.exponent();
-        let mut factors = Vec::with_capacity(k);
-        let mut radix = UBig::one(); // r₁⋯rᵢ₋₁
+        let digit_width = primes.iter().map(UBig::limb_len).max().unwrap_or(0);
+        let mut factors: Vec<Factor> = Vec::with_capacity(k);
         for r in primes {
             let r1 = r.sub(&UBig::one());
             if !ed.rem(&r1).is_one() {
@@ -343,11 +364,22 @@ impl RsaKeyPair {
             }
             let bad = |_| CryptoError::BadKey("prime factor not invertible");
             let mont = Mont::new(&r).map_err(bad)?;
-            let t = mont.to_form(&modring::inv_mod(&radix, &r).map_err(bad)?);
-            radix = &radix * &r;
+            // r₁⋯r_{j−1} for each earlier factor j, ending at r₁⋯rᵢ₋₁,
+            // whose inverse is tᵢ.
+            let mut prefix = UBig::one();
+            let mut radix = Vec::new();
+            let w = r.limb_len();
+            for earlier in &factors {
+                for chunk in 0..digit_width.div_ceil(w) {
+                    radix.extend(mont.to_mont(&prefix.shl(64 * w * chunk)));
+                }
+                prefix = &prefix * &earlier.r;
+            }
+            let t = mont.to_mont(&modring::inv_mod(&prefix, &r).map_err(bad)?);
             factors.push(Factor {
                 d: d.rem(&r1),
                 t,
+                radix,
                 mont,
                 r52: Modulus52::new(&r),
                 r,
@@ -417,20 +449,58 @@ impl RsaKeyPair {
     }
 
     /// Garner's recombination of one input's per-prime powers, in factor
-    /// order.
+    /// order, on fixed-width limbs (module doc).
     fn garner(&self, powers: &[UBig]) -> UBig {
-        let (first, rest) = self.factors.split_first().expect("a key has >= 2 factors");
-        let (m1, others) = powers.split_first().expect("one power per factor");
-        let mut m = m1.clone();
-        let mut radix = first.r.clone();
-        for (f, mi) in rest.iter().zip(others) {
-            // h = tᵢ·(mᵢ − m) mod rᵢ: one Montgomery product, because tᵢ
-            // is kept permanently in Montgomery form.
-            let h = f.mont.form_mul_plain(&f.t, &modring::sub_mod(mi, &m, &f.r));
-            m = &m + &(&radix * &h);
-            radix = &radix * &f.r;
+        let width = self.factors.iter().map(|f| f.r.limb_len()).max();
+        let width = width.expect("a key has >= 2 factors");
+        let n_width = self.public.modulus().limb_len();
+        // The digits v₁…v_k, `width` limbs each, three registers of that
+        // width and three of n's.
+        let k = self.factors.len();
+        let mut buf = vec![0u64; (k + 3) * width + 3 * n_width];
+        let (digits, rest) = buf.split_at_mut(k * width);
+        let (sum, rest) = rest.split_at_mut(width);
+        let (chunk, rest) = rest.split_at_mut(width);
+        let (product, rest) = rest.split_at_mut(width);
+        let (mut m, rest) = rest.split_at_mut(n_width);
+        let (mut next, padded) = rest.split_at_mut(n_width);
+        for (i, (f, mi)) in self.factors.iter().zip(powers).enumerate() {
+            let (r, w) = (f.r.limbs(), f.r.limb_len());
+            let (earlier, digit) = digits.split_at_mut(i * width);
+            let v = &mut digit[..w];
+            // mᵢ < rᵢ, so it has at most w limbs.
+            v[..mi.limb_len()].copy_from_slice(mi.limbs());
+            if i == 0 {
+                continue;
+            }
+            let (sum, chunk, product) = (&mut sum[..w], &mut chunk[..w], &mut product[..w]);
+            let mut scratch = f.mont.alloc_scratch();
+            // m mod rᵢ, one product per earlier digit and chunk.
+            sum.fill(0);
+            let chunks = earlier.chunks(width).flat_map(|digit| digit.chunks(w));
+            for (c, part) in f.radix.chunks_exact(w).zip(chunks) {
+                chunk.fill(0);
+                chunk[..part.len()].copy_from_slice(part);
+                f.mont.mont_mul_into(c, chunk, product, &mut scratch);
+                add_mod(sum, product, r);
+            }
+            // vᵢ = tᵢ·(mᵢ − m mod rᵢ) mod rᵢ.
+            let borrow = ct::sub_borrow(v, sum);
+            ct::add_masked(v, r, borrow.wrapping_neg());
+            f.mont.mont_mul_into(&f.t, v, product, &mut scratch);
+            v.copy_from_slice(product);
         }
-        m
+        // m = v₁ + r₁·(v₂ + r₂·(v₃ + …)), from the last digit down, in
+        // n's width: each partial sum is below the product of its primes.
+        for (f, v) in self.factors.iter().zip(digits.chunks(width)).rev() {
+            mul_limbs_into(next, m, f.r.limbs());
+            padded[..width].copy_from_slice(v);
+            ct::add_masked(next, padded, Secret::new(u64::MAX));
+            std::mem::swap(&mut m, &mut next);
+        }
+        // The result is allocated after the registers, so a signature
+        // that is kept does not sit between freed blocks.
+        UBig::from_limbs(m.to_vec())
     }
 
     /// Signs `message` with PKCS#1 v1.5 / SHA-256: the one-message case
@@ -469,6 +539,33 @@ impl RsaKeyPair {
                 RsaSignature { s }
             })
             .collect()
+    }
+}
+
+/// `a = a + b mod r` for `a, b < r` of `r`'s width: add, subtract `r`,
+/// and add `r` back under the mask of a borrow the add's carry does not
+/// cover. No branch on a limb.
+fn add_mod(a: &mut [u64], b: &[u64], r: &[u64]) {
+    let carry = ct::add_masked(a, b, Secret::new(u64::MAX));
+    let borrow = ct::sub_borrow(a, r);
+    ct::add_masked(a, r, (borrow & !carry).wrapping_neg());
+}
+
+/// `out = a·b`, the schoolbook product of two little-endian limb arrays,
+/// for a product that fits `out`: every limb product below `out`'s width
+/// is formed, whatever the values.
+fn mul_limbs_into(out: &mut [u64], a: &[u64], b: &[u64]) {
+    out.fill(0);
+    for (i, &ai) in a.iter().enumerate() {
+        let mut carry = 0u128;
+        for (o, &bj) in out[i..].iter_mut().zip(b) {
+            let cur = *o as u128 + ai as u128 * bj as u128 + carry;
+            *o = cur as u64;
+            carry = cur >> 64;
+        }
+        if let Some(o) = out.get_mut(i + b.len()) {
+            *o = carry as u64;
+        }
     }
 }
 
@@ -718,7 +815,10 @@ mod tests {
     /// their call), and the scalar test runs only on the three primes
     /// returned, each of which takes one more call for its four
     /// random-base rounds. Without IFMA every survivor runs the scalar
-    /// test, as it did before the lanes.
+    /// test, as it did before the lanes. The sieve steps over 294
+    /// candidates to reach the three primes, and over 499 when the last
+    /// batch of each search is filled; the three Lucas tests, which run
+    /// on the primes alone either way, make 3,038 products.
     #[test]
     fn keygen_checks_its_survivors_in_lanes() {
         let before = prime::search_counts();
@@ -731,6 +831,8 @@ mod tests {
                 fermat_passed: 5,
                 kernel_calls: 6 + 3,
                 scalar_tests: 3,
+                sieve_steps: 499,
+                lucas_products: 3038,
             }
         } else {
             eprintln!("this CPU has no AVX-512 IFMA: the scalar search's counts are checked");
@@ -739,6 +841,8 @@ mod tests {
                 fermat_passed: 0,
                 kernel_calls: 0,
                 scalar_tests: 30,
+                sieve_steps: 294,
+                lucas_products: 3038,
             }
         };
         assert_eq!(done, want);
@@ -858,6 +962,76 @@ mod tests {
             for x in [UBig::from_u64(9_876_543_210), UBig::one(), top, wide] {
                 let plain = x.pow_mod(kp.private_exponent(), n).unwrap();
                 assert_eq!(kp.raw_private(&x), plain, "{} bits", n.bit_len());
+            }
+        }
+    }
+
+    /// Garner's recombination in `UBig` arithmetic, the reference for
+    /// the limb one: from `m = m₁`, each further prime adds
+    /// `(r₁⋯rᵢ₋₁)·(tᵢ·(mᵢ − m) mod rᵢ)`.
+    fn garner_oracle(kp: &RsaKeyPair, powers: &[UBig]) -> UBig {
+        let mut m = powers[0].clone();
+        let mut radix = kp.factors[0].r.clone();
+        for (f, mi) in kp.factors[1..].iter().zip(&powers[1..]) {
+            let t = modring::inv_mod(&radix, &f.r).unwrap();
+            let h = (&t * &modring::sub_mod(mi, &m, &f.r)).rem(&f.r);
+            m = &m + &(&radix * &h);
+            radix = &radix * &f.r;
+        }
+        m
+    }
+
+    /// The limb recombination against the `UBig` one, on random residues
+    /// and on 0, 1 and rᵢ − 1: two-prime keys (512 bits; 257 bits, whose
+    /// primes are 2 and 3 limbs wide, in both orders) and three-prime keys
+    /// (1024; 2048, off the fixed-width kernels; 1153, whose last prime
+    /// is a limb wider, with that prime first and in the middle too).
+    #[test]
+    fn garner_on_limbs_matches_the_ubig_recombination() {
+        let reordered = |kp: &RsaKeyPair, order: &[usize]| {
+            let primes = order.iter().map(|&i| kp.factors[i].r.clone()).collect();
+            RsaKeyPair::from_primes(kp.public().clone(), kp.d.clone(), primes).unwrap()
+        };
+        let kp257 = RsaKeyPair::generate(257, &mut test_rng(257));
+        let kp1153 = RsaKeyPair::generate(1153, &mut test_rng(1153));
+        let widths = |kp: &RsaKeyPair| {
+            kp.factors
+                .iter()
+                .map(|f| f.r.limb_len())
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(widths(&kp257), [2, 3]);
+        assert_eq!(widths(&kp1153), [6, 6, 7]);
+        let keys = [
+            keypair(),
+            reordered(&kp257, &[1, 0]),
+            kp257,
+            keypair1024().clone(),
+            keypair2048().clone(),
+            reordered(&kp1153, &[2, 0, 1]),
+            reordered(&kp1153, &[0, 2, 1]),
+            kp1153,
+        ];
+        let mut rng = test_rng(421);
+        for kp in &keys {
+            let bits = kp.public().modulus().bit_len();
+            for round in 0..40 {
+                let powers: Vec<UBig> = kp
+                    .factors
+                    .iter()
+                    .map(|f| match round {
+                        0 => UBig::zero(),
+                        1 => UBig::one(),
+                        2 => f.r.sub(&UBig::one()),
+                        _ => p2drm_bignum::rng::random_below(&mut rng, &f.r),
+                    })
+                    .collect();
+                let m = kp.garner(&powers);
+                assert_eq!(m, garner_oracle(kp, &powers), "{bits} bits, round {round}");
+                assert!(&m < kp.public().modulus());
+                for (f, mi) in kp.factors.iter().zip(&powers) {
+                    assert_eq!(&m.rem(&f.r), mi, "{bits} bits, round {round}");
+                }
             }
         }
     }
