@@ -103,7 +103,7 @@ fn bench_keygen(c: &mut Criterion) {
     let n = kp.public().modulus();
     let a = brng::random_below(&mut rng, n);
     group.bench_function(BenchmarkId::new("inv_mod", 1024), |b| {
-        b.iter(|| modring::inv_mod(&a, n))
+        b.iter(|| modring::inv_mod(p2drm_bignum::ct::Secret::new(&a), n))
     });
     group.finish();
 }

@@ -6,9 +6,9 @@
 //! `Debug` prints `Secret(..)`, so `if`, `match`, `while`, `&&`, `||`,
 //! `table[i]` and `as usize` do not compile on one. What it has:
 //!
-//! * bit operations (`&`, `|`, `^`, `!`, `>>` by a public amount) and
-//!   wrapping subtraction and negation on `Secret<u64>`, whose results
-//!   stay secret;
+//! * bit operations (`&`, `|`, `^`, `!`, `<<` and `>>` by a public
+//!   amount) and wrapping addition, subtraction and negation on
+//!   `Secret<u64>`, whose results stay secret;
 //! * [`Secret::ct_eq`], an all-ones / all-zeros mask built without a
 //!   comparison, and [`Secret::ct_select`], which picks under a mask;
 //! * [`Secret::window`], a `Secret<u64>` digit of a `Secret<&UBig>`;
@@ -17,9 +17,12 @@
 //! * one exit, [`Secret::declassify`]. Each call says in a comment why
 //!   the value may be branched on from there: the exponent's bit length
 //!   (a key-size parameter), the digits entering a vector register that
-//!   is only ever a move mask, and the places where a secret still meets
-//!   variable-time code (the blinding factor's inversion,
-//!   `p2drm-crypto`'s `blind` module).
+//!   is only ever a move mask, the transition matrix of a batch of
+//!   divsteps entering the branch-free limb products of
+//!   [`modring::inv_mod`](crate::modring::inv_mod), and the places where
+//!   a secret still meets variable-time code (the blinding factor's
+//!   entry into the public-key operation, `p2drm-crypto`'s `blind`
+//!   module).
 //!
 //! # Where the boundary is
 //!
@@ -190,7 +193,7 @@
 
 use crate::ubig::UBig;
 use std::fmt;
-use std::ops::{BitAnd, BitOr, BitXor, Not, Shr};
+use std::ops::{BitAnd, BitOr, BitXor, Not, Shl, Shr};
 
 /// A value no branch, index or short-circuit may be taken on (module
 /// doc). [`Secret::declassify`] is the one way out.
@@ -235,6 +238,12 @@ impl<T> fmt::Debug for Secret<T> {
 }
 
 impl Secret<u64> {
+    /// `self + rhs`, wrapping.
+    #[inline(always)]
+    pub fn wrapping_add(self, rhs: impl Into<Secret<u64>>) -> Self {
+        Secret(self.0.wrapping_add(rhs.into().0))
+    }
+
     /// `self − rhs`, wrapping.
     #[inline(always)]
     pub fn wrapping_sub(self, rhs: impl Into<Secret<u64>>) -> Self {
@@ -293,6 +302,15 @@ impl Not for Secret<u64> {
     #[inline(always)]
     fn not(self) -> Self {
         Secret(!self.0)
+    }
+}
+
+impl Shl<u32> for Secret<u64> {
+    type Output = Self;
+
+    #[inline(always)]
+    fn shl(self, by: u32) -> Self {
+        Secret(self.0 << by)
     }
 }
 

@@ -1,7 +1,7 @@
 //! Vertical modular exponentiation on AVX-512 IFMA: up to eight
 //! independent exponentiations per kernel call, one per 64-bit lane.
 //!
-//! Two entries, each an instance of one kernel written once:
+//! Three entries, each an instance of one kernel written once:
 //!
 //! * [`pow_lanes`] computes `xₖ^eₖ mod nₖ` for any number of lanes, each
 //!   an odd modulus of at most [`MAX_MODULUS_BITS`] (362) bits with its
@@ -14,14 +14,20 @@
 //!   (signature checks, KEM encapsulations) of many RSA-1024 requests.
 //!   Twenty limbs, `R = 2^1040`, plain square-and-multiply. Twenty limbs
 //!   are also the width of an RSA-2048 key's 1024-bit CRT primes.
+//! * [`comb_lanes`] computes `bₖ^eₖ mod nₖ` for fixed bases `bₖ` through
+//!   their [`CombTable`]s, each exponent secret: one product per 4-bit
+//!   digit, the entry picked by [`ct_lookup`](crate::ct::ct_lookup)'s
+//!   masked scan, no squarings. Twenty limbs, as the public entry.
 //!
-//! Three callers: `RsaKeyPair::raw_private` and `sign_batch` in
+//! Four callers: `RsaKeyPair::raw_private` and `sign_batch` in
 //! `p2drm-crypto` (the CRT exponentiations, secret entry),
-//! `rsa::public_batch` there (public entry), and the prime search
+//! `rsa::public_batch` there (public entry), the prime search
 //! ([`prime::gen_prime`](crate::prime::gen_prime), secret entry), which
 //! puts eight sieve survivors at a time through the base-2 Fermat check
 //! `2^(n−1) mod n`, one per lane, and a found prime's random-base
-//! Miller–Rabin rounds through one call.
+//! Miller–Rabin rounds through one call, and the ElGamal escrow
+//! (`p2drm-crypto`'s `elgamal` module, comb entry), whose encryption's
+//! `g^y` and `h^y` are the two lanes of one call.
 //!
 //! # Representation
 //!
@@ -62,7 +68,7 @@
 //!
 //! # Lane packing
 //!
-//! Both entries pack their lanes eight to a call in 512-bit registers;
+//! Every entry packs its lanes eight to a call in 512-bit registers;
 //! a call of at most four lanes (a lone RSA-1024 signature has three)
 //! runs the same code on 256-bit registers, where a product issues
 //! half the multiply-adds and the CPU can run two of them per cycle.
@@ -127,7 +133,11 @@
 //!
 //! The constants of a fresh 1024-bit modulus cost 2.5–2.6 µs
 //! ([`PublicModulus52::new`]) against 3.0 µs for a
-//! [`Mont`](crate::Mont) context. So from 14 limbs of 64 bits one lane
+//! [`Mont`](crate::Mont) context when this table was made; both now take
+//! `R² mod n` from one-word quotient estimates (`mont::pow2_mod`) instead
+//! of a long division: ×0.61–0.69 at 1024 bits and ×0.25–0.28 at 341
+//! and 362 for these constants, ×0.55–0.68 and ×0.21–0.24 for a
+//! context, in one process. So from 14 limbs of 64 bits one lane
 //! alone costs no more than the scalar path (at 1024 bits 0–25% less),
 //! and eight cost 2.3–2.5 µs per operation at 1024 bits, about a sixth
 //! of it; at 512 bits a lane is under half full and the kernel loses
@@ -144,19 +154,38 @@
 //!
 //! The kernel runs when `is_x86_feature_detected!` reports `avx512f`,
 //! `avx512vl` and `avx512ifma` ([`available`]; std caches the answer,
-//! so it is asked on every call); otherwise both entries return `None`
+//! so it is asked on every call); otherwise every entry returns `None`
 //! and the caller uses [`Mont::pow`](crate::Mont::pow) (the same
-//! algorithm, one residue at a time) or
-//! [`Mont::pow_u64`](crate::Mont::pow_u64) per modulus, the references
-//! they are tested against. Only the CPU, the lane count and the
-//! modulus size decide; there is no switch, cargo feature or setting.
-//! The kernel is written as safe `#[target_feature]` functions over
-//! register values (no pointer intrinsics); calling it after detection
-//! is this module's one `unsafe` operation (`pow_vertical`), which both
-//! entries go through.
+//! algorithm, one residue at a time),
+//! [`Mont::pow_u64`](crate::Mont::pow_u64) per modulus or the scalar
+//! comb, the references they are tested against. Only the CPU, the lane
+//! count and the modulus size decide; there is no switch, cargo feature
+//! or setting. The kernel is written as safe `#[target_feature]`
+//! functions over register values (no pointer intrinsics); calling it
+//! after detection is this module's one `unsafe` operation
+//! (`pow_vertical`), which every entry goes through.
+//!
+//! # The comb entry
+//!
+//! A [`CombTable`] holds, for each 4-bit digit position of the
+//! exponent, the 16 powers of the base at that position in Montgomery
+//! form for `R = 2^1040`: 20 limbs an entry, 640 KiB for a MODP-1024
+//! base (the scalar comb's 16-limb entries take 512 KiB). A call starts
+//! every lane at 1 and takes one product per digit position, zero
+//! digits included; before each, every used lane copies its digit's
+//! entry out of its table by [`ct_lookup`](crate::ct::ct_lookup), which
+//! reads all 16, and the entries are transposed into the registers. The
+//! table is built on the scalar product ([`CombTable::new`]). Timed in
+//! one process against the scalar comb (MODP-1024, 30 rounds of 100
+//! encryptions alternated, ciphertexts asserted equal; three runs on a
+//! 2-vCPU Xeon model 207, whose speed varied between runs), a whole
+//! ElGamal encryption, the pair as one two-lane call on 256-bit
+//! registers, costs 126–196 µs against 248–384 (×0.49–0.51). Holding
+//! the tables in 64-bit limbs (512 KiB) and changing radix after each
+//! scan was sized too: ×1.10–1.16 per encryption against these tables.
 
 use crate::ct::Secret;
-use crate::mont::{inv64, reduce_once};
+use crate::mont::{inv64, pow2_mod, reduce_once, WINDOW};
 use crate::ubig::UBig;
 use std::cell::Cell;
 
@@ -195,6 +224,10 @@ pub type Lane<'a> = (&'a Modulus52, &'a UBig, Secret<&'a UBig>);
 /// One lane of [`pow_public_lanes`]: its modulus and base.
 pub type PublicLane<'a> = (&'a PublicModulus52, &'a UBig);
 
+/// One lane of [`comb_lanes`]: a fixed base's table and a secret
+/// exponent.
+pub type CombLane<'a> = (&'a CombTable, Secret<&'a UBig>);
+
 /// The constants of a modulus for [`pow_lanes`].
 pub type Modulus52 = Radix52<PRIME_LIMBS>;
 
@@ -206,17 +239,17 @@ thread_local! {
     static KERNEL_CALLS: Cell<u64> = const { Cell::new(0) };
 }
 
-/// Kernel calls the calling thread has made so far, through either
-/// entry. A caller that reads it before and after a [`pow_lanes`] or
-/// [`pow_public_lanes`] call learns how many calls its lanes took:
-/// `⌈lanes / 8⌉` on a CPU with AVX-512 IFMA, 0 without.
+/// Kernel calls the calling thread has made so far, through any entry.
+/// A caller that reads it before and after a [`pow_lanes`],
+/// [`pow_public_lanes`] or [`comb_lanes`] call learns how many calls its
+/// lanes took: `⌈lanes / 8⌉` on a CPU with AVX-512 IFMA, 0 without.
 pub fn kernel_calls() -> u64 {
     KERNEL_CALLS.with(Cell::get)
 }
 
 /// Whether this CPU runs the kernel: it has AVX-512F, AVX-512VL and
 /// AVX-512 IFMA (std caches the answer, so asking is cheap). Without
-/// them both entries return `None`.
+/// them every entry returns `None`.
 pub fn available() -> bool {
     #[cfg(target_arch = "x86_64")]
     return std::arch::is_x86_feature_detected!("avx512f")
@@ -228,7 +261,8 @@ pub fn available() -> bool {
 
 /// Radix-2^52 constants of one odd modulus `n` for the instance of `L`
 /// limbs, `R = 2^(52·L)`: `n` itself, `R² mod n` for entering
-/// Montgomery form, and `−n⁻¹ mod 2^52` for the reduction digits:
+/// Montgomery form (`mont::pow2_mod`, no long division), and
+/// `−n⁻¹ mod 2^52` for the reduction digits:
 /// [`Modulus52`] (7 limbs, moduli of at most [`MAX_MODULUS_BITS`] bits)
 /// for [`pow_lanes`], [`PublicModulus52`] (20 limbs, at most
 /// [`MAX_PUBLIC_MODULUS_BITS`]) for [`pow_public_lanes`].
@@ -251,9 +285,9 @@ impl<const L: usize> Radix52<L> {
         if modulus.is_even() || !(2..=Self::MAX_BITS).contains(&bits) {
             return None;
         }
-        let rr = UBig::one().shl(2 * LIMB_BITS * L).rem(modulus);
+        let rr = pow2_mod(modulus.limbs(), 2 * LIMB_BITS * L);
         Some(Radix52 {
-            n: to_radix52(modulus),
+            n: to_radix52(modulus.limbs()),
             rr: to_radix52(&rr),
             k0: inv64(modulus.limbs()[0]).wrapping_neg() & MASK,
             modulus: modulus.clone(),
@@ -271,7 +305,7 @@ pub fn pow_lanes(lanes: &[Lane]) -> Option<Vec<UBig>> {
     let zero = UBig::zero();
     pow_packed(
         lanes,
-        |lane| (lane.0, lane.1),
+        |lane| (lane.0, Some(lane.1)),
         |width, chunk, moduli, bases, out| {
             let mut exps = [Secret::new(&zero); LANES];
             for (exp, lane) in exps.iter_mut().zip(chunk) {
@@ -291,19 +325,124 @@ pub fn pow_lanes(lanes: &[Lane]) -> Option<Vec<UBig>> {
 pub fn pow_public_lanes(lanes: &[PublicLane], e: u64) -> Option<Vec<UBig>> {
     pow_packed(
         lanes,
-        |&lane| lane,
+        |&(modulus, base)| (modulus, Some(base)),
         |width, _, moduli, bases, out| pow_vertical(width, Job::Public(moduli, bases, e, out)),
     )
 }
 
-/// The packing both entries share: `lanes` go eight to a call (a call
-/// of at most four on 256-bit registers), each base reduced by its
-/// modulus and brought to radix 2^52; `call(width, chunk, moduli,
-/// bases, out)` runs one kernel call over a chunk. Unused lanes of a
-/// call take the chunk's first modulus and a zero base, and are dropped.
+/// A fixed base's table for [`comb_lanes`], on the 20-limb instance: for
+/// each 4-bit digit position `i` of an exponent, the 16 powers
+/// `(base^(2^(4i)))^d`, `d = 0..15`, in Montgomery form for
+/// `R = 2^1040`, 20 radix-2^52 limbs each. It covers exponents as wide
+/// as the modulus's 64-bit limbs, as the scalar comb's table does: 256
+/// digits and 640 KiB at 1024 bits (the scalar table's 16-limb entries
+/// take 512 KiB).
+#[derive(Debug)]
+pub struct CombTable {
+    modulus: PublicModulus52,
+    digits: usize,
+    entries: Vec<u64>,
+}
+
+impl CombTable {
+    /// The table of `base` modulo `mont`'s modulus, or `None` for a
+    /// modulus of more than [`MAX_PUBLIC_MODULUS_BITS`] bits. Built on
+    /// the scalar product: each digit's powers are
+    /// [`Mont::window_table`](crate::Mont::window_table)'s, and one
+    /// product with `2^1040 mod n` takes each from `R = 2^(64·limbs)` to
+    /// `R = 2^1040`.
+    pub fn new(mont: &crate::Mont, base: &UBig) -> Option<Self> {
+        let n = mont.modulus();
+        let modulus = PublicModulus52::new(&n)?;
+        let s = mont.limb_len();
+        let digits = (64 * s).div_ceil(WINDOW);
+        let r52 = pow2_mod(n.limbs(), LIMB_BITS * PUBLIC_LIMBS);
+        let mut scratch = mont.alloc_scratch();
+        let mut tmp = vec![0u64; s];
+        // b = base^(2^(4i)) in scalar Montgomery form for digit i.
+        let mut b = mont.to_mont(base);
+        let mut entries = Vec::with_capacity(digits * (PUBLIC_LIMBS << WINDOW));
+        for _ in 0..digits {
+            for power in mont.window_table(&b).chunks_exact(s) {
+                mont.mont_mul_into(power, &r52, &mut tmp, &mut scratch);
+                entries.extend(to_radix52::<PUBLIC_LIMBS>(&tmp));
+            }
+            for _ in 0..WINDOW {
+                mont.mont_sqr_into(&b, &mut tmp, &mut scratch);
+                std::mem::swap(&mut b, &mut tmp);
+            }
+        }
+        Some(CombTable {
+            modulus,
+            digits,
+            entries,
+        })
+    }
+
+    /// The widest exponent the table covers, in bits.
+    pub fn bits(&self) -> usize {
+        self.digits * WINDOW
+    }
+
+    /// Digit position `i`'s entry for the digit `d`:
+    /// [`ct_lookup`](crate::ct::ct_lookup)'s masked scan of the
+    /// position's 16 entries.
+    #[inline]
+    fn entry(&self, i: usize, d: Secret<u64>) -> Limbs52<PUBLIC_LIMBS> {
+        let mut entry = [0u64; PUBLIC_LIMBS];
+        let span = PUBLIC_LIMBS << WINDOW;
+        crate::ct::ct_lookup(&self.entries[i * span..(i + 1) * span], d, &mut entry);
+        entry
+    }
+}
+
+/// `baseₖ^expₖ mod nₖ` for every lane `(tableₖ, expₖ)`, in lane order,
+/// through each base's fixed table: one product per 4-bit digit of the
+/// tables' width, zero digits included, each lane's entry picked by
+/// [`ct_lookup`](crate::ct::ct_lookup)'s masked scan of its 16 — the
+/// scalar comb's algorithm (`p2drm-crypto`'s `elgamal` module), with no
+/// squarings. Packed and dispatched as [`pow_lanes`] is (two lanes, an
+/// ElGamal encryption's `g^y` and `h^y`, are one call on 256-bit
+/// registers); the results are the scalar comb's, bit for bit.
+///
+/// # Panics
+///
+/// If the tables cover different widths, or an exponent is wider than
+/// its table ([`CombTable::bits`]).
+pub fn comb_lanes(lanes: &[CombLane]) -> Option<Vec<UBig>> {
+    for (table, exp) in lanes {
+        assert_eq!(table.digits, lanes[0].0.digits, "comb tables of one width");
+        // The bit length is a key-size parameter.
+        assert!(
+            exp.declassify().bit_len() <= table.bits(),
+            "exponent within the table"
+        );
+    }
+    let zero = UBig::zero();
+    pow_packed(
+        lanes,
+        |lane| (&lane.0.modulus, None),
+        |width, chunk, moduli, _, out| {
+            let mut tables = [None; LANES];
+            let mut exps = [Secret::new(&zero); LANES];
+            for (k, &(table, exp)) in chunk.iter().enumerate() {
+                tables[k] = Some(table);
+                exps[k] = exp;
+            }
+            pow_vertical(width, Job::Comb(moduli, &tables, &exps, out))
+        },
+    )
+}
+
+/// The packing every entry shares: `lanes` go eight to a call (a call
+/// of at most four on 256-bit registers), each base (if the entry has
+/// one) reduced by its modulus and brought to radix 2^52; `call(width,
+/// chunk, moduli, bases, out)` runs one kernel call over a chunk. Unused
+/// lanes of a call take the chunk's first modulus and a zero base, and
+/// are dropped.
 fn pow_packed<'a, T, const L: usize>(
     lanes: &[T],
-    modulus_and_base: impl Fn(&T) -> (&'a Radix52<L>, &'a UBig),
+    modulus_and_base: impl Fn(&T) -> (&'a Radix52<L>, Option<&'a UBig>),
     mut call: impl FnMut(
         usize,
         &[T],
@@ -320,7 +459,9 @@ fn pow_packed<'a, T, const L: usize>(
         for (k, lane) in chunk.iter().enumerate() {
             let (modulus, base) = modulus_and_base(lane);
             moduli[k] = modulus;
-            bases[k] = to_radix52(&base.rem(&modulus.modulus));
+            if let Some(base) = base {
+                bases[k] = to_radix52(base.rem(&modulus.modulus).limbs());
+            }
         }
         let mut out = [[0u64; L]; LANES];
         // The lane count says how many operations share the call,
@@ -361,6 +502,14 @@ enum Job<'a, 'm> {
         u64,
         &'a mut [Limbs52<PUBLIC_LIMBS>; LANES],
     ),
+    /// Fixed-base tables and per-lane exponents on the 20-limb instance
+    /// ([`comb_lanes`]); an unused lane has no table.
+    Comb(
+        &'a [&'m PublicModulus52; LANES],
+        &'a [Option<&'m CombTable>; LANES],
+        &'a [Secret<&'m UBig>; LANES],
+        &'a mut [Limbs52<PUBLIC_LIMBS>; LANES],
+    ),
 }
 
 /// Runs one kernel call of `width` lanes (8 on 512-bit registers, 4 on
@@ -385,6 +534,10 @@ fn pow_vertical(width: usize, job: Job) -> bool {
             Job::Secret(moduli, bases, exps, out) => zmm::pow(moduli, bases, exps, out),
             Job::Public(moduli, bases, e, out) if narrow => ymm20::pow(moduli, bases, e, out),
             Job::Public(moduli, bases, e, out) => zmm20::pow(moduli, bases, e, out),
+            Job::Comb(moduli, tables, exps, out) if narrow => {
+                ymm20::comb(moduli, tables, exps, out)
+            }
+            Job::Comb(moduli, tables, exps, out) => zmm20::comb(moduli, tables, exps, out),
         }
     }
     true
@@ -396,14 +549,18 @@ fn pow_vertical(_: usize, _: Job) -> bool {
     false
 }
 
-/// The low `52·L` bits of `x` in radix 2^52.
-fn to_radix52<const L: usize>(x: &UBig) -> Limbs52<L> {
-    let mut out = [0u64; L];
-    for (j, limb) in out.iter_mut().enumerate() {
-        let pos = LIMB_BITS * j;
-        *limb = x.bits_at(pos, 32) | x.bits_at(pos + 32, LIMB_BITS - 32) << 32;
-    }
-    out
+/// The low `52·L` bits of the 64-bit limbs `x` in radix 2^52.
+fn to_radix52<const L: usize>(x: &[u64]) -> Limbs52<L> {
+    let word = |w: usize| x.get(w).copied().unwrap_or(0);
+    std::array::from_fn(|j| {
+        let (w, off) = (LIMB_BITS * j / 64, LIMB_BITS * j % 64);
+        let high = if off > 64 - LIMB_BITS {
+            word(w + 1) << (64 - off)
+        } else {
+            0
+        };
+        (word(w) >> off | high) & MASK
+    })
 }
 
 /// The value of normalised radix-2^52 limbs.
@@ -441,7 +598,7 @@ fn sub_if_not_below<const L: usize>(x: &mut Limbs52<L>, n: &Limbs52<L>) {
 macro_rules! vertical_kernel {
     (
         $(#[$doc:meta])*
-        mod $name:ident: $V:ident, $lanes:expr, $limbs:expr, $entry:ident;
+        mod $name:ident: $V:ident, $lanes:expr, $limbs:expr, $($entry:ident),+;
         load($l:ident) $load:block
         store($v:ident) $store:block
         madd52lo = $lo:ident, madd52hi = $hi:ident, add = $add:ident, and = $and:ident,
@@ -553,7 +710,7 @@ macro_rules! vertical_kernel {
                 }
             }
 
-            vertical_kernel!(@$entry $V, $setzero, $set1, $cmpeq, $mov);
+            $(vertical_kernel!(@$entry $V, $setzero, $set1, $cmpeq, $mov);)+
         }
     };
 
@@ -670,16 +827,65 @@ macro_rules! vertical_kernel {
             unload(&acc, out);
         }
     };
+
+    // The comb entry: one product per digit with an entry of each lane's
+    // fixed-base table, picked by a masked scan.
+    (@comb $V:ident, $setzero:ident, $set1:ident, $cmpeq:ident, $mov:ident) => {
+        use super::CombTable;
+        use crate::ct::Secret;
+        use crate::mont::WINDOW;
+        use crate::ubig::UBig;
+
+        /// `tables[k]`'s base to `exps[k]` modulo `moduli[k]` into
+        /// `out[k]` for the first `WIDTH` lanes, in `[0, n]` and
+        /// normalised: from 1, one product per digit of the tables'
+        /// width, zero digits included, with the entry the lane's table
+        /// picks for its digit by a masked scan of all 16. A lane with
+        /// no table is unused and multiplies by zero.
+        ///
+        /// # Safety
+        ///
+        /// Calling it from code without these target features is
+        /// `unsafe`: the running CPU must have AVX-512F, AVX-512VL
+        /// and AVX-512 IFMA (`pow_vertical` checks).
+        #[target_feature(enable = "avx512f,avx512vl,avx512ifma")]
+        pub(super) fn comb(
+            moduli: &[&Radix52<LIMBS>; LANES],
+            tables: &[Option<&CombTable>; LANES],
+            exps: &[Secret<&UBig>; LANES],
+            out: &mut [Limbs52<LIMBS>; LANES],
+        ) {
+            let (n, rr, _, k0, one) = operands(moduli, &[[0; LIMBS]; LANES]);
+            let digits = tables[0].map_or(0, |table| table.digits);
+            let mut entries = [[0u64; LIMBS]; WIDTH];
+            // 1 in Montgomery form.
+            let mut acc = amm(&rr, &one, &n, k0);
+            for i in 0..digits {
+                for (entry, (table, exp)) in entries.iter_mut().zip(tables.iter().zip(exps)) {
+                    // Which lanes are used is public.
+                    if let Some(table) = table {
+                        *entry = table.entry(i, exp.window(i * WINDOW, WINDOW));
+                    }
+                }
+                let entry = transpose(std::array::from_fn(|k| &entries[k]));
+                acc = amm(&acc, &entry, &n, k0);
+            }
+            // Leaving Montgomery form: a product with 1 is at most n.
+            acc = amm(&acc, &one, &n, k0);
+            unload(&acc, out);
+        }
+    };
 }
 
 /// Four instances: 8 or 4 lanes, at 7 limbs (the secret-exponent entry,
-/// [`pow_lanes`]) or 20 (the public one, [`pow_public_lanes`]).
+/// [`pow_lanes`]) or 20 (the public entry, [`pow_public_lanes`], and the
+/// comb, [`comb_lanes`]).
 #[cfg(target_arch = "x86_64")]
 macro_rules! zmm_kernel {
-    ($(#[$doc:meta])* mod $name:ident: $limbs:expr, $entry:ident;) => {
+    ($(#[$doc:meta])* mod $name:ident: $limbs:expr, $($entry:ident),+;) => {
         vertical_kernel! {
             $(#[$doc])*
-            mod $name: __m512i, LANES, $limbs, $entry;
+            mod $name: __m512i, LANES, $limbs, $($entry),+;
             load(l) {
                 let l = l.map(|v| v as i64);
                 std::arch::x86_64::_mm512_set_epi64(l[7], l[6], l[5], l[4], l[3], l[2], l[1], l[0])
@@ -711,10 +917,10 @@ macro_rules! zmm_kernel {
 /// The 256-bit-register form of [`zmm_kernel`].
 #[cfg(target_arch = "x86_64")]
 macro_rules! ymm_kernel {
-    ($(#[$doc:meta])* mod $name:ident: $limbs:expr, $entry:ident;) => {
+    ($(#[$doc:meta])* mod $name:ident: $limbs:expr, $($entry:ident),+;) => {
         vertical_kernel! {
             $(#[$doc])*
-            mod $name: __m256i, super::NARROW_LANES, $limbs, $entry;
+            mod $name: __m256i, super::NARROW_LANES, $limbs, $($entry),+;
             load(l) {
                 let l = l.map(|v| v as i64);
                 std::arch::x86_64::_mm256_set_epi64x(l[3], l[2], l[1], l[0])
@@ -751,14 +957,16 @@ ymm_kernel! {
 
 #[cfg(target_arch = "x86_64")]
 zmm_kernel! {
-    /// Eight lanes of 20 limbs in 512-bit registers, one public exponent.
-    mod zmm20: super::PUBLIC_LIMBS, public;
+    /// Eight lanes of 20 limbs in 512-bit registers: one public exponent,
+    /// or fixed-base tables.
+    mod zmm20: super::PUBLIC_LIMBS, public, comb;
 }
 
 #[cfg(target_arch = "x86_64")]
 ymm_kernel! {
-    /// Four lanes of 20 limbs in 256-bit registers, one public exponent.
-    mod ymm20: super::PUBLIC_LIMBS, public;
+    /// Four lanes of 20 limbs in 256-bit registers: one public exponent,
+    /// or fixed-base tables.
+    mod ymm20: super::PUBLIC_LIMBS, public, comb;
 }
 
 #[cfg(test)]
@@ -771,11 +979,11 @@ mod tests {
     #[test]
     fn radix52_roundtrip() {
         let x = UBig::one().shl(364).sub(&UBig::from_u64(12345));
-        let limbs: Limbs52<PRIME_LIMBS> = to_radix52(&x);
+        let limbs: Limbs52<PRIME_LIMBS> = to_radix52(x.limbs());
         assert_eq!(from_radix52(&limbs), x);
         assert!(limbs.iter().all(|&l| l <= MASK));
         let y = UBig::one().shl(1040).sub(&UBig::from_u64(12345));
-        let limbs: Limbs52<PUBLIC_LIMBS> = to_radix52(&y);
+        let limbs: Limbs52<PUBLIC_LIMBS> = to_radix52(y.limbs());
         assert_eq!(from_radix52(&limbs), y);
         assert!(limbs.iter().all(|&l| l <= MASK));
     }
@@ -795,6 +1003,40 @@ mod tests {
         assert!(PublicModulus52::new(&two_1038.add(&UBig::one())).is_none());
         assert!(PublicModulus52::new(&UBig::from_u64(3)).is_some());
         assert!(PublicModulus52::new(&two_1038).is_none());
+    }
+
+    /// The radix-2^52 constants against the long division they replaced:
+    /// `R² mod n` for random odd moduli at 7 limbs (64 to 362 bits) and
+    /// at 20 (64 to 1038), 3, 2^362 − 1 and 2^1038 − 1.
+    #[test]
+    fn radix52_constants_match_the_division() {
+        let mut rng = StdRng::seed_from_u64(0x52);
+        let one = UBig::one();
+        let mut moduli = vec![UBig::from_u64(3)];
+        for bits in [64, 65, 127, 200, 255, 256, 300, 341, 342, 361, 362] {
+            for _ in 0..4 {
+                let mut n = crate::rng::random_bits(&mut rng, bits - 1).add(&one.shl(bits - 1));
+                n.set_bit(0);
+                moduli.push(n);
+            }
+        }
+        moduli.push(one.shl(362).sub(&one));
+        for n in &moduli {
+            let rr: Limbs52<PRIME_LIMBS> = to_radix52(one.shl(2 * 364).rem(n).limbs());
+            assert_eq!(Modulus52::new(n).unwrap().rr, rr, "n = {n}");
+        }
+        for bits in [400, 512, 640, 833, 1000, 1023, 1024, 1025, 1037, 1038] {
+            for _ in 0..4 {
+                let mut n = crate::rng::random_bits(&mut rng, bits - 1).add(&one.shl(bits - 1));
+                n.set_bit(0);
+                moduli.push(n);
+            }
+        }
+        moduli.push(one.shl(1038).sub(&one));
+        for n in &moduli {
+            let rr: Limbs52<PUBLIC_LIMBS> = to_radix52(one.shl(2 * 1040).rem(n).limbs());
+            assert_eq!(PublicModulus52::new(n).unwrap().rr, rr, "n = {n}");
+        }
     }
 
     /// The public entry against `Mont::pow_u64` lane by lane, at every

@@ -54,7 +54,7 @@
 //!   only the limbs of its `&[u64; 6]` operands and writes only its
 //!   declared register outputs ([`mont`] module doc).
 //! * `ifma::pow_vertical`, the call into the vertical exponentiation
-//!   that both of its entries go through. It asks for `avx512f`,
+//!   that all three of its entries go through. It asks for `avx512f`,
 //!   `avx512vl` and `avx512ifma` and only then calls the kernel, which
 //!   is safe `#[target_feature]` functions over
 //!   register values with no pointer intrinsics, so the call is the only
@@ -71,8 +71,9 @@
 //!
 //! This is a *reference implementation for protocol research*. Secret
 //! exponents take one fixed-window algorithm whose exponent, digits,
-//! lookup indices, masks and carries are [`ct::Secret`]s; the rest of the
-//! arithmetic ([`UBig`] division, [`modring::inv_mod`]'s binary GCD, the
+//! lookup indices, masks and carries are [`ct::Secret`]s, and
+//! [`modring::inv_mod`] runs a fixed count of divsteps whose `δ` and
+//! masks are too; the rest of the arithmetic ([`UBig`] division, the
 //! prime search) branches on its operands, and no blinding is applied at
 //! this layer. Do not reuse for production secrets.
 

@@ -130,22 +130,20 @@ pub struct Mont {
 }
 
 impl Mont {
-    /// Builds a context for `modulus` (must be odd and >= 3).
+    /// Builds a context for `modulus` (must be odd and >= 3). `R mod n`
+    /// and `R² mod n` come from `pow2_mod`'s one-word quotient
+    /// estimates, with no long division.
     pub fn new(modulus: &UBig) -> Result<Self, BigError> {
         if modulus.is_even() || modulus.bit_len() < 2 {
             return Err(BigError::BadModulus);
         }
         let n = modulus.limbs().to_vec();
         let s = n.len();
-        let n0inv = inv64(n[0]).wrapping_neg();
-        // R^2 mod n computed as 2^(128 s) mod n via shifting.
-        let rr_big = UBig::one().shl(128 * s).rem(modulus);
-        let one_big = UBig::one().shl(64 * s).rem(modulus);
         Ok(Mont {
-            rr: pad(rr_big.limbs(), s),
-            one: pad(one_big.limbs(), s),
+            rr: pow2_mod(&n, 128 * s),
+            one: pow2_mod(&n, 64 * s),
+            n0inv: inv64(n[0]).wrapping_neg(),
             n,
-            n0inv,
         })
     }
 
@@ -838,6 +836,75 @@ pub(crate) fn reduce_once(t: &mut [u64], n: &[u64], extra: Secret<u64>) {
     ct::add_masked(t, n, mask);
 }
 
+/// `2^e mod n` for an odd `n ≥ 3` of `s` limbs and `e ≥ 64·(s − 1)`, in
+/// `s` limbs, without a long division: from `2^(64·(s−1))`, which is below
+/// `n`, each step multiplies by `2^k` (`k ≤ 64`) and takes off `q̂·n` for
+/// the one-word quotient estimate `q̂ = ⌊T / (N + 1)⌋`, where `T` and `N`
+/// are the product's and `n`'s bits from `n`'s 64th-highest one up. `q̂`
+/// is at most 3 below the quotient, so at most three subtractions of `n`
+/// finish the step. The constants of a Montgomery context (`R mod n`,
+/// `R² mod n`) and of the [`ifma`](crate::ifma) kernel's radix-2^52
+/// moduli are such powers. This branches on `n`, which is public
+/// wherever a context is built (a prime candidate's too: the `prime`
+/// module doc).
+pub(crate) fn pow2_mod(n: &[u64], e: usize) -> Vec<u64> {
+    let s = n.len();
+    debug_assert!(n[0] & 1 == 1 && e >= 64 * (s - 1));
+    let mut left = e - 64 * (s - 1);
+    if s == 1 {
+        let mut t = 1u128;
+        while left > 0 {
+            let k = left.min(64);
+            t = (t << k) % n[0] as u128;
+            left -= k;
+        }
+        return vec![t as u64];
+    }
+    // Bits [p, p + 128) of x.
+    let window = |x: &[u64], p: usize| {
+        let word = |i: usize| x.get(i).copied().unwrap_or(0) as u128;
+        let (w, off) = (p / 64, p % 64);
+        let low = (word(w) | word(w + 1) << 64) >> off;
+        low | if off == 0 {
+            0
+        } else {
+            word(w + 2) << (128 - off)
+        }
+    };
+    let from = 64 * s - n[s - 1].leading_zeros() as usize - 64;
+    let top = window(n, from) as u64 as u128 + 1;
+    let mut x = vec![0u64; s + 1];
+    x[s - 1] = 1;
+    while left > 0 {
+        let k = left.min(64);
+        left -= k;
+        // x·2^k, below n·2^64: s + 1 limbs.
+        for j in (0..=s).rev() {
+            let below = if j == 0 { 0 } else { x[j - 1] };
+            x[j] = if k == 64 {
+                below
+            } else {
+                x[j] << k | below >> (64 - k)
+            };
+        }
+        let q = window(&x, from) / top;
+        let mut carry = 0u128;
+        for (j, xj) in x.iter_mut().enumerate() {
+            let product = q * n.get(j).copied().unwrap_or(0) as u128 + carry;
+            let (v, borrow) = xj.overflowing_sub(product as u64);
+            *xj = v;
+            carry = (product >> 64) + borrow as u128;
+        }
+        debug_assert_eq!(carry, 0, "q̂ is at most the quotient");
+        while x[s] != 0 || !x[..s].iter().rev().lt(n.iter().rev()) {
+            let borrow = sub_limbs(&mut x[..s], n);
+            x[s] -= borrow as u64;
+        }
+    }
+    x.truncate(s);
+    x
+}
+
 /// Inverse of an odd `x` modulo 2^64 (Newton iteration, 6 steps).
 pub(crate) fn inv64(x: u64) -> u64 {
     debug_assert!(x & 1 == 1);
@@ -858,6 +925,52 @@ fn pad(limbs: &[u64], len: usize) -> Vec<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `pow2_mod` against the long division it replaced, `2^e rem n`:
+    /// odd moduli of 1 to 33 limbs whose top limb is 1, all ones or
+    /// random (so the quotient estimate sees every normalisation shift),
+    /// 3 and 2^64 − 1, at the smallest exponent it takes, one past it,
+    /// the context's `R` and `R²`, the radix-2^52 kernel's `R²` at 7 and
+    /// 20 limbs, and exponents a few bits past a limb boundary.
+    #[test]
+    fn pow2_mod_matches_the_division() {
+        let mut seed = 0x5eed_u64;
+        let mut word = || {
+            seed = seed
+                .wrapping_mul(0x9e37_79b9_7f4a_7c15)
+                .wrapping_add(0xbf58_476d_1ce4_e5b9);
+            seed ^ seed >> 29
+        };
+        let mut moduli = vec![UBig::from_u64(3), UBig::from_u64(u64::MAX)];
+        for s in (1..=33).step_by(2).chain([6, 16, 17, 20]) {
+            for top in [1, u64::MAX, word() >> (word() % 64)] {
+                let mut limbs: Vec<u64> = (0..s).map(|_| word()).collect();
+                limbs[s - 1] = top.max(1);
+                limbs[0] |= if s == 1 { 3 } else { 1 };
+                moduli.push(UBig::from_limbs(limbs));
+            }
+        }
+        for n in &moduli {
+            let s = n.limb_len();
+            let low = 64 * (s - 1);
+            for e in [
+                low,
+                low + 1,
+                low + 63,
+                64 * s,
+                64 * s + 5,
+                128 * s,
+                728,
+                2080,
+            ] {
+                if e < low {
+                    continue;
+                }
+                let want = pad(UBig::one().shl(e).rem(n).limbs(), s);
+                assert_eq!(pow2_mod(n.limbs(), e), want, "2^{e} mod {n}");
+            }
+        }
+    }
 
     #[test]
     fn rejects_even_or_tiny_modulus() {
@@ -1033,7 +1146,7 @@ mod tests {
             let m = Mont::new(&n).unwrap();
             let s = m.limb_len();
             let two = UBig::from_u64(2);
-            let half = modring::inv_mod(&two, &n).unwrap();
+            let half = modring::inv_mod(Secret::new(&two), &n).unwrap();
             let values = [
                 UBig::zero(),
                 UBig::one(),

@@ -121,7 +121,13 @@
 //! 0.59–0.67 of its time per key when they came in. What is left is the
 //! Fermat lanes (about 30% of a key; each search's last call runs on
 //! past its prime), the Lucas test on each prime (about a quarter) and
-//! the residues (about 15%).
+//! the residues (about 15%). Since the table was made, each lane's
+//! [`Modulus52`] and each context's [`Mont`] take their `R mod n` and
+//! `R² mod n` from one-word quotient estimates instead of long divisions
+//! (`mont::pow2_mod`: ×0.25–0.28 and ×0.21–0.24 a modulus at 341–362
+//! bits); with `d = e⁻¹ mod λ` computed as `(1 + λ·k)/e`
+//! (`p2drm-crypto`'s `rsa` module), a whole RSA-1024 key costs
+//! ×0.92–0.95, the same keys byte for byte (300 seeds, three runs).
 //!
 //! The search looks at no more than `4·bits` candidates
 //! (`WINDOW_PER_BIT`) and never past `2^bits − 1`; if none is prime it

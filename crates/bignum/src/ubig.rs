@@ -665,8 +665,8 @@ impl UBig {
 
     /// Greatest common divisor (binary GCD) on two limb buffers of the
     /// wider operand's width: the odd parts are subtracted and shifted in
-    /// place, as `modring::inv_mod` does, with nothing allocated in the
-    /// loop, and the width drops as the top limbs of both reach zero.
+    /// place, with nothing allocated in the loop, and the width drops as
+    /// the top limbs of both reach zero.
     pub fn gcd(&self, other: &UBig) -> UBig {
         let (Some(az), Some(bz)) = (self.trailing_zeros(), other.trailing_zeros()) else {
             // gcd(0, b) = b and gcd(a, 0) = a.

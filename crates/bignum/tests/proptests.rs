@@ -4,6 +4,7 @@
 //! division invariants, codec roundtrips, and agreement between the
 //! Montgomery and plain exponentiation paths.
 
+use p2drm_bignum::ct::Secret;
 use p2drm_bignum::modring;
 use p2drm_bignum::{Mont, UBig};
 use proptest::prelude::*;
@@ -204,22 +205,23 @@ proptest! {
 
     #[test]
     fn inverse_is_inverse(a in ubig_nonzero(), n in odd_modulus()) {
-        if let Ok(inv) = modring::inv_mod(&a, &n) {
+        if let Ok(inv) = modring::inv_mod(Secret::new(&a), &n) {
             prop_assert_eq!(modring::mul_mod(&a, &inv, &n), UBig::one().rem(&n));
         }
     }
 
     #[test]
-    fn odd_modulus_inverse_matches_euclid(a in ubig_wide(), n in ubig_wide()) {
-        // Odd moduli take the in-place binary GCD; Euclid (`ext_gcd_mod`)
-        // is the reference for both the value and the refusal.
+    fn odd_modulus_inverse_exists_exactly_for_units(a in ubig_wide(), n in ubig_wide()) {
+        // The inverse is below n with a·x ≡ 1 (mod n), and it is refused
+        // exactly when gcd(a, n), from `UBig::gcd`, is not 1.
         let mut n = n;
         n.set_bit(0);
-        let (g, x) = modring::ext_gcd_mod(&a, &n).unwrap();
-        match modring::inv_mod(&a, &n) {
+        let g = a.gcd(&n);
+        match modring::inv_mod(Secret::new(&a), &n) {
             Ok(inv) => {
                 prop_assert!(g.is_one());
-                prop_assert_eq!(inv, x);
+                prop_assert!(inv < n);
+                prop_assert_eq!(modring::mul_mod(&a, &inv, &n), UBig::one().rem(&n));
             }
             Err(e) => {
                 prop_assert_eq!(e, p2drm_bignum::BigError::NotInvertible);

@@ -61,8 +61,8 @@ impl Blinded {
     ) -> Result<RsaSignature, CryptoError> {
         // s is the final signature, published on success, so the check
         // below branches on public values once issued. r⁻¹ itself enters
-        // the division-based `mul_mod` here, the variable-time gap
-        // ROADMAP item 19 names for `inv_mod`.
+        // the division-based `mul_mod` here, a variable-time gap ROADMAP
+        // item 19 names.
         let s = pk_mul(pk, blind_sig, self.r_inv.as_ref().declassify());
         // Self-check: s^e must equal the FDH image.
         if pk.raw_public(&s) != self.h {
@@ -79,11 +79,10 @@ impl Blinded {
 fn blinding_factor<R: CryptoRng + ?Sized>(n: &UBig, rng: &mut R) -> (Secret<UBig>, Secret<UBig>) {
     loop {
         let r = Secret::new(brng::random_range(rng, &UBig::one(), n));
-        // ROADMAP item 19: `modring::inv_mod` is a binary GCD whose steps
-        // branch on r, so its timing depends on the kept r too, not only
-        // on a refused one. A refusal itself says only that the discarded
-        // draw shared a factor with the public modulus.
-        if let Ok(r_inv) = modring::inv_mod(r.as_ref().declassify(), n) {
+        // `modring::inv_mod` runs a fixed number of divsteps for the width
+        // of n and branches on r nowhere; a refusal says only that the
+        // discarded draw shared a factor with the public modulus.
+        if let Ok(r_inv) = modring::inv_mod(r.as_ref(), n) {
             return (r, Secret::new(r_inv));
         }
     }
@@ -92,8 +91,8 @@ fn blinding_factor<R: CryptoRng + ?Sized>(n: &UBig, rng: &mut R) -> (Secret<UBig
 /// `r^e mod n`, the factor that blinds a message.
 fn blind_factor_power(pk: &RsaPublicKey, r: Secret<&UBig>) -> UBig {
     // `Mont::pow_u64` branches on the bits of the public e only; entering
-    // Montgomery form compares r with n limb by limb, the same class of
-    // gap as `inv_mod` (ROADMAP item 19).
+    // Montgomery form compares r with n limb by limb, a variable-time gap
+    // ROADMAP item 19 names.
     pk.raw_public(r.declassify())
 }
 

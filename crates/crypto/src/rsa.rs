@@ -375,7 +375,7 @@ impl RsaKeyPair {
                 }
                 prefix = &prefix * &earlier.r;
             }
-            let t = mont.to_mont(&modring::inv_mod(&prefix, &r).map_err(bad)?);
+            let t = mont.to_mont(&modring::inv_mod(Secret::new(&prefix), &r).map_err(bad)?);
             factors.push(Factor {
                 d: d.rem(&r1),
                 t,
@@ -605,10 +605,35 @@ fn draw_primes<R: CryptoRng + ?Sized>(
             let r1 = r.sub(&UBig::one());
             (&l * &r1).div_rem(&l.gcd(&r1)).0
         });
-        if let Ok(d) = modring::inv_mod(&e, &lambda) {
+        if let Some(d) = inverse_of_e(&lambda) {
             return (primes, n, d);
         }
     }
+}
+
+/// `d = e⁻¹ mod λ` for the prime `e` = [`PUBLIC_EXPONENT`], or `None`
+/// when `e` divides `λ`: `d = (1 + λ·k)/e` with `k = −λ⁻¹ mod e`, so
+/// `1 + λ·k` is a multiple of `e`, `d·e ≡ 1 (mod λ)`, and `k < e` puts `d`
+/// below `λ` — the one inverse there is. One inverse modulo a word, one
+/// limb product and one exact division by a word.
+fn inverse_of_e(lambda: &UBig) -> Option<UBig> {
+    let e = PUBLIC_EXPONENT;
+    let l = lambda.rem_u64(e);
+    if l == 0 {
+        return None;
+    }
+    // λ⁻¹ mod e is λ^(e−2), e being prime; products stay below e² < 2^34.
+    let (mut inv, mut base, mut k) = (1, l, e - 2);
+    while k > 0 {
+        if k & 1 == 1 {
+            inv = inv * base % e;
+        }
+        base = base * base % e;
+        k >>= 1;
+    }
+    let (d, rest) = lambda.mul_u64(e - inv).add(&UBig::one()).div_rem_u64(e);
+    debug_assert_eq!(rest, 0, "1 + λ·k is a multiple of e");
+    Some(d)
 }
 
 /// RSA-KEM encapsulation: returns `(ciphertext, shared_secret)`.
@@ -757,6 +782,39 @@ mod tests {
         use std::sync::OnceLock;
         static KP: OnceLock<RsaKeyPair> = OnceLock::new();
         KP.get_or_init(|| RsaKeyPair::generate(1024, &mut test_rng(1101)))
+    }
+
+    /// `inverse_of_e` against its definition: for the even λ from 4 to
+    /// 3,998, random even λ of 64 to 2,048 bits and their multiples of e,
+    /// `d` is below λ with `d·e ≡ 1 (mod λ)`, or there is none exactly
+    /// when e divides λ.
+    #[test]
+    fn inverse_of_e_is_the_inverse_below_lambda() {
+        let e = UBig::from_u64(PUBLIC_EXPONENT);
+        let mut rng = test_rng(0x1e);
+        let mut lambdas: Vec<UBig> = (2..2000).map(|k| UBig::from_u64(2 * k)).collect();
+        for bits in [64, 65, 341, 512, 1023, 1024, 2048] {
+            for _ in 0..8 {
+                let mut lambda = p2drm_bignum::rng::random_bits(&mut rng, bits - 1).shl(1);
+                lambda.set_bit(bits - 1);
+                lambdas.push(lambda.mul_u64(PUBLIC_EXPONENT));
+                lambdas.push(lambda);
+            }
+        }
+        let mut refused = 0;
+        for lambda in &lambdas {
+            match inverse_of_e(lambda) {
+                Some(d) => {
+                    assert!(&d < lambda, "λ = {lambda}");
+                    assert!((&d * &e).rem(lambda).is_one(), "λ = {lambda}");
+                }
+                None => {
+                    assert_eq!(lambda.rem_u64(PUBLIC_EXPONENT), 0, "λ = {lambda}");
+                    refused += 1;
+                }
+            }
+        }
+        assert_eq!(refused, 56);
     }
 
     /// And one cached 2048-bit key.
@@ -973,7 +1031,7 @@ mod tests {
         let mut m = powers[0].clone();
         let mut radix = kp.factors[0].r.clone();
         for (f, mi) in kp.factors[1..].iter().zip(&powers[1..]) {
-            let t = modring::inv_mod(&radix, &f.r).unwrap();
+            let t = modring::inv_mod(Secret::new(&radix), &f.r).unwrap();
             let h = (&t * &modring::sub_mod(mi, &m, &f.r)).rem(&f.r);
             m = &m + &(&radix * &h);
             radix = &radix * &f.r;
