@@ -187,7 +187,6 @@
 use crate::ct::Secret;
 use crate::mont::{inv64, pow2_mod, reduce_once, WINDOW};
 use crate::ubig::UBig;
-use std::cell::Cell;
 
 /// Limbs of a residue of [`pow_lanes`]: 7 × 52 = 364 bits.
 const PRIME_LIMBS: usize = 7;
@@ -233,19 +232,6 @@ pub type Modulus52 = Radix52<PRIME_LIMBS>;
 
 /// The constants of a modulus for [`pow_public_lanes`].
 pub type PublicModulus52 = Radix52<PUBLIC_LIMBS>;
-
-thread_local! {
-    /// Kernel calls this thread has made; see [`kernel_calls`].
-    static KERNEL_CALLS: Cell<u64> = const { Cell::new(0) };
-}
-
-/// Kernel calls the calling thread has made so far, through any entry.
-/// A caller that reads it before and after a [`pow_lanes`],
-/// [`pow_public_lanes`] or [`comb_lanes`] call learns how many calls its
-/// lanes took: `⌈lanes / 8⌉` on a CPU with AVX-512 IFMA, 0 without.
-pub fn kernel_calls() -> u64 {
-    KERNEL_CALLS.with(Cell::get)
-}
 
 /// Whether this CPU runs the kernel: it has AVX-512F, AVX-512VL and
 /// AVX-512 IFMA (std caches the answer, so asking is cheap). Without
@@ -475,7 +461,10 @@ fn pow_packed<'a, T, const L: usize>(
         if !call(width, chunk, &moduli, &bases, &mut out) {
             return None;
         }
-        KERNEL_CALLS.with(|calls| calls.set(calls.get() + 1));
+        crate::counts::count(|c| {
+            c.kernel_calls += 1;
+            c.kernel_lanes += chunk.len() as u64;
+        });
         for (x, m) in out.iter_mut().zip(moduli).take(chunk.len()) {
             sub_if_not_below(x, &m.n);
             results.push(from_radix52(x));
@@ -1103,9 +1092,12 @@ mod tests {
                     .zip(&bases)
                     .map(|(&p, b)| (&consts[p], b))
                     .collect();
-                let before = kernel_calls();
+                let before = crate::counts::counts().kernel_calls;
                 let got = pow_public_lanes(&args, e).expect("IFMA was detected");
-                assert_eq!(kernel_calls() - before, lanes.div_ceil(LANES) as u64);
+                assert_eq!(
+                    crate::counts::counts().kernel_calls - before,
+                    lanes.div_ceil(LANES) as u64
+                );
                 assert_eq!(got.len(), lanes);
                 for (j, &p) in picks.iter().enumerate() {
                     let want = monts[p].pow_u64(&bases[j], e);
@@ -1198,9 +1190,12 @@ mod tests {
                     .zip(bases.iter().zip(&exps))
                     .map(|(&p, (b, e))| (&consts[p], b, Secret::new(e)))
                     .collect();
-                let before = kernel_calls();
+                let before = crate::counts::counts().kernel_calls;
                 let got = pow_lanes(&args).expect("IFMA was detected");
-                assert_eq!(kernel_calls() - before, lanes.div_ceil(LANES) as u64);
+                assert_eq!(
+                    crate::counts::counts().kernel_calls - before,
+                    lanes.div_ceil(LANES) as u64
+                );
                 assert_eq!(got.len(), lanes);
                 for (j, &p) in picks.iter().enumerate() {
                     let want = monts[p].pow(&bases[j], &exps[j]);

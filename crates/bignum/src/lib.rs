@@ -26,6 +26,9 @@
 //!   and the Jacobi symbol.
 //! * [`prime`] — Baillie–PSW primality testing (plus optional random-base
 //!   Miller–Rabin rounds) and sieved incremental prime search.
+//! * [`counts`] — what the calling thread's arithmetic has done: kernel
+//!   calls and lanes, [`Mont::pow`] calls by width, the prime search's
+//!   lanes, tests, sieve steps and Lucas products.
 //! * [`BigRng`] — a minimal randomness trait (blanket-implemented for every
 //!   [`rand::RngCore`]) so callers can inject deterministic generators in
 //!   tests.
@@ -79,6 +82,7 @@
 
 #![deny(unsafe_code)]
 
+pub mod counts;
 pub mod ct;
 pub mod ifma;
 pub mod modring;

@@ -107,6 +107,7 @@
 //! the division-based square-and-multiply that shares no code with this
 //! module.
 
+use crate::counts::POW_WIDTHS;
 use crate::ct::{self, ct_lookup, Secret};
 use crate::ubig::UBig;
 use crate::BigError;
@@ -404,10 +405,12 @@ impl Mont {
     /// windows over the exponent's bit length, each window's table entry
     /// picked by [`ct_lookup`]'s scan of all 16, and a product at every
     /// window, the zero digits' included (module doc). Buffers are
-    /// allocated once, before the loop.
+    /// allocated once, before the loop. Counted by width in
+    /// [`counts`](crate::counts).
     pub fn pow(&self, base: &UBig, exp: &UBig) -> UBig {
         let exp = Secret::new(exp);
         let s = self.n.len();
+        crate::counts::count(|c| c.pows[s.clamp(1, POW_WIDTHS) - 1] += 1);
         let mut scratch = self.alloc_scratch();
         let table = self.window_table(&self.to_mont(base));
         // The bit length is public: the number of windows, and so of

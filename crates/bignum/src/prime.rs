@@ -90,9 +90,9 @@
 //! rejected, and step 2 reads no randomness. The survivors after the
 //! prime in its batch were checked for nothing, but they touch neither
 //! the RNG nor the result: the prime returned and the state `rng` is
-//! left in are those of the scalar search. [`search_counts`] counts the
-//! lanes, the kernel calls, the scalar tests, the sieve steps and the
-//! Lucas tests' products per thread.
+//! left in are those of the scalar search. [`counts`](crate::counts::counts)
+//! counts the lanes, the kernel calls, the scalar tests, the sieve steps
+//! and the Lucas tests' products per thread.
 //!
 //! Per RSA-1024 key (three searches of 341 and 342 bits through
 //! [`gen_prime_coprime`]), on a 2-vCPU VM (Intel Xeon, family 6, model
@@ -116,7 +116,7 @@
 //! make the same steps per key (300 keys): 445.6 sieve steps, 48.9
 //! Fermat lanes in 6.1 kernel calls of which 3.95 pass, and 3.0 scalar
 //! tests; the Lucas products fall from 4,070.7 to 2,787.3
-//! ([`SearchCounts`]). Against the scalar search, which runs the base-2
+//! ([`Counts`](crate::counts::Counts)). Against the scalar search, which runs the base-2
 //! test on every survivor (37.2 a key, 31–46 µs each), the lanes read
 //! 0.59–0.67 of its time per key when they came in. What is left is the
 //! Fermat lanes (about 30% of a key; each search's last call runs on
@@ -160,13 +160,13 @@
 //! is not done. The random-base rounds run through [`Mont::pow`] or the
 //! lanes, so their exponent shows only its bit length.
 
+use crate::counts::count;
 use crate::ct::Secret;
 use crate::ifma::{self, Modulus52};
 use crate::modring::jacobi;
 use crate::mont::Mont;
 use crate::rng::BigRng;
 use crate::ubig::UBig;
-use std::cell::Cell;
 use std::ops::Range;
 use std::sync::OnceLock;
 
@@ -188,71 +188,6 @@ const BATCH: usize = ifma::LANES;
 /// A run of consecutive table primes, as an index range, with the product
 /// of its members.
 type Group = (u64, Range<usize>);
-
-/// The work the prime search and test have done on one thread; see
-/// [`search_counts`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SearchCounts {
-    /// Sieve survivors put through the base-2 Fermat check, one lane
-    /// each.
-    pub fermat_lanes: u64,
-    /// Of those, the ones that passed it.
-    pub fermat_passed: u64,
-    /// Kernel calls made for the Fermat check and for the random-base
-    /// rounds ([`ifma::kernel_calls`] counts them too).
-    pub kernel_calls: u64,
-    /// Runs of the scalar test, steps 2–4 of [`is_prime`]: the base-2
-    /// strong test, the Lucas test and the random-base rounds.
-    pub scalar_tests: u64,
-    /// Candidates the search's sieve stepped to, one pass over the
-    /// residue table each: every candidate of a window up to the prime
-    /// returned, and on a CPU with AVX-512 IFMA on to the end of that
-    /// prime's batch.
-    pub sieve_steps: u64,
-    /// Montgomery products and squarings the strong Lucas tests made:
-    /// the ladder over the bits of `d` and the squarings after it.
-    pub lucas_products: u64,
-}
-
-/// The work done between two readings of [`search_counts`]: later minus
-/// earlier.
-impl std::ops::Sub for SearchCounts {
-    type Output = SearchCounts;
-
-    fn sub(self, earlier: SearchCounts) -> SearchCounts {
-        SearchCounts {
-            fermat_lanes: self.fermat_lanes - earlier.fermat_lanes,
-            fermat_passed: self.fermat_passed - earlier.fermat_passed,
-            kernel_calls: self.kernel_calls - earlier.kernel_calls,
-            scalar_tests: self.scalar_tests - earlier.scalar_tests,
-            sieve_steps: self.sieve_steps - earlier.sieve_steps,
-            lucas_products: self.lucas_products - earlier.lucas_products,
-        }
-    }
-}
-
-thread_local! {
-    /// This thread's [`SearchCounts`].
-    static COUNTS: Cell<SearchCounts> = Cell::default();
-}
-
-/// What the prime search and test have done on the calling thread so
-/// far. A caller that reads it before and after a key generation learns
-/// how many survivors took the batched base-2 check, how many kernel
-/// calls that took, how many candidates the scalar test judged, how many
-/// the sieve stepped over and how many products the Lucas tests made.
-pub fn search_counts() -> SearchCounts {
-    COUNTS.with(Cell::get)
-}
-
-/// Adds to this thread's counts.
-fn count(update: impl FnOnce(&mut SearchCounts)) {
-    COUNTS.with(|counts| {
-        let mut c = counts.get();
-        update(&mut c);
-        counts.set(c);
-    });
-}
 
 /// Whether numbers of `bits` bits are tested on the vertical kernel:
 /// the CPU has it and they fit its 7-limb instance.
@@ -393,10 +328,7 @@ fn random_round_powers(n: &UBig, bases: &[UBig], d: &UBig) -> Option<Vec<UBig>> 
         .iter()
         .map(|a| (&modulus, a, Secret::new(d)))
         .collect();
-    let before = ifma::kernel_calls();
-    let powers = ifma::pow_lanes(&lanes)?;
-    count(|c| c.kernel_calls += ifma::kernel_calls() - before);
-    Some(powers)
+    ifma::pow_lanes(&lanes)
 }
 
 /// The members of `batch` that pass the base-2 Fermat check
@@ -417,7 +349,6 @@ fn pass_base2_fermat(batch: Vec<UBig>) -> Vec<UBig> {
         .zip(&exponents)
         .map(|(m, e)| (m, &two, Secret::new(e)))
         .collect();
-    let before = ifma::kernel_calls();
     let Some(powers) = ifma::pow_lanes(&lanes) else {
         return batch;
     };
@@ -429,7 +360,6 @@ fn pass_base2_fermat(batch: Vec<UBig>) -> Vec<UBig> {
     count(|c| {
         c.fermat_lanes += lanes.len() as u64;
         c.fermat_passed += passed.len() as u64;
-        c.kernel_calls += ifma::kernel_calls() - before;
     });
     passed
 }
@@ -503,7 +433,7 @@ fn signed_to_mont(mont: &Mont, n: &UBig, magnitude: u64, negative: bool) -> Vec<
 /// `Q^k = (−1)^k` is kept as the parity of `k`: two products a bit.
 /// Otherwise `Q^k` is a register: three products a bit, four on a set
 /// one. Five registers carved from one buffer; nothing allocated in the
-/// loop. The products made are added to [`SearchCounts::lucas_products`]
+/// loop. The products made are added to [`Counts::lucas_products`](crate::counts::Counts::lucas_products)
 /// once, at the end.
 fn strong_lucas_probable_prime(n: &UBig, mont: &Mont) -> bool {
     let Some((d_abs, d_negative)) = selfridge_d(n) else {
@@ -1185,9 +1115,9 @@ mod tests {
                 let seed = 1000 * bits as u64 + seed;
                 let rngs = || StdRng::seed_from_u64(seed);
                 let (mut fast, mut spec, mut scalar) = (rngs(), rngs(), rngs());
-                let before = search_counts();
+                let before = crate::counts::counts();
                 let p = gen_prime(bits, 16, &mut fast);
-                let done = search_counts() - before;
+                let done = crate::counts::counts() - before;
                 assert_eq!(
                     p,
                     gen_prime_spec(bits, 16, &mut spec),

@@ -1014,9 +1014,9 @@ impl<B: ConcurrentKv> ContentProvider<B> {
     /// [`rsa::public_batch`] of `lanes`, counted in the provider's
     /// [`BatchStats`].
     fn public_batch(&self, lanes: &[(&RsaPublicKey, &UBig)]) -> Vec<UBig> {
-        let calls_before = p2drm_bignum::ifma::kernel_calls();
+        let calls_before = p2drm_bignum::counts::counts().kernel_calls;
         let powers = rsa::public_batch(lanes);
-        let calls = p2drm_bignum::ifma::kernel_calls() - calls_before;
+        let calls = p2drm_bignum::counts::counts().kernel_calls - calls_before;
         let stats = &self.stats;
         stats
             .public_ops
@@ -1036,9 +1036,9 @@ impl<B: ConcurrentKv> ContentProvider<B> {
         }
         let bytes: Vec<Vec<u8>> = bodies.iter().map(|b| b.signing_bytes()).collect();
         let messages: Vec<&[u8]> = bytes.iter().map(Vec::as_slice).collect();
-        let calls_before = p2drm_bignum::ifma::kernel_calls();
+        let calls_before = p2drm_bignum::counts::counts().kernel_calls;
         let signatures = self.core.keys.sign_batch(&messages);
-        let calls = p2drm_bignum::ifma::kernel_calls() - calls_before;
+        let calls = p2drm_bignum::counts::counts().kernel_calls - calls_before;
         let stats = &self.stats;
         stats
             .signatures

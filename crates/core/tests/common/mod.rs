@@ -1,10 +1,12 @@
-//! The counting global allocator of the single-test allocation files
-//! (`decode_alloc.rs`, `retained_heap.rs`): `mod common;` installs it
-//! for that test binary. Each such file holds one `#[test]`, so no
-//! concurrent test thread moves the process-wide counters
-//! mid-measurement.
+//! The counting global allocator of the allocation files
+//! (`decode_alloc.rs`, `retained_heap.rs`, `work_census.rs`): `mod
+//! common;` installs it for that test binary. The first two hold one
+//! `#[test]` each, so no concurrent test thread moves the process-wide
+//! counters mid-measurement; the census reads the per-thread ones
+//! ([`thread_allocations`]), which no other thread moves.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 
 /// Bytes requested from the allocator (allocations plus the new size of
@@ -18,9 +20,25 @@ pub static LIVE: AtomicI64 = AtomicI64::new(0);
 /// for 256 `ContentMeta`.
 pub const LARGE: usize = 16 * 1024;
 
+thread_local! {
+    /// This thread's allocation requests and the bytes they asked for
+    /// (allocations plus the new size of every reallocation).
+    static THREAD: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
+}
+
+/// The calling thread's allocation requests and requested bytes so far.
+#[allow(dead_code)]
+pub fn thread_allocations() -> (u64, u64) {
+    THREAD.with(Cell::get)
+}
+
 struct CountingAlloc;
 
 fn requested(size: usize) {
+    THREAD.with(|t| {
+        let (count, bytes) = t.get();
+        t.set((count + 1, bytes + size as u64));
+    });
     REQUESTED.fetch_add(size as u64, Ordering::Relaxed);
     if size >= LARGE {
         LARGE_REQUESTS.fetch_add(1, Ordering::Relaxed);
@@ -29,7 +47,9 @@ fn requested(size: usize) {
 
 // SAFETY: every method delegates directly to the `System` allocator,
 // which upholds the `GlobalAlloc` contract; the only extra work is
-// relaxed counter updates, which neither allocate nor unwind.
+// relaxed counter updates and a const-initialised thread-local `Cell`
+// of integers (no destructor, no lazy allocation), which neither
+// allocate nor unwind.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         requested(layout.size());

@@ -21,6 +21,12 @@ fn quarter_round(state: &mut [u32; 16], a: usize, b: usize, c: usize, d: usize) 
 
 /// Computes one 64-byte keystream block for (key, nonce, counter).
 pub fn block(key: &[u8; KEY_LEN], nonce: &[u8; NONCE_LEN], counter: u32) -> [u8; 64] {
+    crate::counts::count(|c| c.chacha20_blocks += 1);
+    keystream_block(key, nonce, counter)
+}
+
+/// [`block`], uncounted: [`apply_keystream`] counts its blocks at once.
+fn keystream_block(key: &[u8; KEY_LEN], nonce: &[u8; NONCE_LEN], counter: u32) -> [u8; 64] {
     let mut state = [0u32; 16];
     // "expand 32-byte k"
     state[0] = 0x6170_7865;
@@ -75,9 +81,10 @@ pub fn apply_keystream(
         u64::from(initial_counter) + blocks <= 1 << 32,
         "ChaCha20 block counter would wrap: {blocks} blocks from counter {initial_counter} reuse keystream"
     );
+    crate::counts::count(|c| c.chacha20_blocks += blocks);
     let mut counter = initial_counter;
     for chunk in data.chunks_mut(64) {
-        let ks = block(key, nonce, counter);
+        let ks = keystream_block(key, nonce, counter);
         for (b, k) in chunk.iter_mut().zip(ks.iter()) {
             *b ^= k;
         }
@@ -150,6 +157,19 @@ only one tip for the future, sunscreen would be it.";
                 assert_ne!(ct, pt, "keystream must change content, len={len}");
             }
         }
+    }
+
+    #[test]
+    fn keystream_counts_each_block_once() {
+        for len in [0usize, 1, 63, 64, 65, 1000] {
+            let before = crate::counts::counts();
+            apply_keystream(&[2u8; 32], &[3u8; 12], 1, &mut vec![0u8; len]);
+            let blocks = (crate::counts::counts() - before).chacha20_blocks;
+            assert_eq!(blocks, len.div_ceil(64) as u64, "len={len}");
+        }
+        let before = crate::counts::counts();
+        block(&[2u8; 32], &[3u8; 12], 7);
+        assert_eq!((crate::counts::counts() - before).chacha20_blocks, 1);
     }
 
     #[test]

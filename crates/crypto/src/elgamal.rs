@@ -631,9 +631,12 @@ mod tests {
                     .iter()
                     .map(|&(b, x)| (&**[gt, ht][b], Secret::new(x)))
                     .collect();
-                let before = ifma::kernel_calls();
+                let before = p2drm_bignum::counts::counts().kernel_calls;
                 let got = comb_lanes(&args).expect("IFMA was detected");
-                assert_eq!(ifma::kernel_calls() - before, lanes.div_ceil(8) as u64);
+                assert_eq!(
+                    p2drm_bignum::counts::counts().kernel_calls - before,
+                    lanes.div_ceil(8) as u64
+                );
                 for (k, &(b, x)) in picks.iter().enumerate() {
                     let base = [group.generator(), h][b];
                     assert_eq!(got[k], generic(base, x), "lane {k} of {lanes}: {x}");
@@ -663,13 +666,16 @@ mod tests {
         };
         for seed in 0..4 {
             let msg = b"escrowed identity";
-            let before = ifma::kernel_calls();
+            let before = p2drm_bignum::counts::counts().kernel_calls;
             let ct = kp.public().encrypt(msg, &mut test_rng(60 + seed));
-            assert_eq!(ifma::kernel_calls() - before, lanes as u64);
-            let before = ifma::kernel_calls();
+            assert_eq!(
+                p2drm_bignum::counts::counts().kernel_calls - before,
+                lanes as u64
+            );
+            let before = p2drm_bignum::counts::counts().kernel_calls;
             let want = scalar_key.encrypt(msg, &mut test_rng(60 + seed));
             assert_eq!(
-                ifma::kernel_calls(),
+                p2drm_bignum::counts::counts().kernel_calls,
                 before,
                 "the scalar combs run no kernel"
             );
@@ -679,10 +685,10 @@ mod tests {
             assert_eq!(kp.decrypt(&ct).unwrap(), msg);
         }
         let small = ElGamalKeyPair::generate(ElGamalGroup::test_512(), &mut test_rng(54));
-        let before = ifma::kernel_calls();
+        let before = p2drm_bignum::counts::counts().kernel_calls;
         let _ = small.public().encrypt(b"m", &mut test_rng(55));
         assert_eq!(
-            ifma::kernel_calls(),
+            p2drm_bignum::counts::counts().kernel_calls,
             before,
             "a 512-bit group keeps the scalar comb"
         );

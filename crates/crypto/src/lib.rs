@@ -11,6 +11,7 @@
 //! | [`blind`] | Chaum full-domain-hash blind signatures | pseudonym certification, e-cash |
 //! | [`elgamal`] | ElGamal over RFC 3526 MODP groups | TTP identity escrow |
 //! | [`rng`] | RNG plumbing & deterministic test RNG | all key generation |
+//! | [`counts`] | per-thread counts of RSA operations by path, SHA-256 and ChaCha20 blocks | tests that pin work |
 //!
 //! # Security caveat
 //!
@@ -45,6 +46,7 @@
 
 pub mod blind;
 pub mod chacha20;
+pub mod counts;
 pub mod elgamal;
 pub mod envelope;
 pub mod hmac;

@@ -222,6 +222,10 @@ pub fn public_batch(inputs: &[(&RsaPublicKey, &UBig)]) -> Vec<UBig> {
         .filter(|(pk, _)| vertical(pk))
         .map(|&(pk, x)| (pk.radix52().expect("a modulus of at most 1038 bits"), x))
         .collect();
+    crate::counts::count(|c| {
+        c.public_lanes += lanes.len() as u64;
+        c.public_scalar += (inputs.len() - lanes.len()) as u64;
+    });
     let mut powers = ifma::pow_public_lanes(&lanes, PUBLIC_EXPONENT)
         .expect("the CPU has AVX-512 IFMA")
         .into_iter();
@@ -424,11 +428,19 @@ impl RsaKeyPair {
     /// [`ifma::pow_lanes`] call (`⌈k·inputs / 8⌉` kernel calls for a
     /// `k`-prime key), or one [`Mont::pow`] each on the per-prime path.
     fn raw_private_batch(&self, xs: &[&UBig]) -> Vec<UBig> {
-        let powers = self.vertical_powers(xs).unwrap_or_else(|| {
-            xs.iter()
-                .flat_map(|x| self.factors.iter().map(move |f| f.mont.pow(x, &f.d)))
-                .collect()
-        });
+        let ops = xs.len() as u64;
+        let powers = match self.vertical_powers(xs) {
+            Some(powers) => {
+                crate::counts::count(|c| c.private_lanes += ops);
+                powers
+            }
+            None => {
+                crate::counts::count(|c| c.private_scalar += ops);
+                xs.iter()
+                    .flat_map(|x| self.factors.iter().map(move |f| f.mont.pow(x, &f.d)))
+                    .collect()
+            }
+        };
         powers
             .chunks(self.factors.len())
             .map(|p| self.garner(p))
@@ -879,31 +891,27 @@ mod tests {
     /// on the primes alone either way, make 3,038 products.
     #[test]
     fn keygen_checks_its_survivors_in_lanes() {
-        let before = prime::search_counts();
+        let before = p2drm_bignum::counts::counts();
         let kp = RsaKeyPair::generate(1024, &mut test_rng(1));
-        let done = prime::search_counts() - before;
+        let done = p2drm_bignum::counts::counts() - before;
         assert_eq!(kp.factors.len(), 3);
+        // (fermat_lanes, fermat_passed, kernel_calls, scalar_tests,
+        // sieve_steps, lucas_products)
         let want = if ifma::available() {
-            prime::SearchCounts {
-                fermat_lanes: 48,
-                fermat_passed: 5,
-                kernel_calls: 6 + 3,
-                scalar_tests: 3,
-                sieve_steps: 499,
-                lucas_products: 3038,
-            }
+            (48, 5, 6 + 3, 3, 499, 3038)
         } else {
             eprintln!("this CPU has no AVX-512 IFMA: the scalar search's counts are checked");
-            prime::SearchCounts {
-                fermat_lanes: 0,
-                fermat_passed: 0,
-                kernel_calls: 0,
-                scalar_tests: 30,
-                sieve_steps: 294,
-                lucas_products: 3038,
-            }
+            (0, 0, 0, 30, 294, 3038)
         };
-        assert_eq!(done, want);
+        let got = (
+            done.fermat_lanes,
+            done.fermat_passed,
+            done.kernel_calls,
+            done.scalar_tests,
+            done.sieve_steps,
+            done.lucas_products,
+        );
+        assert_eq!(got, want);
     }
 
     /// Digests of the public key, the private exponent and one signature
@@ -1153,9 +1161,9 @@ mod tests {
             let bits = kp.public().modulus().bit_len();
             for count in counts {
                 let batch: Vec<&[u8]> = messages[..count].iter().map(Vec::as_slice).collect();
-                let before = ifma::kernel_calls();
+                let before = p2drm_bignum::counts::counts().kernel_calls;
                 let sigs = kp.sign_batch(&batch);
-                let calls = ifma::kernel_calls() - before;
+                let calls = p2drm_bignum::counts::counts().kernel_calls - before;
                 let lanes = (count * kp.factors.len()) as u64;
                 assert!(
                     calls == 0 || (bits <= 1024 && calls == lanes.div_ceil(ifma::LANES as u64)),
@@ -1204,9 +1212,9 @@ mod tests {
             for count in 1..=17 {
                 let xs: Vec<UBig> = (0..count).map(|i| input(pk, i)).collect();
                 let batch: Vec<(&RsaPublicKey, &UBig)> = xs.iter().map(|x| (pk, x)).collect();
-                let before = ifma::kernel_calls();
+                let before = p2drm_bignum::counts::counts().kernel_calls;
                 let got = public_batch(&batch);
-                let calls = ifma::kernel_calls() - before;
+                let calls = p2drm_bignum::counts::counts().kernel_calls - before;
                 let vertical = bits == 1024 && ifma::available();
                 let want = if vertical {
                     count.div_ceil(ifma::LANES)
@@ -1230,9 +1238,9 @@ mod tests {
         }
         mixed.rotate_left(5);
         let batch: Vec<(&RsaPublicKey, &UBig)> = mixed.iter().map(|(pk, x)| (*pk, x)).collect();
-        let before = ifma::kernel_calls();
+        let before = p2drm_bignum::counts::counts().kernel_calls;
         let got = public_batch(&batch);
-        let calls = ifma::kernel_calls() - before;
+        let calls = p2drm_bignum::counts::counts().kernel_calls - before;
         assert_eq!(
             calls,
             u64::from(ifma::available()),

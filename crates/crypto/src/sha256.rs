@@ -146,6 +146,7 @@ impl Sha256 {
 /// Compresses `blocks` (a whole number of 64-byte blocks) into `state`
 /// on the SHA extensions when this CPU has them, else portably.
 fn compress(state: &mut [u32; 8], blocks: &[u8]) {
+    crate::counts::count(|c| c.sha256_blocks += (blocks.len() / BLOCK_LEN) as u64);
     #[cfg(target_arch = "x86_64")]
     if compress_sha_ni(state, blocks) {
         return;
@@ -391,6 +392,29 @@ mod tests {
 
     fn hex_with(kernel: Kernel, data: &[u8]) -> String {
         hex(&digest_with(kernel, &[data]))
+    }
+
+    #[test]
+    fn a_digest_counts_each_block_once() {
+        for len in [0usize, 1, 55, 56, 64, 119, 120, 1000, 16_384] {
+            let data = vec![0x5a; len];
+            let before = crate::counts::counts();
+            let digest = sha256(&data);
+            let blocks = (crate::counts::counts() - before).sha256_blocks;
+            // The message, a 0x80 byte and the 8-byte length, padded.
+            assert_eq!(blocks, (len as u64 + 9).div_ceil(64), "len={len}");
+            let before = crate::counts::counts();
+            let mut h = Sha256::new();
+            for chunk in data.chunks(7) {
+                h.update(chunk);
+            }
+            assert_eq!(h.finalize(), digest);
+            assert_eq!(
+                (crate::counts::counts() - before).sha256_blocks,
+                blocks,
+                "len={len} in 7-byte updates"
+            );
+        }
     }
 
     #[test]

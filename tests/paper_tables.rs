@@ -1,8 +1,9 @@
-//! The paper's protocol figures (T1, T2) and tables (E1, E2) as
-//! assertions. The paper states message flows and properties, not
-//! timings, so each is one seeded `fast_test` system whose transcript is
-//! compared with values committed here (canonical-encoding bytes at the
-//! fast-test key size). A change to a message layout or to who talks to
+//! The paper's protocol figures (T1, T2), tables (E1, E2) and the
+//! blind-issuance ablation (E9) as assertions. The paper states message
+//! flows, properties and operation costs, not timings, so each is one
+//! seeded `fast_test` system whose transcript or RSA operation counts
+//! are compared with values committed here (canonical-encoding bytes at
+//! the fast-test key size). A change to a message layout or to who talks to
 //! whom turns one red; the new value is a reviewed edit to this file.
 //!
 //! Provider traffic is what the recording transport saw: the payload of
@@ -16,6 +17,9 @@ use p2drm::core::baseline::play_identified;
 use p2drm::core::entities::smartcard::CardBudget;
 use p2drm::core::protocol;
 use p2drm::core::service::{Loopback, WireClient};
+use p2drm::crypto::blind::{self, Blinded};
+use p2drm::crypto::counts;
+use p2drm::crypto::rsa::{fdh, RsaKeyPair};
 use p2drm::prelude::*;
 use rand::rngs::StdRng;
 
@@ -281,4 +285,109 @@ fn e2_storage_growth() {
         // The card's master key plus one key per pseudonym.
         assert_eq!(user.card.memory_bytes(), CARD_KEY_BYTES * (n + 1));
     }
+}
+
+/// `f`'s result and the RSA `(private, public)` operations it made on
+/// this thread, whichever path (kernel lanes or scalar) they took.
+fn rsa_ops<T>(f: impl FnOnce() -> T) -> (T, (u64, u64)) {
+    let before = counts::counts();
+    let out = f();
+    let c = counts::counts() - before;
+    (
+        out,
+        (
+            c.private_lanes + c.private_scalar,
+            c.public_lanes + c.public_scalar,
+        ),
+    )
+}
+
+/// E2 (Fig 2): the RSA operations of one purchase and one play, P2DRM
+/// beside the identified baseline. A P2DRM purchase pays for its fresh
+/// pseudonym (the card's master-key signature to the RA, the RA's blind
+/// signature, the blinding and its check) and its anonymous coin (the
+/// mint's blind signature and the provider's coin check) on top of what
+/// the baseline's purchase does: four private operations where the
+/// baseline makes one, and under five times its operations in all. A
+/// play adds the card's proof of its pseudonym and its re-seal to the
+/// device: one and a half times the baseline's.
+#[test]
+fn e2_rsa_operations() {
+    let mut rng = test_rng(0xE2A);
+    let mut sys = System::bootstrap(SystemConfig::fast_test(), &mut rng);
+    let cid = sys.publish_content("item", 100, &vec![2u8; 1024], &mut rng);
+    let bid = sys.publish_baseline_content("item-b", 100, &vec![2u8; 1024], &mut rng);
+    let mut alice = sys.register_user("alice", &mut rng).unwrap();
+    sys.fund(&alice, 1000);
+    let mut device = sys.register_device(&mut rng).unwrap();
+    let mut bdevice = sys.register_baseline_device(&mut rng).unwrap();
+    let (epoch, now) = (sys.epoch(), sys.now());
+
+    // The purchase includes the pseudonym it is made under.
+    assert!(alice.current_pseudonym().is_none());
+    let (license, purchase) = rsa_ops(|| sys.purchase(&mut alice, cid, &mut rng).unwrap());
+    let (_, play) = rsa_ops(|| sys.play(&alice, &mut device, &license, &mut rng).unwrap());
+    let ra_key = sys.ra.identity_public().clone();
+    let (blicense, baseline_purchase) = rsa_ops(|| {
+        sys.baseline
+            .purchase_identified(
+                &mut alice,
+                &ra_key,
+                bid,
+                now,
+                epoch,
+                &mut rng,
+                &mut Transcript::new(),
+            )
+            .unwrap()
+    });
+    let (_, baseline_play) = rsa_ops(|| {
+        play_identified(
+            &alice,
+            &mut bdevice,
+            &sys.baseline,
+            &blicense,
+            now,
+            &mut rng,
+            &mut Transcript::new(),
+        )
+        .unwrap()
+    });
+
+    // (private, public)
+    assert_eq!(purchase, (4, 10), "P2DRM purchase");
+    assert_eq!(baseline_purchase, (1, 2), "baseline purchase");
+    assert_eq!(play, (5, 4), "P2DRM play");
+    assert_eq!(baseline_play, (3, 3), "baseline play");
+    // The factors are counts of exponentiations modulo keys of one size,
+    // so they hold at every key size.
+    let total = |(private, public): (u64, u64)| private + public;
+    assert!(
+        total(purchase) <= 5 * total(baseline_purchase) && purchase.0 <= 4 * baseline_purchase.0,
+        "a purchase costs a small constant factor over the baseline's"
+    );
+    assert!(
+        total(play) <= 2 * total(baseline_play),
+        "a play costs about the baseline's"
+    );
+}
+
+/// E9 (ablation): what blind issuance costs over a plain FDH signature.
+/// The signer's work is the same one private operation; the requester
+/// adds two public ones (`r^e` when blinding, the check of `s` when
+/// unblinding) and one inverse (`r⁻¹`, which no counter here sees).
+#[test]
+fn e9_blind_issuance() {
+    let kp = RsaKeyPair::generate(512, &mut test_rng(0xE9));
+    let message = b"pseudonym certificate body bytes";
+    let (_, plain) = rsa_ops(|| kp.raw_private(&fdh(message, kp.public().modulus_len())));
+    let mut rng = test_rng(0xE91);
+    let (signature, blinded) = rsa_ops(|| {
+        let request = Blinded::new(kp.public(), message, &mut rng).unwrap();
+        let signed = blind::blind_sign(&kp, &request.blinded).unwrap();
+        request.unblind(kp.public(), &signed).unwrap()
+    });
+    blind::verify_fdh(kp.public(), message, &signature).unwrap();
+    assert_eq!(plain, (1, 0), "plain FDH signature");
+    assert_eq!(blinded, (1, 2), "blind round trip");
 }
