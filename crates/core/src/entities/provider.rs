@@ -71,7 +71,9 @@
 //!     it);
 //!   - trusted attribute keys (`RwLock`, read-mostly);
 //!   - CRL state — both revocation lists and their sequence numbers —
-//!     under one `RwLock` (revocation is rare, CRL reads are cheap).
+//!     under one `RwLock` (revocation is rare, CRL reads are cheap); a
+//!     revocation writes its `crl/` row under a lock of its own and takes
+//!     the write lock only to insert, so readers never wait on a commit.
 //!
 //! An item's ciphertext has one copy: its `content/<id>` row in the
 //! backend. [`ContentProvider::download`] checks the catalog, then reads
@@ -132,7 +134,7 @@ use p2drm_store::typed::Table;
 use p2drm_store::{
     ConcurrentKv, MemKv, RecoveryReport, StoreError, WalShardedConfig, WalShardedKv,
 };
-use parking_lot::RwLock;
+use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -206,6 +208,23 @@ struct CrlState {
     pseudonym: Crl,
 }
 
+impl CrlState {
+    /// The pseudonym list for `kind` `b'p'`, the license list otherwise.
+    fn of(&self, kind: u8) -> &Crl {
+        match kind {
+            b'p' => &self.pseudonym,
+            _ => &self.license,
+        }
+    }
+
+    fn of_mut(&mut self, kind: u8) -> &mut Crl {
+        match kind {
+            b'p' => &mut self.pseudonym,
+            _ => &mut self.license,
+        }
+    }
+}
+
 /// The provider's mutable tables, each behind its own lock. See the
 /// module docs for the locking layout. Generic over the [`ConcurrentKv`]
 /// backend holding the persisted tables.
@@ -221,6 +240,9 @@ pub struct ProviderState<B: ConcurrentKv> {
     /// Trusted per-attribute RA verification keys.
     attribute_trust: RwLock<HashMap<String, RsaPublicKey>>,
     crl: RwLock<CrlState>,
+    /// Held by a listing across its `crl/` row write (see
+    /// `list_revoked`); readers of `crl` never take it.
+    crl_writer: Mutex<()>,
     mint: Mint,
 }
 
@@ -441,6 +463,7 @@ impl<B: ConcurrentKv> ContentProvider<B> {
                 catalog: RwLock::new(ContentCatalog::new()),
                 attribute_trust: RwLock::new(HashMap::new()),
                 crl: RwLock::new(CrlState::default()),
+                crl_writer: Mutex::new(()),
                 mint,
             },
             stats: BatchStats::default(),
@@ -500,18 +523,25 @@ impl<B: ConcurrentKv> ContentProvider<B> {
     /// CRL at its next sequence number. Its `crl/` row is written first,
     /// so a failed write leaves the served list and its sequence as they
     /// were; an id already listed changes nothing.
+    ///
+    /// Listings serialize on their own lock, and the row is written under
+    /// it alone: the CRL lock is taken for reading before the write and
+    /// for writing only to insert the id, so a commit's sync never stalls
+    /// a pseudonym check, a CRL sync or a status query.
     fn list_revoked(&self, kind: u8, id: KeyId) -> Result<(), CoreError> {
-        let mut crls = self.state.crl.write();
-        let crl = match kind {
-            b'p' => &mut crls.pseudonym,
-            _ => &mut crls.license,
+        let _listing = self.state.crl_writer.lock();
+        let seq = {
+            let crls = self.state.crl.read();
+            let crl = crls.of(kind);
+            if crl.list.contains(&id) {
+                return Ok(());
+            }
+            crl.seq + 1
         };
-        if crl.list.contains(&id) {
-            return Ok(());
-        }
-        let seq = crl.seq + 1;
         let key = [&[kind, b'/'], id.0.as_slice()].concat();
         self.state.crl_table.put(&self.state.store, &key, &seq)?;
+        let mut crls = self.state.crl.write();
+        let crl = crls.of_mut(kind);
         crl.seq = seq;
         crl.list.insert(id);
         Ok(())

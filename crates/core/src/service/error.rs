@@ -286,12 +286,50 @@ impl Decode for ApiError {
 mod tests {
     use super::*;
 
+    /// Every wire number, in one place: a variant's number never
+    /// changes, and 22, 53 and 80 stay retired.
+    const WIRE_NUMBERS: [(ApiErrorCode, u16); 27] = [
+        (ApiErrorCode::MalformedRequest, 1),
+        (ApiErrorCode::UnsupportedVersion, 2),
+        (ApiErrorCode::UnknownOpcode, 3),
+        (ApiErrorCode::ServiceUnavailable, 4),
+        (ApiErrorCode::Crypto, 10),
+        (ApiErrorCode::BadSignature, 11),
+        (ApiErrorCode::Certificate, 20),
+        (ApiErrorCode::CertificateExpired, 21),
+        (ApiErrorCode::Unrecognized(22), 22),
+        (ApiErrorCode::Payment, 30),
+        (ApiErrorCode::InsufficientFunds, 31),
+        (ApiErrorCode::DoubleSpend, 32),
+        (ApiErrorCode::Storage, 40),
+        (ApiErrorCode::BadLicense, 50),
+        (ApiErrorCode::AlreadyRedeemed, 51),
+        (ApiErrorCode::RightsDenied, 52),
+        (ApiErrorCode::Unrecognized(53), 53),
+        (ApiErrorCode::Revoked, 60),
+        (ApiErrorCode::BadPseudonym, 61),
+        (ApiErrorCode::BadProof, 62),
+        (ApiErrorCode::CardRefused, 63),
+        (ApiErrorCode::BadEvidence, 64),
+        (ApiErrorCode::UnknownContent, 70),
+        (ApiErrorCode::UnknownLicense, 71),
+        (ApiErrorCode::Unrecognized(80), 80),
+        (ApiErrorCode::Arithmetic, 90),
+        (ApiErrorCode::Internal, 99),
+    ];
+
     #[test]
-    fn retired_codes_decode_as_unrecognized_and_keep_their_number() {
-        for raw in [22u16, 53, 80] {
-            let code = ApiErrorCode::from_code(raw);
-            assert_eq!(code, ApiErrorCode::Unrecognized(raw));
-            assert_eq!(code.code(), raw);
+    fn every_code_keeps_its_wire_number_and_decodes_back() {
+        for (code, number) in WIRE_NUMBERS {
+            assert_eq!(code.code(), number, "{code:?}");
+            assert_eq!(ApiErrorCode::from_code(number), code, "{number}");
+        }
+        // Every number below 100 outside the table is not a variant.
+        for number in 0..100 {
+            if !WIRE_NUMBERS.iter().any(|&(_, n)| n == number) {
+                let code = ApiErrorCode::from_code(number);
+                assert_eq!(code, ApiErrorCode::Unrecognized(number));
+            }
         }
     }
 }

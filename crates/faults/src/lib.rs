@@ -7,7 +7,7 @@
 //! fault schedule byte-for-byte — a failing chaos run is a repro, not an
 //! anecdote.
 //!
-//! The plan is exercised through wrappers at three layers:
+//! The plan is exercised through wrappers at two layers:
 //!
 //! * [`FaultTransport`] around any [`p2drm_core::service::Transport`] —
 //!   dropped requests, dropped/duplicated/torn replies, injected delay,
@@ -16,21 +16,17 @@
 //!   puts/inserts/flushes and slow commits (plus
 //!   [`crash::tear_shard_tail`] and
 //!   [`p2drm_store::WalShardedKv::inject_sync_failure`] for the durable
-//!   backend's poisoning/replay paths);
-//! * [`FaultService`] around any [`p2drm_net::NetService`] — worker
-//!   stalls that hold a request hostage server-side.
+//!   backend's poisoning/replay paths).
 //!
 //! None of the wrappers change behavior when their sites stay
 //! [`Schedule::Never`]; they are strictly pass-through.
 
 mod kv;
 mod plan;
-mod service;
 mod transport;
 
 pub mod crash;
 
 pub use kv::{sites as kv_sites, FaultKv};
 pub use plan::{Decision, FaultPlan, Schedule};
-pub use service::{sites as service_sites, FaultService};
 pub use transport::{sites as transport_sites, FaultTransport};

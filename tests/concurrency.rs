@@ -319,14 +319,39 @@ fn racing_identical_purchases_share_one_license() {
     assert_eq!(sys.provider.license_count(), 1);
 }
 
-/// A store whose writes to the content table park until the test lets
-/// them through — the window in which `publish` used to hold the catalog
-/// write lock.
+/// A store whose writes under `prefix` park until the test lets them
+/// through — the window in which `publish` used to hold the catalog write
+/// lock, and a revocation the CRL write lock.
 struct ParkingKv {
     inner: p2drm::core::entities::provider::MemBackend,
+    prefix: &'static [u8],
     armed: std::sync::atomic::AtomicBool,
     parked: std::sync::Mutex<std::sync::mpsc::Sender<()>>,
     release: std::sync::Mutex<std::sync::mpsc::Receiver<()>>,
+}
+
+impl ParkingKv {
+    /// A parking store over fresh memory, disarmed, with the channels the
+    /// test holds the other ends of: one that reports a parked write and
+    /// one that lets it through.
+    fn new(
+        prefix: &'static [u8],
+    ) -> (
+        Self,
+        std::sync::mpsc::Receiver<()>,
+        std::sync::mpsc::Sender<()>,
+    ) {
+        let (parked_tx, parked_rx) = std::sync::mpsc::channel();
+        let (release_tx, release_rx) = std::sync::mpsc::channel();
+        let store = ParkingKv {
+            inner: p2drm::store::MemKv::with_shards(4),
+            prefix,
+            armed: std::sync::atomic::AtomicBool::new(false),
+            parked: std::sync::Mutex::new(parked_tx),
+            release: std::sync::Mutex::new(release_rx),
+        };
+        (store, parked_rx, release_tx)
+    }
 }
 
 impl p2drm::store::ConcurrentKv for ParkingKv {
@@ -334,7 +359,7 @@ impl p2drm::store::ConcurrentKv for ParkingKv {
         self.inner.get(key)
     }
     fn put(&self, key: &[u8], value: &[u8]) -> Result<(), p2drm::store::StoreError> {
-        if key.starts_with(b"content/") && self.armed.load(std::sync::atomic::Ordering::SeqCst) {
+        if key.starts_with(self.prefix) && self.armed.load(std::sync::atomic::Ordering::SeqCst) {
             self.parked.lock().unwrap().send(()).unwrap();
             self.release.lock().unwrap().recv().unwrap();
         }
@@ -364,14 +389,7 @@ impl p2drm::store::ConcurrentKv for ParkingKv {
 #[test]
 fn publish_persists_outside_the_catalog_lock() {
     use std::sync::atomic::Ordering;
-    let (parked_tx, parked_rx) = std::sync::mpsc::channel();
-    let (release_tx, release_rx) = std::sync::mpsc::channel();
-    let store = ParkingKv {
-        inner: p2drm::store::MemKv::with_shards(4),
-        armed: std::sync::atomic::AtomicBool::new(false),
-        parked: std::sync::Mutex::new(parked_tx),
-        release: std::sync::Mutex::new(release_rx),
-    };
+    let (store, parked_rx, release_tx) = ParkingKv::new(b"content/");
     let mut rng = p2drm::crypto::rng::test_rng(0xACE5);
     let sys = System::bootstrap_with_backend(SystemConfig::fast_test(), store, &mut rng);
     let existing = sys.publish_content("Already here", 100, b"old payload", &mut rng);
@@ -411,5 +429,70 @@ fn publish_persists_outside_the_catalog_lock() {
         let listing = provider.list_content();
         assert_eq!(listing.metas().len(), 2);
         assert!(listing.metas().iter().any(|m| m.id == arrived));
+    });
+}
+
+/// A revocation writes its `crl/` row outside the CRL lock: while a
+/// transfer's CRL listing is parked in the store, a device's CRL sync and
+/// another buyer's purchase (whose pseudonym check reads the pseudonym
+/// CRL) complete, and once the write returns the old id is listed at the
+/// next sequence number.
+#[test]
+fn a_crl_listing_commits_outside_the_crl_lock() {
+    use p2drm::core::entities::provider::license_crl_id;
+    use p2drm::core::service::{Loopback, WireClient};
+    use std::sync::atomic::Ordering;
+    use std::time::Duration;
+    let (store, parked_rx, release_tx) = ParkingKv::new(b"crl/");
+    let mut rng = p2drm::crypto::rng::test_rng(0xACE8);
+    let mut sys = System::bootstrap_with_backend(SystemConfig::fast_test(), store, &mut rng);
+    let cid = sys.publish_content("Passed on", 100, b"payload", &mut rng);
+    let mut alice = sys.register_user("alice", &mut rng).unwrap();
+    let mut bob = sys.register_user("bob", &mut rng).unwrap();
+    let mut carol = sys.register_user("carol", &mut rng).unwrap();
+    sys.fund(&alice, 1_000);
+    sys.fund(&carol, 1_000);
+    let lid = sys.purchase(&mut alice, cid, &mut rng).unwrap().id();
+    let mut device = sys.register_device(&mut rng).unwrap();
+    let sequence = sys.provider.signed_license_crl(0).sequence;
+
+    sys.provider.store().armed.store(true, Ordering::SeqCst);
+    let sys = &sys;
+    std::thread::scope(|scope| {
+        let transfer = scope.spawn(move || {
+            let mut rng = p2drm::crypto::rng::test_rng(0xACE9);
+            sys.transfer(&mut alice, &mut bob, lid, &mut rng)
+        });
+        parked_rx
+            .recv_timeout(Duration::from_secs(60))
+            .expect("the transfer reached its CRL row write");
+
+        // The transfer holds its listing, parked in the store. Under the
+        // old lock scope both of these would wait for it.
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let readers = scope.spawn(move || {
+            let service = sys.wire_service(0xACE8);
+            WireClient::new(Loopback::new(&service))
+                .sync_crls(&mut device)
+                .expect("CRL sync");
+            let mut rng = p2drm::crypto::rng::test_rng(0xACEA);
+            let bought = sys.purchase(&mut carol, cid, &mut rng);
+            let _ = done_tx.send((device.crl_sequence(), bought.is_ok()));
+        });
+        let done = done_rx.recv_timeout(Duration::from_secs(10));
+        // Let the parked write through whatever happened, so a failure
+        // ends the test instead of hanging it.
+        sys.provider.store().armed.store(false, Ordering::SeqCst);
+        release_tx.send(()).expect("the transfer is parked");
+        let (synced_at, bought) = done.expect("a CRL sync and a purchase beside a parked listing");
+        assert_eq!(synced_at, sequence, "the parked listing is not served yet");
+        assert!(bought, "the purchase beside a parked listing");
+        readers.join().expect("readers panicked");
+
+        let moved = transfer.join().expect("transfer panicked");
+        assert!(moved.is_ok(), "{moved:?}");
+        let crl = sys.provider.signed_license_crl(0);
+        assert_eq!(crl.sequence, sequence + 1);
+        assert!(crl.list.contains(&license_crl_id(&lid)));
     });
 }

@@ -1,79 +1,13 @@
-//! Workspace-level integration: the full license lifecycle across every
-//! crate — registration, blind issuance, anonymous purchase, repeated
-//! playback to exhaustion, transfer, double-redeem rejection, abuse
-//! de-anonymization, and post-revocation lockout.
+//! Workspace-level integration beside the model (`tests/model.rs`):
+//! abuse de-anonymization and post-revocation lockout, a multi-user
+//! session whose license rows know pseudonyms only, and one journey at
+//! realistic key sizes.
 
 use p2drm::core::protocol::messages::{transfer_proof_bytes, TransferRequest};
 use p2drm::core::protocol::{deanonymize_and_punish, AbuseEvidence};
 use p2drm::core::{CoreError, LicenseRecord};
 use p2drm::prelude::*;
 use p2drm::store::ConcurrentKv;
-
-#[test]
-fn full_license_lifecycle() {
-    let mut rng = test_rng(9001);
-    let mut sys = System::bootstrap(SystemConfig::fast_test(), &mut rng);
-    let cid = sys.publish_content("Lifecycle Track", 100, b"lifecycle payload", &mut rng);
-
-    // 1. Register + fund.
-    let mut alice = sys.register_user("alice", &mut rng).unwrap();
-    let mut bob = sys.register_user("bob", &mut rng).unwrap();
-    sys.fund(&alice, 10_000);
-    sys.fund(&bob, 10_000);
-
-    // 2. Anonymous purchase.
-    let license = sys.purchase(&mut alice, cid, &mut rng).unwrap();
-    assert!(license.verify(sys.provider.public_key()).is_ok());
-    assert_eq!(sys.mint.deposited_total(), 100);
-
-    // 3. Play to exhaustion (fast_test grants 3 plays).
-    let mut device = sys.register_device(&mut rng).unwrap();
-    for _ in 0..3 {
-        let audio = sys.play(&alice, &mut device, &license, &mut rng).unwrap();
-        assert_eq!(audio, b"lifecycle payload");
-    }
-    assert!(matches!(
-        sys.play(&alice, &mut device, &license, &mut rng),
-        Err(WireError::Client(CoreError::Denied(_)))
-    ));
-
-    // 4. Transfer to Bob; Bob plays on his own device.
-    let resold = sys
-        .transfer(&mut alice, &mut bob, license.id(), &mut rng)
-        .unwrap();
-    let mut bobs_device = sys.register_device(&mut rng).unwrap();
-    assert!(sys.play(&bob, &mut bobs_device, &resold, &mut rng).is_ok());
-
-    // 5. Alice's stale copy is rejected on transfer AND (post CRL sync)
-    //    on playback.
-    let mut carol = sys.register_user("carol", &mut rng).unwrap();
-    sys.fund(&carol, 1_000);
-    alice.add_license(license.clone(), alice_pseudonym_of(&alice, &license));
-    assert!(matches!(
-        sys.transfer(&mut alice, &mut carol, license.id(), &mut rng),
-        Err(WireError::Api(e)) if e.code == ApiErrorCode::AlreadyRedeemed
-    ));
-    let now = sys.now();
-    let lic_crl = sys.provider.signed_license_crl(now);
-    let pseud_crl = sys.provider.signed_pseudonym_crl(now);
-    let mut fresh_device = sys.register_device(&mut rng).unwrap();
-    fresh_device.sync_crls(&lic_crl, &pseud_crl).unwrap();
-    assert!(matches!(
-        sys.play(&alice, &mut fresh_device, &license, &mut rng),
-        Err(WireError::Client(CoreError::Revoked("license")))
-    ));
-}
-
-/// Finds the pseudonym a (possibly removed) license was bound to by
-/// matching holder keys against the user's certificates.
-fn alice_pseudonym_of(user: &UserAgent, license: &License) -> p2drm::pki::cert::KeyId {
-    let holder = p2drm::pki::cert::KeyId::of_rsa(&license.body.holder);
-    user.pseudonym_certs()
-        .iter()
-        .map(|c| c.pseudonym_id())
-        .find(|id| *id == holder)
-        .expect("license was bound to one of the user's pseudonyms")
-}
 
 #[test]
 fn abuse_pipeline_end_to_end() {
@@ -140,54 +74,6 @@ fn abuse_pipeline_end_to_end() {
         sys.ensure_pseudonym(&mut mallory, &mut rng),
         Err(CoreError::Revoked(_))
     ));
-}
-
-#[test]
-fn coins_are_single_use_across_the_whole_system() {
-    // Craft a purchase that tries to reuse a deposited coin.
-    let mut rng = test_rng(9003);
-    let sys = System::bootstrap(SystemConfig::fast_test(), &mut rng);
-    let cid = sys.publish_content("Coin Test", 100, b"x", &mut rng);
-    let mut alice = sys.register_user("alice", &mut rng).unwrap();
-    sys.fund(&alice, 1_000);
-
-    sys.ensure_pseudonym(&mut alice, &mut rng).unwrap();
-    let cert = alice.current_pseudonym().unwrap().clone();
-    let account = alice.account.clone();
-    let coin = alice
-        .wallet
-        .withdraw(&sys.mint, &account, 100, &mut rng)
-        .unwrap();
-    let req = p2drm::core::protocol::messages::PurchaseRequest {
-        content_id: cid,
-        pseudonym_cert: cert,
-        coin,
-        attribute_cert: None,
-    };
-    let epoch = sys.epoch();
-    let bought = sys.provider.handle_purchase(&req, epoch, &mut rng).unwrap();
-    // The same request again is the same purchase: same license, no
-    // second deposit.
-    let replayed = sys.provider.handle_purchase(&req, epoch, &mut rng).unwrap();
-    assert_eq!(replayed.id(), bought.id());
-    assert_eq!(sys.mint.deposited_total(), 100);
-    // The same coin for anything else — the mint's spent store refuses.
-    let other = sys.publish_content("Other", 100, b"y", &mut rng);
-    let res = sys.provider.handle_purchase(
-        &p2drm::core::protocol::messages::PurchaseRequest {
-            content_id: other,
-            ..req
-        },
-        epoch,
-        &mut rng,
-    );
-    assert!(matches!(
-        res,
-        Err(CoreError::Payment(
-            p2drm::payment::PaymentError::DoubleSpend
-        ))
-    ));
-    assert_eq!(sys.provider.license_count(), 1);
 }
 
 #[test]

@@ -1,0 +1,564 @@
+//! The protocol's sequential specification: what the provider, the mint,
+//! the wire client and the devices answer to any sequence of `Op`s, with
+//! no cryptography, no store and no threads.
+//!
+//! Ids are indices. A license handle stands for the id a request derives
+//! (a purchase's from its coin, pseudonym and item, a successor's from
+//! the old license and the recipient), so a re-sent request names the
+//! handle it named before. Refusals are decided in the order of the
+//! provider's check step (`entities::provider` module doc): a replay —
+//! the deciding row already names this request's license — skips the
+//! checks that time can change; otherwise a purchase is checked for its
+//! pseudonym, item, denomination, credential and coin, and a transfer for
+//! its rights, holder proof, spent row and recipient.
+
+use p2drm::core::service::ApiErrorCode::{self as Code, *};
+use std::collections::HashMap;
+
+pub const EPOCH_WINDOW: u32 = 4;
+pub const DENOMINATIONS: [u64; 3] = [100, 500, 1000];
+pub const FUNDING: u64 = 5_000;
+pub const USERS: usize = 3;
+pub const DEVICES: usize = 2;
+/// The users the RA granted the attribute the rated item needs.
+pub const ADULTS: [bool; USERS] = [true, true, false];
+/// The refusals after which the wire client puts the coin back.
+pub const PUT_BACK: [Code; 4] = [BadPseudonym, UnknownContent, InsufficientFunds, Payment];
+
+pub type Handle = usize;
+pub type Pseudo = usize;
+pub type CoinId = usize;
+/// A rights limit: `None` is unlimited, `Some(0)` grants nothing.
+pub type Limit = Option<u32>;
+/// An item; `None` is one nobody published.
+pub type ItemId = Option<usize>;
+
+/// A published item: price, plays and transfers per sale, and whether a
+/// buyer needs the attribute credential.
+pub struct Item(pub u64, pub Limit, pub Limit, pub bool);
+pub const ITEMS: [Item; 3] = [
+    Item(100, Some(3), Some(2), false),
+    Item(500, Some(2), Some(1), false),
+    Item(100, None, Some(0), true),
+];
+
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Fault {
+    LostReply,
+    Dropped,
+}
+
+/// A hand-built purchase's coin: withdrawn now, or one already deposited.
+#[derive(Clone, Copy, Debug)]
+pub enum Coin {
+    Fresh(u64),
+    Spent(CoinId),
+}
+
+/// A hand-built purchase's credential: none, one obtained now for the
+/// current pseudonym, or the one bound to a given pseudonym.
+#[derive(Clone, Copy, Debug)]
+pub enum Cred {
+    None,
+    Own,
+    Of(Pseudo),
+}
+
+/// The script alphabet. Users, devices and items are indices.
+#[derive(Clone, Debug)]
+pub enum Op {
+    /// (user, item, fault) through the wire client, after
+    /// `System::ensure_pseudonym` (and `ensure_attribute` for a granted
+    /// buyer of the rated item).
+    Purchase(usize, usize, Option<Fault>),
+    /// (user, item, pseudonym or the current one, coin, credential): a
+    /// hand-built purchase request.
+    Forge(usize, ItemId, Option<Pseudo>, Coin, Cred),
+    /// (from, to, license, fault) through the wire client.
+    Transfer(usize, usize, Handle, Option<Fault>),
+    /// (thief, license, to): a transfer proved by the thief's pseudonym.
+    Steal(usize, Handle, usize),
+    /// (user, device, license).
+    Play(usize, usize, Handle),
+    SyncCrl(usize),
+    Status(Handle),
+    Download(ItemId),
+    Catalog(ItemId),
+    /// The n-th purchase or transfer request, sent again verbatim.
+    Resend(usize),
+    Settle(usize),
+    /// (user, license, pseudonym): a copy the user once held under that
+    /// pseudonym, restored from a backup.
+    Restore(usize, Handle, Pseudo),
+    RevokeLicense(Handle),
+    RevokePseudonym(Pseudo),
+    AdvanceEpoch(u32),
+    /// The provider's unclean stop, maybe a torn tail on this shard, and
+    /// its resume; the mint is the `System`'s, in memory, and stays up.
+    Restart(Option<usize>),
+}
+
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum Outcome {
+    Done,
+    Issued(Handle),
+    Status(Status),
+    Settled(Vec<Outcome>),
+    Api(Code),
+    /// A refusal by the client or the device, as its `CoreError` reads.
+    Refused(&'static str),
+    /// The reply never arrived.
+    Parked,
+}
+
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Status {
+    Unknown,
+    Active(Pseudo),
+    Transferred,
+    Revoked,
+}
+
+/// A purchase or transfer request as it went on the wire.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Req {
+    /// (coin, pseudonym, item, the pseudonym its credential is bound to).
+    Purchase(CoinId, Pseudo, ItemId, Option<Pseudo>),
+    /// (license, the pseudonym proving it, recipient).
+    Transfer(Handle, Pseudo, Pseudo),
+}
+
+pub struct License {
+    /// What its id derives from: a purchase's coin, pseudonym and item,
+    /// or a transfer's old license and recipient.
+    key: (usize, Pseudo, ItemId, bool),
+    pub holder: Pseudo,
+    plays: Limit,
+    pub transfers: Limit,
+    /// Its `lic/` row exists.
+    issued: bool,
+    /// Its `spent/` row: the successor, or `None` for a revocation.
+    spent: Option<Option<Handle>>,
+}
+
+pub struct Pseudonym {
+    pub user: usize,
+    pub epoch: u32,
+    /// The epoch of its attribute credential, if it has one.
+    pub cred: Option<u32>,
+}
+
+#[derive(Default)]
+pub struct User {
+    account: u64,
+    wallet: Vec<CoinId>,
+    /// Indices into `Model::sent`.
+    pub parked: Vec<usize>,
+    pub pseudonyms: Vec<Pseudo>,
+    /// Uses of the newest pseudonym; the policy wants a fresh one after one.
+    uses: u32,
+    pub held: Vec<(Handle, Pseudo)>,
+    /// Every license held, and its pseudonym: what a backup holds.
+    pub history: Vec<(Handle, Pseudo)>,
+}
+
+/// A device's synced CRLs, their sequence, and its play counts.
+#[derive(Clone, Default)]
+pub struct Device(Vec<Handle>, Vec<Pseudo>, u64, HashMap<Handle, u32>);
+
+/// A revocation list and its sequence number.
+#[derive(Default)]
+pub struct Crl<T>(pub Vec<T>, pub u64);
+
+impl<T: PartialEq> Crl<T> {
+    fn list(&mut self, id: T) {
+        if !self.0.contains(&id) {
+            self.0.push(id);
+            self.1 += 1;
+        }
+    }
+}
+
+/// What the ledger comparison reads on both sides.
+#[derive(Debug, PartialEq, Eq)]
+pub struct Ledger {
+    /// The mint's deposited total and spent coins; the provider's
+    /// licenses and spent ids.
+    pub counts: [u64; 4],
+    pub statuses: Vec<Status>,
+    /// (sequence, length) of the license and the pseudonym CRL.
+    pub crls: [(u64, usize); 2],
+    /// Per user: account, wallet balance, parked requests, held licenses.
+    pub users: Vec<(u64, u64, usize, Vec<Handle>)>,
+    /// Per device: the license CRL sequence it synced last.
+    pub devices: Vec<u64>,
+}
+
+#[derive(Default)]
+pub struct Model {
+    pub epoch: u32,
+    pub users: Vec<User>,
+    devices: Vec<Device>,
+    pub pseudonyms: Vec<Pseudonym>,
+    /// Per coin: its denomination and the license its deposit paid for.
+    pub coins: Vec<(u64, Option<Handle>)>,
+    pub licenses: Vec<License>,
+    license_crl: Crl<Handle>,
+    pub pseudonym_crl: Crl<Pseudo>,
+    /// Every request sent, and the license it names.
+    pub sent: Vec<(Req, Handle)>,
+    /// Requests answered as replays.
+    pub replays: usize,
+}
+
+impl Model {
+    pub fn new() -> Self {
+        let mut model = Model::default();
+        for _ in 0..USERS {
+            model.users.push(User {
+                account: FUNDING,
+                ..User::default()
+            });
+        }
+        model.devices = vec![Device::default(); DEVICES];
+        model
+    }
+
+    pub fn apply(&mut self, op: &Op) -> Outcome {
+        match *op {
+            Op::Purchase(user, item, fault) => {
+                let Item(price, _, _, rated) = ITEMS[item];
+                let pseudonym = self.ensure_pseudonym(user);
+                if rated && ADULTS[user] {
+                    self.pseudonyms[pseudonym].cred.get_or_insert(self.epoch);
+                }
+                if rated && self.pseudonyms[pseudonym].cred.is_none() {
+                    return Outcome::Refused("bad pseudonym");
+                }
+                let Some(coin) = self.coin_for_amount(user, price) else {
+                    return Outcome::Refused("payment");
+                };
+                self.users[user].uses += 1;
+                let cred = rated.then_some(pseudonym);
+                let (k, out) = self.send(Req::Purchase(coin, pseudonym, Some(item), cred), fault);
+                self.settle(user, k, out)
+            }
+            Op::Forge(user, item, chosen, coin, cred) => {
+                let pseudonym = chosen.unwrap_or_else(|| self.ensure_pseudonym(user));
+                let cred = match cred {
+                    Cred::None => None,
+                    Cred::Own => {
+                        self.pseudonyms[pseudonym].cred.get_or_insert(self.epoch);
+                        Some(pseudonym)
+                    }
+                    Cred::Of(bound) => Some(bound),
+                };
+                let (coin, fresh) = match coin {
+                    Coin::Spent(coin) => (coin, false),
+                    Coin::Fresh(denomination) => match self.withdraw(user, denomination) {
+                        Some(coin) => (coin, true),
+                        None => return Outcome::Refused("payment"),
+                    },
+                };
+                self.users[user].uses += u32::from(chosen.is_none());
+                let out = self
+                    .send(Req::Purchase(coin, pseudonym, item, cred), None)
+                    .1;
+                match out {
+                    Outcome::Issued(h) if !self.users[user].held.iter().any(|l| l.0 == h) => {
+                        self.hold(user, h, pseudonym)
+                    }
+                    Outcome::Api(code) if fresh && PUT_BACK.contains(&code) => {
+                        self.users[user].wallet.push(coin)
+                    }
+                    _ => {}
+                }
+                out
+            }
+            Op::Transfer(from, to, license, fault) => {
+                let recipient = self.ensure_pseudonym(to);
+                let signer = self.holding(from, license);
+                let (_, out) = self.send(Req::Transfer(license, signer, recipient), fault);
+                if let Outcome::Issued(successor) = out {
+                    let held = &mut self.users[from].held;
+                    held.remove(held.iter().position(|l| l.0 == license).expect("held"));
+                    self.users[to].uses += 1;
+                    self.hold(to, successor, recipient);
+                }
+                out
+            }
+            Op::Steal(thief, license, to) => {
+                let signer = self.ensure_pseudonym(thief);
+                let recipient = self.ensure_pseudonym(to);
+                self.send(Req::Transfer(license, signer, recipient), None).1
+            }
+            Op::Play(user, device, license) => {
+                let holder = self.holding(user, license);
+                let Device(licenses, pseudonyms, _, plays) = &mut self.devices[device];
+                if licenses.contains(&license) {
+                    return Outcome::Refused("revoked license");
+                }
+                if pseudonyms.contains(&holder) {
+                    return Outcome::Refused("revoked pseudonym");
+                }
+                let played = plays.entry(license).or_insert(0);
+                if self.licenses[license].plays.is_some_and(|n| *played >= n) {
+                    return Outcome::Refused("denied");
+                }
+                *played += 1;
+                Outcome::Done
+            }
+            Op::SyncCrl(device) => {
+                let (licenses, pseudonyms) = (&self.license_crl, &self.pseudonym_crl);
+                let d = &mut self.devices[device];
+                (d.0, d.1, d.2) = (licenses.0.clone(), pseudonyms.0.clone(), licenses.1);
+                Outcome::Done
+            }
+            Op::Status(license) => Outcome::Status(self.status(license)),
+            Op::Download(Some(_)) | Op::Catalog(Some(_)) => Outcome::Done,
+            Op::Download(None) | Op::Catalog(None) => Outcome::Api(UnknownContent),
+            Op::Resend(k) => self.send(self.sent[k].0, None).1,
+            Op::Settle(user) => {
+                let parked = std::mem::take(&mut self.users[user].parked);
+                let settled = parked.into_iter().map(|k| {
+                    let (k, out) = self.send(self.sent[k].0, None);
+                    self.settle(user, k, out)
+                });
+                Outcome::Settled(settled.collect())
+            }
+            Op::Restore(user, license, pseudonym) => {
+                self.users[user].held.push((license, pseudonym));
+                Outcome::Done
+            }
+            Op::RevokeLicense(license) => {
+                self.licenses[license].spent.get_or_insert(None);
+                self.license_crl.list(license);
+                Outcome::Done
+            }
+            Op::RevokePseudonym(pseudonym) => {
+                self.pseudonym_crl.list(pseudonym);
+                Outcome::Done
+            }
+            Op::AdvanceEpoch(epochs) => {
+                self.epoch += epochs;
+                Outcome::Done
+            }
+            Op::Restart(_) => Outcome::Done,
+        }
+    }
+
+    /// Settles a purchase's answer as the wire client does: the license,
+    /// the coin back, nothing (a double spend), or the request parked.
+    fn settle(&mut self, user: usize, k: usize, out: Outcome) -> Outcome {
+        let Req::Purchase(coin, pseudonym, ..) = self.sent[k].0 else {
+            unreachable!()
+        };
+        match out {
+            Outcome::Issued(h) => self.hold(user, h, pseudonym),
+            Outcome::Api(code) if PUT_BACK.contains(&code) => self.users[user].wallet.push(coin),
+            Outcome::Api(DoubleSpend) => {}
+            _ => self.users[user].parked.push(k),
+        }
+        out
+    }
+
+    /// A request going out: the provider serves it unless it is dropped,
+    /// and a lost reply answers `Parked` whatever was served.
+    fn send(&mut self, req: Req, fault: Option<Fault>) -> (usize, Outcome) {
+        let (key, holder, plays, transfers) = match req {
+            Req::Purchase(coin, pseudonym, item, _) => {
+                let Item(_, plays, transfers, _) = ITEMS[item.unwrap_or(0)];
+                ((coin, pseudonym, item, false), pseudonym, plays, transfers)
+            }
+            Req::Transfer(license, _, recipient) => {
+                let old = &self.licenses[license];
+                let transfers = old.transfers.map(|n| n.saturating_sub(1));
+                (
+                    (license, recipient, None, true),
+                    recipient,
+                    old.plays,
+                    transfers,
+                )
+            }
+        };
+        let handle = self.licenses.iter().position(|l| l.key == key);
+        let handle = handle.unwrap_or_else(|| {
+            let (issued, spent) = (false, None);
+            let license = License {
+                key,
+                holder,
+                plays,
+                transfers,
+                issued,
+                spent,
+            };
+            self.licenses.push(license);
+            self.licenses.len() - 1
+        });
+        self.sent.push((req, handle));
+        let out = match (fault, self.check(req, handle)) {
+            (Some(Fault::Dropped), _) => Outcome::Parked,
+            (_, Err(code)) => Outcome::Api(code),
+            (_, Ok(replay)) => {
+                self.replays += usize::from(replay);
+                match req {
+                    Req::Purchase(coin, ..) => self.coins[coin].1 = Some(handle),
+                    Req::Transfer(license, ..) => {
+                        self.licenses[license].spent.get_or_insert(Some(handle));
+                        self.license_crl.list(license);
+                    }
+                }
+                self.licenses[handle].issued = true;
+                Outcome::Issued(handle)
+            }
+        };
+        let lost = fault == Some(Fault::LostReply);
+        (
+            self.sent.len() - 1,
+            if lost { Outcome::Parked } else { out },
+        )
+    }
+
+    /// The provider's check step: `Ok(replay)`, or the refusal.
+    fn check(&self, req: Req, handle: Handle) -> Result<bool, Code> {
+        match req {
+            Req::Purchase(coin, pseudonym, item, cred) => {
+                let (denomination, memo) = self.coins[coin];
+                let replay = memo == Some(handle);
+                if !replay {
+                    self.check_pseudonym(pseudonym)?;
+                }
+                let Item(price, _, _, rated) = ITEMS[item.ok_or(UnknownContent)?];
+                if replay {
+                    return Ok(true);
+                }
+                if denomination < price {
+                    return Err(InsufficientFunds);
+                }
+                let fresh = |epoch| self.epoch - epoch <= EPOCH_WINDOW;
+                let bound = self.pseudonyms[pseudonym].cred.is_some_and(fresh);
+                if rated && !(cred == Some(pseudonym) && bound) {
+                    return Err(BadPseudonym);
+                }
+                memo.map_or(Ok(false), |_| Err(DoubleSpend))
+            }
+            Req::Transfer(license, signer, recipient) => {
+                let old = &self.licenses[license];
+                if old.transfers == Some(0) {
+                    return Err(RightsDenied);
+                }
+                if signer != old.holder {
+                    return Err(BadProof);
+                }
+                let replay = match old.spent {
+                    None => false,
+                    Some(successor) if successor == Some(handle) => true,
+                    Some(_) => return Err(AlreadyRedeemed),
+                };
+                if !replay {
+                    self.check_pseudonym(recipient)?;
+                }
+                Ok(replay)
+            }
+        }
+    }
+
+    fn check_pseudonym(&self, pseudonym: Pseudo) -> Result<(), Code> {
+        let stale = self.epoch - self.pseudonyms[pseudonym].epoch > EPOCH_WINDOW;
+        match stale || self.pseudonym_crl.0.contains(&pseudonym) {
+            true => Err(BadPseudonym),
+            false => Ok(()),
+        }
+    }
+
+    pub fn status(&self, license: Handle) -> Status {
+        let l = &self.licenses[license];
+        match l.spent {
+            Some(Some(_)) => Status::Transferred,
+            Some(None) => Status::Revoked,
+            None if self.license_crl.0.contains(&license) => Status::Revoked,
+            None if l.issued => Status::Active(l.holder),
+            None => Status::Unknown,
+        }
+    }
+
+    /// The user's current pseudonym, a fresh one if the newest was used.
+    fn ensure_pseudonym(&mut self, user: usize) -> Pseudo {
+        let u = &mut self.users[user];
+        match u.pseudonyms.last() {
+            Some(&p) if u.uses == 0 => p,
+            _ => {
+                u.pseudonyms.push(self.pseudonyms.len());
+                u.uses = 0;
+                let epoch = self.epoch;
+                self.pseudonyms.push(Pseudonym {
+                    user,
+                    epoch,
+                    cred: None,
+                });
+                self.pseudonyms.len() - 1
+            }
+        }
+    }
+
+    /// The pseudonym `user` holds `license` under.
+    fn holding(&self, user: usize, license: Handle) -> Pseudo {
+        let held = &self.users[user].held;
+        held.iter().find(|l| l.0 == license).expect("held").1
+    }
+
+    fn hold(&mut self, user: usize, license: Handle, pseudonym: Pseudo) {
+        let u = &mut self.users[user];
+        u.held.push((license, pseudonym));
+        if !u.history.contains(&(license, pseudonym)) {
+            u.history.push((license, pseudonym));
+        }
+    }
+
+    /// `Wallet::coin_for_amount`: the smallest held coin that covers
+    /// `amount` (the first of equals), else a withdrawal of the smallest
+    /// denomination that does.
+    fn coin_for_amount(&mut self, user: usize, amount: u64) -> Option<CoinId> {
+        let wallet = &mut self.users[user].wallet;
+        let value = |i: &usize| self.coins[wallet[*i]].0;
+        let covering = (0..wallet.len()).filter(|i| value(i) >= amount);
+        match covering.min_by_key(value) {
+            Some(i) => Some(wallet.swap_remove(i)),
+            None => self.withdraw(user, *DENOMINATIONS.iter().find(|&&d| d >= amount)?),
+        }
+    }
+
+    fn withdraw(&mut self, user: usize, denomination: u64) -> Option<CoinId> {
+        let account = &mut self.users[user].account;
+        *account = account.checked_sub(denomination)?;
+        self.coins.push((denomination, None));
+        Some(self.coins.len() - 1)
+    }
+
+    pub fn ledger(&self) -> Ledger {
+        let deposits = self.coins.iter().filter_map(|&(d, memo)| memo.map(|_| d));
+        let count = |f: fn(&License) -> bool| self.licenses.iter().filter(|l| f(l)).count();
+        let user = |u: &User| {
+            let wallet = u.wallet.iter().map(|&c| self.coins[c].0).sum();
+            let held = u.held.iter().map(|l| l.0).collect();
+            (u.account, wallet, u.parked.len(), held)
+        };
+        let [issued, spent] = [count(|l| l.issued), count(|l| l.spent.is_some())];
+        let (licenses, pseudonyms) = (&self.license_crl, &self.pseudonym_crl);
+        Ledger {
+            counts: [
+                deposits.clone().sum(),
+                deposits.count() as u64,
+                issued as u64,
+                spent as u64,
+            ],
+            statuses: (0..self.licenses.len()).map(|l| self.status(l)).collect(),
+            crls: [
+                (licenses.1, licenses.0.len()),
+                (pseudonyms.1, pseudonyms.0.len()),
+            ],
+            users: self.users.iter().map(user).collect(),
+            devices: self.devices.iter().map(|d| d.2).collect(),
+        }
+    }
+}

@@ -1,292 +1,15 @@
-//! Wire acceptance: flows driven through `WireClient` →
-//! `ProviderService` **bytes** — a wire transfer obeys the unique-ID
-//! rule, error codes are stable numbers, ambiguous outcomes settle by
-//! re-sending instead of losing value, pipelined replies settle out of
-//! order, and the catalogue listing is served from its snapshot.
+//! Wire acceptance beside the model (`tests/model.rs`, which diffs the
+//! protocol's outcomes): a spoofed card id is refused, a listed item
+//! whose row is damaged answers `Storage`, pipelined replies settle out
+//! of order, and the catalogue listing is served from its snapshot.
 
 use p2drm::core::entities::provider::MemBackend;
-use p2drm::core::protocol::messages::{attribute_auth_bytes, AttributeIssueRequest, LicenseStatus};
+use p2drm::core::protocol::messages::{attribute_auth_bytes, AttributeIssueRequest};
 use p2drm::core::service::{
-    ApiErrorCode, Loopback, OpCode, Transport, TransportError, WireClient, WireError, WireRequest,
-    WireResponse,
+    ApiErrorCode, Loopback, Transport, TransportError, WireClient, WireRequest, WireResponse,
 };
 use p2drm::core::system::{System, SystemConfig};
-use p2drm::core::License;
 use p2drm::crypto::rng::test_rng;
-
-/// A transport that delivers every request but "loses" the replies of
-/// one op (typed `Broken` transport error) — the ambiguous-outcome
-/// simulator: the server committed, the client never learned.
-struct LoseRepliesOf<'s> {
-    inner: Loopback<'s, MemBackend>,
-    lost_op: OpCode,
-}
-
-impl Transport for LoseRepliesOf<'_> {
-    fn submit(&self, corr_id: u64, request: &[u8]) -> Result<(), TransportError> {
-        self.inner.submit(corr_id, request)
-    }
-
-    fn complete(
-        &self,
-        deadline: Option<std::time::Instant>,
-    ) -> Result<Option<(u64, Vec<u8>)>, TransportError> {
-        match self.inner.complete(deadline)? {
-            Some((_, reply)) if reply.get(1) == Some(&self.lost_op.byte()) => Err(
-                TransportError::Broken("reply lost in transit (simulated)".to_string()),
-            ),
-            other => Ok(other),
-        }
-    }
-}
-
-/// A transport that never even delivers requests of one op — the other
-/// ambiguous outcome: the server saw nothing, but the client only
-/// observes a broken connection and can't tell which side failed.
-struct BlackholeOp<'s> {
-    inner: Loopback<'s, MemBackend>,
-    op: OpCode,
-}
-
-impl Transport for BlackholeOp<'_> {
-    fn submit(&self, corr_id: u64, request: &[u8]) -> Result<(), TransportError> {
-        if request.get(1) == Some(&self.op.byte()) {
-            // `Broken`, not `Unreachable`: the client can't tell which
-            // side of the wire swallowed it, so the outcome is ambiguous.
-            Err(TransportError::Broken(
-                "request swallowed by the network (simulated)".to_string(),
-            ))
-        } else {
-            self.inner.submit(corr_id, request)
-        }
-    }
-
-    fn complete(
-        &self,
-        deadline: Option<std::time::Instant>,
-    ) -> Result<Option<(u64, Vec<u8>)>, TransportError> {
-        self.inner.complete(deadline)
-    }
-}
-
-#[test]
-fn wire_double_redeem_rejected_with_stable_code() {
-    let mut rng = test_rng(0x317E03);
-    let sys = System::bootstrap(SystemConfig::fast_test(), &mut rng);
-    let cid = sys.publish_content("Track", 100, b"X", &mut rng);
-    let mut alice = sys.register_user("alice", &mut rng).expect("fresh user");
-    let mut bob = sys.register_user("bob", &mut rng).expect("fresh user");
-    let mut carol = sys.register_user("carol", &mut rng).expect("fresh user");
-    sys.fund(&alice, 500);
-    let license = sys.purchase(&mut alice, cid, &mut rng).expect("purchase");
-    sys.ensure_pseudonym(&mut bob, &mut rng).expect("pseudonym");
-    sys.ensure_pseudonym(&mut carol, &mut rng)
-        .expect("pseudonym");
-
-    let service = sys.wire_service(0xD0D0);
-    let mut client = WireClient::new(Loopback::new(&service));
-
-    let lid = license.id();
-    let saved = license.clone();
-    let alice_pseudonym = alice.licenses()[0].pseudonym;
-    client
-        .transfer(&mut alice, &mut bob, lid, &mut rng)
-        .expect("first wire transfer");
-
-    // Alice "restores from backup" and replays the spent id over the
-    // wire: the spent-ID store must reject it with the stable code.
-    alice.add_license(saved, alice_pseudonym);
-    let err = client
-        .transfer(&mut alice, &mut carol, lid, &mut rng)
-        .expect_err("double redeem must fail");
-    match err {
-        WireError::Api(e) => {
-            assert_eq!(e.code, ApiErrorCode::AlreadyRedeemed);
-            assert_eq!(e.code.code(), 51, "wire code is part of the contract");
-        }
-        other => panic!("expected Api error, got {other}"),
-    }
-    assert!(carol.licenses().is_empty());
-}
-
-#[test]
-fn wire_attribute_flow_gates_rated_content() {
-    let mut rng = test_rng(0x317E04);
-    let sys = System::bootstrap(SystemConfig::fast_test(), &mut rng);
-    let rated = sys.publish_rated_content("Rated", 100, b"18+", "adult", &mut rng);
-    let mut minor = sys.register_user("minor", &mut rng).expect("fresh user");
-    let mut adult = sys.register_user("adult", &mut rng).expect("fresh user");
-    sys.fund(&minor, 500);
-    sys.fund(&adult, 500);
-    sys.grant_attribute(&adult, "adult", &mut rng).expect("kyc");
-
-    let service = sys.wire_service(0xAD17);
-    let mut client = WireClient::new(Loopback::new(&service));
-    client.set_epoch(sys.epoch());
-
-    // The minor holds a pseudonym but no credential: client-side refusal
-    // (the request is never even sent without the credential).
-    client
-        .obtain_pseudonym(
-            &mut minor,
-            sys.ra.blind_public(),
-            sys.ttp.escrow_key(),
-            &mut rng,
-        )
-        .expect("pseudonym for minor");
-    let err = client
-        .purchase(&mut minor, &sys.mint, rated, &mut rng)
-        .expect_err("no credential, no sale");
-    assert!(matches!(err, WireError::Client(_)), "got {err}");
-
-    // The adult obtains the credential over the wire and buys.
-    client
-        .obtain_pseudonym(
-            &mut adult,
-            sys.ra.blind_public(),
-            sys.ttp.escrow_key(),
-            &mut rng,
-        )
-        .expect("pseudonym for adult");
-    let attr_key = sys
-        .ra
-        .attribute_public("adult")
-        .expect("key exists after grant");
-    client
-        .obtain_attribute(&mut adult, "adult", &attr_key, &mut rng)
-        .expect("wire attribute issuance");
-    let license = client
-        .purchase(&mut adult, &sys.mint, rated, &mut rng)
-        .expect("credentialed wire purchase");
-    assert!(license.verify(sys.provider.public_key()).is_ok());
-}
-
-#[test]
-fn wire_crl_sync_propagates_revocation() {
-    let mut rng = test_rng(0x317E05);
-    let mut sys = System::bootstrap(SystemConfig::fast_test(), &mut rng);
-    let cid = sys.publish_content("Track", 100, b"GONE", &mut rng);
-    let mut alice = sys.register_user("alice", &mut rng).expect("fresh user");
-    sys.fund(&alice, 500);
-    let mut device = sys.register_device(&mut rng).expect("compliant device");
-    let license = sys.purchase(&mut alice, cid, &mut rng).expect("purchase");
-
-    sys.provider.revoke_license(&license.id()).expect("revoke");
-
-    let service = sys.wire_service(0xC71);
-    let mut client = WireClient::new(Loopback::new(&service));
-    client.sync_crls(&mut device).expect("wire CRL sync");
-
-    // The synced device refuses the revoked license on either path.
-    let res = sys.play(&alice, &mut device, &license, &mut rng);
-    assert!(res.is_err(), "revoked license must not play");
-}
-
-#[test]
-fn ambiguous_purchase_parks_its_request_and_settles_to_the_license() {
-    let mut rng = test_rng(0x317E07);
-    let sys = System::bootstrap(SystemConfig::fast_test(), &mut rng);
-    let cid = sys.publish_content("Track", 100, b"X", &mut rng);
-    let mut alice = sys.register_user("alice", &mut rng).expect("fresh user");
-    sys.fund(&alice, 500);
-    sys.ensure_pseudonym(&mut alice, &mut rng)
-        .expect("pseudonym");
-
-    let service = sys.wire_service(0x10_57);
-    let mut client = WireClient::new(LoseRepliesOf {
-        inner: Loopback::new(&service),
-        lost_op: OpCode::Purchase,
-    });
-    client.set_epoch(sys.epoch());
-
-    let err = client
-        .purchase(&mut alice, &sys.mint, cid, &mut rng)
-        .expect_err("lost reply must surface as an error");
-    assert!(matches!(err, WireError::Transport(_)), "got {err}");
-
-    // The server committed: coin deposited, license issued (and lost
-    // with the reply). The coin is neither spendable nor gone: its whole
-    // request is parked.
-    assert_eq!(sys.mint.deposited_total(), 100);
-    assert_eq!(sys.provider.license_count(), 1);
-    assert!(alice.licenses().is_empty());
-    assert_eq!(alice.parked.len(), 1, "request parked, not lost");
-    assert_eq!(alice.wallet.balance(), 0, "parked coin is not spendable");
-
-    // The other ambiguous shape: the request never reaches the server.
-    sys.ensure_pseudonym(&mut alice, &mut rng)
-        .expect("pseudonym");
-    let mut client = WireClient::new(BlackholeOp {
-        inner: Loopback::new(&service),
-        op: OpCode::Purchase,
-    });
-    client.set_epoch(sys.epoch());
-    client
-        .purchase(&mut alice, &sys.mint, cid, &mut rng)
-        .expect_err("blackholed request must surface as an error");
-    assert_eq!(alice.parked.len(), 2);
-    assert_eq!(sys.mint.deposited_total(), 100, "nothing new deposited");
-
-    // Settling re-sends both: the first is a replay answered with the
-    // license already issued, the second is served for the first time.
-    let mut client = WireClient::new(Loopback::new(&service));
-    let settled: Vec<License> = client
-        .settle_parked(&mut alice)
-        .into_iter()
-        .map(|r| r.expect("settles to a license"))
-        .collect();
-    assert!(alice.parked.is_empty());
-    assert_eq!(sys.mint.deposited_total(), 200, "each coin paid once");
-    assert_eq!(sys.provider.license_count(), 2);
-    assert_eq!(alice.licenses().len(), 2);
-    for license in &settled {
-        assert!(license.verify(sys.provider.public_key()).is_ok());
-    }
-}
-
-#[test]
-fn ambiguous_transfer_is_settled_by_calling_transfer_again() {
-    let mut rng = test_rng(0x317E08);
-    let sys = System::bootstrap(SystemConfig::fast_test(), &mut rng);
-    let cid = sys.publish_content("Track", 100, b"X", &mut rng);
-    let mut alice = sys.register_user("alice", &mut rng).expect("fresh user");
-    let mut bob = sys.register_user("bob", &mut rng).expect("fresh user");
-    sys.fund(&alice, 500);
-    let license = sys.purchase(&mut alice, cid, &mut rng).expect("purchase");
-    sys.ensure_pseudonym(&mut bob, &mut rng).expect("pseudonym");
-    let lid = license.id();
-
-    let service = sys.wire_service(0x10_58);
-    let mut client = WireClient::new(LoseRepliesOf {
-        inner: Loopback::new(&service),
-        lost_op: OpCode::Transfer,
-    });
-    let err = client
-        .transfer(&mut alice, &mut bob, lid, &mut rng)
-        .expect_err("lost reply must surface as an error");
-    assert!(matches!(err, WireError::Transport(_)), "got {err}");
-
-    // The provider committed while neither agent moved.
-    assert_eq!(
-        client.license_status(lid).expect("status query"),
-        LicenseStatus::Transferred
-    );
-    assert_eq!(alice.licenses().len(), 1);
-    assert!(bob.licenses().is_empty(), "recipient reply was lost");
-
-    // The retry is the same request: the provider answers it with the
-    // successor it already issued, and both agents settle.
-    let crl_seq = sys.provider.signed_license_crl(0).sequence;
-    let mut client = WireClient::new(Loopback::new(&service));
-    let successor = client
-        .transfer(&mut alice, &mut bob, lid, &mut rng)
-        .expect("the retry yields the license");
-    assert!(alice.licenses().is_empty());
-    assert_eq!(bob.licenses().len(), 1);
-    assert_eq!(bob.licenses()[0].license.id(), successor.id());
-    assert_eq!(sys.provider.signed_license_crl(0).sequence, crl_seq);
-    assert_eq!(sys.provider.license_count(), 2);
-}
 
 #[test]
 fn spoofed_card_id_is_refused_over_the_wire() {
@@ -321,24 +44,6 @@ fn spoofed_card_id_is_refused_over_the_wire() {
     match reply {
         WireResponse::Error(e) => assert_eq!(e.code, ApiErrorCode::CardRefused),
         other => panic!("spoofed issuance accepted as {}", other.label()),
-    }
-}
-
-#[test]
-fn unknown_content_maps_to_stable_code() {
-    let mut rng = test_rng(0x317E06);
-    let sys = System::bootstrap(SystemConfig::fast_test(), &mut rng);
-    let service = sys.wire_service(0x404);
-    let mut client = WireClient::new(Loopback::new(&service));
-    let err = client
-        .content_meta(p2drm::core::ContentId::from_label("ghost"))
-        .expect_err("nothing published");
-    match err {
-        WireError::Api(e) => {
-            assert_eq!(e.code, ApiErrorCode::UnknownContent);
-            assert_eq!(e.code.code(), 70);
-        }
-        other => panic!("expected Api error, got {other}"),
     }
 }
 
