@@ -60,7 +60,7 @@
 //!   - the KV **backend** (any [`ConcurrentKv`]) holding the **spent-ID
 //!     set**, one [`LicenseRecord`] per issued id (the holder's key id —
 //!     the signed license itself leaves with the buyer and is not
-//!     kept), persisted catalog/rights/CRL tables;
+//!     kept), persisted catalog/rights/CRL/attribute-trust tables;
 //!     `insert_if_absent` (the double-redemption primitive) is atomic per
 //!     key inside the backend;
 //!   - the in-memory catalog: one [`CatalogEntry`] per item — metadata,
@@ -69,7 +69,8 @@
 //!     and read under the read lock, and `publish` takes the write lock
 //!     only for the map insert — packaging and persistence happen before
 //!     it);
-//!   - trusted attribute keys (`RwLock`, read-mostly);
+//!   - trusted attribute keys (`RwLock`, read-mostly), the mirror of
+//!     their `trust/<attribute>` rows;
 //!   - CRL state — both revocation lists and their sequence numbers —
 //!     under one `RwLock` (revocation is rare, CRL reads are cheap); a
 //!     revocation writes its `crl/` row under a lock of its own and takes
@@ -102,7 +103,8 @@
 //!   production shape: 1..N per-shard WALs with group commit, so the
 //!   provider survives an unclean drop. Reopen with
 //!   [`ContentProvider::resume_durable`] (keys from the operator's
-//!   vault): spent ids, license records, catalog and CRLs are intact, and a
+//!   vault): spent ids, license records, catalog, CRLs and trusted
+//!   attribute keys are intact, and a
 //!   double-redeem race spanning the restart still has exactly one
 //!   winner — the claim is WAL-logged before the in-memory index changes,
 //!   so the exactly-once decision is as durable as the chosen
@@ -236,8 +238,10 @@ pub struct ProviderState<B: ConcurrentKv> {
     spent: Table<Option<LicenseId>>,
     rights_table: Table<Rights>,
     crl_table: Table<u64>,
+    /// `trust/<attribute>` → the RA's verification key for it.
+    trust_table: Table<RsaPublicKey>,
     catalog: RwLock<ContentCatalog>,
-    /// Trusted per-attribute RA verification keys.
+    /// Trusted per-attribute RA verification keys: `trust_table`'s mirror.
     attribute_trust: RwLock<HashMap<String, RsaPublicKey>>,
     crl: RwLock<CrlState>,
     /// Held by a listing across its `crl/` row write (see
@@ -460,6 +464,7 @@ impl<B: ConcurrentKv> ContentProvider<B> {
                 spent: Table::new("spent/"),
                 rights_table: Table::new("rightst/"),
                 crl_table: Table::new("crl/"),
+                trust_table: Table::new("trust/"),
                 catalog: RwLock::new(ContentCatalog::new()),
                 attribute_trust: RwLock::new(HashMap::new()),
                 crl: RwLock::new(CrlState::default()),
@@ -471,7 +476,8 @@ impl<B: ConcurrentKv> ContentProvider<B> {
     }
 
     /// Rebuilds the in-memory mirrors (catalog entries, CRL
-    /// sets/sequences) from the persisted tables in the store backend.
+    /// sets/sequences, trusted attribute keys) from the persisted tables
+    /// in the store backend.
     /// Idempotent; called by every resume/open-durable path.
     ///
     /// An item exists once its `content/<id>` row does; `publish` writes
@@ -496,6 +502,12 @@ impl<B: ConcurrentKv> ContentProvider<B> {
                 });
             }
         }
+        let trusted = self.state.trust_table.scan(&self.state.store)?;
+        self.state.attribute_trust.write().extend(
+            trusted
+                .into_iter()
+                .map(|(attribute, key)| (String::from_utf8_lossy(&attribute).into_owned(), key)),
+        );
         // CRLs: "crl/l/<id>" and "crl/p/<id>" entries whose value is the
         // sequence number at which the revocation happened.
         let mut crls = self.state.crl.write();
@@ -624,12 +636,18 @@ impl<B: ConcurrentKv> ContentProvider<B> {
         Ok(id)
     }
 
-    /// Trusts an RA per-attribute verification key (operator setup).
-    pub fn trust_attribute(&self, attribute: &str, key: RsaPublicKey) {
+    /// Trusts an RA per-attribute verification key (operator setup). The
+    /// key is persisted first, so it is trusted again after a restart; a
+    /// failed write is returned and trusts nothing.
+    pub fn trust_attribute(&self, attribute: &str, key: RsaPublicKey) -> Result<(), StoreError> {
+        self.state
+            .trust_table
+            .put(&self.state.store, attribute.as_bytes(), &key)?;
         self.state
             .attribute_trust
             .write()
             .insert(attribute.to_string(), key);
+        Ok(())
     }
 
     /// Checks the attribute requirement of a purchase, if any.

@@ -373,7 +373,7 @@ impl<B: p2drm_store::ConcurrentKv + Send + Sync + 'static> System<B> {
             .ra
             .attribute_public(attribute)
             .expect("key exists after grant");
-        self.provider.trust_attribute(attribute, key);
+        self.provider.trust_attribute(attribute, key)?;
         Ok(())
     }
 

@@ -3,7 +3,7 @@
 //!
 //! [`p2drm_store::WalShardedKv`] names its shard logs `shard-{i:03}.wal`
 //! inside its directory; these helpers reach into that layout the way a
-//! real crash would, so restart drills can assert the recovery contract:
+//! real crash would, so restart tests can assert the recovery contract:
 //! other shards replay fully, the damaged shard keeps its last durable
 //! prefix and drops the torn tail.
 

@@ -1,19 +1,20 @@
-//! Deterministic fault injection for recovery drills.
+//! Deterministic fault injection for recovery tests.
 //!
 //! A seeded [`FaultPlan`] holds one [`Schedule`] per named injection
-//! *site* (`"transport.drop_reply"`, `"kv.fail_flush"`, …) and decides,
+//! *site* (`"transport.drop_reply"`, `"kv.fail_put"`, …) and decides,
 //! per call, whether the fault fires. Every decision is a pure function
 //! of `(seed, site, call number)`, so the same seed replays the same
-//! fault schedule byte-for-byte — a failing chaos run is a repro, not an
-//! anecdote.
+//! fault schedule and the same [`FaultPlan::trace`] — a failing seed is
+//! a repro, not an anecdote.
 //!
 //! The plan is exercised through wrappers at two layers:
 //!
 //! * [`FaultTransport`] around any [`p2drm_core::service::Transport`] —
-//!   dropped requests, dropped/duplicated/torn replies, injected delay,
-//!   mid-write resets, and synthesized busy-envelope storms;
-//! * [`FaultKv`] around any [`p2drm_store::ConcurrentKv`] — failed
-//!   puts/inserts/flushes and slow commits (plus
+//!   dropped requests, dropped/duplicated/torn replies, mid-write
+//!   resets, and synthesized busy-envelope storms (`tests/model.rs`
+//!   arms every site);
+//! * [`FaultKv`] around any [`p2drm_store::ConcurrentKv`] — failed puts
+//!   (`tests/replay.rs`, `tests/durability.rs`; plus
 //!   [`crash::tear_shard_tail`] and
 //!   [`p2drm_store::WalShardedKv::inject_sync_failure`] for the durable
 //!   backend's poisoning/replay paths).

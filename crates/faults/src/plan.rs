@@ -9,15 +9,6 @@ use std::sync::Mutex;
 pub enum Schedule {
     /// Never fires (the default for unconfigured sites).
     Never,
-    /// Fires on call `first`, then every `every` calls after it
-    /// (`every == 0` fires on call `first` only — equivalent to
-    /// [`Schedule::OneShot`]).
-    Nth {
-        /// First firing call number (1-based; `0` never fires).
-        first: u64,
-        /// Repeat period after the first firing (`0`: no repeat).
-        every: u64,
-    },
     /// Fires with this probability per call, decided by a deterministic
     /// per-`(seed, site, call)` coin — same seed, same coin flips.
     Probability(f64),
@@ -30,15 +21,6 @@ impl Schedule {
         match *self {
             Schedule::Never => false,
             Schedule::OneShot(n) => n != 0 && call == n,
-            Schedule::Nth { first, every } => {
-                if first == 0 || call < first {
-                    false
-                } else if every == 0 {
-                    call == first
-                } else {
-                    (call - first).is_multiple_of(every)
-                }
-            }
             Schedule::Probability(p) => {
                 if p <= 0.0 {
                     return false;
@@ -89,7 +71,7 @@ pub struct Decision {
 
 /// Seeded, deterministic fault plan: a [`Schedule`] per named site,
 /// per-site call counters, and a trace of every decision taken.
-/// Shared behind an `Arc` by all wrappers of one drill; interior
+/// Shared behind an `Arc` by all wrappers of one run; interior
 /// mutability keeps the wrappers' `&self` APIs intact.
 #[derive(Debug)]
 pub struct FaultPlan {
@@ -106,11 +88,6 @@ impl FaultPlan {
             sites: Mutex::new(BTreeMap::new()),
             trace: Mutex::new(Vec::new()),
         }
-    }
-
-    /// The seed this plan replays.
-    pub fn seed(&self) -> u64 {
-        self.seed
     }
 
     /// Sets `site`'s schedule (builder form).
@@ -165,39 +142,9 @@ impl FaultPlan {
         lock(&self.sites).get(site).map_or(0, |s| s.fired)
     }
 
-    /// Total decisions that fired, across all sites.
-    pub fn total_fired(&self) -> u64 {
-        lock(&self.sites).values().map(|s| s.fired).sum()
-    }
-
     /// The decision trace so far (call order).
     pub fn trace(&self) -> Vec<Decision> {
         lock(&self.trace).clone()
-    }
-
-    /// Canonical byte rendering of the decision trace — one
-    /// `site#call=0|1` line per decision. Two runs of the same seeded
-    /// workload produce byte-identical schedules; the chaos drill
-    /// asserts exactly that.
-    pub fn trace_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        for d in lock(&self.trace).iter() {
-            out.extend_from_slice(d.site.as_bytes());
-            out.push(b'#');
-            out.extend_from_slice(d.call.to_string().as_bytes());
-            out.push(b'=');
-            out.push(if d.fired { b'1' } else { b'0' });
-            out.push(b'\n');
-        }
-        out
-    }
-
-    /// Pure preview of `schedule` at `site` under `seed` for calls
-    /// `1..=calls` — no plan state touched. Lets tests assert
-    /// byte-identical schedules without running a workload.
-    pub fn preview(seed: u64, site: &str, schedule: Schedule, calls: u64) -> Vec<bool> {
-        let h = site_hash(site);
-        (1..=calls).map(|c| schedule.fires(seed, h, c)).collect()
     }
 }
 
@@ -212,32 +159,18 @@ mod tests {
     use super::*;
 
     #[test]
-    fn nth_oneshot_and_never() {
-        let fires = |s: Schedule, n: u64| {
-            FaultPlan::preview(1, "t", s, n)
-                .iter()
-                .map(|b| *b as u32)
-                .sum::<u32>()
-        };
-        assert_eq!(fires(Schedule::Never, 100), 0);
-        assert_eq!(fires(Schedule::OneShot(3), 100), 1);
-        assert_eq!(fires(Schedule::Nth { first: 2, every: 3 }, 11), 4); // 2,5,8,11
-        assert_eq!(fires(Schedule::Nth { first: 4, every: 0 }, 100), 1);
-        assert_eq!(fires(Schedule::Nth { first: 0, every: 1 }, 100), 0);
-    }
-
-    #[test]
     fn probability_is_deterministic_and_roughly_calibrated() {
-        let a = FaultPlan::preview(7, "x", Schedule::Probability(0.1), 10_000);
-        let b = FaultPlan::preview(7, "x", Schedule::Probability(0.1), 10_000);
-        assert_eq!(a, b, "same seed, same coin flips");
-        let c = FaultPlan::preview(8, "x", Schedule::Probability(0.1), 10_000);
-        assert_ne!(a, c, "different seed, different flips");
+        let flips = |seed, site| {
+            let plan = FaultPlan::new(seed).with(site, Schedule::Probability(0.1));
+            (0..10_000).map(|_| plan.decide(site)).collect::<Vec<_>>()
+        };
+        let a = flips(7, "x");
+        assert_eq!(a, flips(7, "x"), "same seed, same coin flips");
+        assert_ne!(a, flips(8, "x"), "different seed, different flips");
         let hits = a.iter().filter(|f| **f).count();
         assert!((700..1300).contains(&hits), "~10% of 10k, got {hits}");
         // Different sites under the same seed are decorrelated.
-        let d = FaultPlan::preview(7, "y", Schedule::Probability(0.1), 10_000);
-        assert_ne!(a, d);
+        assert_ne!(a, flips(7, "y"));
     }
 
     #[test]
@@ -249,21 +182,29 @@ mod tests {
         assert!(!plan.decide("other"), "unconfigured site never fires");
         assert_eq!(plan.calls("s"), 3);
         assert_eq!(plan.fired("s"), 1);
-        assert_eq!(plan.total_fired(), 1);
-        assert_eq!(plan.trace_bytes(), b"s#1=0\ns#2=1\ns#3=0\nother#1=0\n");
+        let decision = |site, call, fired| Decision { site, call, fired };
+        assert_eq!(
+            plan.trace(),
+            [
+                decision("s", 1, false),
+                decision("s", 2, true),
+                decision("s", 3, false),
+                decision("other", 1, false),
+            ]
+        );
     }
 
     #[test]
-    fn same_seed_same_trace_bytes() {
+    fn same_seed_same_trace() {
         let run = || {
             let plan = FaultPlan::new(99)
                 .with("a", Schedule::Probability(0.5))
-                .with("b", Schedule::Nth { first: 1, every: 2 });
+                .with("b", Schedule::OneShot(7));
             for _ in 0..50 {
                 plan.decide("a");
                 plan.decide("b");
             }
-            plan.trace_bytes()
+            plan.trace()
         };
         assert_eq!(run(), run());
     }

@@ -6,7 +6,7 @@ use p2drm_core::service::{
 };
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Injection sites [`FaultTransport`] consults, in evaluation order.
 pub mod sites {
@@ -20,8 +20,6 @@ pub mod sites {
     /// (ServiceUnavailable + `retry_after_ms`) without reaching the
     /// service — a load-shedding storm.
     pub const BUSY_STORM: &str = "transport.busy_storm";
-    /// Submit stalls for a deterministic pause before forwarding.
-    pub const DELAY: &str = "transport.delay";
     /// A completed reply is discarded and reported as a channel failure.
     pub const DROP_REPLY: &str = "transport.drop_reply";
     /// A completed reply is truncated mid-frame (decode fails).
@@ -64,16 +62,6 @@ impl<T: Transport> FaultTransport<T> {
         }
     }
 
-    /// The wrapped transport.
-    pub fn inner(&self) -> &T {
-        &self.inner
-    }
-
-    /// The plan driving this wrapper.
-    pub fn plan(&self) -> &Arc<FaultPlan> {
-        &self.plan
-    }
-
     fn lock(&self) -> std::sync::MutexGuard<'_, State> {
         self.state.lock().unwrap_or_else(|p| p.into_inner())
     }
@@ -104,11 +92,6 @@ impl<T: Transport> Transport for FaultTransport<T> {
             .to_bytes();
             self.lock().synthesized.push_back((corr_id, frame));
             return Ok(());
-        }
-        if self.plan.decide(sites::DELAY) {
-            // Small deterministic stall: enough to reorder against other
-            // clients without slowing drills meaningfully.
-            std::thread::sleep(Duration::from_micros(200));
         }
         self.inner.submit(corr_id, request)
     }

@@ -9,15 +9,12 @@
 //! * [`adversary`] — the honest-but-curious provider trying to profile
 //!   users from the purchase requests it receives (E7, asserted in the
 //!   module's own tests; `examples/music_store.rs`), and the byte-level
-//!   corruption helpers
-//!   `tests/wire_robustness.rs` feeds to the wire service;
-//! * [`chaos`] — seeded fault-injection drills over the full recovery
-//!   stack (`tests/chaos_drill.rs`).
+//!   corruption helpers `tests/wire_robustness.rs` feeds to the wire
+//!   service.
 
 #![forbid(unsafe_code)]
 
 pub mod adversary;
-pub mod chaos;
 pub mod workload;
 
 pub use workload::Zipf;

@@ -336,9 +336,9 @@ impl WalShardedKv {
 
     /// Arms the fault hook: the **next** group-commit fsync (any shard)
     /// fails, poisoning that shard fail-stop — exactly what a dying disk
-    /// does mid-commit. Fault-injection drills (`p2drm-faults`, the chaos
-    /// runner) use this to exercise the poisoning/replay path against a
-    /// live provider rather than only in unit tests.
+    /// does mid-commit. `tests/durability.rs` uses this to exercise the
+    /// poisoning/replay path against a live provider rather than only in
+    /// unit tests.
     pub fn inject_sync_failure(&self) {
         self.fail_next_sync
             .store(true, std::sync::atomic::Ordering::SeqCst);

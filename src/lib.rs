@@ -36,8 +36,8 @@
 //! | [`core::service`] | `p2drm-core` | **the wire API**: versioned envelopes, `ApiErrorCode`, `ProviderService`, `WireClient` |
 //! | [`net`] | `p2drm-net` | **the TCP layer**: framed `DrmServer` + worker pool, `TcpTransport`, server metrics |
 //! | [`obs`] | `p2drm-obs` | **observability**: metrics registry, latency histograms, correlation-id tracing |
-//! | [`faults`] | `p2drm-faults` | **fault injection**: seeded `FaultPlan`, transport/store/service chaos wrappers |
-//! | [`sim`] | `p2drm-sim` | test and example support: Zipf workload, linkability adversary, wire corruption helpers, chaos drills |
+//! | [`faults`] | `p2drm-faults` | **fault injection**: seeded `FaultPlan`, transport and store wrappers, torn WAL tails |
+//! | [`sim`] | `p2drm-sim` | test and example support: Zipf workload, linkability adversary, wire corruption helpers |
 //!
 //! ## Quickstart
 //!

@@ -42,11 +42,25 @@ pub const ITEMS: [Item; 3] = [
     Item(100, None, Some(0), true),
 ];
 
+/// What the wire did to a faulted purchase or transfer when its retries
+/// ran out; the runner reads it off the fault plan's trace and the
+/// requests the provider received.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Fault {
+    /// The provider received the request; no reply came back.
     LostReply,
+    /// The request never reached the provider.
     Dropped,
+    /// A purchase's catalogue quote never came back, so no coin was
+    /// withdrawn and no request sent.
+    Unquoted,
 }
+
+/// A purchase or transfer over a faulty wire: the percent at which every
+/// transport site fires, and what the wire did (`None`: it answered,
+/// after any number of retries).
+#[derive(Clone, Copy, Debug)]
+pub struct Faulty(pub u32, pub Option<Fault>);
 
 /// A hand-built purchase's coin: withdrawn now, or one already deposited.
 #[derive(Clone, Copy, Debug)]
@@ -67,15 +81,15 @@ pub enum Cred {
 /// The script alphabet. Users, devices and items are indices.
 #[derive(Clone, Debug)]
 pub enum Op {
-    /// (user, item, fault) through the wire client, after
+    /// (user, item, faults) through the wire client, after
     /// `System::ensure_pseudonym` (and `ensure_attribute` for a granted
     /// buyer of the rated item).
-    Purchase(usize, usize, Option<Fault>),
+    Purchase(usize, usize, Option<Faulty>),
     /// (user, item, pseudonym or the current one, coin, credential): a
     /// hand-built purchase request.
     Forge(usize, ItemId, Option<Pseudo>, Coin, Cred),
-    /// (from, to, license, fault) through the wire client.
-    Transfer(usize, usize, Handle, Option<Fault>),
+    /// (from, to, license, faults) through the wire client.
+    Transfer(usize, usize, Handle, Option<Faulty>),
     /// (thief, license, to): a transfer proved by the thief's pseudonym.
     Steal(usize, Handle, usize),
     /// (user, device, license).
@@ -107,7 +121,7 @@ pub enum Outcome {
     Api(Code),
     /// A refusal by the client or the device, as its `CoreError` reads.
     Refused(&'static str),
-    /// The reply never arrived.
+    /// A reply never arrived: the request's, or a purchase's quote.
     Parked,
 }
 
@@ -226,11 +240,15 @@ impl Model {
 
     pub fn apply(&mut self, op: &Op) -> Outcome {
         match *op {
-            Op::Purchase(user, item, fault) => {
+            Op::Purchase(user, item, faulty) => {
                 let Item(price, _, _, rated) = ITEMS[item];
+                let fault = faulty.and_then(|f| f.1);
                 let pseudonym = self.ensure_pseudonym(user);
                 if rated && ADULTS[user] {
                     self.pseudonyms[pseudonym].cred.get_or_insert(self.epoch);
+                }
+                if fault == Some(Fault::Unquoted) {
+                    return Outcome::Parked;
                 }
                 if rated && self.pseudonyms[pseudonym].cred.is_none() {
                     return Outcome::Refused("bad pseudonym");
@@ -275,9 +293,10 @@ impl Model {
                 }
                 out
             }
-            Op::Transfer(from, to, license, fault) => {
+            Op::Transfer(from, to, license, faulty) => {
                 let recipient = self.ensure_pseudonym(to);
                 let signer = self.holding(from, license);
+                let fault = faulty.and_then(|f| f.1);
                 let (_, out) = self.send(Req::Transfer(license, signer, recipient), fault);
                 if let Outcome::Issued(successor) = out {
                     let held = &mut self.users[from].held;

@@ -253,107 +253,3 @@ fn empty_and_garbage_inputs_answer_cleanly() {
         }
     }
 }
-
-/// Coin conservation under transport chaos: whatever seeded fault
-/// schedule the wire suffers — dropped requests, dropped/torn/duplicated
-/// replies, resets, busy storms — retrying, parking and settling never
-/// loses a coin and never double-spends one. Every withdrawn coin ends
-/// the run as exactly one of {spendable in the wallet, deposited at the
-/// mint}, the parked pool drains once settled, a coin is deposited if
-/// and only if the user holds its license, and every held license has a
-/// distinct id.
-mod coin_conservation {
-    use super::*;
-    use p2drm::core::retry::RetryPolicy;
-    use p2drm::core::service::{Loopback, WireClient};
-    use p2drm::core::ContentId;
-    use p2drm::faults::{transport_sites, FaultPlan, FaultTransport, Schedule};
-    use proptest::prelude::*;
-    use std::collections::BTreeSet;
-    use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::{Arc, OnceLock};
-    use std::time::Duration;
-
-    struct Bed {
-        sys: System,
-        cid: ContentId,
-    }
-
-    /// One bootstrapped world for every case; each case registers its
-    /// own user, so mint deltas within a case are that user's alone.
-    fn bed() -> &'static Bed {
-        static BED: OnceLock<Bed> = OnceLock::new();
-        BED.get_or_init(|| {
-            let mut rng = test_rng(0xC0_115E);
-            let sys = System::bootstrap(SystemConfig::fast_test(), &mut rng);
-            let cid = sys.publish_content("conserved-item", 100, &vec![3u8; 256], &mut rng);
-            Bed { sys, cid }
-        })
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(8))]
-
-        #[test]
-        fn faulty_purchases_never_lose_or_double_spend_coins(
-            seed in any::<u64>(),
-            rate_pct in 0u32..26,
-        ) {
-            static CASE: AtomicU64 = AtomicU64::new(0);
-            let bed = bed();
-            let sys = &bed.sys;
-            let mint = sys.mint.clone();
-            let ops = 4usize;
-
-            let mut rng = test_rng(seed);
-            let name = format!("cc-{}", CASE.fetch_add(1, Ordering::Relaxed));
-            let mut user = sys.register_user(&name, &mut rng).expect("fresh user");
-            sys.fund(&user, 100 * ops as u64 + 100);
-            let withdrawn_before = mint.withdrawal_count();
-            let spent_before = mint.spent_count();
-
-            let p = f64::from(rate_pct) / 100.0;
-            let plan = Arc::new(
-                FaultPlan::new(seed)
-                    .with(transport_sites::RESET_MID_WRITE, Schedule::Probability(p))
-                    .with(transport_sites::DROP_REQUEST, Schedule::Probability(p))
-                    .with(transport_sites::BUSY_STORM, Schedule::Probability(p))
-                    .with(transport_sites::DELAY, Schedule::Probability(p))
-                    .with(transport_sites::DROP_REPLY, Schedule::Probability(p))
-                    .with(transport_sites::TORN_FRAME, Schedule::Probability(p))
-                    .with(transport_sites::DUPLICATE_REPLY, Schedule::Probability(p)),
-            );
-            let service = sys.wire_service(seed);
-            let transport = FaultTransport::new(Loopback::new(&service), plan);
-            let mut client = WireClient::new(transport).with_retry(RetryPolicy {
-                base_backoff: Duration::from_micros(100),
-                max_backoff: Duration::from_millis(1),
-                max_attempts: 3,
-                jitter_seed: seed,
-            });
-            client.set_epoch(sys.epoch());
-
-            for _ in 0..ops {
-                sys.ensure_pseudonym(&mut user, &mut rng)
-                    .expect("RA is not behind the faulty wire");
-                // A failure parks its request; the settlement below
-                // resolves it.
-                let _ = client.purchase(&mut user, &mint, bed.cid, &mut rng);
-            }
-            WireClient::new(Loopback::new(&service)).settle_parked(&mut user);
-
-            let withdrawn = mint.withdrawal_count() - withdrawn_before;
-            let deposited = mint.spent_count() - spent_before;
-            prop_assert!(user.parked.is_empty(), "parked pool must drain once settled");
-            prop_assert_eq!(
-                withdrawn,
-                user.wallet.len() + deposited,
-                "coin lost or double-counted: {} withdrawn, {} spendable, {} deposited",
-                withdrawn, user.wallet.len(), deposited
-            );
-            let held: BTreeSet<_> = user.licenses().iter().map(|l| l.license.id()).collect();
-            prop_assert_eq!(held.len(), user.licenses().len(), "duplicate license ids");
-            prop_assert_eq!(deposited, held.len(), "a coin is deposited iff its license is held");
-        }
-    }
-}
