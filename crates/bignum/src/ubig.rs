@@ -809,6 +809,22 @@ impl std::ops::Rem for &UBig {
     }
 }
 
+/// Minimal big-endian bytes, length-prefixed (zero is the empty string);
+/// decoding rejects a redundant leading zero byte
+/// ([`p2drm_codec::Reader::get_int_bytes`]), so each value has exactly
+/// one encoding.
+impl p2drm_codec::Encode for UBig {
+    fn encode(&self, w: &mut p2drm_codec::Writer) {
+        w.put_bytes(&self.to_bytes_be());
+    }
+}
+
+impl p2drm_codec::Decode for UBig {
+    fn decode(r: &mut p2drm_codec::Reader) -> p2drm_codec::Result<Self> {
+        Ok(UBig::from_bytes_be(r.get_int_bytes()?))
+    }
+}
+
 impl fmt::Debug for UBig {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "UBig(0x{})", self.to_hex())

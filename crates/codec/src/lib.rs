@@ -8,33 +8,27 @@
 //! * fixed-width little-endian integers (`u8`/`u32`/`u64`),
 //! * LEB128 varints with a *minimal-encoding* rule enforced on decode,
 //! * length-prefixed byte strings and UTF-8 strings,
+//! * fixed-size byte arrays, raw (no prefix),
 //! * length-prefixed homogeneous sequences.
 //!
 //! Because encoders write fields in a fixed order and decoders read them in
 //! the same order, two structurally equal values always produce identical
 //! bytes — which is what makes signatures over encodings meaningful.
 //!
+//! A record's two impls come from one field list ([`record!`]): each
+//! field is written and read in the order it is declared, by its type's
+//! own [`Encode`] / [`Decode`].
+//!
 //! ```
-//! use p2drm_codec::{Decode, Encode, Reader, Writer};
-//!
-//! #[derive(Debug, PartialEq)]
-//! struct Pair { id: u64, name: String }
-//!
-//! impl Encode for Pair {
-//!     fn encode(&self, w: &mut Writer) {
-//!         w.put_u64(self.id);
-//!         w.put_str(&self.name);
-//!     }
-//! }
-//! impl Decode for Pair {
-//!     fn decode(r: &mut Reader) -> p2drm_codec::Result<Self> {
-//!         Ok(Pair { id: r.get_u64()?, name: r.get_str()? })
-//!     }
+//! p2drm_codec::record! {
+//!     #[derive(Debug, PartialEq)]
+//!     struct Pair { id: u64, name: String, hits: u64 as varint }
 //! }
 //!
-//! let bytes = p2drm_codec::to_bytes(&Pair { id: 7, name: "abc".into() });
-//! let back: Pair = p2drm_codec::from_bytes(&bytes).unwrap();
-//! assert_eq!(back, Pair { id: 7, name: "abc".into() });
+//! let pair = Pair { id: 7, name: "abc".into(), hits: 3 };
+//! let bytes = p2drm_codec::to_bytes(&pair);
+//! assert_eq!(bytes.len(), 8 + 4 + 1);
+//! assert_eq!(p2drm_codec::from_bytes::<Pair>(&bytes).unwrap(), pair);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -368,75 +362,179 @@ pub fn from_bytes<T: Decode>(bytes: &[u8]) -> Result<T> {
     Ok(v)
 }
 
+/// Declares a struct and writes its [`Encode`] and [`Decode`] from its
+/// one field list, in the idiom of a plain field sequence: each field is
+/// encoded in declaration order by its type's own impls, and decoded in
+/// the same order. Two modes cover the fields whose type does not pick
+/// their encoding:
+///
+/// * `field: u64 as varint` — a LEB128 varint, not a fixed-width `u64`;
+/// * `field: Vec<T> as seq` — a length-prefixed sequence of `T`s (a bare
+///   `Vec<u8>` is a byte string).
+///
+/// A one-field tuple struct (`struct Id(pub [u8; 16]);`) encodes as its
+/// field.
+///
+/// A type whose decoder validates, or whose fields do not map one to one
+/// onto its encoding, keeps hand-written impls.
+#[macro_export]
+macro_rules! record {
+    (@put $w:ident, $v:expr) => { $crate::Encode::encode($v, $w) };
+    (@put $w:ident, $v:expr, varint) => { $w.put_varint(*$v) };
+    (@put $w:ident, $v:expr, seq) => { $w.put_seq($v) };
+    (@get $r:ident, $ty:ty) => { <$ty as $crate::Decode>::decode($r)? };
+    (@get $r:ident, $ty:ty, varint) => { $r.get_varint()? };
+    (@get $r:ident, $ty:ty, seq) => { $r.get_seq()? };
+    (
+        $(#[$attr:meta])*
+        $vis:vis struct $name:ident {
+            $(
+                $(#[$fattr:meta])*
+                $fvis:vis $field:ident : $ty:ty $(as $mode:ident)?
+            ),* $(,)?
+        }
+    ) => {
+        $(#[$attr])*
+        $vis struct $name {
+            $($(#[$fattr])* $fvis $field: $ty,)*
+        }
+
+        impl $crate::Encode for $name {
+            #[allow(unused_variables)]
+            fn encode(&self, w: &mut $crate::Writer) {
+                $($crate::record!(@put w, &self.$field $(, $mode)?);)*
+            }
+        }
+
+        impl $crate::Decode for $name {
+            #[allow(unused_variables)]
+            fn decode(r: &mut $crate::Reader) -> $crate::Result<Self> {
+                Ok($name {
+                    $($field: $crate::record!(@get r, $ty $(, $mode)?),)*
+                })
+            }
+        }
+    };
+    (
+        $(#[$attr:meta])*
+        $vis:vis struct $name:ident($(#[$fattr:meta])* $fvis:vis $ty:ty);
+    ) => {
+        $(#[$attr])*
+        $vis struct $name($(#[$fattr])* $fvis $ty);
+
+        impl $crate::Encode for $name {
+            fn encode(&self, w: &mut $crate::Writer) {
+                $crate::Encode::encode(&self.0, w)
+            }
+        }
+
+        impl $crate::Decode for $name {
+            fn decode(r: &mut $crate::Reader) -> $crate::Result<Self> {
+                Ok($name(<$ty as $crate::Decode>::decode(r)?))
+            }
+        }
+    };
+}
+
 // ---- impls for primitives -------------------------------------------------
 
 impl Encode for u64 {
+    #[inline]
     fn encode(&self, w: &mut Writer) {
         w.put_u64(*self);
     }
 }
 
 impl Decode for u64 {
+    #[inline]
     fn decode(r: &mut Reader) -> Result<Self> {
         r.get_u64()
     }
 }
 
 impl Encode for u32 {
+    #[inline]
     fn encode(&self, w: &mut Writer) {
         w.put_u32(*self);
     }
 }
 
 impl Decode for u32 {
+    #[inline]
     fn decode(r: &mut Reader) -> Result<Self> {
         r.get_u32()
     }
 }
 
 impl Encode for bool {
+    #[inline]
     fn encode(&self, w: &mut Writer) {
         w.put_bool(*self);
     }
 }
 
 impl Decode for bool {
+    #[inline]
     fn decode(r: &mut Reader) -> Result<Self> {
         r.get_bool()
     }
 }
 
 impl Encode for Vec<u8> {
+    #[inline]
     fn encode(&self, w: &mut Writer) {
         w.put_bytes(self);
     }
 }
 
 impl Decode for Vec<u8> {
+    #[inline]
     fn decode(r: &mut Reader) -> Result<Self> {
         r.get_bytes_owned()
     }
 }
 
 impl Encode for String {
+    #[inline]
     fn encode(&self, w: &mut Writer) {
         w.put_str(self);
     }
 }
 
 impl Decode for String {
+    #[inline]
     fn decode(r: &mut Reader) -> Result<Self> {
         r.get_str()
     }
 }
 
+/// Fixed-size byte arrays are raw: the width is the type's, so no
+/// length prefix is written.
+impl<const N: usize> Encode for [u8; N] {
+    #[inline]
+    fn encode(&self, w: &mut Writer) {
+        w.put_raw(self);
+    }
+}
+
+impl<const N: usize> Decode for [u8; N] {
+    #[inline]
+    fn decode(r: &mut Reader) -> Result<Self> {
+        let mut out = [0u8; N];
+        out.copy_from_slice(r.get_raw(N)?);
+        Ok(out)
+    }
+}
+
 impl<T: Encode> Encode for Option<T> {
+    #[inline]
     fn encode(&self, w: &mut Writer) {
         w.put_option(self);
     }
 }
 
 impl<T: Decode> Decode for Option<T> {
+    #[inline]
     fn decode(r: &mut Reader) -> Result<Self> {
         r.get_option()
     }
@@ -610,5 +708,44 @@ mod tests {
         let a = to_bytes(&String::from("same"));
         let b = to_bytes(&String::from("same"));
         assert_eq!(a, b);
+    }
+
+    record! {
+        #[derive(Debug, PartialEq)]
+        struct Sample {
+            tag: [u8; 3],
+            count: u64 as varint,
+            names: Vec<String> as seq,
+            bytes: Vec<u8>,
+        }
+    }
+
+    record! {
+        #[derive(Debug, PartialEq)]
+        struct Wrapped(Sample);
+    }
+
+    #[test]
+    fn record_writes_its_fields_in_order() {
+        let sample = Sample {
+            tag: *b"abc",
+            count: 300,
+            names: vec!["x".into()],
+            bytes: vec![9],
+        };
+        let mut w = Writer::new();
+        w.put_raw(b"abc");
+        w.put_varint(300);
+        w.put_seq(&sample.names);
+        w.put_bytes(&[9]);
+        let bytes = w.into_bytes();
+        assert_eq!(to_bytes(&sample), bytes);
+        let wrapped = Wrapped(sample);
+        assert_eq!(to_bytes(&wrapped), bytes);
+        assert_eq!(from_bytes::<Wrapped>(&bytes).unwrap(), wrapped);
+        assert_eq!(
+            from_bytes::<Sample>(&bytes[..2]),
+            Err(CodecError::UnexpectedEof)
+        );
     }
 }

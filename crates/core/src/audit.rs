@@ -196,25 +196,11 @@ fn frame_parts(frame: &[u8]) -> (OpCode, &[u8]) {
     }
 }
 
-/// Who sends the request of `op` to whom.
-fn parties(op: OpCode) -> (Party, Party) {
-    match op {
-        OpCode::PseudonymIssue | OpCode::AttributeIssue => (Party::Card, Party::Ra),
-        OpCode::Download | OpCode::CrlSync => (Party::Device, Party::Provider),
-        OpCode::Purchase
-        | OpCode::Transfer
-        | OpCode::Catalog
-        | OpCode::LicenseStatus
-        | OpCode::MetricsDump
-        | OpCode::Error => (Party::User, Party::Provider),
-    }
-}
-
 impl<T: Transport> Transport for Recording<'_, T> {
     fn submit(&self, corr_id: u64, request: &[u8]) -> Result<(), TransportError> {
         self.inner.submit(corr_id, request)?;
         let (op, payload) = frame_parts(request);
-        let (from, to) = parties(op);
+        let (from, to) = op.parties();
         let mut state = self.state.borrow_mut();
         state
             .transcript

@@ -62,18 +62,21 @@ pub struct ContentMeta {
     pub required_attribute: Option<String>,
 }
 
-/// A packaged item: metadata + ciphertext + (provider-held) content key.
-/// Its encoding is the item's `content/<id>` row.
-pub struct PackagedContent {
-    /// Public metadata.
-    pub meta: ContentMeta,
-    /// ChaCha20 content key — **provider secret**, leaves only inside
-    /// license envelopes.
-    pub key: [u8; 32],
-    /// Per-item nonce.
-    pub nonce: [u8; 12],
-    /// The protected payload.
-    pub ciphertext: Vec<u8>,
+p2drm_codec::record! {
+    /// A packaged item: metadata + ciphertext + (provider-held) content key.
+    /// Its encoding is the item's `content/<id>` row: it holds **the content
+    /// key**, so it is provider-side persistence only, never wire bytes.
+    pub struct PackagedContent {
+        /// Public metadata.
+        pub meta: ContentMeta,
+        /// ChaCha20 content key — **provider secret**, leaves only inside
+        /// license envelopes.
+        pub key: [u8; 32],
+        /// Per-item nonce.
+        pub nonce: [u8; 12],
+        /// The protected payload.
+        pub ciphertext: Vec<u8>,
+    }
 }
 
 impl PackagedContent {
@@ -141,28 +144,6 @@ impl Decode for ContentMeta {
     }
 }
 
-impl Encode for PackagedContent {
-    /// Serializes metadata **and the content key** — provider-side
-    /// persistence only; never put these bytes on the wire.
-    fn encode(&self, w: &mut Writer) {
-        self.meta.encode(w);
-        w.put_raw(&self.key);
-        w.put_raw(&self.nonce);
-        w.put_bytes(&self.ciphertext);
-    }
-}
-
-impl Decode for PackagedContent {
-    fn decode(r: &mut Reader) -> p2drm_codec::Result<Self> {
-        Ok(PackagedContent {
-            meta: ContentMeta::decode(r)?,
-            key: r.get_raw(32)?.try_into().expect("fixed width"),
-            nonce: r.get_raw(12)?.try_into().expect("fixed width"),
-            ciphertext: r.get_bytes_owned()?,
-        })
-    }
-}
-
 /// The fields of a `content/<id>` row (a [`PackagedContent`] encoding)
 /// that precede its ciphertext: the metadata, the content key and the
 /// nonce. The ciphertext field is checked — `meta.size` bytes that end
@@ -170,8 +151,8 @@ impl Decode for PackagedContent {
 pub fn row_head(row: &[u8]) -> p2drm_codec::Result<(ContentMeta, [u8; 32], [u8; 12])> {
     let mut r = Reader::new(row);
     let meta = ContentMeta::decode(&mut r)?;
-    let key = r.get_raw(32)?.try_into().expect("fixed width");
-    let nonce = r.get_raw(12)?.try_into().expect("fixed width");
+    let key = <[u8; 32]>::decode(&mut r)?;
+    let nonce = <[u8; 12]>::decode(&mut r)?;
     let ciphertext = r.get_bytes()?;
     if ciphertext.len() != meta.size {
         return Err(CodecError::BadLength(ciphertext.len() as u64));

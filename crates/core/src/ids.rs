@@ -78,16 +78,17 @@
 //! assert_eq!(snapshot.gauge("queue_depth"), Some(1));
 //! ```
 
-use p2drm_codec::{Decode, Encode, Reader, Writer};
 use p2drm_crypto::rng::CryptoRng;
 
 /// The id and its codec; `Display` and `Debug` come from the caller:
 /// a printable id's or a redacted one's.
 macro_rules! define_id {
     ($(#[$doc:meta])* $name:ident, $tag:literal) => {
-        $(#[$doc])*
-        #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-        pub struct $name(pub [u8; 16]);
+        p2drm_codec::record! {
+            $(#[$doc])*
+            #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+            pub struct $name(pub [u8; 16]);
+        }
 
         impl $name {
             /// Generates a fresh random id.
@@ -109,18 +110,6 @@ macro_rules! define_id {
             /// The raw bytes.
             pub fn as_bytes(&self) -> &[u8; 16] {
                 &self.0
-            }
-        }
-
-        impl Encode for $name {
-            fn encode(&self, w: &mut Writer) {
-                w.put_raw(&self.0);
-            }
-        }
-
-        impl Decode for $name {
-            fn decode(r: &mut Reader) -> p2drm_codec::Result<Self> {
-                Ok($name(r.get_raw(16)?.try_into().expect("fixed width")))
             }
         }
     };

@@ -4,28 +4,29 @@
 
 use crate::ids::{ContentId, LicenseId};
 use crate::CoreError;
-use p2drm_codec::{Decode, Encode, Reader, Writer};
 use p2drm_crypto::envelope::Envelope;
 use p2drm_crypto::rsa::{RsaKeyPair, RsaPublicKey, RsaSignature};
 use p2drm_pki::cert::KeyId;
 use p2drm_rel::Rights;
 
-/// The signed body of a license.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct LicenseBody {
-    /// Unique license id (the single-redemption handle).
-    pub license_id: LicenseId,
-    /// The content this license unlocks.
-    pub content_id: ContentId,
-    /// Holder public key: a pseudonym key in the private flow, an identity
-    /// key in the baseline flow. **No other holder information exists.**
-    pub holder: RsaPublicKey,
-    /// What the holder may do.
-    pub rights: Rights,
-    /// Content key sealed to `holder`.
-    pub key_envelope: Envelope,
-    /// Issuance epoch (coarse bucket, mirrors pseudonym certificates).
-    pub issued_epoch: u32,
+p2drm_codec::record! {
+    /// The signed body of a license.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub struct LicenseBody {
+        /// Unique license id (the single-redemption handle).
+        pub license_id: LicenseId,
+        /// The content this license unlocks.
+        pub content_id: ContentId,
+        /// Holder public key: a pseudonym key in the private flow, an identity
+        /// key in the baseline flow. **No other holder information exists.**
+        pub holder: RsaPublicKey,
+        /// What the holder may do.
+        pub rights: Rights,
+        /// Content key sealed to `holder`.
+        pub key_envelope: Envelope,
+        /// Issuance epoch (coarse bucket, mirrors pseudonym certificates).
+        pub issued_epoch: u32,
+    }
 }
 
 impl LicenseBody {
@@ -35,37 +36,15 @@ impl LicenseBody {
     }
 }
 
-impl Encode for LicenseBody {
-    fn encode(&self, w: &mut Writer) {
-        self.license_id.encode(w);
-        self.content_id.encode(w);
-        self.holder.encode(w);
-        self.rights.encode(w);
-        self.key_envelope.encode(w);
-        w.put_u32(self.issued_epoch);
+p2drm_codec::record! {
+    /// A provider-signed license.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub struct License {
+        /// Signed body.
+        pub body: LicenseBody,
+        /// Provider signature over [`LicenseBody::signing_bytes`].
+        pub signature: RsaSignature,
     }
-}
-
-impl Decode for LicenseBody {
-    fn decode(r: &mut Reader) -> p2drm_codec::Result<Self> {
-        Ok(LicenseBody {
-            license_id: LicenseId::decode(r)?,
-            content_id: ContentId::decode(r)?,
-            holder: RsaPublicKey::decode(r)?,
-            rights: Rights::decode(r)?,
-            key_envelope: Envelope::decode(r)?,
-            issued_epoch: r.get_u32()?,
-        })
-    }
-}
-
-/// A provider-signed license.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct License {
-    /// Signed body.
-    pub body: LicenseBody,
-    /// Provider signature over [`LicenseBody::signing_bytes`].
-    pub signature: RsaSignature,
 }
 
 impl License {
@@ -100,46 +79,18 @@ impl License {
     }
 }
 
-impl Encode for License {
-    fn encode(&self, w: &mut Writer) {
-        self.body.encode(w);
-        self.signature.encode(w);
-    }
-}
-
-impl Decode for License {
-    fn decode(r: &mut Reader) -> p2drm_codec::Result<Self> {
-        Ok(License {
-            body: LicenseBody::decode(r)?,
-            signature: RsaSignature::decode(r)?,
-        })
-    }
-}
-
-/// The provider's stored row for an issued license, under the license id:
-/// enough to answer "was this id issued, and to which pseudonym" and no
-/// more. The signed [`License`] leaves with the buyer; the provider never
-/// reads it back, and what it does not keep (holder modulus, key envelope,
-/// signature) it cannot later join against anything.
-///
-/// Encodes as the 32 raw bytes of the key id.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct LicenseRecord {
-    /// Key id of the holder pseudonym key.
-    pub holder: KeyId,
-}
-
-impl Encode for LicenseRecord {
-    fn encode(&self, w: &mut Writer) {
-        self.holder.encode(w);
-    }
-}
-
-impl Decode for LicenseRecord {
-    fn decode(r: &mut Reader) -> p2drm_codec::Result<Self> {
-        Ok(LicenseRecord {
-            holder: KeyId::decode(r)?,
-        })
+p2drm_codec::record! {
+    /// The provider's stored row for an issued license, under the license id:
+    /// enough to answer "was this id issued, and to which pseudonym" and no
+    /// more. The signed [`License`] leaves with the buyer; the provider never
+    /// reads it back, and what it does not keep (holder modulus, key envelope,
+    /// signature) it cannot later join against anything.
+    ///
+    /// Encodes as the 32 raw bytes of the key id.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    pub struct LicenseRecord {
+        /// Key id of the holder pseudonym key.
+        pub holder: KeyId,
     }
 }
 

@@ -3,10 +3,10 @@
 //! These are the payloads of the wire envelopes ([`crate::service`]):
 //! the transcripts behind experiment E1 hold exactly
 //! `p2drm_codec::to_bytes(&msg)`, so the message sizes pinned there are
-//! the sizes a networked deployment pays. Every message carries a
-//! [`Decode`] impl matching its [`Encode`], so the same bytes are
-//! *dispatchable*: `p2drm_codec::from_bytes` round-trips each message
-//! exactly and rejects trailing garbage.
+//! the sizes a networked deployment pays. A message's [`Encode`] and
+//! [`Decode`] come from its one field list ([`p2drm_codec::record!`]), so
+//! the same bytes are *dispatchable*: `p2drm_codec::from_bytes`
+//! round-trips each message exactly and rejects trailing garbage.
 
 use crate::content::{CatalogListing, ContentMeta};
 use crate::ids::{CardId, ContentId, LicenseId};
@@ -18,267 +18,118 @@ use p2drm_payment::Coin;
 use p2drm_pki::cert::{AttributeCertificate, Certificate, KeyId, PseudonymCertificate};
 use std::sync::Arc;
 
-/// Writes a [`UBig`] as a length-prefixed minimal big-endian byte string.
-fn put_ubig(w: &mut Writer, v: &UBig) {
-    w.put_bytes(&v.to_bytes_be());
-}
-
-/// Reads a [`UBig`] written by [`put_ubig`], rejecting non-minimal
-/// encodings (a redundant leading zero would let two byte strings decode
-/// to the same value, breaking encode/decode bijectivity). Nested
-/// integer fields — signatures, public keys, ElGamal components — apply
-/// the same rule through [`Reader::get_int_bytes`] in their own
-/// decoders, so whole messages are canonical, not just these fields.
-fn get_ubig(r: &mut Reader) -> p2drm_codec::Result<UBig> {
-    Ok(UBig::from_bytes_be(r.get_int_bytes()?))
-}
-
-/// Card → RA: blind pseudonym certification request.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct PseudonymIssueRequest {
-    /// The requesting card (the RA refuses it unless it names the card
-    /// the certificate below was issued to; the card is *authenticated*
-    /// by that certificate, not by this id).
-    pub card_id: CardId,
-    /// Card master certificate (authenticates the card).
-    pub card_cert: Certificate,
-    /// Blinded FDH of the pseudonym certificate body.
-    pub blinded: UBig,
-    /// Master-key signature over [`pseudonym_auth_bytes`] (binds the
-    /// claimed card id to the blinded value).
-    pub auth_sig: RsaSignature,
-}
-
-impl Encode for PseudonymIssueRequest {
-    fn encode(&self, w: &mut Writer) {
-        self.card_id.encode(w);
-        self.card_cert.encode(w);
-        put_ubig(w, &self.blinded);
-        self.auth_sig.encode(w);
+p2drm_codec::record! {
+    /// Card → RA: blind pseudonym certification request.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub struct PseudonymIssueRequest {
+        /// The requesting card (the RA refuses it unless it names the card
+        /// the certificate below was issued to; the card is *authenticated*
+        /// by that certificate, not by this id).
+        pub card_id: CardId,
+        /// Card master certificate (authenticates the card).
+        pub card_cert: Certificate,
+        /// Blinded FDH of the pseudonym certificate body.
+        pub blinded: UBig,
+        /// Master-key signature over [`pseudonym_auth_bytes`] (binds the
+        /// claimed card id to the blinded value).
+        pub auth_sig: RsaSignature,
     }
 }
 
-impl Decode for PseudonymIssueRequest {
-    fn decode(r: &mut Reader) -> p2drm_codec::Result<Self> {
-        Ok(PseudonymIssueRequest {
-            card_id: CardId::decode(r)?,
-            card_cert: Certificate::decode(r)?,
-            blinded: get_ubig(r)?,
-            auth_sig: RsaSignature::decode(r)?,
-        })
+p2drm_codec::record! {
+    /// RA → Card: the blind signature.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub struct PseudonymIssueResponse {
+        /// `blinded^d mod n` under the RA blind key.
+        pub blind_sig: UBig,
     }
 }
 
-/// RA → Card: the blind signature.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct PseudonymIssueResponse {
-    /// `blinded^d mod n` under the RA blind key.
-    pub blind_sig: UBig,
-}
-
-impl Encode for PseudonymIssueResponse {
-    fn encode(&self, w: &mut Writer) {
-        put_ubig(w, &self.blind_sig);
+p2drm_codec::record! {
+    /// Card → RA: blind attribute certification request ("private
+    /// credentials", e.g. *adult*). Like pseudonym issuance but naming the
+    /// attribute so the RA can pick its per-attribute blind key and check the
+    /// card owner's entitlement.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub struct AttributeIssueRequest {
+        /// The requesting card.
+        pub card_id: CardId,
+        /// Card master certificate (authenticates the card).
+        pub card_cert: Certificate,
+        /// Which attribute is being certified.
+        pub attribute: String,
+        /// Blinded FDH of the attribute certificate body.
+        pub blinded: UBig,
+        /// Master-key signature over [`attribute_auth_bytes`] (binds the
+        /// claimed card id and the attribute name to the blinded value).
+        pub auth_sig: RsaSignature,
     }
 }
 
-impl Decode for PseudonymIssueResponse {
-    fn decode(r: &mut Reader) -> p2drm_codec::Result<Self> {
-        Ok(PseudonymIssueResponse {
-            blind_sig: get_ubig(r)?,
-        })
+p2drm_codec::record! {
+    /// RA → Card: the blind signature under the per-attribute key.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub struct AttributeIssueResponse {
+        /// `blinded^d mod n` under the RA's key for the requested attribute.
+        pub blind_sig: UBig,
     }
 }
 
-/// Card → RA: blind attribute certification request ("private
-/// credentials", e.g. *adult*). Like pseudonym issuance but naming the
-/// attribute so the RA can pick its per-attribute blind key and check the
-/// card owner's entitlement.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct AttributeIssueRequest {
-    /// The requesting card.
-    pub card_id: CardId,
-    /// Card master certificate (authenticates the card).
-    pub card_cert: Certificate,
-    /// Which attribute is being certified.
-    pub attribute: String,
-    /// Blinded FDH of the attribute certificate body.
-    pub blinded: UBig,
-    /// Master-key signature over [`attribute_auth_bytes`] (binds the
-    /// claimed card id and the attribute name to the blinded value).
-    pub auth_sig: RsaSignature,
-}
-
-impl Encode for AttributeIssueRequest {
-    fn encode(&self, w: &mut Writer) {
-        self.card_id.encode(w);
-        self.card_cert.encode(w);
-        w.put_str(&self.attribute);
-        put_ubig(w, &self.blinded);
-        self.auth_sig.encode(w);
+p2drm_codec::record! {
+    /// User → Provider: anonymous purchase.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub struct PurchaseRequest {
+        /// Desired content.
+        pub content_id: ContentId,
+        /// Blind-issued pseudonym certificate (no identity inside).
+        pub pseudonym_cert: PseudonymCertificate,
+        /// Anonymous payment.
+        pub coin: Coin,
+        /// Attribute credential, when the content requires one (bound to the
+        /// same pseudonym key; still no identity inside).
+        pub attribute_cert: Option<AttributeCertificate>,
     }
 }
 
-impl Decode for AttributeIssueRequest {
-    fn decode(r: &mut Reader) -> p2drm_codec::Result<Self> {
-        Ok(AttributeIssueRequest {
-            card_id: CardId::decode(r)?,
-            card_cert: Certificate::decode(r)?,
-            attribute: r.get_str()?,
-            blinded: get_ubig(r)?,
-            auth_sig: RsaSignature::decode(r)?,
-        })
+p2drm_codec::record! {
+    /// Provider → User: the license.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub struct PurchaseResponse {
+        /// Issued anonymous license.
+        pub license: License,
     }
 }
 
-/// RA → Card: the blind signature under the per-attribute key.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct AttributeIssueResponse {
-    /// `blinded^d mod n` under the RA's key for the requested attribute.
-    pub blind_sig: UBig,
-}
-
-impl Encode for AttributeIssueResponse {
-    fn encode(&self, w: &mut Writer) {
-        put_ubig(w, &self.blind_sig);
+p2drm_codec::record! {
+    /// User → Provider: anonymous content download (no auth needed).
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub struct DownloadRequest {
+        /// Which item.
+        pub content_id: ContentId,
     }
 }
 
-impl Decode for AttributeIssueResponse {
-    fn decode(r: &mut Reader) -> p2drm_codec::Result<Self> {
-        Ok(AttributeIssueResponse {
-            blind_sig: get_ubig(r)?,
-        })
+p2drm_codec::record! {
+    /// Provider → User: protected payload.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub struct DownloadResponse {
+        /// Content nonce.
+        pub nonce: [u8; 12],
+        /// ChaCha20 ciphertext.
+        pub ciphertext: Vec<u8>,
     }
 }
 
-/// User → Provider: anonymous purchase.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct PurchaseRequest {
-    /// Desired content.
-    pub content_id: ContentId,
-    /// Blind-issued pseudonym certificate (no identity inside).
-    pub pseudonym_cert: PseudonymCertificate,
-    /// Anonymous payment.
-    pub coin: Coin,
-    /// Attribute credential, when the content requires one (bound to the
-    /// same pseudonym key; still no identity inside).
-    pub attribute_cert: Option<AttributeCertificate>,
-}
-
-impl Encode for PurchaseRequest {
-    fn encode(&self, w: &mut Writer) {
-        self.content_id.encode(w);
-        self.pseudonym_cert.encode(w);
-        self.coin.encode(w);
-        w.put_option(&self.attribute_cert);
-    }
-}
-
-impl Decode for PurchaseRequest {
-    fn decode(r: &mut Reader) -> p2drm_codec::Result<Self> {
-        Ok(PurchaseRequest {
-            content_id: ContentId::decode(r)?,
-            pseudonym_cert: PseudonymCertificate::decode(r)?,
-            coin: Coin::decode(r)?,
-            attribute_cert: r.get_option()?,
-        })
-    }
-}
-
-/// Provider → User: the license.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct PurchaseResponse {
-    /// Issued anonymous license.
-    pub license: License,
-}
-
-impl Encode for PurchaseResponse {
-    fn encode(&self, w: &mut Writer) {
-        self.license.encode(w);
-    }
-}
-
-impl Decode for PurchaseResponse {
-    fn decode(r: &mut Reader) -> p2drm_codec::Result<Self> {
-        Ok(PurchaseResponse {
-            license: License::decode(r)?,
-        })
-    }
-}
-
-/// User → Provider: anonymous content download (no auth needed).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct DownloadRequest {
-    /// Which item.
-    pub content_id: ContentId,
-}
-
-impl Encode for DownloadRequest {
-    fn encode(&self, w: &mut Writer) {
-        self.content_id.encode(w);
-    }
-}
-
-impl Decode for DownloadRequest {
-    fn decode(r: &mut Reader) -> p2drm_codec::Result<Self> {
-        Ok(DownloadRequest {
-            content_id: ContentId::decode(r)?,
-        })
-    }
-}
-
-/// Provider → User: protected payload.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct DownloadResponse {
-    /// Content nonce.
-    pub nonce: [u8; 12],
-    /// ChaCha20 ciphertext.
-    pub ciphertext: Vec<u8>,
-}
-
-impl Encode for DownloadResponse {
-    fn encode(&self, w: &mut Writer) {
-        w.put_raw(&self.nonce);
-        w.put_bytes(&self.ciphertext);
-    }
-}
-
-impl Decode for DownloadResponse {
-    fn decode(r: &mut Reader) -> p2drm_codec::Result<Self> {
-        Ok(DownloadResponse {
-            nonce: r.get_raw(12)?.try_into().expect("fixed width"),
-            ciphertext: r.get_bytes_owned()?,
-        })
-    }
-}
-
-/// Holder → Provider: privacy-preserving transfer request.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct TransferRequest {
-    /// The license being given up.
-    pub license: License,
-    /// Recipient's pseudonym certificate.
-    pub recipient_cert: PseudonymCertificate,
-    /// Holder-key signature over [`transfer_proof_bytes`].
-    pub proof: RsaSignature,
-}
-
-impl Encode for TransferRequest {
-    fn encode(&self, w: &mut Writer) {
-        self.license.encode(w);
-        self.recipient_cert.encode(w);
-        self.proof.encode(w);
-    }
-}
-
-impl Decode for TransferRequest {
-    fn decode(r: &mut Reader) -> p2drm_codec::Result<Self> {
-        Ok(TransferRequest {
-            license: License::decode(r)?,
-            recipient_cert: PseudonymCertificate::decode(r)?,
-            proof: RsaSignature::decode(r)?,
-        })
+p2drm_codec::record! {
+    /// Holder → Provider: privacy-preserving transfer request.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub struct TransferRequest {
+        /// The license being given up.
+        pub license: License,
+        /// Recipient's pseudonym certificate.
+        pub recipient_cert: PseudonymCertificate,
+        /// Holder-key signature over [`transfer_proof_bytes`].
+        pub proof: RsaSignature,
     }
 }
 
@@ -300,7 +151,7 @@ pub fn pseudonym_auth_bytes(card_id: &CardId, blinded: &UBig) -> Vec<u8> {
     let mut w = Writer::with_capacity(96);
     w.put_raw(b"p2drm-pseudonym-auth");
     card_id.encode(&mut w);
-    put_ubig(&mut w, blinded);
+    blinded.encode(&mut w);
     w.into_bytes()
 }
 
@@ -313,102 +164,50 @@ pub fn attribute_auth_bytes(card_id: &CardId, attribute: &str, blinded: &UBig) -
     w.put_raw(b"p2drm-attribute-auth");
     card_id.encode(&mut w);
     w.put_str(attribute);
-    put_ubig(&mut w, blinded);
+    blinded.encode(&mut w);
     w.into_bytes()
 }
 
-/// Provider → Recipient: the fresh license.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct TransferResponse {
-    /// License reissued to the recipient pseudonym.
-    pub license: License,
-}
-
-impl Encode for TransferResponse {
-    fn encode(&self, w: &mut Writer) {
-        self.license.encode(w);
+p2drm_codec::record! {
+    /// Provider → Recipient: the fresh license.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub struct TransferResponse {
+        /// License reissued to the recipient pseudonym.
+        pub license: License,
     }
 }
 
-impl Decode for TransferResponse {
-    fn decode(r: &mut Reader) -> p2drm_codec::Result<Self> {
-        Ok(TransferResponse {
-            license: License::decode(r)?,
-        })
+p2drm_codec::record! {
+    /// Device → Provider: CRL sync request, stating the sequences the device
+    /// already holds (0 = none). The sequences are advisory: the service
+    /// always answers with both full signed lists, whatever they say.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub struct CrlSyncRequest {
+        /// License-CRL sequence the device holds.
+        pub license_seq: u64,
+        /// Pseudonym-CRL sequence the device holds.
+        pub pseudonym_seq: u64,
     }
 }
 
-/// Device → Provider: CRL sync request, stating the sequences the device
-/// already holds (0 = none). The sequences are advisory: the service
-/// always answers with both full signed lists, whatever they say.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct CrlSyncRequest {
-    /// License-CRL sequence the device holds.
-    pub license_seq: u64,
-    /// Pseudonym-CRL sequence the device holds.
-    pub pseudonym_seq: u64,
-}
-
-impl Encode for CrlSyncRequest {
-    fn encode(&self, w: &mut Writer) {
-        w.put_u64(self.license_seq);
-        w.put_u64(self.pseudonym_seq);
+p2drm_codec::record! {
+    /// CRL sync message (provider → device).
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub struct CrlSync {
+        /// License CRL.
+        pub license_crl: p2drm_pki::crl::SignedCrl,
+        /// Pseudonym CRL.
+        pub pseudonym_crl: p2drm_pki::crl::SignedCrl,
     }
 }
 
-impl Decode for CrlSyncRequest {
-    fn decode(r: &mut Reader) -> p2drm_codec::Result<Self> {
-        Ok(CrlSyncRequest {
-            license_seq: r.get_u64()?,
-            pseudonym_seq: r.get_u64()?,
-        })
-    }
-}
-
-/// CRL sync message (provider → device).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct CrlSync {
-    /// License CRL.
-    pub license_crl: p2drm_pki::crl::SignedCrl,
-    /// Pseudonym CRL.
-    pub pseudonym_crl: p2drm_pki::crl::SignedCrl,
-}
-
-impl Encode for CrlSync {
-    fn encode(&self, w: &mut Writer) {
-        self.license_crl.encode(w);
-        self.pseudonym_crl.encode(w);
-    }
-}
-
-impl Decode for CrlSync {
-    fn decode(r: &mut Reader) -> p2drm_codec::Result<Self> {
-        Ok(CrlSync {
-            license_crl: p2drm_pki::crl::SignedCrl::decode(r)?,
-            pseudonym_crl: p2drm_pki::crl::SignedCrl::decode(r)?,
-        })
-    }
-}
-
-/// User → Provider: anonymous catalog lookup — one item by id, or the
-/// whole listing when `content_id` is `None`.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct CatalogRequest {
-    /// Item to look up; `None` lists everything.
-    pub content_id: Option<ContentId>,
-}
-
-impl Encode for CatalogRequest {
-    fn encode(&self, w: &mut Writer) {
-        w.put_option(&self.content_id);
-    }
-}
-
-impl Decode for CatalogRequest {
-    fn decode(r: &mut Reader) -> p2drm_codec::Result<Self> {
-        Ok(CatalogRequest {
-            content_id: r.get_option()?,
-        })
+p2drm_codec::record! {
+    /// User → Provider: anonymous catalog lookup — one item by id, or the
+    /// whole listing when `content_id` is `None`.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub struct CatalogRequest {
+        /// Item to look up; `None` lists everything.
+        pub content_id: Option<ContentId>,
     }
 }
 
@@ -498,25 +297,13 @@ impl Decode for CatalogResponse {
     }
 }
 
-/// User → Provider: authoritative status of a license id (license ids
-/// are unguessable, so only a party to the license can ask about it).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct LicenseStatusRequest {
-    /// The id being queried.
-    pub license_id: LicenseId,
-}
-
-impl Encode for LicenseStatusRequest {
-    fn encode(&self, w: &mut Writer) {
-        self.license_id.encode(w);
-    }
-}
-
-impl Decode for LicenseStatusRequest {
-    fn decode(r: &mut Reader) -> p2drm_codec::Result<Self> {
-        Ok(LicenseStatusRequest {
-            license_id: LicenseId::decode(r)?,
-        })
+p2drm_codec::record! {
+    /// User → Provider: authoritative status of a license id (license ids
+    /// are unguessable, so only a party to the license can ask about it).
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub struct LicenseStatusRequest {
+        /// The id being queried.
+        pub license_id: LicenseId,
     }
 }
 
@@ -566,88 +353,44 @@ impl Decode for LicenseStatus {
     }
 }
 
-/// Provider → User: the status answer.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct LicenseStatusResponse {
-    /// Authoritative status of the queried id.
-    pub status: LicenseStatus,
-}
-
-impl Encode for LicenseStatusResponse {
-    fn encode(&self, w: &mut Writer) {
-        self.status.encode(w);
+p2drm_codec::record! {
+    /// Provider → User: the status answer.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub struct LicenseStatusResponse {
+        /// Authoritative status of the queried id.
+        pub status: LicenseStatus,
     }
 }
 
-impl Decode for LicenseStatusResponse {
-    fn decode(r: &mut Reader) -> p2drm_codec::Result<Self> {
-        Ok(LicenseStatusResponse {
-            status: LicenseStatus::decode(r)?,
-        })
-    }
+p2drm_codec::record! {
+    /// Operator → Provider: request the unified metrics snapshot. Empty
+    /// payload — the op is gated server-side by
+    /// [`ProviderConfig::metrics_dump`](crate::entities::provider::ProviderConfig::metrics_dump)
+    /// and answers [`ApiErrorCode::ServiceUnavailable`](crate::service::ApiErrorCode::ServiceUnavailable)
+    /// when disabled.
+    #[derive(Clone, Debug, Default, PartialEq, Eq)]
+    pub struct MetricsDumpRequest {}
 }
 
-/// Operator → Provider: request the unified metrics snapshot. Empty
-/// payload — the op is gated server-side by
-/// [`ProviderConfig::metrics_dump`](crate::entities::provider::ProviderConfig::metrics_dump)
-/// and answers [`ApiErrorCode::ServiceUnavailable`](crate::service::ApiErrorCode::ServiceUnavailable)
-/// when disabled.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct MetricsDumpRequest {}
-
-impl Encode for MetricsDumpRequest {
-    fn encode(&self, _w: &mut Writer) {}
-}
-
-impl Decode for MetricsDumpRequest {
-    fn decode(_r: &mut Reader) -> p2drm_codec::Result<Self> {
-        Ok(MetricsDumpRequest {})
-    }
-}
-
-/// Wire form of a histogram summary. Carried with integer nanoseconds
-/// only (the mean is rounded), so encode/decode round-trips exactly.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct MetricSummary {
-    /// Sample count.
-    pub count: u64,
-    /// Mean in nanoseconds, rounded to the nearest integer.
-    pub mean_ns: u64,
-    /// Median (bucket resolution).
-    pub p50_ns: u64,
-    /// 90th percentile.
-    pub p90_ns: u64,
-    /// 99th percentile.
-    pub p99_ns: u64,
-    /// Minimum.
-    pub min_ns: u64,
-    /// Maximum.
-    pub max_ns: u64,
-}
-
-impl Encode for MetricSummary {
-    fn encode(&self, w: &mut Writer) {
-        w.put_varint(self.count);
-        w.put_varint(self.mean_ns);
-        w.put_varint(self.p50_ns);
-        w.put_varint(self.p90_ns);
-        w.put_varint(self.p99_ns);
-        w.put_varint(self.min_ns);
-        w.put_varint(self.max_ns);
-    }
-}
-
-impl Decode for MetricSummary {
-    fn decode(r: &mut Reader) -> p2drm_codec::Result<Self> {
-        Ok(MetricSummary {
-            count: r.get_varint()?,
-            mean_ns: r.get_varint()?,
-            p50_ns: r.get_varint()?,
-            p90_ns: r.get_varint()?,
-            p99_ns: r.get_varint()?,
-            min_ns: r.get_varint()?,
-            max_ns: r.get_varint()?,
-        })
+p2drm_codec::record! {
+    /// Wire form of a histogram summary. Carried with integer nanoseconds
+    /// only (the mean is rounded), so encode/decode round-trips exactly.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    pub struct MetricSummary {
+        /// Sample count.
+        pub count: u64 as varint,
+        /// Mean in nanoseconds, rounded to the nearest integer.
+        pub mean_ns: u64 as varint,
+        /// Median (bucket resolution).
+        pub p50_ns: u64 as varint,
+        /// 90th percentile.
+        pub p90_ns: u64 as varint,
+        /// 99th percentile.
+        pub p99_ns: u64 as varint,
+        /// Minimum.
+        pub min_ns: u64 as varint,
+        /// Maximum.
+        pub max_ns: u64 as varint,
     }
 }
 
@@ -731,92 +474,44 @@ impl Decode for MetricEntry {
     }
 }
 
-/// One stage of a traced request span.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct SpanStage {
-    /// Stage label (a static string server-side).
-    pub label: String,
-    /// Stage duration in nanoseconds (0 for flag markers).
-    pub ns: u64,
-}
-
-impl Encode for SpanStage {
-    fn encode(&self, w: &mut Writer) {
-        w.put_str(&self.label);
-        w.put_varint(self.ns);
+p2drm_codec::record! {
+    /// One stage of a traced request span.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub struct SpanStage {
+        /// Stage label (a static string server-side).
+        pub label: String,
+        /// Stage duration in nanoseconds (0 for flag markers).
+        pub ns: u64 as varint,
     }
 }
 
-impl Decode for SpanStage {
-    fn decode(r: &mut Reader) -> p2drm_codec::Result<Self> {
-        Ok(SpanStage {
-            label: r.get_str()?,
-            ns: r.get_varint()?,
-        })
+p2drm_codec::record! {
+    /// One traced request span: correlation id, op label and latency —
+    /// durations and static labels only, never request contents.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub struct SpanEntry {
+        /// The request's wire correlation id (client-chosen routing data).
+        pub corr_id: u64,
+        /// Op label.
+        pub op: String,
+        /// End-to-end latency in nanoseconds.
+        pub total_ns: u64 as varint,
+        /// Whether the span crossed the slow threshold.
+        pub slow: bool,
+        /// Stage breakdown (empty unless `slow`).
+        pub stages: Vec<SpanStage> as seq,
     }
 }
 
-/// One traced request span: correlation id, op label and latency —
-/// durations and static labels only, never request contents.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct SpanEntry {
-    /// The request's wire correlation id (client-chosen routing data).
-    pub corr_id: u64,
-    /// Op label.
-    pub op: String,
-    /// End-to-end latency in nanoseconds.
-    pub total_ns: u64,
-    /// Whether the span crossed the slow threshold.
-    pub slow: bool,
-    /// Stage breakdown (empty unless `slow`).
-    pub stages: Vec<SpanStage>,
-}
-
-impl Encode for SpanEntry {
-    fn encode(&self, w: &mut Writer) {
-        w.put_u64(self.corr_id);
-        w.put_str(&self.op);
-        w.put_varint(self.total_ns);
-        w.put_bool(self.slow);
-        w.put_seq(&self.stages);
-    }
-}
-
-impl Decode for SpanEntry {
-    fn decode(r: &mut Reader) -> p2drm_codec::Result<Self> {
-        Ok(SpanEntry {
-            corr_id: r.get_u64()?,
-            op: r.get_str()?,
-            total_ns: r.get_varint()?,
-            slow: r.get_bool()?,
-            stages: r.get_seq()?,
-        })
-    }
-}
-
-/// Provider → Operator: the unified observability snapshot — every
-/// registered metric (sorted by name) plus the recent traced spans.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct MetricsDumpResponse {
-    /// All metrics, sorted ascending by name.
-    pub metrics: Vec<MetricEntry>,
-    /// Recent request spans, oldest first (empty unless tracing is on).
-    pub spans: Vec<SpanEntry>,
-}
-
-impl Encode for MetricsDumpResponse {
-    fn encode(&self, w: &mut Writer) {
-        w.put_seq(&self.metrics);
-        w.put_seq(&self.spans);
-    }
-}
-
-impl Decode for MetricsDumpResponse {
-    fn decode(r: &mut Reader) -> p2drm_codec::Result<Self> {
-        Ok(MetricsDumpResponse {
-            metrics: r.get_seq()?,
-            spans: r.get_seq()?,
-        })
+p2drm_codec::record! {
+    /// Provider → Operator: the unified observability snapshot — every
+    /// registered metric (sorted by name) plus the recent traced spans.
+    #[derive(Clone, Debug, Default, PartialEq, Eq)]
+    pub struct MetricsDumpResponse {
+        /// All metrics, sorted ascending by name.
+        pub metrics: Vec<MetricEntry> as seq,
+        /// Recent request spans, oldest first (empty unless tracing is on).
+        pub spans: Vec<SpanEntry> as seq,
     }
 }
 
@@ -965,7 +660,7 @@ mod tests {
         let mut w = Writer::new();
         request.card_id.encode(&mut w);
         request.card_cert.encode(&mut w);
-        put_ubig(&mut w, &request.blinded);
+        request.blinded.encode(&mut w);
         w.put_bytes(&[0x00, 0x12, 0x34]); // same integer, padded
         assert_eq!(
             p2drm_codec::from_bytes::<PseudonymIssueRequest>(&w.into_bytes()),

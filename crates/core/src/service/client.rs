@@ -2,7 +2,7 @@
 //! [`Transport`] and drives the client sessions.
 
 use super::envelope::{
-    EnvelopeError, RequestEnvelope, ResponseEnvelope, WireRequest, WireResponse,
+    EnvelopeError, Exchange, RequestEnvelope, ResponseEnvelope, WireRequest, WireResponse,
 };
 use super::error::{ApiError, ApiErrorCode};
 use super::transport::{Transport, TransportError};
@@ -15,7 +15,7 @@ use crate::protocol::access;
 use crate::protocol::attribute::AttributeIssueSession;
 use crate::protocol::messages::{
     CatalogRequest, CrlSyncRequest, LicenseStatus, LicenseStatusRequest, MetricsDumpRequest,
-    MetricsDumpResponse,
+    MetricsDumpResponse, PurchaseRequest,
 };
 use crate::protocol::pseudonym::PseudonymIssueSession;
 use crate::protocol::purchase::PurchaseSession;
@@ -257,6 +257,13 @@ impl<T: Transport> WireClient<T> {
         Self::decode_reply(sent, &reply)
     }
 
+    /// One [`WireClient::call`] whose reply body the op table gives:
+    /// the reply to `request`'s op, or the error the call was answered
+    /// with.
+    fn exchange<Q: Exchange>(&mut self, request: Q) -> Result<Q::Reply, WireError> {
+        Q::reply(self.call(request.into())?)
+    }
+
     /// Pipelines `bodies` on the transport — submit them all, then
     /// complete replies **in whatever order the service answers** — and
     /// returns one outcome per request, in input order.
@@ -336,25 +343,21 @@ impl<T: Transport> WireClient<T> {
 
     /// Lists the catalog.
     pub fn catalog(&mut self) -> Result<Vec<ContentMeta>, WireError> {
-        match self.call(WireRequest::Catalog(CatalogRequest { content_id: None }))? {
-            WireResponse::Catalog(c) => Ok(c.items.into_vec()),
-            other => Err(unexpected("catalog", other)),
-        }
+        let reply = self.exchange(CatalogRequest { content_id: None })?;
+        Ok(reply.items.into_vec())
     }
 
     /// Looks up one catalog item.
     pub fn content_meta(&mut self, id: ContentId) -> Result<ContentMeta, WireError> {
-        match self.call(WireRequest::Catalog(CatalogRequest {
+        let reply = self.exchange(CatalogRequest {
             content_id: Some(id),
-        }))? {
-            WireResponse::Catalog(c) => c.items.into_vec().into_iter().next().ok_or_else(|| {
-                WireError::Api(ApiError::new(
-                    ApiErrorCode::UnknownContent,
-                    format!("unknown content {id}"),
-                ))
-            }),
-            other => Err(unexpected("catalog", other)),
-        }
+        })?;
+        reply.items.into_vec().into_iter().next().ok_or_else(|| {
+            WireError::Api(ApiError::new(
+                ApiErrorCode::UnknownContent,
+                format!("unknown content {id}"),
+            ))
+        })
     }
 
     /// Blind pseudonym issuance over the wire (card-side state machine +
@@ -368,10 +371,8 @@ impl<T: Transport> WireClient<T> {
     ) -> Result<KeyId, WireError> {
         let (session, request) =
             PseudonymIssueSession::begin(user, ra_blind_key, ttp_key, self.epoch, rng)?;
-        match self.call(WireRequest::PseudonymIssue(request))? {
-            WireResponse::PseudonymIssue(resp) => Ok(session.finish(user, ra_blind_key, &resp)?),
-            other => Err(unexpected("pseudonym-issue", other)),
-        }
+        let reply = self.exchange(request)?;
+        Ok(session.finish(user, ra_blind_key, &reply)?)
     }
 
     /// Blind attribute issuance over the wire, bound to the user's
@@ -385,10 +386,8 @@ impl<T: Transport> WireClient<T> {
     ) -> Result<KeyId, WireError> {
         let (session, request) =
             AttributeIssueSession::begin(user, attribute, attribute_key, self.epoch, rng)?;
-        match self.call(WireRequest::AttributeIssue(request))? {
-            WireResponse::AttributeIssue(resp) => Ok(session.finish(user, &resp)?),
-            other => Err(unexpected("attribute-issue", other)),
-        }
+        let reply = self.exchange(request)?;
+        Ok(session.finish(user, &reply)?)
     }
 
     /// Anonymous purchase over the wire: catalog quote, coin withdrawal
@@ -414,7 +413,7 @@ impl<T: Transport> WireClient<T> {
         let session = PurchaseSession::begin(user, mint, &meta, rng)?;
         // Used whatever the outcome: the provider may have seen it.
         user.note_pseudonym_use();
-        let reply = self.call(WireRequest::Purchase(session.request().clone()));
+        let reply = self.call(session.request().clone().into());
         settle_purchase(session, user, reply)
     }
 
@@ -429,7 +428,7 @@ impl<T: Transport> WireClient<T> {
             .into_iter()
             .map(|parked| {
                 let session = PurchaseSession::resume(parked);
-                let reply = self.call(WireRequest::Purchase(session.request().clone()));
+                let reply = self.call(session.request().clone().into());
                 settle_purchase(session, user, reply)
             })
             .collect()
@@ -454,20 +453,13 @@ impl<T: Transport> WireClient<T> {
         _rng: &mut R,
     ) -> Result<License, WireError> {
         let (session, request) = TransferSession::begin(sender, recipient, license_id)?;
-        match self.call(WireRequest::Transfer(request))? {
-            WireResponse::Transfer(resp) => Ok(session.finish(sender, recipient, resp)),
-            other => Err(unexpected("transfer", other)),
-        }
+        let reply = self.exchange(request)?;
+        Ok(session.finish(sender, recipient, reply))
     }
 
     /// Queries the provider's authoritative status of a license id.
     pub fn license_status(&mut self, license_id: LicenseId) -> Result<LicenseStatus, WireError> {
-        match self.call(WireRequest::LicenseStatus(LicenseStatusRequest {
-            license_id,
-        }))? {
-            WireResponse::LicenseStatus(resp) => Ok(resp.status),
-            other => Err(unexpected("license-status", other)),
-        }
+        Ok(self.exchange(LicenseStatusRequest { license_id })?.status)
     }
 
     /// Plays a license on a device: the challenge/proof/key-release
@@ -485,10 +477,7 @@ impl<T: Transport> WireClient<T> {
     ) -> Result<Vec<u8>, WireError> {
         let now = self.server_now()?;
         access::play(user, device, license, now, rng, |request| {
-            match self.call(WireRequest::Download(request))? {
-                WireResponse::Download(resp) => Ok(resp),
-                other => Err(unexpected("download", other)),
-            }
+            self.exchange(request)
         })
     }
 
@@ -501,14 +490,10 @@ impl<T: Transport> WireClient<T> {
             license_seq: device.crl_sequence(),
             pseudonym_seq: 0,
         };
-        match self.call(WireRequest::CrlSync(request))? {
-            WireResponse::CrlSync(resp) => {
-                self.now_hint = Some(resp.license_crl.issued_at);
-                device.sync_crls(&resp.license_crl, &resp.pseudonym_crl)?;
-                Ok(())
-            }
-            other => Err(unexpected("crl-sync", other)),
-        }
+        let reply = self.exchange(request)?;
+        self.now_hint = Some(reply.license_crl.issued_at);
+        device.sync_crls(&reply.license_crl, &reply.pseudonym_crl)?;
+        Ok(())
     }
 
     /// Fetches the provider's unified metrics snapshot (requires the
@@ -516,10 +501,7 @@ impl<T: Transport> WireClient<T> {
     /// [`ApiErrorCode::ServiceUnavailable`]). Convert with
     /// [`snapshot_from_dump`](super::snapshot_from_dump) for text/JSON exposition.
     pub fn metrics_dump(&mut self) -> Result<MetricsDumpResponse, WireError> {
-        match self.call(WireRequest::MetricsDump(MetricsDumpRequest {}))? {
-            WireResponse::MetricsDump(resp) => Ok(resp),
-            other => Err(unexpected("metrics-dump", other)),
-        }
+        self.exchange(MetricsDumpRequest {})
     }
 
     /// The server clock, learned from the `issued_at` stamp of a signed
@@ -529,16 +511,12 @@ impl<T: Transport> WireClient<T> {
         if let Some(now) = self.now_hint {
             return Ok(now);
         }
-        match self.call(WireRequest::CrlSync(CrlSyncRequest {
+        let reply = self.exchange(CrlSyncRequest {
             license_seq: 0,
             pseudonym_seq: 0,
-        }))? {
-            WireResponse::CrlSync(resp) => {
-                self.now_hint = Some(resp.license_crl.issued_at);
-                Ok(resp.license_crl.issued_at)
-            }
-            other => Err(unexpected("crl-sync", other)),
-        }
+        })?;
+        self.now_hint = Some(reply.license_crl.issued_at);
+        Ok(reply.license_crl.issued_at)
     }
 }
 
@@ -552,30 +530,16 @@ fn settle_purchase(
     user: &mut UserAgent,
     reply: Result<WireResponse, WireError>,
 ) -> Result<License, WireError> {
-    match reply {
-        Ok(WireResponse::Purchase(resp)) => Ok(session.finish(user, resp)),
-        Ok(WireResponse::Error(e)) => {
+    match reply.and_then(PurchaseRequest::reply) {
+        Ok(reply) => Ok(session.finish(user, reply)),
+        Err(WireError::Api(e)) => {
             session.abort(user, &e);
             Err(WireError::Api(e))
-        }
-        Ok(other) => {
-            session.park(user);
-            Err(unexpected("purchase", other))
         }
         Err(e) => {
             session.park(user);
             Err(e)
         }
-    }
-}
-
-fn unexpected(expected: &'static str, got: WireResponse) -> WireError {
-    match got {
-        WireResponse::Error(e) => WireError::Api(e),
-        other => WireError::UnexpectedResponse {
-            expected,
-            got: other.label(),
-        },
     }
 }
 

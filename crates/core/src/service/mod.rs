@@ -11,9 +11,17 @@
 //! | offset | field | encoding |
 //! |---|---|---|
 //! | 0 | version | `u8`, currently [`WIRE_VERSION`] = 1 |
-//! | 1 | op-code | `u8`, see [`OpCode`] |
+//! | 1 | op-code | `u8`, a row of the op table |
 //! | 2 | correlation id | `u64` little-endian, echoed verbatim in the response |
 //! | 10 | payload | the op's canonical message encoding, consuming the rest exactly |
+//!
+//! The op table, in `envelope.rs`, is the one list of ops: a row per op
+//! gives its variant, byte, label, latency histogram, who sends its
+//! request to whom, and its request and reply bodies. [`OpCode`],
+//! [`WireRequest`], [`WireResponse`] and the reply type each
+//! [`WireClient`] call expects are derived from it, so a new op is one
+//! row, plus its arm in [`ProviderService::dispatch`] and its client
+//! method.
 //!
 //! Requests decode with strict [`p2drm_codec::from_bytes`] semantics:
 //! trailing bytes, non-canonical varints and redundant integer padding are

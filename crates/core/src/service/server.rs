@@ -20,25 +20,6 @@ use p2drm_store::ConcurrentKv;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 
-/// Metric name for one op's request-latency histogram. Names are static
-/// strings by construction — the privacy rule for every metric in this
-/// workspace (no pseudonyms, card ids, license ids or coin serials in
-/// telemetry).
-fn op_hist_name(op: OpCode) -> &'static str {
-    match op {
-        OpCode::Error => "service_error_ns",
-        OpCode::Purchase => "service_purchase_ns",
-        OpCode::Download => "service_download_ns",
-        OpCode::Transfer => "service_transfer_ns",
-        OpCode::PseudonymIssue => "service_pseudonym_issue_ns",
-        OpCode::AttributeIssue => "service_attribute_issue_ns",
-        OpCode::CrlSync => "service_crl_sync_ns",
-        OpCode::Catalog => "service_catalog_ns",
-        OpCode::LicenseStatus => "service_license_status_ns",
-        OpCode::MetricsDump => "service_metrics_dump_ns",
-    }
-}
-
 /// Registry-backed service instrumentation: request/error counters and
 /// one latency histogram per wire op, resolved once at construction so
 /// the hot path is plain relaxed atomics.
@@ -54,7 +35,7 @@ impl ServiceStats {
     fn new(registry: &Registry) -> Self {
         let op_ns = std::array::from_fn(|i| {
             let op = OpCode::from_byte(i as u8).unwrap_or(OpCode::Error);
-            registry.histogram(op_hist_name(op))
+            registry.histogram(op.histogram())
         });
         ServiceStats {
             served: registry.counter("service_requests"),

@@ -9,9 +9,10 @@
 //! (ids, nonces, payload bytes, epochs) around them.
 
 use p2drm_codec::{CodecError, Decode, Encode};
+use p2drm_core::content::PackagedContent;
 use p2drm_core::entities::smartcard::CardBudget;
 use p2drm_core::ids::{CardId, ContentId, LicenseId};
-use p2drm_core::license::License;
+use p2drm_core::license::{License, LicenseRecord};
 use p2drm_core::protocol::messages::*;
 use p2drm_core::service::{
     ApiError, ApiErrorCode, RequestEnvelope, ResponseEnvelope, WireRequest, WireResponse,
@@ -95,7 +96,8 @@ fn fixture() -> &'static Fixture {
     })
 }
 
-/// decode(encode(m)) == m, and any trailing byte is rejected.
+/// decode(encode(m)) == m, any trailing byte is rejected, and every
+/// proper prefix of the encoding is too ([`check_truncations`]).
 fn check_roundtrip<T: Encode + Decode + PartialEq + Debug>(m: &T) -> Result<(), String> {
     let bytes = p2drm_codec::to_bytes(m);
     let back: T =
@@ -109,6 +111,21 @@ fn check_roundtrip<T: Encode + Decode + PartialEq + Debug>(m: &T) -> Result<(), 
         match p2drm_codec::from_bytes::<T>(&longer) {
             Err(CodecError::TrailingBytes(1)) => {}
             other => return Err(format!("trailing byte {extra:#x} not rejected: {other:?}")),
+        }
+    }
+    check_truncations::<T>(&bytes)
+}
+
+/// Every proper prefix of `bytes` fails to decode with a `CodecError`,
+/// and none panics: replies and stored rows come from outside the
+/// decoder, and a cut one must be refused, not misread.
+fn check_truncations<T: Decode>(bytes: &[u8]) -> Result<(), String> {
+    for len in 0..bytes.len() {
+        let prefix = &bytes[..len];
+        match std::panic::catch_unwind(|| p2drm_codec::from_bytes::<T>(prefix)) {
+            Ok(Err(_)) => {}
+            Ok(Ok(_)) => return Err(format!("{len}-byte prefix of {} decoded", bytes.len())),
+            Err(_) => return Err(format!("{len}-byte prefix panicked the decoder")),
         }
     }
     Ok(())
@@ -302,6 +319,29 @@ proptest! {
     }
 
     #[test]
+    fn license_record_roundtrip(seed in any::<u64>()) {
+        let mut holder = [0u8; 32];
+        holder[..16].copy_from_slice(&id16(seed));
+        let m = LicenseRecord { holder: p2drm_pki::cert::KeyId(holder) };
+        prop_assert!(check_roundtrip(&m).is_ok(), "{:?}", check_roundtrip(&m));
+    }
+
+    #[test]
+    fn packaged_content_roundtrip(seed in any::<u64>(), body in proptest::collection::vec(any::<u8>(), 0..64)) {
+        let fx = fixture();
+        let mut meta = fx.meta.clone();
+        meta.id = ContentId(id16(seed));
+        meta.size = body.len();
+        let m = PackagedContent { meta, key: [seed as u8; 32], nonce: [7; 12], ciphertext: body };
+        // No `Debug` or `PartialEq` (the row holds the content key):
+        // the decoded row must re-encode to the same bytes.
+        let bytes = p2drm_codec::to_bytes(&m);
+        let back: PackagedContent = p2drm_codec::from_bytes(&bytes).expect("row decodes");
+        prop_assert_eq!(p2drm_codec::to_bytes(&back), bytes.clone());
+        prop_assert!(check_truncations::<PackagedContent>(&bytes).is_ok(), "{:?}", check_truncations::<PackagedContent>(&bytes));
+    }
+
+    #[test]
     fn api_error_roundtrip(raw in any::<u16>(), detail in "[a-zA-Z0-9 _-]{0,48}", hint in any::<u32>()) {
         let m = ApiError { code: ApiErrorCode::from_code(raw), detail, retry_after_ms: hint };
         prop_assert!(check_roundtrip(&m).is_ok(), "{:?}", check_roundtrip(&m));
@@ -354,6 +394,7 @@ fn envelopes_roundtrip_every_opcode() {
         WireRequest::LicenseStatus(LicenseStatusRequest {
             license_id: LicenseId(id16(5)),
         }),
+        WireRequest::MetricsDump(MetricsDumpRequest {}),
     ];
     for (i, body) in requests.into_iter().enumerate() {
         let envelope = RequestEnvelope {
@@ -395,6 +436,13 @@ fn envelopes_roundtrip_every_opcode() {
         WireResponse::Catalog(CatalogResponse::new(vec![fx.meta.clone()])),
         WireResponse::LicenseStatus(LicenseStatusResponse {
             status: LicenseStatus::Transferred,
+        }),
+        WireResponse::MetricsDump(MetricsDumpResponse {
+            metrics: vec![MetricEntry::Counter {
+                name: "service_requests".into(),
+                value: 3,
+            }],
+            spans: Vec::new(),
         }),
         WireResponse::Error(ApiError::new(ApiErrorCode::BadProof, "nope")),
     ];

@@ -292,15 +292,17 @@ pub struct ElGamalKeyPair {
     x: UBig,
 }
 
-/// Authenticated hybrid ciphertext.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ElGamalCiphertext {
-    /// Ephemeral `g^y`.
-    c1: UBig,
-    /// ChaCha20 body.
-    body: Vec<u8>,
-    /// HMAC over `c1 || body`.
-    tag: [u8; DIGEST_LEN],
+p2drm_codec::record! {
+    /// Authenticated hybrid ciphertext.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub struct ElGamalCiphertext {
+        /// Ephemeral `g^y`.
+        c1: UBig,
+        /// ChaCha20 body.
+        body: Vec<u8>,
+        /// HMAC over `c1 || body`.
+        tag: [u8; DIGEST_LEN],
+    }
 }
 
 impl ElGamalKeyPair {
@@ -422,17 +424,17 @@ fn derive_keys(shared: &UBig) -> ([u8; 32], Vec<u8>) {
 
 impl Encode for ElGamalPublicKey {
     fn encode(&self, w: &mut Writer) {
-        w.put_bytes(&self.group.p.to_bytes_be());
-        w.put_bytes(&self.group.g.to_bytes_be());
-        w.put_bytes(&self.h.to_bytes_be());
+        self.group.p.encode(w);
+        self.group.g.encode(w);
+        self.h.encode(w);
     }
 }
 
 impl Decode for ElGamalPublicKey {
     fn decode(r: &mut Reader) -> p2drm_codec::Result<Self> {
-        let p = UBig::from_bytes_be(r.get_int_bytes()?);
-        let g = UBig::from_bytes_be(r.get_int_bytes()?);
-        let h = UBig::from_bytes_be(r.get_int_bytes()?);
+        let p = UBig::decode(r)?;
+        let g = UBig::decode(r)?;
+        let h = UBig::decode(r)?;
         let group =
             ElGamalGroup::new(p, g).map_err(|_| p2drm_codec::CodecError::BadDiscriminant(1))?;
         Ok(ElGamalPublicKey {
@@ -447,14 +449,14 @@ impl Encode for ElGamalKeyPair {
     /// Serializes the full private key. **Handle the bytes as secrets.**
     fn encode(&self, w: &mut Writer) {
         self.public.encode(w);
-        w.put_bytes(&self.x.to_bytes_be());
+        self.x.encode(w);
     }
 }
 
 impl Decode for ElGamalKeyPair {
     fn decode(r: &mut Reader) -> p2drm_codec::Result<Self> {
         let public = ElGamalPublicKey::decode(r)?;
-        let x = UBig::from_bytes_be(r.get_int_bytes()?);
+        let x = UBig::decode(r)?;
         // Consistency: h must equal g^x. One-shot check on a freshly
         // decoded group — the generic kernel, not pow_g, so no fixed-base
         // table is built for a single exponentiation.
@@ -462,23 +464,6 @@ impl Decode for ElGamalKeyPair {
             return Err(p2drm_codec::CodecError::BadDiscriminant(2));
         }
         Ok(ElGamalKeyPair { public, x })
-    }
-}
-
-impl Encode for ElGamalCiphertext {
-    fn encode(&self, w: &mut Writer) {
-        w.put_bytes(&self.c1.to_bytes_be());
-        w.put_bytes(&self.body);
-        w.put_raw(&self.tag);
-    }
-}
-
-impl Decode for ElGamalCiphertext {
-    fn decode(r: &mut Reader) -> p2drm_codec::Result<Self> {
-        let c1 = UBig::from_bytes_be(r.get_int_bytes()?);
-        let body = r.get_bytes_owned()?;
-        let tag: [u8; DIGEST_LEN] = r.get_raw(DIGEST_LEN)?.try_into().expect("fixed-size read");
-        Ok(ElGamalCiphertext { c1, body, tag })
     }
 }
 

@@ -9,17 +9,18 @@ use crate::rng::CryptoRng;
 use crate::rsa::{kem_decapsulate, kem_encapsulate, RsaKeyPair, RsaPublicKey};
 use crate::sha256::DIGEST_LEN;
 use crate::{chacha20, hmac, kdf, CryptoError};
-use p2drm_codec::{Decode, Encode, Reader, Writer};
 
-/// A sealed envelope: KEM ciphertext + encrypted body + MAC tag.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Envelope {
-    /// RSA-KEM ciphertext (modulus-length bytes).
-    pub kem_ct: Vec<u8>,
-    /// ChaCha20 body.
-    pub body: Vec<u8>,
-    /// HMAC-SHA-256 over `kem_ct || body`.
-    pub tag: [u8; DIGEST_LEN],
+p2drm_codec::record! {
+    /// A sealed envelope: KEM ciphertext + encrypted body + MAC tag.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub struct Envelope {
+        /// RSA-KEM ciphertext (modulus-length bytes).
+        pub kem_ct: Vec<u8>,
+        /// ChaCha20 body.
+        pub body: Vec<u8>,
+        /// HMAC-SHA-256 over `kem_ct || body`.
+        pub tag: [u8; DIGEST_LEN],
+    }
 }
 
 /// Seals `plaintext` to the holder of `pk`.
@@ -57,24 +58,6 @@ pub fn open(kp: &RsaKeyPair, env: &Envelope) -> Result<Vec<u8>, CryptoError> {
         return Err(CryptoError::BadCiphertext);
     }
     Ok(chacha20::decrypt(&enc_key, &[0u8; 12], &env.body))
-}
-
-impl Encode for Envelope {
-    fn encode(&self, w: &mut Writer) {
-        w.put_bytes(&self.kem_ct);
-        w.put_bytes(&self.body);
-        w.put_raw(&self.tag);
-    }
-}
-
-impl Decode for Envelope {
-    fn decode(r: &mut Reader) -> p2drm_codec::Result<Self> {
-        Ok(Envelope {
-            kem_ct: r.get_bytes_owned()?,
-            body: r.get_bytes_owned()?,
-            tag: r.get_raw(DIGEST_LEN)?.try_into().expect("fixed width"),
-        })
-    }
 }
 
 #[cfg(test)]

@@ -187,15 +187,15 @@ impl RsaPublicKey {
 
 impl Encode for RsaPublicKey {
     fn encode(&self, w: &mut Writer) {
-        w.put_bytes(&self.n.to_bytes_be());
-        w.put_bytes(&self.e.to_bytes_be());
+        self.n.encode(w);
+        self.e.encode(w);
     }
 }
 
 impl Decode for RsaPublicKey {
     fn decode(r: &mut Reader) -> p2drm_codec::Result<Self> {
-        let n = UBig::from_bytes_be(r.get_int_bytes()?);
-        let e = UBig::from_bytes_be(r.get_int_bytes()?);
+        let n = UBig::decode(r)?;
+        let e = UBig::decode(r)?;
         RsaPublicKey::new(n, e).map_err(|_| p2drm_codec::CodecError::BadDiscriminant(0))
     }
 }
@@ -241,10 +241,12 @@ pub fn public_batch(inputs: &[(&RsaPublicKey, &UBig)]) -> Vec<UBig> {
         .collect()
 }
 
-/// An RSA signature (big-endian integer, held as [`UBig`]).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct RsaSignature {
-    pub(crate) s: UBig,
+p2drm_codec::record! {
+    /// An RSA signature (big-endian integer, held as [`UBig`]).
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub struct RsaSignature {
+        pub(crate) s: UBig,
+    }
 }
 
 impl RsaSignature {
@@ -261,20 +263,6 @@ impl RsaSignature {
     /// Big-endian byte rendering.
     pub fn to_bytes(&self) -> Vec<u8> {
         self.s.to_bytes_be()
-    }
-}
-
-impl Encode for RsaSignature {
-    fn encode(&self, w: &mut Writer) {
-        w.put_bytes(&self.s.to_bytes_be());
-    }
-}
-
-impl Decode for RsaSignature {
-    fn decode(r: &mut Reader) -> p2drm_codec::Result<Self> {
-        Ok(RsaSignature {
-            s: UBig::from_bytes_be(r.get_int_bytes()?),
-        })
     }
 }
 
@@ -716,10 +704,10 @@ impl Encode for RsaKeyPair {
     /// `RsaKeyPair::from_primes`). **Handle the bytes as secrets.**
     fn encode(&self, w: &mut Writer) {
         self.public.encode(w);
-        w.put_bytes(&self.d.to_bytes_be());
+        self.d.encode(w);
         w.put_u8(self.factors.len() as u8);
         for f in &self.factors {
-            w.put_bytes(&f.r.to_bytes_be());
+            f.r.encode(w);
         }
     }
 }
@@ -727,11 +715,11 @@ impl Encode for RsaKeyPair {
 impl Decode for RsaKeyPair {
     fn decode(r: &mut Reader) -> p2drm_codec::Result<Self> {
         let public = RsaPublicKey::decode(r)?;
-        let d = UBig::from_bytes_be(r.get_int_bytes()?);
+        let d = UBig::decode(r)?;
         let k = r.get_u8()?;
         let mut primes = Vec::with_capacity(k.into());
         for _ in 0..k {
-            primes.push(UBig::from_bytes_be(r.get_int_bytes()?));
+            primes.push(UBig::decode(r)?);
         }
         RsaKeyPair::from_primes(public, d, primes)
             .map_err(|_| p2drm_codec::CodecError::BadDiscriminant(2))

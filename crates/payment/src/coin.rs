@@ -1,20 +1,22 @@
 //! The coin: an FDH-blind-signed `(serial, denomination)` pair.
 
-use p2drm_codec::{Decode, Encode, Reader, Writer};
+use p2drm_codec::Writer;
 use p2drm_crypto::blind;
 use p2drm_crypto::rsa::{RsaPublicKey, RsaSignature};
 
-/// An anonymous bearer coin. Its serial and signature each identify it,
-/// so its `Debug` shows only the denomination.
-#[derive(Clone, PartialEq, Eq)]
-pub struct Coin {
-    /// 32-byte random serial, chosen by the withdrawer, unseen by the mint
-    /// until deposit.
-    pub serial: [u8; 32],
-    /// Value in minor units (e.g. cents).
-    pub denomination: u64,
-    /// Mint blind signature over [`Coin::message_bytes`].
-    pub signature: RsaSignature,
+p2drm_codec::record! {
+    /// An anonymous bearer coin. Its serial and signature each identify it,
+    /// so its `Debug` shows only the denomination.
+    #[derive(Clone, PartialEq, Eq)]
+    pub struct Coin {
+        /// 32-byte random serial, chosen by the withdrawer, unseen by the mint
+        /// until deposit.
+        pub serial: [u8; 32],
+        /// Value in minor units (e.g. cents).
+        pub denomination: u64,
+        /// Mint blind signature over [`Coin::message_bytes`].
+        pub signature: RsaSignature,
+    }
 }
 
 impl std::fmt::Debug for Coin {
@@ -43,24 +45,6 @@ impl Coin {
             &self.signature,
         )
         .is_ok()
-    }
-}
-
-impl Encode for Coin {
-    fn encode(&self, w: &mut Writer) {
-        w.put_raw(&self.serial);
-        w.put_u64(self.denomination);
-        self.signature.encode(w);
-    }
-}
-
-impl Decode for Coin {
-    fn decode(r: &mut Reader) -> p2drm_codec::Result<Self> {
-        Ok(Coin {
-            serial: r.get_raw(32)?.try_into().expect("fixed width"),
-            denomination: r.get_u64()?,
-            signature: RsaSignature::decode(r)?,
-        })
     }
 }
 

@@ -3,38 +3,21 @@
 //! in every cost-of-privacy benchmark.
 
 use crate::PaymentError;
-use p2drm_codec::{Decode, Encode, Reader, Writer};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// A charge receipt the merchant keeps. Note it names the payer — this is
-/// exactly the linkable record the paper's scheme eliminates.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ChargeReceipt {
-    /// Payer account (identifying!).
-    pub payer: String,
-    /// Amount charged.
-    pub amount: u64,
-    /// Processor-assigned transaction id.
-    pub txn_id: u64,
-}
-
-impl Encode for ChargeReceipt {
-    fn encode(&self, w: &mut Writer) {
-        w.put_str(&self.payer);
-        w.put_u64(self.amount);
-        w.put_u64(self.txn_id);
-    }
-}
-
-impl Decode for ChargeReceipt {
-    fn decode(r: &mut Reader) -> p2drm_codec::Result<Self> {
-        Ok(ChargeReceipt {
-            payer: r.get_str()?,
-            amount: r.get_u64()?,
-            txn_id: r.get_u64()?,
-        })
+p2drm_codec::record! {
+    /// A charge receipt the merchant keeps. Note it names the payer — this is
+    /// exactly the linkable record the paper's scheme eliminates.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub struct ChargeReceipt {
+        /// Payer account (identifying!).
+        pub payer: String,
+        /// Amount charged.
+        pub amount: u64,
+        /// Processor-assigned transaction id.
+        pub txn_id: u64,
     }
 }
 

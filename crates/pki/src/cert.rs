@@ -8,11 +8,13 @@ use p2drm_crypto::elgamal::{ElGamalCiphertext, ElGamalPublicKey};
 use p2drm_crypto::rsa::{RsaPublicKey, RsaSignature};
 use p2drm_crypto::sha256::sha256;
 
-/// 32-byte key identifier: SHA-256 fingerprint of a canonical public key.
-/// A pseudonym's key id is linkable, so it has no hex rendering and its
-/// `Debug` prints `KeyId(..)`.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct KeyId(pub [u8; 32]);
+p2drm_codec::record! {
+    /// 32-byte key identifier: SHA-256 fingerprint of a canonical public key.
+    /// A pseudonym's key id is linkable, so it has no hex rendering and its
+    /// `Debug` prints `KeyId(..)`.
+    #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+    pub struct KeyId(pub [u8; 32]);
+}
 
 impl KeyId {
     /// Fingerprint of an RSA key.
@@ -29,18 +31,6 @@ impl KeyId {
 impl std::fmt::Debug for KeyId {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str("KeyId(..)")
-    }
-}
-
-impl Encode for KeyId {
-    fn encode(&self, w: &mut Writer) {
-        w.put_raw(&self.0);
-    }
-}
-
-impl Decode for KeyId {
-    fn decode(r: &mut Reader) -> p2drm_codec::Result<Self> {
-        Ok(KeyId(r.get_raw(32)?.try_into().expect("fixed width")))
     }
 }
 
@@ -167,13 +157,15 @@ impl Decode for SubjectKey {
     }
 }
 
-/// Inclusive validity window in unix seconds.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Validity {
-    /// First valid second.
-    pub from: u64,
-    /// Last valid second.
-    pub until: u64,
+p2drm_codec::record! {
+    /// Inclusive validity window in unix seconds.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    pub struct Validity {
+        /// First valid second.
+        pub from: u64,
+        /// Last valid second.
+        pub until: u64,
+    }
 }
 
 impl Validity {
@@ -188,62 +180,34 @@ impl Validity {
     }
 }
 
-impl Encode for Validity {
-    fn encode(&self, w: &mut Writer) {
-        w.put_u64(self.from);
-        w.put_u64(self.until);
+p2drm_codec::record! {
+    /// Free-form keyed extension (compliance flags, device class, ...).
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub struct Extension {
+        /// Extension name (short, lowercase by convention).
+        pub key: String,
+        /// Opaque value bytes.
+        pub value: Vec<u8>,
     }
 }
 
-impl Decode for Validity {
-    fn decode(r: &mut Reader) -> p2drm_codec::Result<Self> {
-        Ok(Validity {
-            from: r.get_u64()?,
-            until: r.get_u64()?,
-        })
+p2drm_codec::record! {
+    /// The signed portion of a standard certificate.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub struct CertificateBody {
+        /// Issuer-unique serial number.
+        pub serial: u64,
+        /// What the subject is.
+        pub kind: EntityKind,
+        /// Subject public key.
+        pub subject_key: SubjectKey,
+        /// Key id of the issuing authority's signing key.
+        pub issuer: KeyId,
+        /// Validity window.
+        pub validity: Validity,
+        /// Extensions, sorted by key for canonical encoding.
+        pub extensions: Vec<Extension> as seq,
     }
-}
-
-/// Free-form keyed extension (compliance flags, device class, ...).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Extension {
-    /// Extension name (short, lowercase by convention).
-    pub key: String,
-    /// Opaque value bytes.
-    pub value: Vec<u8>,
-}
-
-impl Encode for Extension {
-    fn encode(&self, w: &mut Writer) {
-        w.put_str(&self.key);
-        w.put_bytes(&self.value);
-    }
-}
-
-impl Decode for Extension {
-    fn decode(r: &mut Reader) -> p2drm_codec::Result<Self> {
-        Ok(Extension {
-            key: r.get_str()?,
-            value: r.get_bytes_owned()?,
-        })
-    }
-}
-
-/// The signed portion of a standard certificate.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct CertificateBody {
-    /// Issuer-unique serial number.
-    pub serial: u64,
-    /// What the subject is.
-    pub kind: EntityKind,
-    /// Subject public key.
-    pub subject_key: SubjectKey,
-    /// Key id of the issuing authority's signing key.
-    pub issuer: KeyId,
-    /// Validity window.
-    pub validity: Validity,
-    /// Extensions, sorted by key for canonical encoding.
-    pub extensions: Vec<Extension>,
 }
 
 impl CertificateBody {
@@ -261,37 +225,15 @@ impl CertificateBody {
     }
 }
 
-impl Encode for CertificateBody {
-    fn encode(&self, w: &mut Writer) {
-        w.put_u64(self.serial);
-        self.kind.encode(w);
-        self.subject_key.encode(w);
-        self.issuer.encode(w);
-        self.validity.encode(w);
-        w.put_seq(&self.extensions);
+p2drm_codec::record! {
+    /// A standard (identified) certificate: body + issuer PKCS#1 signature.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub struct Certificate {
+        /// Signed body.
+        pub body: CertificateBody,
+        /// Issuer signature over [`CertificateBody::signing_bytes`].
+        pub signature: RsaSignature,
     }
-}
-
-impl Decode for CertificateBody {
-    fn decode(r: &mut Reader) -> p2drm_codec::Result<Self> {
-        Ok(CertificateBody {
-            serial: r.get_u64()?,
-            kind: EntityKind::decode(r)?,
-            subject_key: SubjectKey::decode(r)?,
-            issuer: KeyId::decode(r)?,
-            validity: Validity::decode(r)?,
-            extensions: r.get_seq()?,
-        })
-    }
-}
-
-/// A standard (identified) certificate: body + issuer PKCS#1 signature.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Certificate {
-    /// Signed body.
-    pub body: CertificateBody,
-    /// Issuer signature over [`CertificateBody::signing_bytes`].
-    pub signature: RsaSignature,
 }
 
 impl Certificate {
@@ -334,41 +276,27 @@ impl Certificate {
     }
 }
 
-impl Encode for Certificate {
-    fn encode(&self, w: &mut Writer) {
-        self.body.encode(w);
-        self.signature.encode(w);
-    }
-}
-
-impl Decode for Certificate {
-    fn decode(r: &mut Reader) -> p2drm_codec::Result<Self> {
-        Ok(Certificate {
-            body: CertificateBody::decode(r)?,
-            signature: RsaSignature::decode(r)?,
-        })
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Pseudonym certificates (blind-issued)
 // ---------------------------------------------------------------------------
 
-/// The signed portion of a pseudonym certificate.
-///
-/// Contains **no identity**: the pseudonym public key, the TTP identity
-/// escrow (decryptable only by the TTP upon abuse evidence) and an epoch
-/// used to age out pseudonyms. The RA signs its FDH *blindly*, so it never
-/// sees these bytes at issuance time.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct PseudonymCertBody {
-    /// Fresh pseudonym RSA key (license binding / KEM target).
-    pub pseudonym_key: RsaPublicKey,
-    /// `ElGamal_TTP(user id ‖ nonce)`, opened only on abuse.
-    pub escrow: ElGamalCiphertext,
-    /// Issuance epoch (coarse time bucket; not a timestamp, to avoid
-    /// narrowing the anonymity set).
-    pub epoch: u32,
+p2drm_codec::record! {
+    /// The signed portion of a pseudonym certificate.
+    ///
+    /// Contains **no identity**: the pseudonym public key, the TTP identity
+    /// escrow (decryptable only by the TTP upon abuse evidence) and an epoch
+    /// used to age out pseudonyms. The RA signs its FDH *blindly*, so it never
+    /// sees these bytes at issuance time.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub struct PseudonymCertBody {
+        /// Fresh pseudonym RSA key (license binding / KEM target).
+        pub pseudonym_key: RsaPublicKey,
+        /// `ElGamal_TTP(user id ‖ nonce)`, opened only on abuse.
+        pub escrow: ElGamalCiphertext,
+        /// Issuance epoch (coarse time bucket; not a timestamp, to avoid
+        /// narrowing the anonymity set).
+        pub epoch: u32,
+    }
 }
 
 impl PseudonymCertBody {
@@ -378,31 +306,15 @@ impl PseudonymCertBody {
     }
 }
 
-impl Encode for PseudonymCertBody {
-    fn encode(&self, w: &mut Writer) {
-        self.pseudonym_key.encode(w);
-        self.escrow.encode(w);
-        w.put_u32(self.epoch);
+p2drm_codec::record! {
+    /// A blind-issued pseudonym certificate.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub struct PseudonymCertificate {
+        /// Anonymous body.
+        pub body: PseudonymCertBody,
+        /// RA blind signature (FDH-RSA) over the body bytes.
+        pub signature: RsaSignature,
     }
-}
-
-impl Decode for PseudonymCertBody {
-    fn decode(r: &mut Reader) -> p2drm_codec::Result<Self> {
-        Ok(PseudonymCertBody {
-            pseudonym_key: RsaPublicKey::decode(r)?,
-            escrow: ElGamalCiphertext::decode(r)?,
-            epoch: r.get_u32()?,
-        })
-    }
-}
-
-/// A blind-issued pseudonym certificate.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct PseudonymCertificate {
-    /// Anonymous body.
-    pub body: PseudonymCertBody,
-    /// RA blind signature (FDH-RSA) over the body bytes.
-    pub signature: RsaSignature,
 }
 
 impl PseudonymCertificate {
@@ -418,41 +330,27 @@ impl PseudonymCertificate {
     }
 }
 
-impl Encode for PseudonymCertificate {
-    fn encode(&self, w: &mut Writer) {
-        self.body.encode(w);
-        self.signature.encode(w);
-    }
-}
-
-impl Decode for PseudonymCertificate {
-    fn decode(r: &mut Reader) -> p2drm_codec::Result<Self> {
-        Ok(PseudonymCertificate {
-            body: PseudonymCertBody::decode(r)?,
-            signature: RsaSignature::decode(r)?,
-        })
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Attribute certificates (blind-issued, attribute implied by the key)
 // ---------------------------------------------------------------------------
 
-/// The signed portion of an attribute certificate: binds a **pseudonym
-/// key** to an attribute without naming anyone.
-///
-/// The attribute itself is *not* in the body: the issuer keeps one blind
-/// signing key **per attribute**, so a signature under the "adult" key
-/// asserts exactly "the holder of this pseudonym key is an adult". This is
-/// what lets the issuer sign blindly and still vouch for the attribute —
-/// it checks the requester's entitlement before touching that key.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct AttributeCertBody {
-    /// The pseudonym key the attribute is bound to (credential cannot be
-    /// lent: using it requires the card holding this key).
-    pub pseudonym_key: RsaPublicKey,
-    /// Issuance epoch (coarse freshness bucket).
-    pub epoch: u32,
+p2drm_codec::record! {
+    /// The signed portion of an attribute certificate: binds a **pseudonym
+    /// key** to an attribute without naming anyone.
+    ///
+    /// The attribute itself is *not* in the body: the issuer keeps one blind
+    /// signing key **per attribute**, so a signature under the "adult" key
+    /// asserts exactly "the holder of this pseudonym key is an adult". This is
+    /// what lets the issuer sign blindly and still vouch for the attribute —
+    /// it checks the requester's entitlement before touching that key.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub struct AttributeCertBody {
+        /// The pseudonym key the attribute is bound to (credential cannot be
+        /// lent: using it requires the card holding this key).
+        pub pseudonym_key: RsaPublicKey,
+        /// Issuance epoch (coarse freshness bucket).
+        pub epoch: u32,
+    }
 }
 
 impl AttributeCertBody {
@@ -465,33 +363,19 @@ impl AttributeCertBody {
     }
 }
 
-impl Encode for AttributeCertBody {
-    fn encode(&self, w: &mut Writer) {
-        self.pseudonym_key.encode(w);
-        w.put_u32(self.epoch);
+p2drm_codec::record! {
+    /// A blind-issued attribute certificate. Carries the attribute name in the
+    /// clear so verifiers know which issuer key to check — the name is public
+    /// information ("adult"), the *holder* stays pseudonymous.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub struct AttributeCertificate {
+        /// Which attribute this asserts (selects the issuer key).
+        pub attribute: String,
+        /// Anonymous body.
+        pub body: AttributeCertBody,
+        /// Issuer blind signature (FDH-RSA) under the per-attribute key.
+        pub signature: RsaSignature,
     }
-}
-
-impl Decode for AttributeCertBody {
-    fn decode(r: &mut Reader) -> p2drm_codec::Result<Self> {
-        Ok(AttributeCertBody {
-            pseudonym_key: RsaPublicKey::decode(r)?,
-            epoch: r.get_u32()?,
-        })
-    }
-}
-
-/// A blind-issued attribute certificate. Carries the attribute name in the
-/// clear so verifiers know which issuer key to check — the name is public
-/// information ("adult"), the *holder* stays pseudonymous.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct AttributeCertificate {
-    /// Which attribute this asserts (selects the issuer key).
-    pub attribute: String,
-    /// Anonymous body.
-    pub body: AttributeCertBody,
-    /// Issuer blind signature (FDH-RSA) under the per-attribute key.
-    pub signature: RsaSignature,
 }
 
 impl AttributeCertificate {
@@ -504,24 +388,6 @@ impl AttributeCertificate {
     /// The pseudonym this credential is bound to.
     pub fn pseudonym_id(&self) -> KeyId {
         KeyId::of_rsa(&self.body.pseudonym_key)
-    }
-}
-
-impl Encode for AttributeCertificate {
-    fn encode(&self, w: &mut Writer) {
-        w.put_str(&self.attribute);
-        self.body.encode(w);
-        self.signature.encode(w);
-    }
-}
-
-impl Decode for AttributeCertificate {
-    fn decode(r: &mut Reader) -> p2drm_codec::Result<Self> {
-        Ok(AttributeCertificate {
-            attribute: r.get_str()?,
-            body: AttributeCertBody::decode(r)?,
-            signature: RsaSignature::decode(r)?,
-        })
     }
 }
 

@@ -73,20 +73,22 @@ impl Decode for RevocationList {
     }
 }
 
-/// A CRL signed by its issuing authority, with a sequence number so relying
-/// parties can require freshness.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct SignedCrl {
-    /// Issuer key id.
-    pub issuer: KeyId,
-    /// Monotonic sequence number.
-    pub sequence: u64,
-    /// Issuance time (unix seconds).
-    pub issued_at: u64,
-    /// The list itself.
-    pub list: RevocationList,
-    /// Issuer signature over the canonical encoding of the above.
-    pub signature: RsaSignature,
+p2drm_codec::record! {
+    /// A CRL signed by its issuing authority, with a sequence number so relying
+    /// parties can require freshness.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub struct SignedCrl {
+        /// Issuer key id.
+        pub issuer: KeyId,
+        /// Monotonic sequence number.
+        pub sequence: u64,
+        /// Issuance time (unix seconds).
+        pub issued_at: u64,
+        /// The list itself.
+        pub list: RevocationList,
+        /// Issuer signature over the canonical encoding of the above.
+        pub signature: RsaSignature,
+    }
 }
 
 impl SignedCrl {
@@ -131,28 +133,6 @@ impl SignedCrl {
         issuer_key
             .verify(&payload, &self.signature)
             .map_err(|_| crate::PkiError::BadSignature)
-    }
-}
-
-impl Encode for SignedCrl {
-    fn encode(&self, w: &mut Writer) {
-        self.issuer.encode(w);
-        w.put_u64(self.sequence);
-        w.put_u64(self.issued_at);
-        self.list.encode(w);
-        self.signature.encode(w);
-    }
-}
-
-impl Decode for SignedCrl {
-    fn decode(r: &mut Reader) -> p2drm_codec::Result<Self> {
-        Ok(SignedCrl {
-            issuer: KeyId::decode(r)?,
-            sequence: r.get_u64()?,
-            issued_at: r.get_u64()?,
-            list: RevocationList::decode(r)?,
-            signature: RsaSignature::decode(r)?,
-        })
     }
 }
 

@@ -112,14 +112,16 @@ impl Decode for Limit {
     }
 }
 
-/// Half-open-free validity window `[from, until]` in unix seconds; either
-/// bound may be absent.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct Window {
-    /// Earliest valid second (None = no lower bound).
-    pub from: Option<u64>,
-    /// Latest valid second (None = no upper bound).
-    pub until: Option<u64>,
+p2drm_codec::record! {
+    /// Half-open-free validity window `[from, until]` in unix seconds; either
+    /// bound may be absent.
+    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+    pub struct Window {
+        /// Earliest valid second (None = no lower bound).
+        pub from: Option<u64>,
+        /// Latest valid second (None = no upper bound).
+        pub until: Option<u64>,
+    }
 }
 
 impl Window {
@@ -134,39 +136,25 @@ impl Window {
     }
 }
 
-impl Encode for Window {
-    fn encode(&self, w: &mut Writer) {
-        w.put_option(&self.from);
-        w.put_option(&self.until);
+p2drm_codec::record! {
+    /// A complete rights expression.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub struct Rights {
+        /// Play limit.
+        pub play: Limit,
+        /// Copy limit.
+        pub copy: Limit,
+        /// Transfer limit.
+        pub transfer: Limit,
+        /// Validity window.
+        pub window: Window,
+        /// Device binding: if set, only this device (by 32-byte id) may render.
+        pub device: Option<[u8; 32]>,
+        /// Authorized-domain binding (domain name).
+        pub domain: Option<String>,
+        /// Region allowlist (empty = everywhere); uppercase codes.
+        pub regions: Vec<String> as seq,
     }
-}
-
-impl Decode for Window {
-    fn decode(r: &mut Reader) -> p2drm_codec::Result<Self> {
-        Ok(Window {
-            from: r.get_option()?,
-            until: r.get_option()?,
-        })
-    }
-}
-
-/// A complete rights expression.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Rights {
-    /// Play limit.
-    pub play: Limit,
-    /// Copy limit.
-    pub copy: Limit,
-    /// Transfer limit.
-    pub transfer: Limit,
-    /// Validity window.
-    pub window: Window,
-    /// Device binding: if set, only this device (by 32-byte id) may render.
-    pub device: Option<[u8; 32]>,
-    /// Authorized-domain binding (domain name).
-    pub domain: Option<String>,
-    /// Region allowlist (empty = everywhere); uppercase codes.
-    pub regions: Vec<String>,
 }
 
 impl Rights {
@@ -204,47 +192,6 @@ impl Default for Rights {
             domain: None,
             regions: Vec::new(),
         }
-    }
-}
-
-impl Encode for Rights {
-    fn encode(&self, w: &mut Writer) {
-        self.play.encode(w);
-        self.copy.encode(w);
-        self.transfer.encode(w);
-        self.window.encode(w);
-        match &self.device {
-            None => w.put_u8(0),
-            Some(d) => {
-                w.put_u8(1);
-                w.put_raw(d);
-            }
-        }
-        w.put_option(&self.domain);
-        w.put_seq(&self.regions);
-    }
-}
-
-impl Decode for Rights {
-    fn decode(r: &mut Reader) -> p2drm_codec::Result<Self> {
-        let play = Limit::decode(r)?;
-        let copy = Limit::decode(r)?;
-        let transfer = Limit::decode(r)?;
-        let window = Window::decode(r)?;
-        let device = match r.get_u8()? {
-            0 => None,
-            1 => Some(r.get_raw(32)?.try_into().expect("fixed width")),
-            d => return Err(p2drm_codec::CodecError::BadDiscriminant(d)),
-        };
-        Ok(Rights {
-            play,
-            copy,
-            transfer,
-            window,
-            device,
-            domain: r.get_option()?,
-            regions: r.get_seq()?,
-        })
     }
 }
 

@@ -41,15 +41,17 @@ pub mod printer;
 pub use ast::{Action, Limit, Rights, RightsBuilder, Window};
 pub use eval::{AccessRequest, Decision, DenyReason};
 
-/// Per-license consumption counters, persisted by the enforcing device.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct RightsState {
-    /// Plays consumed so far.
-    pub plays_used: u32,
-    /// Copies made so far.
-    pub copies_used: u32,
-    /// Transfers performed so far.
-    pub transfers_used: u32,
+p2drm_codec::record! {
+    /// Per-license consumption counters, persisted by the enforcing device.
+    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+    pub struct RightsState {
+        /// Plays consumed so far.
+        pub plays_used: u32,
+        /// Copies made so far.
+        pub copies_used: u32,
+        /// Transfers performed so far.
+        pub transfers_used: u32,
+    }
 }
 
 impl RightsState {
@@ -74,24 +76,6 @@ impl RightsState {
             Action::Copy => self.copies_used += 1,
             Action::Transfer => self.transfers_used += 1,
         }
-    }
-}
-
-impl p2drm_codec::Encode for RightsState {
-    fn encode(&self, w: &mut p2drm_codec::Writer) {
-        w.put_u32(self.plays_used);
-        w.put_u32(self.copies_used);
-        w.put_u32(self.transfers_used);
-    }
-}
-
-impl p2drm_codec::Decode for RightsState {
-    fn decode(r: &mut p2drm_codec::Reader) -> p2drm_codec::Result<Self> {
-        Ok(RightsState {
-            plays_used: r.get_u32()?,
-            copies_used: r.get_u32()?,
-            transfers_used: r.get_u32()?,
-        })
     }
 }
 

@@ -6,7 +6,7 @@
 
 use p2drm::core::protocol::messages::{
     AttributeIssueRequest, CatalogRequest, CrlSyncRequest, DownloadRequest, LicenseStatusRequest,
-    PseudonymIssueRequest, PurchaseRequest, TransferRequest,
+    MetricsDumpRequest, PseudonymIssueRequest, PurchaseRequest, TransferRequest,
 };
 use p2drm::core::service::{
     correlation_hint, ApiErrorCode, ProviderService, RequestEnvelope, ResponseEnvelope,
@@ -75,46 +75,29 @@ fn fuzzbed(seed: u64) -> Fuzzbed {
     };
 
     let bodies = vec![
-        ("purchase", WireRequest::Purchase(purchase)),
-        (
-            "download",
-            WireRequest::Download(DownloadRequest { content_id: cid }),
-        ),
-        ("transfer", WireRequest::Transfer(transfer)),
-        (
-            "pseudonym-issue",
-            WireRequest::PseudonymIssue(pseudonym_issue),
-        ),
-        (
-            "attribute-issue",
-            WireRequest::AttributeIssue(attribute_issue),
-        ),
-        (
-            "crl-sync",
-            WireRequest::CrlSync(CrlSyncRequest {
-                license_seq: 0,
-                pseudonym_seq: 0,
-            }),
-        ),
-        (
-            "catalog",
-            WireRequest::Catalog(CatalogRequest {
-                content_id: Some(cid),
-            }),
-        ),
-        (
-            "license-status",
-            WireRequest::LicenseStatus(LicenseStatusRequest {
-                license_id: license.id(),
-            }),
-        ),
+        WireRequest::Purchase(purchase),
+        WireRequest::Download(DownloadRequest { content_id: cid }),
+        WireRequest::Transfer(transfer),
+        WireRequest::PseudonymIssue(pseudonym_issue),
+        WireRequest::AttributeIssue(attribute_issue),
+        WireRequest::CrlSync(CrlSyncRequest {
+            license_seq: 0,
+            pseudonym_seq: 0,
+        }),
+        WireRequest::Catalog(CatalogRequest {
+            content_id: Some(cid),
+        }),
+        WireRequest::LicenseStatus(LicenseStatusRequest {
+            license_id: license.id(),
+        }),
+        WireRequest::MetricsDump(MetricsDumpRequest {}),
     ];
     let envelopes = bodies
         .into_iter()
         .enumerate()
-        .map(|(i, (label, body))| {
+        .map(|(i, body)| {
             (
-                label,
+                body.opcode().label(),
                 RequestEnvelope {
                     correlation_id: 0xF077 + i as u64,
                     body,
