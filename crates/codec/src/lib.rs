@@ -466,6 +466,23 @@ impl Decode for u32 {
     }
 }
 
+/// A `usize` travels as a `u64`; one above `usize::MAX` (on a target
+/// narrower than 64 bits) is refused, not wrapped.
+impl Encode for usize {
+    #[inline]
+    fn encode(&self, w: &mut Writer) {
+        w.put_u64(*self as u64);
+    }
+}
+
+impl Decode for usize {
+    #[inline]
+    fn decode(r: &mut Reader) -> Result<Self> {
+        let n = r.get_u64()?;
+        usize::try_from(n).map_err(|_| CodecError::BadLength(n))
+    }
+}
+
 impl Encode for bool {
     #[inline]
     fn encode(&self, w: &mut Writer) {
@@ -701,6 +718,16 @@ mod tests {
         let mut bytes = to_bytes(&42u64);
         bytes.push(0);
         assert_eq!(from_bytes::<u64>(&bytes), Err(CodecError::TrailingBytes(1)));
+    }
+
+    #[test]
+    fn usize_is_a_u64_that_decodes_only_where_it_fits() {
+        assert_eq!(to_bytes(&7usize), to_bytes(&7u64));
+        let max = from_bytes::<usize>(&to_bytes(&u64::MAX));
+        match usize::BITS == 64 {
+            true => assert_eq!(max, Ok(usize::MAX)),
+            false => assert_eq!(max, Err(CodecError::BadLength(u64::MAX))),
+        }
     }
 
     #[test]

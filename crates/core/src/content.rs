@@ -39,7 +39,7 @@
 //! and the snapshot invalidation.
 
 use crate::ids::ContentId;
-use p2drm_codec::{CodecError, Decode, Encode, Reader, Writer};
+use p2drm_codec::{CodecError, Decode, Reader, Writer};
 use p2drm_crypto::chacha20;
 use p2drm_crypto::rng::CryptoRng;
 use p2drm_rel::Rights;
@@ -47,19 +47,21 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
-/// Public catalog metadata for one item.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ContentMeta {
-    /// Catalog id.
-    pub id: ContentId,
-    /// Display title.
-    pub title: String,
-    /// Price in minor units.
-    pub price: u64,
-    /// Ciphertext size (what a client downloads).
-    pub size: usize,
-    /// Attribute buyers must prove (e.g. "adult"); None = unrestricted.
-    pub required_attribute: Option<String>,
+p2drm_codec::record! {
+    /// Public catalog metadata for one item.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub struct ContentMeta {
+        /// Catalog id.
+        pub id: ContentId,
+        /// Display title.
+        pub title: String,
+        /// Price in minor units.
+        pub price: u64,
+        /// Ciphertext size (what a client downloads).
+        pub size: usize,
+        /// Attribute buyers must prove (e.g. "adult"); None = unrestricted.
+        pub required_attribute: Option<String>,
+    }
 }
 
 p2drm_codec::record! {
@@ -119,28 +121,6 @@ impl PackagedContent {
             nonce: self.nonce,
             rights,
         }
-    }
-}
-
-impl Encode for ContentMeta {
-    fn encode(&self, w: &mut Writer) {
-        self.id.encode(w);
-        w.put_str(&self.title);
-        w.put_u64(self.price);
-        w.put_u64(self.size as u64);
-        w.put_option(&self.required_attribute);
-    }
-}
-
-impl Decode for ContentMeta {
-    fn decode(r: &mut Reader) -> p2drm_codec::Result<Self> {
-        Ok(ContentMeta {
-            id: ContentId::decode(r)?,
-            title: r.get_str()?,
-            price: r.get_u64()?,
-            size: r.get_u64()? as usize,
-            required_attribute: r.get_option()?,
-        })
     }
 }
 

@@ -172,15 +172,15 @@ impl<S: ConcurrentKv> CompliantDevice<S> {
     ) -> Result<(), CoreError> {
         license_crl.verify(&self.provider_key)?;
         pseudonym_crl.verify(&self.provider_key)?;
-        if license_crl.sequence < self.license_crl_seq
-            || pseudonym_crl.sequence < self.pseudonym_crl_seq
+        if license_crl.body.sequence < self.license_crl_seq
+            || pseudonym_crl.body.sequence < self.pseudonym_crl_seq
         {
             return Err(CoreError::BadLicense("stale CRL rejected"));
         }
-        self.license_crl = license_crl.list.clone();
-        self.pseudonym_crl = pseudonym_crl.list.clone();
-        self.license_crl_seq = license_crl.sequence;
-        self.pseudonym_crl_seq = pseudonym_crl.sequence;
+        self.license_crl = license_crl.body.list.clone();
+        self.pseudonym_crl = pseudonym_crl.body.list.clone();
+        self.license_crl_seq = license_crl.body.sequence;
+        self.pseudonym_crl_seq = pseudonym_crl.body.sequence;
         Ok(())
     }
 

@@ -209,24 +209,6 @@ mod tests {
     }
 
     #[test]
-    fn revoked_card_cannot_obtain_pseudonyms() {
-        let mut f = fixture(164);
-        let mut rng = test_rng(165);
-        f.ra.revoke_user(&f.user.user_id()).unwrap();
-        let mut t = Transcript::new();
-        let res = obtain_pseudonym(
-            &mut f.user,
-            &f.ra,
-            f.ttp.escrow_key(),
-            0,
-            100,
-            &mut rng,
-            &mut t,
-        );
-        assert!(matches!(res, Err(CoreError::Revoked(_))));
-    }
-
-    #[test]
     fn distinct_pseudonyms_unlinkable_by_content() {
         let mut f = fixture(166);
         let mut rng = test_rng(167);

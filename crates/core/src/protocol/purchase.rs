@@ -110,34 +110,9 @@ impl PurchaseSession {
 mod tests {
     use super::*;
     use crate::audit::{Party, Transcript};
-    use crate::ids::ContentId;
-    use crate::service::{ApiErrorCode, WireError};
+    use crate::service::WireError;
     use crate::system::{System, SystemConfig};
     use p2drm_crypto::rng::test_rng;
-
-    #[test]
-    fn purchase_yields_valid_license_bound_to_pseudonym() {
-        let mut rng = test_rng(170);
-        let sys = System::bootstrap(SystemConfig::fast_test(), &mut rng);
-        let cid = sys.publish_content("T", 100, b"payload", &mut rng);
-        let mut alice = sys.register_user("alice", &mut rng).unwrap();
-        sys.fund(&alice, 500);
-
-        let mut t = Transcript::new();
-        let license = sys
-            .purchase_with_transcript(&mut alice, cid, &mut rng, &mut t)
-            .unwrap();
-
-        assert!(license.verify(sys.provider.public_key()).is_ok());
-        let cert = alice.pseudonym_certs().last().unwrap();
-        assert_eq!(
-            p2drm_pki::cert::KeyId::of_rsa(&license.body.holder),
-            cert.pseudonym_id()
-        );
-        assert_eq!(alice.licenses().len(), 1);
-        // Catalogue quote and purchase, a request and a reply each.
-        assert_eq!(t.message_count(), 4);
-    }
 
     #[test]
     fn provider_receives_no_identity_bytes() {
@@ -175,40 +150,13 @@ mod tests {
     }
 
     #[test]
-    fn unknown_content_and_no_funds_fail_cleanly() {
+    fn no_funds_fails_before_anything_is_sent() {
         let mut rng = test_rng(173);
         let sys = System::bootstrap(SystemConfig::fast_test(), &mut rng);
         let cid = sys.publish_content("T", 100, b"payload", &mut rng);
         let mut alice = sys.register_user("alice", &mut rng).unwrap();
-
-        let res = sys.purchase(&mut alice, ContentId::from_label("ghost"), &mut rng);
-        assert!(
-            matches!(&res, Err(WireError::Api(e)) if e.code == ApiErrorCode::UnknownContent),
-            "{res:?}"
-        );
-
-        // No funding: withdrawal fails before anything is sent.
         let res = sys.purchase(&mut alice, cid, &mut rng);
         assert!(matches!(res, Err(WireError::Client(CoreError::Payment(_)))));
         assert!(alice.licenses().is_empty());
-    }
-
-    #[test]
-    fn stale_pseudonym_epoch_rejected() {
-        let mut rng = test_rng(174);
-        let mut sys = System::bootstrap(SystemConfig::fast_test(), &mut rng);
-        let cid = sys.publish_content("T", 100, b"payload", &mut rng);
-        let mut alice = sys.register_user("alice", &mut rng).unwrap();
-        sys.fund(&alice, 500);
-        sys.ensure_pseudonym(&mut alice, &mut rng).unwrap();
-        // Advance past the epoch window.
-        for _ in 0..10 {
-            sys.advance_epoch();
-        }
-        let res = sys.purchase(&mut alice, cid, &mut rng);
-        assert!(
-            matches!(&res, Err(WireError::Api(e)) if e.code == ApiErrorCode::BadPseudonym),
-            "{res:?}"
-        );
     }
 }

@@ -98,150 +98,3 @@ pub fn deanonymize_and_punish<B: ConcurrentKv>(
     provider.revoke_pseudonym(cert.pseudonym_id())?;
     Ok(user)
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::system::{System, SystemConfig};
-    use crate::CoreError;
-    use p2drm_crypto::rng::test_rng;
-
-    /// Builds genuine double-transfer evidence by having Alice sign two
-    /// authorizations for the same license.
-    fn make_evidence(
-        sys: &mut System,
-        rng: &mut rand::rngs::StdRng,
-    ) -> (AbuseEvidence, PseudonymCertificate, UserId) {
-        let cid = sys.publish_content("T", 100, b"D", rng);
-        let mut alice = sys.register_user("mallory", rng).unwrap();
-        sys.fund(&alice, 1000);
-        let license = sys.purchase(&mut alice, cid, rng).unwrap();
-        let alice_pseudonym = alice.licenses()[0].pseudonym;
-        let alice_cert = alice
-            .pseudonym_certs()
-            .iter()
-            .find(|c| c.pseudonym_id() == alice_pseudonym)
-            .unwrap()
-            .clone();
-
-        let mut bob = sys.register_user("bob2", rng).unwrap();
-        let mut carol = sys.register_user("carol2", rng).unwrap();
-        sys.ensure_pseudonym(&mut bob, rng).unwrap();
-        sys.ensure_pseudonym(&mut carol, rng).unwrap();
-        let bob_cert = bob.pseudonym_certs().last().unwrap().clone();
-        let carol_cert = carol.pseudonym_certs().last().unwrap().clone();
-
-        let mk = |recipient: &PseudonymCertificate, alice: &crate::entities::UserAgent| {
-            let msg = transfer_proof_bytes(&license.id(), &recipient.pseudonym_id());
-            TransferRequest {
-                license: license.clone(),
-                recipient_cert: recipient.clone(),
-                proof: alice
-                    .card
-                    .sign_with_pseudonym(&alice_pseudonym, &msg)
-                    .unwrap(),
-            }
-        };
-        let evidence = AbuseEvidence::DoubleTransfer {
-            first: mk(&bob_cert, &alice),
-            second: mk(&carol_cert, &alice),
-        };
-        (evidence, alice_cert, alice.user_id())
-    }
-
-    #[test]
-    fn genuine_evidence_deanonymizes_correct_user() {
-        let mut rng = test_rng(200);
-        let mut sys = System::bootstrap(SystemConfig::fast_test(), &mut rng);
-        let (evidence, cert, expected_user) = make_evidence(&mut sys, &mut rng);
-        let mut t = Transcript::new();
-        let user = deanonymize_and_punish(
-            &mut sys.ttp,
-            &sys.ra,
-            &sys.provider,
-            &evidence,
-            &cert,
-            &mut t,
-        )
-        .unwrap();
-        assert_eq!(user, expected_user);
-        assert_eq!(sys.ttp.audit_log().len(), 1);
-        assert_eq!(sys.ttp.audit_log()[0].reason, "double-transfer");
-        // Pseudonym now refused by the provider.
-        assert!(matches!(
-            sys.provider.verify_pseudonym(&cert, sys.epoch()),
-            Err(CoreError::BadPseudonym("pseudonym revoked"))
-        ));
-    }
-
-    #[test]
-    fn revoked_user_cannot_get_new_pseudonyms() {
-        let mut rng = test_rng(201);
-        let mut sys = System::bootstrap(SystemConfig::fast_test(), &mut rng);
-        let (evidence, cert, _) = make_evidence(&mut sys, &mut rng);
-        let mut t = Transcript::new();
-        deanonymize_and_punish(
-            &mut sys.ttp,
-            &sys.ra,
-            &sys.provider,
-            &evidence,
-            &cert,
-            &mut t,
-        )
-        .unwrap();
-        // mallory's card is revoked; new pseudonym issuance fails. We need
-        // the same UserAgent — recreate the flow with a fresh purchase
-        // attempt by looking the user up again is impossible (card moved),
-        // so verify via the RA's CRL directly.
-        assert_eq!(sys.ra.signed_card_crl(0).list.len(), 1);
-    }
-
-    #[test]
-    fn forged_evidence_rejected_without_deanonymization() {
-        let mut rng = test_rng(202);
-        let mut sys = System::bootstrap(SystemConfig::fast_test(), &mut rng);
-        let (evidence, cert, _) = make_evidence(&mut sys, &mut rng);
-
-        // Tamper: same recipient twice (replay, not abuse).
-        let AbuseEvidence::DoubleTransfer { first, .. } = &evidence;
-        {
-            let replay = AbuseEvidence::DoubleTransfer {
-                first: first.clone(),
-                second: first.clone(),
-            };
-            let mut t = Transcript::new();
-            let res = deanonymize_and_punish(
-                &mut sys.ttp,
-                &sys.ra,
-                &sys.provider,
-                &replay,
-                &cert,
-                &mut t,
-            );
-            assert!(matches!(res, Err(CoreError::BadEvidence(_))));
-            assert!(sys.ttp.audit_log().is_empty(), "no opening logged");
-        }
-    }
-
-    #[test]
-    fn evidence_against_wrong_cert_rejected() {
-        let mut rng = test_rng(203);
-        let mut sys = System::bootstrap(SystemConfig::fast_test(), &mut rng);
-        let (evidence, _cert, _) = make_evidence(&mut sys, &mut rng);
-        // Accuse an innocent user's pseudonym.
-        let mut innocent = sys.register_user("innocent", &mut rng).unwrap();
-        sys.ensure_pseudonym(&mut innocent, &mut rng).unwrap();
-        let innocent_cert = innocent.pseudonym_certs().last().unwrap().clone();
-        let mut t = Transcript::new();
-        let res = deanonymize_and_punish(
-            &mut sys.ttp,
-            &sys.ra,
-            &sys.provider,
-            &evidence,
-            &innocent_cert,
-            &mut t,
-        );
-        assert!(matches!(res, Err(CoreError::BadEvidence(_))));
-        assert!(sys.ttp.audit_log().is_empty());
-    }
-}

@@ -491,7 +491,7 @@ impl<T: Transport> WireClient<T> {
             pseudonym_seq: 0,
         };
         let reply = self.exchange(request)?;
-        self.now_hint = Some(reply.license_crl.issued_at);
+        self.now_hint = Some(reply.license_crl.body.issued_at);
         device.sync_crls(&reply.license_crl, &reply.pseudonym_crl)?;
         Ok(())
     }
@@ -515,8 +515,8 @@ impl<T: Transport> WireClient<T> {
             license_seq: 0,
             pseudonym_seq: 0,
         })?;
-        self.now_hint = Some(reply.license_crl.issued_at);
-        Ok(reply.license_crl.issued_at)
+        self.now_hint = Some(reply.license_crl.body.issued_at);
+        Ok(reply.license_crl.body.issued_at)
     }
 }
 

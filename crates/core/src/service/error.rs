@@ -4,132 +4,104 @@
 use crate::CoreError;
 use p2drm_codec::{CodecError, Decode, Encode, Reader, Writer};
 
-/// Stable numeric error taxonomy carried in [`ApiError`] responses.
-///
-/// Codes are part of the wire contract: a variant's number never changes,
-/// and new codes extend the table. Unknown codes received from a newer
-/// peer decode to [`ApiErrorCode::Unrecognized`], preserving the raw
-/// number. 22, 53 and 80 are retired (no handler could raise them) and
-/// are never reassigned; they too decode as `Unrecognized`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum ApiErrorCode {
-    /// Request bytes failed to decode (truncated, trailing garbage,
-    /// non-canonical encoding).
-    MalformedRequest,
-    /// Envelope version byte unknown to this endpoint.
-    UnsupportedVersion,
-    /// Envelope op-code unknown (or `Error` in a request).
-    UnknownOpcode,
-    /// The op exists but this endpoint does not serve it (e.g. no RA
-    /// attached).
-    ServiceUnavailable,
-    /// Cryptographic failure other than a bad signature.
-    Crypto,
-    /// A signature failed to verify.
-    BadSignature,
-    /// Certificate invalid (issuer, structure, key type).
-    Certificate,
-    /// Certificate outside its validity window.
-    CertificateExpired,
-    /// Payment failure other than the two named below.
-    Payment,
-    /// Coin or balance does not cover the price.
-    InsufficientFunds,
-    /// Coin serial already deposited.
-    DoubleSpend,
-    /// Server-side storage failure.
-    Storage,
-    /// License signature or structure invalid.
-    BadLicense,
-    /// License id already redeemed/transferred (the paper's unique-ID
-    /// rule).
-    AlreadyRedeemed,
-    /// Rights denied the requested action.
-    RightsDenied,
-    /// Entity revoked (card, pseudonym, license).
-    Revoked,
-    /// Pseudonym certificate rejected.
-    BadPseudonym,
-    /// Holder/authentication proof failed.
-    BadProof,
-    /// Smart card refused (budget, entitlement, unknown card).
-    CardRefused,
-    /// Evidence failed verification at the TTP.
-    BadEvidence,
-    /// Unknown content id.
-    UnknownContent,
-    /// Unknown license id.
-    UnknownLicense,
-    /// Big-number arithmetic failure.
-    Arithmetic,
-    /// Unclassified server-side failure.
-    Internal,
-    /// A code minted by a newer peer; the raw number is preserved.
-    Unrecognized(u16),
+/// Writes [`ApiErrorCode`] from one table of variants and wire numbers:
+/// the enum, [`ApiErrorCode::code`] and [`ApiErrorCode::from_code`].
+macro_rules! api_error_codes {
+    (
+        $(#[$attr:meta])*
+        pub enum $name:ident {
+            $($(#[$doc:meta])* $code:ident = $number:literal,)*
+        }
+    ) => {
+        $(#[$attr])*
+        #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+        pub enum $name {
+            $($(#[$doc])* $code,)*
+            /// A code minted by a newer peer; the raw number is preserved.
+            Unrecognized(u16),
+        }
+
+        impl $name {
+            /// The stable numeric code.
+            pub fn code(self) -> u16 {
+                match self {
+                    $($name::$code => $number,)*
+                    $name::Unrecognized(raw) => raw,
+                }
+            }
+
+            /// Maps a wire number back to its variant (unknown numbers are
+            /// preserved as [`ApiErrorCode::Unrecognized`]).
+            pub fn from_code(code: u16) -> $name {
+                match code {
+                    $($number => $name::$code,)*
+                    raw => $name::Unrecognized(raw),
+                }
+            }
+        }
+    };
 }
 
-impl ApiErrorCode {
-    /// The stable numeric code.
-    pub fn code(self) -> u16 {
-        match self {
-            ApiErrorCode::MalformedRequest => 1,
-            ApiErrorCode::UnsupportedVersion => 2,
-            ApiErrorCode::UnknownOpcode => 3,
-            ApiErrorCode::ServiceUnavailable => 4,
-            ApiErrorCode::Crypto => 10,
-            ApiErrorCode::BadSignature => 11,
-            ApiErrorCode::Certificate => 20,
-            ApiErrorCode::CertificateExpired => 21,
-            ApiErrorCode::Payment => 30,
-            ApiErrorCode::InsufficientFunds => 31,
-            ApiErrorCode::DoubleSpend => 32,
-            ApiErrorCode::Storage => 40,
-            ApiErrorCode::BadLicense => 50,
-            ApiErrorCode::AlreadyRedeemed => 51,
-            ApiErrorCode::RightsDenied => 52,
-            ApiErrorCode::Revoked => 60,
-            ApiErrorCode::BadPseudonym => 61,
-            ApiErrorCode::BadProof => 62,
-            ApiErrorCode::CardRefused => 63,
-            ApiErrorCode::BadEvidence => 64,
-            ApiErrorCode::UnknownContent => 70,
-            ApiErrorCode::UnknownLicense => 71,
-            ApiErrorCode::Arithmetic => 90,
-            ApiErrorCode::Internal => 99,
-            ApiErrorCode::Unrecognized(raw) => raw,
-        }
-    }
-
-    /// Maps a wire number back to its variant (unknown numbers are
-    /// preserved as [`ApiErrorCode::Unrecognized`]).
-    pub fn from_code(code: u16) -> ApiErrorCode {
-        match code {
-            1 => ApiErrorCode::MalformedRequest,
-            2 => ApiErrorCode::UnsupportedVersion,
-            3 => ApiErrorCode::UnknownOpcode,
-            4 => ApiErrorCode::ServiceUnavailable,
-            10 => ApiErrorCode::Crypto,
-            11 => ApiErrorCode::BadSignature,
-            20 => ApiErrorCode::Certificate,
-            21 => ApiErrorCode::CertificateExpired,
-            30 => ApiErrorCode::Payment,
-            31 => ApiErrorCode::InsufficientFunds,
-            32 => ApiErrorCode::DoubleSpend,
-            40 => ApiErrorCode::Storage,
-            50 => ApiErrorCode::BadLicense,
-            51 => ApiErrorCode::AlreadyRedeemed,
-            52 => ApiErrorCode::RightsDenied,
-            60 => ApiErrorCode::Revoked,
-            61 => ApiErrorCode::BadPseudonym,
-            62 => ApiErrorCode::BadProof,
-            63 => ApiErrorCode::CardRefused,
-            64 => ApiErrorCode::BadEvidence,
-            70 => ApiErrorCode::UnknownContent,
-            71 => ApiErrorCode::UnknownLicense,
-            90 => ApiErrorCode::Arithmetic,
-            99 => ApiErrorCode::Internal,
-            raw => ApiErrorCode::Unrecognized(raw),
-        }
+api_error_codes! {
+    /// Stable numeric error taxonomy carried in [`ApiError`] responses.
+    ///
+    /// Codes are part of the wire contract: a variant's number never changes,
+    /// and new codes extend the table. Unknown codes received from a newer
+    /// peer decode to [`ApiErrorCode::Unrecognized`], preserving the raw
+    /// number. 22, 53 and 80 are retired (no handler could raise them) and
+    /// are never reassigned; they too decode as `Unrecognized`.
+    pub enum ApiErrorCode {
+        /// Request bytes failed to decode (truncated, trailing garbage,
+        /// non-canonical encoding).
+        MalformedRequest = 1,
+        /// Envelope version byte unknown to this endpoint.
+        UnsupportedVersion = 2,
+        /// Envelope op-code unknown (or `Error` in a request).
+        UnknownOpcode = 3,
+        /// The op exists but this endpoint does not serve it (e.g. no RA
+        /// attached).
+        ServiceUnavailable = 4,
+        /// Cryptographic failure other than a bad signature.
+        Crypto = 10,
+        /// A signature failed to verify.
+        BadSignature = 11,
+        /// Certificate invalid (issuer, structure, key type).
+        Certificate = 20,
+        /// Certificate outside its validity window.
+        CertificateExpired = 21,
+        /// Payment failure other than the two named below.
+        Payment = 30,
+        /// Coin or balance does not cover the price.
+        InsufficientFunds = 31,
+        /// Coin serial already deposited.
+        DoubleSpend = 32,
+        /// Server-side storage failure.
+        Storage = 40,
+        /// License signature or structure invalid.
+        BadLicense = 50,
+        /// License id already redeemed/transferred (the paper's unique-ID
+        /// rule).
+        AlreadyRedeemed = 51,
+        /// Rights denied the requested action.
+        RightsDenied = 52,
+        /// Entity revoked (card, pseudonym, license).
+        Revoked = 60,
+        /// Pseudonym certificate rejected.
+        BadPseudonym = 61,
+        /// Holder/authentication proof failed.
+        BadProof = 62,
+        /// Smart card refused (budget, entitlement, unknown card).
+        CardRefused = 63,
+        /// Evidence failed verification at the TTP.
+        BadEvidence = 64,
+        /// Unknown content id.
+        UnknownContent = 70,
+        /// Unknown license id.
+        UnknownLicense = 71,
+        /// Big-number arithmetic failure.
+        Arithmetic = 90,
+        /// Unclassified server-side failure.
+        Internal = 99,
     }
 }
 

@@ -21,11 +21,15 @@
 //! become the side channel that links them. Metric names, span ops and
 //! stage labels are `&'static str` — fixed at compile time — and every
 //! recorded value is a duration or a count. No pseudonym, card id,
-//! license id or coin serial may enter the registry or a span; the
-//! workspace lint's taint pass checks instrumented call sites for
-//! exactly that flow. The only request-derived field a span carries is
-//! the wire correlation id, which the *client* chooses for pipelining
-//! and which is already visible on the wire.
+//! license id or coin serial may enter the registry or a span. The
+//! types hold that rule, not a lint: a name must be a `&'static str`,
+//! so no id can be formatted into one, and the linkable ids
+//! (`p2drm_core::ids`) have no `Display` or hex rendering and a `Debug`
+//! that prints a redaction. Nothing stops a count derived from an id
+//! from being recorded, since a metric's value slot is a plain number.
+//! The only request-derived field a span carries is the wire
+//! correlation id, which the *client* chooses for pipelining and which
+//! is already visible on the wire.
 #![cfg_attr(
     not(test),
     deny(

@@ -13,9 +13,10 @@
 //!
 //! **Privacy rule:** metric names are `&'static str` and values are
 //! durations and counts only. No pseudonym, card id, license id or
-//! coin serial may enter the registry — the lint taint pass flags
-//! tainted identifiers reaching a metric or span call in instrumented
-//! modules.
+//! coin serial may enter the registry: a name cannot be formatted from
+//! an id, and the linkable ids have no `Display` or hex rendering and a
+//! redacting `Debug` (crate docs). A count derived from an id still
+//! records, since a value slot is a plain number.
 
 use crate::hist::{AtomicHistogram, Histogram, Summary};
 use std::collections::BTreeMap;

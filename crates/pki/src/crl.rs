@@ -74,10 +74,10 @@ impl Decode for RevocationList {
 }
 
 p2drm_codec::record! {
-    /// A CRL signed by its issuing authority, with a sequence number so relying
-    /// parties can require freshness.
+    /// What a [`SignedCrl`] signs: the list, its issuer, sequence number
+    /// and issuance time.
     #[derive(Clone, Debug, PartialEq, Eq)]
-    pub struct SignedCrl {
+    pub struct CrlBody {
         /// Issuer key id.
         pub issuer: KeyId,
         /// Monotonic sequence number.
@@ -86,26 +86,22 @@ p2drm_codec::record! {
         pub issued_at: u64,
         /// The list itself.
         pub list: RevocationList,
-        /// Issuer signature over the canonical encoding of the above.
+    }
+}
+
+p2drm_codec::record! {
+    /// A CRL signed by its issuing authority, with a sequence number so relying
+    /// parties can require freshness.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub struct SignedCrl {
+        /// The signed fields.
+        pub body: CrlBody,
+        /// Issuer signature over the canonical encoding of `body`.
         pub signature: RsaSignature,
     }
 }
 
 impl SignedCrl {
-    fn payload_bytes(
-        issuer: &KeyId,
-        sequence: u64,
-        issued_at: u64,
-        list: &RevocationList,
-    ) -> Vec<u8> {
-        let mut w = Writer::new();
-        issuer.encode(&mut w);
-        w.put_u64(sequence);
-        w.put_u64(issued_at);
-        list.encode(&mut w);
-        w.into_bytes()
-    }
-
     /// Creates and signs a CRL with the issuer keypair.
     pub fn create(
         issuer_kp: &p2drm_crypto::rsa::RsaKeyPair,
@@ -113,25 +109,25 @@ impl SignedCrl {
         issued_at: u64,
         list: RevocationList,
     ) -> Self {
-        let issuer = KeyId::of_rsa(issuer_kp.public());
-        let payload = Self::payload_bytes(&issuer, sequence, issued_at, &list);
-        SignedCrl {
-            issuer,
+        let body = CrlBody {
+            issuer: KeyId::of_rsa(issuer_kp.public()),
             sequence,
             issued_at,
-            signature: issuer_kp.sign(&payload),
             list,
+        };
+        SignedCrl {
+            signature: issuer_kp.sign(&p2drm_codec::to_bytes(&body)),
+            body,
         }
     }
 
     /// Verifies issuer signature.
     pub fn verify(&self, issuer_key: &RsaPublicKey) -> Result<(), crate::PkiError> {
-        if KeyId::of_rsa(issuer_key) != self.issuer {
+        if KeyId::of_rsa(issuer_key) != self.body.issuer {
             return Err(crate::PkiError::UnknownIssuer);
         }
-        let payload = Self::payload_bytes(&self.issuer, self.sequence, self.issued_at, &self.list);
         issuer_key
-            .verify(&payload, &self.signature)
+            .verify(&p2drm_codec::to_bytes(&self.body), &self.signature)
             .map_err(|_| crate::PkiError::BadSignature)
     }
 }
@@ -186,11 +182,11 @@ mod tests {
         assert!(crl.verify(other.public()).is_err());
 
         let mut tampered = crl.clone();
-        tampered.list.insert(id(9));
+        tampered.body.list.insert(id(9));
         assert!(tampered.verify(kp.public()).is_err());
 
         let mut tampered = crl.clone();
-        tampered.sequence += 1;
+        tampered.body.sequence += 1;
         assert!(tampered.verify(kp.public()).is_err());
     }
 

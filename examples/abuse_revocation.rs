@@ -78,7 +78,7 @@ fn main() {
     assert_eq!(unmasked, mallory.user_id());
     println!(
         "RA card-CRL now has {} entry(ies)",
-        system.ra.signed_card_crl(0).list.len()
+        system.ra.signed_card_crl(0).body.list.len()
     );
 
     // Mallory can no longer obtain pseudonyms (card revoked at the RA).

@@ -31,10 +31,11 @@ fn main() {
 
     // Refund granted: the provider revokes the license id outright.
     system.provider.revoke_license(&license.id()).unwrap();
+    let crl = system.provider.signed_license_crl(system.now()).body;
     println!(
         "provider revoked the license; spent ids: {}, license CRL entries: {}",
         system.provider.spent_count(),
-        system.provider.signed_license_crl(system.now()).list.len()
+        crl.list.len()
     );
 
     // Any later transfer attempt dies on the spent-ID store.

@@ -208,6 +208,7 @@ fn racing_revocation_vs_transfer_cannot_reissue_revoked_content() {
     assert!(sys
         .provider
         .signed_license_crl(1)
+        .body
         .list
         .contains(&p2drm::core::entities::provider::license_crl_id(&lid)));
     // Re-sending a losing request is refused (re-sending a winner would
@@ -454,7 +455,7 @@ fn a_crl_listing_commits_outside_the_crl_lock() {
     sys.fund(&carol, 1_000);
     let lid = sys.purchase(&mut alice, cid, &mut rng).unwrap().id();
     let mut device = sys.register_device(&mut rng).unwrap();
-    let sequence = sys.provider.signed_license_crl(0).sequence;
+    let sequence = sys.provider.signed_license_crl(0).body.sequence;
 
     sys.provider.store().armed.store(true, Ordering::SeqCst);
     let sys = &sys;
@@ -492,7 +493,7 @@ fn a_crl_listing_commits_outside_the_crl_lock() {
         let moved = transfer.join().expect("transfer panicked");
         assert!(moved.is_ok(), "{moved:?}");
         let crl = sys.provider.signed_license_crl(0);
-        assert_eq!(crl.sequence, sequence + 1);
-        assert!(crl.list.contains(&license_crl_id(&lid)));
+        assert_eq!(crl.body.sequence, sequence + 1);
+        assert!(crl.body.list.contains(&license_crl_id(&lid)));
     });
 }

@@ -117,7 +117,7 @@ fn full_provider_restart_with_key_vault() {
     let bobs_license = client
         .transfer(&mut alice, &mut bob, old_lid, &mut rng)
         .unwrap();
-    let seq_before = provider.signed_license_crl(1).sequence;
+    let seq_before = provider.signed_license_crl(1).body.sequence;
     drop(service);
 
     // Restart: reload keys from the vault and state from the WAL.
@@ -157,9 +157,10 @@ fn full_provider_restart_with_key_vault() {
     sys.ensure_pseudonym(&mut carol, &mut rng).unwrap();
     let res = client.transfer(&mut alice, &mut carol, old_lid, &mut rng);
     assert!(already_redeemed(&res), "{res:?}");
-    assert!(provider.signed_license_crl(2).sequence >= seq_before);
+    assert!(provider.signed_license_crl(2).body.sequence >= seq_before);
     assert!(provider
         .signed_license_crl(2)
+        .body
         .list
         .contains(&p2drm::core::entities::provider::license_crl_id(&old_lid)));
 }
@@ -317,13 +318,13 @@ fn a_revocation_whose_crl_row_write_fails_leaves_the_crl_unchanged() {
         assert!(revoke(2).is_err(), "the injected write failure is returned");
         assert_eq!(plan.fired(kv_sites::FAIL_PUT), fired + 1);
         let after = crl();
-        assert_eq!(after.sequence, before.sequence);
-        assert_eq!(after.list, before.list);
+        assert_eq!(after.body.sequence, before.body.sequence);
+        assert_eq!(after.body.list, before.body.list);
 
         revoke(2).unwrap();
         let retried = crl();
-        assert_eq!(retried.sequence, before.sequence + 1);
-        assert_eq!(retried.list.len(), before.list.len() + 1);
+        assert_eq!(retried.body.sequence, before.body.sequence + 1);
+        assert_eq!(retried.body.list.len(), before.body.list.len() + 1);
     };
     check(
         &|n| provider.revoke_license(&LicenseId::from_label(&n.to_string())),

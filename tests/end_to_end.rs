@@ -1,131 +1,7 @@
-//! Workspace-level integration beside the model (`tests/model.rs`):
-//! abuse de-anonymization and post-revocation lockout, a multi-user
-//! session whose license rows know pseudonyms only, and one journey at
-//! realistic key sizes.
+//! One journey at realistic key sizes, beside the model
+//! (`tests/model.rs`), which runs every other flow at test key sizes.
 
-use p2drm::core::protocol::messages::{transfer_proof_bytes, TransferRequest};
-use p2drm::core::protocol::{deanonymize_and_punish, AbuseEvidence};
-use p2drm::core::{CoreError, LicenseRecord};
 use p2drm::prelude::*;
-use p2drm::store::ConcurrentKv;
-
-#[test]
-fn abuse_pipeline_end_to_end() {
-    let mut rng = test_rng(9002);
-    let mut sys = System::bootstrap(SystemConfig::fast_test(), &mut rng);
-    let cid = sys.publish_content("Fraud Bait", 100, b"bits", &mut rng);
-
-    let mut mallory = sys.register_user("mallory", &mut rng).unwrap();
-    sys.fund(&mallory, 1_000);
-    let license = sys.purchase(&mut mallory, cid, &mut rng).unwrap();
-    let mallory_pseudonym = mallory.licenses()[0].pseudonym;
-    let mallory_cert = mallory
-        .pseudonym_certs()
-        .iter()
-        .find(|c| c.pseudonym_id() == mallory_pseudonym)
-        .unwrap()
-        .clone();
-
-    // Double-sale requests as fraud evidence.
-    let mut b1 = sys.register_user("b1", &mut rng).unwrap();
-    let mut b2 = sys.register_user("b2", &mut rng).unwrap();
-    sys.ensure_pseudonym(&mut b1, &mut rng).unwrap();
-    sys.ensure_pseudonym(&mut b2, &mut rng).unwrap();
-    let mk = |cert: &p2drm::pki::cert::PseudonymCertificate| TransferRequest {
-        license: license.clone(),
-        recipient_cert: cert.clone(),
-        proof: mallory
-            .card
-            .sign_with_pseudonym(
-                &mallory_pseudonym,
-                &transfer_proof_bytes(&license.id(), &cert.pseudonym_id()),
-            )
-            .unwrap(),
-    };
-    let req1 = mk(b1.pseudonym_certs().last().unwrap());
-    let req2 = mk(b2.pseudonym_certs().last().unwrap());
-    let epoch = sys.epoch();
-    sys.provider
-        .handle_transfer(&req1, epoch, &mut rng)
-        .unwrap();
-    assert!(sys
-        .provider
-        .handle_transfer(&req2, epoch, &mut rng)
-        .is_err());
-
-    let mut t = Transcript::new();
-    let unmasked = deanonymize_and_punish(
-        &mut sys.ttp,
-        &sys.ra,
-        &sys.provider,
-        &AbuseEvidence::DoubleTransfer {
-            first: req1,
-            second: req2,
-        },
-        &mallory_cert,
-        &mut t,
-    )
-    .unwrap();
-    assert_eq!(unmasked, mallory.user_id());
-
-    // Revoked card: no new pseudonyms, hence no new purchases.
-    mallory.note_pseudonym_use(); // exhaust current fresh-policy pseudonym
-    assert!(matches!(
-        sys.ensure_pseudonym(&mut mallory, &mut rng),
-        Err(CoreError::Revoked(_))
-    ));
-}
-
-#[test]
-fn multi_user_multi_content_session() {
-    // A small population exercising every flow in one session.
-    let mut rng = test_rng(9004);
-    let mut sys = System::bootstrap(SystemConfig::fast_test(), &mut rng);
-    let catalog: Vec<ContentId> = (0..4)
-        .map(|i| {
-            sys.publish_content(
-                &format!("c{i}"),
-                100,
-                format!("payload-{i}").as_bytes(),
-                &mut rng,
-            )
-        })
-        .collect();
-
-    let mut users: Vec<UserAgent> = (0..4)
-        .map(|i| {
-            let mut u = sys.register_user(&format!("u{i}"), &mut rng).unwrap();
-            u.set_policy(PseudonymPolicy::ReuseK(2));
-            sys.fund(&u, 10_000);
-            u
-        })
-        .collect();
-
-    let mut device = sys.register_device(&mut rng).unwrap();
-    let mut licenses = Vec::new();
-    for (i, user) in users.iter_mut().enumerate() {
-        for &cid in catalog.iter().skip(i % 2) {
-            licenses.push((i, sys.purchase(user, cid, &mut rng).unwrap()));
-        }
-    }
-    // Everyone plays their own first license.
-    for (i, lic) in &licenses {
-        if licenses.iter().find(|(j, _)| j == i).map(|(_, l)| l.id()) == Some(lic.id()) {
-            let audio = sys.play(&users[*i], &mut device, lic, &mut rng).unwrap();
-            assert!(audio.starts_with(b"payload-"));
-        }
-    }
-    assert_eq!(sys.provider.license_count(), licenses.len());
-    // The provider's `lic/` rows know pseudonyms only.
-    for (_, row) in sys.provider.store().scan_prefix(b"lic/") {
-        let holder = p2drm::codec::from_bytes::<LicenseRecord>(&row)
-            .unwrap()
-            .holder;
-        for user in &users {
-            assert_ne!(holder.0[..16], user.user_id().0);
-        }
-    }
-}
 
 /// One consumer's journey at `SystemConfig::realistic()` key sizes, where
 /// every RSA key (1024 bits) has three primes: a fresh pseudonym, a

@@ -1,19 +1,26 @@
 //! The protocol diffed against its sequential specification,
 //! `model/spec.rs`. Each seed picks a shard count and a sync policy and
-//! draws one script of `spec::Op`s: purchases, transfers, plays, CRL
-//! syncs, status queries, downloads and catalogue lookups; hand-built
-//! purchases with a deposited coin, a coin below the price, an unknown
-//! item, a stale or revoked pseudonym, or no or another's credential;
-//! transfers of exhausted, revoked or restored stale licenses, and ones a
-//! thief proves; verbatim re-sends; purchases and transfers over a faulty
-//! wire, then `settle_parked` or the transfer again; revocations, epoch
+//! draws one script of `spec::Op`s: purchases, transfers, plays (some by
+//! a user who does not hold the license), CRL syncs, status queries,
+//! downloads and catalogue lookups; hand-built purchases with a deposited
+//! coin, a coin below the price, an unknown item, a stale or revoked
+//! pseudonym, or no or another's credential; transfers of exhausted,
+//! revoked or restored stale licenses, and ones a thief proves; verbatim
+//! re-sends; purchases and transfers over a faulty wire, then
+//! `settle_parked` or the transfer again; a deposited coin restored to a
+//! wallet; pseudonym and attribute issuance over the wire (an ungranted
+//! user, an unknown attribute, a revoked card); the TTP's abuse pipeline
+//! on genuine double-transfer evidence and on each kind it refuses; a
+//! device shown the current CRL pair with one list older, one signature
+//! flipped, or both lists signed by a stranger; revocations, epoch
 //! changes and restarts (an unclean drop, maybe a torn shard tail, and
 //! `ContentProvider::resume_durable` from the key vault).
 //!
 //! Each op goes to the stack — `WireClient::with_retry` (4 attempts) over
 //! `FaultTransport` over `Loopback::with_rng` → `ProviderService` →
 //! `ContentProvider` over `WalShardedKv` in a temp dir, beside a
-//! `System` — and to the model, and the outcomes must be equal under a
+//! `System` whose RA the service serves and whose TTP runs the abuse
+//! pipeline — and to the model, and the outcomes must be equal under a
 //! bijection from the model's license handles, pseudonyms and coins to
 //! the stack's ids, so a replay must answer the same id. A faulted
 //! purchase or transfer arms every transport site at a rate the script
@@ -30,20 +37,25 @@
 #[path = "model/spec.rs"]
 mod spec;
 
+use p2drm::bignum::UBig;
 use p2drm::core::entities::provider::{purchase_license_id, transfer_license_id, ProviderConfig};
 use p2drm::core::protocol::messages::{transfer_proof_bytes, DownloadRequest, LicenseStatus};
 use p2drm::core::protocol::messages::{PurchaseRequest, TransferRequest};
+use p2drm::core::protocol::{deanonymize_and_punish, AbuseEvidence};
 use p2drm::core::retry::RetryPolicy;
 use p2drm::core::service::{ApiError, ApiErrorCode, Loopback, OpCode, ProviderService};
 use p2drm::core::service::{RequestEnvelope, Transport, TransportError, WireClient};
 use p2drm::core::service::{WireRequest, WireResponse};
 use p2drm::crypto::rng::{random_array, ChaChaRng};
+use p2drm::crypto::rsa::{RsaKeyPair, RsaSignature};
 use p2drm::faults::{transport_sites as sites, Decision, FaultPlan, FaultTransport, Schedule};
 use p2drm::pki::cert::KeyId;
+use p2drm::pki::{PkiError, SignedCrl};
 use p2drm::prelude::*;
 use p2drm::store::{SyncPolicy, WalShardedConfig, WalShardedKv};
 use rand::{rngs::StdRng, Rng};
-use spec::{Coin, Cred, Fault, Faulty, Item, Ledger, Model, Op, Outcome, Req, Status};
+use spec::Status;
+use spec::{Coin, Cred, Evidence, Fault, Faulty, Item, Ledger, Model, Op, Outcome, Req, Shown};
 use spec::{ADULTS, DENOMINATIONS, DEVICES, FUNDING, ITEMS, PUT_BACK, USERS};
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -56,11 +68,15 @@ const REGRESSIONS: &[u64] = &[];
 const SEEDS: std::ops::Range<u64> = 0..5;
 const OPS: usize = 64;
 const ATTRIBUTE: &str = "adult";
+/// An attribute the RA grants nobody and holds no key for.
+const UNKNOWN_ATTRIBUTE: &str = "licensed pilot";
 const PAYLOADS: [&[u8]; 3] = [b"track zero", b"track one", b"rated track"];
 /// Every op and fault of the alphabet (found in an op's `Debug`).
 const OPS_AND_FAULTS: &str = "Purchase, Forge, Transfer, Steal, Play, SyncCrl, Status, Download, \
-    Catalog, Resend, Settle, Restore, RevokeLicense, RevokePseudonym, AdvanceEpoch, Restart, \
-    LostReply, Dropped, Unquoted";
+    Catalog, Resend, Settle, Restore, RestoreCoin, Pseudonym, Attribute, Accuse, ShowCrl, \
+    RevokeLicense, RevokePseudonym, AdvanceEpoch, Restart, LostReply, Dropped, Unquoted, Genuine, \
+    OtherLicense, NotHolder, SameRecipient, CopiedProof, OldLicenses, OldPseudonyms, Tampered, \
+    Stranger";
 /// The wrong parts of hand-built purchases and of transfers (`labels`),
 /// what the wire did (`classify`), and the outcomes, that tier-1's seeds
 /// must also fire between them.
@@ -68,7 +84,9 @@ const MORE_COVERAGE: &str = "deposited coin, coin below price, unknown item, sta
     revoked pseudonym, no credential, another's credential, exhausted, revoked, stale copy, \
     retried, answered after a retry, busy on the last attempt, AlreadyRedeemed, DoubleSpend, \
     BadPseudonym, UnknownContent, InsufficientFunds, RightsDenied, BadProof, revoked license, \
-    settled, replay, rated purchase after a restart";
+    settled, replay, rated purchase after a restart, pseudonym issued, credential issued, \
+    unknown attribute, ungranted user, CardRefused, Revoked, revoked card, unmasked, stale CRL, \
+    bad signature, unknown issuer, unknown license, double-spent coin dropped";
 /// Rates (percent) at which a faulted op's sites fire, each with the
 /// least share (percent) of faulted purchases the wire must answer
 /// within `ATTEMPTS`: the floors the sweep asserts.
@@ -179,6 +197,7 @@ enum Raw {
     Issued(Box<License>),
     Status(LicenseStatus),
     Settled(Vec<Result<Raw, WireError>>),
+    Unmasked(UserId),
 }
 
 fn issued(license: License) -> Raw {
@@ -235,12 +254,17 @@ struct Real {
     sent: Vec<WireRequest>,
     /// Every license the stack answered: what backups and thieves hold.
     licenses: HashMap<LicenseId, License>,
+    /// The pair each CRL sync received, as in `Model::synced`.
+    synced: Vec<(SignedCrl, SignedCrl)>,
+    /// A key that is not the provider's, to sign forged CRLs.
+    stranger: RsaKeyPair,
 }
 
-/// The wire service over `provider` at `sys`'s clock. The attribute key
-/// is trusted once, at the first open; a resumed provider reads it back.
+/// The wire service over `provider` and `sys`'s RA at `sys`'s clock. The
+/// attribute key is trusted once, at the first open; a resumed provider
+/// reads it back.
 fn serve(provider: ContentProvider<WalShardedKv>, sys: &System) -> ProviderService<WalShardedKv> {
-    let service = ProviderService::new(Arc::new(provider), 0);
+    let service = ProviderService::new(Arc::new(provider), 0).with_ra(sys.ra.clone());
     service.set_time(sys.epoch(), sys.now());
     service
 }
@@ -299,6 +323,7 @@ impl Real {
             let device = CompliantDevice::new(&mut sys.root, &cert, ra, bits, validity, &mut rng);
             devices.push(device.expect("a compliant device"));
         }
+        let stranger = RsaKeyPair::generate(config.key_bits, &mut rng);
         Real {
             vault: (provider.export_keys(), cert),
             service: Some(serve(provider, &sys)),
@@ -316,6 +341,8 @@ impl Real {
             coins: Vec::new(),
             sent: Vec::new(),
             licenses: HashMap::new(),
+            synced: Vec::new(),
+            stranger,
         }
     }
 
@@ -407,6 +434,8 @@ impl Real {
             jitter_seed: rng.gen(),
         };
         let mut client = WireClient::with_id_key(wire, random_array(rng)).with_retry(policy);
+        client.set_epoch(sys.epoch());
+        let provider = service.provider();
         let item_id = |item: Option<usize>| items[item.unwrap_or(ITEMS.len())];
         match *op {
             Op::Purchase(user, item, _) => {
@@ -506,11 +535,7 @@ impl Real {
                 answer(client.call(WireRequest::Transfer(request))?)
             }
             Op::Play(user, device, license) => {
-                let owned = users[user]
-                    .license(&handles[license])
-                    .expect("held")
-                    .license
-                    .clone();
+                let owned = self.licenses[&handles[license]].clone();
                 let played = client.play(&users[user], &mut devices[device], &owned, rng)?;
                 let item = items.iter().position(|&c| c == owned.body.content_id);
                 match item.map(|i| PAYLOADS[i]) == Some(&played[..]) {
@@ -518,7 +543,39 @@ impl Real {
                     false => Err(unexpected("another payload")),
                 }
             }
-            Op::SyncCrl(device) => client.sync_crls(&mut devices[device]).map(|()| Raw::Done),
+            Op::SyncCrl(device) => {
+                client.sync_crls(&mut devices[device])?;
+                let now = service.now();
+                let crls = (
+                    provider.signed_license_crl(now),
+                    provider.signed_pseudonym_crl(now),
+                );
+                self.synced.push(crls);
+                Ok(Raw::Done)
+            }
+            Op::ShowCrl(device, shown) => {
+                let now = service.now();
+                let mut license_crl = provider.signed_license_crl(now);
+                let mut pseudonym_crl = provider.signed_pseudonym_crl(now);
+                match shown {
+                    Shown::OldLicenses(n) => license_crl = self.synced[n].0.clone(),
+                    Shown::OldPseudonyms(n) => pseudonym_crl = self.synced[n].1.clone(),
+                    Shown::Tampered => {
+                        let mut signature = pseudonym_crl.signature.to_bytes();
+                        signature[7] ^= 0x10;
+                        let signature = UBig::from_bytes_be(&signature);
+                        pseudonym_crl.signature = RsaSignature::from_ubig(signature);
+                    }
+                    Shown::Stranger => {
+                        for crl in [&mut license_crl, &mut pseudonym_crl] {
+                            let body = crl.body.clone();
+                            *crl = SignedCrl::create(&self.stranger, body.sequence, now, body.list);
+                        }
+                    }
+                }
+                devices[device].sync_crls(&license_crl, &pseudonym_crl)?;
+                Ok(Raw::Done)
+            }
             Op::Status(license) => client.license_status(handles[license]).map(Raw::Status),
             Op::Download(item) => {
                 let request = DownloadRequest {
@@ -547,14 +604,74 @@ impl Real {
                 users[user].add_license(copy, pseudonyms[pseudonym]);
                 Ok(Raw::Done)
             }
+            Op::RestoreCoin(user, coin) => {
+                users[user].wallet.put_back(self.coins[coin].clone());
+                Ok(Raw::Done)
+            }
+            Op::Pseudonym(user) => {
+                let (ra, ttp) = (sys.ra.blind_public(), sys.ttp.escrow_key());
+                client.obtain_pseudonym(&mut users[user], ra, ttp, rng)?;
+                Ok(Raw::Done)
+            }
+            Op::Attribute(user, known) => {
+                let u = &mut users[user];
+                if u.current_pseudonym().is_none() {
+                    let (ra, ttp) = (sys.ra.blind_public(), sys.ttp.escrow_key());
+                    client.obtain_pseudonym(u, ra, ttp, rng)?;
+                }
+                let key = sys.ra.attribute_public(ATTRIBUTE).expect("granted");
+                let attribute = [UNKNOWN_ATTRIBUTE, ATTRIBUTE][usize::from(known)];
+                client.obtain_attribute(u, attribute, &key, rng)?;
+                Ok(Raw::Done)
+            }
+            Op::Accuse(license, [first, second], evidence) => {
+                // The user and the certificate behind a pseudonym id.
+                let owner = |id: &KeyId| {
+                    let mut all = users
+                        .iter()
+                        .flat_map(|u| u.pseudonym_certs().iter().map(move |c| (u, c)));
+                    all.find(|(_, c)| c.pseudonym_id() == *id).expect("issued")
+                };
+                let license = self.licenses[&handles[license]].clone();
+                let holder = KeyId::of_rsa(&license.body.holder);
+                let card = &owner(&holder).0.card;
+                let authorize = |license: &License, to: usize| {
+                    let recipient_cert = owner(&pseudonyms[to]).1.clone();
+                    let proof = transfer_proof_bytes(&license.id(), &recipient_cert.pseudonym_id());
+                    let proof = card.sign_with_pseudonym(&holder, &proof)?;
+                    Ok::<_, CoreError>(TransferRequest {
+                        license: license.clone(),
+                        recipient_cert,
+                        proof,
+                    })
+                };
+                let (other, to, accused) = match evidence {
+                    Evidence::OtherLicense(l) => {
+                        (self.licenses[&handles[l]].clone(), second, holder)
+                    }
+                    Evidence::NotHolder(p) => (license.clone(), second, pseudonyms[p]),
+                    Evidence::SameRecipient => (license.clone(), first, holder),
+                    Evidence::Genuine | Evidence::CopiedProof => (license.clone(), second, holder),
+                };
+                let first = authorize(&license, first)?;
+                let mut second = authorize(&other, to)?;
+                if let Evidence::CopiedProof = evidence {
+                    second.proof = first.proof.clone();
+                }
+                let evidence = AbuseEvidence::DoubleTransfer { first, second };
+                let (ttp, ra, t) = (&mut sys.ttp, &sys.ra, &mut Transcript::new());
+                let unmasked =
+                    deanonymize_and_punish(ttp, ra, provider, &evidence, owner(&accused).1, t);
+                Ok(Raw::Unmasked(unmasked?))
+            }
             Op::RevokeLicense(license) => {
-                let revoked = service.provider().revoke_license(&handles[license]);
+                let revoked = provider.revoke_license(&handles[license]);
                 revoked
                     .map(|()| Raw::Done)
                     .map_err(|e| WireError::Api(ApiError::from(e)))
             }
             Op::RevokePseudonym(pseudonym) => {
-                let revoked = service.provider().revoke_pseudonym(pseudonyms[pseudonym]);
+                let revoked = provider.revoke_pseudonym(pseudonyms[pseudonym]);
                 revoked
                     .map(|()| Raw::Done)
                     .map_err(|e| WireError::Api(ApiError::from(e)))
@@ -646,12 +763,22 @@ impl Real {
                 let all = all.into_iter().map(|r| self.outcome(r));
                 Outcome::Settled(all.collect::<Result<_, _>>()?)
             }
+            Ok(Raw::Unmasked(id)) => {
+                let user = self.users.iter().position(|u| u.user_id() == id);
+                Outcome::Unmasked(user.ok_or("unmasked nobody")?)
+            }
             Err(WireError::Api(e)) if e.code == ApiErrorCode::ServiceUnavailable => Outcome::Parked,
             Err(WireError::Api(e)) => Outcome::Api(e.code),
             Err(WireError::Transport(_) | WireError::Envelope(_)) => Outcome::Parked,
             Err(WireError::Client(e)) => Outcome::Refused(match e {
                 CoreError::Revoked("license") => "revoked license",
                 CoreError::Revoked("pseudonym") => "revoked pseudonym",
+                CoreError::Revoked("card") => "revoked card",
+                CoreError::UnknownLicense(_) => "unknown license",
+                CoreError::BadLicense("stale CRL rejected") => "stale CRL",
+                CoreError::Pki(PkiError::BadSignature) => "bad signature",
+                CoreError::Pki(PkiError::UnknownIssuer) => "unknown issuer",
+                CoreError::BadEvidence(why) => why,
                 CoreError::Denied(_) => "denied",
                 CoreError::BadPseudonym(_) => "bad pseudonym",
                 CoreError::Payment(_) => "payment",
@@ -679,7 +806,8 @@ impl Real {
         for id in &self.handles {
             statuses.push(self.status(provider.license_status(id).map_err(|e| e.to_string())?)?);
         }
-        let crl = |c: p2drm::pki::crl::SignedCrl| (c.sequence, c.list.len());
+        let crl = |c: &SignedCrl| (c.body.sequence, c.body.list.len());
+        let card_crl = self.sys.ra.signed_card_crl(0);
         let mut users = Vec::new();
         for u in &self.users {
             let held = u
@@ -694,7 +822,16 @@ impl Real {
                 u.wallet.balance(),
                 u.parked.len(),
                 held,
+                card_crl
+                    .body
+                    .list
+                    .contains(&KeyId::of_rsa(u.card.master_public())),
             ));
+        }
+        let mut unmasked = Vec::new();
+        for opening in self.sys.ttp.audit_log() {
+            let user = self.users.iter().position(|u| u.user_id() == opening.user);
+            unmasked.push((user.ok_or("unmasked nobody")?, opening.reason));
         }
         let (spent, licenses) = (
             provider.spent_count() as u64,
@@ -709,10 +846,12 @@ impl Real {
             ],
             statuses,
             crls: [
-                crl(provider.signed_license_crl(0)),
-                crl(provider.signed_pseudonym_crl(0)),
+                crl(&provider.signed_license_crl(0)),
+                crl(&provider.signed_pseudonym_crl(0)),
+                crl(&card_crl),
             ],
             users,
+            unmasked,
             devices: self.devices.iter().map(|d| d.crl_sequence()).collect(),
         })
     }
@@ -747,6 +886,9 @@ fn draw(m: &Model, rng: &mut StdRng, shards: usize, retry: &mut Option<Op>) -> (
         .iter()
         .filter(|l| !matches!(m.status(l.1), Status::Active(_)))
         .collect();
+    let spent: Vec<usize> = (0..m.coins.len())
+        .filter(|&c| m.coins[c].1.is_some())
+        .collect();
     loop {
         let (user, item, other, device) = (r(USERS), r(ITEMS.len()), 1 + r(USERS - 1), r(DEVICES));
         let (holder, license) = match dead.get(r(3 * dead.len())) {
@@ -755,11 +897,18 @@ fn draw(m: &Model, rng: &mut StdRng, shards: usize, retry: &mut Option<Op>) -> (
         };
         let maybe_item = (r(4) > 0).then_some(item);
         let faulty = Faulty([FLOORS[r(3)].0, HIGH_RATE][r(2)], None);
-        let op = match r(100) {
+        // Issuance is drawn for a revoked card half the time there is one.
+        let issuing = match m.users.iter().position(|u| u.revoked) {
+            Some(revoked) if r(2) == 0 => revoked,
+            _ => user,
+        };
+        // Weights out of 134. Tier-1's seeds fire every coverage name only
+        // between them, so a changed weight is checked against those lists.
+        let op = match r(134) {
             0..=5 => Op::Purchase(user, item, None),
-            6..=17 => Op::Purchase(user, item, Some(faulty)),
-            18..=35 => forge(m, user, item, &mut r),
-            36..=46 if !held.is_empty() => match retry.take() {
+            6..=19 => Op::Purchase(user, item, Some(faulty)),
+            20..=37 => forge(m, user, item, &mut r),
+            38..=48 if !held.is_empty() => match retry.take() {
                 Some(Op::Transfer(from, to, license, _))
                     if m.users[from].held.iter().any(|l| l.0 == license) =>
                 {
@@ -772,33 +921,77 @@ fn draw(m: &Model, rng: &mut StdRng, shards: usize, retry: &mut Option<Op>) -> (
                     op
                 }
             },
-            47..=49 if !held.is_empty() => Op::Steal((holder + other) % USERS, license, user),
-            50..=59 if !held.is_empty() => Op::Play(holder, device, license),
-            60..=64 => Op::SyncCrl(device),
-            65..=67 if !m.licenses.is_empty() => Op::Status(r(m.licenses.len())),
-            68..=69 => Op::Download(maybe_item),
-            70..=71 => Op::Catalog(maybe_item),
-            72..=76 if !m.sent.is_empty() => Op::Resend(r(m.sent.len())),
-            77..=80 => {
+            49..=51 if !held.is_empty() => Op::Steal((holder + other) % USERS, license, user),
+            52..=61 if !held.is_empty() => {
+                Op::Play([holder, user][usize::from(r(4) == 0)], device, license)
+            }
+            62..=66 => Op::SyncCrl(device),
+            67..=69 if !m.licenses.is_empty() => Op::Status(r(m.licenses.len())),
+            70..=71 => Op::Download(maybe_item),
+            72..=73 => Op::Catalog(maybe_item),
+            74..=78 if !m.sent.is_empty() => Op::Resend(r(m.sent.len())),
+            79..=82 => {
                 let parked = (0..USERS)
                     .map(|u| (user + u) % USERS)
                     .find(|&u| !m.users[u].parked.is_empty());
                 Op::Settle(parked.unwrap_or(user))
             }
-            81..=84 if !copies.is_empty() => {
+            83..=86 if !copies.is_empty() => {
                 let (user, (license, pseudonym)) = copies[r(copies.len())];
                 Op::Restore(user, license, pseudonym)
             }
-            85..=88 if !held.is_empty() => Op::RevokeLicense(license),
-            89..=92 if !held.is_empty() => {
+            87..=90 if !held.is_empty() => Op::RevokeLicense(license),
+            91..=94 if !held.is_empty() => {
                 Op::RevokePseudonym([m.licenses[license].holder, r(m.pseudonyms.len())][r(2)])
             }
-            93..=97 => Op::AdvanceEpoch(1 + r(4) as u32),
-            98..=99 => Op::Restart((r(2) == 0).then(|| r(shards))),
+            95..=99 => Op::AdvanceEpoch(1 + r(4) as u32),
+            100..=101 => Op::Restart((r(2) == 0).then(|| r(shards))),
+            102..=105 if !spent.is_empty() => Op::RestoreCoin(user, spent[r(spent.len())]),
+            106..=108 => Op::Pseudonym(issuing),
+            109..=113 => Op::Attribute(issuing, r(3) > 0),
+            114..=121 if !held.is_empty() && m.pseudonyms.len() > 1 => {
+                accuse(m, license, &held, &mut r)
+            }
+            // Old lists are drawn oldest first more often than their share.
+            122..=133 => {
+                let newest = r(m.synced.len());
+                let n = r(1 + newest);
+                let shown = match r(6) {
+                    0 => Shown::Tampered,
+                    1 => Shown::Stranger,
+                    _ if m.synced.is_empty() => continue,
+                    2 | 3 => Shown::OldLicenses(n),
+                    _ => Shown::OldPseudonyms(n),
+                };
+                Op::ShowCrl(device, shown)
+            }
             _ => continue,
         };
         return (op, false);
     }
+}
+
+/// The TTP's pipeline on evidence against `license`'s holder toward two
+/// distinct recipients: genuine, or with one defect.
+fn accuse(
+    m: &Model,
+    license: usize,
+    held: &[(usize, usize)],
+    r: &mut impl FnMut(usize) -> usize,
+) -> Op {
+    let n = m.pseudonyms.len();
+    let first = r(n);
+    let recipients = [first, (first + 1 + r(n - 1)) % n];
+    let holder = m.licenses[license].holder;
+    let other = held.iter().map(|l| l.1).find(|&l| l != license);
+    let evidence = match (r(6), other) {
+        (0 | 1, _) => Evidence::Genuine,
+        (2, Some(other)) => Evidence::OtherLicense(other),
+        (3, _) => Evidence::NotHolder((holder + 1 + r(n - 1)) % n),
+        (4, _) => Evidence::SameRecipient,
+        _ => Evidence::CopiedProof,
+    };
+    Op::Accuse(license, recipients, evidence)
 }
 
 /// A hand-built purchase: each part is the honest one or, about three
@@ -849,9 +1042,10 @@ fn forge(m: &Model, user: usize, item: usize, r: &mut impl FnMut(usize) -> usize
 /// the wrong parts of a hand-built purchase or of a transfer.
 fn labels(m: &Model, op: &Op, retried: bool) -> Vec<&'static str> {
     let debug = format!("{op:?}");
+    let tokens: Vec<&str> = debug.split(|c: char| !c.is_alphanumeric()).collect();
     let mut labels: Vec<&str> = OPS_AND_FAULTS
         .split(", ")
-        .filter(|l| debug.contains(l))
+        .filter(|l| tokens.contains(l))
         .collect();
     let stale = |p: &usize| m.epoch - m.pseudonyms[*p].epoch > spec::EPOCH_WINDOW;
     let checks = match *op {
@@ -885,6 +1079,15 @@ fn labels(m: &Model, op: &Op, retried: bool) -> Vec<&'static str> {
             (m.status(license) == Status::Transferred, "stale copy"),
             (retried, "retried"),
         ],
+        Op::Pseudonym(user) => vec![(!m.users[user].revoked, "pseudonym issued")],
+        Op::Attribute(user, known) => {
+            let issuing = !m.users[user].revoked;
+            vec![
+                (issuing && known && ADULTS[user], "credential issued"),
+                (issuing && !known, "unknown attribute"),
+                (issuing && known && !ADULTS[user], "ungranted user"),
+            ]
+        }
         _ => Vec::new(),
     };
     labels.extend(checks.into_iter().filter(|c| c.0).map(|c| c.1));
@@ -940,9 +1143,14 @@ fn run_seed(seed: u64) -> Vec<String> {
             let script = script.join("\n");
             panic!("seed {seed} ({shards} shards, {policy:?}) diverged at op {i}: {why}\nscript:\n{script}");
         }
-        if let Op::Purchase(.., Some(Faulty(rate, fault))) = op {
+        // A purchase refused before its quote did not touch the wire.
+        let quoted = expected != Outcome::Refused("revoked card");
+        if let (Op::Purchase(.., Some(Faulty(rate, fault))), true) = (&op, quoted) {
             let class = fault.map_or("answered".into(), |f| format!("{f:?}"));
             covered.push(format!("{rate}% {class}"));
+        }
+        if matches!(op, Op::Purchase(..)) && expected == Outcome::Api(ApiErrorCode::DoubleSpend) {
+            covered.push("double-spent coin dropped".into());
         }
         let issued = matches!(expected, Outcome::Issued(_));
         if matches!(op, Op::Purchase(_, item, _) if ITEMS[item].3 && issued && restarted) {
@@ -955,6 +1163,10 @@ fn run_seed(seed: u64) -> Vec<String> {
                 all
             }
             Outcome::Settled(all) => all,
+            Outcome::Unmasked(_) => {
+                covered.push("unmasked".into());
+                Vec::new()
+            }
             other => vec![other],
         };
         for outcome in outcomes {

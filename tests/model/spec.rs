@@ -1,6 +1,6 @@
 //! The protocol's sequential specification: what the provider, the mint,
-//! the wire client and the devices answer to any sequence of `Op`s, with
-//! no cryptography, no store and no threads.
+//! the RA, the TTP, the wire client and the devices answer to any
+//! sequence of `Op`s, with no cryptography, no store and no threads.
 //!
 //! Ids are indices. A license handle stands for the id a request derives
 //! (a purchase's from its coin, pseudonym and item, a successor's from
@@ -10,7 +10,10 @@
 //! the deciding row already names this request's license — skips the
 //! checks that time can change; otherwise a purchase is checked for its
 //! pseudonym, item, denomination, credential and coin, and a transfer for
-//! its rights, holder proof, spent row and recipient.
+//! its rights, holder proof, spent row and recipient. The RA refuses a
+//! revoked card before it looks up an entitlement; the TTP opens an
+//! escrow only on evidence `AbuseEvidence::verify` accepts, and then the
+//! RA revokes the card and the provider lists that one pseudonym.
 
 use p2drm::core::service::ApiErrorCode::{self as Code, *};
 use std::collections::HashMap;
@@ -62,6 +65,36 @@ pub enum Fault {
 #[derive(Clone, Copy, Debug)]
 pub struct Faulty(pub u32, pub Option<Fault>);
 
+/// Evidence against a license's holder: two authorizations the holder's
+/// card signed for that license toward two recipients, or that with one
+/// defect `AbuseEvidence::verify` refuses.
+#[derive(Clone, Copy, Debug)]
+pub enum Evidence {
+    Genuine,
+    /// The second authorization names this other license.
+    OtherLicense(Handle),
+    /// The accused is this pseudonym, not the holder.
+    NotHolder(Pseudo),
+    /// Both authorizations name the first recipient.
+    SameRecipient,
+    /// The second authorization carries the first's signature.
+    CopiedProof,
+}
+
+/// A signed CRL pair shown to a device outside a sync: the current one
+/// with one list replaced or forged.
+#[derive(Clone, Copy, Debug)]
+pub enum Shown {
+    /// The license list the n-th sync received.
+    OldLicenses(usize),
+    /// The pseudonym list the n-th sync received.
+    OldPseudonyms(usize),
+    /// The current pair, one byte of the pseudonym list's signature flipped.
+    Tampered,
+    /// The current lists, signed by a key that is not the provider's.
+    Stranger,
+}
+
 /// A hand-built purchase's coin: withdrawn now, or one already deposited.
 #[derive(Clone, Copy, Debug)]
 pub enum Coin {
@@ -92,7 +125,7 @@ pub enum Op {
     Transfer(usize, usize, Handle, Option<Faulty>),
     /// (thief, license, to): a transfer proved by the thief's pseudonym.
     Steal(usize, Handle, usize),
-    /// (user, device, license).
+    /// (user, device, license), which the user may not hold.
     Play(usize, usize, Handle),
     SyncCrl(usize),
     Status(Handle),
@@ -104,6 +137,18 @@ pub enum Op {
     /// (user, license, pseudonym): a copy the user once held under that
     /// pseudonym, restored from a backup.
     Restore(usize, Handle, Pseudo),
+    /// (user, coin): a deposited coin back in the wallet from a backup.
+    RestoreCoin(usize, CoinId),
+    /// A fresh pseudonym over the wire.
+    Pseudonym(usize),
+    /// (user, whether the RA knows the attribute): a credential for the
+    /// current pseudonym over the wire, after a fresh pseudonym if the
+    /// newest was used.
+    Attribute(usize, bool),
+    /// (license, recipients, evidence): the TTP's abuse pipeline.
+    Accuse(Handle, [Pseudo; 2], Evidence),
+    /// (device, pair).
+    ShowCrl(usize, Shown),
     RevokeLicense(Handle),
     RevokePseudonym(Pseudo),
     AdvanceEpoch(u32),
@@ -118,6 +163,8 @@ pub enum Outcome {
     Issued(Handle),
     Status(Status),
     Settled(Vec<Outcome>),
+    /// The TTP opened this user's escrow.
+    Unmasked(usize),
     Api(Code),
     /// A refusal by the client or the device, as its `CoreError` reads.
     Refused(&'static str),
@@ -174,14 +221,19 @@ pub struct User {
     pub held: Vec<(Handle, Pseudo)>,
     /// Every license held, and its pseudonym: what a backup holds.
     pub history: Vec<(Handle, Pseudo)>,
+    /// The RA revoked the card.
+    pub revoked: bool,
 }
 
-/// A device's synced CRLs, their sequence, and its play counts.
+/// A device's CRLs and its play counts.
 #[derive(Clone, Default)]
-pub struct Device(Vec<Handle>, Vec<Pseudo>, u64, HashMap<Handle, u32>);
+pub struct Device(Crls, HashMap<Handle, u32>);
+
+/// The license and the pseudonym CRL.
+pub type Crls = (Crl<Handle>, Crl<Pseudo>);
 
 /// A revocation list and its sequence number.
-#[derive(Default)]
+#[derive(Clone, Default)]
 pub struct Crl<T>(pub Vec<T>, pub u64);
 
 impl<T: PartialEq> Crl<T> {
@@ -200,11 +252,14 @@ pub struct Ledger {
     /// licenses and spent ids.
     pub counts: [u64; 4],
     pub statuses: Vec<Status>,
-    /// (sequence, length) of the license and the pseudonym CRL.
-    pub crls: [(u64, usize); 2],
-    /// Per user: account, wallet balance, parked requests, held licenses.
-    pub users: Vec<(u64, u64, usize, Vec<Handle>)>,
-    /// Per device: the license CRL sequence it synced last.
+    /// (sequence, length) of the license, the pseudonym and the card CRL.
+    pub crls: [(u64, usize); 3],
+    /// Per user: account, wallet balance, parked requests, held licenses,
+    /// card revoked.
+    pub users: Vec<(u64, u64, usize, Vec<Handle>, bool)>,
+    /// The TTP's openings: the user unmasked and the evidence's kind.
+    pub unmasked: Vec<(usize, &'static str)>,
+    /// Per device: the license CRL sequence it holds.
     pub devices: Vec<u64>,
 }
 
@@ -219,6 +274,13 @@ pub struct Model {
     pub licenses: Vec<License>,
     license_crl: Crl<Handle>,
     pub pseudonym_crl: Crl<Pseudo>,
+    /// The RA's card CRL sequence, which every revocation moves; the list
+    /// is the revoked users'.
+    card_crl: u64,
+    /// The pair each sync received.
+    pub synced: Vec<Crls>,
+    /// The users the TTP unmasked, in order.
+    unmasked: Vec<usize>,
     /// Every request sent, and the license it names.
     pub sent: Vec<(Req, Handle)>,
     /// Requests answered as replays.
@@ -239,34 +301,41 @@ impl Model {
     }
 
     pub fn apply(&mut self, op: &Op) -> Outcome {
-        match *op {
+        self.step(op).unwrap_or_else(|refused| refused)
+    }
+
+    /// `op`'s outcome, or `Err` with the refusal that ends it early.
+    fn step(&mut self, op: &Op) -> Result<Outcome, Outcome> {
+        Ok(match *op {
             Op::Purchase(user, item, faulty) => {
                 let Item(price, _, _, rated) = ITEMS[item];
                 let fault = faulty.and_then(|f| f.1);
-                let pseudonym = self.ensure_pseudonym(user);
+                let pseudonym = self.ensure_pseudonym(user)?;
                 if rated && ADULTS[user] {
-                    self.pseudonyms[pseudonym].cred.get_or_insert(self.epoch);
+                    self.credential(pseudonym)?;
                 }
                 if fault == Some(Fault::Unquoted) {
-                    return Outcome::Parked;
+                    return Ok(Outcome::Parked);
                 }
                 if rated && self.pseudonyms[pseudonym].cred.is_none() {
-                    return Outcome::Refused("bad pseudonym");
+                    return Err(Outcome::Refused("bad pseudonym"));
                 }
-                let Some(coin) = self.coin_for_amount(user, price) else {
-                    return Outcome::Refused("payment");
-                };
+                let coin = self.coin_for_amount(user, price);
+                let coin = coin.ok_or(Outcome::Refused("payment"))?;
                 self.users[user].uses += 1;
                 let cred = rated.then_some(pseudonym);
                 let (k, out) = self.send(Req::Purchase(coin, pseudonym, Some(item), cred), fault);
                 self.settle(user, k, out)
             }
             Op::Forge(user, item, chosen, coin, cred) => {
-                let pseudonym = chosen.unwrap_or_else(|| self.ensure_pseudonym(user));
+                let pseudonym = match chosen {
+                    Some(p) => p,
+                    None => self.ensure_pseudonym(user)?,
+                };
                 let cred = match cred {
                     Cred::None => None,
                     Cred::Own => {
-                        self.pseudonyms[pseudonym].cred.get_or_insert(self.epoch);
+                        self.credential(pseudonym)?;
                         Some(pseudonym)
                     }
                     Cred::Of(bound) => Some(bound),
@@ -275,7 +344,7 @@ impl Model {
                     Coin::Spent(coin) => (coin, false),
                     Coin::Fresh(denomination) => match self.withdraw(user, denomination) {
                         Some(coin) => (coin, true),
-                        None => return Outcome::Refused("payment"),
+                        None => return Err(Outcome::Refused("payment")),
                     },
                 };
                 self.users[user].uses += u32::from(chosen.is_none());
@@ -294,8 +363,8 @@ impl Model {
                 out
             }
             Op::Transfer(from, to, license, faulty) => {
-                let recipient = self.ensure_pseudonym(to);
-                let signer = self.holding(from, license);
+                let recipient = self.ensure_pseudonym(to)?;
+                let signer = self.holding(from, license).expect("held");
                 let fault = faulty.and_then(|f| f.1);
                 let (_, out) = self.send(Req::Transfer(license, signer, recipient), fault);
                 if let Outcome::Issued(successor) = out {
@@ -307,30 +376,46 @@ impl Model {
                 out
             }
             Op::Steal(thief, license, to) => {
-                let signer = self.ensure_pseudonym(thief);
-                let recipient = self.ensure_pseudonym(to);
+                let signer = self.ensure_pseudonym(thief)?;
+                let recipient = self.ensure_pseudonym(to)?;
                 self.send(Req::Transfer(license, signer, recipient), None).1
             }
             Op::Play(user, device, license) => {
                 let holder = self.holding(user, license);
-                let Device(licenses, pseudonyms, _, plays) = &mut self.devices[device];
-                if licenses.contains(&license) {
-                    return Outcome::Refused("revoked license");
+                let holder = holder.ok_or(Outcome::Refused("unknown license"))?;
+                let Device((licenses, pseudonyms), plays) = &mut self.devices[device];
+                if licenses.0.contains(&license) {
+                    return Err(Outcome::Refused("revoked license"));
                 }
-                if pseudonyms.contains(&holder) {
-                    return Outcome::Refused("revoked pseudonym");
+                if pseudonyms.0.contains(&holder) {
+                    return Err(Outcome::Refused("revoked pseudonym"));
                 }
                 let played = plays.entry(license).or_insert(0);
                 if self.licenses[license].plays.is_some_and(|n| *played >= n) {
-                    return Outcome::Refused("denied");
+                    return Err(Outcome::Refused("denied"));
                 }
                 *played += 1;
                 Outcome::Done
             }
             Op::SyncCrl(device) => {
+                let crls = (self.license_crl.clone(), self.pseudonym_crl.clone());
+                self.synced.push(crls.clone());
+                self.devices[device].0 = crls;
+                Outcome::Done
+            }
+            Op::ShowCrl(device, shown) => {
                 let (licenses, pseudonyms) = (&self.license_crl, &self.pseudonym_crl);
-                let d = &mut self.devices[device];
-                (d.0, d.1, d.2) = (licenses.0.clone(), pseudonyms.0.clone(), licenses.1);
+                let crls = match shown {
+                    Shown::OldLicenses(n) => (self.synced[n].0.clone(), pseudonyms.clone()),
+                    Shown::OldPseudonyms(n) => (licenses.clone(), self.synced[n].1.clone()),
+                    Shown::Tampered => return Err(Outcome::Refused("bad signature")),
+                    Shown::Stranger => return Err(Outcome::Refused("unknown issuer")),
+                };
+                let held = &mut self.devices[device].0;
+                if crls.0 .1 < held.0 .1 || crls.1 .1 < held.1 .1 {
+                    return Err(Outcome::Refused("stale CRL"));
+                }
+                *held = crls;
                 Outcome::Done
             }
             Op::Status(license) => Outcome::Status(self.status(license)),
@@ -349,6 +434,47 @@ impl Model {
                 self.users[user].held.push((license, pseudonym));
                 Outcome::Done
             }
+            Op::RestoreCoin(user, coin) => {
+                self.users[user].wallet.push(coin);
+                Outcome::Done
+            }
+            Op::Pseudonym(user) => {
+                self.fresh_pseudonym(user)?;
+                Outcome::Done
+            }
+            Op::Attribute(user, known) => {
+                let pseudonym = match self.current_pseudonym(user) {
+                    Some(p) => p,
+                    None => self.fresh_pseudonym(user)?,
+                };
+                if self.users[user].revoked {
+                    return Err(Outcome::Api(Revoked));
+                }
+                if !(known && ADULTS[user]) {
+                    return Err(Outcome::Api(CardRefused));
+                }
+                self.pseudonyms[pseudonym].cred.get_or_insert(self.epoch);
+                Outcome::Done
+            }
+            Op::Accuse(license, _, evidence) => {
+                let refusal = match evidence {
+                    Evidence::Genuine => None,
+                    Evidence::OtherLicense(_) => Some("license ids differ"),
+                    Evidence::NotHolder(_) => Some("holder key does not match accused"),
+                    Evidence::SameRecipient => Some("same recipient twice is a replay, not abuse"),
+                    Evidence::CopiedProof => Some("authorization signature invalid"),
+                };
+                if let Some(why) = refusal {
+                    return Err(Outcome::Refused(why));
+                }
+                let holder = self.licenses[license].holder;
+                let user = self.pseudonyms[holder].user;
+                self.unmasked.push(user);
+                self.users[user].revoked = true;
+                self.card_crl += 1;
+                self.pseudonym_crl.list(holder);
+                Outcome::Unmasked(user)
+            }
             Op::RevokeLicense(license) => {
                 self.licenses[license].spent.get_or_insert(None);
                 self.license_crl.list(license);
@@ -363,7 +489,7 @@ impl Model {
                 Outcome::Done
             }
             Op::Restart(_) => Outcome::Done,
-        }
+        })
     }
 
     /// Settles a purchase's answer as the wire client does: the license,
@@ -501,29 +627,56 @@ impl Model {
         }
     }
 
-    /// The user's current pseudonym, a fresh one if the newest was used.
-    fn ensure_pseudonym(&mut self, user: usize) -> Pseudo {
+    /// The user's newest pseudonym, if the policy lets it be used again.
+    fn current_pseudonym(&self, user: usize) -> Option<Pseudo> {
+        let u = &self.users[user];
+        u.pseudonyms.last().copied().filter(|_| u.uses == 0)
+    }
+
+    /// A pseudonym issued over the wire; the RA refuses a revoked card.
+    fn fresh_pseudonym(&mut self, user: usize) -> Result<Pseudo, Outcome> {
         let u = &mut self.users[user];
-        match u.pseudonyms.last() {
-            Some(&p) if u.uses == 0 => p,
-            _ => {
-                u.pseudonyms.push(self.pseudonyms.len());
-                u.uses = 0;
-                let epoch = self.epoch;
-                self.pseudonyms.push(Pseudonym {
-                    user,
-                    epoch,
-                    cred: None,
-                });
-                self.pseudonyms.len() - 1
-            }
+        if u.revoked {
+            return Err(Outcome::Api(Revoked));
+        }
+        u.pseudonyms.push(self.pseudonyms.len());
+        u.uses = 0;
+        let epoch = self.epoch;
+        self.pseudonyms.push(Pseudonym {
+            user,
+            epoch,
+            cred: None,
+        });
+        Ok(self.pseudonyms.len() - 1)
+    }
+
+    /// The user's current pseudonym, else a fresh one through the RA's
+    /// direct endpoint (`System::ensure_pseudonym`), whose refusal of a
+    /// revoked card the client reads as a `CoreError`.
+    fn ensure_pseudonym(&mut self, user: usize) -> Result<Pseudo, Outcome> {
+        match self.current_pseudonym(user) {
+            Some(p) => Ok(p),
+            None => self
+                .fresh_pseudonym(user)
+                .map_err(|_| Outcome::Refused("revoked card")),
         }
     }
 
-    /// The pseudonym `user` holds `license` under.
-    fn holding(&self, user: usize, license: Handle) -> Pseudo {
+    /// `System::ensure_attribute` for the pseudonym the caller ensured:
+    /// a credential unless it has one, which a revoked card does not get.
+    fn credential(&mut self, pseudonym: Pseudo) -> Result<(), Outcome> {
+        let p = &mut self.pseudonyms[pseudonym];
+        if p.cred.is_none() && self.users[p.user].revoked {
+            return Err(Outcome::Refused("revoked card"));
+        }
+        p.cred.get_or_insert(self.epoch);
+        Ok(())
+    }
+
+    /// The pseudonym `user` holds `license` under, if the user holds it.
+    pub fn holding(&self, user: usize, license: Handle) -> Option<Pseudo> {
         let held = &self.users[user].held;
-        held.iter().find(|l| l.0 == license).expect("held").1
+        held.iter().find(|l| l.0 == license).map(|l| l.1)
     }
 
     fn hold(&mut self, user: usize, license: Handle, pseudonym: Pseudo) {
@@ -560,8 +713,9 @@ impl Model {
         let user = |u: &User| {
             let wallet = u.wallet.iter().map(|&c| self.coins[c].0).sum();
             let held = u.held.iter().map(|l| l.0).collect();
-            (u.account, wallet, u.parked.len(), held)
+            (u.account, wallet, u.parked.len(), held, u.revoked)
         };
+        let revoked = self.users.iter().filter(|u| u.revoked).count();
         let [issued, spent] = [count(|l| l.issued), count(|l| l.spent.is_some())];
         let (licenses, pseudonyms) = (&self.license_crl, &self.pseudonym_crl);
         Ledger {
@@ -575,9 +729,15 @@ impl Model {
             crls: [
                 (licenses.1, licenses.0.len()),
                 (pseudonyms.1, pseudonyms.0.len()),
+                (self.card_crl, revoked),
             ],
             users: self.users.iter().map(user).collect(),
-            devices: self.devices.iter().map(|d| d.2).collect(),
+            unmasked: self
+                .unmasked
+                .iter()
+                .map(|&u| (u, "double-transfer"))
+                .collect(),
+            devices: self.devices.iter().map(|d| d.0 .0 .1).collect(),
         }
     }
 }

@@ -91,7 +91,7 @@ fn a_transfer_cut_short_after_its_claim_completes_on_retry() {
         assert_eq!(bob.licenses()[0].license.id(), moved.id());
         assert_eq!(sys.provider.license_count(), 2, "put {failing_put}");
         let crl = sys.provider.signed_license_crl(0);
-        assert_eq!(crl.sequence, 1, "put {failing_put}");
-        assert!(crl.list.contains(&license_crl_id(&lid)));
+        assert_eq!(crl.body.sequence, 1, "put {failing_put}");
+        assert!(crl.body.list.contains(&license_crl_id(&lid)));
     }
 }
