@@ -28,7 +28,7 @@ use p2drm_crypto::rng::CryptoRng;
 use p2drm_crypto::rsa::{RsaKeyPair, RsaPublicKey, RsaSignature};
 use p2drm_pki::authority::CertificateAuthority;
 use p2drm_pki::cert::{Certificate, EntityKind, KeyId, PseudonymCertificate, SubjectKey, Validity};
-use p2drm_pki::crl::{RevocationList, SignedCrl};
+use p2drm_pki::crl::{CrlScope, RevocationList, SignedCrl};
 use p2drm_rel::{AccessRequest, Decision, RightsState};
 use p2drm_store::typed::Table;
 use p2drm_store::{ConcurrentKv, MemKv};
@@ -163,15 +163,17 @@ impl<S: ConcurrentKv> CompliantDevice<S> {
 
     /// Ingests the provider's two full CRLs — the device's one CRL entry
     /// point. Both signatures are verified before any state is touched,
-    /// and sequence numbers must be non-decreasing (rollback protection):
+    /// each as the list its slot expects (a license CRL first, then a
+    /// pseudonym CRL, so one list shown in both slots is refused), and
+    /// sequence numbers must be non-decreasing (rollback protection):
     /// a refused pair leaves both lists and both sequences as they were.
     pub fn sync_crls(
         &mut self,
         license_crl: &SignedCrl,
         pseudonym_crl: &SignedCrl,
     ) -> Result<(), CoreError> {
-        license_crl.verify(&self.provider_key)?;
-        pseudonym_crl.verify(&self.provider_key)?;
+        license_crl.verify(&self.provider_key, CrlScope::License)?;
+        pseudonym_crl.verify(&self.provider_key, CrlScope::Pseudonym)?;
         if license_crl.body.sequence < self.license_crl_seq
             || pseudonym_crl.body.sequence < self.pseudonym_crl_seq
         {

@@ -130,7 +130,7 @@ use p2drm_payment::mint::CoinCheck;
 use p2drm_payment::{Coin, Mint, PaymentError};
 use p2drm_pki::authority::CertificateAuthority;
 use p2drm_pki::cert::{digest_id, Certificate, KeyId, PseudonymCertificate};
-use p2drm_pki::crl::{RevocationList, SignedCrl};
+use p2drm_pki::crl::{CrlScope, RevocationList, SignedCrl};
 use p2drm_rel::{Limit, Rights};
 use p2drm_store::typed::Table;
 use p2drm_store::{
@@ -1187,13 +1187,15 @@ impl<B: ConcurrentKv> ContentProvider<B> {
     /// Signed license CRL for full device sync.
     pub fn signed_license_crl(&self, issued_at: u64) -> SignedCrl {
         let crl = &self.state.crl.read().license;
-        SignedCrl::create(&self.core.keys, crl.seq, issued_at, crl.list.clone())
+        let (seq, list) = (crl.seq, crl.list.clone());
+        SignedCrl::create(&self.core.keys, CrlScope::License, seq, issued_at, list)
     }
 
     /// Signed pseudonym CRL for full device sync.
     pub fn signed_pseudonym_crl(&self, issued_at: u64) -> SignedCrl {
         let crl = &self.state.crl.read().pseudonym;
-        SignedCrl::create(&self.core.keys, crl.seq, issued_at, crl.list.clone())
+        let (seq, list) = (crl.seq, crl.list.clone());
+        SignedCrl::create(&self.core.keys, CrlScope::Pseudonym, seq, issued_at, list)
     }
 
     /// Licenses issued so far.

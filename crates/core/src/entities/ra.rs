@@ -17,7 +17,7 @@ use p2drm_crypto::rng::CryptoRng;
 use p2drm_crypto::rsa::{RsaKeyPair, RsaPublicKey, RsaSignature};
 use p2drm_pki::authority::{CertificateAuthority, RegistrationAuthorityKeys};
 use p2drm_pki::cert::{Certificate, EntityKind, KeyId, SubjectKey, Validity};
-use p2drm_pki::crl::{RevocationList, SignedCrl};
+use p2drm_pki::crl::{CrlScope, RevocationList, SignedCrl};
 use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet};
 
@@ -167,7 +167,8 @@ impl RegistrationAuthority {
         Ok(blind::blind_sign(&self.keys.blind, blinded)?)
     }
 
-    /// Revokes the card belonging to `user` (post-de-anonymization).
+    /// Revokes the card belonging to `user` (post-de-anonymization). The
+    /// card CRL's sequence moves only when the list gains the card.
     pub fn revoke_user(&self, user: &UserId) -> Result<(), CoreError> {
         let mut state = self.state.lock();
         let card = *state
@@ -175,8 +176,9 @@ impl RegistrationAuthority {
             .get(user)
             .ok_or(CoreError::Card("unknown user"))?;
         let key_id = state.cards[&card];
-        state.card_crl.insert(key_id);
-        state.crl_seq += 1;
+        if state.card_crl.insert(key_id) {
+            state.crl_seq += 1;
+        }
         Ok(())
     }
 
@@ -185,6 +187,7 @@ impl RegistrationAuthority {
         let state = self.state.lock();
         SignedCrl::create(
             self.keys.identity.keypair(),
+            CrlScope::Card,
             state.crl_seq,
             issued_at,
             state.card_crl.clone(),

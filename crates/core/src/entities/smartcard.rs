@@ -26,6 +26,11 @@
 //!   the card detaches its thread. The prepared key is not pseudonym
 //!   storage: [`SmartCard::pseudonym_count`] and
 //!   [`SmartCard::memory_bytes`] do not count it.
+//!
+//! A begun key is pending until [`SmartCard::store_pseudonym`] stores it,
+//! once its certificate is issued. Only stored keys count against the
+//! [`CardBudget`]: the next `begin_pseudonym` drops a pending key whose
+//! issuance the RA refused or the caller abandoned.
 
 use crate::entities::ttp::Ttp;
 use crate::ids::{CardId, UserId};
@@ -64,6 +69,8 @@ pub struct SmartCard {
     /// only its seed and shares no state, so detaching it loses nothing
     /// but a key no one will use.
     prepared: Option<JoinHandle<RsaKeyPair>>,
+    /// The key of the issuance in progress, stored once certified.
+    pending: Option<RsaKeyPair>,
     budget: CardBudget,
     revoked: bool,
 }
@@ -86,6 +93,7 @@ impl SmartCard {
             master_cert,
             pseudonyms: HashMap::new(),
             prepared: None,
+            pending: None,
             budget,
             revoked: false,
         }
@@ -134,6 +142,7 @@ impl SmartCard {
     pub fn mark_revoked(&mut self) {
         self.revoked = true;
         self.prepared = None;
+        self.pending = None;
     }
 
     /// Whether this card has been revoked.
@@ -156,9 +165,11 @@ impl SmartCard {
     }
 
     /// Generates a fresh pseudonym key pair plus its escrowed certificate
-    /// body. The private key never leaves the card. The key is the one in
-    /// preparation if there is one, and the next is prepared while the
-    /// budget has room for it (module doc).
+    /// body. The private key never leaves the card; it is pending until
+    /// [`SmartCard::store_pseudonym`], and a pending key left by an
+    /// earlier call is dropped. The key is the one in preparation if
+    /// there is one, and the next is prepared while the budget has room
+    /// for it (module doc).
     pub fn begin_pseudonym<R: CryptoRng + ?Sized>(
         &mut self,
         ttp_key: &p2drm_crypto::elgamal::ElGamalPublicKey,
@@ -166,6 +177,7 @@ impl SmartCard {
         rng: &mut R,
     ) -> Result<PseudonymCertBody, CoreError> {
         self.ensure_active()?;
+        self.pending = None;
         if self.pseudonyms.len() >= self.budget.max_pseudonyms {
             return Err(CoreError::Card("pseudonym budget exhausted"));
         }
@@ -183,9 +195,17 @@ impl SmartCard {
             escrow,
             epoch,
         };
-        self.pseudonyms
-            .insert(KeyId::of_rsa(keypair.public()), keypair);
+        self.pending = Some(keypair);
         Ok(body)
+    }
+
+    /// Stores the pending key `id` once its certificate is issued; from
+    /// then on it counts against the budget.
+    pub fn store_pseudonym(&mut self, id: &KeyId) -> Result<(), CoreError> {
+        let pending = self.pending.take_if(|k| KeyId::of_rsa(k.public()) == *id);
+        let keypair = pending.ok_or(CoreError::Card("no such pending pseudonym"))?;
+        self.pseudonyms.insert(*id, keypair);
+        Ok(())
     }
 
     /// Starts generating the next pseudonym key pair from a seed drawn

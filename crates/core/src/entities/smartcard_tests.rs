@@ -7,9 +7,9 @@ use crate::entities::smartcard::{CardBudget, SmartCard};
 use crate::ids::UserId;
 use crate::CoreError;
 use p2drm_crypto::elgamal::{ElGamalGroup, ElGamalKeyPair};
-use p2drm_crypto::rng::test_rng;
+use p2drm_crypto::rng::{test_rng, CryptoRng};
 use p2drm_pki::authority::CertificateAuthority;
-use p2drm_pki::cert::{KeyId, Validity};
+use p2drm_pki::cert::{KeyId, PseudonymCertBody, Validity};
 
 fn card(seed: u64, budget: CardBudget) -> SmartCard {
     let mut rng = test_rng(seed);
@@ -24,13 +24,21 @@ fn ttp_key(seed: u64) -> ElGamalKeyPair {
     ElGamalKeyPair::generate(ElGamalGroup::test_512(), &mut test_rng(seed))
 }
 
+/// One pseudonym key begun and stored, as a certified issuance leaves it.
+fn issue(c: &mut SmartCard, ttp: &ElGamalKeyPair, rng: &mut impl CryptoRng) -> PseudonymCertBody {
+    let body = c.begin_pseudonym(ttp.public(), 0, rng).unwrap();
+    c.store_pseudonym(&KeyId::of_rsa(&body.pseudonym_key))
+        .unwrap();
+    body
+}
+
 #[test]
 fn pseudonym_budget_enforced_and_freed() {
     let mut c = card(400, CardBudget { max_pseudonyms: 2 });
     let ttp = ttp_key(401);
     let mut rng = test_rng(402);
-    let b1 = c.begin_pseudonym(ttp.public(), 0, &mut rng).unwrap();
-    let _b2 = c.begin_pseudonym(ttp.public(), 0, &mut rng).unwrap();
+    let b1 = issue(&mut c, &ttp, &mut rng);
+    issue(&mut c, &ttp, &mut rng);
     assert_eq!(c.pseudonym_count(), 2);
     assert!(matches!(
         c.begin_pseudonym(ttp.public(), 0, &mut rng),
@@ -47,7 +55,7 @@ fn revoked_card_refuses_every_operation() {
     let mut c = card(403, CardBudget::default());
     let ttp = ttp_key(404);
     let mut rng = test_rng(405);
-    let body = c.begin_pseudonym(ttp.public(), 0, &mut rng).unwrap();
+    let body = issue(&mut c, &ttp, &mut rng);
     let pid = KeyId::of_rsa(&body.pseudonym_key);
 
     c.mark_revoked();
@@ -73,7 +81,7 @@ fn memory_grows_with_pseudonyms() {
     let ttp = ttp_key(408);
     let mut rng = test_rng(409);
     let m0 = c.memory_bytes();
-    c.begin_pseudonym(ttp.public(), 0, &mut rng).unwrap();
+    issue(&mut c, &ttp, &mut rng);
     let m1 = c.memory_bytes();
     assert!(m1 > m0);
     assert_eq!(m1 - m0, 2 * (c.key_bits() / 8));
@@ -107,7 +115,7 @@ fn revocation_discards_the_prepared_key() {
     let mut c = card(423, CardBudget::default());
     let ttp = ttp_key(424);
     let mut rng = test_rng(425);
-    c.begin_pseudonym(ttp.public(), 0, &mut rng).unwrap();
+    issue(&mut c, &ttp, &mut rng);
     assert!(c.has_prepared_key());
     c.mark_revoked();
     assert!(!c.has_prepared_key(), "never used");
@@ -123,13 +131,13 @@ fn a_card_with_no_slot_after_this_one_prepares_nothing() {
     let ttp = ttp_key(426);
     let mut rng = test_rng(427);
     let mut single = card(428, CardBudget { max_pseudonyms: 1 });
-    single.begin_pseudonym(ttp.public(), 0, &mut rng).unwrap();
+    issue(&mut single, &ttp, &mut rng);
     assert!(!single.has_prepared_key());
 
     let mut c = card(429, CardBudget { max_pseudonyms: 2 });
-    c.begin_pseudonym(ttp.public(), 0, &mut rng).unwrap();
+    issue(&mut c, &ttp, &mut rng);
     assert!(c.has_prepared_key(), "room for one more");
-    c.begin_pseudonym(ttp.public(), 0, &mut rng).unwrap();
+    issue(&mut c, &ttp, &mut rng);
     assert!(!c.has_prepared_key(), "at max_pseudonyms - 1 before it");
 }
 
@@ -138,7 +146,7 @@ fn the_prepared_key_is_not_card_storage() {
     let mut c = card(430, CardBudget::default());
     let ttp = ttp_key(431);
     let mut rng = test_rng(432);
-    c.begin_pseudonym(ttp.public(), 0, &mut rng).unwrap();
+    issue(&mut c, &ttp, &mut rng);
     assert!(c.has_prepared_key());
     assert_eq!(c.pseudonym_count(), 1);
     assert_eq!(c.memory_bytes(), 2 * 2 * (c.key_bits() / 8));

@@ -8,8 +8,8 @@ use crate::protocol::messages::PurchaseRequest;
 use p2drm_payment::Wallet;
 use p2drm_pki::cert::{AttributeCertificate, KeyId, PseudonymCertificate};
 
-/// How aggressively the user refreshes pseudonyms — the experiment-E7
-/// linkability knob.
+/// How aggressively the user refreshes pseudonyms — the linkability
+/// knob: purchases under one pseudonym are linkable to each other.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PseudonymPolicy {
     /// A fresh pseudonym for every purchase (paper's recommendation).
@@ -80,7 +80,7 @@ impl UserAgent {
         self.policy
     }
 
-    /// Changes the refresh policy (E7 sweeps this).
+    /// Changes the refresh policy.
     pub fn set_policy(&mut self, policy: PseudonymPolicy) {
         self.policy = policy;
     }

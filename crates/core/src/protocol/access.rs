@@ -81,7 +81,7 @@ mod tests {
     use crate::ids::ContentId;
     use crate::system::{System, SystemConfig};
     use p2drm_crypto::rng::test_rng;
-    use p2drm_pki::cert::Validity;
+    use p2drm_pki::cert::{KeyId, Validity};
     use p2drm_store::MemKv;
 
     struct Fx {
@@ -141,19 +141,6 @@ mod tests {
     }
 
     #[test]
-    fn kept_row_does_not_bypass_revocation() {
-        let mut f = played_once(192);
-        f.sys.provider.revoke_license(&f.license.id()).unwrap();
-        let lic_crl = f.sys.provider.signed_license_crl(50);
-        let pseud_crl = f.sys.provider.signed_pseudonym_crl(50);
-        f.device.sync_crls(&lic_crl, &pseud_crl).unwrap();
-
-        let res = play_kept(&f.alice, &mut f.device, &f.license, f.sys.now());
-        assert!(matches!(res, Err(CoreError::Revoked("license"))), "{res:?}");
-        assert_eq!(f.device.rights_state(&f.license).unwrap().plays_used, 1);
-    }
-
-    #[test]
     fn kept_row_does_not_bypass_the_play_count() {
         // fast_test rights template grants play count=3.
         let mut f = played_once(193);
@@ -172,6 +159,34 @@ mod tests {
         let bob = f.sys.register_user("bob", &mut test_rng(195)).unwrap();
         let res = play_kept(&bob, &mut f.device, &f.license, f.sys.now());
         assert!(res.is_err(), "{res:?}");
+        assert_eq!(f.device.rights_state(&f.license).unwrap().plays_used, 1);
+    }
+
+    #[test]
+    fn one_crl_in_both_slots_is_refused_and_the_revoked_license_stays_revoked() {
+        let mut f = played_once(199);
+        let provider = &f.sys.provider;
+        provider.revoke_license(&f.license.id()).unwrap();
+        // An unrelated revocation: both lists now read sequence 1.
+        provider.revoke_pseudonym(KeyId([7; 32])).unwrap();
+        let (licenses, pseudonyms) = (
+            provider.signed_license_crl(50),
+            provider.signed_pseudonym_crl(50),
+        );
+        assert_eq!(licenses.body.sequence, pseudonyms.body.sequence);
+        f.device.sync_crls(&licenses, &pseudonyms).unwrap();
+        let now = f.sys.now();
+        let res = play_kept(&f.alice, &mut f.device, &f.license, now);
+        assert!(matches!(res, Err(CoreError::Revoked("license"))), "{res:?}");
+
+        // The holder relays the pseudonym list in the license slot.
+        let swapped = f.device.sync_crls(&pseudonyms, &pseudonyms);
+        assert!(
+            swapped.is_err(),
+            "the pseudonym list passed as the license list"
+        );
+        let res = play_kept(&f.alice, &mut f.device, &f.license, now);
+        assert!(matches!(res, Err(CoreError::Revoked("license"))), "{res:?}");
         assert_eq!(f.device.rights_state(&f.license).unwrap().plays_used, 1);
     }
 

@@ -144,27 +144,6 @@ mod tests {
     use p2drm_crypto::rng::test_rng;
 
     #[test]
-    fn ra_never_sees_attribute_cert_contents() {
-        let mut rng = test_rng(302);
-        let sys = System::bootstrap(SystemConfig::fast_test(), &mut rng);
-        let mut alice = sys.register_user("alice", &mut rng).unwrap();
-        sys.ra
-            .grant_attribute(&alice.user_id(), "adult", &mut rng)
-            .unwrap();
-        sys.ensure_pseudonym(&mut alice, &mut rng).unwrap();
-        let mut t = Transcript::new();
-        let epoch = sys.epoch();
-        let now = sys.now();
-        let pid =
-            obtain_attribute(&mut alice, &sys.ra, "adult", epoch, now, &mut rng, &mut t).unwrap();
-        let cert = alice.attribute_cert_for(&pid, "adult").unwrap();
-        assert_eq!(t.message_count(), 2);
-        assert!(!t.scan_for(Party::Ra, &cert.body.signing_bytes()));
-        let modulus = cert.body.pseudonym_key.modulus().to_bytes_be();
-        assert!(!t.scan_for(Party::Ra, &modulus));
-    }
-
-    #[test]
     fn unknown_attribute_refused() {
         let mut rng = test_rng(303);
         let sys = System::bootstrap(SystemConfig::fast_test(), &mut rng);

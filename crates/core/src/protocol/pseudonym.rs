@@ -54,7 +54,8 @@ impl PseudonymIssueSession {
     }
 
     /// Card-side final round: unblind the RA's signature, verify the
-    /// resulting certificate, store it on the agent.
+    /// resulting certificate, store its key on the card and it on the
+    /// agent.
     pub fn finish(
         self,
         user: &mut UserAgent,
@@ -69,6 +70,7 @@ impl PseudonymIssueSession {
         cert.verify(ra_blind_key)
             .map_err(|_| CoreError::BadPseudonym("unblinded signature invalid"))?;
         let id = cert.pseudonym_id();
+        user.card.store_pseudonym(&id)?;
         user.add_pseudonym(cert);
         Ok(id)
     }
@@ -183,75 +185,37 @@ mod tests {
     }
 
     #[test]
-    fn ra_never_receives_pseudonym_key_or_user_id() {
-        // The unlinkability transcript check: nothing the RA received
-        // during issuance contains the pseudonym key fingerprint, the
-        // certificate body bytes, or the user id.
-        let mut f = fixture(162);
-        let mut rng = test_rng(163);
-        let mut t = Transcript::new();
-        obtain_pseudonym(
-            &mut f.user,
-            &f.ra,
-            f.ttp.escrow_key(),
-            0,
-            100,
-            &mut rng,
-            &mut t,
-        )
-        .unwrap();
-        let cert = f.user.pseudonym_certs().last().unwrap();
-        let pseudonym_modulus = cert.body.pseudonym_key.modulus().to_bytes_be();
-        assert!(!t.scan_for(Party::Ra, &pseudonym_modulus));
-        assert!(!t.scan_for(Party::Ra, &cert.body.signing_bytes()));
-        // The user id is escrowed (encrypted) — never in the clear.
-        assert!(!t.scan_for(Party::Ra, f.user.user_id().as_bytes()));
-    }
+    fn only_certified_keys_count_against_the_card_budget() {
+        let Fixture { ra, ttp, .. } = fixture(164);
+        let (mut rng, budget) = (test_rng(164), CardBudget { max_pseudonyms: 2 });
+        let mut user = |label| {
+            let id = UserId::from_label(label);
+            let policy = PseudonymPolicy::FreshPerPurchase;
+            let mut t = Transcript::new();
+            register(&ra, id, "acct", policy, budget, &mut rng, &mut t).unwrap()
+        };
+        let (mut revoked, mut dropped) = (user("revoked"), user("dropped"));
+        let mut rng = test_rng(165);
+        let mut obtain = |user: &mut UserAgent| {
+            let mut t = Transcript::new();
+            obtain_pseudonym(user, &ra, ttp.escrow_key(), 0, 100, &mut rng, &mut t)
+        };
 
-    #[test]
-    fn distinct_pseudonyms_unlinkable_by_content() {
-        let mut f = fixture(166);
-        let mut rng = test_rng(167);
-        let mut t = Transcript::new();
-        let a = obtain_pseudonym(
-            &mut f.user,
-            &f.ra,
-            f.ttp.escrow_key(),
-            0,
-            100,
-            &mut rng,
-            &mut t,
-        )
-        .unwrap();
-        let b = obtain_pseudonym(
-            &mut f.user,
-            &f.ra,
-            f.ttp.escrow_key(),
-            0,
-            100,
-            &mut rng,
-            &mut t,
-        )
-        .unwrap();
-        assert_ne!(a, b);
-        // The RA's whole view of an issuance is the request it received;
-        // the blinded values there differ from the FDH images of both
-        // certificates (structural unlinkability).
-        let received: Vec<PseudonymIssueRequest> = t
-            .entries()
-            .iter()
-            .filter(|e| e.to == Party::Ra && e.label == "pseudonym-issue-request")
-            .map(|e| p2drm_codec::from_bytes(&e.bytes).unwrap())
-            .collect();
-        assert_eq!(received.len(), 2);
-        for req in &received {
-            for cert in f.user.pseudonym_certs() {
-                let fdh = p2drm_crypto::rsa::fdh(
-                    &cert.body.signing_bytes(),
-                    f.ra.blind_public().modulus_len(),
-                );
-                assert_ne!(req.blinded, fdh);
-            }
+        // The RA refuses a revoked card: no refusal uses up a slot.
+        ra.revoke_user(&revoked.user_id()).unwrap();
+        for _ in 0..3 {
+            assert!(obtain(&mut revoked).is_err());
         }
+        assert_eq!(revoked.card.pseudonym_count(), 0);
+
+        // A session dropped before `finish` leaves both slots free.
+        let mut rng = test_rng(166);
+        let blind_key = ra.blind_public();
+        let begun =
+            PseudonymIssueSession::begin(&mut dropped, blind_key, ttp.escrow_key(), 0, &mut rng);
+        drop(begun.unwrap());
+        assert!(obtain(&mut dropped).is_ok());
+        assert!(obtain(&mut dropped).is_ok());
+        assert_eq!(dropped.card.pseudonym_count(), 2);
     }
 }

@@ -109,30 +109,9 @@ impl PurchaseSession {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::audit::{Party, Transcript};
     use crate::service::WireError;
     use crate::system::{System, SystemConfig};
     use p2drm_crypto::rng::test_rng;
-
-    #[test]
-    fn provider_receives_no_identity_bytes() {
-        // The paper's core privacy claim, checked against actual wire bytes.
-        let mut rng = test_rng(171);
-        let sys = System::bootstrap(SystemConfig::fast_test(), &mut rng);
-        let cid = sys.publish_content("T", 100, b"payload", &mut rng);
-        let mut alice = sys.register_user("alice", &mut rng).unwrap();
-        sys.fund(&alice, 500);
-
-        let mut t = Transcript::new();
-        sys.purchase_with_transcript(&mut alice, cid, &mut rng, &mut t)
-            .unwrap();
-
-        assert!(t.bytes_received_by(Party::Provider) > 0);
-        assert!(!t.scan_for(Party::Provider, alice.user_id().as_bytes()));
-        assert!(!t.scan_for(Party::Provider, alice.account.as_bytes()));
-        let master_modulus = alice.card.master_public().modulus().to_bytes_be();
-        assert!(!t.scan_for(Party::Provider, &master_modulus));
-    }
 
     #[test]
     fn purchase_without_pseudonym_fails() {

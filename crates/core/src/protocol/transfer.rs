@@ -74,8 +74,7 @@ impl TransferSession {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::audit::{Party, Recording, Transcript};
-    use crate::service::{ApiErrorCode, Loopback, WireClient, WireError};
+    use crate::service::{ApiErrorCode, WireError};
     use crate::system::{System, SystemConfig};
     use p2drm_crypto::rng::test_rng;
 
@@ -130,21 +129,5 @@ mod tests {
             "detail {:?} names the license id",
             refusal.detail
         );
-    }
-
-    #[test]
-    fn provider_sees_pseudonyms_not_identities() {
-        let mut f = fixture(198);
-        let mut rng = test_rng(199);
-        let lid = f.license.id();
-        let mut t = Transcript::new();
-        let service = f.sys.wire_service(198);
-        WireClient::new(Recording::new(Loopback::new(&service), &mut t))
-            .transfer(&mut f.alice, &mut f.bob, lid, &mut rng)
-            .unwrap();
-        assert!(t.bytes_received_by(Party::Provider) > 0);
-        assert!(!t.scan_for(Party::Provider, f.alice.user_id().as_bytes()));
-        assert!(!t.scan_for(Party::Provider, f.bob.user_id().as_bytes()));
-        assert_eq!(f.sys.provider.spent_count(), 1);
     }
 }

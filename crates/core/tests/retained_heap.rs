@@ -154,12 +154,14 @@ const CARD_ISSUANCES: usize = 32;
 /// What a card may keep beyond one prepared key pair.
 const MAX_RETAINED_BEYOND_PREPARED: i64 = 1024;
 
-/// One pseudonym key pair begun on `card`.
+/// One pseudonym key pair begun and stored on `card`.
 fn issue(card: &mut SmartCard, sys: &System, rng: &mut StdRng) -> KeyId {
     let body = card
         .begin_pseudonym(sys.ttp.escrow_key(), sys.epoch(), rng)
         .unwrap();
-    KeyId::of_rsa(&body.pseudonym_key)
+    let id = KeyId::of_rsa(&body.pseudonym_key);
+    card.store_pseudonym(&id).unwrap();
+    id
 }
 
 /// Heap bytes a card on `sys` retains after obtaining and forgetting

@@ -73,9 +73,38 @@ impl Decode for RevocationList {
     }
 }
 
+/// Which list a [`SignedCrl`] is. One issuer key signs more than one
+/// list (the provider's license and pseudonym CRLs), so the signed bytes
+/// say which, and a relying party names the one it expects.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum CrlScope {
+    /// Revoked card master keys (the RA's list).
+    Card,
+    /// Revoked licenses.
+    License,
+    /// Revoked pseudonyms.
+    Pseudonym,
+}
+
+impl Encode for CrlScope {
+    fn encode(&self, w: &mut Writer) {
+        w.put_u8(*self as u8);
+    }
+}
+
+impl Decode for CrlScope {
+    fn decode(r: &mut Reader) -> p2drm_codec::Result<Self> {
+        let d = r.get_u8()?;
+        let all = [CrlScope::Card, CrlScope::License, CrlScope::Pseudonym];
+        all.get(usize::from(d))
+            .copied()
+            .ok_or(p2drm_codec::CodecError::BadDiscriminant(d))
+    }
+}
+
 p2drm_codec::record! {
-    /// What a [`SignedCrl`] signs: the list, its issuer, sequence number
-    /// and issuance time.
+    /// What a [`SignedCrl`] signs: the list, its issuer, sequence number,
+    /// issuance time and which list it is.
     #[derive(Clone, Debug, PartialEq, Eq)]
     pub struct CrlBody {
         /// Issuer key id.
@@ -86,6 +115,8 @@ p2drm_codec::record! {
         pub issued_at: u64,
         /// The list itself.
         pub list: RevocationList,
+        /// Which list this is.
+        pub scope: CrlScope,
     }
 }
 
@@ -102,9 +133,10 @@ p2drm_codec::record! {
 }
 
 impl SignedCrl {
-    /// Creates and signs a CRL with the issuer keypair.
+    /// Creates and signs a `scope` CRL with the issuer keypair.
     pub fn create(
         issuer_kp: &p2drm_crypto::rsa::RsaKeyPair,
+        scope: CrlScope,
         sequence: u64,
         issued_at: u64,
         list: RevocationList,
@@ -114,6 +146,7 @@ impl SignedCrl {
             sequence,
             issued_at,
             list,
+            scope,
         };
         SignedCrl {
             signature: issuer_kp.sign(&p2drm_codec::to_bytes(&body)),
@@ -121,10 +154,17 @@ impl SignedCrl {
         }
     }
 
-    /// Verifies issuer signature.
-    pub fn verify(&self, issuer_key: &RsaPublicKey) -> Result<(), crate::PkiError> {
+    /// Verifies that `issuer_key` signed this CRL as a `scope` list.
+    pub fn verify(
+        &self,
+        issuer_key: &RsaPublicKey,
+        scope: CrlScope,
+    ) -> Result<(), crate::PkiError> {
         if KeyId::of_rsa(issuer_key) != self.body.issuer {
             return Err(crate::PkiError::UnknownIssuer);
+        }
+        if self.body.scope != scope {
+            return Err(crate::PkiError::WrongScope);
         }
         issuer_key
             .verify(&p2drm_codec::to_bytes(&self.body), &self.signature)
@@ -177,17 +217,29 @@ mod tests {
         let mut rng = test_rng(70);
         let kp = RsaKeyPair::generate(512, &mut rng);
         let other = RsaKeyPair::generate(512, &mut rng);
-        let crl = SignedCrl::create(&kp, 3, 1000, RevocationList::from_ids(vec![id(1)]));
-        assert!(crl.verify(kp.public()).is_ok());
-        assert!(crl.verify(other.public()).is_err());
+        let list = RevocationList::from_ids(vec![id(1)]);
+        let crl = SignedCrl::create(&kp, CrlScope::License, 3, 1000, list);
+        assert!(crl.verify(kp.public(), CrlScope::License).is_ok());
+        assert!(crl.verify(other.public(), CrlScope::License).is_err());
+        assert_eq!(
+            crl.verify(kp.public(), CrlScope::Pseudonym),
+            Err(crate::PkiError::WrongScope)
+        );
 
         let mut tampered = crl.clone();
         tampered.body.list.insert(id(9));
-        assert!(tampered.verify(kp.public()).is_err());
+        assert!(tampered.verify(kp.public(), CrlScope::License).is_err());
 
         let mut tampered = crl.clone();
         tampered.body.sequence += 1;
-        assert!(tampered.verify(kp.public()).is_err());
+        assert!(tampered.verify(kp.public(), CrlScope::License).is_err());
+
+        let mut relabelled = crl.clone();
+        relabelled.body.scope = CrlScope::Pseudonym;
+        assert_eq!(
+            relabelled.verify(kp.public(), CrlScope::Pseudonym),
+            Err(crate::PkiError::BadSignature)
+        );
     }
 
     #[test]
@@ -196,6 +248,7 @@ mod tests {
         let kp = RsaKeyPair::generate(512, &mut rng);
         let crl = SignedCrl::create(
             &kp,
+            CrlScope::Card,
             1,
             5,
             RevocationList::from_ids((0..10).map(id).collect()),
@@ -203,6 +256,6 @@ mod tests {
         let bytes = p2drm_codec::to_bytes(&crl);
         let back: SignedCrl = p2drm_codec::from_bytes(&bytes).unwrap();
         assert_eq!(back, crl);
-        assert!(back.verify(kp.public()).is_ok());
+        assert!(back.verify(kp.public(), CrlScope::Card).is_ok());
     }
 }

@@ -35,7 +35,7 @@ pub use cert::{
     AttributeCertBody, AttributeCertificate, Certificate, CertificateBody, EntityKind, Extension,
     KeyId, PseudonymCertBody, PseudonymCertificate, SubjectKey, Validity,
 };
-pub use crl::{RevocationList, SignedCrl};
+pub use crl::{CrlScope, RevocationList, SignedCrl};
 pub use vcache::{CacheCounters, VerifyCache};
 
 /// Errors raised by certificate verification and issuance.
@@ -49,6 +49,8 @@ pub enum PkiError {
     WrongKeyType,
     /// Issuer mismatch or unknown issuer.
     UnknownIssuer,
+    /// A revocation list signed as another list than the one expected.
+    WrongScope,
     /// Serialized form malformed.
     Encoding(p2drm_codec::CodecError),
     /// Underlying crypto failure.
@@ -64,6 +66,7 @@ impl std::fmt::Display for PkiError {
             }
             PkiError::WrongKeyType => write!(f, "subject key type mismatch"),
             PkiError::UnknownIssuer => write!(f, "issuer unknown or mismatched"),
+            PkiError::WrongScope => write!(f, "revocation list of another scope"),
             PkiError::Encoding(e) => write!(f, "encoding: {e}"),
             PkiError::Crypto(e) => write!(f, "crypto: {e}"),
         }

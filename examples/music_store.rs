@@ -1,5 +1,5 @@
-//! Music store scenario: a catalog with Zipf popularity, users with
-//! different pseudonym refresh policies, and a demonstration of what the
+//! Music store scenario: a catalog, users with different pseudonym
+//! refresh policies, and a demonstration of what the
 //! purchase requests the provider receives actually reveal under each
 //! policy — the paper's privacy argument made observable.
 //!
@@ -7,9 +7,10 @@
 //! cargo run --example music_store
 //! ```
 
+use p2drm::core::audit::Party;
+use p2drm::core::protocol::messages::PurchaseRequest;
+use p2drm::core::service::OpCode;
 use p2drm::prelude::*;
-use p2drm::sim::adversary::purchases_received;
-use p2drm::sim::Zipf;
 use rand::Rng;
 use std::collections::HashMap;
 
@@ -30,7 +31,6 @@ fn main() {
         .iter()
         .map(|t| system.publish_content(t, 100, t.as_bytes(), &mut rng))
         .collect();
-    let popularity = Zipf::new(catalog.len(), 1.1);
 
     // Three shoppers with different privacy hygiene.
     let mut shoppers = vec![
@@ -52,7 +52,7 @@ fn main() {
     let mut transcript = Transcript::new();
     for round in 0..6 {
         for (_, agent) in shoppers.iter_mut() {
-            let pick = catalog[popularity.sample(&mut rng)];
+            let pick = catalog[rng.gen_range(0..catalog.len())];
             system
                 .purchase_with_transcript(agent, pick, &mut rng, &mut transcript)
                 .unwrap();
@@ -64,8 +64,13 @@ fn main() {
 
     // What does the store know? It keeps no purchase log, but it saw each
     // request arrive: group them by pseudonym.
+    let received = transcript
+        .entries()
+        .iter()
+        .filter(|e| e.to == Party::Provider && e.label == OpCode::Purchase.label())
+        .map(|e| p2drm::codec::from_bytes::<PurchaseRequest>(&e.bytes).unwrap());
     let mut clusters: HashMap<_, Vec<_>> = HashMap::new();
-    for req in purchases_received(&transcript) {
+    for req in received {
         clusters
             .entry(req.pseudonym_cert.pseudonym_id())
             .or_default()
@@ -113,5 +118,4 @@ fn main() {
             "allowed (bug!)"
         }
     );
-    let _ = rng.gen::<u8>();
 }

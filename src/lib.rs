@@ -37,7 +37,6 @@
 //! | [`net`] | `p2drm-net` | **the TCP layer**: framed `DrmServer` + worker pool, `TcpTransport`, server metrics |
 //! | [`obs`] | `p2drm-obs` | **observability**: metrics registry, latency histograms, correlation-id tracing |
 //! | [`faults`] | `p2drm-faults` | **fault injection**: seeded `FaultPlan`, transport and store wrappers, torn WAL tails |
-//! | [`sim`] | `p2drm-sim` | test and example support: Zipf workload, linkability adversary, wire corruption helpers |
 //!
 //! ## Quickstart
 //!
@@ -75,7 +74,6 @@ pub use p2drm_obs as obs;
 pub use p2drm_payment as payment;
 pub use p2drm_pki as pki;
 pub use p2drm_rel as rel;
-pub use p2drm_sim as sim;
 pub use p2drm_store as store;
 
 /// Convenience prelude with the types most applications touch.

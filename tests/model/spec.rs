@@ -14,6 +14,11 @@
 //! revoked card before it looks up an entitlement; the TTP opens an
 //! escrow only on evidence `AbuseEvidence::verify` accepts, and then the
 //! RA revokes the card and the provider lists that one pseudonym.
+//!
+//! Each op also yields its `View`: the requests an unfaulted run
+//! delivers, the model values the provider's payloads carry, and the
+//! users the RA hears from. What a party may link is what its views
+//! share; the runner holds the stack's bytes to that.
 
 use p2drm::core::service::ApiErrorCode::{self as Code, *};
 use std::collections::HashMap;
@@ -25,6 +30,9 @@ pub const USERS: usize = 3;
 pub const DEVICES: usize = 2;
 /// The users the RA granted the attribute the rated item needs.
 pub const ADULTS: [bool; USERS] = [true, true, false];
+/// Purchases per pseudonym: user 1 reuses each for three
+/// (`PseudonymPolicy::ReuseK(3)`), the others take a fresh one each time.
+pub const USES: [u32; USERS] = [1, 3, 1];
 /// The refusals after which the wire client puts the coin back.
 pub const PUT_BACK: [Code; 4] = [BadPseudonym, UnknownContent, InsufficientFunds, Payment];
 
@@ -93,6 +101,8 @@ pub enum Shown {
     Tampered,
     /// The current lists, signed by a key that is not the provider's.
     Stranger,
+    /// The current pseudonym list in the license slot, and the reverse.
+    Swapped,
 }
 
 /// A hand-built purchase's coin: withdrawn now, or one already deposited.
@@ -172,6 +182,27 @@ pub enum Outcome {
     Parked,
 }
 
+/// A model value a payload carries.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub enum Value {
+    Pseudonym(Pseudo),
+    Item(ItemId),
+    License(Handle),
+    Coin(CoinId),
+    /// A CRL sequence number.
+    Crl(u64),
+}
+
+/// What one op delivers: the labels of the requests an unfaulted run
+/// delivers, in order; the values the provider's payloads carry; and the
+/// users whose cards ask the RA, one per request.
+#[derive(Debug, Default)]
+pub struct View {
+    pub labels: Vec<&'static str>,
+    pub provider: Vec<Value>,
+    pub ra: Vec<usize>,
+}
+
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Status {
     Unknown,
@@ -191,7 +222,8 @@ pub enum Req {
 
 pub struct License {
     /// What its id derives from: a purchase's coin, pseudonym and item,
-    /// or a transfer's old license and recipient.
+    /// or a transfer's old license and recipient (and the item it
+    /// carries over).
     key: (usize, Pseudo, ItemId, bool),
     pub holder: Pseudo,
     plays: Limit,
@@ -216,8 +248,9 @@ pub struct User {
     /// Indices into `Model::sent`.
     pub parked: Vec<usize>,
     pub pseudonyms: Vec<Pseudo>,
-    /// Uses of the newest pseudonym; the policy wants a fresh one after one.
-    uses: u32,
+    /// Uses of the newest pseudonym; the policy wants a fresh one after
+    /// `USES`.
+    pub uses: u32,
     pub held: Vec<(Handle, Pseudo)>,
     /// Every license held, and its pseudonym: what a backup holds.
     pub history: Vec<(Handle, Pseudo)>,
@@ -225,9 +258,9 @@ pub struct User {
     pub revoked: bool,
 }
 
-/// A device's CRLs and its play counts.
+/// A device's CRLs, its play counts and the items it keeps.
 #[derive(Clone, Default)]
-pub struct Device(Crls, HashMap<Handle, u32>);
+pub struct Device(Crls, HashMap<Handle, u32>, Vec<ItemId>);
 
 /// The license and the pseudonym CRL.
 pub type Crls = (Crl<Handle>, Crl<Pseudo>);
@@ -285,6 +318,8 @@ pub struct Model {
     pub sent: Vec<(Req, Handle)>,
     /// Requests answered as replays.
     pub replays: usize,
+    /// What the op being applied delivers.
+    view: View,
 }
 
 impl Model {
@@ -300,8 +335,9 @@ impl Model {
         model
     }
 
-    pub fn apply(&mut self, op: &Op) -> Outcome {
-        self.step(op).unwrap_or_else(|refused| refused)
+    pub fn apply(&mut self, op: &Op) -> (Outcome, View) {
+        let out = self.step(op).unwrap_or_else(|refused| refused);
+        (out, std::mem::take(&mut self.view))
     }
 
     /// `op`'s outcome, or `Err` with the refusal that ends it early.
@@ -314,6 +350,7 @@ impl Model {
                 if rated && ADULTS[user] {
                     self.credential(pseudonym)?;
                 }
+                self.deliver("catalog", [Value::Item(Some(item))]);
                 if fault == Some(Fault::Unquoted) {
                     return Ok(Outcome::Parked);
                 }
@@ -381,9 +418,12 @@ impl Model {
                 self.send(Req::Transfer(license, signer, recipient), None).1
             }
             Op::Play(user, device, license) => {
+                // The client learns the server's clock from a CRL sync.
+                self.deliver("crl-sync", [Value::Crl(0)]);
                 let holder = self.holding(user, license);
                 let holder = holder.ok_or(Outcome::Refused("unknown license"))?;
-                let Device((licenses, pseudonyms), plays) = &mut self.devices[device];
+                let item = self.licenses[license].key.2;
+                let Device((licenses, pseudonyms), plays, kept) = &mut self.devices[device];
                 if licenses.0.contains(&license) {
                     return Err(Outcome::Refused("revoked license"));
                 }
@@ -395,9 +435,15 @@ impl Model {
                     return Err(Outcome::Refused("denied"));
                 }
                 *played += 1;
+                if !kept.contains(&item) {
+                    kept.push(item);
+                    self.deliver("download", [Value::Item(item)]);
+                }
                 Outcome::Done
             }
             Op::SyncCrl(device) => {
+                let held = self.devices[device].0 .0 .1;
+                self.deliver("crl-sync", [Value::Crl(held), Value::Crl(0)]);
                 let crls = (self.license_crl.clone(), self.pseudonym_crl.clone());
                 self.synced.push(crls.clone());
                 self.devices[device].0 = crls;
@@ -410,6 +456,7 @@ impl Model {
                     Shown::OldPseudonyms(n) => (licenses.clone(), self.synced[n].1.clone()),
                     Shown::Tampered => return Err(Outcome::Refused("bad signature")),
                     Shown::Stranger => return Err(Outcome::Refused("unknown issuer")),
+                    Shown::Swapped => return Err(Outcome::Refused("wrong scope")),
                 };
                 let held = &mut self.devices[device].0;
                 if crls.0 .1 < held.0 .1 || crls.1 .1 < held.1 .1 {
@@ -418,9 +465,15 @@ impl Model {
                 *held = crls;
                 Outcome::Done
             }
-            Op::Status(license) => Outcome::Status(self.status(license)),
-            Op::Download(Some(_)) | Op::Catalog(Some(_)) => Outcome::Done,
-            Op::Download(None) | Op::Catalog(None) => Outcome::Api(UnknownContent),
+            Op::Status(license) => {
+                self.deliver("license-status", [Value::License(license)]);
+                Outcome::Status(self.status(license))
+            }
+            Op::Download(item) | Op::Catalog(item) => {
+                let label = ["catalog", "download"][usize::from(matches!(op, Op::Download(_)))];
+                self.deliver(label, [Value::Item(item)]);
+                item.map_or(Outcome::Api(UnknownContent), |_| Outcome::Done)
+            }
             Op::Resend(k) => self.send(self.sent[k].0, None).1,
             Op::Settle(user) => {
                 let parked = std::mem::take(&mut self.users[user].parked);
@@ -439,14 +492,19 @@ impl Model {
                 Outcome::Done
             }
             Op::Pseudonym(user) => {
+                self.ask_ra("pseudonym-issue", user);
                 self.fresh_pseudonym(user)?;
                 Outcome::Done
             }
             Op::Attribute(user, known) => {
                 let pseudonym = match self.current_pseudonym(user) {
                     Some(p) => p,
-                    None => self.fresh_pseudonym(user)?,
+                    None => {
+                        self.ask_ra("pseudonym-issue", user);
+                        self.fresh_pseudonym(user)?
+                    }
                 };
+                self.ask_ra("attribute-issue", user);
                 if self.users[user].revoked {
                     return Err(Outcome::Api(Revoked));
                 }
@@ -467,11 +525,16 @@ impl Model {
                 if let Some(why) = refusal {
                     return Err(Outcome::Refused(why));
                 }
+                // A second genuine accusation of a revoked user still
+                // unmasks them; the card CRL already lists the card, so
+                // its sequence stays.
                 let holder = self.licenses[license].holder;
                 let user = self.pseudonyms[holder].user;
                 self.unmasked.push(user);
-                self.users[user].revoked = true;
-                self.card_crl += 1;
+                if !self.users[user].revoked {
+                    self.users[user].revoked = true;
+                    self.card_crl += 1;
+                }
                 self.pseudonym_crl.list(holder);
                 Outcome::Unmasked(user)
             }
@@ -507,6 +570,18 @@ impl Model {
         out
     }
 
+    /// The labels and values of a request the provider receives.
+    fn deliver(&mut self, label: &'static str, values: impl IntoIterator<Item = Value>) {
+        self.view.labels.push(label);
+        self.view.provider.extend(values);
+    }
+
+    /// A card's issuance request, which the RA receives.
+    fn ask_ra(&mut self, label: &'static str, user: usize) {
+        self.view.labels.push(label);
+        self.view.ra.push(user);
+    }
+
     /// A request going out: the provider serves it unless it is dropped,
     /// and a lost reply answers `Parked` whatever was served.
     fn send(&mut self, req: Req, fault: Option<Fault>) -> (usize, Outcome) {
@@ -519,7 +594,7 @@ impl Model {
                 let old = &self.licenses[license];
                 let transfers = old.transfers.map(|n| n.saturating_sub(1));
                 (
-                    (license, recipient, None, true),
+                    (license, recipient, old.key.2, true),
                     recipient,
                     old.plays,
                     transfers,
@@ -541,6 +616,26 @@ impl Model {
             self.licenses.len() - 1
         });
         self.sent.push((req, handle));
+        if fault != Some(Fault::Dropped) {
+            let (label, values) = match req {
+                Req::Purchase(coin, p, item, cred) => {
+                    let cred = Value::Pseudonym(cred.unwrap_or(p));
+                    let values = [
+                        Value::Coin(coin),
+                        Value::Pseudonym(p),
+                        Value::Item(item),
+                        cred,
+                    ];
+                    ("purchase", values)
+                }
+                Req::Transfer(old, _, to) => {
+                    let holder = Value::Pseudonym(self.licenses[old].holder);
+                    let values = [Value::License(old), holder, Value::Pseudonym(to), holder];
+                    ("transfer", values)
+                }
+            };
+            self.deliver(label, values.into_iter().chain([Value::License(handle)]));
+        }
         let out = match (fault, self.check(req, handle)) {
             (Some(Fault::Dropped), _) => Outcome::Parked,
             (_, Err(code)) => Outcome::Api(code),
@@ -628,9 +723,9 @@ impl Model {
     }
 
     /// The user's newest pseudonym, if the policy lets it be used again.
-    fn current_pseudonym(&self, user: usize) -> Option<Pseudo> {
+    pub fn current_pseudonym(&self, user: usize) -> Option<Pseudo> {
         let u = &self.users[user];
-        u.pseudonyms.last().copied().filter(|_| u.uses == 0)
+        u.pseudonyms.last().copied().filter(|_| u.uses < USES[user])
     }
 
     /// A pseudonym issued over the wire; the RA refuses a revoked card.

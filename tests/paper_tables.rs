@@ -193,7 +193,7 @@ fn e1_message_costs() {
         play[..4],
         [
             (Party::Device, Party::Provider, "crl-sync", 16),
-            (Party::Provider, Party::Device, "crl-sync", 228),
+            (Party::Provider, Party::Device, "crl-sync", 230),
             (Party::Device, Party::Provider, "download", 16),
             (Party::Provider, Party::Device, "download", 2062),
         ],

@@ -62,7 +62,7 @@ attribute-issue 248689008da986bfec38e509f3e7496d788a23c25b1f74224b813083536dc9e6
 catalog 6d48f8575013373a7fb27f4116da2de7cc693205db1ab5afd552031ba629ca8a -> catalog f32c14b0556b67ce89ebc830fdd790c1d80428d2b280748a6b77948f4face19e
 catalog b69b3742d7f56b2a11e847f62bb5a132f65055d9277bcd0df14ec94990219ef0 -> catalog 43763eacf7691e06c5944161b788b223b9a795a9f68c0328d40a8114489862f9
 purchase 541c37201821c6293b29babf502b1f3da6a7fb1bc623978623e91ed342271487 -> purchase 34525366310ba55d7194bed8c321f06d01419e79e907aba471980e97103cd6be
-crl-sync f466d9ccf64e1de12cea61a93d6fcb302b54e35a03e8c8cc6dc0e077ee8c279c -> crl-sync b199035cc2b1bfa4043f1ef90107a9281dfaadca670ae5490c2869bcb9ba969c
+crl-sync f466d9ccf64e1de12cea61a93d6fcb302b54e35a03e8c8cc6dc0e077ee8c279c -> crl-sync 91a9baa290ea5e24ae7a25bb7e192aa6d0969eebdcca844a27a037eaa3000470
 download 1df1dddb65154679f772a7ac9c4e2f69cbf27ab67825d299524b7f927baf9445 -> download 38a7e13df92fe2dac2d199c7b31ecca5533ce964b579ed1b692e08e5dac3d629
 license-status 06ae62c3309c2700a958d04fc20b59b88c859889e18ff2e586e8f625811ec5bd -> license-status ce77f4be046ff977bfd4df6e60d4ff986921058a9c3f8e12fced56880ea4c0e8
 pseudonym-issue a91b8463f803eb08c9677fed366eaf649ed87da27282eb77ebfc1e2cfcdfd3f6 -> pseudonym-issue f530e8b4d7c307d44f29d78e5b0c7a4ba292bd21b164ef0948b017598e240ab8

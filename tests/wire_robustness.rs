@@ -14,7 +14,55 @@ use p2drm::core::service::{
 };
 use p2drm::core::system::{System, SystemConfig};
 use p2drm::crypto::rng::test_rng;
-use p2drm::sim::adversary::corruption;
+
+/// Byte-level corruptions an adversarial (or faulty) peer might put on
+/// the wire; `ProviderService::handle` must answer every one with a
+/// well-formed error response — no panics, no wedged shards.
+mod corruption {
+    /// Every strict prefix of `bytes` (all truncation points, including
+    /// the empty message).
+    pub fn truncations(bytes: &[u8]) -> impl Iterator<Item = Vec<u8>> + '_ {
+        (0..bytes.len()).map(move |n| bytes[..n].to_vec())
+    }
+
+    /// Deterministic single-bit-flip sweep: every bit of every byte for
+    /// short messages, a stride-sampled subset (still touching the
+    /// header and the tail) for long ones. At most ~`cap` variants.
+    pub fn bit_flips(bytes: &[u8], cap: usize) -> Vec<Vec<u8>> {
+        let total_bits = bytes.len() * 8;
+        let stride = (total_bits / cap.max(1)).max(1);
+        let flip = |b: usize| {
+            let mut out = bytes.to_vec();
+            out[b / 8] ^= 1 << (b % 8);
+            out
+        };
+        (0..total_bits).step_by(stride).map(flip).collect()
+    }
+
+    /// `bytes` with the envelope version byte replaced.
+    pub fn with_version(bytes: &[u8], version: u8) -> Vec<u8> {
+        let mut out = bytes.to_vec();
+        if let Some(v) = out.first_mut() {
+            *v = version;
+        }
+        out
+    }
+}
+
+#[test]
+fn corruption_helpers_cover_the_message() {
+    let msg = [0xAAu8; 16];
+    assert_eq!(corruption::truncations(&msg).count(), 16);
+    let flips = corruption::bit_flips(&msg, 1000);
+    assert_eq!(flips.len(), 128, "short messages get every bit");
+    for f in &flips {
+        assert_eq!(f.len(), msg.len());
+        assert_ne!(f.as_slice(), msg.as_slice());
+    }
+    let capped = corruption::bit_flips(&msg, 32);
+    assert!(capped.len() <= 43, "stride sampling bounds the sweep");
+    assert_eq!(corruption::with_version(&msg, 9)[0], 9);
+}
 
 /// A bootstrapped world plus one valid envelope per wire op.
 struct Fuzzbed {
