@@ -7,11 +7,15 @@
 //! key (challenge–response via the smart card), and (5) the rights
 //! expression permits the action given persisted per-license state.
 //!
-//! The device's store holds two tables. `state/<license id>` is the
-//! [`RightsState`] each license has used up. `content/<content id>` is
-//! the item's [`DownloadResponse`] encoding (nonce ‖ ciphertext), kept
-//! after the first play that fetched it, so later plays of the item —
-//! under any license — send nothing to the provider. The `content/` rows
+//! The device's store holds two tables and one row. `state/<license id>`
+//! is the [`RightsState`] each license has used up. `crl` is the signed
+//! CRL pair the device enforces, written before the pair takes effect
+//! and verified again when the device opens its store, so a reboot
+//! forgets no revocation and accepts no pair a sync would refuse.
+//! `content/<content id>` is the item's [`DownloadResponse`] encoding
+//! (nonce ‖ ciphertext), kept after the first play that fetched it, so
+//! later plays of the item — under any license — send nothing to the
+//! provider. The `content/` rows
 //! never sum above [`CONTENT_BUDGET`] bytes: the oldest-fetched row is
 //! evicted first, and an item larger than the whole budget is never
 //! kept. A durable device rebuilds the eviction order on open from the
@@ -21,17 +25,17 @@
 
 use crate::ids::{ContentId, DeviceId};
 use crate::license::License;
-use crate::protocol::messages::DownloadResponse;
+use crate::protocol::messages::{CrlSync, DownloadResponse};
 use crate::CoreError;
 use p2drm_crypto::envelope::{self, Envelope};
 use p2drm_crypto::rng::CryptoRng;
 use p2drm_crypto::rsa::{RsaKeyPair, RsaPublicKey, RsaSignature};
 use p2drm_pki::authority::CertificateAuthority;
 use p2drm_pki::cert::{Certificate, EntityKind, KeyId, PseudonymCertificate, SubjectKey, Validity};
-use p2drm_pki::crl::{CrlScope, RevocationList, SignedCrl};
+use p2drm_pki::crl::{CrlScope, SignedCrl};
 use p2drm_rel::{AccessRequest, Decision, RightsState};
 use p2drm_store::typed::Table;
-use p2drm_store::{ConcurrentKv, MemKv};
+use p2drm_store::{ConcurrentKv, MemKv, StoreError};
 use std::collections::VecDeque;
 
 /// Bytes of `content/` rows a device keeps for offline play: sixteen
@@ -40,6 +44,7 @@ use std::collections::VecDeque;
 pub const CONTENT_BUDGET: usize = 256 * 1024;
 
 const CONTENT_PREFIX: &[u8] = b"content/";
+const CRL_ROW: &[u8] = b"crl";
 
 fn content_key(id: &ContentId) -> Vec<u8> {
     [CONTENT_PREFIX, id.as_bytes()].concat()
@@ -54,10 +59,8 @@ pub struct CompliantDevice<S: ConcurrentKv = MemKv> {
     ra_blind_key: RsaPublicKey,
     store: S,
     states: Table<RightsState>,
-    license_crl: RevocationList,
-    pseudonym_crl: RevocationList,
-    license_crl_seq: u64,
-    pseudonym_crl_seq: u64,
+    /// The CRL pair last accepted, as its `crl` row holds it.
+    crls: Option<CrlSync>,
     /// The `content/` rows, oldest-fetched first, with their sizes.
     held: VecDeque<(ContentId, usize)>,
     held_bytes: usize,
@@ -87,7 +90,9 @@ impl CompliantDevice<MemKv> {
 
 impl<S: ConcurrentKv> CompliantDevice<S> {
     /// Device over a caller-supplied store (a one-shard
-    /// [`p2drm_store::WalShardedKv`] directory makes play counts durable).
+    /// [`p2drm_store::WalShardedKv`] directory makes play counts, kept
+    /// items and CRLs durable). A store that holds a `crl` row must hold
+    /// a pair signed by the provider, each list in its own scope.
     pub fn with_store<R: CryptoRng + ?Sized>(
         root: &mut CertificateAuthority,
         provider_cert: &Certificate,
@@ -119,13 +124,15 @@ impl<S: ConcurrentKv> CompliantDevice<S> {
             ra_blind_key,
             store,
             states: Table::new("state/"),
-            license_crl: RevocationList::new(),
-            pseudonym_crl: RevocationList::new(),
-            license_crl_seq: 0,
-            pseudonym_crl_seq: 0,
+            crls: None,
             held: VecDeque::new(),
             held_bytes: 0,
         };
+        if let Some(row) = device.store.get(CRL_ROW) {
+            let crls: CrlSync = p2drm_codec::from_bytes(&row).map_err(StoreError::from)?;
+            device.verify_crls(&crls.license_crl, &crls.pseudonym_crl)?;
+            device.crls = Some(crls);
+        }
         for (key, row) in device.store.scan_prefix(CONTENT_PREFIX) {
             if let Some(id) = key
                 .get(CONTENT_PREFIX.len()..)
@@ -165,25 +172,51 @@ impl<S: ConcurrentKv> CompliantDevice<S> {
     /// point. Both signatures are verified before any state is touched,
     /// each as the list its slot expects (a license CRL first, then a
     /// pseudonym CRL, so one list shown in both slots is refused), and
-    /// sequence numbers must be non-decreasing (rollback protection):
-    /// a refused pair leaves both lists and both sequences as they were.
+    /// sequence numbers must be non-decreasing (rollback protection).
+    /// The accepted pair is written to the `crl` row before it takes
+    /// effect: a refused pair, or one whose row write fails, leaves both
+    /// lists and both sequences as they were. A pair at the sequences
+    /// held changes nothing and writes nothing: the provider signs one
+    /// list per sequence.
     pub fn sync_crls(
         &mut self,
         license_crl: &SignedCrl,
         pseudonym_crl: &SignedCrl,
     ) -> Result<(), CoreError> {
-        license_crl.verify(&self.provider_key, CrlScope::License)?;
-        pseudonym_crl.verify(&self.provider_key, CrlScope::Pseudonym)?;
-        if license_crl.body.sequence < self.license_crl_seq
-            || pseudonym_crl.body.sequence < self.pseudonym_crl_seq
-        {
+        self.verify_crls(license_crl, pseudonym_crl)?;
+        let (licenses, pseudonyms) = self.crl_sequences();
+        if license_crl.body.sequence < licenses || pseudonym_crl.body.sequence < pseudonyms {
             return Err(CoreError::BadLicense("stale CRL rejected"));
         }
-        self.license_crl = license_crl.body.list.clone();
-        self.pseudonym_crl = pseudonym_crl.body.list.clone();
-        self.license_crl_seq = license_crl.body.sequence;
-        self.pseudonym_crl_seq = pseudonym_crl.body.sequence;
+        let shown = (license_crl.body.sequence, pseudonym_crl.body.sequence);
+        if self.crls.is_some() && shown == (licenses, pseudonyms) {
+            return Ok(());
+        }
+        let crls = CrlSync {
+            license_crl: license_crl.clone(),
+            pseudonym_crl: pseudonym_crl.clone(),
+        };
+        self.store.put(CRL_ROW, &p2drm_codec::to_bytes(&crls))?;
+        self.crls = Some(crls);
         Ok(())
+    }
+
+    /// Both lists signed by the provider, each in the scope of its slot.
+    fn verify_crls(
+        &self,
+        license_crl: &SignedCrl,
+        pseudonym_crl: &SignedCrl,
+    ) -> Result<(), CoreError> {
+        license_crl.verify(&self.provider_key, CrlScope::License)?;
+        pseudonym_crl.verify(&self.provider_key, CrlScope::Pseudonym)?;
+        Ok(())
+    }
+
+    /// The license and pseudonym CRL sequences held (0 before any sync).
+    fn crl_sequences(&self) -> (u64, u64) {
+        self.crls.as_ref().map_or((0, 0), |c| {
+            (c.license_crl.body.sequence, c.pseudonym_crl.body.sequence)
+        })
     }
 
     /// Generates a holder challenge (fresh nonce).
@@ -204,16 +237,16 @@ impl<S: ConcurrentKv> CompliantDevice<S> {
         req: &AccessRequest,
     ) -> Result<RightsState, CoreError> {
         license.verify(&self.provider_key)?;
-        if self
-            .license_crl
-            .contains(&crate::entities::provider::license_crl_id(&license.id()))
-        {
+        let crls = self.crls.as_ref();
+        let crl_id = crate::entities::provider::license_crl_id(&license.id());
+        if crls.is_some_and(|c| c.license_crl.body.list.contains(&crl_id)) {
             return Err(CoreError::Revoked("license"));
         }
         if let Some(cert) = pseudonym_cert {
             cert.verify(&self.ra_blind_key)
                 .map_err(|_| CoreError::BadPseudonym("RA signature invalid"))?;
-            if self.pseudonym_crl.contains(&cert.pseudonym_id()) {
+            let id = cert.pseudonym_id();
+            if crls.is_some_and(|c| c.pseudonym_crl.body.list.contains(&id)) {
                 return Err(CoreError::Revoked("pseudonym"));
             }
             // License must be bound to this very pseudonym key.
@@ -314,7 +347,7 @@ impl<S: ConcurrentKv> CompliantDevice<S> {
 
     /// Highest license-CRL sequence synced.
     pub fn crl_sequence(&self) -> u64 {
-        self.license_crl_seq
+        self.crl_sequences().0
     }
 }
 

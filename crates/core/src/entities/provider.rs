@@ -92,28 +92,30 @@
 //! whenever the backend is, so threads share one provider by reference —
 //! no shard cloning, no external mutex.
 //!
-//! # Backend matrix and durability
+//! # Backends and restarts
 //!
 //! The backend type parameter picks the deployment shape:
 //!
 //! * [`MemKv`] (the [`MemBackend`] default, eight shards under
 //!   `System::bootstrap`) — volatile, lock-sharded; tests and
 //!   simulations;
-//! * [`WalShardedKv`] ([`ContentProvider::open_durable`]) — the
-//!   production shape: 1..N per-shard WALs with group commit, so the
-//!   provider survives an unclean drop. Reopen with
-//!   [`ContentProvider::resume_durable`] (keys from the operator's
-//!   vault): spent ids, license records, catalog, CRLs and trusted
-//!   attribute keys are intact, and a
-//!   double-redeem race spanning the restart still has exactly one
-//!   winner — the claim is WAL-logged before the in-memory index changes,
-//!   so the exactly-once decision is as durable as the chosen
-//!   [`p2drm_store::SyncPolicy`];
+//! * [`WalShardedKv`](p2drm_store::WalShardedKv) — the production shape:
+//!   1..N per-shard WALs with group commit, so the provider survives an
+//!   unclean drop;
 //! * any other [`ConcurrentKv`] — wrappers that inject faults or record
 //!   timings around one of the two above.
 //!
-//! [`ContentProvider::with_backend`] builds a provider with a fresh
-//! signing identity over any of them.
+//! Two constructors cover all of them. [`ContentProvider::with_backend`]
+//! makes a fresh signing identity over a fresh backend.
+//! [`ContentProvider::resume`] takes the identity from the operator's
+//! vault and restores whatever the backend holds: spent ids, license
+//! records, catalog, CRLs and trusted attribute keys. The caller opens
+//! the backend (`WalShardedKv::open` returns its `RecoveryReport`), so a
+//! fault-injecting wrapper restarts like a bare directory. A
+//! double-redeem race spanning the restart still has exactly one winner:
+//! the claim is WAL-logged before the in-memory index changes, so the
+//! exactly-once decision is as durable as the chosen
+//! [`p2drm_store::SyncPolicy`].
 
 use crate::content::{
     self, CatalogEntry, CatalogListing, ContentCatalog, ContentMeta, PackagedContent,
@@ -133,12 +135,9 @@ use p2drm_pki::cert::{digest_id, Certificate, KeyId, PseudonymCertificate};
 use p2drm_pki::crl::{CrlScope, RevocationList, SignedCrl};
 use p2drm_rel::{Limit, Rights};
 use p2drm_store::typed::Table;
-use p2drm_store::{
-    ConcurrentKv, MemKv, RecoveryReport, StoreError, WalShardedConfig, WalShardedKv,
-};
+use p2drm_store::{ConcurrentKv, MemKv, StoreError};
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -370,59 +369,11 @@ impl<B: ConcurrentKv> p2drm_obs::MetricSource for ContentProvider<B> {
     }
 }
 
-impl ContentProvider<WalShardedKv> {
-    /// Opens a **durable** provider over a [`WalShardedKv`] directory:
-    /// N per-shard write-ahead logs with group commit at
-    /// `durable.policy`. All shard logs are replayed (in parallel) and
-    /// any persisted catalog/rights/CRL/spent state is restored, so an
-    /// existing directory reopens with its tables intact.
-    ///
-    /// A **fresh signing identity** is generated; licenses issued by a
-    /// previous identity will not verify against the new key. For a true
-    /// restart — same keys, old licenses still valid — pair
-    /// [`ContentProvider::export_keys`] with
-    /// [`ContentProvider::resume_durable`].
-    pub fn open_durable<R: CryptoRng + ?Sized>(
-        root: &mut CertificateAuthority,
-        mint: Mint,
-        ra_blind_key: RsaPublicKey,
-        dir: impl Into<PathBuf>,
-        durable: WalShardedConfig,
-        config: ProviderConfig,
-        rng: &mut R,
-    ) -> Result<(Self, RecoveryReport), CoreError> {
-        let (store, report) = WalShardedKv::open(dir, durable)?;
-        let provider = Self::with_backend(root, mint, ra_blind_key, store, config, rng);
-        provider.restore_from_store()?;
-        Ok((provider, report))
-    }
-
-    /// The full durable restart: signing keys from the operator's vault
-    /// (see [`ContentProvider::export_keys`]), state replayed from the
-    /// WAL directory. Old licenses verify, spent ids stay spent, CRL
-    /// sequences continue monotonically.
-    pub fn resume_durable(
-        keys: p2drm_crypto::rsa::RsaKeyPair,
-        cert: Certificate,
-        mint: Mint,
-        ra_blind_key: RsaPublicKey,
-        dir: impl Into<PathBuf>,
-        durable: WalShardedConfig,
-        config: ProviderConfig,
-    ) -> Result<(Self, RecoveryReport), CoreError> {
-        let (store, report) = WalShardedKv::open(dir, durable)?;
-        let provider = Self::assemble(keys, cert, mint, ra_blind_key, store, config);
-        provider.restore_from_store()?;
-        Ok((provider, report))
-    }
-}
-
 impl<B: ConcurrentKv> ContentProvider<B> {
     /// Provider with a fresh signing identity over any concurrent store
-    /// backend, taken as given ([`open_durable`] also restores the
-    /// tables an existing WAL directory holds).
-    ///
-    /// [`open_durable`]: ContentProvider::open_durable
+    /// backend, taken as given: nothing in it is read back, so it should
+    /// be fresh ([`ContentProvider::resume`] restores what a backend
+    /// holds).
     pub fn with_backend<R: CryptoRng + ?Sized>(
         root: &mut CertificateAuthority,
         mint: Mint,
@@ -439,6 +390,26 @@ impl<B: ConcurrentKv> ContentProvider<B> {
             vec![],
         );
         Self::assemble(keys, cert, mint, ra_blind_key, backend, config)
+    }
+
+    /// The restart: signing keys from the operator's vault (see
+    /// [`ContentProvider::export_keys`]) over a backend that already
+    /// holds the provider's tables — a reopened
+    /// [`WalShardedKv`](p2drm_store::WalShardedKv) directory, or any
+    /// wrapper around one. The catalog, CRLs and trusted attribute keys
+    /// are rebuilt from their rows, so old licenses verify, spent ids
+    /// stay spent and CRL sequences continue monotonically.
+    pub fn resume(
+        keys: p2drm_crypto::rsa::RsaKeyPair,
+        cert: Certificate,
+        mint: Mint,
+        ra_blind_key: RsaPublicKey,
+        backend: B,
+        config: ProviderConfig,
+    ) -> Result<Self, CoreError> {
+        let provider = Self::assemble(keys, cert, mint, ra_blind_key, backend, config);
+        provider.restore_from_store()?;
+        Ok(provider)
     }
 
     fn assemble(
@@ -477,14 +448,13 @@ impl<B: ConcurrentKv> ContentProvider<B> {
 
     /// Rebuilds the in-memory mirrors (catalog entries, CRL
     /// sets/sequences, trusted attribute keys) from the persisted tables
-    /// in the store backend.
-    /// Idempotent; called by every resume/open-durable path.
+    /// in the store backend; [`ContentProvider::resume`] calls it once.
     ///
     /// An item exists once its `content/<id>` row does; `publish` writes
     /// its `rightst/<id>` row first, so a content row without one is
     /// damage, and restoring fails naming the id rather than selling the
     /// item under rights it was never published with.
-    pub fn restore_from_store(&self) -> Result<(), CoreError> {
+    fn restore_from_store(&self) -> Result<(), CoreError> {
         {
             let state = &self.state;
             let mut catalog = state.catalog.write();
@@ -526,7 +496,7 @@ impl<B: ConcurrentKv> ContentProvider<B> {
     }
 
     /// Serialized private key material for the operator's key vault
-    /// (pair this with [`ContentProvider::resume_durable`]). **Secret bytes.**
+    /// (pair this with [`ContentProvider::resume`]). **Secret bytes.**
     pub fn export_keys(&self) -> Vec<u8> {
         p2drm_codec::to_bytes(&self.core.keys)
     }
@@ -571,7 +541,7 @@ impl<B: ConcurrentKv> ContentProvider<B> {
 
     /// Publishes content with a rights template applied to every sale.
     /// The packaged item (including its content key) and the template are
-    /// persisted so the catalog survives [`ContentProvider::resume_durable`].
+    /// persisted so the catalog survives [`ContentProvider::resume`].
     /// A failed store write is returned and the item is not listed.
     pub fn publish<R: CryptoRng + ?Sized>(
         &self,
@@ -1210,7 +1180,8 @@ impl<B: ConcurrentKv> ContentProvider<B> {
     }
 
     /// Direct backend access (storage metrics in E6, maintenance such as
-    /// compaction via [`WalShardedKv::compact_all`]).
+    /// compaction via
+    /// [`WalShardedKv::compact_all`](p2drm_store::WalShardedKv::compact_all)).
     pub fn store(&self) -> &B {
         &self.state.store
     }
@@ -1267,6 +1238,7 @@ fn decrement_transfer(rights: &Rights) -> Rights {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use p2drm_store::WalShardedKv;
 
     #[test]
     fn decrement_transfer_semantics() {

@@ -82,7 +82,7 @@ mod tests {
     use crate::system::{System, SystemConfig};
     use p2drm_crypto::rng::test_rng;
     use p2drm_pki::cert::{KeyId, Validity};
-    use p2drm_store::MemKv;
+    use p2drm_store::{MemKv, SyncPolicy, WalShardedConfig, WalShardedKv};
 
     struct Fx {
         sys: System,
@@ -108,9 +108,9 @@ mod tests {
     }
 
     /// Plays from the device's kept row: a fetch fails the test.
-    fn play_kept(
+    fn play_kept<SD: ConcurrentKv>(
         user: &UserAgent,
-        device: &mut CompliantDevice,
+        device: &mut CompliantDevice<SD>,
         license: &License,
         now: u64,
     ) -> Result<Vec<u8>, CoreError> {
@@ -127,30 +127,6 @@ mod tests {
             .unwrap();
         assert!(f.device.held_content(&f.license.body.content_id).is_some());
         f
-    }
-
-    #[test]
-    fn later_plays_use_the_kept_row() {
-        let mut f = played_once(191);
-        let now = f.sys.now();
-        for used in 2..=3 {
-            let payload = play_kept(&f.alice, &mut f.device, &f.license, now).unwrap();
-            assert_eq!(payload, b"SECRET AUDIO");
-            assert_eq!(f.device.rights_state(&f.license).unwrap().plays_used, used);
-        }
-    }
-
-    #[test]
-    fn kept_row_does_not_bypass_the_play_count() {
-        // fast_test rights template grants play count=3.
-        let mut f = played_once(193);
-        let now = f.sys.now();
-        for _ in 0..2 {
-            play_kept(&f.alice, &mut f.device, &f.license, now).unwrap();
-        }
-        let res = play_kept(&f.alice, &mut f.device, &f.license, now);
-        assert!(matches!(res, Err(CoreError::Denied(_))), "{res:?}");
-        assert_eq!(f.device.rights_state(&f.license).unwrap().plays_used, 3);
     }
 
     #[test]
@@ -188,6 +164,51 @@ mod tests {
         let res = play_kept(&f.alice, &mut f.device, &f.license, now);
         assert!(matches!(res, Err(CoreError::Revoked("license"))), "{res:?}");
         assert_eq!(f.device.rights_state(&f.license).unwrap().plays_used, 1);
+    }
+
+    /// A device rebooted over its one-shard store enforces the CRL pair
+    /// it accepted before the reboot: a revoked license stays revoked.
+    #[test]
+    fn a_rebooted_device_keeps_its_crls() {
+        let mut f = fixture(192);
+        let dir = std::env::temp_dir().join(format!("p2drm-device-crls-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let one_shard = WalShardedConfig {
+            shards: 1,
+            policy: SyncPolicy::FlushEach,
+        };
+        let boot = |sys: &mut System| {
+            let store = WalShardedKv::open(&dir, one_shard).unwrap().0;
+            let cert = sys.provider.certificate().clone();
+            let (ra, validity) = (sys.ra.blind_public().clone(), sys.config().validity);
+            let rng = &mut test_rng(193);
+            CompliantDevice::with_store(&mut sys.root, &cert, ra, store, 512, validity, rng)
+                .unwrap()
+        };
+        let mut device = boot(&mut f.sys);
+        let rng = &mut test_rng(194);
+        f.sys.play(&f.alice, &mut device, &f.license, rng).unwrap();
+        let provider = &f.sys.provider;
+        provider.revoke_license(&f.license.id()).unwrap();
+        let now = f.sys.now();
+        let (licenses, pseudonyms) = (
+            provider.signed_license_crl(now),
+            provider.signed_pseudonym_crl(now),
+        );
+        device.sync_crls(&licenses, &pseudonyms).unwrap();
+        // A re-sync at the held sequences writes no second row.
+        let log = || std::fs::metadata(dir.join("shard-000.wal")).unwrap().len();
+        let synced = log();
+        device.sync_crls(&licenses, &pseudonyms).unwrap();
+        assert_eq!(log(), synced);
+        drop(device);
+
+        let mut device = boot(&mut f.sys);
+        assert_eq!(device.crl_sequence(), 1);
+        let res = play_kept(&f.alice, &mut device, &f.license, now);
+        assert!(matches!(res, Err(CoreError::Revoked("license"))), "{res:?}");
+        drop(device);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     /// An item a third of the budget long: three rows are a few bytes

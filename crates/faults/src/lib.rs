@@ -14,7 +14,8 @@
 //!   resets, and synthesized busy-envelope storms (`tests/model.rs`
 //!   arms every site);
 //! * [`FaultKv`] around any [`p2drm_store::ConcurrentKv`] — failed puts
-//!   (`tests/replay.rs`, `tests/durability.rs`; plus
+//!   (`tests/model.rs` cuts a purchase, transfer or revocation at one
+//!   row write across restarts; `tests/durability.rs` a publish; plus
 //!   [`crash::tear_shard_tail`] and
 //!   [`p2drm_store::WalShardedKv::inject_sync_failure`] for the durable
 //!   backend's poisoning/replay paths).

@@ -65,16 +65,15 @@ struct Shop {
 impl Shop {
     fn open(dir: &TempDir, shards: usize, rng: &mut impl CryptoRng) -> Shop {
         let mut sys = System::bootstrap(SystemConfig::fast_test(), rng);
-        let (provider, _) = ContentProvider::open_durable(
+        let (store, _) = WalShardedKv::open(&dir.0, durable(shards)).expect("fresh directory");
+        let provider = ContentProvider::with_backend(
             &mut sys.root,
             sys.mint.clone(),
             sys.ra.blind_public().clone(),
-            &dir.0,
-            durable(shards),
+            store,
             ProviderConfig::fast_test(),
             rng,
-        )
-        .expect("fresh directory");
+        );
         let rights = Rights::builder()
             .play(Limit::Unlimited)
             .transfer(Limit::Count(2))
@@ -132,17 +131,17 @@ impl Shop {
         let keys = p2drm::codec::from_bytes(&self.provider.export_keys()).unwrap();
         let cert = self.provider.certificate().clone();
         drop(self.provider);
-        let (provider, report) = ContentProvider::resume_durable(
+        let (store, report) = WalShardedKv::open(&dir.0, durable(shards)).unwrap();
+        assert!(report.replayed_ops > 0);
+        let provider = ContentProvider::resume(
             keys,
             cert,
             self.sys.mint.clone(),
             self.sys.ra.blind_public().clone(),
-            &dir.0,
-            durable(shards),
+            store,
             ProviderConfig::fast_test(),
         )
         .unwrap();
-        assert!(report.replayed_ops > 0);
         Shop {
             provider: Arc::new(provider),
             ..self

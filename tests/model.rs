@@ -13,15 +13,18 @@
 //! on genuine double-transfer evidence and on each kind it refuses; a
 //! device shown the current CRL pair with one list older, one signature
 //! flipped, both lists signed by a stranger, or the two lists swapped;
-//! revocations, epoch changes and restarts (an unclean drop, maybe a
-//! torn shard tail, and `ContentProvider::resume_durable` from the key
-//! vault).
+//! store cuts (`Op::Cut`: one row write of a purchase, transfer or
+//! revocation fails); revocations, epoch changes and restarts (an
+//! unclean drop, maybe a torn shard tail, `ContentProvider::resume` from
+//! the key vault over the reopened directory, and both devices rebooted
+//! over theirs).
 //!
 //! Each op goes to the stack — `WireClient::with_retry` (4 attempts) over
 //! `FaultTransport` over `Loopback::with_rng` → `ProviderService` →
-//! `ContentProvider` over `WalShardedKv` in a temp dir, beside a
+//! `ContentProvider` over `FaultKv<WalShardedKv>` in a temp dir, beside a
 //! `System` whose RA the service serves and whose TTP runs the abuse
-//! pipeline — and to the model, and the outcomes must be equal under a
+//! pipeline, and two `CompliantDevice`s over one-shard `WalShardedKv`
+//! directories — and to the model, and the outcomes must be equal under a
 //! bijection from the model's license handles, pseudonyms and coins to
 //! the stack's ids, so a replay must answer the same id. A faulted
 //! purchase or transfer arms every transport site at a rate the script
@@ -29,17 +32,23 @@
 //! the request reached the provider, or the quote never answered — is
 //! read off the fault plan's trace and the requests the provider
 //! received (`classify`), never off the stack's answer, and the model
-//! predicts from it. After every restart and at the end the ledgers must
-//! be equal too (`spec::Ledger`). A divergence prints the seed and the
-//! script; a seed added to `REGRESSIONS` replays byte for byte. The
-//! ignored sweep runs 1,000 more seeds and asserts the per-rate recovery
-//! floors: `cargo test --release --test model -- --ignored --nocapture`.
+//! predicts from it. A cut arms the store plan's `FAIL_PUT` one-shot at
+//! the op's k-th row write; whether the op reached that write is read off
+//! the plan's fired count, which must equal the model's, and the model
+//! predicts the `Storage` answer and what the op left behind. After
+//! every restart and at the end the ledgers must be equal too
+//! (`spec::Ledger`). A divergence prints the seed and the script; a seed
+//! added to `REGRESSIONS` replays byte for byte. The ignored sweep runs
+//! 1,000 more seeds, asserts the per-rate recovery floors and that every
+//! write a cut may fail was cut, and prints both:
+//! `cargo test --release --test model -- --ignored --nocapture`.
 //!
 //! What the provider and the RA receive, split by the receiver the op
 //! table names, is held to the op's `spec::View` (`Real::hold_to_view`):
 //! 1. no identity bytes: no provider payload, answered license or shard
-//!    byte read back after a restart holds a user's id, account, card id
-//!    or card master modulus, and no RA payload a provider-side value;
+//!    byte read back after a restart (the provider's and each device's)
+//!    holds a user's id, account, card id or card master modulus, and no
+//!    RA payload a provider-side value;
 //! 2. an unfaulted op delivers exactly its view's labels;
 //! 3. with public values and the values two views share masked (an
 //!    epoch, the attribute name or a denomination only at its offset in
@@ -64,18 +73,20 @@ use p2drm::core::service::{RequestEnvelope, Transport, TransportError, WireClien
 use p2drm::core::service::{WireRequest, WireResponse};
 use p2drm::crypto::rng::{random_array, ChaChaRng};
 use p2drm::crypto::rsa::{RsaKeyPair, RsaSignature};
-use p2drm::faults::{transport_sites as sites, Decision, FaultPlan, FaultTransport, Schedule};
-use p2drm::pki::cert::KeyId;
+use p2drm::faults::{kv_sites, transport_sites as sites, Decision, FaultKv, FaultPlan};
+use p2drm::faults::{FaultTransport, Schedule};
+use p2drm::pki::cert::{Certificate, KeyId};
 use p2drm::pki::{PkiError, SignedCrl};
 use p2drm::prelude::*;
 use p2drm::store::{SyncPolicy, WalShardedConfig, WalShardedKv};
 use rand::{rngs::StdRng, Rng};
-use spec::Status;
-use spec::{Coin, Cred, Evidence, Fault, Faulty, Item, Ledger, Model, Op, Outcome, Req, Shown};
+use spec::{Coin, Cred, Device, Evidence, Fault, Faulty, Item, Ledger, Model, Op, Outcome, Req};
+use spec::{Shown, Status};
 use spec::{Value, View, ADULTS, DENOMINATIONS, DEVICES, FUNDING, ITEMS, PUT_BACK, USERS, USES};
 use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
 use std::ops::Range;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -91,9 +102,9 @@ const PAYLOADS: [&[u8]; 3] = [b"track zero", b"track one", b"rated track"];
 /// Every op and fault of the alphabet (found in an op's `Debug`).
 const OPS_AND_FAULTS: &str = "Purchase, Forge, Transfer, Steal, Play, SyncCrl, Status, Download, \
     Catalog, Resend, Settle, Restore, RestoreCoin, Pseudonym, Attribute, Accuse, ShowCrl, \
-    RevokeLicense, RevokePseudonym, AdvanceEpoch, Restart, LostReply, Dropped, Unquoted, Genuine, \
-    OtherLicense, NotHolder, SameRecipient, CopiedProof, OldLicenses, OldPseudonyms, Tampered, \
-    Stranger, Swapped";
+    RevokeLicense, RevokePseudonym, AdvanceEpoch, Restart, Cut, LostReply, Dropped, Unquoted, \
+    Genuine, OtherLicense, NotHolder, SameRecipient, CopiedProof, OldLicenses, OldPseudonyms, \
+    Tampered, Stranger, Swapped";
 /// The wrong parts of hand-built purchases and of transfers (`labels`),
 /// what the wire did (`classify`), and the outcomes, that tier-1's seeds
 /// must also fire between them.
@@ -104,7 +115,10 @@ const MORE_COVERAGE: &str = "deposited coin, coin below price, unknown item, sta
     settled, replay, rated purchase after a restart, pseudonym issued, credential issued, \
     unknown attribute, ungranted user, CardRefused, Revoked, revoked card, unmasked, accused again, \
     stale CRL, bad signature, unknown issuer, wrong scope, unknown license, \
-    double-spent coin dropped, pseudonym reused";
+    double-spent coin dropped, pseudonym reused, Storage, cut purchase at write 1 completed, \
+    cut transfer at write 1 completed, cut transfer at write 2 completed, \
+    cut revocation at write 1, played from a kept row, denied from a kept row, \
+    played from a kept row after a reboot, denied after a reboot, CRL refused after a reboot";
 /// Rates (percent) at which a faulted op's sites fire, each with the
 /// least share (percent) of faulted purchases the wire must answer
 /// within `ATTEMPTS`: the floors the sweep asserts.
@@ -252,15 +266,22 @@ fn bind<T: PartialEq>(ids: &mut Vec<T>, index: usize, id: T) -> Result<(), Strin
     Ok(())
 }
 
+/// The provider's store: its directory, behind the run's one store plan.
+type Backend = FaultKv<WalShardedKv>;
+
 /// The stack beside a `System`, and the bijection from the model's ids.
 struct Real {
     sys: System,
-    dir: std::path::PathBuf,
+    /// The provider's directory and each device's, under one root.
+    dir: PathBuf,
     durable: WalShardedConfig,
-    vault: (Vec<u8>, p2drm::pki::cert::Certificate),
-    service: Option<ProviderService<WalShardedKv>>,
+    vault: (Vec<u8>, Certificate),
+    /// The provider's store faults, kept across restarts: a cut arms
+    /// `FAIL_PUT` at one write.
+    store_plan: Arc<FaultPlan>,
+    service: Option<ProviderService<Backend>>,
     users: Vec<UserAgent>,
-    devices: Vec<CompliantDevice>,
+    devices: Vec<CompliantDevice<WalShardedKv>>,
     /// The published items, then one nobody published.
     items: Vec<ContentId>,
     rng: StdRng,
@@ -291,10 +312,31 @@ struct Real {
 /// The wire service over `provider` and `sys`'s RA at `sys`'s clock. The
 /// attribute key is trusted once, at the first open; a resumed provider
 /// reads it back.
-fn serve(provider: ContentProvider<WalShardedKv>, sys: &System) -> ProviderService<WalShardedKv> {
+fn serve(provider: ContentProvider<Backend>, sys: &System) -> ProviderService<Backend> {
     let service = ProviderService::new(Arc::new(provider), 0).with_ra(sys.ra.clone());
     service.set_time(sys.epoch(), sys.now());
     service
+}
+
+/// Device `d` booted over its one-shard directory under `dir`, with a
+/// fresh device key: what it holds is what its store kept.
+fn boot(
+    sys: &mut System,
+    cert: &Certificate,
+    dir: &Path,
+    d: usize,
+    rng: &mut StdRng,
+) -> Result<CompliantDevice<WalShardedKv>, String> {
+    let one_shard = WalShardedConfig {
+        shards: 1,
+        policy: SyncPolicy::FlushEach,
+    };
+    let store = WalShardedKv::open(dir.join(format!("device-{d}")), one_shard);
+    let (ra, config) = (sys.ra.blind_public().clone(), sys.config().clone());
+    let (bits, validity) = (config.key_bits, config.validity);
+    let store = store.map_err(|e| e.to_string())?.0;
+    CompliantDevice::with_store(&mut sys.root, cert, ra, store, bits, validity, rng)
+        .map_err(|e| e.to_string())
 }
 
 impl Real {
@@ -305,10 +347,13 @@ impl Real {
         let _ = std::fs::remove_dir_all(&dir);
         let (mint, ra) = (sys.mint.clone(), sys.ra.blind_public().clone());
         let config = ProviderConfig::fast_test();
-        let opened =
-            ContentProvider::open_durable(&mut sys.root, mint, ra, &dir, durable, config, &mut rng);
-        let (provider, report) = opened.expect("a fresh directory opens");
+        let opened = WalShardedKv::open(dir.join("provider"), durable);
+        let (store, report) = opened.expect("a fresh directory opens");
         assert_eq!(report.replayed_ops, 0, "fresh directory");
+        let store_plan = Arc::new(FaultPlan::new(seed));
+        let store = FaultKv::new(store, store_plan.clone());
+        let provider =
+            ContentProvider::with_backend(&mut sys.root, mint, ra, store, config, &mut rng);
         let limit = |l: Option<u32>| match l {
             None => Limit::Unlimited,
             Some(0) => Limit::None,
@@ -346,21 +391,19 @@ impl Real {
         }
         let key = sys.ra.attribute_public(ATTRIBUTE).expect("granted");
         provider.trust_attribute(ATTRIBUTE, key).expect("trusted");
-        let (cert, config) = (provider.certificate().clone(), sys.config().clone());
-        let mut devices = Vec::new();
-        for _ in 0..DEVICES {
-            let ra = sys.ra.blind_public().clone();
-            let (bits, validity) = (config.key_bits, config.validity);
-            let device = CompliantDevice::new(&mut sys.root, &cert, ra, bits, validity, &mut rng);
-            devices.push(device.expect("a compliant device"));
-        }
-        let stranger = RsaKeyPair::generate(config.key_bits, &mut rng);
+        let cert = provider.certificate().clone();
+        let devices = (0..DEVICES).map(|d| boot(&mut sys, &cert, &dir, d, &mut rng));
+        let devices = devices
+            .collect::<Result<_, _>>()
+            .expect("compliant devices");
+        let stranger = RsaKeyPair::generate(sys.config().key_bits, &mut rng);
         Real {
             vault: (provider.export_keys(), cert),
             service: Some(serve(provider, &sys)),
             sys,
             dir,
             durable,
+            store_plan,
             users,
             devices,
             items,
@@ -380,8 +423,47 @@ impl Real {
         }
     }
 
-    fn service(&self) -> &ProviderService<WalShardedKv> {
+    fn service(&self) -> &ProviderService<Backend> {
         self.service.as_ref().expect("the provider is up")
+    }
+
+    /// The provider's unclean stop, maybe a torn tail on one shard, and
+    /// its resume over the same store plan; then each device's reboot.
+    /// Every shard file, the devices' too, is read back for identity
+    /// bytes.
+    fn restart(&mut self, tear: Option<usize>) -> Result<(), String> {
+        drop(self.service.take());
+        self.devices.clear();
+        let provider_dir = self.dir.join("provider");
+        if let Some(shard) = tear {
+            p2drm::faults::crash::tear_shard_tail(&provider_dir, shard).expect("torn");
+        }
+        let (store, report) =
+            WalShardedKv::open(&provider_dir, self.durable).map_err(|e| e.to_string())?;
+        if tear.is_some() && !report.truncated_tail {
+            return Err("the reopened store did not report the torn tail".into());
+        }
+        let keys = p2drm::codec::from_bytes(&self.vault.0).expect("vault");
+        let (cert, mint) = (self.vault.1.clone(), self.sys.mint.clone());
+        let (ra, config) = (
+            self.sys.ra.blind_public().clone(),
+            ProviderConfig::fast_test(),
+        );
+        let store = FaultKv::new(store, self.store_plan.clone());
+        let resumed = ContentProvider::resume(keys, cert, mint, ra, store, config);
+        self.service = Some(serve(resumed.map_err(|e| e.to_string())?, &self.sys));
+        for d in 0..DEVICES {
+            let device = boot(&mut self.sys, &self.vault.1, &self.dir, d, &mut self.rng)?;
+            self.devices.push(device);
+        }
+        let shards = (0..self.durable.shards).map(|s| (provider_dir.clone(), s));
+        let devices = (0..DEVICES).map(|d| (self.dir.join(format!("device-{d}")), 0));
+        for (dir, shard) in shards.chain(devices) {
+            let file = dir.join(p2drm::faults::crash::shard_wal_name(shard));
+            let disk = std::fs::read(&file).map_err(|e| e.to_string())?;
+            self.identity_free(&file.display().to_string(), &disk)?;
+        }
+        Ok(())
     }
 
     /// Runs `op` on the stack and fills in what the wire did to a faulted
@@ -389,30 +471,14 @@ impl Real {
     fn step(&mut self, op: &mut Op) -> Result<(Result<Raw, WireError>, Vec<String>), String> {
         self.delivered.clear();
         if let Op::Restart(tear) = *op {
-            drop(self.service.take());
-            if let Some(shard) = tear {
-                p2drm::faults::crash::tear_shard_tail(&self.dir, shard).expect("torn");
-            }
-            let keys = p2drm::codec::from_bytes(&self.vault.0).expect("vault");
-            let (cert, mint) = (self.vault.1.clone(), self.sys.mint.clone());
-            let (ra, config) = (
-                self.sys.ra.blind_public().clone(),
-                ProviderConfig::fast_test(),
-            );
-            let (dir, durable) = (&self.dir, self.durable);
-            let resumed =
-                ContentProvider::resume_durable(keys, cert, mint, ra, dir, durable, config);
-            let (provider, report) = resumed.map_err(|e| e.to_string())?;
-            if tear.is_some() && !report.truncated_tail {
-                return Err("the resume did not report the torn tail".into());
-            }
-            self.service = Some(serve(provider, &self.sys));
-            for shard in 0..self.durable.shards {
-                let name = p2drm::faults::crash::shard_wal_name(shard);
-                let disk = std::fs::read(self.dir.join(name)).map_err(|e| e.to_string())?;
-                self.identity_free(&format!("shard {shard}"), &disk)?;
-            }
+            self.restart(tear)?;
             return Ok((Ok(Raw::Done), Vec::new()));
+        }
+        // A cut fails the op's k-th row write, and no later one.
+        let store = &self.store_plan;
+        if let Op::Cut(k, _) = *op {
+            let at = store.calls(kv_sites::FAIL_PUT) + u64::from(k);
+            store.set(kv_sites::FAIL_PUT, Schedule::OneShot(at));
         }
         // A faulted op arms every site; any other goes over a clean wire.
         let plan = Arc::new(FaultPlan::new(self.rng.gen()));
@@ -426,6 +492,7 @@ impl Real {
         let purchase = matches!(op, Op::Purchase(..));
         let mut transcript = Transcript::new();
         let raw = self.run(op, &plan, &mut transcript);
+        self.store_plan.set(kv_sites::FAIL_PUT, Schedule::Never);
         self.delivered = transcript.entries().to_vec();
         self.delivered
             .retain(|e| e.to == Party::Provider || e.to == Party::Ra);
@@ -444,8 +511,12 @@ impl Real {
     }
 
     /// Binds what the op sent and reads the stack's answer in the model's
-    /// terms.
+    /// terms, once the store has failed the writes the model cut.
     fn read(&mut self, raw: Result<Raw, WireError>, model: &Model) -> Result<Outcome, String> {
+        let cuts = self.store_plan.fired(kv_sites::FAIL_PUT);
+        if cuts != model.cuts() {
+            return Err(format!("{cuts} row writes failed, not {}", model.cuts()));
+        }
         self.bind(model)?;
         self.outcome(raw)
     }
@@ -467,6 +538,10 @@ impl Real {
             ..
         } = self;
         let service = self.service.as_ref().expect("the provider is up");
+        let op = match op {
+            Op::Cut(_, op) => op,
+            op => op,
+        };
         let loopback = Loopback::with_rng(service, ChaChaRng::new(random_array(rng), [0; 12]));
         let delivered = Recording::new(loopback, transcript);
         let wire = Logged {
@@ -729,7 +804,7 @@ impl Real {
                 service.set_time(sys.epoch(), sys.now());
                 Ok(Raw::Done)
             }
-            Op::Restart(_) => unreachable!("stepped"),
+            Op::Restart(_) | Op::Cut(..) => unreachable!("stepped"),
         }
     }
 
@@ -1165,8 +1240,16 @@ impl Drop for Real {
 
 /// The next op, drawn from the model's state so that every reference
 /// names something that exists, and whether it sends again a transfer
-/// that went over a faulty wire (kept in `retry`).
+/// that went over a faulty wire or was cut (kept in `retry`).
 fn draw(m: &Model, rng: &mut StdRng, shards: usize, retry: &mut Option<Op>) -> (Op, bool) {
+    // A transfer that failed is often sent again at once, before its
+    // recipient moves to a new pseudonym.
+    if let Some(Op::Transfer(from, to, license, _)) = *retry {
+        if m.users[from].held.iter().any(|l| l.0 == license) && rng.gen_range(0..2) == 0 {
+            *retry = None;
+            return (Op::Transfer(from, to, license, None), true);
+        }
+    }
     let mut r = |n: usize| rng.gen_range(0..n.max(1));
     let mut held = Vec::new();
     let mut copies = Vec::new();
@@ -1188,6 +1271,18 @@ fn draw(m: &Model, rng: &mut StdRng, shards: usize, retry: &mut Option<Op>) -> (
     let spent: Vec<usize> = (0..m.coins.len())
         .filter(|&c| m.coins[c].1.is_some())
         .collect();
+    // What a cut reaches the write of: a live license, one that may move,
+    // a pseudonym not yet listed.
+    let live: Vec<_> = (held.iter())
+        .filter(|l| matches!(m.status(l.1), Status::Active(_)))
+        .collect();
+    let movable: Vec<_> = (live.iter())
+        .filter(|l| m.licenses[l.1].transfers != Some(0))
+        .map(|&&l| l)
+        .collect();
+    let listable: Vec<usize> = (0..m.pseudonyms.len())
+        .filter(|p| !m.pseudonym_crl.0.contains(p))
+        .collect();
     loop {
         let (user, item, other, device) = (r(USERS), r(ITEMS.len()), 1 + r(USERS - 1), r(DEVICES));
         let (holder, license) = match dead.get(r(3 * dead.len())) {
@@ -1201,13 +1296,13 @@ fn draw(m: &Model, rng: &mut StdRng, shards: usize, retry: &mut Option<Op>) -> (
             Some(revoked) if r(2) == 0 => revoked,
             _ => user,
         };
-        // Weights out of 132. Tier-1's seeds fire every coverage name only
+        // Weights out of 133. Tier-1's seeds fire every coverage name only
         // between them, so a changed weight is checked against those lists.
-        let op = match r(132) {
-            0..=5 => Op::Purchase(user, item, None),
-            6..=19 => Op::Purchase(user, item, Some(faulty)),
-            20..=36 => forge(m, user, item, &mut r),
-            37..=46 if !held.is_empty() => match retry.take() {
+        let op = match r(133) {
+            0..=3 => Op::Purchase(user, item, None),
+            4..=17 => Op::Purchase(user, item, Some(faulty)),
+            18..=34 => forge(m, user, item, &mut r),
+            35..=41 if !held.is_empty() => match retry.take() {
                 Some(Op::Transfer(from, to, license, _))
                     if m.users[from].held.iter().any(|l| l.0 == license) =>
                 {
@@ -1220,39 +1315,46 @@ fn draw(m: &Model, rng: &mut StdRng, shards: usize, retry: &mut Option<Op>) -> (
                     op
                 }
             },
-            47..=49 if !held.is_empty() => Op::Steal((holder + other) % USERS, license, user),
-            50..=59 if !held.is_empty() => {
-                Op::Play([holder, user][usize::from(r(4) == 0)], device, license)
+            42..=44 if !held.is_empty() => Op::Steal((holder + other) % USERS, license, user),
+            45..=54 if !held.is_empty() => {
+                // Most plays repeat the license the device counted most,
+                // so counts run out and kept rows are played.
+                let counted =
+                    (held.iter()).filter_map(|l| Some((m.devices[device].1.get(&l.1)?, l)));
+                match counted.max_by_key(|c| c.0) {
+                    Some((_, &(holder, license))) if r(3) > 0 => Op::Play(holder, device, license),
+                    _ => Op::Play([holder, user][usize::from(r(4) == 0)], device, license),
+                }
             }
-            60..=64 => Op::SyncCrl(device),
-            65..=67 if !m.licenses.is_empty() => Op::Status(r(m.licenses.len())),
-            68..=69 => Op::Download(maybe_item),
-            70..=71 => Op::Catalog(maybe_item),
-            72..=76 if !m.sent.is_empty() => Op::Resend(r(m.sent.len())),
-            77..=80 => {
+            55..=57 => Op::SyncCrl(device),
+            58..=63 if !m.licenses.is_empty() => Op::Status(r(m.licenses.len())),
+            64..=66 => Op::Download(maybe_item),
+            67..=69 => Op::Catalog(maybe_item),
+            70..=74 if !m.sent.is_empty() => Op::Resend(r(m.sent.len())),
+            75..=77 => {
                 let parked = (0..USERS)
                     .map(|u| (user + u) % USERS)
                     .find(|&u| !m.users[u].parked.is_empty());
                 Op::Settle(parked.unwrap_or(user))
             }
-            81..=84 if !copies.is_empty() => {
+            78 if !copies.is_empty() => {
                 let (user, (license, pseudonym)) = copies[r(copies.len())];
                 Op::Restore(user, license, pseudonym)
             }
-            85..=88 if !held.is_empty() => Op::RevokeLicense(license),
-            89..=92 if !held.is_empty() => {
+            79..=80 if !held.is_empty() => Op::RevokeLicense(license),
+            81..=82 if !held.is_empty() => {
                 Op::RevokePseudonym([m.licenses[license].holder, r(m.pseudonyms.len())][r(2)])
             }
-            93..=97 => Op::AdvanceEpoch(1 + r(4) as u32),
-            98..=99 => Op::Restart((r(2) == 0).then(|| r(shards))),
-            100..=103 if !spent.is_empty() => Op::RestoreCoin(user, spent[r(spent.len())]),
-            104..=106 => Op::Pseudonym(issuing),
-            107..=111 => Op::Attribute(issuing, r(3) > 0),
-            112..=119 if !held.is_empty() && m.pseudonyms.len() > 1 => {
+            83..=85 => Op::AdvanceEpoch(1 + r(4) as u32),
+            86..=89 => Op::Restart((r(2) == 0).then(|| r(shards))),
+            90..=94 if !spent.is_empty() => Op::RestoreCoin(user, spent[r(spent.len())]),
+            95..=97 => Op::Pseudonym(issuing),
+            98..=102 => Op::Attribute(issuing, r(3) > 0),
+            103..=112 if !held.is_empty() && m.pseudonyms.len() > 1 => {
                 accuse(m, license, &held, &mut r)
             }
             // Old lists are drawn oldest first more often than their share.
-            120..=131 => {
+            113..=124 => {
                 let newest = r(m.synced.len());
                 let n = r(1 + newest);
                 let shown = match r(7) {
@@ -1264,6 +1366,23 @@ fn draw(m: &Model, rng: &mut StdRng, shards: usize, retry: &mut Option<Op>) -> (
                     _ => Shown::OldPseudonyms(n),
                 };
                 Op::ShowCrl(device, shown)
+            }
+            // A cut transfer is sent again like a faulted one.
+            125..=132 => {
+                let op = match r(5) {
+                    0 => Op::Purchase(user, item, None),
+                    1 | 2 if !movable.is_empty() => {
+                        let (from, license) = movable[r(movable.len())];
+                        let op = Op::Transfer(from, (from + other) % USERS, license, None);
+                        *retry = Some(op.clone());
+                        op
+                    }
+                    3 if !live.is_empty() => Op::RevokeLicense(live[r(live.len())].1),
+                    4 if !listable.is_empty() => Op::RevokePseudonym(listable[r(listable.len())]),
+                    _ => continue,
+                };
+                let k = 1 + u32::from(matches!(op, Op::Transfer(..)) && r(2) == 0);
+                Op::Cut(k, Box::new(op))
             }
             _ => continue,
         };
@@ -1403,6 +1522,49 @@ fn labels(m: &Model, op: &Op, retried: bool) -> Vec<&'static str> {
     labels
 }
 
+/// The names a play or a CRL shown fires by what the device kept: a play
+/// from its kept row (nothing downloaded) or denied while it holds the
+/// item, and, since the last restart (`booted`), a kept item played, a
+/// count used up before the reboot denied, or a refusal by the CRL pair
+/// the device held at the reboot.
+fn kept_state(
+    m: &Model,
+    op: &Op,
+    out: &Outcome,
+    view: &View,
+    booted: Option<&[Device]>,
+) -> Vec<&'static str> {
+    let (device, license) = match *op {
+        Op::Play(_, d, l) => (d, Some(l)),
+        Op::ShowCrl(d, _) => (d, None),
+        _ => return Vec::new(),
+    };
+    let item = license.map(|l| m.item(l));
+    let kept = |devices: &[Device]| item.is_some_and(|i| devices[device].2.contains(&i));
+    let before = |f: &dyn Fn(&Device) -> bool| booted.is_some_and(|b| f(&b[device]));
+    let crls = before(&|d| d.0 == m.devices[device].0);
+    let counted = before(&|d| license.is_some_and(|l| d.1.get(&l).is_some_and(|&n| n > 0)));
+    let fetched = view.labels.contains(&"download");
+    let checks = match *out {
+        Outcome::Done => vec![
+            (license.is_some() && !fetched, "played from a kept row"),
+            (
+                !fetched && booted.is_some_and(kept),
+                "played from a kept row after a reboot",
+            ),
+        ],
+        Outcome::Refused("denied") => vec![
+            (kept(&m.devices), "denied from a kept row"),
+            (counted, "denied after a reboot"),
+        ],
+        Outcome::Refused("stale CRL" | "revoked license" | "revoked pseudonym") => {
+            vec![(crls, "CRL refused after a reboot")]
+        }
+        _ => Vec::new(),
+    };
+    checks.into_iter().filter(|c| c.0).map(|c| c.1).collect()
+}
+
 /// Runs one seed's script on the stack and the model, panicking with the
 /// seed and the script at the first divergence; returns the names it
 /// covered, one each time it fired (a faulted purchase also names its
@@ -1418,7 +1580,9 @@ fn run_seed(seed: u64) -> Vec<String> {
     let mut real = Real::new(seed, WalShardedConfig { shards, policy });
     let (mut model, mut script, mut covered, mut retry) =
         (Model::new(), Vec::new(), Vec::new(), None);
-    let mut restarted = false;
+    // The devices as the last restart found them, and each cut purchase
+    // or transfer not yet completed, by its license.
+    let (mut booted, mut cut) = (None::<Vec<Device>>, HashMap::new());
     for i in 0..OPS {
         // Every script ends in a restart, so its last ledger is read back.
         let (mut op, retried) = match i + 1 == OPS {
@@ -1430,6 +1594,7 @@ fn run_seed(seed: u64) -> Vec<String> {
         };
         let ran = real.step(&mut op);
         covered.extend(labels(&model, &op, retried).into_iter().map(String::from));
+        let cuts = model.cuts();
         let (expected, view) = model.apply(&op);
         script.push(format!("{i:3}: {op:?} -> {expected:?}"));
         let ran = ran.and_then(|(raw, names)| {
@@ -1462,10 +1627,26 @@ fn run_seed(seed: u64) -> Vec<String> {
             covered.push("double-spent coin dropped".into());
         }
         let issued = matches!(expected, Outcome::Issued(_));
-        if matches!(op, Op::Purchase(_, item, _) if ITEMS[item].3 && issued && restarted) {
+        if matches!(op, Op::Purchase(_, item, _) if ITEMS[item].3 && issued && booted.is_some()) {
             covered.push("rated purchase after a restart".into());
         }
-        restarted |= matches!(op, Op::Restart(_));
+        if let (Op::Cut(k, cut_op), true) = (&op, model.cuts() > cuts) {
+            let kind = match **cut_op {
+                Op::Purchase(..) => "purchase",
+                Op::Transfer(..) => "transfer",
+                _ => "revocation",
+            };
+            let name = format!("cut {kind} at write {k}");
+            if kind != "revocation" {
+                cut.insert(model.sent.last().expect("sent").1, name.clone());
+            }
+            covered.push(name);
+        }
+        if matches!(op, Op::Restart(_)) {
+            booted = Some(model.devices.clone());
+        }
+        let kept = kept_state(&model, &op, &expected, &view, booted.as_deref());
+        covered.extend(kept.into_iter().map(String::from));
         let outcomes = match expected {
             Outcome::Settled(all) if all.iter().any(|o| matches!(o, Outcome::Issued(_))) => {
                 covered.push("settled".into());
@@ -1482,6 +1663,9 @@ fn run_seed(seed: u64) -> Vec<String> {
             match outcome {
                 Outcome::Api(code) => covered.push(format!("{code:?}")),
                 Outcome::Refused(why) => covered.push(why.into()),
+                Outcome::Issued(h) => {
+                    covered.extend(cut.remove(&h).map(|c| format!("{c} completed")))
+                }
                 _ => {}
             };
         }
@@ -1520,7 +1704,9 @@ fn seeded_scripts_match_the_model() {
 }
 
 /// Per rate, the faulted purchases the wire answered within `ATTEMPTS`
-/// must reach the floor; each rate's line prints with `--nocapture`.
+/// must reach the floor, and each write a cut may fail must fail at
+/// least once; each rate's and each write's line prints with
+/// `--nocapture`.
 #[test]
 #[ignore = "optimised sweep: cargo test --release --test model -- --ignored --nocapture"]
 fn a_thousand_more_seeds_match_the_model() {
@@ -1548,4 +1734,20 @@ fn a_thousand_more_seeds_match_the_model() {
             );
         }
     }
+    let count = |name: String| covered.iter().filter(|c| **c == name).count();
+    for write in [
+        "purchase at write 1",
+        "transfer at write 1",
+        "transfer at write 2",
+    ] {
+        let (cut, completed) = (
+            count(format!("cut {write}")),
+            count(format!("cut {write} completed")),
+        );
+        println!("cut {write}: {cut} times, {completed} completed");
+        assert!(cut > 0, "no seed cut a {write}");
+    }
+    let cut = count("cut revocation at write 1".into());
+    println!("cut revocation at write 1: {cut} times");
+    assert!(cut > 0, "no seed cut a revocation");
 }

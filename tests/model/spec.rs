@@ -15,6 +15,15 @@
 //! escrow only on evidence `AbuseEvidence::verify` accepts, and then the
 //! RA revokes the card and the provider lists that one pseudonym.
 //!
+//! A store cut fails one of the provider's row writes (`Writes`): a
+//! purchase's `lic/` row, a transfer's successor `lic/` row then its old
+//! id's `crl/l/` row, a revocation's `crl/` row. What was written before
+//! it stays — the deposit, the transfer's claim, a revoked license's
+//! `spent/` row — and the op answers `Storage`; the parked purchase's
+//! settlement, the re-sent transfer or the repeated revocation writes
+//! the rest. A restart changes nothing the provider wrote or a device
+//! holds.
+//!
 //! Each op also yields its `View`: the requests an unfaulted run
 //! delivers, the model values the provider's payloads carry, and the
 //! users the RA hears from. What a party may link is what its views
@@ -164,7 +173,11 @@ pub enum Op {
     AdvanceEpoch(u32),
     /// The provider's unclean stop, maybe a torn tail on this shard, and
     /// its resume; the mint is the `System`'s, in memory, and stays up.
+    /// Each device reboots over its own store.
     Restart(Option<usize>),
+    /// (k, op): the k-th row write of an unfaulted purchase, transfer or
+    /// revocation fails.
+    Cut(u32, Box<Op>),
 }
 
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -260,21 +273,46 @@ pub struct User {
 
 /// A device's CRLs, its play counts and the items it keeps.
 #[derive(Clone, Default)]
-pub struct Device(Crls, HashMap<Handle, u32>, Vec<ItemId>);
+pub struct Device(pub Crls, pub HashMap<Handle, u32>, pub Vec<ItemId>);
 
 /// The license and the pseudonym CRL.
 pub type Crls = (Crl<Handle>, Crl<Pseudo>);
 
 /// A revocation list and its sequence number.
-#[derive(Clone, Default)]
+#[derive(Clone, Default, PartialEq)]
 pub struct Crl<T>(pub Vec<T>, pub u64);
 
 impl<T: PartialEq> Crl<T> {
-    fn list(&mut self, id: T) {
+    /// Lists `id` at the next sequence, after its `crl/` row write; an id
+    /// already listed writes nothing.
+    fn list(&mut self, id: T, writes: &mut Writes) -> Result<(), Code> {
         if !self.0.contains(&id) {
+            writes.next()?;
             self.0.push(id);
             self.1 += 1;
         }
+        Ok(())
+    }
+}
+
+/// The provider's row writes in the op being applied, the one a cut
+/// fails, and how many cuts have failed one.
+#[derive(Default)]
+struct Writes {
+    cut: Option<u32>,
+    made: u32,
+    failed: u64,
+}
+
+impl Writes {
+    /// The next row write: `Storage` if it is the one cut.
+    fn next(&mut self) -> Result<(), Code> {
+        self.made += 1;
+        if self.cut == Some(self.made) {
+            self.failed += 1;
+            return Err(Storage);
+        }
+        Ok(())
     }
 }
 
@@ -300,7 +338,7 @@ pub struct Ledger {
 pub struct Model {
     pub epoch: u32,
     pub users: Vec<User>,
-    devices: Vec<Device>,
+    pub devices: Vec<Device>,
     pub pseudonyms: Vec<Pseudonym>,
     /// Per coin: its denomination and the license its deposit paid for.
     pub coins: Vec<(u64, Option<Handle>)>,
@@ -318,6 +356,7 @@ pub struct Model {
     pub sent: Vec<(Req, Handle)>,
     /// Requests answered as replays.
     pub replays: usize,
+    writes: Writes,
     /// What the op being applied delivers.
     view: View,
 }
@@ -422,7 +461,7 @@ impl Model {
                 self.deliver("crl-sync", [Value::Crl(0)]);
                 let holder = self.holding(user, license);
                 let holder = holder.ok_or(Outcome::Refused("unknown license"))?;
-                let item = self.licenses[license].key.2;
+                let item = self.item(license);
                 let Device((licenses, pseudonyms), plays, kept) = &mut self.devices[device];
                 if licenses.0.contains(&license) {
                     return Err(Outcome::Refused("revoked license"));
@@ -535,23 +574,35 @@ impl Model {
                     self.users[user].revoked = true;
                     self.card_crl += 1;
                 }
-                self.pseudonym_crl.list(holder);
+                let listed = self.pseudonym_crl.list(holder, &mut self.writes);
+                listed.map_err(Outcome::Api)?;
                 Outcome::Unmasked(user)
             }
             Op::RevokeLicense(license) => {
                 self.licenses[license].spent.get_or_insert(None);
-                self.license_crl.list(license);
+                let listed = self.license_crl.list(license, &mut self.writes);
+                listed.map_err(Outcome::Api)?;
                 Outcome::Done
             }
             Op::RevokePseudonym(pseudonym) => {
-                self.pseudonym_crl.list(pseudonym);
+                let listed = self.pseudonym_crl.list(pseudonym, &mut self.writes);
+                listed.map_err(Outcome::Api)?;
                 Outcome::Done
             }
             Op::AdvanceEpoch(epochs) => {
                 self.epoch += epochs;
                 Outcome::Done
             }
+            // Every row is read back, and a device's store holds its CRL
+            // pair, play counts and kept items: nothing changes.
             Op::Restart(_) => Outcome::Done,
+            Op::Cut(k, ref op) => {
+                self.writes.cut = Some(k);
+                self.writes.made = 0;
+                let out = self.step(op);
+                self.writes.cut = None;
+                return out;
+            }
         })
     }
 
@@ -636,27 +687,39 @@ impl Model {
             };
             self.deliver(label, values.into_iter().chain([Value::License(handle)]));
         }
-        let out = match (fault, self.check(req, handle)) {
-            (Some(Fault::Dropped), _) => Outcome::Parked,
-            (_, Err(code)) => Outcome::Api(code),
-            (_, Ok(replay)) => {
-                self.replays += usize::from(replay);
-                match req {
-                    Req::Purchase(coin, ..) => self.coins[coin].1 = Some(handle),
-                    Req::Transfer(license, ..) => {
-                        self.licenses[license].spent.get_or_insert(Some(handle));
-                        self.license_crl.list(license);
-                    }
-                }
-                self.licenses[handle].issued = true;
-                Outcome::Issued(handle)
-            }
+        let out = match fault {
+            Some(Fault::Dropped) => Outcome::Parked,
+            _ => match self.serve(req, handle) {
+                Ok(()) => Outcome::Issued(handle),
+                Err(code) => Outcome::Api(code),
+            },
         };
         let lost = fault == Some(Fault::LostReply);
         (
             self.sent.len() - 1,
             if lost { Outcome::Parked } else { out },
         )
+    }
+
+    /// The provider's check, then its commit: the claim — the deposit, or
+    /// the old id's `spent/` row — and the rows that follow from it, the
+    /// `lic/` row and a transfer's CRL listing of the old id, each a write
+    /// a cut may fail. A replay writes them again.
+    fn serve(&mut self, req: Req, handle: Handle) -> Result<(), Code> {
+        let replay = self.check(req, handle)?;
+        self.replays += usize::from(replay);
+        match req {
+            Req::Purchase(coin, ..) => self.coins[coin].1 = Some(handle),
+            Req::Transfer(license, ..) => {
+                self.licenses[license].spent.get_or_insert(Some(handle));
+            }
+        }
+        self.writes.next()?;
+        self.licenses[handle].issued = true;
+        match req {
+            Req::Transfer(license, ..) => self.license_crl.list(license, &mut self.writes),
+            Req::Purchase(..) => Ok(()),
+        }
     }
 
     /// The provider's check step: `Ok(replay)`, or the refusal.
@@ -709,6 +772,16 @@ impl Model {
             true => Err(BadPseudonym),
             false => Ok(()),
         }
+    }
+
+    /// Row writes a cut has failed so far.
+    pub fn cuts(&self) -> u64 {
+        self.writes.failed
+    }
+
+    /// The item a license is for.
+    pub fn item(&self, license: Handle) -> ItemId {
+        self.licenses[license].key.2
     }
 
     pub fn status(&self, license: Handle) -> Status {

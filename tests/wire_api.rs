@@ -352,7 +352,7 @@ mod listing_snapshot {
     use p2drm::core::ContentId;
     use p2drm::crypto::rng::test_rng;
     use p2drm::obs::Registry;
-    use p2drm::store::WalShardedConfig;
+    use p2drm::store::{WalShardedConfig, WalShardedKv};
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;
 
@@ -431,22 +431,21 @@ mod listing_snapshot {
         let _ = std::fs::remove_dir_all(&dir);
         let mut rng = test_rng(0x317E21);
         let mut sys = System::bootstrap(SystemConfig::fast_test(), &mut rng);
-        let open = |sys: &mut System, rng: &mut _| {
-            let (provider, _) = ContentProvider::open_durable(
-                &mut sys.root,
-                sys.mint.clone(),
-                sys.ra.blind_public().clone(),
-                &dir,
-                WalShardedConfig::default(),
-                ProviderConfig::fast_test(),
-                rng,
-            )
-            .expect("durable store opens");
+        let store = || {
+            WalShardedKv::open(&dir, WalShardedConfig::default())
+                .expect("opens")
+                .0
+        };
+        let serve = |provider| {
             ProviderService::with_registry(Arc::new(provider), 0x116, Arc::new(Registry::new()))
         };
         let request = listing_request();
 
-        let service = open(&mut sys, &mut rng);
+        let (mint, ra) = (sys.mint.clone(), sys.ra.blind_public().clone());
+        let config = ProviderConfig::fast_test();
+        let provider =
+            ContentProvider::with_backend(&mut sys.root, mint, ra, store(), config, &mut rng);
+        let service = serve(provider);
         let rights = sys.config().rights_template.clone();
         for n in 0..5usize {
             let listed = decode_listing(&service.handle(&request));
@@ -459,22 +458,18 @@ mod listing_snapshot {
         }
         let before = service.handle(&request);
         assert_eq!(decode_listing(&before).len(), 5);
+        let keys = p2drm::codec::from_bytes(&service.provider().export_keys()).expect("vault");
+        let cert = service.provider().certificate().clone();
         drop(service);
 
-        let service = open(&mut sys, &mut rng);
+        let (mint, ra) = (sys.mint.clone(), sys.ra.blind_public().clone());
+        let config = ProviderConfig::fast_test();
+        let resumed = ContentProvider::resume(keys, cert, mint, ra, store(), config);
+        let service = serve(resumed.expect("the directory restores"));
         assert_eq!(
             service.handle(&request),
             before,
             "listing after the restart"
-        );
-        service
-            .provider()
-            .restore_from_store()
-            .expect("restore is idempotent");
-        assert_eq!(
-            service.handle(&request),
-            before,
-            "listing after a second restore"
         );
         drop(service);
         let _ = std::fs::remove_dir_all(&dir);
