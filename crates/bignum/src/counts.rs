@@ -28,8 +28,9 @@ pub struct Counts {
     /// count: entry `i` for `i + 1` limbs, the last for 32 limbs and
     /// more.
     pub pows: [u64; POW_WIDTHS],
-    /// Prime-search sieve survivors put through the base-2 Fermat check,
-    /// one kernel lane each.
+    /// Prime-search sieve survivors put through the base-2 strong test
+    /// in lanes, one kernel lane each (the name is from when the lanes
+    /// ran a Fermat check).
     pub fermat_lanes: u64,
     /// Of those, the ones that passed it.
     pub fermat_passed: u64,

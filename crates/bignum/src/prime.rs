@@ -77,21 +77,25 @@
 //!
 //! **Survivors in lanes.** On a CPU with AVX-512 IFMA, for primes of at
 //! most [`ifma::MAX_MODULUS_BITS`] (362) bits, the survivors are taken
-//! eight at a time, in order, and put through one base-2 Fermat check,
-//! `2^(n−1) mod n`, as the lanes of one [`ifma::pow_lanes`] call (one
-//! [`Modulus52`] per candidate). Those that pass go on, in order, to
-//! steps 2–4; the first that passes those is returned. Everything else
-//! (other CPUs, larger primes such as RSA-2048's) tests each survivor
-//! with steps 2–4 directly. The choice reads only the CPU and `bits`.
+//! eight at a time, in order, and put through step 2 together: `2^d mod
+//! n` (`n − 1 = d·2^r`, `d` odd) for each is one lane of one
+//! [`ifma::pow_lanes`] call (one [`Modulus52`] per candidate), and the
+//! strong test finishes on each lane's result with at most `r − 1`
+//! squarings of plain [`UBig`]s (`r` is 1 for half the candidates, so
+//! most need none). Those that pass go on, in order, to steps 3–4, with
+//! step 2 not run again; the first that passes those is returned.
+//! Everything else (other CPUs, larger primes such as RSA-2048's) tests
+//! each survivor with steps 2–4 directly. The choice reads only the CPU
+//! and `bits`.
 //!
-//! This changes no verdict and no draw. A number that passes the base-2
-//! strong test (`2^d ≡ 1`, or `2^(d·2^i) ≡ −1` for some `i < r`) has
-//! `2^(n−1) ≡ 1`, so the check drops only candidates step 2 would have
-//! rejected, and step 2 reads no randomness. The survivors after the
-//! prime in its batch were checked for nothing, but they touch neither
-//! the RNG nor the result: the prime returned and the state `rng` is
-//! left in are those of the scalar search. [`counts`](crate::counts::counts)
-//! counts the lanes, the kernel calls, the scalar tests, the sieve steps
+//! This changes no verdict and no draw: the lanes give step 2's verdict
+//! on every candidate, and step 2 reads no randomness. The survivors
+//! after the prime in its batch were tested for nothing, but they touch
+//! neither the RNG nor the result: the prime returned and the state
+//! `rng` is left in are those of the scalar search.
+//! [`counts`](crate::counts::counts) counts the lanes (still
+//! `fermat_lanes`, and `fermat_passed` for the candidates that passed
+//! step 2 in them), the kernel calls, the scalar tests, the sieve steps
 //! and the Lucas tests' products per thread.
 //!
 //! Per RSA-1024 key (three searches of 341 and 342 bits through
@@ -287,15 +291,26 @@ fn is_probable_prime<R: BigRng + ?Sized>(
 ) -> bool {
     debug_assert!(n.is_odd());
     count(|c| c.scalar_tests += 1);
+    let odd = OddPart::of(n);
     let mont = Mont::new(n).expect("odd modulus");
-    let n_minus_1 = n.sub(&UBig::one());
-    let r = n_minus_1.trailing_zeros().expect("n-1 of odd n>2 is even");
-    let d = n_minus_1.shr(r);
-    if !strong_probable_prime(&mont, &n_minus_1, r, mont.pow2(&d))
-        || !strong_lucas_probable_prime(n, &mont)
-    {
+    odd.strong_probable_prime(mont.pow2(&odd.d), |x| mont.mul_mod(x, x))
+        && passes_after_base2(n, &odd, &mont, rounds, rng, lanes)
+}
+
+/// Steps 3–4 of the test, for an `n` that passed the base-2 strong test
+/// (step 2), with `odd` and `mont` made from `n`.
+fn passes_after_base2<R: BigRng + ?Sized>(
+    n: &UBig,
+    odd: &OddPart,
+    mont: &Mont,
+    rounds: usize,
+    rng: &mut R,
+    lanes: bool,
+) -> bool {
+    if !strong_lucas_probable_prime(n, mont) {
         return false;
     }
+    let strong = |x| odd.strong_probable_prime(x, |x| mont.mul_mod(x, x));
     let two = UBig::from_u64(2);
     let span = n.sub(&UBig::from_u64(3)); // witnesses in [2, n-2]
     let mut draw = || &crate::rng::random_below(rng, &span) + &two;
@@ -305,19 +320,47 @@ fn is_probable_prime<R: BigRng + ?Sized>(
         // from the scalar loop's only for a composite that a round
         // rejects after passing Baillie–PSW, of which none is known.
         let bases: Vec<UBig> = (0..extra).map(|_| draw()).collect();
-        let powers = random_round_powers(n, &bases, &d)
-            .unwrap_or_else(|| bases.iter().map(|a| mont.pow(a, &d)).collect());
-        return powers
-            .into_iter()
-            .all(|x| strong_probable_prime(&mont, &n_minus_1, r, x));
+        let powers = random_round_powers(n, &bases, &odd.d)
+            .unwrap_or_else(|| bases.iter().map(|a| mont.pow(a, &odd.d)).collect());
+        return powers.into_iter().all(strong);
     }
-    for _ in 0..extra {
-        let a = draw();
-        if !strong_probable_prime(&mont, &n_minus_1, r, mont.pow(&a, &d)) {
-            return false;
+    (0..extra).all(|_| strong(mont.pow(&draw(), &odd.d)))
+}
+
+/// `n − 1 = d·2^r` with `d` odd, for an odd `n > 2`: what a
+/// Miller–Rabin round on `n` works with.
+struct OddPart {
+    n_minus_1: UBig,
+    r: usize,
+    d: UBig,
+}
+
+impl OddPart {
+    fn of(n: &UBig) -> OddPart {
+        let n_minus_1 = n.sub(&UBig::one());
+        let r = n_minus_1.trailing_zeros().expect("n-1 of odd n>2 is even");
+        let d = n_minus_1.shr(r);
+        OddPart { n_minus_1, r, d }
+    }
+
+    /// The Miller–Rabin verdict for one witness `a`, given
+    /// `x = a^d mod n`: at most `r − 1` squarings, each by `square`
+    /// (`x² mod n`).
+    fn strong_probable_prime(&self, mut x: UBig, square: impl Fn(&UBig) -> UBig) -> bool {
+        if x.is_one() || x == self.n_minus_1 {
+            return true;
         }
+        for _ in 1..self.r {
+            x = square(&x);
+            if x == self.n_minus_1 {
+                return true;
+            }
+            if x.is_one() {
+                return false; // nontrivial square root of 1
+            }
+        }
+        false
     }
-    true
 }
 
 /// `a^d mod n` for every base `a`, as the lanes of one kernel call
@@ -331,55 +374,43 @@ fn random_round_powers(n: &UBig, bases: &[UBig], d: &UBig) -> Option<Vec<UBig>> 
     ifma::pow_lanes(&lanes)
 }
 
-/// The members of `batch` that pass the base-2 Fermat check
-/// `2^(n−1) ≡ 1 (mod n)`, in order, checked as the lanes of one kernel
-/// call; each is odd, above 2 and of at most 362 bits. A number the
-/// base-2 strong test accepts passes (`2^d ≡ 1` or `2^(d·2^i) ≡ −1`
-/// squares on to `2^(n−1) ≡ 1`), so the check only drops composites
-/// that test would reject. Without the kernel it drops nothing.
-fn pass_base2_fermat(batch: Vec<UBig>) -> Vec<UBig> {
+/// The members of `batch` that pass the base-2 strong test (step 2), in
+/// order; each is odd, above 2 and of at most 362 bits. `2^d mod n` for
+/// every member is one lane of one kernel call, and the test finishes
+/// with at most `r − 1` squarings (`n − 1 = d·2^r`) of plain [`UBig`]s,
+/// so a member pays for no [`Mont`] unless it passes. The search calls
+/// this only on a CPU with the kernel; without it each power is one
+/// scalar ladder instead, with the same verdicts.
+fn pass_base2_strong(batch: Vec<UBig>) -> Vec<UBig> {
     let moduli: Vec<Modulus52> = batch
         .iter()
         .map(|n| Modulus52::new(n).expect("odd, at most 362 bits"))
         .collect();
-    let exponents: Vec<UBig> = batch.iter().map(|n| n.sub(&UBig::one())).collect();
+    let odd: Vec<OddPart> = batch.iter().map(OddPart::of).collect();
     let two = UBig::from_u64(2);
     let lanes: Vec<ifma::Lane> = moduli
         .iter()
-        .zip(&exponents)
-        .map(|(m, e)| (m, &two, Secret::new(e)))
+        .zip(&odd)
+        .map(|(m, o)| (m, &two, Secret::new(&o.d)))
         .collect();
-    let Some(powers) = ifma::pow_lanes(&lanes) else {
-        return batch;
-    };
+    let powers = ifma::pow_lanes(&lanes).unwrap_or_else(|| {
+        (batch.iter().zip(&odd))
+            .map(|(n, o)| Mont::new(n).expect("odd modulus").pow2(&o.d))
+            .collect()
+    });
     let passed: Vec<UBig> = batch
         .into_iter()
-        .zip(powers)
-        .filter_map(|(n, x)| x.is_one().then_some(n))
+        .zip(odd.iter().zip(powers))
+        .filter_map(|(n, (o, x))| {
+            let passes = o.strong_probable_prime(x, |x| (x * x).rem(&n));
+            passes.then_some(n)
+        })
         .collect();
     count(|c| {
         c.fermat_lanes += lanes.len() as u64;
         c.fermat_passed += passed.len() as u64;
     });
     passed
-}
-
-/// The Miller–Rabin verdict for one witness `a`, given `x = a^d mod n`
-/// for odd `n = d * 2^r + 1`.
-fn strong_probable_prime(mont: &Mont, n_minus_1: &UBig, r: usize, mut x: UBig) -> bool {
-    if x.is_one() || x == *n_minus_1 {
-        return true;
-    }
-    for _ in 1..r {
-        x = mont.mul_mod(&x, &x);
-        if x == *n_minus_1 {
-            return true;
-        }
-        if x.is_one() {
-            return false; // nontrivial square root of 1
-        }
-    }
-    false
 }
 
 /// Selfridge's choice for the Lucas test of odd `n`: the first `D` in
@@ -676,8 +707,8 @@ pub fn gen_prime<R: BigRng + ?Sized>(bits: usize, rounds: usize, rng: &mut R) ->
 }
 
 /// The search of [`gen_prime`]. With `lanes`, the sieve's survivors are
-/// taken [`BATCH`] at a time through [`pass_base2_fermat`] before the
-/// scalar test, and the random-base rounds run in lanes too.
+/// taken [`BATCH`] at a time through [`pass_base2_strong`] before the
+/// scalar steps 3–4, and the random-base rounds run in lanes too.
 fn search<R: BigRng + ?Sized>(bits: usize, rounds: usize, rng: &mut R, lanes: bool) -> UBig {
     // Every candidate exceeds 2^15, so a sieve prime dividing one is proper.
     let odd_primes = &tables().primes[1..];
@@ -712,9 +743,9 @@ fn search<R: BigRng + ?Sized>(bits: usize, rounds: usize, rng: &mut R, lanes: bo
     }
 }
 
-/// The first of `survivors` to pass steps 2–4, those steps run only on
-/// the ones that passed the base-2 Fermat check, [`BATCH`] to a kernel
-/// call.
+/// The first of `survivors` to pass steps 2–4: step 2 in lanes,
+/// [`BATCH`] survivors to a kernel call ([`pass_base2_strong`]), and
+/// steps 3–4 on those that pass it, in order.
 fn search_in_lanes<R: BigRng + ?Sized>(
     survivors: &mut impl Iterator<Item = UBig>,
     rounds: usize,
@@ -725,8 +756,11 @@ fn search_in_lanes<R: BigRng + ?Sized>(
         if batch.is_empty() {
             return None;
         }
-        for candidate in pass_base2_fermat(batch) {
-            if is_probable_prime(&candidate, rounds, rng, true) {
+        for candidate in pass_base2_strong(batch) {
+            count(|c| c.scalar_tests += 1);
+            let mont = Mont::new(&candidate).expect("odd modulus");
+            let odd = OddPart::of(&candidate);
+            if passes_after_base2(&candidate, &odd, &mont, rounds, rng, true) {
                 return Some(candidate);
             }
         }
@@ -786,9 +820,8 @@ mod tests {
     /// Step 2 alone, with no trial division before it.
     fn base2_alone(n: &UBig) -> bool {
         let mont = Mont::new(n).unwrap();
-        let n_minus_1 = n.sub(&UBig::one());
-        let r = n_minus_1.trailing_zeros().unwrap();
-        strong_probable_prime(&mont, &n_minus_1, r, mont.pow2(&n_minus_1.shr(r)))
+        let odd = OddPart::of(n);
+        odd.strong_probable_prime(mont.pow2(&odd.d), |x| mont.mul_mod(x, x))
     }
 
     /// Step 3 alone, with no trial division before it.
@@ -1152,40 +1185,36 @@ mod tests {
         1 << 20
     };
 
-    /// The Fermat check over `ns`, eight lanes to a call: whether each
-    /// passed.
-    fn fermat_verdicts(ns: &[UBig]) -> Vec<bool> {
+    /// The lane strong test over `ns`, eight lanes to a call: whether
+    /// each passed.
+    fn lane_verdicts(ns: &[UBig]) -> Vec<bool> {
         let mut verdicts = Vec::new();
         for chunk in ns.chunks(BATCH) {
-            let passed = pass_base2_fermat(chunk.to_vec());
+            let passed = pass_base2_strong(chunk.to_vec());
             verdicts.extend(chunk.iter().map(|n| passed.contains(n)));
         }
         verdicts
     }
 
     #[test]
-    fn fermat_check_keeps_every_base2_strong_probable_prime() {
+    fn lane_strong_test_is_the_base2_strong_test() {
         if !ifma::available() {
-            eprintln!("this CPU has no AVX-512 IFMA: the Fermat lanes are skipped");
+            eprintln!("this CPU has no AVX-512 IFMA: the base-2 lanes are skipped");
             return;
         }
-        // Every odd n from 3 on: a strong probable prime passes, and a
-        // number rejected is composite.
-        let sieve = eratosthenes(FERMAT_LIMIT as usize);
+        // Every odd n from 3 on: the lanes give step 2's verdict, and
+        // more than half are rejected.
         let odd: Vec<UBig> = (3..FERMAT_LIMIT).step_by(2).map(u).collect();
         let mut rejected = 0;
-        for (n, passed) in odd.iter().zip(fermat_verdicts(&odd)) {
-            if !passed {
-                assert!(!base2_alone(n), "{n}");
-                assert!(!sieve[n.to_u64().unwrap() as usize], "{n}");
-                rejected += 1;
-            }
+        for (n, passed) in odd.iter().zip(lane_verdicts(&odd)) {
+            assert_eq!(passed, base2_alone(n), "{n}");
+            rejected += usize::from(!passed);
         }
         assert!(rejected > odd.len() / 2, "{rejected} of {}", odd.len());
         // Strong pseudoprimes to base 2, the ψ's among them, pass the
-        // check and fall to the Lucas test; Carmichael numbers and the
-        // Fermat-only pseudoprime 341 pass it and fall to the strong
-        // base-2 test.
+        // lanes and fall to the Lucas test; Carmichael numbers and the
+        // Fermat-only pseudoprime 341 pass a Fermat check, but not the
+        // lanes.
         let strong: Vec<UBig> = [2047u64, 3277, 4033, 4681, 8321]
             .into_iter()
             .map(u)
@@ -1198,8 +1227,11 @@ mod tests {
         .map(u)
         .collect();
         for (ns, strong) in [(&strong, true), (&fermat_only, false)] {
-            assert!(fermat_verdicts(ns).into_iter().all(|passed| passed));
-            for n in ns.iter() {
+            for (n, passed) in ns.iter().zip(lane_verdicts(ns)) {
+                let two = u(2);
+                let fermat = two.pow_mod(&n.sub(&UBig::one()), n).unwrap().is_one();
+                assert!(fermat, "{n}");
+                assert_eq!(passed, strong, "{n}");
                 assert_eq!(base2_alone(n), strong, "{n}");
                 assert!(!is_probable_prime(n, 16, &mut rng(), true), "{n}");
             }

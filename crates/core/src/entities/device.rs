@@ -7,7 +7,11 @@
 //! key (challenge–response via the smart card), and (5) the rights
 //! expression permits the action given persisted per-license state.
 //!
-//! The device's store holds two tables and one row. `state/<license id>`
+//! The device's store holds two tables and two rows. `identity` is the
+//! device's id, key pair and certificate, written when the store is
+//! first opened and read back on every later open, so a rebooted device
+//! is the same device: a license bound to it still plays, and the root
+//! issues no second certificate. `state/<license id>`
 //! is the [`RightsState`] each license has used up. `crl` is the signed
 //! CRL pair the device enforces, written before the pair takes effect
 //! and verified again when the device opens its store, so a reboot
@@ -29,7 +33,7 @@ use crate::protocol::messages::{CrlSync, DownloadResponse};
 use crate::CoreError;
 use p2drm_crypto::envelope::{self, Envelope};
 use p2drm_crypto::rng::CryptoRng;
-use p2drm_crypto::rsa::{RsaKeyPair, RsaPublicKey, RsaSignature};
+use p2drm_crypto::rsa::{self, RsaKeyPair, RsaPublicKey, RsaSignature, SignatureCheck};
 use p2drm_pki::authority::CertificateAuthority;
 use p2drm_pki::cert::{Certificate, EntityKind, KeyId, PseudonymCertificate, SubjectKey, Validity};
 use p2drm_pki::crl::{CrlScope, SignedCrl};
@@ -45,16 +49,26 @@ pub const CONTENT_BUDGET: usize = 256 * 1024;
 
 const CONTENT_PREFIX: &[u8] = b"content/";
 const CRL_ROW: &[u8] = b"crl";
+const IDENTITY_ROW: &[u8] = b"identity";
 
 fn content_key(id: &ContentId) -> Vec<u8> {
     [CONTENT_PREFIX, id.as_bytes()].concat()
 }
 
+p2drm_codec::record! {
+    /// The `identity` row: the id, key pair and certificate that make a
+    /// device the same device after a reboot. **The row holds the
+    /// device's private key.**
+    struct Identity {
+        device_id: DeviceId,
+        keys: RsaKeyPair,
+        cert: Certificate,
+    }
+}
+
 /// A compliant rendering device, generic over its state store.
 pub struct CompliantDevice<S: ConcurrentKv = MemKv> {
-    device_id: DeviceId,
-    keys: RsaKeyPair,
-    cert: Certificate,
+    identity: Identity,
     provider_key: RsaPublicKey,
     ra_blind_key: RsaPublicKey,
     store: S,
@@ -90,9 +104,13 @@ impl CompliantDevice<MemKv> {
 
 impl<S: ConcurrentKv> CompliantDevice<S> {
     /// Device over a caller-supplied store (a one-shard
-    /// [`p2drm_store::WalShardedKv`] directory makes play counts, kept
-    /// items and CRLs durable). A store that holds a `crl` row must hold
-    /// a pair signed by the provider, each list in its own scope.
+    /// [`p2drm_store::WalShardedKv`] directory makes its identity, play
+    /// counts, kept items and CRLs durable). A store without an
+    /// `identity` row gets one: a key pair, a certificate from `root` and
+    /// a random id, drawn from `rng` in that order. A store with one is
+    /// the same device again: nothing is drawn and `root` issues nothing.
+    /// A store that holds a `crl` row must hold a pair signed by the
+    /// provider, each list in its own scope.
     pub fn with_store<R: CryptoRng + ?Sized>(
         root: &mut CertificateAuthority,
         provider_cert: &Certificate,
@@ -106,20 +124,31 @@ impl<S: ConcurrentKv> CompliantDevice<S> {
         // the provider key only through a root-signed certificate.
         provider_cert.verify(root.public_key(), validity.from)?;
         let provider_key = provider_cert.body.subject_key.as_rsa()?.clone();
-        let keys = RsaKeyPair::generate(key_bits, rng);
-        let cert = root.issue(
-            EntityKind::Device,
-            SubjectKey::Rsa(keys.public().clone()),
-            validity,
-            vec![p2drm_pki::cert::Extension {
-                key: "compliance".into(),
-                value: vec![1],
-            }],
-        );
+        let identity = match store.get(IDENTITY_ROW) {
+            Some(row) => p2drm_codec::from_bytes(&row).map_err(StoreError::from)?,
+            None => {
+                let keys = RsaKeyPair::generate(key_bits, rng);
+                let cert = root.issue(
+                    EntityKind::Device,
+                    SubjectKey::Rsa(keys.public().clone()),
+                    validity,
+                    vec![p2drm_pki::cert::Extension {
+                        key: "compliance".into(),
+                        value: vec![1],
+                    }],
+                );
+                let device_id = DeviceId::random(rng);
+                let identity = Identity {
+                    device_id,
+                    keys,
+                    cert,
+                };
+                store.put(IDENTITY_ROW, &p2drm_codec::to_bytes(&identity))?;
+                identity
+            }
+        };
         let mut device = CompliantDevice {
-            device_id: DeviceId::random(rng),
-            keys,
-            cert,
+            identity,
             provider_key,
             ra_blind_key,
             store,
@@ -148,24 +177,24 @@ impl<S: ConcurrentKv> CompliantDevice<S> {
 
     /// Device identifier.
     pub fn device_id(&self) -> DeviceId {
-        self.device_id
+        self.identity.device_id
     }
 
     /// Device id as the 32-byte form REL device bindings use.
     pub fn binding_id(&self) -> [u8; 32] {
         let mut out = [0u8; 32];
-        out[..16].copy_from_slice(self.device_id.as_bytes());
+        out[..16].copy_from_slice(self.identity.device_id.as_bytes());
         out
     }
 
     /// Device public key (smart cards seal content keys to this).
     pub fn public_key(&self) -> &RsaPublicKey {
-        self.keys.public()
+        self.identity.keys.public()
     }
 
     /// Compliance certificate.
     pub fn certificate(&self) -> &Certificate {
-        &self.cert
+        &self.identity.cert
     }
 
     /// Ingests the provider's two full CRLs — the device's one CRL entry
@@ -236,15 +265,28 @@ impl<S: ConcurrentKv> CompliantDevice<S> {
         challenge_sig: &RsaSignature,
         req: &AccessRequest,
     ) -> Result<RightsState, CoreError> {
-        license.verify(&self.provider_key)?;
+        // The three signatures — the license's, the pseudonym
+        // certificate's and the holder proof over (challenge ‖ license
+        // id) — are checked in one batch, and the verdicts are read in
+        // that order between the CRL and binding checks.
+        let proof_msg = challenge_message(challenge, &license.id());
+        let [license_ok, cert_ok, proof_ok] = rsa::verify_batch([
+            license.signature_check(&self.provider_key).ok(),
+            pseudonym_cert.and_then(|cert| cert.signature_check(&self.ra_blind_key).ok()),
+            SignatureCheck::pkcs1_v15(&license.body.holder, &proof_msg, challenge_sig).ok(),
+        ]);
+        if !license_ok {
+            return Err(License::BAD_SIGNATURE);
+        }
         let crls = self.crls.as_ref();
         let crl_id = crate::entities::provider::license_crl_id(&license.id());
         if crls.is_some_and(|c| c.license_crl.body.list.contains(&crl_id)) {
             return Err(CoreError::Revoked("license"));
         }
         if let Some(cert) = pseudonym_cert {
-            cert.verify(&self.ra_blind_key)
-                .map_err(|_| CoreError::BadPseudonym("RA signature invalid"))?;
+            if !cert_ok {
+                return Err(CoreError::BadPseudonym("RA signature invalid"));
+            }
             let id = cert.pseudonym_id();
             if crls.is_some_and(|c| c.pseudonym_crl.body.list.contains(&id)) {
                 return Err(CoreError::Revoked("pseudonym"));
@@ -254,13 +296,9 @@ impl<S: ConcurrentKv> CompliantDevice<S> {
                 return Err(CoreError::BadLicense("holder key mismatch"));
             }
         }
-        // Holder proof: signature over (challenge ‖ license id).
-        let proof_msg = challenge_message(challenge, &license.id());
-        license
-            .body
-            .holder
-            .verify(&proof_msg, challenge_sig)
-            .map_err(|_| CoreError::BadProof)?;
+        if !proof_ok {
+            return Err(CoreError::BadProof);
+        }
 
         let state = self
             .states
@@ -286,7 +324,7 @@ impl<S: ConcurrentKv> CompliantDevice<S> {
 
     /// Unwraps a card-sealed content key with the device private key.
     pub fn open_sealed_key(&self, sealed: &Envelope) -> Result<[u8; 32], CoreError> {
-        let key = envelope::open(&self.keys, sealed)?;
+        let key = envelope::open(&self.identity.keys, sealed)?;
         key.as_slice()
             .try_into()
             .map_err(|_| CoreError::BadLicense("content key wrong length"))

@@ -38,6 +38,7 @@ use crate::CoreError;
 use p2drm_crypto::envelope::{self, Envelope};
 use p2drm_crypto::rng::{random_array, ChaChaRng, CryptoRng};
 use p2drm_crypto::rsa::{RsaKeyPair, RsaPublicKey, RsaSignature};
+use p2drm_crypto::CryptoError;
 use p2drm_pki::cert::{Certificate, KeyId, PseudonymCertBody};
 use std::collections::HashMap;
 use std::thread::JoinHandle;
@@ -246,22 +247,38 @@ impl SmartCard {
         Ok(kp.sign(data))
     }
 
-    /// Opens a license key envelope with the pseudonym key and re-seals the
-    /// content key to `device_key` — the card-to-device key release.
-    pub fn unwrap_and_reseal<R: CryptoRng + ?Sized>(
+    /// Signs a holder challenge with a pseudonym key and opens a license
+    /// key envelope with the same key: both private-key operations run
+    /// in one batch ([`envelope::sign_and_open`]). The signature is the
+    /// one [`SmartCard::sign_with_pseudonym`] gives; the content key
+    /// stays in the [`OpenedKey`] until [`SmartCard::reseal`] releases
+    /// it, and an envelope the key cannot open is refused only there.
+    pub fn prove_and_open(
         &self,
         pseudonym: &KeyId,
+        challenge: &[u8],
         env: &Envelope,
-        device_key: &RsaPublicKey,
-        rng: &mut R,
-    ) -> Result<Envelope, CoreError> {
+    ) -> Result<(RsaSignature, OpenedKey), CoreError> {
         self.ensure_active()?;
         let kp = self
             .pseudonyms
             .get(pseudonym)
             .ok_or(CoreError::Card("unknown pseudonym"))?;
-        let content_key = envelope::open(kp, env)?;
-        Ok(envelope::seal(device_key, &content_key, rng))
+        let (signature, content_key) = envelope::sign_and_open(kp, challenge, env);
+        Ok((signature, OpenedKey(content_key)))
+    }
+
+    /// Re-seals an opened content key to `device_key` — the card-to-device
+    /// key release — or refuses with the error opening its envelope gave.
+    pub fn reseal<R: CryptoRng + ?Sized>(
+        &self,
+        opened: OpenedKey,
+        device_key: &RsaPublicKey,
+        rng: &mut R,
+    ) -> Result<Envelope, CoreError> {
+        self.ensure_active()?;
+        let content_key = opened.0.as_ref().map_err(|e| e.clone())?;
+        Ok(envelope::seal(device_key, content_key, rng))
     }
 
     /// Baseline flow variant: unwrap an envelope sealed to the *master*
@@ -275,5 +292,19 @@ impl SmartCard {
         self.ensure_active()?;
         let content_key = envelope::open(&self.master, env)?;
         Ok(envelope::seal(device_key, &content_key, rng))
+    }
+}
+
+/// A content key a card opened and has not yet released
+/// ([`SmartCard::prove_and_open`]): only the card's
+/// [`SmartCard::reseal`] reads it, and it is zeroized on drop.
+pub struct OpenedKey(Result<Vec<u8>, CryptoError>);
+
+impl Drop for OpenedKey {
+    fn drop(&mut self) {
+        if let Ok(key) = &mut self.0 {
+            key.fill(0);
+            std::hint::black_box(key);
+        }
     }
 }

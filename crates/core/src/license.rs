@@ -5,7 +5,8 @@
 use crate::ids::{ContentId, LicenseId};
 use crate::CoreError;
 use p2drm_crypto::envelope::Envelope;
-use p2drm_crypto::rsa::{RsaKeyPair, RsaPublicKey, RsaSignature};
+use p2drm_crypto::rsa::{RsaKeyPair, RsaPublicKey, RsaSignature, SignatureCheck};
+use p2drm_crypto::CryptoError;
 use p2drm_pki::cert::KeyId;
 use p2drm_rel::Rights;
 
@@ -56,10 +57,22 @@ impl License {
 
     /// Verifies the provider signature.
     pub fn verify(&self, provider_key: &RsaPublicKey) -> Result<(), CoreError> {
-        provider_key
-            .verify(&self.body.signing_bytes(), &self.signature)
-            .map_err(|_| CoreError::BadLicense("provider signature invalid"))
+        self.signature_check(provider_key)
+            .and_then(|check| check.run())
+            .map_err(|_| Self::BAD_SIGNATURE)
     }
+
+    /// [`License::verify`] split around its public-key operation, for a
+    /// caller that runs it in a batch of its own.
+    pub fn signature_check<'a>(
+        &'a self,
+        provider_key: &'a RsaPublicKey,
+    ) -> Result<SignatureCheck<'a>, CryptoError> {
+        SignatureCheck::pkcs1_v15(provider_key, &self.body.signing_bytes(), &self.signature)
+    }
+
+    /// What [`License::verify`] refuses a bad signature with.
+    pub(crate) const BAD_SIGNATURE: CoreError = CoreError::BadLicense("provider signature invalid");
 
     /// The license id.
     pub fn id(&self) -> LicenseId {

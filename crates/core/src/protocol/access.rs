@@ -48,17 +48,14 @@ where
         ))?;
 
     let nonce = device.make_challenge(rng);
-    let proof_sig = user
-        .card
-        .sign_with_pseudonym(&owned.pseudonym, &challenge_message(&nonce, &license.id()))?;
+    let (proof_sig, opened) = user.card.prove_and_open(
+        &owned.pseudonym,
+        &challenge_message(&nonce, &license.id()),
+        &license.body.key_envelope,
+    )?;
     let access = AccessRequest::play(now, device.binding_id());
     device.check_access(license, Some(pseudonym_cert), &nonce, &proof_sig, &access)?;
-    let sealed = user.card.unwrap_and_reseal(
-        &owned.pseudonym,
-        &license.body.key_envelope,
-        device.public_key(),
-        rng,
-    )?;
+    let sealed = user.card.reseal(opened, device.public_key(), rng)?;
     let content_key = device.open_sealed_key(&sealed)?;
 
     let content_id = license.body.content_id;
@@ -82,6 +79,7 @@ mod tests {
     use crate::system::{System, SystemConfig};
     use p2drm_crypto::rng::test_rng;
     use p2drm_pki::cert::{KeyId, Validity};
+    use p2drm_rel::{Limit, Rights};
     use p2drm_store::{MemKv, SyncPolicy, WalShardedConfig, WalShardedKv};
 
     struct Fx {
@@ -138,6 +136,78 @@ mod tests {
         assert_eq!(f.device.rights_state(&f.license).unwrap().plays_used, 1);
     }
 
+    /// The device checks all three signatures in one batch, and reads
+    /// the verdicts in the order it checked them one by one: a bad
+    /// license signature is refused as such whatever else is bad, then
+    /// a bad certificate, then a bad proof.
+    #[test]
+    fn a_bad_signature_and_a_bad_proof_are_refused_as_the_signature() {
+        let f = fixture(203);
+        let owned = f.alice.license(&f.license.id()).unwrap();
+        let certs = f.alice.pseudonym_certs();
+        let cert = certs.iter().find(|c| c.pseudonym_id() == owned.pseudonym);
+        let nonce = f.device.make_challenge(&mut test_rng(204));
+        let sign = |data: &[u8]| f.alice.card.sign_with_pseudonym(&owned.pseudonym, data);
+        let proof = sign(&challenge_message(&nonce, &f.license.id())).unwrap();
+        let bad_proof = sign(b"another challenge").unwrap();
+        let mut forged = f.license.clone();
+        forged.signature = bad_proof.clone();
+        let mut bad_cert = cert.unwrap().clone();
+        bad_cert.signature = bad_proof.clone();
+        let access = AccessRequest::play(f.sys.now(), f.device.binding_id());
+        let check = |license: &License, cert, proof| {
+            f.device
+                .check_access(license, cert, &nonce, proof, &access)
+                .map(|_| ())
+        };
+        let res = check(&forged, Some(&bad_cert), &bad_proof);
+        let license = |res: &Result<_, _>| matches!(res, Err(CoreError::BadLicense(why)) if *why == "provider signature invalid");
+        assert!(license(&res), "{res:?}");
+        let res = check(&forged, cert, &proof);
+        assert!(license(&res), "{res:?}");
+        let res = check(&f.license, Some(&bad_cert), &bad_proof);
+        let pseudonym = matches!(res, Err(CoreError::BadPseudonym("RA signature invalid")));
+        assert!(pseudonym, "{res:?}");
+        let res = check(&f.license, cert, &bad_proof);
+        assert!(matches!(res, Err(CoreError::BadProof)), "{res:?}");
+        check(&f.license, cert, &proof).unwrap();
+    }
+
+    /// A play's card steps on a fixed generator: the holder proof, the
+    /// content key resealed to the device and the generator's state
+    /// after them are pinned, as the card gave them when it signed and
+    /// opened in two separate kernel calls.
+    #[test]
+    fn a_plays_proof_and_resealed_key_are_unchanged() {
+        let f = fixture(205);
+        let owned = f.alice.license(&f.license.id()).unwrap();
+        let rng = &mut test_rng(206);
+        let nonce = f.device.make_challenge(rng);
+        let message = challenge_message(&nonce, &f.license.id());
+        let envelope = &f.license.body.key_envelope;
+        let card = &f.alice.card;
+        let (proof, opened) = card
+            .prove_and_open(&owned.pseudonym, &message, envelope)
+            .unwrap();
+        let sealed = card.reseal(opened, f.device.public_key(), rng).unwrap();
+        let sha = |bytes: Vec<u8>| p2drm_crypto::sha256::sha256_hex(&bytes);
+        let got = [
+            sha(p2drm_codec::to_bytes(&proof)),
+            sha(p2drm_codec::to_bytes(&sealed)),
+            format!("{:016x}", rand::RngCore::next_u64(rng)),
+        ];
+        assert_eq!(got, PLAY_PINS);
+        assert_eq!(f.device.open_sealed_key(&sealed).unwrap().len(), 32);
+    }
+
+    /// Read off the card's two-call API (`sign_with_pseudonym`, then
+    /// `unwrap_and_reseal`) on the same fixture and generator.
+    const PLAY_PINS: [&str; 3] = [
+        "dd4c3c94fc9e2475ea38293d47a2f6369684b607f8a28e56ad758bfca19493d4",
+        "cadd1682189ebf2551a9b79f802ed00f786f3cefeea45a20e95b17be1f5e3cd2",
+        "38a0ad8c2a98fb95",
+    ];
+
     #[test]
     fn one_crl_in_both_slots_is_refused_and_the_revoked_license_stays_revoked() {
         let mut f = played_once(199);
@@ -166,26 +236,72 @@ mod tests {
         assert_eq!(f.device.rights_state(&f.license).unwrap().plays_used, 1);
     }
 
+    /// A fresh temp directory for a device's one-shard store.
+    fn device_dir(name: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("p2drm-{name}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    /// A device booted over its one-shard store in `dir`, drawing from
+    /// a generator of `seed`.
+    fn boot(sys: &mut System, dir: &std::path::Path, seed: u64) -> CompliantDevice<WalShardedKv> {
+        let one_shard = WalShardedConfig {
+            shards: 1,
+            policy: SyncPolicy::FlushEach,
+        };
+        let store = WalShardedKv::open(dir, one_shard).unwrap().0;
+        let cert = sys.provider.certificate().clone();
+        let (ra, validity) = (sys.ra.blind_public().clone(), sys.config().validity);
+        let rng = &mut test_rng(seed);
+        CompliantDevice::with_store(&mut sys.root, &cert, ra, store, 512, validity, rng).unwrap()
+    }
+
+    /// A device rebooted over its one-shard store is the same device: a
+    /// license bound to it still plays, whatever the reboot's generator.
+    #[test]
+    fn a_license_bound_to_the_device_plays_after_a_reboot() {
+        let mut f = fixture(188);
+        let dir = device_dir("device-identity");
+        let mut device = boot(&mut f.sys, &dir, 189);
+        let rng = &mut test_rng(190);
+        let rights = Rights::builder()
+            .play(Limit::Unlimited)
+            .device(device.binding_id())
+            .build();
+        let cid = f
+            .sys
+            .provider
+            .publish("bound", 100, b"BOUND", rights, rng)
+            .unwrap();
+        let license = f.sys.purchase(&mut f.alice, cid, rng).unwrap();
+        assert_eq!(
+            f.sys.play(&f.alice, &mut device, &license, rng).unwrap(),
+            b"BOUND"
+        );
+        let id = device.device_id();
+        drop(device);
+
+        let mut device = boot(&mut f.sys, &dir, 191);
+        assert_eq!(device.device_id(), id);
+        assert_eq!(
+            f.sys.play(&f.alice, &mut device, &license, rng).unwrap(),
+            b"BOUND"
+        );
+        // Another device is refused.
+        let res = f.sys.play(&f.alice, &mut f.device, &license, rng);
+        assert!(res.is_err(), "{res:?}");
+        drop(device);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
     /// A device rebooted over its one-shard store enforces the CRL pair
     /// it accepted before the reboot: a revoked license stays revoked.
     #[test]
     fn a_rebooted_device_keeps_its_crls() {
         let mut f = fixture(192);
-        let dir = std::env::temp_dir().join(format!("p2drm-device-crls-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let one_shard = WalShardedConfig {
-            shards: 1,
-            policy: SyncPolicy::FlushEach,
-        };
-        let boot = |sys: &mut System| {
-            let store = WalShardedKv::open(&dir, one_shard).unwrap().0;
-            let cert = sys.provider.certificate().clone();
-            let (ra, validity) = (sys.ra.blind_public().clone(), sys.config().validity);
-            let rng = &mut test_rng(193);
-            CompliantDevice::with_store(&mut sys.root, &cert, ra, store, 512, validity, rng)
-                .unwrap()
-        };
-        let mut device = boot(&mut f.sys);
+        let dir = device_dir("device-crls");
+        let mut device = boot(&mut f.sys, &dir, 193);
         let rng = &mut test_rng(194);
         f.sys.play(&f.alice, &mut device, &f.license, rng).unwrap();
         let provider = &f.sys.provider;
@@ -203,7 +319,7 @@ mod tests {
         assert_eq!(log(), synced);
         drop(device);
 
-        let mut device = boot(&mut f.sys);
+        let mut device = boot(&mut f.sys, &dir, 193);
         assert_eq!(device.crl_sequence(), 1);
         let res = play_kept(&f.alice, &mut device, &f.license, now);
         assert!(matches!(res, Err(CoreError::Revoked("license"))), "{res:?}");

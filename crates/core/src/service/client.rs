@@ -441,7 +441,8 @@ impl<T: Transport> WireClient<T> {
     /// transfer whose reply was lost needs no separate repair: the
     /// sender still holds the license and the recipient's pseudonym is
     /// unchanged, so calling `transfer` again sends the same request, and
-    /// the provider answers it with the successor it already issued. The
+    /// the provider answers it under the successor id it already issued
+    /// (signed and sealed again; the old license is spent once). The
     /// successor id is derived from the recipient's certificate, so if the
     /// recipient moves to a new pseudonym in between, the retry is refused
     /// `AlreadyRedeemed`; only the first request, re-sent, gets the license.

@@ -89,7 +89,7 @@ rsa private, lanes                    4.000     18.750      0.000      0.660
 rsa private, scalar                   0.000      0.000      0.000      0.000
 rsa public, lanes                     0.000      0.000      0.000      0.000
 rsa public, scalar                   10.000     30.375      0.000      1.625
-ifma kernel calls                     3.250     18.750      0.000      0.660
+ifma kernel calls                     3.250     15.750      0.000      0.660
 ifma lanes filled                     8.000     37.500      0.000      1.320
 one card key: 48 fermat lanes, 3 passed, 8 kernel calls, 56 lanes, 2 scalar tests, 392 sieve steps, 1409 lucas products, 0 Mont::pow
 ";
@@ -98,8 +98,8 @@ one card key: 48 fermat lanes, 3 passed, 8 kernel calls, 56 lanes, 2 scalar test
 /// with AVX-512 IFMA (see the module doc for why no other is pinned).
 const FAST_HEAP: &str = "\
 per op                            purchases   journeys  downloads        mix
-allocations                         414.906   1413.875      9.010     83.135
-heap bytes                        38494.672 309854.750  66243.760  24527.065
+allocations                         414.906   1401.875      9.010     83.135
+heap bytes                        38510.672 310164.750  66243.760  24530.105
 ";
 
 /// The census at `fast_test()`, rows a CPU without AVX-512 IFMA gives.
@@ -135,7 +135,7 @@ rsa private, lanes                    4.000     18.750      0.000      0.660
 rsa private, scalar                   0.000      0.000      0.000      0.000
 rsa public, lanes                    10.000     30.375      0.000      1.625
 rsa public, scalar                    0.000      0.000      0.000      0.000
-ifma kernel calls                    12.625     50.000      0.000      2.310
+ifma kernel calls                    12.625     41.000      0.000      2.310
 ifma lanes filled                    24.000     90.375      0.000      3.935
 one card key: 24 fermat lanes, 4 passed, 6 kernel calls, 36 lanes, 3 scalar tests, 207 sieve steps, 3558 lucas products, 0 Mont::pow
 ";
@@ -144,8 +144,8 @@ one card key: 24 fermat lanes, 4 passed, 6 kernel calls, 36 lanes, 3 scalar test
 /// with AVX-512 IFMA.
 const REALISTIC_HEAP: &str = "\
 per op                            purchases   journeys  downloads        mix
-allocations                         460.219   1712.250      9.010     91.100
-heap bytes                        67174.125 408998.250  66243.760  29253.595
+allocations                         460.219   1688.250      9.010     91.100
+heap bytes                        67190.125 408924.250  66243.760  29256.635
 ";
 
 /// The census at `realistic()`, rows a CPU without AVX-512 IFMA gives.

@@ -21,7 +21,7 @@
 //! itself builds the pseudonym and its escrow.
 
 use crate::rng::CryptoRng;
-use crate::rsa::{fdh, RsaKeyPair, RsaPublicKey, RsaSignature};
+use crate::rsa::{fdh, RsaKeyPair, RsaPublicKey, RsaSignature, SignatureCheck};
 use crate::CryptoError;
 use p2drm_bignum::ct::Secret;
 use p2drm_bignum::{modring, rng as brng, UBig};
@@ -108,57 +108,14 @@ pub fn blind_sign(kp: &RsaKeyPair, blinded: &UBig) -> Result<UBig, CryptoError> 
     Ok(kp.raw_private(blinded))
 }
 
-/// Verifies an unblinded FDH signature on `message`.
+/// Verifies an unblinded FDH signature on `message`: the one-input case
+/// of [`SignatureCheck::fdh`].
 pub fn verify_fdh(
     pk: &RsaPublicKey,
     message: &[u8],
     sig: &RsaSignature,
 ) -> Result<(), CryptoError> {
-    let check = FdhCheck::new(pk, message, sig)?;
-    check.finish(&pk.raw_public(sig.as_ubig()))
-}
-
-/// An FDH signature check split around its public-key operation, so a
-/// caller can run that operation together with others of any kind in
-/// one [`public_batch`](crate::rsa::public_batch).
-pub struct FdhCheck<'a> {
-    pk: &'a RsaPublicKey,
-    sig: &'a UBig,
-    /// The full-domain hash the signature must raise to.
-    expected: UBig,
-}
-
-impl<'a> FdhCheck<'a> {
-    /// The check of `sig` on `message` under `pk`, or `BadSignature` at
-    /// once for a signature not below the modulus.
-    pub fn new(
-        pk: &'a RsaPublicKey,
-        message: &[u8],
-        sig: &'a RsaSignature,
-    ) -> Result<Self, CryptoError> {
-        if sig.as_ubig() >= pk.modulus() {
-            return Err(CryptoError::BadSignature);
-        }
-        Ok(FdhCheck {
-            pk,
-            sig: sig.as_ubig(),
-            expected: fdh(message, pk.modulus_len()),
-        })
-    }
-
-    /// The public-key operation to run: the signature under the key.
-    pub fn lane(&self) -> (&'a RsaPublicKey, &'a UBig) {
-        (self.pk, self.sig)
-    }
-
-    /// The verdict, given `power = sig^e mod n`.
-    pub fn finish(&self, power: &UBig) -> Result<(), CryptoError> {
-        if *power == self.expected {
-            Ok(())
-        } else {
-            Err(CryptoError::BadSignature)
-        }
-    }
+    SignatureCheck::fdh(pk, message, sig)?.run()
 }
 
 #[cfg(test)]

@@ -1,6 +1,22 @@
 //! ChaCha20 stream cipher (RFC 7539 flavour: 32-byte key, 12-byte nonce,
 //! 32-bit block counter), used for bulk content encryption and escrow
 //! payloads.
+//!
+//! **Sixteen blocks wide.** [`apply_keystream`] runs every whole run of
+//! sixteen blocks (1 KiB) through one `#[inline(always)]` loop in a
+//! vertical layout: state word `i` of all sixteen blocks sits in one
+//! `[u32; 16]` row, so each add, xor and rotate of a quarter round is one
+//! lane-wise operation, and each block's keystream is read back out of
+//! its column. The loop is compiled for AVX-512F (one row a register)
+//! and for AVX2 (two), and the widest that `is_x86_feature_detected!`
+//! reports runs (`apply_wide`, the crate's second `unsafe` exemption);
+//! other CPUs, the bytes after the last whole run and every input
+//! shorter than one take the scalar loop, one block at a time. Each
+//! instance gives the block function's keystream byte for byte. On a
+//! 2-vCPU VM (Intel Xeon, family 6, model 207), 16 KiB in place, five
+//! runs of 2,000 each: scalar loop 29–35 µs, AVX2 10.6–10.8 µs, AVX-512F
+//! 8.4–10.1 µs. The same wide loop built for the target's SSE2 alone
+//! read 55–106 µs, slower than the scalar loop, so it is no instance.
 
 /// Key length in bytes.
 pub const KEY_LEN: usize = 32;
@@ -25,22 +41,26 @@ pub fn block(key: &[u8; KEY_LEN], nonce: &[u8; NONCE_LEN], counter: u32) -> [u8;
     keystream_block(key, nonce, counter)
 }
 
-/// [`block`], uncounted: [`apply_keystream`] counts its blocks at once.
-fn keystream_block(key: &[u8; KEY_LEN], nonce: &[u8; NONCE_LEN], counter: u32) -> [u8; 64] {
+/// The state a block starts from: the constant "expand 32-byte k",
+/// the key, the counter and the nonce, as little-endian words.
+fn initial_state(key: &[u8; KEY_LEN], nonce: &[u8; NONCE_LEN], counter: u32) -> [u32; 16] {
+    let word =
+        |bytes: &[u8], i: usize| u32::from_le_bytes(bytes[4 * i..4 * i + 4].try_into().unwrap());
     let mut state = [0u32; 16];
-    // "expand 32-byte k"
-    state[0] = 0x6170_7865;
-    state[1] = 0x3320_646e;
-    state[2] = 0x7962_2d32;
-    state[3] = 0x6b20_6574;
+    state[..4].copy_from_slice(&[0x6170_7865, 0x3320_646e, 0x7962_2d32, 0x6b20_6574]);
     for i in 0..8 {
-        state[4 + i] = u32::from_le_bytes(key[4 * i..4 * i + 4].try_into().unwrap());
+        state[4 + i] = word(key, i);
     }
     state[12] = counter;
     for i in 0..3 {
-        state[13 + i] = u32::from_le_bytes(nonce[4 * i..4 * i + 4].try_into().unwrap());
+        state[13 + i] = word(nonce, i);
     }
+    state
+}
 
+/// [`block`], uncounted: [`apply_keystream`] counts its blocks at once.
+fn keystream_block(key: &[u8; KEY_LEN], nonce: &[u8; NONCE_LEN], counter: u32) -> [u8; 64] {
+    let state = initial_state(key, nonce, counter);
     let mut working = state;
     for _ in 0..10 {
         // column rounds
@@ -64,7 +84,10 @@ fn keystream_block(key: &[u8; KEY_LEN], nonce: &[u8; NONCE_LEN], counter: u32) -
 
 /// XORs `data` in place with the keystream starting at `initial_counter`.
 ///
-/// Encryption and decryption are the same operation.
+/// Encryption and decryption are the same operation. Every whole
+/// [`STEP`] of `data` takes the widest instance of the wide loop the CPU
+/// has ([`apply_wide`]); the bytes after them, and all of an input
+/// shorter than a step, take the scalar loop.
 ///
 /// # Panics
 ///
@@ -76,13 +99,32 @@ pub fn apply_keystream(
     initial_counter: u32,
     data: &mut [u8],
 ) {
+    apply_with(key, nonce, initial_counter, data, Instance::widest());
+}
+
+/// [`apply_keystream`] on the given instance.
+fn apply_with(
+    key: &[u8; KEY_LEN],
+    nonce: &[u8; NONCE_LEN],
+    initial_counter: u32,
+    data: &mut [u8],
+    instance: Instance,
+) {
     let blocks = data.len().div_ceil(64) as u64;
     assert!(
         u64::from(initial_counter) + blocks <= 1 << 32,
         "ChaCha20 block counter would wrap: {blocks} blocks from counter {initial_counter} reuse keystream"
     );
     crate::counts::count(|c| c.chacha20_blocks += blocks);
-    let mut counter = initial_counter;
+    let (wide, rest) = data.split_at_mut(data.len() / STEP * STEP);
+    apply_wide(key, nonce, initial_counter, wide, instance);
+    // The assertion above keeps the counter after the steps in range.
+    let counter = initial_counter.wrapping_add((wide.len() / 64) as u32);
+    apply_blocks(key, nonce, counter, rest);
+}
+
+/// The scalar loop: one [`keystream_block`] per 64 bytes of `data`.
+fn apply_blocks(key: &[u8; KEY_LEN], nonce: &[u8; NONCE_LEN], mut counter: u32, data: &mut [u8]) {
     for chunk in data.chunks_mut(64) {
         let ks = keystream_block(key, nonce, counter);
         for (b, k) in chunk.iter_mut().zip(ks.iter()) {
@@ -90,6 +132,164 @@ pub fn apply_keystream(
         }
         counter = counter.wrapping_add(1);
     }
+}
+
+/// Blocks one wide step computes, one lane each.
+const WIDE: usize = 16;
+
+/// Bytes one wide step covers.
+const STEP: usize = 64 * WIDE;
+
+/// The instructions [`apply_wide`] runs on.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Instance {
+    /// The scalar loop, one block at a time ([`apply_blocks`]).
+    Scalar,
+    /// The wide body compiled for AVX2: one state word of all sixteen
+    /// blocks in two 256-bit registers.
+    Avx2,
+    /// The wide body compiled for AVX-512F: one state word of all
+    /// sixteen blocks in one 512-bit register.
+    Avx512f,
+}
+
+impl Instance {
+    /// The widest instance this CPU has (`is_x86_feature_detected!`,
+    /// which std caches).
+    fn widest() -> Instance {
+        #[cfg(target_arch = "x86_64")]
+        {
+            use std::arch::is_x86_feature_detected as has;
+            if has!("avx512f") {
+                return Instance::Avx512f;
+            }
+            if has!("avx2") {
+                return Instance::Avx2;
+            }
+        }
+        Instance::Scalar
+    }
+}
+
+/// XORs `data`, a whole number of [`STEP`]s, with the keystream from
+/// `counter` on; the caller has checked that the counter does not wrap.
+///
+/// The wide body ([`apply_wide_body`]) is compiled for AVX2 and for
+/// AVX-512F, and `instance` names what runs: the cipher passes
+/// [`Instance::widest`], the tests each instance in turn. A wide
+/// instance runs only once the CPU is reported to have its feature;
+/// otherwise the scalar loop runs. All three give the keystream of the
+/// block function, byte for byte. The portable build of the wide body
+/// is not among them: on SSE2 alone it read 2–3× slower than the scalar
+/// loop (module doc).
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+fn apply_wide(
+    key: &[u8; KEY_LEN],
+    nonce: &[u8; NONCE_LEN],
+    counter: u32,
+    data: &mut [u8],
+    instance: Instance,
+) {
+    use std::arch::is_x86_feature_detected as has;
+    match instance {
+        // SAFETY: `apply_wide_avx512f` is safe apart from its
+        // `#[target_feature(enable = "avx512f")]`, and the running CPU
+        // was just reported to have it.
+        Instance::Avx512f if has!("avx512f") => unsafe {
+            apply_wide_avx512f(key, nonce, counter, data)
+        },
+        // SAFETY: as above, for `avx2`.
+        Instance::Avx2 if has!("avx2") => unsafe { apply_wide_avx2(key, nonce, counter, data) },
+        _ => apply_blocks(key, nonce, counter, data),
+    }
+}
+
+/// Without x86-64 every block takes the scalar loop.
+#[cfg(not(target_arch = "x86_64"))]
+fn apply_wide(
+    key: &[u8; KEY_LEN],
+    nonce: &[u8; NONCE_LEN],
+    counter: u32,
+    data: &mut [u8],
+    _instance: Instance,
+) {
+    apply_blocks(key, nonce, counter, data)
+}
+
+/// One state word of all [`WIDE`] blocks.
+type Row = [u32; WIDE];
+
+/// The wide loop's one body, inlined into each instance of
+/// [`apply_wide`]. Vertical layout: `x[i][l]` is word `i` of block `l`,
+/// so each step of a quarter round is one lane-wise operation on a
+/// [`Row`], and block `l`'s keystream is column `l` at the end.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+fn apply_wide_body(key: &[u8; KEY_LEN], nonce: &[u8; NONCE_LEN], counter: u32, data: &mut [u8]) {
+    let mut init = [[0u32; WIDE]; 16];
+    for (i, word) in initial_state(key, nonce, 0).into_iter().enumerate() {
+        init[i] = [word; WIDE];
+    }
+    for (step, chunk) in data.chunks_exact_mut(STEP).enumerate() {
+        let first = counter.wrapping_add((step * WIDE) as u32);
+        init[12] = std::array::from_fn(|l| first.wrapping_add(l as u32));
+        let mut x = init;
+        for _ in 0..10 {
+            wide_quarter_round(&mut x, 0, 4, 8, 12);
+            wide_quarter_round(&mut x, 1, 5, 9, 13);
+            wide_quarter_round(&mut x, 2, 6, 10, 14);
+            wide_quarter_round(&mut x, 3, 7, 11, 15);
+            wide_quarter_round(&mut x, 0, 5, 10, 15);
+            wide_quarter_round(&mut x, 1, 6, 11, 12);
+            wide_quarter_round(&mut x, 2, 7, 8, 13);
+            wide_quarter_round(&mut x, 3, 4, 9, 14);
+        }
+        for (row, first) in x.iter_mut().zip(&init) {
+            for (w, f) in row.iter_mut().zip(first) {
+                *w = w.wrapping_add(*f);
+            }
+        }
+        for (l, block) in chunk.chunks_exact_mut(64).enumerate() {
+            for (row, bytes) in x.iter().zip(block.chunks_exact_mut(4)) {
+                for (b, k) in bytes.iter_mut().zip(row[l].to_le_bytes()) {
+                    *b ^= k;
+                }
+            }
+        }
+    }
+}
+
+/// [`quarter_round`] on four [`Row`]s at once.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+fn wide_quarter_round(x: &mut [Row; 16], a: usize, b: usize, c: usize, d: usize) {
+    let (mut va, mut vb, mut vc, mut vd) = (x[a], x[b], x[c], x[d]);
+    for l in 0..WIDE {
+        va[l] = va[l].wrapping_add(vb[l]);
+        vd[l] = (vd[l] ^ va[l]).rotate_left(16);
+        vc[l] = vc[l].wrapping_add(vd[l]);
+        vb[l] = (vb[l] ^ vc[l]).rotate_left(12);
+        va[l] = va[l].wrapping_add(vb[l]);
+        vd[l] = (vd[l] ^ va[l]).rotate_left(8);
+        vc[l] = vc[l].wrapping_add(vd[l]);
+        vb[l] = (vb[l] ^ vc[l]).rotate_left(7);
+    }
+    (x[a], x[b], x[c], x[d]) = (va, vb, vc, vd);
+}
+
+/// [`apply_wide_body`] on 512-bit registers.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn apply_wide_avx512f(key: &[u8; KEY_LEN], nonce: &[u8; NONCE_LEN], counter: u32, data: &mut [u8]) {
+    apply_wide_body(key, nonce, counter, data)
+}
+
+/// [`apply_wide_body`] on 256-bit registers.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn apply_wide_avx2(key: &[u8; KEY_LEN], nonce: &[u8; NONCE_LEN], counter: u32, data: &mut [u8]) {
+    apply_wide_body(key, nonce, counter, data)
 }
 
 /// Encrypts (copying) with counter starting at 1, per RFC 7539 usage.
@@ -204,5 +404,66 @@ only one tip for the future, sunscreen would be it.";
     #[should_panic(expected = "block counter would wrap")]
     fn counter_wrap_is_refused() {
         apply_keystream(&[4u8; 32], &[6u8; 12], u32::MAX, &mut [0; 65]);
+    }
+
+    /// The instances this CPU runs, the scalar loop first.
+    fn instances() -> Vec<Instance> {
+        let all = [Instance::Scalar, Instance::Avx2, Instance::Avx512f];
+        let widest = all.iter().position(|&i| i == Instance::widest()).unwrap();
+        all[..=widest].to_vec()
+    }
+
+    /// The keystream of `blocks` blocks from `counter` on, by the block
+    /// function.
+    fn reference(key: &[u8; 32], nonce: &[u8; 12], counter: u32, blocks: usize) -> Vec<u8> {
+        (0..blocks as u32)
+            .flat_map(|i| keystream_block(key, nonce, counter + i))
+            .collect()
+    }
+
+    /// Every instance this CPU has, called directly, against the block
+    /// function: every length from 0 to two wide steps and a partial
+    /// block, from counter 0, 1 and from the last start whose run ends
+    /// on block `u32::MAX`.
+    #[test]
+    fn every_instance_gives_the_block_functions_keystream() {
+        let instances = instances();
+        eprintln!("ChaCha20 instances on this CPU: {instances:?}");
+        let (key, nonce) = ([0x5au8; 32], [0xa5u8; 12]);
+        let longest = 2 * STEP + 63;
+        let most = longest.div_ceil(64);
+        let from_zero = reference(&key, &nonce, 0, most + 1);
+        let last = u32::MAX - most as u32 + 1;
+        let to_max = reference(&key, &nonce, last, most);
+        for len in 0..=longest {
+            let blocks = len.div_ceil(64);
+            let ending = u32::try_from((1u64 << 32) - blocks as u64).unwrap_or(u32::MAX);
+            let starts = [
+                (0, &from_zero[..len]),
+                (1, &from_zero[64..64 + len]),
+                (ending, &to_max[(most - blocks) * 64..][..len]),
+            ];
+            for &instance in &instances {
+                for (counter, expected) in starts {
+                    let mut data = vec![0u8; len];
+                    apply_with(&key, &nonce, counter, &mut data, instance);
+                    assert_eq!(data, expected, "{instance:?} len={len} counter={counter}");
+                }
+            }
+        }
+    }
+
+    /// Each instance refuses a run past block `u32::MAX`, a wide one
+    /// included.
+    #[test]
+    fn every_instance_refuses_a_wrapping_counter() {
+        for instance in instances() {
+            for (counter, len) in [(u32::MAX, 65), (u32::MAX - 15, STEP + 1)] {
+                let refused = std::panic::catch_unwind(|| {
+                    apply_with(&[4u8; 32], &[6u8; 12], counter, &mut vec![0; len], instance)
+                });
+                assert!(refused.is_err(), "{instance:?} counter={counter} len={len}");
+            }
+        }
     }
 }

@@ -6,7 +6,7 @@
 //! Works with any RSA modulus size and any payload length.
 
 use crate::rng::CryptoRng;
-use crate::rsa::{kem_decapsulate, kem_encapsulate, RsaKeyPair, RsaPublicKey};
+use crate::rsa::{kem_decapsulate, kem_encapsulate, RsaKeyPair, RsaPublicKey, RsaSignature};
 use crate::sha256::DIGEST_LEN;
 use crate::{chacha20, hmac, kdf, CryptoError};
 
@@ -48,8 +48,28 @@ pub fn seal_encapsulated(kem_ct: Vec<u8>, shared: &[u8; 32], plaintext: &[u8]) -
 
 /// Opens an envelope with the matching private key, authenticating first.
 pub fn open(kp: &RsaKeyPair, env: &Envelope) -> Result<Vec<u8>, CryptoError> {
-    let shared = kem_decapsulate(kp, &env.kem_ct)?;
-    let okm = kdf::derive(b"p2drm-envelope", &shared, b"keys", 64);
+    open_decapsulated(&kem_decapsulate(kp, &env.kem_ct)?, env)
+}
+
+/// Signs `message` with `kp` and opens `env` with it, both private-key
+/// operations in one batch ([`RsaKeyPair::sign_and_decapsulate`]): the
+/// signature [`RsaKeyPair::sign`] gives, beside what [`open`] gives.
+pub fn sign_and_open(
+    kp: &RsaKeyPair,
+    message: &[u8],
+    env: &Envelope,
+) -> (RsaSignature, Result<Vec<u8>, CryptoError>) {
+    let (signature, shared) = kp.sign_and_decapsulate(message, &env.kem_ct);
+    (
+        signature,
+        shared.and_then(|shared| open_decapsulated(&shared, env)),
+    )
+}
+
+/// The rest of an open once its KEM has run: the body under the keys
+/// derived from `shared`, authenticated first.
+fn open_decapsulated(shared: &[u8; 32], env: &Envelope) -> Result<Vec<u8>, CryptoError> {
+    let okm = kdf::derive(b"p2drm-envelope", shared, b"keys", 64);
     let enc_key: [u8; 32] = okm[..32].try_into().unwrap();
     let mut mac = hmac::HmacSha256::new(&okm[32..]);
     mac.update(&env.kem_ct);

@@ -169,19 +169,10 @@ impl RsaPublicKey {
         *self.fp.get_or_init(|| sha256(&p2drm_codec::to_bytes(self)))
     }
 
-    /// Verifies a PKCS#1 v1.5 SHA-256 signature over `message`.
+    /// Verifies a PKCS#1 v1.5 SHA-256 signature over `message`: the
+    /// one-input case of [`SignatureCheck::pkcs1_v15`].
     pub fn verify(&self, message: &[u8], sig: &RsaSignature) -> Result<(), CryptoError> {
-        if sig.s >= self.n {
-            return Err(CryptoError::BadSignature);
-        }
-        let em = self.raw_public(&sig.s);
-        let expect = emsa_pkcs1_v15(message, self.modulus_len())?;
-        let got = em.to_bytes_be_padded(self.modulus_len());
-        if crate::ct_eq(&got, &expect) {
-            Ok(())
-        } else {
-            Err(CryptoError::BadSignature)
-        }
+        SignatureCheck::pkcs1_v15(self, message, sig)?.run()
     }
 }
 
@@ -239,6 +230,93 @@ pub fn public_batch(inputs: &[(&RsaPublicKey, &UBig)]) -> Vec<UBig> {
             }
         })
         .collect()
+}
+
+/// A signature check split around its public-key operation, so a caller
+/// can run that operation together with others of any kind in one
+/// [`public_batch`]: a PKCS#1 v1.5 SHA-256 signature
+/// ([`SignatureCheck::pkcs1_v15`]) or a full-domain-hash one
+/// ([`SignatureCheck::fdh`], the blind signatures' kind).
+pub struct SignatureCheck<'a> {
+    pk: &'a RsaPublicKey,
+    sig: &'a UBig,
+    /// What the signature must raise to: the encoded message.
+    expected: UBig,
+}
+
+impl<'a> SignatureCheck<'a> {
+    /// The check of a PKCS#1 v1.5 SHA-256 signature on `message`, or an
+    /// error at once: `BadSignature` for a signature not below the
+    /// modulus, `MessageTooLong` for a modulus too short for the
+    /// encoding.
+    pub fn pkcs1_v15(
+        pk: &'a RsaPublicKey,
+        message: &[u8],
+        sig: &'a RsaSignature,
+    ) -> Result<Self, CryptoError> {
+        let sig = Self::below_modulus(pk, sig)?;
+        let em = emsa_pkcs1_v15(message, pk.modulus_len())?;
+        Ok(SignatureCheck {
+            pk,
+            sig,
+            expected: UBig::from_bytes_be(&em),
+        })
+    }
+
+    /// The check of a full-domain-hash signature on `message`, or
+    /// `BadSignature` at once for a signature not below the modulus.
+    pub fn fdh(
+        pk: &'a RsaPublicKey,
+        message: &[u8],
+        sig: &'a RsaSignature,
+    ) -> Result<Self, CryptoError> {
+        let sig = Self::below_modulus(pk, sig)?;
+        Ok(SignatureCheck {
+            pk,
+            sig,
+            expected: fdh(message, pk.modulus_len()),
+        })
+    }
+
+    fn below_modulus(pk: &RsaPublicKey, sig: &'a RsaSignature) -> Result<&'a UBig, CryptoError> {
+        if sig.s >= pk.n {
+            return Err(CryptoError::BadSignature);
+        }
+        Ok(&sig.s)
+    }
+
+    /// The public-key operation to run: the signature under the key.
+    pub fn lane(&self) -> (&'a RsaPublicKey, &'a UBig) {
+        (self.pk, self.sig)
+    }
+
+    /// The verdict, given `power = sig^e mod n`.
+    pub fn finish(&self, power: &UBig) -> Result<(), CryptoError> {
+        if *power == self.expected {
+            Ok(())
+        } else {
+            Err(CryptoError::BadSignature)
+        }
+    }
+
+    /// The verdict, the operation run on its own.
+    pub fn run(&self) -> Result<(), CryptoError> {
+        self.finish(&self.pk.raw_public(self.sig))
+    }
+}
+
+/// Whether each check passes, a missing one (`None`) failing: the
+/// public-key operations of all the others are the lanes of one
+/// [`public_batch`].
+pub fn verify_batch<const N: usize>(checks: [Option<SignatureCheck<'_>>; N]) -> [bool; N] {
+    let lanes: Vec<_> = checks.iter().flatten().map(SignatureCheck::lane).collect();
+    let mut powers = public_batch(&lanes).into_iter();
+    checks.map(|check| {
+        check.is_some_and(|c| {
+            c.finish(&powers.next().expect("one power per lane"))
+                .is_ok()
+        })
+    })
 }
 
 p2drm_codec::record! {
@@ -519,26 +597,51 @@ impl RsaKeyPair {
     /// of its own ([`ifma`] module doc). Keys the kernel does not take
     /// sign message by message at the cost of [`RsaKeyPair::sign`].
     pub fn sign_batch(&self, messages: &[&[u8]]) -> Vec<RsaSignature> {
-        let encoded: Vec<UBig> = messages
-            .iter()
-            .map(|message| {
-                let em = emsa_pkcs1_v15(message, self.public.modulus_len())
-                    .expect("modulus always large enough for SHA-256 EM");
-                UBig::from_bytes_be(&em)
-            })
-            .collect();
+        let encoded: Vec<UBig> = messages.iter().map(|m| self.encode(m)).collect();
         let inputs: Vec<&UBig> = encoded.iter().collect();
         self.raw_private_batch(&inputs)
             .into_iter()
             .zip(&encoded)
-            .map(|(s, m)| {
-                // On the scalar path, apart from the kernels and their
-                // call counts.
-                let check = || self.public.mont().pow_u64(&s, PUBLIC_EXPONENT);
-                debug_assert_eq!(&check(), m, "CRT self-check");
-                RsaSignature { s }
-            })
+            .map(|(s, m)| self.signature(s, m))
             .collect()
+    }
+
+    /// Signs `message` ([`RsaKeyPair::sign`]) and decapsulates
+    /// `ciphertext` ([`kem_decapsulate`]) in one batch: both private
+    /// operations are lanes of the same kernel call, and each result is
+    /// the one its own call gives, bit for bit. A ciphertext that
+    /// decapsulation refuses leaves the signature alone in the batch,
+    /// and the refusal is returned beside it.
+    pub fn sign_and_decapsulate(
+        &self,
+        message: &[u8],
+        ciphertext: &[u8],
+    ) -> (RsaSignature, Result<[u8; 32], CryptoError>) {
+        let em = self.encode(message);
+        let c = kem_ciphertext(&self.public, ciphertext);
+        let mut inputs = vec![&em];
+        inputs.extend(c.as_ref().ok());
+        let mut powers = self.raw_private_batch(&inputs).into_iter();
+        let mut next = || powers.next().expect("one result per input");
+        let signature = self.signature(next(), &em);
+        let shared = c.map(|_| kem_shared(&self.public, &next()));
+        (signature, shared)
+    }
+
+    /// The EMSA-PKCS1-v1_5 encoding of `message` as the integer to sign.
+    fn encode(&self, message: &[u8]) -> UBig {
+        let em = emsa_pkcs1_v15(message, self.public.modulus_len())
+            .expect("modulus always large enough for SHA-256 EM");
+        UBig::from_bytes_be(&em)
+    }
+
+    /// The signature `s = m^d mod n` on the encoded message `m`.
+    fn signature(&self, s: UBig, m: &UBig) -> RsaSignature {
+        // On the scalar path, apart from the kernels and their call
+        // counts.
+        let check = || self.public.mont().pow_u64(&s, PUBLIC_EXPONENT);
+        debug_assert_eq!(&check(), m, "CRT self-check");
+        RsaSignature { s }
     }
 }
 
@@ -674,28 +777,34 @@ impl<'a> KemSecret<'a> {
 
     /// The ciphertext and shared secret, given `c = z^e mod n`.
     pub fn finish(&self, c: &UBig) -> (Vec<u8>, [u8; 32]) {
-        let len = self.pk.modulus_len();
-        let shared =
-            crate::kdf::derive_key32(b"p2drm-rsa-kem", &self.z.to_bytes_be_padded(len), b"kem");
-        (c.to_bytes_be_padded(len), shared)
+        let shared = kem_shared(self.pk, &self.z);
+        (c.to_bytes_be_padded(self.pk.modulus_len()), shared)
     }
 }
 
 /// RSA-KEM decapsulation: recovers the shared secret from `ciphertext`.
 pub fn kem_decapsulate(kp: &RsaKeyPair, ciphertext: &[u8]) -> Result<[u8; 32], CryptoError> {
-    if ciphertext.len() != kp.public().modulus_len() {
+    let c = kem_ciphertext(kp.public(), ciphertext)?;
+    Ok(kem_shared(kp.public(), &kp.raw_private(&c)))
+}
+
+/// A KEM ciphertext as the integer `c` to decapsulate: exactly
+/// modulus-length bytes, below the modulus.
+fn kem_ciphertext(pk: &RsaPublicKey, ciphertext: &[u8]) -> Result<UBig, CryptoError> {
+    if ciphertext.len() != pk.modulus_len() {
         return Err(CryptoError::BadCiphertext);
     }
     let c = UBig::from_bytes_be(ciphertext);
-    if c >= *kp.public().modulus() {
+    if c >= pk.n {
         return Err(CryptoError::BadCiphertext);
     }
-    let z = kp.raw_private(&c);
-    Ok(crate::kdf::derive_key32(
-        b"p2drm-rsa-kem",
-        &z.to_bytes_be_padded(kp.public().modulus_len()),
-        b"kem",
-    ))
+    Ok(c)
+}
+
+/// The shared secret a KEM secret `z` under `pk` carries.
+fn kem_shared(pk: &RsaPublicKey, z: &UBig) -> [u8; 32] {
+    let z = z.to_bytes_be_padded(pk.modulus_len());
+    crate::kdf::derive_key32(b"p2drm-rsa-kem", &z, b"kem")
 }
 
 impl Encode for RsaKeyPair {

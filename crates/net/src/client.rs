@@ -8,8 +8,8 @@
 //! refusals, connect failures, and a first write syscall that failed
 //! outright. Everything after that is `Broken`/`Frame`: ambiguous. The
 //! core client ([`p2drm_core::service::WireClient`]) re-sends either
-//! way; the provider answers a replayed purchase or transfer with the
-//! license it already issued.
+//! way; the provider answers a replayed purchase or transfer under the
+//! license id it already issued, signed and sealed again, and paid once.
 //!
 //! Pipelining: [`TcpTransport::submit`] writes the framed request and
 //! records its correlation id in the in-flight set;

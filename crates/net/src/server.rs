@@ -35,15 +35,20 @@
 //!   licenses in one batch); each reply is pushed as soon as the
 //!   service gives it.
 //! * **Workers → event thread.** A worker pushes its reply and then
-//!   rings the doorbell: it writes the self-wake byte only if
-//!   `pending.swap(true)` was `false`. The protocol's one invariant is
+//!   rings the doorbell: under the lock it pushed with it arms the bell
+//!   (`pending.swap(true)`), and after the lock it writes the self-wake
+//!   byte only if the swap found `false`. The protocol's one invariant is
 //!   **clear-before-take**: the event thread clears `pending` *before*
 //!   it takes the reply vector, so a reply pushed after the take always
 //!   finds the flag clear and rings, and a reply that found the flag
 //!   set is always covered by a take that has not happened yet. The
 //!   25 ms poll tick is a safety net, never the mechanism; a reply or
-//!   job that had to wait for a timeout is counted in
-//!   [`MetricsSnapshot::late_wakeups`], which stays 0.
+//!   job that had to wait for a timeout with no ring or notify on its
+//!   way is counted in [`MetricsSnapshot::late_wakeups`], which stays 0.
+//!   A timeout that only raced a ring or notify already decided on is
+//!   not: a tick that finds replies reads whether the bell was armed
+//!   for them, and a worker compares the count of notifies decided on
+//!   with the count it parked at.
 //! * **Event thread → sockets.** A drained reply batch is first
 //!   appended to its connections' write buffers (per-connection order
 //!   is queue order), then each touched connection gets **one** pass:
@@ -223,6 +228,11 @@ struct JobQueue {
     /// Workers inside `jobs_cv.wait_timeout` right now: each counts
     /// itself in just before it waits and out just after it wakes.
     parked: usize,
+    /// Notifies the event thread has decided on, ever. A worker whose
+    /// wait timed out and found a job compares it with the count it
+    /// parked at: a change means a notify was on its way (a race with
+    /// the timer), no change that the job's notify was lost.
+    notified: u64,
 }
 
 /// One service reply on its way back to the event thread.
@@ -249,7 +259,10 @@ struct Stages {
 /// pushed after the take therefore finds `pending` clear and rings; a
 /// reply whose ring was skipped (`pending` already set) was pushed
 /// before a clear that is still to come, and the take after that clear
-/// collects it.
+/// collects it. A worker arms the bell under the replies lock it
+/// pushed with, so every reply a take finds was armed for either
+/// before the clear (which then reports the bell pending) or after it
+/// (the bell is pending again at once).
 struct Doorbell {
     tx: UnixStream,
     pending: AtomicBool,
@@ -260,16 +273,34 @@ impl Doorbell {
     /// written. At most one byte per `clear` is ever in flight, so the
     /// non-blocking write cannot find the socket full.
     fn ring(&self) -> bool {
-        if self.pending.swap(true, Ordering::SeqCst) {
-            return false;
+        let armed = self.arm();
+        if armed {
+            self.send();
         }
-        let _ = (&self.tx).write(&[1u8]);
-        true
+        armed
     }
 
-    /// Re-arms the bell. Event thread only, before taking the replies.
-    fn clear(&self) {
-        self.pending.store(false, Ordering::SeqCst);
+    /// The first half of [`Doorbell::ring`]: marks a ring pending, and
+    /// `true` when no earlier one was, so the caller must
+    /// [`Doorbell::send`] the byte.
+    fn arm(&self) -> bool {
+        !self.pending.swap(true, Ordering::SeqCst)
+    }
+
+    /// The second half of [`Doorbell::ring`]: writes the byte.
+    fn send(&self) {
+        let _ = (&self.tx).write(&[1u8]);
+    }
+
+    /// Re-arms the bell; `true` when a ring was pending. Event thread
+    /// only, before taking the replies.
+    fn clear(&self) -> bool {
+        self.pending.swap(false, Ordering::SeqCst)
+    }
+
+    /// Whether a ring is pending.
+    fn is_pending(&self) -> bool {
+        self.pending.load(Ordering::SeqCst)
     }
 }
 
@@ -338,6 +369,7 @@ impl DrmServer {
             jobs: Mutex::new(JobQueue {
                 queue: VecDeque::new(),
                 parked: 0,
+                notified: 0,
             }),
             jobs_cv: Condvar::new(),
             replies: Mutex::new(Vec::new()),
@@ -503,13 +535,14 @@ fn next_jobs(control: &Control, batch: &mut Vec<Job>) -> bool {
             return false;
         }
         jobs.parked += 1;
+        let notified = jobs.notified;
         let (guard, wait) = control
             .jobs_cv
             .wait_timeout(jobs, WORKER_PARK)
             .unwrap_or_else(|poisoned| poisoned.into_inner());
         jobs = guard;
         jobs.parked -= 1;
-        if wait.timed_out() && !jobs.queue.is_empty() {
+        if wait.timed_out() && !jobs.queue.is_empty() && jobs.notified == notified {
             control.metrics.late_wakeup();
         }
     }
@@ -534,12 +567,20 @@ fn worker_loop<S: NetService>(control: &Control, service: &S) {
                 stages.dispatch_ns.record_duration(job.queued_at.elapsed());
             }
             control.metrics.request_served();
-            lock(&control.replies).push(Reply {
-                conn: job.conn,
-                bytes,
-            });
-            // After the push, never before: see `Doorbell`.
-            control.wake_event_thread();
+            let armed = {
+                let mut replies = lock(&control.replies);
+                replies.push(Reply {
+                    conn: job.conn,
+                    bytes,
+                });
+                // After the push, never before, and under its lock: see
+                // `Doorbell`.
+                control.doorbell.arm()
+            };
+            if armed {
+                control.doorbell.send();
+                control.metrics.event_wake();
+            }
         });
         batch.clear();
     }
@@ -754,10 +795,10 @@ impl EventLoop {
             }
             // Every pass, whether or not the doorbell was among the
             // events: workers skip the ring while one is pending.
-            let had_replies = self.flush_replies();
-            if fired.is_empty() && had_replies {
-                // The tick expired with nothing ready, yet replies were
-                // waiting: their ring never arrived.
+            let unrung = self.flush_replies();
+            if fired.is_empty() && unrung {
+                // The tick expired with nothing ready, and replies were
+                // waiting that no ring was armed for: it was lost.
                 self.control.metrics.late_wakeup();
             }
             events = fired;
@@ -869,13 +910,14 @@ impl EventLoop {
     /// reply is first appended to its connection's buffer (queue order
     /// is per-connection reply order), then each touched connection
     /// gets **one** parse / write / close-check / interest pass. `true`
-    /// when there was anything to take.
+    /// when it took replies with no ring armed for them, which a correct
+    /// hand-off never leaves ([`Doorbell`]).
     fn flush_replies(&mut self) -> bool {
         // Clear before take — the doorbell's one invariant.
-        self.control.doorbell.clear();
+        let was_pending = self.control.doorbell.clear();
         let mut replies = std::mem::take(&mut self.drained);
         std::mem::swap(&mut *lock(&self.control.replies), &mut replies);
-        let had_replies = !replies.is_empty();
+        let unrung = !replies.is_empty() && !was_pending && !self.control.doorbell.is_pending();
         let max_frame = self.control.config.max_frame as usize;
         let mut touched = std::mem::take(&mut self.touched);
         for reply in replies.drain(..) {
@@ -921,7 +963,7 @@ impl EventLoop {
             self.update_interest(token);
         }
         self.touched = touched;
-        had_replies
+        unrung
     }
 
     // -- per-connection readiness ---------------------------------------
@@ -1049,7 +1091,9 @@ impl EventLoop {
                 let room = config.queue_depth.saturating_sub(jobs.queue.len());
                 let accepted = self.batch.len().min(room);
                 jobs.queue.extend(self.batch.drain(..accepted));
-                (accepted, accepted.min(jobs.parked), jobs.queue.len())
+                let wake = accepted.min(jobs.parked);
+                jobs.notified += wake as u64;
+                (accepted, wake, jobs.queue.len())
             };
             for _ in 0..wake {
                 self.control.jobs_cv.notify_one();
@@ -1328,7 +1372,8 @@ mod tests {
         for round in 0..3 {
             assert!(bell.ring(), "round {round}");
             assert!(!bell.ring(), "round {round}");
-            bell.clear();
+            assert!(bell.clear(), "round {round}: the ring was pending");
+            assert!(!bell.clear(), "round {round}: a second clear finds none");
         }
         assert_eq!(bytes_waiting(&rx), 3);
     }

@@ -5,9 +5,9 @@
 
 use crate::{Coin, PaymentError};
 use p2drm_bignum::UBig;
-use p2drm_crypto::blind::{self, FdhCheck};
+use p2drm_crypto::blind;
 use p2drm_crypto::rng::CryptoRng;
-use p2drm_crypto::rsa::{RsaKeyPair, RsaPublicKey};
+use p2drm_crypto::rsa::{RsaKeyPair, RsaPublicKey, SignatureCheck};
 use p2drm_store::{ConcurrentKv, MemKv};
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -157,7 +157,7 @@ impl Mint {
     pub fn coin_check<'a>(&'a self, coin: &'a Coin) -> Result<CoinCheck<'a>, PaymentError> {
         let key = self.public_key(coin.denomination)?;
         let message = Coin::message_bytes(&coin.serial, coin.denomination);
-        FdhCheck::new(key, &message, &coin.signature)
+        SignatureCheck::fdh(key, &message, &coin.signature)
             .map(CoinCheck)
             .map_err(|_| PaymentError::BadCoin)
     }
@@ -227,7 +227,7 @@ impl Mint {
 
 /// A coin's signature check waiting for its public-key operation
 /// ([`Mint::coin_check`]).
-pub struct CoinCheck<'a>(FdhCheck<'a>);
+pub struct CoinCheck<'a>(SignatureCheck<'a>);
 
 impl<'a> CoinCheck<'a> {
     /// The public-key operation to run: the coin's signature under its

@@ -5,8 +5,9 @@ use crate::PkiError;
 use p2drm_codec::{Decode, Encode, Reader, Writer};
 use p2drm_crypto::blind;
 use p2drm_crypto::elgamal::{ElGamalCiphertext, ElGamalPublicKey};
-use p2drm_crypto::rsa::{RsaPublicKey, RsaSignature};
+use p2drm_crypto::rsa::{RsaPublicKey, RsaSignature, SignatureCheck};
 use p2drm_crypto::sha256::sha256;
+use p2drm_crypto::CryptoError;
 
 p2drm_codec::record! {
     /// 32-byte key identifier: SHA-256 fingerprint of a canonical public key.
@@ -320,8 +321,18 @@ p2drm_codec::record! {
 impl PseudonymCertificate {
     /// Verifies the RA's blind-key signature.
     pub fn verify(&self, ra_blind_key: &RsaPublicKey) -> Result<(), PkiError> {
-        blind::verify_fdh(ra_blind_key, &self.body.signing_bytes(), &self.signature)
+        self.signature_check(ra_blind_key)
+            .and_then(|check| check.run())
             .map_err(|_| PkiError::BadSignature)
+    }
+
+    /// [`PseudonymCertificate::verify`] split around its public-key
+    /// operation, for a caller that runs it in a batch of its own.
+    pub fn signature_check<'a>(
+        &'a self,
+        ra_blind_key: &'a RsaPublicKey,
+    ) -> Result<SignatureCheck<'a>, CryptoError> {
+        SignatureCheck::fdh(ra_blind_key, &self.body.signing_bytes(), &self.signature)
     }
 
     /// The pseudonym's key id (its only "name").

@@ -318,8 +318,9 @@ fn serve(provider: ContentProvider<Backend>, sys: &System) -> ProviderService<Ba
     service
 }
 
-/// Device `d` booted over its one-shard directory under `dir`, with a
-/// fresh device key: what it holds is what its store kept.
+/// Device `d` booted over its one-shard directory under `dir`: a new
+/// device on a fresh directory, and after a restart the same device
+/// again (its `identity` row), holding what its store kept.
 fn boot(
     sys: &mut System,
     cert: &Certificate,
@@ -1300,9 +1301,9 @@ fn draw(m: &Model, rng: &mut StdRng, shards: usize, retry: &mut Option<Op>) -> (
         // between them, so a changed weight is checked against those lists.
         let op = match r(133) {
             0..=3 => Op::Purchase(user, item, None),
-            4..=17 => Op::Purchase(user, item, Some(faulty)),
-            18..=34 => forge(m, user, item, &mut r),
-            35..=41 if !held.is_empty() => match retry.take() {
+            4..=22 => Op::Purchase(user, item, Some(faulty)),
+            23..=39 => forge(m, user, item, &mut r),
+            40..=47 if !held.is_empty() => match retry.take() {
                 Some(Op::Transfer(from, to, license, _))
                     if m.users[from].held.iter().any(|l| l.0 == license) =>
                 {
@@ -1315,8 +1316,8 @@ fn draw(m: &Model, rng: &mut StdRng, shards: usize, retry: &mut Option<Op>) -> (
                     op
                 }
             },
-            42..=44 if !held.is_empty() => Op::Steal((holder + other) % USERS, license, user),
-            45..=54 if !held.is_empty() => {
+            48..=50 if !held.is_empty() => Op::Steal((holder + other) % USERS, license, user),
+            51..=60 if !held.is_empty() => {
                 // Most plays repeat the license the device counted most,
                 // so counts run out and kept rows are played.
                 let counted =
@@ -1326,10 +1327,10 @@ fn draw(m: &Model, rng: &mut StdRng, shards: usize, retry: &mut Option<Op>) -> (
                     _ => Op::Play([holder, user][usize::from(r(4) == 0)], device, license),
                 }
             }
-            55..=57 => Op::SyncCrl(device),
-            58..=63 if !m.licenses.is_empty() => Op::Status(r(m.licenses.len())),
-            64..=66 => Op::Download(maybe_item),
-            67..=69 => Op::Catalog(maybe_item),
+            61..=63 => Op::SyncCrl(device),
+            64..=65 if !m.licenses.is_empty() => Op::Status(r(m.licenses.len())),
+            66..=67 => Op::Download(maybe_item),
+            68..=69 => Op::Catalog(maybe_item),
             70..=74 if !m.sent.is_empty() => Op::Resend(r(m.sent.len())),
             75..=77 => {
                 let parked = (0..USERS)
@@ -1337,24 +1338,24 @@ fn draw(m: &Model, rng: &mut StdRng, shards: usize, retry: &mut Option<Op>) -> (
                     .find(|&u| !m.users[u].parked.is_empty());
                 Op::Settle(parked.unwrap_or(user))
             }
-            78 if !copies.is_empty() => {
+            78..=79 if !copies.is_empty() => {
                 let (user, (license, pseudonym)) = copies[r(copies.len())];
                 Op::Restore(user, license, pseudonym)
             }
-            79..=80 if !held.is_empty() => Op::RevokeLicense(license),
-            81..=82 if !held.is_empty() => {
+            80..=81 if !held.is_empty() => Op::RevokeLicense(license),
+            82..=83 if !held.is_empty() => {
                 Op::RevokePseudonym([m.licenses[license].holder, r(m.pseudonyms.len())][r(2)])
             }
-            83..=85 => Op::AdvanceEpoch(1 + r(4) as u32),
-            86..=89 => Op::Restart((r(2) == 0).then(|| r(shards))),
-            90..=94 if !spent.is_empty() => Op::RestoreCoin(user, spent[r(spent.len())]),
-            95..=97 => Op::Pseudonym(issuing),
-            98..=102 => Op::Attribute(issuing, r(3) > 0),
-            103..=112 if !held.is_empty() && m.pseudonyms.len() > 1 => {
+            84..=86 => Op::AdvanceEpoch(1 + r(4) as u32),
+            87..=90 => Op::Restart((r(2) == 0).then(|| r(shards))),
+            91..=95 if !spent.is_empty() => Op::RestoreCoin(user, spent[r(spent.len())]),
+            96..=98 => Op::Pseudonym(issuing),
+            99..=103 => Op::Attribute(issuing, r(3) > 0),
+            104..=111 if !held.is_empty() && m.pseudonyms.len() > 1 => {
                 accuse(m, license, &held, &mut r)
             }
             // Old lists are drawn oldest first more often than their share.
-            113..=124 => {
+            112..=122 => {
                 let newest = r(m.synced.len());
                 let n = r(1 + newest);
                 let shown = match r(7) {
@@ -1368,7 +1369,7 @@ fn draw(m: &Model, rng: &mut StdRng, shards: usize, retry: &mut Option<Op>) -> (
                 Op::ShowCrl(device, shown)
             }
             // A cut transfer is sent again like a faulted one.
-            125..=132 => {
+            123..=132 => {
                 let op = match r(5) {
                     0 => Op::Purchase(user, item, None),
                     1 | 2 if !movable.is_empty() => {
