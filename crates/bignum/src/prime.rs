@@ -132,6 +132,12 @@
 //! bits); with `d = e⁻¹ mod λ` computed as `(1 + λ·k)/e`
 //! (`p2drm-crypto`'s `rsa` module), a whole RSA-1024 key costs
 //! ×0.92–0.95, the same keys byte for byte (300 seeds, three runs).
+//! The table's lanes still computed `2^(n−1)` and its "base-2 strong
+//! test" row is each survivor's scalar `2^d` after them; with the lanes
+//! computing `2^d` and finishing the test, that row is gone but for the
+//! squarings, and a key's three searches read 846–923 µs against
+//! 885–958 µs for the search before (×0.957–0.966; the same alternation,
+//! 300 keys a run, three runs, the same primes asserted).
 //!
 //! The search looks at no more than `4·bits` candidates
 //! (`WINDOW_PER_BIT`) and never past `2^bits − 1`; if none is prime it
@@ -290,27 +296,29 @@ fn is_probable_prime<R: BigRng + ?Sized>(
     lanes: bool,
 ) -> bool {
     debug_assert!(n.is_odd());
-    count(|c| c.scalar_tests += 1);
-    let odd = OddPart::of(n);
-    let mont = Mont::new(n).expect("odd modulus");
-    odd.strong_probable_prime(mont.pow2(&odd.d), |x| mont.mul_mod(x, x))
-        && passes_after_base2(n, &odd, &mont, rounds, rng, lanes)
+    scalar_test(n, &OddPart::of(n), false, rounds, rng, lanes)
 }
 
-/// Steps 3–4 of the test, for an `n` that passed the base-2 strong test
-/// (step 2), with `odd` and `mont` made from `n`.
-fn passes_after_base2<R: BigRng + ?Sized>(
+/// The scalar part of steps 2–4, with `odd` made from `n`; with
+/// `base2_passed`, `n` already passed step 2 in lanes
+/// ([`pass_base2_strong`]) and the test starts at step 3.
+fn scalar_test<R: BigRng + ?Sized>(
     n: &UBig,
     odd: &OddPart,
-    mont: &Mont,
+    base2_passed: bool,
     rounds: usize,
     rng: &mut R,
     lanes: bool,
 ) -> bool {
-    if !strong_lucas_probable_prime(n, mont) {
+    count(|c| c.scalar_tests += 1);
+    let mont = Mont::new(n).expect("odd modulus");
+    let strong = |x| odd.strong_probable_prime(x, |x| mont.mul_mod(x, x));
+    if !base2_passed && !strong(mont.pow2(&odd.d)) {
         return false;
     }
-    let strong = |x| odd.strong_probable_prime(x, |x| mont.mul_mod(x, x));
+    if !strong_lucas_probable_prime(n, &mont) {
+        return false;
+    }
     let two = UBig::from_u64(2);
     let span = n.sub(&UBig::from_u64(3)); // witnesses in [2, n-2]
     let mut draw = || &crate::rng::random_below(rng, &span) + &two;
@@ -375,13 +383,14 @@ fn random_round_powers(n: &UBig, bases: &[UBig], d: &UBig) -> Option<Vec<UBig>> 
 }
 
 /// The members of `batch` that pass the base-2 strong test (step 2), in
-/// order; each is odd, above 2 and of at most 362 bits. `2^d mod n` for
-/// every member is one lane of one kernel call, and the test finishes
-/// with at most `r − 1` squarings (`n − 1 = d·2^r`) of plain [`UBig`]s,
-/// so a member pays for no [`Mont`] unless it passes. The search calls
+/// order and each with its [`OddPart`]; each is odd, above 2 and of at
+/// most 362 bits. `2^d mod n` for every member is one lane of one
+/// kernel call, and the test finishes with at most `r − 1` squarings
+/// (`n − 1 = d·2^r`) of plain [`UBig`]s, so a member pays for no
+/// [`Mont`] unless it passes. The search calls
 /// this only on a CPU with the kernel; without it each power is one
 /// scalar ladder instead, with the same verdicts.
-fn pass_base2_strong(batch: Vec<UBig>) -> Vec<UBig> {
+fn pass_base2_strong(batch: Vec<UBig>) -> Vec<(UBig, OddPart)> {
     let moduli: Vec<Modulus52> = batch
         .iter()
         .map(|n| Modulus52::new(n).expect("odd, at most 362 bits"))
@@ -398,16 +407,18 @@ fn pass_base2_strong(batch: Vec<UBig>) -> Vec<UBig> {
             .map(|(n, o)| Mont::new(n).expect("odd modulus").pow2(&o.d))
             .collect()
     });
-    let passed: Vec<UBig> = batch
+    let lane_count = lanes.len() as u64;
+    let passed: Vec<(UBig, OddPart)> = batch
         .into_iter()
-        .zip(odd.iter().zip(powers))
-        .filter_map(|(n, (o, x))| {
+        .zip(odd)
+        .zip(powers)
+        .filter_map(|((n, o), x)| {
             let passes = o.strong_probable_prime(x, |x| (x * x).rem(&n));
-            passes.then_some(n)
+            passes.then_some((n, o))
         })
         .collect();
     count(|c| {
-        c.fermat_lanes += lanes.len() as u64;
+        c.fermat_lanes += lane_count;
         c.fermat_passed += passed.len() as u64;
     });
     passed
@@ -756,11 +767,8 @@ fn search_in_lanes<R: BigRng + ?Sized>(
         if batch.is_empty() {
             return None;
         }
-        for candidate in pass_base2_strong(batch) {
-            count(|c| c.scalar_tests += 1);
-            let mont = Mont::new(&candidate).expect("odd modulus");
-            let odd = OddPart::of(&candidate);
-            if passes_after_base2(&candidate, &odd, &mont, rounds, rng, true) {
+        for (candidate, odd) in pass_base2_strong(batch) {
+            if scalar_test(&candidate, &odd, true, rounds, rng, true) {
                 return Some(candidate);
             }
         }
@@ -1191,7 +1199,7 @@ mod tests {
         let mut verdicts = Vec::new();
         for chunk in ns.chunks(BATCH) {
             let passed = pass_base2_strong(chunk.to_vec());
-            verdicts.extend(chunk.iter().map(|n| passed.contains(n)));
+            verdicts.extend(chunk.iter().map(|n| passed.iter().any(|(p, _)| p == n)));
         }
         verdicts
     }

@@ -7,16 +7,17 @@
 //! vertical layout: state word `i` of all sixteen blocks sits in one
 //! `[u32; 16]` row, so each add, xor and rotate of a quarter round is one
 //! lane-wise operation, and each block's keystream is read back out of
-//! its column. The loop is compiled for AVX-512F (one row a register)
-//! and for AVX2 (two), and the widest that `is_x86_feature_detected!`
-//! reports runs (`apply_wide`, the crate's second `unsafe` exemption);
-//! other CPUs, the bytes after the last whole run and every input
-//! shorter than one take the scalar loop, one block at a time. Each
-//! instance gives the block function's keystream byte for byte. On a
-//! 2-vCPU VM (Intel Xeon, family 6, model 207), 16 KiB in place, five
-//! runs of 2,000 each: scalar loop 29–35 µs, AVX2 10.6–10.8 µs, AVX-512F
-//! 8.4–10.1 µs. The same wide loop built for the target's SSE2 alone
-//! read 55–106 µs, slower than the scalar loop, so it is no instance.
+//! its column. The loop is compiled for AVX2 (one row in two
+//! registers) and runs when `is_x86_feature_detected!` reports it
+//! (`apply_wide`, the crate's second `unsafe` exemption); other CPUs,
+//! the bytes after the last whole run and every input shorter than one
+//! take the scalar loop, one block at a time. Both give the block
+//! function's keystream byte for byte. On a 2-vCPU VM (Intel Xeon,
+//! family 6, model 207), 16 KiB in place, five runs of 2,000 each:
+//! scalar loop 29–35 µs, AVX2 10.6–10.8 µs. The same loop built for
+//! AVX-512F (one row a register) read 8.4–10.1 µs, about 1 µs a play
+//! less, too little to keep a second instance for; built for the
+//! target's SSE2 alone it read 55–106 µs, slower than the scalar loop.
 
 /// Key length in bytes.
 pub const KEY_LEN: usize = 32;
@@ -85,9 +86,9 @@ fn keystream_block(key: &[u8; KEY_LEN], nonce: &[u8; NONCE_LEN], counter: u32) -
 /// XORs `data` in place with the keystream starting at `initial_counter`.
 ///
 /// Encryption and decryption are the same operation. Every whole
-/// [`STEP`] of `data` takes the widest instance of the wide loop the CPU
-/// has ([`apply_wide`]); the bytes after them, and all of an input
-/// shorter than a step, take the scalar loop.
+/// 1 KiB of `data` takes the sixteen-block loop on a CPU with AVX2
+/// (module doc); the bytes after them, and all of an input shorter than
+/// 1 KiB, take the scalar loop.
 ///
 /// # Panics
 ///
@@ -148,9 +149,6 @@ enum Instance {
     /// The wide body compiled for AVX2: one state word of all sixteen
     /// blocks in two 256-bit registers.
     Avx2,
-    /// The wide body compiled for AVX-512F: one state word of all
-    /// sixteen blocks in one 512-bit register.
-    Avx512f,
 }
 
 impl Instance {
@@ -158,14 +156,8 @@ impl Instance {
     /// which std caches).
     fn widest() -> Instance {
         #[cfg(target_arch = "x86_64")]
-        {
-            use std::arch::is_x86_feature_detected as has;
-            if has!("avx512f") {
-                return Instance::Avx512f;
-            }
-            if has!("avx2") {
-                return Instance::Avx2;
-            }
+        if std::arch::is_x86_feature_detected!("avx2") {
+            return Instance::Avx2;
         }
         Instance::Scalar
     }
@@ -174,14 +166,13 @@ impl Instance {
 /// XORs `data`, a whole number of [`STEP`]s, with the keystream from
 /// `counter` on; the caller has checked that the counter does not wrap.
 ///
-/// The wide body ([`apply_wide_body`]) is compiled for AVX2 and for
-/// AVX-512F, and `instance` names what runs: the cipher passes
-/// [`Instance::widest`], the tests each instance in turn. A wide
-/// instance runs only once the CPU is reported to have its feature;
-/// otherwise the scalar loop runs. All three give the keystream of the
-/// block function, byte for byte. The portable build of the wide body
-/// is not among them: on SSE2 alone it read 2–3× slower than the scalar
-/// loop (module doc).
+/// The wide body ([`apply_wide_body`]) is compiled for AVX2, and
+/// `instance` names what runs: the cipher passes [`Instance::widest`],
+/// the tests each instance in turn. The wide instance runs only once
+/// the CPU is reported to have AVX2; otherwise the scalar loop runs.
+/// Both give the keystream of the block function, byte for byte. The
+/// portable build of the wide body is no instance: on SSE2 alone it
+/// read 2–3× slower than the scalar loop (module doc).
 #[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
 fn apply_wide(
@@ -191,17 +182,13 @@ fn apply_wide(
     data: &mut [u8],
     instance: Instance,
 ) {
-    use std::arch::is_x86_feature_detected as has;
-    match instance {
-        // SAFETY: `apply_wide_avx512f` is safe apart from its
-        // `#[target_feature(enable = "avx512f")]`, and the running CPU
-        // was just reported to have it.
-        Instance::Avx512f if has!("avx512f") => unsafe {
-            apply_wide_avx512f(key, nonce, counter, data)
-        },
-        // SAFETY: as above, for `avx2`.
-        Instance::Avx2 if has!("avx2") => unsafe { apply_wide_avx2(key, nonce, counter, data) },
-        _ => apply_blocks(key, nonce, counter, data),
+    if instance == Instance::Avx2 && std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: `apply_wide_avx2` is safe apart from its
+        // `#[target_feature(enable = "avx2")]`, and the running CPU was
+        // just reported to have it.
+        unsafe { apply_wide_avx2(key, nonce, counter, data) }
+    } else {
+        apply_blocks(key, nonce, counter, data)
     }
 }
 
@@ -220,8 +207,7 @@ fn apply_wide(
 /// One state word of all [`WIDE`] blocks.
 type Row = [u32; WIDE];
 
-/// The wide loop's one body, inlined into each instance of
-/// [`apply_wide`]. Vertical layout: `x[i][l]` is word `i` of block `l`,
+/// The wide loop's body, inlined into [`apply_wide`]'s AVX2 instance. Vertical layout: `x[i][l]` is word `i` of block `l`,
 /// so each step of a quarter round is one lane-wise operation on a
 /// [`Row`], and block `l`'s keystream is column `l` at the end.
 #[cfg(target_arch = "x86_64")]
@@ -276,13 +262,6 @@ fn wide_quarter_round(x: &mut [Row; 16], a: usize, b: usize, c: usize, d: usize)
         vb[l] = (vb[l] ^ vc[l]).rotate_left(7);
     }
     (x[a], x[b], x[c], x[d]) = (va, vb, vc, vd);
-}
-
-/// [`apply_wide_body`] on 512-bit registers.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-fn apply_wide_avx512f(key: &[u8; KEY_LEN], nonce: &[u8; NONCE_LEN], counter: u32, data: &mut [u8]) {
-    apply_wide_body(key, nonce, counter, data)
 }
 
 /// [`apply_wide_body`] on 256-bit registers.
@@ -408,7 +387,7 @@ only one tip for the future, sunscreen would be it.";
 
     /// The instances this CPU runs, the scalar loop first.
     fn instances() -> Vec<Instance> {
-        let all = [Instance::Scalar, Instance::Avx2, Instance::Avx512f];
+        let all = [Instance::Scalar, Instance::Avx2];
         let widest = all.iter().position(|&i| i == Instance::widest()).unwrap();
         all[..=widest].to_vec()
     }

@@ -6,7 +6,7 @@
 //! | [`sha256`] | FIPS 180-4 SHA-256, on the x86-64 SHA extensions when the CPU has them | everything (digests, FDH, KDF) |
 //! | [`hmac`] | HMAC-SHA-256 (RFC 2104) | session MACs, KDF |
 //! | [`kdf`] | HKDF-style expand | content/session key derivation |
-//! | [`chacha20`] | RFC 7539 ChaCha20, sixteen blocks wide on AVX2 or AVX-512F | content encryption, escrow payloads |
+//! | [`chacha20`] | RFC 7539 ChaCha20, sixteen blocks wide on AVX2 | content encryption, escrow payloads |
 //! | [`rsa`] | RSA keygen / PKCS#1-v1.5 sign / RSA-KEM | certificates, licenses, key wrapping |
 //! | [`blind`] | Chaum full-domain-hash blind signatures | pseudonym certification, e-cash |
 //! | [`elgamal`] | ElGamal over RFC 3526 MODP groups | TTP identity escrow |
@@ -23,8 +23,8 @@
 //!
 //! The crate denies `unsafe_code`. Two functions are exempt, each a
 //! guarded call: `sha256::compress_sha_ni`, into the SHA-NI compression
-//! kernel, and `chacha20::apply_wide`, into the AVX2 and AVX-512F
-//! instances of the wide ChaCha20 loop. Each kernel is a safe
+//! kernel, and `chacha20::apply_wide`, into the AVX2 instance of the
+//! wide ChaCha20 loop. Each kernel is a safe
 //! `#[target_feature]` function, and calling it is sound only on a CPU
 //! with those features, so each call sits right after the
 //! `is_x86_feature_detected!` check that proves it ([`sha256`] and

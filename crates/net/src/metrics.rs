@@ -153,10 +153,10 @@ pub struct MetricsSnapshot {
     pub worker_notifies: u64,
     /// Hand-offs that were only noticed by a safety-net timeout, with
     /// no wake-up on its way: the event loop's tick expired with no
-    /// event yet found replies queued that no doorbell ring was armed
-    /// for, or a parked worker's wait timed out and found a job while
-    /// no notify had been decided on since it parked. A timeout that
-    /// races a ring or notify in flight is not counted. Stays 0 —
+    /// event yet found replies queued whose doorbell byte was not on
+    /// the socket, or a parked worker's wait timed out and found a job
+    /// while no notify had been decided on since it parked. A timeout
+    /// that races a ring or notify in flight is not counted. Stays 0 —
     /// anything else is a lost wake-up.
     pub late_wakeups: u64,
 }

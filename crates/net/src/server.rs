@@ -34,20 +34,20 @@
 //!   for several requests at once (the wire service signs their
 //!   licenses in one batch); each reply is pushed as soon as the
 //!   service gives it.
-//! * **Workers → event thread.** A worker pushes its reply and then
-//!   rings the doorbell: under the lock it pushed with it arms the bell
-//!   (`pending.swap(true)`), and after the lock it writes the self-wake
-//!   byte only if the swap found `false`. The protocol's one invariant is
-//!   **clear-before-take**: the event thread clears `pending` *before*
-//!   it takes the reply vector, so a reply pushed after the take always
-//!   finds the flag clear and rings, and a reply that found the flag
-//!   set is always covered by a take that has not happened yet. The
-//!   25 ms poll tick is a safety net, never the mechanism; a reply or
-//!   job that had to wait for a timeout with no ring or notify on its
-//!   way is counted in [`MetricsSnapshot::late_wakeups`], which stays 0.
-//!   A timeout that only raced a ring or notify already decided on is
-//!   not: a tick that finds replies reads whether the bell was armed
-//!   for them, and a worker compares the count of notifies decided on
+//! * **Workers → event thread.** A worker pushes its reply and then,
+//!   under the same lock, rings the doorbell: it writes the self-wake
+//!   byte only if `pending.swap(true)` was `false`. The protocol's one
+//!   invariant is **clear-before-take**: the event thread clears
+//!   `pending` *before* it takes the reply vector, so a reply pushed
+//!   after the take always finds the flag clear and rings, and a reply
+//!   that found the flag set is always covered by a take that has not
+//!   happened yet. The 25 ms poll tick is a safety net, never the
+//!   mechanism; a reply or job that had to wait for a timeout with no
+//!   ring or notify on its way is counted in
+//!   [`MetricsSnapshot::late_wakeups`], which stays 0. A timeout that
+//!   only raced a ring or notify is not: a tick that finds replies
+//!   reads the doorbell, where their ring's byte already is unless it
+//!   was lost, and a worker compares the count of notifies decided on
 //!   with the count it parked at.
 //! * **Event thread → sockets.** A drained reply batch is first
 //!   appended to its connections' write buffers (per-connection order
@@ -259,10 +259,11 @@ struct Stages {
 /// pushed after the take therefore finds `pending` clear and rings; a
 /// reply whose ring was skipped (`pending` already set) was pushed
 /// before a clear that is still to come, and the take after that clear
-/// collects it. A worker arms the bell under the replies lock it
-/// pushed with, so every reply a take finds was armed for either
-/// before the clear (which then reports the bell pending) or after it
-/// (the bell is pending again at once).
+/// collects it. Every ring is made under the replies lock (a worker's
+/// right after its push), so when a take finds a reply, the byte of
+/// the ring that covers it is already on the socket: a tick that timed
+/// out and then finds replies reads the socket, and no byte there
+/// means the ring was lost.
 struct Doorbell {
     tx: UnixStream,
     pending: AtomicBool,
@@ -271,36 +272,23 @@ struct Doorbell {
 impl Doorbell {
     /// Rings unless a ring is already pending; `true` when a byte was
     /// written. At most one byte per `clear` is ever in flight, so the
-    /// non-blocking write cannot find the socket full.
+    /// non-blocking write cannot find the socket full; if it fails
+    /// anyway, the bell is disarmed again so the next reply rings, and
+    /// the tick that finds this one counts it late.
     fn ring(&self) -> bool {
-        let armed = self.arm();
-        if armed {
-            self.send();
+        if self.pending.swap(true, Ordering::SeqCst) {
+            return false;
         }
-        armed
+        if (&self.tx).write(&[1u8]).is_err() {
+            self.pending.store(false, Ordering::SeqCst);
+            return false;
+        }
+        true
     }
 
-    /// The first half of [`Doorbell::ring`]: marks a ring pending, and
-    /// `true` when no earlier one was, so the caller must
-    /// [`Doorbell::send`] the byte.
-    fn arm(&self) -> bool {
-        !self.pending.swap(true, Ordering::SeqCst)
-    }
-
-    /// The second half of [`Doorbell::ring`]: writes the byte.
-    fn send(&self) {
-        let _ = (&self.tx).write(&[1u8]);
-    }
-
-    /// Re-arms the bell; `true` when a ring was pending. Event thread
-    /// only, before taking the replies.
-    fn clear(&self) -> bool {
-        self.pending.swap(false, Ordering::SeqCst)
-    }
-
-    /// Whether a ring is pending.
-    fn is_pending(&self) -> bool {
-        self.pending.load(Ordering::SeqCst)
+    /// Re-arms the bell. Event thread only, before taking the replies.
+    fn clear(&self) {
+        self.pending.store(false, Ordering::SeqCst);
     }
 }
 
@@ -326,6 +314,8 @@ fn lock<'a, T>(m: &'a Mutex<T>) -> MutexGuard<'a, T> {
 
 impl Control {
     fn wake_event_thread(&self) {
+        // Under the replies lock, as a worker rings: see `Doorbell`.
+        let _replies = lock(&self.replies);
         if self.doorbell.ring() {
             self.metrics.event_wake();
         }
@@ -567,7 +557,7 @@ fn worker_loop<S: NetService>(control: &Control, service: &S) {
                 stages.dispatch_ns.record_duration(job.queued_at.elapsed());
             }
             control.metrics.request_served();
-            let armed = {
+            let rang = {
                 let mut replies = lock(&control.replies);
                 replies.push(Reply {
                     conn: job.conn,
@@ -575,10 +565,9 @@ fn worker_loop<S: NetService>(control: &Control, service: &S) {
                 });
                 // After the push, never before, and under its lock: see
                 // `Doorbell`.
-                control.doorbell.arm()
+                control.doorbell.ring()
             };
-            if armed {
-                control.doorbell.send();
+            if rang {
                 control.metrics.event_wake();
             }
         });
@@ -789,16 +778,19 @@ impl EventLoop {
             for ev in &fired {
                 match ev.token {
                     TOKEN_LISTENER => self.accept_ready(),
-                    TOKEN_WAKER => self.drain_waker(),
+                    TOKEN_WAKER => {
+                        self.drain_waker();
+                    }
                     token => self.conn_ready(token, ev.readable || ev.hangup),
                 }
             }
             // Every pass, whether or not the doorbell was among the
             // events: workers skip the ring while one is pending.
-            let unrung = self.flush_replies();
-            if fired.is_empty() && unrung {
-                // The tick expired with nothing ready, and replies were
-                // waiting that no ring was armed for: it was lost.
+            let had_replies = self.flush_replies();
+            if fired.is_empty() && had_replies && !self.drain_waker() {
+                // The tick expired with nothing ready, yet replies were
+                // waiting, and their ring's byte is not on the doorbell
+                // (a ring that only raced the timer is): it was lost.
                 self.control.metrics.late_wakeup();
             }
             events = fired;
@@ -897,27 +889,27 @@ impl EventLoop {
 
     // -- waker / worker replies -----------------------------------------
 
-    fn drain_waker(&mut self) {
+    /// Reads the doorbell; `true` when a byte was there.
+    fn drain_waker(&mut self) -> bool {
         // The doorbell keeps at most one byte per flush in flight (plus
         // shutdown's), so one read empties the socket — no second read
         // just to see `WouldBlock`; level-triggered polling reports
         // anything that did stay behind.
         let mut sink = [0u8; 16];
-        let _ = (&self.wake_rx).read(&mut sink);
+        matches!((&self.wake_rx).read(&mut sink), Ok(n) if n > 0)
     }
 
     /// Takes everything the workers have queued and sends it: every
     /// reply is first appended to its connection's buffer (queue order
     /// is per-connection reply order), then each touched connection
     /// gets **one** parse / write / close-check / interest pass. `true`
-    /// when it took replies with no ring armed for them, which a correct
-    /// hand-off never leaves ([`Doorbell`]).
+    /// when there was anything to take.
     fn flush_replies(&mut self) -> bool {
         // Clear before take — the doorbell's one invariant.
-        let was_pending = self.control.doorbell.clear();
+        self.control.doorbell.clear();
         let mut replies = std::mem::take(&mut self.drained);
         std::mem::swap(&mut *lock(&self.control.replies), &mut replies);
-        let unrung = !replies.is_empty() && !was_pending && !self.control.doorbell.is_pending();
+        let had_replies = !replies.is_empty();
         let max_frame = self.control.config.max_frame as usize;
         let mut touched = std::mem::take(&mut self.touched);
         for reply in replies.drain(..) {
@@ -963,7 +955,7 @@ impl EventLoop {
             self.update_interest(token);
         }
         self.touched = touched;
-        unrung
+        had_replies
     }
 
     // -- per-connection readiness ---------------------------------------
@@ -1372,8 +1364,7 @@ mod tests {
         for round in 0..3 {
             assert!(bell.ring(), "round {round}");
             assert!(!bell.ring(), "round {round}");
-            assert!(bell.clear(), "round {round}: the ring was pending");
-            assert!(!bell.clear(), "round {round}: a second clear finds none");
+            bell.clear();
         }
         assert_eq!(bytes_waiting(&rx), 3);
     }
