@@ -207,9 +207,10 @@ fn apply_wide(
 /// One state word of all [`WIDE`] blocks.
 type Row = [u32; WIDE];
 
-/// The wide loop's body, inlined into [`apply_wide`]'s AVX2 instance. Vertical layout: `x[i][l]` is word `i` of block `l`,
-/// so each step of a quarter round is one lane-wise operation on a
-/// [`Row`], and block `l`'s keystream is column `l` at the end.
+/// The wide loop's body, inlined into [`apply_wide`]'s AVX2 instance.
+/// Vertical layout: `x[i][l]` is word `i` of block `l`, so each step of
+/// a quarter round is one lane-wise operation on a [`Row`], and block
+/// `l`'s keystream is column `l` at the end.
 #[cfg(target_arch = "x86_64")]
 #[inline(always)]
 fn apply_wide_body(key: &[u8; KEY_LEN], nonce: &[u8; NONCE_LEN], counter: u32, data: &mut [u8]) {
